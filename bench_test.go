@@ -273,8 +273,7 @@ func BenchmarkJoin(b *testing.B) {
 // 100k uniform workload (two STR-packed 50k R*-trees): the legacy
 // serial nested-loop engine (naive-serial, which re-reads right child
 // pages) against the sweep engine at 1–8 workers. Metrics:
-// accesses/op (the paper's disk accesses) and pairs/sec. Run with
-// -benchtime 1x for the BENCH_join.json snapshot.
+// accesses/op (the paper's disk accesses) and pairs/sec.
 func BenchmarkJoinParallel(b *testing.B) {
 	const nPerSide = 50000
 	cfg := benchConfig()

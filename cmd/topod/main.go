@@ -26,23 +26,24 @@
 //	curl -s -d '{"left":"main","right":"second","relations":["overlap"]}' localhost:8080/v1/join
 //
 // With -data-dir the index is durable: its state lives in the
-// directory as a checksummed page-file snapshot plus a mutation WAL
-// (-fsync always|interval|never), is checkpointed as the log grows
-// (-checkpoint-every), and is recovered on the next boot — a kill -9
-// loses no acknowledged mutation under -fsync always. A clean SIGTERM
+// directory as two files — name.flat, a checksummed MBRFLAT1 image of
+// the last checkpoint, and name.wal.<gen>, the mutations since
+// (-fsync always|interval|never). It is checkpointed as the log grows
+// (-checkpoint-every) and recovered on the next boot — a kill -9 loses
+// no acknowledged mutation under -fsync always. A clean SIGTERM
 // checkpoints so the restart replays nothing:
 //
 //	topod -gen 10000 -data-dir /var/lib/topod -fsync always
 //
-// Each checkpoint also publishes a flat read-only snapshot (-flat,
-// default on): when the WAL is quiet and checksums match, the next
-// boot answers queries from it immediately while the paged working
-// copy rebuilds in the background, instead of paying the copy + scrub
-// + replay of full recovery up front. The boot line reports which
-// backend is serving (backend=flat, backend=recovered, or the plain
-// build line for a fresh index).
+// When the WAL is quiet the next boot answers queries straight from
+// the validated image (backend=flat) and builds a mutable tree only
+// when the first mutation arrives, which stalls that one write for
+// about one bulk load; with records in the WAL it rebuilds the tree,
+// replays them and checkpoints before serving (backend=recovered). A
+// fresh index prints the plain build line. An image that fails its
+// checksums is never guessed around: the index answers 503.
 //
-// Read replicas: -follow streams the primary's flat snapshot plus a
+// Read replicas: -follow streams the primary's checkpoint image plus a
 // live WAL tail over /v1/replicate into a local data directory. The
 // replica serves all read endpoints, 403s mutations (naming the
 // primary), and gates /readyz on replication lag (-max-lag,
@@ -63,9 +64,9 @@
 // Tile sharding: -shards N partitions the index into N STR tiles, one
 // index instance per tile behind a scatter-gather router. Queries,
 // kNN, and joins fan out to only the tiles whose bounds can satisfy
-// the relation set; with -data-dir every tile keeps its own snapshot +
-// WAL + flat files and recovers independently (an existing on-disk
-// tile layout wins over the flag):
+// the relation set; with -data-dir every tile keeps its own image +
+// WAL and recovers independently (an existing on-disk tile layout wins
+// over the flag):
 //
 //	topod -gen 100000 -bulk -shards 4 -data-dir /var/lib/topod
 //
@@ -129,11 +130,10 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGTERM")
 
-		dataDir    = flag.String("data-dir", "", "durable state directory: snapshot + WAL, recovered on boot")
+		dataDir    = flag.String("data-dir", "", "durable state directory: checkpoint image + WAL, recovered on boot")
 		fsync      = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, never")
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "flush staleness bound under -fsync interval")
-		ckptEvery  = flag.Int("checkpoint-every", server.DefaultCheckpointEvery, "snapshot checkpoint after this many logged mutations")
-		flat       = flag.Bool("flat", true, "with -data-dir: publish a flat read-only snapshot at every checkpoint and instant-boot from it when possible")
+		ckptEvery  = flag.Int("checkpoint-every", server.DefaultCheckpointEvery, "checkpoint after this many logged mutations")
 
 		follow        = flag.String("follow", "", "run as a read replica of this primary base URL (requires -data-dir); POST /v1/promote or SIGUSR1 promotes")
 		maxLag        = flag.Duration("max-lag", 5*time.Second, "follower readiness gate: 503 on /readyz after this long without contact from the primary")
@@ -194,7 +194,7 @@ func main() {
 		Shards:   *shards,
 	}
 	if *follow != "" && *dataDir == "" {
-		fatal(fmt.Errorf("-follow requires -data-dir (the replica keeps its own snapshot + WAL)"))
+		fatal(fmt.Errorf("-follow requires -data-dir (the replica keeps its own checkpoint image + WAL)"))
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)
@@ -205,12 +205,11 @@ func main() {
 		spec.Fsync = policy
 		spec.FsyncInterval = *fsyncEvery
 		spec.CheckpointEvery = *ckptEvery
-		spec.Flat = *flat
 		spec.Follower = *follow != ""
 	}
 
 	// With existing durable state the items are ignored: the index
-	// recovers from its snapshot + WAL instead of rebuilding.
+	// recovers from its checkpoint image + WAL instead of rebuilding.
 	items, err := loadItems(*dataPath, *gen, cls, *seed)
 	if err != nil {
 		fatal(err)
@@ -249,15 +248,12 @@ func main() {
 		fmt.Printf("topod: backend=sharded %s %d rectangles across %d STR tiles in %s %q in %s (replayed %d WAL records)\n",
 			verb, inst.ReadIndex().Len(), inst.Sharded(), inst.Kind, inst.Name,
 			buildTime.Round(time.Millisecond), inst.Replayed)
-	// The flat case must precede the recovered one: a flat boot rebuilds
-	// its paged working copy in the background, so inst.Recovered and
-	// inst.Idx are not safe to read here.
 	case inst.Backend() == "flat":
-		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (paged working copy rebuilding in background)\n",
+		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (the first mutation builds the working tree)\n",
 			inst.ReadIndex().Len(), inst.Kind, inst.Name, *dataDir, buildTime.Round(time.Millisecond))
 	case inst.Recovered:
 		fmt.Printf("topod: backend=recovered %d rectangles in %s %q from %s (replayed %d WAL records)\n",
-			inst.Idx.Len(), inst.Kind, inst.Name, *dataDir, inst.Replayed)
+			inst.ReadIndex().Len(), inst.Kind, inst.Name, *dataDir, inst.Replayed)
 	default:
 		build := "loaded"
 		if *bulk {

@@ -211,15 +211,7 @@ func Persist(idx Index, file *pagefile.DiskFile) error {
 // OpenPersistent resumes an index of the given kind from a disk file
 // whose header was written by Persist.
 func OpenPersistent(kind Kind, file *pagefile.DiskFile) (Index, error) {
-	return Resume(kind, file, rtree.DecodeMeta(file.UserMeta()))
-}
-
-// Resume reopens an index of the given kind over any page file from
-// previously persisted metadata. Unlike OpenPersistent it does not
-// require the bare *pagefile.DiskFile, so the reopened tree can sit
-// behind a BufferPool or a fault-injection wrapper (the crash-recovery
-// harness reopens through a CrashFile this way).
-func Resume(kind Kind, file pagefile.File, m rtree.Meta) (Index, error) {
+	m := rtree.DecodeMeta(file.UserMeta())
 	switch kind {
 	case KindRTree:
 		return rtree.Open(file, rtree.Options{Split: rtree.SplitQuadratic}, "R-tree", m)
@@ -237,8 +229,7 @@ func Resume(kind Kind, file pagefile.File, m rtree.Meta) (Index, error) {
 
 // WriteFlat serializes the index's currently published version in the
 // flat snapshot format (see rtree.FlatTree), tagged with the given
-// checkpoint generation, so OpenFlat can serve it read-only without
-// reconstructing the paged working copy.
+// checkpoint generation, so OpenFlat can serve it read-only.
 func WriteFlat(idx Index, w io.Writer, gen uint64) error {
 	switch t := idx.(type) {
 	case *rtree.Tree:

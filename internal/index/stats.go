@@ -25,15 +25,3 @@ func StatsOf(idx Index) (*rtree.TreeStats, error) {
 	}
 	return nil, nil
 }
-
-// SetStats installs a persisted summary on a backend that accepts one
-// (the recovery path: the checkpointed stats file spares the restart
-// a collection walk). Backends without the hook ignore it.
-func SetStats(idx Index, st *rtree.TreeStats) {
-	if st == nil {
-		return
-	}
-	if ss, ok := idx.(interface{ SetStats(*rtree.TreeStats) }); ok {
-		ss.SetStats(st)
-	}
-}

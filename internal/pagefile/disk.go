@@ -104,35 +104,6 @@ func OpenDiskFile(path string) (*DiskFile, error) {
 	return d, nil
 }
 
-// ReadUserMeta reads just the user metadata from a disk file's header,
-// validating the magic and the header checksum, without opening the
-// page area. Boot paths use it to compare a snapshot's generation
-// against a sidecar file before deciding which one to serve from.
-func ReadUserMeta(path string) ([UserMetaSize]byte, error) {
-	var um [UserMetaSize]byte
-	f, err := os.Open(path)
-	if err != nil {
-		return um, err
-	}
-	defer f.Close()
-	hdr := make([]byte, diskHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return um, fmt.Errorf("pagefile: %s: truncated header (%w)", path, err)
-		}
-		return um, fmt.Errorf("pagefile: reading header: %w", err)
-	}
-	if string(hdr[:8]) != diskMagic {
-		return um, fmt.Errorf("pagefile: %s is not a page file (bad magic %q)", path, hdr[:8])
-	}
-	sum := binary.LittleEndian.Uint32(hdr[diskHeaderSize-4:])
-	if crc32.Checksum(hdr[:diskHeaderSize-4], castagnoli) != sum {
-		return um, fmt.Errorf("%w: %s: header checksum mismatch", ErrCorrupt, path)
-	}
-	copy(um[:], hdr[20:20+UserMetaSize])
-	return um, nil
-}
-
 func openDisk(f *os.File, path string) (*DiskFile, error) {
 	hdr := make([]byte, diskHeaderSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {

@@ -1,7 +1,6 @@
 package pagefile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -210,79 +209,5 @@ func TestDiskFileTruncatedPageArea(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("error %q does not mention truncation", err)
-	}
-}
-
-func TestCrashFileStopsMutationsAtCrashPoint(t *testing.T) {
-	base := NewMemFile(64)
-	cf := NewCrashFile(base)
-	// Unarmed: everything passes.
-	id, err := cf.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf.CrashAfter(2, CrashClean)
-	if err := cf.Write(id, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.Write(id, []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if cf.Ops() != 2 || cf.Crashed() {
-		t.Fatalf("ops=%d crashed=%v before the crash point", cf.Ops(), cf.Crashed())
-	}
-	if err := cf.Write(id, []byte("three")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("write at crash point: %v", err)
-	}
-	if !cf.Crashed() {
-		t.Fatal("crash point reached but Crashed() is false")
-	}
-	// The clean-mode crash dropped the write entirely.
-	buf := make([]byte, 64)
-	if err := cf.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf, []byte("two")) {
-		t.Fatalf("crashed write was applied: %q", buf[:8])
-	}
-	// Everything mutating after the crash fails too.
-	if _, err := cf.Alloc(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("alloc after crash: %v", err)
-	}
-	if err := cf.Free(id); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("free after crash: %v", err)
-	}
-}
-
-func TestCrashFileTornAndCorruptWrites(t *testing.T) {
-	data := bytes.Repeat([]byte{0xEE}, 64)
-
-	base := NewMemFile(64)
-	cf := NewCrashFile(base)
-	id, _ := cf.Alloc()
-	cf.CrashAfter(0, CrashTorn)
-	if err := cf.Write(id, data); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("torn write: %v", err)
-	}
-	buf := make([]byte, 64)
-	if err := base.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:32], data[:32]) || !bytes.Equal(buf[32:], make([]byte, 32)) {
-		t.Fatalf("torn write did not apply exactly the first half: % x", buf)
-	}
-
-	base = NewMemFile(64)
-	cf = NewCrashFile(base)
-	id, _ = cf.Alloc()
-	cf.CrashAfter(0, CrashCorrupt)
-	if err := cf.Write(id, data); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("corrupt write: %v", err)
-	}
-	if err := base.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(buf, data) {
-		t.Fatal("corrupt write applied the data unmodified")
 	}
 }

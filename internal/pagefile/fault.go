@@ -101,146 +101,3 @@ func (f *FaultFile) NumPages() int { return f.base.NumPages() }
 
 // FaultFile implements File.
 var _ File = (*FaultFile)(nil)
-
-// ErrCrashed is returned by a CrashFile once its crash point has been
-// reached: the simulated process is dead and accepts no more writes.
-var ErrCrashed = errors.New("pagefile: simulated crash")
-
-// CrashMode selects what happens to the write that hits the crash
-// point.
-type CrashMode int
-
-const (
-	// CrashClean drops the failing write entirely (power loss before
-	// the sector reached the platter).
-	CrashClean CrashMode = iota
-	// CrashTorn applies only a prefix of the failing write (torn
-	// write: the crash landed mid-sector).
-	CrashTorn
-	// CrashCorrupt applies the failing write with flipped bits (the
-	// controller scribbled garbage on the way down).
-	CrashCorrupt
-)
-
-// CrashFile wraps a File and simulates a process/machine crash at a
-// chosen mutation index: after N mutation operations (Alloc, Write,
-// Free) every further mutation returns ErrCrashed, and the operation
-// that hits the crash point can additionally tear or corrupt its
-// write. Reads keep working (recovery code reads the survivor files).
-// The recovery property tests use it to kill a workload at every write
-// index and assert the reopened index matches ground truth.
-type CrashFile struct {
-	mu      sync.Mutex
-	base    File
-	limit   int // mutation ops still allowed; -1 = unarmed
-	mode    CrashMode
-	crashed bool
-	ops     int // mutation ops that reached the base file
-}
-
-// NewCrashFile wraps base; no crash point is armed initially.
-func NewCrashFile(base File) *CrashFile {
-	return &CrashFile{base: base, limit: -1}
-}
-
-// CrashAfter arms the crash point: the next n mutation operations
-// succeed, then the file "crashes" — the op that trips the limit is
-// dropped, torn, or corrupted per mode, and everything after it
-// returns ErrCrashed.
-func (c *CrashFile) CrashAfter(n int, mode CrashMode) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.limit = n
-	c.mode = mode
-	c.crashed = false
-	c.ops = 0
-}
-
-// Crashed reports whether the crash point has been reached.
-func (c *CrashFile) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
-
-// Ops returns the number of mutation operations that reached the base
-// file since arming (a full dry run measures the crash-point space).
-func (c *CrashFile) Ops() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ops
-}
-
-// admit accounts one mutation op; it reports whether the op may
-// proceed and whether this op is the one hitting the crash point.
-func (c *CrashFile) admit() (ok, firing bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.crashed {
-		return false, false
-	}
-	if c.limit >= 0 && c.ops >= c.limit {
-		c.crashed = true
-		return false, true
-	}
-	c.ops++
-	return true, false
-}
-
-// PageSize returns the wrapped page size.
-func (c *CrashFile) PageSize() int { return c.base.PageSize() }
-
-// Alloc fails once the crash point is reached.
-func (c *CrashFile) Alloc() (PageID, error) {
-	if ok, _ := c.admit(); !ok {
-		return NilPage, ErrCrashed
-	}
-	return c.base.Alloc()
-}
-
-// Read passes through: recovery code still reads the survivor files.
-func (c *CrashFile) Read(id PageID, buf []byte) error {
-	return c.base.Read(id, buf)
-}
-
-// Write fails once the crash point is reached; the firing write is
-// dropped, torn, or corrupted per the armed CrashMode.
-func (c *CrashFile) Write(id PageID, data []byte) error {
-	ok, firing := c.admit()
-	if ok {
-		return c.base.Write(id, data)
-	}
-	if firing {
-		switch c.mode {
-		case CrashTorn:
-			_ = c.base.Write(id, data[:len(data)/2])
-		case CrashCorrupt:
-			bad := append([]byte(nil), data...)
-			for i := 0; i < len(bad); i += 37 {
-				bad[i] ^= 0xA5
-			}
-			_ = c.base.Write(id, bad)
-		}
-	}
-	return ErrCrashed
-}
-
-// Free fails once the crash point is reached.
-func (c *CrashFile) Free(id PageID) error {
-	if ok, _ := c.admit(); !ok {
-		return ErrCrashed
-	}
-	return c.base.Free(id)
-}
-
-// Stats passes through.
-func (c *CrashFile) Stats() Stats { return c.base.Stats() }
-
-// ResetStats passes through.
-func (c *CrashFile) ResetStats() { c.base.ResetStats() }
-
-// NumPages passes through.
-func (c *CrashFile) NumPages() int { return c.base.NumPages() }
-
-// CrashFile implements File.
-var _ File = (*CrashFile)(nil)

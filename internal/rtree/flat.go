@@ -16,9 +16,8 @@ import (
 )
 
 // This file implements the flat snapshot format: a pointer-free,
-// array-packed serialization of one published tree version, written at
-// checkpoint time next to the v2 paged snapshot and opened read-only
-// for instant boot. The layout replaces page ids with byte offsets —
+// array-packed serialization of one published tree version — the
+// server's checkpoint format — opened read-only. The layout replaces page ids with byte offsets —
 // children are written before their parents (post-order), so every
 // child reference points strictly backwards and a single sequential
 // pass both validates and decodes the whole file. Two CRC32-C

@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 
 	"mbrtopo/internal/geom"
@@ -411,34 +409,6 @@ func mergeAxis(dst, src *AxisHist) {
 	}
 }
 
-// statsFileVersion versions the persisted encoding; DecodeStats
-// rejects anything else so a stale or foreign file degrades to a
-// collection walk instead of a wrong summary.
-const statsFileVersion = 1
-
-type statsFile struct {
-	Version int        `json:"version"`
-	Stats   *TreeStats `json:"stats"`
-}
-
-// EncodeStats serialises a summary for persistence next to the
-// snapshot.
-func EncodeStats(st *TreeStats) ([]byte, error) {
-	return json.Marshal(statsFile{Version: statsFileVersion, Stats: st})
-}
-
-// DecodeStats parses a persisted summary.
-func DecodeStats(b []byte) (*TreeStats, error) {
-	var f statsFile
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("rtree: decoding stats: %w", err)
-	}
-	if f.Version != statsFileVersion || f.Stats == nil {
-		return nil, fmt.Errorf("rtree: stats file version %d, want %d", f.Version, statsFileVersion)
-	}
-	return f.Stats, nil
-}
-
 // staleLimit is how many mutations a cached summary may absorb before
 // Stats() recollects: 10% of the summarised entries, at least 100.
 func staleLimit(entries int) int {
@@ -470,14 +440,6 @@ func (t *Tree) Stats() (*TreeStats, error) {
 	t.stats, t.statsStale = st, 0
 	t.statsMu.Unlock()
 	return st.Clone(), nil
-}
-
-// SetStats installs a previously persisted summary (recovery path),
-// marked fresh.
-func (t *Tree) SetStats(st *TreeStats) {
-	t.statsMu.Lock()
-	t.stats, t.statsStale = st.Clone(), 0
-	t.statsMu.Unlock()
 }
 
 // noteMutations bumps the staleness counter by n applied mutations.
@@ -512,13 +474,6 @@ func (t *RPlusTree) Stats() (*TreeStats, error) {
 	return st.Clone(), nil
 }
 
-// SetStats installs a previously persisted summary (recovery path).
-func (t *RPlusTree) SetStats(st *TreeStats) {
-	t.statsMu.Lock()
-	t.stats, t.statsStale = st.Clone(), 0
-	t.statsMu.Unlock()
-}
-
 func (t *RPlusTree) noteMutations(n int) {
 	t.statsMu.Lock()
 	t.statsStale += n
@@ -542,6 +497,3 @@ func (f *FlatTree) Stats() (*TreeStats, error) {
 	f.stats.Store(st)
 	return st.Clone(), nil
 }
-
-// SetStats installs a persisted summary, skipping the arena pass.
-func (f *FlatTree) SetStats(st *TreeStats) { f.stats.Store(st.Clone()) }

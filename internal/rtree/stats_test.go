@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -107,33 +106,6 @@ func TestStatsEstimators(t *testing.T) {
 	}
 }
 
-// TestStatsEncodeDecode: persisted summaries round-trip exactly, and a
-// wrong version is rejected rather than half-trusted.
-func TestStatsEncodeDecode(t *testing.T) {
-	tr := buildStatsTree(t, 500)
-	st, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeStats(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeStats(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, back) {
-		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", st, back)
-	}
-	if _, err := DecodeStats([]byte(`{"version":99,"stats":{}}`)); err == nil {
-		t.Fatal("foreign version decoded without error")
-	}
-	if _, err := DecodeStats([]byte(`{"version":1}`)); err == nil {
-		t.Fatal("versioned file without stats decoded without error")
-	}
-}
-
 // TestStatsStaleness: a cached summary absorbs a few mutations, then a
 // drift past the staleness limit forces a recollection.
 func TestStatsStaleness(t *testing.T) {
@@ -174,17 +146,6 @@ func TestStatsStaleness(t *testing.T) {
 	if st.Entries != tr.Len() {
 		t.Fatalf("stale summary survived %d mutations: Entries=%d, tree holds %d",
 			150, st.Entries, tr.Len())
-	}
-	// SetStats installs a summary as fresh.
-	planted := st.Clone()
-	planted.Entries = 123456
-	tr.SetStats(planted)
-	st, err = tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Entries != 123456 {
-		t.Fatalf("installed summary not served back (Entries=%d)", st.Entries)
 	}
 }
 

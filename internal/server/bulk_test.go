@@ -72,7 +72,7 @@ func TestBulkEndpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameAnswers(t, kind.String(), inst.Idx, truth)
+			assertSameAnswers(t, kind.String(), inst.ReadIndex(), truth)
 		})
 	}
 }
@@ -101,7 +101,7 @@ func TestBulkEndpointBadLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := inst.Idx.Len(); n != 0 {
+	if n := inst.ReadIndex().Len(); n != 0 {
 		t.Fatalf("rejected bulk loads left %d objects behind", n)
 	}
 }
@@ -138,11 +138,7 @@ func TestBulkEndpointDurableRestart(t *testing.T) {
 		t.Fatalf("group stats %+v, want one %d-record batch", gs, len(d.Items))
 	}
 	ts.Close()
-	// Abandon without checkpoint: release the files only.
-	inst.unhealthy.Store(true) // skip the close-time checkpoint
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	abandon(inst)
 
 	srv2 := New(Config{})
 	inst2, err := srv2.AddIndex(spec, nil)
@@ -153,5 +149,5 @@ func TestBulkEndpointDurableRestart(t *testing.T) {
 	if !inst2.Recovered || inst2.Replayed != len(d.Items) {
 		t.Fatalf("recovered=%v replayed=%d, want %d WAL records replayed", inst2.Recovered, inst2.Replayed, len(d.Items))
 	}
-	assertSameAnswers(t, "after restart", inst2.Idx, groundTruth(t, d.Items, nil))
+	assertSameAnswers(t, "after restart", inst2.ReadIndex(), groundTruth(t, d.Items, nil))
 }

@@ -1,62 +1,51 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
-	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/wal"
 	"mbrtopo/internal/watch"
 )
 
-// The durable state of an index named N in a data directory:
+// The durable state of an index named N in a data directory is two
+// files:
 //
-//	N.snap        checksummed page-file snapshot as of the last
-//	              checkpoint (rewritten atomically: tmp + rename)
-//	N.wal.<gen>   mutation log since that checkpoint
-//	N.pages       working copy the live tree mutates; recreated from
-//	              N.snap on every boot, never read during recovery
-//	N.flat        read-only flat snapshot of the same checkpoint (only
-//	              with IndexSpec.Flat); serves the boot read path
-//	              instantly when its generation matches N.snap's and
-//	              the WAL is quiet
+//	N.flat        the last checkpoint: an MBRFLAT1 image (rtree/flat.go)
+//	              carrying its generation in the header under two
+//	              CRC32-C checksums; replaced atomically (tmp + rename)
+//	N.wal.<gen>   the mutations applied since checkpoint <gen>
 //
-// The snapshot's user metadata stores the tree meta (root/depth/size)
-// plus the WAL generation it covers, so a crash between the snapshot
-// rename and the old log's removal can never double-apply: the new
-// snapshot points at the new (empty or missing ⇒ empty) generation and
-// the stale log is simply deleted. Mutations apply to the working copy
-// and append to the WAL before the 200 is written; recovery copies the
-// snapshot over the working file and replays the log, which tolerates
-// a torn tail.
+// The mutable tree lives on an in-memory page file, exactly like a
+// non-durable index; nothing on disk is ever modified in place.
+// Mutations apply to the tree and append to the WAL before the 200 is
+// written. The generation in the image header names the one log that
+// continues it, so a crash between the rename and the old log's
+// removal can never double-apply: the new image points at the new
+// (empty or missing ⇒ empty) generation and the stale log is deleted.
+// A served index that has not been mutated since boot has no tree at
+// all — it answers straight from the validated image (see
+// workingTreeLocked).
 type durable struct {
 	mu   sync.Mutex
-	dir  string
-	name string
-	kind index.Kind
+	spec IndexSpec
 
-	disk    *pagefile.DiskFile // working copy under the live tree
 	log     *wal.Log
 	walOpts wal.Options
 	gen     uint64
 
-	every   int  // checkpoint after this many appended records (0 = manual)
-	since   int  // records since the last checkpoint
-	flat    bool // publish a flat snapshot at every checkpoint
+	since   int // records since the last checkpoint
 	metrics *Metrics
-
-	// spec keeps the page-file settings so a follower bootstrap can
-	// rebuild the working copy from a streamed snapshot.
-	spec IndexSpec
 
 	// wake is closed (and replaced) whenever new WAL records become
 	// readable or the log rotates, so replication streamers wait on a
@@ -68,6 +57,11 @@ type durable struct {
 	// generations, so /metrics counters never move backwards across a
 	// checkpoint rotation.
 	gacc wal.GroupStats
+
+	// failAfter, when set by a crash test, runs after each of publish's
+	// four steps; an error abandons the publish right there, as a dead
+	// process would.
+	failAfter func(step int) error
 }
 
 // groupStats returns cumulative group-commit counters across all WAL
@@ -77,15 +71,18 @@ func (d *durable) groupStats() wal.GroupStats {
 	defer d.mu.Unlock()
 	gs := d.gacc
 	if d.log != nil {
-		cur := d.log.GroupStats()
-		gs.Commits += cur.Commits
-		gs.Records += cur.Records
-		if cur.MaxBatch > gs.MaxBatch {
-			gs.MaxBatch = cur.MaxBatch
-		}
-		gs.CommitTime += cur.CommitTime
+		addGroupStats(&gs, d.log.GroupStats())
 	}
 	return gs
+}
+
+func addGroupStats(acc *wal.GroupStats, gs wal.GroupStats) {
+	acc.Commits += gs.Commits
+	acc.Records += gs.Records
+	if gs.MaxBatch > acc.MaxBatch {
+		acc.MaxBatch = gs.MaxBatch
+	}
+	acc.CommitTime += gs.CommitTime
 }
 
 // waitChLocked returns the channel the next signal will close. A
@@ -127,51 +124,31 @@ func (d *durable) position() (gen, seq uint64, ok bool) {
 	return d.gen, uint64(d.since), true
 }
 
-func (d *durable) snapPath() string  { return filepath.Join(d.dir, d.name+".snap") }
-func (d *durable) workPath() string  { return filepath.Join(d.dir, d.name+".pages") }
-func (d *durable) flatPath() string  { return filepath.Join(d.dir, d.name+".flat") }
-func (d *durable) statsPath() string { return filepath.Join(d.dir, d.name+".stats") }
+func (d *durable) flatPath() string { return filepath.Join(d.spec.Dir, d.spec.Name+".flat") }
 func (d *durable) walPath(gen uint64) string {
-	return filepath.Join(d.dir, fmt.Sprintf("%s.wal.%d", d.name, gen))
+	return filepath.Join(d.spec.Dir, d.spec.Name+".wal."+strconv.FormatUint(gen, 10))
 }
 
-// metaGen extracts the WAL generation from a snapshot's user metadata
-// (bytes 16..24; the tree meta occupies 0..16).
-func metaGen(um [pagefile.UserMetaSize]byte) uint64 {
-	return binary.LittleEndian.Uint64(um[16:24])
+// walGens lists the WAL generations of this index present on disk.
+func (d *durable) walGens() []uint64 {
+	prefix := filepath.Join(d.spec.Dir, d.spec.Name+".wal.")
+	matches, _ := filepath.Glob(prefix + "*")
+	var gens []uint64
+	for _, m := range matches {
+		if g, err := strconv.ParseUint(strings.TrimPrefix(m, prefix), 10, 64); err == nil {
+			gens = append(gens, g)
+		}
+	}
+	return gens
 }
 
-// persistMeta writes the tree meta and the WAL generation into the
-// working file's header.
-func persistMeta(idx index.Index, disk *pagefile.DiskFile, gen uint64) error {
-	if err := index.Persist(idx, disk); err != nil {
-		return err
+// removeStaleWALs deletes every WAL generation but the current one.
+func (d *durable) removeStaleWALs() {
+	for _, g := range d.walGens() {
+		if g != d.gen {
+			_ = os.Remove(d.walPath(g))
+		}
 	}
-	um := disk.UserMeta()
-	binary.LittleEndian.PutUint64(um[16:24], gen)
-	return disk.SetUserMeta(um)
-}
-
-// copyFile copies src over dst (truncating), syncing dst.
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }
 
 // syncDir fsyncs a directory so a just-renamed file is durable.
@@ -184,176 +161,171 @@ func syncDir(dir string) error {
 	return f.Sync()
 }
 
-// publishSnapshot atomically replaces the snapshot with the current
-// working file: copy to a temp file, fsync, rename, fsync the dir.
-func (d *durable) publishSnapshot() error {
-	tmp := d.snapPath() + ".tmp"
-	if err := copyFile(d.workPath(), tmp); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, d.snapPath()); err != nil {
-		return err
-	}
-	return syncDir(d.dir)
-}
-
-// publishFlat atomically replaces the flat read-only snapshot with the
-// current tree state, tagged with the generation of the paged snapshot
-// it mirrors: write to a temp file, fsync, rename, fsync the dir.
-func (d *durable) publishFlat(idx index.Index, gen uint64) error {
-	tmp := d.flatPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeFileSync creates (or truncates) path, fills it through write
+// and fsyncs it.
+func writeFileSync(path string, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := index.WriteFlat(idx, f, gen); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
-		_ = os.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	return f.Close()
+}
+
+// publish makes (image of generation next, empty log of generation
+// next) the durable state, in four steps. What a crash after each
+// leaves behind, and what the next boot makes of it:
+//
+//  1. N.flat.tmp written and fsynced — the old (image, log) pair is
+//     intact; boot deletes the tmp file, torn or whole
+//  2. tmp renamed over N.flat, directory fsynced — the new image rules:
+//     its log is missing ⇒ empty, the old log is stale and deleted
+//  3. old log closed (flushing reservations the image already holds),
+//     N.wal.<next> opened — as 2, with the empty log present
+//  4. every other log generation removed, directory fsynced — done
+//
+// write streams the image; it must be tagged generation next. Caller
+// holds d.mu.
+func (d *durable) publish(next uint64, write func(io.Writer) error) error {
+	step := func(n int) error {
+		if d.failAfter != nil {
+			return d.failAfter(n)
+		}
+		return nil
+	}
+	tmp := d.flatPath() + ".tmp"
+	if err := writeFileSync(tmp, write); err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	if err := step(1); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, d.flatPath()); err != nil {
 		return err
 	}
-	return syncDir(d.dir)
-}
-
-// persistStats writes the tree's node-MBR summary next to the
-// snapshot (tmp + rename). Best-effort on purpose: the stats file is a
-// warm-start cache for the query planner — when it is missing, stale,
-// or torn, the tree just recollects on the first Stats() call.
-func (d *durable) persistStats(idx index.Index) {
-	st, err := index.StatsOf(idx)
-	if err != nil || st == nil {
-		return
+	if err := syncDir(d.spec.Dir); err != nil {
+		return err
 	}
-	data, err := rtree.EncodeStats(st)
+	if err := step(2); err != nil {
+		return err
+	}
+	if d.log != nil {
+		_ = d.log.Close()
+		addGroupStats(&d.gacc, d.log.GroupStats())
+		d.log = nil
+	}
+	log, stale, err := wal.Open(d.walPath(next), d.walOpts)
 	if err != nil {
-		return
+		return err
 	}
-	tmp := d.statsPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, d.statsPath())
-}
-
-// loadStats installs the checkpointed summary on a recovered tree, if
-// one is present and decodes (otherwise the tree collects lazily).
-func (d *durable) loadStats(idx index.Index) {
-	data, err := os.ReadFile(d.statsPath())
-	if err != nil {
-		return
-	}
-	st, err := rtree.DecodeStats(data)
-	if err != nil {
-		return
-	}
-	index.SetStats(idx, st)
-}
-
-// walQuiet reports whether a WAL generation holds no records — the
-// file is missing or empty (frames start at byte 0, so any content
-// means at least a partial record). Only then does the flat snapshot,
-// which mirrors the checkpoint rather than the log, equal the durable
-// state.
-func walQuiet(path string) bool {
-	st, err := os.Stat(path)
-	if err != nil {
-		return errors.Is(err, os.ErrNotExist)
-	}
-	return st.Size() == 0
-}
-
-// removeStaleWALs deletes every WAL generation of this index except
-// keep (leftovers of checkpoints cut short by a crash).
-func (d *durable) removeStaleWALs(keep uint64) {
-	matches, err := filepath.Glob(filepath.Join(d.dir, d.name+".wal.*"))
-	if err != nil {
-		return
-	}
-	keepPath := d.walPath(keep)
-	for _, m := range matches {
-		if m != keepPath {
-			_ = os.Remove(m)
+	if len(stale) != 0 {
+		// A fresh generation must be empty; anything else is a leftover
+		// the image already covers.
+		if err := log.Truncate(); err != nil {
+			log.Close()
+			return err
 		}
 	}
+	d.log, d.gen, d.since = log, next, 0
+	if err := step(3); err != nil {
+		return err
+	}
+	d.removeStaleWALs()
+	if err := syncDir(d.spec.Dir); err != nil {
+		return err
+	}
+	return step(4)
 }
 
-// checkpoint publishes the current tree state as the new snapshot and
-// rotates the WAL to a fresh generation. Caller holds d.mu. The
-// ordering is crash-safe at every step:
-//
-//  1. working header gets meta + gen+1, working file fsyncs
-//  2. snapshot is atomically replaced (tmp, fsync, rename, dir fsync)
-//  3. with IndexSpec.Flat, the flat snapshot is replaced the same way,
-//     tagged gen+1
-//  4. the WAL rotates to generation gen+1; the old log is deleted
-//
-// A crash before 2 leaves the old (snapshot, WAL gen) pair intact; a
-// crash after 2 boots from the new snapshot with an empty gen+1 log
-// (created on demand) and deletes the stale old log. A crash between 2
-// and 3 leaves a flat file one generation behind the paged snapshot —
-// the boot path detects the mismatch and falls back to paged recovery,
-// whose next checkpoint republishes both.
-func (d *durable) checkpoint(idx index.Index) error {
+// checkpoint publishes the working tree as generation gen+1 and wakes
+// replication streamers: the old generation is final (closing it
+// flushed every reservation) and a new one is open. An index still
+// served from its checkpoint image has nothing newer to publish.
+// Caller holds d.mu.
+func (d *durable) checkpoint(inst *Instance) error {
+	if inst.Idx == nil {
+		return nil
+	}
 	next := d.gen + 1
-	if err := persistMeta(idx, d.disk, next); err != nil {
-		return fmt.Errorf("checkpoint: persisting meta: %w", err)
-	}
-	if err := d.disk.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing working file: %w", err)
-	}
-	if err := d.publishSnapshot(); err != nil {
-		return fmt.Errorf("checkpoint: publishing snapshot: %w", err)
-	}
-	if d.flat {
-		if err := d.publishFlat(idx, next); err != nil {
-			return fmt.Errorf("checkpoint: publishing flat snapshot: %w", err)
-		}
-	}
-	d.persistStats(idx)
-	newLog, replayed, err := wal.Open(d.walPath(next), d.walOpts)
+	err := d.publish(next, func(w io.Writer) error { return index.WriteFlat(inst.Idx, w, next) })
 	if err != nil {
-		return fmt.Errorf("checkpoint: rotating wal: %w", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(replayed) != 0 {
-		// A fresh generation must be empty; anything else is a stale
-		// leftover the snapshot already covers.
-		if err := newLog.Truncate(); err != nil {
-			newLog.Close()
-			return fmt.Errorf("checkpoint: clearing stale wal generation: %w", err)
-		}
-	}
-	old := d.log
-	d.log = newLog
-	d.gen = next
-	d.since = 0
-	if old != nil {
-		oldPath := old.Path()
-		_ = old.Close()
-		gs := old.GroupStats()
-		d.gacc.Commits += gs.Commits
-		d.gacc.Records += gs.Records
-		if gs.MaxBatch > d.gacc.MaxBatch {
-			d.gacc.MaxBatch = gs.MaxBatch
-		}
-		d.gacc.CommitTime += gs.CommitTime
-		_ = os.Remove(oldPath)
-	}
-	if d.metrics != nil {
-		d.metrics.checkpoints.Add(1)
-	}
-	// Wake replication streamers: the old generation is final (closing
-	// it flushed every reservation) and a new one is open.
+	d.metrics.checkpoints.Add(1)
 	d.signalLocked()
 	return nil
+}
+
+// materialise builds a mutable tree holding exactly the entries of a
+// validated checkpoint image: one InsertBatch into an empty tree, which
+// STR-packs an R-/R*-tree (collecting planner statistics on the way)
+// and runs the locked insert loop on an R+-tree.
+func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, *pagefile.BufferPool, error) {
+	idx, pool, err := newTree(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if recs := flatRecords(flat, spec.Kind == index.KindRPlus); len(recs) > 0 {
+		if err := idx.InsertBatch(recs); err != nil {
+			return nil, nil, fmt.Errorf("rebuilding tree from checkpoint image: %w", err)
+		}
+	}
+	return idx, pool, nil
+}
+
+// flatRecords extracts the (rect, oid) entries of a checkpoint image
+// for reloading into a fresh tree. An R+-tree registers one object in
+// every leaf its interior reaches, so there dedup keeps one copy of
+// each (rect, oid); the other kinds keep entries verbatim.
+func flatRecords(flat *rtree.FlatTree, dedup bool) []rtree.Record {
+	all := func(geom.Rect) bool { return true }
+	recs := make([]rtree.Record, 0, flat.Len())
+	var seen map[rtree.Record]struct{}
+	if dedup {
+		seen = make(map[rtree.Record]struct{}, flat.Len())
+	}
+	_ = flat.Search(all, all, func(r geom.Rect, oid uint64) bool {
+		rec := rtree.Record{Rect: r, OID: oid}
+		if dedup {
+			if _, dup := seen[rec]; dup {
+				return true
+			}
+			seen[rec] = struct{}{}
+		}
+		recs = append(recs, rec)
+		return true
+	})
+	return recs
+}
+
+// workingTreeLocked returns the tree mutations apply to. An index that
+// booted from a quiet checkpoint serves its image and owns no tree
+// until the first mutation asks for one here — a one-off stall of about
+// one bulk load, paid by that write instead of by every read-only
+// reboot. The image is immutable, so the read path moves to the tree
+// before the mutation is applied. Caller holds d.mu.
+func (d *durable) workingTreeLocked(inst *Instance) (index.Index, error) {
+	if inst.Idx != nil {
+		return inst.Idx, nil
+	}
+	flat, ok := inst.ReadIndex().(*rtree.FlatTree)
+	if !ok || d.log == nil {
+		return nil, fmt.Errorf("server: index %q has no durable state to mutate (%s)", inst.Name, inst.FailReason())
+	}
+	idx, pool, err := materialise(flat, d.spec)
+	if err != nil {
+		return nil, fmt.Errorf("server: index %q: %w", inst.Name, err)
+	}
+	inst.serve(idx, pool)
+	return idx, nil
 }
 
 // apply runs one mutation: tree and WAL reservation under the durable
@@ -365,18 +337,9 @@ func (d *durable) checkpoint(idx index.Index) error {
 // next is already applying its tree change and reserving.
 func (d *durable) apply(inst *Instance, op wal.Op, rect geom.Rect, oid uint64) error {
 	d.mu.Lock()
-	if err := d.demoteLocked(inst); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	var err error
-	switch op {
-	case wal.OpInsert:
-		err = inst.Idx.Insert(rect, oid)
-	case wal.OpDelete:
-		err = inst.Idx.Delete(rect, oid)
-	default:
-		err = fmt.Errorf("server: unknown mutation op %v", op)
+	idx, err := d.workingTreeLocked(inst)
+	if err == nil {
+		err = applyRecord(idx, wal.Record{Op: op, OID: oid, Rect: rect})
 	}
 	if err != nil {
 		d.mu.Unlock()
@@ -389,6 +352,17 @@ func (d *durable) apply(inst *Instance, op wal.Op, rect geom.Rect, oid uint64) e
 	return d.settle(inst, ticket, cpErr)
 }
 
+// applyRecord applies one logged mutation to a tree.
+func applyRecord(idx index.Index, rec wal.Record) error {
+	switch rec.Op {
+	case wal.OpInsert:
+		return idx.Insert(rec.Rect, rec.OID)
+	case wal.OpDelete:
+		return idx.Delete(rec.Rect, rec.OID)
+	}
+	return fmt.Errorf("server: unknown mutation op %v", rec.Op)
+}
+
 // applyBulk inserts a batch as one atomic index mutation and one WAL
 // batch reservation (a single contiguous run, one group-committed
 // flush). Either the whole batch is applied, logged, and acked, or
@@ -398,11 +372,11 @@ func (d *durable) applyBulk(inst *Instance, recs []rtree.Record) error {
 		return nil
 	}
 	d.mu.Lock()
-	if err := d.demoteLocked(inst); err != nil {
-		d.mu.Unlock()
-		return err
+	idx, err := d.workingTreeLocked(inst)
+	if err == nil {
+		err = idx.InsertBatch(recs)
 	}
-	if err := inst.Idx.InsertBatch(recs); err != nil {
+	if err != nil {
 		d.mu.Unlock()
 		return err
 	}
@@ -429,51 +403,12 @@ func (d *durable) applyBulk(inst *Instance, recs []rtree.Record) error {
 // it, so tickets taken before the rotation resolve normally. Caller
 // holds d.mu.
 func (d *durable) afterReserveLocked(inst *Instance, n int) error {
-	if d.metrics != nil {
-		d.metrics.walRecords.Add(uint64(n))
-	}
+	d.metrics.walRecords.Add(uint64(n))
 	d.since += n
-	if d.every > 0 && d.since >= d.every {
-		return d.checkpoint(inst.Idx)
+	if every := d.spec.CheckpointEvery; every > 0 && d.since >= every {
+		return d.checkpoint(inst)
 	}
 	return nil
-}
-
-// demoteLocked switches a flat-booted instance's read path over to the
-// paged working tree before the first mutation is applied: the flat
-// snapshot is immutable and would silently go stale. The caller holds
-// d.mu, which the background reconstruction held for its whole run, so
-// the working tree (when reconstruction succeeded) is complete and
-// identical to the flat snapshot here. No-op for instances already
-// reading from the working tree.
-func (d *durable) demoteLocked(inst *Instance) error {
-	v := inst.view.Load()
-	if v == nil || v.idx == inst.Idx {
-		return nil
-	}
-	if inst.Idx == nil {
-		return fmt.Errorf("server: index %q has no working tree (reconstruction failed: %s)",
-			inst.Name, inst.FailReason())
-	}
-	inst.Proc = &query.Processor{Idx: inst.Idx}
-	inst.view.Store(&readView{idx: inst.Idx, proc: inst.Proc, pool: inst.Pool})
-	return nil
-}
-
-// WaitReconstructed blocks until a flat-booted instance has finished
-// rebuilding its paged working copy in the background (no-op for every
-// other boot path). Tests and benchmarks use it to observe the steady
-// state; serving code never needs it.
-func (inst *Instance) WaitReconstructed() {
-	for _, t := range inst.tiles {
-		t.WaitReconstructed()
-	}
-	if inst.dur == nil {
-		return
-	}
-	inst.dur.mu.Lock()
-	//lint:ignore SA2001 the critical section is the wait itself
-	inst.dur.mu.Unlock()
 }
 
 // settle waits for the WAL flush and folds in a checkpoint failure.
@@ -512,10 +447,10 @@ func (inst *Instance) Checkpoint() error {
 	}
 	inst.dur.mu.Lock()
 	defer inst.dur.mu.Unlock()
-	return inst.dur.checkpoint(inst.Idx)
+	return inst.dur.checkpoint(inst)
 }
 
-// Close checkpoints (when healthy) and releases the durable files.
+// Close checkpoints (when healthy) and releases the log.
 func (inst *Instance) Close() error {
 	if len(inst.tiles) > 0 {
 		var firstErr error
@@ -526,273 +461,166 @@ func (inst *Instance) Close() error {
 		}
 		return firstErr
 	}
-	if inst.dur == nil {
+	d := inst.dur
+	if d == nil {
 		return nil
 	}
-	inst.dur.mu.Lock()
-	defer inst.dur.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	var firstErr error
-	if inst.Healthy() && inst.Idx != nil {
-		firstErr = inst.dur.checkpoint(inst.Idx)
+	if inst.Healthy() {
+		firstErr = d.checkpoint(inst)
 	}
-	if inst.dur.log != nil {
-		if err := inst.dur.log.Close(); err != nil && firstErr == nil {
+	if d.log != nil {
+		if err := d.log.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		inst.dur.log = nil
-	}
-	if inst.dur.disk != nil {
-		if err := inst.dur.disk.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		inst.dur.disk = nil
+		d.log = nil
 	}
 	return firstErr
 }
 
-// openDurable builds or recovers a durable instance. Recovery failures
-// do not abort: the instance comes back unhealthy (Idx possibly nil)
-// so the server can answer 503 on its routes instead of crashing —
-// "degrade, don't serve garbage".
+// legacySnapshot refuses a directory written before MBRFLAT1 became
+// the only checkpoint format: a paged N.snap (or per-tile N.t<i>.snap)
+// with no flat image beside it holds data this binary cannot read, and
+// building a fresh index over it would silently abandon that data.
+func legacySnapshot(dir, name string) error {
+	for _, pattern := range []string{name + ".snap", name + ".t*.snap"} {
+		snaps, _ := filepath.Glob(filepath.Join(dir, pattern))
+		for _, snap := range snaps {
+			flat := strings.TrimSuffix(snap, ".snap") + ".flat"
+			if _, err := os.Stat(flat); err != nil {
+				return fmt.Errorf("server: index %q: %s is a paged snapshot from before MBRFLAT1 became the only checkpoint format and has no %s beside it; boot the directory once with a pre-PR-12 topod -flat and shut it down cleanly so it checkpoints a flat image",
+					name, snap, filepath.Base(flat))
+			}
+		}
+	}
+	return nil
+}
+
+// openDurable builds or recovers a durable instance. The boot decision
+// is two questions — is N.flat there and valid, is its log quiet:
+//
+//	no N.flat                 build from items, publish generation 1 (backend "paged")
+//	valid, log quiet          serve the validated image as it is     (backend "flat")
+//	valid, log has records    materialise, replay, checkpoint        (backend "recovered")
+//
+// An N.flat that fails its checksums, belongs to another tree kind, or
+// is older than a log on disk does not abort: the instance comes back
+// unhealthy with no tree, so the server answers 503 on its routes
+// instead of crashing or guessing — "degrade, don't serve garbage".
 func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, error) {
 	if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
 	d := &durable{
-		dir:     spec.Dir,
-		name:    spec.Name,
-		kind:    spec.Kind,
-		walOpts: wal.Options{Policy: spec.Fsync, Interval: spec.FsyncInterval, WriteHook: spec.WALWriteHook},
-		every:   spec.CheckpointEvery,
-		flat:    spec.Flat,
-		metrics: s.metrics,
 		spec:    spec,
+		walOpts: wal.Options{Policy: spec.Fsync, Interval: spec.FsyncInterval, WriteHook: spec.WALWriteHook},
+		metrics: s.metrics,
 	}
 	inst := &Instance{Name: spec.Name, Kind: spec.Kind, Frames: spec.Frames, dur: d}
 	if spec.Follower {
-		// A follower shell: no local state yet — everything (snapshot,
-		// working copy, WAL) arrives through the replication stream's
-		// Bootstrap. Until then the instance has no read view and
-		// answers 503.
+		// A follower shell: no local state yet — image and WAL arrive
+		// through the replication stream's Bootstrap. Until then the
+		// instance has no read view and answers 503.
 		inst.backend = "follower"
-		d.every = 0 // checkpoints are driven by the primary's rotations
+		d.spec.CheckpointEvery = 0 // checkpoints are driven by the primary's rotations
 		return inst, nil
 	}
 
-	if _, err := os.Stat(d.snapPath()); err == nil {
-		if d.flat && s.tryFlatBoot(spec, d, inst) {
-			return inst, nil
-		}
-		s.recoverDurable(spec, d, inst, false)
+	_ = os.Remove(d.flatPath() + ".tmp") // a checkpoint cut short before its rename
+	data, err := os.ReadFile(d.flatPath())
+	if err == nil {
+		s.recoverDurable(d, inst, data)
 		return inst, nil
-	} else if !errors.Is(err, os.ErrNotExist) {
+	}
+	if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
 
-	// Fresh directory: build from items and publish the first
-	// snapshot before serving.
-	disk, err := pagefile.CreateDiskFile(d.workPath(), spec.PageSize)
-	if err != nil {
-		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
-	}
-	d.disk = disk
-	file, pool := wrapFile(disk, spec)
-	idx, err := index.NewOnFile(spec.Kind, file)
+	// Fresh directory: build from items and publish generation 1 before
+	// serving.
+	idx, pool, err := newTree(spec)
 	if err == nil {
 		err = loadItems(idx, items, spec.Bulk)
 	}
+	if err == nil {
+		err = d.publish(1, func(w io.Writer) error { return index.WriteFlat(idx, w, 1) })
+	}
 	if err != nil {
-		disk.Close()
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
-	inst.Idx = idx
-	inst.Pool = pool
-	d.gen = 1
-	if err := persistMeta(idx, disk, d.gen); err != nil {
-		disk.Close()
-		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
-	}
-	if err := disk.Sync(); err != nil {
-		disk.Close()
-		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
-	}
-	if err := d.publishSnapshot(); err != nil {
-		disk.Close()
-		return nil, fmt.Errorf("server: index %q: publishing initial snapshot: %w", spec.Name, err)
-	}
-	if d.flat {
-		if err := d.publishFlat(idx, d.gen); err != nil {
-			disk.Close()
-			return nil, fmt.Errorf("server: index %q: publishing initial flat snapshot: %w", spec.Name, err)
-		}
-	}
-	d.persistStats(idx)
-	log, _, err := wal.Open(d.walPath(d.gen), d.walOpts)
-	if err != nil {
-		disk.Close()
-		return nil, fmt.Errorf("server: index %q: opening wal: %w", spec.Name, err)
-	}
-	d.log = log
-	d.removeStaleWALs(d.gen)
+	inst.serve(idx, pool)
 	return inst, nil
 }
 
-// tryFlatBoot serves the index from the flat snapshot immediately,
-// without reading the page area at all, when the flat file provably
-// equals the durable state: it decodes and passes its checksums, its
-// generation matches the paged snapshot header's, its tree kind
-// matches the spec, and the WAL of that generation is quiet (no
-// mutations since the checkpoint that published both files). The paged
-// working copy is then reconstructed in the background while queries
-// are already being answered; the rebuild holds the durable lock for
-// its whole run, so mutations, manual checkpoints, and Close queue
-// behind it and find the working tree ready. Returns false — leaving
-// no state behind — when the flat file is missing, stale, or corrupt,
-// and the caller falls back to ordinary paged recovery.
-func (s *Server) tryFlatBoot(spec IndexSpec, d *durable, inst *Instance) bool {
-	flat, err := index.OpenFlat(d.flatPath())
-	if err != nil {
-		if errors.Is(err, pagefile.ErrCorrupt) {
-			s.metrics.checksumFailures.Add(1)
-		}
-		return false
-	}
-	um, err := pagefile.ReadUserMeta(d.snapPath())
-	if err != nil {
-		return false
-	}
-	gen := metaGen(um)
-	if flat.Generation() != gen || flat.Name() != spec.Kind.String() {
-		return false
-	}
-	if !walQuiet(d.walPath(gen)) {
-		return false
-	}
-
-	inst.backend = "flat"
-	inst.view.Store(&readView{idx: flat, proc: &query.Processor{Idx: flat}})
-	d.mu.Lock()
-	go func() {
-		defer d.mu.Unlock()
-		s.recoverDurable(spec, d, inst, true)
-	}()
-	return true
-}
-
-// recoverDurable rebuilds the working state from snapshot + WAL. Any
-// failure marks the instance unhealthy instead of returning an error.
-// locked reports that the caller (the flat boot's background rebuild)
-// already holds d.mu.
-func (s *Server) recoverDurable(spec IndexSpec, d *durable, inst *Instance, locked bool) {
+// recoverDurable boots from the bytes of N.flat plus the WAL its
+// generation names. Any failure marks the instance unhealthy instead
+// of returning an error.
+func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 	fail := func(reason string) {
 		inst.MarkUnhealthy(reason)
 		if d.log != nil {
 			d.log.Close()
 			d.log = nil
 		}
-		if d.disk != nil {
-			d.disk.Close()
-			d.disk = nil
-		}
-		inst.Idx = nil
-		inst.Pool = nil
 	}
 
-	if err := copyFile(d.snapPath(), d.workPath()); err != nil {
-		fail("restoring working copy: " + err.Error())
-		return
-	}
-	disk, err := pagefile.OpenDiskFile(d.workPath())
+	flat, err := rtree.OpenFlatBytes(data)
 	if err != nil {
 		if errors.Is(err, pagefile.ErrCorrupt) {
 			s.metrics.checksumFailures.Add(1)
 		}
-		fail("opening snapshot: " + err.Error())
+		fail(fmt.Sprintf("opening %s: %v", d.flatPath(), err))
 		return
 	}
-	d.disk = disk
-	bad, err := disk.Scrub()
-	if err != nil {
-		fail("scrubbing snapshot: " + err.Error())
+	if flat.Name() != d.spec.Kind.String() {
+		fail(fmt.Sprintf("%s holds a %s, the index is configured as a %s", d.flatPath(), flat.Name(), d.spec.Kind))
 		return
 	}
-	if len(bad) > 0 {
-		s.metrics.checksumFailures.Add(uint64(len(bad)))
-		fail(fmt.Sprintf("snapshot has %d corrupt pages (first: %d)", len(bad), bad[0]))
-		return
+	gen := flat.Generation()
+	for _, g := range d.walGens() {
+		if g > gen {
+			// The log continues a checkpoint newer than the image we
+			// have: replaying it over this one would invent a history.
+			fail(fmt.Sprintf("%s is generation %d but %s exists: the image is stale", d.flatPath(), gen, d.walPath(g)))
+			return
+		}
 	}
-	um := disk.UserMeta()
-	d.gen = metaGen(um)
-	file, pool := wrapFile(disk, spec)
-	idx, err := index.Resume(spec.Kind, file, rtree.DecodeMeta(um))
-	if err != nil {
-		fail("resuming index: " + err.Error())
-		return
-	}
-	// Warm-start the planner from the checkpointed summary; WAL replay
-	// below counts against its staleness budget like any mutation.
-	d.loadStats(idx)
-	inst.Idx = idx
-	inst.Pool = pool
-	log, recs, err := wal.Open(d.walPath(d.gen), d.walOpts)
+	log, recs, err := wal.Open(d.walPath(gen), d.walOpts)
 	if err != nil {
 		fail("opening wal: " + err.Error())
 		return
 	}
-	d.log = log
-	d.removeStaleWALs(d.gen)
+	d.log, d.gen = log, gen
+	d.removeStaleWALs() // left by a checkpoint cut short after its rename
+	inst.Recovered = true
+	if len(recs) == 0 {
+		inst.backend = "flat"
+		inst.view.Store(newReadView(flat, nil))
+		return
+	}
+
+	idx, pool, err := materialise(flat, d.spec)
+	if err != nil {
+		fail(err.Error())
+		return
+	}
 	for i, rec := range recs {
-		var err error
-		switch rec.Op {
-		case wal.OpInsert:
-			err = idx.Insert(rec.Rect, rec.OID)
-		case wal.OpDelete:
-			err = idx.Delete(rec.Rect, rec.OID)
-		default:
-			err = fmt.Errorf("unknown op %v", rec.Op)
-		}
-		if err != nil {
+		if err := applyRecord(idx, rec); err != nil {
 			// Replayed records are exactly the mutations that
 			// succeeded before the crash, in order, so a replay
-			// failure means the snapshot and log disagree.
+			// failure means the image and log disagree.
 			fail(fmt.Sprintf("replaying wal record %d/%d (%s oid %d): %v",
 				i+1, len(recs), rec.Op, rec.OID, err))
 			return
 		}
 	}
 	s.metrics.walReplays.Add(uint64(len(recs)))
-	inst.Recovered = true
 	inst.Replayed = len(recs)
-	if inst.backend == "" {
-		inst.backend = "recovered"
+	inst.backend = "recovered"
+	inst.serve(idx, pool)
+	if err := d.checkpoint(inst); err != nil {
+		fail("post-recovery checkpoint: " + err.Error())
 	}
-	if len(recs) > 0 {
-		var err error
-		if locked {
-			err = d.checkpoint(idx)
-		} else {
-			d.mu.Lock()
-			err = d.checkpoint(idx)
-			d.mu.Unlock()
-		}
-		if err != nil {
-			fail("post-recovery checkpoint: " + err.Error())
-			return
-		}
-	}
-}
-
-// wrapFile applies the test hook and the buffer pool around the
-// working disk file.
-func wrapFile(disk *pagefile.DiskFile, spec IndexSpec) (pagefile.File, *pagefile.BufferPool) {
-	var file pagefile.File = disk
-	if spec.FileWrapper != nil {
-		file = spec.FileWrapper(file)
-	}
-	var pool *pagefile.BufferPool
-	if spec.Frames > 0 {
-		pool = pagefile.NewBufferPool(file, spec.Frames)
-		file = pool
-	}
-	return file, pool
 }

@@ -9,10 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mbrtopo/internal/geom"
-	"mbrtopo/internal/index"
-	"mbrtopo/internal/pagefile"
-	"mbrtopo/internal/query"
 	"mbrtopo/internal/repl"
 	"mbrtopo/internal/retry"
 	"mbrtopo/internal/rtree"
@@ -250,13 +246,14 @@ func (t *followerTarget) Position() (repl.Position, bool) {
 	return repl.Position{Gen: gen, Seq: seq}, ok
 }
 
-// Bootstrap rebuilds the instance from a flat snapshot taken at pos on
-// the primary: decode and verify the snapshot, rebuild a paged working
-// tree from its entries, persist it as this replica's own snapshot
-// (so a promoted node reboots into the same state), open the matching
-// WAL generation, and atomically swap the read view over. A failure
-// leaves the previous state serving (possibly stale, never wrong) and
-// the follower retries with backoff.
+// Bootstrap replaces the instance's state with the checkpoint image
+// taken at pos on the primary: decode and verify it, build a working
+// tree from its entries, persist the received bytes verbatim as this
+// replica's own checkpoint (so a promoted node reboots into the same
+// state), open the matching WAL generation, and atomically swap the
+// read view over. A failure before the image is on disk leaves the
+// previous state serving (possibly stale, never wrong); the follower
+// retries with backoff either way.
 func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64) error {
 	inst, d := t.inst, t.inst.dur
 	if size < 0 || size > 1<<32 {
@@ -270,91 +267,32 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	if err != nil {
 		return fmt.Errorf("server: decoding snapshot: %w", err)
 	}
-	if flat.Name() != d.kind.String() {
-		return fmt.Errorf("server: snapshot is a %s, index %q is a %s", flat.Name(), inst.Name, d.kind)
+	if flat.Name() != inst.Kind.String() {
+		return fmt.Errorf("server: snapshot is a %s, index %q is a %s", flat.Name(), inst.Name, inst.Kind)
 	}
 	if flat.Generation() != pos.Gen {
 		return fmt.Errorf("server: snapshot generation %d does not match stream position %v", flat.Generation(), pos)
 	}
-	recs := flatRecords(flat, d.kind == index.KindRPlus)
+	idx, pool, err := materialise(flat, d.spec)
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.log != nil {
-		_ = d.log.Close()
-		d.log = nil
-	}
-	disk, err := pagefile.CreateDiskFile(d.workPath(), d.spec.PageSize)
+	// The local WAL then holds exactly the records applied after pos.
+	err = d.publish(pos.Gen, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("server: creating working copy: %w", err)
+		return fmt.Errorf("server: persisting snapshot: %w", err)
 	}
-	file, pool := wrapFile(disk, d.spec)
-	idx, err := index.NewOnFile(d.kind, file)
-	if err == nil && len(recs) > 0 {
-		err = idx.InsertBatch(recs)
-	}
-	if err != nil {
-		disk.Close()
-		return fmt.Errorf("server: rebuilding tree from snapshot: %w", err)
-	}
-	if err := persistMeta(idx, disk, pos.Gen); err != nil {
-		disk.Close()
-		return fmt.Errorf("server: persisting meta: %w", err)
-	}
-	if err := disk.Sync(); err != nil {
-		disk.Close()
-		return fmt.Errorf("server: syncing working copy: %w", err)
-	}
-	oldDisk := d.disk
-	d.disk = disk
-	// Publish our own snapshot of the bootstrap state: a promoted
-	// replica that restarts recovers from it plus the local WAL, which
-	// holds exactly the records applied after pos.
-	if err := d.publishSnapshot(); err != nil {
-		d.disk = oldDisk
-		disk.Close()
-		return fmt.Errorf("server: publishing snapshot: %w", err)
-	}
-	if d.flat {
-		if err := d.publishFlat(idx, pos.Gen); err != nil {
-			d.disk = oldDisk
-			disk.Close()
-			return fmt.Errorf("server: publishing flat snapshot: %w", err)
-		}
-	}
-	log, stale, err := wal.Open(d.walPath(pos.Gen), d.walOpts)
-	if err != nil {
-		d.disk = oldDisk
-		disk.Close()
-		return fmt.Errorf("server: opening wal: %w", err)
-	}
-	if len(stale) != 0 {
-		// Leftovers of an earlier bootstrap of the same generation; the
-		// snapshot just published already covers our position.
-		if err := log.Truncate(); err != nil {
-			log.Close()
-			d.disk = oldDisk
-			disk.Close()
-			return fmt.Errorf("server: clearing stale wal: %w", err)
-		}
-	}
-	d.log = log
-	d.removeStaleWALs(pos.Gen)
-	d.gen = pos.Gen
 	d.since = int(pos.Seq)
-	inst.Idx = idx
-	inst.Pool = pool
-	inst.Proc = &query.Processor{Idx: idx}
-	inst.view.Store(&readView{idx: idx, proc: inst.Proc, pool: pool})
+	inst.serve(idx, pool)
 	// Bootstrap replaces the whole logical state, so cached answers for
 	// the old contents must become unreachable.
 	inst.bumpGen()
-	if oldDisk != nil {
-		// Queries still traversing the old view race this close and get
-		// I/O errors — a degraded answer, never a wrong one. Bootstrap
-		// replacing live state only happens after falling out of sync.
-		_ = oldDisk.Close()
-	}
 	return nil
 }
 
@@ -374,16 +312,7 @@ func (t *followerTarget) Apply(pos repl.Position, rec wal.Record) error {
 		d.mu.Unlock()
 		return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, repl.ErrOutOfSync)
 	}
-	var err error
-	switch rec.Op {
-	case wal.OpInsert:
-		err = inst.Idx.Insert(rec.Rect, rec.OID)
-	case wal.OpDelete:
-		err = inst.Idx.Delete(rec.Rect, rec.OID)
-	default:
-		err = fmt.Errorf("unknown op %v", rec.Op)
-	}
-	if err != nil {
+	if err := applyRecord(inst.Idx, rec); err != nil {
 		d.mu.Unlock()
 		return fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, repl.ErrOutOfSync)
 	}
@@ -391,9 +320,7 @@ func (t *followerTarget) Apply(pos repl.Position, rec wal.Record) error {
 	inst.bumpGen()
 	ticket := d.log.Reserve(rec)
 	d.since++
-	if d.metrics != nil {
-		d.metrics.walRecords.Add(1)
-	}
+	d.metrics.walRecords.Add(1)
 	d.mu.Unlock()
 	if err := ticket.Wait(); err != nil {
 		inst.MarkUnhealthy("wal append failed: " + err.Error())
@@ -416,33 +343,5 @@ func (t *followerTarget) Rotate(newGen uint64) error {
 	if newGen != d.gen+1 {
 		return fmt.Errorf("server: rotate to %d from generation %d: %w", newGen, d.gen, repl.ErrOutOfSync)
 	}
-	return d.checkpoint(inst.Idx)
-}
-
-// flatRecords extracts the (rect, oid) entries of a flat snapshot for
-// reloading into a fresh tree. R+-trees clip one object into several
-// tiles, so there unionByOID reassembles each object's original MBR
-// (the tiles partition it exactly, so the union is FP-exact); the
-// other kinds keep entries verbatim, duplicates included.
-func flatRecords(flat *rtree.FlatTree, unionByOID bool) []rtree.Record {
-	all := func(geom.Rect) bool { return true }
-	var recs []rtree.Record
-	if !unionByOID {
-		_ = flat.Search(all, all, func(r geom.Rect, oid uint64) bool {
-			recs = append(recs, rtree.Record{Rect: r, OID: oid})
-			return true
-		})
-		return recs
-	}
-	at := make(map[uint64]int)
-	_ = flat.Search(all, all, func(r geom.Rect, oid uint64) bool {
-		if i, ok := at[oid]; ok {
-			recs[i].Rect = recs[i].Rect.Union(r)
-			return true
-		}
-		at[oid] = len(recs)
-		recs = append(recs, rtree.Record{Rect: r, OID: oid})
-		return true
-	})
-	return recs
+	return d.checkpoint(inst)
 }

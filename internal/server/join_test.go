@@ -101,7 +101,7 @@ func joinIdx(t *testing.T, srv *Server, name string) index.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst.Idx
+	return inst.ReadIndex()
 }
 
 // wireJoinPairSet collects streamed pairs as a set, failing on

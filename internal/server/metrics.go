@@ -404,7 +404,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(cw, "topod_watch_notify_duration_seconds_sum %g\n", time.Duration(h.sumNanos.Load()).Seconds())
 		fmt.Fprintf(cw, "topod_watch_notify_duration_seconds_count %d\n", h.count.Load())
 	}
-	counter("topod_checksum_failures_total", "Pages that failed their CRC32-C check (scrub or serving).", m.checksumFailures.Load())
+	counter("topod_checksum_failures_total", "Checkpoint images or pages that failed their CRC32-C check (boot or serving).", m.checksumFailures.Load())
 	counter("topod_wal_records_total", "Mutations appended to the write-ahead logs by this process.", m.walRecords.Load())
 	counter("topod_wal_replays_total", "WAL records replayed during crash recovery.", m.walReplays.Load())
 	counter("topod_checkpoints_total", "Snapshot checkpoints taken (WAL rotations).", m.checkpoints.Load())
@@ -476,7 +476,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	if m.backendStats != nil {
-		fmt.Fprintf(cw, "# HELP topod_index_backend Boot backend of the index: flat (instant boot from the flat snapshot), paged (fresh build), or recovered (paged snapshot + WAL replay).\n")
+		fmt.Fprintf(cw, "# HELP topod_index_backend Boot backend of the index: flat (served from the checkpoint image), paged (fresh build), or recovered (checkpoint image + WAL replay).\n")
 		fmt.Fprintf(cw, "# TYPE topod_index_backend gauge\n")
 		for _, bs := range m.backendStats() {
 			fmt.Fprintf(cw, "topod_index_backend{index=%q,backend=%q} 1\n", bs.Index, bs.Backend)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -63,20 +64,30 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// Snapshot the position (and, for a bootstrap, the tree itself)
 	// atomically with opening the WAL tail: holding d.mu excludes
 	// mutations and checkpoints, so the tail's file is the generation
-	// the position names. A flat-boot background rebuild also holds
-	// d.mu for its whole run, which makes inst.Idx safe to use here.
+	// the position names.
 	d.mu.Lock()
-	if inst.Idx == nil {
+	if d.log == nil {
 		d.mu.Unlock()
 		writeJSONError(w, http.StatusServiceUnavailable,
-			"index "+inst.Name+" has no working tree: "+inst.FailReason())
+			"index "+inst.Name+" has no durable state: "+inst.FailReason())
 		return
 	}
 	gen, seq := d.gen, uint64(d.since)
 	resume := resumable && reqGen == gen && reqSeq <= seq
-	var snap bytes.Buffer
+	var snap []byte
 	if !resume {
-		if err := index.WriteFlat(inst.Idx, &snap, gen); err != nil {
+		var err error
+		if inst.Idx == nil {
+			// Still served from the checkpoint image: N.flat, validated
+			// at boot and immutable until the next checkpoint, is the
+			// snapshot of (gen, 0). The follower verifies it again.
+			snap, err = os.ReadFile(d.flatPath())
+		} else {
+			var buf bytes.Buffer
+			err = index.WriteFlat(inst.Idx, &buf, gen)
+			snap = buf.Bytes()
+		}
+		if err != nil {
 			d.mu.Unlock()
 			writeJSONError(w, http.StatusInternalServerError, "snapshotting index: "+err.Error())
 			return
@@ -101,18 +112,14 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if resume {
 		startSeq = reqSeq
 	}
-	hello := repl.Hello{Bootstrap: !resume, Gen: gen, Seq: startSeq, SnapSize: uint64(snap.Len())}
+	hello := repl.Hello{Bootstrap: !resume, Gen: gen, Seq: startSeq, SnapSize: uint64(len(snap))}
 	if err := repl.WriteFrame(cw, repl.FrameHello, repl.EncodeHello(hello)); err != nil {
 		return
 	}
 	if !resume {
-		data := snap.Bytes()
-		for off := 0; off < len(data); off += repl.SnapChunkSize {
-			end := off + repl.SnapChunkSize
-			if end > len(data) {
-				end = len(data)
-			}
-			if err := repl.WriteFrame(cw, repl.FrameSnapChunk, data[off:end]); err != nil {
+		for off := 0; off < len(snap); off += repl.SnapChunkSize {
+			end := min(off+repl.SnapChunkSize, len(snap))
+			if err := repl.WriteFrame(cw, repl.FrameSnapChunk, snap[off:end]); err != nil {
 				return
 			}
 		}

@@ -103,16 +103,11 @@ type IndexSpec struct {
 	// large data file.
 	Bulk bool
 	// Dir, when non-empty, makes the index durable: its state lives in
-	// this directory as a checksummed snapshot plus a mutation WAL,
-	// recovered on AddIndex (in which case items is ignored) and
-	// checkpointed as the log grows.
+	// this directory as a checksummed MBRFLAT1 checkpoint image plus a
+	// mutation WAL, recovered on AddIndex (in which case items is
+	// ignored) and checkpointed as the log grows.
 	Dir string
-	// Flat, on a durable index, additionally publishes a flat read-only
-	// snapshot (N.flat) at every checkpoint. On boot, when the flat file
-	// matches the paged snapshot's generation and the WAL is quiet, the
-	// index serves queries from the flat snapshot immediately while the
-	// paged working copy is rebuilt in the background; the first
-	// mutation waits for the rebuild and switches the read path over.
+	// Deprecated: flat is the only checkpoint format; remove with the next bench/ change.
 	Flat bool
 	// Fsync is the WAL fsync policy for durable indexes.
 	Fsync wal.SyncPolicy
@@ -122,20 +117,17 @@ type IndexSpec struct {
 	// CheckpointEvery checkpoints after this many logged mutations
 	// (0 → DefaultCheckpointEvery; negative → manual only).
 	CheckpointEvery int
-	// FileWrapper, when set, wraps the page file under the tree — the
-	// crash-recovery tests inject a pagefile.CrashFile here.
-	FileWrapper func(pagefile.File) pagefile.File
 	// WALWriteHook, when set, runs before every WAL append write — the
 	// durability tests inject log-write failures here (see
 	// wal.Options.WriteHook).
 	WALWriteHook func(off int64, n int) error
 	// Follower registers the index as a replication target: no local
-	// state is built or recovered — the snapshot, working copy, and WAL
-	// all arrive through Server.Follow's stream. Requires Dir.
+	// state is built or recovered — the checkpoint image and the WAL
+	// arrive through Server.Follow's stream. Requires Dir.
 	Follower bool
 	// Shards, when > 1, partitions the index into that many STR tiles,
-	// each running as its own sub-instance (with its own snapshot, WAL
-	// and flat files under Dir, named Name.t<i>.*) behind a
+	// each running as its own sub-instance (with its own checkpoint
+	// image and WAL under Dir, named Name.t<i>.*) behind a
 	// scatter-gather router. On a durable index an existing tile layout
 	// in Dir wins over this value, so a reboot without the flag comes
 	// back sharded. Incompatible with Follower.
@@ -143,33 +135,34 @@ type IndexSpec struct {
 }
 
 // DefaultCheckpointEvery is the automatic checkpoint cadence (logged
-// mutations between snapshot rewrites) when the spec leaves it zero.
+// mutations between checkpoint images) when the spec leaves it zero.
 const DefaultCheckpointEvery = 1024
 
 // readView is the active read path of an instance: the index (and its
-// buffer pool, when any) queries are answered from. Boot-from-flat
-// publishes the flat snapshot here while the paged working copy is
-// still being reconstructed in the background; the first mutation
-// swaps the view back to the working tree before it is applied. The
-// whole struct is replaced atomically so handlers never see a
-// half-switched read path.
+// buffer pool, when any) queries are answered from. A durable index
+// that boots from a quiet checkpoint publishes the validated image
+// here; its first mutation swaps the view to the working tree before
+// it is applied. The whole struct is replaced atomically so handlers
+// never see a half-switched read path.
 type readView struct {
 	idx  index.Index
 	proc *query.Processor
 	pool *pagefile.BufferPool
 }
 
+func newReadView(idx index.Index, pool *pagefile.BufferPool) *readView {
+	return &readView{idx: idx, proc: &query.Processor{Idx: idx}, pool: pool}
+}
+
 // Instance is one served index with its query processor.
 type Instance struct {
 	Name string
 	Kind index.Kind
-	// Idx is the paged working tree, nil when recovery failed and the
-	// instance is unhealthy — or not yet reconstructed after a flat
-	// boot. Handlers read through ReadIndex/ReadProc instead.
-	Idx  index.Index
-	Proc *query.Processor
-	// Pool is the buffer pool under the tree, nil when unbuffered.
-	Pool   *pagefile.BufferPool
+	// Idx is the mutable working tree: nil when recovery failed and the
+	// instance is unhealthy, and nil while a durable index still serves
+	// its checkpoint image (see durable.workingTreeLocked). Handlers
+	// read through ReadIndex/ReadProc instead.
+	Idx    index.Index
 	Frames int
 
 	// Recovered reports that AddIndex resumed existing durable state
@@ -179,9 +172,9 @@ type Instance struct {
 	Replayed  int
 
 	// view is the active read path (see readView). backend labels how
-	// the instance came up — "paged" (fresh build), "recovered" (paged
-	// snapshot + WAL replay), or "flat" (instant boot from the flat
-	// snapshot) — and is fixed before AddIndex returns.
+	// the instance came up — "paged" (fresh build), "recovered"
+	// (checkpoint image + WAL replay), or "flat" (served from the image
+	// of a quiet checkpoint) — and is fixed before AddIndex returns.
 	view    atomic.Pointer[readView]
 	backend string
 
@@ -221,8 +214,9 @@ func (inst *Instance) Backend() string {
 }
 
 // ReadIndex returns the index the read path currently serves from —
-// the flat snapshot right after an instant boot, the paged working
-// tree otherwise. Nil when the instance is unhealthy without a tree.
+// the checkpoint image until the first mutation after a flat boot, the
+// working tree otherwise. Nil when the instance is unhealthy without a
+// tree.
 func (inst *Instance) ReadIndex() index.Index {
 	if v := inst.view.Load(); v != nil {
 		return v.idx
@@ -240,7 +234,7 @@ func (inst *Instance) ReadProc() *query.Processor {
 }
 
 // ReadPool returns the buffer pool under the active read path, nil
-// when the read path is unbuffered (flat snapshots always are).
+// when the read path is unbuffered (checkpoint images always are).
 func (inst *Instance) ReadPool() *pagefile.BufferPool {
 	if v := inst.view.Load(); v != nil {
 		return v.pool
@@ -249,7 +243,7 @@ func (inst *Instance) ReadPool() *pagefile.BufferPool {
 }
 
 // Healthy reports whether the index may serve traffic. An index whose
-// recovery or scrub failed — or that detected corruption while
+// recovery failed — or that detected corruption while
 // serving — answers 503 instead of wrong answers. A sharded instance
 // is healthy only while every tile is: a lost tile means silently
 // partial answers, which is worse than a 503.
@@ -453,6 +447,26 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// serve installs idx as the working tree and moves the read path onto
+// it.
+func (inst *Instance) serve(idx index.Index, pool *pagefile.BufferPool) {
+	inst.Idx = idx
+	inst.view.Store(newReadView(idx, pool))
+}
+
+// newTree creates an empty tree of the spec's kind on an in-memory page
+// file, behind a buffer pool when spec.Frames asks for one.
+func newTree(spec IndexSpec) (index.Index, *pagefile.BufferPool, error) {
+	var file pagefile.File = pagefile.NewMemFile(spec.PageSize)
+	var pool *pagefile.BufferPool
+	if spec.Frames > 0 {
+		pool = pagefile.NewBufferPool(file, spec.Frames)
+		file = pool
+	}
+	idx, err := index.NewOnFile(spec.Kind, file)
+	return idx, pool, err
+}
+
 // loadItems builds the initial tree from items, through InsertBatch
 // (STR packing on an empty tree) when bulk is set.
 func loadItems(idx index.Index, items []index.Item, bulk bool) error {
@@ -541,14 +555,20 @@ func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error)
 	}
 
 	shards := spec.Shards
-	if spec.Dir != "" && !spec.Follower {
+	if spec.Dir != "" {
+		if err := legacySnapshot(spec.Dir, spec.Name); err != nil {
+			return nil, err
+		}
 		// An existing layout in the directory wins over the flag: a tile
 		// layout reboots sharded whatever -shards says, and a plain
-		// single-index snapshot keeps booting single even when sharding
+		// single-index checkpoint keeps booting single even when sharding
 		// is requested (never silently abandon existing data).
-		if n := detectTiles(spec.Dir, spec.Name); n > 0 {
+		// A follower's state arrives from its primary instead.
+		switch n := detectTiles(spec.Dir, spec.Name); {
+		case spec.Follower:
+		case n > 0:
 			shards = n
-		} else if shards > 1 && hasSingleSnapshot(spec.Dir, spec.Name) {
+		case shards > 1 && hasSingleSnapshot(spec.Dir, spec.Name):
 			shards = 1
 		}
 	}
@@ -580,48 +600,18 @@ func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error)
 // buildInstance constructs one unregistered instance per spec — the
 // shared build path of AddIndex and of the sharded tiles.
 func (s *Server) buildInstance(spec IndexSpec, items []index.Item) (*Instance, error) {
-	var inst *Instance
 	if spec.Dir != "" {
-		var err error
-		inst, err = s.openDurable(spec, items)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var file pagefile.File = pagefile.NewMemFile(spec.PageSize)
-		if spec.FileWrapper != nil {
-			file = spec.FileWrapper(file)
-		}
-		var pool *pagefile.BufferPool
-		if spec.Frames > 0 {
-			pool = pagefile.NewBufferPool(file, spec.Frames)
-			file = pool
-		}
-		idx, err := index.NewOnFile(spec.Kind, file)
-		if err != nil {
-			return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
-		}
-		if err := loadItems(idx, items, spec.Bulk); err != nil {
-			return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
-		}
-		inst = &Instance{
-			Name:   spec.Name,
-			Kind:   spec.Kind,
-			Idx:    idx,
-			Pool:   pool,
-			Frames: spec.Frames,
-		}
+		return s.openDurable(spec, items)
 	}
-	// A flat boot already published its view (and its background rebuild
-	// owns inst.Idx until it finishes); every other path serves straight
-	// from the working tree.
-	if inst.view.Load() == nil && inst.Idx != nil {
-		inst.Proc = &query.Processor{Idx: inst.Idx}
-		inst.view.Store(&readView{idx: inst.Idx, proc: inst.Proc, pool: inst.Pool})
+	idx, pool, err := newTree(spec)
+	if err == nil {
+		err = loadItems(idx, items, spec.Bulk)
 	}
-	if inst.backend == "" {
-		inst.backend = "paged"
+	if err != nil {
+		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
+	inst := &Instance{Name: spec.Name, Kind: spec.Kind, Frames: spec.Frames}
+	inst.serve(idx, pool)
 	return inst, nil
 }
 

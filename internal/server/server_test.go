@@ -128,7 +128,7 @@ func TestQueryNDJSONGoldenPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := inst.Proc.QuerySetMBRCtx(context.Background(), rels, ref)
+				want, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), rels, ref)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 	ref := d.Queries[0]
 	// Ground truth: a full disjoint traversal touches nearly every
 	// page and yields ~20000 matches.
-	full, err := inst.Proc.QuerySetMBRCtx(context.Background(), topo.NewSet(topo.Disjoint), ref)
+	full, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), topo.NewSet(topo.Disjoint), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestKNNEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := geom.Point{X: 400, Y: 600}
-	want, wantTS, err := inst.Idx.NearestCtx(context.Background(), p, 5)
+	want, wantTS, err := inst.ReadIndex().NearestCtx(context.Background(), p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/shard"
 	"mbrtopo/internal/wal"
@@ -18,8 +17,8 @@ import (
 
 // This file is the serving side of tile sharding: a parent Instance
 // that owns N per-tile sub-instances. Each tile is a full ordinary
-// instance — its own page file, snapshot, WAL and flat files under the
-// shared data directory (Name.t<i>.*), recovered independently by the
+// instance — its own tree, checkpoint image and WAL under the shared
+// data directory (Name.t<i>.*), recovered independently by the
 // machinery in durable.go, untouched. The parent serves reads through
 // a shard.Sharded router over the tiles' current read views and routes
 // mutations to exactly one tile under its write lock.
@@ -34,7 +33,7 @@ func tileName(name string, i int) string { return fmt.Sprintf("%s.t%d", name, i)
 // at least visible, rather than silently dropped).
 func detectTiles(dir, name string) int {
 	count := 0
-	for _, pattern := range []string{name + ".t*.snap", name + ".t*.flat", name + ".t*.wal.*"} {
+	for _, pattern := range []string{name + ".t*.flat", name + ".t*.wal.*"} {
 		matches, _ := filepath.Glob(filepath.Join(dir, pattern))
 		for _, m := range matches {
 			var i int
@@ -49,9 +48,9 @@ func detectTiles(dir, name string) int {
 }
 
 // hasSingleSnapshot reports whether the directory holds an unsharded
-// snapshot of the named index.
+// checkpoint of the named index.
 func hasSingleSnapshot(dir, name string) bool {
-	_, err := os.Stat(filepath.Join(dir, name+".snap"))
+	_, err := os.Stat(filepath.Join(dir, name+".flat"))
 	return err == nil
 }
 
@@ -119,9 +118,7 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 		}
 	}
 	if allHealthy {
-		parent.Idx = parent.router
-		parent.Proc = &query.Processor{Idx: parent.router}
-		parent.view.Store(&readView{idx: parent.router, proc: parent.Proc})
+		parent.serve(parent.router, nil)
 	}
 	parent.watch = s.newWatchTable(parent)
 

@@ -278,13 +278,8 @@ func TestShardedDurableRecovery(t *testing.T) {
 	wantLen := inst.ReadIndex().Len()
 	wantOIDs := queryAllOIDs(t, inst)
 
-	// Crash: drop every tile's file handles without checkpointing.
-	for _, tile := range inst.tiles {
-		tile.dur.log.Close()
-		tile.dur.disk.Close()
-		tile.dur = nil
-	}
-	inst.tiles = nil // disarm Close for the crashed instance
+	// Crash: drop every tile's log handle without checkpointing.
+	abandon(inst)
 
 	// Reboot requesting ONE shard: the on-disk tile layout must win.
 	spec2 := spec
@@ -304,7 +299,6 @@ func TestShardedDurableRecovery(t *testing.T) {
 	if !inst2.Recovered {
 		t.Fatal("reboot after crash must report recovery")
 	}
-	inst2.WaitReconstructed()
 	if got := inst2.ReadIndex().Len(); got != wantLen {
 		t.Fatalf("recovered Len = %d, want %d", got, wantLen)
 	}

@@ -106,7 +106,7 @@ func TestBulkSnapshotConsistency(t *testing.T) {
 					return
 				default:
 				}
-				res, err := inst.Proc.QuerySetMBRCtx(context.Background(), topo.NotDisjoint, world)
+				res, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), topo.NotDisjoint, world)
 				if err != nil {
 					errc <- err
 					return
@@ -190,5 +190,5 @@ func TestBulkSnapshotConsistency(t *testing.T) {
 		it := d.Items[oid-1]
 		acked = append(acked, wal.Record{Op: wal.OpDelete, OID: it.OID, Rect: it.Rect})
 	}
-	assertSameAnswers(t, "after concurrent bulk load", inst.Idx, groundTruth(t, d.Items, acked))
+	assertSameAnswers(t, "after concurrent bulk load", inst.ReadIndex(), groundTruth(t, d.Items, acked))
 }

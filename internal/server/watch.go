@@ -60,9 +60,7 @@ func (inst *Instance) notifyWatch(op wal.Op, rect geom.Rect, oid uint64) {
 // WatchSubscribe registers a continuous query against the instance.
 // It holds the write path's mutation lock while the subscription table
 // activates, so the seeded shadow and the commit queue together cover
-// every mutation exactly once. On a flat-booted durable index this
-// waits for the background working-copy rebuild (which holds the same
-// lock), like the first mutation does.
+// every mutation exactly once.
 func (inst *Instance) WatchSubscribe(ref geom.Rect, rels topo.Set, buffer int) (*watch.Subscription, error) {
 	if inst.watch == nil {
 		return nil, fmt.Errorf("server: index %q does not accept watches", inst.Name)

@@ -1,9 +1,9 @@
 // Package wal implements the mutation write-ahead log that makes the
 // service's /v1/insert and /v1/delete survive crashes. The durable
-// state of an index is (snapshot page file, WAL): the snapshot is the
-// tree as of the last checkpoint, the WAL is the ordered list of
-// mutations applied since. Recovery reopens the snapshot and replays
-// the log; checkpointing rewrites the snapshot atomically and starts a
+// state of an index is (checkpoint image, WAL): the image is the tree
+// as of the last checkpoint, the WAL is the ordered list of mutations
+// applied since. Recovery rebuilds the tree from the image and replays
+// the log; checkpointing replaces the image atomically and starts a
 // fresh log generation.
 //
 // On disk the log is a flat sequence of frames:

@@ -8,10 +8,12 @@
 # asserts the restart replays the whole batch. A fourth leg bulk-loads
 # two indexes, streams a meet+overlap /v1/join, checks the pair count
 # against topoquery ground truth, and asserts 429 under saturation. A
-# fifth leg checkpoints a durable topod, kill -9s it, and asserts the
-# restart instant-boots from the flat snapshot (backend=flat) with the
-# same answers — then corrupts the flat file and asserts the next boot
-# falls back cleanly to paged recovery. A sixth leg subscribes
+# fifth leg checkpoints a durable topod, asserts the data directory
+# holds exactly main.flat + one main.wal.<gen>, kill -9s an idle
+# restart, and asserts the next boot serves the checkpoint image
+# (backend=flat) with the same answers — then corrupts the image and
+# asserts the next boot answers 503 with the reason and counts the
+# checksum failure instead of guessing. A sixth leg subscribes
 # topoquery -watch to a durable topod, mutates through /v1/insert and
 # /v1/bulk, asserts the enter/exit event sequence arrives, and checks
 # SIGTERM ends the stream with a terminal drain line. A seventh leg
@@ -337,8 +339,8 @@ fi
 
 echo "smoke OK: /v1/join matched topoquery ground truth + 429 under saturation"
 
-# ---- flat-boot leg: checkpoint, kill -9, instant boot from the flat
-# snapshot; then corrupt it and assert a clean paged fallback ----
+# ---- flat-boot leg: checkpoint, kill -9, boot from the checkpoint
+# image; then corrupt it and assert a 503 with the reason ----
 
 LOG7="$(mktemp)"
 DATADIR3="$(mktemp -d)"
@@ -355,8 +357,7 @@ BASE5="http://$ADDR5"
 wait_ready "$BASE5" || { echo "smoke: flat-leg topod never became ready" >&2; exit 1; }
 
 # Baseline answer set, then a clean SIGTERM: the shutdown checkpoint
-# publishes the paged snapshot and the flat snapshot under one
-# generation with a quiet WAL.
+# publishes the image and leaves a quiet WAL of its generation.
 FLATQ='{"relations":["not_disjoint"],"ref":[100,100,400,400]}'
 BASELINE="$(curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -c '"oid"')"
 [ "$BASELINE" -gt 0 ] || { echo "smoke: flat-leg baseline query empty" >&2; exit 1; }
@@ -364,9 +365,14 @@ kill -TERM "$PID5"
 wait "$PID5" || { echo "smoke: flat-leg topod failed clean shutdown" >&2; cat "$LOG7" >&2; exit 1; }
 [ -s "$DATADIR3/main.flat" ] \
   || { echo "smoke: checkpoint did not publish main.flat" >&2; exit 1; }
+# The image and one log are the whole durable state: no .snap, .pages,
+# .stats or .tmp beside them.
+FILES="$(ls "$DATADIR3" | tr '\n' ' ')"
+echo "$FILES" | grep -Eq '^main\.flat main\.wal\.[0-9]+ $' \
+  || { echo "smoke: data dir holds [$FILES], want exactly main.flat + one main.wal.<gen>" >&2; exit 1; }
 
 # kill -9 an idle restart (no mutations: the WAL stays quiet), then
-# boot again: the first query must be answered from the flat snapshot.
+# boot again: the first query must be answered from the image.
 LOG8="$(mktemp)"
 "$TOPOD" -gen 1500 -bulk -tree rstar -data-dir "$DATADIR3" -fsync always \
   -addr 127.0.0.1:0 >"$LOG8" 2>&1 &
@@ -379,7 +385,7 @@ ADDR5="$(wait_listen "$LOG8")" || {
 BASE5="http://$ADDR5"
 wait_ready "$BASE5" || { echo "smoke: flat-boot topod never became ready" >&2; exit 1; }
 grep -q '^topod: backend=flat ' "$LOG8" \
-  || { echo "smoke: restart did not boot from the flat snapshot" >&2; cat "$LOG8" >&2; exit 1; }
+  || { echo "smoke: restart did not boot from the checkpoint image" >&2; cat "$LOG8" >&2; exit 1; }
 FLATCOUNT="$(curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -c '"oid"')"
 [ "$FLATCOUNT" = "$BASELINE" ] \
   || { echo "smoke: flat boot answered $FLATCOUNT matches, want $BASELINE" >&2; exit 1; }
@@ -389,9 +395,10 @@ echo "$MET5" | grep -q '^topod_index_backend{index="main",backend="flat"} 1' \
 kill -9 "$PID5"
 wait "$PID5" 2>/dev/null || true
 
-# Corrupt the flat snapshot's node section: the next boot must detect
-# the checksum failure and fall back to paged recovery with the same
-# answers — 503-or-correct, never garbage.
+# Corrupt the image's node section: the next boot must detect the
+# checksum failure, say so, and refuse the index's routes — the image
+# is the only checkpoint, so there is nothing to fall back to and
+# nothing may be guessed.
 FLATSIZE="$(wc -c <"$DATADIR3/main.flat")"
 printf '\xff\x01' | dd of="$DATADIR3/main.flat" bs=1 seek=$((FLATSIZE / 2)) conv=notrunc 2>/dev/null
 
@@ -405,12 +412,24 @@ ADDR5="$(wait_listen "$LOG9")" || {
   exit 1
 }
 BASE5="http://$ADDR5"
-wait_ready "$BASE5" || { echo "smoke: corrupt-flat topod never became ready" >&2; cat "$LOG9" >&2; exit 1; }
-grep -q '^topod: backend=recovered ' "$LOG9" \
-  || { echo "smoke: corrupt flat file did not fall back to paged recovery" >&2; cat "$LOG9" >&2; exit 1; }
-FALLCOUNT="$(curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -c '"oid"')"
-[ "$FALLCOUNT" = "$BASELINE" ] \
-  || { echo "smoke: paged fallback answered $FALLCOUNT matches, want $BASELINE" >&2; exit 1; }
+grep -q '^topod: index "main" UNHEALTHY .*checksum mismatch' "$LOG9" \
+  || { echo "smoke: boot line does not report the corrupt image" >&2; cat "$LOG9" >&2; exit 1; }
+CCODE="$(curl -s -o /dev/null -w '%{http_code}' -d "$FLATQ" "$BASE5/v1/query")"
+[ "$CCODE" = "503" ] \
+  || { echo "smoke: query on a corrupt image answered $CCODE, want 503" >&2; exit 1; }
+# /healthz is liveness only (the process is up); the reason is on /readyz.
+HCODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE5/healthz")"
+[ "$HCODE" = "200" ] \
+  || { echo "smoke: /healthz answered $HCODE on a degraded index, want 200" >&2; exit 1; }
+READY="$(curl -s "$BASE5/readyz")"
+echo "$READY" | grep -q 'checksum mismatch' \
+  || { echo "smoke: /readyz does not give the reason: $READY" >&2; exit 1; }
+MET5="$(curl -sf "$BASE5/metrics")"
+echo "$MET5" | grep -q '^topod_checksum_failures_total [1-9]' \
+  || { echo "smoke: corrupt image not counted in topod_checksum_failures_total" >&2; exit 1; }
+# Nothing was rebuilt over the image that could not be read.
+[ "$(wc -c <"$DATADIR3/main.flat")" = "$FLATSIZE" ] \
+  || { echo "smoke: the corrupt image was overwritten" >&2; exit 1; }
 
 kill -TERM "$PID5"
 if ! wait "$PID5"; then
@@ -419,7 +438,7 @@ if ! wait "$PID5"; then
   exit 1
 fi
 
-echo "smoke OK: flat instant boot after kill -9 + clean fallback on corruption"
+echo "smoke OK: two-file data dir, flat boot after kill -9, 503 with the reason on corruption"
 
 # ---- watch leg: topoquery -watch streams live events from a durable
 # topod; single inserts, a bulk batch, and a delete must each arrive,
@@ -668,8 +687,8 @@ echo "$SACK" | grep -q '"ok":true' \
 kill -9 "$PID10"
 wait "$PID10" 2>/dev/null || true
 for t in 0 1 2 3; do
-  ls "$DATADIR7"/main.t$t.* >/dev/null 2>&1 \
-    || { echo "smoke: tile $t left no durable files in $DATADIR7" >&2; ls -l "$DATADIR7" >&2; exit 1; }
+  [ -s "$DATADIR7/main.t$t.flat" ] \
+    || { echo "smoke: tile $t left no checkpoint image in $DATADIR7" >&2; ls -l "$DATADIR7" >&2; exit 1; }
 done
 
 LOG15="$(mktemp)"
