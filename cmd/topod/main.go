@@ -80,14 +80,8 @@
 //
 //	topod -gen 100000 -bulk -cache-size 1024
 //
-// Load-generator mode benchmarks the service end to end:
-//
-//	topod -bench -gen 10000 -clients 16 -requests 400
-//
-// It starts an in-process server (or targets -target), drives the
-// clients concurrently, reports throughput and latency percentiles,
-// and cross-checks the /metrics node-access totals against the sum of
-// the per-request traversal statistics returned on the wire.
+// To measure the service end to end, run the bench/ harness against
+// it: bash bench/run.sh (see bench/README.md).
 package main
 
 import (
@@ -116,7 +110,7 @@ func main() {
 		bulk        = flag.Bool("bulk", false, "STR bulk-load the startup data instead of inserting one by one")
 		gen         = flag.Int("gen", 0, "serve a synthetic dataset of this many rectangles (0 with no -data: start empty, fill via /v1/bulk)")
 		className   = flag.String("class", "medium", "size class for -gen (small, medium, large)")
-		seed        = flag.Int64("seed", 1995, "random seed for -gen and -bench workloads")
+		seed        = flag.Int64("seed", 1995, "random seed for -gen")
 		tree        = flag.String("tree", "rtree", "access method: rtree, rplus, rstar")
 		name        = flag.String("name", "main", "index name on the wire")
 		pageSize    = flag.Int("pagesize", index.PaperPageSize, "page size in bytes")
@@ -139,13 +133,6 @@ func main() {
 		maxLag        = flag.Duration("max-lag", 5*time.Second, "follower readiness gate: 503 on /readyz after this long without contact from the primary")
 		maxLagRecords = flag.Uint64("max-lag-records", 10000, "follower readiness gate: 503 on /readyz while more than this many records behind")
 
-		bench    = flag.Bool("bench", false, "run the load generator instead of serving")
-		clients  = flag.Int("clients", 8, "bench: concurrent client connections")
-		requests = flag.Int("requests", 200, "bench: total requests across all clients")
-		target   = flag.String("target", "", "bench: base URL of a running topod (default: in-process server)")
-		relName  = flag.String("rel", "not_disjoint", "bench: relation set for generated queries")
-		limit    = flag.Int("limit", 0, "bench: per-query match limit (0 = unlimited)")
-
 		maxWatch  = flag.Int("maxwatch", 256, "bound on concurrently open /v1/watch streams (separate from -maxinflight)")
 		shards    = flag.Int("shards", 1, "STR-partition the index into this many tiles with scatter-gather routing (an existing on-disk layout wins over the flag)")
 		cacheSize = flag.Int("cache-size", 256, "entries in the generation-keyed /v1/query result cache (0 = disabled)")
@@ -159,30 +146,6 @@ func main() {
 	kind, err := parseKind(*tree)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *bench {
-		err := runBench(benchConfig{
-			target:   *target,
-			clients:  *clients,
-			requests: *requests,
-			relation: *relName,
-			limit:    *limit,
-			seed:     *seed,
-			class:    cls,
-			// In-process server settings (ignored with -target):
-			data:        *dataPath,
-			gen:         *gen,
-			kind:        kind,
-			name:        *name,
-			pageSize:    *pageSize,
-			frames:      *frames,
-			maxInFlight: *maxInFlight,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	spec := server.IndexSpec{

@@ -1,8 +1,7 @@
 // Package retry implements the capped jittered exponential backoff
-// shared by every reconnecting client in the tree: the topod -bench
-// load generator retrying after 429s, the replication follower
-// re-dialling its primary after a stream fault, and topoquery -watch
-// re-subscribing after a cut stream.
+// shared by every reconnecting client in the tree: the replication
+// follower re-dialling its primary after a stream fault, and
+// topoquery -watch re-subscribing after a cut stream.
 //
 // The schedule is exponential from Base, capped at Cap, with equal
 // jitter (half the delay fixed, half uniformly random) so a fleet of
@@ -17,9 +16,8 @@ import (
 	"time"
 )
 
-// Default backoff bounds (the values the topod bench grew for 429
-// retries; kept as the package default so every caller backs off the
-// same way unless tuned).
+// Default backoff bounds, so every caller backs off the same way
+// unless tuned.
 const (
 	DefaultBase = 5 * time.Millisecond
 	DefaultCap  = time.Second

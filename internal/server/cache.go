@@ -23,20 +23,15 @@ import (
 // the vector of per-tile generations (mutations route to exactly one
 // tile, which bumps only that tile).
 
-// maxCachedMatches bounds one cache entry; a broader result is served
-// but not stored, so one disjoint-query answer cannot monopolise the
-// cache.
-const maxCachedMatches = 4096
-
 // cachedResult is one stored answer: the match lines exactly as they
 // were rendered for the original response (replayed with a single
 // write, so a hit is byte-identical to the miss that filled it and
-// pays no per-match marshalling), the match count for the size cap,
-// and the statistics of the traversal that produced them.
+// pays no per-match marshalling) — at most maxCachedBytes of them, the
+// lineWriter's bound — and the statistics of the traversal that
+// produced them.
 type cachedResult struct {
-	lines  []byte
-	nmatch int
-	stats  query.Stats
+	lines []byte
+	stats query.Stats
 }
 
 // resultCache is a mutex-guarded LRU keyed by cacheKey strings.
@@ -84,11 +79,7 @@ func (c *resultCache) get(key string) (*cachedResult, bool) {
 }
 
 // put stores res under key, evicting from the cold end over capacity.
-// Oversized results are dropped silently.
 func (c *resultCache) put(key string, res *cachedResult) {
-	if res.nmatch > maxCachedMatches {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

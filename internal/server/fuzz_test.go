@@ -3,7 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
+
+	"mbrtopo/internal/geom"
+	"mbrtopo/internal/query"
 )
 
 // FuzzWireDecode feeds arbitrary bytes through the wire-decoding paths
@@ -67,6 +71,41 @@ func FuzzWireDecode(f *testing.F) {
 			if rect, err := RectFromWire(ur.Rect); err == nil && !rect.Valid() {
 				t.Fatalf("RectFromWire(%v) returned invalid rect without error", ur.Rect)
 			}
+		}
+	})
+}
+
+// FuzzLineEncode pins lineWriter's hand renderer to the wire
+// definition: for arbitrary oids and float64 bit patterns the rendered
+// match and pair lines equal json.Marshal of QueryLine and JoinLine
+// byte for byte, and a coordinate json.Marshal refuses (NaN, ±Inf)
+// stops the writer instead of reaching the wire.
+func FuzzLineEncode(f *testing.F) {
+	bits := math.Float64bits
+	f.Add(uint64(0), uint64(1), bits(0), bits(math.Copysign(0, -1)), bits(1), bits(-1))
+	f.Add(uint64(math.MaxUint64), uint64(1<<53), bits(5e-324), bits(2.2250738585072009e-308), bits(1e-7), bits(1e-6))
+	f.Add(uint64(42), uint64(7), bits(999999999999999868928), bits(1e21), bits(math.MaxFloat64), bits(-math.MaxFloat64))
+	f.Add(uint64(1995), uint64(1301), bits(0.1+0.2), bits(123456789), bits(1e20), bits(-9.5e-7))
+	f.Add(uint64(3), uint64(4), bits(100.25), bits(1e-9), bits(1.5e-10), bits(1e100))
+	f.Add(uint64(5), uint64(6), bits(math.NaN()), bits(math.Inf(1)), bits(math.Inf(-1)), bits(0.5))
+	f.Fuzz(func(t *testing.T, oid, oid2, a, b, c, d uint64) {
+		r := geom.R(math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c), math.Float64frombits(d))
+		p := query.JoinPair{LeftOID: oid, RightOID: oid2, LeftRect: r, RightRect: geom.R(r.Max.Y, r.Max.X, r.Min.Y, r.Min.X)}
+		lr, rr := RectToWire(p.LeftRect), RectToWire(p.RightRect)
+		wantMatch, err := json.Marshal(QueryLine{OID: &oid, Rect: &lr})
+		wantPair, err2 := json.Marshal(JoinLine{LeftOID: &p.LeftOID, RightOID: &p.RightOID, LeftRect: &lr, RightRect: &rr})
+		if err != nil || err2 != nil {
+			lw := &lineWriter{}
+			if lw.match(oid, r) || lw.pair(p) || lw.err == nil || len(lw.buf) != 0 {
+				t.Fatalf("json.Marshal refuses %v (%v) but the writer rendered %q", r, err, lw.buf)
+			}
+			return
+		}
+		if got := appendMatchLine(nil, oid, r); !bytes.Equal(got, append(wantMatch, '\n')) {
+			t.Fatalf("match line\n got %q\nwant %q", got, wantMatch)
+		}
+		if got := appendPairLine(nil, p); !bytes.Equal(got, append(wantPair, '\n')) {
+			t.Fatalf("pair line\n got %q\nwant %q", got, wantPair)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,8 +38,9 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 // ndjsonHeaders sets the headers every NDJSON stream shares —
 // Content-Type plus Cache-Control: no-cache so intermediaries pass
 // lines through instead of buffering them — and returns the writer's
-// flusher (nil when the writer cannot flush). Streaming handlers flush
-// after every line for the same reason.
+// flusher (nil when the writer cannot flush). /v1/watch, a live tail,
+// flushes after every event; the finite streams batch under
+// lineWriter's flush contract (ndjson.go).
 func ndjsonHeaders(w http.ResponseWriter) http.Flusher {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -149,28 +149,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	flusher := ndjsonHeaders(w)
-	// With caching on, match lines are teed into a buffer as they are
-	// rendered, so a hit later replays the exact bytes with one write.
-	var buf bytes.Buffer
-	var out io.Writer = w
-	if s.cache != nil {
-		out = io.MultiWriter(w, &buf)
-	}
-	enc := json.NewEncoder(out)
-	var writeErr error
-	nmatch := 0
-	yield := func(m query.Match) bool {
-		nmatch++
-		oid, rect := m.OID, RectToWire(m.Rect)
-		if writeErr = enc.Encode(QueryLine{OID: &oid, Rect: &rect}); writeErr != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	// With caching on, the writer keeps a copy of the match lines as it
+	// hands them over, so a hit later replays the exact bytes.
+	lw := s.newLineWriter(w, s.cache != nil)
+	yield := func(m query.Match) bool { return lw.match(m.OID, m.Rect) }
 	proc := inst.ReadProc()
 	var stats query.Stats
 	if conj {
@@ -181,36 +163,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldQuery(stats)
-	if writeErr != nil || ctx.Err() != nil {
-		// The client is gone (or the deadline fired mid-stream); there
-		// is no one left to send a stats line to.
-		s.metrics.disconnects.Add(1)
-		return
-	}
-	if err != nil {
+	var trailer any
+	switch {
+	case lw.err != nil || ctx.Err() != nil:
+		// The client is gone (or the deadline fired mid-stream): no
+		// stats line, and end counts the disconnect.
+	case err != nil:
 		s.noteCorrupt(inst, err)
-		_ = enc.Encode(QueryLine{Error: err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return
-	}
-	if s.cache != nil {
+		trailer = QueryLine{Error: err.Error()}
+	default:
 		// Only a cleanly completed answer is stored — a truncated or
-		// failed stream must never be replayed as the full result. The
-		// buffer holds exactly the match lines at this point (the stats
-		// line is rendered below, after the copy).
-		lines := append([]byte(nil), buf.Bytes()...)
-		s.cache.put(ckey, &cachedResult{lines: lines, nmatch: nmatch, stats: stats})
+		// failed stream must never be replayed as the full result.
+		if lines, ok := lw.cacheCopy(); ok {
+			s.cache.put(ckey, &cachedResult{lines: lines, stats: stats})
+		}
+		ws := StatsToWire(stats)
+		if req.Explain {
+			ws.Explain = explainFor(inst, stats, rels, ref, conj)
+		}
+		trailer = QueryLine{Stats: &ws}
 	}
-	ws := StatsToWire(stats)
-	if req.Explain {
-		ws.Explain = explainFor(inst, stats, rels, ref, conj)
-	}
-	_ = enc.Encode(QueryLine{Stats: &ws})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	lw.end(trailer)
 }
 
 // writeCachedQuery replays a cached answer: the same match lines in
@@ -218,17 +191,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // hit and miss responses are byte-identical (explain, which is opt-in,
 // additionally reports the hit).
 func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *cachedResult) {
-	flusher := ndjsonHeaders(w)
-	if len(res.lines) > 0 {
-		if _, err := w.Write(res.lines); err != nil {
-			s.metrics.disconnects.Add(1)
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+	lw := s.newLineWriter(w, false)
+	lw.replay(res.lines)
 	ws := StatsToWire(res.stats)
 	if req.Explain {
 		ws.Explain = "cache=hit"
@@ -236,10 +200,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 			ws.Explain += " " + res.stats.Explain
 		}
 	}
-	_ = enc.Encode(QueryLine{Stats: &ws})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	lw.end(QueryLine{Stats: &ws})
 }
 
 // explainFor renders the opt-in planner trace for the stats line. A
@@ -299,23 +260,16 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.metrics.joinInFlight.Add(1)
 	defer s.metrics.joinInFlight.Add(-1)
 
-	flusher := ndjsonHeaders(w)
-	enc := json.NewEncoder(w)
+	lw := s.newLineWriter(w, false)
 	start := time.Now()
 	pairs := 0
-	var writeErr error
 	opts := query.JoinOptions{
 		NonContiguous: req.NonContiguous,
 		KeepSelfPairs: req.KeepSelfPairs,
 	}
 	stats, err := query.JoinStream(ctx, lidx, ridx, rels, opts, func(p query.JoinPair) bool {
-		lo, ro := p.LeftOID, p.RightOID
-		lr, rr := RectToWire(p.LeftRect), RectToWire(p.RightRect)
-		if writeErr = enc.Encode(JoinLine{LeftOID: &lo, RightOID: &ro, LeftRect: &lr, RightRect: &rr}); writeErr != nil {
+		if !lw.pair(p) {
 			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		pairs++
 		return req.Limit <= 0 || pairs < req.Limit
@@ -323,11 +277,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldJoin(pairs, stats, time.Since(start))
-	if writeErr != nil || ctx.Err() != nil {
-		s.metrics.disconnects.Add(1)
-		return
-	}
-	if err != nil {
+	var trailer any
+	switch {
+	case lw.err != nil || ctx.Err() != nil:
+		// Cut short: no stats line, and end counts the disconnect.
+	case err != nil:
 		if errors.Is(err, pagefile.ErrCorrupt) {
 			// A corrupt page read mid-join cannot be attributed to one
 			// side, so both indexes degrade to 503s.
@@ -336,17 +290,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			li.MarkUnhealthy(reason)
 			ri.MarkUnhealthy(reason)
 		}
-		_ = enc.Encode(JoinLine{Error: err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return
+		trailer = JoinLine{Error: err.Error()}
+	default:
+		trailer = JoinLine{Stats: &JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}}
 	}
-	ws := JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}
-	_ = enc.Encode(JoinLine{Stats: &ws})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	lw.end(trailer)
 }
 
 // handleKNN answers GET /v1/knn?index=name&k=5&x=10&y=20.

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -295,7 +294,7 @@ func TestJoinDeadline(t *testing.T) {
 // TestJoinClientDisconnect checks that hanging up mid-stream stops the
 // synchronized traversal.
 func TestJoinClientDisconnect(t *testing.T) {
-	srv, ts := newJoinTestServer(t, Config{}, 6000, 6000)
+	srv, _ := newJoinTestServer(t, Config{}, 6000, 6000)
 	li, ri := joinIdx(t, srv, "left"), joinIdx(t, srv, "right")
 	full, err := query.JoinTopological(li, ri, topo.NotDisjoint, query.JoinOptions{})
 	if err != nil {
@@ -305,29 +304,7 @@ func TestJoinClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/join", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	resp.Body.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Disconnects() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never recorded the disconnect")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	hangUpAfterFirstLine(t, srv, "/v1/join", body)
 	if folded := srv.Metrics().JoinNodeAccessesTotal(); folded == 0 || folded >= full.Stats.NodeAccesses {
 		t.Fatalf("disconnect did not stop page reads: folded %d, full run is %d",
 			folded, full.Stats.NodeAccesses)

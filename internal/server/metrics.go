@@ -25,6 +25,13 @@ type Metrics struct {
 	rejected    atomic.Uint64
 	disconnects atomic.Uint64
 
+	// streamFlushes counts the writes lineWriters made; over
+	// topod_requests_total{endpoint="query"|"join"} it is the flushes
+	// one response costs. cacheOversize counts answers that streamed
+	// but outgrew maxCachedBytes and were not stored.
+	streamFlushes atomic.Uint64
+	cacheOversize atomic.Uint64
+
 	nodeAccesses    atomic.Uint64
 	candidates      atomic.Uint64
 	refinementTests atomic.Uint64
@@ -353,6 +360,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
+	counter("topod_stream_flushes_total", "Writes made by /v1/query and /v1/join NDJSON streams; over their topod_requests_total it is the flushes one response costs.", m.streamFlushes.Load())
 	gauge("topod_in_flight_requests", "Requests currently holding an admission slot.", m.inFlight.Load())
 	counter("topod_rejected_total", "Requests shed by admission control (429).", m.rejected.Load())
 	counter("topod_disconnects_total", "Query streams abandoned before completion.", m.disconnects.Load())
@@ -368,6 +376,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		counter("topod_cache_hits_total", "Queries answered from the result cache (zero page reads).", hits)
 		counter("topod_cache_misses_total", "Query cache lookups that fell through to a traversal.", misses)
 		counter("topod_cache_evictions_total", "Result-cache entries displaced from the LRU cold end.", evictions)
+		counter("topod_cache_oversize_total", "Query answers streamed but not stored because they outgrew the 1 MiB entry bound.", m.cacheOversize.Load())
 	}
 	counter("topod_join_pairs_total", "Result pairs streamed by /v1/join.", m.joinPairs.Load())
 	counter("topod_join_node_accesses_total", "Tree pages read by synchronized join traversals.", m.joinNodeAccesses.Load())

@@ -530,7 +530,7 @@ func (s *Server) poolStats() []PoolStat {
 	return out
 }
 
-// Metrics exposes the server's metric registry (the -bench harness and
+// Metrics exposes the server's metric registry (the bench/ harness and
 // tests fold expectations against it).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 

@@ -170,18 +170,74 @@ func TestQueryLimit(t *testing.T) {
 	}
 }
 
+// stallingWriter lets a response's first write through and holds every
+// later one until the request's context ends: what a socket does once
+// an answer larger than its buffers meets a client that stopped
+// reading. The disconnect tests use it so that the traversal is still
+// running when the client hangs up, however fast the server streams.
+type stallingWriter struct {
+	http.ResponseWriter
+	done   <-chan struct{}
+	writes int
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > 1 {
+		<-w.done
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *stallingWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// hangUpAfterFirstLine serves srv behind stallingWriters, posts body
+// to path, reads one line of the answer and drops the connection, then
+// waits for the server to count the disconnect.
+func hangUpAfterFirstLine(t *testing.T, srv *Server, path string, body []byte) {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(&stallingWriter{ResponseWriter: w, done: r.Context().Done()}, r)
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	resp.Body.Close()
+
+	// The handler folds its partial stats and counts the disconnect.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().Disconnects() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("server never recorded the disconnect")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestQueryClientDisconnect checks that dropping the connection mid-
 // stream stops the tree traversal: the pages folded into the metrics
 // stay below what a completed traversal reads.
 func TestQueryClientDisconnect(t *testing.T) {
-	srv, ts, d := newTestServer(t, Config{}, 20000, index.KindRTree)
+	srv, _, d := newTestServer(t, Config{}, 20000, index.KindRTree)
 	inst, err := srv.instance("rtree")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := d.Queries[0]
 	// Ground truth: a full disjoint traversal touches nearly every
-	// page and yields ~20000 matches.
+	// page and yields ~20000 matches, some sixty writes' worth.
 	full, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), topo.NewSet(topo.Disjoint), ref)
 	if err != nil {
 		t.Fatal(err)
@@ -197,31 +253,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read one line, then hang up.
-	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	resp.Body.Close()
-
-	// The handler folds its partial stats and counts the disconnect.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Disconnects() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never recorded the disconnect")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	hangUpAfterFirstLine(t, srv, "/v1/query", body)
 	folded := srv.Metrics().NodeAccessesTotal()
 	if folded >= full.Stats.NodeAccesses {
 		t.Fatalf("disconnect did not stop page reads: folded %d accesses, full traversal is %d",

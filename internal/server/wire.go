@@ -10,7 +10,7 @@ import (
 )
 
 // This file defines the wire shapes shared by the handlers, the
-// topod -bench client, and the tests. Rectangles travel as
+// bench/ harness, and the tests. Rectangles travel as
 // [minx, miny, maxx, maxy].
 
 // QueryRequest is the body of POST /v1/query.

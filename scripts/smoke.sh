@@ -24,8 +24,9 @@
 # same dataset, asserts identical query/knn/join counts through the
 # scatter-gather router, then kill -9s the sharded daemon and asserts
 # the reboot (without the flag) recovers every tile. A ninth leg
-# repeats a query against a `-cache-size` topod, asserts the repeat is
-# byte-identical and increments topod_cache_hits_total, then mutates
+# asserts a window answer of over 100 lines costs at most 3 stream
+# flushes, repeats it against a `-cache-size` topod, asserts the repeat
+# is byte-identical and increments topod_cache_hits_total, then mutates
 # and asserts the same query misses (generation-keyed invalidation)
 # and sees the new rectangle.
 set -euo pipefail
@@ -739,6 +740,14 @@ wait_ready "$CBASE" || { echo "smoke: cache-leg topod never became ready" >&2; e
 
 CQ='{"relations":["not_disjoint"],"ref":[200,200,500,500]}'
 COLD="$(curl -sf -d "$CQ" "$CBASE/v1/query")"
+# The lines of one answer are batched, not flushed one by one: a
+# window answer of over 100 lines costs a handful of writes at most.
+CLINES="$(echo "$COLD" | wc -l)"
+[ "$CLINES" -gt 100 ] \
+  || { echo "smoke: cache-leg window answer has $CLINES lines, need more than 100 to check batching" >&2; exit 1; }
+CFLUSH="$(curl -sf "$CBASE/metrics" | awk '/^topod_stream_flushes_total /{print $2}')"
+[ -n "$CFLUSH" ] && [ "$CFLUSH" -le 3 ] \
+  || { echo "smoke: a $CLINES-line answer cost '$CFLUSH' stream flushes, want at most 3" >&2; exit 1; }
 WARM="$(curl -sf -d "$CQ" "$CBASE/v1/query")"
 [ "$COLD" = "$WARM" ] \
   || { echo "smoke: cache hit response differs from the cold miss" >&2; exit 1; }
@@ -770,4 +779,4 @@ if ! wait "$PID11"; then
   exit 1
 fi
 
-echo "smoke OK: cache hit on repeat query + generation-keyed miss after mutation"
+echo "smoke OK: $CLINES-line answer in $CFLUSH flushes + cache hit on repeat query + generation-keyed miss after mutation"
