@@ -270,10 +270,8 @@ func BenchmarkJoin(b *testing.B) {
 }
 
 // BenchmarkJoinParallel measures the plane-sweep join engine on the
-// 100k uniform workload (two STR-packed 50k R*-trees): the legacy
-// serial nested-loop engine (naive-serial, which re-reads right child
-// pages) against the sweep engine at 1–8 workers. Metrics:
-// accesses/op (the paper's disk accesses) and pairs/sec.
+// 100k uniform workload (two STR-packed 50k R*-trees) at 1–8 workers.
+// Metrics: accesses/op (the paper's disk accesses) and pairs/sec.
 func BenchmarkJoinParallel(b *testing.B) {
 	const nPerSide = 50000
 	cfg := benchConfig()
@@ -308,9 +306,6 @@ func BenchmarkJoinParallel(b *testing.B) {
 		b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
 		b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/sec")
 	}
-	b.Run("naive-serial", func(b *testing.B) {
-		run(b, query.JoinOptions{NaiveReads: true})
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("sweep-%dw", workers), func(b *testing.B) {
 			run(b, query.JoinOptions{Workers: workers})

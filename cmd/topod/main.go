@@ -4,7 +4,7 @@
 //
 // Serve a data file (CSV, or NDJSON in the /v1/bulk line format):
 //
-//	topod -addr :8080 -data data.csv -tree rstar -frames 64
+//	topod -addr :8080 -data data.csv -tree rstar
 //	curl -s localhost:8080/v1/indexes
 //	curl -s -d '{"relations":["overlap"],"ref":[10,10,40,30]}' localhost:8080/v1/query
 //	curl -s 'localhost:8080/v1/knn?k=5&x=100&y=200'
@@ -114,7 +114,6 @@ func main() {
 		tree        = flag.String("tree", "rtree", "access method: rtree, rplus, rstar")
 		name        = flag.String("name", "main", "index name on the wire")
 		pageSize    = flag.Int("pagesize", index.PaperPageSize, "page size in bytes")
-		frames      = flag.Int("frames", 0, "buffer-pool frames under the tree (0 = unbuffered)")
 		maxInFlight = flag.Int("maxinflight", 64, "admission-control bound on concurrent requests")
 
 		data2   = flag.String("data2", "", "optional second data file, served as another index (join it with the first via /v1/join)")
@@ -152,7 +151,6 @@ func main() {
 		Name:     *name,
 		Kind:     kind,
 		PageSize: *pageSize,
-		Frames:   *frames,
 		Bulk:     *bulk,
 		Shards:   *shards,
 	}
@@ -222,8 +220,8 @@ func main() {
 		if *bulk {
 			build = "bulk-loaded"
 		}
-		fmt.Printf("topod: %s %d rectangles in %s %q in %s (height %d, frames %d)\n",
-			build, inst.Idx.Len(), inst.Kind, inst.Name, buildTime.Round(time.Millisecond), inst.Idx.Height(), *frames)
+		fmt.Printf("topod: %s %d rectangles in %s %q in %s (height %d)\n",
+			build, inst.Idx.Len(), inst.Kind, inst.Name, buildTime.Round(time.Millisecond), inst.Idx.Height())
 	}
 
 	// A second, non-durable index makes the process a join service:
@@ -243,7 +241,6 @@ func main() {
 			Name:     *name2,
 			Kind:     kind2,
 			PageSize: *pageSize,
-			Frames:   *frames,
 			Bulk:     *bulk,
 		}, items2)
 		if err != nil {

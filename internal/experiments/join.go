@@ -12,10 +12,8 @@ import (
 )
 
 // JoinResultExp measures topological spatial joins between two layers:
-// the legacy nested-loop engine (which re-read right child pages),
-// the plane-sweep engine, and the parallel sweep, against the
-// per-object nested-query baseline — disk accesses and wall time per
-// relation.
+// the plane-sweep engine, serial and parallel, against the per-object
+// nested-query baseline — disk accesses and wall time per relation.
 type JoinResultExp struct {
 	Config Config
 	Class  workload.SizeClass
@@ -28,17 +26,13 @@ type JoinRow struct {
 	Relation topo.Relation
 	// Pairs found at the filter level.
 	Pairs int
-	// NaiveAccesses: page reads of the legacy nested-loop engine,
-	// which re-reads right children once per matching left entry.
-	NaiveAccesses uint64
 	// JoinAccesses: page reads of the sweep engine (child pages read
 	// at most once per node pair; identical for serial and parallel).
 	JoinAccesses uint64
 	// NestedAccesses: page reads of querying the right index once per
 	// left object.
 	NestedAccesses uint64
-	// Wall times of the three engine configurations.
-	NaiveTime    time.Duration
+	// Wall times of the two engine configurations.
 	SweepTime    time.Duration
 	ParallelTime time.Duration
 }
@@ -75,9 +69,6 @@ func RunJoin(cfg Config, class workload.SizeClass) (*JoinResultExp, error) {
 	for _, rel := range []topo.Relation{topo.Meet, topo.Overlap, topo.Inside, topo.Covers, topo.Equal} {
 		row := JoinRow{Relation: rel}
 		var err error
-		if row.NaiveAccesses, _, row.NaiveTime, err = timedJoin(rel, query.JoinOptions{NaiveReads: true}); err != nil {
-			return nil, err
-		}
 		if row.JoinAccesses, row.Pairs, row.SweepTime, err = timedJoin(rel, query.JoinOptions{Workers: 1}); err != nil {
 			return nil, err
 		}
@@ -106,19 +97,17 @@ func RunJoin(cfg Config, class workload.SizeClass) (*JoinResultExp, error) {
 func (r *JoinResultExp) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Topological spatial join, two %s layers of %d objects (R*-trees)\n", r.Class, r.N)
-	fmt.Fprintf(&b, "naive = legacy nested-loop engine, sweep = plane-sweep with per-pair child dedup\n\n")
+	fmt.Fprintf(&b, "sweep = plane-sweep join with per-pair child dedup, nested = one query per left object\n\n")
 	t := &table{header: []string{
-		"relation", "pairs", "naive acc", "sweep acc", "nested acc",
-		"naive ms", "sweep ms", "parallel ms",
+		"relation", "pairs", "sweep acc", "nested acc", "sweep ms", "parallel ms",
 	}}
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()*1e3) }
 	for _, row := range r.Rows {
 		t.addRow(row.Relation.String(),
 			fmt.Sprintf("%d", row.Pairs),
-			fmt.Sprintf("%d", row.NaiveAccesses),
 			fmt.Sprintf("%d", row.JoinAccesses),
 			fmt.Sprintf("%d", row.NestedAccesses),
-			ms(row.NaiveTime), ms(row.SweepTime), ms(row.ParallelTime))
+			ms(row.SweepTime), ms(row.ParallelTime))
 	}
 	b.WriteString(t.String())
 	return b.String()

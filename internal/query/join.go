@@ -49,10 +49,6 @@ type JoinOptions struct {
 	// object stores are set (Processor semantics: negative uses
 	// GOMAXPROCS, 0 or 1 refines on a single goroutine).
 	RefineWorkers int
-	// NaiveReads selects the legacy nested-loop engine that re-reads
-	// right child pages (and a serial traversal). It is the cost
-	// baseline of the experiments and benchmarks; leave it unset.
-	NaiveReads bool
 }
 
 // refineWorkers resolves the refinement pool size.
@@ -193,7 +189,6 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 	engineOpts := rtree.JoinOptions{
 		Workers:      opts.Workers,
 		Intersecting: sweepSafe(cands),
-		NaiveReads:   opts.NaiveReads,
 	}
 	if engineOpts.Intersecting {
 		engineOpts.SweepDensity = joinSweepDensity(left, right)

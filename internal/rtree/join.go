@@ -46,11 +46,6 @@ type JoinOptions struct {
 	// overlapping combinations; setting it when axis-disjoint pairs can
 	// qualify loses results.
 	Intersecting bool
-	// NaiveReads restores the pre-sweep node-node behaviour — nested
-	// matching that re-reads the right child page for every matching
-	// left entry — and forces a serial traversal. It exists solely as
-	// the cost baseline for the experiments and benchmarks.
-	NaiveReads bool
 	// SweepDensity is the caller's estimate of the fraction of entry
 	// pairs in a typical node pair that x-overlap (the sweep's tested
 	// fraction), usually derived from node-MBR statistics. With it the
@@ -127,9 +122,6 @@ func JoinCtx(ctx context.Context, t1, t2 Joinable,
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.NaiveReads {
-		workers = 1
 	}
 	src1, root1, rel1 := t1.joinView()
 	defer rel1()
@@ -317,6 +309,11 @@ func (w *joinWorker) emitPair(e1, e2 *Entry) error {
 	}
 	w.stats.Emitted++
 	ok := e.emit(e1.Rect, e1.OID, e2.Rect, e2.OID)
+	if !ok {
+		// Under the lock, or a worker waiting on it emits one pair more
+		// than emit asked for.
+		e.stopped.Store(true)
+	}
 	e.emitMu.Unlock()
 	if !ok {
 		e.stop()
@@ -366,8 +363,6 @@ func (w *joinWorker) join(n1, n2 *node) error {
 			}
 		}
 		return nil
-	case w.e.opts.NaiveReads:
-		return w.joinNaive(n1, n2)
 	default:
 		// Internal-internal: lazily read every child at most once for
 		// this node pair, however many partners its entry matches.
@@ -388,35 +383,6 @@ func (w *joinWorker) join(n1, n2 *node) error {
 			return w.join(left[i], right[j])
 		})
 	}
-}
-
-// joinNaive reproduces the pre-sweep node-node descent exactly: nested
-// matching, with the right child page re-read for every matching left
-// entry. Kept only as the cost baseline that the experiments and
-// BenchmarkJoinParallel compare the sweep engine against.
-func (w *joinWorker) joinNaive(n1, n2 *node) error {
-	for i := range n1.entries {
-		var c1 *node
-		for j := range n2.entries {
-			if !w.e.prune(n1.entries[i].Rect, n2.entries[j].Rect) {
-				continue
-			}
-			if c1 == nil {
-				var err error
-				if c1, err = w.read1(n1.childRef(i)); err != nil {
-					return err
-				}
-			}
-			c2, err := w.read2(n2.childRef(j))
-			if err != nil {
-				return err
-			}
-			if err := w.join(c1, c2); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // expand reads the children of one node pair (each page at most once,
@@ -511,7 +477,7 @@ func (w *joinWorker) useSweep(m, n int) bool {
 }
 
 func (w *joinWorker) match(n1, n2 *node, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
-	if w.e.opts.Intersecting && !w.e.opts.NaiveReads {
+	if w.e.opts.Intersecting {
 		if w.useSweep(len(n1.entries), len(n2.entries)) {
 			w.stats.SweepPairs++
 			return w.matchSweep(n1, n2, test, found)

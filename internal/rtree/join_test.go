@@ -54,16 +54,19 @@ func samePairs(t *testing.T, want, got map[[2]uint64]int, label string) {
 	}
 }
 
-// refDedupReads independently walks both trees the way the fixed
-// engine must: every child page read at most once per node pair. It is
-// the regression oracle for the redundant right-child reads of the old
-// nested-loop joiner.
-func refDedupReads(t *testing.T, t1, t2 *Tree) uint64 {
+// refJoin is the textbook nested-loop intersection join, written
+// independently of the engine: the differential oracle for its pair
+// multiset and its page reads. With dedup every child page is read at
+// most once per node pair, which is what the engine must do; without,
+// the right child is re-read for every matching left entry — the
+// pre-sweep joiner, whose page count bounds the engine's from above.
+func refJoin(t *testing.T, t1, t2 *Tree, dedup bool) (map[[2]uint64]int, uint64) {
 	t.Helper()
 	s1 := t1.acquire()
 	defer t1.release(s1)
 	s2 := t2.acquire()
 	defer t2.release(s2)
+	pairs := map[[2]uint64]int{}
 	var reads uint64
 	read := func(tr *Tree, id pagefile.PageID) *node {
 		n, err := tr.st.readNode(id)
@@ -77,6 +80,13 @@ func refDedupReads(t *testing.T, t1, t2 *Tree) uint64 {
 	rec = func(n1, n2 *node) {
 		switch {
 		case n1.isLeaf() && n2.isLeaf():
+			for _, e1 := range n1.entries {
+				for _, e2 := range n2.entries {
+					if e1.Rect.Intersects(e2.Rect) {
+						pairs[[2]uint64{e1.OID, e2.OID}]++
+					}
+				}
+			}
 		case n1.isLeaf():
 			m1 := n1.mbr()
 			for j := range n2.entries {
@@ -102,7 +112,7 @@ func refDedupReads(t *testing.T, t1, t2 *Tree) uint64 {
 					if left[i] == nil {
 						left[i] = read(t1, n1.entries[i].Child)
 					}
-					if right[j] == nil {
+					if right[j] == nil || !dedup {
 						right[j] = read(t2, n2.entries[j].Child)
 					}
 					rec(left[i], right[j])
@@ -115,14 +125,15 @@ func refDedupReads(t *testing.T, t1, t2 *Tree) uint64 {
 	if len(r1.entries) > 0 && len(r2.entries) > 0 && r1.mbr().Intersects(r2.mbr()) {
 		rec(r1, r2)
 	}
-	return reads
+	return pairs, reads
 }
 
 // TestJoinChildReadDedup is the page-access regression test for the
-// node-node fix: the engine must read each child at most once per node
-// pair (matching an independent reference walk exactly) and strictly
-// fewer pages than the old engine, which re-read the right child for
-// every matching left entry — all visible in TraversalStats.
+// node-node fix: the engine must emit the nested loop's pair multiset,
+// read each child at most once per node pair (matching the reference
+// walk exactly) and strictly fewer pages than the nested loop that
+// re-reads the right child for every matching left entry — all visible
+// in TraversalStats.
 func TestJoinChildReadDedup(t *testing.T) {
 	t1 := buildJoinTree(t, 1, 1500)
 	t2 := buildJoinTree(t, 2, 1500)
@@ -130,21 +141,18 @@ func TestJoinChildReadDedup(t *testing.T) {
 		t.Fatalf("want height >= 3 to exercise node-node descent, got %d", t1.Height())
 	}
 
-	naivePairs, naive := runJoin(t, t1, t2, JoinOptions{NaiveReads: true})
+	naivePairs, naiveReads := refJoin(t, t1, t2, false)
 	dedupPairs, dedup := runJoin(t, t1, t2, JoinOptions{Workers: 1})
-	samePairs(t, naivePairs, dedupPairs, "dedup vs naive")
+	samePairs(t, naivePairs, dedupPairs, "engine vs nested loop")
 
-	if dedup.NodeAccesses >= naive.NodeAccesses {
-		t.Fatalf("dedup engine read %d pages, naive %d; want strictly fewer",
-			dedup.NodeAccesses, naive.NodeAccesses)
+	if dedup.NodeAccesses >= naiveReads {
+		t.Fatalf("engine read %d pages, nested loop %d; want strictly fewer", dedup.NodeAccesses, naiveReads)
 	}
-	if want := refDedupReads(t, t1, t2); dedup.NodeAccesses != want {
-		t.Fatalf("dedup engine read %d pages, reference dedup walk reads %d",
-			dedup.NodeAccesses, want)
+	if _, want := refJoin(t, t1, t2, true); dedup.NodeAccesses != want {
+		t.Fatalf("engine read %d pages, reference dedup walk reads %d", dedup.NodeAccesses, want)
 	}
-	if dedup.Emitted != naive.Emitted || dedup.Emitted != len(dedupPairs) {
-		t.Fatalf("emitted %d (naive %d, distinct %d); counts must agree",
-			dedup.Emitted, naive.Emitted, len(dedupPairs))
+	if dedup.Emitted != len(dedupPairs) {
+		t.Fatalf("emitted %d, distinct %d; counts must agree", dedup.Emitted, len(dedupPairs))
 	}
 }
 

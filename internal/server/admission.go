@@ -4,8 +4,12 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
+
+// The two wrappers a route passes through (Server.Handler): instrument
+// outermost on every route, admission inside it on the /v1 ones.
 
 // admission is the load-shedding gate: a counting semaphore bounds the
 // number of /v1 requests executing at once. When the semaphore is
@@ -40,12 +44,69 @@ func (a *admission) wrap(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 		default:
 			a.metrics.rejected.Add(1)
-			secs := int64(math.Ceil(a.retryAfter.Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-			writeJSONError(w, http.StatusTooManyRequests, "server saturated: too many in-flight requests")
+			shed(w, a.retryAfter, "server saturated: too many in-flight requests")
 		}
+	})
+}
+
+// shed answers 429 with the back-off hint, in whole seconds and at
+// least one.
+func shed(w http.ResponseWriter, retryAfter time.Duration, msg string) {
+	secs := max(int64(math.Ceil(retryAfter.Seconds())), 1)
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	writeJSONError(w, http.StatusTooManyRequests, msg)
+}
+
+// statusWriter records the response code and keeps http.Flusher
+// reachable through the wrapping.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *statusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// instrument wraps next with request counting and latency observation
+// under the endpoint label. The label children are resolved here, when
+// the route is built — the histogram at once, a status code's counter
+// the first time the route answers with it — so a request costs two
+// atomic adds and no lookup.
+func (m *Metrics) instrument(endpoint string, next http.Handler) http.Handler {
+	latency := m.requestLatency.with(endpoint)
+	var byCode [1000]atomic.Pointer[counter] // net/http refuses codes outside 100–999
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w}
+		start := time.Now()
+		next.ServeHTTP(sw, r)
+		elapsed := time.Since(start)
+		code := sw.code
+		if code == 0 {
+			code = http.StatusOK
+		}
+		c := byCode[code].Load()
+		if c == nil {
+			c = m.requests.with(endpoint, strconv.Itoa(code))
+			byCode[code].Store(c)
+		}
+		c.Add(1)
+		latency.observe(elapsed)
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/query"
@@ -41,9 +40,9 @@ type resultCache struct {
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	hits      counter
+	misses    counter
+	evictions counter
 }
 
 // cacheSlot is the LRU element payload.
@@ -96,15 +95,24 @@ func (c *resultCache) put(key string, res *cachedResult) {
 	}
 }
 
-// counters snapshots the hit/miss/eviction counters for /metrics.
+// counters snapshots the hit/miss/eviction counters.
 func (c *resultCache) counters() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// bumpGen advances the instance's mutation generation — called after
-// every successfully committed mutation, whatever path it arrived on
-// (handler, bulk load, replication apply, bootstrap), so cache keys
-// built before and after a mutation never collide.
+// register adds the cache families (a server without a cache has none).
+func (c *resultCache) register(m *Metrics) {
+	m.counter("topod_cache_hits_total", "Queries answered from the result cache (zero page reads).", &c.hits)
+	m.counter("topod_cache_misses_total", "Query cache lookups that fell through to a traversal.", &c.misses)
+	m.counter("topod_cache_evictions_total", "Result-cache entries displaced from the LRU cold end.", &c.evictions)
+	m.counter("topod_cache_oversize_total", "Query answers streamed but not stored because they outgrew the 1 MiB entry bound.", &m.cacheOversize)
+}
+
+// bumpGen advances the instance's mutation generation: once per
+// mutate, after the tree change is visible and before the caller is
+// acknowledged (and once per follower bootstrap, which replaces the
+// contents wholesale), so an answer computed before a mutation is never
+// found under a key built after it.
 func (inst *Instance) bumpGen() { inst.gen.Add(1) }
 
 // Generation returns the instance's mutation generation (cache-key

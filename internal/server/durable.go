@@ -15,7 +15,6 @@ import (
 	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/wal"
-	"mbrtopo/internal/watch"
 )
 
 // The durable state of an index named N in a data directory is two
@@ -35,7 +34,7 @@ import (
 // (empty or missing ⇒ empty) generation and the stale log is deleted.
 // A served index that has not been mutated since boot has no tree at
 // all — it answers straight from the validated image (see
-// workingTreeLocked).
+// workingTreeLocked). d.mu is the instance's mutation lock (mutLock).
 type durable struct {
 	mu   sync.Mutex
 	spec IndexSpec
@@ -83,6 +82,28 @@ func addGroupStats(acc *wal.GroupStats, gs wal.GroupStats) {
 		acc.MaxBatch = gs.MaxBatch
 	}
 	acc.CommitTime += gs.CommitTime
+}
+
+// registerWALMetrics adds the group-commit families of the durable
+// indexes, tiles included.
+func (s *Server) registerWALMetrics() {
+	family := func(name, help, typ string, value func(wal.GroupStats) any) {
+		s.metrics.collect(name, help, typ, func(emit emitFunc) {
+			for _, inst := range s.statInstances() {
+				if inst.dur != nil {
+					emit(value(inst.dur.groupStats()), "index", inst.Name)
+				}
+			}
+		})
+	}
+	family("topod_wal_group_commits_total", "Durable WAL batch flushes (one write + one policy fsync each), by index.", "counter",
+		func(gs wal.GroupStats) any { return gs.Commits })
+	family("topod_wal_group_records_total", "Records across those flushes; records/commits is the achieved batching.", "counter",
+		func(gs wal.GroupStats) any { return gs.Records })
+	family("topod_wal_group_max_batch_records", "Largest single flush, in records.", "gauge",
+		func(gs wal.GroupStats) any { return gs.MaxBatch })
+	family("topod_wal_commit_seconds_total", "Cumulative wall time inside WAL write+fsync, by index.", "counter",
+		func(gs wal.GroupStats) any { return gs.CommitTime.Seconds() })
 }
 
 // waitChLocked returns the channel the next signal will close. A
@@ -268,17 +289,17 @@ func (d *durable) checkpoint(inst *Instance) error {
 // validated checkpoint image: one InsertBatch into an empty tree, which
 // STR-packs an R-/R*-tree (collecting planner statistics on the way)
 // and runs the locked insert loop on an R+-tree.
-func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, *pagefile.BufferPool, error) {
-	idx, pool, err := newTree(spec)
+func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, error) {
+	idx, err := newTree(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if recs := flatRecords(flat, spec.Kind == index.KindRPlus); len(recs) > 0 {
 		if err := idx.InsertBatch(recs); err != nil {
-			return nil, nil, fmt.Errorf("rebuilding tree from checkpoint image: %w", err)
+			return nil, fmt.Errorf("rebuilding tree from checkpoint image: %w", err)
 		}
 	}
-	return idx, pool, nil
+	return idx, nil
 }
 
 // flatRecords extracts the (rect, oid) entries of a checkpoint image
@@ -311,94 +332,25 @@ func flatRecords(flat *rtree.FlatTree, dedup bool) []rtree.Record {
 // until the first mutation asks for one here — a one-off stall of about
 // one bulk load, paid by that write instead of by every read-only
 // reboot. The image is immutable, so the read path moves to the tree
-// before the mutation is applied. Caller holds d.mu.
-func (d *durable) workingTreeLocked(inst *Instance) (index.Index, error) {
+// before the mutation is applied. Caller holds the mutation lock.
+func (inst *Instance) workingTreeLocked() (index.Index, error) {
 	if inst.Idx != nil {
 		return inst.Idx, nil
 	}
 	flat, ok := inst.ReadIndex().(*rtree.FlatTree)
-	if !ok || d.log == nil {
+	if !ok || inst.dur == nil || inst.dur.log == nil {
 		return nil, fmt.Errorf("server: index %q has no durable state to mutate (%s)", inst.Name, inst.FailReason())
 	}
-	idx, pool, err := materialise(flat, d.spec)
+	idx, err := materialise(flat, inst.dur.spec)
 	if err != nil {
 		return nil, fmt.Errorf("server: index %q: %w", inst.Name, err)
 	}
-	inst.serve(idx, pool)
+	inst.serve(idx)
 	return idx, nil
 }
 
-// apply runs one mutation: tree and WAL reservation under the durable
-// lock (so replay order matches apply order exactly), the WAL flush
-// outside it. The record is on the log — per the fsync policy — before
-// the caller writes its 200, but concurrent mutations on one index
-// share that fsync through the log's group commit instead of
-// serialising on it: while one request waits inside the flush, the
-// next is already applying its tree change and reserving.
-func (d *durable) apply(inst *Instance, op wal.Op, rect geom.Rect, oid uint64) error {
-	d.mu.Lock()
-	idx, err := d.workingTreeLocked(inst)
-	if err == nil {
-		err = applyRecord(idx, wal.Record{Op: op, OID: oid, Rect: rect})
-	}
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	inst.notifyWatch(op, rect, oid)
-	ticket := d.log.Reserve(wal.Record{Op: op, OID: oid, Rect: rect})
-	cpErr := d.afterReserveLocked(inst, 1)
-	d.mu.Unlock()
-	return d.settle(inst, ticket, cpErr)
-}
-
-// applyRecord applies one logged mutation to a tree.
-func applyRecord(idx index.Index, rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpInsert:
-		return idx.Insert(rec.Rect, rec.OID)
-	case wal.OpDelete:
-		return idx.Delete(rec.Rect, rec.OID)
-	}
-	return fmt.Errorf("server: unknown mutation op %v", rec.Op)
-}
-
-// applyBulk inserts a batch as one atomic index mutation and one WAL
-// batch reservation (a single contiguous run, one group-committed
-// flush). Either the whole batch is applied, logged, and acked, or
-// none of it is visible.
-func (d *durable) applyBulk(inst *Instance, recs []rtree.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	idx, err := d.workingTreeLocked(inst)
-	if err == nil {
-		err = idx.InsertBatch(recs)
-	}
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if inst.watchActive() {
-		muts := make([]watch.Mutation, len(recs))
-		for i, r := range recs {
-			muts[i] = watch.Mutation{Op: watch.OpInsert, OID: r.OID, Rect: r.Rect}
-		}
-		inst.watch.Publish(muts...)
-	}
-	wrecs := make([]wal.Record, len(recs))
-	for i, r := range recs {
-		wrecs[i] = wal.Record{Op: wal.OpInsert, OID: r.OID, Rect: r.Rect}
-	}
-	ticket := d.log.Reserve(wrecs...)
-	cpErr := d.afterReserveLocked(inst, len(recs))
-	d.mu.Unlock()
-	return d.settle(inst, ticket, cpErr)
-}
-
-// afterReserveLocked updates WAL counters and runs the automatic
-// checkpoint when the log has grown enough. The checkpoint closes the
+// afterReserveLocked counts n records just reserved and runs the
+// automatic checkpoint when the log has grown enough. The checkpoint closes the
 // old log generation, which flushes any reservation still pending on
 // it, so tickets taken before the rotation resolve normally. Caller
 // holds d.mu.
@@ -411,10 +363,13 @@ func (d *durable) afterReserveLocked(inst *Instance, n int) error {
 	return nil
 }
 
-// settle waits for the WAL flush and folds in a checkpoint failure.
-// Both degrade the index to unhealthy: an unlogged mutation violates
-// the durability contract, and a failed checkpoint leaves a log that
-// can only grow.
+// settle waits, outside the mutation lock, for the WAL flush — the
+// records are on the log, per the fsync policy, before the caller writes
+// its 200, and concurrent mutations share that flush through the log's
+// group commit: while one waits here the next is already applying and
+// reserving — and folds in a checkpoint failure. Both degrade the index
+// to unhealthy: an unlogged mutation violates the durability contract,
+// and a failed checkpoint leaves a log that can only grow.
 func (d *durable) settle(inst *Instance, ticket *wal.Ticket, cpErr error) error {
 	if err := ticket.Wait(); err != nil {
 		inst.MarkUnhealthy("wal append failed: " + err.Error())
@@ -430,17 +385,23 @@ func (d *durable) settle(inst *Instance, ticket *wal.Ticket, cpErr error) error 
 	return nil
 }
 
+// eachTile runs fn on every tile of a sharded parent and returns the
+// first failure.
+func (inst *Instance) eachTile(fn func(*Instance) error) error {
+	var firstErr error
+	for _, t := range inst.tiles {
+		if err := fn(t); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
 // Checkpoint forces a checkpoint now (topod runs one on clean
 // shutdown so the next boot replays nothing).
 func (inst *Instance) Checkpoint() error {
 	if len(inst.tiles) > 0 {
-		var firstErr error
-		for _, t := range inst.tiles {
-			if err := t.Checkpoint(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+		return inst.eachTile((*Instance).Checkpoint)
 	}
 	if inst.dur == nil {
 		return nil
@@ -453,13 +414,7 @@ func (inst *Instance) Checkpoint() error {
 // Close checkpoints (when healthy) and releases the log.
 func (inst *Instance) Close() error {
 	if len(inst.tiles) > 0 {
-		var firstErr error
-		for _, t := range inst.tiles {
-			if err := t.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+		return inst.eachTile((*Instance).Close)
 	}
 	d := inst.dur
 	if d == nil {
@@ -518,7 +473,7 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 		walOpts: wal.Options{Policy: spec.Fsync, Interval: spec.FsyncInterval, WriteHook: spec.WALWriteHook},
 		metrics: s.metrics,
 	}
-	inst := &Instance{Name: spec.Name, Kind: spec.Kind, Frames: spec.Frames, dur: d}
+	inst := &Instance{Name: spec.Name, Kind: spec.Kind, dur: d}
 	if spec.Follower {
 		// A follower shell: no local state yet — image and WAL arrive
 		// through the replication stream's Bootstrap. Until then the
@@ -540,7 +495,7 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 
 	// Fresh directory: build from items and publish generation 1 before
 	// serving.
-	idx, pool, err := newTree(spec)
+	idx, err := newTree(spec)
 	if err == nil {
 		err = loadItems(idx, items, spec.Bulk)
 	}
@@ -550,7 +505,7 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 	if err != nil {
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
-	inst.serve(idx, pool)
+	inst.serve(idx)
 	return inst, nil
 }
 
@@ -597,11 +552,11 @@ func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 	inst.Recovered = true
 	if len(recs) == 0 {
 		inst.backend = "flat"
-		inst.view.Store(newReadView(flat, nil))
+		inst.view.Store(newReadView(flat))
 		return
 	}
 
-	idx, pool, err := materialise(flat, d.spec)
+	idx, err := materialise(flat, d.spec)
 	if err != nil {
 		fail(err.Error())
 		return
@@ -619,7 +574,7 @@ func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 	s.metrics.walReplays.Add(uint64(len(recs)))
 	inst.Replayed = len(recs)
 	inst.backend = "recovered"
-	inst.serve(idx, pool)
+	inst.serve(idx)
 	if err := d.checkpoint(inst); err != nil {
 		fail("post-recovery checkpoint: " + err.Error())
 	}

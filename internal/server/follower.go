@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +100,6 @@ func (s *Server) Follow(cfg FollowConfig) error {
 		return fmt.Errorf("server: no follower indexes registered")
 	}
 	s.follow = fs
-	s.metrics.replStats = s.ReplStats
 	for _, f := range fs.followers {
 		fs.wg.Add(1)
 		go func(f *repl.Follower) {
@@ -176,63 +177,57 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, Primary: s.follow.cfg.Primary})
 }
 
-// ReplStat is one follower index's replication state for /metrics.
-type ReplStat struct {
-	Index        string
-	Connected    bool
-	Bootstrapped bool
-	AppliedGen   uint64
-	AppliedSeq   uint64
-	LagRecords   uint64
-	// LagSeconds is the time since the last frame from the primary;
-	// negative when the primary has never been reached.
-	LagSeconds float64
-	Reconnects uint64
-	Snapshots  uint64
-	Records    uint64
-	Bytes      uint64
+// lagSeconds is the time since the follower last heard from its
+// primary — record, rotate or heartbeat — and -1 when it never has.
+func lagSeconds(st repl.Status) float64 {
+	if st.LastContact.IsZero() {
+		return -1
+	}
+	return time.Since(st.LastContact).Seconds()
 }
 
-// ReplStats snapshots per-index follower state (nil on a primary); it
-// feeds /metrics and is exported for ops tooling and benchmarks.
-func (s *Server) ReplStats() []ReplStat {
-	fs := s.follow
-	if fs == nil {
-		return nil
+// registerReplMetrics adds the follower-side families: one sample per
+// follower index, none on a node that never called Follow.
+func (s *Server) registerReplMetrics() {
+	family := func(name, help, typ string, sample func(st repl.Status, emit emitFunc)) {
+		s.metrics.collect(name, help, typ, func(emit emitFunc) {
+			if s.follow == nil {
+				return
+			}
+			for _, inst := range s.listInstances() {
+				if f := s.follow.followers[inst.Name]; f != nil {
+					sample(f.Status(), func(v any, labels ...string) {
+						emit(v, append([]string{"index", inst.Name}, labels...)...)
+					})
+				}
+			}
+		})
 	}
-	var out []ReplStat
-	for _, inst := range s.listInstances() {
-		f := fs.followers[inst.Name]
-		if f == nil {
-			continue
-		}
-		st := f.Status()
-		rs := ReplStat{
-			Index:        inst.Name,
-			Connected:    st.Connected,
-			Bootstrapped: st.Bootstrapped,
-			AppliedGen:   st.Applied.Gen,
-			AppliedSeq:   st.Applied.Seq,
-			LagRecords:   st.LagRecords,
-			LagSeconds:   -1,
-			Reconnects:   st.Reconnects,
-			Snapshots:    st.Snapshots,
-			Records:      st.Records,
-			Bytes:        st.Bytes,
-		}
-		if !st.LastContact.IsZero() {
-			rs.LagSeconds = time.Since(st.LastContact).Seconds()
-		}
-		out = append(out, rs)
-	}
-	return out
+	family("topod_repl_connected", "Whether the follower index has a live stream to its primary.", "gauge",
+		func(st repl.Status, emit emitFunc) { emit(bit(st.Connected)) })
+	family("topod_repl_lag_records", "Records the follower index is behind its primary (lower bound across rotations).", "gauge",
+		func(st repl.Status, emit emitFunc) { emit(st.LagRecords) })
+	family("topod_repl_lag_seconds", "Seconds since the primary was last heard from (-1 = never).", "gauge",
+		func(st repl.Status, emit emitFunc) { emit(lagSeconds(st)) })
+	family("topod_repl_applied_seq", "Last replication position applied, as sequence within the applied generation.", "gauge",
+		func(st repl.Status, emit emitFunc) {
+			emit(st.Applied.Seq, "generation", strconv.FormatUint(st.Applied.Gen, 10))
+		})
+	family("topod_repl_records_applied_total", "Replicated records applied by this follower.", "counter",
+		func(st repl.Status, emit emitFunc) { emit(st.Records) })
+	family("topod_repl_reconnects_total", "Stream reconnect attempts by this follower.", "counter",
+		func(st repl.Status, emit emitFunc) { emit(st.Reconnects) })
+	family("topod_repl_snapshots_total", "Bootstrap snapshots this follower loaded.", "counter",
+		func(st repl.Status, emit emitFunc) { emit(st.Snapshots) })
+	family("topod_repl_bytes_received_total", "Replication stream bytes received by this follower.", "counter",
+		func(st repl.Status, emit emitFunc) { emit(st.Bytes) })
 }
 
 // followerTarget adapts one served instance to repl.Target: the
 // follower state machine calls it to bootstrap from a snapshot, apply
-// records, and rotate generations. All mutations run under the durable
-// lock, exactly like the primary's own apply path, so watch
-// notification and read-path swaps behave identically on a replica.
+// records, and rotate generations. Records go through Instance.mutate,
+// the primary's own write path, so watch notification, logging and
+// read-path swaps behave identically on a replica.
 type followerTarget struct {
 	s    *Server
 	inst *Instance
@@ -273,7 +268,7 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	if flat.Generation() != pos.Gen {
 		return fmt.Errorf("server: snapshot generation %d does not match stream position %v", flat.Generation(), pos)
 	}
-	idx, pool, err := materialise(flat, d.spec)
+	idx, err := materialise(flat, d.spec)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
@@ -289,44 +284,34 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 		return fmt.Errorf("server: persisting snapshot: %w", err)
 	}
 	d.since = int(pos.Seq)
-	inst.serve(idx, pool)
+	inst.serve(idx)
 	// Bootstrap replaces the whole logical state, so cached answers for
 	// the old contents must become unreachable.
 	inst.bumpGen()
 	return nil
 }
 
-// Apply applies one replicated record at pos: tree mutation, watch
-// notification, and local WAL append, exactly like the primary's apply
-// path. A gap or regression in pos — or a mutation the tree rejects,
-// which means replica and primary states diverged — reports
-// repl.ErrOutOfSync so the follower re-bootstraps instead of guessing.
+// Apply applies one replicated record at pos: the position check in
+// front of the ordinary write path. A gap or regression in pos — or a
+// mutation the tree rejects, which means replica and primary states
+// diverged — reports repl.ErrOutOfSync so the follower re-bootstraps
+// instead of guessing; a record the local log refused does not (the
+// index is unhealthy by then, as on a primary).
 func (t *followerTarget) Apply(pos repl.Position, rec wal.Record) error {
 	inst, d := t.inst, t.inst.dur
-	d.mu.Lock()
-	if d.log == nil {
-		d.mu.Unlock()
-		return fmt.Errorf("server: record before bootstrap: %w", repl.ErrOutOfSync)
+	err := inst.mutate([]wal.Record{rec}, func() error {
+		if d.log == nil {
+			return fmt.Errorf("server: record before bootstrap: %w", repl.ErrOutOfSync)
+		}
+		if pos.Gen != d.gen || pos.Seq != uint64(d.since)+1 {
+			return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, repl.ErrOutOfSync)
+		}
+		return nil
+	})
+	if err != nil && inst.Healthy() && !errors.Is(err, repl.ErrOutOfSync) {
+		err = fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, repl.ErrOutOfSync)
 	}
-	if pos.Gen != d.gen || pos.Seq != uint64(d.since)+1 {
-		d.mu.Unlock()
-		return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, repl.ErrOutOfSync)
-	}
-	if err := applyRecord(inst.Idx, rec); err != nil {
-		d.mu.Unlock()
-		return fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, repl.ErrOutOfSync)
-	}
-	inst.notifyWatch(rec.Op, rec.Rect, rec.OID)
-	inst.bumpGen()
-	ticket := d.log.Reserve(rec)
-	d.since++
-	d.metrics.walRecords.Add(1)
-	d.mu.Unlock()
-	if err := ticket.Wait(); err != nil {
-		inst.MarkUnhealthy("wal append failed: " + err.Error())
-		return fmt.Errorf("server: record applied but not logged: %w", err)
-	}
-	return nil
+	return err
 }
 
 // Rotate mirrors a primary checkpoint: the stream guarantees every

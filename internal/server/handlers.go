@@ -350,6 +350,21 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.handleMutation(w, r, (*Instance).Delete)
 }
 
+// writeMutationError answers a failed mutation: 404 for a delete that
+// found nothing, 503 when corruption was detected mid-mutation or the
+// WAL append failed — the mutation is not durable and the index has
+// degraded — and 500 otherwise.
+func (s *Server) writeMutationError(w http.ResponseWriter, inst *Instance, err error) {
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, rtree.ErrNotFound):
+		code = http.StatusNotFound
+	case s.noteCorrupt(inst, err) || !inst.Healthy():
+		code = http.StatusServiceUnavailable
+	}
+	writeJSONError(w, code, err.Error())
+}
+
 func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op func(*Instance, geom.Rect, uint64) error) {
 	if s.isFollower() {
 		s.rejectFollowerWrite(w, "read replica: mutations go to the primary")
@@ -370,16 +385,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op func(
 		return
 	}
 	if err := op(inst, rect, req.OID); err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, rtree.ErrNotFound):
-			code = http.StatusNotFound
-		case s.noteCorrupt(inst, err) || !inst.Healthy():
-			// Corruption detected mid-mutation, or the WAL append
-			// failed: the mutation is not durable, degrade.
-			code = http.StatusServiceUnavailable
-		}
-		writeJSONError(w, code, err.Error())
+		s.writeMutationError(w, inst, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, UpdateResponse{OK: true, Objects: inst.ReadIndex().Len()})
@@ -422,11 +428,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if err := inst.InsertBatch(recs); err != nil {
-		code := http.StatusInternalServerError
-		if s.noteCorrupt(inst, err) || !inst.Healthy() {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSONError(w, code, err.Error())
+		s.writeMutationError(w, inst, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, BulkResponse{
@@ -462,10 +464,6 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 				info.Bounds = &wb
 			}
 		}
-		if pool := inst.ReadPool(); pool != nil {
-			info.BufferFrames = inst.Frames
-			info.BufferHits, info.BufferMisses = pool.HitMiss()
-		}
 		infos = append(infos, info)
 	}
 	writeJSON(w, http.StatusOK, infos)
@@ -499,10 +497,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 				st := f.Status()
 				ih.Connected = st.Connected
 				ih.LagRecords = st.LagRecords
-				ih.LagSeconds = -1
-				if !st.LastContact.IsZero() {
-					ih.LagSeconds = time.Since(st.LastContact).Seconds()
-				}
+				ih.LagSeconds = lagSeconds(st)
 				if reason, ok := followerNotReady(st, s.follow.cfg); ok {
 					resp.Ready = false
 					if ih.Reason == "" {

@@ -39,6 +39,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,16 +88,14 @@ type Config struct {
 
 // IndexSpec describes one named index to serve.
 type IndexSpec struct {
-	// Name addresses the index in requests. Empty requests resolve to
-	// the first index added.
+	// Name addresses the index in requests (empty requests resolve to
+	// the first index added) and prefixes its files under Dir, so it is
+	// restricted to 1–64 letters, digits, '_' and '-'.
 	Name string
 	// Kind selects the access method.
 	Kind index.Kind
 	// PageSize is the page size in bytes (0 → index.PaperPageSize).
 	PageSize int
-	// Frames, when positive, layers a pagefile.BufferPool with that
-	// many frames between the tree and the page file.
-	Frames int
 	// Bulk loads the initial items through InsertBatch instead of
 	// one-by-one inserts: on an empty R-/R*-tree the batch is
 	// Sort-Tile-Recursive packed, which is the fast path for serving a
@@ -138,20 +137,18 @@ type IndexSpec struct {
 // mutations between checkpoint images) when the spec leaves it zero.
 const DefaultCheckpointEvery = 1024
 
-// readView is the active read path of an instance: the index (and its
-// buffer pool, when any) queries are answered from. A durable index
-// that boots from a quiet checkpoint publishes the validated image
-// here; its first mutation swaps the view to the working tree before
-// it is applied. The whole struct is replaced atomically so handlers
-// never see a half-switched read path.
+// readView is the active read path of an instance: the index queries
+// are answered from. A durable index that boots from a quiet checkpoint
+// publishes the validated image here; its first mutation swaps the view
+// to the working tree before it is applied. The whole struct is
+// replaced atomically so handlers never see a half-switched read path.
 type readView struct {
 	idx  index.Index
 	proc *query.Processor
-	pool *pagefile.BufferPool
 }
 
-func newReadView(idx index.Index, pool *pagefile.BufferPool) *readView {
-	return &readView{idx: idx, proc: &query.Processor{Idx: idx}, pool: pool}
+func newReadView(idx index.Index) *readView {
+	return &readView{idx: idx, proc: &query.Processor{Idx: idx}}
 }
 
 // Instance is one served index with its query processor.
@@ -160,10 +157,9 @@ type Instance struct {
 	Kind index.Kind
 	// Idx is the mutable working tree: nil when recovery failed and the
 	// instance is unhealthy, and nil while a durable index still serves
-	// its checkpoint image (see durable.workingTreeLocked). Handlers
-	// read through ReadIndex/ReadProc instead.
-	Idx    index.Index
-	Frames int
+	// its checkpoint image (see workingTreeLocked). Handlers read
+	// through ReadIndex/ReadProc instead.
+	Idx index.Index
 
 	// Recovered reports that AddIndex resumed existing durable state
 	// instead of building from items; Replayed counts the WAL records
@@ -184,21 +180,20 @@ type Instance struct {
 	failReason string
 
 	// watch is the instance's continuous-query subscription table.
-	// wmu serialises non-durable mutations with watch activation and
-	// publication (durable instances reuse dur.mu for this).
+	// wmu is the mutation lock of an instance without durable state of
+	// its own (see mutLock).
 	watch *watch.Table
 	wmu   sync.Mutex
 
 	// tiles and router are set on a sharded instance (IndexSpec.Shards):
 	// tiles are the unregistered per-tile sub-instances, router the
 	// scatter-gather index.Index the read path serves from. Mutations on
-	// the parent route to one tile under wmu (see shard.go).
+	// the parent route to the tiles (see shard.go).
 	tiles  []*Instance
 	router *shard.Sharded
 
-	// gen counts committed mutations — the invalidation clock of the
-	// result cache (see cache.go). Bumped after every successful
-	// Insert/Delete/InsertBatch, replication apply, and follower
+	// gen counts applied mutations — the invalidation clock of the
+	// result cache (see cache.go). Bumped by mutate and by a follower's
 	// bootstrap; never for checkpoints or read-view swaps, which keep
 	// the logical contents unchanged.
 	gen atomic.Uint64
@@ -229,15 +224,6 @@ func (inst *Instance) ReadIndex() index.Index {
 func (inst *Instance) ReadProc() *query.Processor {
 	if v := inst.view.Load(); v != nil {
 		return v.proc
-	}
-	return nil
-}
-
-// ReadPool returns the buffer pool under the active read path, nil
-// when the read path is unbuffered (checkpoint images always are).
-func (inst *Instance) ReadPool() *pagefile.BufferPool {
-	if v := inst.view.Load(); v != nil {
-		return v.pool
 	}
 	return nil
 }
@@ -305,53 +291,13 @@ func (inst *Instance) Sharded() int { return len(inst.tiles) }
 // Insert stores one rectangle, logging it to the WAL (before the
 // caller acknowledges) when the index is durable.
 func (inst *Instance) Insert(r geom.Rect, oid uint64) error {
-	if err := inst.insert(r, oid); err != nil {
-		return err
-	}
-	inst.bumpGen()
-	return nil
-}
-
-func (inst *Instance) insert(r geom.Rect, oid uint64) error {
-	if len(inst.tiles) > 0 {
-		return inst.shardInsert(r, oid)
-	}
-	if inst.dur != nil {
-		return inst.dur.apply(inst, wal.OpInsert, r, oid)
-	}
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	if err := inst.Idx.Insert(r, oid); err != nil {
-		return err
-	}
-	inst.notifyWatch(wal.OpInsert, r, oid)
-	return nil
+	return inst.mutate([]wal.Record{{Op: wal.OpInsert, OID: oid, Rect: r}}, nil)
 }
 
 // Delete removes one rectangle/id entry, logging it to the WAL when
 // the index is durable.
 func (inst *Instance) Delete(r geom.Rect, oid uint64) error {
-	if err := inst.del(r, oid); err != nil {
-		return err
-	}
-	inst.bumpGen()
-	return nil
-}
-
-func (inst *Instance) del(r geom.Rect, oid uint64) error {
-	if len(inst.tiles) > 0 {
-		return inst.shardDelete(r, oid)
-	}
-	if inst.dur != nil {
-		return inst.dur.apply(inst, wal.OpDelete, r, oid)
-	}
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	if err := inst.Idx.Delete(r, oid); err != nil {
-		return err
-	}
-	inst.notifyWatch(wal.OpDelete, r, oid)
-	return nil
+	return inst.mutate([]wal.Record{{Op: wal.OpDelete, OID: oid, Rect: r}}, nil)
 }
 
 // InsertBatch stores a batch of rectangles as one index mutation —
@@ -359,33 +305,115 @@ func (inst *Instance) del(r geom.Rect, oid uint64) error {
 // on a durable index, one contiguous WAL run with a single
 // group-committed flush.
 func (inst *Instance) InsertBatch(recs []rtree.Record) error {
-	if err := inst.insertBatch(recs); err != nil {
-		return err
+	batch := make([]wal.Record, len(recs))
+	for i, r := range recs {
+		batch[i] = wal.Record{Op: wal.OpInsert, OID: r.OID, Rect: r.Rect}
 	}
-	inst.bumpGen()
-	return nil
+	return inst.mutate(batch, nil)
 }
 
-func (inst *Instance) insertBatch(recs []rtree.Record) error {
-	if len(inst.tiles) > 0 {
-		return inst.shardInsertBatch(recs)
-	}
+// mutLock returns the lock that orders the instance's mutations among
+// themselves and against watch activation: the durable lock, which also
+// orders them against checkpoints and replication snapshots, or wmu on
+// an instance with no durable state of its own.
+func (inst *Instance) mutLock() *sync.Mutex {
 	if inst.dur != nil {
-		return inst.dur.applyBulk(inst, recs)
+		return &inst.dur.mu
 	}
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	if err := inst.Idx.InsertBatch(recs); err != nil {
+	return &inst.wmu
+}
+
+// mutate is the one way a served index changes. recs is a single
+// record, or a batch of inserts that readers see whole or not at all.
+// In order, under the mutation lock:
+//
+//  1. pre — a follower's replication-position check; nil elsewhere
+//  2. the tree changes (applyLocked): the working tree, or on a sharded
+//     parent the mutate of the tile(s) the router picks
+//  3. the records are published to the watch table, once
+//  4. the generation moves, voiding cached answers
+//  5. on a durable instance the records are reserved as one contiguous
+//     WAL run and counted, which may run a checkpoint
+//
+// Then, with the lock released so that concurrent writers share one
+// group commit, it waits for the log; a log or checkpoint failure
+// leaves the instance unhealthy (durable.settle). A mutation the tree
+// refuses is not published, counted or logged.
+func (inst *Instance) mutate(recs []wal.Record, pre func() error) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	mu := inst.mutLock()
+	mu.Lock()
+	var err error
+	if pre != nil {
+		err = pre()
+	}
+	if err == nil {
+		err = inst.applyLocked(recs)
+	}
+	if err != nil {
+		mu.Unlock()
 		return err
 	}
-	if inst.watchActive() {
-		muts := make([]watch.Mutation, len(recs))
-		for i, rec := range recs {
-			muts[i] = watch.Mutation{Op: watch.OpInsert, OID: rec.OID, Rect: rec.Rect}
-		}
-		inst.watch.Publish(muts...)
+	if inst.watch != nil { // a tile has no table of its own
+		inst.watch.Publish(recs...)
 	}
-	return nil
+	inst.bumpGen()
+	d := inst.dur
+	if d == nil {
+		mu.Unlock()
+		return nil
+	}
+	ticket := d.log.Reserve(recs...)
+	cpErr := d.afterReserveLocked(inst, len(recs))
+	mu.Unlock()
+	return d.settle(inst, ticket, cpErr)
+}
+
+// applyLocked makes recs visible to readers. Caller holds the mutation
+// lock.
+func (inst *Instance) applyLocked(recs []wal.Record) error {
+	if len(inst.tiles) > 0 {
+		return inst.route(recs)
+	}
+	idx, err := inst.workingTreeLocked()
+	if err != nil {
+		return err
+	}
+	if len(recs) == 1 {
+		return applyRecord(idx, recs[0])
+	}
+	batch, err := insertBatchOf(recs)
+	if err != nil {
+		return err
+	}
+	return idx.InsertBatch(batch)
+}
+
+// applyRecord applies one logged mutation to a tree.
+func applyRecord(idx index.Index, rec wal.Record) error {
+	switch rec.Op {
+	case wal.OpInsert:
+		return idx.Insert(rec.Rect, rec.OID)
+	case wal.OpDelete:
+		return idx.Delete(rec.Rect, rec.OID)
+	}
+	return fmt.Errorf("server: unknown mutation op %v", rec.Op)
+}
+
+// insertBatchOf converts a multi-record mutation for the tree's atomic
+// InsertBatch, which is what makes it all-or-nothing: a batch may hold
+// inserts only.
+func insertBatchOf(recs []wal.Record) ([]rtree.Record, error) {
+	batch := make([]rtree.Record, len(recs))
+	for i, r := range recs {
+		if r.Op != wal.OpInsert {
+			return nil, fmt.Errorf("server: record %d of a batch is a %s; batches hold inserts only", i, r.Op)
+		}
+		batch[i] = rtree.Record{Rect: r.Rect, OID: r.OID}
+	}
+	return batch, nil
 }
 
 // Server routes the wire API onto a set of named indexes.
@@ -426,45 +454,36 @@ func New(cfg Config) *Server {
 	if cfg.ReplHeartbeat <= 0 {
 		cfg.ReplHeartbeat = 500 * time.Millisecond
 	}
-	m := NewMetrics()
+	cache := newResultCache(cfg.CacheSize)
+	m := newMetrics(cache)
 	s := &Server{
 		cfg:        cfg,
 		metrics:    m,
 		adm:        newAdmission(cfg.MaxInFlight, cfg.RetryAfter, m),
-		cache:      newResultCache(cfg.CacheSize),
+		cache:      cache,
 		instances:  make(map[string]*Instance),
 		watchSlots: make(chan struct{}, cfg.MaxWatch),
 	}
-	if s.cache != nil {
-		m.cacheStats = s.cache.counters
-	}
-	m.poolStats = s.poolStats
-	m.healthStats = s.healthStats
-	m.walStats = s.walStats
-	m.backendStats = s.backendStats
-	m.watchStats = s.watchStats
-	m.shardStats = s.shardStats
+	// The per-index families, in exposition order.
+	s.registerReplMetrics()
+	s.registerIndexMetrics()
+	s.registerWALMetrics()
+	s.registerWatchMetrics()
+	s.registerShardMetrics()
 	return s
 }
 
 // serve installs idx as the working tree and moves the read path onto
 // it.
-func (inst *Instance) serve(idx index.Index, pool *pagefile.BufferPool) {
+func (inst *Instance) serve(idx index.Index) {
 	inst.Idx = idx
-	inst.view.Store(newReadView(idx, pool))
+	inst.view.Store(newReadView(idx))
 }
 
 // newTree creates an empty tree of the spec's kind on an in-memory page
-// file, behind a buffer pool when spec.Frames asks for one.
-func newTree(spec IndexSpec) (index.Index, *pagefile.BufferPool, error) {
-	var file pagefile.File = pagefile.NewMemFile(spec.PageSize)
-	var pool *pagefile.BufferPool
-	if spec.Frames > 0 {
-		pool = pagefile.NewBufferPool(file, spec.Frames)
-		file = pool
-	}
-	idx, err := index.NewOnFile(spec.Kind, file)
-	return idx, pool, err
+// file.
+func newTree(spec IndexSpec) (index.Index, error) {
+	return index.NewOnFile(spec.Kind, pagefile.NewMemFile(spec.PageSize))
 }
 
 // loadItems builds the initial tree from items, through InsertBatch
@@ -476,63 +495,29 @@ func loadItems(idx index.Index, items []index.Item, bulk bool) error {
 	return index.Load(idx, items)
 }
 
-// walStats snapshots per-index WAL group-commit counters of the
-// durable indexes for the /metrics exposition.
-func (s *Server) walStats() []WALStat {
-	var out []WALStat
-	for _, inst := range s.statInstances() {
-		if inst.dur == nil {
-			continue
+// registerIndexMetrics adds the per-index health and backend gauges,
+// tiles included.
+func (s *Server) registerIndexMetrics() {
+	s.metrics.collect("topod_index_healthy", "Whether the index is serving (1) or degraded to 503s (0).", "gauge", func(emit emitFunc) {
+		for _, inst := range s.statInstances() {
+			emit(bit(inst.Healthy()), "index", inst.Name)
 		}
-		gs := inst.dur.groupStats()
-		out = append(out, WALStat{
-			Index:      inst.Name,
-			Commits:    gs.Commits,
-			Records:    gs.Records,
-			MaxBatch:   gs.MaxBatch,
-			CommitTime: gs.CommitTime,
-		})
-	}
-	return out
-}
-
-// backendStats snapshots the per-index boot backend for the /metrics
-// exposition.
-func (s *Server) backendStats() []BackendStat {
-	var out []BackendStat
-	for _, inst := range s.statInstances() {
-		out = append(out, BackendStat{Index: inst.Name, Backend: inst.Backend()})
-	}
-	return out
-}
-
-// healthStats snapshots per-index health for the /metrics exposition.
-func (s *Server) healthStats() []HealthStat {
-	var out []HealthStat
-	for _, inst := range s.statInstances() {
-		out = append(out, HealthStat{Index: inst.Name, Healthy: inst.Healthy()})
-	}
-	return out
-}
-
-// poolStats snapshots the buffer-pool counters of the buffered
-// indexes for the /metrics exposition.
-func (s *Server) poolStats() []PoolStat {
-	var out []PoolStat
-	for _, inst := range s.statInstances() {
-		pool := inst.ReadPool()
-		if pool == nil {
-			continue
+	})
+	s.metrics.collect("topod_index_backend", "Boot backend of the index: flat (served from the checkpoint image), paged (fresh build), or recovered (checkpoint image + WAL replay).", "gauge", func(emit emitFunc) {
+		for _, inst := range s.statInstances() {
+			emit(1, "index", inst.Name, "backend", inst.Backend())
 		}
-		hits, misses := pool.HitMiss()
-		out = append(out, PoolStat{Index: inst.Name, Hits: hits, Misses: misses})
-	}
-	return out
+	})
 }
 
 // Metrics exposes the server's metric registry (the bench/ harness and
 // tests fold expectations against it).
 func (s *Server) Metrics() *Metrics { return s.metrics }
+
+// validIndexName is what AddIndex accepts: the name becomes part of file
+// names under the data directory, and "name.t<i>" is reserved for the
+// tiles of a sharded index.
+var validIndexName = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
 // AddIndex builds an index per spec, loads items into it, and serves
 // it under spec.Name. The first index added becomes the default. With
@@ -541,8 +526,8 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // registered-but-unhealthy instance answering 503 rather than an
 // error — the process serves its other indexes instead of dying.
 func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error) {
-	if spec.Name == "" {
-		return nil, fmt.Errorf("server: index needs a name")
+	if !validIndexName.MatchString(spec.Name) {
+		return nil, fmt.Errorf("server: index name %q: want 1 to 64 letters, digits, '_' or '-'", spec.Name)
 	}
 	if spec.PageSize <= 0 {
 		spec.PageSize = index.PaperPageSize
@@ -583,16 +568,23 @@ func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error)
 	if err != nil {
 		return nil, err
 	}
+	return s.register(inst)
+}
+
+// register gives a built instance (a single index or a sharded parent)
+// its watch table and serves it under its name; a duplicate name closes
+// it again. The first index registered becomes the default.
+func (s *Server) register(inst *Instance) (*Instance, error) {
 	inst.watch = s.newWatchTable(inst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.instances[spec.Name]; dup {
+	if _, dup := s.instances[inst.Name]; dup {
 		_ = inst.Close()
-		return nil, fmt.Errorf("server: duplicate index %q", spec.Name)
+		return nil, fmt.Errorf("server: duplicate index %q", inst.Name)
 	}
-	s.instances[spec.Name] = inst
+	s.instances[inst.Name] = inst
 	if s.defaultName == "" {
-		s.defaultName = spec.Name
+		s.defaultName = inst.Name
 	}
 	return inst, nil
 }
@@ -603,15 +595,15 @@ func (s *Server) buildInstance(spec IndexSpec, items []index.Item) (*Instance, e
 	if spec.Dir != "" {
 		return s.openDurable(spec, items)
 	}
-	idx, pool, err := newTree(spec)
+	idx, err := newTree(spec)
 	if err == nil {
 		err = loadItems(idx, items, spec.Bulk)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
-	inst := &Instance{Name: spec.Name, Kind: spec.Kind, Frames: spec.Frames}
-	inst.serve(idx, pool)
+	inst := &Instance{Name: spec.Name, Kind: spec.Kind}
+	inst.serve(idx)
 	return inst, nil
 }
 

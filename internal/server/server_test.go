@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -503,6 +505,40 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != c.code {
 			t.Errorf("case %d: HTTP %d, want %d", i, resp.StatusCode, c.code)
+		}
+	}
+}
+
+// TestIndexNameValidation: a name reaches file paths under the data
+// directory and the tile namespace, so AddIndex takes a closed alphabet
+// only — nothing is created for a refused name.
+func TestIndexNameValidation(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(Config{})
+	for _, name := range []string{"", "a/b", "..", "../x", "main.t0", "a%d", strings.Repeat("n", 65)} {
+		if _, err := srv.AddIndex(IndexSpec{Name: name, Kind: index.KindRTree, Dir: dir}, nil); err == nil {
+			t.Errorf("AddIndex accepted the name %q", name)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("refused names left %v in the data directory (err %v)", entries, err)
+	}
+	for _, name := range []string{"main", "second", "crash", "A-1_b", strings.Repeat("n", 64)} {
+		if _, err := srv.AddIndex(IndexSpec{Name: name, Kind: index.KindRTree, Dir: dir}, nil); err != nil {
+			t.Errorf("AddIndex refused the name %q: %v", name, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tile detection reads ordinals, never the name as a pattern.
+	for file, want := range map[string]int{"main.t2.flat": 3, "main.t11.wal.4": 12, "main.tx.flat": 0, "mainly.t5.flat": 0} {
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, file), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := detectTiles(d, "main"); got != want {
+			t.Errorf("detectTiles with %s = %d, want %d", file, got, want)
 		}
 	}
 }

@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
-	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/shard"
 	"mbrtopo/internal/wal"
-	"mbrtopo/internal/watch"
 )
 
 // This file is the serving side of tile sharding: a parent Instance
@@ -20,8 +20,9 @@ import (
 // instance — its own tree, checkpoint image and WAL under the shared
 // data directory (Name.t<i>.*), recovered independently by the
 // machinery in durable.go, untouched. The parent serves reads through
-// a shard.Sharded router over the tiles' current read views and routes
-// mutations to exactly one tile under its write lock.
+// a shard.Sharded router over the tiles' current read views; its mutate
+// only routes — into the mutate of the tile(s) concerned — and then
+// publishes on its own watch table.
 
 // tileName names tile i of a sharded index.
 func tileName(name string, i int) string { return fmt.Sprintf("%s.t%d", name, i) }
@@ -36,10 +37,10 @@ func detectTiles(dir, name string) int {
 	for _, pattern := range []string{name + ".t*.flat", name + ".t*.wal.*"} {
 		matches, _ := filepath.Glob(filepath.Join(dir, pattern))
 		for _, m := range matches {
-			var i int
-			var rest string
-			base := filepath.Base(m)
-			if n, _ := fmt.Sscanf(base, name+".t%d%s", &i, &rest); n >= 1 && i >= 0 && i+1 > count {
+			// name.t<i>.flat or name.t<i>.wal.<gen>
+			rest, _ := strings.CutPrefix(filepath.Base(m), name+".t")
+			ordinal, _, _ := strings.Cut(rest, ".")
+			if i, err := strconv.Atoi(ordinal); err == nil && i >= 0 && i+1 > count {
 				count = i + 1
 			}
 		}
@@ -67,12 +68,7 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 	}
 	parts := rtree.STRPartition(recs, shards)
 
-	parent := &Instance{
-		Name:    spec.Name,
-		Kind:    spec.Kind,
-		Frames:  spec.Frames,
-		backend: "sharded",
-	}
+	parent := &Instance{Name: spec.Name, Kind: spec.Kind, backend: "sharded"}
 	tiles := make([]*Instance, shards)
 	fns := make([]func() index.Index, shards)
 	closeBuilt := func() {
@@ -118,103 +114,63 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 		}
 	}
 	if allHealthy {
-		parent.serve(parent.router, nil)
+		parent.serve(parent.router)
 	}
-	parent.watch = s.newWatchTable(parent)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.instances[spec.Name]; dup {
-		closeBuilt()
-		return nil, fmt.Errorf("server: duplicate index %q", spec.Name)
-	}
-	s.instances[spec.Name] = parent
-	if s.defaultName == "" {
-		s.defaultName = spec.Name
-	}
-	return parent, nil
+	return s.register(parent)
 }
 
-// shardInsert routes one insert to its tile. The parent's write lock
-// serialises routing with other parent-level writers and keeps watch
-// publication in apply order; the tile's own durable path logs and
-// group-commits the record as usual.
-func (inst *Instance) shardInsert(r geom.Rect, oid uint64) error {
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	i := inst.router.Route(r)
-	if err := inst.tiles[i].Insert(r, oid); err != nil {
-		return err
+// route is the tree step of a sharded parent's mutate (which holds the
+// parent's lock, so routing decisions and watch publication keep apply
+// order): each tile's own mutate applies, logs and group-commits its
+// share. An insert goes to the tile the router picks. A delete tries
+// the tiles whose bounds cover the entry — tile bounds always cover
+// their members. A batch is split across tiles (STR partition while all
+// are empty, routed afterwards) and the shares applied in parallel,
+// each atomic on its tile; the batch is not atomic across tiles.
+func (inst *Instance) route(recs []wal.Record) error {
+	if len(recs) > 1 {
+		batch, err := insertBatchOf(recs)
+		if err != nil {
+			return err
+		}
+		parts := inst.router.RouteBatch(batch)
+		errs := make([]error, len(parts))
+		var wg sync.WaitGroup
+		for i, part := range parts {
+			if len(part) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = inst.tiles[i].InsertBatch(part)
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs...)
 	}
-	inst.notifyWatch(wal.OpInsert, r, oid)
-	return nil
-}
-
-// shardDelete finds the tile holding the entry (tile bounds always
-// cover their members, so only covering tiles are tried) and deletes
-// there.
-func (inst *Instance) shardDelete(r geom.Rect, oid uint64) error {
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
+	rec := recs[0]
+	if rec.Op == wal.OpInsert {
+		return inst.tiles[inst.router.Route(rec.Rect)].mutate(recs, nil)
+	}
 	for _, t := range inst.tiles {
 		idx := t.ReadIndex()
 		if idx == nil {
 			continue
 		}
-		b, ok := idx.Bounds()
-		if !ok || !b.ContainsRect(r) {
+		if b, ok := idx.Bounds(); !ok || !b.ContainsRect(rec.Rect) {
 			continue
 		}
-		switch err := t.Delete(r, oid); {
-		case err == nil:
-			inst.notifyWatch(wal.OpDelete, r, oid)
-			return nil
-		case errors.Is(err, rtree.ErrNotFound):
-			continue
-		default:
+		if err := t.mutate(recs, nil); !errors.Is(err, rtree.ErrNotFound) {
 			return err
 		}
 	}
 	return rtree.ErrNotFound
 }
 
-// shardInsertBatch splits the batch across tiles (STR partition while
-// all tiles are empty, routed afterwards) and applies the per-tile
-// shares in parallel — each share is one atomic tile mutation and one
-// WAL group commit on that tile. The batch is not atomic across tiles.
-func (inst *Instance) shardInsertBatch(recs []rtree.Record) error {
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	parts := inst.router.RouteBatch(recs)
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, part []rtree.Record) {
-			defer wg.Done()
-			errs[i] = inst.tiles[i].InsertBatch(part)
-		}(i, part)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	if inst.watchActive() {
-		muts := make([]watch.Mutation, len(recs))
-		for i, rec := range recs {
-			muts[i] = watch.Mutation{Op: watch.OpInsert, OID: rec.OID, Rect: rec.Rect}
-		}
-		inst.watch.Publish(muts...)
-	}
-	return nil
-}
-
 // statInstances expands sharded parents into their tiles for the
 // per-index metric walks: tiles are unregistered, but their WAL,
-// pool, health and backend counters are real observability.
+// health and backend numbers are real observability.
 func (s *Server) statInstances() []*Instance {
 	var out []*Instance
 	for _, inst := range s.listInstances() {
@@ -224,29 +180,22 @@ func (s *Server) statInstances() []*Instance {
 	return out
 }
 
-// ShardStat is one sharded index's router counters for /metrics.
-type ShardStat struct {
-	Index    string
-	Tiles    int
-	Searched uint64
-	Pruned   uint64
-}
-
-// shardStats snapshots router fan-out counters for the /metrics
-// exposition.
-func (s *Server) shardStats() []ShardStat {
-	var out []ShardStat
-	for _, inst := range s.listInstances() {
-		if inst.router == nil {
-			continue
-		}
-		rs := inst.router.RouterStats()
-		out = append(out, ShardStat{
-			Index:    inst.Name,
-			Tiles:    rs.Tiles,
-			Searched: rs.Searched,
-			Pruned:   rs.Pruned,
+// registerShardMetrics adds the router fan-out families of the sharded
+// indexes.
+func (s *Server) registerShardMetrics() {
+	family := func(name, help, typ string, value func(shard.RouterStats) any) {
+		s.metrics.collect(name, help, typ, func(emit emitFunc) {
+			for _, inst := range s.listInstances() {
+				if inst.router != nil {
+					emit(value(inst.router.RouterStats()), "index", inst.Name)
+				}
+			}
 		})
 	}
-	return out
+	family("topod_shard_tiles", "STR tiles behind the sharded index.", "gauge",
+		func(rs shard.RouterStats) any { return rs.Tiles })
+	family("topod_shard_tile_searches_total", "Tiles the router actually fanned a read out to.", "counter",
+		func(rs shard.RouterStats) any { return rs.Searched })
+	family("topod_shard_tile_prunes_total", "Tiles eliminated before traversal by the MBR feasibility test on tile bounds.", "counter",
+		func(rs shard.RouterStats) any { return rs.Pruned })
 }

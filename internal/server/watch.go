@@ -4,15 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/topo"
-	"mbrtopo/internal/wal"
 	"mbrtopo/internal/watch"
 )
 
@@ -37,26 +34,6 @@ func (s *Server) newWatchTable(inst *Instance) *watch.Table {
 	return watch.NewTable(scan, subIdx, s.metrics.watchLatency.observe)
 }
 
-// watchActive reports whether the instance has live subscriptions —
-// the write path's cheap pre-check before building a publish batch.
-func (inst *Instance) watchActive() bool {
-	return inst.watch != nil && inst.watch.Active()
-}
-
-// notifyWatch mirrors one applied mutation into the watch table. The
-// caller holds the instance's mutation lock (d.mu on durable indexes,
-// wmu otherwise), so publish order matches apply order.
-func (inst *Instance) notifyWatch(op wal.Op, rect geom.Rect, oid uint64) {
-	if !inst.watchActive() {
-		return
-	}
-	wop := watch.OpInsert
-	if op == wal.OpDelete {
-		wop = watch.OpDelete
-	}
-	inst.watch.Publish(watch.Mutation{Op: wop, OID: oid, Rect: rect})
-}
-
 // WatchSubscribe registers a continuous query against the instance.
 // It holds the write path's mutation lock while the subscription table
 // activates, so the seeded shadow and the commit queue together cover
@@ -65,13 +42,9 @@ func (inst *Instance) WatchSubscribe(ref geom.Rect, rels topo.Set, buffer int) (
 	if inst.watch == nil {
 		return nil, fmt.Errorf("server: index %q does not accept watches", inst.Name)
 	}
-	if inst.dur != nil {
-		inst.dur.mu.Lock()
-		defer inst.dur.mu.Unlock()
-	} else {
-		inst.wmu.Lock()
-		defer inst.wmu.Unlock()
-	}
+	mu := inst.mutLock()
+	mu.Lock()
+	defer mu.Unlock()
 	return inst.watch.Subscribe(ref, rels, buffer)
 }
 
@@ -112,27 +85,32 @@ func (s *Server) DrainWatchers() {
 	}
 }
 
-// watchStats snapshots per-index subscription-table counters for the
-// /metrics exposition.
-func (s *Server) watchStats() []WatchStat {
-	var out []WatchStat
-	for _, inst := range s.listInstances() {
-		if inst.watch == nil {
-			continue
-		}
-		c := inst.watch.Counters()
-		out = append(out, WatchStat{
-			Index:         inst.Name,
-			Subscriptions: c.Subscriptions,
-			Evaluated:     c.Evaluated,
-			Skipped:       c.Skipped,
-			Pruned:        c.Pruned,
-			Events:        c.Events,
-			Dropped:       c.Dropped,
-			Batches:       c.Batches,
+// registerWatchMetrics adds the subscription-table families, one sample
+// per registered index.
+func (s *Server) registerWatchMetrics() {
+	family := func(name, help, typ string, value func(watch.Counters) any) {
+		s.metrics.collect(name, help, typ, func(emit emitFunc) {
+			for _, inst := range s.listInstances() {
+				if inst.watch != nil {
+					emit(value(inst.watch.Counters()), "index", inst.Name)
+				}
+			}
 		})
 	}
-	return out
+	family("topod_watch_subscriptions", "Live watch subscriptions, by index.", "gauge",
+		func(c watch.Counters) any { return c.Subscriptions })
+	family("topod_watch_evaluated_total", "Subscription evaluations actually performed by the notifier.", "counter",
+		func(c watch.Counters) any { return c.Evaluated })
+	family("topod_watch_skipped_total", "Subscription evaluations skipped by the conceptual-neighbourhood filter.", "counter",
+		func(c watch.Counters) any { return c.Skipped })
+	family("topod_watch_pruned_total", "Subscriptions never considered because the subscription R-tree pruned them.", "counter",
+		func(c watch.Counters) any { return c.Pruned })
+	family("topod_watch_events_total", "Events delivered to watch subscribers.", "counter",
+		func(c watch.Counters) any { return c.Events })
+	family("topod_watch_dropped_total", "Events lost terminating lagging subscribers.", "counter",
+		func(c watch.Counters) any { return c.Dropped })
+	family("topod_watch_batches_total", "Commit batches evaluated by the watch notifier.", "counter",
+		func(c watch.Counters) any { return c.Batches })
 }
 
 // handleWatch serves POST /v1/watch: a long-lived NDJSON stream of
@@ -168,12 +146,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	case s.watchSlots <- struct{}{}:
 	default:
 		s.metrics.watchRejected.Add(1)
-		secs := int64(math.Ceil(s.cfg.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSONError(w, http.StatusTooManyRequests, "watch slots exhausted")
+		shed(w, s.cfg.RetryAfter, "watch slots exhausted")
 		return
 	}
 	defer func() { <-s.watchSlots }()

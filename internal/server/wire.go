@@ -193,19 +193,16 @@ type KNNResponse struct {
 
 // IndexInfo describes one served index in GET /v1/indexes.
 type IndexInfo struct {
-	Name         string      `json:"name"`
-	Kind         string      `json:"kind"`
-	Objects      int         `json:"objects"`
-	Height       int         `json:"height"`
-	Healthy      bool        `json:"healthy"`
-	Shards       int         `json:"shards,omitempty"`
-	Durable      bool        `json:"durable,omitempty"`
-	Backend      string      `json:"backend,omitempty"`
-	FailReason   string      `json:"fail_reason,omitempty"`
-	Bounds       *[4]float64 `json:"bounds,omitempty"`
-	BufferFrames int         `json:"buffer_frames,omitempty"`
-	BufferHits   uint64      `json:"buffer_hits,omitempty"`
-	BufferMisses uint64      `json:"buffer_misses,omitempty"`
+	Name       string      `json:"name"`
+	Kind       string      `json:"kind"`
+	Objects    int         `json:"objects"`
+	Height     int         `json:"height"`
+	Healthy    bool        `json:"healthy"`
+	Shards     int         `json:"shards,omitempty"`
+	Durable    bool        `json:"durable,omitempty"`
+	Backend    string      `json:"backend,omitempty"`
+	FailReason string      `json:"fail_reason,omitempty"`
+	Bounds     *[4]float64 `json:"bounds,omitempty"`
 }
 
 // HealthResponse is the body of GET /healthz (process liveness).

@@ -35,6 +35,7 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/topo"
+	"mbrtopo/internal/wal"
 )
 
 // DefaultBuffer is the per-subscription event buffer when the
@@ -44,22 +45,19 @@ const DefaultBuffer = 256
 // ErrClosed is returned by Subscribe after the table has been closed.
 var ErrClosed = errors.New("watch: table closed")
 
-// Op is a mutation kind.
-type Op uint8
+// Mutation is one applied index change — the very record the write
+// path logs, so a commit is published without being converted. The
+// write path publishes them in apply order, batched per commit.
+type (
+	Mutation = wal.Record
+	Op       = wal.Op
+)
 
 // The mutation kinds the write path publishes.
 const (
-	OpInsert Op = iota + 1
-	OpDelete
+	OpInsert = wal.OpInsert
+	OpDelete = wal.OpDelete
 )
-
-// Mutation is one applied index change. The write path publishes them
-// in apply order, batched per commit.
-type Mutation struct {
-	Op   Op
-	OID  uint64
-	Rect geom.Rect
-}
 
 // EventType classifies a notification.
 type EventType uint8
@@ -278,8 +276,8 @@ func NewTable(scan func(emit func(geom.Rect, uint64) bool) error, subIdx SubInde
 	return t
 }
 
-// Active reports whether the table has subscribers — the write path's
-// cheap pre-check before building a Publish batch.
+// Active reports whether the table has subscribers; Publish is a no-op
+// while it has none.
 func (t *Table) Active() bool { return t.active.Load() }
 
 // Counters snapshots the work accounting.

@@ -91,7 +91,39 @@ wait_ready() {
   return 1
 }
 
-"$TOPOD" -gen 2000 -tree rstar -frames 32 -addr 127.0.0.1:0 >"$LOG" 2>&1 &
+# lint_metrics TEXT: the exposition must be well-formed whoever
+# registered its families — the rules of internal/server's
+# lintExposition: one HELP then TYPE before a family's samples, no
+# series twice, histogram buckets cumulative and ending in +Inf, _count
+# equal to that bucket.
+lint_metrics() {
+  echo "$1" | awk '
+    function fail(msg) { print "smoke: /metrics line " NR ": " msg > "/dev/stderr"; bad = 1 }
+    /^# HELP / { if ($3 in declared) fail("family " $3 " declared twice"); declared[$3] = 1; help = $3; next }
+    /^# TYPE / { if ($3 != help) fail("TYPE line without its HELP line"); family = $3; type = $4; help = ""; next }
+    /^#/ || /^$/ { next }
+    {
+      if (help != "") { fail("HELP " help " has no TYPE"); help = "" }
+      if ($1 in series) fail("series " $1 " appears twice")
+      series[$1] = 1
+      name = $1; sub(/[{].*/, "", name)
+      labels = substr($1, length(name) + 1); suffix = substr(name, length(family) + 1)
+      if (family == "" || index(name, family) != 1) { fail("sample " name " is outside its family"); next }
+      if (type != "histogram") { if (suffix != "") fail("sample " name " under " type " " family); next }
+      inf_bucket = labels ~ /le="[+]Inf"/
+      sub(/,?le="[^"]*"/, "", labels); if (labels == "{}") labels = ""
+      key = family labels
+      if (suffix == "_bucket") {
+        if ($2 + 0 < last[key] + 0) fail("buckets not cumulative at " $1)
+        last[key] = $2; if (inf_bucket) inf[key] = $2
+      } else if (suffix == "_count") {
+        if (!(key in inf) || inf[key] != $2) fail($1 " is not the +Inf bucket")
+      } else if (suffix != "_sum") fail("sample " name " under histogram " family)
+    }
+    END { for (k in last) if (!(k in inf)) { print "smoke: histogram " k " has no +Inf bucket" > "/dev/stderr"; bad = 1 }; exit bad }'
+}
+
+"$TOPOD" -gen 2000 -tree rstar -addr 127.0.0.1:0 >"$LOG" 2>&1 &
 PID=$!
 trap cleanup EXIT
 
@@ -115,6 +147,7 @@ echo "$RESP" | tail -1 | grep -q '"stats"' \
 METRICS="$(curl -sf "$BASE/metrics")"
 echo "$METRICS" | grep -q '^topod_node_accesses_total [1-9]' \
   || { echo "smoke: /metrics did not fold the query's node accesses" >&2; exit 1; }
+lint_metrics "$METRICS" || { echo "smoke: /metrics is malformed" >&2; exit 1; }
 
 kill -TERM "$PID"
 if ! wait "$PID"; then
