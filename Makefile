@@ -2,10 +2,14 @@ GO ?= go
 
 .PHONY: verify race test bench bench-smoke fmt smoke fuzz
 
-# Tier-1 gate: everything must build, vet clean, and pass.
+# Tier-1 gate: everything must build, vet clean, and pass. bench/ is a
+# nested module that root `./...` cannot see, yet it imports internal/
+# packages: vet it too, so that deleting a symbol it calls fails here
+# and not only in CI's bench-smoke job.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) test ./...
 
 # Concurrency gate: readers, batched writers, and group commit must be

@@ -321,7 +321,7 @@ func BenchmarkNearest(b *testing.B) {
 			rng := rand.New(rand.NewSource(4))
 			for i := 0; i < b.N; i++ {
 				p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-				if _, err := s.idx.Nearest(p, 10); err != nil {
+				if _, _, err := s.idx.NearestCtx(context.Background(), p, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -68,15 +68,18 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "MBR-level configuration: %v\n", mbrtopo.ConfigOf(store[1].Bounds(), park.Bounds()))
 
 	// Streaming: filter-step candidates arrive as the traversal finds
-	// them, and the cursor stops the tree walk as soon as the consumer
-	// is done (here after 2). Cancel the context to abort a slow query.
-	cur := proc.OpenCursor(context.Background(), mbrtopo.NewSet(mbrtopo.Overlap, mbrtopo.Meet),
-		park.Bounds(), 2)
-	defer cur.Close()
+	// them, and the tree walk stops as soon as the consumer is done
+	// (here after 2, by the limit; a break does the same). Cancel the
+	// context to abort a slow query. iter.Pull2 turns the same iterator
+	// into a next/stop pair for pull-style consumers.
 	fmt.Fprintf(w, "\nstreaming overlap ∨ meet candidates (first 2):")
-	for cur.Next() {
-		fmt.Fprintf(w, " oid=%d", cur.Match().OID)
+	for m, err := range proc.Matches(context.Background(),
+		mbrtopo.NewSet(mbrtopo.Overlap, mbrtopo.Meet), park.Bounds(), 2) {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, " oid=%d", m.OID)
 	}
-	fmt.Fprintf(w, "   (%d node accesses)\n", cur.Stats().NodeAccesses)
+	fmt.Fprintln(w)
 	return nil
 }

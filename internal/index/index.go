@@ -63,11 +63,9 @@ type Index interface {
 	IOStats() pagefile.Stats
 	// ResetIOStats zeroes the counters.
 	ResetIOStats()
-	// Nearest returns the k stored rectangles closest to p (best-first
-	// branch-and-bound on MINDIST).
-	Nearest(p geom.Point, k int) ([]rtree.Neighbour, error)
-	// NearestCtx is Nearest with context cancellation and per-traversal
-	// IO accounting.
+	// NearestCtx returns the k stored rectangles closest to p (best-first
+	// branch-and-bound on MINDIST), with context cancellation and
+	// per-traversal IO accounting.
 	NearestCtx(ctx context.Context, p geom.Point, k int) ([]rtree.Neighbour, TraversalStats, error)
 }
 

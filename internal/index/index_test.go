@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -64,7 +65,7 @@ func TestNewAndLoadAllKinds(t *testing.T) {
 		if b, ok := idx.Bounds(); !ok || !b.Valid() {
 			t.Fatalf("%v: bounds %v %v", kind, b, ok)
 		}
-		nn, err := idx.Nearest(geom.Point{X: 45, Y: 45}, 3)
+		nn, _, err := idx.NearestCtx(context.Background(), geom.Point{X: 45, Y: 45}, 3)
 		if err != nil || len(nn) != 3 {
 			t.Fatalf("%v: nearest %v %v", kind, nn, err)
 		}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/topo"
@@ -194,7 +197,8 @@ func TestQueryCtxCancellation(t *testing.T) {
 		proc := &Processor{Idx: idx}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := proc.QueryMBRCtx(ctx, topo.Overlap, geom.R(0, 0, 100, 100))
+		_, err := proc.Stream(ctx, topo.NewSet(topo.Overlap), geom.R(0, 0, 100, 100), 0,
+			func(Match) bool { t.Errorf("%s: a cancelled query delivered a match", name); return false })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: want context.Canceled, got %v", name, err)
 		}
@@ -228,10 +232,22 @@ func TestParallelRefineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCursorStreaming exercises the pull-based cursor: full drain
-// equals the batch query, a limit stops the traversal early, Close
-// releases an unfinished cursor.
-func TestCursorStreaming(t *testing.T) {
+// settledGoroutines waits for the goroutine count to fall back to
+// base (an iter.Pull2 coroutine and a join's workers exit just after
+// stop returns, not before) and returns the last reading.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestPullStreaming exercises pull-style consumption, which is
+// iter.Pull2 over Matches: a full drain equals the batch query, and a
+// consumer that stops after three matches stops the traversal (fewer
+// pages read than the full run) and leaves no goroutine behind.
+func TestPullStreaming(t *testing.T) {
 	sc := buildScenario(t, 21, 400)
 	rels := topo.NewSet(topo.Overlap)
 	win := geom.R(20, 20, 70, 70)
@@ -241,56 +257,60 @@ func TestCursorStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if len(batch.Matches) <= 4 || batch.Stats.NodeAccesses <= 3 {
+			t.Fatalf("%s: scenario too small to observe an early stop: %+v", name, batch.Stats)
+		}
+		base := runtime.NumGoroutine()
 
 		// Full drain: same OID set as the batch query (order differs —
-		// streaming is tree order).
-		cur := proc.OpenCursor(context.Background(), rels, win, 0)
+		// streaming is tree order). Matches carries no Stats, so the
+		// pages read are taken from the page file's own counter.
+		idx.ResetIOStats()
+		next, stop := iter.Pull2(proc.Matches(context.Background(), rels, win, 0))
 		got := map[uint64]bool{}
-		for cur.Next() {
-			got[cur.Match().OID] = true
+		for m, err, ok := next(); ok; m, err, ok = next() {
+			if err != nil {
+				t.Fatalf("%s: pull: %v", name, err)
+			}
+			got[m.OID] = true
 		}
-		if err := cur.Err(); err != nil {
-			t.Fatalf("%s: cursor: %v", name, err)
-		}
+		stop()
 		if len(got) != len(batch.Matches) {
-			t.Errorf("%s: cursor streamed %d matches, batch found %d", name, len(got), len(batch.Matches))
+			t.Errorf("%s: pulled %d matches, batch found %d", name, len(got), len(batch.Matches))
 		}
 		for _, m := range batch.Matches {
 			if !got[m.OID] {
-				t.Errorf("%s: cursor missed oid %d", name, m.OID)
+				t.Errorf("%s: pull missed oid %d", name, m.OID)
 			}
 		}
-		if s := cur.Stats(); s.NodeAccesses != batch.Stats.NodeAccesses {
-			t.Errorf("%s: cursor accesses %d, batch %d", name, s.NodeAccesses, batch.Stats.NodeAccesses)
-		}
-
-		// Limit stops the traversal after n matches with less IO.
-		if len(batch.Matches) > 4 {
-			cur := proc.OpenCursor(context.Background(), rels, win, 3)
-			n := 0
-			for cur.Next() {
-				n++
-			}
-			if err := cur.Err(); err != nil {
-				t.Fatalf("%s: limited cursor: %v", name, err)
-			}
-			if n != 3 {
-				t.Errorf("%s: limit 3 streamed %d matches", name, n)
-			}
-			if s := cur.Stats(); s.NodeAccesses >= batch.Stats.NodeAccesses && batch.Stats.NodeAccesses > 3 {
-				t.Errorf("%s: limited cursor read %d pages, full traversal %d",
-					name, s.NodeAccesses, batch.Stats.NodeAccesses)
-			}
+		if reads := idx.IOStats().Reads; reads != batch.Stats.NodeAccesses {
+			t.Errorf("%s: full pull read %d pages, batch %d", name, reads, batch.Stats.NodeAccesses)
 		}
 
-		// Close mid-stream releases the producer.
-		cur = proc.OpenCursor(context.Background(), rels, win, 0)
-		if len(batch.Matches) > 0 && !cur.Next() {
-			t.Fatalf("%s: cursor empty, batch had %d", name, len(batch.Matches))
+		// Stop after three: the traversal ends there.
+		idx.ResetIOStats()
+		next, stop = iter.Pull2(proc.Matches(context.Background(), rels, win, 0))
+		for i := 0; i < 3; i++ {
+			if _, err, ok := next(); !ok || err != nil {
+				t.Fatalf("%s: match %d: ok=%v err=%v", name, i, ok, err)
+			}
 		}
-		cur.Close()
-		if err := cur.Err(); err != nil {
-			t.Errorf("%s: closed cursor reports %v", name, err)
+		stop()
+		if reads := idx.IOStats().Reads; reads >= batch.Stats.NodeAccesses {
+			t.Errorf("%s: stopped pull read %d pages, full traversal %d", name, reads, batch.Stats.NodeAccesses)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%s: %d goroutines after stop, %d before", name, n, base)
+		}
+
+		// The limit is the same early stop, reported through Stats.
+		stats, err := proc.Stream(context.Background(), rels, win, 3, func(Match) bool { return true })
+		if err != nil {
+			t.Fatalf("%s: limited stream: %v", name, err)
+		}
+		if stats.Candidates != 3 || stats.NodeAccesses >= batch.Stats.NodeAccesses {
+			t.Errorf("%s: limit 3 delivered %d matches in %d pages, full traversal %d",
+				name, stats.Candidates, stats.NodeAccesses, batch.Stats.NodeAccesses)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -52,14 +53,9 @@ func TestFlatDifferential(t *testing.T) {
 
 				for _, rel := range topo.All() {
 					for qi, q := range ds.Queries {
-						pr, err := paged.QueryMBRCtx(context.Background(), rel, q)
-						if err != nil {
-							t.Fatalf("%s paged query %d: %v", rel, qi, err)
-						}
-						fr, err := flatP.QueryMBRCtx(context.Background(), rel, q)
-						if err != nil {
-							t.Fatalf("%s flat query %d: %v", rel, qi, err)
-						}
+						label := fmt.Sprintf("%s query %d", rel, qi)
+						pr := streamEqualsBatch(t, label+" paged", paged, topo.NewSet(rel), q)
+						fr := streamEqualsBatch(t, label+" flat", flatP, topo.NewSet(rel), q)
 						if pr.Stats != fr.Stats {
 							t.Fatalf("%s query %d: stats diverge: paged %+v flat %+v", rel, qi, pr.Stats, fr.Stats)
 						}

@@ -139,24 +139,6 @@ func sweepSafe(cands mbr.ConfigSet) bool {
 		!ys.Has(interval.Before) && !ys.Has(interval.After)
 }
 
-// JoinTopological finds all pairs (l, r) of objects from the two
-// indexes with rel(l, r) for some rel in rels, by synchronized
-// traversal of both trees with configuration-based pruning (the
-// two-sided analogue of the paper's Table 2, derived per axis). It is
-// a collecting wrapper around JoinStream; pair order is unspecified.
-func JoinTopological(left, right index.Index, rels topo.Set, opts JoinOptions) (JoinResult, error) {
-	var out JoinResult
-	stats, err := JoinStream(context.Background(), left, right, rels, opts, func(p JoinPair) bool {
-		out.Pairs = append(out.Pairs, p)
-		return true
-	})
-	if err != nil {
-		return JoinResult{}, err
-	}
-	out.Stats = stats
-	return out, nil
-}
-
 // JoinStream runs the join, calling yield for every result pair as it
 // is found. Without object stores the pairs are filter-level
 // candidates; with both stores set each candidate is refined first
@@ -300,12 +282,7 @@ func joinSharded(ctx context.Context, left, right index.Index, rels topo.Set, op
 		}
 		for _, pr := range pairs {
 			st, err := JoinStream(ctx, pr.l, pr.r, rels, inner, deliver)
-			total.NodeAccesses += st.NodeAccesses
-			total.Candidates += st.Candidates
-			total.RefinementTests += st.RefinementTests
-			total.DirectAccepts += st.DirectAccepts
-			total.FalseHits += st.FalseHits
-			total.HullResolved += st.HullResolved
+			total.add(st)
 			if err != nil {
 				return total, err
 			}
@@ -353,12 +330,7 @@ func joinSharded(ctx context.Context, left, right index.Index, rels topo.Set, op
 			for pr := range pairCh {
 				st, err := JoinStream(jctx, pr.l, pr.r, rels, inner, deliver)
 				statsMu.Lock()
-				total.NodeAccesses += st.NodeAccesses
-				total.Candidates += st.Candidates
-				total.RefinementTests += st.RefinementTests
-				total.DirectAccepts += st.DirectAccepts
-				total.FalseHits += st.FalseHits
-				total.HullResolved += st.HullResolved
+				total.add(st)
 				statsMu.Unlock()
 				if err != nil && errs[w] == nil {
 					errs[w] = err
@@ -540,89 +512,4 @@ func JoinPairs(ctx context.Context, left, right index.Index, rels topo.Set, opts
 			yield(JoinPair{}, err)
 		}
 	}
-}
-
-// JoinCursor is a pull-based view of a streaming join, the two-tree
-// analogue of Cursor: the join runs in a background goroutine with a
-// small buffer; Next blocks for the next pair. Close releases the
-// goroutine early (safe, and required, when abandoning a cursor before
-// exhaustion; closing an exhausted cursor is a no-op).
-type JoinCursor struct {
-	ch     chan JoinPair
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	cur   JoinPair
-	stats Stats
-	err   error
-}
-
-// OpenJoinCursor starts a streaming join and returns a cursor over its
-// result pairs. The join runs concurrently with consumption and stops
-// when the cursor is closed, the limit is reached, or ctx is
-// cancelled.
-func OpenJoinCursor(ctx context.Context, left, right index.Index, rels topo.Set, opts JoinOptions, limit int) *JoinCursor {
-	ctx, cancel := context.WithCancel(ctx)
-	c := &JoinCursor{
-		ch:     make(chan JoinPair, cursorBuffer),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	go func() {
-		defer close(c.done)
-		defer close(c.ch)
-		emitted := 0
-		stats, err := JoinStream(ctx, left, right, rels, opts, func(p JoinPair) bool {
-			select {
-			case c.ch <- p:
-			case <-ctx.Done():
-				return false
-			}
-			emitted++
-			return limit <= 0 || emitted < limit
-		})
-		c.stats = stats
-		if err != nil && ctx.Err() == nil {
-			c.err = err
-		}
-	}()
-	return c
-}
-
-// Next advances to the next pair, reporting false at end of stream
-// (exhaustion, error, limit, or Close). After false, Err and Stats are
-// final.
-func (c *JoinCursor) Next() bool {
-	p, ok := <-c.ch
-	if !ok {
-		return false
-	}
-	c.cur = p
-	return true
-}
-
-// Pair returns the pair Next advanced to.
-func (c *JoinCursor) Pair() JoinPair { return c.cur }
-
-// Err returns the join error, if any, once the stream has ended. A
-// cursor stopped by Close or context cancellation reports nil.
-func (c *JoinCursor) Err() error {
-	<-c.done
-	return c.err
-}
-
-// Stats returns the join statistics; it blocks until the producing
-// join has finished (call after Next returns false, or after Close).
-func (c *JoinCursor) Stats() Stats {
-	<-c.done
-	return c.stats
-}
-
-// Close stops the join and releases its goroutine. Safe to call
-// multiple times and concurrently with Next.
-func (c *JoinCursor) Close() {
-	c.cancel()
-	for range c.ch {
-	}
-	<-c.done
 }

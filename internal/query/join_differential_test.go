@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"iter"
+	"runtime"
 	"testing"
 
 	"mbrtopo/internal/index"
@@ -14,7 +16,7 @@ import (
 // uniform and clustered workloads, across R-tree and R*-tree, for
 // every relation of mt2 plus a non-contiguous set, the parallel sweep
 // join and the serial join must both produce exactly the pair set that
-// per-object QuerySetMBRCtx loops produce — and the parallel run's
+// per-object QuerySetMBR loops produce — and the parallel run's
 // statistics must equal the serial run's.
 
 func buildJoinIndex(t *testing.T, kind index.Kind, items []index.Item) index.Index {
@@ -64,7 +66,7 @@ func groundTruthJoin(t *testing.T, leftIdx index.Index, rightItems []index.Item,
 	p := &Processor{Idx: leftIdx, NonContiguous: nonContig}
 	out := map[pairKey]bool{}
 	for _, it := range rightItems {
-		res, err := p.QuerySetMBRCtx(context.Background(), rels, it.Rect)
+		res, err := p.QuerySetMBR(rels, it.Rect)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,8 +172,8 @@ func TestJoinDifferentialSelf(t *testing.T) {
 }
 
 // TestJoinStreamAPI covers the streaming faces over the same engine:
-// cursor, iterator, limits, and early stops must agree with the batch
-// join and leave the statistics consistent.
+// pull (iter.Pull2), iterator, limits, and early stops must agree with
+// the batch join, end the traversal and leave nothing running.
 func TestJoinStreamAPI(t *testing.T) {
 	lStore, _, lIdx := joinScenario(t, 31, 240)
 	rStore, _, rIdx := joinScenario(t, 32, 200)
@@ -187,36 +189,55 @@ func TestJoinStreamAPI(t *testing.T) {
 		t.Fatal("scenario produced no pairs; tests below would be vacuous")
 	}
 
-	// Cursor: full drain matches the batch answer.
-	cur := OpenJoinCursor(context.Background(), lIdx, rIdx, rels, opts, 0)
+	// Pull-style consumption is iter.Pull2 over JoinPairs. Full drain
+	// matches the batch answer.
+	base := runtime.NumGoroutine()
+	next, stop := iter.Pull2(JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 0))
 	var got []JoinPair
-	for cur.Next() {
-		got = append(got, cur.Pair())
+	for p, err, ok := next(); ok; p, err, ok = next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p)
 	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	samePairSet(t, "cursor", want, joinPairSet(t, "cursor", got))
-	if s := cur.Stats(); s.Candidates != batch.Stats.Candidates || s.NodeAccesses != batch.Stats.NodeAccesses {
-		t.Fatalf("cursor stats %+v != batch stats %+v", s, batch.Stats)
-	}
+	stop()
+	samePairSet(t, "pull", want, joinPairSet(t, "pull", got))
 
-	// Cursor with a limit, then abandoned early: both bounded and clean.
-	cur = OpenJoinCursor(context.Background(), lIdx, rIdx, rels, opts, 3)
+	// A limit bounds the pairs delivered; the Stats of the same stop,
+	// taken through JoinStream, show the traversal ended early.
 	n := 0
-	for cur.Next() {
+	for _, err := range JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 3) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		n++
 	}
-	if err := cur.Err(); err != nil || n != 3 {
-		t.Fatalf("limited cursor: %d pairs, err %v; want 3, nil", n, err)
+	if n != 3 {
+		t.Fatalf("limit 3 delivered %d pairs", n)
 	}
-	cur = OpenJoinCursor(context.Background(), lIdx, rIdx, rels, opts, 0)
-	if !cur.Next() {
-		t.Fatal("cursor had no first pair")
+	// (Filter-only and serial, so that the third pair stops the engine
+	// on the spot and the page count is deterministic.)
+	n = 0
+	stats, err := JoinStream(context.Background(), lIdx, rIdx, rels, JoinOptions{Workers: 1}, func(JoinPair) bool {
+		n++
+		return n < 3
+	})
+	if err != nil || stats.NodeAccesses >= batch.Stats.NodeAccesses {
+		t.Fatalf("join stopped after 3 pairs: err %v, %d pages read, full join %d",
+			err, stats.NodeAccesses, batch.Stats.NodeAccesses)
 	}
-	cur.Close()
-	if err := cur.Err(); err != nil {
-		t.Fatalf("closed cursor reports error %v", err)
+
+	// Abandoned after three pairs: stop ends the join and its refinement
+	// workers; nothing is left running.
+	next, stop = iter.Pull2(JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 0))
+	for i := 0; i < 3; i++ {
+		if _, err, ok := next(); !ok || err != nil {
+			t.Fatalf("pair %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	stop()
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after stop, %d before", n, base)
 	}
 
 	// Iterator: break stops the join; full range matches the batch.

@@ -131,10 +131,27 @@ func orderName(reordered bool) string {
 	return "static"
 }
 
-// swapConjunctionSets generalises swapConjunction to relation sets
-// (the wire path accepts disjunctions on both terms): the cheapest
-// cost group a set contains stands for the set, ties break on the
-// reference MBR area exactly like the single-relation rule.
+// CostGroup returns the paper's retrieval cost group of a relation:
+// 0 for {equal, covers, contains} (cheapest), 1 for {meet, overlap,
+// inside, covered_by}, 2 for {disjoint} (serial-scan territory).
+func CostGroup(r topo.Relation) int {
+	switch r {
+	case topo.Equal, topo.Covers, topo.Contains:
+		return 0
+	case topo.Disjoint:
+		return 2
+	default:
+		return 1
+	}
+}
+
+// swapConjunctionSets is the paper's static rule, reporting whether the
+// second term should be the one retrieved through the index: the lower
+// cost group first; within a group the smaller reference MBR ("if the
+// sizes of the reference MBRs are considerably different, then the
+// smallest reference MBR must be selected" — retrieval cost grows with
+// the data size). Terms are relation sets because the wire path accepts
+// disjunctions on both.
 func swapConjunctionSets(r1 topo.Set, ref1 geom.Rect, r2 topo.Set, ref2 geom.Rect) bool {
 	g1, g2 := costGroupSet(r1), costGroupSet(r2)
 	if g1 != g2 {

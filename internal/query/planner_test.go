@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -136,6 +137,32 @@ func TestStreamConjunctionMatchesBrute(t *testing.T) {
 		}
 		if stats.Explain == "" {
 			t.Fatalf("case %d: no explain line", ci)
+		}
+
+		// The batch conjunction is the same plan over the same descent:
+		// it reads the same pages and sends exactly the streamed
+		// candidates — the retrieved side's survivors of the in-memory
+		// test — to refinement. It takes one relation per term.
+		if tc.r1.Len() != 1 || tc.r2.Len() != 1 {
+			continue
+		}
+		store := MapStore{}
+		for _, r := range recs {
+			store[r.OID] = r.Rect.Polygon()
+		}
+		batch, err := (&Processor{Idx: idx, Objects: store}).QueryConjunction(
+			tc.r1.Relations()[0], tc.q1.Polygon(), tc.r2.Relations()[0], tc.q2.Polygon())
+		if err != nil {
+			t.Fatalf("case %d: QueryConjunction: %v", ci, err)
+		}
+		if batch.Stats.NodeAccesses != stats.NodeAccesses || batch.Stats.Reordered != stats.Reordered {
+			t.Fatalf("case %d: batch %+v, stream %+v: not the same descent", ci, batch.Stats, stats)
+		}
+		if batch.Stats.RefinementTests != len(got) {
+			t.Fatalf("case %d: batch refined %d candidates, stream delivered %d", ci, batch.Stats.RefinementTests, len(got))
+		}
+		if i := slices.IndexFunc(batch.Matches, func(m Match) bool { return !slices.Contains(got, m.OID) }); i >= 0 {
+			t.Fatalf("case %d: batch answer %d was never a streamed candidate", ci, batch.Matches[i].OID)
 		}
 	}
 }

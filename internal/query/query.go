@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +95,18 @@ type Stats struct {
 	// planned queries and surfaced by `topoquery -explain` and the
 	// wire stats line.
 	Explain string
+}
+
+// add folds the counters of one more traversal into s. The plan
+// fields (ShortCircuited, Reordered, Explain) describe one query and
+// are not summed.
+func (s *Stats) add(t Stats) {
+	s.NodeAccesses += t.NodeAccesses
+	s.Candidates += t.Candidates
+	s.RefinementTests += t.RefinementTests
+	s.DirectAccepts += t.DirectAccepts
+	s.FalseHits += t.FalseHits
+	s.HullResolved += t.HullResolved
 }
 
 // Result bundles matches with the query statistics.
@@ -175,135 +186,64 @@ func (p *Processor) possibleRelations(c mbr.Config) topo.Set {
 	return mbr.PossibleRelations(c)
 }
 
-// Query runs the 4-step retrieval for a single relation against a
-// reference region given by its exact geometry (a Polygon or a
-// MultiPolygon).
-func (p *Processor) Query(rel topo.Relation, ref geom.Region) (Result, error) {
-	return p.QueryCtx(context.Background(), rel, ref)
-}
-
-// QueryCtx is Query with context cancellation: the filter traversal
-// aborts within one page read of ctx being cancelled.
-func (p *Processor) QueryCtx(ctx context.Context, rel topo.Relation, ref geom.Region) (Result, error) {
-	return p.QuerySetCtx(ctx, topo.NewSet(rel), ref)
-}
-
-// QueryMBR runs the filter step only, against a reference MBR — the
-// setting of the paper's experiments, where the data file consists of
-// rectangles. No refinement is possible without geometry.
-func (p *Processor) QueryMBR(rel topo.Relation, refMBR geom.Rect) (Result, error) {
-	return p.querySetMBR(context.Background(), topo.NewSet(rel), refMBR, nil)
-}
-
-// QueryMBRCtx is QueryMBR with context cancellation.
-func (p *Processor) QueryMBRCtx(ctx context.Context, rel topo.Relation, refMBR geom.Rect) (Result, error) {
-	return p.querySetMBR(ctx, topo.NewSet(rel), refMBR, nil)
-}
-
-// QuerySet runs a disjunctive (low-resolution) query, e.g. the
-// cadastral "in" = inside ∨ covered_by of Section 5.
-func (p *Processor) QuerySet(rels topo.Set, ref geom.Region) (Result, error) {
-	return p.QuerySetCtx(context.Background(), rels, ref)
-}
-
-// QuerySetCtx is QuerySet with context cancellation.
-func (p *Processor) QuerySetCtx(ctx context.Context, rels topo.Set, ref geom.Region) (Result, error) {
-	if ref == nil {
-		return Result{}, fmt.Errorf("query: nil reference region")
+// admits builds the rectangle test "r stands in one of cfgs against
+// ref". The per-axis domination pre-test (mbr.DominationFor) runs
+// ahead of the exact configuration probe: four sign comparisons reject
+// most non-qualifying rectangles without paying the two interval
+// decision trees, and the pre-test is provably sound (it never rejects
+// a rectangle the exact test accepts).
+func admits(cfgs mbr.ConfigSet, ref geom.Rect) func(geom.Rect) bool {
+	dom := mbr.DominationFor(cfgs)
+	return func(r geom.Rect) bool {
+		return dom.Admits(r, ref) && cfgs.Has(mbr.ConfigOf(r, ref))
 	}
-	if err := ref.Validate(); err != nil {
-		return Result{}, fmt.Errorf("query: invalid reference region: %w", err)
-	}
-	return p.querySetMBR(ctx, rels, ref.Bounds(), ref)
 }
 
-// QuerySetMBR runs a disjunctive filter step against a reference MBR.
-func (p *Processor) QuerySetMBR(rels topo.Set, refMBR geom.Rect) (Result, error) {
-	return p.querySetMBR(context.Background(), rels, refMBR, nil)
-}
-
-// QuerySetMBRCtx is QuerySetMBR with context cancellation.
-func (p *Processor) QuerySetMBRCtx(ctx context.Context, rels topo.Set, refMBR geom.Rect) (Result, error) {
-	return p.querySetMBR(ctx, rels, refMBR, nil)
-}
-
-func (p *Processor) querySetMBR(ctx context.Context, rels topo.Set, refMBR geom.Rect, ref geom.Region) (Result, error) {
-	if rels.IsEmpty() {
-		return Result{}, fmt.Errorf("query: empty relation set")
-	}
-	if !refMBR.Valid() {
-		return Result{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
-	}
-	// Step 1: admissible MBR configurations (Table 1, adjusted for the
-	// non-contiguous and non-crisp modes).
-	cands := p.candidateConfigs(rels)
-	// Steps 2+3: prune and collect.
-	matches, stats, err := p.filter(ctx, cands, refMBR)
-	if err != nil {
-		return Result{}, err
-	}
-	// Step 4: refinement.
-	if p.Objects != nil && ref != nil {
-		matches, err = p.refine(ctx, matches, rels, refMBR, ref, &stats)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{Matches: matches, Stats: stats}, nil
-}
-
-// filterPreds derives the node and leaf predicates of steps 2 and 3.
-// Both run the per-axis domination pre-test (mbr.DominationFor) ahead
-// of the exact configuration probe: four sign comparisons reject most
-// non-qualifying rectangles without paying the two interval decision
-// trees, and the pre-test is provably sound (it never rejects a
-// rectangle the exact test accepts). The R+ partition-region path
-// keeps its dedicated predicate: partition regions are not tight
-// MBRs, so endpoint-sign reasoning does not apply to them.
+// filterPreds derives the node and leaf predicates of steps 2 and 3:
+// leaves are tested against the candidate configurations, covering
+// node rectangles against their Table 2 propagation. The R+
+// partition-region path keeps its dedicated predicate: partition
+// regions are not tight MBRs, so endpoint-sign reasoning does not
+// apply to them.
 func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
 	if p.Idx.CoveringNodeRects() {
-		prop := mbr.Propagation(cands)
-		dom := mbr.DominationFor(prop)
-		nodePred = func(r geom.Rect) bool {
-			return dom.Admits(r, refMBR) && prop.Has(mbr.ConfigOf(r, refMBR))
-		}
+		nodePred = admits(mbr.Propagation(cands), refMBR)
 	} else {
 		nodePred = mbr.PartitionNodePredicate(cands, refMBR)
 	}
-	leafDom := mbr.DominationFor(cands)
-	leafPred = func(r geom.Rect) bool {
-		return leafDom.Admits(r, refMBR) && cands.Has(mbr.ConfigOf(r, refMBR))
-	}
-	return nodePred, leafPred
+	return nodePred, admits(cands, refMBR)
 }
 
-// filter is the tree traversal of steps 2 and 3. NodeAccesses comes
-// from the traversal's own accounting, so it is exact even when many
-// queries share the index.
-func (p *Processor) filter(ctx context.Context, cands mbr.ConfigSet, refMBR geom.Rect) ([]Match, Stats, error) {
-	nodePred, leafPred := p.filterPreds(cands, refMBR)
-	// A broad query (disjoint) touches nearly every stored object:
-	// size the dedup set and the matches slice for the worst case once
-	// instead of rehashing and regrowing on the way there.
-	n := p.Idx.Len()
-	seen := make(map[uint64]struct{}, n)
-	matches := make([]Match, 0, n)
+// descend is the filter descent of steps 2 and 3, and the only
+// traversal in the package: every query class — streamed or
+// materialised, one term or two, region, line, direction or point —
+// is this function under a different pair of predicates. It calls
+// yield once per distinct object (an R+-tree registers an object in
+// every leaf its rectangle crosses) in tree order, and stops as soon
+// as yield returns false or limit > 0 matches have been taken.
+// NodeAccesses comes from the traversal's own accounting, so it is
+// exact even when many queries share the index; Candidates counts the
+// matches yield accepted. On an error, cancellation included, the
+// stats cover the pages read up to that point.
+func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, limit int, yield func(Match) bool) (Stats, error) {
+	seen := make(map[uint64]struct{})
+	emitted := 0
 	ts, err := p.Idx.SearchCtx(ctx, nodePred, leafPred, func(r geom.Rect, oid uint64) bool {
-		if _, ok := seen[oid]; !ok {
-			seen[oid] = struct{}{}
-			matches = append(matches, Match{OID: oid, Rect: r})
+		if _, ok := seen[oid]; ok {
+			return true
 		}
-		return true
+		seen[oid] = struct{}{}
+		if !yield(Match{OID: oid, Rect: r}) {
+			return false
+		}
+		emitted++
+		return limit <= 0 || emitted < limit
 	})
+	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted}
 	if err != nil {
-		return nil, Stats{}, fmt.Errorf("query: filter step: %w", err)
+		return stats, fmt.Errorf("query: filter step: %w", err)
 	}
-	stats := Stats{
-		NodeAccesses: ts.NodeAccesses,
-		Candidates:   len(matches),
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].OID < matches[j].OID })
-	return matches, stats, nil
+	return stats, nil
 }
 
 // refineVerdict is the outcome of refining one candidate: whether it

@@ -1,7 +1,10 @@
 package query
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -67,18 +70,49 @@ func (sc *scenario) bruteForce(rels topo.Set, ref geom.Polygon) []uint64 {
 	return out
 }
 
-// bruteFilterCount counts objects whose MBR configuration is
-// admissible for the relation set — the ground truth for the filter
-// step's candidate count.
-func (sc *scenario) bruteFilterCount(rels topo.Set, refMBR geom.Rect) int {
+// bruteFilter returns the objects whose MBR configuration is
+// admissible for the relation set, sorted by id — the ground truth for
+// the filter step.
+func (sc *scenario) bruteFilter(rels topo.Set, refMBR geom.Rect) []uint64 {
 	cands := mbr.CandidatesSet(rels)
-	n := 0
-	for _, r := range sc.rects {
+	var out []uint64
+	for oid, r := range sc.rects {
 		if cands.Has(mbr.ConfigOf(r, refMBR)) {
-			n++
+			out = append(out, oid)
 		}
 	}
-	return n
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// streamEqualsBatch checks the one-descent contract for one filter
+// query: Stream, collected and sorted by id, delivers exactly
+// QuerySetMBR's matches, and both report the same pages read and the
+// same candidate count. It returns the batch result for further
+// comparisons.
+func streamEqualsBatch(t *testing.T, label string, p *Processor, rels topo.Set, refMBR geom.Rect) Result {
+	t.Helper()
+	batch, err := p.QuerySetMBR(rels, refMBR)
+	if err != nil {
+		t.Fatalf("%s: QuerySetMBR: %v", label, err)
+	}
+	var streamed []Match
+	stats, err := p.Stream(context.Background(), rels, refMBR, 0, func(m Match) bool {
+		streamed = append(streamed, m)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%s: Stream: %v", label, err)
+	}
+	sort.Slice(streamed, func(i, j int) bool { return streamed[i].OID < streamed[j].OID })
+	if !slices.Equal(streamed, batch.Matches) {
+		t.Fatalf("%s: Stream delivered %d matches, QuerySetMBR %d (or different ones)",
+			label, len(streamed), len(batch.Matches))
+	}
+	if stats.NodeAccesses != batch.Stats.NodeAccesses || stats.Candidates != batch.Stats.Candidates {
+		t.Fatalf("%s: Stream stats %+v, QuerySetMBR stats %+v", label, stats, batch.Stats)
+	}
+	return batch
 }
 
 func oids(ms []Match) []uint64 {
@@ -132,12 +166,24 @@ func TestQueryAllRelationsAllTrees(t *testing.T) {
 				if !eqU64(oids(res.Matches), want) {
 					t.Fatalf("%s %v: got %d matches, want %d", name, rel, len(res.Matches), len(want))
 				}
-				if wantCands := sc.bruteFilterCount(topo.NewSet(rel), ref.Bounds()); res.Stats.Candidates != wantCands {
+				wantFilter := sc.bruteFilter(topo.NewSet(rel), ref.Bounds())
+				if res.Stats.Candidates != len(wantFilter) {
 					t.Fatalf("%s %v: filter retrieved %d candidates, want %d",
-						name, rel, res.Stats.Candidates, wantCands)
+						name, rel, res.Stats.Candidates, len(wantFilter))
 				}
 				if res.Stats.NodeAccesses == 0 {
 					t.Fatalf("%s %v: no node accesses counted", name, rel)
+				}
+				// The streamed and the materialised filter step are one
+				// descent: same objects as the oracle, same pages as
+				// the refined query above.
+				filt := streamEqualsBatch(t, fmt.Sprintf("%s %v", name, rel), proc, topo.NewSet(rel), ref.Bounds())
+				if !eqU64(oids(filt.Matches), wantFilter) {
+					t.Fatalf("%s %v: filter step differs from the brute-force oracle", name, rel)
+				}
+				if filt.Stats.NodeAccesses != res.Stats.NodeAccesses {
+					t.Fatalf("%s %v: filter-only read %d pages, the refined query %d",
+						name, rel, filt.Stats.NodeAccesses, res.Stats.NodeAccesses)
 				}
 			}
 		}
@@ -273,14 +319,15 @@ func TestConjunction(t *testing.T) {
 // and one expensive (overlap), the index retrieval must run on the
 // cheap side — observable through the candidate count.
 func TestConjunctionChoosesCheaperSide(t *testing.T) {
-	if swapConjunction(topo.Overlap, geom.R(0, 0, 10, 10).Polygon(), topo.Contains, geom.R(0, 0, 1, 1).Polygon()) != true {
+	one := topo.NewSet
+	if !swapConjunctionSets(one(topo.Overlap), geom.R(0, 0, 10, 10), one(topo.Contains), geom.R(0, 0, 1, 1)) {
 		t.Error("should retrieve the contains side first")
 	}
-	if swapConjunction(topo.Equal, geom.R(0, 0, 1, 1).Polygon(), topo.Overlap, geom.R(0, 0, 10, 10).Polygon()) {
+	if swapConjunctionSets(one(topo.Equal), geom.R(0, 0, 1, 1), one(topo.Overlap), geom.R(0, 0, 10, 10)) {
 		t.Error("should keep the equal side first")
 	}
 	// Same group: smaller reference MBR wins.
-	if !swapConjunction(topo.Meet, geom.R(0, 0, 50, 50).Polygon(), topo.Overlap, geom.R(0, 0, 2, 2).Polygon()) {
+	if !swapConjunctionSets(one(topo.Meet), geom.R(0, 0, 50, 50), one(topo.Overlap), geom.R(0, 0, 2, 2)) {
 		t.Error("should retrieve against the smaller reference")
 	}
 	if CostGroup(topo.Disjoint) != 2 || CostGroup(topo.Equal) != 0 || CostGroup(topo.Meet) != 1 {
@@ -366,7 +413,7 @@ func TestFilterOnlyMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := sc.bruteFilterCount(topo.NewSet(rel), refMBR); res.Stats.Candidates != want {
+			if want := len(sc.bruteFilter(topo.NewSet(rel), refMBR)); res.Stats.Candidates != want {
 				t.Fatalf("%s %v: %d candidates, want %d", name, rel, res.Stats.Candidates, want)
 			}
 			if res.Stats.RefinementTests != 0 {

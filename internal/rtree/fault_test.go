@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -107,7 +108,7 @@ func TestConcurrentSearchers(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := rt.Nearest(geom.Point{X: local.Float64() * 100, Y: local.Float64() * 100}, 5); err != nil {
+				if _, _, err := rt.NearestCtx(context.Background(), geom.Point{X: local.Float64() * 100, Y: local.Float64() * 100}, 5); err != nil {
 					errs <- err
 					return
 				}

@@ -429,22 +429,9 @@ func (f *FlatTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.R
 	return traverse(ctx, f, f.root, nodePred, leafPred, emit, 0)
 }
 
-// SearchIntersects is the traditional window query.
-func (f *FlatTree) SearchIntersects(w geom.Rect, emit func(geom.Rect, uint64) bool) error {
-	pred := func(r geom.Rect) bool { return r.Intersects(w) }
-	return f.Search(pred, pred, emit)
-}
-
-// Nearest returns the k stored rectangles closest to p. Snapshots of
+// NearestCtx returns the k stored rectangles closest to p. Snapshots of
 // R+-trees deduplicate multiply-registered objects, like the source
 // tree.
-func (f *FlatTree) Nearest(p geom.Point, k int) ([]Neighbour, error) {
-	nn, _, err := f.NearestCtx(context.Background(), p, k)
-	return nn, err
-}
-
-// NearestCtx is Nearest with context cancellation and per-traversal IO
-// accounting.
 func (f *FlatTree) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
 	return nearestSearch(ctx, f, f.root, p, k, !f.covering)
 }

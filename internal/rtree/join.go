@@ -87,32 +87,22 @@ func (t *Tree) joinView() (NodeSource, uint64, func()) {
 // escapes this file.
 var errJoinStop = errors.New("rtree: join stopped by emit")
 
-// Join performs the spatial join serially with background context.
-// prune is called on pairs of covering rectangles (node-node,
-// node-leafMBR); when it returns false the pair's subtrees are
-// skipped. accept is called on leaf entry rectangle pairs; matching
-// pairs are passed to emit (return false to stop). Self-joins
-// (t1 == t2) are supported.
+// JoinCtx is the spatial join engine: a synchronised traversal of both
+// trees with context cancellation (checked before every page read),
+// plane-sweep matching, and a worker pool (see JoinOptions). prune is
+// called on pairs of covering rectangles (node-node, node-leafMBR);
+// when it returns false the pair's subtrees are skipped. accept is
+// called on leaf entry rectangle pairs; matching pairs are passed to
+// emit (return false to stop). Self-joins (t1 == t2) are supported.
+// emit is never called concurrently, regardless of the worker count,
+// so caller-side closures need no locking; the order in which pairs
+// are emitted is unspecified.
 //
 // The returned TraversalStats counts the pages this join read across
 // both trees — exact per-operation accounting, independent of any
-// concurrent queries on either index.
-func Join(t1, t2 Joinable,
-	prune func(a, b geom.Rect) bool,
-	accept func(a, b geom.Rect) bool,
-	emit func(aRect geom.Rect, aOID uint64, bRect geom.Rect, bOID uint64) bool,
-) (TraversalStats, error) {
-	return JoinCtx(context.Background(), t1, t2, prune, accept, emit, JoinOptions{Workers: 1})
-}
-
-// JoinCtx is the full join engine: Join plus context cancellation
-// (checked before every page read), plane-sweep matching, and the
-// worker pool (see JoinOptions). emit is never called concurrently,
-// regardless of the worker count, so caller-side closures need no
-// locking; the order in which pairs are emitted is unspecified.
-//
-// On cancellation JoinCtx returns ctx.Err() with the stats accumulated
-// so far; a join stopped by emit returns nil like a completed one.
+// concurrent queries on either index. On cancellation JoinCtx returns
+// ctx.Err() with the stats accumulated so far; a join stopped by emit
+// returns nil like a completed one.
 func JoinCtx(ctx context.Context, t1, t2 Joinable,
 	prune func(a, b geom.Rect) bool,
 	accept func(a, b geom.Rect) bool,

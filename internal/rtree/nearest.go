@@ -22,34 +22,21 @@ type Neighbour struct {
 	Dist float64
 }
 
-// Nearest returns the k stored rectangles closest to p, ordered by
-// distance. Fewer than k results are returned when the tree is
-// smaller.
-func (t *Tree) Nearest(p geom.Point, k int) ([]Neighbour, error) {
-	nn, _, err := t.NearestCtx(context.Background(), p, k)
-	return nn, err
-}
-
-// NearestCtx is Nearest with context cancellation and per-traversal IO
-// accounting. kNN searches run concurrently with other readers.
+// NearestCtx returns the k stored rectangles closest to p, ordered by
+// distance, with context cancellation and per-traversal IO accounting.
+// Fewer than k results are returned when the tree is smaller. kNN
+// searches run concurrently with other readers.
 func (t *Tree) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
 	s := t.acquire()
 	defer t.release(s)
 	return nearestSearch(ctx, t.st, uint64(s.root), p, k, false)
 }
 
-// Nearest returns the k distinct objects closest to p. Duplicate
+// NearestCtx returns the k distinct objects closest to p. Duplicate
 // registrations are skipped; distances are measured on the full object
 // rectangles, and best-first traversal over partition regions remains
 // exact because every rectangle is registered in the region containing
 // its nearest point.
-func (t *RPlusTree) Nearest(p geom.Point, k int) ([]Neighbour, error) {
-	nn, _, err := t.NearestCtx(context.Background(), p, k)
-	return nn, err
-}
-
-// NearestCtx is Nearest with context cancellation and per-traversal IO
-// accounting.
 func (t *RPlusTree) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -65,13 +66,13 @@ func TestNearestAgainstBruteForce(t *testing.T) {
 		}
 	}
 	type knn interface {
-		Nearest(geom.Point, int) ([]Neighbour, error)
+		NearestCtx(context.Context, geom.Point, int) ([]Neighbour, TraversalStats, error)
 	}
 	for name, tree := range map[string]knn{"rtree": rt, "rplus": rp} {
 		for q := 0; q < 60; q++ {
 			p := geom.Point{X: rng.Float64() * 110, Y: rng.Float64() * 110}
 			for _, k := range []int{1, 5, 20} {
-				got, err := tree.Nearest(p, k)
+				got, _, err := tree.NearestCtx(context.Background(), p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,15 +113,15 @@ func TestNearestEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Nearest(geom.Point{}, 0); err == nil {
+	if _, _, err := rt.NearestCtx(context.Background(), geom.Point{}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	got, err := rt.Nearest(geom.Point{}, 5)
+	got, _, err := rt.NearestCtx(context.Background(), geom.Point{}, 5)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty tree: %v %v", got, err)
 	}
 	_ = rt.Insert(geom.R(1, 1, 2, 2), 7)
-	got, err = rt.Nearest(geom.Point{X: 0, Y: 0}, 5)
+	got, _, err = rt.NearestCtx(context.Background(), geom.Point{X: 0, Y: 0}, 5)
 	if err != nil || len(got) != 1 || got[0].OID != 7 {
 		t.Errorf("single entry: %v %v", got, err)
 	}

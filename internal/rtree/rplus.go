@@ -502,19 +502,3 @@ func (t *RPlusTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.
 	defer t.mu.RUnlock()
 	return traverse(ctx, t.st, uint64(t.root), nodePred, leafPred, emit, 0)
 }
-
-// SearchIntersects is the traditional window query. The node predicate
-// tests region intersection; duplicates are removed by OID.
-func (t *RPlusTree) SearchIntersects(w geom.Rect, emit func(geom.Rect, uint64) bool) error {
-	seen := make(map[uint64]bool)
-	return t.Search(
-		func(r geom.Rect) bool { return r.Intersects(w) },
-		func(r geom.Rect) bool { return r.Intersects(w) },
-		func(r geom.Rect, oid uint64) bool {
-			if seen[oid] {
-				return true
-			}
-			seen[oid] = true
-			return emit(r, oid)
-		})
-}

@@ -569,10 +569,3 @@ func (t *Tree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect)
 	defer t.release(s)
 	return traverse(ctx, t.st, uint64(s.root), nodePred, leafPred, emit, 0)
 }
-
-// SearchIntersects is the traditional window query: it emits every
-// stored rectangle sharing at least one point with w.
-func (t *Tree) SearchIntersects(w geom.Rect, emit func(geom.Rect, uint64) bool) error {
-	pred := func(r geom.Rect) bool { return r.Intersects(w) }
-	return t.Search(pred, pred, emit)
-}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -39,7 +38,7 @@ var durabilityWindows = []geom.Rect{
 func queryOIDs(t *testing.T, idx index.Index, win geom.Rect) []uint64 {
 	t.Helper()
 	p := &query.Processor{Idx: idx}
-	res, err := p.QuerySetMBRCtx(context.Background(), topo.NotDisjoint, win)
+	res, err := p.QuerySetMBR(topo.NotDisjoint, win)
 	if err != nil {
 		t.Fatalf("query %v: %v", win, err)
 	}

@@ -319,10 +319,19 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "x and y must be numbers")
 		return
 	}
-	nn, ts, err := inst.ReadIndex().NearestCtx(r.Context(), geom.Point{X: x, Y: y}, k)
+	ctx := r.Context()
+	if d := s.queryTimeout(0); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	nn, ts, err := inst.ReadIndex().NearestCtx(ctx, geom.Point{X: x, Y: y}, k)
+	// Fold whatever the traversal read, also when it was cut short.
 	s.metrics.FoldTraversal(ts)
 	if err != nil {
-		if s.noteCorrupt(inst, err) {
+		// A search cut by the deadline holds the neighbours found so
+		// far, which are not the k nearest: refuse, never answer them.
+		if s.noteCorrupt(inst, err) || ctx.Err() != nil {
 			writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}

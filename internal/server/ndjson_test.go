@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -151,7 +150,7 @@ func TestWriteErrorStopsProducer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := d.Queries[0]
-	full, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), topo.NewSet(topo.Disjoint), ref)
+	full, err := inst.ReadProc().QuerySetMBR(topo.NewSet(topo.Disjoint), ref)
 	if err != nil {
 		t.Fatal(err)
 	}

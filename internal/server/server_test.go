@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -107,7 +109,7 @@ func postQuery(t *testing.T, base string, req QueryRequest) (matches []query.Mat
 
 // TestQueryNDJSONGoldenPath checks, for all three access methods, that
 // the streamed response carries exactly the matches and Stats that
-// Processor.QuerySetMBRCtx returns for the same request.
+// Processor.QuerySetMBR returns for the same request.
 func TestQueryNDJSONGoldenPath(t *testing.T) {
 	kinds := index.AllKinds()
 	srv, ts, d := newTestServer(t, Config{}, 1500, kinds...)
@@ -130,7 +132,7 @@ func TestQueryNDJSONGoldenPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), rels, ref)
+				want, err := inst.ReadProc().QuerySetMBR(rels, ref)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +242,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 	ref := d.Queries[0]
 	// Ground truth: a full disjoint traversal touches nearly every
 	// page and yields ~20000 matches, some sixty writes' worth.
-	full, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), topo.NewSet(topo.Disjoint), ref)
+	full, err := inst.ReadProc().QuerySetMBR(topo.NewSet(topo.Disjoint), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,6 +430,46 @@ func TestKNNEndpoint(t *testing.T) {
 	}
 	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != wantTS.NodeAccesses {
 		t.Fatalf("metrics folded %d accesses for knn, want %d", folded, wantTS.NodeAccesses)
+	}
+}
+
+// TestKNNDeadline: /v1/knn runs under the server's default deadline
+// like /v1/query and /v1/join. Past it the answer is a 503 carrying the
+// deadline error — never the neighbours found so far — and the pages
+// read before the cut are still folded into /metrics.
+func TestKNNDeadline(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{DefaultTimeout: time.Nanosecond}, 1500, index.KindRTree)
+	inst, err := srv.instance("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, wantTS, err := inst.ReadIndex().NearestCtx(expired, geom.Point{X: 400, Y: 600}, 5)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("NearestCtx under an expired deadline: %v", err)
+	}
+	before := srv.Metrics().NodeAccessesTotal()
+	resp, err := http.Get(ts.URL + "/v1/knn?k=5&x=400&y=600")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), context.DeadlineExceeded.Error()) {
+		t.Fatalf("knn past its deadline: HTTP %d %s; want 503 with the deadline error", resp.StatusCode, body)
+	}
+	if strings.Contains(string(body), "neighbours") {
+		t.Fatalf("knn past its deadline answered a neighbour list: %s", body)
+	}
+	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != wantTS.NodeAccesses {
+		t.Fatalf("metrics folded %d accesses for the cut knn, want %d", folded, wantTS.NodeAccesses)
+	}
+	if got := scrapeCounterValue(t, ts.URL, "topod_node_accesses_total"); got != srv.Metrics().NodeAccessesTotal() {
+		t.Fatalf("/metrics topod_node_accesses_total = %d, folded sum %d", got, srv.Metrics().NodeAccessesTotal())
 	}
 }
 

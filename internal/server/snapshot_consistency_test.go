@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -106,7 +105,7 @@ func TestBulkSnapshotConsistency(t *testing.T) {
 					return
 				default:
 				}
-				res, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), topo.NotDisjoint, world)
+				res, err := inst.ReadProc().QuerySetMBR(topo.NotDisjoint, world)
 				if err != nil {
 					errc <- err
 					return

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -150,10 +149,10 @@ func postBulkLines(t *testing.T, baseURL string, lines []BulkLine) {
 
 // oracleSet answers a subscription with the offline engine: the oids
 // whose MBR configuration admits one of the subscribed relations —
-// exactly the filter-candidate set of QuerySetMBRCtx.
+// exactly the filter-candidate set of QuerySetMBR.
 func oracleSet(t *testing.T, inst *Instance, sub watchSub) map[uint64]bool {
 	t.Helper()
-	res, err := inst.ReadProc().QuerySetMBRCtx(context.Background(), sub.rels, sub.ref)
+	res, err := inst.ReadProc().QuerySetMBR(sub.rels, sub.ref)
 	if err != nil {
 		t.Fatalf("oracle query: %v", err)
 	}
@@ -169,7 +168,7 @@ func oracleSet(t *testing.T, inst *Instance, sub watchSub) map[uint64]bool {
 // /v1/watch streams open, then checks, for every subscription and all
 // three tree kinds (plus a durable tree), that the membership
 // reconstructed from the event stream equals the diff of the
-// before/after QuerySetMBRCtx answers — and that the
+// before/after QuerySetMBR answers — and that the
 // neighbourhood-graph filter demonstrably skipped evaluations.
 func TestWatchDifferential(t *testing.T) {
 	cases := []struct {

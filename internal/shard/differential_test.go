@@ -80,11 +80,14 @@ func borderItems(s *Sharded, nextOID uint64) []index.Item {
 	return out
 }
 
+// queryOIDs streams one filter query and returns the sorted object
+// ids. On the way it checks that the materialising QuerySetMBR is the
+// same descent: same objects, same pages read, same candidate count.
 func queryOIDs(t testing.TB, idx index.Index, rels topo.Set, ref geom.Rect) []uint64 {
 	t.Helper()
 	proc := &query.Processor{Idx: idx}
 	var oids []uint64
-	_, err := proc.Stream(context.Background(), rels, ref, 0, func(m query.Match) bool {
+	stats, err := proc.Stream(context.Background(), rels, ref, 0, func(m query.Match) bool {
 		oids = append(oids, m.OID)
 		return true
 	})
@@ -92,6 +95,20 @@ func queryOIDs(t testing.TB, idx index.Index, rels topo.Set, ref geom.Rect) []ui
 		t.Fatalf("Stream(%v): %v", rels, err)
 	}
 	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	batch, err := proc.QuerySetMBR(rels, ref)
+	if err != nil {
+		t.Fatalf("QuerySetMBR(%v): %v", rels, err)
+	}
+	batchOIDs := make([]uint64, len(batch.Matches))
+	for i, m := range batch.Matches {
+		batchOIDs[i] = m.OID
+	}
+	if !oidsEqual(oids, batchOIDs) {
+		t.Fatalf("%s %v on %v: Stream %v, QuerySetMBR %v", idx.Name(), rels, ref, oids, batchOIDs)
+	}
+	if stats.NodeAccesses != batch.Stats.NodeAccesses || stats.Candidates != batch.Stats.Candidates {
+		t.Fatalf("%s %v on %v: Stream stats %+v, QuerySetMBR stats %+v", idx.Name(), rels, ref, stats, batch.Stats)
+	}
 	return oids
 }
 

@@ -1,21 +1,37 @@
 package shard
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/query"
 	"mbrtopo/internal/topo"
 )
 
-// FuzzTilePrune attacks the router's tile-elimination predicate: if a
-// member rectangle inside a tile's bounds stands in a candidate
-// configuration for the requested relation set (i.e. the single-index
-// oracle would retrieve it), the router must consider the tile
-// feasible. Eliminating such a tile would silently lose answers, so
-// pruning has to be conservative for every geometry the fuzzer can
-// draw.
+// stretchedTile is a tile that reports bounds wider than its members'
+// MBR — what a real tile looks like once it also holds other objects.
+type stretchedTile struct {
+	index.Index
+	bounds geom.Rect
+}
+
+func (t stretchedTile) Bounds() (geom.Rect, bool) { return t.bounds, true }
+
+// FuzzTilePrune attacks the router's tile elimination on the path
+// queries take: Processor.Stream hands Sharded.SearchCtx the node
+// predicate of Processor.filterPreds — domination pre-test, then the
+// Table 2 propagation probe (the partition-region test for an R+
+// tile) — and the router applies it to each tile's bounds. If a member
+// inside those bounds stands in a candidate configuration for the
+// requested relation set (i.e. a single index would retrieve it), the
+// query must return it; eliminating its tile would silently lose an
+// answer, so pruning has to be conservative for every geometry the
+// fuzzer can draw. A member that is no candidate must not come back
+// either.
 func FuzzTilePrune(f *testing.F) {
 	f.Add(uint8(1), 0.0, 0.0, 10.0, 10.0, 5.0, 5.0, 20.0, 20.0, 30.0, 30.0)
 	f.Add(uint8(0xFF), 1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0, 0.0, 0.0)
@@ -46,13 +62,27 @@ func FuzzTilePrune(f *testing.F) {
 		// holds, modelled by an extra point.
 		bounds := member.Union(geom.R(ex, ey, ex, ey))
 
-		cands := mbr.CandidatesSet(rels)
-		if !cands.Has(mbr.ConfigOf(member, ref)) {
-			return // the oracle would not retrieve this member either
-		}
-		if !TileFeasible(cands, ref, bounds) {
-			t.Fatalf("router prunes a tile holding a qualifying member:\n rels=%v member=%v ref=%v bounds=%v config=%v",
-				rels, member, ref, bounds, mbr.ConfigOf(member, ref))
+		want := mbr.CandidatesSet(rels).Has(mbr.ConfigOf(member, ref))
+		for _, kind := range []index.Kind{index.KindRTree, index.KindRPlus} {
+			tile, err := index.New(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tile.Insert(member, 1); err != nil {
+				t.Fatalf("%v: Insert(%v): %v", kind, member, err)
+			}
+			proc := &query.Processor{Idx: New(stretchedTile{tile, bounds})}
+			got := false
+			if _, err := proc.Stream(context.Background(), rels, ref, 0, func(query.Match) bool {
+				got = true
+				return true
+			}); err != nil {
+				t.Fatalf("%v: Stream: %v", kind, err)
+			}
+			if got != want {
+				t.Fatalf("%v tile: member retrieved = %v, single-index oracle = %v:\n rels=%v member=%v ref=%v bounds=%v config=%v",
+					kind, got, want, rels, member, ref, bounds, mbr.ConfigOf(member, ref))
+			}
 		}
 	})
 }

@@ -9,14 +9,8 @@ import (
 	"mbrtopo/internal/rtree"
 )
 
-// Nearest returns the k stored rectangles closest to p across all
-// tiles.
-func (s *Sharded) Nearest(p geom.Point, k int) ([]rtree.Neighbour, error) {
-	nn, _, err := s.NearestCtx(context.Background(), p, k)
-	return nn, err
-}
-
-// NearestCtx runs a global best-k merge: tiles are visited in MINDIST
+// NearestCtx returns the k stored rectangles closest to p across all
+// tiles by a global best-k merge: tiles are visited in MINDIST
 // order from the query point, each contributing its local top-k, and a
 // tile is skipped once k answers are held and its bounds lie strictly
 // beyond the current kth distance (the shared pruning radius). The

@@ -126,7 +126,7 @@ func TestAggregates(t *testing.T) {
 		t.Fatal("tile accessors disagree")
 	}
 	s.ResetIOStats()
-	if _, err := s.Nearest(geom.Point{X: 500, Y: 500}, 3); err != nil {
+	if _, _, err := s.NearestCtx(context.Background(), geom.Point{X: 500, Y: 500}, 3); err != nil {
 		t.Fatalf("Nearest: %v", err)
 	}
 	if io := s.IOStats(); io.Reads == 0 {

@@ -34,11 +34,15 @@
 // exact per-query statistics. The streaming API delivers matches as
 // the traversal finds them and stops early on demand:
 //
-//	cur := proc.OpenCursor(ctx, mbrtopo.NewSet(mbrtopo.Overlap), ref, 10)
-//	defer cur.Close()
-//	for cur.Next() {
-//		use(cur.Match())
+//	for m, err := range proc.Matches(ctx, mbrtopo.NewSet(mbrtopo.Overlap), ref, 10) {
+//		if err != nil {
+//			break
+//		}
+//		use(m)
 //	}
+//
+// (iter.Pull2 turns the same iterator into a next/stop pair for
+// pull-style consumers.)
 package mbrtopo
 
 import (
@@ -116,8 +120,6 @@ type (
 	Match = query.Match
 	// QueryStats reports filter and refinement work.
 	QueryStats = query.Stats
-	// Cursor is a pull-based streaming query (Processor.OpenCursor).
-	Cursor = query.Cursor
 	// TraversalStats is the exact per-traversal work accounting of the
 	// concurrent execution engine (Index.SearchCtx, NearestCtx, joins).
 	TraversalStats = index.TraversalStats

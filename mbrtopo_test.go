@@ -1,6 +1,7 @@
 package mbrtopo_test
 
 import (
+	"context"
 	"testing"
 
 	"mbrtopo"
@@ -70,7 +71,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// kNN through the facade.
-	nn, err := idx.Nearest(mbrtopo.Point{X: 15, Y: 15}, 2)
+	nn, _, err := idx.NearestCtx(context.Background(), mbrtopo.Point{X: 15, Y: 15}, 2)
 	if err != nil || len(nn) != 2 || nn[0].OID != 1 {
 		t.Fatalf("Nearest: %v %v", nn, err)
 	}
@@ -144,7 +145,7 @@ func TestFacadePackingAndPersistence(t *testing.T) {
 	if err != nil || back.Len() != 3 {
 		t.Fatalf("reopened: %v %v", back, err)
 	}
-	nn, err := back.Nearest(mbrtopo.Point{X: 7, Y: 1}, 1)
+	nn, _, err := back.NearestCtx(context.Background(), mbrtopo.Point{X: 7, Y: 1}, 1)
 	if err != nil || len(nn) != 1 || nn[0].OID != 3 {
 		t.Fatalf("reopened nearest: %v %v", nn, err)
 	}
