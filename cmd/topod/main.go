@@ -210,7 +210,7 @@ func main() {
 			verb, inst.ReadIndex().Len(), inst.Sharded(), inst.Kind, inst.Name,
 			buildTime.Round(time.Millisecond), inst.Replayed)
 	case inst.Backend() == "flat":
-		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (the first mutation builds the working tree)\n",
+		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (the first mutation adopts the image as the working tree)\n",
 			inst.ReadIndex().Len(), inst.Kind, inst.Name, *dataDir, buildTime.Round(time.Millisecond))
 	case inst.Recovered:
 		fmt.Printf("topod: backend=recovered %d rectangles in %s %q from %s (replayed %d WAL records)\n",

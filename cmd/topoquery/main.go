@@ -92,14 +92,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var idx index.Index
+	// Explicit page files: topoquery reports the paper's page reads.
+	var file pagefile.File = pagefile.NewMemFile(*pageSize)
 	var pool *pagefile.BufferPool
 	if *frames > 0 {
-		pool = pagefile.NewBufferPool(pagefile.NewMemFile(*pageSize), *frames)
-		idx, err = index.NewOnFile(kind, pool)
-	} else {
-		idx, err = index.NewWithPageSize(kind, *pageSize)
+		pool = pagefile.NewBufferPool(file, *frames)
+		file = pool
 	}
+	idx, err := index.NewOnFile(kind, file)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,7 +121,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rIdx, err := index.NewWithPageSize(kind, *pageSize)
+		rIdx, err := index.NewOnFile(kind, pagefile.NewMemFile(*pageSize))
 		if err != nil {
 			fatal(err)
 		}

@@ -79,6 +79,20 @@ func (c Config) buildIndex(kind index.Kind, d *workload.Dataset) (index.Index, e
 	return idx, err
 }
 
+// buildPacked STR-packs items into an R-tree on a fresh in-memory page
+// file. The experiments count pages, so every index they build sits on
+// an explicit page file, never on index.NewPacked's node arena.
+func (c Config) buildPacked(items []index.Item) (index.Index, error) {
+	idx, err := index.NewOnFile(index.KindRTree, pagefile.NewMemFile(c.PageSize))
+	if err != nil {
+		return nil, err
+	}
+	if err := index.LoadBulk(idx, items); err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
+
 // buildBufferedIndex loads a dataset into a fresh index over a page
 // file wrapped in a BufferPool of the given frame count (0 frames →
 // unbuffered, nil pool).

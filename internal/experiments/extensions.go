@@ -35,7 +35,7 @@ func RunPacking(cfg Config, class workload.SizeClass) (*PackingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	packed, err := index.NewPacked(index.KindRTree, cfg.PageSize, d.Items)
+	packed, err := cfg.buildPacked(d.Items)
 	if err != nil {
 		return nil, err
 	}

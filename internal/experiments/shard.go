@@ -89,7 +89,7 @@ func RunShard(cfg Config, class workload.SizeClass) (*ShardResult, error) {
 // router (n == 1 returns the plain packed index as the baseline).
 func buildShardedPacked(cfg Config, items []index.Item, n int) (index.Index, *shard.Sharded, error) {
 	if n == 1 {
-		idx, err := index.NewPacked(index.KindRTree, cfg.PageSize, items)
+		idx, err := cfg.buildPacked(items)
 		return idx, nil, err
 	}
 	recs := make([]rtree.Record, len(items))
@@ -102,7 +102,7 @@ func buildShardedPacked(cfg Config, items []index.Item, n int) (index.Index, *sh
 		for j, r := range part {
 			tileItems[j] = index.Item{Rect: r.Rect, OID: r.OID}
 		}
-		idx, err := index.NewPacked(index.KindRTree, cfg.PageSize, tileItems)
+		idx, err := cfg.buildPacked(tileItems)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -21,9 +21,10 @@ import (
 // which aggregates globally across the whole page file).
 type TraversalStats = rtree.TraversalStats
 
-// Index is an MBR-based spatial access method over a simulated disk.
+// Index is an MBR-based spatial access method charging the paper's
+// disk accesses, whether its nodes sit on a page file or in memory.
 // Implementations are safe for concurrent use: searches run in
-// parallel under a shared lock, mutations are exclusive.
+// parallel, mutations are exclusive among themselves.
 type Index interface {
 	// Insert stores a rectangle under an object id.
 	Insert(r geom.Rect, oid uint64) error
@@ -58,7 +59,7 @@ type Index interface {
 	// false for the partition-region R+-tree). Query processors select
 	// the node predicate accordingly.
 	CoveringNodeRects() bool
-	// IOStats exposes the page file counters (reads = the paper's disk
+	// IOStats exposes the page counters (reads = the paper's disk
 	// accesses).
 	IOStats() pagefile.Stats
 	// ResetIOStats zeroes the counters.
@@ -105,20 +106,38 @@ func (k Kind) String() string {
 // AllKinds returns the three access methods in the paper's order.
 func AllKinds() []Kind { return []Kind{KindRTree, KindRPlus, KindRStar} }
 
-// New creates an index of the given kind with the paper's settings
-// over a fresh in-memory page file.
+// paperOptions returns the paper's experimental settings for a
+// covering-rectangle kind: quadratic split for the R-tree; R* subtree
+// choice, margin-driven split and forced reinsertion for the R*-tree
+// (m = 40% for both). The R+-tree takes the zero Options.
+func paperOptions(kind Kind) rtree.Options {
+	if kind == KindRStar {
+		return rtree.Options{Split: rtree.SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}
+	}
+	return rtree.Options{Split: rtree.SplitQuadratic}
+}
+
+// New creates an index of the given kind with the paper's settings,
+// held in memory.
 func New(kind Kind) (Index, error) { return NewWithPageSize(kind, PaperPageSize) }
 
-// NewWithPageSize creates an index with a specific page size.
+// NewWithPageSize creates an in-memory index with a specific page
+// size. No page file is involved: the tree keeps its nodes decoded
+// (rtree.NewArena) and charges node accesses at that page size's
+// capacity, so answers, TraversalStats and IOStats equal NewOnFile over
+// a pagefile.MemFile of the same size. Hand NewOnFile a file when the
+// pages themselves matter — persistence, a buffer pool, fault
+// injection, the paper's experiments.
 func NewWithPageSize(kind Kind, pageSize int) (Index, error) {
-	file := pagefile.NewMemFile(pageSize)
+	return newArena(kind, pageSize, kind.String())
+}
+
+func newArena(kind Kind, pageSize int, name string) (Index, error) {
 	switch kind {
-	case KindRTree:
-		return rtree.NewRTree(file)
+	case KindRTree, KindRStar:
+		return rtree.NewArena(pageSize, paperOptions(kind), name)
 	case KindRPlus:
-		return rtree.NewRPlus(file, rtree.Options{})
-	case KindRStar:
-		return rtree.NewRStar(file)
+		return rtree.NewRPlusArena(pageSize, rtree.Options{})
 	}
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
@@ -159,38 +178,29 @@ func LoadBulk(idx Index, items []Item) error {
 // file (e.g. a pagefile.DiskFile for persistence or a BufferPool).
 func NewOnFile(kind Kind, file pagefile.File) (Index, error) {
 	switch kind {
-	case KindRTree:
-		return rtree.NewRTree(file)
+	case KindRTree, KindRStar:
+		return rtree.New(file, paperOptions(kind), kind.String())
 	case KindRPlus:
 		return rtree.NewRPlus(file, rtree.Options{})
-	case KindRStar:
-		return rtree.NewRStar(file)
 	}
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
 
 // NewPacked bulk-loads items into a fresh Sort-Tile-Recursive packed
-// tree over an in-memory page file. Only the covering-rectangle
-// variants support packing; KindRPlus returns an error.
+// in-memory tree. Only the covering-rectangle variants support
+// packing; KindRPlus returns an error.
 func NewPacked(kind Kind, pageSize int, items []Item) (Index, error) {
-	file := pagefile.NewMemFile(pageSize)
-	recs := make([]rtree.Record, len(items))
-	for i, it := range items {
-		recs[i] = rtree.Record{Rect: it.Rect, OID: it.OID}
-	}
-	switch kind {
-	case KindRTree:
-		return rtree.BulkLoad(file, rtree.Options{Split: rtree.SplitQuadratic}, "R-tree/packed", recs)
-	case KindRStar:
-		return rtree.BulkLoad(file, rtree.Options{
-			Split:              rtree.SplitRStar,
-			RStarChooseSubtree: true,
-			ForcedReinsert:     true,
-		}, "R*-tree/packed", recs)
-	case KindRPlus:
+	if kind == KindRPlus {
 		return nil, fmt.Errorf("index: the R+-tree has no STR packing (partition build differs)")
 	}
-	return nil, fmt.Errorf("index: unknown kind %v", kind)
+	idx, err := newArena(kind, pageSize, kind.String()+"/packed")
+	if err != nil {
+		return nil, err
+	}
+	if err := LoadBulk(idx, items); err != nil {
+		return nil, err
+	}
+	return idx, nil
 }
 
 // Persist stores the index's metadata in the disk file's header, so
@@ -211,23 +221,32 @@ func Persist(idx Index, file *pagefile.DiskFile) error {
 func OpenPersistent(kind Kind, file *pagefile.DiskFile) (Index, error) {
 	m := rtree.DecodeMeta(file.UserMeta())
 	switch kind {
-	case KindRTree:
-		return rtree.Open(file, rtree.Options{Split: rtree.SplitQuadratic}, "R-tree", m)
-	case KindRStar:
-		return rtree.Open(file, rtree.Options{
-			Split:              rtree.SplitRStar,
-			RStarChooseSubtree: true,
-			ForcedReinsert:     true,
-		}, "R*-tree", m)
+	case KindRTree, KindRStar:
+		return rtree.Open(file, paperOptions(kind), kind.String(), m)
 	case KindRPlus:
 		return rtree.OpenRPlus(file, rtree.Options{}, m)
 	}
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
 
+// Adopt turns a validated checkpoint image into the mutable in-memory
+// tree it was taken from: the tree shares the image's nodes (see
+// rtree.Adopt), so it answers every query with the node accesses the
+// checkpointed tree had. It fails with rtree.ErrNodeCapacity when the
+// image was written under a page size whose nodes do not fit pageSize.
+func Adopt(kind Kind, pageSize int, flat *rtree.FlatTree) (Index, error) {
+	switch kind {
+	case KindRTree, KindRStar:
+		return rtree.Adopt(flat, pageSize, paperOptions(kind), kind.String())
+	case KindRPlus:
+		return rtree.AdoptRPlus(flat, pageSize, rtree.Options{})
+	}
+	return nil, fmt.Errorf("index: unknown kind %v", kind)
+}
+
 // WriteFlat serializes the index's currently published version in the
 // flat snapshot format (see rtree.FlatTree), tagged with the given
-// checkpoint generation, so OpenFlat can serve it read-only.
+// checkpoint generation, so rtree.OpenFlatBytes can serve it read-only.
 func WriteFlat(idx Index, w io.Writer, gen uint64) error {
 	switch t := idx.(type) {
 	case *rtree.Tree:
@@ -236,12 +255,6 @@ func WriteFlat(idx Index, w io.Writer, gen uint64) error {
 		return t.WriteFlat(w, gen)
 	}
 	return fmt.Errorf("index: cannot write a flat snapshot of %T", idx)
-}
-
-// OpenFlat opens a flat snapshot file as a read-only Index. All
-// mutating methods of the returned index fail with rtree.ErrReadOnly.
-func OpenFlat(path string) (*rtree.FlatTree, error) {
-	return rtree.OpenFlat(path)
 }
 
 // SerialPages returns the disk accesses of a serial scan of a data

@@ -1,6 +1,8 @@
 package mbr
 
 import (
+	"math/bits"
+
 	"mbrtopo/internal/interval"
 	"mbrtopo/internal/topo"
 )
@@ -23,11 +25,25 @@ import (
 // to contain a leaf MBR whose configuration lies in s.
 func Propagation(s ConfigSet) ConfigSet {
 	var out ConfigSet
-	for _, c := range s.Configs() {
-		out = out.Union(ProductSet(interval.Coverers(c.X), interval.Coverers(c.Y)))
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			out = out.Union(coverProducts[w<<6+bits.TrailingZeros64(word)])
+		}
 	}
 	return out
 }
+
+// coverProducts[i] is Coverers(x) × Coverers(y) for the configuration
+// (x, y) of index i: what one leaf configuration contributes to a
+// propagation set. Every filter descent starts by building one, so the
+// 169 products are derived once here instead of per query.
+var coverProducts = func() (t [NumConfigs]ConfigSet) {
+	for i := range t {
+		c := ConfigFromIndex(i)
+		t[i] = ProductSet(interval.Coverers(c.X), interval.Coverers(c.Y))
+	}
+	return t
+}()
 
 // PropagationFor returns the node-level configuration set for a query
 // on topological relation r (Propagation of the Table 1 row).

@@ -142,8 +142,11 @@ func TestConcurrentQueriesExactStats(t *testing.T) {
 }
 
 // TestConcurrentQueriesWithWriter interleaves readers with a writer to
-// exercise the RWMutex write path (results may legitimately change
-// mid-stream, so only errors are checked).
+// exercise the write path beside readers — the R+-tree's RWMutex, the
+// R-/R*-tree's copy-on-write snapshots — on both node representations
+// the scenario builds (results may legitimately change mid-stream, so
+// only errors are checked). On the arena trees a reader that could reach
+// a slot the writer is installing is a data race make race reports.
 func TestConcurrentQueriesWithWriter(t *testing.T) {
 	sc := buildScenario(t, 7, 300)
 	for name, idx := range sc.indexes {

@@ -11,6 +11,7 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -44,17 +45,25 @@ func buildScenario(t *testing.T, seed int64, n int) *scenario {
 		sc.objects[oid] = pg
 		sc.rects[oid] = pg.Bounds()
 	}
+	// Every kind on both node representations: the decoded arena the
+	// library and the server build on, and an explicit page file.
 	for _, kind := range index.AllKinds() {
-		idx, err := index.NewWithPageSize(kind, 512)
+		arena, err := index.NewWithPageSize(kind, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for oid, r := range sc.rects {
-			if err := idx.Insert(r, oid); err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
+		paged, err := index.NewOnFile(kind, pagefile.NewMemFile(512))
+		if err != nil {
+			t.Fatal(err)
 		}
-		sc.indexes[kind.String()] = idx
+		for name, idx := range map[string]index.Index{kind.String(): arena, kind.String() + " on pages": paged} {
+			for oid, r := range sc.rects {
+				if err := idx.Insert(r, oid); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			sc.indexes[name] = idx
+		}
 	}
 	return sc
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sync/atomic"
 
 	"mbrtopo/internal/geom"
@@ -22,7 +21,7 @@ import (
 // child reference points strictly backwards and a single sequential
 // pass both validates and decodes the whole file. Two CRC32-C
 // checksums (header, node section) make corruption detection
-// deterministic: OpenFlat either yields exactly the tree that was
+// deterministic: OpenFlatBytes either yields exactly the tree that was
 // written or an error wrapping pagefile.ErrCorrupt, never wrong
 // entries.
 //
@@ -193,11 +192,13 @@ func (t *RPlusTree) WriteFlat(out io.Writer, gen uint64) error {
 
 // FlatTree is a decoded flat snapshot: an immutable read-only index
 // sharing the whole read path (traversal core, kNN, join engine) with
-// the paged trees via NodeSource. Opening validates both checksums and
-// every structural invariant, then decodes the node section once into
-// an in-memory arena; reads afterwards are pointer-chases with zero
-// decoding and zero allocation. All mutating methods return
-// ErrReadOnly.
+// the mutable trees via NodeSource. Opening validates both checksums
+// and every structural invariant, then decodes the node section once
+// into the node arena a mutable tree keeps (arena.go: slot ids for child
+// references, one immutable node version a slot), opened read-only;
+// reads afterwards are pointer-chases with zero decoding and zero
+// allocation. All mutating methods return ErrReadOnly; Adopt makes a
+// mutable tree over the very same nodes.
 type FlatTree struct {
 	name     string
 	covering bool
@@ -206,23 +207,12 @@ type FlatTree struct {
 	depth    int
 	bounds   geom.Rect
 	hasBound bool
-	nodes    []node
-	root     uint64 // arena slot + 1
-	reads    atomic.Uint64
-	stats    atomic.Pointer[TreeStats] // lazily computed summary (stats.go)
-}
-
-// OpenFlat reads and decodes a flat snapshot file.
-func OpenFlat(path string) (*FlatTree, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := OpenFlatBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
+	nodes    []node // slot id − 1 → node, in file (post-) order
+	root     uint64 // slot id of the root
+	// minCap: smallest capacity at which every node fits its recorded cost.
+	minCap int
+	reads  atomic.Uint64
+	stats  atomic.Pointer[TreeStats] // lazily computed summary (stats.go)
 }
 
 // OpenFlatBytes decodes a flat snapshot from memory. Arbitrary or
@@ -284,9 +274,10 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 	}
 	f.nodes = make([]node, 0, nodeCount)
 	// slotAt maps a record's byte offset (from the file start) to its
-	// arena slot. Children are written before parents, so every child
+	// arena slot id. Children are written before parents, so every child
 	// ref of the record being decoded is already present.
 	slotAt := make(map[uint64]uint64, nodeCount)
+	var hasParent []bool // by slot id − 1: a tree, not a DAG — Adopt frees what it replaces
 	off := 0
 	for off < len(nodes) {
 		if len(nodes)-off < flatNodeHdrSize {
@@ -305,13 +296,11 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 		if len(nodes)-off-flatNodeHdrSize < count*entrySize {
 			return nil, flatCorrupt("node at offset %d overruns the section (count %d)", flatHeaderSize+off, count)
 		}
-		n := node{level: level, cost: cost}
+		n := node{id: pagefile.PageID(len(f.nodes) + 1), level: level, cost: cost}
 		if count > 0 {
 			n.entries = make([]Entry, count)
-			if level > 0 {
-				n.childOff = make([]uint64, count)
-			}
 		}
+		f.minCap = max(f.minCap, (count+int(cost)-1)/int(cost))
 		eo := off + flatNodeHdrSize
 		for i := 0; i < count; i++ {
 			e := &n.entries[i]
@@ -328,13 +317,18 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 				if cl := f.nodes[slot-1].level; cl != level-1 {
 					return nil, flatCorrupt("child at offset %d has level %d under a level-%d parent", ref, cl, level)
 				}
-				n.childOff[i] = slot
+				if hasParent[slot-1] {
+					return nil, flatCorrupt("node at offset %d is referenced twice", ref)
+				}
+				hasParent[slot-1] = true
+				e.Child = pagefile.PageID(slot)
 			} else {
 				e.OID = ref
 			}
 			eo += entrySize
 		}
 		f.nodes = append(f.nodes, n)
+		hasParent = append(hasParent, false)
 		slotAt[uint64(flatHeaderSize+off)] = uint64(len(f.nodes))
 		off = eo
 	}
@@ -402,16 +396,11 @@ func (f *FlatTree) IOStats() pagefile.Stats {
 // ResetIOStats zeroes the counters.
 func (f *FlatTree) ResetIOStats() { f.reads.Store(0) }
 
-// Insert is not supported: flat snapshots are immutable.
-func (f *FlatTree) Insert(geom.Rect, uint64) error { return ErrReadOnly }
-
-// InsertBatch is not supported: flat snapshots are immutable.
-func (f *FlatTree) InsertBatch([]Record) error { return ErrReadOnly }
-
-// Delete is not supported: flat snapshots are immutable.
-func (f *FlatTree) Delete(geom.Rect, uint64) error { return ErrReadOnly }
-
-// Update is not supported: flat snapshots are immutable.
+// Insert, InsertBatch, Delete and Update are not supported: flat
+// snapshots are immutable (Adopt makes a mutable tree of one).
+func (f *FlatTree) Insert(geom.Rect, uint64) error            { return ErrReadOnly }
+func (f *FlatTree) InsertBatch([]Record) error                { return ErrReadOnly }
+func (f *FlatTree) Delete(geom.Rect, uint64) error            { return ErrReadOnly }
 func (f *FlatTree) Update(geom.Rect, geom.Rect, uint64) error { return ErrReadOnly }
 
 // Search traverses the snapshot exactly like the source tree's Search;

@@ -103,7 +103,7 @@ func (t *RPlusTree) CheckInvariants() error {
 		if len(n.entries) > t.opts.MaxEntries*maxOverflowChain {
 			return fmt.Errorf("rtree: R+ node %d overfull beyond chain bound (%d)", id, len(n.entries))
 		}
-		if len(n.entries) > t.opts.MaxEntries && len(n.chain) == 0 {
+		if len(n.entries) > t.opts.MaxEntries && n.accessCost() == 1 {
 			return fmt.Errorf("rtree: R+ node %d overfull (%d) without overflow chain", id, len(n.entries))
 		}
 		if n.isLeaf() {

@@ -1,7 +1,9 @@
 // Package rtree implements the three MBR-based access methods the
-// paper evaluates, all storing their nodes on a simulated disk
-// (package pagefile) so that searches have a faithful disk-access
-// count:
+// paper evaluates. A tree constructed over a page file stores its nodes
+// on that simulated disk (package pagefile); one constructed without
+// keeps them decoded in a node arena (arena.go) and charges the same
+// page counts, so searches have a faithful disk-access count either
+// way:
 //
 //   - the original R-tree (Guttman 1984) with quadratic or linear
 //     node splitting,
@@ -47,36 +49,27 @@ type Entry struct {
 // the additional page ids; reading a chained node costs one page read
 // per chain element, which the disk-access accounting reflects.
 type node struct {
-	id      pagefile.PageID
-	chain   []pagefile.PageID // overflow pages (usually empty)
+	id      pagefile.PageID   // page id, or arena slot id
+	chain   []pagefile.PageID // overflow pages of a paged node (usually empty)
 	level   int               // 0 = leaf
 	entries []Entry
 
-	// Flat-backend fields (flat.go). childOff holds the child refs of
-	// internal entries when the node was decoded from a flat snapshot;
-	// cost is the node's recorded page-access cost there. Both are zero
-	// for paged nodes, where Entry.Child and the chain carry the same
-	// information.
-	childOff []uint64
-	cost     uint32
+	// cost is the page-access cost an arena node carries (arena.go,
+	// flat.go): what its paged counterpart costs to read. Zero for paged
+	// nodes, where the chain says the same.
+	cost uint32
 }
 
 func (n *node) isLeaf() bool { return n.level == 0 }
 
-// childRef returns the backend-independent reference of the i-th child:
-// the page id for paged nodes, the node slot ref for flat nodes. Pass
-// it back to the NodeSource the node came from.
-func (n *node) childRef(i int) uint64 {
-	if n.childOff != nil {
-		return n.childOff[i]
-	}
-	return uint64(n.entries[i].Child)
-}
+// childRef returns the reference of the i-th child — a page id or an
+// arena slot id — to pass back to the NodeSource the node came from.
+func (n *node) childRef(i int) uint64 { return uint64(n.entries[i].Child) }
 
 // accessCost is the number of page reads the paged representation of
-// this node costs: 1 plus the overflow chain length. Flat nodes carry
-// the cost recorded at snapshot time, so TraversalStats stay
-// bit-identical across backends.
+// this node costs: 1 plus the overflow chain length. Arena nodes carry
+// that number, so TraversalStats stay bit-identical across
+// representations.
 func (n *node) accessCost() uint64 {
 	if n.cost != 0 {
 		return uint64(n.cost)
@@ -84,16 +77,17 @@ func (n *node) accessCost() uint64 {
 	return 1 + uint64(len(n.chain))
 }
 
-// NodeSource supplies decoded nodes to the shared read path — the
-// traversal core (traverse.go), kNN (nearest.go) and the join engine
-// (join.go) all fetch nodes exclusively through it, so they run
-// unchanged against either backend: the mutable paged working copy
-// (*store) or an immutable flat snapshot (*FlatTree). The method is
-// unexported on purpose: only this package can implement a source,
+// NodeSource supplies nodes to the shared read path — the traversal
+// core (traverse.go), kNN (nearest.go) and the join engine (join.go)
+// all fetch nodes exclusively through it, so they run unchanged against
+// a mutable tree's store (*store: pages or arena) and an immutable
+// checkpoint image (*FlatTree: the arena opened read-only). The method
+// is unexported on purpose: only this package can implement a source,
 // which keeps node ownership and stats accounting in one place.
 type NodeSource interface {
-	// readNodeRef resolves one backend-specific node reference (a page
-	// id, or a flat node ref); 0 is never a valid reference.
+	// readNodeRef resolves one node reference (a page id or an arena
+	// slot id); 0 is never a valid reference. The node may be shared
+	// with other readers and must not be modified.
 	readNodeRef(ref uint64) (*node, error)
 }
 
@@ -128,13 +122,16 @@ func CapacityForPageSize(pageSize int) int {
 	return (pageSize - nodeHeaderSize) / entrySize
 }
 
-// store reads and writes nodes on a page file. Page buffers come from
-// a pool rather than a single shared slice, so any number of readers
-// (concurrent traversals under the trees' read locks) may decode pages
-// at the same time; the pool keeps the steady-state allocation rate at
-// zero.
+// store is where a tree keeps its nodes: on a page file (file set), or
+// decoded in an arena (ar set, arena.go), decided where the tree is
+// constructed — a caller that hands over a pagefile.File gets pages and
+// their cost model, one that does not gets the arena. Page buffers come
+// from a pool rather than a single shared slice, so any number of
+// readers may decode pages at the same time.
 type store struct {
+	pageSpace
 	file pagefile.File
+	ar   *arena
 	cap  int // maximum entries that fit a page
 	bufs sync.Pool
 }
@@ -142,8 +139,9 @@ type store struct {
 func newStore(file pagefile.File) *store {
 	pageSize := file.PageSize()
 	return &store{
-		file: file,
-		cap:  CapacityForPageSize(pageSize),
+		pageSpace: file,
+		file:      file,
+		cap:       CapacityForPageSize(pageSize),
 		bufs: sync.Pool{New: func() any {
 			b := make([]byte, pageSize)
 			return &b
@@ -155,19 +153,29 @@ func (s *store) getBuf() *[]byte  { return s.bufs.Get().(*[]byte) }
 func (s *store) putBuf(b *[]byte) { s.bufs.Put(b) }
 
 func (s *store) allocNode(level int) (*node, error) {
-	id, err := s.file.Alloc()
+	id, err := s.Alloc()
 	if err != nil {
 		return nil, err
 	}
 	return &node{id: id, level: level}, nil
 }
 
-// readNodeRef implements NodeSource on the paged backend.
+// readNodeRef implements NodeSource: the read path's view of a node.
+// On an arena it is the shared node version itself; on pages, a fresh
+// decode.
 func (s *store) readNodeRef(ref uint64) (*node, error) {
+	if s.ar != nil {
+		return s.ar.get(pagefile.PageID(ref))
+	}
 	return s.readNode(pagefile.PageID(ref))
 }
 
+// readNode returns a node the caller may modify and write back: the
+// mutation paths' read.
 func (s *store) readNode(id pagefile.PageID) (*node, error) {
+	if s.ar != nil {
+		return s.ar.checkOut(id, s.cap)
+	}
 	bp := s.getBuf()
 	defer s.putBuf(bp)
 	buf := *bp
@@ -210,6 +218,10 @@ func (s *store) readNode(id pagefile.PageID) (*node, error) {
 }
 
 func (s *store) writeNode(n *node) error {
+	if s.ar != nil {
+		s.ar.install(n, s.cap)
+		return nil
+	}
 	// Size the overflow chain to the entry count.
 	need := (len(n.entries) + s.cap - 1) / s.cap
 	if need < 1 {
@@ -270,12 +282,12 @@ func (s *store) writeNode(n *node) error {
 
 func (s *store) freeNode(n *node) error {
 	for _, pid := range n.chain {
-		if err := s.file.Free(pid); err != nil {
+		if err := s.Free(pid); err != nil {
 			return err
 		}
 	}
 	n.chain = nil
-	return s.file.Free(n.id)
+	return s.Free(n.id)
 }
 
 func readF64(b []byte) float64 {

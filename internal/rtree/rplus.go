@@ -41,10 +41,7 @@ type RPlusTree struct {
 	depth int
 	size  int
 
-	// Cached node-MBR summary (stats.go).
-	statsMu    sync.Mutex
-	stats      *TreeStats
-	statsStale int
+	statsCache // cached node-MBR summary (stats.go)
 }
 
 // ErrUnsplittable reports that a node overflowed and no cut line can
@@ -63,10 +60,20 @@ func worldRect() geom.Rect {
 // experimental setting (minimal number of rectangle splits as the cost
 // function) is built in.
 func NewRPlus(file pagefile.File, opts Options) (*RPlusTree, error) {
-	st := newStore(file)
+	return newRPlus(newStore(file), opts)
+}
+
+// NewRPlusArena creates an R+-tree that keeps its nodes decoded in
+// memory and charges accesses at the node capacity of pageSize (see
+// NewArena).
+func NewRPlusArena(pageSize int, opts Options) (*RPlusTree, error) {
+	return newRPlus(newArenaStore(pageSize, make([]node, arenaMinSlots), 1), opts)
+}
+
+func newRPlus(st *store, opts Options) (*RPlusTree, error) {
 	opts = opts.withDefaults(st.cap)
 	if opts.MaxEntries < 4 {
-		return nil, fmt.Errorf("rtree: page size %d too small for an R+ node", file.PageSize())
+		return nil, fmt.Errorf("rtree: page size too small for an R+ node (capacity %d)", opts.MaxEntries)
 	}
 	root, err := st.allocNode(0)
 	if err != nil {
@@ -102,11 +109,11 @@ func (t *RPlusTree) Height() int {
 // than the covering propagation sets.
 func (t *RPlusTree) CoveringNodeRects() bool { return false }
 
-// IOStats returns the underlying page file counters.
-func (t *RPlusTree) IOStats() pagefile.Stats { return t.st.file.Stats() }
+// IOStats returns the page counters of the tree's store.
+func (t *RPlusTree) IOStats() pagefile.Stats { return t.st.Stats() }
 
-// ResetIOStats zeroes the underlying page file counters.
-func (t *RPlusTree) ResetIOStats() { t.st.file.ResetStats() }
+// ResetIOStats zeroes those counters.
+func (t *RPlusTree) ResetIOStats() { t.st.ResetStats() }
 
 // Bounds returns the MBR of the stored data rectangles.
 func (t *RPlusTree) Bounds() (geom.Rect, bool) {
@@ -133,33 +140,7 @@ func (t *RPlusTree) Bounds() (geom.Rect, bool) {
 // Insert registers the rectangle in every leaf whose region its
 // interior intersects.
 func (t *RPlusTree) Insert(r geom.Rect, oid uint64) error {
-	if !r.Valid() {
-		return fmt.Errorf("rtree: inserting degenerate rect %v", r)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pieces, err := t.insertRec(t.root, worldRect(), Entry{Rect: r, OID: oid})
-	if err != nil {
-		return err
-	}
-	// A split of the root yields several pieces: grow the tree.
-	for len(pieces) > 1 {
-		level := t.depth // old depth == old root level + 1
-		newRoot, err := t.st.allocNode(level)
-		if err != nil {
-			return err
-		}
-		newRoot.entries = pieces
-		t.root = newRoot.id
-		t.depth++
-		pieces, err = t.normalize(newRoot, worldRect())
-		if err != nil {
-			return err
-		}
-	}
-	t.size++
-	t.noteMutations(1)
-	return nil
+	return t.InsertBatch([]Record{{Rect: r, OID: oid}})
 }
 
 // InsertBatch inserts a batch of rectangles under one lock
@@ -170,7 +151,7 @@ func (t *RPlusTree) Insert(r geom.Rect, oid uint64) error {
 func (t *RPlusTree) InsertBatch(recs []Record) error {
 	for _, r := range recs {
 		if !r.Rect.Valid() {
-			return fmt.Errorf("rtree: bulk loading degenerate rect %v", r.Rect)
+			return fmt.Errorf("rtree: inserting degenerate rect %v", r.Rect)
 		}
 	}
 	t.mu.Lock()
@@ -180,8 +161,9 @@ func (t *RPlusTree) InsertBatch(recs []Record) error {
 		if err != nil {
 			return err
 		}
+		// A split of the root yields several pieces: grow the tree.
 		for len(pieces) > 1 {
-			level := t.depth
+			level := t.depth // old depth == old root level + 1
 			newRoot, err := t.st.allocNode(level)
 			if err != nil {
 				return err

@@ -11,8 +11,8 @@ import (
 )
 
 // Tree is an R-tree (Guttman 1984) or, depending on Options, an
-// R*-tree (Beckmann et al. 1990). Nodes live on a pagefile; the zero
-// value is not usable — construct with New, NewRTree or NewRStar.
+// R*-tree (Beckmann et al. 1990). Nodes live on a pagefile (New, Open)
+// or in a decoded arena (NewArena, Adopt); the zero value is not usable.
 //
 // A Tree is safe for concurrent use and its readers never block behind
 // writers: searches pin an immutable published snapshot of the tree,
@@ -44,10 +44,7 @@ type Tree struct {
 	oldest     *snapshot  // head of the retirement queue
 	reclaimErr error      // first deferred-free failure, surfaced on the next mutation
 
-	// Cached node-MBR summary (stats.go).
-	statsMu    sync.Mutex
-	stats      *TreeStats
-	statsStale int // mutations absorbed since the summary was collected
+	statsCache // cached node-MBR summary (stats.go)
 }
 
 // ErrNotFound is returned by Delete when no matching entry exists.
@@ -55,10 +52,20 @@ var ErrNotFound = errors.New("rtree: entry not found")
 
 // New creates a tree with explicit options over the given page file.
 func New(file pagefile.File, opts Options, name string) (*Tree, error) {
-	st := newStore(file)
+	return newTree(newStore(file), opts, name)
+}
+
+// NewArena creates a tree that keeps its nodes decoded in memory
+// (arena.go) and charges accesses at the node capacity of pageSize:
+// answers, TraversalStats and IOStats equal New's over such a file.
+func NewArena(pageSize int, opts Options, name string) (*Tree, error) {
+	return newTree(newArenaStore(pageSize, make([]node, arenaMinSlots), 1), opts, name)
+}
+
+func newTree(st *store, opts Options, name string) (*Tree, error) {
 	opts = opts.withDefaults(st.cap)
 	if opts.MaxEntries < 4 {
-		return nil, fmt.Errorf("rtree: page size %d too small (capacity %d)", file.PageSize(), opts.MaxEntries)
+		return nil, fmt.Errorf("rtree: page size too small (capacity %d)", opts.MaxEntries)
 	}
 	root, err := st.allocNode(0)
 	if err != nil {
@@ -109,7 +116,7 @@ func (t *Tree) Height() int {
 func (t *Tree) Bounds() (geom.Rect, bool) {
 	s := t.acquire()
 	defer t.release(s)
-	root, err := t.st.readNode(s.root)
+	root, err := t.st.readNodeRef(uint64(s.root))
 	if err != nil || len(root.entries) == 0 {
 		return geom.Rect{}, false
 	}
@@ -121,11 +128,11 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 // reports false).
 func (t *Tree) CoveringNodeRects() bool { return true }
 
-// IOStats returns the underlying page file counters.
-func (t *Tree) IOStats() pagefile.Stats { return t.st.file.Stats() }
+// IOStats returns the page counters of the tree's store.
+func (t *Tree) IOStats() pagefile.Stats { return t.st.Stats() }
 
-// ResetIOStats zeroes the underlying page file counters.
-func (t *Tree) ResetIOStats() { t.st.file.ResetStats() }
+// ResetIOStats zeroes those counters.
+func (t *Tree) ResetIOStats() { t.st.ResetStats() }
 
 // Insert adds a rectangle with an object id. The rectangle must be
 // non-degenerate (the paper's MBR constraint). The insertion becomes

@@ -80,7 +80,7 @@ func (t *Tree) release(s *snapshot) {
 func (t *Tree) reclaimLocked() {
 	for t.oldest != t.cur && t.oldest.refs == 0 {
 		for _, id := range t.oldest.freed {
-			if err := t.st.file.Free(id); err != nil && t.reclaimErr == nil {
+			if err := t.st.Free(id); err != nil && t.reclaimErr == nil {
 				// Surface the failure on the next mutation rather than
 				// in whatever reader happened to trigger reclamation.
 				t.reclaimErr = err
@@ -135,7 +135,7 @@ func (t *Tree) publishLocked() {
 // whose pages were never touched. Caller holds t.mu.
 func (t *Tree) rollbackLocked() {
 	for id := range t.fresh {
-		_ = t.st.file.Free(id)
+		_ = t.st.Free(id)
 	}
 	clear(t.fresh)
 	t.retired = nil
@@ -159,7 +159,7 @@ func (t *Tree) shadowNode(n *node) error {
 	if !t.inMutation() || t.fresh[n.id] {
 		return nil
 	}
-	id, err := t.st.file.Alloc()
+	id, err := t.st.Alloc()
 	if err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ func TestSnapshotReaderDoesNotBlockWriter(t *testing.T) {
 	}{
 		{"rtree", func() (*Tree, error) { return NewRTree(pagefile.NewMemFile(testPageSize)) }},
 		{"rstar", func() (*Tree, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) }},
+		{"rstar-arena", func() (*Tree, error) { return newTestArenaRStar() }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			tree, err := mk.make()
@@ -229,12 +230,31 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 // query while a writer inserts. Each reader's observed sizes must be
 // monotonically non-decreasing (snapshots are published in insertion
 // order) and every search must be internally consistent (count equals
-// distinct OIDs seen).
+// distinct OIDs seen). The arena leg is what catches a reader that can
+// reach a slot being installed, or a slot table being grown (it starts
+// at 64 slots): either is a data race the detector reports.
 func TestSnapshotConcurrentReadersAndWriter(t *testing.T) {
-	tree, err := NewRStar(pagefile.NewMemFile(testPageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("paged", func(t *testing.T) {
+		tree, err := NewRStar(pagefile.NewMemFile(testPageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readersBesideWriter(t, tree)
+	})
+	t.Run("arena", func(t *testing.T) {
+		tree, err := newTestArenaRStar()
+		if err != nil {
+			t.Fatal(err)
+		}
+		readersBesideWriter(t, tree)
+	})
+}
+
+func newTestArenaRStar() (*Tree, error) {
+	return NewArena(testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
+}
+
+func readersBesideWriter(t *testing.T, tree *Tree) {
 	const total = 400
 	rng := rand.New(rand.NewSource(41))
 	rects := make([]geom.Rect, total)

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"sync"
 
 	"mbrtopo/internal/geom"
 )
@@ -418,66 +419,62 @@ func staleLimit(entries int) int {
 	return 100
 }
 
-// Stats returns the tree's node-MBR summary, recollecting it when the
-// cached copy has gone stale. The collection walk pins the published
-// snapshot and runs outside statsMu, so it never blocks writers (two
-// racing collectors both store a fresh summary — harmless).
-func (t *Tree) Stats() (*TreeStats, error) {
-	t.statsMu.Lock()
-	if t.stats != nil && t.statsStale <= staleLimit(t.stats.Entries) {
-		st := t.stats.Clone()
-		t.statsMu.Unlock()
-		return st, nil
+// statsCache is a mutable tree's cached node-MBR summary and the number
+// of mutations it has absorbed since it was collected. A published
+// summary is never modified, only replaced.
+type statsCache struct {
+	statsMu    sync.Mutex
+	stats      *TreeStats
+	statsStale int
+}
+
+// cachedStats returns the summary, recollecting it when there is none
+// or the cached copy has gone stale. collect runs outside statsMu —
+// writers bump the staleness counter under it while holding their own
+// lock, so nesting the two the other way around would deadlock — and
+// two racing collectors both store a fresh summary, which is harmless.
+func (c *statsCache) cachedStats(collect func() (*TreeStats, error)) (*TreeStats, error) {
+	c.statsMu.Lock()
+	st := c.stats
+	fresh := st != nil && c.statsStale <= staleLimit(st.Entries)
+	c.statsMu.Unlock()
+	if !fresh {
+		var err error
+		if st, err = collect(); err != nil {
+			return nil, err
+		}
+		c.statsMu.Lock()
+		c.stats, c.statsStale = st, 0
+		c.statsMu.Unlock()
 	}
-	t.statsMu.Unlock()
-	s := t.acquire()
-	st, err := collectStats(t.st, uint64(s.root), s.size, s.depth)
-	t.release(s)
-	if err != nil {
-		return nil, err
-	}
-	t.statsMu.Lock()
-	t.stats, t.statsStale = st, 0
-	t.statsMu.Unlock()
 	return st.Clone(), nil
 }
 
 // noteMutations bumps the staleness counter by n applied mutations.
-func (t *Tree) noteMutations(n int) {
-	t.statsMu.Lock()
-	t.statsStale += n
-	t.statsMu.Unlock()
+func (c *statsCache) noteMutations(n int) {
+	c.statsMu.Lock()
+	c.statsStale += n
+	c.statsMu.Unlock()
+}
+
+// Stats returns the tree's node-MBR summary. The collection walk pins
+// the published snapshot, so it never blocks writers.
+func (t *Tree) Stats() (*TreeStats, error) {
+	return t.cachedStats(func() (*TreeStats, error) {
+		s := t.acquire()
+		defer t.release(s)
+		return collectStats(t.st, uint64(s.root), s.size, s.depth)
+	})
 }
 
 // Stats returns the R+-tree's node-MBR summary (same contract as
-// Tree.Stats). The collection walk runs under the read lock, outside
-// statsMu — writers bump the staleness counter under statsMu while
-// holding the write lock, so nesting the two the other way around
-// here would deadlock.
+// Tree.Stats). The collection walk runs under the read lock.
 func (t *RPlusTree) Stats() (*TreeStats, error) {
-	t.statsMu.Lock()
-	if t.stats != nil && t.statsStale <= staleLimit(t.stats.Entries) {
-		st := t.stats.Clone()
-		t.statsMu.Unlock()
-		return st, nil
-	}
-	t.statsMu.Unlock()
-	t.mu.RLock()
-	st, err := collectStats(t.st, uint64(t.root), t.size, t.depth)
-	t.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	t.statsMu.Lock()
-	t.stats, t.statsStale = st, 0
-	t.statsMu.Unlock()
-	return st.Clone(), nil
-}
-
-func (t *RPlusTree) noteMutations(n int) {
-	t.statsMu.Lock()
-	t.statsStale += n
-	t.statsMu.Unlock()
+	return t.cachedStats(func() (*TreeStats, error) {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		return collectStats(t.st, uint64(t.root), t.size, t.depth)
+	})
 }
 
 // Stats returns the flat snapshot's summary, computed lazily in one

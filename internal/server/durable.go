@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,8 +26,8 @@ import (
 //	              CRC32-C checksums; replaced atomically (tmp + rename)
 //	N.wal.<gen>   the mutations applied since checkpoint <gen>
 //
-// The mutable tree lives on an in-memory page file, exactly like a
-// non-durable index; nothing on disk is ever modified in place.
+// The mutable tree lives in memory, exactly like a non-durable index;
+// nothing on disk is ever modified in place.
 // Mutations apply to the tree and append to the WAL before the 200 is
 // written. The generation in the image header names the one log that
 // continues it, so a crash between the rename and the old log's
@@ -285,13 +286,24 @@ func (d *durable) checkpoint(inst *Instance) error {
 	return nil
 }
 
-// materialise builds a mutable tree holding exactly the entries of a
-// validated checkpoint image: one InsertBatch into an empty tree, which
-// STR-packs an R-/R*-tree (collecting planner statistics on the way)
-// and runs the locked insert loop on an R+-tree.
+// materialise turns a validated checkpoint image into the mutable tree
+// it was taken from (WAL recovery, first mutation on an image-served
+// index, follower bootstrap). The tree adopts the image's nodes — one
+// slot-table copy, every node version shared — so its shape, and every
+// query's node accesses, are the checkpointed tree's. Only an image
+// written under another -pagesize, whose nodes do not fit their recorded
+// page cost, is rebuilt from its entries by one InsertBatch.
 func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, error) {
-	idx, err := newTree(spec)
-	if err != nil {
+	idx, err := index.Adopt(spec.Kind, spec.PageSize, flat)
+	if err == nil {
+		log.Printf("server: index %q: adopted the checkpoint image of generation %d as the working tree", spec.Name, flat.Generation())
+		return idx, nil
+	}
+	if !errors.Is(err, rtree.ErrNodeCapacity) {
+		return nil, err
+	}
+	log.Printf("server: index %q: rebuilding the working tree from the checkpoint image's entries: %v", spec.Name, err)
+	if idx, err = newTree(spec); err != nil {
 		return nil, err
 	}
 	if recs := flatRecords(flat, spec.Kind == index.KindRPlus); len(recs) > 0 {
@@ -303,22 +315,19 @@ func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, error) {
 }
 
 // flatRecords extracts the (rect, oid) entries of a checkpoint image
-// for reloading into a fresh tree. An R+-tree registers one object in
-// every leaf its interior reaches, so there dedup keeps one copy of
-// each (rect, oid); the other kinds keep entries verbatim.
+// for materialise's rebuild. An R+-tree registers one object in every
+// leaf its interior reaches, so there dedup keeps one copy of each
+// (rect, oid); the other kinds keep entries verbatim.
 func flatRecords(flat *rtree.FlatTree, dedup bool) []rtree.Record {
 	all := func(geom.Rect) bool { return true }
 	recs := make([]rtree.Record, 0, flat.Len())
-	var seen map[rtree.Record]struct{}
-	if dedup {
-		seen = make(map[rtree.Record]struct{}, flat.Len())
-	}
+	seen := make(map[rtree.Record]struct{})
 	_ = flat.Search(all, all, func(r geom.Rect, oid uint64) bool {
 		rec := rtree.Record{Rect: r, OID: oid}
+		if _, dup := seen[rec]; dedup && dup {
+			return true
+		}
 		if dedup {
-			if _, dup := seen[rec]; dup {
-				return true
-			}
 			seen[rec] = struct{}{}
 		}
 		recs = append(recs, rec)
@@ -329,9 +338,9 @@ func flatRecords(flat *rtree.FlatTree, dedup bool) []rtree.Record {
 
 // workingTreeLocked returns the tree mutations apply to. An index that
 // booted from a quiet checkpoint serves its image and owns no tree
-// until the first mutation asks for one here — a one-off stall of about
-// one bulk load, paid by that write instead of by every read-only
-// reboot. The image is immutable, so the read path moves to the tree
+// until the first mutation asks for one here; the tree adopts the
+// image's nodes (materialise), which costs that write one slot-table
+// copy. The image is immutable, so the read path moves to the tree
 // before the mutation is applied. Caller holds the mutation lock.
 func (inst *Instance) workingTreeLocked() (index.Index, error) {
 	if inst.Idx != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -573,10 +574,13 @@ func TestBootTable(t *testing.T) {
 
 // TestFirstMutationMaterialises pins the lazy working tree: an index
 // booted from a quiet checkpoint owns no tree; the first mutation
-// builds one from the image and moves the read path onto it before it
-// is acknowledged, so reads never see a stale image — and the next
+// adopts the image's nodes as one and moves the read path onto it before
+// it is acknowledged, so reads never see a stale image — and the next
 // checkpoint publishes an image that includes the mutation, making the
-// following boot flat again.
+// following boot flat again. The cost of that first mutation is asserted
+// on structure, not on a clock: the tree wrote only the nodes on the
+// mutation's own path, and every other node it serves is the image's
+// node object itself.
 func TestFirstMutationMaterialises(t *testing.T) {
 	for _, kind := range index.AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -605,6 +609,7 @@ func TestFirstMutationMaterialises(t *testing.T) {
 				{Op: wal.OpInsert, OID: 9001, Rect: geom.R(10, 10, 12, 12)},
 				{Op: wal.OpDelete, OID: d.Items[5].OID, Rect: d.Items[5].Rect},
 			}
+			image := inst.ReadIndex().(*rtree.FlatTree)
 			for i, m := range muts {
 				if err := mutate(inst, m); err != nil {
 					t.Fatalf("%s on a flat-booted index: %v", m.Op, err)
@@ -614,6 +619,21 @@ func TestFirstMutationMaterialises(t *testing.T) {
 					t.Fatal("read path still on the checkpoint image after a mutation")
 				}
 				assertSameAnswers(t, "after mutation", inst.ReadIndex(), groundTruth(t, d.Items, muts[:i+1]))
+				if i > 0 {
+					continue
+				}
+				// One insert into an adopted tree: a root-to-leaf path (every
+				// leaf the rectangle reaches, on an R+-tree) and at most a
+				// split per level were written, against one write per node
+				// for a bulk load; the rest is shared with the image.
+				touched := uint64(3 * image.Height())
+				shared, total := image.NodesSharedWith(inst.Idx)
+				if w := inst.Idx.IOStats().Writes; w == 0 || w > touched || total < 20 {
+					t.Fatalf("first mutation wrote %d pages of a %d-node tree, want 1..%d", w, total, touched)
+				}
+				if uint64(total-shared) > touched {
+					t.Fatalf("tree shares %d of the image's %d nodes after one insert, want all but %d", shared, total, touched)
+				}
 			}
 			if err := srv2.Close(); err != nil {
 				t.Fatal(err)
@@ -629,6 +649,69 @@ func TestFirstMutationMaterialises(t *testing.T) {
 				t.Fatalf("post-mutation reboot backend = %q, want flat (%s)", inst3.Backend(), inst3.FailReason())
 			}
 			assertSameAnswers(t, "flat reboot with mutations", inst3.ReadIndex(), groundTruth(t, d.Items, muts))
+		})
+	}
+}
+
+// TestMaterialiseOtherPageSize covers the one image materialise does not
+// adopt: written under a larger -pagesize, its nodes hold more entries
+// than a page of the configured size, so charging them one access each
+// would misstate the paged cost. The working tree is then rebuilt from
+// the image's entries, shares no node with it, and satisfies the fill
+// invariants of the configured size; the log says which path ran. The
+// other way round — a smaller -pagesize's nodes fit — adopts.
+func TestMaterialiseOtherPageSize(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		written, booted int
+		adopted         bool
+		logged          string
+	}{
+		{"image of a larger page size is rebuilt", 2008, 512, false, "rebuilding the working tree"},
+		{"image of a smaller page size is adopted", 512, 2008, true, "adopted the checkpoint image"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := workload.NewDataset(workload.Medium, 400, 0, 29)
+			spec := IndexSpec{Name: "main", Kind: index.KindRStar, PageSize: tc.written, Dir: t.TempDir(), Fsync: wal.SyncNever}
+			srv := New(Config{})
+			if _, err := srv.AddIndex(spec, d.Items); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			spec.PageSize = tc.booted
+			srv2 := New(Config{})
+			inst, err := srv2.AddIndex(spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			if inst.Backend() != "flat" {
+				t.Fatalf("backend %q (%s), want flat: the image itself is valid at any page size", inst.Backend(), inst.FailReason())
+			}
+			image := inst.ReadIndex().(*rtree.FlatTree)
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			added := wal.Record{Op: wal.OpInsert, OID: 9001, Rect: geom.R(10, 10, 12, 12)}
+			if err := mutate(inst, added); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(logged.String(), tc.logged) {
+				t.Errorf("log %q does not say %q", logged.String(), tc.logged)
+			}
+			shared, total := image.NodesSharedWith(inst.Idx)
+			if tc.adopted != (shared > 0) {
+				t.Fatalf("tree shares %d of the image's %d nodes, adoption expected: %v", shared, total, tc.adopted)
+			}
+			if !tc.adopted {
+				if err := inst.Idx.(*rtree.Tree).CheckInvariants(); err != nil {
+					t.Fatalf("rebuilt tree: %v", err)
+				}
+			}
+			assertSameAnswers(t, "after mutation", inst.ReadIndex(), groundTruth(t, d.Items, []wal.Record{added}))
 		})
 	}
 }
@@ -788,7 +871,11 @@ func TestGenerationInFlatHeader(t *testing.T) {
 	if err := srv.Close(); err != nil { // close checkpoints again
 		t.Fatal(err)
 	}
-	flat, err := index.OpenFlat(filepath.Join(dir, "g.flat"))
+	data, err := os.ReadFile(filepath.Join(dir, "g.flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := rtree.OpenFlatBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/shard"
@@ -480,10 +479,10 @@ func (inst *Instance) serve(idx index.Index) {
 	inst.view.Store(newReadView(idx))
 }
 
-// newTree creates an empty tree of the spec's kind on an in-memory page
-// file.
+// newTree creates an empty tree of the spec's kind: nodes decoded in
+// memory, accesses charged at the spec's page size. No page file.
 func newTree(spec IndexSpec) (index.Index, error) {
-	return index.NewOnFile(spec.Kind, pagefile.NewMemFile(spec.PageSize))
+	return index.NewWithPageSize(spec.Kind, spec.PageSize)
 }
 
 // loadItems builds the initial tree from items, through InsertBatch

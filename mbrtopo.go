@@ -15,9 +15,10 @@
 //     machinery: candidate sets, intermediate-node propagation,
 //     refinement-free configurations, conceptual-neighbourhood
 //     expansion for non-crisp MBRs (packages interval, mbr);
-//   - three access methods over a simulated page file with disk-access
-//     accounting: R-tree, R+-tree, R*-tree (packages rtree, pagefile,
-//     index);
+//   - three access methods with disk-access accounting — R-tree,
+//     R+-tree, R*-tree — on a simulated page file or, in memory, on a
+//     decoded node arena charging the same page reads (packages rtree,
+//     pagefile, index);
 //   - a query processor implementing the paper's 4-step strategy,
 //     disjunctive queries, and two-reference conjunctions with
 //     composition-based empty-result detection (package query).
@@ -210,8 +211,9 @@ type Network = topo.Network
 // NewNetwork creates a constraint network of n region variables.
 func NewNetwork(n int) *Network { return topo.NewNetwork(n) }
 
-// NewRTree creates an R-tree (Guttman, quadratic split, m=40%) over an
-// in-memory simulated disk with the paper's 50-entry pages.
+// NewRTree creates an in-memory R-tree (Guttman, quadratic split,
+// m=40%) charging node accesses at the paper's 50-entry pages. Use
+// NewIndexOnFile to put a tree on an actual page file.
 func NewRTree() (Index, error) { return index.New(index.KindRTree) }
 
 // NewRPlus creates an R+-tree (Sellis et al., minimal-split cost).

@@ -8,10 +8,12 @@
 # asserts the restart replays the whole batch. A fourth leg bulk-loads
 # two indexes, streams a meet+overlap /v1/join, checks the pair count
 # against topoquery ground truth, and asserts 429 under saturation. A
-# fifth leg checkpoints a durable topod, asserts the data directory
-# holds exactly main.flat + one main.wal.<gen>, kill -9s an idle
-# restart, and asserts the next boot serves the checkpoint image
-# (backend=flat) with the same answers — then corrupts the image and
+# fifth leg checkpoints a durable topod grown insert by insert, asserts
+# the data directory holds exactly main.flat + one main.wal.<gen>,
+# asserts the next boot serves the checkpoint image (backend=flat) with
+# the same answers and that its first /v1/insert leaves the height and a
+# fixed query's node_accesses where the first process had them (the
+# working tree adopts the image) — then corrupts the image and
 # asserts the next boot answers 503 with the reason and counts the
 # checksum failure instead of guessing. A sixth leg subscribes
 # topoquery -watch to a durable topod, mutates through /v1/insert and
@@ -376,9 +378,13 @@ echo "smoke OK: /v1/join matched topoquery ground truth + 429 under saturation"
 # ---- flat-boot leg: checkpoint, kill -9, boot from the checkpoint
 # image; then corrupt it and assert a 503 with the reason ----
 
+# The first boot grows the R*-tree one insert at a time (no -bulk), so
+# its shape — forced reinsertion and all — is one no bulk load of the
+# same objects reproduces: the adoption check below can tell the
+# checkpointed tree from a rebuild.
 LOG7="$(mktemp)"
 DATADIR3="$(mktemp -d)"
-"$TOPOD" -gen 1500 -bulk -tree rstar -data-dir "$DATADIR3" -fsync always \
+"$TOPOD" -gen 1500 -tree rstar -data-dir "$DATADIR3" -fsync always \
   -addr 127.0.0.1:0 >"$LOG7" 2>&1 &
 PID5=$!
 
@@ -393,8 +399,14 @@ wait_ready "$BASE5" || { echo "smoke: flat-leg topod never became ready" >&2; ex
 # Baseline answer set, then a clean SIGTERM: the shutdown checkpoint
 # publishes the image and leaves a quiet WAL of its generation.
 FLATQ='{"relations":["not_disjoint"],"ref":[100,100,400,400]}'
+flat_accesses() { curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -o '"node_accesses":[0-9]*' | tail -1; }
+flat_height() { curl -sf "$BASE5/v1/indexes" | grep -o '"height":[0-9]*' | head -1; }
 BASELINE="$(curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -c '"oid"')"
 [ "$BASELINE" -gt 0 ] || { echo "smoke: flat-leg baseline query empty" >&2; exit 1; }
+ACCESSES0="$(flat_accesses)"
+HEIGHT0="$(flat_height)"
+[ -n "$ACCESSES0" ] && [ -n "$HEIGHT0" ] \
+  || { echo "smoke: flat-leg baseline has no node_accesses trailer or height" >&2; exit 1; }
 kill -TERM "$PID5"
 wait "$PID5" || { echo "smoke: flat-leg topod failed clean shutdown" >&2; cat "$LOG7" >&2; exit 1; }
 [ -s "$DATADIR3/main.flat" ] \
@@ -405,8 +417,8 @@ FILES="$(ls "$DATADIR3" | tr '\n' ' ')"
 echo "$FILES" | grep -Eq '^main\.flat main\.wal\.[0-9]+ $' \
   || { echo "smoke: data dir holds [$FILES], want exactly main.flat + one main.wal.<gen>" >&2; exit 1; }
 
-# kill -9 an idle restart (no mutations: the WAL stays quiet), then
-# boot again: the first query must be answered from the image.
+# Boot again from the directory alone (the quiet WAL makes it a flat
+# boot): the first query must be answered from the image.
 LOG8="$(mktemp)"
 "$TOPOD" -gen 1500 -bulk -tree rstar -data-dir "$DATADIR3" -fsync always \
   -addr 127.0.0.1:0 >"$LOG8" 2>&1 &
@@ -426,6 +438,19 @@ FLATCOUNT="$(curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -c '"oid"')"
 MET5="$(curl -sf "$BASE5/metrics")"
 echo "$MET5" | grep -q '^topod_index_backend{index="main",backend="flat"} 1' \
   || { echo "smoke: /metrics missing the flat backend gauge" >&2; exit 1; }
+# The first mutation after a flat boot adopts the image as the working
+# tree. An insert far from the query window must leave the tree what the
+# first process checkpointed: same height, same node accesses for the
+# same query. A working tree rebuilt from the image's entries would be
+# STR-packed and read a different number of nodes.
+[ "$(flat_accesses)" = "$ACCESSES0" ] \
+  || { echo "smoke: the image answers with $(flat_accesses), the tree it was taken from with $ACCESSES0" >&2; exit 1; }
+curl -sf -o /dev/null -d '{"oid":900001,"rect":[990,990,991,991]}' "$BASE5/v1/insert" \
+  || { echo "smoke: insert after a flat boot failed" >&2; exit 1; }
+[ "$(flat_accesses)" = "$ACCESSES0" ] && [ "$(flat_height)" = "$HEIGHT0" ] \
+  || { echo "smoke: after the first insert on a flat boot: $(flat_accesses) $(flat_height), want $ACCESSES0 $HEIGHT0 (the adopted tree is not the checkpointed tree)" >&2; exit 1; }
+grep -q 'adopted the checkpoint image' "$LOG8" \
+  || { echo "smoke: topod did not log that it adopted the image" >&2; cat "$LOG8" >&2; exit 1; }
 kill -9 "$PID5"
 wait "$PID5" 2>/dev/null || true
 
@@ -472,7 +497,7 @@ if ! wait "$PID5"; then
   exit 1
 fi
 
-echo "smoke OK: two-file data dir, flat boot after kill -9, 503 with the reason on corruption"
+echo "smoke OK: two-file data dir, flat boot, first insert adopts the checkpointed tree, 503 with the reason on corruption"
 
 # ---- watch leg: topoquery -watch streams live events from a durable
 # topod; single inserts, a bulk batch, and a delete must each arrive,
