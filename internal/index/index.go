@@ -16,7 +16,7 @@ import (
 )
 
 // TraversalStats is the per-traversal work accounting returned by
-// SearchCtx and NearestCtx: exact for the one traversal that produced
+// SearchHits and NearestCtx: exact for the one traversal that produced
 // it, no matter how many queries run concurrently (unlike IOStats,
 // which aggregates globally across the whole page file).
 type TraversalStats = rtree.TraversalStats
@@ -37,15 +37,19 @@ type Index interface {
 	Delete(r geom.Rect, oid uint64) error
 	// Update moves an object to a new rectangle (delete + insert).
 	Update(oldRect, newRect geom.Rect, oid uint64) error
-	// Search traverses the structure, descending into internal entries
-	// whose rectangles satisfy nodePred and emitting leaf entries whose
-	// rectangles satisfy leafPred. Implementations with duplicate
-	// entries (R+-tree) may emit the same object several times.
-	Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error
-	// SearchCtx is Search with context cancellation and exact
-	// per-traversal IO accounting. On cancellation it returns ctx.Err()
-	// with the stats accumulated so far.
+	// SearchHits traverses the structure, descending into internal
+	// entries whose rectangles satisfy nodePred and emitting leaf entries
+	// whose rectangles satisfy leafPred, until emit returns false.
+	// Implementations with duplicate entries (R+-tree) may emit the same
+	// object several times. It is the one traversal entry point: context
+	// cancellation (ctx.Err() with the stats accumulated so far), exact
+	// per-traversal IO accounting, and leaf hits that can hand over their
+	// rectangle's wire text (rtree.Hit.Text) to an emit that asks for it.
+	SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (TraversalStats, error)
+	// SearchCtx is SearchHits for an emit that takes the rectangle and
+	// the object id, and Search is SearchCtx without context or stats.
 	SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error)
+	Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error
 	// Len returns the number of distinct stored objects.
 	Len() int
 	// Height returns the number of levels.

@@ -121,20 +121,27 @@ func (s ConfigSet) Configs() []Config {
 // XRelations returns the set of x-axis interval relations appearing in
 // the set, and similarly YRelations for the y axis.
 func (s ConfigSet) XRelations() interval.Set {
-	var out interval.Set
-	for _, c := range s.Configs() {
-		out = out.Add(c.X)
-	}
-	return out
+	xs, _ := s.axes()
+	return xs
 }
 
 // YRelations returns the y-axis interval relations appearing in s.
 func (s ConfigSet) YRelations() interval.Set {
-	var out interval.Set
-	for _, c := range s.Configs() {
-		out = out.Add(c.Y)
+	_, ys := s.axes()
+	return ys
+}
+
+// axes projects the set on both axes by walking its set bits: a
+// predicate builder calls this on every query, so it must not
+// materialise Configs().
+func (s ConfigSet) axes() (xs, ys interval.Set) {
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			c := ConfigFromIndex(w<<6 + bits.TrailingZeros64(word))
+			xs, ys = xs.Add(c.X), ys.Add(c.Y)
+		}
 	}
-	return out
+	return xs, ys
 }
 
 // String renders the set as "{R1_1 R1_2 ...}"; large sets are

@@ -90,7 +90,10 @@ type AxisDom struct {
 // axisDomFor unions the sign masks of every relation in the set.
 func axisDomFor(rs interval.Set) AxisDom {
 	var d AxisDom
-	for _, r := range rs.Relations() {
+	for r := interval.Relation(1); r <= interval.NumRelations; r++ {
+		if !rs.Has(r) {
+			continue
+		}
 		v := relSigns[r-1]
 		for i := range d.m {
 			d.m[i] |= v[i]
@@ -125,10 +128,8 @@ type Domination struct {
 // interval-relation sets and builds the sign masks. The result is
 // sound for cs: cs.Has(ConfigOf(p, q)) implies Admits(p, q).
 func DominationFor(cs ConfigSet) Domination {
-	return Domination{
-		X: axisDomFor(cs.XRelations()),
-		Y: axisDomFor(cs.YRelations()),
-	}
+	xs, ys := cs.axes()
+	return Domination{X: axisDomFor(xs), Y: axisDomFor(ys)}
 }
 
 // Admits reports whether p can stand in one of the set's

@@ -1,6 +1,7 @@
 package mbr
 
 import (
+	"math/rand"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -359,4 +360,45 @@ func TestConfigSetOps(t *testing.T) {
 	if got := Candidates(topo.CoveredBy).YRelations(); got != coveredByAxes {
 		t.Fatalf("YRelations = %v", got)
 	}
+}
+
+// TestAxisRelationsWalkBits: XRelations and YRelations are the
+// projections of Configs() bit for bit — on every Table 1 row, its
+// propagation, the empty, full and single-member sets, and random ones
+// — without materialising it: a query builds its predicates from them
+// (DominationFor) and must not allocate doing so.
+func TestAxisRelationsWalkBits(t *testing.T) {
+	sets := []ConfigSet{{}, FullConfigSet()}
+	for _, r := range topo.All() {
+		sets = append(sets, Candidates(r), Propagation(Candidates(r)), CandidatesNonContiguous(r))
+	}
+	for i := 0; i < NumConfigs; i++ {
+		sets = append(sets, NewConfigSet(ConfigFromIndex(i)))
+	}
+	rng := rand.New(rand.NewSource(1995))
+	for i := 0; i < 200; i++ {
+		var s ConfigSet
+		for n := rng.Intn(40); n > 0; n-- {
+			s.Add(ConfigFromIndex(rng.Intn(NumConfigs)))
+		}
+		sets = append(sets, s)
+	}
+	for _, s := range sets {
+		var xs, ys interval.Set
+		for _, c := range s.Configs() {
+			xs, ys = xs.Add(c.X), ys.Add(c.Y)
+		}
+		if gx, gy := s.XRelations(), s.YRelations(); gx != xs || gy != ys {
+			t.Fatalf("%v: axes %v × %v, want %v × %v", s, gx, gy, xs, ys)
+		}
+	}
+	var sink Domination
+	full := FullConfigSet()
+	if n := testing.AllocsPerRun(100, func() {
+		sink = DominationFor(full)
+		_, _ = full.XRelations(), full.YRelations()
+	}); n != 0 {
+		t.Fatalf("projecting a set on its axes costs %v allocations, want 0", n)
+	}
+	_ = sink
 }

@@ -9,6 +9,7 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
 
@@ -24,8 +25,8 @@ import (
 // sorted by OID.
 func (p *Processor) collect(nodePred, leafPred func(geom.Rect) bool) ([]Match, Stats, error) {
 	var matches []Match
-	stats, err := p.descend(context.Background(), nodePred, leafPred, 0, func(m Match) bool {
-		matches = append(matches, m)
+	stats, err := p.descend(context.Background(), nodePred, leafPred, 0, func(h rtree.Hit) bool {
+		matches = append(matches, Match{OID: h.OID, Rect: h.Rect})
 		return true
 	})
 	if err != nil {

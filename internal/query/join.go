@@ -21,6 +21,9 @@ import (
 type JoinPair struct {
 	LeftOID, RightOID   uint64
 	LeftRect, RightRect geom.Rect
+	// LeftText and RightText are the rectangles in wire form on a
+	// filter-level pair whose leaves had them rendered, as Match.Text.
+	LeftText, RightText string
 }
 
 // JoinResult bundles join pairs with cost statistics.
@@ -185,12 +188,13 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		// (serialised) emit callback.
 		candidates := 0
 		ts, err := rtree.JoinCtx(ctx, t1, t2, prune, accept,
-			func(aRect geom.Rect, aOID uint64, bRect geom.Rect, bOID uint64) bool {
-				if dropSelf && aOID == bOID {
+			func(a, b rtree.Hit) bool {
+				if dropSelf && a.OID == b.OID {
 					return true
 				}
 				candidates++
-				return yield(JoinPair{LeftOID: aOID, RightOID: bOID, LeftRect: aRect, RightRect: bRect})
+				return yield(JoinPair{LeftOID: a.OID, RightOID: b.OID, LeftRect: a.Rect, RightRect: b.Rect,
+					LeftText: a.Text(), RightText: b.Text()})
 			}, engineOpts)
 		return Stats{NodeAccesses: ts.NodeAccesses, Candidates: candidates}, err
 	}
@@ -448,13 +452,13 @@ func joinRefined(ctx context.Context, t1, t2 rtree.Joinable, rels topo.Set,
 		}()
 	}
 	ts, jerr := rtree.JoinCtx(jctx, t1, t2, prune, accept,
-		func(aRect geom.Rect, aOID uint64, bRect geom.Rect, bOID uint64) bool {
-			if dropSelf && aOID == bOID {
+		func(a, b rtree.Hit) bool {
+			if dropSelf && a.OID == b.OID {
 				return true
 			}
 			candidates.Add(1)
 			select {
-			case candCh <- JoinPair{LeftOID: aOID, RightOID: bOID, LeftRect: aRect, RightRect: bRect}:
+			case candCh <- JoinPair{LeftOID: a.OID, RightOID: b.OID, LeftRect: a.Rect, RightRect: b.Rect}:
 				return true
 			case <-jctx.Done():
 				return false

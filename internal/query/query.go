@@ -29,6 +29,7 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
 
@@ -63,6 +64,11 @@ func (m RegionStore) Object(oid uint64) (geom.Region, bool) {
 type Match struct {
 	OID  uint64
 	Rect geom.Rect
+	// Text is Rect in wire form, [minx,miny,maxx,maxy], on a streamed
+	// match whose leaf had it rendered (rtree.Hit.Text); empty otherwise,
+	// and always on materialised results. It saves a server rendering
+	// the same stored floats again, nothing more: Rect is the answer.
+	Text string
 }
 
 // Stats describes the work a query performed, in the units the paper
@@ -218,22 +224,23 @@ func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (nodePred
 // traversal in the package: every query class — streamed or
 // materialised, one term or two, region, line, direction or point —
 // is this function under a different pair of predicates. It calls
-// yield once per distinct object (an R+-tree registers an object in
-// every leaf its rectangle crosses) in tree order, and stops as soon
-// as yield returns false or limit > 0 matches have been taken.
-// NodeAccesses comes from the traversal's own accounting, so it is
-// exact even when many queries share the index; Candidates counts the
-// matches yield accepted. On an error, cancellation included, the
-// stats cover the pages read up to that point.
-func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, limit int, yield func(Match) bool) (Stats, error) {
-	seen := make(map[uint64]struct{})
+// yield once per distinct object id (an R+-tree registers an object in
+// every leaf its rectangle crosses, and any tree holds an id twice if
+// it was inserted twice) in tree order, and stops as soon as yield
+// returns false or limit > 0 matches have been taken. NodeAccesses
+// comes from the traversal's own accounting, so it is exact even when
+// many queries share the index; Candidates counts the matches yield
+// accepted. On an error, cancellation included, the stats cover the
+// pages read up to that point.
+func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, limit int, yield func(rtree.Hit) bool) (Stats, error) {
+	seen := oidSets.Get().(*oidSet)
+	defer seen.release()
 	emitted := 0
-	ts, err := p.Idx.SearchCtx(ctx, nodePred, leafPred, func(r geom.Rect, oid uint64) bool {
-		if _, ok := seen[oid]; ok {
+	ts, err := p.Idx.SearchHits(ctx, nodePred, leafPred, func(h rtree.Hit) bool {
+		if !seen.add(h.OID) {
 			return true
 		}
-		seen[oid] = struct{}{}
-		if !yield(Match{OID: oid, Rect: r}) {
+		if !yield(h) {
 			return false
 		}
 		emitted++

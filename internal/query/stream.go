@@ -7,6 +7,7 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
 
@@ -34,7 +35,16 @@ func (p *Processor) Stream(ctx context.Context, rels topo.Set, refMBR geom.Rect,
 		return Stats{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
 	nodePred, leafPred := p.filterPreds(p.candidateConfigs(rels), refMBR)
-	return p.descend(ctx, nodePred, leafPred, limit, yield)
+	return p.descend(ctx, nodePred, leafPred, limit, withText(yield))
+}
+
+// withText makes a streamed Match of each hit, asking its leaf for the
+// rectangle's wire text — which is what earns a leaf its text, so only
+// the streaming entry points, whose consumer is a wire, do it.
+func withText(yield func(Match) bool) func(rtree.Hit) bool {
+	return func(h rtree.Hit) bool {
+		return yield(Match{OID: h.OID, Rect: h.Rect, Text: h.Text()})
+	}
 }
 
 // StreamConjunction is the streaming (filter-level) face of the
@@ -95,7 +105,7 @@ scan:
 	nodePred, getPred := p.filterPreds(p.candidateConfigs(getRels), getRef)
 	memPred := admits(p.candidateConfigs(memRels), memRef)
 	stats, err := p.descend(ctx, nodePred,
-		func(r geom.Rect) bool { return getPred(r) && memPred(r) }, limit, yield)
+		func(r geom.Rect) bool { return getPred(r) && memPred(r) }, limit, withText(yield))
 	stats.Reordered = plan.reordered
 	stats.Explain = appendActual(plan.explain, stats.Candidates)
 	return stats, err

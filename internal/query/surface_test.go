@@ -30,8 +30,11 @@ func TestOneDescentSurface(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "SearchCtx" {
-					searches++
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					switch sel.Sel.Name {
+					case "SearchHits", "SearchCtx", "Search":
+						searches++
+					}
 				}
 			}
 			return true
@@ -61,6 +64,6 @@ func TestOneDescentSurface(t *testing.T) {
 		}
 	}
 	if searches != 1 {
-		t.Errorf("%d SearchCtx call sites in package query, want exactly 1 (descend)", searches)
+		t.Errorf("%d index traversal call sites in package query, want exactly 1 (descend's SearchHits)", searches)
 	}
 }

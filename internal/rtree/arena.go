@@ -16,14 +16,17 @@ import (
 // encoding them onto simulated pages, so an access on the read path is
 // a slot lookup — no page copy, no decode, no allocation.
 //
-// A slot holds one immutable node version. writeNode installs a fresh
-// version (its own copy of the entries); nothing ever modifies an
-// installed version in place, so the *node a reader gets from
+// A slot points at one immutable node version. writeNode installs a
+// fresh version (its own copy of the entries); nothing ever modifies an
+// installed version's entries, so the *node a reader gets from
 // readNodeRef can be shared by any number of traversals. Mutation paths
 // read a private copy (readNode) and install the result. Slot ids play
 // the part of page ids: snapshot.go's shadow/retire/reclaim protocol
 // runs over them unchanged, which is what keeps a slot from being
-// rewritten while any pinned snapshot can still reach it.
+// repointed while any pinned snapshot can still reach it. The one thing
+// a version gains after it is installed is the wire text of a leaf's
+// rectangles (text.go), which hangs off the version itself and goes
+// when the version does.
 //
 // The arena charges what the paged representation would: a node costs
 // 1 + its overflow pages at the configured capacity (node.cost), reads
@@ -32,10 +35,10 @@ import (
 // paged tree given the same operations.
 type arena struct {
 	// tab is the slot table, indexed by slot id (0 is never a valid
-	// id). It always has len == cap; growing swaps in a larger copy, so
-	// a reader holding the old table keeps seeing every node its
-	// snapshot can reach.
-	tab atomic.Pointer[[]node]
+	// id; nil is a free slot). It always has len == cap; growing swaps
+	// in a larger copy, so a reader holding the old table keeps seeing
+	// every node its snapshot can reach.
+	tab atomic.Pointer[[]*node]
 
 	// mu guards next, free and every write to the table. Readers never
 	// take it.
@@ -60,7 +63,7 @@ type pageSpace interface {
 
 // newArenaStore returns a store over an arena holding tab's nodes in
 // slots 1..next-1, charging costs at the node capacity of pageSize.
-func newArenaStore(pageSize int, tab []node, next pagefile.PageID) *store {
+func newArenaStore(pageSize int, tab []*node, next pagefile.PageID) *store {
 	a := &arena{next: next}
 	a.tab.Store(&tab)
 	return &store{pageSpace: a, ar: a, cap: CapacityForPageSize(pageSize)}
@@ -79,10 +82,10 @@ func pagesFor(count, capacity int) uint32 {
 // its cost to the read counter. Lock-free and allocation-free.
 func (a *arena) get(id pagefile.PageID) (*node, error) {
 	tab := *a.tab.Load()
-	if int(id) >= len(tab) || tab[id].cost == 0 {
+	if int(id) >= len(tab) || tab[id] == nil {
 		return nil, fmt.Errorf("rtree: reading node %d: %w", id, pagefile.ErrPageNotFound)
 	}
-	n := &tab[id]
+	n := tab[id]
 	a.reads.Add(uint64(n.cost))
 	return n, nil
 }
@@ -100,6 +103,10 @@ func (a *arena) checkOut(id pagefile.PageID, capacity int) (*node, error) {
 	return &node{id: id, level: shared.level, entries: entries, cost: shared.cost}, nil
 }
 
+// reserved is what an allocated slot points at until its first install:
+// an empty one-page node, as a freshly allocated page reads.
+var reserved = &node{cost: 1}
+
 // Alloc reserves a slot, reusing freed ids first (as a page file does).
 func (a *arena) Alloc() (pagefile.PageID, error) {
 	a.mu.Lock()
@@ -113,20 +120,22 @@ func (a *arena) Alloc() (pagefile.PageID, error) {
 		id = a.next
 		a.next++
 		if int(id) == len(tab) {
-			grown := make([]node, 2*len(tab))
+			grown := make([]*node, 2*len(tab))
 			copy(grown, tab)
 			tab = grown
 			a.tab.Store(&tab)
 		}
 	}
-	tab[id] = node{id: id, cost: 1}
+	tab[id] = reserved
 	a.allocs.Add(1)
 	return id, nil
 }
 
-// install makes a copy of n the current version of its slot.
+// install makes a copy of n the current version of its slot. The
+// version it replaces is left as it was, text and all, for whoever
+// still holds it.
 func (a *arena) install(n *node, capacity int) {
-	v := node{id: n.id, level: n.level, entries: slices.Clone(n.entries),
+	v := &node{id: n.id, level: n.level, entries: slices.Clone(n.entries),
 		cost: pagesFor(len(n.entries), capacity)}
 	a.mu.Lock()
 	tab := *a.tab.Load()
@@ -147,11 +156,11 @@ func (a *arena) Free(id pagefile.PageID) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	tab := *a.tab.Load()
-	if int(id) >= len(tab) || tab[id].cost == 0 {
+	if int(id) >= len(tab) || tab[id] == nil {
 		return fmt.Errorf("rtree: freeing node %d: %w", id, pagefile.ErrPageNotFound)
 	}
 	a.frees.Add(uint64(tab[id].cost))
-	tab[id] = node{}
+	tab[id] = nil
 	a.free = append(a.free, id)
 	return nil
 }
@@ -180,9 +189,10 @@ func (a *arena) ResetStats() {
 var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page size")
 
 // adoptStore opens the image's nodes as the arena of a mutable tree.
-// Only the slot table is new: every slot starts out holding the image's
-// own node version, entries array and all. Node versions are immutable
-// on both sides — the tree replaces slots, never their contents — so the
+// Only the slot table is new: every slot starts out pointing at the
+// image's own node version — entries, and whatever wire text its leaves
+// have earned or will earn on either side. Node versions are immutable
+// on both sides — the tree repoints slots, never their contents — so the
 // image keeps serving unchanged beside the tree for as long as anyone
 // holds it.
 func (f *FlatTree) adoptStore(pageSize int, covering bool) (*store, error) {
@@ -197,8 +207,10 @@ func (f *FlatTree) adoptStore(pageSize int, covering bool) (*store, error) {
 		return nil, fmt.Errorf("%w: a node needs capacity %d, page size %d holds %d",
 			ErrNodeCapacity, f.minCap, pageSize, capacity)
 	}
-	tab := make([]node, max(arenaMinSlots, 2*(len(f.nodes)+1)))
-	copy(tab[1:], f.nodes)
+	tab := make([]*node, max(arenaMinSlots, 2*(len(f.nodes)+1)))
+	for i := range f.nodes {
+		tab[i+1] = &f.nodes[i]
+	}
 	return newArenaStore(pageSize, tab, pagefile.PageID(len(f.nodes)+1)), nil
 }
 
@@ -234,7 +246,7 @@ func AdoptRPlus(f *FlatTree, pageSize int, opts Options) (*RPlusTree, error) {
 
 // NodesSharedWith counts the image's nodes that idx (a *Tree or
 // *RPlusTree) still serves as the very same node version — the same
-// entries array, not an equal copy — out of total. Right after adoption
+// node, not an equal copy — out of total. Right after adoption
 // that is every node; each mutation replaces the versions on the paths
 // it touched. A tree rebuilt from the image's entries shares none.
 func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
@@ -253,11 +265,7 @@ func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
 	defer st.ar.mu.Unlock()
 	tab := *st.ar.tab.Load()
 	for i := range f.nodes {
-		if i+1 >= len(tab) {
-			break
-		}
-		mine, theirs := f.nodes[i].entries, tab[i+1].entries
-		if len(mine) > 0 && len(theirs) == len(mine) && &mine[0] == &theirs[0] {
+		if i+1 < len(tab) && tab[i+1] == &f.nodes[i] {
 			shared++
 		}
 	}

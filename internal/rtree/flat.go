@@ -296,7 +296,8 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 		if len(nodes)-off-flatNodeHdrSize < count*entrySize {
 			return nil, flatCorrupt("node at offset %d overruns the section (count %d)", flatHeaderSize+off, count)
 		}
-		n := node{id: pagefile.PageID(len(f.nodes) + 1), level: level, cost: cost}
+		f.nodes = append(f.nodes, node{id: pagefile.PageID(len(f.nodes) + 1), level: level, cost: cost})
+		n := &f.nodes[len(f.nodes)-1]
 		if count > 0 {
 			n.entries = make([]Entry, count)
 		}
@@ -327,7 +328,6 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 			}
 			eo += entrySize
 		}
-		f.nodes = append(f.nodes, n)
 		hasParent = append(hasParent, false)
 		slotAt[uint64(flatHeaderSize+off)] = uint64(len(f.nodes))
 		off = eo
@@ -403,19 +403,24 @@ func (f *FlatTree) InsertBatch([]Record) error                { return ErrReadOn
 func (f *FlatTree) Delete(geom.Rect, uint64) error            { return ErrReadOnly }
 func (f *FlatTree) Update(geom.Rect, geom.Rect, uint64) error { return ErrReadOnly }
 
-// Search traverses the snapshot exactly like the source tree's Search;
-// R+ snapshots may emit the same object several times, as the paged
-// tree does.
+// SearchHits traverses the snapshot exactly like the source tree's
+// SearchHits, with stats bit-identical to the paged backend's for the
+// same tree version; R+ snapshots may emit the same object several
+// times, as the paged tree does.
+func (f *FlatTree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
+	return traverse(ctx, f, f.root, nodePred, leafPred, emit, 0)
+}
+
+// SearchCtx is SearchHits for an emit that wants the rectangle and the
+// object id only.
+func (f *FlatTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
+	return f.SearchHits(ctx, nodePred, leafPred, rectAndOID(emit))
+}
+
+// Search is SearchCtx without cancellation or stats.
 func (f *FlatTree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
 	_, err := f.SearchCtx(context.Background(), nodePred, leafPred, emit)
 	return err
-}
-
-// SearchCtx is Search with context cancellation and per-traversal IO
-// accounting. The stats are bit-identical to the paged backend's for
-// the same tree version.
-func (f *FlatTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
-	return traverse(ctx, f, f.root, nodePred, leafPred, emit, 0)
 }
 
 // NearestCtx returns the k stored rectangles closest to p. Snapshots of

@@ -77,7 +77,7 @@ func FuzzFlatDecode(f *testing.F) {
 		pair := func(a, b geom.Rect) bool { return a.Intersects(b) }
 		m := 0
 		if _, err := JoinCtx(context.Background(), ft, ft, pair, pair,
-			func(geom.Rect, uint64, geom.Rect, uint64) bool {
+			func(Hit, Hit) bool {
 				m++
 				return m < 10000
 			}, JoinOptions{Workers: 1}); err != nil {

@@ -224,8 +224,8 @@ func TestFlatJoin(t *testing.T) {
 	run := func(a, b Joinable) (map[[2]uint64]int, TraversalStats) {
 		pairs := map[[2]uint64]int{}
 		ts, err := JoinCtx(context.Background(), a, b, intersects, intersects,
-			func(_ geom.Rect, ao uint64, _ geom.Rect, bo uint64) bool {
-				pairs[[2]uint64{ao, bo}]++
+			func(a, b Hit) bool {
+				pairs[[2]uint64{a.OID, b.OID}]++
 				return true
 			}, JoinOptions{Workers: 1, Intersecting: true})
 		if err != nil {

@@ -93,10 +93,10 @@ var errJoinStop = errors.New("rtree: join stopped by emit")
 // called on pairs of covering rectangles (node-node, node-leafMBR);
 // when it returns false the pair's subtrees are skipped. accept is
 // called on leaf entry rectangle pairs; matching pairs are passed to
-// emit (return false to stop). Self-joins (t1 == t2) are supported.
-// emit is never called concurrently, regardless of the worker count,
-// so caller-side closures need no locking; the order in which pairs
-// are emitted is unspecified.
+// emit as two Hits (return false to stop). Self-joins (t1 == t2) are
+// supported. emit is never called concurrently, regardless of the
+// worker count, so caller-side closures need no locking; the order in
+// which pairs are emitted is unspecified.
 //
 // The returned TraversalStats counts the pages this join read across
 // both trees — exact per-operation accounting, independent of any
@@ -106,7 +106,7 @@ var errJoinStop = errors.New("rtree: join stopped by emit")
 func JoinCtx(ctx context.Context, t1, t2 Joinable,
 	prune func(a, b geom.Rect) bool,
 	accept func(a, b geom.Rect) bool,
-	emit func(aRect geom.Rect, aOID uint64, bRect geom.Rect, bOID uint64) bool,
+	emit func(a, b Hit) bool,
 	opts JoinOptions,
 ) (TraversalStats, error) {
 	workers := opts.Workers
@@ -151,7 +151,7 @@ type joinEngine struct {
 	src1, src2 NodeSource
 	prune      func(a, b geom.Rect) bool
 	accept     func(a, b geom.Rect) bool
-	emit       func(geom.Rect, uint64, geom.Rect, uint64) bool
+	emit       func(a, b Hit) bool
 	opts       JoinOptions
 
 	ctx     context.Context
@@ -290,7 +290,8 @@ func (w *joinWorker) read(src NodeSource, ref uint64) (*node, error) {
 // emitPair delivers one accepted leaf pair. The engine mutex
 // serialises emit across workers; after a stop no further pair is
 // delivered, so Emitted is exactly the number of emit calls.
-func (w *joinWorker) emitPair(e1, e2 *Entry) error {
+func (w *joinWorker) emitPair(n1 *node, i int, n2 *node, j int) error {
+	e1, e2 := &n1.entries[i], &n2.entries[j]
 	e := w.e
 	e.emitMu.Lock()
 	if e.stopped.Load() {
@@ -298,7 +299,7 @@ func (w *joinWorker) emitPair(e1, e2 *Entry) error {
 		return errJoinStop
 	}
 	w.stats.Emitted++
-	ok := e.emit(e1.Rect, e1.OID, e2.Rect, e2.OID)
+	ok := e.emit(Hit{Rect: e1.Rect, OID: e1.OID, leaf: n1, at: i}, Hit{Rect: e2.Rect, OID: e2.OID, leaf: n2, at: j})
 	if !ok {
 		// Under the lock, or a worker waiting on it emits one pair more
 		// than emit asked for.
@@ -318,7 +319,7 @@ func (w *joinWorker) join(n1, n2 *node) error {
 	switch {
 	case n1.isLeaf() && n2.isLeaf():
 		return w.match(n1, n2, w.e.accept, func(i, j int) error {
-			return w.emitPair(&n1.entries[i], &n2.entries[j])
+			return w.emitPair(n1, i, n2, j)
 		})
 	case n1.isLeaf():
 		// Height mismatch: descend the right side only.

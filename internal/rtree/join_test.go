@@ -32,8 +32,8 @@ func runJoin(t *testing.T, t1, t2 *Tree, opts JoinOptions) (map[[2]uint64]int, T
 	t.Helper()
 	pairs := map[[2]uint64]int{}
 	ts, err := JoinCtx(context.Background(), t1, t2, intersectsPred, intersectsPred,
-		func(_ geom.Rect, a uint64, _ geom.Rect, b uint64) bool {
-			pairs[[2]uint64{a, b}]++
+		func(a, b Hit) bool {
+			pairs[[2]uint64{a.OID, b.OID}]++
 			return true
 		}, opts)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestJoinEmitStop(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		emits := 0
 		ts, err := JoinCtx(context.Background(), t1, t2, intersectsPred, intersectsPred,
-			func(_ geom.Rect, _ uint64, _ geom.Rect, _ uint64) bool {
+			func(Hit, Hit) bool {
 				emits++
 				return emits < 5
 			}, JoinOptions{Workers: workers, Intersecting: true})
@@ -236,7 +236,7 @@ func TestJoinCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		emits := 0
 		ts, err := JoinCtx(ctx, t1, t2, intersectsPred, intersectsPred,
-			func(_ geom.Rect, _ uint64, _ geom.Rect, _ uint64) bool {
+			func(Hit, Hit) bool {
 				emits++
 				if emits == 10 {
 					cancel()

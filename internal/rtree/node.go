@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
@@ -58,6 +59,12 @@ type node struct {
 	// flat.go): what its paged counterpart costs to read. Zero for paged
 	// nodes, where the chain says the same.
 	cost uint32
+
+	// The side-car of an arena leaf (text.go): its entries' rectangles
+	// in wire form once earned, and the count of renderings consumers
+	// have done themselves until then.
+	rented atomic.Int32
+	text   atomic.Pointer[leafText]
 }
 
 func (n *node) isLeaf() bool { return n.level == 0 }

@@ -67,7 +67,7 @@ func NewRPlus(file pagefile.File, opts Options) (*RPlusTree, error) {
 // memory and charges accesses at the node capacity of pageSize (see
 // NewArena).
 func NewRPlusArena(pageSize int, opts Options) (*RPlusTree, error) {
-	return newRPlus(newArenaStore(pageSize, make([]node, arenaMinSlots), 1), opts)
+	return newRPlus(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1), opts)
 }
 
 func newRPlus(st *store, opts Options) (*RPlusTree, error) {
@@ -123,11 +123,11 @@ func (t *RPlusTree) Bounds() (geom.Rect, bool) {
 	found := false
 	all := func(geom.Rect) bool { return true }
 	_, err := traverse(context.Background(), t.st, uint64(t.root), all, all,
-		func(r geom.Rect, _ uint64) bool {
+		func(h Hit) bool {
 			if !found {
-				out, found = r, true
+				out, found = h.Rect, true
 			} else {
-				out = out.Union(r)
+				out = out.Union(h.Rect)
 			}
 			return true
 		}, 0)
@@ -463,24 +463,28 @@ func (t *RPlusTree) Update(oldRect, newRect geom.Rect, oid uint64) error {
 	return t.Insert(newRect, oid)
 }
 
-// Search traverses the tree, descending into any internal entry whose
-// partition region satisfies nodePred, and emits every leaf entry
+// SearchHits traverses the tree, descending into any internal entry
+// whose partition region satisfies nodePred, and emits every leaf entry
 // whose rectangle satisfies leafPred. Because of duplicate
 // registration, emit may see the same (rect, oid) several times;
 // callers deduplicate by oid. emit returning false stops the search.
-// Searches run concurrently with each other; use SearchCtx for
-// cancellation and exact per-traversal IO accounting.
-func (t *RPlusTree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
-	_, err := t.SearchCtx(context.Background(), nodePred, leafPred, emit)
-	return err
-}
-
-// SearchCtx is Search with context cancellation and per-traversal IO
-// accounting. NodeAccesses includes overflow-chain pages (Greene's
-// degeneracy), mirroring what the global read counter would see for
-// this traversal alone.
-func (t *RPlusTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
+// NodeAccesses includes overflow-chain pages (Greene's degeneracy),
+// mirroring what the global read counter would see for this traversal
+// alone.
+func (t *RPlusTree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return traverse(ctx, t.st, uint64(t.root), nodePred, leafPred, emit, 0)
+}
+
+// SearchCtx is SearchHits for an emit that wants the rectangle and the
+// object id only.
+func (t *RPlusTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
+	return t.SearchHits(ctx, nodePred, leafPred, rectAndOID(emit))
+}
+
+// Search is SearchCtx without cancellation or stats.
+func (t *RPlusTree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
+	_, err := t.SearchCtx(context.Background(), nodePred, leafPred, emit)
+	return err
 }

@@ -59,7 +59,7 @@ func New(file pagefile.File, opts Options, name string) (*Tree, error) {
 // (arena.go) and charges accesses at the node capacity of pageSize:
 // answers, TraversalStats and IOStats equal New's over such a file.
 func NewArena(pageSize int, opts Options, name string) (*Tree, error) {
-	return newTree(newArenaStore(pageSize, make([]node, arenaMinSlots), 1), opts, name)
+	return newTree(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1), opts, name)
 }
 
 func newTree(st *store, opts Options, name string) (*Tree, error) {
@@ -554,25 +554,29 @@ func (t *Tree) Update(oldRect, newRect geom.Rect, oid uint64) error {
 	return t.Insert(newRect, oid)
 }
 
-// Search traverses the tree, descending into any internal entry whose
-// rectangle satisfies nodePred, and emits every leaf entry whose
-// rectangle satisfies leafPred. emit returning false stops the search.
-// The traversal reads one page per visited node, so the page file's
-// read counter matches the paper's disk-access metric. Searches run
-// concurrently with each other; use SearchCtx for cancellation and
-// exact per-traversal IO accounting.
-func (t *Tree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
-	_, err := t.SearchCtx(context.Background(), nodePred, leafPred, emit)
-	return err
-}
-
-// SearchCtx is Search with context cancellation and per-traversal IO
-// accounting: the returned TraversalStats counts the pages this
-// traversal read, exactly, regardless of how many other queries run
-// concurrently. On cancellation it returns ctx.Err() together with the
-// stats accumulated so far.
-func (t *Tree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
+// SearchHits traverses the tree, descending into any internal entry
+// whose rectangle satisfies nodePred, and emits every leaf entry whose
+// rectangle satisfies leafPred as a Hit. emit returning false stops the
+// search. It is the one traversal entry point: context cancellation,
+// checked before every node, and per-traversal IO accounting — the
+// returned TraversalStats counts the pages this traversal read,
+// exactly, regardless of how many other queries run concurrently, so
+// it matches the paper's disk-access metric. On cancellation it
+// returns ctx.Err() together with the stats accumulated so far.
+func (t *Tree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
 	s := t.acquire()
 	defer t.release(s)
 	return traverse(ctx, t.st, uint64(s.root), nodePred, leafPred, emit, 0)
+}
+
+// SearchCtx is SearchHits for an emit that wants the rectangle and the
+// object id only.
+func (t *Tree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
+	return t.SearchHits(ctx, nodePred, leafPred, rectAndOID(emit))
+}
+
+// Search is SearchCtx without cancellation or stats.
+func (t *Tree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
+	_, err := t.SearchCtx(context.Background(), nodePred, leafPred, emit)
+	return err
 }

@@ -61,17 +61,19 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 // descending into internal entries whose rectangles satisfy nodePred
 // and emitting leaf entries whose rectangles satisfy leafPred, in the
 // same left-to-right preorder as the recursive implementation it
-// replaces. emit returning false stops the search without error. A
-// positive limit stops the search after that many emissions. The
-// context is checked before each node expansion; on cancellation the
-// traversal returns ctx.Err() with the stats accumulated so far.
+// replaces. emit receives each as a Hit, which is how a leaf's wire text
+// (text.go) reaches a consumer that asks for it; emit returning false
+// stops the search without error. A positive limit stops the search
+// after that many emissions. The context is checked before each node
+// expansion; on cancellation the traversal returns ctx.Err() with the
+// stats accumulated so far.
 //
 // Nodes are fetched through a NodeSource, so the same traversal serves
 // the paged working copy and flat snapshots; node-access accounting
 // uses each node's recorded cost and is bit-identical across backends.
 func traverse(ctx context.Context, src NodeSource, root uint64,
 	nodePred, leafPred func(geom.Rect) bool,
-	emit func(geom.Rect, uint64) bool, limit int) (TraversalStats, error) {
+	emit func(Hit) bool, limit int) (TraversalStats, error) {
 
 	var stats TraversalStats
 	stack := make([]uint64, 0, 32)
@@ -95,7 +97,7 @@ func traverse(ctx context.Context, src NodeSource, root uint64,
 					continue
 				}
 				stats.Emitted++
-				if !emit(e.Rect, e.OID) {
+				if !emit(Hit{Rect: e.Rect, OID: e.OID, leaf: n, at: i}) {
 					return stats, nil
 				}
 				if limit > 0 && stats.Emitted >= limit {
@@ -113,4 +115,9 @@ func traverse(ctx context.Context, src NodeSource, root uint64,
 		}
 	}
 	return stats, nil
+}
+
+// rectAndOID adapts a Search/SearchCtx emit to a SearchHits one.
+func rectAndOID(emit func(geom.Rect, uint64) bool) func(Hit) bool {
+	return func(h Hit) bool { return emit(h.Rect, h.OID) }
 }

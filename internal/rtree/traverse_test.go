@@ -145,7 +145,7 @@ func TestTraverseLimit(t *testing.T) {
 		for _, limit := range []int{1, 7, 50} {
 			got := 0
 			ts, err := traverse(context.Background(), st, uint64(root), all, all,
-				func(geom.Rect, uint64) bool { got++; return true }, limit)
+				func(Hit) bool { got++; return true }, limit)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

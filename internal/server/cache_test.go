@@ -86,7 +86,9 @@ func TestCacheDifferential(t *testing.T) {
 		t.Helper()
 		// Twice against the caching server: the second answer comes from
 		// the cache and must still match the uncached server exactly.
-		want := rawQuery(t, tsPlain.URL, req)
+		// The uncached server answers every time from its tree, copying
+		// what its leaves have rendered before and rendering the rest.
+		want := sameBodyEveryTime(t, tsPlain.URL+"/v1/query", req, false)
 		if got := rawQuery(t, tsCached.URL, req); !bytes.Equal(got, want) {
 			t.Fatalf("%s: miss-path response diverges\ncached: %s\nplain:  %s", label, got, want)
 		}
@@ -259,10 +261,12 @@ func TestConjunctionWire(t *testing.T) {
 			want++
 		}
 	}
-	both, _, _ := postQuery(t, ts.URL, QueryRequest{
+	conj := QueryRequest{
 		Index: "rstar", Relations: []string{"not_disjoint"}, Ref: refWire,
 		Relations2: []string{"inside"}, Ref2: grownWire,
-	})
+	}
+	sameBodyEveryTime(t, ts.URL+"/v1/query", conj, false)
+	both, _, _ := postQuery(t, ts.URL, conj)
 	if len(both) != want {
 		t.Fatalf("conjunction returned %d matches, intersection of the terms has %d", len(both), want)
 	}

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/index"
 	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 )
 
 // FuzzWireDecode feeds arbitrary bytes through the wire-decoding paths
@@ -96,16 +99,68 @@ func FuzzLineEncode(f *testing.F) {
 		wantPair, err2 := json.Marshal(JoinLine{LeftOID: &p.LeftOID, RightOID: &p.RightOID, LeftRect: &lr, RightRect: &rr})
 		if err != nil || err2 != nil {
 			lw := &lineWriter{}
-			if lw.match(oid, r) || lw.pair(p) || lw.err == nil || len(lw.buf) != 0 {
+			if lw.match(query.Match{OID: oid, Rect: r}) || lw.pair(p) || lw.err == nil || len(lw.buf) != 0 {
 				t.Fatalf("json.Marshal refuses %v (%v) but the writer rendered %q", r, err, lw.buf)
 			}
 			return
 		}
-		if got := appendMatchLine(nil, oid, r); !bytes.Equal(got, append(wantMatch, '\n')) {
+		if got := appendMatchLine(nil, query.Match{OID: oid, Rect: r}); !bytes.Equal(got, append(wantMatch, '\n')) {
 			t.Fatalf("match line\n got %q\nwant %q", got, wantMatch)
 		}
 		if got := appendPairLine(nil, p); !bytes.Equal(got, append(wantPair, '\n')) {
 			t.Fatalf("pair line\n got %q\nwant %q", got, wantPair)
+		}
+
+		// The same lines through a leaf's kept text: a one-leaf arena tree
+		// holding r answers three times — the entry is rendered the slow
+		// way once, then the leaf renders itself — and the line made of
+		// its text is the same bytes. A tree stores only rectangles with
+		// Min < Max, so the coordinates are put in order first.
+		r = geom.R(min(r.Min.X, r.Max.X), min(r.Min.Y, r.Max.Y), max(r.Min.X, r.Max.X), max(r.Min.Y, r.Max.Y))
+		if !r.Valid() {
+			return
+		}
+		idx, err := index.New(index.KindRTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Insert(r, oid); err != nil {
+			t.Fatal(err)
+		}
+		var m query.Match
+		all := func(geom.Rect) bool { return true }
+		for i := 0; i < 3; i++ {
+			if _, err := idx.SearchHits(context.Background(), all, all, func(h rtree.Hit) bool {
+				m = query.Match{OID: h.OID, Rect: h.Rect, Text: h.Text()}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lr = RectToWire(r)
+		wantMatch, err = json.Marshal(QueryLine{OID: &oid, Rect: &lr})
+		if err != nil {
+			// ±Inf orders like any number but has no wire form: the leaf
+			// keeps no text for the entry and the writer stops.
+			lw := &lineWriter{}
+			if m.Text != "" || lw.match(m) || lw.err == nil {
+				t.Fatalf("json.Marshal refuses %v (%v) but the leaf kept %q for it", r, err, m.Text)
+			}
+			return
+		}
+		if m.Text == "" {
+			t.Fatalf("the leaf holding %v has not earned its text after three answers", r)
+		}
+		if got := appendMatchLine(nil, m); !bytes.Equal(got, append(wantMatch, '\n')) {
+			t.Fatalf("match line from the leaf's text\n got %q\nwant %q", got, wantMatch)
+		}
+		p = query.JoinPair{LeftOID: oid, RightOID: oid, LeftRect: r, RightRect: r, LeftText: m.Text, RightText: m.Text}
+		wantPair, err = json.Marshal(JoinLine{LeftOID: &oid, RightOID: &oid, LeftRect: &lr, RightRect: &lr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendPairLine(nil, p); !bytes.Equal(got, append(wantPair, '\n')) {
+			t.Fatalf("pair line from the leaf's text\n got %q\nwant %q", got, wantPair)
 		}
 	})
 }

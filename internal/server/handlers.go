@@ -152,13 +152,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// With caching on, the writer keeps a copy of the match lines as it
 	// hands them over, so a hit later replays the exact bytes.
 	lw := s.newLineWriter(w, s.cache != nil)
-	yield := func(m query.Match) bool { return lw.match(m.OID, m.Rect) }
 	proc := inst.ReadProc()
 	var stats query.Stats
 	if conj {
-		stats, err = proc.StreamConjunction(ctx, rels, ref, rels2, ref2, req.Limit, yield)
+		stats, err = proc.StreamConjunction(ctx, rels, ref, rels2, ref2, req.Limit, lw.match)
 	} else {
-		stats, err = proc.Stream(ctx, rels, ref, req.Limit, yield)
+		stats, err = proc.Stream(ctx, rels, ref, req.Limit, lw.match)
 	}
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.

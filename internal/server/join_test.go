@@ -135,9 +135,9 @@ func TestJoinNDJSONGoldenPath(t *testing.T) {
 		{[]string{"meet"}, true},
 	}
 	for _, c := range cases {
-		status, pairs, stats, errLine := postJoin(t, ts.URL, JoinRequest{
-			Left: "left", Right: "right", Relations: c.relations, NonContiguous: c.nonContig,
-		})
+		req := JoinRequest{Left: "left", Right: "right", Relations: c.relations, NonContiguous: c.nonContig}
+		sameBodyEveryTime(t, ts.URL+"/v1/join", req, true)
+		status, pairs, stats, errLine := postJoin(t, ts.URL, req)
 		if status != http.StatusOK || errLine != "" {
 			t.Fatalf("%v: HTTP %d, error %q", c.relations, status, errLine)
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -49,10 +48,14 @@ type lineWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher // nil when w cannot flush
 	metrics *Metrics
-	now     func() time.Time // time.Now; the flush-contract tests step it by hand
-	buf     []byte           // rendered lines not yet handed to w
-	oldest  time.Time        // when buf's first line was appended
-	err     error            // first failure; every later append reports false
+	buf     []byte // rendered lines not yet handed to w
+	err     error  // first failure; every later append reports false
+
+	// The stream's clock is the time since it started: one monotonic
+	// reading a line, where time.Now would read the wall clock too.
+	start  time.Time
+	since  func(time.Time) time.Duration // time.Since; the flush-contract tests step it by hand
+	oldest time.Duration                 // when buf's first line was appended
 
 	// keeping is set while the stream is still a candidate for the
 	// result cache; kept holds the lines already handed to w.
@@ -70,28 +73,29 @@ var lineWriters = sync.Pool{New: func() any {
 // cacheCopy. The caller must call end exactly once.
 func (s *Server) newLineWriter(w http.ResponseWriter, keeping bool) *lineWriter {
 	lw := lineWriters.Get().(*lineWriter)
-	*lw = lineWriter{w: w, flusher: ndjsonHeaders(w), metrics: s.metrics, now: time.Now, buf: lw.buf[:0], keeping: keeping}
+	*lw = lineWriter{w: w, flusher: ndjsonHeaders(w), metrics: s.metrics, buf: lw.buf[:0],
+		start: time.Now(), since: time.Since, keeping: keeping}
 	return lw
 }
 
 // match appends one /v1/query match line, reporting whether the
 // producer should carry on.
-func (lw *lineWriter) match(oid uint64, r geom.Rect) bool {
-	if lw.err == nil && !finite(r) {
+func (lw *lineWriter) match(m query.Match) bool {
+	if lw.err == nil && !wireable(m.Rect, m.Text) {
 		lw.err = errNonFinite
 	}
 	if lw.err != nil {
 		return false
 	}
 	pending := len(lw.buf)
-	lw.buf = appendMatchLine(lw.buf, oid, r)
+	lw.buf = appendMatchLine(lw.buf, m)
 	return lw.appended(pending)
 }
 
 // pair appends one /v1/join pair line, reporting whether the producer
 // should carry on.
 func (lw *lineWriter) pair(p query.JoinPair) bool {
-	if lw.err == nil && !(finite(p.LeftRect) && finite(p.RightRect)) {
+	if lw.err == nil && !(wireable(p.LeftRect, p.LeftText) && wireable(p.RightRect, p.RightText)) {
 		lw.err = errNonFinite
 	}
 	if lw.err != nil {
@@ -102,20 +106,18 @@ func (lw *lineWriter) pair(p query.JoinPair) bool {
 	return lw.appended(pending)
 }
 
-// finite reports whether JSON can carry all four coordinates: x-x is 0
-// for every finite x and NaN otherwise.
-func finite(r geom.Rect) bool {
-	return r.Min.X-r.Min.X == 0 && r.Min.Y-r.Min.Y == 0 && r.Max.X-r.Max.X == 0 && r.Max.Y-r.Max.Y == 0
-}
+// wireable reports whether JSON can carry r. A rectangle that arrives
+// with its wire text was finite when the text was rendered.
+func wireable(r geom.Rect, text string) bool { return text != "" || r.Finite() }
 
 // appended applies rules (a) and (b) after a line went into buf, which
 // held pending bytes before it.
 func (lw *lineWriter) appended(pending int) bool {
-	now := lw.now()
+	now := lw.since(lw.start)
 	if pending == 0 {
 		lw.oldest = now
 	}
-	if len(lw.buf) < flushBytes && now.Sub(lw.oldest) < flushAge {
+	if len(lw.buf) < flushBytes && now-lw.oldest < flushAge {
 		return true
 	}
 	if !lw.write(lw.buf) {
@@ -189,11 +191,11 @@ func (lw *lineWriter) end(trailer any) {
 }
 
 // appendMatchLine renders {"oid":…,"rect":[…]} and a newline.
-func appendMatchLine(b []byte, oid uint64, r geom.Rect) []byte {
+func appendMatchLine(b []byte, m query.Match) []byte {
 	b = append(b, `{"oid":`...)
-	b = strconv.AppendUint(b, oid, 10)
+	b = strconv.AppendUint(b, m.OID, 10)
 	b = append(b, `,"rect":`...)
-	b = appendRect(b, r)
+	b = appendRect(b, m.Rect, m.Text)
 	return append(b, '}', '\n')
 }
 
@@ -204,36 +206,18 @@ func appendPairLine(b []byte, p query.JoinPair) []byte {
 	b = append(b, `,"right_oid":`...)
 	b = strconv.AppendUint(b, p.RightOID, 10)
 	b = append(b, `,"left_rect":`...)
-	b = appendRect(b, p.LeftRect)
+	b = appendRect(b, p.LeftRect, p.LeftText)
 	b = append(b, `,"right_rect":`...)
-	b = appendRect(b, p.RightRect)
+	b = appendRect(b, p.RightRect, p.RightText)
 	return append(b, '}', '\n')
 }
 
-func appendRect(b []byte, r geom.Rect) []byte {
-	b = append(b, '[')
-	b = appendFloat(b, r.Min.X)
-	b = append(b, ',')
-	b = appendFloat(b, r.Min.Y)
-	b = append(b, ',')
-	b = appendFloat(b, r.Max.X)
-	b = append(b, ',')
-	b = appendFloat(b, r.Max.Y)
-	return append(b, ']')
-}
-
-// appendFloat is encoding/json's float64 rule: shortest round-trip
-// digits, 'f' form unless the magnitude is below 1e-6 or at least
-// 1e21, and then 'e' form with e-0N shortened to e-N.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+// appendRect copies the rectangle's wire text when the leaf it came
+// from had it rendered, and renders it otherwise; geom.Rect.AppendWire
+// wrote the text too, so the bytes are the same either way.
+func appendRect(b []byte, r geom.Rect, text string) []byte {
+	if text != "" {
+		return append(b, text...)
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
+	return r.AppendWire(b)
 }

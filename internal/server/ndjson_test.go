@@ -43,7 +43,9 @@ func (r *recorder) body() []byte { return bytes.Join(r.writes, nil) }
 // steppedClock is a lineWriter clock the test advances by hand.
 type steppedClock struct{ t time.Time }
 
-func (c *steppedClock) now() time.Time { return c.t }
+func (c *steppedClock) since(start time.Time) time.Duration { return c.t.Sub(start) }
+
+func testMatch(i int) query.Match { return query.Match{OID: uint64(i), Rect: testRect(i)} }
 
 func testRect(i int) geom.Rect {
 	x := float64(i%1000) + 0.25
@@ -59,7 +61,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 	start := func() (*lineWriter, *recorder, *steppedClock) {
 		rec, clock := newRecorder(), &steppedClock{t: time.Unix(1995, 0)}
 		lw := srv.newLineWriter(rec, false)
-		lw.now = clock.now
+		lw.start, lw.since = clock.t, clock.since
 		return lw, rec, clock
 	}
 
@@ -67,10 +69,10 @@ func TestLineWriterFlushContract(t *testing.T) {
 		lw, rec, _ := start()
 		var want []byte
 		for i := 0; i < 200; i++ {
-			if !lw.match(uint64(i), testRect(i)) {
+			if !lw.match(testMatch(i)) {
 				t.Fatal("match reported a failure")
 			}
-			want = appendMatchLine(want, uint64(i), testRect(i))
+			want = appendMatchLine(want, testMatch(i))
 		}
 		if len(rec.writes) != 0 {
 			t.Fatalf("%d writes before the end of a %d-byte stream, want 0", len(rec.writes), len(want))
@@ -116,14 +118,14 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("a line older than a millisecond goes out with the next", func(t *testing.T) {
 		lw, rec, clock := start()
-		lw.match(1, testRect(1))
+		lw.match(testMatch(1))
 		clock.t = clock.t.Add(flushAge / 2)
-		lw.match(2, testRect(2))
+		lw.match(testMatch(2))
 		if len(rec.writes) != 0 {
 			t.Fatalf("%d writes while the oldest line is %s old", len(rec.writes), flushAge/2)
 		}
 		clock.t = clock.t.Add(2 * time.Millisecond)
-		lw.match(3, testRect(3))
+		lw.match(testMatch(3))
 		if len(rec.writes) != 1 || rec.flushes != 1 {
 			t.Fatalf("%d writes and %d Flush calls after a 2 ms gap, want 1 and 1", len(rec.writes), rec.flushes)
 		}
@@ -131,7 +133,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 			t.Fatalf("aged write carries %d lines, want all 3", got)
 		}
 		// The age is the oldest pending line's: the clock starts again.
-		lw.match(4, testRect(4))
+		lw.match(testMatch(4))
 		if len(rec.writes) != 1 {
 			t.Fatal("a fresh line was written at once")
 		}
@@ -209,7 +211,7 @@ func TestLineWriterZeroAllocs(t *testing.T) {
 	p := query.JoinPair{LeftOID: 123456, RightOID: 654321, LeftRect: testRect(17), RightRect: testRect(401)}
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {
-			lw.match(uint64(i), testRect(i))
+			lw.match(testMatch(i))
 		}
 	}); n != 0 {
 		t.Errorf("1000 match lines cost %v allocations, want 0", n)

@@ -109,18 +109,21 @@ func postQuery(t *testing.T, base string, req QueryRequest) (matches []query.Mat
 
 // TestQueryNDJSONGoldenPath checks, for all three access methods, that
 // the streamed response carries exactly the matches and Stats that
-// Processor.QuerySetMBR returns for the same request.
+// Processor.QuerySetMBR returns for the same request, and the same
+// bytes however much of it is copied from the leaves' kept text.
 func TestQueryNDJSONGoldenPath(t *testing.T) {
 	kinds := index.AllKinds()
 	srv, ts, d := newTestServer(t, Config{}, 1500, kinds...)
 	for _, kind := range kinds {
 		for _, relations := range [][]string{{"overlap"}, {"in"}, {"not_disjoint"}, {"meet", "equal"}} {
 			for qi, ref := range d.Queries[:5] {
-				got, gotStats, errLine := postQuery(t, ts.URL, QueryRequest{
+				req := QueryRequest{
 					Index:     kindName(kind),
 					Relations: relations,
 					Ref:       []float64{ref.Min.X, ref.Min.Y, ref.Max.X, ref.Max.Y},
-				})
+				}
+				sameBodyEveryTime(t, ts.URL+"/v1/query", req, false)
+				got, gotStats, errLine := postQuery(t, ts.URL, req)
 				if errLine != "" {
 					t.Fatalf("%s %v query %d: server error %s", kindName(kind), relations, qi, errLine)
 				}

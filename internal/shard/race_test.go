@@ -140,7 +140,7 @@ func TestShardedScatterGatherRace(t *testing.T) {
 				perTile, merged, err := s.SearchTiles(ctx,
 					func(geom.Rect) bool { return true },
 					func(geom.Rect) bool { return true },
-					func(geom.Rect, uint64) bool { return true })
+					func(rtree.Hit) bool { return true })
 				if err != nil && ctx.Err() == nil {
 					t.Errorf("reader %d: SearchTiles: %v", r, err)
 					return

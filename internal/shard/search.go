@@ -10,13 +10,19 @@ import (
 	"mbrtopo/internal/rtree"
 )
 
-// Search is SearchCtx without cancellation.
+// Search is SearchCtx without cancellation or stats.
 func (s *Sharded) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
 	_, err := s.SearchCtx(context.Background(), nodePred, leafPred, emit)
 	return err
 }
 
-// SearchCtx fans the traversal out to every tile whose bounds satisfy
+// SearchCtx is SearchHits for an emit that wants the rectangle and the
+// object id only.
+func (s *Sharded) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (rtree.TraversalStats, error) {
+	return s.SearchHits(ctx, nodePred, leafPred, func(h rtree.Hit) bool { return emit(h.Rect, h.OID) })
+}
+
+// SearchHits fans the traversal out to every tile whose bounds satisfy
 // the node predicate and merges the emissions. A tile's bounds cover
 // all its members, so applying the caller's node predicate to them is
 // exactly the root-rectangle test a single tree would run first: for
@@ -27,14 +33,14 @@ func (s *Sharded) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom
 // Emissions from concurrent tile traversals are serialized, so the
 // emit callback needs no locking of its own; merged stats are the
 // element-wise sum of the per-tile traversals.
-func (s *Sharded) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (rtree.TraversalStats, error) {
+func (s *Sharded) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (rtree.TraversalStats, error) {
 	_, merged, err := s.SearchTiles(ctx, nodePred, leafPred, emit)
 	return merged, err
 }
 
-// SearchTiles is SearchCtx returning the per-tile traversal stats next
+// SearchTiles is SearchHits returning the per-tile traversal stats next
 // to their sum (index i belongs to tile i; pruned tiles stay zero).
-func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) ([]rtree.TraversalStats, rtree.TraversalStats, error) {
+func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) ([]rtree.TraversalStats, rtree.TraversalStats, error) {
 	tiles := s.Tiles()
 	perTile := make([]rtree.TraversalStats, len(tiles))
 	errs := make([]error, len(tiles))
@@ -45,13 +51,13 @@ func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.
 		mu      sync.Mutex
 		stopped bool
 	)
-	guard := func(r geom.Rect, oid uint64) bool {
+	guard := func(h rtree.Hit) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if stopped {
 			return false
 		}
-		if !emit(r, oid) {
+		if !emit(h) {
 			stopped = true
 			cancel()
 			return false
@@ -70,7 +76,7 @@ func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.
 		wg.Add(1)
 		go func(i int, t index.Index) {
 			defer wg.Done()
-			perTile[i], errs[i] = t.SearchCtx(searchCtx, nodePred, leafPred, guard)
+			perTile[i], errs[i] = t.SearchHits(searchCtx, nodePred, leafPred, guard)
 		}(i, t)
 	}
 	wg.Wait()

@@ -30,7 +30,12 @@
 # flushes, repeats it against a `-cache-size` topod, asserts the repeat
 # is byte-identical and increments topod_cache_hits_total, then mutates
 # and asserts the same query misses (generation-keyed invalidation)
-# and sees the new rectangle.
+# and sees the new rectangle. A tenth leg sends one window query forty
+# times to a `-cache-size 0` topod — whose leaves render their
+# rectangles' wire text once and answer from it afterwards — and cmp's
+# every body, stats trailer included, against the first, then inserts a
+# rectangle into a leaf those answers came from and does it again,
+# asserting the new object's line carries its own coordinates.
 set -euo pipefail
 
 TOPOD="${1:?usage: smoke.sh path/to/topod path/to/topoquery path/to/datagen}"
@@ -50,17 +55,19 @@ cleanup() {
   kill -9 "$PID9" 2>/dev/null || true
   kill -9 "$PID10" 2>/dev/null || true
   kill -9 "$PID11" 2>/dev/null || true
+  kill -9 "$PID12" 2>/dev/null || true
   kill -9 "$CURLPID" 2>/dev/null || true
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
-    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG14" "$LOG15" "$LOG16" "$WLOG" "$BULK" "$WBULK" \
-    "$LEFT" "$RIGHT" "$HDRS" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
+    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG14" "$LOG15" "$LOG16" "$LOG17" "$WLOG" "$BULK" "$WBULK" \
+    "$LEFT" "$RIGHT" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
     "$DATADIR5" "$DATADIR6" "$DATADIR7" 2>/dev/null || true
 }
-PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID9="" PID10="" PID11=""
+PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID9="" PID10="" PID11="" PID12=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
-LOG12="" LOG13="" LOG14="" LOG15="" LOG16="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
+LOG12="" LOG13="" LOG14="" LOG15="" LOG16="" LOG17="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
+TEXTDIR=""
 DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7=""
 
 # wait_listen LOGFILE: echo the address once the daemon logs it.
@@ -838,3 +845,57 @@ if ! wait "$PID11"; then
 fi
 
 echo "smoke OK: $CLINES-line answer in $CFLUSH flushes + cache hit on repeat query + generation-keyed miss after mutation"
+
+# ---- kept-text leg: with the cache off every answer comes from the
+# tree, the first ones rendered rectangle by rectangle, later ones
+# copied from the text each leaf keeps once it has earned it; no byte
+# may differ, and a write must never be answered from the old text ----
+
+LOG17="$(mktemp)"
+TEXTDIR="$(mktemp -d)"
+"$TOPOD" -gen 2000 -bulk -tree rstar -cache-size 0 -addr 127.0.0.1:0 >"$LOG17" 2>&1 &
+PID12=$!
+ADDR12="$(wait_listen "$LOG17")" || {
+  echo "smoke: kept-text topod never started listening" >&2
+  cat "$LOG17" >&2
+  exit 1
+}
+TBASE="http://$ADDR12"
+wait_ready "$TBASE" || { echo "smoke: kept-text topod never became ready" >&2; exit 1; }
+
+TQ='{"relations":["not_disjoint"],"ref":[200,200,500,500]}'
+# same_forty NAME: forty answers to TQ, each byte-equal to the first.
+same_forty() {
+  for i in $(seq 1 40); do
+    curl -sf -d "$TQ" "$TBASE/v1/query" >"$TEXTDIR/$1.$i"
+    cmp -s "$TEXTDIR/$1.1" "$TEXTDIR/$1.$i" \
+      || { echo "smoke: answer $i of forty differs from the first ($1)" >&2; diff "$TEXTDIR/$1.1" "$TEXTDIR/$1.$i" | head -5 >&2; exit 1; }
+  done
+}
+same_forty before
+TLINES="$(wc -l <"$TEXTDIR/before.1")"
+[ "$TLINES" -gt 100 ] && tail -1 "$TEXTDIR/before.1" | grep -q '"stats"' \
+  || { echo "smoke: kept-text answer has $TLINES lines or no stats trailer" >&2; exit 1; }
+
+TACK="$(curl -sf -d '{"oid":880002,"rect":[210.5,210.25,220.125,220.75]}' "$TBASE/v1/insert")"
+echo "$TACK" | grep -q '"ok":true' \
+  || { echo "smoke: kept-text insert failed: $TACK" >&2; exit 1; }
+same_forty after
+grep -qxF '{"oid":880002,"rect":[210.5,210.25,220.125,220.75]}' "$TEXTDIR/after.1" \
+  || { echo "smoke: the inserted object's line is missing or carries other coordinates" >&2; grep '"oid":880002' "$TEXTDIR/after.1" >&2; exit 1; }
+[ "$(grep -c '"oid"' "$TEXTDIR/after.1")" -eq "$(( $(grep -c '"oid"' "$TEXTDIR/before.1") + 1 ))" ] \
+  || { echo "smoke: the insert changed the answer by more than its own line" >&2; exit 1; }
+# Every other line is the one the answers before the insert carried.
+grep '"oid"' "$TEXTDIR/before.1" | sort >"$TEXTDIR/before.sorted"
+grep '"oid"' "$TEXTDIR/after.1" | grep -v '"oid":880002,' | sort >"$TEXTDIR/after.sorted"
+cmp -s "$TEXTDIR/before.sorted" "$TEXTDIR/after.sorted" \
+  || { echo "smoke: a stored object's line changed across the insert" >&2; exit 1; }
+
+kill -TERM "$PID12"
+if ! wait "$PID12"; then
+  echo "smoke: kept-text topod exited non-zero on SIGTERM" >&2
+  cat "$LOG17" >&2
+  exit 1
+fi
+
+echo "smoke OK: forty $TLINES-line answers byte-equal before and after an insert into their leaves"
