@@ -253,6 +253,7 @@ func BenchmarkJoin(b *testing.B) {
 	}
 	for _, rel := range []topo.Relation{topo.Overlap, topo.Inside} {
 		b.Run(rel.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			var accesses uint64
 			var pairs int
 			for i := 0; i < b.N; i++ {
@@ -289,6 +290,7 @@ func BenchmarkJoinParallel(b *testing.B) {
 	run := func(b *testing.B, opts query.JoinOptions) {
 		var accesses uint64
 		var pairs int
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n := 0

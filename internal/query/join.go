@@ -128,6 +128,18 @@ func CanJoin(left, right index.Index) error {
 	return nil
 }
 
+// joinConfigs maps the join's relation set to the configurations a leaf
+// pair may stand in (Table 1) and the ones a pair of covering rectangles
+// above such leaves may (their join propagation).
+func joinConfigs(rels topo.Set, opts JoinOptions) (cands, prop mbr.ConfigSet) {
+	if opts.NonContiguous {
+		cands = mbr.CandidatesNonContiguousSet(rels)
+	} else {
+		cands = mbr.CandidatesSet(rels)
+	}
+	return cands, mbr.JoinPropagation(cands)
+}
+
 // sweepSafe reports whether every admissible configuration shares at
 // least one point on each axis — the soundness condition for the
 // engine's plane-sweep matcher and node-MBR clipping, which only
@@ -164,13 +176,7 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		return Stats{}, err
 	}
 
-	var cands mbr.ConfigSet
-	if opts.NonContiguous {
-		cands = mbr.CandidatesNonContiguousSet(rels)
-	} else {
-		cands = mbr.CandidatesSet(rels)
-	}
-	prop := mbr.JoinPropagation(cands)
+	cands, prop := joinConfigs(rels, opts)
 	engineOpts := rtree.JoinOptions{
 		Workers:      opts.Workers,
 		Intersecting: sweepSafe(cands),
@@ -178,8 +184,7 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 	if engineOpts.Intersecting {
 		engineOpts.SweepDensity = joinSweepDensity(left, right)
 	}
-	prune := func(a, b geom.Rect) bool { return prop.Has(mbr.ConfigOf(a, b)) }
-	accept := func(a, b geom.Rect) bool { return cands.Has(mbr.ConfigOf(a, b)) }
+	prune, accept := pairTestFor(prop).admits, pairTestFor(cands).admits
 	selfJoin := left == right
 	dropSelf := selfJoin && !opts.KeepSelfPairs
 
@@ -220,13 +225,8 @@ func joinSharded(ctx context.Context, left, right index.Index, rels topo.Set, op
 		}
 	}
 
-	var cands mbr.ConfigSet
-	if opts.NonContiguous {
-		cands = mbr.CandidatesNonContiguousSet(rels)
-	} else {
-		cands = mbr.CandidatesSet(rels)
-	}
-	prop := mbr.JoinPropagation(cands)
+	_, prop := joinConfigs(rels, opts)
+	feasible := pairTestFor(prop).admits
 	dropSelf := left == right && !opts.KeepSelfPairs
 
 	// Enumerate feasible tile pairs: the same root-root propagation test
@@ -246,7 +246,7 @@ func joinSharded(ctx context.Context, left, right index.Index, rels topo.Set, op
 			if !rok {
 				continue
 			}
-			if !prop.Has(mbr.ConfigOf(lb, rb)) {
+			if !feasible(lb, rb) {
 				continue
 			}
 			pairs = append(pairs, tilePair{l: lt, r: rt})

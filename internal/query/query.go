@@ -192,17 +192,32 @@ func (p *Processor) possibleRelations(c mbr.Config) topo.Set {
 	return mbr.PossibleRelations(c)
 }
 
+// pairTest is the one rectangle-pair test of the package, "a stands in
+// one of cfgs against b": the filter descent closes it over the query
+// reference (admits), the join hands it to the engine as prune and
+// accept, over node and leaf rectangles alike. The per-axis domination
+// pre-test (mbr.DominationFor) runs ahead of the exact configuration
+// probe: four sign comparisons an axis reject most non-qualifying pairs
+// without paying the two interval decision trees, and the pre-test is
+// provably sound (it never rejects a pair the exact test accepts).
+type pairTest struct {
+	dom  mbr.Domination
+	cfgs mbr.ConfigSet
+}
+
+func pairTestFor(cfgs mbr.ConfigSet) pairTest {
+	return pairTest{dom: mbr.DominationFor(cfgs), cfgs: cfgs}
+}
+
+func (p pairTest) admits(a, b geom.Rect) bool {
+	return p.dom.Admits(a, b) && p.cfgs.Has(mbr.ConfigOf(a, b))
+}
+
 // admits builds the rectangle test "r stands in one of cfgs against
-// ref". The per-axis domination pre-test (mbr.DominationFor) runs
-// ahead of the exact configuration probe: four sign comparisons reject
-// most non-qualifying rectangles without paying the two interval
-// decision trees, and the pre-test is provably sound (it never rejects
-// a rectangle the exact test accepts).
+// ref".
 func admits(cfgs mbr.ConfigSet, ref geom.Rect) func(geom.Rect) bool {
-	dom := mbr.DominationFor(cfgs)
-	return func(r geom.Rect) bool {
-		return dom.Admits(r, ref) && cfgs.Has(mbr.ConfigOf(r, ref))
-	}
+	p := pairTestFor(cfgs)
+	return func(r geom.Rect) bool { return p.admits(r, ref) }
 }
 
 // filterPreds derives the node and leaf predicates of steps 2 and 3:

@@ -23,10 +23,11 @@ import (
 // read a private copy (readNode) and install the result. Slot ids play
 // the part of page ids: snapshot.go's shadow/retire/reclaim protocol
 // runs over them unchanged, which is what keeps a slot from being
-// repointed while any pinned snapshot can still reach it. The one thing
-// a version gains after it is installed is the wire text of a leaf's
-// rectangles (text.go), which hangs off the version itself and goes
-// when the version does.
+// repointed while any pinned snapshot can still reach it. What a
+// version gains after it is installed are its two side-cars — the wire
+// text of a leaf's rectangles (text.go) and the sweep order and MBR a
+// join keeps (join.go) — which are derived from the entries alone, hang
+// off the version itself and go when the version does.
 //
 // The arena charges what the paged representation would: a node costs
 // 1 + its overflow pages at the configured capacity (node.cost), reads
@@ -132,7 +133,7 @@ func (a *arena) Alloc() (pagefile.PageID, error) {
 }
 
 // install makes a copy of n the current version of its slot. The
-// version it replaces is left as it was, text and all, for whoever
+// version it replaces is left as it was, side-cars and all, for whoever
 // still holds it.
 func (a *arena) install(n *node, capacity int) {
 	v := &node{id: n.id, level: n.level, entries: slices.Clone(n.entries),
@@ -190,11 +191,11 @@ var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page
 
 // adoptStore opens the image's nodes as the arena of a mutable tree.
 // Only the slot table is new: every slot starts out pointing at the
-// image's own node version — entries, and whatever wire text its leaves
-// have earned or will earn on either side. Node versions are immutable
-// on both sides — the tree repoints slots, never their contents — so the
-// image keeps serving unchanged beside the tree for as long as anyone
-// holds it.
+// image's own node version — entries, and whatever side-cars (wire
+// text, sweep order) it has earned or will earn on either side. Node
+// versions are immutable on both sides — the tree repoints slots, never
+// their contents — so the image keeps serving unchanged beside the tree
+// for as long as anyone holds it.
 func (f *FlatTree) adoptStore(pageSize int, covering bool) (*store, error) {
 	capacity := CapacityForPageSize(pageSize)
 	if capacity < 4 {

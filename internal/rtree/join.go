@@ -1,11 +1,12 @@
 package rtree
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +24,10 @@ import (
 //     point (every topological relation set except ones containing
 //     disjoint), entries are matched by a forward plane sweep over
 //     their low-x order, restricted to the intersection of the two
-//     node MBRs, so only x-overlapping combinations are tested;
+//     node MBRs, so only x-overlapping combinations are tested. An
+//     arena node version keeps that order and its MBR beside it
+//     (nodeSweep), so a node pair costs a filter of two kept orders
+//     into the worker's scratch — no sort, no allocation;
 //   - the top-level node pairs (and, when that fans out too little,
 //     the second-level pairs) are distributed over a bounded worker
 //     pool. All workers traverse the same two pinned snapshots, and
@@ -50,14 +54,14 @@ type JoinOptions struct {
 	// pairs in a typical node pair that x-overlap (the sweep's tested
 	// fraction), usually derived from node-MBR statistics. With it the
 	// matcher decides sweep vs nested loop per node pair: the sweep
-	// saves (1 − density)·m·n tests but pays a sort, so small or dense
-	// pairs match faster by the plain loop. 0 means unknown — then only
-	// the pair size gates the sweep. Ignored unless Intersecting.
+	// saves (1 − density)·m·n tests but pays its set-up, so small or
+	// dense pairs match faster by the plain loop. 0 means unknown — then
+	// only the pair size gates the sweep. Ignored unless Intersecting.
 	SweepDensity float64
 }
 
 // sweepMinPairs is the entry-count product under which the sweep's
-// clip-filter-sort setup cannot pay for itself regardless of density.
+// clip-and-order set-up cannot pay for itself regardless of density.
 const sweepMinPairs = 16
 
 // joinFanout is the task-to-worker ratio under which the coordinator
@@ -96,7 +100,8 @@ var errJoinStop = errors.New("rtree: join stopped by emit")
 // emit as two Hits (return false to stop). Self-joins (t1 == t2) are
 // supported. emit is never called concurrently, regardless of the
 // worker count, so caller-side closures need no locking; the order in
-// which pairs are emitted is unspecified.
+// which pairs are emitted is unspecified (a serial join, Workers 1,
+// repeats the same order over the same two tree versions).
 //
 // The returned TraversalStats counts the pages this join read across
 // both trees — exact per-operation accounting, independent of any
@@ -265,6 +270,29 @@ type joinTask struct{ n1, n2 *node }
 type joinWorker struct {
 	e     *joinEngine
 	stats TraversalStats
+
+	// scratch[d] belongs to the node pair whose levels sum to d. That sum
+	// strictly falls along a descent, so whatever runs under a pair —
+	// found recursing into a child pair included — works in other slots
+	// and a warm join allocates nothing per node pair.
+	scratch []pairScratch
+}
+
+// pairScratch is what matching one node pair needs besides the nodes:
+// the two sweep orders, and the children read so far.
+type pairScratch struct {
+	ord1, ord2  []int32
+	left, right []*node
+}
+
+func (w *joinWorker) scratchFor(n1, n2 *node) *pairScratch {
+	d := n1.level + n2.level
+	if d >= len(w.scratch) {
+		// Only ever the outermost pair of a descent: no pair above it
+		// holds a pointer into the slice being replaced.
+		w.scratch = append(w.scratch, make([]pairScratch, d+1-len(w.scratch))...)
+	}
+	return &w.scratch[d]
 }
 
 // read1/read2 use each tree's own node source (they may share a page
@@ -316,143 +344,108 @@ func (w *joinWorker) emitPair(n1 *node, i int, n2 *node, j int) error {
 // join recurses over a node pair; the pair itself already passed the
 // prune test.
 func (w *joinWorker) join(n1, n2 *node) error {
-	switch {
-	case n1.isLeaf() && n2.isLeaf():
+	if n1.isLeaf() && n2.isLeaf() {
 		return w.match(n1, n2, w.e.accept, func(i, j int) error {
 			return w.emitPair(n1, i, n2, j)
 		})
-	case n1.isLeaf():
-		// Height mismatch: descend the right side only.
-		m1 := n1.mbr()
-		for j := range n2.entries {
-			e2 := &n2.entries[j]
-			if !w.e.prune(m1, e2.Rect) {
-				continue
-			}
-			c2, err := w.read2(n2.childRef(j))
-			if err != nil {
-				return err
-			}
-			if err := w.join(n1, c2); err != nil {
-				return err
-			}
-		}
-		return nil
-	case n2.isLeaf():
-		m2 := n2.mbr()
-		for i := range n1.entries {
-			e1 := &n1.entries[i]
-			if !w.e.prune(e1.Rect, m2) {
-				continue
-			}
-			c1, err := w.read1(n1.childRef(i))
-			if err != nil {
-				return err
-			}
-			if err := w.join(c1, n2); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		// Internal-internal: lazily read every child at most once for
-		// this node pair, however many partners its entry matches.
-		left := make([]*node, len(n1.entries))
-		right := make([]*node, len(n2.entries))
-		return w.match(n1, n2, w.e.prune, func(i, j int) error {
-			var err error
-			if left[i] == nil {
-				if left[i], err = w.read1(n1.childRef(i)); err != nil {
-					return err
-				}
-			}
-			if right[j] == nil {
-				if right[j], err = w.read2(n2.childRef(j)); err != nil {
-					return err
-				}
-			}
-			return w.join(left[i], right[j])
-		})
 	}
+	return w.descend(n1, n2, w.join)
 }
 
-// expand reads the children of one node pair (each page at most once,
-// exactly as the serial recursion charges them) and returns the child
-// pairs that survive pruning. Leaf-leaf pairs are returned as they
-// are; height-mismatched pairs descend the taller side.
+// expand returns the child pairs of one node pair that survive pruning,
+// charging the reads exactly as the serial recursion does. A leaf-leaf
+// pair is returned as it is.
 func (w *joinWorker) expand(n1, n2 *node) ([]joinTask, error) {
-	var tasks []joinTask
-	switch {
-	case n1.isLeaf() && n2.isLeaf():
+	if n1.isLeaf() && n2.isLeaf() {
 		return []joinTask{{n1, n2}}, nil
+	}
+	var tasks []joinTask
+	err := w.descend(n1, n2, func(c1, c2 *node) error {
+		tasks = append(tasks, joinTask{c1, c2})
+		return nil
+	})
+	return tasks, err
+}
+
+// descend hands next the child pairs of a node pair (not both leaves)
+// that survive pruning. Every child is read at most once for this node
+// pair, however many partners its entry matches — lazily, into the
+// pair's scratch; a height mismatch descends the taller side only,
+// against the MBR of the leaf.
+func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error {
+	switch {
 	case n1.isLeaf():
-		m1 := n1.mbr()
+		m1, _ := n1.swept()
 		for j := range n2.entries {
-			e2 := &n2.entries[j]
-			if !w.e.prune(m1, e2.Rect) {
+			if !w.e.prune(m1, n2.entries[j].Rect) {
 				continue
 			}
 			c2, err := w.read2(n2.childRef(j))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tasks = append(tasks, joinTask{n1, c2})
+			if err := next(n1, c2); err != nil {
+				return err
+			}
 		}
+		return nil
 	case n2.isLeaf():
-		m2 := n2.mbr()
+		m2, _ := n2.swept()
 		for i := range n1.entries {
-			e1 := &n1.entries[i]
-			if !w.e.prune(e1.Rect, m2) {
+			if !w.e.prune(n1.entries[i].Rect, m2) {
 				continue
 			}
 			c1, err := w.read1(n1.childRef(i))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tasks = append(tasks, joinTask{c1, n2})
+			if err := next(c1, n2); err != nil {
+				return err
+			}
 		}
-	default:
-		left := make([]*node, len(n1.entries))
-		right := make([]*node, len(n2.entries))
-		err := w.match(n1, n2, w.e.prune, func(i, j int) error {
-			var err error
-			if left[i] == nil {
-				if left[i], err = w.read1(n1.childRef(i)); err != nil {
-					return err
-				}
-			}
-			if right[j] == nil {
-				if right[j], err = w.read2(n2.childRef(j)); err != nil {
-					return err
-				}
-			}
-			tasks = append(tasks, joinTask{left[i], right[j]})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		return nil
 	}
-	return tasks, nil
+	sc := w.scratchFor(n1, n2)
+	sc.left = resetNodes(sc.left, len(n1.entries))
+	sc.right = resetNodes(sc.right, len(n2.entries))
+	left, right := sc.left, sc.right
+	return w.match(n1, n2, w.e.prune, func(i, j int) error {
+		var err error
+		if left[i] == nil {
+			if left[i], err = w.read1(n1.childRef(i)); err != nil {
+				return err
+			}
+		}
+		if right[j] == nil {
+			if right[j], err = w.read2(n2.childRef(j)); err != nil {
+				return err
+			}
+		}
+		return next(left[i], right[j])
+	})
 }
 
-// match enumerates the entry pairs of two nodes that pass test and
-// hands their indexes to found. Under the Intersecting contract the
-// pairs come from a plane sweep that only visits x-overlapping
-// combinations inside the nodes' common region — unless this pair is
-// too small, or the caller's density estimate says most combinations
-// x-overlap anyway, in which case the plain nested loop is cheaper
-// than the sweep's sort (see useSweep); otherwise every combination
-// is tested.
+// resetNodes returns buf as k nil slots, grown if it has to be.
+func resetNodes(buf []*node, k int) []*node {
+	if cap(buf) < k {
+		return make([]*node, k)
+	}
+	buf = buf[:k]
+	clear(buf)
+	return buf
+}
+
 // useSweep is the per-node-pair strategy decision: sweep when the
-// estimated fan-out makes its setup worthwhile. The nested loop tests
+// estimated fan-out makes its set-up worthwhile. The nested loop tests
 // all m·n combinations; the sweep tests only the x-overlapping ones —
-// an expected density·m·n of them — but first clips, filters, and
-// sorts both sides (≈ (m+n)·log₂(m+n) comparison-sized steps). Tiny
-// pairs never amortise that, and a density near one means the sweep
-// tests almost everything anyway and the sort is pure overhead.
-func (w *joinWorker) useSweep(m, n int) bool {
-	pairs := m * n
+// an expected density·m·n of them — but first brings each side into
+// low-x order inside the clip region: one pass over the kept order of
+// an arena node, a filter and a sort (≈ k·log₂k comparison-sized steps
+// for k entries) of a paged one. Tiny pairs never amortise that, and a
+// density near one means the sweep tests almost everything anyway and
+// the set-up is pure overhead.
+func (w *joinWorker) useSweep(n1, n2 *node) bool {
+	pairs := len(n1.entries) * len(n2.entries)
 	if pairs < sweepMinPairs {
 		return false
 	}
@@ -463,13 +456,29 @@ func (w *joinWorker) useSweep(m, n int) bool {
 	if d >= 1 {
 		return false
 	}
-	setup := float64(m+n) * math.Log2(float64(m+n))
-	return setup < (1-d)*float64(pairs)
+	return float64(sweepSetup(n1)+sweepSetup(n2)) < (1-d)*float64(pairs)
 }
 
+// sweepSetup is what ordering one side of a sweep costs, in tests.
+func sweepSetup(n *node) int {
+	k := len(n.entries)
+	if n.cost != 0 {
+		return k
+	}
+	return k * bits.Len(uint(k))
+}
+
+// match enumerates the entry pairs of two nodes that pass test and
+// hands their indexes to found. Under the Intersecting contract the
+// pairs come from a plane sweep that only visits x-overlapping
+// combinations inside the nodes' common region — unless this pair is
+// too small, or the caller's density estimate says most combinations
+// x-overlap anyway, in which case the plain nested loop is cheaper
+// than the sweep's set-up (see useSweep); otherwise every combination
+// is tested.
 func (w *joinWorker) match(n1, n2 *node, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
 	if w.e.opts.Intersecting {
-		if w.useSweep(len(n1.entries), len(n2.entries)) {
+		if w.useSweep(n1, n2) {
 			w.stats.SweepPairs++
 			return w.matchSweep(n1, n2, test, found)
 		}
@@ -491,30 +500,34 @@ func (w *joinWorker) match(n1, n2 *node, test func(a, b geom.Rect) bool, found f
 // matchSweep is the forward plane sweep: both nodes' entries are
 // restricted to the (closed, possibly degenerate) intersection of the
 // node MBRs — a qualifying pair shares a point, and a shared point of
-// two entries lies inside both node rectangles — then sorted by low x
-// and swept. At each step the unprocessed entry with the smallest low
+// two entries lies inside both node rectangles — and swept in low-x
+// order. At each step the unprocessed entry with the smallest low
 // edge is paired with every opposite entry whose low edge lies inside
 // its x extent; each x-overlapping pair is therefore tested exactly
 // once (when its earlier-opening member is processed) and pairs that
 // merely touch are kept (meet is a point-sharing relation).
 func (w *joinWorker) matchSweep(n1, n2 *node, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
-	clip := clipRect(n1.mbr(), n2.mbr())
+	m1, kept1 := n1.swept()
+	m2, kept2 := n2.swept()
+	clip := clipRect(m1, m2)
 	if clip.Min.X > clip.Max.X || clip.Min.Y > clip.Max.Y {
 		return nil
 	}
-	s1 := sweepOrder(n1, clip)
-	s2 := sweepOrder(n2, clip)
+	sc := w.scratchFor(n1, n2)
+	sc.ord1 = sweepOrder(sc.ord1[:0], n1, kept1, clip)
+	sc.ord2 = sweepOrder(sc.ord2[:0], n2, kept2, clip)
+	s1, s2 := sc.ord1, sc.ord2
+	e1, e2 := n1.entries, n2.entries
 	for i, j := 0, 0; i < len(s1) && j < len(s2); {
-		a := &n1.entries[s1[i]]
-		b := &n2.entries[s2[j]]
-		if a.Rect.Min.X <= b.Rect.Min.X {
+		a, b := e1[s1[i]].Rect, e2[s2[j]].Rect
+		if a.Min.X <= b.Min.X {
 			for k := j; k < len(s2); k++ {
-				bk := &n2.entries[s2[k]]
-				if bk.Rect.Min.X > a.Rect.Max.X {
+				r := &e2[s2[k]].Rect
+				if r.Min.X > a.Max.X {
 					break
 				}
-				if test(a.Rect, bk.Rect) {
-					if err := found(s1[i], s2[k]); err != nil {
+				if test(a, *r) {
+					if err := found(int(s1[i]), int(s2[k])); err != nil {
 						return err
 					}
 				}
@@ -522,12 +535,12 @@ func (w *joinWorker) matchSweep(n1, n2 *node, test func(a, b geom.Rect) bool, fo
 			i++
 		} else {
 			for k := i; k < len(s1); k++ {
-				ak := &n1.entries[s1[k]]
-				if ak.Rect.Min.X > b.Rect.Max.X {
+				r := &e1[s1[k]].Rect
+				if r.Min.X > b.Max.X {
 					break
 				}
-				if test(ak.Rect, b.Rect) {
-					if err := found(s1[k], s2[j]); err != nil {
+				if test(*r, b) {
+					if err := found(int(s1[k]), int(s2[j])); err != nil {
 						return err
 					}
 				}
@@ -548,17 +561,67 @@ func clipRect(a, b geom.Rect) geom.Rect {
 	}
 }
 
-// sweepOrder returns the indexes of the entries touching the clip
-// region, sorted by low x — the node's sweep order.
-func sweepOrder(n *node, clip geom.Rect) []int {
-	ord := make([]int, 0, len(n.entries))
-	for i := range n.entries {
-		if n.entries[i].Rect.Intersects(clip) {
-			ord = append(ord, i)
+// nodeSweep is the sweep side-car of an arena node version: what every
+// join that meets the version needs of it and no entry says by itself.
+// It lives by the rule of the leaf text (text.go): computed by the first
+// join that sweeps the version, immutable once published, so
+// copy-on-write is its whole invalidation story — a mutation installs a
+// new version, which starts without one. A paged node, decoded afresh
+// on every access, never has one. The entries stay in their physical
+// order: answers, and limit-bounded traversals, depend on it.
+type nodeSweep struct {
+	mbr geom.Rect // tight MBR of the entries
+	ord []int32   // entry indexes by low x, ties by index
+}
+
+// byLowX is the sweep order of a node's entries.
+func (n *node) byLowX(a, b int32) int {
+	if c := cmp.Compare(n.entries[a].Rect.Min.X, n.entries[b].Rect.Min.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// swept returns the node's tight MBR and, for an arena node version,
+// its kept sweep order — computed here the first time. Two joins
+// meeting a fresh version together both compute; one result is
+// published.
+func (n *node) swept() (geom.Rect, []int32) {
+	if n.cost == 0 {
+		return n.mbr(), nil
+	}
+	k := n.sweep.Load()
+	if k == nil {
+		k = &nodeSweep{mbr: n.mbr(), ord: make([]int32, len(n.entries))}
+		for i := range k.ord {
+			k.ord[i] = int32(i)
+		}
+		slices.SortFunc(k.ord, n.byLowX)
+		if !n.sweep.CompareAndSwap(nil, k) {
+			k = n.sweep.Load()
 		}
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		return n.entries[ord[a]].Rect.Min.X < n.entries[ord[b]].Rect.Min.X
-	})
+	return k.mbr, k.ord
+}
+
+// sweepOrder appends to ord the indexes of the entries touching the
+// clip region, by low x: a filter of the kept order, which preserves
+// it, or of the physical order and a sort for a node that keeps none.
+func sweepOrder(ord []int32, n *node, kept []int32, clip geom.Rect) []int32 {
+	ord = slices.Grow(ord, len(n.entries))
+	if kept != nil {
+		for _, i := range kept {
+			if n.entries[i].Rect.Intersects(clip) {
+				ord = append(ord, i)
+			}
+		}
+		return ord
+	}
+	for i := range n.entries {
+		if n.entries[i].Rect.Intersects(clip) {
+			ord = append(ord, int32(i))
+		}
+	}
+	slices.SortFunc(ord, n.byLowX)
 	return ord
 }

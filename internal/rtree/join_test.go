@@ -30,15 +30,7 @@ func intersectsPred(a, b geom.Rect) bool { return a.Intersects(b) }
 // runJoin collects an intersection join's pair multiset.
 func runJoin(t *testing.T, t1, t2 *Tree, opts JoinOptions) (map[[2]uint64]int, TraversalStats) {
 	t.Helper()
-	pairs := map[[2]uint64]int{}
-	ts, err := JoinCtx(context.Background(), t1, t2, intersectsPred, intersectsPred,
-		func(a, b Hit) bool {
-			pairs[[2]uint64{a.OID, b.OID}]++
-			return true
-		}, opts)
-	if err != nil {
-		t.Fatalf("join (%+v): %v", opts, err)
-	}
+	pairs, _, ts := enginePairs(t, t1, t2, intersectsPred, intersectsPred, opts)
 	return pairs, ts
 }
 
@@ -54,51 +46,71 @@ func samePairs(t *testing.T, want, got map[[2]uint64]int, label string) {
 	}
 }
 
-// refJoin is the textbook nested-loop intersection join, written
-// independently of the engine: the differential oracle for its pair
-// multiset and its page reads. With dedup every child page is read at
-// most once per node pair, which is what the engine must do; without,
-// the right child is re-read for every matching left entry — the
-// pre-sweep joiner, whose page count bounds the engine's from above.
-func refJoin(t *testing.T, t1, t2 *Tree, dedup bool) (map[[2]uint64]int, uint64) {
+func unionOf(entries []Entry) geom.Rect {
+	r := entries[0].Rect
+	for _, e := range entries[1:] {
+		r = r.Union(e.Rect)
+	}
+	return r
+}
+
+// refJoin is the textbook nested-loop join over any two join views,
+// written independently of the engine: the differential oracle for its
+// pair multiset and its page reads. Every combination is tested and node
+// MBRs are united by hand. With dedup every child page is read at most
+// once per node pair, which is what the engine must do; without, the
+// right child is re-read for every matching left entry — the pre-sweep
+// joiner, whose page count bounds the engine's from above. onEdge counts
+// the leaf entries that reach their node pair's clip region in x by an
+// edge alone.
+func refJoin(t *testing.T, j1, j2 Joinable, prune, accept func(a, b geom.Rect) bool, dedup bool) (pairs map[[2]uint64]int, ts TraversalStats, onEdge int) {
 	t.Helper()
-	s1 := t1.acquire()
-	defer t1.release(s1)
-	s2 := t2.acquire()
-	defer t2.release(s2)
-	pairs := map[[2]uint64]int{}
-	var reads uint64
-	read := func(tr *Tree, id pagefile.PageID) *node {
-		n, err := tr.st.readNode(id)
+	src1, root1, rel1 := j1.joinView()
+	defer rel1()
+	src2, root2, rel2 := j2.joinView()
+	defer rel2()
+	pairs = map[[2]uint64]int{}
+	read := func(src NodeSource, ref uint64) *node {
+		n, err := src.readNodeRef(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reads += 1 + uint64(len(n.chain))
+		ts.NodesVisited++
+		ts.NodeAccesses += n.accessCost()
 		return n
 	}
 	var rec func(n1, n2 *node)
 	rec = func(n1, n2 *node) {
 		switch {
 		case n1.isLeaf() && n2.isLeaf():
+			clip := clipRect(unionOf(n1.entries), unionOf(n2.entries))
+			for _, n := range []*node{n1, n2} {
+				for _, e := range n.entries {
+					if e.Rect.Min.X == clip.Max.X || e.Rect.Max.X == clip.Min.X {
+						onEdge++
+					}
+				}
+			}
 			for _, e1 := range n1.entries {
 				for _, e2 := range n2.entries {
-					if e1.Rect.Intersects(e2.Rect) {
+					if accept(e1.Rect, e2.Rect) {
 						pairs[[2]uint64{e1.OID, e2.OID}]++
+						ts.Emitted++
 					}
 				}
 			}
 		case n1.isLeaf():
-			m1 := n1.mbr()
+			m1 := unionOf(n1.entries)
 			for j := range n2.entries {
-				if m1.Intersects(n2.entries[j].Rect) {
-					rec(n1, read(t2, n2.entries[j].Child))
+				if prune(m1, n2.entries[j].Rect) {
+					rec(n1, read(src2, n2.childRef(j)))
 				}
 			}
 		case n2.isLeaf():
-			m2 := n2.mbr()
+			m2 := unionOf(n2.entries)
 			for i := range n1.entries {
-				if n1.entries[i].Rect.Intersects(m2) {
-					rec(read(t1, n1.entries[i].Child), n2)
+				if prune(n1.entries[i].Rect, m2) {
+					rec(read(src1, n1.childRef(i)), n2)
 				}
 			}
 		default:
@@ -106,26 +118,25 @@ func refJoin(t *testing.T, t1, t2 *Tree, dedup bool) (map[[2]uint64]int, uint64)
 			right := make([]*node, len(n2.entries))
 			for i := range n1.entries {
 				for j := range n2.entries {
-					if !n1.entries[i].Rect.Intersects(n2.entries[j].Rect) {
+					if !prune(n1.entries[i].Rect, n2.entries[j].Rect) {
 						continue
 					}
 					if left[i] == nil {
-						left[i] = read(t1, n1.entries[i].Child)
+						left[i] = read(src1, n1.childRef(i))
 					}
 					if right[j] == nil || !dedup {
-						right[j] = read(t2, n2.entries[j].Child)
+						right[j] = read(src2, n2.childRef(j))
 					}
 					rec(left[i], right[j])
 				}
 			}
 		}
 	}
-	r1 := read(t1, s1.root)
-	r2 := read(t2, s2.root)
-	if len(r1.entries) > 0 && len(r2.entries) > 0 && r1.mbr().Intersects(r2.mbr()) {
+	r1, r2 := read(src1, root1), read(src2, root2)
+	if len(r1.entries) > 0 && len(r2.entries) > 0 && prune(unionOf(r1.entries), unionOf(r2.entries)) {
 		rec(r1, r2)
 	}
-	return pairs, reads
+	return pairs, ts, onEdge
 }
 
 // TestJoinChildReadDedup is the page-access regression test for the
@@ -141,15 +152,16 @@ func TestJoinChildReadDedup(t *testing.T) {
 		t.Fatalf("want height >= 3 to exercise node-node descent, got %d", t1.Height())
 	}
 
-	naivePairs, naiveReads := refJoin(t, t1, t2, false)
+	naivePairs, naive, _ := refJoin(t, t1, t2, intersectsPred, intersectsPred, false)
+	naiveReads := naive.NodeAccesses
 	dedupPairs, dedup := runJoin(t, t1, t2, JoinOptions{Workers: 1})
 	samePairs(t, naivePairs, dedupPairs, "engine vs nested loop")
 
 	if dedup.NodeAccesses >= naiveReads {
 		t.Fatalf("engine read %d pages, nested loop %d; want strictly fewer", dedup.NodeAccesses, naiveReads)
 	}
-	if _, want := refJoin(t, t1, t2, true); dedup.NodeAccesses != want {
-		t.Fatalf("engine read %d pages, reference dedup walk reads %d", dedup.NodeAccesses, want)
+	if _, want, _ := refJoin(t, t1, t2, intersectsPred, intersectsPred, true); dedup.NodeAccesses != want.NodeAccesses {
+		t.Fatalf("engine read %d pages, reference dedup walk reads %d", dedup.NodeAccesses, want.NodeAccesses)
 	}
 	if dedup.Emitted != len(dedupPairs) {
 		t.Fatalf("emitted %d, distinct %d; counts must agree", dedup.Emitted, len(dedupPairs))

@@ -65,6 +65,10 @@ type node struct {
 	// have done themselves until then.
 	rented atomic.Int32
 	text   atomic.Pointer[leafText]
+
+	// The side-car of an arena node a join has swept (join.go): its tight
+	// MBR and its entries' low-x order.
+	sweep atomic.Pointer[nodeSweep]
 }
 
 func (n *node) isLeaf() bool { return n.level == 0 }
@@ -98,8 +102,13 @@ type NodeSource interface {
 	readNodeRef(ref uint64) (*node, error)
 }
 
-// mbr returns the tight bounding rectangle of the node's entries.
+// mbr returns the tight bounding rectangle of the node's entries: kept
+// beside a node version a join has swept, the union of the entries
+// otherwise.
 func (n *node) mbr() geom.Rect {
+	if k := n.sweep.Load(); k != nil {
+		return k.mbr
+	}
 	if len(n.entries) == 0 {
 		return geom.Rect{}
 	}

@@ -251,7 +251,7 @@ func TestSnapshotConcurrentReadersAndWriter(t *testing.T) {
 }
 
 func newTestArenaRStar() (*Tree, error) {
-	return NewArena(testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
+	return NewArena(testPageSize, rstarOpts, "R*-tree")
 }
 
 func readersBesideWriter(t *testing.T, tree *Tree) {

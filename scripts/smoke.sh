@@ -7,7 +7,11 @@
 # streams more rectangles through POST /v1/bulk, kill -9s it, and
 # asserts the restart replays the whole batch. A fourth leg bulk-loads
 # two indexes, streams a meet+overlap /v1/join, checks the pair count
-# against topoquery ground truth, and asserts 429 under saturation. A
+# against topoquery ground truth, sends the same join twenty times more
+# and cmp's every sorted body against the first (the join keeps sweep
+# orders beside the nodes it has swept), inserts into the left index and
+# asserts the answer gains exactly the pairs topoquery predicts for the
+# new object and changes no other line, and asserts 429 under saturation. A
 # fifth leg checkpoints a durable topod grown insert by insert, asserts
 # the data directory holds exactly main.flat + one main.wal.<gen>,
 # asserts the next boot serves the checkpoint image (backend=flat) with
@@ -60,13 +64,14 @@ cleanup() {
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
     "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG14" "$LOG15" "$LOG16" "$LOG17" "$WLOG" "$BULK" "$WBULK" \
-    "$LEFT" "$RIGHT" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
+    "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
     "$DATADIR5" "$DATADIR6" "$DATADIR7" 2>/dev/null || true
 }
 PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID9="" PID10="" PID11="" PID12=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
 LOG12="" LOG13="" LOG14="" LOG15="" LOG16="" LOG17="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
+JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
 DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7=""
 
@@ -348,6 +353,39 @@ WIREPAIRS="$(echo "$JRESP" | grep -c '"left_oid"')" || true
 echo "$JRESP" | tail -1 | grep -q "\"pairs\":$TRUTH" \
   || { echo "smoke: join stats line disagrees with ground truth ($TRUTH): $(echo "$JRESP" | tail -1)" >&2; exit 1; }
 
+# The join keeps each node version's sweep order beside it once it has
+# swept it: the first answer (orders computed) and the later ones (orders
+# kept) must be the same lines. Workers interleave their pairs, so the
+# bodies are compared sorted.
+JQ='{"left":"main","right":"second","relations":["meet","overlap"]}'
+JFIRST="$(mktemp)" JNEXT="$(mktemp)"
+echo "$JRESP" | sort >"$JFIRST"
+for i in $(seq 1 20); do
+  curl -sf -d "$JQ" "$BASE4/v1/join" | sort >"$JNEXT"
+  cmp -s "$JFIRST" "$JNEXT" \
+    || { echo "smoke: /v1/join answer $i differs from the first" >&2; diff "$JFIRST" "$JNEXT" | head -5 >&2; exit 1; }
+done
+
+# An insert into the left index lands in a leaf those joins have swept.
+# The next answer gains exactly the pairs topoquery's serial engine finds
+# for the new object alone, and loses or changes no other line.
+NEWOBJ="$(mktemp)"
+echo "900001,500,500,530,530" >"$NEWOBJ"
+PREDICTED="$("$TOPOQUERY" -data "$NEWOBJ" -join "$RIGHT" -rel meet,overlap -maxprint 100000 \
+  | sed -n 's/^ *(\([0-9]*\), \([0-9]*\))$/\1 \2/p' | sort)"
+[ -n "$PREDICTED" ] || { echo "smoke: topoquery predicts no pairs for the inserted object" >&2; exit 1; }
+curl -sf -d '{"oid":900001,"rect":[500,500,530,530]}' "$BASE4/v1/insert" >/dev/null \
+  || { echo "smoke: insert into the join's left index failed" >&2; exit 1; }
+curl -sf -d "$JQ" "$BASE4/v1/join" | sort >"$JNEXT"
+LOST="$(grep -v '"stats"' "$JFIRST" | comm -23 - <(grep -v '"stats"' "$JNEXT"))"
+[ -z "$LOST" ] || { echo "smoke: the insert changed join lines it should not have: $(echo "$LOST" | head -3)" >&2; exit 1; }
+GAINED="$(grep -v '"stats"' "$JFIRST" | comm -13 - <(grep -v '"stats"' "$JNEXT") \
+  | sed -n 's/^{"left_oid":\([0-9]*\),"right_oid":\([0-9]*\),.*/\1 \2/p' | sort)"
+[ "$GAINED" = "$PREDICTED" ] \
+  || { echo "smoke: after the insert /v1/join gained [$GAINED], topoquery predicts [$PREDICTED]" >&2; exit 1; }
+grep -q "\"pairs\":$((TRUTH + $(echo "$PREDICTED" | wc -l)))" "$JNEXT" \
+  || { echo "smoke: join stats line after the insert: $(grep '"stats"' "$JNEXT")" >&2; exit 1; }
+
 # Saturation: a throttled client holds the single admission slot open
 # (the handler blocks writing the multi-MB not_disjoint stream), so
 # the next join must be turned away with 429 + Retry-After.
@@ -380,7 +418,7 @@ if ! wait "$PID4"; then
   exit 1
 fi
 
-echo "smoke OK: /v1/join matched topoquery ground truth + 429 under saturation"
+echo "smoke OK: /v1/join matched topoquery ground truth, twenty repeats and an insert into a swept leaf + 429 under saturation"
 
 # ---- flat-boot leg: checkpoint, kill -9, boot from the checkpoint
 # image; then corrupt it and assert a 503 with the reason ----
