@@ -2,11 +2,12 @@ GO ?= go
 
 .PHONY: verify race test bench bench-smoke fmt smoke fuzz
 
-# Tier-1 gate: everything must build, vet clean, and pass. bench/ is a
-# nested module that root `./...` cannot see, yet it imports internal/
-# packages: vet it too, so that deleting a symbol it calls fails here
-# and not only in CI's bench-smoke job.
+# Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
+# pass. bench/ is a nested module that root `./...` cannot see, yet it
+# imports internal/ packages: vet it too, so that deleting a symbol it
+# calls fails here and not only in CI's bench-smoke job.
 verify:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...

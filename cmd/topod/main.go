@@ -35,13 +35,12 @@
 //
 //	topod -gen 10000 -data-dir /var/lib/topod -fsync always
 //
-// When the WAL is quiet the next boot answers queries straight from
-// the validated image (backend=flat) and builds a mutable tree only
-// when the first mutation arrives, which stalls that one write for
-// about one bulk load; with records in the WAL it rebuilds the tree,
-// replays them and checkpoints before serving (backend=recovered). A
-// fresh index prints the plain build line. An image that fails its
-// checksums is never guessed around: the index answers 503.
+// Every boot from an image adopts it as the tree — the checkpointed
+// tree node for node, one slot-table copy. When the WAL is quiet that
+// is all (backend=flat); with records in the WAL it replays them and
+// checkpoints before serving (backend=recovered). A fresh index prints
+// the plain build line. An image that fails its checksums is never
+// guessed around: the index answers 503.
 //
 // Read replicas: -follow streams the primary's checkpoint image plus a
 // live WAL tail over /v1/replicate into a local data directory. The
@@ -210,7 +209,7 @@ func main() {
 			verb, inst.ReadIndex().Len(), inst.Sharded(), inst.Kind, inst.Name,
 			buildTime.Round(time.Millisecond), inst.Replayed)
 	case inst.Backend() == "flat":
-		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (the first mutation adopts the image as the working tree)\n",
+		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (the checkpoint image adopted as the tree, nothing replayed)\n",
 			inst.ReadIndex().Len(), inst.Kind, inst.Name, *dataDir, buildTime.Round(time.Millisecond))
 	case inst.Recovered:
 		fmt.Printf("topod: backend=recovered %d rectangles in %s %q from %s (replayed %d WAL records)\n",
@@ -221,7 +220,7 @@ func main() {
 			build = "bulk-loaded"
 		}
 		fmt.Printf("topod: %s %d rectangles in %s %q in %s (height %d)\n",
-			build, inst.Idx.Len(), inst.Kind, inst.Name, buildTime.Round(time.Millisecond), inst.Idx.Height())
+			build, inst.ReadIndex().Len(), inst.Kind, inst.Name, buildTime.Round(time.Millisecond), inst.ReadIndex().Height())
 	}
 
 	// A second, non-durable index makes the process a join service:
@@ -247,7 +246,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("topod: loaded %d rectangles in %s %q (height %d)\n",
-			inst2.Idx.Len(), inst2.Kind, inst2.Name, inst2.Idx.Height())
+			inst2.ReadIndex().Len(), inst2.Kind, inst2.Name, inst2.ReadIndex().Height())
 	}
 
 	ln, err := net.Listen("tcp", *addr)

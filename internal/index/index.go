@@ -78,7 +78,6 @@ type Index interface {
 var (
 	_ Index = (*rtree.Tree)(nil)
 	_ Index = (*rtree.RPlusTree)(nil)
-	_ Index = (*rtree.FlatTree)(nil)
 )
 
 // PaperPageSize is the page size giving the paper's node capacity of
@@ -130,8 +129,8 @@ func New(kind Kind) (Index, error) { return NewWithPageSize(kind, PaperPageSize)
 // (rtree.NewArena) and charges node accesses at that page size's
 // capacity, so answers, TraversalStats and IOStats equal NewOnFile over
 // a pagefile.MemFile of the same size. Hand NewOnFile a file when the
-// pages themselves matter — persistence, a buffer pool, fault
-// injection, the paper's experiments.
+// pages themselves matter — a buffer pool, fault injection, the paper's
+// experiments.
 func NewWithPageSize(kind Kind, pageSize int) (Index, error) {
 	return newArena(kind, pageSize, kind.String())
 }
@@ -179,7 +178,7 @@ func LoadBulk(idx Index, items []Item) error {
 }
 
 // NewOnFile creates an index of the given kind over an existing page
-// file (e.g. a pagefile.DiskFile for persistence or a BufferPool).
+// file (a pagefile.MemFile, or a BufferPool or FaultFile over one).
 func NewOnFile(kind Kind, file pagefile.File) (Index, error) {
 	switch kind {
 	case KindRTree, KindRStar:
@@ -190,6 +189,9 @@ func NewOnFile(kind Kind, file pagefile.File) (Index, error) {
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
 
+// packedSuffix marks the name of a tree NewPacked built.
+const packedSuffix = "/packed"
+
 // NewPacked bulk-loads items into a fresh Sort-Tile-Recursive packed
 // in-memory tree. Only the covering-rectangle variants support
 // packing; KindRPlus returns an error.
@@ -197,7 +199,7 @@ func NewPacked(kind Kind, pageSize int, items []Item) (Index, error) {
 	if kind == KindRPlus {
 		return nil, fmt.Errorf("index: the R+-tree has no STR packing (partition build differs)")
 	}
-	idx, err := newArena(kind, pageSize, kind.String()+"/packed")
+	idx, err := newArena(kind, pageSize, kind.String()+packedSuffix)
 	if err != nil {
 		return nil, err
 	}
@@ -207,41 +209,20 @@ func NewPacked(kind Kind, pageSize int, items []Item) (Index, error) {
 	return idx, nil
 }
 
-// Persist stores the index's metadata in the disk file's header, so
-// OpenPersistent can resume it later. The page file must be the one
-// the index was built on.
-func Persist(idx Index, file *pagefile.DiskFile) error {
-	switch t := idx.(type) {
-	case *rtree.Tree:
-		return file.SetUserMeta(rtree.EncodeMeta(t.Meta()))
-	case *rtree.RPlusTree:
-		return file.SetUserMeta(rtree.EncodeMeta(t.Meta()))
-	}
-	return fmt.Errorf("index: cannot persist %T", idx)
-}
-
-// OpenPersistent resumes an index of the given kind from a disk file
-// whose header was written by Persist.
-func OpenPersistent(kind Kind, file *pagefile.DiskFile) (Index, error) {
-	m := rtree.DecodeMeta(file.UserMeta())
-	switch kind {
-	case KindRTree, KindRStar:
-		return rtree.Open(file, paperOptions(kind), kind.String(), m)
-	case KindRPlus:
-		return rtree.OpenRPlus(file, rtree.Options{}, m)
-	}
-	return nil, fmt.Errorf("index: unknown kind %v", kind)
-}
-
 // Adopt turns a validated checkpoint image into the mutable in-memory
-// tree it was taken from: the tree shares the image's nodes (see
-// rtree.Adopt), so it answers every query with the node accesses the
-// checkpointed tree had. It fails with rtree.ErrNodeCapacity when the
-// image was written under a page size whose nodes do not fit pageSize.
+// tree it was taken from — the one way saved bytes become an index
+// again. The tree shares the image's nodes (see rtree.Adopt), so it
+// answers every query with the node accesses the saved tree had. An
+// image of another kind is refused (NewPacked's "/packed" name suffix
+// is the same kind); one written under a page size whose nodes do not
+// fit pageSize fails with rtree.ErrNodeCapacity.
 func Adopt(kind Kind, pageSize int, flat *rtree.FlatTree) (Index, error) {
+	if name := flat.Name(); name != kind.String() && name != kind.String()+packedSuffix {
+		return nil, fmt.Errorf("index: the image holds a %s, not a %s", name, kind)
+	}
 	switch kind {
 	case KindRTree, KindRStar:
-		return rtree.Adopt(flat, pageSize, paperOptions(kind), kind.String())
+		return rtree.Adopt(flat, pageSize, paperOptions(kind), flat.Name())
 	case KindRPlus:
 		return rtree.AdoptRPlus(flat, pageSize, rtree.Options{})
 	}
@@ -250,7 +231,7 @@ func Adopt(kind Kind, pageSize int, flat *rtree.FlatTree) (Index, error) {
 
 // WriteFlat serializes the index's currently published version in the
 // flat snapshot format (see rtree.FlatTree), tagged with the given
-// checkpoint generation, so rtree.OpenFlatBytes can serve it read-only.
+// checkpoint generation; rtree.OpenFlatBytes and Adopt bring it back.
 func WriteFlat(idx Index, w io.Writer, gen uint64) error {
 	switch t := idx.(type) {
 	case *rtree.Tree:

@@ -3,7 +3,6 @@ package index
 import (
 	"context"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -112,63 +111,5 @@ func TestNewPacked(t *testing.T) {
 	}
 	if _, err := NewPacked(KindRPlus, 512, items); err == nil {
 		t.Fatal("R+ packing should be rejected")
-	}
-}
-
-// TestPersistRoundTrip: Persist + OpenPersistent across a real file,
-// for all kinds.
-func TestPersistRoundTrip(t *testing.T) {
-	items := testItems(300, 3)
-	for _, kind := range AllKinds() {
-		path := filepath.Join(t.TempDir(), "idx.db")
-		file, err := pagefile.CreateDiskFile(path, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := NewOnFile(kind, file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Load(idx, items); err != nil {
-			t.Fatal(err)
-		}
-		if err := Persist(idx, file); err != nil {
-			t.Fatal(err)
-		}
-		if err := file.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		re, err := pagefile.OpenDiskFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := OpenPersistent(kind, re)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Len() != 300 || back.Height() < 2 {
-			t.Fatalf("%v reopened: len=%d height=%d", kind, back.Len(), back.Height())
-		}
-		// Spot-check a window query against the in-memory truth.
-		w := geom.R(30, 30, 60, 60)
-		pred := func(r geom.Rect) bool { return r.Intersects(w) }
-		got := map[uint64]bool{}
-		if err := back.Search(pred, pred, func(_ geom.Rect, oid uint64) bool {
-			got[oid] = true
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, it := range items {
-			if it.Rect.Intersects(w) {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("%v reopened window: %d vs %d", kind, len(got), want)
-		}
-		re.Close()
 	}
 }

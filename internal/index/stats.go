@@ -3,8 +3,8 @@ package index
 import "mbrtopo/internal/rtree"
 
 // StatsProvider is implemented by every backend that can summarise
-// its node MBRs (paged trees, flat snapshots, and the sharded router,
-// which merges its tiles' summaries). The query planner feeds on it.
+// its node MBRs (the trees, and the sharded router, which merges its
+// tiles' summaries). The query planner feeds on it.
 type StatsProvider interface {
 	Stats() (*rtree.TreeStats, error)
 }
@@ -13,7 +13,6 @@ type StatsProvider interface {
 var (
 	_ StatsProvider = (*rtree.Tree)(nil)
 	_ StatsProvider = (*rtree.RPlusTree)(nil)
-	_ StatsProvider = (*rtree.FlatTree)(nil)
 )
 
 // StatsOf returns the index's node-MBR summary, or (nil, nil) when

@@ -23,11 +23,11 @@ const NilPage PageID = 0
 // Common errors.
 var (
 	ErrPageNotFound = errors.New("pagefile: page not found")
-	ErrPageFreed    = errors.New("pagefile: page was freed")
 	ErrBadSize      = errors.New("pagefile: data does not fit page size")
-	// ErrCorrupt is returned when a page (or file header) fails its
-	// checksum: the stored bytes are not what was written, and serving
-	// them as a node would silently return wrong query answers.
+	// ErrCorrupt is returned when stored bytes (an MBRFLAT1 image, see
+	// rtree.OpenFlatBytes) fail their checksum or structural checks:
+	// they are not what was written, and serving them as nodes would
+	// silently return wrong query answers.
 	ErrCorrupt = errors.New("pagefile: corrupt page")
 )
 

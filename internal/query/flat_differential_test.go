@@ -18,12 +18,13 @@ import (
 // differential test's cardinalities.
 const differentialPageSize = 408
 
-// TestFlatDifferential is the backend-equivalence proof: for every
-// tree kind × workload shape, a flat snapshot must answer every
-// topological query (all 8 relations), kNN search and spatial join
-// with exactly the paged tree's result sets and bit-identical
-// node-access statistics. The snapshot is written and reopened through
-// the real serialization, so this also covers the format round trip.
+// TestFlatDifferential is the save-and-reopen equivalence proof: for
+// every tree kind × workload shape, the tree adopted from a flat
+// snapshot must answer every topological query (all 8 relations), kNN
+// search and spatial join with exactly the source tree's result sets
+// and bit-identical node-access statistics. The snapshot is written and
+// reopened through the real serialization, so this also covers the
+// format round trip.
 func TestFlatDifferential(t *testing.T) {
 	workloads := map[string]*workload.Dataset{
 		"uniform":   workload.NewDataset(workload.Small, 1500, 12, 101),
@@ -44,7 +45,11 @@ func TestFlatDifferential(t *testing.T) {
 				if err := index.WriteFlat(idx, &buf, 9); err != nil {
 					t.Fatal(err)
 				}
-				flat, err := rtree.OpenFlatBytes(buf.Bytes())
+				image, err := rtree.OpenFlatBytes(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				flat, err := index.Adopt(kind, differentialPageSize, image)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,10 +133,10 @@ func TestFlatDifferential(t *testing.T) {
 						}
 					}
 				} else {
-					// Flat snapshots of R+-trees must be rejected by the
-					// join, like their paged source.
+					// An R+-tree back from its snapshot must be rejected by
+					// the join, like its source.
 					if err := CanJoin(flat, flat); err == nil {
-						t.Fatal("CanJoin accepted a flat R+ snapshot")
+						t.Fatal("CanJoin accepted an R+-tree adopted from its snapshot")
 					}
 				}
 			})

@@ -67,11 +67,10 @@ func (o JoinOptions) refineWorkers() int {
 }
 
 // joinTrees rejects access methods the synchronized traversal cannot
-// join: both sides must be covering-rectangle trees — a mutable
-// R-/R*-tree or a flat snapshot taken from one. R+-trees (and their
-// snapshots) partition space (one object may appear in several
-// leaves), so join them by running per-object queries instead.
-func joinTrees(left, right index.Index) (rtree.Joinable, rtree.Joinable, error) {
+// join: both sides must be covering-rectangle trees (R-/R*-trees).
+// R+-trees partition space (one object may appear in several leaves),
+// so join them by running per-object queries instead.
+func joinTrees(left, right index.Index) (*rtree.Tree, *rtree.Tree, error) {
 	t1, err := joinSide(left)
 	if err != nil {
 		return nil, nil, err
@@ -83,14 +82,9 @@ func joinTrees(left, right index.Index) (rtree.Joinable, rtree.Joinable, error) 
 	return t1, t2, nil
 }
 
-func joinSide(idx index.Index) (rtree.Joinable, error) {
-	switch t := idx.(type) {
-	case *rtree.Tree:
+func joinSide(idx index.Index) (*rtree.Tree, error) {
+	if t, ok := idx.(*rtree.Tree); ok {
 		return t, nil
-	case *rtree.FlatTree:
-		if t.CoveringNodeRects() {
-			return t, nil
-		}
 	}
 	return nil, fmt.Errorf("query: join requires covering-rectangle trees (got %s)", idx.Name())
 }
@@ -376,7 +370,7 @@ feed:
 // refinement workers applies step 4 (direct accepts from the MBR
 // configuration, exact geometry otherwise), and accepted pairs are
 // delivered through a serialising mutex.
-func joinRefined(ctx context.Context, t1, t2 rtree.Joinable, rels topo.Set,
+func joinRefined(ctx context.Context, t1, t2 *rtree.Tree, rels topo.Set,
 	opts JoinOptions, engineOpts rtree.JoinOptions,
 	prune, accept func(a, b geom.Rect) bool, dropSelf bool,
 	yield func(JoinPair) bool) (Stats, error) {

@@ -191,11 +191,9 @@ var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page
 
 // adoptStore opens the image's nodes as the arena of a mutable tree.
 // Only the slot table is new: every slot starts out pointing at the
-// image's own node version — entries, and whatever side-cars (wire
-// text, sweep order) it has earned or will earn on either side. Node
-// versions are immutable on both sides — the tree repoints slots, never
-// their contents — so the image keeps serving unchanged beside the tree
-// for as long as anyone holds it.
+// image's own node version. Node versions are immutable — the tree
+// repoints slots, never their contents — so the image stays what was
+// decoded, and may be adopted again, for as long as anyone holds it.
 func (f *FlatTree) adoptStore(pageSize int, covering bool) (*store, error) {
 	capacity := CapacityForPageSize(pageSize)
 	if capacity < 4 {
@@ -218,9 +216,8 @@ func (f *FlatTree) adoptStore(pageSize int, covering bool) (*store, error) {
 // Adopt returns a mutable R-/R*-tree that is the image's tree: same
 // nodes, same entry order, hence the same node accesses for every
 // query — not a rebuild from its entries. It costs one slot-table copy,
-// O(nodes); size, depth and the planner summary (when the image has
-// computed one; summaries are immutable once published) carry over.
-// opts and name are the options the tree was built with, as for Open.
+// O(nodes); size and depth carry over. opts and name are the options
+// the tree was built with, as for NewArena; they are not in the image.
 func Adopt(f *FlatTree, pageSize int, opts Options, name string) (*Tree, error) {
 	st, err := f.adoptStore(pageSize, true)
 	if err != nil {
@@ -228,7 +225,6 @@ func Adopt(f *FlatTree, pageSize int, opts Options, name string) (*Tree, error) 
 	}
 	t := &Tree{st: st, opts: opts.withDefaults(st.cap), name: name,
 		root: pagefile.PageID(f.root), depth: f.depth, size: f.size}
-	t.stats = f.stats.Load()
 	t.initSnapshot()
 	return t, nil
 }
@@ -241,15 +237,16 @@ func AdoptRPlus(f *FlatTree, pageSize int, opts Options) (*RPlusTree, error) {
 	}
 	t := &RPlusTree{st: st, opts: opts.withDefaults(st.cap),
 		root: pagefile.PageID(f.root), depth: f.depth, size: f.size}
-	t.stats = f.stats.Load()
 	return t, nil
 }
 
 // NodesSharedWith counts the image's nodes that idx (a *Tree or
-// *RPlusTree) still serves as the very same node version — the same
-// node, not an equal copy — out of total. Right after adoption
-// that is every node; each mutation replaces the versions on the paths
-// it touched. A tree rebuilt from the image's entries shares none.
+// *RPlusTree) still holds — the slot a node was decoded into serves a
+// version of the same level, page cost and entries — out of total.
+// Right after adoption that is every node, whether idx adopted this
+// decode of the image or another one of the same bytes; each mutation
+// replaces the versions on the paths it touched. A tree rebuilt from
+// the image's entries holds none.
 func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
 	var st *store
 	switch t := idx.(type) {
@@ -266,7 +263,11 @@ func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
 	defer st.ar.mu.Unlock()
 	tab := *st.ar.tab.Load()
 	for i := range f.nodes {
-		if i+1 < len(tab) && tab[i+1] == &f.nodes[i] {
+		if i+1 >= len(tab) || tab[i+1] == nil {
+			continue
+		}
+		held, n := tab[i+1], &f.nodes[i]
+		if held.level == n.level && held.cost == n.cost && slices.Equal(held.entries, n.entries) {
 			shared++
 		}
 	}

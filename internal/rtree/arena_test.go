@@ -29,9 +29,13 @@ func storeOf(t *testing.T, x any) (*store, pagefile.PageID) {
 	t.Helper()
 	switch v := x.(type) {
 	case *Tree:
-		return v.st, v.Meta().Root
+		s := v.acquire()
+		defer v.release(s)
+		return v.st, s.root
 	case *RPlusTree:
-		return v.st, v.Meta().Root
+		v.mu.RLock()
+		defer v.mu.RUnlock()
+		return v.st, v.root
 	}
 	t.Fatalf("%T has no store", x)
 	return nil, 0
@@ -253,10 +257,10 @@ func TestArenaVsPagedDifferential(t *testing.T) {
 	}
 }
 
-// TestSearchAllocsIndependentOfAccesses: a search on a node arena —
-// a mutable tree's or a checkpoint image's — allocates a small constant
-// (the traversal stack and the pinned-snapshot closure), however many
-// nodes it visits. On a page file every visited node is an allocation
+// TestSearchAllocsIndependentOfAccesses: a search on a node arena — a
+// tree built there or one adopted from a checkpoint image — allocates a
+// small constant (the traversal stack and the pinned-snapshot closure),
+// however many nodes it visits. On a page file every visited node is an allocation
 // and a decode.
 func TestSearchAllocsIndependentOfAccesses(t *testing.T) {
 	tree, err := NewArena(testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
@@ -275,8 +279,12 @@ func TestSearchAllocsIndependentOfAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	adopted, err := Adopt(flat, testPageSize, rstarOpts, "R*-tree")
+	if err != nil {
+		t.Fatal(err)
+	}
 	type searchFn func(context.Context, func(geom.Rect) bool, func(geom.Rect) bool, func(geom.Rect, uint64) bool) (TraversalStats, error)
-	for name, search := range map[string]searchFn{"arena tree": tree.SearchCtx, "flat image": flat.SearchCtx} {
+	for name, search := range map[string]searchFn{"arena tree": tree.SearchCtx, "adopted image": adopted.SearchCtx} {
 		var accesses [2]uint64
 		var allocs [2]float64
 		for i, w := range []geom.Rect{geom.R(50, 50, 51, 51), geom.R(0, 0, 100, 100)} {

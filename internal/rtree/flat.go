@@ -1,35 +1,32 @@
 package rtree
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
 )
 
 // This file implements the flat snapshot format: a pointer-free,
-// array-packed serialization of one published tree version — the
-// server's checkpoint format — opened read-only. The layout replaces page ids with byte offsets —
-// children are written before their parents (post-order), so every
-// child reference points strictly backwards and a single sequential
-// pass both validates and decodes the whole file. Two CRC32-C
+// array-packed serialization of one published tree version — the one
+// format a tree is saved in. The layout replaces page ids with byte
+// offsets — children are written before their parents (post-order), so
+// every child reference points strictly backwards and a single
+// sequential pass both validates and decodes the whole file. Two CRC32-C
 // checksums (header, node section) make corruption detection
 // deterministic: OpenFlatBytes either yields exactly the tree that was
 // written or an error wrapping pagefile.ErrCorrupt, never wrong
 // entries.
 //
 // Each node record carries the page-access cost of its paged
-// counterpart (1 + overflow chain length), so TraversalStats from a
-// FlatTree are bit-identical to the paged backend's — the paper's
-// disk-access metric stays meaningful whichever backend served the
-// query.
+// counterpart (1 + overflow chain length), so TraversalStats of the
+// tree that adopts the image are bit-identical to those of the tree it
+// was written from — the paper's disk-access metric survives a save and
+// a reopen.
 
 // Flat file layout (all integers little-endian):
 //
@@ -67,17 +64,13 @@ var flatMagic = []byte("MBRFLAT1")
 
 var flatCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrReadOnly is returned by every mutating method of a FlatTree.
-var ErrReadOnly = errors.New("rtree: flat snapshot is read-only")
-
 func flatCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: flat snapshot: %s", pagefile.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// flatWriter serializes one pinned tree version through its
-// NodeSource.
+// flatWriter serializes one pinned tree version from its store.
 type flatWriter struct {
-	src    NodeSource
+	src    *store
 	nodes  []byte
 	count  uint32
 	bounds geom.Rect
@@ -128,7 +121,7 @@ func (w *flatWriter) writeNode(ref uint64) (uint64, error) {
 	return off, nil
 }
 
-func writeFlat(out io.Writer, src NodeSource, root uint64, covering bool,
+func writeFlat(out io.Writer, src *store, root uint64, covering bool,
 	name string, gen uint64, size, depth int) error {
 
 	if len(name) > flatMaxName {
@@ -190,15 +183,12 @@ func (t *RPlusTree) WriteFlat(out io.Writer, gen uint64) error {
 	return writeFlat(out, t.st, uint64(t.root), false, t.Name(), gen, t.size, t.depth)
 }
 
-// FlatTree is a decoded flat snapshot: an immutable read-only index
-// sharing the whole read path (traversal core, kNN, join engine) with
-// the mutable trees via NodeSource. Opening validates both checksums
-// and every structural invariant, then decodes the node section once
-// into the node arena a mutable tree keeps (arena.go: slot ids for child
-// references, one immutable node version a slot), opened read-only;
-// reads afterwards are pointer-chases with zero decoding and zero
-// allocation. All mutating methods return ErrReadOnly; Adopt makes a
-// mutable tree over the very same nodes.
+// FlatTree is a decoded flat snapshot: opening validates both
+// checksums and every structural invariant, then decodes the node
+// section once into the node versions a mutable tree keeps (arena.go:
+// slot ids for child references, one immutable node version a slot).
+// It is not an index; Adopt and AdoptRPlus make a mutable tree over the
+// very same nodes, which is the one way an image is read.
 type FlatTree struct {
 	name     string
 	covering bool
@@ -211,8 +201,6 @@ type FlatTree struct {
 	root     uint64 // slot id of the root
 	// minCap: smallest capacity at which every node fits its recorded cost.
 	minCap int
-	reads  atomic.Uint64
-	stats  atomic.Pointer[TreeStats] // lazily computed summary (stats.go)
 }
 
 // OpenFlatBytes decodes a flat snapshot from memory. Arbitrary or
@@ -347,24 +335,6 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 	return f, nil
 }
 
-// readNodeRef implements NodeSource on the flat backend: a bounds-
-// checked arena lookup, charged to the read counter at the node's
-// recorded paged cost.
-func (f *FlatTree) readNodeRef(ref uint64) (*node, error) {
-	if ref < 1 || ref > uint64(len(f.nodes)) {
-		return nil, flatCorrupt("node ref %d out of range", ref)
-	}
-	n := &f.nodes[ref-1]
-	f.reads.Add(n.accessCost())
-	return n, nil
-}
-
-// joinView implements Joinable; a flat snapshot is already immutable,
-// so there is nothing to pin or release.
-func (f *FlatTree) joinView() (NodeSource, uint64, func()) {
-	return f, f.root, func() {}
-}
-
 // Generation returns the checkpoint generation the snapshot was
 // published under.
 func (f *FlatTree) Generation() uint64 { return f.gen }
@@ -387,45 +357,35 @@ func (f *FlatTree) Bounds() (geom.Rect, bool) {
 // tree: true for R-/R*-trees, false for the R+-tree.
 func (f *FlatTree) CoveringNodeRects() bool { return f.covering }
 
-// IOStats reports the node accesses served since open (or the last
-// reset) in the Reads counter, mirroring the paged page-read counter.
-func (f *FlatTree) IOStats() pagefile.Stats {
-	return pagefile.Stats{Reads: f.reads.Load()}
-}
-
-// ResetIOStats zeroes the counters.
-func (f *FlatTree) ResetIOStats() { f.reads.Store(0) }
-
-// Insert, InsertBatch, Delete and Update are not supported: flat
-// snapshots are immutable (Adopt makes a mutable tree of one).
-func (f *FlatTree) Insert(geom.Rect, uint64) error            { return ErrReadOnly }
-func (f *FlatTree) InsertBatch([]Record) error                { return ErrReadOnly }
-func (f *FlatTree) Delete(geom.Rect, uint64) error            { return ErrReadOnly }
-func (f *FlatTree) Update(geom.Rect, geom.Rect, uint64) error { return ErrReadOnly }
-
-// SearchHits traverses the snapshot exactly like the source tree's
-// SearchHits, with stats bit-identical to the paged backend's for the
-// same tree version; R+ snapshots may emit the same object several
-// times, as the paged tree does.
-func (f *FlatTree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
-	return traverse(ctx, f, f.root, nodePred, leafPred, emit, 0)
-}
-
-// SearchCtx is SearchHits for an emit that wants the rectangle and the
-// object id only.
-func (f *FlatTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
-	return f.SearchHits(ctx, nodePred, leafPred, rectAndOID(emit))
-}
-
-// Search is SearchCtx without cancellation or stats.
-func (f *FlatTree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
-	_, err := f.SearchCtx(context.Background(), nodePred, leafPred, emit)
-	return err
-}
-
-// NearestCtx returns the k stored rectangles closest to p. Snapshots of
-// R+-trees deduplicate multiply-registered objects, like the source
-// tree.
-func (f *FlatTree) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
-	return nearestSearch(ctx, f, f.root, p, k, !f.covering)
+// Records returns the stored (rect, oid) entries in the order a search
+// of the tree meets them: what a tree of another page size, whose nodes
+// the image's do not fit, is rebuilt from. An R+-tree registers one
+// object in every leaf its interior reaches; its image yields each
+// (rect, oid) once.
+func (f *FlatTree) Records() []Record {
+	recs := make([]Record, 0, f.size)
+	var seen map[Record]struct{}
+	if !f.covering {
+		seen = make(map[Record]struct{}, f.size)
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i := range n.entries {
+			e := &n.entries[i]
+			if !n.isLeaf() {
+				walk(&f.nodes[e.Child-1])
+				continue
+			}
+			rec := Record{Rect: e.Rect, OID: e.OID}
+			if seen != nil {
+				if _, dup := seen[rec]; dup {
+					continue
+				}
+				seen[rec] = struct{}{}
+			}
+			recs = append(recs, rec)
+		}
+	}
+	walk(&f.nodes[f.root-1])
+	return recs
 }

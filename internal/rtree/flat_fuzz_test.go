@@ -12,7 +12,8 @@ import (
 
 // FuzzFlatDecode feeds arbitrary bytes to the flat-snapshot reader.
 // The contract under fuzzing: OpenFlatBytes either returns an error or
-// a snapshot on which every read operation (window query, kNN, join
+// an image that is refused by adoption (another page size) or adopted
+// into a tree on which every read operation (window query, kNN, join
 // against itself) terminates without panicking — corrupted input must
 // never produce a crash or an out-of-bounds access. The seed corpus is
 // real snapshots of all three tree kinds plus an empty one.
@@ -58,7 +59,12 @@ func FuzzFlatDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ft, err := OpenFlatBytes(data)
+		image, err := OpenFlatBytes(data)
+		if err != nil {
+			return
+		}
+		_ = image.Records()
+		ft, err := adoptImage(image)
 		if err != nil {
 			return
 		}
@@ -74,9 +80,13 @@ func FuzzFlatDecode(f *testing.F) {
 		if _, _, err := ft.NearestCtx(context.Background(), geom.Point{X: 1, Y: 2}, 3); err != nil {
 			t.Fatalf("kNN on accepted snapshot: %v", err)
 		}
+		tr, ok := ft.(*Tree)
+		if !ok {
+			return // an R+-tree image: the join takes covering trees only
+		}
 		pair := func(a, b geom.Rect) bool { return a.Intersects(b) }
 		m := 0
-		if _, err := JoinCtx(context.Background(), ft, ft, pair, pair,
+		if _, err := JoinCtx(context.Background(), tr, tr, pair, pair,
 			func(Hit, Hit) bool {
 				m++
 				return m < 10000

@@ -3,7 +3,6 @@ package rtree
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -30,6 +29,31 @@ func flatEncode(t *testing.T, s searcher, gen uint64) []byte {
 	return buf.Bytes()
 }
 
+// flatTree is what an adopted image is searched through in these tests.
+type flatTree interface {
+	ctxSearcher
+	NearestCtx(context.Context, geom.Point, int) ([]Neighbour, TraversalStats, error)
+}
+
+// adoptImage opens a decoded image the one way production reads one: as
+// the tree that adopts it, at the page size the test trees are built
+// with. The options matter to later writes only.
+func adoptImage(f *FlatTree) (flatTree, error) {
+	if f.CoveringNodeRects() {
+		return Adopt(f, testPageSize, Options{}, f.Name())
+	}
+	return AdoptRPlus(f, testPageSize, Options{})
+}
+
+func mustAdopt(t *testing.T, f *FlatTree) flatTree {
+	t.Helper()
+	tr, err := adoptImage(f)
+	if err != nil {
+		t.Fatalf("adopting the %s image: %v", f.Name(), err)
+	}
+	return tr
+}
+
 func collect(t *testing.T, s interface {
 	SearchCtx(context.Context, func(geom.Rect) bool, func(geom.Rect) bool, func(geom.Rect, uint64) bool) (TraversalStats, error)
 }, w geom.Rect) ([]uint64, TraversalStats) {
@@ -47,9 +71,9 @@ func collect(t *testing.T, s interface {
 }
 
 // TestFlatRoundTrip pins the core contract of the flat format: the
-// decoded snapshot answers window queries and kNN with the same
-// results, in the same order, with bit-identical TraversalStats, for
-// every tree kind.
+// tree adopted from the decoded snapshot answers window queries and kNN
+// with the same results, in the same order, with bit-identical
+// TraversalStats, for every tree kind.
 func TestFlatRoundTrip(t *testing.T) {
 	for name, s := range loadedCtxTrees(t, 500) {
 		data := flatEncode(t, s, 42)
@@ -67,6 +91,7 @@ func TestFlatRoundTrip(t *testing.T) {
 				s.Len(), s.Height(), s.Name(), s.CoveringNodeRects())
 		}
 		cs := s.(ctxSearcher)
+		a := mustAdopt(t, f)
 		for _, w := range []geom.Rect{
 			geom.R(0, 0, 100, 100),
 			geom.R(10, 10, 30, 30),
@@ -74,7 +99,7 @@ func TestFlatRoundTrip(t *testing.T) {
 			geom.R(200, 200, 201, 201),
 		} {
 			pOids, pStats := collect(t, cs, w)
-			fOids, fStats := collect(t, f, w)
+			fOids, fStats := collect(t, a, w)
 			if pStats != fStats {
 				t.Errorf("%s: window %v: stats diverge: paged %+v flat %+v", name, w, pStats, fStats)
 			}
@@ -87,17 +112,14 @@ func TestFlatRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		type nearester interface {
-			NearestCtx(context.Context, geom.Point, int) ([]Neighbour, TraversalStats, error)
-		}
-		pn := s.(nearester)
+		pn := s.(flatTree)
 		for _, p := range []geom.Point{{X: 50, Y: 50}, {X: 0, Y: 100}, {X: 150, Y: -20}} {
 			for _, k := range []int{1, 5, 17} {
 				pNN, pStats, err := pn.NearestCtx(context.Background(), p, k)
 				if err != nil {
 					t.Fatalf("%s: paged kNN: %v", name, err)
 				}
-				fNN, fStats, err := f.NearestCtx(context.Background(), p, k)
+				fNN, fStats, err := a.NearestCtx(context.Background(), p, k)
 				if err != nil {
 					t.Fatalf("%s: flat kNN: %v", name, err)
 				}
@@ -131,37 +153,10 @@ func TestFlatEmptyTree(t *testing.T) {
 		if _, ok := f.Bounds(); ok {
 			t.Errorf("%s: empty snapshot reports bounds", name)
 		}
-		oids, _ := collect(t, f, geom.R(0, 0, 100, 100))
+		oids, _ := collect(t, mustAdopt(t, f), geom.R(0, 0, 100, 100))
 		if len(oids) != 0 {
 			t.Errorf("%s: empty snapshot emitted %d entries", name, len(oids))
 		}
-	}
-}
-
-// TestFlatReadOnly pins that every mutating method fails with
-// ErrReadOnly and leaves the snapshot intact.
-func TestFlatReadOnly(t *testing.T) {
-	trees := loadedCtxTrees(t, 50)
-	s := trees["rtree"]
-	f, err := OpenFlatBytes(flatEncode(t, s, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := geom.R(1, 1, 2, 2)
-	if err := f.Insert(r, 999); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("Insert: %v, want ErrReadOnly", err)
-	}
-	if err := f.InsertBatch([]Record{{Rect: r, OID: 999}}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("InsertBatch: %v, want ErrReadOnly", err)
-	}
-	if err := f.Delete(r, 0); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("Delete: %v, want ErrReadOnly", err)
-	}
-	if err := f.Update(r, r, 0); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("Update: %v, want ErrReadOnly", err)
-	}
-	if f.Len() != 50 {
-		t.Errorf("Len changed to %d after failed mutations", f.Len())
 	}
 }
 
@@ -194,7 +189,7 @@ func TestFlatCorruption(t *testing.T) {
 	}
 }
 
-// TestFlatJoin joins two flat snapshots through the shared engine and
+// TestFlatJoin joins the trees adopted from two flat snapshots and
 // compares pairs and stats with the paged join.
 func TestFlatJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -212,16 +207,16 @@ func TestFlatJoin(t *testing.T) {
 		return tr
 	}
 	t1, t2 := build(rng.Int63()), build(rng.Int63())
-	f1, err := OpenFlatBytes(flatEncode(t, t1, 1))
-	if err != nil {
-		t.Fatal(err)
+	reopen := func(tr *Tree) *Tree {
+		f, err := OpenFlatBytes(flatEncode(t, tr, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustAdopt(t, f).(*Tree)
 	}
-	f2, err := OpenFlatBytes(flatEncode(t, t2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1, f2 := reopen(t1), reopen(t2)
 	intersects := func(a, b geom.Rect) bool { return a.Intersects(b) }
-	run := func(a, b Joinable) (map[[2]uint64]int, TraversalStats) {
+	run := func(a, b *Tree) (map[[2]uint64]int, TraversalStats) {
 		pairs := map[[2]uint64]int{}
 		ts, err := JoinCtx(context.Background(), a, b, intersects, intersects,
 			func(a, b Hit) bool {
@@ -246,7 +241,7 @@ func TestFlatJoin(t *testing.T) {
 			t.Fatalf("pair %v: %d paged vs %d flat", k, v, fPairs[k])
 		}
 	}
-	// Self-join through one flat view must work too.
+	// Self-join of one adopted tree must work too.
 	sp, ss := run(t1, t1)
 	fp, fs := run(f1, f1)
 	if ss != fs || len(sp) != len(fp) {

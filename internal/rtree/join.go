@@ -69,24 +69,6 @@ const sweepMinPairs = 16
 // (large page size, small trees) still feeds every worker.
 const joinFanout = 4
 
-// Joinable is a read view the join engine can traverse: an R-/R*-tree
-// working copy (*Tree) or an immutable flat snapshot (*FlatTree). The
-// unexported method keeps implementations inside this package, where
-// node ownership and stats accounting live.
-type Joinable interface {
-	// joinView pins one consistent version of the tree and returns its
-	// node source, root reference, and a release function that must be
-	// called when the join is done with the view.
-	joinView() (NodeSource, uint64, func())
-}
-
-// joinView pins the currently published snapshot, exactly like a
-// search does, so the join runs in parallel with writers.
-func (t *Tree) joinView() (NodeSource, uint64, func()) {
-	s := t.acquire()
-	return t.st, uint64(s.root), func() { t.release(s) }
-}
-
 // errJoinStop signals that emit asked the join to stop; it never
 // escapes this file.
 var errJoinStop = errors.New("rtree: join stopped by emit")
@@ -108,7 +90,7 @@ var errJoinStop = errors.New("rtree: join stopped by emit")
 // concurrent queries on either index. On cancellation JoinCtx returns
 // ctx.Err() with the stats accumulated so far; a join stopped by emit
 // returns nil like a completed one.
-func JoinCtx(ctx context.Context, t1, t2 Joinable,
+func JoinCtx(ctx context.Context, t1, t2 *Tree,
 	prune func(a, b geom.Rect) bool,
 	accept func(a, b geom.Rect) bool,
 	emit func(a, b Hit) bool,
@@ -118,18 +100,20 @@ func JoinCtx(ctx context.Context, t1, t2 Joinable,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	src1, root1, rel1 := t1.joinView()
-	defer rel1()
-	src2, root2 := src1, root1
+	// Each side pins its published snapshot, exactly like a search does,
+	// so the join runs in parallel with writers.
+	s1 := t1.acquire()
+	defer t1.release(s1)
+	s2 := s1
 	if t2 != t1 {
-		var rel2 func()
-		src2, root2, rel2 = t2.joinView()
-		defer rel2()
+		s2 = t2.acquire()
+		defer t2.release(s2)
 	}
+	root1, root2 := uint64(s1.root), uint64(s2.root)
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e := &joinEngine{
-		src1: src1, src2: src2,
+		src1: t1.st, src2: t2.st,
 		prune: prune, accept: accept, emit: emit,
 		opts: opts, ctx: jctx, cancel: cancel,
 	}
@@ -153,7 +137,7 @@ func JoinCtx(ctx context.Context, t1, t2 Joinable,
 
 // joinEngine is the state shared by all workers of one join.
 type joinEngine struct {
-	src1, src2 NodeSource
+	src1, src2 *store
 	prune      func(a, b geom.Rect) bool
 	accept     func(a, b geom.Rect) bool
 	emit       func(a, b Hit) bool
@@ -302,7 +286,7 @@ func (w *joinWorker) scratchFor(n1, n2 *node) *pairScratch {
 func (w *joinWorker) read1(ref uint64) (*node, error) { return w.read(w.e.src1, ref) }
 func (w *joinWorker) read2(ref uint64) (*node, error) { return w.read(w.e.src2, ref) }
 
-func (w *joinWorker) read(src NodeSource, ref uint64) (*node, error) {
+func (w *joinWorker) read(src *store, ref uint64) (*node, error) {
 	if err := w.e.ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func unionOf(entries []Entry) geom.Rect {
 	return r
 }
 
-// refJoin is the textbook nested-loop join over any two join views,
+// refJoin is the textbook nested-loop join over any two trees,
 // written independently of the engine: the differential oracle for its
 // pair multiset and its page reads. Every combination is tested and node
 // MBRs are united by hand. With dedup every child page is read at most
@@ -63,14 +63,15 @@ func unionOf(entries []Entry) geom.Rect {
 // joiner, whose page count bounds the engine's from above. onEdge counts
 // the leaf entries that reach their node pair's clip region in x by an
 // edge alone.
-func refJoin(t *testing.T, j1, j2 Joinable, prune, accept func(a, b geom.Rect) bool, dedup bool) (pairs map[[2]uint64]int, ts TraversalStats, onEdge int) {
+func refJoin(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool, dedup bool) (pairs map[[2]uint64]int, ts TraversalStats, onEdge int) {
 	t.Helper()
-	src1, root1, rel1 := j1.joinView()
-	defer rel1()
-	src2, root2, rel2 := j2.joinView()
-	defer rel2()
+	s1, s2 := j1.acquire(), j2.acquire()
+	defer j1.release(s1)
+	defer j2.release(s2)
+	src1, root1 := j1.st, uint64(s1.root)
+	src2, root2 := j2.st, uint64(s2.root)
 	pairs = map[[2]uint64]int{}
-	read := func(src NodeSource, ref uint64) *node {
+	read := func(src *store, ref uint64) *node {
 		n, err := src.readNodeRef(ref)
 		if err != nil {
 			t.Fatal(err)

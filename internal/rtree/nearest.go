@@ -82,7 +82,7 @@ func (q *pq) Pop() interface{} {
 	return it
 }
 
-func nearestSearch(ctx context.Context, src NodeSource, root uint64, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
+func nearestSearch(ctx context.Context, src *store, root uint64, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
 	var stats TraversalStats
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("rtree: Nearest needs k ≥ 1, got %d", k)

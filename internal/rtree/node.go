@@ -74,7 +74,7 @@ type node struct {
 func (n *node) isLeaf() bool { return n.level == 0 }
 
 // childRef returns the reference of the i-th child — a page id or an
-// arena slot id — to pass back to the NodeSource the node came from.
+// arena slot id — to pass back to the store the node came from.
 func (n *node) childRef(i int) uint64 { return uint64(n.entries[i].Child) }
 
 // accessCost is the number of page reads the paged representation of
@@ -86,20 +86,6 @@ func (n *node) accessCost() uint64 {
 		return uint64(n.cost)
 	}
 	return 1 + uint64(len(n.chain))
-}
-
-// NodeSource supplies nodes to the shared read path — the traversal
-// core (traverse.go), kNN (nearest.go) and the join engine (join.go)
-// all fetch nodes exclusively through it, so they run unchanged against
-// a mutable tree's store (*store: pages or arena) and an immutable
-// checkpoint image (*FlatTree: the arena opened read-only). The method
-// is unexported on purpose: only this package can implement a source,
-// which keeps node ownership and stats accounting in one place.
-type NodeSource interface {
-	// readNodeRef resolves one node reference (a page id or an arena
-	// slot id); 0 is never a valid reference. The node may be shared
-	// with other readers and must not be modified.
-	readNodeRef(ref uint64) (*node, error)
 }
 
 // mbr returns the tight bounding rectangle of the node's entries: kept
@@ -176,9 +162,11 @@ func (s *store) allocNode(level int) (*node, error) {
 	return &node{id: id, level: level}, nil
 }
 
-// readNodeRef implements NodeSource: the read path's view of a node.
-// On an arena it is the shared node version itself; on pages, a fresh
-// decode.
+// readNodeRef is the read path's view of a node — the traversal core
+// (traverse.go), kNN (nearest.go) and the join engine (join.go) fetch
+// nodes through it alone. ref is a page id or an arena slot id; 0 is
+// never valid. On an arena the node is the shared version itself and
+// must not be modified; on pages, a fresh decode.
 func (s *store) readNodeRef(ref uint64) (*node, error) {
 	if s.ar != nil {
 		return s.ar.get(pagefile.PageID(ref))

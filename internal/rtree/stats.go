@@ -13,9 +13,7 @@ import (
 // are collected in one traversal of the published snapshot, cached,
 // and invalidated by a staleness counter that mutations bump — a
 // Stats() call recollects once the tree has drifted far enough from
-// the cached summary. Durable indexes persist the encoding next to
-// the snapshot (package server) so a recovered or flat-booted index
-// answers Stats() without a collection walk.
+// the cached summary.
 
 // histBins is the resolution of the per-axis histograms. 16 bins keep
 // a TreeStats under ~1 KiB encoded while still separating a dense
@@ -50,9 +48,9 @@ type LevelStats struct {
 	MarginSum float64 `json:"margin_sum"`
 }
 
-// TreeStats is the node-MBR summary of one index. Both the paged and
-// the flat backend answer the same Stats() call with this type, so
-// the planner is backend-agnostic.
+// TreeStats is the node-MBR summary of one index. Every tree kind and
+// the sharded router answer the same Stats() call with this type, so
+// the planner does not care which it plans for.
 type TreeStats struct {
 	Entries int          `json:"entries"` // stored entries (Len at collection time)
 	Height  int          `json:"height"`
@@ -145,7 +143,7 @@ func (a *statsAcc) finish() *TreeStats {
 // its summary. Reads go through the ordinary node path, so the walk
 // costs one page read per node (it runs only when the cached summary
 // has gone stale).
-func collectStats(src NodeSource, root uint64, entries, depth int) (*TreeStats, error) {
+func collectStats(src *store, root uint64, entries, depth int) (*TreeStats, error) {
 	rn, err := src.readNodeRef(root)
 	if err != nil {
 		return nil, err
@@ -475,22 +473,4 @@ func (t *RPlusTree) Stats() (*TreeStats, error) {
 		defer t.mu.RUnlock()
 		return collectStats(t.st, uint64(t.root), t.size, t.depth)
 	})
-}
-
-// Stats returns the flat snapshot's summary, computed lazily in one
-// pass over the in-memory node arena (no read-counter traffic — the
-// arena holds every node, so no traversal is needed) and cached for
-// the snapshot's lifetime; flat snapshots are immutable, so it never
-// goes stale.
-func (f *FlatTree) Stats() (*TreeStats, error) {
-	if st := f.stats.Load(); st != nil {
-		return st.Clone(), nil
-	}
-	acc := newStatsAcc(f.bounds, f.size, f.depth)
-	for i := range f.nodes {
-		acc.addNode(&f.nodes[i])
-	}
-	st := acc.finish()
-	f.stats.Store(st)
-	return st.Clone(), nil
 }

@@ -46,7 +46,7 @@ func pairPreds(rels topo.Set) (prune, accept func(a, b geom.Rect) bool) {
 
 // enginePairs runs the engine and returns the pair multiset, the pairs
 // in emission order and the stats.
-func enginePairs(t *testing.T, j1, j2 Joinable, prune, accept func(a, b geom.Rect) bool, opts JoinOptions) (map[[2]uint64]int, [][2]uint64, TraversalStats) {
+func enginePairs(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool, opts JoinOptions) (map[[2]uint64]int, [][2]uint64, TraversalStats) {
 	t.Helper()
 	pairs := map[[2]uint64]int{}
 	var seq [][2]uint64
@@ -71,11 +71,11 @@ func sansStrategy(ts TraversalStats) TraversalStats {
 	return ts
 }
 
-// joinSources builds the four representations a join can meet over the
-// same records: an arena tree, a paged tree, the arena tree's MBRFLAT1
-// image, and a tree adopted from (another decode of) that image. They
-// hold the same nodes in the same entry order.
-func joinSources(t *testing.T, recs []Record) map[string]Joinable {
+// joinSources builds the three trees a join can meet over the same
+// records: an arena tree, a paged tree, and a tree adopted from the
+// arena tree's MBRFLAT1 image. They hold the same nodes in the same
+// entry order.
+func joinSources(t *testing.T, recs []Record) map[string]*Tree {
 	t.Helper()
 	arena, err := newTestArenaRStar()
 	if err != nil {
@@ -95,20 +95,15 @@ func joinSources(t *testing.T, recs []Record) map[string]Joinable {
 	if arena.Height() < 3 {
 		t.Fatalf("height %d: want internal-internal node pairs", arena.Height())
 	}
-	img := flatEncode(t, arena, 1)
-	image, err := OpenFlatBytes(img)
+	image, err := OpenFlatBytes(flatEncode(t, arena, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	image2, err := OpenFlatBytes(img)
+	adopted, err := Adopt(image, testPageSize, rstarOpts, "R*-tree")
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopted, err := Adopt(image2, testPageSize, rstarOpts, "R*-tree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Joinable{"arena": arena, "paged": paged, "image": image, "adopted": adopted}
+	return map[string]*Tree{"arena": arena, "paged": paged, "adopted": adopted}
 }
 
 // TestJoinSidecarDifferential: with the sweep order kept beside arena
@@ -143,7 +138,7 @@ func TestJoinSidecarDifferential(t *testing.T) {
 	for name, rels := range sets {
 		prune, accept := pairPreds(rels)
 		sweep := !rels.Has(topo.Disjoint)
-		for side, others := range []map[string]Joinable{right, left} {
+		for side, others := range []map[string]*Tree{right, left} {
 			want, wantStats, onEdge := refJoin(t, left["paged"], others["paged"], prune, accept, true)
 			if p := parent[name][side]; wantStats.Emitted != p.pairs || int(wantStats.NodeAccesses) != p.accesses {
 				t.Errorf("%s, side %d: oracle has %d pairs over %d accesses, the parent commit had %d over %d",
@@ -332,11 +327,11 @@ func collectRecords(t *testing.T, tr *Tree, out *[]Record) {
 	}
 }
 
-// TestSweepRace runs, for the race detector, joins sweeping a checkpoint
-// image and the tree that adopted it while a writer installs new
-// versions in that tree — the image's node versions are shared by both,
-// so the same side-car is computed from either side. The image never
-// changes: every join over it must find the same pairs.
+// TestSweepRace runs, for the race detector, joins sweeping two trees
+// adopted from one checkpoint image while a writer installs new versions
+// in the second — the image's node versions are shared by both, so the
+// same side-car is computed from either side. The first tree is never
+// written: every join over it must find the same pairs.
 func TestSweepRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	src, err := newTestArenaRStar()
@@ -351,11 +346,15 @@ func TestSweepRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unwritten, err := Adopt(flat, testPageSize, rstarOpts, "R*-tree")
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantPairs, wantStats, _ := refJoin(t, src, src, intersectsPred, intersectsPred, true)
 	var wg sync.WaitGroup
 	adopted := make(chan *Tree)
 	stop := make(chan struct{})
-	joiner := func(label string, j Joinable, fixed bool) {
+	joiner := func(label string, j *Tree, fixed bool) {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			if i >= 5 { // every joiner gets its share, however fast the writer is
@@ -385,8 +384,8 @@ func TestSweepRace(t *testing.T) {
 		}
 	}
 	wg.Add(2)
-	go joiner("image join 1", flat, true)
-	go joiner("image join 2", flat, true)
+	go joiner("unwritten tree join 1", unwritten, true)
+	go joiner("unwritten tree join 2", unwritten, true)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -409,8 +408,8 @@ func TestSweepRace(t *testing.T) {
 	}()
 	if tree, ok := <-adopted; ok {
 		wg.Add(2)
-		go joiner("tree join 1", tree, false)
-		go joiner("tree join 2", tree, false)
+		go joiner("written tree join 1", tree, false)
+		go joiner("written tree join 2", tree, false)
 	} else {
 		close(stop)
 	}

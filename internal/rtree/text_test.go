@@ -121,6 +121,10 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	adopted, err := Adopt(flat, testPageSize, rstarOpts, "R*-tree")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Not asking earns nothing.
 	for i := 0; i < 3; i++ {
@@ -131,7 +135,7 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 	}
 	requireUnearned(t, "after SearchCtx and kNN", liveNodes(tree.st))
 
-	for name, s := range map[string]hitSearcher{"arena R*-tree": tree, "arena R+-tree": rplus, "image": flat} {
+	for name, s := range map[string]hitSearcher{"arena R*-tree": tree, "arena R+-tree": rplus, "adopted image": adopted} {
 		if with, without := scanTexts(t, name+" scan 1", s); with != 0 || without < len(recs) {
 			t.Fatalf("%s: first scan got text for %d hits and none for %d, want 0 and at least %d", name, with, without, len(recs))
 		}
@@ -233,10 +237,10 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 	}
 }
 
-// TestTextRace runs, for the race detector, readers earning text on a
-// checkpoint image and on the tree that adopted it while a writer
-// installs new versions in that tree — the image's node versions are
-// shared by both, so the same side-car is bought from either side.
+// TestTextRace runs, for the race detector, readers earning text on two
+// trees adopted from one checkpoint image while a writer installs new
+// versions in the second — the image's node versions are shared by both,
+// so the same side-car is bought from either side.
 func TestTextRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	src, err := newTestArenaRStar()
@@ -251,6 +255,10 @@ func TestTextRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat, err := OpenFlatBytes(flatEncode(t, src, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwritten, err := Adopt(flat, testPageSize, rstarOpts, "R*-tree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +293,12 @@ func TestTextRace(t *testing.T) {
 		}
 	}
 	wg.Add(2)
-	go reader("image reader 1", flat)
-	go reader("image reader 2", flat)
+	go reader("unwritten tree reader 1", unwritten)
+	go reader("unwritten tree reader 2", unwritten)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tree, err := Adopt(flat, testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
+		tree, err := Adopt(flat, testPageSize, rstarOpts, "R*-tree")
 		if err != nil {
 			t.Error(err)
 			close(adopted)
@@ -309,8 +317,8 @@ func TestTextRace(t *testing.T) {
 	}()
 	if tree, ok := <-adopted; ok {
 		wg.Add(2)
-		go reader("tree reader 1", tree)
-		go reader("tree reader 2", tree)
+		go reader("written tree reader 1", tree)
+		go reader("written tree reader 2", tree)
 	} else {
 		close(stop)
 	}

@@ -68,10 +68,10 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 // expansion; on cancellation the traversal returns ctx.Err() with the
 // stats accumulated so far.
 //
-// Nodes are fetched through a NodeSource, so the same traversal serves
-// the paged working copy and flat snapshots; node-access accounting
-// uses each node's recorded cost and is bit-identical across backends.
-func traverse(ctx context.Context, src NodeSource, root uint64,
+// Nodes are fetched through the store's read path, so the same
+// traversal serves pages and the arena; node-access accounting uses
+// each node's recorded cost and is bit-identical across the two.
+func traverse(ctx context.Context, src *store, root uint64,
 	nodePred, leafPred func(geom.Rect) bool,
 	emit func(Hit) bool, limit int) (TraversalStats, error) {
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/rtree"
@@ -33,9 +32,7 @@ import (
 // continues it, so a crash between the rename and the old log's
 // removal can never double-apply: the new image points at the new
 // (empty or missing ⇒ empty) generation and the stale log is deleted.
-// A served index that has not been mutated since boot has no tree at
-// all — it answers straight from the validated image (see
-// workingTreeLocked). d.mu is the instance's mutation lock (mutLock).
+// d.mu is the instance's mutation lock (mutLock).
 type durable struct {
 	mu   sync.Mutex
 	spec IndexSpec
@@ -267,17 +264,17 @@ func (d *durable) publish(next uint64, write func(io.Writer) error) error {
 	return step(4)
 }
 
-// checkpoint publishes the working tree as generation gen+1 and wakes
+// checkpoint publishes the tree as generation gen+1 and wakes
 // replication streamers: the old generation is final (closing it
-// flushed every reservation) and a new one is open. An index still
-// served from its checkpoint image has nothing newer to publish.
-// Caller holds d.mu.
+// flushed every reservation) and a new one is open. Without an open log
+// — recovery failed, or a follower shell not yet bootstrapped — there
+// is no durable state to continue. Caller holds d.mu.
 func (d *durable) checkpoint(inst *Instance) error {
-	if inst.Idx == nil {
+	if d.log == nil {
 		return nil
 	}
 	next := d.gen + 1
-	err := d.publish(next, func(w io.Writer) error { return index.WriteFlat(inst.Idx, w, next) })
+	err := d.publish(next, func(w io.Writer) error { return index.WriteFlat(inst.ReadIndex(), w, next) })
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -287,12 +284,12 @@ func (d *durable) checkpoint(inst *Instance) error {
 }
 
 // materialise turns a validated checkpoint image into the mutable tree
-// it was taken from (WAL recovery, first mutation on an image-served
-// index, follower bootstrap). The tree adopts the image's nodes — one
-// slot-table copy, every node version shared — so its shape, and every
-// query's node accesses, are the checkpointed tree's. Only an image
-// written under another -pagesize, whose nodes do not fit their recorded
-// page cost, is rebuilt from its entries by one InsertBatch.
+// it was taken from (every boot from an image, follower bootstrap). The
+// tree adopts the image's nodes — one slot-table copy, every node
+// version shared — so its shape, and every query's node accesses, are
+// the checkpointed tree's. Only an image written under another
+// -pagesize, whose nodes do not fit their recorded page cost, is
+// rebuilt from its entries by one InsertBatch.
 func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, error) {
 	idx, err := index.Adopt(spec.Kind, spec.PageSize, flat)
 	if err == nil {
@@ -306,55 +303,11 @@ func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, error) {
 	if idx, err = newTree(spec); err != nil {
 		return nil, err
 	}
-	if recs := flatRecords(flat, spec.Kind == index.KindRPlus); len(recs) > 0 {
+	if recs := flat.Records(); len(recs) > 0 {
 		if err := idx.InsertBatch(recs); err != nil {
 			return nil, fmt.Errorf("rebuilding tree from checkpoint image: %w", err)
 		}
 	}
-	return idx, nil
-}
-
-// flatRecords extracts the (rect, oid) entries of a checkpoint image
-// for materialise's rebuild. An R+-tree registers one object in every
-// leaf its interior reaches, so there dedup keeps one copy of each
-// (rect, oid); the other kinds keep entries verbatim.
-func flatRecords(flat *rtree.FlatTree, dedup bool) []rtree.Record {
-	all := func(geom.Rect) bool { return true }
-	recs := make([]rtree.Record, 0, flat.Len())
-	seen := make(map[rtree.Record]struct{})
-	_ = flat.Search(all, all, func(r geom.Rect, oid uint64) bool {
-		rec := rtree.Record{Rect: r, OID: oid}
-		if _, dup := seen[rec]; dedup && dup {
-			return true
-		}
-		if dedup {
-			seen[rec] = struct{}{}
-		}
-		recs = append(recs, rec)
-		return true
-	})
-	return recs
-}
-
-// workingTreeLocked returns the tree mutations apply to. An index that
-// booted from a quiet checkpoint serves its image and owns no tree
-// until the first mutation asks for one here; the tree adopts the
-// image's nodes (materialise), which costs that write one slot-table
-// copy. The image is immutable, so the read path moves to the tree
-// before the mutation is applied. Caller holds the mutation lock.
-func (inst *Instance) workingTreeLocked() (index.Index, error) {
-	if inst.Idx != nil {
-		return inst.Idx, nil
-	}
-	flat, ok := inst.ReadIndex().(*rtree.FlatTree)
-	if !ok || inst.dur == nil || inst.dur.log == nil {
-		return nil, fmt.Errorf("server: index %q has no durable state to mutate (%s)", inst.Name, inst.FailReason())
-	}
-	idx, err := materialise(flat, inst.dur.spec)
-	if err != nil {
-		return nil, fmt.Errorf("server: index %q: %w", inst.Name, err)
-	}
-	inst.serve(idx)
 	return idx, nil
 }
 
@@ -420,7 +373,9 @@ func (inst *Instance) Checkpoint() error {
 	return inst.dur.checkpoint(inst)
 }
 
-// Close checkpoints (when healthy) and releases the log.
+// Close checkpoints — when healthy, and when anything was logged since
+// the image on disk, so the next boot replays nothing — and releases
+// the log.
 func (inst *Instance) Close() error {
 	if len(inst.tiles) > 0 {
 		return inst.eachTile((*Instance).Close)
@@ -432,7 +387,7 @@ func (inst *Instance) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var firstErr error
-	if inst.Healthy() {
+	if inst.Healthy() && d.since > 0 {
 		firstErr = d.checkpoint(inst)
 	}
 	if d.log != nil {
@@ -466,7 +421,7 @@ func legacySnapshot(dir, name string) error {
 // is two questions — is N.flat there and valid, is its log quiet:
 //
 //	no N.flat                 build from items, publish generation 1 (backend "paged")
-//	valid, log quiet          serve the validated image as it is     (backend "flat")
+//	valid, log quiet          materialise                            (backend "flat")
 //	valid, log has records    materialise, replay, checkpoint        (backend "recovered")
 //
 // An N.flat that fails its checksums, belongs to another tree kind, or
@@ -538,10 +493,6 @@ func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 		fail(fmt.Sprintf("opening %s: %v", d.flatPath(), err))
 		return
 	}
-	if flat.Name() != d.spec.Kind.String() {
-		fail(fmt.Sprintf("%s holds a %s, the index is configured as a %s", d.flatPath(), flat.Name(), d.spec.Kind))
-		return
-	}
 	gen := flat.Generation()
 	for _, g := range d.walGens() {
 		if g > gen {
@@ -550,6 +501,11 @@ func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 			fail(fmt.Sprintf("%s is generation %d but %s exists: the image is stale", d.flatPath(), gen, d.walPath(g)))
 			return
 		}
+	}
+	idx, err := materialise(flat, d.spec)
+	if err != nil {
+		fail(fmt.Sprintf("%s: %v", d.flatPath(), err))
+		return
 	}
 	log, recs, err := wal.Open(d.walPath(gen), d.walOpts)
 	if err != nil {
@@ -561,13 +517,7 @@ func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 	inst.Recovered = true
 	if len(recs) == 0 {
 		inst.backend = "flat"
-		inst.view.Store(newReadView(flat))
-		return
-	}
-
-	idx, err := materialise(flat, d.spec)
-	if err != nil {
-		fail(err.Error())
+		inst.serve(idx)
 		return
 	}
 	for i, rec := range recs {

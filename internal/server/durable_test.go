@@ -117,6 +117,20 @@ func abandon(inst *Instance) {
 	inst.dur = nil
 }
 
+// imageOnDisk reads and decodes name.flat the way a boot does.
+func imageOnDisk(t *testing.T, dir, name string) ([]byte, *rtree.FlatTree) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name+".flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := rtree.OpenFlatBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, image
+}
+
 // assertTwoFiles pins the on-disk layout: once boot (or a checkpoint)
 // has finished, the directory holds name.flat, exactly one
 // name.wal.<gen>, and nothing else.
@@ -523,13 +537,27 @@ func TestBootTable(t *testing.T) {
 				if inst.Replayed != len(acked) {
 					t.Errorf("replayed %d WAL records, want %d", inst.Replayed, len(acked))
 				}
-				if _, isFlat := inst.ReadIndex().(*rtree.FlatTree); isFlat != (row.backend == "flat") || isFlat != (inst.Idx == nil) {
-					t.Errorf("backend %q reads from %T with working tree %T", row.backend, inst.ReadIndex(), inst.Idx)
+				if _, mutable := inst.ReadIndex().(*rtree.Tree); !mutable {
+					t.Errorf("backend %q serves a %T, want the mutable tree", row.backend, inst.ReadIndex())
 				}
 				assertSameAnswers(t, "booted state", inst.ReadIndex(), groundTruth(t, d.Items, acked))
 				assertTwoFiles(t, "after boot", spec.Dir, "main")
 				if code, body := get("/readyz"); code != http.StatusOK {
 					t.Errorf("/readyz = %d (%s), want 200", code, body)
+				}
+				if row.backend == "flat" {
+					// Nothing was replayed: the tree is the image's, node for
+					// node, and a Close with nothing logged writes no image.
+					data, image := imageOnDisk(t, spec.Dir, "main")
+					if shared, total := image.NodesSharedWith(inst.ReadIndex()); shared != total || total < 20 {
+						t.Errorf("the booted tree holds %d of the image's %d nodes, want all of them", shared, total)
+					}
+					if err := srv2.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if after, _ := imageOnDisk(t, spec.Dir, "main"); !bytes.Equal(after, data) || srv2.Metrics().CheckpointsTotal() != 0 {
+						t.Errorf("Close of an unmutated flat boot wrote an image (%d checkpoints)", srv2.Metrics().CheckpointsTotal())
+					}
 				}
 				return
 			}
@@ -572,15 +600,13 @@ func TestBootTable(t *testing.T) {
 	}
 }
 
-// TestFirstMutationMaterialises pins the lazy working tree: an index
-// booted from a quiet checkpoint owns no tree; the first mutation
-// adopts the image's nodes as one and moves the read path onto it before
-// it is acknowledged, so reads never see a stale image — and the next
-// checkpoint publishes an image that includes the mutation, making the
-// following boot flat again. The cost of that first mutation is asserted
-// on structure, not on a clock: the tree wrote only the nodes on the
-// mutation's own path, and every other node it serves is the image's
-// node object itself.
+// TestFirstMutationMaterialises pins what the first mutation after a
+// boot from a quiet checkpoint costs: the boot already adopted the
+// image's nodes as the tree, having written none of them, so the
+// mutation is acknowledged with only the nodes on its own path written —
+// asserted on structure, not on a clock: every other node the tree holds
+// is still the image's — and the next checkpoint publishes an image that
+// includes it, making the following boot flat again.
 func TestFirstMutationMaterialises(t *testing.T) {
 	for _, kind := range index.AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -599,25 +625,24 @@ func TestFirstMutationMaterialises(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if inst.Backend() != "flat" || inst.Idx != nil {
-				t.Fatalf("backend = %q with working tree %T, want flat and none", inst.Backend(), inst.Idx)
+			_, image := imageOnDisk(t, spec.Dir, "main")
+			tree := inst.ReadIndex()
+			if inst.Backend() != "flat" || tree == nil {
+				t.Fatalf("backend = %q with tree %T, want flat and a tree", inst.Backend(), tree)
 			}
-			if err := inst.Checkpoint(); err != nil || srv2.Metrics().CheckpointsTotal() != 0 {
-				t.Fatalf("checkpoint of an unmutated image: err %v, %d taken; want a no-op", err, srv2.Metrics().CheckpointsTotal())
+			if shared, total := image.NodesSharedWith(tree); shared != total || tree.IOStats().Writes != 0 {
+				t.Fatalf("boot: the tree holds %d of the image's %d nodes and wrote %d pages, want all and none",
+					shared, total, tree.IOStats().Writes)
 			}
 			muts := []wal.Record{
 				{Op: wal.OpInsert, OID: 9001, Rect: geom.R(10, 10, 12, 12)},
 				{Op: wal.OpDelete, OID: d.Items[5].OID, Rect: d.Items[5].Rect},
 			}
-			image := inst.ReadIndex().(*rtree.FlatTree)
 			for i, m := range muts {
 				if err := mutate(inst, m); err != nil {
 					t.Fatalf("%s on a flat-booted index: %v", m.Op, err)
 				}
 				// The acked mutation must be visible on the read path at once.
-				if inst.Idx == nil || inst.ReadIndex() != inst.Idx {
-					t.Fatal("read path still on the checkpoint image after a mutation")
-				}
 				assertSameAnswers(t, "after mutation", inst.ReadIndex(), groundTruth(t, d.Items, muts[:i+1]))
 				if i > 0 {
 					continue
@@ -625,14 +650,14 @@ func TestFirstMutationMaterialises(t *testing.T) {
 				// One insert into an adopted tree: a root-to-leaf path (every
 				// leaf the rectangle reaches, on an R+-tree) and at most a
 				// split per level were written, against one write per node
-				// for a bulk load; the rest is shared with the image.
+				// for a bulk load; the rest is still the image's.
 				touched := uint64(3 * image.Height())
-				shared, total := image.NodesSharedWith(inst.Idx)
-				if w := inst.Idx.IOStats().Writes; w == 0 || w > touched || total < 20 {
+				shared, total := image.NodesSharedWith(tree)
+				if w := tree.IOStats().Writes; w == 0 || w > touched || total < 20 {
 					t.Fatalf("first mutation wrote %d pages of a %d-node tree, want 1..%d", w, total, touched)
 				}
 				if uint64(total-shared) > touched {
-					t.Fatalf("tree shares %d of the image's %d nodes after one insert, want all but %d", shared, total, touched)
+					t.Fatalf("tree holds %d of the image's %d nodes after one insert, want all but %d", shared, total, touched)
 				}
 			}
 			if err := srv2.Close(); err != nil {
@@ -653,11 +678,11 @@ func TestFirstMutationMaterialises(t *testing.T) {
 	}
 }
 
-// TestMaterialiseOtherPageSize covers the one image materialise does not
+// TestMaterialiseOtherPageSize covers the one image a boot does not
 // adopt: written under a larger -pagesize, its nodes hold more entries
 // than a page of the configured size, so charging them one access each
-// would misstate the paged cost. The working tree is then rebuilt from
-// the image's entries, shares no node with it, and satisfies the fill
+// would misstate the paged cost. The tree is then rebuilt from the
+// image's entries, holds none of its nodes, and satisfies the fill
 // invariants of the configured size; the log says which path ran. The
 // other way round — a smaller -pagesize's nodes fit — adopts.
 func TestMaterialiseOtherPageSize(t *testing.T) {
@@ -682,6 +707,9 @@ func TestMaterialiseOtherPageSize(t *testing.T) {
 			}
 
 			spec.PageSize = tc.booted
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
 			srv2 := New(Config{})
 			inst, err := srv2.AddIndex(spec, nil)
 			if err != nil {
@@ -691,25 +719,23 @@ func TestMaterialiseOtherPageSize(t *testing.T) {
 			if inst.Backend() != "flat" {
 				t.Fatalf("backend %q (%s), want flat: the image itself is valid at any page size", inst.Backend(), inst.FailReason())
 			}
-			image := inst.ReadIndex().(*rtree.FlatTree)
-			var logged bytes.Buffer
-			log.SetOutput(&logged)
-			defer log.SetOutput(os.Stderr)
-			added := wal.Record{Op: wal.OpInsert, OID: 9001, Rect: geom.R(10, 10, 12, 12)}
-			if err := mutate(inst, added); err != nil {
-				t.Fatal(err)
-			}
 			if !strings.Contains(logged.String(), tc.logged) {
 				t.Errorf("log %q does not say %q", logged.String(), tc.logged)
 			}
-			shared, total := image.NodesSharedWith(inst.Idx)
+			_, image := imageOnDisk(t, spec.Dir, "main")
+			shared, total := image.NodesSharedWith(inst.ReadIndex())
 			if tc.adopted != (shared > 0) {
-				t.Fatalf("tree shares %d of the image's %d nodes, adoption expected: %v", shared, total, tc.adopted)
+				t.Fatalf("tree holds %d of the image's %d nodes, adoption expected: %v", shared, total, tc.adopted)
 			}
 			if !tc.adopted {
-				if err := inst.Idx.(*rtree.Tree).CheckInvariants(); err != nil {
+				if err := inst.ReadIndex().(*rtree.Tree).CheckInvariants(); err != nil {
 					t.Fatalf("rebuilt tree: %v", err)
 				}
+			}
+			assertSameAnswers(t, "booted state", inst.ReadIndex(), groundTruth(t, d.Items, nil))
+			added := wal.Record{Op: wal.OpInsert, OID: 9001, Rect: geom.R(10, 10, 12, 12)}
+			if err := mutate(inst, added); err != nil {
+				t.Fatal(err)
 			}
 			assertSameAnswers(t, "after mutation", inst.ReadIndex(), groundTruth(t, d.Items, []wal.Record{added}))
 		})
@@ -766,8 +792,8 @@ func TestUnreadableDirectories(t *testing.T) {
 			prepare: checkpointed("main.snap"),
 		},
 		{
-			// Only the boot that serves the image as it is has to clean
-			// up; every other boot checkpoints, which reuses the name.
+			// Only the boot that replays nothing has to clean up; every
+			// other boot checkpoints, which reuses the name.
 			name:    "tmp file of a checkpoint cut short, WAL quiet",
 			prepare: checkpointed("main.flat.tmp"),
 		},
@@ -868,7 +894,7 @@ func TestGenerationInFlatHeader(t *testing.T) {
 	if err := inst.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil { // close checkpoints again
+	if err := srv.Close(); err != nil { // nothing logged since: no third image
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "g.flat"))
@@ -879,10 +905,10 @@ func TestGenerationInFlatHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen := flat.Generation(); gen != 3 {
-		t.Errorf("image covers generation %d, want 3 (build + 2 checkpoints)", gen)
+	if gen := flat.Generation(); gen != 2 {
+		t.Errorf("image covers generation %d, want 2 (build + 1 checkpoint)", gen)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "g.wal.3")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "g.wal.2")); err != nil {
 		t.Errorf("no log of the image's generation: %v", err)
 	}
 	assertTwoFiles(t, "after close", dir, "g")

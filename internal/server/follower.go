@@ -150,7 +150,7 @@ func (s *Server) Promote() error {
 		if inst.dur == nil || !inst.dur.spec.Follower {
 			continue
 		}
-		if inst.Idx == nil || !inst.Healthy() {
+		if !inst.Healthy() {
 			continue // stays 503; promotion must not resurrect a degraded index
 		}
 		if err := inst.Checkpoint(); err != nil && firstErr == nil {
@@ -226,8 +226,8 @@ func (s *Server) registerReplMetrics() {
 // followerTarget adapts one served instance to repl.Target: the
 // follower state machine calls it to bootstrap from a snapshot, apply
 // records, and rotate generations. Records go through Instance.mutate,
-// the primary's own write path, so watch notification, logging and
-// read-path swaps behave identically on a replica.
+// the primary's own write path, so watch notification and logging
+// behave identically on a replica.
 type followerTarget struct {
 	s    *Server
 	inst *Instance
@@ -242,13 +242,13 @@ func (t *followerTarget) Position() (repl.Position, bool) {
 }
 
 // Bootstrap replaces the instance's state with the checkpoint image
-// taken at pos on the primary: decode and verify it, build a working
-// tree from its entries, persist the received bytes verbatim as this
-// replica's own checkpoint (so a promoted node reboots into the same
-// state), open the matching WAL generation, and atomically swap the
-// read view over. A failure before the image is on disk leaves the
-// previous state serving (possibly stale, never wrong); the follower
-// retries with backoff either way.
+// taken at pos on the primary: decode and verify it, adopt it as a tree
+// (materialise), persist the received bytes verbatim as this replica's
+// own checkpoint (so a promoted node reboots into the same state), open
+// the matching WAL generation, and atomically swap the read view over.
+// A failure before the image is on disk leaves the previous state
+// serving (possibly stale, never wrong); the follower retries with
+// backoff either way.
 func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64) error {
 	inst, d := t.inst, t.inst.dur
 	if size < 0 || size > 1<<32 {
@@ -261,9 +261,6 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	flat, err := rtree.OpenFlatBytes(data)
 	if err != nil {
 		return fmt.Errorf("server: decoding snapshot: %w", err)
-	}
-	if flat.Name() != inst.Kind.String() {
-		return fmt.Errorf("server: snapshot is a %s, index %q is a %s", flat.Name(), inst.Name, inst.Kind)
 	}
 	if flat.Generation() != pos.Gen {
 		return fmt.Errorf("server: snapshot generation %d does not match stream position %v", flat.Generation(), pos)
@@ -322,7 +319,7 @@ func (t *followerTarget) Rotate(newGen uint64) error {
 	inst, d := t.inst, t.inst.dur
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.log == nil || inst.Idx == nil {
+	if d.log == nil {
 		return fmt.Errorf("server: rotate before bootstrap: %w", repl.ErrOutOfSync)
 	}
 	if newGen != d.gen+1 {

@@ -21,6 +21,10 @@ import (
 // maxBodyBytes bounds request bodies; queries and mutations are tiny.
 const maxBodyBytes = 1 << 20
 
+// maxKNN bounds k on /v1/knn: the answer is built whole in memory
+// before it is written, so k bounds what one request may hold.
+const maxKNN = 10000
+
 // maxBulkBytes bounds /v1/bulk bodies, which carry whole datasets
 // (256 MiB ≈ tens of millions of NDJSON rectangles).
 const maxBulkBytes = 1 << 28
@@ -307,8 +311,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("k"); v != "" {
 		var err error
 		k, err = strconv.Atoi(v)
-		if err != nil || k <= 0 {
-			writeJSONError(w, http.StatusBadRequest, "k must be a positive integer")
+		if err != nil || k <= 0 || k > maxKNN {
+			writeJSONError(w, http.StatusBadRequest, "k must be a positive integer, at most "+strconv.Itoa(maxKNN))
 			return
 		}
 	}

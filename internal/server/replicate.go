@@ -5,7 +5,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -76,22 +75,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	resume := resumable && reqGen == gen && reqSeq <= seq
 	var snap []byte
 	if !resume {
-		var err error
-		if inst.Idx == nil {
-			// Still served from the checkpoint image: N.flat, validated
-			// at boot and immutable until the next checkpoint, is the
-			// snapshot of (gen, 0). The follower verifies it again.
-			snap, err = os.ReadFile(d.flatPath())
-		} else {
-			var buf bytes.Buffer
-			err = index.WriteFlat(inst.Idx, &buf, gen)
-			snap = buf.Bytes()
-		}
-		if err != nil {
+		var buf bytes.Buffer
+		if err := index.WriteFlat(inst.ReadIndex(), &buf, gen); err != nil {
 			d.mu.Unlock()
 			writeJSONError(w, http.StatusInternalServerError, "snapshotting index: "+err.Error())
 			return
 		}
+		snap = buf.Bytes()
 	}
 	tail, err := wal.OpenTail(d.walPath(gen))
 	d.mu.Unlock()

@@ -22,6 +22,10 @@
 //	POST /v1/watch    continuous query: a long-lived NDJSON stream of
 //	                  enter/exit/change events for a region + relation
 //	                  set, driven by the conceptual neighbourhood graph
+//	GET  /v1/replicate
+//	                  a durable index as a replication stream: its
+//	                  checkpoint image, then the live WAL tail
+//	POST /v1/promote  turn a read replica into a writable primary
 //	GET  /metrics     Prometheus text exposition
 //	GET  /healthz     process liveness (always 200 while serving)
 //	GET  /readyz      readiness: 200 only when every index recovered
@@ -136,11 +140,11 @@ type IndexSpec struct {
 // mutations between checkpoint images) when the spec leaves it zero.
 const DefaultCheckpointEvery = 1024
 
-// readView is the active read path of an instance: the index queries
-// are answered from. A durable index that boots from a quiet checkpoint
-// publishes the validated image here; its first mutation swaps the view
-// to the working tree before it is applied. The whole struct is
-// replaced atomically so handlers never see a half-switched read path.
+// readView is what an instance serves: its tree and the query processor
+// over it. It is set once at boot and replaced only by a follower's
+// Bootstrap, which swaps in the tree of a newer image; the whole struct
+// is replaced atomically so handlers never see one half of the pair
+// without the other.
 type readView struct {
 	idx  index.Index
 	proc *query.Processor
@@ -154,11 +158,6 @@ func newReadView(idx index.Index) *readView {
 type Instance struct {
 	Name string
 	Kind index.Kind
-	// Idx is the mutable working tree: nil when recovery failed and the
-	// instance is unhealthy, and nil while a durable index still serves
-	// its checkpoint image (see workingTreeLocked). Handlers read
-	// through ReadIndex/ReadProc instead.
-	Idx index.Index
 
 	// Recovered reports that AddIndex resumed existing durable state
 	// instead of building from items; Replayed counts the WAL records
@@ -166,10 +165,12 @@ type Instance struct {
 	Recovered bool
 	Replayed  int
 
-	// view is the active read path (see readView). backend labels how
-	// the instance came up — "paged" (fresh build), "recovered"
-	// (checkpoint image + WAL replay), or "flat" (served from the image
-	// of a quiet checkpoint) — and is fixed before AddIndex returns.
+	// view is the tree the instance serves and mutates (see readView):
+	// nil when recovery failed, and in a follower shell before its first
+	// bootstrap. backend labels how the instance came up — "paged"
+	// (fresh build), "recovered" (checkpoint image + WAL replay), or
+	// "flat" (the image of a quiet checkpoint, nothing replayed) — and
+	// is fixed before AddIndex returns.
 	view    atomic.Pointer[readView]
 	backend string
 
@@ -193,13 +194,13 @@ type Instance struct {
 
 	// gen counts applied mutations — the invalidation clock of the
 	// result cache (see cache.go). Bumped by mutate and by a follower's
-	// bootstrap; never for checkpoints or read-view swaps, which keep
-	// the logical contents unchanged.
+	// bootstrap; never for checkpoints, which keep the logical contents
+	// unchanged.
 	gen atomic.Uint64
 }
 
-// Backend reports which boot path produced the instance's first read
-// view: "paged", "recovered", or "flat".
+// Backend reports which boot path produced the instance's tree:
+// "paged", "recovered", or "flat".
 func (inst *Instance) Backend() string {
 	if inst.backend == "" {
 		return "paged"
@@ -207,10 +208,8 @@ func (inst *Instance) Backend() string {
 	return inst.backend
 }
 
-// ReadIndex returns the index the read path currently serves from —
-// the checkpoint image until the first mutation after a flat boot, the
-// working tree otherwise. Nil when the instance is unhealthy without a
-// tree.
+// ReadIndex returns the tree the instance serves. Nil when the instance
+// has none (failed recovery, follower shell before bootstrap).
 func (inst *Instance) ReadIndex() index.Index {
 	if v := inst.view.Load(); v != nil {
 		return v.idx
@@ -261,11 +260,14 @@ func (inst *Instance) FailReason() string {
 }
 
 // MarkUnhealthy takes the instance out of service (first reason wins).
+// The reason is stored before the flag flips, so whoever sees the
+// instance unhealthy finds out why.
 func (inst *Instance) MarkUnhealthy(reason string) {
-	if inst.unhealthy.CompareAndSwap(false, true) {
-		inst.mu.Lock()
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	if !inst.unhealthy.Load() {
 		inst.failReason = reason
-		inst.mu.Unlock()
+		inst.unhealthy.Store(true)
 	}
 }
 
@@ -327,8 +329,8 @@ func (inst *Instance) mutLock() *sync.Mutex {
 // In order, under the mutation lock:
 //
 //  1. pre — a follower's replication-position check; nil elsewhere
-//  2. the tree changes (applyLocked): the working tree, or on a sharded
-//     parent the mutate of the tile(s) the router picks
+//  2. the tree changes (applyLocked): the instance's own, or on a
+//     sharded parent the mutate of the tile(s) the router picks
 //  3. the records are published to the watch table, once
 //  4. the generation moves, voiding cached answers
 //  5. on a durable instance the records are reserved as one contiguous
@@ -376,9 +378,9 @@ func (inst *Instance) applyLocked(recs []wal.Record) error {
 	if len(inst.tiles) > 0 {
 		return inst.route(recs)
 	}
-	idx, err := inst.workingTreeLocked()
-	if err != nil {
-		return err
+	idx := inst.ReadIndex()
+	if idx == nil {
+		return fmt.Errorf("server: index %q has no tree to mutate (%s)", inst.Name, inst.FailReason())
 	}
 	if len(recs) == 1 {
 		return applyRecord(idx, recs[0])
@@ -472,10 +474,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// serve installs idx as the working tree and moves the read path onto
-// it.
+// serve makes idx the tree the instance serves and mutates.
 func (inst *Instance) serve(idx index.Index) {
-	inst.Idx = idx
 	inst.view.Store(newReadView(idx))
 }
 
@@ -502,7 +502,7 @@ func (s *Server) registerIndexMetrics() {
 			emit(bit(inst.Healthy()), "index", inst.Name)
 		}
 	})
-	s.metrics.collect("topod_index_backend", "Boot backend of the index: flat (served from the checkpoint image), paged (fresh build), or recovered (checkpoint image + WAL replay).", "gauge", func(emit emitFunc) {
+	s.metrics.collect("topod_index_backend", "Boot backend of the index: flat (adopted from the checkpoint image, nothing replayed), paged (fresh build), or recovered (checkpoint image + WAL replay).", "gauge", func(emit emitFunc) {
 		for _, inst := range s.statInstances() {
 			emit(1, "index", inst.Name, "backend", inst.Backend())
 		}
@@ -678,7 +678,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// queryContext applies the request deadline policy: the client's
+// queryTimeout applies the request deadline policy: the client's
 // timeout (capped at MaxTimeout), else DefaultTimeout, else none.
 func (s *Server) queryTimeout(requestedMS int64) time.Duration {
 	switch {

@@ -434,6 +434,65 @@ func TestKNNEndpoint(t *testing.T) {
 	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != wantTS.NodeAccesses {
 		t.Fatalf("metrics folded %d accesses for knn, want %d", folded, wantTS.NodeAccesses)
 	}
+
+	// k bounds the body one request builds in memory: past maxKNN the
+	// request is refused, naming the bound, before the tree is touched.
+	before = srv.Metrics().NodeAccessesTotal()
+	over, err := http.Get(fmt.Sprintf("%s/v1/knn?k=%d&x=1&y=1", ts.URL, maxKNN+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer over.Body.Close()
+	body, _ := io.ReadAll(over.Body)
+	if over.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), strconv.Itoa(maxKNN)) {
+		t.Fatalf("k = %d answered HTTP %d (%s), want 400 naming %d", maxKNN+1, over.StatusCode, body, maxKNN)
+	}
+	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != 0 {
+		t.Fatalf("a refused k still read %d nodes", folded)
+	}
+}
+
+// TestMarkUnhealthyPublishesReason hammers Healthy and FailReason beside
+// concurrent MarkUnhealthy calls (run it under -race): whoever sees the
+// instance unhealthy must find a reason, and the first reason stays.
+func TestMarkUnhealthyPublishesReason(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		inst := &Instance{Name: "main"}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				first := ""
+				for i := 0; i < 2000; i++ {
+					if inst.Healthy() {
+						continue
+					}
+					reason := inst.FailReason()
+					if reason == "" || (first != "" && reason != first) {
+						t.Errorf("round %d: unhealthy with reason %q after %q", round, reason, first)
+						return
+					}
+					first = reason
+				}
+			}()
+		}
+		for _, reason := range []string{"wal append failed", "checkpoint failed"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				inst.MarkUnhealthy(reason)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if inst.Healthy() || inst.FailReason() == "" {
+			t.Fatalf("round %d: healthy = %v, reason %q after two MarkUnhealthy calls", round, inst.Healthy(), inst.FailReason())
+		}
+	}
 }
 
 // TestKNNDeadline: /v1/knn runs under the server's default deadline

@@ -20,9 +20,9 @@ import (
 // instance — its own tree, checkpoint image and WAL under the shared
 // data directory (Name.t<i>.*), recovered independently by the
 // machinery in durable.go, untouched. The parent serves reads through
-// a shard.Sharded router over the tiles' current read views; its mutate
-// only routes — into the mutate of the tile(s) concerned — and then
-// publishes on its own watch table.
+// a shard.Sharded router over the tiles' trees; its mutate only routes
+// — into the mutate of the tile(s) concerned — and then publishes on its
+// own watch table.
 
 // tileName names tile i of a sharded index.
 func tileName(name string, i int) string { return fmt.Sprintf("%s.t%d", name, i) }
@@ -70,7 +70,7 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 
 	parent := &Instance{Name: spec.Name, Kind: spec.Kind, backend: "sharded"}
 	tiles := make([]*Instance, shards)
-	fns := make([]func() index.Index, shards)
+	trees := make([]index.Index, shards)
 	closeBuilt := func() {
 		for _, t := range tiles {
 			if t != nil {
@@ -92,20 +92,20 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 			return nil, fmt.Errorf("server: index %q tile %d: %w", spec.Name, i, err)
 		}
 		tiles[i] = t
-		fns[i] = t.ReadIndex
+		trees[i] = t.ReadIndex()
 	}
 	parent.tiles = tiles
-	parent.router = shard.NewFunc(fns)
+	parent.router = shard.New(trees...)
 	for _, t := range tiles {
 		if t.Recovered {
 			parent.Recovered = true
 		}
 		parent.Replayed += t.Replayed
 	}
-	// The router assumes every tile accessor yields a tree; a tile that
-	// failed recovery has none. Leave the parent's read view unset in
-	// that case — ReadIndex returns nil and the routes answer 503, the
-	// same contract as a single index that failed recovery.
+	// The router assumes every tile has a tree; a tile that failed
+	// recovery has none. Leave the parent's read view unset in that case
+	// — ReadIndex returns nil and the routes answer 503, the same
+	// contract as a single index that failed recovery.
 	allHealthy := true
 	for _, t := range tiles {
 		if !t.Healthy() || t.ReadIndex() == nil {

@@ -7,11 +7,6 @@
 // routed to exactly one tile (single assignment — an object lives in
 // one tile only, so tile trees stay disjoint and recover
 // independently).
-//
-// Tiles are reached through accessor functions rather than stored
-// directly, so a serving layer that swaps per-tile read views (flat
-// snapshot boot, checkpoint publishes) is always routed to the current
-// view of each tile.
 package shard
 
 import (
@@ -31,7 +26,7 @@ import (
 // the same contract as the underlying trees (the caller serializes
 // writers, as the server's write lock does).
 type Sharded struct {
-	fns []func() index.Index
+	tiles []index.Index
 
 	searched atomic.Uint64 // tiles traversed by queries/kNN
 	pruned   atomic.Uint64 // tiles eliminated by the router
@@ -39,44 +34,29 @@ type Sharded struct {
 
 var _ index.Index = (*Sharded)(nil)
 
-// New builds a router over fixed tile indexes.
+// New builds a router over the tile indexes, which it holds for good:
+// a tile changes through its own mutations, never by being replaced.
 func New(tiles ...index.Index) *Sharded {
-	fns := make([]func() index.Index, len(tiles))
-	for i, t := range tiles {
-		t := t
-		fns[i] = func() index.Index { return t }
-	}
-	return NewFunc(fns)
-}
-
-// NewFunc builds a router over tile accessors; each call re-reads the
-// accessor, so callers can repoint tiles at fresh read views.
-func NewFunc(fns []func() index.Index) *Sharded {
-	if len(fns) == 0 {
+	if len(tiles) == 0 {
 		panic("shard: need at least one tile")
 	}
-	return &Sharded{fns: fns}
+	return &Sharded{tiles: tiles}
 }
 
 // NumTiles returns the tile count.
-func (s *Sharded) NumTiles() int { return len(s.fns) }
+func (s *Sharded) NumTiles() int { return len(s.tiles) }
 
-// Tiles returns a point-in-time snapshot of the tile indexes.
-func (s *Sharded) Tiles() []index.Index {
-	out := make([]index.Index, len(s.fns))
-	for i, fn := range s.fns {
-		out[i] = fn()
-	}
-	return out
-}
+// Tiles returns the tile indexes, in tile order. The slice is the
+// router's own: read it, do not modify it.
+func (s *Sharded) Tiles() []index.Index { return s.tiles }
 
 // Stats merges the tiles' node-MBR summaries into one logical-index
 // summary, so the query planner sees a sharded index exactly like a
 // single one. A tile without statistics contributes nothing.
 func (s *Sharded) Stats() (*rtree.TreeStats, error) {
-	parts := make([]*rtree.TreeStats, 0, len(s.fns))
-	for _, fn := range s.fns {
-		st, err := index.StatsOf(fn())
+	parts := make([]*rtree.TreeStats, 0, len(s.tiles))
+	for _, t := range s.tiles {
+		st, err := index.StatsOf(t)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +77,7 @@ type RouterStats struct {
 // RouterStats returns the fan-out counters.
 func (s *Sharded) RouterStats() RouterStats {
 	return RouterStats{
-		Tiles:    len(s.fns),
+		Tiles:    len(s.tiles),
 		Searched: s.searched.Load(),
 		Pruned:   s.pruned.Load(),
 	}
@@ -245,12 +225,12 @@ func (s *Sharded) Bounds() (geom.Rect, bool) {
 
 // Name identifies the router and its tile access method.
 func (s *Sharded) Name() string {
-	return fmt.Sprintf("sharded[%d] %s", len(s.fns), s.fns[0]().Name())
+	return fmt.Sprintf("sharded[%d] %s", len(s.tiles), s.tiles[0].Name())
 }
 
 // CoveringNodeRects reports the tile access method's node semantics
 // (all tiles share one kind).
-func (s *Sharded) CoveringNodeRects() bool { return s.fns[0]().CoveringNodeRects() }
+func (s *Sharded) CoveringNodeRects() bool { return s.tiles[0].CoveringNodeRects() }
 
 // IOStats sums the tile page-file counters.
 func (s *Sharded) IOStats() pagefile.Stats {

@@ -2,7 +2,7 @@
 // service's /v1/insert and /v1/delete survive crashes. The durable
 // state of an index is (checkpoint image, WAL): the image is the tree
 // as of the last checkpoint, the WAL is the ordered list of mutations
-// applied since. Recovery rebuilds the tree from the image and replays
+// applied since. Recovery adopts the image as the tree and replays
 // the log; checkpointing replaces the image atomically and starts a
 // fresh log generation.
 //

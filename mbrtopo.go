@@ -47,11 +47,13 @@
 package mbrtopo
 
 import (
+	"fmt"
+	"io"
+
 	"mbrtopo/internal/direction"
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
@@ -212,8 +214,7 @@ type Network = topo.Network
 func NewNetwork(n int) *Network { return topo.NewNetwork(n) }
 
 // NewRTree creates an in-memory R-tree (Guttman, quadratic split,
-// m=40%) charging node accesses at the paper's 50-entry pages. Use
-// NewIndexOnFile to put a tree on an actual page file.
+// m=40%) charging node accesses at the paper's 50-entry pages.
 func NewRTree() (Index, error) { return index.New(index.KindRTree) }
 
 // NewRPlus creates an R+-tree (Sellis et al., minimal-split cost).
@@ -237,31 +238,26 @@ func NewPackedIndex(kind IndexKind, pageSize int, items []Item) (Index, error) {
 	return index.NewPacked(kind, pageSize, items)
 }
 
-// Persistence: indexes built over a DiskFile survive process restarts.
-type DiskFile = pagefile.DiskFile
+// SaveIndex writes the index as one checksummed MBRFLAT1 image — the
+// format topod checkpoints in. The published version is pinned while it
+// is written, so searches and writers carry on beside it.
+func SaveIndex(idx Index, w io.Writer) error { return index.WriteFlat(idx, w, 0) }
 
-// CreateDiskFile creates a disk-backed page file; pass it to
-// NewIndexOnFile and call PersistIndex before closing.
-func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
-	return pagefile.CreateDiskFile(path, pageSize)
-}
-
-// OpenDiskFile opens an existing page file for OpenPersistentIndex.
-func OpenDiskFile(path string) (*DiskFile, error) {
-	return pagefile.OpenDiskFile(path)
-}
-
-// NewIndexOnFile creates an index over an existing page file.
-func NewIndexOnFile(kind IndexKind, file *DiskFile) (Index, error) {
-	return index.NewOnFile(kind, file)
-}
-
-// PersistIndex records the index's metadata in the file header.
-func PersistIndex(idx Index, file *DiskFile) error { return index.Persist(idx, file) }
-
-// OpenPersistentIndex resumes an index persisted with PersistIndex.
-func OpenPersistentIndex(kind IndexKind, file *DiskFile) (Index, error) {
-	return index.OpenPersistent(kind, file)
+// OpenIndex reads an image written by SaveIndex back as a mutable
+// in-memory index: the saved tree node for node, so every query costs
+// the node accesses it cost before the save. kind and pageSize are the
+// ones the index was created with; corrupted bytes fail the image's
+// checksums with an error, never with wrong answers.
+func OpenIndex(kind IndexKind, pageSize int, r io.Reader) (Index, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("mbrtopo: reading index image: %w", err)
+	}
+	flat, err := rtree.OpenFlatBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return index.Adopt(kind, pageSize, flat)
 }
 
 // Neighbour is one k-nearest-neighbour answer.

@@ -1,10 +1,15 @@
 package mbrtopo_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mbrtopo"
+	"mbrtopo/internal/pagefile"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
@@ -118,36 +123,137 @@ func TestFacadePackingAndPersistence(t *testing.T) {
 		t.Fatalf("packed: %v %v", packed, err)
 	}
 
-	path := t.TempDir() + "/facade.db"
-	file, err := mbrtopo.CreateDiskFile(path, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := mbrtopo.NewIndexOnFile(mbrtopo.KindRTree, file)
+	idx, err := mbrtopo.NewIndex(mbrtopo.KindRTree, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mbrtopo.Load(idx, items); err != nil {
 		t.Fatal(err)
 	}
-	if err := mbrtopo.PersistIndex(idx, file); err != nil {
+	var image bytes.Buffer
+	if err := mbrtopo.SaveIndex(idx, &image); err != nil {
 		t.Fatal(err)
 	}
-	if err := file.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := mbrtopo.OpenDiskFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	back, err := mbrtopo.OpenPersistentIndex(mbrtopo.KindRTree, re)
+	back, err := mbrtopo.OpenIndex(mbrtopo.KindRTree, 512, &image)
 	if err != nil || back.Len() != 3 {
 		t.Fatalf("reopened: %v %v", back, err)
 	}
 	nn, _, err := back.NearestCtx(context.Background(), mbrtopo.Point{X: 7, Y: 1}, 1)
 	if err != nil || len(nn) != 1 || nn[0].OID != 3 {
 		t.Fatalf("reopened nearest: %v %v", nn, err)
+	}
+}
+
+// TestSaveOpenIndex: SaveIndex → OpenIndex gives back the saved tree,
+// not a rebuild of its entries — the same answers in the same order for
+// the same node accesses, on every kind and on a packed tree — and the
+// reopened index is an ordinary mutable one. Damaged bytes and an image
+// of another kind are refused.
+func TestSaveOpenIndex(t *testing.T) {
+	const pageSize = 512
+	rng := rand.New(rand.NewSource(20))
+	items := make([]mbrtopo.Item, 600)
+	for i := range items {
+		x, y := rng.Float64()*90, rng.Float64()*90
+		items[i] = mbrtopo.Item{Rect: mbrtopo.R(x, y, x+0.5+rng.Float64()*6, y+0.5+rng.Float64()*6), OID: uint64(i + 1)}
+	}
+	relations := []mbrtopo.Relation{mbrtopo.Disjoint, mbrtopo.Meet, mbrtopo.Equal, mbrtopo.Overlap,
+		mbrtopo.Contains, mbrtopo.Inside, mbrtopo.Covers, mbrtopo.CoveredBy}
+	windows := []mbrtopo.Rect{mbrtopo.R(30, 30, 60, 60), mbrtopo.R(0, 0, 12, 12), items[7].Rect, mbrtopo.R(200, 200, 210, 210)}
+
+	build := map[string]func() (mbrtopo.IndexKind, mbrtopo.Index, error){
+		"packed R*-tree": func() (mbrtopo.IndexKind, mbrtopo.Index, error) {
+			idx, err := mbrtopo.NewPackedIndex(mbrtopo.KindRStar, pageSize, items)
+			return mbrtopo.KindRStar, idx, err
+		},
+	}
+	for _, kind := range []mbrtopo.IndexKind{mbrtopo.KindRTree, mbrtopo.KindRPlus, mbrtopo.KindRStar} {
+		build[kind.String()] = func() (mbrtopo.IndexKind, mbrtopo.Index, error) {
+			idx, err := mbrtopo.NewIndex(kind, pageSize)
+			if err == nil {
+				err = mbrtopo.Load(idx, items)
+			}
+			return kind, idx, err
+		}
+	}
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			kind, idx, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := mbrtopo.SaveIndex(idx, &buf); err != nil {
+				t.Fatal(err)
+			}
+			image := buf.Bytes()
+			back, err := mbrtopo.OpenIndex(kind, pageSize, bytes.NewReader(image))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != idx.Len() || back.Height() != idx.Height() || back.Name() != idx.Name() {
+				t.Fatalf("reopened %s len %d height %d, saved %s len %d height %d",
+					back.Name(), back.Len(), back.Height(), idx.Name(), idx.Len(), idx.Height())
+			}
+			was, now := &mbrtopo.Processor{Idx: idx}, &mbrtopo.Processor{Idx: back}
+			for _, rel := range relations {
+				for _, w := range windows {
+					want, err := was.QueryMBR(rel, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := now.QueryMBR(rel, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Stats.NodeAccesses != want.Stats.NodeAccesses || !slices.Equal(got.Matches, want.Matches) {
+						t.Fatalf("%v %v: reopened %d matches in %d accesses, saved %d in %d", rel, w,
+							len(got.Matches), got.Stats.NodeAccesses, len(want.Matches), want.Stats.NodeAccesses)
+					}
+				}
+			}
+			p := mbrtopo.Point{X: 41, Y: 17}
+			wantNN, wantStats, err := idx.NearestCtx(context.Background(), p, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotNN, gotStats, err := back.NearestCtx(context.Background(), p, 9)
+			if err != nil || gotStats != wantStats || !slices.Equal(gotNN, wantNN) {
+				t.Fatalf("kNN: reopened %v %+v (%v), saved %v %+v", gotNN, gotStats, err, wantNN, wantStats)
+			}
+
+			// The reopened index takes writes; the saved one does not see them.
+			island := mbrtopo.R(300, 300, 301, 301)
+			if err := back.Insert(island, 9001); err != nil {
+				t.Fatal(err)
+			}
+			if err := back.Delete(items[0].Rect, items[0].OID); err != nil {
+				t.Fatal(err)
+			}
+			res, err := now.QueryMBR(mbrtopo.Equal, island)
+			if err != nil || len(res.Matches) != 1 || res.Matches[0].OID != 9001 {
+				t.Fatalf("reopened index after insert: %+v %v", res.Matches, err)
+			}
+			if back.Len() != len(items) || idx.Len() != len(items) {
+				t.Fatalf("after insert + delete: reopened holds %d, saved %d, want %d both", back.Len(), idx.Len(), len(items))
+			}
+			if res, err = was.QueryMBR(mbrtopo.Equal, island); err != nil || len(res.Matches) != 0 {
+				t.Fatalf("the saved index sees the reopened one's insert: %+v %v", res.Matches, err)
+			}
+
+			damaged := bytes.Clone(image)
+			damaged[len(damaged)/2] ^= 0x40
+			if _, err := mbrtopo.OpenIndex(kind, pageSize, bytes.NewReader(damaged)); !errors.Is(err, pagefile.ErrCorrupt) {
+				t.Fatalf("flipped byte: %v, want pagefile.ErrCorrupt", err)
+			}
+			other := mbrtopo.KindRTree
+			if kind == other {
+				other = mbrtopo.KindRStar
+			}
+			if _, err := mbrtopo.OpenIndex(other, pageSize, bytes.NewReader(image)); err == nil {
+				t.Fatalf("a %s image opened as a %s", idx.Name(), other)
+			}
+		})
 	}
 }
 

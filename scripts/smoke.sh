@@ -14,10 +14,12 @@
 # new object and changes no other line, and asserts 429 under saturation. A
 # fifth leg checkpoints a durable topod grown insert by insert, asserts
 # the data directory holds exactly main.flat + one main.wal.<gen>,
-# asserts the next boot serves the checkpoint image (backend=flat) with
-# the same answers and that its first /v1/insert leaves the height and a
-# fixed query's node_accesses where the first process had them (the
-# working tree adopts the image) — then corrupts the image and
+# asserts the next boot adopts the checkpoint image as its tree before
+# any write (backend=flat) with the same answers, that a SIGTERM of that
+# unmutated process leaves main.flat byte for byte what it was, and that
+# the first /v1/insert of the boot after leaves the height and a fixed
+# query's node_accesses where the first process had them (the tree is
+# the checkpointed one, not a rebuild) — then corrupts the image and
 # asserts the next boot answers 503 with the reason and counts the
 # checksum failure instead of guessing. A sixth leg subscribes
 # topoquery -watch to a durable topod, mutates through /v1/insert and
@@ -65,7 +67,7 @@ cleanup() {
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
     "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG14" "$LOG15" "$LOG16" "$LOG17" "$WLOG" "$BULK" "$WBULK" \
     "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
-    "$DATADIR5" "$DATADIR6" "$DATADIR7" 2>/dev/null || true
+    "$DATADIR5" "$DATADIR6" "$DATADIR7" "$FLATCOPY" 2>/dev/null || true
 }
 PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID9="" PID10="" PID11="" PID12=""
 CURLPID="" WATCHPID=""
@@ -73,7 +75,7 @@ LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11="
 LOG12="" LOG13="" LOG14="" LOG15="" LOG16="" LOG17="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
 JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
-DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7=""
+DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" FLATCOPY=""
 
 # wait_listen LOGFILE: echo the address once the daemon logs it.
 wait_listen() {
@@ -463,39 +465,53 @@ echo "$FILES" | grep -Eq '^main\.flat main\.wal\.[0-9]+ $' \
   || { echo "smoke: data dir holds [$FILES], want exactly main.flat + one main.wal.<gen>" >&2; exit 1; }
 
 # Boot again from the directory alone (the quiet WAL makes it a flat
-# boot): the first query must be answered from the image.
-LOG8="$(mktemp)"
-"$TOPOD" -gen 1500 -bulk -tree rstar -data-dir "$DATADIR3" -fsync always \
-  -addr 127.0.0.1:0 >"$LOG8" 2>&1 &
-PID5=$!
-ADDR5="$(wait_listen "$LOG8")" || {
-  echo "smoke: flat-leg topod never restarted" >&2
-  cat "$LOG8" >&2
-  exit 1
+# boot): the image is adopted as the tree at boot, before any write.
+flat_boot() {
+  LOG8="$(mktemp)"
+  "$TOPOD" -gen 1500 -bulk -tree rstar -data-dir "$DATADIR3" -fsync always \
+    -addr 127.0.0.1:0 >"$LOG8" 2>&1 &
+  PID5=$!
+  ADDR5="$(wait_listen "$LOG8")" || {
+    echo "smoke: flat-leg topod never restarted" >&2
+    cat "$LOG8" >&2
+    exit 1
+  }
+  BASE5="http://$ADDR5"
+  wait_ready "$BASE5" || { echo "smoke: flat-boot topod never became ready" >&2; exit 1; }
+  grep -q '^topod: backend=flat ' "$LOG8" \
+    || { echo "smoke: restart did not boot from the checkpoint image" >&2; cat "$LOG8" >&2; exit 1; }
+  grep -q 'adopted the checkpoint image' "$LOG8" \
+    || { echo "smoke: topod did not log at boot that it adopted the image" >&2; cat "$LOG8" >&2; exit 1; }
 }
-BASE5="http://$ADDR5"
-wait_ready "$BASE5" || { echo "smoke: flat-boot topod never became ready" >&2; exit 1; }
-grep -q '^topod: backend=flat ' "$LOG8" \
-  || { echo "smoke: restart did not boot from the checkpoint image" >&2; cat "$LOG8" >&2; exit 1; }
+flat_boot
 FLATCOUNT="$(curl -sf -d "$FLATQ" "$BASE5/v1/query" | grep -c '"oid"')"
 [ "$FLATCOUNT" = "$BASELINE" ] \
   || { echo "smoke: flat boot answered $FLATCOUNT matches, want $BASELINE" >&2; exit 1; }
 MET5="$(curl -sf "$BASE5/metrics")"
 echo "$MET5" | grep -q '^topod_index_backend{index="main",backend="flat"} 1' \
   || { echo "smoke: /metrics missing the flat backend gauge" >&2; exit 1; }
-# The first mutation after a flat boot adopts the image as the working
-# tree. An insert far from the query window must leave the tree what the
-# first process checkpointed: same height, same node accesses for the
-# same query. A working tree rebuilt from the image's entries would be
-# STR-packed and read a different number of nodes.
 [ "$(flat_accesses)" = "$ACCESSES0" ] \
-  || { echo "smoke: the image answers with $(flat_accesses), the tree it was taken from with $ACCESSES0" >&2; exit 1; }
+  || { echo "smoke: the adopted tree answers with $(flat_accesses), the tree the image was taken from with $ACCESSES0" >&2; exit 1; }
+# Nothing was logged since the image on disk, so a clean shutdown has
+# nothing to checkpoint: the image (its generation is in its header) and
+# the one log beside it stay what they were.
+FLATCOPY="$(mktemp)"
+cp "$DATADIR3/main.flat" "$FLATCOPY"
+kill -TERM "$PID5"
+wait "$PID5" || { echo "smoke: unmutated flat-booted topod failed clean shutdown" >&2; cat "$LOG8" >&2; exit 1; }
+cmp -s "$DATADIR3/main.flat" "$FLATCOPY" && [ "$(ls "$DATADIR3" | tr '\n' ' ')" = "$FILES" ] \
+  || { echo "smoke: SIGTERM of an unmutated flat boot rewrote the checkpoint: [$(ls "$DATADIR3" | tr '\n' ' ')], was [$FILES]" >&2; exit 1; }
+rm -f "$LOG8"
+
+# An insert far from the query window must leave the tree what the first
+# process checkpointed: same height, same node accesses for the same
+# query. A tree rebuilt from the image's entries would be STR-packed and
+# read a different number of nodes.
+flat_boot
 curl -sf -o /dev/null -d '{"oid":900001,"rect":[990,990,991,991]}' "$BASE5/v1/insert" \
   || { echo "smoke: insert after a flat boot failed" >&2; exit 1; }
 [ "$(flat_accesses)" = "$ACCESSES0" ] && [ "$(flat_height)" = "$HEIGHT0" ] \
   || { echo "smoke: after the first insert on a flat boot: $(flat_accesses) $(flat_height), want $ACCESSES0 $HEIGHT0 (the adopted tree is not the checkpointed tree)" >&2; exit 1; }
-grep -q 'adopted the checkpoint image' "$LOG8" \
-  || { echo "smoke: topod did not log that it adopted the image" >&2; cat "$LOG8" >&2; exit 1; }
 kill -9 "$PID5"
 wait "$PID5" 2>/dev/null || true
 
@@ -542,7 +558,7 @@ if ! wait "$PID5"; then
   exit 1
 fi
 
-echo "smoke OK: two-file data dir, flat boot, first insert adopts the checkpointed tree, 503 with the reason on corruption"
+echo "smoke OK: two-file data dir, flat boot adopts the checkpointed tree, clean shutdown of it writes nothing, 503 with the reason on corruption"
 
 # ---- watch leg: topoquery -watch streams live events from a durable
 # topod; single inserts, a bulk batch, and a delete must each arrive,
