@@ -69,11 +69,11 @@
 //
 //	topod -gen 100000 -bulk -shards 4 -data-dir /var/lib/topod
 //
-// Query planning and caching: /v1/query accepts a second conjunction
-// term (relations2/ref2), ordered against the first by node-MBR
-// histogram selectivity — or answered empty straight from the relation
-// composition table ("explain":true in the body shows the plan in the
-// stats line). -cache-size N keeps an LRU of query answers keyed on
+// Conjunctions and caching: /v1/query accepts a second conjunction
+// term (relations2/ref2); one descent prunes by both terms, unless the
+// relation composition table already proves the answer empty
+// ("explain":true in the body shows which in the stats line).
+// -cache-size N keeps an LRU of query answers keyed on
 // each index's mutation generation, so repeated queries on a quiet
 // index are replayed without touching the tree:
 //

@@ -13,7 +13,7 @@
 //	topoquery -data data.csv -rel overlap -ref 10,10,40,30 -frames 64   # LRU buffer pool
 //	topoquery -watch http://localhost:8080 -rel not_disjoint -ref 10,10,40,30   # live events
 //	topoquery -data data.csv -rel overlap -ref 10,10,40,30 \
-//	          -rel2 inside -ref2 0,0,80,80 -explain   # planned conjunction + plan trace
+//	          -rel2 inside -ref2 0,0,80,80 -explain   # conjunction + what ran
 package main
 
 import (
@@ -63,9 +63,9 @@ func main() {
 		watchURL  = flag.String("watch", "", "topod base URL: subscribe to /v1/watch for -rel/-ref and stream events until ctrl-C or server drain (no -data needed)")
 		indexName = flag.String("index", "", "server index name for -watch (empty = the server default)")
 		buffer    = flag.Int("buffer", 0, "server-side event buffer for -watch (0 = server default)")
-		rel2Name  = flag.String("rel2", "", "second relation set: AND it (against -ref2) with -rel/-ref as a planned conjunction")
+		rel2Name  = flag.String("rel2", "", "second relation set: AND it (against -ref2) with -rel/-ref as a two-term conjunction")
 		ref2Spec  = flag.String("ref2", "", "second reference MBR for -rel2, as minx,miny,maxx,maxy")
-		explain   = flag.Bool("explain", false, "print the planner's decision (term order, selectivity estimates, short circuits)")
+		explain   = flag.Bool("explain", false, "print what ran (single descent, two-term conjunction, or Table 4 short circuit)")
 	)
 	flag.Parse()
 
@@ -177,8 +177,8 @@ func main() {
 
 	proc := &query.Processor{Idx: idx, NonCrisp: *nonCrisp, NonContiguous: *nonContig}
 
-	// Conjunction mode: two terms ANDed, ordered by the cost-based
-	// planner — or answered empty straight from the composition table.
+	// Conjunction mode: two terms ANDed in one descent — or answered
+	// empty straight from the composition table.
 	if *rel2Name != "" || *ref2Spec != "" {
 		if *rel2Name == "" || *ref2Spec == "" {
 			fatal(fmt.Errorf("conjunction needs both -rel2 and -ref2"))
@@ -277,12 +277,7 @@ func main() {
 			fmt.Printf("query %v relation %s: %d candidates, %d node accesses\n",
 				ref, *relName, res.Stats.Candidates, res.Stats.NodeAccesses)
 			if *explain {
-				if pl := query.PlannerFor(idx); pl != nil {
-					fmt.Printf("plan: plan=single est=%.0f actual=%d\n",
-						pl.EstimateSet(rels, ref), res.Stats.Candidates)
-				} else {
-					fmt.Println("plan: plan=single est=n/a (no statistics for this backend)")
-				}
+				fmt.Printf("plan: %s\n", res.Stats.Explain)
 			}
 			for j, m := range res.Matches {
 				if j >= *maxPrint {

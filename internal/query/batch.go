@@ -98,19 +98,17 @@ func (p *Processor) querySet(rels topo.Set, refMBR geom.Rect, ref geom.Region) (
 }
 
 // QueryConjunction answers r1(p, q1) ∧ r2(p, q2) for two reference
-// objects (Section 5), in the order the paper prescribes:
+// objects (Section 5):
 //
 //  1. Examine the relation between the reference objects. If it lies
 //     in the Table 4 entry for (r1, r2) — the complement of the
 //     composition r1˘ ∘ r2 — the result is provably empty and no disk
 //     access happens.
-//  2. Otherwise retrieve ONE of the two relations through the index,
-//     choosing the cheaper side: the planner's selectivity estimates
-//     when the index has node-MBR statistics, else the static rule of
-//     CostGroup.
-//  3. Filter the retrieved candidates against the other reference in
-//     main memory (their MBR configuration must be admissible for the
-//     other relation), then refine both predicates with exact geometry.
+//  2. Otherwise run one filter descent pruned by both terms
+//     (conjunctionPreds): its candidates are the stored MBRs whose
+//     configuration is admissible for r1 against q1 and for r2 against
+//     q2.
+//  3. Refine both predicates with exact geometry.
 func (p *Processor) QueryConjunction(r1 topo.Relation, q1 geom.Region, r2 topo.Relation, q2 geom.Region) (Result, error) {
 	if p.Objects == nil {
 		return Result{}, fmt.Errorf("query: conjunction needs an ObjectStore for refinement")
@@ -128,32 +126,20 @@ func (p *Processor) QueryConjunction(r1 topo.Relation, q1 geom.Region, r2 topo.R
 		return Result{Stats: Stats{ShortCircuited: true}}, nil
 	}
 
-	plan := planConjunction(PlannerFor(p.Idx),
-		topo.NewSet(r1), q1.Bounds(), topo.NewSet(r2), q2.Bounds())
-	first, firstRef, second, secondRef := r1, q1, r2, q2
-	if plan.retrieveSecond {
-		first, firstRef, second, secondRef = r2, q2, r1, q1
-	}
-	matches, stats, err := p.collect(p.filterPreds(p.candidateConfigs(topo.NewSet(first)), firstRef.Bounds()))
+	matches, stats, err := p.collect(p.conjunctionPreds(topo.NewSet(r1), q1.Bounds(), topo.NewSet(r2), q2.Bounds()))
 	if err != nil {
 		return Result{}, err
 	}
-	stats.Reordered = plan.reordered
-	stats.Explain = appendActual(plan.explain, stats.Candidates)
+	stats.Explain = explainConjunction
 
-	secondMBR := secondRef.Bounds()
-	secondCands := p.candidateConfigs(topo.NewSet(second))
 	var out []Match
 	for _, m := range matches {
-		if !secondCands.Has(mbr.ConfigOf(m.Rect, secondMBR)) {
-			continue
-		}
 		obj, ok := p.Objects.Object(m.OID)
 		if !ok {
 			return Result{}, fmt.Errorf("query: refinement needs object %d, not in store", m.OID)
 		}
 		stats.RefinementTests++
-		if geom.RelateRegions(obj, firstRef) == first && geom.RelateRegions(obj, secondRef) == second {
+		if geom.RelateRegions(obj, q1) == r1 && geom.RelateRegions(obj, q2) == r2 {
 			out = append(out, m)
 		} else {
 			stats.FalseHits++

@@ -175,9 +175,6 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		Workers:      opts.Workers,
 		Intersecting: sweepSafe(cands),
 	}
-	if engineOpts.Intersecting {
-		engineOpts.SweepDensity = joinSweepDensity(left, right)
-	}
 	prune, accept := pairTestFor(prop).admits, pairTestFor(cands).admits
 	selfJoin := left == right
 	dropSelf := selfJoin && !opts.KeepSelfPairs

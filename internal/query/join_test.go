@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/interval"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -257,5 +259,74 @@ func TestJoinErrors(t *testing.T) {
 		LeftObjects: store, RightObjects: MapStore{},
 	}); err == nil {
 		t.Error("missing right object not reported")
+	}
+}
+
+// TestJoinFiguresPinned: what the join engine does on packed R*-trees
+// of the paper's three size classes — the `join` workload's set-up
+// (two 10 000-object trees, seeds 1995 and 1996, one relation a
+// request) — is what it did while a histogram density estimate sat in
+// front of the sweep-or-nested decision: the same pairs (count and an
+// order-free checksum), the same pages, the same number of matched node
+// pairs. The table was printed by this test at the parent commit, with
+// that estimate passed to the engine as JoinStream then did; it sent one
+// node pair of the large class's 4 115 down the nested loop and swept
+// every other, as the size rule alone now sweeps them all.
+func TestJoinFiguresPinned(t *testing.T) {
+	type row struct {
+		pairs     int
+		checksum  uint64
+		accesses  uint64
+		nodePairs uint64
+	}
+	parent := map[string]row{
+		"small/inside":      {530, 2619934539177, 553, 1405},
+		"small/contains":    {478, 2374103480737, 553, 1405},
+		"small/covers":      {478, 2374103480737, 553, 1405},
+		"small/covered_by":  {530, 2619934539177, 553, 1405},
+		"small/overlap":     {44232, 220918087341230, 553, 1405},
+		"small/meet":        {41692, 208375807951164, 553, 1405},
+		"medium/inside":     {2547, 12685832104232, 566, 1689},
+		"medium/contains":   {2560, 12811954050650, 566, 1689},
+		"medium/covers":     {2560, 12811954050650, 566, 1689},
+		"medium/covered_by": {2547, 12685832104232, 566, 1689},
+		"medium/overlap":    {222050, 1110820578932225, 566, 1689},
+		"medium/meet":       {209022, 1045256261058536, 566, 1689},
+		"large/inside":      {13406, 66060474157309, 718, 4115},
+		"large/contains":    {13020, 65304432582132, 718, 4115},
+		"large/covers":      {13020, 65304432582132, 718, 4115},
+		"large/covered_by":  {13406, 66060474157309, 718, 4115},
+		"large/overlap":     {1140431, 5708885354228733, 718, 4115},
+		"large/meet":        {1072825, 5369615381700767, 718, 4115},
+	}
+	for _, class := range workload.AllSizeClasses() {
+		var trees [2]*rtree.Tree
+		for i := range trees {
+			idx, err := index.NewPacked(index.KindRStar, index.PaperPageSize,
+				workload.NewDataset(class, 10000, 0, int64(1995+i)).Items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees[i] = idx.(*rtree.Tree)
+		}
+		for _, rel := range []topo.Relation{topo.Inside, topo.Contains, topo.Covers, topo.CoveredBy, topo.Overlap, topo.Meet} {
+			cands, prop := joinConfigs(topo.NewSet(rel), JoinOptions{})
+			var got row
+			ts, err := rtree.JoinCtx(context.Background(), trees[0], trees[1],
+				pairTestFor(prop).admits, pairTestFor(cands).admits,
+				func(a, b rtree.Hit) bool {
+					got.pairs++
+					got.checksum += a.OID*1000003 + b.OID
+					return true
+				}, rtree.JoinOptions{Workers: 1, Intersecting: sweepSafe(cands)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.accesses, got.nodePairs = ts.NodeAccesses, ts.SweepPairs+ts.NestedPairs
+			name := class.String() + "/" + rel.String()
+			if want := parent[name]; got != want {
+				t.Errorf("%s: %+v (%d node pairs swept), the parent commit had %+v", name, got, ts.SweepPairs, want)
+			}
+		}
 	}
 }

@@ -93,19 +93,25 @@ type Stats struct {
 	// ShortCircuited is set when a conjunction was answered empty from
 	// the composition table without touching the index (Table 4).
 	ShortCircuited bool
-	// Reordered is set when the cost-based planner overrode the static
-	// CostGroup term order of a conjunction.
-	Reordered bool
-	// Explain is the human-readable plan the processor chose (term
-	// order, estimated vs actual candidates, filter side), filled for
-	// planned queries and surfaced by `topoquery -explain` and the
-	// wire stats line.
+	// Explain says what ran: "plan=single" for a descent under one
+	// term's predicates, "plan=conjunction terms=2" for a descent under
+	// both terms', "plan=conjunction short-circuit refs=<relation>" when
+	// Table 4 answered empty. `topoquery -explain` and the wire stats
+	// line (on request) print it.
 	Explain string
 }
 
+// The values of Stats.Explain; a short circuit names the relation
+// between the two references after its prefix.
+const (
+	explainSingle       = "plan=single"
+	explainConjunction  = "plan=conjunction terms=2"
+	explainShortCircuit = "plan=conjunction short-circuit refs="
+)
+
 // add folds the counters of one more traversal into s. The plan
-// fields (ShortCircuited, Reordered, Explain) describe one query and
-// are not summed.
+// fields (ShortCircuited, Explain) describe one query and are not
+// summed.
 func (s *Stats) add(t Stats) {
 	s.NodeAccesses += t.NodeAccesses
 	s.Candidates += t.Candidates
@@ -261,7 +267,7 @@ func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Re
 		emitted++
 		return limit <= 0 || emitted < limit
 	})
-	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted}
+	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted, Explain: explainSingle}
 	if err != nil {
 		return stats, fmt.Errorf("query: filter step: %w", err)
 	}

@@ -328,26 +328,6 @@ func TestConjunction(t *testing.T) {
 	}
 }
 
-// TestConjunctionChoosesCheaperSide: with one cheap relation (contains)
-// and one expensive (overlap), the index retrieval must run on the
-// cheap side — observable through the candidate count.
-func TestConjunctionChoosesCheaperSide(t *testing.T) {
-	one := topo.NewSet
-	if !swapConjunctionSets(one(topo.Overlap), geom.R(0, 0, 10, 10), one(topo.Contains), geom.R(0, 0, 1, 1)) {
-		t.Error("should retrieve the contains side first")
-	}
-	if swapConjunctionSets(one(topo.Equal), geom.R(0, 0, 1, 1), one(topo.Overlap), geom.R(0, 0, 10, 10)) {
-		t.Error("should keep the equal side first")
-	}
-	// Same group: smaller reference MBR wins.
-	if !swapConjunctionSets(one(topo.Meet), geom.R(0, 0, 50, 50), one(topo.Overlap), geom.R(0, 0, 2, 2)) {
-		t.Error("should retrieve against the smaller reference")
-	}
-	if CostGroup(topo.Disjoint) != 2 || CostGroup(topo.Equal) != 0 || CostGroup(topo.Meet) != 1 {
-		t.Error("cost groups broken")
-	}
-}
-
 // TestNonCrispRetrieval stores slightly enlarged MBRs (the Section 6
 // imprecision scenario) and checks that the NonCrisp processor still
 // finds every answer, while refining everything.

@@ -53,15 +53,19 @@ func withText(yield func(Match) bool) func(rtree.Hit) bool {
 // Stream it never touches exact geometry, so it serves the wire path,
 // whose data are rectangles.
 //
-// The paper's processing order is kept: the composition table first
-// (if no (r1, r2) pair is consistent with the relation between the
-// two references, the exact result is provably empty and the
-// traversal is skipped — candidates of an empty conjunction are pure
-// false hits); then ONE side is retrieved through the index — the
-// side the planner estimates cheaper, or the static CostGroup choice
-// without statistics — and the other side is tested in memory against
-// each retrieved candidate (domination pre-test, then the
-// configuration probe).
+// The composition table comes first, as in the paper: if no (r1, r2)
+// pair is consistent with the relation between the two references, the
+// exact result is provably empty and the traversal is skipped —
+// candidates of an empty conjunction are pure false hits. Otherwise the
+// conjunction is ONE descent pruned by both terms (conjunctionPreds).
+// The paper retrieves one term through the index and tests the other
+// in memory, which leaves a side to choose; with both node predicates
+// steering a covering tree (R, R*, tile bounds) there is none: the
+// answer, its order and the pages read do not depend on which term is
+// written first, and the descent reads no more pages than either
+// term's own would. On an R+-tree the first term steers (see
+// conjunctionPreds): the same objects either way round, in the first
+// term's stream order, in no more pages than the first term alone.
 func (p *Processor) StreamConjunction(ctx context.Context, rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect, limit int, yield func(Match) bool) (Stats, error) {
 	if rels1.IsEmpty() || rels2.IsEmpty() {
 		return Stats{}, fmt.Errorf("query: empty relation set")
@@ -89,26 +93,45 @@ scan:
 	if !consistent {
 		return Stats{
 			ShortCircuited: true,
-			Explain:        fmt.Sprintf("plan=conjunction short-circuit refs=%s", refRel),
+			Explain:        explainShortCircuit + refRel.String(),
 		}, nil
 	}
 
-	// Step 2: pick the retrieval side.
-	plan := planConjunction(PlannerFor(p.Idx), rels1, ref1, rels2, ref2)
-	getRels, getRef, memRels, memRef := rels1, ref1, rels2, ref2
-	if plan.retrieveSecond {
-		getRels, getRef, memRels, memRef = rels2, ref2, rels1, ref1
-	}
-
-	// Step 3: descend on the retrieved side; the other term rides along
-	// as a second test on every leaf rectangle the first one admits.
-	nodePred, getPred := p.filterPreds(p.candidateConfigs(getRels), getRef)
-	memPred := admits(p.candidateConfigs(memRels), memRef)
-	stats, err := p.descend(ctx, nodePred,
-		func(r geom.Rect) bool { return getPred(r) && memPred(r) }, limit, withText(yield))
-	stats.Reordered = plan.reordered
-	stats.Explain = appendActual(plan.explain, stats.Candidates)
+	// Step 2: one descent under both terms' predicates.
+	nodePred, leafPred := p.conjunctionPreds(rels1, ref1, rels2, ref2)
+	stats, err := p.descend(ctx, nodePred, leafPred, limit, withText(yield))
+	stats.Explain = explainConjunction
 	return stats, err
+}
+
+// conjunctionPreds derives the predicates of r1(p, q1) ∧ r2(p, q2):
+// each term's own node and leaf predicate (filterPreds), and-ed. On a
+// covering rectangle a term's node predicate — its Table 2 propagation
+// — is a necessary condition, on its own, for a qualifying leaf entry
+// anywhere below the node, so a subtree either of them rejects holds no
+// entry that passes both leaf tests: pruning by the conjunction loses
+// nothing, and the leaf entries that match, in tree order, are the ones
+// either single-term descent would have met.
+//
+// An R+-tree registers an object in every leaf its rectangle crosses,
+// and a term's partition predicate promises less: that ONE of those
+// registrations is reached (the path over the reference's centre for a
+// containing object, a leaf meeting the reference for a touching one).
+// Two such promises may name different leaves — an object containing q1
+// and overlapping a far q2 is reached near q1 by the first term and
+// near q2 by the second, and by no path under both — so there the first
+// term steers and the second contributes mbr.RegionFeasible over all
+// its configurations, the condition that does hold at every
+// registration of a qualifying object.
+func (p *Processor) conjunctionPreds(rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
+	cands2 := p.candidateConfigs(rels2)
+	node1, leaf1 := p.filterPreds(p.candidateConfigs(rels1), ref1)
+	node2, leaf2 := p.filterPreds(cands2, ref2)
+	if !p.Idx.CoveringNodeRects() {
+		node2 = func(region geom.Rect) bool { return mbr.RegionFeasible(cands2, region, ref2) }
+	}
+	return func(r geom.Rect) bool { return node1(r) && node2(r) },
+		func(r geom.Rect) bool { return leaf1(r) && leaf2(r) }
 }
 
 // Matches returns the streaming filter step as an iterator, for

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -50,18 +49,10 @@ type JoinOptions struct {
 	// overlapping combinations; setting it when axis-disjoint pairs can
 	// qualify loses results.
 	Intersecting bool
-	// SweepDensity is the caller's estimate of the fraction of entry
-	// pairs in a typical node pair that x-overlap (the sweep's tested
-	// fraction), usually derived from node-MBR statistics. With it the
-	// matcher decides sweep vs nested loop per node pair: the sweep
-	// saves (1 − density)·m·n tests but pays its set-up, so small or
-	// dense pairs match faster by the plain loop. 0 means unknown — then
-	// only the pair size gates the sweep. Ignored unless Intersecting.
-	SweepDensity float64
 }
 
 // sweepMinPairs is the entry-count product under which the sweep's
-// clip-and-order set-up cannot pay for itself regardless of density.
+// clip-and-order set-up cannot pay for itself.
 const sweepMinPairs = 16
 
 // joinFanout is the task-to-worker ratio under which the coordinator
@@ -419,50 +410,16 @@ func resetNodes(buf []*node, k int) []*node {
 	return buf
 }
 
-// useSweep is the per-node-pair strategy decision: sweep when the
-// estimated fan-out makes its set-up worthwhile. The nested loop tests
-// all m·n combinations; the sweep tests only the x-overlapping ones —
-// an expected density·m·n of them — but first brings each side into
-// low-x order inside the clip region: one pass over the kept order of
-// an arena node, a filter and a sort (≈ k·log₂k comparison-sized steps
-// for k entries) of a paged one. Tiny pairs never amortise that, and a
-// density near one means the sweep tests almost everything anyway and
-// the set-up is pure overhead.
-func (w *joinWorker) useSweep(n1, n2 *node) bool {
-	pairs := len(n1.entries) * len(n2.entries)
-	if pairs < sweepMinPairs {
-		return false
-	}
-	d := w.e.opts.SweepDensity
-	if d <= 0 {
-		return true
-	}
-	if d >= 1 {
-		return false
-	}
-	return float64(sweepSetup(n1)+sweepSetup(n2)) < (1-d)*float64(pairs)
-}
-
-// sweepSetup is what ordering one side of a sweep costs, in tests.
-func sweepSetup(n *node) int {
-	k := len(n.entries)
-	if n.cost != 0 {
-		return k
-	}
-	return k * bits.Len(uint(k))
-}
-
 // match enumerates the entry pairs of two nodes that pass test and
 // hands their indexes to found. Under the Intersecting contract the
 // pairs come from a plane sweep that only visits x-overlapping
-// combinations inside the nodes' common region — unless this pair is
-// too small, or the caller's density estimate says most combinations
-// x-overlap anyway, in which case the plain nested loop is cheaper
-// than the sweep's set-up (see useSweep); otherwise every combination
-// is tested.
+// combinations inside the nodes' common region — unless the pair is so
+// small (sweepMinPairs) that the plain nested loop is cheaper than
+// bringing both sides into low-x order inside the clip region;
+// otherwise every combination is tested.
 func (w *joinWorker) match(n1, n2 *node, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
 	if w.e.opts.Intersecting {
-		if w.useSweep(n1, n2) {
+		if len(n1.entries)*len(n2.entries) >= sweepMinPairs {
 			w.stats.SweepPairs++
 			return w.matchSweep(n1, n2, test, found)
 		}

@@ -40,8 +40,6 @@ type RPlusTree struct {
 	root  pagefile.PageID
 	depth int
 	size  int
-
-	statsCache // cached node-MBR summary (stats.go)
 }
 
 // ErrUnsplittable reports that a node overflowed and no cut line can
@@ -178,7 +176,6 @@ func (t *RPlusTree) InsertBatch(recs []Record) error {
 		}
 		t.size++
 	}
-	t.noteMutations(len(recs))
 	return nil
 }
 
@@ -410,7 +407,6 @@ func (t *RPlusTree) Delete(r geom.Rect, oid uint64) error {
 		return ErrNotFound
 	}
 	t.size--
-	t.noteMutations(1)
 	return nil
 }
 

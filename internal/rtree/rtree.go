@@ -43,8 +43,6 @@ type Tree struct {
 	cur        *snapshot  // currently published version
 	oldest     *snapshot  // head of the retirement queue
 	reclaimErr error      // first deferred-free failure, surfaced on the next mutation
-
-	statsCache // cached node-MBR summary (stats.go)
 }
 
 // ErrNotFound is returned by Delete when no matching entry exists.
@@ -143,7 +141,7 @@ func (t *Tree) Insert(r geom.Rect, oid uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	err := t.mutateLocked(func() error {
+	return t.mutateLocked(func() error {
 		// Forced-reinsert bookkeeping is per top-level insertion.
 		reinserted := make(map[int]bool)
 		if err := t.insertAtLevel(Entry{Rect: r, OID: oid}, 0, reinserted); err != nil {
@@ -152,10 +150,6 @@ func (t *Tree) Insert(r geom.Rect, oid uint64) error {
 		t.size++
 		return nil
 	})
-	if err == nil {
-		t.noteMutations(1)
-	}
-	return err
 }
 
 // InsertBatch adds a batch of rectangles as one atomic mutation:
@@ -176,10 +170,8 @@ func (t *Tree) InsertBatch(recs []Record) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	packed := false
-	err := t.mutateLocked(func() error {
+	return t.mutateLocked(func() error {
 		if t.size == 0 {
-			packed = true
 			return t.packInto(recs)
 		}
 		for _, r := range recs {
@@ -191,19 +183,6 @@ func (t *Tree) InsertBatch(recs []Record) error {
 		}
 		return nil
 	})
-	if err == nil {
-		if packed {
-			// An STR bulk load rebuilds the whole tree: drop any cached
-			// summary and collect eagerly while the packed pages are hot.
-			t.statsMu.Lock()
-			t.stats, t.statsStale = nil, 0
-			t.statsMu.Unlock()
-			_, _ = t.Stats()
-		} else {
-			t.noteMutations(len(recs))
-		}
-	}
-	return err
 }
 
 // insertAtLevel places an entry at the given level (0 = leaf level),
@@ -418,7 +397,7 @@ func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) err
 func (t *Tree) Delete(r geom.Rect, oid uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	err := t.mutateLocked(func() error {
+	return t.mutateLocked(func() error {
 		leafPath, slot, err := t.findLeaf(t.root, nil, r, oid)
 		if err != nil {
 			return err
@@ -437,10 +416,6 @@ func (t *Tree) Delete(r geom.Rect, oid uint64) error {
 		t.size--
 		return nil
 	})
-	if err == nil {
-		t.noteMutations(1)
-	}
-	return err
 }
 
 // findLeaf locates a leaf containing the (rect, oid) entry, returning

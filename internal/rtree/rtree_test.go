@@ -448,7 +448,7 @@ func TestRPlusDuplicatesConsistent(t *testing.T) {
 
 // TestHeightGrowth: the R+-tree may be taller than the R-tree for the
 // same data (duplicate entries), matching the paper's observation.
-func TestTreeStatsSmoke(t *testing.T) {
+func TestHeightGrowth(t *testing.T) {
 	trees := makeTrees(t)
 	rng := rand.New(rand.NewSource(77))
 	rects := make([]geom.Rect, 300)

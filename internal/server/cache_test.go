@@ -105,7 +105,7 @@ func TestCacheDifferential(t *testing.T) {
 			check(QueryRequest{Index: name, Relations: []string{rel.String()}, Ref: refWire},
 				fmt.Sprintf("%s/%s", name, rel))
 		}
-		// Conjunctions go through the planner on both servers.
+		// Conjunctions take the two-term descent on both servers.
 		check(QueryRequest{
 			Index: name, Relations: []string{"not_disjoint"}, Ref: refWire,
 			Relations2: []string{"overlap", "inside"},
@@ -179,7 +179,7 @@ func TestCacheCountersAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, metric := range []string{"topod_cache_hits_total", "topod_cache_misses_total", "topod_cache_evictions_total", "topod_plan_shortcircuit_total", "topod_plan_reorder_total"} {
+	for _, metric := range []string{"topod_cache_hits_total", "topod_cache_misses_total", "topod_cache_evictions_total", "topod_plan_shortcircuit_total"} {
 		if !strings.Contains(rec.String(), metric) {
 			t.Fatalf("/metrics lacks %s", metric)
 		}
@@ -198,12 +198,12 @@ func TestCacheHitExplain(t *testing.T) {
 		Explain:   true,
 	}
 	_, coldStats, _ := postQuery(t, ts.URL, req)
-	if !strings.HasPrefix(coldStats.Explain, "plan=single est=") {
-		t.Fatalf("cold explain = %q, want a plan=single trace", coldStats.Explain)
+	if coldStats.Explain != "plan=single" {
+		t.Fatalf("cold explain = %q, want plan=single", coldStats.Explain)
 	}
 	_, hitStats, _ := postQuery(t, ts.URL, req)
-	if !strings.HasPrefix(hitStats.Explain, "cache=hit") {
-		t.Fatalf("hit explain = %q, want cache=hit", hitStats.Explain)
+	if hitStats.Explain != "cache=hit plan=single" {
+		t.Fatalf("hit explain = %q, want cache=hit plan=single", hitStats.Explain)
 	}
 	if hitStats.NodeAccesses != coldStats.NodeAccesses || hitStats.Candidates != coldStats.Candidates {
 		t.Fatalf("hit stats %+v diverge from cold stats %+v", hitStats, coldStats)
@@ -281,8 +281,12 @@ func TestConjunctionWire(t *testing.T) {
 	if len(none) != 0 || stats.NodeAccesses != 0 {
 		t.Fatalf("contradictory conjunction read %d pages, emitted %d", stats.NodeAccesses, len(none))
 	}
-	if !strings.Contains(stats.Explain, "short-circuit") {
+	if stats.Explain != "plan=conjunction short-circuit refs=disjoint" {
 		t.Fatalf("short-circuit explain = %q", stats.Explain)
+	}
+	conj.Explain = true
+	if _, stats, _ := postQuery(t, ts.URL, conj); stats.Explain != "plan=conjunction terms=2" {
+		t.Fatalf("executed conjunction explain = %q", stats.Explain)
 	}
 
 	body, _ := json.Marshal(QueryRequest{Index: "rstar", Relations: []string{"overlap"}, Ref: refWire, Relations2: []string{"overlap"}})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -29,10 +30,18 @@ const maxKNN = 10000
 // (256 MiB ≈ tens of millions of NDJSON rectangles).
 const maxBulkBytes = 1 << 28
 
+// writeJSON marshals before it sends the status, so a body
+// encoding/json refuses (a NaN, say) becomes a 500 that says so instead
+// of the intended status with nothing behind it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeJSONError(w http.ResponseWriter, code int, msg string) {
@@ -93,7 +102,7 @@ func (s *Server) noteCorrupt(inst *Instance, err error) bool {
 // context-aware end to end — a client disconnect or deadline stops the
 // tree traversal within one page read, and the pages read up to that
 // point are still folded into /metrics. With Relations2/Ref2 the query
-// is a planned conjunction; with caching enabled, a repeat of any
+// is a two-term conjunction; with caching enabled, a repeat of any
 // query shape against an unmutated index replays the stored answer
 // byte for byte without touching the tree.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +191,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		ws := StatsToWire(stats)
 		if req.Explain {
-			ws.Explain = explainFor(inst, stats, rels, ref, conj)
+			ws.Explain = stats.Explain
 		}
 		trailer = QueryLine{Stats: &ws}
 	}
@@ -198,26 +207,9 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 	lw.replay(res.lines)
 	ws := StatsToWire(res.stats)
 	if req.Explain {
-		ws.Explain = "cache=hit"
-		if res.stats.Explain != "" {
-			ws.Explain += " " + res.stats.Explain
-		}
+		ws.Explain = "cache=hit " + res.stats.Explain
 	}
 	lw.end(QueryLine{Stats: &ws})
-}
-
-// explainFor renders the opt-in planner trace for the stats line. A
-// conjunction carries its plan in Stats; a single-term query reports
-// the histogram estimate against the actual candidate count (or that
-// no statistics were available).
-func explainFor(inst *Instance, stats query.Stats, rels topo.Set, ref geom.Rect, conj bool) string {
-	if conj {
-		return stats.Explain
-	}
-	if pl := query.PlannerFor(inst.ReadIndex()); pl != nil {
-		return fmt.Sprintf("plan=single est=%.0f actual=%d", pl.EstimateSet(rels, ref), stats.Candidates)
-	}
-	return fmt.Sprintf("plan=single est=n/a actual=%d", stats.Candidates)
 }
 
 // handleJoin streams a topological spatial join of two served indexes
@@ -316,11 +308,16 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	x, errX := strconv.ParseFloat(q.Get("x"), 64)
-	y, errY := strconv.ParseFloat(q.Get("y"), 64)
-	if errX != nil || errY != nil {
-		writeJSONError(w, http.StatusBadRequest, "x and y must be numbers")
-		return
+	// ParseFloat accepts NaN and the infinities, and a search by
+	// distance from such a point has no answer.
+	var xy [2]float64
+	for i, name := range [...]string{"x", "y"} {
+		v, err := strconv.ParseFloat(q.Get(name), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			writeJSONError(w, http.StatusBadRequest, name+" must be a finite number")
+			return
+		}
+		xy[i] = v
 	}
 	ctx := r.Context()
 	if d := s.queryTimeout(0); d > 0 {
@@ -328,7 +325,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	nn, ts, err := inst.ReadIndex().NearestCtx(ctx, geom.Point{X: x, Y: y}, k)
+	nn, ts, err := inst.ReadIndex().NearestCtx(ctx, geom.Point{X: xy[0], Y: xy[1]}, k)
 	// Fold whatever the traversal read, also when it was cut short.
 	s.metrics.FoldTraversal(ts)
 	if err != nil {

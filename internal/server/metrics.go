@@ -200,7 +200,6 @@ type Metrics struct {
 	directAccepts    counter
 	falseHits        counter
 	planShortCircuit counter
-	planReorder      counter
 
 	// Joins run orders of magnitude longer than window queries, so they
 	// get their own wall-time distribution.
@@ -252,7 +251,6 @@ func newMetrics(cache *resultCache) *Metrics {
 	m.counter("topod_direct_accepts_total", "Candidates accepted from MBR configuration alone (Figure 9).", &m.directAccepts)
 	m.counter("topod_false_hits_total", "Candidates rejected by refinement.", &m.falseHits)
 	m.counter("topod_plan_shortcircuit_total", "Conjunctions answered empty from the relation composition table (zero page reads).", &m.planShortCircuit)
-	m.counter("topod_plan_reorder_total", "Conjunctions where histogram selectivity overrode the static cost-group term order.", &m.planReorder)
 	if cache != nil {
 		cache.register(m)
 	}
@@ -294,9 +292,6 @@ func (m *Metrics) FoldQuery(s query.Stats) {
 	m.falseHits.Add(uint64(s.FalseHits))
 	if s.ShortCircuited {
 		m.planShortCircuit.Add(1)
-	}
-	if s.Reordered {
-		m.planReorder.Add(1)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -447,8 +448,38 @@ func TestKNNEndpoint(t *testing.T) {
 	if over.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), strconv.Itoa(maxKNN)) {
 		t.Fatalf("k = %d answered HTTP %d (%s), want 400 naming %d", maxKNN+1, over.StatusCode, body, maxKNN)
 	}
+	// ParseFloat takes NaN and the infinities for numbers; a nearest-
+	// neighbour search from such a point has no answer, so each is a 400
+	// naming the parameter, before the tree is touched.
+	for _, bad := range []struct{ query, param string }{
+		{"x=NaN&y=1", "x"}, {"x=1&y=Inf", "y"}, {"x=-Infinity&y=1", "x"}, {"x=1&y=north", "y"}, {"y=1", "x"},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/knn?k=3&" + bad.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), bad.param+" must be a finite number") {
+			t.Fatalf("knn?%s answered HTTP %d (%s), want 400 naming %s", bad.query, resp.StatusCode, body, bad.param)
+		}
+	}
 	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != 0 {
-		t.Fatalf("a refused k still read %d nodes", folded)
+		t.Fatalf("refused requests still read %d nodes", folded)
+	}
+}
+
+// TestWriteJSONUnencodable: a body encoding/json refuses is a 500 with
+// an error in it, never the intended status over an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, KNNResponse{Neighbours: []KNNNeighbour{{Dist: math.NaN()}}})
+	var body ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(body.Error, "NaN") {
+		t.Fatalf("an unencodable body answered HTTP %d %q, want 500 naming the value", rec.Code, body.Error)
 	}
 }
 

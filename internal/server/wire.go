@@ -30,14 +30,14 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Relations2/Ref2, when present, make the query a conjunction: an
 	// object must satisfy Relations against Ref AND Relations2 against
-	// Ref2. The planner orders the two terms by estimated selectivity
-	// and may answer provably-empty combinations from the composition
-	// table without touching the tree.
+	// Ref2. One descent prunes by both terms; a combination the
+	// composition table proves empty is answered without touching the
+	// tree.
 	Relations2 []string  `json:"relations2,omitempty"`
 	Ref2       []float64 `json:"ref2,omitempty"`
-	// Explain asks for the planner's decision trace in the trailing
+	// Explain asks for what ran (query.Stats.Explain) in the trailing
 	// stats line. Off by default so the stats line is byte-stable
-	// across planner and cache changes.
+	// across cache hits and misses.
 	Explain bool `json:"explain,omitempty"`
 }
 

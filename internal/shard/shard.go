@@ -50,23 +50,6 @@ func (s *Sharded) NumTiles() int { return len(s.tiles) }
 // router's own: read it, do not modify it.
 func (s *Sharded) Tiles() []index.Index { return s.tiles }
 
-// Stats merges the tiles' node-MBR summaries into one logical-index
-// summary, so the query planner sees a sharded index exactly like a
-// single one. A tile without statistics contributes nothing.
-func (s *Sharded) Stats() (*rtree.TreeStats, error) {
-	parts := make([]*rtree.TreeStats, 0, len(s.tiles))
-	for _, t := range s.tiles {
-		st, err := index.StatsOf(t)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			parts = append(parts, st)
-		}
-	}
-	return rtree.MergeStats(parts), nil
-}
-
 // RouterStats is the scatter-gather accounting since startup.
 type RouterStats struct {
 	Tiles    int

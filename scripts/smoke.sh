@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Server smoke test: boot topod on an ephemeral port against a
-# synthetic dataset, run one NDJSON query and a /metrics scrape, then
-# assert the daemon drains cleanly on SIGTERM. A second leg kill -9s a
+# synthetic dataset, run one NDJSON query, one two-term conjunction
+# (byte-identical with its terms swapped, explain "plan=conjunction",
+# no more node accesses than either term alone) and a /metrics scrape,
+# then assert the daemon drains cleanly on SIGTERM. A second leg kill -9s a
 # durable topod mid-traffic and asserts the restart recovers every
 # acknowledged mutation. A third leg STR bulk-loads a durable topod,
 # streams more rectangles through POST /v1/bulk, kill -9s it, and
@@ -160,6 +162,27 @@ RESP="$(curl -sf -d '{"relations":["not_disjoint"],"ref":[100,100,300,300]}' "$B
 echo "$RESP" | tail -1 | grep -q '"stats"' \
   || { echo "smoke: query stream did not end with a stats line: $RESP" >&2; exit 1; }
 
+# A conjunction is one descent pruned by both terms: the same body
+# whichever term is written first, in no more pages than either term
+# alone, and explain says so.
+RELS1='["not_disjoint"]' REF1='[100,100,300,300]'
+RELS2='["inside"]' REF2='[50,50,400,400]'
+conjunction() { echo "{\"relations\":$1,\"ref\":$2,\"relations2\":$3,\"ref2\":$4,\"explain\":true}"; }
+accesses() { echo "$1" | tail -1 | sed -n 's/.*"node_accesses":\([0-9]*\).*/\1/p'; }
+CONJ="$(curl -sf -d "$(conjunction "$RELS1" "$REF1" "$RELS2" "$REF2")" "$BASE/v1/query")"
+SWAPPED="$(curl -sf -d "$(conjunction "$RELS2" "$REF2" "$RELS1" "$REF1")" "$BASE/v1/query")"
+ALONE1="$(curl -sf -d "{\"relations\":$RELS1,\"ref\":$REF1}" "$BASE/v1/query")"
+ALONE2="$(curl -sf -d "{\"relations\":$RELS2,\"ref\":$REF2}" "$BASE/v1/query")"
+[ "$(echo "$CONJ" | wc -l)" -gt 1 ] \
+  || { echo "smoke: the conjunction matched nothing: $CONJ" >&2; exit 1; }
+[ "$CONJ" = "$SWAPPED" ] \
+  || { echo "smoke: a conjunction answers differently with its terms swapped" >&2; exit 1; }
+echo "$CONJ" | tail -1 | grep -q '"explain":"plan=conjunction terms=2"' \
+  || { echo "smoke: conjunction explain: $(echo "$CONJ" | tail -1)" >&2; exit 1; }
+CACC="$(accesses "$CONJ")"
+[ -n "$CACC" ] && [ "$CACC" -le "$(accesses "$ALONE1")" ] && [ "$CACC" -le "$(accesses "$ALONE2")" ] \
+  || { echo "smoke: conjunction read $CACC pages, its terms alone $(accesses "$ALONE1") and $(accesses "$ALONE2")" >&2; exit 1; }
+
 METRICS="$(curl -sf "$BASE/metrics")"
 echo "$METRICS" | grep -q '^topod_node_accesses_total [1-9]' \
   || { echo "smoke: /metrics did not fold the query's node accesses" >&2; exit 1; }
@@ -174,7 +197,7 @@ fi
 grep -q '^topod: bye$' "$LOG" \
   || { echo "smoke: drain message missing from log" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "smoke OK: query + metrics + graceful drain"
+echo "smoke OK: query + conjunction + metrics + graceful drain"
 
 # ---- crash-recovery leg: kill -9 a durable topod, restart, verify ----
 
