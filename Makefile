@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race test bench bench-smoke fmt smoke fuzz
+.PHONY: verify race test paper bench-smoke fmt smoke fuzz
 
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
@@ -33,8 +33,15 @@ fuzz:
 test:
 	$(GO) test ./...
 
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+# Paper gate: the whole evaluation at the paper's scale (10,000 objects,
+# 100 queries, seed 1995) must print results_full.txt byte for byte —
+# every number in it is a count. Too slow for tier-1 (~45 s; the
+# `-quick` form is diffed by TestQuickGolden in internal/experiments);
+# CI's paper job runs this. After an intended change:
+#   go run ./cmd/topobench -exp all > results_full.txt
+paper:
+	$(GO) build -o $(CURDIR)/bin/topobench ./cmd/topobench
+	$(CURDIR)/bin/topobench -exp all | diff -u results_full.txt -
 
 # Toy-scale run of the bench/ harness (the module BENCHMARK.json
 # names): root `go test ./...` cannot reach it because bench/ is a

@@ -6,10 +6,14 @@
 //
 //	topobench -exp all
 //	topobench -exp table3 -n 10000 -queries 100 -seed 1995
-//	topobench -exp fig11
-//	topobench -exp fig2|fig3|fig4|table1|fig9|table2|fig12|table4|table5|fig14
-//	topobench -exp window|complex|ablations|shard [-class small|medium|large]
-//	topobench -exp buffer -frames 128     # LRU pool: hit ratio vs raw accesses
+//	topobench -exp window [-class small|medium|large]
+//
+// The experiments, their order and their claims are the registry in
+// internal/experiments; this command only parses flags, and an unknown
+// -exp value prints the ids with the claim each checks. Standard output
+// is counts alone, so two runs with the same flags are byte-identical:
+// `-exp all` is results_full.txt (`make paper` diffs it) and
+// `-quick -exp all` is internal/experiments/testdata/quick.golden.
 package main
 
 import (
@@ -17,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"mbrtopo/internal/experiments"
 	"mbrtopo/internal/index"
@@ -26,13 +29,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (all, table3, fig11, fig12, table4, table5, window, complex, ablations, shard, packing, seeds, noncontiguous, join, secondfilter, buffer, fig1, fig2, fig3, fig4, table1, fig9, table2, fig14)")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(experiments.IDs(), ", ")+")")
 		n        = flag.Int("n", 10000, "data file cardinality")
 		queries  = flag.Int("queries", 100, "search file cardinality")
 		seed     = flag.Int64("seed", 1995, "random seed")
 		pageSize = flag.Int("pagesize", index.PaperPageSize, "page size in bytes (2008 → 50 entries/page)")
 		class    = flag.String("class", "medium", "size class for single-class experiments (small, medium, large)")
-		frames   = flag.Int("frames", 0, "buffer-pool frames under every index (0 = unbuffered; pins the buffer experiment's sweep)")
 		quick    = flag.Bool("quick", false, "use a scaled-down configuration")
 	)
 	flag.Parse()
@@ -47,13 +49,12 @@ func main() {
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	cfg.Frames = *frames
 	cls, err := parseClass(*class)
 	if err != nil {
 		fatal(err)
 	}
 
-	if err := run(*exp, cfg, cls); err != nil {
+	if err := experiments.Run(os.Stdout, *exp, cfg, cls); err != nil {
 		fatal(err)
 	}
 }
@@ -68,138 +69,6 @@ func parseClass(s string) (workload.SizeClass, error) {
 		return workload.Large, nil
 	}
 	return 0, fmt.Errorf("unknown size class %q", s)
-}
-
-func run(exp string, cfg experiments.Config, cls workload.SizeClass) error {
-	type job struct {
-		id string
-		fn func() (string, error)
-	}
-	jobs := []job{
-		{"fig1", func() (string, error) { return experiments.RenderFig1(), nil }},
-		{"fig2", func() (string, error) { return experiments.RenderFig2(), nil }},
-		{"fig3", func() (string, error) { return experiments.RenderFig3(), nil }},
-		{"fig4", func() (string, error) { return experiments.RenderFig4(), nil }},
-		{"table1", func() (string, error) { return experiments.RenderTable1(), nil }},
-		{"fig9", func() (string, error) { return experiments.RenderTable1(), nil }},
-		{"table2", func() (string, error) { return experiments.RenderTable2(), nil }},
-		{"fig14", func() (string, error) { return experiments.RenderFig14(), nil }},
-		{"table3", func() (string, error) {
-			r, err := experiments.RunTable3(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"fig11", func() (string, error) {
-			r, err := experiments.RunFig11(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"fig12", func() (string, error) { return experiments.RunFig12().Render(), nil }},
-		{"table4", func() (string, error) { return experiments.RunTable4().Render(), nil }},
-		{"table5", func() (string, error) {
-			r, err := experiments.RunTable5(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"window", func() (string, error) {
-			r, err := experiments.RunWindow(cfg, cls)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"complex", func() (string, error) {
-			r, err := experiments.RunComplex(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"ablations", func() (string, error) {
-			r, err := experiments.RunAblations(cfg, cls)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"shard", func() (string, error) {
-			r, err := experiments.RunShard(cfg, cls)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"packing", func() (string, error) {
-			r, err := experiments.RunPacking(cfg, cls)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"seeds", func() (string, error) {
-			r, err := experiments.RunSeedSweep(cfg, []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2, cfg.Seed + 3, cfg.Seed + 4})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"noncontiguous", func() (string, error) {
-			r, err := experiments.RunNonContiguous(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"secondfilter", func() (string, error) {
-			r, err := experiments.RunSecondFilter(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"join", func() (string, error) {
-			r, err := experiments.RunJoin(cfg, cls)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"buffer", func() (string, error) {
-			r, err := experiments.RunBuffer(cfg, cls)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-	}
-
-	ran := false
-	for _, j := range jobs {
-		if exp != "all" && exp != j.id {
-			continue
-		}
-		// "fig9" aliases "table1"; skip the duplicate in "all" runs.
-		if exp == "all" && j.id == "fig9" {
-			continue
-		}
-		ran = true
-		start := time.Now()
-		out, err := j.fn()
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.id, err)
-		}
-		fmt.Printf("=== %s (%.1fs) ===\n%s\n", j.id, time.Since(start).Seconds(), out)
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	return nil
 }
 
 func fatal(err error) {

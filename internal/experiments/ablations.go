@@ -51,7 +51,7 @@ type AblationResult struct {
 
 // RunAblations measures all four ablations on one size class.
 func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error) {
-	d := workload.NewDataset(class, cfg.NData, cfg.NQueries, cfg.Seed+int64(class))
+	d := cfg.dataset(class)
 	out := &AblationResult{
 		Config:              cfg,
 		Class:               class,
@@ -78,15 +78,9 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 		proc := &query.Processor{Idx: tr}
 		byRel := map[topo.Relation]float64{}
 		for _, rel := range relationOrder {
-			var total uint64
-			for _, q := range d.Queries {
-				res, err := proc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				total += res.Stats.NodeAccesses
+			if byRel[rel], _, err = perSearch(proc, rel, d.Queries); err != nil {
+				return nil, err
 			}
-			byRel[rel] = float64(total) / float64(len(d.Queries))
 		}
 		out.SplitAccesses[split] = byRel
 	}
@@ -98,26 +92,22 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 	}
 	proc := &query.Processor{Idx: idx}
 	for _, rel := range relationOrder {
-		var prop, naive uint64
+		if out.PropagationAccesses[rel], _, err = perSearch(proc, rel, d.Queries); err != nil {
+			return nil, err
+		}
+		var naive uint64
 		for _, q := range d.Queries {
-			res, err := proc.QueryMBR(rel, q)
-			if err != nil {
-				return nil, err
-			}
-			prop += res.Stats.NodeAccesses
-
 			// Naive: any child whose rect shares a point with the
 			// reference MBR is visited (the classic window descent);
 			// disjoint has no window analogue, so visit everything.
 			nodePred := func(r geom.Rect) bool { return rel == topo.Disjoint || r.Intersects(q) }
 			leafPred := nodePred
-			ts, err := idx.SearchCtx(context.Background(), nodePred, leafPred, func(geom.Rect, uint64) bool { return true })
+			ts, err := idx.SearchHits(context.Background(), nodePred, leafPred, func(rtree.Hit) bool { return true })
 			if err != nil {
 				return nil, err
 			}
 			naive += ts.NodeAccesses
 		}
-		out.PropagationAccesses[rel] = float64(prop) / float64(len(d.Queries))
 		out.NaiveAccesses[rel] = float64(naive) / float64(len(d.Queries))
 	}
 
@@ -152,16 +142,9 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 		if err != nil {
 			return nil, err
 		}
-		p := &query.Processor{Idx: tr}
-		var total uint64
-		for _, q := range d.Queries {
-			res, err := p.QueryMBR(topo.Meet, q)
-			if err != nil {
-				return nil, err
-			}
-			total += res.Stats.NodeAccesses
+		if out.UnbufferedReads, _, err = perSearch(&query.Processor{Idx: tr}, topo.Meet, d.Queries); err != nil {
+			return nil, err
 		}
-		out.UnbufferedReads = float64(total) / float64(len(d.Queries))
 	}
 
 	// --- Clustered vs uniform data.
@@ -173,23 +156,12 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 		}
 		cproc := &query.Processor{Idx: cidx}
 		for _, rel := range relationOrder {
-			var cu, uu uint64
-			for _, q := range cd.Queries {
-				res, err := cproc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				cu += res.Stats.NodeAccesses
+			if out.ClusteredAccesses[rel], _, err = perSearch(cproc, rel, cd.Queries); err != nil {
+				return nil, err
 			}
-			for _, q := range d.Queries {
-				res, err := proc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				uu += res.Stats.NodeAccesses
+			if out.UniformAccesses[rel], _, err = perSearch(proc, rel, d.Queries); err != nil {
+				return nil, err
 			}
-			out.ClusteredAccesses[rel] = float64(cu) / float64(len(cd.Queries))
-			out.UniformAccesses[rel] = float64(uu) / float64(len(d.Queries))
 		}
 	}
 	return out, nil

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"mbrtopo/internal/index"
+	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
@@ -38,8 +39,8 @@ type BufferResult struct {
 	Rows   []BufferRow
 }
 
-// defaultFrameSweep is used when Config.Frames does not pin a size.
-var defaultFrameSweep = []int{8, 32, 128, 512}
+// frameSweep is the pool sizes measured, in frames.
+var frameSweep = []int{8, 32, 128, 512}
 
 // RunBuffer measures window queries (not_disjoint, the service's
 // common case) through a BufferPool of each swept size, per access
@@ -47,15 +48,12 @@ var defaultFrameSweep = []int{8, 32, 128, 512}
 // the unbuffered counts; physical reads and the hit ratio come from
 // the pool.
 func RunBuffer(cfg Config, class workload.SizeClass) (*BufferResult, error) {
-	d := workload.NewDataset(class, cfg.NData, cfg.NQueries, cfg.Seed+int64(class))
-	sweep := defaultFrameSweep
-	if cfg.Frames > 0 {
-		sweep = []int{cfg.Frames}
-	}
+	d := cfg.dataset(class)
 	out := &BufferResult{Config: cfg, Class: class}
 	for _, kind := range index.AllKinds() {
-		for _, frames := range sweep {
-			idx, pool, err := cfg.buildBufferedIndex(kind, d, frames)
+		for _, frames := range frameSweep {
+			pool := pagefile.NewBufferPool(pagefile.NewMemFile(cfg.PageSize), frames)
+			idx, err := cfg.buildOn(kind, d, pool)
 			if err != nil {
 				return nil, err
 			}

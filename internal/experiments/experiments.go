@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"strings"
 
+	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
+	"mbrtopo/internal/query"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -26,12 +28,6 @@ type Config struct {
 	PageSize int
 	// Classes are the size classes to run (paper: small/medium/large).
 	Classes []workload.SizeClass
-	// Frames, when positive, layers a pagefile.BufferPool with that
-	// many frames under every index the experiments build. The paper's
-	// node-access counts are logical reads and stay unchanged; the
-	// buffer experiment (RunBuffer) contrasts them with the physical
-	// reads left after caching.
-	Frames int
 }
 
 // Default returns the paper's configuration.
@@ -72,11 +68,23 @@ func (c Config) dataset(class workload.SizeClass) *workload.Dataset {
 	return workload.NewDataset(class, c.NData, c.NQueries, c.Seed+int64(class))
 }
 
-// buildIndex loads a dataset into a fresh index of the given kind,
-// buffered per c.Frames.
+// buildIndex loads a dataset into a fresh index of the given kind on
+// an unbuffered in-memory page file, where every node visit is a read
+// (the paper's cost model).
 func (c Config) buildIndex(kind index.Kind, d *workload.Dataset) (index.Index, error) {
-	idx, _, err := c.buildBufferedIndex(kind, d, c.Frames)
-	return idx, err
+	return c.buildOn(kind, d, pagefile.NewMemFile(c.PageSize))
+}
+
+// buildOn loads a dataset into a fresh index of the given kind on file.
+func (c Config) buildOn(kind index.Kind, d *workload.Dataset, file pagefile.File) (index.Index, error) {
+	idx, err := index.NewOnFile(kind, file)
+	if err != nil {
+		return nil, err
+	}
+	if err := index.Load(idx, d.Items); err != nil {
+		return nil, fmt.Errorf("building %v on %v data: %w", kind, d.Class, err)
+	}
+	return idx, nil
 }
 
 // buildPacked STR-packs items into an R-tree on a fresh in-memory page
@@ -93,24 +101,22 @@ func (c Config) buildPacked(items []index.Item) (index.Index, error) {
 	return idx, nil
 }
 
-// buildBufferedIndex loads a dataset into a fresh index over a page
-// file wrapped in a BufferPool of the given frame count (0 frames →
-// unbuffered, nil pool).
-func (c Config) buildBufferedIndex(kind index.Kind, d *workload.Dataset, frames int) (index.Index, *pagefile.BufferPool, error) {
-	var file pagefile.File = pagefile.NewMemFile(c.PageSize)
-	var pool *pagefile.BufferPool
-	if frames > 0 {
-		pool = pagefile.NewBufferPool(file, frames)
-		file = pool
+// perSearch runs one relation's filter step over a search file and
+// returns the paper's two metrics as means per search: disk accesses
+// and retrieved MBRs (hits).
+func perSearch(proc *query.Processor, rel topo.Relation, queries []geom.Rect) (accesses, hits float64, err error) {
+	var acc uint64
+	var cand int
+	for _, q := range queries {
+		res, err := proc.QueryMBR(rel, q)
+		if err != nil {
+			return 0, 0, err
+		}
+		acc += res.Stats.NodeAccesses
+		cand += res.Stats.Candidates
 	}
-	idx, err := index.NewOnFile(kind, file)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := index.Load(idx, d.Items); err != nil {
-		return nil, nil, fmt.Errorf("building %v on %v data: %w", kind, d.Class, err)
-	}
-	return idx, pool, nil
+	n := float64(len(queries))
+	return float64(acc) / n, float64(cand) / n, nil
 }
 
 // relationOrder is the paper's row order in Table 3 and Figure 11.

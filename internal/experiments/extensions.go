@@ -24,7 +24,7 @@ type PackingResult struct {
 
 // RunPacking measures the packing ablation.
 func RunPacking(cfg Config, class workload.SizeClass) (*PackingResult, error) {
-	d := workload.NewDataset(class, cfg.NData, cfg.NQueries, cfg.Seed+int64(class))
+	d := cfg.dataset(class)
 	out := &PackingResult{
 		Config: cfg, Class: class,
 		GrownAccesses:  map[topo.Relation]float64{},
@@ -45,15 +45,10 @@ func RunPacking(cfg Config, class workload.SizeClass) (*PackingResult, error) {
 	for name, idx := range map[string]index.Index{"grown": grown, "packed": packed} {
 		proc := &query.Processor{Idx: idx}
 		for _, rel := range relationOrder {
-			var total uint64
-			for _, q := range d.Queries {
-				res, err := proc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				total += res.Stats.NodeAccesses
+			mean, _, err := perSearch(proc, rel, d.Queries)
+			if err != nil {
+				return nil, err
 			}
-			mean := float64(total) / float64(len(d.Queries))
 			if name == "grown" {
 				out.GrownAccesses[rel] = mean
 			} else {
@@ -87,6 +82,11 @@ type SeedSweepResult struct {
 	Accesses map[topo.Relation][]float64
 }
 
+// runSeeds sweeps the configured seed and the four after it.
+func runSeeds(cfg Config) (*SeedSweepResult, error) {
+	return RunSeedSweep(cfg, []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2, cfg.Seed + 3, cfg.Seed + 4})
+}
+
 // RunSeedSweep runs the medium-class R-tree measurement per seed.
 func RunSeedSweep(cfg Config, seeds []int64) (*SeedSweepResult, error) {
 	out := &SeedSweepResult{Config: cfg, Seeds: seeds, Accesses: map[topo.Relation][]float64{}}
@@ -98,15 +98,11 @@ func RunSeedSweep(cfg Config, seeds []int64) (*SeedSweepResult, error) {
 		}
 		proc := &query.Processor{Idx: idx}
 		for _, rel := range relationOrder {
-			var total uint64
-			for _, q := range d.Queries {
-				res, err := proc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				total += res.Stats.NodeAccesses
+			mean, _, err := perSearch(proc, rel, d.Queries)
+			if err != nil {
+				return nil, err
 			}
-			out.Accesses[rel] = append(out.Accesses[rel], float64(total)/float64(len(d.Queries)))
+			out.Accesses[rel] = append(out.Accesses[rel], mean)
 		}
 	}
 	return out, nil
@@ -183,21 +179,12 @@ func RunNonContiguous(cfg Config) (*NonContiguousResult, error) {
 			ContiguousConfigs: mbr.Candidates(rel).Len(),
 			RelaxedConfigs:    mbr.CandidatesNonContiguous(rel).Len(),
 		}
-		var sh, rh int
-		for _, q := range d.Queries {
-			res, err := strict.QueryMBR(rel, q)
-			if err != nil {
-				return nil, err
-			}
-			sh += res.Stats.Candidates
-			res, err = relaxed.QueryMBR(rel, q)
-			if err != nil {
-				return nil, err
-			}
-			rh += res.Stats.Candidates
+		if _, row.ContiguousHits, err = perSearch(strict, rel, d.Queries); err != nil {
+			return nil, err
 		}
-		n := float64(len(d.Queries))
-		row.ContiguousHits, row.RelaxedHits = float64(sh)/n, float64(rh)/n
+		if _, row.RelaxedHits, err = perSearch(relaxed, rel, d.Queries); err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

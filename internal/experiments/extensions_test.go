@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"mbrtopo/internal/topo"
@@ -23,9 +22,6 @@ func TestPackingShape(t *testing.T) {
 				rel, res.PackedAccesses[rel], res.GrownAccesses[rel])
 		}
 	}
-	if out := res.Render(); !strings.Contains(out, "STR packing") {
-		t.Error("render broken")
-	}
 }
 
 func TestSeedSweepShape(t *testing.T) {
@@ -39,9 +35,6 @@ func TestSeedSweepShape(t *testing.T) {
 	}
 	if len(res.Accesses[topo.Meet]) != 4 {
 		t.Error("missing seed measurements")
-	}
-	if out := res.Render(); !strings.Contains(out, "Seed sweep") {
-		t.Error("render broken")
 	}
 }
 
@@ -72,9 +65,6 @@ func TestNonContiguousExperiment(t *testing.T) {
 			}
 		}
 	}
-	if out := res.Render(); !strings.Contains(out, "Section 7") {
-		t.Error("render broken")
-	}
 }
 
 func TestJoinExperiment(t *testing.T) {
@@ -90,9 +80,6 @@ func TestJoinExperiment(t *testing.T) {
 		if row.JoinAccesses > row.NestedAccesses {
 			t.Errorf("%v: join (%d) costlier than nested (%d)", row.Relation, row.JoinAccesses, row.NestedAccesses)
 		}
-	}
-	if out := res.Render(); !strings.Contains(out, "spatial join") {
-		t.Error("render broken")
 	}
 }
 
@@ -113,8 +100,5 @@ func TestSecondFilterExperiment(t *testing.T) {
 	}
 	if !anySaved {
 		t.Error("hull filter resolved nothing")
-	}
-	if out := res.Render(); !strings.Contains(out, "second filter") {
-		t.Error("render broken")
 	}
 }

@@ -46,15 +46,9 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			proc := &query.Processor{Idx: idx}
 			byRel := map[topo.Relation]float64{}
 			for _, rel := range topo.All() {
-				var total uint64
-				for _, q := range d.Queries {
-					res, err := proc.QueryMBR(rel, q)
-					if err != nil {
-						return nil, err
-					}
-					total += res.Stats.NodeAccesses
+				if byRel[rel], _, err = perSearch(proc, rel, d.Queries); err != nil {
+					return nil, err
 				}
-				byRel[rel] = float64(total) / float64(len(d.Queries))
 			}
 			out.Accesses[class][kind] = byRel
 		}

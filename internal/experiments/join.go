@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/query"
@@ -12,8 +11,8 @@ import (
 )
 
 // JoinResultExp measures topological spatial joins between two layers:
-// the plane-sweep engine, serial and parallel, against the per-object
-// nested-query baseline — disk accesses and wall time per relation.
+// the plane-sweep engine against the per-object nested-query baseline,
+// in disk accesses per relation. (Wall time is bench/'s join workload.)
 type JoinResultExp struct {
 	Config Config
 	Class  workload.SizeClass
@@ -27,14 +26,11 @@ type JoinRow struct {
 	// Pairs found at the filter level.
 	Pairs int
 	// JoinAccesses: page reads of the sweep engine (child pages read
-	// at most once per node pair; identical for serial and parallel).
+	// at most once per node pair; the same for any worker count).
 	JoinAccesses uint64
 	// NestedAccesses: page reads of querying the right index once per
 	// left object.
 	NestedAccesses uint64
-	// Wall times of the two engine configurations.
-	SweepTime    time.Duration
-	ParallelTime time.Duration
 }
 
 // RunJoin measures joins between two independently generated layers of
@@ -55,26 +51,13 @@ func RunJoin(cfg Config, class workload.SizeClass) (*JoinResultExp, error) {
 	if err != nil {
 		return nil, err
 	}
-	// timedJoin runs one engine configuration and reports accesses,
-	// pair count, and wall time.
-	timedJoin := func(rel topo.Relation, opts query.JoinOptions) (uint64, int, time.Duration, error) {
-		start := time.Now()
-		res, err := query.JoinTopological(lIdx, rIdx, topo.NewSet(rel), opts)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return res.Stats.NodeAccesses, len(res.Pairs), time.Since(start), nil
-	}
 	out := &JoinResultExp{Config: cfg, Class: class, N: n}
 	for _, rel := range []topo.Relation{topo.Meet, topo.Overlap, topo.Inside, topo.Covers, topo.Equal} {
-		row := JoinRow{Relation: rel}
-		var err error
-		if row.JoinAccesses, row.Pairs, row.SweepTime, err = timedJoin(rel, query.JoinOptions{Workers: 1}); err != nil {
+		res, err := query.JoinTopological(lIdx, rIdx, topo.NewSet(rel), query.JoinOptions{Workers: 1})
+		if err != nil {
 			return nil, err
 		}
-		if _, _, row.ParallelTime, err = timedJoin(rel, query.JoinOptions{}); err != nil {
-			return nil, err
-		}
+		row := JoinRow{Relation: rel, Pairs: len(res.Pairs), JoinAccesses: res.Stats.NodeAccesses}
 
 		// Nested baseline: one topological query per left object, costed
 		// by summing each query's own traversal accounting.
@@ -98,16 +81,13 @@ func (r *JoinResultExp) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Topological spatial join, two %s layers of %d objects (R*-trees)\n", r.Class, r.N)
 	fmt.Fprintf(&b, "sweep = plane-sweep join with per-pair child dedup, nested = one query per left object\n\n")
-	t := &table{header: []string{
-		"relation", "pairs", "sweep acc", "nested acc", "sweep ms", "parallel ms",
-	}}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()*1e3) }
+	t := &table{header: []string{"relation", "pairs", "sweep acc", "nested acc", "ratio"}}
 	for _, row := range r.Rows {
 		t.addRow(row.Relation.String(),
 			fmt.Sprintf("%d", row.Pairs),
 			fmt.Sprintf("%d", row.JoinAccesses),
 			fmt.Sprintf("%d", row.NestedAccesses),
-			ms(row.SweepTime), ms(row.ParallelTime))
+			fmt.Sprintf("%.1f×", float64(row.NestedAccesses)/float64(row.JoinAccesses)))
 	}
 	b.WriteString(t.String())
 	return b.String()

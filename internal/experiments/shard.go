@@ -61,19 +61,13 @@ func RunShard(cfg Config, class workload.SizeClass) (*ShardResult, error) {
 	for _, rel := range relationOrder {
 		row := ShardRow{Relation: rel, Accesses: make([]float64, len(counts))}
 		for i, proc := range procs {
-			var acc, hits float64
-			for _, q := range d.Queries {
-				res, err := proc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				acc += float64(res.Stats.NodeAccesses)
-				hits += float64(res.Stats.Candidates)
+			acc, hits, err := perSearch(proc, rel, d.Queries)
+			if err != nil {
+				return nil, err
 			}
-			n := float64(len(d.Queries))
-			row.Accesses[i] = acc / n
+			row.Accesses[i] = acc
 			if i == 0 {
-				row.Hits = hits / n
+				row.Hits = hits
 			}
 		}
 		out.Rows = append(out.Rows, row)

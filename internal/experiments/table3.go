@@ -38,15 +38,9 @@ func RunTable3(cfg Config) (*Table3Result, error) {
 		proc := &query.Processor{Idx: idx}
 		byRel := map[topo.Relation]float64{}
 		for _, rel := range topo.All() {
-			total := 0
-			for _, q := range d.Queries {
-				res, err := proc.QueryMBR(rel, q)
-				if err != nil {
-					return nil, err
-				}
-				total += res.Stats.Candidates
+			if _, byRel[rel], err = perSearch(proc, rel, d.Queries); err != nil {
+				return nil, err
 			}
-			byRel[rel] = float64(total) / float64(len(d.Queries))
 		}
 		out.Hits[class] = byRel
 	}

@@ -35,7 +35,7 @@ type Table5Row struct {
 
 // RunTable5 regenerates the comparison on the medium data file.
 func RunTable5(cfg Config) (*Table5Result, error) {
-	d := workload.NewDataset(workload.Medium, cfg.NData, cfg.NQueries, cfg.Seed+int64(workload.Medium))
+	d := cfg.dataset(workload.Medium)
 	idx, err := cfg.buildIndex(index.KindRTree, d)
 	if err != nil {
 		return nil, err
@@ -49,25 +49,12 @@ func RunTable5(cfg Config) (*Table5Result, error) {
 			CrispConfigs:    mbr.Candidates(rel).Len(),
 			TolerantConfigs: mbr.CandidatesNonCrisp(rel).Len(),
 		}
-		var ch, th int
-		var ca, ta uint64
-		for _, q := range d.Queries {
-			res, err := crisp.QueryMBR(rel, q)
-			if err != nil {
-				return nil, err
-			}
-			ch += res.Stats.Candidates
-			ca += res.Stats.NodeAccesses
-			res, err = tolerant.QueryMBR(rel, q)
-			if err != nil {
-				return nil, err
-			}
-			th += res.Stats.Candidates
-			ta += res.Stats.NodeAccesses
+		if row.CrispAccesses, row.CrispHits, err = perSearch(crisp, rel, d.Queries); err != nil {
+			return nil, err
 		}
-		n := float64(len(d.Queries))
-		row.CrispHits, row.TolerantHits = float64(ch)/n, float64(th)/n
-		row.CrispAccesses, row.TolerantAccesses = float64(ca)/n, float64(ta)/n
+		if row.TolerantAccesses, row.TolerantHits, err = perSearch(tolerant, rel, d.Queries); err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

@@ -8,6 +8,7 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -37,7 +38,7 @@ type WindowRow struct {
 // not_disjoint (a disjoint query has no window analogue; the paper
 // uses a serial scan there).
 func RunWindow(cfg Config, class workload.SizeClass) (*WindowResult, error) {
-	d := workload.NewDataset(class, cfg.NData, cfg.NQueries, cfg.Seed+int64(class))
+	d := cfg.dataset(class)
 	idx, err := cfg.buildIndex(index.KindRTree, d)
 	if err != nil {
 		return nil, err
@@ -55,9 +56,9 @@ func RunWindow(cfg Config, class workload.SizeClass) (*WindowResult, error) {
 			hits := 0
 			seen := map[uint64]struct{}{}
 			pred := func(r geom.Rect) bool { return r.Intersects(q) }
-			ts, err := idx.SearchCtx(context.Background(), pred, pred, func(_ geom.Rect, oid uint64) bool {
-				if _, ok := seen[oid]; !ok {
-					seen[oid] = struct{}{}
+			ts, err := idx.SearchHits(context.Background(), pred, pred, func(h rtree.Hit) bool {
+				if _, ok := seen[h.OID]; !ok {
+					seen[h.OID] = struct{}{}
 					hits++
 				}
 				return true
@@ -67,19 +68,13 @@ func RunWindow(cfg Config, class workload.SizeClass) (*WindowResult, error) {
 			}
 			row.WindowAccesses += float64(ts.NodeAccesses)
 			row.WindowHits += float64(hits)
-
-			res, err := proc.QueryMBR(rel, q)
-			if err != nil {
-				return nil, err
-			}
-			row.StepAccesses += float64(res.Stats.NodeAccesses)
-			row.StepHits += float64(res.Stats.Candidates)
 		}
 		n := float64(len(d.Queries))
 		row.WindowAccesses /= n
 		row.WindowHits /= n
-		row.StepAccesses /= n
-		row.StepHits /= n
+		if row.StepAccesses, row.StepHits, err = perSearch(proc, rel, d.Queries); err != nil {
+			return nil, err
+		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

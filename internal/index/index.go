@@ -48,6 +48,8 @@ type Index interface {
 	SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (TraversalStats, error)
 	// SearchCtx is SearchHits for an emit that takes the rectangle and
 	// the object id, and Search is SearchCtx without context or stats.
+	// Nothing in this module calls either any more; the bench/ module
+	// does, and they go when it moves (ROADMAP item 1a).
 	SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error)
 	Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error
 	// Len returns the number of distinct stored objects.

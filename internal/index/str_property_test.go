@@ -168,36 +168,3 @@ func TestBulkThenIncrementalMix(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkBuild compares the two ways to build a tree from a data
-// file: one-by-one inserts vs InsertBatch's Sort-Tile-Recursive
-// packing (the acceptance target is ≥10× at 100k rectangles).
-func BenchmarkBuild(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		d := workload.NewDataset(workload.Small, n, 0, 1995)
-		for _, kind := range []index.Kind{index.KindRTree, index.KindRStar} {
-			b.Run(fmt.Sprintf("incremental/%s/n=%d", kind, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx, err := index.New(kind)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := index.Load(idx, d.Items); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("bulk/%s/n=%d", kind, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					idx, err := index.New(kind)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := index.LoadBulk(idx, d.Items); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

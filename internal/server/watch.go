@@ -9,6 +9,7 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/watch"
 )
@@ -24,7 +25,8 @@ func (s *Server) newWatchTable(inst *Instance) *watch.Table {
 		if idx == nil {
 			return fmt.Errorf("server: index %q has no readable tree", inst.Name)
 		}
-		return idx.Search(all, all, emit)
+		_, err := idx.SearchHits(context.Background(), all, all, func(h rtree.Hit) bool { return emit(h.Rect, h.OID) })
+		return err
 	}
 	subIdx, err := index.NewWithPageSize(index.KindRTree, index.PaperPageSize)
 	if err != nil {

@@ -73,14 +73,9 @@ type GroupStats struct {
 
 // Reserve encodes the records into the open batch, fixing their order
 // in the log, and returns a ticket whose Wait makes them durable.
-// With Options.NoGroupCommit the records are written and synced
-// serially before Reserve returns, and Wait just reports the outcome.
 func (l *Log) Reserve(recs ...Record) *Ticket {
 	if len(recs) == 0 {
 		return &Ticket{}
-	}
-	if l.opts.NoGroupCommit {
-		return &Ticket{err: l.appendSerial(recs)}
 	}
 	l.gmu.Lock()
 	if l.closed {
@@ -193,32 +188,4 @@ func (l *Log) flushBatchLocked(b *batch) {
 		l.gstats.MaxBatch = uint64(b.count)
 	}
 	l.gstats.CommitTime += time.Since(start)
-}
-
-// appendSerial is the NoGroupCommit path: one write and one policy
-// fsync per record, under the file lock.
-func (l *Log) appendSerial(recs []Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errClosed
-	}
-	for _, rec := range recs {
-		frame := encode(rec)
-		if l.opts.WriteHook != nil {
-			if err := l.opts.WriteHook(l.size, len(frame)); err != nil {
-				return fmt.Errorf("wal: appending record: %w", err)
-			}
-		}
-		if _, err := l.f.WriteAt(frame, l.size); err != nil {
-			return fmt.Errorf("wal: appending record: %w", err)
-		}
-		l.size += int64(len(frame))
-		l.records++
-		l.appended++
-		if err := l.syncPolicyLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -173,52 +172,5 @@ func TestGroupCommitClosedLog(t *testing.T) {
 	}
 	if err := l.Append(rec(OpInsert, 1)); err == nil {
 		t.Fatal("appending on a closed log succeeded")
-	}
-}
-
-// BenchmarkGroupCommit measures insert throughput at varying writer
-// counts with group commit on and off, under the same fsync=always
-// guarantee. The ≥5× win at 8 writers comes from fsync amortization:
-// per-record commits pay one fsync each, group commits pay ~one per
-// batch.
-func BenchmarkGroupCommit(b *testing.B) {
-	for _, writers := range []int{1, 2, 8} {
-		for _, mode := range []struct {
-			name    string
-			noGroup bool
-		}{{"group", false}, {"serial", true}} {
-			b.Run(fmt.Sprintf("writers=%d/%s", writers, mode.name), func(b *testing.B) {
-				path := filepath.Join(b.TempDir(), "bench.wal")
-				l, _, err := Open(path, Options{Policy: SyncAlways, NoGroupCommit: mode.noGroup})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer l.Close()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					share := b.N / writers
-					if w < b.N%writers {
-						share++
-					}
-					wg.Add(1)
-					go func(w, share int) {
-						defer wg.Done()
-						for i := 0; i < share; i++ {
-							oid := uint64(w)<<32 | uint64(i)
-							if err := l.Append(rec(OpInsert, oid)); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w, share)
-				}
-				wg.Wait()
-				b.StopTimer()
-				if st := l.GroupStats(); st.Commits > 0 {
-					b.ReportMetric(float64(st.Records)/float64(st.Commits), "records/commit")
-				}
-			})
-		}
 	}
 }

@@ -166,32 +166,29 @@ func TestMarshalRecordRoundTrip(t *testing.T) {
 }
 
 // TestWriteHookFailsAppend checks a failing WriteHook surfaces through
-// Append/Ticket.Wait on both the group-commit and serial paths.
+// Append/Ticket.Wait.
 func TestWriteHookFailsAppend(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "hook.wal")
-		fail := false
-		l, _, err := Open(path, Options{
-			Policy:        SyncNever,
-			NoGroupCommit: serial,
-			WriteHook: func(off int64, n int) error {
-				if fail {
-					return os.ErrPermission
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Append(tailRecord(1)); err != nil {
-			t.Fatalf("serial=%v: healthy append failed: %v", serial, err)
-		}
-		fail = true
-		if err := l.Append(tailRecord(2)); err == nil {
-			t.Fatalf("serial=%v: expected hook failure", serial)
-		}
-		fail = false
-		l.Close()
+	path := filepath.Join(t.TempDir(), "hook.wal")
+	fail := false
+	l, _, err := Open(path, Options{
+		Policy: SyncNever,
+		WriteHook: func(off int64, n int) error {
+			if fail {
+				return os.ErrPermission
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := l.Append(tailRecord(1)); err != nil {
+		t.Fatalf("healthy append failed: %v", err)
+	}
+	fail = true
+	if err := l.Append(tailRecord(2)); err == nil {
+		t.Fatal("expected hook failure")
+	}
+	fail = false
+	l.Close()
 }

@@ -110,11 +110,6 @@ type Options struct {
 	// Interval is the maximum staleness under SyncInterval (default
 	// 100ms).
 	Interval time.Duration
-	// NoGroupCommit disables commit coalescing: every record pays its
-	// own write and fsync, serially. The durability guarantee is the
-	// same; only the amortization is lost. Intended for benchmarking
-	// the group-commit win (see BenchmarkGroupCommit).
-	NoGroupCommit bool
 	// WriteHook, when set, runs before every append write with the
 	// target offset and byte count, and failing it fails the append —
 	// the fault-injection point durability tests use to exercise the

@@ -27,6 +27,7 @@
 package watch
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
 )
@@ -221,7 +223,7 @@ func (s *Subscription) eventFor(oid uint64, before, after []geom.Rect) (Event, b
 type SubIndex interface {
 	Insert(r geom.Rect, oid uint64) error
 	Delete(r geom.Rect, oid uint64) error
-	Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error
+	SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (rtree.TraversalStats, error)
 }
 
 // Table holds the subscriptions of one index and mirrors its contents
@@ -533,9 +535,9 @@ func (t *Table) runBatchLocked(b commitBatch) {
 		}
 		gather := func(r geom.Rect) {
 			pred := func(nr geom.Rect) bool { return nr.Intersects(r) }
-			_ = t.subIdx.Search(pred, pred, func(_ geom.Rect, id uint64) bool {
-				if sub, ok := t.subs[id]; ok {
-					cands[id] = sub
+			_, _ = t.subIdx.SearchHits(context.Background(), pred, pred, func(h rtree.Hit) bool {
+				if sub, ok := t.subs[h.OID]; ok {
+					cands[h.OID] = sub
 				}
 				return true
 			})
