@@ -170,4 +170,3 @@ func (t *table) String() string {
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

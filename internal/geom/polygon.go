@@ -33,9 +33,6 @@ func (l PointLocation) String() string {
 	return fmt.Sprintf("geom.PointLocation(%d)", int(l))
 }
 
-// NumVertices returns the number of vertices.
-func (pg Polygon) NumVertices() int { return len(pg) }
-
 // Edge returns the i-th boundary segment.
 func (pg Polygon) Edge(i int) Segment {
 	return Segment{pg[i], pg[(i+1)%len(pg)]}

@@ -84,9 +84,6 @@ func (iv Interval) Valid() bool { return iv.Lo < iv.Hi }
 // Length returns Hi − Lo.
 func (iv Interval) Length() float64 { return iv.Hi - iv.Lo }
 
-// ContainsPoint reports whether x lies in the closed interval.
-func (iv Interval) ContainsPoint(x float64) bool { return iv.Lo <= x && x <= iv.Hi }
-
 // Relate classifies the relation of the primary interval p with respect
 // to the reference interval q. Both intervals must be non-degenerate;
 // Relate panics otherwise, because a degenerate interval cannot arise
@@ -187,14 +184,6 @@ func (r Relation) CoversRef() bool {
 func (r Relation) CoveredByRef() bool {
 	return r == Starts || r == Equal || r == During || r == Finishes
 }
-
-// StrictlyContainsRef reports whether the primary strictly contains the
-// reference in its interior (relation Contains only).
-func (r Relation) StrictlyContainsRef() bool { return r == Contains }
-
-// StrictlyInsideRef reports whether the primary lies strictly in the
-// reference's interior (relation During only).
-func (r Relation) StrictlyInsideRef() bool { return r == During }
 
 // All returns the thirteen relations in numeric order. The slice is
 // freshly allocated; callers may modify it.

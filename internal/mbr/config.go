@@ -37,9 +37,6 @@ func ConfigOf(p, q geom.Rect) Config {
 	}
 }
 
-// Valid reports whether both components are defined interval relations.
-func (c Config) Valid() bool { return c.X.Valid() && c.Y.Valid() }
-
 // Index maps the configuration to a dense index in [0, 169).
 func (c Config) Index() int {
 	return int(c.X-1)*interval.NumRelations + int(c.Y-1)

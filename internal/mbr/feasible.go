@@ -20,16 +20,6 @@ func RegionFeasible(s ConfigSet, region, ref geom.Rect) bool {
 	return !s.Intersect(ProductSet(fx, fy)).IsEmpty()
 }
 
-// CoversReference reports whether every configuration in s forces the
-// primary rectangle to contain the whole reference rectangle (i, j ∈
-// {4,5,7,8}). For such candidate sets a partition tree can answer with
-// a point query: any qualifying rectangle contains the reference's
-// center, so it is registered in every leaf whose region contains that
-// point, and following the single containing path finds it.
-func CoversReference(s ConfigSet) bool {
-	return s.SubsetOf(ProductSet(coversAxes, coversAxes))
-}
-
 // PartitionNodePredicate builds the node predicate for partition-based
 // access methods (R+-trees), where node rectangles are regions rather
 // than covers. It decomposes the candidate set by how tightly the

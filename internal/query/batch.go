@@ -87,14 +87,34 @@ func (p *Processor) querySet(rels topo.Set, refMBR geom.Rect, ref geom.Region) (
 	if err != nil {
 		return Result{}, err
 	}
-	// Step 4: refinement.
-	if p.Objects != nil && ref != nil {
-		matches, err = p.refine(context.Background(), matches, rels, refMBR, ref, &stats)
-		if err != nil {
-			return Result{}, err
-		}
+	if p.Objects == nil || ref == nil {
+		return Result{Matches: matches, Stats: stats}, nil
 	}
-	return Result{Matches: matches, Stats: stats}, nil
+	// Step 4: refinement, with the convex-hull second filter in front of
+	// the exact test when asked for.
+	tb := tablesFor(p.NonContiguous)
+	var refHull geom.Polygon
+	if p.SecondFilter {
+		refHull = geom.HullOf(ref)
+	}
+	return refined(matches, stats, func(stats *Stats, m Match) (bool, error) {
+		direct := !p.NonCrisp && tb.decides(m.Rect, refMBR, rels)
+		var obj geom.Region
+		if !direct {
+			var err error
+			if obj, err = p.object(m.OID); err != nil {
+				return false, err
+			}
+			if p.SecondFilter {
+				if accept, resolved := hullFilter(stats, obj, refHull, rels); resolved {
+					return accept, nil
+				}
+			}
+		}
+		return step4(stats, direct, func() (bool, error) {
+			return rels.Has(geom.RelateRegions(obj, ref)), nil
+		})
+	})
 }
 
 // QueryConjunction answers r1(p, q1) ∧ r2(p, q2) for two reference
@@ -132,20 +152,17 @@ func (p *Processor) QueryConjunction(r1 topo.Relation, q1 geom.Region, r2 topo.R
 	}
 	stats.Explain = explainConjunction
 
-	var out []Match
-	for _, m := range matches {
-		obj, ok := p.Objects.Object(m.OID)
-		if !ok {
-			return Result{}, fmt.Errorf("query: refinement needs object %d, not in store", m.OID)
-		}
-		stats.RefinementTests++
-		if geom.RelateRegions(obj, q1) == r1 && geom.RelateRegions(obj, q2) == r2 {
-			out = append(out, m)
-		} else {
-			stats.FalseHits++
-		}
-	}
-	return Result{Matches: out, Stats: stats}, nil
+	// Step 4: no configuration decides both terms, so every candidate is
+	// tested.
+	return refined(matches, stats, func(stats *Stats, m Match) (bool, error) {
+		return step4(stats, false, func() (bool, error) {
+			obj, err := p.object(m.OID)
+			if err != nil {
+				return false, err
+			}
+			return geom.RelateRegions(obj, q1) == r1 && geom.RelateRegions(obj, q2) == r2, nil
+		})
+	})
 }
 
 // QueryDirection finds all stored rectangles standing in the given
@@ -199,30 +216,20 @@ func (p *Processor) QueryLine(rel geom.LineRegionRelation, ref geom.Region, line
 	if err != nil {
 		return Result{}, err
 	}
-	out := matches[:0:0]
-	for _, m := range matches {
-		cfg := mbr.ConfigOf(m.Rect, refMBR)
-		// Direct accept when the configuration admits only the queried
-		// relation (crisp MBRs only).
-		if !p.NonCrisp {
-			if poss := mbr.PossibleLineRelations(cfg); len(poss) == 1 && poss[0] == rel {
-				stats.DirectAccepts++
-				out = append(out, m)
-				continue
+	// Step 4: direct when the configuration admits only the queried
+	// relation.
+	return refined(matches, stats, func(stats *Stats, m Match) (bool, error) {
+		poss := mbr.PossibleLineRelations(mbr.ConfigOf(m.Rect, refMBR))
+		direct := !p.NonCrisp && len(poss) == 1 && poss[0] == rel
+		return step4(stats, direct, func() (bool, error) {
+			line, ok := lines[m.OID]
+			if !ok {
+				return false, fmt.Errorf("query: refinement needs line %d, not in store", m.OID)
 			}
-		}
-		line, ok := lines[m.OID]
-		if !ok {
-			return Result{}, fmt.Errorf("query: refinement needs line %d, not in store", m.OID)
-		}
-		stats.RefinementTests++
-		if got, _ := geom.RelateLineRegion(line, ref); got == rel {
-			out = append(out, m)
-		} else {
-			stats.FalseHits++
-		}
-	}
-	return Result{Matches: out, Stats: stats}, nil
+			got, _ := geom.RelateLineRegion(line, ref)
+			return got == rel, nil
+		})
+	})
 }
 
 // QueryPoint finds all stored objects whose region contains the point
@@ -254,20 +261,17 @@ func (p *Processor) QueryPoint(pt geom.Point, want ...geom.PointLocation) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	out := matches[:0:0]
-	for _, m := range matches {
-		obj, ok := p.Objects.Object(m.OID)
-		if !ok {
-			return Result{}, fmt.Errorf("query: refinement needs object %d, not in store", m.OID)
-		}
-		stats.RefinementTests++
-		if accept[obj.LocatePoint(pt)] {
-			out = append(out, m)
-		} else {
-			stats.FalseHits++
-		}
-	}
-	return Result{Matches: out, Stats: stats}, nil
+	// Step 4: an MBR holding the point says nothing of the region, so
+	// every candidate is located exactly.
+	return refined(matches, stats, func(stats *Stats, m Match) (bool, error) {
+		return step4(stats, false, func() (bool, error) {
+			obj, err := p.object(m.OID)
+			if err != nil {
+				return false, err
+			}
+			return accept[obj.LocatePoint(pt)], nil
+		})
+	})
 }
 
 // JoinTopological finds all pairs (l, r) of objects from the two

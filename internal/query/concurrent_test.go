@@ -208,33 +208,6 @@ func TestQueryCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelRefineMatchesSerial pins the worker-pool refinement to
-// the serial implementation: same matches, same statistics.
-func TestParallelRefineMatchesSerial(t *testing.T) {
-	sc := buildScenario(t, 11, 400)
-	ref := sc.objects[uint64(5)]
-	for name, idx := range sc.indexes {
-		serial := &Processor{Idx: idx, Objects: sc.objects}
-		par := &Processor{Idx: idx, Objects: sc.objects, RefineWorkers: 4}
-		for _, rel := range []topo.Relation{topo.Overlap, topo.Disjoint, topo.Meet} {
-			want, err := serial.Query(rel, ref)
-			if err != nil {
-				t.Fatalf("%s/%v serial: %v", name, rel, err)
-			}
-			got, err := par.Query(rel, ref)
-			if err != nil {
-				t.Fatalf("%s/%v parallel: %v", name, rel, err)
-			}
-			if fingerprint(got.Matches) != fingerprint(want.Matches) {
-				t.Errorf("%s/%v: parallel refinement changed the matches", name, rel)
-			}
-			if got.Stats != want.Stats {
-				t.Errorf("%s/%v: parallel stats %+v, serial %+v", name, rel, got.Stats, want.Stats)
-			}
-		}
-	}
-}
-
 // settledGoroutines waits for the goroutine count to fall back to
 // base (an iter.Pull2 coroutine and a join's workers exit just after
 // stop returns, not before) and returns the last reading.

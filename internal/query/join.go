@@ -7,7 +7,6 @@ import (
 	"iter"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
@@ -47,23 +46,6 @@ type JoinOptions struct {
 	// engine; all workers share the same two pinned tree snapshots.
 	// 0 (or negative) uses GOMAXPROCS; 1 traverses serially.
 	Workers int
-	// RefineWorkers bounds the worker pool of the exact-refinement
-	// stage, which runs concurrently with the traversal when both
-	// object stores are set (Processor semantics: negative uses
-	// GOMAXPROCS, 0 or 1 refines on a single goroutine).
-	RefineWorkers int
-}
-
-// refineWorkers resolves the refinement pool size.
-func (o JoinOptions) refineWorkers() int {
-	switch {
-	case o.RefineWorkers < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.RefineWorkers == 0:
-		return 1
-	default:
-		return o.RefineWorkers
-	}
 }
 
 // joinTrees rejects access methods the synchronized traversal cannot
@@ -122,18 +104,6 @@ func CanJoin(left, right index.Index) error {
 	return nil
 }
 
-// joinConfigs maps the join's relation set to the configurations a leaf
-// pair may stand in (Table 1) and the ones a pair of covering rectangles
-// above such leaves may (their join propagation).
-func joinConfigs(rels topo.Set, opts JoinOptions) (cands, prop mbr.ConfigSet) {
-	if opts.NonContiguous {
-		cands = mbr.CandidatesNonContiguousSet(rels)
-	} else {
-		cands = mbr.CandidatesSet(rels)
-	}
-	return cands, mbr.JoinPropagation(cands)
-}
-
 // sweepSafe reports whether every admissible configuration shares at
 // least one point on each axis — the soundness condition for the
 // engine's plane-sweep matcher and node-MBR clipping, which only
@@ -150,9 +120,9 @@ func sweepSafe(cands mbr.ConfigSet) bool {
 
 // JoinStream runs the join, calling yield for every result pair as it
 // is found. Without object stores the pairs are filter-level
-// candidates; with both stores set each candidate is refined first
-// (Figure 9 direct accepts, exact geometry otherwise) on a pool of
-// RefineWorkers goroutines running concurrently with the traversal.
+// candidates; with both stores set each candidate goes through step 4
+// (Figure 9 direct accepts, exact geometry otherwise) where the engine
+// delivers it, so nothing is tested after the join has been stopped.
 // yield is never called concurrently; returning false from it stops
 // the join cleanly (nil error). On cancellation JoinStream returns
 // ctx.Err() together with the statistics accumulated so far.
@@ -170,31 +140,55 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		return Stats{}, err
 	}
 
-	cands, prop := joinConfigs(rels, opts)
-	engineOpts := rtree.JoinOptions{
-		Workers:      opts.Workers,
-		Intersecting: sweepSafe(cands),
-	}
-	prune, accept := pairTestFor(prop).admits, pairTestFor(cands).admits
-	selfJoin := left == right
-	dropSelf := selfJoin && !opts.KeepSelfPairs
+	// A leaf pair is tested against Table 1, a pair of covering rectangles
+	// above such leaves against its join propagation.
+	tb := tablesFor(opts.NonContiguous)
+	cands := tb.candidates(rels)
+	dropSelf := left == right && !opts.KeepSelfPairs
+	refining := opts.LeftObjects != nil && opts.RightObjects != nil
 
-	if opts.LeftObjects == nil || opts.RightObjects == nil {
-		// Filter-only: deliver candidates straight from the engine's
-		// (serialised) emit callback.
-		candidates := 0
-		ts, err := rtree.JoinCtx(ctx, t1, t2, prune, accept,
-			func(a, b rtree.Hit) bool {
-				if dropSelf && a.OID == b.OID {
+	// The engine serialises its emit callback across workers, so the
+	// counters are plain ints and a refinement error is a plain variable.
+	var (
+		stats     Stats
+		refineErr error
+	)
+	ts, err := rtree.JoinCtx(ctx, t1, t2, pairTestFor(mbr.JoinPropagation(cands)).admits, pairTestFor(cands).admits,
+		func(a, b rtree.Hit) bool {
+			if dropSelf && a.OID == b.OID {
+				return true
+			}
+			stats.Candidates++
+			p := JoinPair{LeftOID: a.OID, RightOID: b.OID, LeftRect: a.Rect, RightRect: b.Rect}
+			if refining {
+				ok, err := step4(&stats, tb.decides(a.Rect, b.Rect, rels), func() (bool, error) {
+					lo, ok := opts.LeftObjects.Object(a.OID)
+					if !ok {
+						return false, fmt.Errorf("query: join refinement needs left object %d", a.OID)
+					}
+					ro, ok := opts.RightObjects.Object(b.OID)
+					if !ok {
+						return false, fmt.Errorf("query: join refinement needs right object %d", b.OID)
+					}
+					return rels.Has(geom.RelateRegions(lo, ro)), nil
+				})
+				if err != nil {
+					refineErr = err
+					return false
+				}
+				if !ok {
 					return true
 				}
-				candidates++
-				return yield(JoinPair{LeftOID: a.OID, RightOID: b.OID, LeftRect: a.Rect, RightRect: b.Rect,
-					LeftText: a.Text(), RightText: b.Text()})
-			}, engineOpts)
-		return Stats{NodeAccesses: ts.NodeAccesses, Candidates: candidates}, err
+			} else {
+				p.LeftText, p.RightText = a.Text(), b.Text()
+			}
+			return yield(p)
+		}, rtree.JoinOptions{Workers: opts.Workers, Intersecting: sweepSafe(cands)})
+	stats.NodeAccesses = ts.NodeAccesses
+	if refineErr != nil {
+		return stats, refineErr
 	}
-	return joinRefined(ctx, t1, t2, rels, opts, engineOpts, prune, accept, dropSelf, yield)
+	return stats, err
 }
 
 // joinSharded scatters a join across tile pairs. Every (left tile,
@@ -216,8 +210,8 @@ func joinSharded(ctx context.Context, left, right index.Index, rels topo.Set, op
 		}
 	}
 
-	_, prop := joinConfigs(rels, opts)
-	feasible := pairTestFor(prop).admits
+	cands := tablesFor(opts.NonContiguous).candidates(rels)
+	feasible := pairTestFor(mbr.JoinPropagation(cands)).admits
 	dropSelf := left == right && !opts.KeepSelfPairs
 
 	// Enumerate feasible tile pairs: the same root-root propagation test
@@ -360,124 +354,6 @@ feed:
 		}
 	}
 	return total, nil
-}
-
-// joinRefined is the streaming pipeline with exact refinement: the
-// traversal produces candidate pairs into a bounded channel, a pool of
-// refinement workers applies step 4 (direct accepts from the MBR
-// configuration, exact geometry otherwise), and accepted pairs are
-// delivered through a serialising mutex.
-func joinRefined(ctx context.Context, t1, t2 *rtree.Tree, rels topo.Set,
-	opts JoinOptions, engineOpts rtree.JoinOptions,
-	prune, accept func(a, b geom.Rect) bool, dropSelf bool,
-	yield func(JoinPair) bool) (Stats, error) {
-
-	jctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		candidates, directAccepts  atomic.Int64
-		refinementTests, falseHits atomic.Int64
-		wg                         sync.WaitGroup
-		yieldMu                    sync.Mutex
-		yieldStopped               bool
-		errOnce                    sync.Once
-		refineErr                  error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			refineErr = err
-			cancel()
-		})
-	}
-	deliver := func(p JoinPair) {
-		yieldMu.Lock()
-		defer yieldMu.Unlock()
-		if yieldStopped {
-			return
-		}
-		if !yield(p) {
-			yieldStopped = true
-			cancel()
-		}
-	}
-	refineOne := func(p JoinPair) {
-		cfg := mbr.ConfigOf(p.LeftRect, p.RightRect)
-		poss := mbr.PossibleRelations(cfg)
-		if opts.NonContiguous {
-			poss = mbr.PossibleRelationsNonContiguous(cfg)
-		}
-		// Figure 9 generalised to disjunctions: if every relation the
-		// configuration admits is wanted, accept without geometry.
-		if poss.SubsetOf(rels) {
-			directAccepts.Add(1)
-			deliver(p)
-			return
-		}
-		lo, ok := opts.LeftObjects.Object(p.LeftOID)
-		if !ok {
-			fail(fmt.Errorf("query: join refinement needs left object %d", p.LeftOID))
-			return
-		}
-		ro, ok := opts.RightObjects.Object(p.RightOID)
-		if !ok {
-			fail(fmt.Errorf("query: join refinement needs right object %d", p.RightOID))
-			return
-		}
-		refinementTests.Add(1)
-		if rels.Has(geom.RelateRegions(lo, ro)) {
-			deliver(p)
-		} else {
-			falseHits.Add(1)
-		}
-	}
-
-	workers := opts.refineWorkers()
-	candCh := make(chan JoinPair, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range candCh {
-				refineOne(p)
-			}
-		}()
-	}
-	ts, jerr := rtree.JoinCtx(jctx, t1, t2, prune, accept,
-		func(a, b rtree.Hit) bool {
-			if dropSelf && a.OID == b.OID {
-				return true
-			}
-			candidates.Add(1)
-			select {
-			case candCh <- JoinPair{LeftOID: a.OID, RightOID: b.OID, LeftRect: a.Rect, RightRect: b.Rect}:
-				return true
-			case <-jctx.Done():
-				return false
-			}
-		}, engineOpts)
-	close(candCh)
-	wg.Wait()
-
-	stats := Stats{
-		NodeAccesses:    ts.NodeAccesses,
-		Candidates:      int(candidates.Load()),
-		DirectAccepts:   int(directAccepts.Load()),
-		RefinementTests: int(refinementTests.Load()),
-		FalseHits:       int(falseHits.Load()),
-	}
-	switch {
-	case refineErr != nil:
-		return stats, refineErr
-	case yieldStopped:
-		return stats, nil
-	case jerr != nil:
-		return stats, jerr
-	case ctx.Err() != nil:
-		// The engine's emit can observe the cancellation as a declined
-		// send (a clean stop from its point of view); report it anyway.
-		return stats, ctx.Err()
-	}
-	return stats, nil
 }
 
 // JoinPairs returns the streaming join as an iterator, for

@@ -161,7 +161,7 @@ func TestJoinCancellationPrompt(t *testing.T) {
 
 	for _, opts := range []JoinOptions{
 		{Workers: 4},
-		{Workers: 4, LeftObjects: lStore, RightObjects: rStore, RefineWorkers: 4},
+		{Workers: 4, LeftObjects: lStore, RightObjects: rStore},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0

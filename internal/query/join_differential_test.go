@@ -178,7 +178,7 @@ func TestJoinStreamAPI(t *testing.T) {
 	lStore, _, lIdx := joinScenario(t, 31, 240)
 	rStore, _, rIdx := joinScenario(t, 32, 200)
 	rels := topo.NewSet(topo.Overlap)
-	opts := JoinOptions{LeftObjects: lStore, RightObjects: rStore, RefineWorkers: 4}
+	opts := JoinOptions{LeftObjects: lStore, RightObjects: rStore}
 
 	batch, err := JoinTopological(lIdx, rIdx, rels, opts)
 	if err != nil {

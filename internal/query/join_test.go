@@ -310,7 +310,8 @@ func TestJoinFiguresPinned(t *testing.T) {
 			trees[i] = idx.(*rtree.Tree)
 		}
 		for _, rel := range []topo.Relation{topo.Inside, topo.Contains, topo.Covers, topo.CoveredBy, topo.Overlap, topo.Meet} {
-			cands, prop := joinConfigs(topo.NewSet(rel), JoinOptions{})
+			cands := mbr.CandidatesSet(topo.NewSet(rel))
+			prop := mbr.JoinPropagation(cands)
 			var got row
 			ts, err := rtree.JoinCtx(context.Background(), trees[0], trees[1],
 				pairTestFor(prop).admits, pairTestFor(cands).admits,

@@ -22,9 +22,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
@@ -151,51 +148,40 @@ type Processor struct {
 	// paper): candidates whose hull-level relation already decides
 	// membership skip the exact test.
 	SecondFilter bool
-	// RefineWorkers bounds the worker pool of the refinement step.
-	// Step 4 of the paper's strategy tests each candidate independently,
-	// so it parallelises cleanly: values > 1 refine candidates on that
-	// many goroutines (result order and statistics are unchanged).
-	// 0 or 1 refines serially; a negative value uses GOMAXPROCS.
-	RefineWorkers int
 }
 
-// refineParallelMin is the candidate count below which parallel
-// refinement is not worth the goroutine setup.
-const refineParallelMin = 16
+// tables is a contiguity mode's pair of tables: Table 1, from a relation
+// set to the MBR configurations its objects may stand in, and its dual
+// (Figure 5), from a configuration to the relations it admits. The
+// Section 7 mode relaxes both (disjoint → every configuration, meet →
+// every point-sharing one). Processor and join pick theirs here.
+type tables struct {
+	candidates func(topo.Set) mbr.ConfigSet
+	possible   func(mbr.Config) topo.Set
+}
 
-// refineWorkers resolves the configured pool size.
-func (p *Processor) refineWorkers() int {
-	switch {
-	case p.RefineWorkers < 0:
-		return runtime.GOMAXPROCS(0)
-	case p.RefineWorkers == 0:
-		return 1
-	default:
-		return p.RefineWorkers
+func tablesFor(nonContiguous bool) tables {
+	if nonContiguous {
+		return tables{mbr.CandidatesNonContiguousSet, mbr.PossibleRelationsNonContiguous}
 	}
+	return tables{mbr.CandidatesSet, mbr.PossibleRelations}
+}
+
+// decides is Figure 9 generalised to disjunctions: every relation the
+// configuration of a against b admits is wanted, so the pair qualifies
+// without a look at the geometry.
+func (t tables) decides(a, b geom.Rect, rels topo.Set) bool {
+	return t.possible(mbr.ConfigOf(a, b)).SubsetOf(rels)
 }
 
 // candidateConfigs maps a relation disjunction to the admissible MBR
 // configurations under the processor's modes.
 func (p *Processor) candidateConfigs(rels topo.Set) mbr.ConfigSet {
-	var c mbr.ConfigSet
-	if p.NonContiguous {
-		c = mbr.CandidatesNonContiguousSet(rels)
-	} else {
-		c = mbr.CandidatesSet(rels)
-	}
+	c := tablesFor(p.NonContiguous).candidates(rels)
 	if p.NonCrisp {
 		c = mbr.Expand2(c)
 	}
 	return c
-}
-
-// possibleRelations is the mode-aware dual of Table 1.
-func (p *Processor) possibleRelations(c mbr.Config) topo.Set {
-	if p.NonContiguous {
-		return mbr.PossibleRelationsNonContiguous(c)
-	}
-	return mbr.PossibleRelations(c)
 }
 
 // pairTest is the one rectangle-pair test of the package, "a stands in
@@ -274,112 +260,68 @@ func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Re
 	return stats, nil
 }
 
-// refineVerdict is the outcome of refining one candidate: whether it
-// is a match, and which statistics counters its test touched.
-type refineVerdict struct {
-	accept         bool
-	directAccept   bool
-	hullResolved   bool
-	refinementTest bool
-	falseHit       bool
-	missingOID     uint64
-	missing        bool
-}
-
-// refineOne applies step 4 to a single candidate. It only reads
-// Processor state, so verdicts for different candidates can be
-// computed concurrently.
-func (p *Processor) refineOne(m Match, rels topo.Set, refMBR geom.Rect, ref geom.Region, refHull geom.Polygon) refineVerdict {
-	cfg := mbr.ConfigOf(m.Rect, refMBR)
-	// Figure 9 generalised to disjunctions: if every relation the
-	// configuration admits is wanted, accept without geometry. Not
-	// applicable in non-crisp mode, where the stored MBR may be
-	// larger than the true one.
-	if !p.NonCrisp && p.possibleRelations(cfg).SubsetOf(rels) {
-		return refineVerdict{accept: true, directAccept: true}
+// step4 is the strategy's last step for one candidate. Where its MBR
+// configuration alone decides it (direct — Figure 9; a caller never
+// claims it in non-crisp mode, where the stored MBR may be larger than
+// the true one) it is accepted unseen; otherwise exact fetches the
+// geometry and tests it. An error from exact (an object its store does
+// not hold) is returned with no counter moved.
+func step4(stats *Stats, direct bool, exact func() (bool, error)) (bool, error) {
+	if direct {
+		stats.DirectAccepts++
+		return true, nil
 	}
-	obj, ok := p.Objects.Object(m.OID)
+	ok, err := exact()
+	if err != nil {
+		return false, err
+	}
+	stats.RefinementTests++
 	if !ok {
-		return refineVerdict{missing: true, missingOID: m.OID}
+		stats.FalseHits++
 	}
-	if p.SecondFilter {
-		poss := geom.PossibleGivenHulls(geom.Relate(geom.HullOf(obj), refHull))
-		switch {
-		case poss.Intersect(rels).IsEmpty():
-			return refineVerdict{hullResolved: true, falseHit: true}
-		case poss.SubsetOf(rels):
-			return refineVerdict{accept: true, hullResolved: true}
-		}
-	}
-	if rels.Has(geom.RelateRegions(obj, ref)) {
-		return refineVerdict{accept: true, refinementTest: true}
-	}
-	return refineVerdict{refinementTest: true, falseHit: true}
+	return ok, nil
 }
 
-// refine applies step 4 to the candidates, optionally routed through
-// the convex-hull second filter. With RefineWorkers > 1 the exact
-// geometry tests run on a bounded worker pool; verdicts are folded in
-// candidate order, so matches and statistics are identical to the
-// serial run. The ObjectStore must then be safe for concurrent reads
-// (the map-backed stores are, as long as nothing mutates them).
-func (p *Processor) refine(ctx context.Context, cands []Match, rels topo.Set, refMBR geom.Rect, ref geom.Region, stats *Stats) ([]Match, error) {
-	var refHull geom.Polygon
-	if p.SecondFilter {
-		refHull = geom.HullOf(ref)
-	}
-	verdicts := make([]refineVerdict, len(cands))
-	if workers := p.refineWorkers(); workers > 1 && len(cands) >= refineParallelMin {
-		if workers > len(cands) {
-			workers = len(cands)
+// refined is the result of a query class whose filter step left cands
+// and stats: the candidates decide accepts, in candidate order, and the
+// counters decide moved.
+func refined(cands []Match, stats Stats, decide func(*Stats, Match) (bool, error)) (Result, error) {
+	res := Result{Matches: cands[:0:0], Stats: stats}
+	for _, m := range cands {
+		ok, err := decide(&res.Stats, m)
+		if err != nil {
+			return Result{}, err
 		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cands) || ctx.Err() != nil {
-						return
-					}
-					verdicts[i] = p.refineOne(cands[i], rels, refMBR, ref, refHull)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, m := range cands {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			verdicts[i] = p.refineOne(m, rels, refMBR, ref, refHull)
+		if ok {
+			res.Matches = append(res.Matches, m)
 		}
 	}
-	out := cands[:0:0]
-	for i, v := range verdicts {
-		if v.missing {
-			return nil, fmt.Errorf("query: refinement needs object %d, not in store", v.missingOID)
-		}
-		if v.directAccept {
-			stats.DirectAccepts++
-		}
-		if v.hullResolved {
-			stats.HullResolved++
-		}
-		if v.refinementTest {
-			stats.RefinementTests++
-		}
-		if v.falseHit {
-			stats.FalseHits++
-		}
-		if v.accept {
-			out = append(out, cands[i])
-		}
+	return res, nil
+}
+
+// object fetches a candidate's geometry for an exact test.
+func (p *Processor) object(oid uint64) (geom.Region, error) {
+	obj, ok := p.Objects.Object(oid)
+	if !ok {
+		return nil, fmt.Errorf("query: refinement needs object %d, not in store", oid)
 	}
-	return out, nil
+	return obj, nil
+}
+
+// hullFilter is the second filter step of Brinkhoff et al. (1994),
+// between the MBR filter and the exact test: where the relation of the
+// two convex hulls already rules the wanted relations in or out, the
+// candidate is resolved without exact geometry.
+func hullFilter(stats *Stats, obj geom.Region, refHull geom.Polygon, rels topo.Set) (accept, resolved bool) {
+	poss := geom.PossibleGivenHulls(geom.Relate(geom.HullOf(obj), refHull))
+	switch {
+	case poss.Intersect(rels).IsEmpty():
+		stats.HullResolved++
+		stats.FalseHits++
+		return false, true
+	case poss.SubsetOf(rels):
+		stats.HullResolved++
+		return true, true
+	}
+	return false, false
 }

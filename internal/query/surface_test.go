@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,13 +14,18 @@ import (
 // index is traversed from exactly one call site (descend), and no
 // exported name is the …Ctx twin of another — the context-taking
 // streaming functions are the API, the materialising helpers wrap them.
+// Step 4 is one function as well: the refinement counters move in step4
+// (false hits also in the hull filter in front of it), the join engine
+// is entered from one call site, and the query classes of query.go and
+// batch.go refine where they stand — no goroutine, no lock, no atomic.
 func TestOneDescentSurface(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	searches := 0
+	searches, joins := 0, 0
+	counted := map[string][]string{} // refinement counter → functions that increment it
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -28,12 +34,35 @@ func TestOneDescentSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		serial := name == "query.go" || name == "batch.go"
+		for _, imp := range f.Imports {
+			if serial && strings.HasPrefix(imp.Path.Value, `"sync`) {
+				t.Errorf("%s imports %s: step 4 runs where its caller stands", name, imp.Path.Value)
+			}
+		}
+		fn := ""
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				fn = n.Name.Name
+			case *ast.GoStmt:
+				if serial {
+					t.Errorf("%s: %s starts a goroutine", name, fn)
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					switch sel.Sel.Name {
+					case "DirectAccepts", "RefinementTests", "FalseHits":
+						counted[sel.Sel.Name] = append(counted[sel.Sel.Name], fn)
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 					switch sel.Sel.Name {
 					case "SearchHits", "SearchCtx", "Search":
 						searches++
+					case "JoinCtx":
+						joins++
 					}
 				}
 			}
@@ -65,5 +94,17 @@ func TestOneDescentSurface(t *testing.T) {
 	}
 	if searches != 1 {
 		t.Errorf("%d index traversal call sites in package query, want exactly 1 (descend's SearchHits)", searches)
+	}
+	if joins != 1 {
+		t.Errorf("%d rtree.JoinCtx call sites in package query, want exactly 1 (JoinStream's)", joins)
+	}
+	for counter, want := range map[string][]string{
+		"DirectAccepts":   {"step4"},
+		"RefinementTests": {"step4"},
+		"FalseHits":       {"step4", "hullFilter"},
+	} {
+		if got := counted[counter]; !slices.Equal(got, want) {
+			t.Errorf("Stats.%s is incremented in %v, want %v", counter, got, want)
+		}
 	}
 }

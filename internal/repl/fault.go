@@ -58,13 +58,6 @@ func NewFaultConn(conn net.Conn, mode FaultMode, at int64) *FaultConn {
 	return &FaultConn{Conn: conn, mode: mode, at: at, closed: make(chan struct{})}
 }
 
-// Tripped reports whether the fault has fired.
-func (c *FaultConn) Tripped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tripped
-}
-
 // Close unblocks a stalled read and closes the underlying connection.
 func (c *FaultConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })

@@ -55,6 +55,13 @@ type followState struct {
 	promoted atomic.Bool
 }
 
+// stop cancels the follower loops and waits them out. Promote and
+// Server.Close both call it; a second call finds nothing running.
+func (fs *followState) stop() {
+	fs.cancel()
+	fs.wg.Wait()
+}
+
 // Follow starts replication: every index registered with
 // IndexSpec.Follower gets a follower loop streaming from
 // cfg.Primary's /v1/replicate. While following, the server answers
@@ -143,8 +150,7 @@ func (s *Server) Promote() error {
 			return fmt.Errorf("server: index %q has not bootstrapped from %s yet", name, fs.cfg.Primary)
 		}
 	}
-	fs.cancel()
-	fs.wg.Wait()
+	fs.stop()
 	var firstErr error
 	for _, inst := range s.listInstances() {
 		if inst.dur == nil || !inst.dur.spec.Follower {

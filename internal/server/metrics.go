@@ -196,9 +196,6 @@ type Metrics struct {
 
 	nodeAccesses     counter
 	candidates       counter
-	refinementTests  counter
-	directAccepts    counter
-	falseHits        counter
 	planShortCircuit counter
 
 	// Joins run orders of magnitude longer than window queries, so they
@@ -247,9 +244,6 @@ func newMetrics(cache *resultCache) *Metrics {
 	m.counter("topod_disconnects_total", "Query streams abandoned before completion.", &m.disconnects)
 	m.counter("topod_node_accesses_total", "Tree pages read, folded from per-request TraversalStats (the paper's disk accesses).", &m.nodeAccesses)
 	m.counter("topod_candidates_total", "Filter-step candidate MBRs retrieved (the paper's hits per search).", &m.candidates)
-	m.counter("topod_refinement_tests_total", "Candidates that needed an exact geometry test.", &m.refinementTests)
-	m.counter("topod_direct_accepts_total", "Candidates accepted from MBR configuration alone (Figure 9).", &m.directAccepts)
-	m.counter("topod_false_hits_total", "Candidates rejected by refinement.", &m.falseHits)
 	m.counter("topod_plan_shortcircuit_total", "Conjunctions answered empty from the relation composition table (zero page reads).", &m.planShortCircuit)
 	if cache != nil {
 		cache.register(m)
@@ -287,9 +281,6 @@ func bit(b bool) int {
 func (m *Metrics) FoldQuery(s query.Stats) {
 	m.nodeAccesses.Add(s.NodeAccesses)
 	m.candidates.Add(uint64(s.Candidates))
-	m.refinementTests.Add(uint64(s.RefinementTests))
-	m.directAccepts.Add(uint64(s.DirectAccepts))
-	m.falseHits.Add(uint64(s.FalseHits))
 	if s.ShortCircuited {
 		m.planShortCircuit.Add(1)
 	}

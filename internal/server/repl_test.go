@@ -9,7 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,13 +74,10 @@ func newReplFollower(t *testing.T, primary string, client *http.Client, cfg Foll
 	if err := srv.Follow(cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Stop the follower loops before the httptest servers close (LIFO):
-	// an open /v1/replicate stream would otherwise block the primary's
-	// Close forever.
-	t.Cleanup(func() {
-		srv.follow.cancel()
-		srv.follow.wg.Wait()
-	})
+	// Close stops the follower loops, and runs before the httptest
+	// servers close (LIFO): an open /v1/replicate stream would otherwise
+	// block the primary's Close forever.
+	t.Cleanup(func() { _ = srv.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -222,6 +221,58 @@ func TestReplBootstrapAndLiveDifferential(t *testing.T) {
 	if pinst.ReadIndex().Len() != finst.ReadIndex().Len() {
 		t.Fatalf("object counts diverged: primary %d, follower %d",
 			pinst.ReadIndex().Len(), finst.ReadIndex().Len())
+	}
+}
+
+// TestFollowerCloseStopsReplication: Close on a replica stops its
+// follower loops before it closes the indexes. A loop left streaming
+// fails the next record's position check against the closed log,
+// reconnects in bootstrap mode and publishes a new image and a fresh WAL
+// on a closed server — so after Close one more write on the primary must
+// leave the replica's log closed, its snapshot count and its data
+// directory as they were.
+func TestFollowerCloseStopsReplication(t *testing.T) {
+	primary, pts, d := newReplPrimary(t, 200, 1000)
+	follower, _ := newReplFollower(t, pts.URL, nil, FollowConfig{})
+	mutatePrimary(t, pts.URL, d, 5)
+	waitCaughtUp(t, primary, follower)
+
+	finst, _ := follower.instance("main")
+	f := follower.follow.followers["main"]
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		entries, err := os.ReadDir(finst.dur.spec.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %d %v\n", e.Name(), info.Size(), info.ModTime().UnixNano())
+		}
+		return b.String()
+	}
+	before, snapshots := listing(), f.Status().Snapshots
+
+	mutatePrimary(t, pts.URL, d, 1)
+	time.Sleep(150 * time.Millisecond) // the damage used to show within 20 ms
+
+	finst.dur.mu.Lock()
+	reopened := finst.dur.log != nil
+	finst.dur.mu.Unlock()
+	if reopened {
+		t.Error("a follower loop reopened the WAL of a closed server")
+	}
+	if st := f.Status(); st.Connected || st.Snapshots != snapshots {
+		t.Errorf("after Close: connected %v, %d snapshots (had %d)", st.Connected, st.Snapshots, snapshots)
+	}
+	if after := listing(); after != before {
+		t.Errorf("the data directory changed after Close:\n%s\nwas:\n%s", after, before)
 	}
 }
 

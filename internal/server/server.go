@@ -608,7 +608,13 @@ func (s *Server) buildInstance(spec IndexSpec, items []index.Item) (*Instance, e
 
 // Close checkpoints and releases every durable index. The server must
 // not be serving requests any more (call after http.Server.Shutdown).
+// A replica's follower loops are stopped first: one left streaming
+// would find its index's log closed, reconnect in bootstrap mode and
+// rewrite the image and open a fresh WAL under a closed server.
 func (s *Server) Close() error {
+	if s.follow != nil {
+		s.follow.stop()
+	}
 	var firstErr error
 	for _, inst := range s.listInstances() {
 		if inst.watch != nil {

@@ -44,12 +44,9 @@ type QueryRequest struct {
 // WireStats is query.Stats on the wire. Explain appears only when the
 // request set QueryRequest.Explain.
 type WireStats struct {
-	NodeAccesses    uint64 `json:"node_accesses"`
-	Candidates      int    `json:"candidates"`
-	RefinementTests int    `json:"refinement_tests,omitempty"`
-	DirectAccepts   int    `json:"direct_accepts,omitempty"`
-	FalseHits       int    `json:"false_hits,omitempty"`
-	Explain         string `json:"explain,omitempty"`
+	NodeAccesses uint64 `json:"node_accesses"`
+	Candidates   int    `json:"candidates"`
+	Explain      string `json:"explain,omitempty"`
 }
 
 // QueryLine is one NDJSON line of a /v1/query response. Match lines
@@ -293,11 +290,5 @@ func RectToWire(r geom.Rect) [4]float64 {
 
 // StatsToWire converts engine statistics to the wire shape.
 func StatsToWire(s query.Stats) WireStats {
-	return WireStats{
-		NodeAccesses:    s.NodeAccesses,
-		Candidates:      s.Candidates,
-		RefinementTests: s.RefinementTests,
-		DirectAccepts:   s.DirectAccepts,
-		FalseHits:       s.FalseHits,
-	}
+	return WireStats{NodeAccesses: s.NodeAccesses, Candidates: s.Candidates}
 }

@@ -94,11 +94,6 @@ func (r Relation) Converse() Relation {
 	return converseTable[r]
 }
 
-// Refines reports whether r refines not_disjoint, i.e. whether the
-// regions share at least one point (every relation except Disjoint).
-// The paper calls {disjoint, not_disjoint} the set mt1.
-func (r Relation) Refines() bool { return r != Disjoint }
-
 // SharesInterior reports whether regions in relation r share interior
 // points.
 func (r Relation) SharesInterior() bool {

@@ -50,10 +50,7 @@ var ErrClosed = errors.New("watch: table closed")
 // Mutation is one applied index change — the very record the write
 // path logs, so a commit is published without being converted. The
 // write path publishes them in apply order, batched per commit.
-type (
-	Mutation = wal.Record
-	Op       = wal.Op
-)
+type Mutation = wal.Record
 
 // The mutation kinds the write path publishes.
 const (
@@ -151,12 +148,6 @@ type Subscription struct {
 
 // ID identifies the subscription within its table.
 func (s *Subscription) ID() uint64 { return s.id }
-
-// Ref returns the reference rectangle.
-func (s *Subscription) Ref() geom.Rect { return s.ref }
-
-// Relations returns the watched relation set.
-func (s *Subscription) Relations() topo.Set { return s.rels }
 
 // StartGen is the last generation already reflected in the index when
 // the subscription attached; events carry strictly larger generations.

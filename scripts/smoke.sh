@@ -28,7 +28,9 @@
 # /v1/bulk, asserts the enter/exit event sequence arrives, and checks
 # SIGTERM ends the stream with a terminal drain line. A seventh leg
 # boots a primary + -follow replica pair, checks the replica serves
-# the primary's data and 403s writes, kill -9s the primary, promotes
+# the primary's data and 403s writes, SIGTERMs the still-following
+# replica beside a primary write (exit 0, bye inside -drain, no *.tmp)
+# and restarts it on the same directory, kill -9s the primary, promotes
 # the replica via POST /v1/promote, and asserts a write then succeeds.
 # An eighth leg boots `-shards 4` next to a `-shards 1` twin over the
 # same dataset, asserts identical query/knn/join counts through the
@@ -687,7 +689,7 @@ ADDR7="$(wait_listen "$LOG11")" || {
 PRI="http://$ADDR7"
 wait_ready "$PRI" || { echo "smoke: repl-leg primary never became ready" >&2; exit 1; }
 
-"$TOPOD" -addr 127.0.0.1:0 -follow "$PRI" -data-dir "$DATADIR6" -max-lag 5s \
+"$TOPOD" -addr 127.0.0.1:0 -follow "$PRI" -data-dir "$DATADIR6" -max-lag 5s -drain 5s \
   >"$LOG12" 2>&1 &
 PID8=$!
 
@@ -728,6 +730,51 @@ WCODE="$(curl -s -o "$HDRS" -w '%{http_code}' \
 grep -q '"primary"' "$HDRS" \
   || { echo "smoke: replica 403 does not name the primary: $(cat "$HDRS")" >&2; exit 1; }
 
+# A replica that is still following shuts down like any other topod:
+# SIGTERM it while the primary takes a write. Close stops the follower
+# loops before it closes the indexes, so the process exits 0 with its
+# bye inside the drain budget and leaves no half-written image behind —
+# a loop left streaming would re-bootstrap into the closed directory.
+curl -sf -d '{"oid":555004,"rect":[40060,40060,40070,40070]}' "$PRI/v1/insert" >/dev/null &
+WPID=$!
+SECONDS=0
+kill -TERM "$PID8"
+if ! wait "$PID8"; then
+  echo "smoke: following replica exited non-zero on SIGTERM" >&2
+  cat "$LOG12" >&2
+  exit 1
+fi
+wait "$WPID" || { echo "smoke: primary write beside the replica's shutdown failed" >&2; exit 1; }
+[ "$SECONDS" -lt 5 ] \
+  || { echo "smoke: following replica took ${SECONDS}s to drain (-drain 5s)" >&2; cat "$LOG12" >&2; exit 1; }
+grep -q '^topod: bye$' "$LOG12" \
+  || { echo "smoke: following replica logged no bye" >&2; cat "$LOG12" >&2; exit 1; }
+TMPS="$(find "$DATADIR6" -name '*.tmp')"
+[ -z "$TMPS" ] \
+  || { echo "smoke: replica shutdown left temporary files: $TMPS" >&2; exit 1; }
+
+# The same directory boots again and catches up, the write it missed
+# included. Its log starts over, so the address scrape is unambiguous.
+: >"$LOG12"
+"$TOPOD" -addr 127.0.0.1:0 -follow "$PRI" -data-dir "$DATADIR6" -max-lag 5s -drain 5s \
+  >"$LOG12" 2>&1 &
+PID8=$!
+ADDR8="$(wait_listen "$LOG12")" || {
+  echo "smoke: restarted replica never started listening" >&2
+  cat "$LOG12" >&2
+  exit 1
+}
+REP="http://$ADDR8"
+wait_ready "$REP" || { echo "smoke: restarted replica never became ready" >&2; cat "$LOG12" >&2; exit 1; }
+REPLICATED=""
+for _ in $(seq 1 100); do
+  RQ="$(curl -sf -d '{"relations":["not_disjoint"],"ref":[40055,40055,40075,40075]}' "$REP/v1/query" || true)"
+  if echo "$RQ" | grep -q '"oid":555004'; then REPLICATED=yes; break; fi
+  sleep 0.1
+done
+[ -n "$REPLICATED" ] \
+  || { echo "smoke: restarted replica never served the write it missed" >&2; cat "$LOG12" >&2; exit 1; }
+
 # Hot failover: hard-kill the primary, promote the replica, and write.
 kill -9 "$PID7"
 wait "$PID7" 2>/dev/null || true
@@ -757,7 +804,7 @@ if ! wait "$PID8"; then
   exit 1
 fi
 
-echo "smoke OK: replica followed, failed over on kill -9, and accepted writes"
+echo "smoke OK: replica followed, drained on SIGTERM while following and caught up after a restart, failed over on kill -9, and accepted writes"
 
 # ---- shard leg: -shards 4 vs -shards 1, scatter-gather answer
 # parity, then kill -9 + reboot recovering every tile ----
