@@ -1,17 +1,24 @@
 GO ?= go
 
-.PHONY: verify race test paper bench-smoke fmt smoke fuzz
+.PHONY: verify orphans race test paper bench-smoke fmt smoke fuzz
 
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
 # imports internal/ packages: vet it too, so that deleting a symbol it
 # calls fails here and not only in CI's bench-smoke job.
-verify:
+verify: orphans
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	$(GO) test ./...
+
+# Dead-symbol gate: the exported funcs only tests call must be exactly
+# the ones scripts/orphans.allow gives a reason for. A `-` line is a new
+# orphan (delete it or add its reason); a `+` line is an entry whose
+# func is gone or has found a caller (drop it).
+orphans:
+	@bash -c 'diff -u --label scripts/orphans.sh --label scripts/orphans.allow <(bash scripts/orphans.sh) <(cut -d" " -f1 scripts/orphans.allow)'
 
 # Concurrency gate: readers, batched writers, and group commit must be
 # race-free across every package, with exact per-query statistics.

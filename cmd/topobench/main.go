@@ -23,29 +23,23 @@ import (
 	"strings"
 
 	"mbrtopo/internal/experiments"
-	"mbrtopo/internal/index"
 	"mbrtopo/internal/workload"
 )
 
 func main() {
+	cfg := experiments.Default()
 	var (
 		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(experiments.IDs(), ", ")+")")
-		n        = flag.Int("n", 10000, "data file cardinality")
-		queries  = flag.Int("queries", 100, "search file cardinality")
-		seed     = flag.Int64("seed", 1995, "random seed")
-		pageSize = flag.Int("pagesize", index.PaperPageSize, "page size in bytes (2008 → 50 entries/page)")
+		n        = flag.Int("n", cfg.NData, "data file cardinality")
+		queries  = flag.Int("queries", cfg.NQueries, "search file cardinality")
+		seed     = flag.Int64("seed", cfg.Seed, "random seed")
+		pageSize = flag.Int("pagesize", cfg.PageSize, "page size in bytes (2008 → 50 entries/page)")
 		class    = flag.String("class", "medium", "size class for single-class experiments (small, medium, large)")
 		quick    = flag.Bool("quick", false, "use a scaled-down configuration")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{
-		NData:    *n,
-		NQueries: *queries,
-		Seed:     *seed,
-		PageSize: *pageSize,
-		Classes:  workload.AllSizeClasses(),
-	}
+	cfg.NData, cfg.NQueries, cfg.Seed, cfg.PageSize = *n, *queries, *seed, *pageSize
 	if *quick {
 		cfg = experiments.Quick()
 	}

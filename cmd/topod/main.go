@@ -28,7 +28,7 @@
 // With -data-dir the index is durable: its state lives in the
 // directory as two files — name.flat, a checksummed MBRFLAT1 image of
 // the last checkpoint, and name.wal.<gen>, the mutations since
-// (-fsync always|interval|never). It is checkpointed as the log grows
+// (-fsync always|never). It is checkpointed as the log grows
 // (-checkpoint-every) and recovered on the next boot — a kill -9 loses
 // no acknowledged mutation under -fsync always. A clean SIGTERM
 // checkpoints so the restart replays nothing:
@@ -122,10 +122,9 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGTERM")
 
-		dataDir    = flag.String("data-dir", "", "durable state directory: checkpoint image + WAL, recovered on boot")
-		fsync      = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, never")
-		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "flush staleness bound under -fsync interval")
-		ckptEvery  = flag.Int("checkpoint-every", server.DefaultCheckpointEvery, "checkpoint after this many logged mutations")
+		dataDir   = flag.String("data-dir", "", "durable state directory: checkpoint image + WAL, recovered on boot")
+		fsync     = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always (fsync each group commit before acknowledging it) or never (leave flushing to the OS)")
+		ckptEvery = flag.Int("checkpoint-every", server.DefaultCheckpointEvery, "checkpoint after this many logged mutations")
 
 		follow        = flag.String("follow", "", "run as a read replica of this primary base URL (requires -data-dir); POST /v1/promote or SIGUSR1 promotes")
 		maxLag        = flag.Duration("max-lag", 5*time.Second, "follower readiness gate: 503 on /readyz after this long without contact from the primary")
@@ -156,14 +155,13 @@ func main() {
 	if *follow != "" && *dataDir == "" {
 		fatal(fmt.Errorf("-follow requires -data-dir (the replica keeps its own checkpoint image + WAL)"))
 	}
+	policy, err := wal.ParseSyncPolicy(*fsync)
+	if err != nil {
+		fatal(err)
+	}
 	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsync)
-		if err != nil {
-			fatal(err)
-		}
 		spec.Dir = *dataDir
 		spec.Fsync = policy
-		spec.FsyncInterval = *fsyncEvery
 		spec.CheckpointEvery = *ckptEvery
 		spec.Follower = *follow != ""
 	}

@@ -48,12 +48,6 @@ func Relate(P, Q Polygon) topo.Relation {
 	}
 }
 
-// RelateMatrix returns the 9-intersection matrix corresponding to
-// Relate(P, Q).
-func RelateMatrix(P, Q Polygon) topo.Matrix {
-	return Relate(P, Q).Matrix()
-}
-
 // boundaryClass aggregates how the boundary of one region lies with
 // respect to the other region.
 type boundaryClass struct {

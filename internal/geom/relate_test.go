@@ -80,9 +80,6 @@ func TestRelateFixtures(t *testing.T) {
 		if got := Relate(c.q, c.p); got != c.want.Converse() {
 			t.Errorf("%s (swapped): Relate = %v, want %v", c.name, got, c.want.Converse())
 		}
-		if got := RelateMatrix(c.p, c.q); got != c.want.Matrix() {
-			t.Errorf("%s: matrix %v, want %v", c.name, got, c.want.Matrix())
-		}
 	}
 }
 

@@ -35,8 +35,6 @@ type Index interface {
 	InsertBatch(recs []rtree.Record) error
 	// Delete removes the entry with exactly this rectangle and id.
 	Delete(r geom.Rect, oid uint64) error
-	// Update moves an object to a new rectangle (delete + insert).
-	Update(oldRect, newRect geom.Rect, oid uint64) error
 	// SearchHits traverses the structure, descending into internal
 	// entries whose rectangles satisfy nodePred and emitting leaf entries
 	// whose rectangles satisfy leafPred, until emit returns false.
@@ -114,7 +112,7 @@ func AllKinds() []Kind { return []Kind{KindRTree, KindRPlus, KindRStar} }
 // paperOptions returns the paper's experimental settings for a
 // covering-rectangle kind: quadratic split for the R-tree; R* subtree
 // choice, margin-driven split and forced reinsertion for the R*-tree
-// (m = 40% for both). The R+-tree takes the zero Options.
+// (m = 40% for both). The R+-tree has no options.
 func paperOptions(kind Kind) rtree.Options {
 	if kind == KindRStar {
 		return rtree.Options{Split: rtree.SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}
@@ -142,7 +140,7 @@ func newArena(kind Kind, pageSize int, name string) (Index, error) {
 	case KindRTree, KindRStar:
 		return rtree.NewArena(pageSize, paperOptions(kind), name)
 	case KindRPlus:
-		return rtree.NewRPlusArena(pageSize, rtree.Options{})
+		return rtree.NewRPlusArena(pageSize)
 	}
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
@@ -186,7 +184,7 @@ func NewOnFile(kind Kind, file pagefile.File) (Index, error) {
 	case KindRTree, KindRStar:
 		return rtree.New(file, paperOptions(kind), kind.String())
 	case KindRPlus:
-		return rtree.NewRPlus(file, rtree.Options{})
+		return rtree.NewRPlus(file)
 	}
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
@@ -226,7 +224,7 @@ func Adopt(kind Kind, pageSize int, flat *rtree.FlatTree) (Index, error) {
 	case KindRTree, KindRStar:
 		return rtree.Adopt(flat, pageSize, paperOptions(kind), flat.Name())
 	case KindRPlus:
-		return rtree.AdoptRPlus(flat, pageSize, rtree.Options{})
+		return rtree.AdoptRPlus(flat, pageSize)
 	}
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }

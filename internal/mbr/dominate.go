@@ -112,13 +112,6 @@ func (d AxisDom) Admits(pLo, pHi, qLo, qHi float64) bool {
 		signOf(pHi, qLo)&d.m[3] != 0
 }
 
-// Trivial reports whether the predicate admits every sign vector and
-// therefore cannot prune anything.
-func (d AxisDom) Trivial() bool {
-	all := signLess | signEqual | signMore
-	return d.m[0] == all && d.m[1] == all && d.m[2] == all && d.m[3] == all
-}
-
 // Domination is the two-axis predicate for a configuration set.
 type Domination struct {
 	X, Y AxisDom
@@ -139,6 +132,3 @@ func (d Domination) Admits(p, q geom.Rect) bool {
 	return d.X.Admits(p.Min.X, p.Max.X, q.Min.X, q.Max.X) &&
 		d.Y.Admits(p.Min.Y, p.Max.Y, q.Min.Y, q.Max.Y)
 }
-
-// Trivial reports whether the predicate cannot prune anything.
-func (d Domination) Trivial() bool { return d.X.Trivial() && d.Y.Trivial() }

@@ -48,15 +48,6 @@ func LineCandidates(r geom.LineRegionRelation) ConfigSet {
 	return lineCandidatesTable[r]
 }
 
-// LineCandidatesSet returns the union of rows for a set of relations.
-func LineCandidatesSet(rels []geom.LineRegionRelation) ConfigSet {
-	var out ConfigSet
-	for _, r := range rels {
-		out = out.Union(LineCandidates(r))
-	}
-	return out
-}
-
 // PossibleLineRelations returns the line-region relations an observed
 // configuration admits.
 func PossibleLineRelations(c Config) []geom.LineRegionRelation {

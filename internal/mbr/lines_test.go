@@ -22,7 +22,10 @@ func TestLineCandidateCardinalities(t *testing.T) {
 			t.Errorf("|%v| = %d, want %d", r, got, n)
 		}
 	}
-	union := LineCandidatesSet(geom.AllLineRegionRelations())
+	var union ConfigSet
+	for _, r := range geom.AllLineRegionRelations() {
+		union = union.Union(LineCandidates(r))
+	}
 	if !union.Equal(FullConfigSet()) {
 		t.Errorf("line rows miss configurations: %v", FullConfigSet().Minus(union))
 	}

@@ -293,11 +293,9 @@ func TestPropagationLaws(t *testing.T) {
 func TestExpand2Table5(t *testing.T) {
 	for _, r := range topo.All() {
 		crisp := Candidates(r)
-		e1 := Expand1(crisp)
 		e2 := CandidatesNonCrisp(r)
-		if !crisp.SubsetOf(e1) || !e1.SubsetOf(e2) {
-			t.Errorf("%v: expansion not monotone (crisp %d, e1 %d, e2 %d)",
-				r, crisp.Len(), e1.Len(), e2.Len())
+		if !crisp.SubsetOf(e2) {
+			t.Errorf("%v: expansion not monotone (crisp %d, e2 %d)", r, crisp.Len(), e2.Len())
 		}
 	}
 	// "the output MBRs for the relation overlap remain constant".

@@ -12,25 +12,13 @@ import (
 // reachable from the crisp ones by up to two conceptual-neighbourhood
 // steps of enlargement per axis — the paper's Table 5.
 
-// Expand1 returns s expanded per axis by first-degree conceptual
-// neighbours (enlargement of either rectangle by up to one step).
-func Expand1(s ConfigSet) ConfigSet {
-	return expand(s, func(r interval.Relation) interval.Set {
-		return interval.NewSet(r).Union(interval.FirstDegreeNeighbours(r))
-	})
-}
-
 // Expand2 returns s expanded per axis by first- and second-degree
 // conceptual neighbours: the paper's Table 5 retrieval sets, tolerant
 // to 2-degree relation deformation.
 func Expand2(s ConfigSet) ConfigSet {
-	return expand(s, interval.Neighbourhood2)
-}
-
-func expand(s ConfigSet, nbh func(interval.Relation) interval.Set) ConfigSet {
 	var out ConfigSet
 	for _, c := range s.Configs() {
-		out = out.Union(ProductSet(nbh(c.X), nbh(c.Y)))
+		out = out.Union(ProductSet(interval.Neighbourhood2(c.X), interval.Neighbourhood2(c.Y)))
 	}
 	return out
 }

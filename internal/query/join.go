@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 
@@ -354,33 +353,4 @@ feed:
 		}
 	}
 	return total, nil
-}
-
-// JoinPairs returns the streaming join as an iterator, for
-// range-over-func consumers:
-//
-//	for p, err := range query.JoinPairs(ctx, left, right, rels, opts, 0) {
-//	    if err != nil { ... }
-//	    use(p)
-//	}
-//
-// A non-nil error, if any, is the final pair's second value (with a
-// zero JoinPair). Breaking out of the loop stops the join. limit > 0
-// caps the number of pairs delivered.
-func JoinPairs(ctx context.Context, left, right index.Index, rels topo.Set, opts JoinOptions, limit int) iter.Seq2[JoinPair, error] {
-	return func(yield func(JoinPair, error) bool) {
-		stopped := false
-		emitted := 0
-		_, err := JoinStream(ctx, left, right, rels, opts, func(p JoinPair) bool {
-			if !yield(p, nil) {
-				stopped = true
-				return false
-			}
-			emitted++
-			return limit <= 0 || emitted < limit
-		})
-		if err != nil && !stopped {
-			yield(JoinPair{}, err)
-		}
-	}
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime"
 	"testing"
 
@@ -171,9 +170,9 @@ func TestJoinDifferentialSelf(t *testing.T) {
 	}
 }
 
-// TestJoinStreamAPI covers the streaming faces over the same engine:
-// pull (iter.Pull2), iterator, limits, and early stops must agree with
-// the batch join, end the traversal and leave nothing running.
+// TestJoinStreamAPI: the streaming join agrees with the batch join when
+// drained, and a declined yield ends the traversal on the spot and
+// leaves nothing running.
 func TestJoinStreamAPI(t *testing.T) {
 	lStore, _, lIdx := joinScenario(t, 31, 240)
 	rStore, _, rIdx := joinScenario(t, 32, 200)
@@ -189,34 +188,31 @@ func TestJoinStreamAPI(t *testing.T) {
 		t.Fatal("scenario produced no pairs; tests below would be vacuous")
 	}
 
-	// Pull-style consumption is iter.Pull2 over JoinPairs. Full drain
-	// matches the batch answer.
 	base := runtime.NumGoroutine()
-	next, stop := iter.Pull2(JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 0))
 	var got []JoinPair
-	for p, err, ok := next(); ok; p, err, ok = next() {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, err := JoinStream(context.Background(), lIdx, rIdx, rels, opts, func(p JoinPair) bool {
 		got = append(got, p)
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	stop()
-	samePairSet(t, "pull", want, joinPairSet(t, "pull", got))
+	samePairSet(t, "stream", want, joinPairSet(t, "stream", got))
 
-	// A limit bounds the pairs delivered; the Stats of the same stop,
-	// taken through JoinStream, show the traversal ended early.
+	// Refined and parallel, abandoned at the third pair: exactly three
+	// are delivered and no worker outlives the call.
 	n := 0
-	for _, err := range JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 3) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, err := JoinStream(context.Background(), lIdx, rIdx, rels, opts, func(JoinPair) bool {
 		n++
+		return n < 3
+	}); err != nil || n != 3 {
+		t.Fatalf("join stopped at the third pair: err %v, %d pairs delivered", err, n)
 	}
-	if n != 3 {
-		t.Fatalf("limit 3 delivered %d pairs", n)
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after the stop, %d before", n, base)
 	}
-	// (Filter-only and serial, so that the third pair stops the engine
-	// on the spot and the page count is deterministic.)
+
+	// Filter-only and serial, so that the third pair stops the engine
+	// on the spot and the page count is deterministic.
 	n = 0
 	stats, err := JoinStream(context.Background(), lIdx, rIdx, rels, JoinOptions{Workers: 1}, func(JoinPair) bool {
 		n++
@@ -225,40 +221,5 @@ func TestJoinStreamAPI(t *testing.T) {
 	if err != nil || stats.NodeAccesses >= batch.Stats.NodeAccesses {
 		t.Fatalf("join stopped after 3 pairs: err %v, %d pages read, full join %d",
 			err, stats.NodeAccesses, batch.Stats.NodeAccesses)
-	}
-
-	// Abandoned after three pairs: stop ends the join and its refinement
-	// workers; nothing is left running.
-	next, stop = iter.Pull2(JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 0))
-	for i := 0; i < 3; i++ {
-		if _, err, ok := next(); !ok || err != nil {
-			t.Fatalf("pair %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	stop()
-	if n := settledGoroutines(base); n > base {
-		t.Fatalf("%d goroutines after stop, %d before", n, base)
-	}
-
-	// Iterator: break stops the join; full range matches the batch.
-	seen := map[pairKey]bool{}
-	for p, err := range JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 0) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[pairKey{p.LeftOID, p.RightOID}] = true
-	}
-	samePairSet(t, "iterator", want, seen)
-	n = 0
-	for _, err := range JoinPairs(context.Background(), lIdx, rIdx, rels, opts, 0) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n++; n == 2 {
-			break
-		}
-	}
-	if n != 2 {
-		t.Fatalf("iterator break delivered %d pairs, want 2", n)
 	}
 }

@@ -223,21 +223,21 @@ func Adopt(f *FlatTree, pageSize int, opts Options, name string) (*Tree, error) 
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{st: st, opts: opts.withDefaults(st.cap), name: name,
+	t := &Tree{st: st, opts: opts, name: name,
 		root: pagefile.PageID(f.root), depth: f.depth, size: f.size}
 	t.initSnapshot()
 	return t, nil
 }
 
 // AdoptRPlus is Adopt for the image of an R+-tree.
-func AdoptRPlus(f *FlatTree, pageSize int, opts Options) (*RPlusTree, error) {
+func AdoptRPlus(f *FlatTree, pageSize int) (*RPlusTree, error) {
 	st, err := f.adoptStore(pageSize, false)
 	if err != nil {
 		return nil, err
 	}
-	t := &RPlusTree{st: st, opts: opts.withDefaults(st.cap),
-		root: pagefile.PageID(f.root), depth: f.depth, size: f.size}
-	return t, nil
+	return &RPlusTree{st: st,
+		root: pagefile.PageID(f.root), depth: f.depth, size: f.size,
+		bounds: f.bounds, bounded: f.hasBound}, nil
 }
 
 // NodesSharedWith counts the image's nodes that idx (a *Tree or

@@ -17,7 +17,6 @@ import (
 type diffTree interface {
 	searcher
 	InsertBatch([]Record) error
-	Update(oldRect, newRect geom.Rect, oid uint64) error
 	SearchCtx(context.Context, func(geom.Rect) bool, func(geom.Rect) bool, func(geom.Rect, uint64) bool) (TraversalStats, error)
 	NearestCtx(context.Context, geom.Point, int) ([]Neighbour, TraversalStats, error)
 	CheckInvariants() error
@@ -102,8 +101,8 @@ func TestArenaVsPagedDifferential(t *testing.T) {
 			func() (diffTree, error) { return NewArena(testPageSize, rstar, "R*-tree") },
 			true, 260},
 		{"R+-tree",
-			func() (diffTree, error) { return NewRPlus(pagefile.NewMemFile(testPageSize), Options{}) },
-			func() (diffTree, error) { return NewRPlusArena(testPageSize, Options{}) },
+			func() (diffTree, error) { return NewRPlus(pagefile.NewMemFile(testPageSize)) },
+			func() (diffTree, error) { return NewRPlusArena(testPageSize) },
 			false, 160},
 	}
 	windows := []geom.Rect{geom.R(10, 10, 30, 30), geom.R(45, 45, 55, 55), geom.R(0, 0, 100, 100), geom.R(70, 20, 71, 21)}
@@ -239,7 +238,7 @@ func TestArenaVsPagedDifferential(t *testing.T) {
 					oid, r := pick()
 					to := randRect(rng, 100, 6)
 					step = fmt.Sprintf("step %d update %d", i, oid)
-					if err := both(step, func(d diffTree) error { return d.Update(r, to, oid) }); err != nil {
+					if err := both(step, func(d diffTree) error { return move(d, r, to, oid) }); err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
 					live[oid] = to

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // Record is one (rectangle, object id) pair for bulk loading.
@@ -13,30 +12,18 @@ type Record struct {
 	OID  uint64
 }
 
-// BulkLoad builds a Tree by Sort-Tile-Recursive packing (Leutenegger,
-// López, Edgington 1997): records are sorted by x-center, cut into
-// vertical slabs, sorted by y-center within each slab and packed into
-// full leaves; upper levels pack the level below the same way. The
-// result is a valid R-tree (searches, inserts and deletes work as
-// usual) with near-full nodes and little overlap — the classic way a
-// production system loads a static data file, complementing the
-// paper's one-by-one insertion builds.
+// packInto packs recs into an empty tree by Sort-Tile-Recursive
+// (Leutenegger, López, Edgington 1997), replacing the placeholder root:
+// records are sorted by x-center, cut into vertical slabs, sorted by
+// y-center within each slab and packed into full leaves; upper levels
+// pack the level below the same way. The result is a valid R-tree
+// (searches, inserts and deletes work as usual) with near-full nodes
+// and little overlap — the classic way a production system loads a
+// static data file, complementing the paper's one-by-one insertion
+// builds. The split/reinsert options only affect later updates; packing
+// itself is parameter-free apart from the node capacity.
 //
-// The split/reinsert options only affect later updates; packing itself
-// is parameter-free apart from the node capacity.
-func BulkLoad(file pagefile.File, opts Options, name string, records []Record) (*Tree, error) {
-	t, err := New(file, opts, name)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.InsertBatch(records); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// packInto STR-packs recs into an empty tree, replacing the current
-// placeholder root. It runs inside a mutation (InsertBatch), so the
+// It runs inside a mutation (InsertBatch on an empty tree), so the
 // packed nodes are tracked as fresh and the superseded root page is
 // retired rather than freed under any concurrent reader.
 func (t *Tree) packInto(recs []Record) error {
@@ -74,8 +61,8 @@ func (t *Tree) packInto(recs []Record) error {
 
 // packLevel tiles entries into written nodes of the given level.
 func (t *Tree) packLevel(entries []Entry, level int) ([]*node, error) {
-	m := t.opts.MaxEntries
-	chunks := strTile(entries, m, t.opts.minEntries())
+	m := t.st.cap
+	chunks := strTile(entries, m, minEntries(m))
 	nodes := make([]*node, 0, len(chunks))
 	for _, chunk := range chunks {
 		n, err := t.allocMutNode(level)

@@ -8,6 +8,16 @@ import (
 	"mbrtopo/internal/pagefile"
 )
 
+// bulkLoad builds a tree the way every bulk load does: one InsertBatch
+// into an empty tree, which STR-packs it.
+func bulkLoad(file pagefile.File, recs []Record) (*Tree, error) {
+	t, err := New(file, Options{}, "packed")
+	if err != nil {
+		return nil, err
+	}
+	return t, t.InsertBatch(recs)
+}
+
 func TestBulkLoadSmall(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 12, 13, 50, 500} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -18,7 +28,7 @@ func TestBulkLoadSmall(t *testing.T) {
 			recs[i] = Record{Rect: r, OID: uint64(i + 1)}
 			data[uint64(i+1)] = r
 		}
-		tr, err := BulkLoad(pagefile.NewMemFile(testPageSize), Options{}, "packed", recs)
+		tr, err := bulkLoad(pagefile.NewMemFile(testPageSize), recs)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -52,7 +62,7 @@ func TestBulkLoadThenUpdate(t *testing.T) {
 		recs[i] = Record{Rect: r, OID: uint64(i + 1)}
 		data[uint64(i+1)] = r
 	}
-	tr, err := BulkLoad(pagefile.NewMemFile(testPageSize), Options{}, "packed", recs)
+	tr, err := bulkLoad(pagefile.NewMemFile(testPageSize), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +99,7 @@ func TestBulkLoadPacking(t *testing.T) {
 		recs[i] = Record{Rect: randRect(rng, 100, 2), OID: uint64(i + 1)}
 	}
 	packedFile := pagefile.NewMemFile(testPageSize)
-	packed, err := BulkLoad(packedFile, Options{}, "packed", recs)
+	packed, err := bulkLoad(packedFile, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +138,7 @@ func TestBulkLoadPacking(t *testing.T) {
 }
 
 func TestBulkLoadRejectsDegenerate(t *testing.T) {
-	_, err := BulkLoad(pagefile.NewMemFile(testPageSize), Options{}, "packed",
-		[]Record{{Rect: geom.R(0, 0, 0, 1), OID: 1}})
+	_, err := bulkLoad(pagefile.NewMemFile(testPageSize), []Record{{Rect: geom.R(0, 0, 0, 1), OID: 1}})
 	if err == nil {
 		t.Fatal("degenerate rect accepted")
 	}

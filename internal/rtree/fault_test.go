@@ -30,7 +30,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 				case "rstar":
 					tree, err = NewRStar(fault)
 				default:
-					tree, err = NewRPlus(fault, Options{})
+					tree, err = NewRPlus(fault)
 				}
 				if err != nil {
 					t.Fatal(err)

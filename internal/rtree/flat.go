@@ -88,11 +88,7 @@ func (w *flatWriter) writeNode(ref uint64) (uint64, error) {
 	if n.isLeaf() {
 		for i := range n.entries {
 			refs[i] = n.entries[i].OID
-			if w.found {
-				w.bounds = w.bounds.Union(n.entries[i].Rect)
-			} else {
-				w.bounds, w.found = n.entries[i].Rect, true
-			}
+			w.bounds, w.found = covering(w.bounds, w.found, n.entries[i].Rect), true
 		}
 	} else {
 		for i := range n.entries {

@@ -31,7 +31,7 @@ func FuzzFlatDecode(f *testing.F) {
 			}
 			trees = append(trees, struct{ enc func(*bytes.Buffer) error }{func(b *bytes.Buffer) error { return rt.WriteFlat(b, 1) }})
 		}
-		rp, err := NewRPlus(pagefile.NewMemFile(512), Options{})
+		rp, err := NewRPlus(pagefile.NewMemFile(512))
 		if err == nil {
 			for i := 0; i < n; i++ {
 				_ = rp.Insert(randFuzzRect(rng), uint64(i))

@@ -42,7 +42,7 @@ func adoptImage(f *FlatTree) (flatTree, error) {
 	if f.CoveringNodeRects() {
 		return Adopt(f, testPageSize, Options{}, f.Name())
 	}
-	return AdoptRPlus(f, testPageSize, Options{})
+	return AdoptRPlus(f, testPageSize)
 }
 
 func mustAdopt(t *testing.T, f *FlatTree) flatTree {

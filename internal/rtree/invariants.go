@@ -21,15 +21,15 @@ func (t *Tree) CheckInvariants() error {
 	defer t.release(s)
 	leaves := 0
 	count := 0
-	minFill := t.opts.minEntries()
+	minFill := minEntries(t.st.cap)
 	var walk func(id pagefile.PageID, depth int, isRoot bool) error
 	walk = func(id pagefile.PageID, depth int, isRoot bool) error {
 		n, err := t.st.readNode(id)
 		if err != nil {
 			return err
 		}
-		if len(n.entries) > t.opts.MaxEntries {
-			return fmt.Errorf("rtree: node %d overfull (%d > %d)", id, len(n.entries), t.opts.MaxEntries)
+		if len(n.entries) > t.st.cap {
+			return fmt.Errorf("rtree: node %d overfull (%d > %d)", id, len(n.entries), t.st.cap)
 		}
 		if !isRoot && len(n.entries) < minFill {
 			return fmt.Errorf("rtree: node %d underfull (%d < %d)", id, len(n.entries), minFill)
@@ -100,10 +100,10 @@ func (t *RPlusTree) CheckInvariants() error {
 			return err
 		}
 		// Overflow chains (Greene's degeneracy) are legal but bounded.
-		if len(n.entries) > t.opts.MaxEntries*maxOverflowChain {
+		if len(n.entries) > t.st.cap*maxOverflowChain {
 			return fmt.Errorf("rtree: R+ node %d overfull beyond chain bound (%d)", id, len(n.entries))
 		}
-		if len(n.entries) > t.opts.MaxEntries && n.accessCost() == 1 {
+		if len(n.entries) > t.st.cap && n.accessCost() == 1 {
 			return fmt.Errorf("rtree: R+ node %d overfull (%d) without overflow chain", id, len(n.entries))
 		}
 		if n.isLeaf() {

@@ -51,7 +51,7 @@ func TestNearestAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewRPlus(pagefile.NewMemFile(testPageSize), Options{})
+	rp, err := NewRPlus(pagefile.NewMemFile(testPageSize))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,19 @@ func (s SplitAlgorithm) String() string {
 	return fmt.Sprintf("SplitAlgorithm(%d)", int(s))
 }
 
+// The node capacity M is what fits the page (store.cap); the other two
+// tunables of the paper's trees are its settings.
+const (
+	// minFillRatio is the minimum fill ratio m/M: 40% for both the
+	// R-tree and the R*-tree.
+	minFillRatio = 0.4
+	// reinsertFraction is the share of an overflowing node's entries
+	// that R* forced reinsertion takes out, farthest first.
+	reinsertFraction = 0.3
+)
+
 // Options configure a Tree.
 type Options struct {
-	// MaxEntries is the node capacity M. Zero means "as many as fit the
-	// page", capped by the page size in any case.
-	MaxEntries int
-	// MinFill is the minimum fill ratio m/M (the paper uses 40% for
-	// both the R-tree and the R*-tree). Zero defaults to 0.4.
-	MinFill float64
 	// Split selects the splitting algorithm.
 	Split SplitAlgorithm
 	// RStarChooseSubtree enables the R* subtree choice (minimum overlap
@@ -45,35 +50,14 @@ type Options struct {
 	// ForcedReinsert enables the R* forced reinsertion of the 30%
 	// farthest entries on first overflow per level.
 	ForcedReinsert bool
-	// ReinsertFraction is the fraction of entries reinserted on
-	// overflow when ForcedReinsert is set. Zero defaults to 0.3.
-	ReinsertFraction float64
 }
 
-func (o Options) withDefaults(pageCap int) Options {
-	if o.MaxEntries <= 0 || o.MaxEntries > pageCap {
-		o.MaxEntries = pageCap
-	}
-	if o.MinFill <= 0 {
-		o.MinFill = 0.4
-	}
-	if o.MinFill > 0.5 {
-		o.MinFill = 0.5
-	}
-	if o.ReinsertFraction <= 0 {
-		o.ReinsertFraction = 0.3
-	}
-	return o
-}
-
-// minEntries returns m = ⌈MinFill·M⌉, at least 1, at most M/2.
-func (o Options) minEntries() int {
-	m := int(float64(o.MaxEntries)*o.MinFill + 0.999999)
-	if m < 1 {
-		m = 1
-	}
-	if m > o.MaxEntries/2 {
-		m = o.MaxEntries / 2
+// minEntries returns m = ⌈minFillRatio·M⌉ for node capacity M, at
+// least 1, at most M/2.
+func minEntries(capacity int) int {
+	m := int(float64(capacity)*minFillRatio + 0.999999)
+	if m > capacity/2 {
+		m = capacity / 2
 	}
 	if m < 1 {
 		m = 1

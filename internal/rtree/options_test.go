@@ -8,45 +8,16 @@ import (
 	"mbrtopo/internal/pagefile"
 )
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults(50)
-	if o.MaxEntries != 50 || o.MinFill != 0.4 || o.ReinsertFraction != 0.3 {
-		t.Fatalf("defaults: %+v", o)
-	}
-	// Explicit values survive; excessive ones are clamped.
-	o = Options{MaxEntries: 500, MinFill: 0.9, ReinsertFraction: 0.2}.withDefaults(50)
-	if o.MaxEntries != 50 {
-		t.Fatalf("MaxEntries not capped by page capacity: %d", o.MaxEntries)
-	}
-	if o.MinFill != 0.5 {
-		t.Fatalf("MinFill not clamped to 0.5: %v", o.MinFill)
-	}
-	if o.ReinsertFraction != 0.2 {
-		t.Fatalf("ReinsertFraction overridden: %v", o.ReinsertFraction)
-	}
-	o = Options{MaxEntries: 10}.withDefaults(50)
-	if o.MaxEntries != 10 {
-		t.Fatalf("small MaxEntries overridden: %d", o.MaxEntries)
-	}
-}
-
 func TestMinEntries(t *testing.T) {
-	cases := []struct {
-		max  int
-		fill float64
-		want int
-	}{
-		{50, 0.4, 20},
-		{10, 0.4, 4},
-		{4, 0.4, 2},
-		{5, 0.4, 2}, // ⌈2⌉=2, ≤ 5/2
-		{3, 0.5, 1}, // capped at M/2=1
-		{50, 0.5, 25},
-	}
-	for _, c := range cases {
-		o := Options{MaxEntries: c.max, MinFill: c.fill}
-		if got := o.minEntries(); got != c.want {
-			t.Errorf("minEntries(M=%d, fill=%v) = %d, want %d", c.max, c.fill, got, c.want)
+	for _, c := range []struct{ capacity, want int }{
+		{50, 20},
+		{10, 4},
+		{4, 2},
+		{5, 2}, // ⌈2⌉=2, ≤ 5/2
+		{3, 1}, // ⌈1.2⌉=2, capped at M/2=1
+	} {
+		if got := minEntries(c.capacity); got != c.want {
+			t.Errorf("minEntries(M=%d) = %d, want %d", c.capacity, got, c.want)
 		}
 	}
 }
@@ -55,7 +26,7 @@ func TestNewRejectsTinyPages(t *testing.T) {
 	if _, err := New(pagefile.NewMemFile(64), Options{}, "tiny"); err == nil {
 		t.Fatal("64-byte pages should be rejected")
 	}
-	if _, err := NewRPlus(pagefile.NewMemFile(64), Options{}); err == nil {
+	if _, err := NewRPlus(pagefile.NewMemFile(64)); err == nil {
 		t.Fatal("64-byte pages should be rejected for R+ too")
 	}
 }

@@ -36,10 +36,14 @@ import (
 type RPlusTree struct {
 	mu    sync.RWMutex
 	st    *store
-	opts  Options
 	root  pagefile.PageID
 	depth int
 	size  int
+	// bounds is the MBR of the stored data rectangles while bounded is
+	// set. Internal entries are partition regions, so no node holds it:
+	// the mutations keep it, under the write lock.
+	bounds  geom.Rect
+	bounded bool
 }
 
 // ErrUnsplittable reports that a node overflowed and no cut line can
@@ -57,21 +61,20 @@ func worldRect() geom.Rect {
 // NewRPlus creates an R+-tree over the given page file. The paper's
 // experimental setting (minimal number of rectangle splits as the cost
 // function) is built in.
-func NewRPlus(file pagefile.File, opts Options) (*RPlusTree, error) {
-	return newRPlus(newStore(file), opts)
+func NewRPlus(file pagefile.File) (*RPlusTree, error) {
+	return newRPlus(newStore(file))
 }
 
 // NewRPlusArena creates an R+-tree that keeps its nodes decoded in
 // memory and charges accesses at the node capacity of pageSize (see
 // NewArena).
-func NewRPlusArena(pageSize int, opts Options) (*RPlusTree, error) {
-	return newRPlus(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1), opts)
+func NewRPlusArena(pageSize int) (*RPlusTree, error) {
+	return newRPlus(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1))
 }
 
-func newRPlus(st *store, opts Options) (*RPlusTree, error) {
-	opts = opts.withDefaults(st.cap)
-	if opts.MaxEntries < 4 {
-		return nil, fmt.Errorf("rtree: page size too small for an R+ node (capacity %d)", opts.MaxEntries)
+func newRPlus(st *store) (*RPlusTree, error) {
+	if st.cap < 4 {
+		return nil, fmt.Errorf("rtree: page size too small for an R+ node (capacity %d)", st.cap)
 	}
 	root, err := st.allocNode(0)
 	if err != nil {
@@ -80,7 +83,7 @@ func newRPlus(st *store, opts Options) (*RPlusTree, error) {
 	if err := st.writeNode(root); err != nil {
 		return nil, err
 	}
-	return &RPlusTree{st: st, opts: opts, root: root.id, depth: 1}, nil
+	return &RPlusTree{st: st, root: root.id, depth: 1}, nil
 }
 
 // Name identifies the variant.
@@ -113,26 +116,35 @@ func (t *RPlusTree) IOStats() pagefile.Stats { return t.st.Stats() }
 // ResetIOStats zeroes those counters.
 func (t *RPlusTree) ResetIOStats() { t.st.ResetStats() }
 
-// Bounds returns the MBR of the stored data rectangles.
+// Bounds returns the MBR of the stored data rectangles. It reads no
+// page: routers ask every tile for it on every request.
 func (t *RPlusTree) Bounds() (geom.Rect, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.bounds, t.bounded
+}
+
+// covering returns the MBR of b and r, or r alone while b is not one
+// yet.
+func covering(b geom.Rect, ok bool, r geom.Rect) geom.Rect {
+	if ok {
+		return b.Union(r)
+	}
+	return r
+}
+
+// scanBounds computes the data MBR from every leaf. Caller holds a
+// lock.
+func (t *RPlusTree) scanBounds() (geom.Rect, bool, error) {
 	var out geom.Rect
 	found := false
 	all := func(geom.Rect) bool { return true }
 	_, err := traverse(context.Background(), t.st, uint64(t.root), all, all,
 		func(h Hit) bool {
-			if !found {
-				out, found = h.Rect, true
-			} else {
-				out = out.Union(h.Rect)
-			}
+			out, found = covering(out, found, h.Rect), true
 			return true
-		}, 0)
-	if err != nil {
-		return geom.Rect{}, false
-	}
-	return out, found
+		})
+	return out, found, err
 }
 
 // Insert registers the rectangle in every leaf whose region its
@@ -155,6 +167,9 @@ func (t *RPlusTree) InsertBatch(recs []Record) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, rec := range recs {
+		// Covered before it is attempted: an insert that fails part-way
+		// may have registered the rectangle in some leaves already.
+		t.bounds, t.bounded = covering(t.bounds, t.bounded, rec.Rect), true
 		pieces, err := t.insertRec(t.root, worldRect(), Entry{Rect: rec.Rect, OID: rec.OID})
 		if err != nil {
 			return err
@@ -227,7 +242,7 @@ const maxOverflowChain = 16
 // costs one extra read when the node is visited), bounded by
 // maxOverflowChain to keep runaway growth detectable.
 func (t *RPlusTree) normalize(n *node, region geom.Rect) ([]Entry, error) {
-	if len(n.entries) <= t.opts.MaxEntries {
+	if len(n.entries) <= t.st.cap {
 		if err := t.st.writeNode(n); err != nil {
 			return nil, err
 		}
@@ -235,7 +250,7 @@ func (t *RPlusTree) normalize(n *node, region geom.Rect) ([]Entry, error) {
 	}
 	axis, cut, ok := chooseCut(n, region)
 	if !ok {
-		if len(n.entries) > t.opts.MaxEntries*maxOverflowChain {
+		if len(n.entries) > t.st.cap*maxOverflowChain {
 			return nil, fmt.Errorf("%w: node %d (%d entries)", ErrUnsplittable, n.id, len(n.entries))
 		}
 		if err := t.st.writeNode(n); err != nil {
@@ -407,6 +422,17 @@ func (t *RPlusTree) Delete(r geom.Rect, oid uint64) error {
 		return ErrNotFound
 	}
 	t.size--
+	switch b := t.bounds; {
+	case t.size == 0:
+		t.bounded = false
+	case r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y:
+		// r may have been alone in reaching that edge: only then can
+		// the MBR shrink, and only a scan says to what. A scan that
+		// fails keeps the old MBR, which still covers what is stored.
+		if nb, ok, err := t.scanBounds(); err == nil {
+			t.bounds, t.bounded = nb, ok
+		}
+	}
 	return nil
 }
 
@@ -446,19 +472,6 @@ func (t *RPlusTree) deleteRec(id pagefile.PageID, r geom.Rect, oid uint64) (int,
 	return total, nil
 }
 
-// Update moves an object to a new rectangle (delete + insert). It
-// returns ErrNotFound, leaving the tree unchanged, when the object is
-// not stored under the old rectangle.
-func (t *RPlusTree) Update(oldRect, newRect geom.Rect, oid uint64) error {
-	if !newRect.Valid() {
-		return fmt.Errorf("rtree: updating to degenerate rect %v", newRect)
-	}
-	if err := t.Delete(oldRect, oid); err != nil {
-		return err
-	}
-	return t.Insert(newRect, oid)
-}
-
 // SearchHits traverses the tree, descending into any internal entry
 // whose partition region satisfies nodePred, and emits every leaf entry
 // whose rectangle satisfies leafPred. Because of duplicate
@@ -470,7 +483,7 @@ func (t *RPlusTree) Update(oldRect, newRect geom.Rect, oid uint64) error {
 func (t *RPlusTree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return traverse(ctx, t.st, uint64(t.root), nodePred, leafPred, emit, 0)
+	return traverse(ctx, t.st, uint64(t.root), nodePred, leafPred, emit)
 }
 
 // SearchCtx is SearchHits for an emit that wants the rectangle and the

@@ -61,9 +61,8 @@ func NewArena(pageSize int, opts Options, name string) (*Tree, error) {
 }
 
 func newTree(st *store, opts Options, name string) (*Tree, error) {
-	opts = opts.withDefaults(st.cap)
-	if opts.MaxEntries < 4 {
-		return nil, fmt.Errorf("rtree: page size too small (capacity %d)", opts.MaxEntries)
+	if st.cap < 4 {
+		return nil, fmt.Errorf("rtree: page size too small (capacity %d)", st.cap)
 	}
 	root, err := st.allocNode(0)
 	if err != nil {
@@ -278,7 +277,7 @@ func (t *Tree) handleOverflowAndAdjust(path []*node, reinserted map[int]bool) er
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		var sibling *node
-		if len(n.entries) > t.opts.MaxEntries {
+		if len(n.entries) > t.st.cap {
 			if t.opts.ForcedReinsert && i > 0 && !reinserted[n.level] {
 				reinserted[n.level] = true
 				return t.forceReinsert(path, i, reinserted)
@@ -341,7 +340,7 @@ func (t *Tree) handleOverflowAndAdjust(path []*node, reinserted map[int]bool) er
 // node's center, tighten the node, then reinsert them at their level.
 func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) error {
 	n := path[idx]
-	p := int(float64(len(n.entries)) * t.opts.ReinsertFraction)
+	p := int(float64(len(n.entries)) * reinsertFraction)
 	if p < 1 {
 		p = 1
 	}
@@ -453,7 +452,7 @@ func (t *Tree) findLeaf(id pagefile.PageID, path []*node, r geom.Rect, oid uint6
 // ancestor rectangles, and shrink the tree when the root has a single
 // child.
 func (t *Tree) condenseTree(path []*node) error {
-	minFill := t.opts.minEntries()
+	minFill := minEntries(t.st.cap)
 	type orphan struct {
 		level   int
 		entries []Entry
@@ -516,19 +515,6 @@ func (t *Tree) condenseTree(path []*node) error {
 	}
 }
 
-// Update moves an object to a new rectangle (delete + insert). It
-// returns ErrNotFound, leaving the tree unchanged, when no entry
-// matches the old rectangle.
-func (t *Tree) Update(oldRect, newRect geom.Rect, oid uint64) error {
-	if !newRect.Valid() {
-		return fmt.Errorf("rtree: updating to degenerate rect %v", newRect)
-	}
-	if err := t.Delete(oldRect, oid); err != nil {
-		return err
-	}
-	return t.Insert(newRect, oid)
-}
-
 // SearchHits traverses the tree, descending into any internal entry
 // whose rectangle satisfies nodePred, and emits every leaf entry whose
 // rectangle satisfies leafPred as a Hit. emit returning false stops the
@@ -541,7 +527,7 @@ func (t *Tree) Update(oldRect, newRect geom.Rect, oid uint64) error {
 func (t *Tree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
 	s := t.acquire()
 	defer t.release(s)
-	return traverse(ctx, t.st, uint64(s.root), nodePred, leafPred, emit, 0)
+	return traverse(ctx, t.st, uint64(s.root), nodePred, leafPred, emit)
 }
 
 // SearchCtx is SearchHits for an emit that wants the rectangle and the

@@ -1,9 +1,11 @@
 package rtree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -32,6 +34,18 @@ type searcher interface {
 	CoveringNodeRects() bool
 }
 
+// move replaces an object's rectangle the way every caller of the
+// index does: a delete, then an insert.
+func move(tree interface {
+	Insert(geom.Rect, uint64) error
+	Delete(geom.Rect, uint64) error
+}, from, to geom.Rect, oid uint64) error {
+	if err := tree.Delete(from, oid); err != nil {
+		return err
+	}
+	return tree.Insert(to, oid)
+}
+
 func makeTrees(t *testing.T) map[string]searcher {
 	t.Helper()
 	out := map[string]searcher{}
@@ -50,7 +64,7 @@ func makeTrees(t *testing.T) map[string]searcher {
 		t.Fatal(err)
 	}
 	out["rstar"] = rs
-	rp, err := NewRPlus(pagefile.NewMemFile(testPageSize), Options{})
+	rp, err := NewRPlus(pagefile.NewMemFile(testPageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +418,7 @@ func TestSearchIOAccounting(t *testing.T) {
 // interior (checked by CheckInvariants), and duplicates returned by
 // search refer to identical rectangles.
 func TestRPlusDuplicatesConsistent(t *testing.T) {
-	tree, err := NewRPlus(pagefile.NewMemFile(testPageSize), Options{})
+	tree, err := NewRPlus(pagefile.NewMemFile(testPageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,18 +516,115 @@ func boundsOf(s searcher) (geom.Rect, bool) {
 	return geom.Rect{}, false
 }
 
+// TestRPlusBoundsKept: an R+-tree's internal entries are partition
+// regions, so its data MBR is kept by the mutations instead of read off
+// the root. Over random inserts and deletes — the deletes aimed half
+// the time at a rectangle reaching an edge of the MBR, the one case
+// that can shrink it — Bounds equals the brute-force MBR after every
+// step and reads no page.
+func TestRPlusBoundsKept(t *testing.T) {
+	paged, err := NewRPlus(pagefile.NewMemFile(testPageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, err := NewRPlusArena(testPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tree := range map[string]*RPlusTree{"paged": paged, "arena": arena} {
+		rng := rand.New(rand.NewSource(24))
+		live := map[uint64]geom.Rect{}
+		var oids []uint64
+		brute := func() (geom.Rect, bool) {
+			var b geom.Rect
+			for i, oid := range oids {
+				b = covering(b, i > 0, live[oid])
+			}
+			return b, len(oids) > 0
+		}
+		onEdge := func(r, b geom.Rect) bool {
+			return r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y
+		}
+		step, edgeDeletes := 0, 0
+		check := func() {
+			t.Helper()
+			reads := tree.IOStats().Reads
+			got, ok := tree.Bounds()
+			if d := tree.IOStats().Reads - reads; d != 0 {
+				t.Fatalf("%s step %d: Bounds read %d pages of a tree of %d objects", name, step, d, len(oids))
+			}
+			if want, wantOK := brute(); ok != wantOK || (ok && got != want) {
+				t.Fatalf("%s step %d: Bounds = %v %v, brute force %v %v", name, step, got, ok, want, wantOK)
+			}
+		}
+		remove := func() {
+			t.Helper()
+			at := rng.Intn(len(oids))
+			b, _ := brute()
+			if rng.Intn(2) == 0 {
+				at = slices.IndexFunc(oids, func(oid uint64) bool { return onEdge(live[oid], b) })
+			}
+			oid := oids[at]
+			if onEdge(live[oid], b) {
+				edgeDeletes++
+			}
+			if err := tree.Delete(live[oid], oid); err != nil {
+				t.Fatalf("%s step %d: %v", name, step, err)
+			}
+			delete(live, oid)
+			oids = slices.Delete(oids, at, at+1)
+		}
+		for ; step < 2000; step++ {
+			if len(oids) == 0 || rng.Intn(5) < 3 {
+				oid := uint64(step + 1)
+				r := randRect(rng, 100, 6)
+				if err := tree.Insert(r, oid); err != nil {
+					t.Fatalf("%s step %d: %v", name, step, err)
+				}
+				live[oid] = r
+				oids = append(oids, oid)
+			} else {
+				remove()
+			}
+			check()
+		}
+		for ; len(oids) > 0; step++ { // down to empty: the MBR goes with the last object
+			remove()
+			check()
+		}
+		if edgeDeletes < 100 {
+			t.Fatalf("%s: only %d edge-touching deletes: the trace missed its case", name, edgeDeletes)
+		}
+		// The image header carries the MBR across a checkpoint.
+		for i := 0; i < 50; i++ {
+			if err := tree.Insert(randRect(rng, 100, 6), uint64(5000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := tree.WriteFlat(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		flat, err := OpenFlatBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopted, err := AdoptRPlus(flat, testPageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := tree.Bounds()
+		if got, ok := adopted.Bounds(); !ok || got != want || adopted.IOStats().Reads != 0 {
+			t.Fatalf("%s: adopted Bounds = %v %v after %d reads, want %v", name, got, ok, adopted.IOStats().Reads, want)
+		}
+	}
+}
+
 // TestUpdate moves entries and verifies structure and queries.
 func TestUpdate(t *testing.T) {
 	for name, tree := range makeTrees(t) {
 		rng := rand.New(rand.NewSource(12))
 		data := map[uint64]geom.Rect{}
-		type updater interface {
-			Update(oldRect, newRect geom.Rect, oid uint64) error
-		}
-		up, ok := tree.(updater)
-		if !ok {
-			t.Fatalf("%s: no Update method", name)
-		}
 		for i := uint64(1); i <= 300; i++ {
 			r := randRect(rng, 100, 5)
 			if err := tree.Insert(r, i); err != nil {
@@ -523,16 +634,10 @@ func TestUpdate(t *testing.T) {
 		}
 		for i := uint64(1); i <= 300; i += 3 {
 			nr := randRect(rng, 100, 5)
-			if err := up.Update(data[i], nr, i); err != nil {
+			if err := move(tree, data[i], nr, i); err != nil {
 				t.Fatalf("%s: update %d: %v", name, i, err)
 			}
 			data[i] = nr
-		}
-		if err := up.Update(geom.R(900, 900, 901, 901), geom.R(0, 0, 1, 1), 7777); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("%s: updating a missing entry: %v", name, err)
-		}
-		if err := up.Update(data[2], geom.R(5, 5, 5, 6), 2); err == nil {
-			t.Fatalf("%s: degenerate update accepted", name)
 		}
 		checkInv(t, name, tree)
 		if tree.Len() != 300 {
@@ -566,9 +671,6 @@ func TestSoakMixedWorkload(t *testing.T) {
 			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 			return out
 		}
-		up := tree.(interface {
-			Update(oldRect, newRect geom.Rect, oid uint64) error
-		})
 		for step := 0; step < 4000; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5 || len(data) == 0: // insert
@@ -589,7 +691,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 				ids := oids()
 				oid := ids[rng.Intn(len(ids))]
 				nr := randRect(rng, 100, 6)
-				if err := up.Update(data[oid], nr, oid); err != nil {
+				if err := move(tree, data[oid], nr, oid); err != nil {
 					t.Fatalf("%s: update: %v", name, err)
 				}
 				data[oid] = nr

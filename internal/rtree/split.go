@@ -20,11 +20,11 @@ func (t *Tree) splitNode(n *node) (*node, error) {
 	var left, right []Entry
 	switch t.opts.Split {
 	case SplitQuadratic:
-		left, right = quadraticSplit(n.entries, t.opts.minEntries())
+		left, right = quadraticSplit(n.entries, minEntries(t.st.cap))
 	case SplitLinear:
-		left, right = linearSplit(n.entries, t.opts.minEntries())
+		left, right = linearSplit(n.entries, minEntries(t.st.cap))
 	case SplitRStar:
-		left, right = rstarSplit(n.entries, t.opts.minEntries())
+		left, right = rstarSplit(n.entries, minEntries(t.st.cap))
 	default:
 		return nil, fmt.Errorf("rtree: unknown split algorithm %v", t.opts.Split)
 	}

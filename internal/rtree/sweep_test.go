@@ -256,7 +256,7 @@ func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 				oid := oids[at]
 				switch step % 3 {
 				case 0:
-					err = tree.Update(live[oid], to, oid)
+					err = move(tree, live[oid], to, oid)
 					live[oid] = to
 				case 1:
 					err = tree.Delete(live[oid], oid)
@@ -387,7 +387,7 @@ func TestSweepRace(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			r := recs[wrng.Intn(len(recs))]
 			to := tieRects(wrng, 1, 0)[0].Rect
-			if err := tree.Update(r.Rect, to, r.OID); err == nil {
+			if err := move(tree, r.Rect, to, r.OID); err == nil {
 				recs[r.OID-1].Rect = to
 			}
 		}

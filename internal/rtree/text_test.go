@@ -102,7 +102,7 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rplus, err := NewRPlusArena(testPageSize, Options{})
+	rplus, err := NewRPlusArena(testPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, mk := range map[string]func() (diffTree, error){
 		"R*-tree": func() (diffTree, error) { return newTestArenaRStar() },
-		"R+-tree": func() (diffTree, error) { return NewRPlusArena(testPageSize, Options{}) },
+		"R+-tree": func() (diffTree, error) { return NewRPlusArena(testPageSize) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			tree, err := mk()
@@ -187,11 +187,7 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 				oid := uint64(1 + rng.Intn(300))
 				to := randRect(rng, 1000, 30)
 				before := liveNodes(st)
-				if step%2 == 0 {
-					err = tree.Update(live[oid], to, oid)
-				} else if err = tree.Delete(live[oid], oid); err == nil {
-					err = tree.Insert(to, oid)
-				}
+				err = move(tree, live[oid], to, oid)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -309,7 +305,7 @@ func TestTextRace(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			r := recs[wrng.Intn(len(recs))]
 			to := randRect(wrng, 1000, 30)
-			if err := tree.Update(r.Rect, to, r.OID); err == nil {
+			if err := move(tree, r.Rect, to, r.OID); err == nil {
 				recs[r.OID-1].Rect = to
 			}
 		}

@@ -20,7 +20,8 @@ import (
 //     chain pages) is counted in a per-traversal TraversalStats rather
 //     than derived by diffing the page file's global counters, so the
 //     numbers stay exact when many queries run concurrently;
-//   - it supports an optional result limit for streaming consumers.
+//   - it stops as soon as emit declines a hit, which is how streaming
+//     consumers bound their answers.
 //
 // The traversal holds no tree-level state, so any number of traversals
 // may run in parallel under the trees' read locks.
@@ -63,17 +64,16 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 // same left-to-right preorder as the recursive implementation it
 // replaces. emit receives each as a Hit, which is how a leaf's wire text
 // (text.go) reaches a consumer that asks for it; emit returning false
-// stops the search without error. A positive limit stops the search
-// after that many emissions. The context is checked before each node
-// expansion; on cancellation the traversal returns ctx.Err() with the
-// stats accumulated so far.
+// stops the search without error. The context is checked before each
+// node expansion; on cancellation the traversal returns ctx.Err() with
+// the stats accumulated so far.
 //
 // Nodes are fetched through the store's read path, so the same
 // traversal serves pages and the arena; node-access accounting uses
 // each node's recorded cost and is bit-identical across the two.
 func traverse(ctx context.Context, src *store, root uint64,
 	nodePred, leafPred func(geom.Rect) bool,
-	emit func(Hit) bool, limit int) (TraversalStats, error) {
+	emit func(Hit) bool) (TraversalStats, error) {
 
 	var stats TraversalStats
 	stack := make([]uint64, 0, 32)
@@ -98,9 +98,6 @@ func traverse(ctx context.Context, src *store, root uint64,
 				}
 				stats.Emitted++
 				if !emit(Hit{Rect: e.Rect, OID: e.OID, leaf: n, at: i}) {
-					return stats, nil
-				}
-				if limit > 0 && stats.Emitted >= limit {
 					return stats, nil
 				}
 			}

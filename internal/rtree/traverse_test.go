@@ -130,7 +130,8 @@ func TestNearestCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestTraverseLimit exercises the limit parameter of the shared core.
+// TestTraverseLimit: the shared core stops at the hit its emit
+// declines, which is how every consumer bounds an answer.
 func TestTraverseLimit(t *testing.T) {
 	for name, s := range loadedCtxTrees(t, 200) {
 		var st *store
@@ -145,7 +146,7 @@ func TestTraverseLimit(t *testing.T) {
 		for _, limit := range []int{1, 7, 50} {
 			got := 0
 			ts, err := traverse(context.Background(), st, uint64(root), all, all,
-				func(Hit) bool { got++; return true }, limit)
+				func(Hit) bool { got++; return got < limit })
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

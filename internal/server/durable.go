@@ -434,7 +434,7 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 	}
 	d := &durable{
 		spec:    spec,
-		walOpts: wal.Options{Policy: spec.Fsync, Interval: spec.FsyncInterval, WriteHook: spec.WALWriteHook},
+		walOpts: wal.Options{Policy: spec.Fsync, WriteHook: spec.WALWriteHook},
 		metrics: s.metrics,
 	}
 	inst := &Instance{Name: spec.Name, Kind: spec.Kind, dur: d}

@@ -335,7 +335,7 @@ func runCrashScenario(t *testing.T, dir string, items []index.Item, cp crashPoin
 		}
 		acked = append(acked, m)
 	}
-	walPath := d.log.Path()
+	walPath := d.walPath(d.gen)
 	abandon(inst)
 	// The torn frame only exists if the log the write aimed at is still
 	// the current one (a checkpoint may have rotated it away since).

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/repl"
 	"mbrtopo/internal/rtree"
@@ -83,18 +82,6 @@ func (s *Server) servingInstance(w http.ResponseWriter, name string) (*Instance,
 		return nil, false
 	}
 	return inst, true
-}
-
-// noteCorrupt folds a detected checksum failure into the metrics and
-// degrades the index so subsequent requests get 503s, reporting
-// whether err was a corruption.
-func (s *Server) noteCorrupt(inst *Instance, err error) bool {
-	if err == nil || !errors.Is(err, pagefile.ErrCorrupt) {
-		return false
-	}
-	s.metrics.checksumFailures.Add(1)
-	inst.MarkUnhealthy("checksum failure while serving: " + err.Error())
-	return true
 }
 
 // handleQuery streams a window query as NDJSON: one QueryLine per
@@ -181,7 +168,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The client is gone (or the deadline fired mid-stream): no
 		// stats line, and end counts the disconnect.
 	case err != nil:
-		s.noteCorrupt(inst, err)
 		trailer = QueryLine{Error: err.Error()}
 	default:
 		// Only a cleanly completed answer is stored — a truncated or
@@ -277,14 +263,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	case lw.err != nil || ctx.Err() != nil:
 		// Cut short: no stats line, and end counts the disconnect.
 	case err != nil:
-		if errors.Is(err, pagefile.ErrCorrupt) {
-			// A corrupt page read mid-join cannot be attributed to one
-			// side, so both indexes degrade to 503s.
-			s.metrics.checksumFailures.Add(1)
-			reason := "checksum failure during join: " + err.Error()
-			li.MarkUnhealthy(reason)
-			ri.MarkUnhealthy(reason)
-		}
 		trailer = JoinLine{Error: err.Error()}
 	default:
 		trailer = JoinLine{Stats: &JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}}
@@ -331,7 +309,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A search cut by the deadline holds the neighbours found so
 		// far, which are not the k nearest: refuse, never answer them.
-		if s.noteCorrupt(inst, err) || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
@@ -360,15 +338,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMutationError answers a failed mutation: 404 for a delete that
-// found nothing, 503 when corruption was detected mid-mutation or the
-// WAL append failed — the mutation is not durable and the index has
-// degraded — and 500 otherwise.
-func (s *Server) writeMutationError(w http.ResponseWriter, inst *Instance, err error) {
+// found nothing, 503 when the WAL append failed — the mutation is not
+// durable and the index has degraded — and 500 otherwise.
+func writeMutationError(w http.ResponseWriter, inst *Instance, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, rtree.ErrNotFound):
 		code = http.StatusNotFound
-	case s.noteCorrupt(inst, err) || !inst.Healthy():
+	case !inst.Healthy():
 		code = http.StatusServiceUnavailable
 	}
 	writeJSONError(w, code, err.Error())
@@ -394,7 +371,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op func(
 		return
 	}
 	if err := op(inst, rect, req.OID); err != nil {
-		s.writeMutationError(w, inst, err)
+		writeMutationError(w, inst, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, UpdateResponse{OK: true, Objects: inst.ReadIndex().Len()})
@@ -437,7 +414,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if err := inst.InsertBatch(recs); err != nil {
-		s.writeMutationError(w, inst, err)
+		writeMutationError(w, inst, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, BulkResponse{

@@ -222,9 +222,6 @@ type Metrics struct {
 	replBytesShipped     counter
 }
 
-// NewMetrics creates the registry of a server without a result cache.
-func NewMetrics() *Metrics { return newMetrics(nil) }
-
 // newMetrics registers the process-wide families; the per-index ones
 // follow in Server.New, each registered by the subsystem that owns its
 // numbers. Registration order is exposition order.
@@ -255,7 +252,7 @@ func newMetrics(cache *resultCache) *Metrics {
 	m.gauge("topod_watch_streams", "Watch streams currently open.", &m.watchStreams)
 	m.counter("topod_watch_rejected_total", "Watch requests shed because the watch slot pool was full (429).", &m.watchRejected)
 	m.histogram("topod_watch_notify_duration_seconds", "Commit-to-notification latency of watch evaluation batches.", &m.watchLatency)
-	m.counter("topod_checksum_failures_total", "Checkpoint images or pages that failed their CRC32-C check (boot or serving).", &m.checksumFailures)
+	m.counter("topod_checksum_failures_total", "Checkpoint images that failed their CRC32-C check at boot.", &m.checksumFailures)
 	m.counter("topod_wal_records_total", "Mutations appended to the write-ahead logs by this process.", &m.walRecords)
 	m.counter("topod_wal_replays_total", "WAL records replayed during crash recovery.", &m.walReplays)
 	m.counter("topod_checkpoints_total", "Snapshot checkpoints taken (WAL rotations).", &m.checkpoints)

@@ -44,8 +44,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	d := inst.dur
 	if d == nil {
-		writeJSONError(w, http.StatusBadRequest,
-			"index "+inst.Name+" is not durable; nothing to replicate")
+		// A sharded parent has no log of its own: its tiles do.
+		msg := "index " + inst.Name + " is not durable; nothing to replicate"
+		if inst.Sharded() > 0 {
+			msg = "index " + inst.Name + ": sharded indexes are not replicated"
+		}
+		writeJSONError(w, http.StatusBadRequest, msg)
 		return
 	}
 	var reqGen, reqSeq uint64

@@ -113,9 +113,6 @@ type IndexSpec struct {
 	Flat bool
 	// Fsync is the WAL fsync policy for durable indexes.
 	Fsync wal.SyncPolicy
-	// FsyncInterval is the flush staleness bound under
-	// wal.SyncInterval (0 → the wal package default).
-	FsyncInterval time.Duration
 	// CheckpointEvery checkpoints after this many logged mutations
 	// (0 → DefaultCheckpointEvery; negative → manual only).
 	CheckpointEvery int

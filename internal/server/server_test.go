@@ -276,7 +276,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 // admission slot held, concurrent requests are shed with Retry-After
 // and counted in the rejected metric.
 func TestAdmissionControlSaturation(t *testing.T) {
-	m := NewMetrics()
+	m := newMetrics(nil)
 	adm := newAdmission(1, 2*time.Second, m)
 	release := make(chan struct{})
 	entered := make(chan struct{})

@@ -103,8 +103,6 @@ func (s *Server) registerWatchMetrics() {
 		func(c watch.Counters) any { return c.Subscriptions })
 	family("topod_watch_evaluated_total", "Subscription evaluations actually performed by the notifier.", "counter",
 		func(c watch.Counters) any { return c.Evaluated })
-	family("topod_watch_skipped_total", "Subscription evaluations skipped by the conceptual-neighbourhood filter.", "counter",
-		func(c watch.Counters) any { return c.Skipped })
 	family("topod_watch_pruned_total", "Subscriptions never considered because the subscription R-tree pruned them.", "counter",
 		func(c watch.Counters) any { return c.Pruned })
 	family("topod_watch_events_total", "Events delivered to watch subscribers.", "counter",

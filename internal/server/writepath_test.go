@@ -31,6 +31,23 @@ type writeMode struct {
 }
 
 func writeModes(t *testing.T, items []index.Item) []writeMode {
+	modes := localWriteModes(t, items)
+
+	psrv, pts, _ := newReplPrimary(t, 0, 1024)
+	pinst, _ := psrv.instance("main")
+	if err := pinst.InsertBatch(recordsOf(items)); err != nil {
+		t.Fatal(err)
+	}
+	fsrv, _ := newReplFollower(t, pts.URL, nil, FollowConfig{})
+	finst, _ := fsrv.instance("main")
+	settle := func() { waitCaughtUp(t, psrv, fsrv) }
+	settle()
+	return append(modes, writeMode{name: "follower-applied", target: pinst, seen: finst, srv: fsrv, durable: true, settle: settle})
+}
+
+// localWriteModes are the modes whose writes arrive as Instance.mutate
+// calls: one tree, one durable tree, four durable tiles.
+func localWriteModes(t *testing.T, items []index.Item) []writeMode {
 	single := func(spec IndexSpec) writeMode {
 		srv := New(Config{})
 		spec.Name, spec.Kind, spec.PageSize, spec.Fsync = "main", index.KindRTree, 512, wal.SyncNever
@@ -43,17 +60,7 @@ func writeModes(t *testing.T, items []index.Item) []writeMode {
 	}
 	modes := []writeMode{single(IndexSpec{}), single(IndexSpec{Dir: t.TempDir()}), single(IndexSpec{Dir: t.TempDir(), Shards: 4})}
 	modes[0].name, modes[1].name, modes[2].name = "non-durable", "durable", "sharded-4"
-
-	psrv, pts, _ := newReplPrimary(t, 0, 1024)
-	pinst, _ := psrv.instance("main")
-	if err := pinst.InsertBatch(recordsOf(items)); err != nil {
-		t.Fatal(err)
-	}
-	fsrv, _ := newReplFollower(t, pts.URL, nil, FollowConfig{})
-	finst, _ := fsrv.instance("main")
-	settle := func() { waitCaughtUp(t, psrv, fsrv) }
-	settle()
-	return append(modes, writeMode{name: "follower-applied", target: pinst, seen: finst, srv: fsrv, durable: true, settle: settle})
+	return modes
 }
 
 func recordsOf(items []index.Item) []rtree.Record {
@@ -188,6 +195,72 @@ func TestWritePathDifferential(t *testing.T) {
 			gen := mode.target.Generation()
 			if err := mode.target.Delete(geom.R(1, 1, 2, 2), 424242); err == nil || mode.target.Generation() != gen {
 				t.Fatalf("delete of a missing entry: err %v, generation %d → %d", err, gen, mode.target.Generation())
+			}
+		})
+	}
+}
+
+// TestMutateRefusesMixedBatches pins what the watch table may assume
+// about a commit: it is one record, or inserts only. No batch holds a
+// delete — so none moves an object, a delete and an insert of one id —
+// because Instance.mutate refuses it whole: tree, WAL position,
+// generation and the table's batch count stay where they were. (A
+// follower's Apply takes one record by signature.) Whoever gives
+// /v1/move a two-record commit has to take this test down first, and
+// then the table's pass needs an arm for len(before) == len(after) == 1
+// again.
+func TestMutateRefusesMixedBatches(t *testing.T) {
+	d := workload.NewDataset(workload.Medium, 300, 0, 1995)
+	victim := d.Items[0]
+	batches := map[string][]wal.Record{
+		"an insert and a delete": {
+			{Op: wal.OpInsert, OID: 9500, Rect: geom.R(300, 300, 320, 330)},
+			{Op: wal.OpDelete, OID: victim.OID, Rect: victim.Rect},
+		},
+		"a move": {
+			{Op: wal.OpDelete, OID: victim.OID, Rect: victim.Rect},
+			{Op: wal.OpInsert, OID: victim.OID, Rect: geom.R(300, 300, 320, 330)},
+		},
+	}
+	// state is everything a commit moves, as one comparable string.
+	state := func(mode writeMode) string {
+		inst := mode.target
+		inst.WatchSync()
+		var b strings.Builder
+		fmt.Fprintf(&b, "len %d gen %d batches %d wal-records %d", inst.ReadIndex().Len(), inst.Generation(),
+			inst.WatchCounters().Batches, mode.srv.Metrics().WALRecordsTotal())
+		for _, di := range append([]*Instance{inst}, inst.tiles...) {
+			if di.dur != nil {
+				gen, seq, _ := di.dur.position()
+				fmt.Fprintf(&b, " %s@%d/%d", di.Name, gen, seq)
+			}
+		}
+		for _, win := range durabilityWindows {
+			fmt.Fprintf(&b, " %v", queryOIDs(t, inst.ReadIndex(), win))
+		}
+		return b.String()
+	}
+	for _, mode := range localWriteModes(t, d.Items) {
+		t.Run(mode.name, func(t *testing.T) {
+			// With a subscriber, a published commit would count as a batch.
+			sub, err := mode.target.WatchSubscribe(geom.R(200, 200, 700, 700), topo.NotDisjoint, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mode.target.WatchUnsubscribe(sub)
+			before := state(mode)
+			for name, batch := range batches {
+				if err := mode.target.mutate(batch, nil); err == nil || !strings.Contains(err.Error(), "batches hold inserts only") {
+					t.Fatalf("%s: mutate returned %v, want the inserts-only refusal", name, err)
+				}
+				if after := state(mode); after != before {
+					t.Fatalf("%s was refused and still moved something:\n before %s\n after  %s", name, before, after)
+				}
+			}
+			select {
+			case ev := <-sub.Events():
+				t.Fatalf("a refused batch produced the event %+v", ev)
+			default:
 			}
 		})
 	}

@@ -43,9 +43,6 @@ func New(tiles ...index.Index) *Sharded {
 	return &Sharded{tiles: tiles}
 }
 
-// NumTiles returns the tile count.
-func (s *Sharded) NumTiles() int { return len(s.tiles) }
-
 // Tiles returns the tile indexes, in tile order. The slice is the
 // router's own: read it, do not modify it.
 func (s *Sharded) Tiles() []index.Index { return s.tiles }
@@ -112,18 +109,10 @@ func (s *Sharded) Delete(r geom.Rect, oid uint64) error {
 	return rtree.ErrNotFound
 }
 
-// Update moves an object (delete + insert, possibly across tiles).
-func (s *Sharded) Update(oldRect, newRect geom.Rect, oid uint64) error {
-	if err := s.Delete(oldRect, oid); err != nil {
-		return err
-	}
-	return s.Insert(newRect, oid)
-}
-
 // RouteBatch splits a batch into per-tile batches: a Sort-Tile-
 // Recursive partition when every tile is still empty (the bulk load
 // that establishes the tiling), per-record routing afterwards. The
-// result always has exactly NumTiles entries; empty slices mean the
+// result always has one entry per tile; empty slices mean the
 // tile receives nothing.
 func (s *Sharded) RouteBatch(recs []rtree.Record) [][]rtree.Record {
 	tiles := s.Tiles()

@@ -51,6 +51,25 @@ func TestSTRPartitionInvariants(t *testing.T) {
 	}
 }
 
+// TestRPlusBoundsKept: the router asks every tile for its bounds on
+// every request, so a tile's Bounds must read nothing — on four R+
+// tiles the pages one SearchTiles reads are exactly the node accesses
+// its traversals report.
+func TestRPlusBoundsKept(t *testing.T) {
+	ds := workload.NewDataset(workload.Small, 2000, 0, 24)
+	s := buildSharded(t, index.KindRPlus, ds.Items, 4)
+	window := geom.R(300, 300, 420, 420)
+	touches := func(r geom.Rect) bool { return r.Intersects(window) }
+	reads := s.IOStats().Reads
+	_, merged, err := s.SearchTiles(context.Background(), touches, touches, func(rtree.Hit) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.IOStats().Reads - reads; merged.NodeAccesses == 0 || got != merged.NodeAccesses {
+		t.Fatalf("SearchTiles read %d pages for %d node accesses", got, merged.NodeAccesses)
+	}
+}
+
 func TestRoutedMutations(t *testing.T) {
 	ds := workload.NewDataset(workload.Small, 400, 0, 9)
 	s := buildSharded(t, index.KindRTree, ds.Items, 4)
@@ -74,10 +93,14 @@ func TestRoutedMutations(t *testing.T) {
 		t.Fatalf("insert grew %d tiles, want exactly 1", grew)
 	}
 
-	// Update may cross tiles; the object must stay unique.
+	// A delete then an insert may cross tiles; the object must stay
+	// unique.
 	r2 := geom.R(900, 900, 910, 910)
-	if err := s.Update(r, r2, 9001); err != nil {
-		t.Fatalf("Update: %v", err)
+	if err := s.Delete(r, 9001); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if err := s.Insert(r2, 9001); err != nil {
+		t.Fatalf("Insert: %v", err)
 	}
 	found := 0
 	for _, tl := range s.Tiles() {
@@ -122,8 +145,8 @@ func TestAggregates(t *testing.T) {
 	if !s.CoveringNodeRects() {
 		t.Fatal("R-tree tiles must report covering node rects")
 	}
-	if s.NumTiles() != 4 || len(s.Tiles()) != 4 {
-		t.Fatal("tile accessors disagree")
+	if len(s.Tiles()) != 4 {
+		t.Fatalf("%d tiles, want 4", len(s.Tiles()))
 	}
 	s.ResetIOStats()
 	if _, _, err := s.NearestCtx(context.Background(), geom.Point{X: 500, Y: 500}, 3); err != nil {

@@ -178,18 +178,6 @@ func (r Relation) Matrix() Matrix {
 	return matrices[r]
 }
 
-// FromMatrix returns the relation with the given 9-intersection matrix.
-// Only the eight matrices realisable by pairs of contiguous regions are
-// recognised; any other matrix yields ok=false.
-func FromMatrix(m Matrix) (Relation, bool) {
-	for _, r := range All() {
-		if matrices[r] == m {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
 // String renders the matrix in the conventional row-major form with ¬∅
 // as 1 and ∅ as 0.
 func (m Matrix) String() string {
@@ -207,15 +195,4 @@ func (m Matrix) String() string {
 		}
 	}
 	return string(out)
-}
-
-// Transpose returns the matrix of the converse relation.
-func (m Matrix) Transpose() Matrix {
-	var t Matrix
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			t[j][i] = m[i][j]
-		}
-	}
-	return t
 }

@@ -66,7 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 		// The log must be append-ready: a new record lands cleanly and
 		// a reopen sees exactly replayed + appended.
 		extra := rec(OpInsert, 4242)
-		if err := l.Append(extra); err != nil {
+		if err := l.Reserve(extra).Wait(); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {

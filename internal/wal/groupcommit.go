@@ -177,10 +177,11 @@ func (l *Log) flushBatchLocked(b *batch) {
 	}
 	l.size += int64(len(b.buf))
 	l.records += uint64(b.count)
-	l.appended += uint64(b.count)
-	if err := l.syncPolicyLocked(); err != nil {
-		b.err = err
-		return
+	if l.opts.Policy == SyncAlways {
+		if err := l.f.Sync(); err != nil {
+			b.err = err
+			return
+		}
 	}
 	l.gstats.Commits++
 	l.gstats.Records += uint64(b.count)

@@ -24,7 +24,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				oid := uint64(w*perWriter + i + 1)
-				if err := l.Append(rec(OpInsert, oid)); err != nil {
+				if err := l.Reserve(rec(OpInsert, oid)).Wait(); err != nil {
 					errs <- err
 					return
 				}
@@ -113,8 +113,9 @@ func TestGroupCommitReserveOrdersRecords(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchAppend checks AppendBatch writes a contiguous
-// run and Truncate/Flush interact correctly with open batches.
+// TestGroupCommitBatchAppend checks a multi-record Reserve writes a
+// contiguous run and Truncate/Flush interact correctly with open
+// batches.
 func TestGroupCommitBatchAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.wal")
 	l, _, err := Open(path, Options{Policy: SyncAlways})
@@ -125,10 +126,10 @@ func TestGroupCommitBatchAppend(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		batch = append(batch, rec(OpInsert, uint64(i)))
 	}
-	if err := l.AppendBatch(batch); err != nil {
+	if err := l.Reserve(batch...).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(nil); err != nil {
+	if err := l.Reserve().Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Records(); got != 30 {
@@ -170,7 +171,7 @@ func TestGroupCommitClosedLog(t *testing.T) {
 	if err := l.Reserve(rec(OpInsert, 1)).Wait(); err == nil {
 		t.Fatal("reserving on a closed log succeeded")
 	}
-	if err := l.Append(rec(OpInsert, 1)); err == nil {
+	if err := l.Reserve(rec(OpInsert, 1)).Wait(); err == nil {
 		t.Fatal("appending on a closed log succeeded")
 	}
 }

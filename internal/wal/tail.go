@@ -98,8 +98,5 @@ func (t *Tail) Next() (rec Record, ok bool, err error) {
 	return r, true, nil
 }
 
-// Offset returns the byte offset of the next frame to read.
-func (t *Tail) Offset() int64 { return t.off }
-
 // Close releases the tail's file descriptor.
 func (t *Tail) Close() error { return t.f.Close() }

@@ -37,7 +37,7 @@ func TestTailFollowsLiveAppends(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		want := tailRecord(i)
-		if err := l.Append(want); err != nil {
+		if err := l.Reserve(want).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		got, ok, err := tail.Next()
@@ -51,8 +51,8 @@ func TestTailFollowsLiveAppends(t *testing.T) {
 			t.Fatalf("record %d: expected dry after drain, got ok=%v err=%v", i, ok, err)
 		}
 	}
-	if want := int64(20 * (frameHeaderSize + payloadSize)); tail.Offset() != want {
-		t.Fatalf("offset %d, want %d", tail.Offset(), want)
+	if want := int64(20 * (frameHeaderSize + payloadSize)); tail.off != want {
+		t.Fatalf("offset %d, want %d", tail.off, want)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestTailSurvivesUnlink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append(tailRecord(i)); err != nil {
+		if err := l.Reserve(tailRecord(i)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestMarshalRecordRoundTrip(t *testing.T) {
 }
 
 // TestWriteHookFailsAppend checks a failing WriteHook surfaces through
-// Append/Ticket.Wait.
+// Ticket.Wait.
 func TestWriteHookFailsAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hook.wal")
 	fail := false
@@ -182,11 +182,11 @@ func TestWriteHookFailsAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(tailRecord(1)); err != nil {
+	if err := l.Reserve(tailRecord(1)).Wait(); err != nil {
 		t.Fatalf("healthy append failed: %v", err)
 	}
 	fail = true
-	if err := l.Append(tailRecord(2)); err == nil {
+	if err := l.Reserve(tailRecord(2)).Wait(); err == nil {
 		t.Fatal("expected hook failure")
 	}
 	fail = false

@@ -31,7 +31,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"time"
 
 	"mbrtopo/internal/geom"
 )
@@ -66,12 +65,10 @@ type Record struct {
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: no acknowledged mutation
-	// is ever lost, at the cost of one fsync per mutation.
+	// SyncAlways fsyncs every group commit before its appenders are
+	// acknowledged: no acknowledged mutation is ever lost, at the cost
+	// of one fsync per batch of concurrent appends.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.Interval: a crash
-	// loses at most the last interval's acknowledged mutations.
-	SyncInterval
 	// SyncNever leaves flushing to the OS: fastest, loses everything
 	// since the last OS writeback on power failure (process crashes
 	// alone lose nothing — the page cache survives them).
@@ -82,47 +79,33 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	}
 	return fmt.Sprintf("wal.SyncPolicy(%d)", int(p))
 }
 
-// ParseSyncPolicy parses "always", "interval", or "never".
+// ParseSyncPolicy parses "always" or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or never)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 }
 
 // Options tunes a Log.
 type Options struct {
 	// Policy is the fsync policy (default SyncAlways).
 	Policy SyncPolicy
-	// Interval is the maximum staleness under SyncInterval (default
-	// 100ms).
-	Interval time.Duration
 	// WriteHook, when set, runs before every append write with the
 	// target offset and byte count, and failing it fails the append —
 	// the fault-injection point durability tests use to exercise the
 	// "applied but not logged" degradation path (the log-file analogue
 	// of pagefile.CrashFile).
 	WriteHook func(off int64, n int) error
-}
-
-func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
-	return o
 }
 
 const (
@@ -142,15 +125,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // in-memory application of the mutation (the server holds its own
 // per-index mutation lock across both).
 type Log struct {
-	mu       sync.Mutex // file state: everything below, through gstats
-	f        *os.File
-	path     string
-	opts     Options
-	size     int64 // bytes of intact frames
-	records  uint64
-	appended uint64
-	lastSync time.Time
-	gstats   GroupStats
+	mu      sync.Mutex // file state: everything below, through gstats
+	f       *os.File
+	opts    Options
+	size    int64 // bytes of intact frames
+	records uint64
+	gstats  GroupStats
 
 	// Batch formation (groupcommit.go). gmu is ordered before mu and
 	// is never held across IO.
@@ -190,12 +170,10 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 		}
 	}
 	l := &Log{
-		f:        f,
-		path:     path,
-		opts:     opts.withDefaults(),
-		size:     good,
-		records:  uint64(len(recs)),
-		lastSync: time.Now(),
+		f:       f,
+		opts:    opts,
+		size:    good,
+		records: uint64(len(recs)),
 	}
 	return l, recs, nil
 }
@@ -277,40 +255,6 @@ func encode(rec Record) []byte {
 	return frame
 }
 
-// Append writes one record and applies the fsync policy. The record is
-// durable (per the policy) when Append returns. Concurrent Appends are
-// group committed; Reserve/Wait gives callers the two halves
-// separately.
-func (l *Log) Append(rec Record) error {
-	return l.Reserve(rec).Wait()
-}
-
-// AppendBatch writes records as one contiguous run with a single
-// group-committed flush.
-func (l *Log) AppendBatch(recs []Record) error {
-	return l.Reserve(recs...).Wait()
-}
-
-// syncPolicyLocked applies the fsync policy after a write. Caller
-// holds l.mu.
-func (l *Log) syncPolicyLocked() error {
-	switch l.opts.Policy {
-	case SyncAlways:
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-		l.lastSync = time.Now()
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.Interval {
-			if err := l.f.Sync(); err != nil {
-				return err
-			}
-			l.lastSync = time.Now()
-		}
-	}
-	return nil
-}
-
 // Sync flushes the log to stable storage regardless of policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
@@ -318,11 +262,7 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return fmt.Errorf("wal: log is closed")
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.lastSync = time.Now()
-	return nil
+	return l.f.Sync()
 }
 
 // Truncate discards every record (after a checkpoint made them
@@ -354,22 +294,12 @@ func (l *Log) Records() uint64 {
 	return l.records
 }
 
-// Appended returns the number of records appended through this handle.
-func (l *Log) Appended() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
-
 // Size returns the log's intact byte length.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Close flushes pending reservations, syncs, and closes the log.
 func (l *Log) Close() error {

@@ -3,8 +3,8 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"mbrtopo/internal/geom"
 )
@@ -30,7 +30,7 @@ func buildLog(t *testing.T, path string, n int) []Record {
 			op = OpDelete
 		}
 		r := rec(op, uint64(i+1))
-		if err := l.Append(r); err != nil {
+		if err := l.Reserve(r).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, r)
@@ -62,7 +62,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("Records() = %d", l.Records())
 	}
 	// The reopened log accepts appends.
-	if err := l.Append(rec(OpInsert, 99)); err != nil {
+	if err := l.Reserve(rec(OpInsert, 99)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if l.Records() != uint64(len(want)+1) {
@@ -109,7 +109,7 @@ func TestLogTornTailAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: repaired size %d", cut, l.Size())
 		}
 		// Appending after repair lands on a clean frame boundary.
-		if err := l.Append(rec(OpInsert, 1000)); err != nil {
+		if err := l.Reserve(rec(OpInsert, 1000)).Wait(); err != nil {
 			t.Fatalf("cut %d: append after repair: %v", cut, err)
 		}
 		if err := l.Close(); err != nil {
@@ -177,7 +177,7 @@ func TestLogTruncate(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 4; i++ {
-		if err := l.Append(rec(OpInsert, uint64(i))); err != nil {
+		if err := l.Reserve(rec(OpInsert, uint64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,11 +187,8 @@ func TestLogTruncate(t *testing.T) {
 	if l.Records() != 0 || l.Size() != 0 {
 		t.Fatalf("truncate left records=%d size=%d", l.Records(), l.Size())
 	}
-	if l.Appended() != 4 {
-		t.Fatalf("Appended() = %d, want 4 (truncate keeps the lifetime count)", l.Appended())
-	}
 	// Records appended after a truncate replay alone.
-	if err := l.Append(rec(OpDelete, 42)); err != nil {
+	if err := l.Reserve(rec(OpDelete, 42)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -210,7 +207,12 @@ func TestSyncPolicies(t *testing.T) {
 	if _, err := ParseSyncPolicy("bogus"); err == nil {
 		t.Fatal("bogus policy parsed")
 	}
-	for _, s := range []string{"always", "interval", "never"} {
+	// The retired policy's error must name the two that remain.
+	if _, err := ParseSyncPolicy("interval"); err == nil ||
+		!strings.Contains(err.Error(), "always") || !strings.Contains(err.Error(), "never") {
+		t.Fatalf("interval: %v, want an error naming always and never", err)
+	}
+	for _, s := range []string{"always", "never"} {
 		p, err := ParseSyncPolicy(s)
 		if err != nil {
 			t.Fatal(err)
@@ -219,11 +221,11 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatalf("round trip %q → %q", s, p)
 		}
 		path := filepath.Join(t.TempDir(), s+".wal")
-		l, _, err := Open(path, Options{Policy: p, Interval: time.Millisecond})
+		l, _, err := Open(path, Options{Policy: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Append(rec(OpInsert, 1)); err != nil {
+		if err := l.Reserve(rec(OpInsert, 1)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {

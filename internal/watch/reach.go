@@ -5,75 +5,18 @@ import (
 	"mbrtopo/internal/mbr"
 )
 
-// The skip filter of the notifier is built on the paper's Section 6
-// conceptual neighbourhood graph (Figure 14): when an object's MBR
-// changes by a bounded amount, its interval relation to a reference
-// can only move along neighbourhood edges, so a subscription whose
-// admissible configurations are far from the object's old
-// configuration cannot gain or lose that object.
-//
-// The derived GrowPrimaryNeighbours/GrowReferenceNeighbours edges are
-// directed (growth only), but a moving object traverses them in both
-// directions — a translation grows one side of its interval while
-// shrinking the other — so the sound per-axis bound is the undirected
-// closure of both edge sets.
-
-// axisSteps2[r-1] is the set of interval relations reachable from r in
-// at most two moves along the symmetrised neighbourhood graph.
-var axisSteps2 [interval.NumRelations]interval.Set
-
-// reach2 maps a configuration index to the set of configurations
-// reachable when each axis relation takes at most two neighbourhood
-// moves — the per-axis product of axisSteps2. The relation "b is in
-// reach2 of a" is symmetric, which nearConfigs relies on.
-var reach2 [mbr.NumConfigs]mbr.ConfigSet
-
 // touchingConfigs holds the configurations whose projections share at
 // least one point on both axes — exactly the configurations that can
 // realise a relation other than disjoint. A subscription whose
 // admissible set stays inside it is only ever affected by objects
 // touching its reference rectangle, which is what lets the R-tree over
 // subscription references prune candidates.
-var touchingConfigs mbr.ConfigSet
-
-func init() {
-	var adj [interval.NumRelations]interval.Set
-	for _, r := range interval.All() {
-		out := interval.GrowPrimaryNeighbours(r).Union(interval.GrowReferenceNeighbours(r))
-		adj[r-1] = adj[r-1].Union(out)
-		for _, n := range out.Relations() {
-			adj[n-1] = adj[n-1].Add(r)
-		}
-	}
-	for _, r := range interval.All() {
-		s := interval.NewSet(r).Union(adj[r-1])
-		for _, n := range adj[r-1].Relations() {
-			s = s.Union(adj[n-1])
-		}
-		axisSteps2[r-1] = s
-	}
-	for i := 0; i < mbr.NumConfigs; i++ {
-		c := mbr.ConfigFromIndex(i)
-		reach2[i] = mbr.ProductSet(axisSteps2[c.X-1], axisSteps2[c.Y-1])
-	}
+var touchingConfigs = func() mbr.ConfigSet {
 	var touching interval.Set
 	for _, r := range interval.All() {
 		if r.SharesPoints() {
 			touching = touching.Add(r)
 		}
 	}
-	touchingConfigs = mbr.ProductSet(touching, touching)
-}
-
-// nearConfigs expands an admissible configuration set by up to two
-// symmetric neighbourhood moves per axis: the union of reach2 over the
-// set's members. By the symmetry of reach2, a configuration outside
-// the expansion whose move stays within reach2 lands outside the
-// admissible set too — the soundness of the notifier's skip test.
-func nearConfigs(s mbr.ConfigSet) mbr.ConfigSet {
-	out := s
-	for _, c := range s.Configs() {
-		out = out.Union(reach2[c.Index()])
-	}
-	return out
-}
+	return mbr.ProductSet(touching, touching)
+}()

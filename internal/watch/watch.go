@@ -6,17 +6,13 @@
 // Subscriptions live in a Table attached to one served index. The
 // write path publishes every applied commit batch; a single notifier
 // goroutine evaluates one pass per batch and fans events out to the
-// subscribers' buffered channels. Three layers keep a pass cheap:
+// subscribers' buffered channels. Two layers keep a pass cheap:
 //
 //  1. An R-tree over the subscription reference rectangles reduces the
 //     touched object's rectangles to the subscriptions they touch
 //     (subscriptions whose relation set admits disjoint see every
 //     mutation — a gap configuration matches objects anywhere).
-//  2. The conceptual neighbourhood graph (paper Section 6) skips
-//     candidate subscriptions whose relation set is unreachable from
-//     the object's previous configuration within the move's bound; new
-//     and removed objects fall back to full evaluation.
-//  3. Survivors re-run only the filter step — a configuration test per
+//  2. Survivors re-run only the filter step — a configuration test per
 //     rectangle — against the subscription's admissible set.
 //
 // Delivery is at-least-once per generation: a subscriber that attaches
@@ -107,9 +103,6 @@ type Counters struct {
 	Subscriptions int
 	// Evaluated counts full (subscription, object) evaluations.
 	Evaluated uint64
-	// Skipped counts evaluations avoided by the neighbourhood-graph
-	// reachability test.
-	Skipped uint64
 	// Pruned counts evaluations avoided by the subscription R-tree
 	// (reference nowhere near the object).
 	Pruned uint64
@@ -131,9 +124,6 @@ type Subscription struct {
 	// of the relation set): membership on the wire is exactly the
 	// filter step of a window query with the same request.
 	cfgs mbr.ConfigSet
-	// near is cfgs expanded two neighbourhood moves per axis; the
-	// notifier's skip test checks the old configuration against it.
-	near mbr.ConfigSet
 	// gap marks subscriptions whose admissible set leaves the touching
 	// configurations — their relation set admits disjoint, so every
 	// mutation is a candidate and the reference R-tree cannot help.
@@ -229,8 +219,8 @@ type Table struct {
 
 	active atomic.Bool
 
-	evaluated, skipped, pruned atomic.Uint64
-	events, dropped, batches   atomic.Uint64
+	evaluated, pruned        atomic.Uint64
+	events, dropped, batches atomic.Uint64
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -269,10 +259,6 @@ func NewTable(scan func(emit func(geom.Rect, uint64) bool) error, subIdx SubInde
 	return t
 }
 
-// Active reports whether the table has subscribers; Publish is a no-op
-// while it has none.
-func (t *Table) Active() bool { return t.active.Load() }
-
 // Counters snapshots the work accounting.
 func (t *Table) Counters() Counters {
 	t.mu.Lock()
@@ -281,7 +267,6 @@ func (t *Table) Counters() Counters {
 	return Counters{
 		Subscriptions: n,
 		Evaluated:     t.evaluated.Load(),
-		Skipped:       t.skipped.Load(),
 		Pruned:        t.pruned.Load(),
 		Events:        t.events.Load(),
 		Dropped:       t.dropped.Load(),
@@ -337,7 +322,6 @@ func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscripti
 		ref:      ref,
 		rels:     rels,
 		cfgs:     cfgs,
-		near:     nearConfigs(cfgs),
 		gap:      !cfgs.SubsetOf(touchingConfigs),
 		startGen: t.gen,
 		ch:       make(chan Event, buffer),
@@ -541,23 +525,6 @@ func (t *Table) runBatchLocked(b commitBatch) {
 		}
 		t.pruned.Add(subCount - uint64(len(cands)))
 		for _, sub := range cands {
-			// Neighbourhood skip: by reach2's symmetry, cOld outside
-			// the subscription's expansion means no admissible
-			// configuration is reachable from the old state within the
-			// bound. A removal then cannot produce an event (the old
-			// configuration itself is inadmissible), and neither can a
-			// move whose new configuration stayed within the bound.
-			// New objects (no previous state) and multi-rectangle
-			// objects fall back to full evaluation.
-			if len(d.before) == 1 {
-				cOld := mbr.ConfigOf(d.before[0], sub.ref)
-				if !sub.near.Has(cOld) &&
-					(len(d.after) == 0 ||
-						(len(d.after) == 1 && reach2[cOld.Index()].Has(mbr.ConfigOf(d.after[0], sub.ref)))) {
-					t.skipped.Add(1)
-					continue
-				}
-			}
 			t.evaluated.Add(1)
 			if ev, ok := sub.eventFor(d.oid, d.before, d.after); ok {
 				pending[sub] = append(pending[sub], ev)

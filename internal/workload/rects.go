@@ -61,14 +61,10 @@ type Dataset struct {
 	Queries []geom.Rect
 }
 
-// PaperDataset generates the paper's setup for a size class: 10,000
-// uniformly random data rectangles and 100 query rectangles, sizes
-// capped by the class. The generator is fully determined by the seed.
-func PaperDataset(class SizeClass, seed int64) *Dataset {
-	return NewDataset(class, 10000, 100, seed)
-}
-
-// NewDataset generates a dataset with explicit cardinalities.
+// NewDataset generates nData uniformly random data rectangles and
+// nQueries query rectangles, sizes capped by the class (the paper's
+// setup is 10,000 and 100). The generator is fully determined by the
+// seed.
 func NewDataset(class SizeClass, nData, nQueries int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	d := &Dataset{Class: class}

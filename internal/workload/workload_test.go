@@ -24,7 +24,7 @@ func TestSizeClasses(t *testing.T) {
 
 func TestPaperDatasetShape(t *testing.T) {
 	for _, class := range AllSizeClasses() {
-		d := PaperDataset(class, 42)
+		d := NewDataset(class, 10000, 100, 42)
 		if len(d.Items) != 10000 || len(d.Queries) != 100 {
 			t.Fatalf("%v: %d items, %d queries", class, len(d.Items), len(d.Queries))
 		}
@@ -52,14 +52,14 @@ func TestPaperDatasetShape(t *testing.T) {
 }
 
 func TestDatasetDeterministic(t *testing.T) {
-	a := PaperDataset(Medium, 7)
-	b := PaperDataset(Medium, 7)
+	a := NewDataset(Medium, 10000, 100, 7)
+	b := NewDataset(Medium, 10000, 100, 7)
 	for i := range a.Items {
 		if a.Items[i] != b.Items[i] {
 			t.Fatal("dataset not reproducible for equal seeds")
 		}
 	}
-	c := PaperDataset(Medium, 8)
+	c := NewDataset(Medium, 10000, 100, 8)
 	same := true
 	for i := range a.Items {
 		if a.Items[i] != c.Items[i] {
