@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: verify orphans race test paper bench-smoke fmt smoke fuzz
+.PHONY: verify orphans pins race test paper bench-smoke fmt smoke fuzz
 
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
 # imports internal/ packages: vet it too, so that deleting a symbol it
 # calls fails here and not only in CI's bench-smoke job.
-verify: orphans
+verify: orphans pins
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -19,6 +19,14 @@ verify: orphans
 # func is gone or has found a caller (drop it).
 orphans:
 	@bash -c 'diff -u --label scripts/orphans.sh --label scripts/orphans.allow <(bash scripts/orphans.sh) <(cut -d" " -f1 scripts/orphans.allow)'
+
+# Bench-pin gate: the exported funcs that only bench/ calls — what the
+# orphan scan adds once bench/ stops counting as a caller — must be
+# exactly the names in scripts/bench.pins, the list the next bench/
+# change retires. A `-` line is a new pin (list it, or call it from the
+# root module); a `+` line is a pin that is gone (drop it).
+pins:
+	@bash -c 'diff -u --label "scripts/orphans.sh bench" --label scripts/bench.pins <(comm -23 <(bash scripts/orphans.sh bench) <(bash scripts/orphans.sh)) <(grep -v "^#" scripts/bench.pins | cut -d" " -f1)'
 
 # Concurrency gate: readers, batched writers, and group commit must be
 # race-free across every package, with exact per-query statistics.

@@ -60,15 +60,6 @@
 //
 //	topoquery -watch http://localhost:8080 -rel not_disjoint -ref 10,10,40,30
 //
-// Tile sharding: -shards N partitions the index into N STR tiles, one
-// index instance per tile behind a scatter-gather router. Queries,
-// kNN, and joins fan out to only the tiles whose bounds can satisfy
-// the relation set; with -data-dir every tile keeps its own image +
-// WAL and recovers independently (an existing on-disk tile layout wins
-// over the flag):
-//
-//	topod -gen 100000 -bulk -shards 4 -data-dir /var/lib/topod
-//
 // Conjunctions and caching: /v1/query accepts a second conjunction
 // term (relations2/ref2); one descent prunes by both terms, unless the
 // relation composition table already proves the answer empty
@@ -131,7 +122,6 @@ func main() {
 		maxLagRecords = flag.Uint64("max-lag-records", 10000, "follower readiness gate: 503 on /readyz while more than this many records behind")
 
 		maxWatch  = flag.Int("maxwatch", 256, "bound on concurrently open /v1/watch streams (separate from -maxinflight)")
-		shards    = flag.Int("shards", 1, "STR-partition the index into this many tiles with scatter-gather routing (an existing on-disk layout wins over the flag)")
 		cacheSize = flag.Int("cache-size", 256, "entries in the generation-keyed /v1/query result cache (0 = disabled)")
 	)
 	flag.Parse()
@@ -150,7 +140,6 @@ func main() {
 		Kind:     kind,
 		PageSize: *pageSize,
 		Bulk:     *bulk,
-		Shards:   *shards,
 	}
 	if *follow != "" && *dataDir == "" {
 		fatal(fmt.Errorf("-follow requires -data-dir (the replica keeps its own checkpoint image + WAL)"))
@@ -198,14 +187,6 @@ func main() {
 	case !inst.Healthy():
 		fmt.Printf("topod: index %q UNHEALTHY (%s); serving 503 on its routes\n",
 			inst.Name, inst.FailReason())
-	case inst.Sharded() > 0:
-		verb := "serving"
-		if inst.Recovered {
-			verb = "recovered"
-		}
-		fmt.Printf("topod: backend=sharded %s %d rectangles across %d STR tiles in %s %q in %s (replayed %d WAL records)\n",
-			verb, inst.ReadIndex().Len(), inst.Sharded(), inst.Kind, inst.Name,
-			buildTime.Round(time.Millisecond), inst.Replayed)
 	case inst.Backend() == "flat":
 		fmt.Printf("topod: backend=flat serving %d rectangles in %s %q from %s in %s (the checkpoint image adopted as the tree, nothing replayed)\n",
 			inst.ReadIndex().Len(), inst.Kind, inst.Name, *dataDir, buildTime.Round(time.Millisecond))

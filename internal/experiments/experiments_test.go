@@ -233,35 +233,3 @@ func TestConfigHelpers(t *testing.T) {
 		t.Errorf("serial baseline = %d, want 200", cfg.SerialBaseline())
 	}
 }
-
-// TestShardShape: the scatter-gather router pays at most a few extra
-// root reads per searched tile and actually prunes tiles.
-func TestShardShape(t *testing.T) {
-	res, err := RunShard(Quick(), workload.Medium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(res.Rows))
-	}
-	maxTiles := float64(res.ShardCounts[len(res.ShardCounts)-1])
-	for _, row := range res.Rows {
-		single := row.Accesses[0]
-		if single <= 0 {
-			t.Fatalf("%v: single-index accesses %.1f", row.Relation, single)
-		}
-		for i, acc := range row.Accesses[1:] {
-			// Each searched tile costs its own root read on top of the
-			// shared traversal work, and the tile trees pack leaves
-			// slightly differently from the single tree — allow a
-			// modest multiplicative slack beyond the per-tile roots.
-			if acc > 1.3*single+maxTiles {
-				t.Errorf("%v: %d-tile accesses %.1f exceed single %.1f + %v roots",
-					row.Relation, res.ShardCounts[i+1], acc, single, maxTiles)
-			}
-		}
-	}
-	if res.Searched == 0 || res.Pruned == 0 {
-		t.Errorf("router counters searched=%d pruned=%d, want both positive", res.Searched, res.Pruned)
-	}
-}

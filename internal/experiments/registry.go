@@ -100,8 +100,6 @@ var registry = []entry{
 		claim: "a disjunction costs what its dominating member costs; Table 4 answers empty conjunctions with zero disk accesses (Section 5)"},
 	{id: "ablations", run: onClass(RunAblations),
 		claim: "design choices beyond the paper: split policy, Table 2 against naive descent, LRU buffering, clustered data — the cost groups survive each"},
-	{id: "shard", run: onClass(RunShard),
-		claim: "STR tiles behind a scatter-gather router: a pruned tile is never entered, so accesses stay near one packed tree's while most of the fan-out is avoided (in-process; verdict pending ROADMAP item 1e)"},
 	{id: "packing", run: onClass(RunPacking),
 		claim: "an STR-packed R-tree uses fewer pages and fewer reads per search than the one-by-one build"},
 	{id: "seeds", run: onConfig(runSeeds),

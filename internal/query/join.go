@@ -2,10 +2,7 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
@@ -70,37 +67,12 @@ func joinSide(idx index.Index) (*rtree.Tree, error) {
 	return nil, fmt.Errorf("query: join requires covering-rectangle trees (got %s)", idx.Name())
 }
 
-// Tiled is the structural interface of a sharded index (shard.Sharded
-// implements it): a routed index whose data lives in per-tile
-// sub-indexes. Joins scatter across tile pairs instead of traversing
-// through the router, so join work parallelises across shards.
-type Tiled interface {
-	index.Index
-	Tiles() []index.Index
-}
-
-// tileSet flattens an index into its joinable tiles: the tiles of a
-// Tiled index, or the index itself.
-func tileSet(idx index.Index) []index.Index {
-	if t, ok := idx.(Tiled); ok {
-		return t.Tiles()
-	}
-	return []index.Index{idx}
-}
-
 // CanJoin reports (as an error) whether the two indexes can be joined
 // by synchronized traversal. It lets callers that stream results over
 // a network reject unsupported pairs before committing to a response.
-// Sharded indexes are joinable when their tiles are.
 func CanJoin(left, right index.Index) error {
-	for _, side := range [][]index.Index{tileSet(left), tileSet(right)} {
-		for _, t := range side {
-			if _, err := joinSide(t); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, _, err := joinTrees(left, right)
+	return err
 }
 
 // sweepSafe reports whether every admissible configuration shares at
@@ -128,11 +100,6 @@ func sweepSafe(cands mbr.ConfigSet) bool {
 func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opts JoinOptions, yield func(JoinPair) bool) (Stats, error) {
 	if rels.IsEmpty() {
 		return Stats{}, fmt.Errorf("query: empty relation set")
-	}
-	if _, lt := left.(Tiled); lt {
-		return joinSharded(ctx, left, right, rels, opts, yield)
-	} else if _, rt := right.(Tiled); rt {
-		return joinSharded(ctx, left, right, rels, opts, yield)
 	}
 	t1, t2, err := joinTrees(left, right)
 	if err != nil {
@@ -188,169 +155,4 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		return stats, refineErr
 	}
 	return stats, err
-}
-
-// joinSharded scatters a join across tile pairs. Every (left tile,
-// right tile) combination whose root bounds admit a configuration in
-// the join propagation is a unit of work — explicit cross-tile border
-// pairs included, since under single assignment two rectangles that
-// match can live in different tiles. Pairs run on a worker pool (the
-// per-pair engines traverse serially then, so parallelism comes from
-// the shards), results merge through one serialising yield, and a
-// self-join drops equal-OID pairs at the merge point exactly like the
-// single-index engine does.
-func joinSharded(ctx context.Context, left, right index.Index, rels topo.Set, opts JoinOptions, yield func(JoinPair) bool) (Stats, error) {
-	leftTiles, rightTiles := tileSet(left), tileSet(right)
-	for _, side := range [][]index.Index{leftTiles, rightTiles} {
-		for _, t := range side {
-			if _, err := joinSide(t); err != nil {
-				return Stats{}, err
-			}
-		}
-	}
-
-	cands := tablesFor(opts.NonContiguous).candidates(rels)
-	feasible := pairTestFor(mbr.JoinPropagation(cands)).admits
-	dropSelf := left == right && !opts.KeepSelfPairs
-
-	// Enumerate feasible tile pairs: the same root-root propagation test
-	// the engine runs first, applied to tile bounds, culls pairs that
-	// cannot contribute (conservative — bounds cover members). Both
-	// orders of a cross-tile pair appear, matching the single tree's
-	// self-join, which emits both ordered pairs.
-	type tilePair struct{ l, r index.Index }
-	var pairs []tilePair
-	for _, lt := range leftTiles {
-		lb, lok := lt.Bounds()
-		if !lok {
-			continue
-		}
-		for _, rt := range rightTiles {
-			rb, rok := rt.Bounds()
-			if !rok {
-				continue
-			}
-			if !feasible(lb, rb) {
-				continue
-			}
-			pairs = append(pairs, tilePair{l: lt, r: rt})
-		}
-	}
-	if len(pairs) == 0 {
-		return Stats{}, nil
-	}
-
-	inner := opts
-	inner.KeepSelfPairs = true // the merge point filters self pairs
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if len(pairs) > 1 {
-		inner.Workers = 1
-	}
-
-	if workers == 1 {
-		// Serial fast path: no goroutines, channel, or serialising
-		// mutex — the per-pair engines already call yield one at a time.
-		var total Stats
-		stopped := false
-		deliver := func(p JoinPair) bool {
-			if dropSelf && p.LeftOID == p.RightOID {
-				return true
-			}
-			if !yield(p) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		for _, pr := range pairs {
-			st, err := JoinStream(ctx, pr.l, pr.r, rels, inner, deliver)
-			total.add(st)
-			if err != nil {
-				return total, err
-			}
-			if stopped {
-				return total, nil
-			}
-		}
-		return total, nil
-	}
-
-	jctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		yieldMu sync.Mutex
-		stopped bool
-	)
-	deliver := func(p JoinPair) bool {
-		yieldMu.Lock()
-		defer yieldMu.Unlock()
-		if stopped {
-			return false
-		}
-		if dropSelf && p.LeftOID == p.RightOID {
-			return true
-		}
-		if !yield(p) {
-			stopped = true
-			cancel()
-			return false
-		}
-		return true
-	}
-
-	var (
-		statsMu sync.Mutex
-		total   Stats
-		errs    = make([]error, workers)
-		wg      sync.WaitGroup
-	)
-	pairCh := make(chan tilePair)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for pr := range pairCh {
-				st, err := JoinStream(jctx, pr.l, pr.r, rels, inner, deliver)
-				statsMu.Lock()
-				total.add(st)
-				statsMu.Unlock()
-				if err != nil && errs[w] == nil {
-					errs[w] = err
-				}
-				if err != nil {
-					cancel()
-					return
-				}
-			}
-		}(w)
-	}
-feed:
-	for _, pr := range pairs {
-		select {
-		case pairCh <- pr:
-		case <-jctx.Done():
-			break feed
-		}
-	}
-	close(pairCh)
-	wg.Wait()
-
-	if stopped {
-		return total, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return total, err
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -106,18 +106,6 @@ const (
 	explainShortCircuit = "plan=conjunction short-circuit refs="
 )
 
-// add folds the counters of one more traversal into s. The plan
-// fields (ShortCircuited, Explain) describe one query and are not
-// summed.
-func (s *Stats) add(t Stats) {
-	s.NodeAccesses += t.NodeAccesses
-	s.Candidates += t.Candidates
-	s.RefinementTests += t.RefinementTests
-	s.DirectAccepts += t.DirectAccepts
-	s.FalseHits += t.FalseHits
-	s.HullResolved += t.HullResolved
-}
-
 // Result bundles matches with the query statistics.
 type Result struct {
 	Matches []Match

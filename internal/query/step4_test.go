@@ -159,7 +159,11 @@ func TestStep4Accounting(t *testing.T) {
 					if matches != st.Candidates-st.FalseHits {
 						t.Errorf("%s: %d matches ≠ %d candidates − %d false hits", label, matches, st.Candidates, st.FalseHits)
 					}
-					sum.add(st)
+					sum.Candidates += st.Candidates
+					sum.RefinementTests += st.RefinementTests
+					sum.DirectAccepts += st.DirectAccepts
+					sum.FalseHits += st.FalseHits
+					sum.HullResolved += st.HullResolved
 				})
 				if sum.RefinementTests == 0 || sum.FalseHits == 0 || sum.Candidates == sum.FalseHits {
 					t.Errorf("vacuous run: %+v", sum)

@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -18,9 +17,7 @@ import (
 // the key of every subsequent lookup and lets stale entries age out
 // of the LRU instead of being hunted down. A cached answer is
 // therefore always the answer the live index would give: same match
-// lines, same stats line, zero page reads. Sharded instances key on
-// the vector of per-tile generations (mutations route to exactly one
-// tile, which bumps only that tile).
+// lines, same stats line, zero page reads.
 
 // cachedResult is one stored answer: the match lines exactly as they
 // were rendered for the original response (replayed with a single
@@ -119,31 +116,14 @@ func (inst *Instance) bumpGen() { inst.gen.Add(1) }
 // component; also a cheap "has anything changed" probe for tests).
 func (inst *Instance) Generation() uint64 { return inst.gen.Load() }
 
-// versionKey renders the generation component of a cache key: the
-// instance's own generation, extended on a sharded parent with the
-// per-tile vector (parent routing bumps the mutated tile, so the
-// vector changes whenever any tile's data does).
-func (inst *Instance) versionKey() string {
-	if len(inst.tiles) == 0 {
-		return strconv.FormatUint(inst.gen.Load(), 10)
-	}
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(inst.gen.Load(), 10))
-	for _, t := range inst.tiles {
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatUint(t.gen.Load(), 10))
-	}
-	return b.String()
-}
-
 // cacheKey normalises one query's shape. The generation makes stale
 // entries unreachable; everything else (relation sets as bitmaps,
 // reference coordinates, limit, the optional second conjunction term)
 // pins the exact question asked.
-func cacheKey(index, version string, rels topo.Set, ref geom.Rect, conj bool, rels2 topo.Set, ref2 geom.Rect, limit int) string {
+func cacheKey(index string, gen uint64, rels topo.Set, ref geom.Rect, conj bool, rels2 topo.Set, ref2 geom.Rect, limit int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|g%s|r%d|%g,%g,%g,%g|l%d",
-		index, version, uint8(rels), ref.Min.X, ref.Min.Y, ref.Max.X, ref.Max.Y, limit)
+	fmt.Fprintf(&b, "%s|g%d|r%d|%g,%g,%g,%g|l%d",
+		index, gen, uint8(rels), ref.Min.X, ref.Min.Y, ref.Max.X, ref.Max.Y, limit)
 	if conj {
 		fmt.Fprintf(&b, "|r%d|%g,%g,%g,%g",
 			uint8(rels2), ref2.Min.X, ref2.Min.Y, ref2.Max.X, ref2.Max.Y)

@@ -83,11 +83,11 @@ func addGroupStats(acc *wal.GroupStats, gs wal.GroupStats) {
 }
 
 // registerWALMetrics adds the group-commit families of the durable
-// indexes, tiles included.
+// indexes.
 func (s *Server) registerWALMetrics() {
 	family := func(name, help, typ string, value func(wal.GroupStats) any) {
 		s.metrics.collect(name, help, typ, func(emit emitFunc) {
-			for _, inst := range s.statInstances() {
+			for _, inst := range s.listInstances() {
 				if inst.dur != nil {
 					emit(value(inst.dur.groupStats()), "index", inst.Name)
 				}
@@ -347,24 +347,9 @@ func (d *durable) settle(inst *Instance, ticket *wal.Ticket, cpErr error) error 
 	return nil
 }
 
-// eachTile runs fn on every tile of a sharded parent and returns the
-// first failure.
-func (inst *Instance) eachTile(fn func(*Instance) error) error {
-	var firstErr error
-	for _, t := range inst.tiles {
-		if err := fn(t); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // Checkpoint forces a checkpoint now (topod runs one on clean
 // shutdown so the next boot replays nothing).
 func (inst *Instance) Checkpoint() error {
-	if len(inst.tiles) > 0 {
-		return inst.eachTile((*Instance).Checkpoint)
-	}
 	if inst.dur == nil {
 		return nil
 	}
@@ -377,9 +362,6 @@ func (inst *Instance) Checkpoint() error {
 // the image on disk, so the next boot replays nothing — and releases
 // the log.
 func (inst *Instance) Close() error {
-	if len(inst.tiles) > 0 {
-		return inst.eachTile((*Instance).Close)
-	}
 	d := inst.dur
 	if d == nil {
 		return nil
@@ -399,22 +381,52 @@ func (inst *Instance) Close() error {
 	return firstErr
 }
 
-// legacySnapshot refuses a directory written before MBRFLAT1 became
-// the only checkpoint format: a paged N.snap (or per-tile N.t<i>.snap)
-// with no flat image beside it holds data this binary cannot read, and
-// building a fresh index over it would silently abandon that data.
+// legacySnapshot refuses a directory holding a layout this binary
+// cannot serve; building a fresh index over it, or beside it, would
+// silently abandon that data. Two layouts qualify:
+//
+//	N.snap with no N.flat   a paged snapshot from before MBRFLAT1 became
+//	                        the only checkpoint format
+//	N.t<i>.*                any file of a tile layout: an index once
+//	                        partitioned into STR tiles, each with its own
+//	                        image and WAL
 func legacySnapshot(dir, name string) error {
-	for _, pattern := range []string{name + ".snap", name + ".t*.snap"} {
-		snaps, _ := filepath.Glob(filepath.Join(dir, pattern))
-		for _, snap := range snaps {
-			flat := strings.TrimSuffix(snap, ".snap") + ".flat"
-			if _, err := os.Stat(flat); err != nil {
-				return fmt.Errorf("server: index %q: %s is a paged snapshot from before MBRFLAT1 became the only checkpoint format and has no %s beside it; boot the directory once with a pre-PR-12 topod -flat and shut it down cleanly so it checkpoints a flat image",
-					name, snap, filepath.Base(flat))
-			}
+	snap := filepath.Join(dir, name+".snap")
+	if _, err := os.Stat(snap); err == nil {
+		if _, err := os.Stat(filepath.Join(dir, name+".flat")); err != nil {
+			return fmt.Errorf("server: index %q: %s is a paged snapshot from before MBRFLAT1 became the only checkpoint format and has no %s.flat beside it; boot the directory once with a pre-PR-12 topod -flat and shut it down cleanly so it checkpoints a flat image",
+				name, snap, name)
 		}
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("server: index %q: %w", name, err)
+	}
+	var tiles []string
+	for _, e := range entries {
+		if tileFile(e.Name(), name) {
+			tiles = append(tiles, e.Name())
+		}
+	}
+	if len(tiles) > 0 {
+		return fmt.Errorf("server: index %q: %s holds a tile layout (%s), which this binary does not serve; it serves one tree per index from %s.flat and %s.wal.<gen>. Move the files aside or boot the directory with the topod that wrote them",
+			name, dir, strings.Join(tiles, ", "), name, name)
+	}
 	return nil
+}
+
+// tileFile reports whether file is name.t<i>.<anything>.
+func tileFile(file, name string) bool {
+	rest, ok := strings.CutPrefix(file, name+".t")
+	if !ok {
+		return false
+	}
+	ordinal, _, ok := strings.Cut(rest, ".")
+	if !ok || ordinal == "" {
+		return false
+	}
+	_, err := strconv.ParseUint(ordinal, 10, 64)
+	return err == nil
 }
 
 // openDurable builds or recovers a durable instance. The boot decision

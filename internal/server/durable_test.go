@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -108,9 +109,6 @@ func mutate(inst *Instance, m wal.Record) error {
 // releasing only the log handle, so the reopen that follows works from
 // the directory alone.
 func abandon(inst *Instance) {
-	for _, tile := range inst.tiles {
-		abandon(tile)
-	}
 	if inst.dur != nil && inst.dur.log != nil {
 		inst.dur.log.Close()
 	}
@@ -769,26 +767,23 @@ func TestUnreadableDirectories(t *testing.T) {
 	rows := []struct {
 		name    string
 		prepare func(t *testing.T, dir string)
-		tiles   int    // what detectTiles must report
-		shards  int    // IndexSpec.Shards of the boot
 		refuse  string // AddIndex must fail naming this file; "" boots
+		hint    string // ...and saying this about it
 	}{
 		{
 			name:    "legacy paged snapshot",
 			prepare: func(t *testing.T, dir string) { touch(t, dir, "main.snap", "main.pages", "main.wal.3") },
 			refuse:  "main.snap",
+			hint:    "-flat",
 		},
 		{
-			// Legacy tile snapshots do not make a tile layout: only
-			// files this binary can read do.
 			name:    "legacy per-tile snapshots",
 			prepare: func(t *testing.T, dir string) { touch(t, dir, "main.t0.snap", "main.t1.snap") },
 			refuse:  "main.t0.snap",
+			hint:    "tile layout",
 		},
 		{
-			// ...and the single-index layout on disk wins over -shards.
 			name:    "legacy snapshot beside a checkpoint image it can boot from",
-			shards:  2,
 			prepare: checkpointed("main.snap"),
 		},
 		{
@@ -800,33 +795,28 @@ func TestUnreadableDirectories(t *testing.T) {
 		{
 			name:    "tile layout with a hole",
 			prepare: func(t *testing.T, dir string) { touch(t, dir, "main.t2.wal.1") },
-			tiles:   3,
+			refuse:  "main.t2.wal.1",
+			hint:    "tile layout",
 		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
 			row.prepare(t, dir)
-			if got := detectTiles(dir, "main"); got != row.tiles {
-				t.Errorf("detectTiles = %d, want %d", got, row.tiles)
-			}
-			if row.tiles > 0 {
-				return
-			}
 			srv := New(Config{})
 			defer srv.Close()
-			inst, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir, Shards: row.shards},
+			inst, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir},
 				[]index.Item{{Rect: geom.R(0, 0, 1, 1), OID: 1}})
 			if row.refuse != "" {
-				if err == nil || !strings.Contains(err.Error(), row.refuse) || !strings.Contains(err.Error(), "-flat") {
-					t.Fatalf("AddIndex error = %v, want a refusal naming %s and the -flat checkpoint", err, row.refuse)
+				if err == nil || !strings.Contains(err.Error(), row.refuse) || !strings.Contains(err.Error(), row.hint) {
+					t.Fatalf("AddIndex error = %v, want a refusal naming %s and saying %q", err, row.refuse, row.hint)
 				}
 				if _, err := os.Stat(filepath.Join(dir, "main.flat")); err == nil {
-					t.Fatal("a fresh index was built over the legacy directory")
+					t.Fatal("a fresh index was built over the unreadable directory")
 				}
 				return
 			}
-			if err != nil || !inst.Healthy() || inst.Sharded() != 0 || inst.Backend() != "flat" {
+			if err != nil || !inst.Healthy() || inst.Backend() != "flat" {
 				t.Fatalf("AddIndex: %v, instance %+v", err, inst)
 			}
 			if _, err := os.Stat(filepath.Join(dir, "main.flat.tmp")); err == nil {
@@ -834,6 +824,68 @@ func TestUnreadableDirectories(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBootRefusesTileLayout: a directory holding any file of a tile
+// layout (name.t<i>.*) is refused whether or not a single image sits
+// beside it, with an error naming the tile files — and the refusal
+// touches nothing on disk.
+func TestBootRefusesTileLayout(t *testing.T) {
+	tiles := map[string]string{"main.t0.flat": "tile image", "main.t1.wal.3": "tile log"}
+	for _, withSingle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("single image beside=%v", withSingle), func(t *testing.T) {
+			dir := t.TempDir()
+			if withSingle {
+				srv := New(Config{})
+				if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir},
+					[]index.Item{{Rect: geom.R(0, 0, 1, 1), OID: 1}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, body := range tiles {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirContents(t, dir)
+			srv := New(Config{})
+			defer srv.Close()
+			_, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir},
+				[]index.Item{{Rect: geom.R(2, 2, 3, 3), OID: 2}})
+			if err == nil {
+				t.Fatal("AddIndex booted a directory holding a tile layout")
+			}
+			for name := range tiles {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("refusal %q does not name %s", err, name)
+				}
+			}
+			if after := dirContents(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("the refusal changed the directory: %v, was %v", after, before)
+			}
+		})
+	}
+}
+
+// dirContents maps every file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }
 
 func TestCheckpointEveryRotatesWAL(t *testing.T) {

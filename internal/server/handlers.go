@@ -25,6 +25,11 @@ const maxBodyBytes = 1 << 20
 // before it is written, so k bounds what one request may hold.
 const maxKNN = 10000
 
+// maxWatchBuffer bounds a /v1/watch stream's event buffer, which is
+// allocated whole when the subscription starts: 16 384 events of 64 B
+// are 1 MiB a stream, 256 MiB across the default 256 watch slots.
+const maxWatchBuffer = 16384
+
 // maxBulkBytes bounds /v1/bulk bodies, which carry whole datasets
 // (256 MiB ≈ tens of millions of NDJSON rectangles).
 const maxBulkBytes = 1 << 28
@@ -142,7 +147,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// to be) computed against.
 	var ckey string
 	if s.cache != nil {
-		ckey = cacheKey(inst.Name, inst.versionKey(), rels, ref, conj, rels2, ref2, req.Limit)
+		ckey = cacheKey(inst.Name, inst.Generation(), rels, ref, conj, rels2, ref2, req.Limit)
 		if res, hit := s.cache.get(ckey); hit {
 			s.writeCachedQuery(w, req, res)
 			return
@@ -434,7 +439,6 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 			Name:    inst.Name,
 			Kind:    inst.Kind.String(),
 			Healthy: inst.Healthy(),
-			Shards:  inst.Sharded(),
 			Durable: inst.Durable(),
 			Backend: inst.Backend(),
 		}

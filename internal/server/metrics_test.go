@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -170,8 +171,8 @@ func scrape(t *testing.T, base string) string {
 // TestMetricsGolden pins the /metrics exposition — names, help, label
 // and family order, number formats — of a primary and of a follower
 // after a fixed script that touches every family: queries (single term,
-// conjunction, cache hit, sharded), a join, kNN, insert/delete/bulk on a
-// durable index across a checkpoint and on a sharded one, an open watch
+// conjunction, cache hit), a join, kNN, insert/delete/bulk on a
+// durable index across a checkpoint, an open watch
 // stream, a 429, a 400, a 404, the probes, and a replica that
 // bootstrapped and tailed it all. Run with -update to rewrite the file.
 func TestMetricsGolden(t *testing.T) {
@@ -183,7 +184,6 @@ func TestMetricsGolden(t *testing.T) {
 	for _, spec := range []IndexSpec{
 		{Name: "main", Kind: index.KindRTree, Dir: t.TempDir(), CheckpointEvery: 4},
 		{Name: "second", Kind: index.KindRStar},
-		{Name: "tiled", Kind: index.KindRTree, Dir: t.TempDir(), Shards: 2},
 	} {
 		spec.PageSize, spec.Fsync = 512, wal.SyncNever
 		items := d.Items
@@ -200,7 +200,6 @@ func TestMetricsGolden(t *testing.T) {
 	waitCaughtUp(t, psrv, fsrv)
 
 	watch := openWatch(t, pts.URL, WatchRequest{Index: "main", Relations: []string{"not_disjoint"}, Ref: []float64{0, 0, 1000, 1000}})
-	tiledWatch := openWatch(t, pts.URL, WatchRequest{Index: "tiled", Relations: []string{"overlap"}, Ref: []float64{100, 100, 600, 600}})
 
 	win := func(r geom.Rect) []float64 { w := RectToWire(r); return w[:] }
 	q := QueryRequest{Index: "main", Relations: []string{"overlap"}, Ref: win(d.Queries[0])}
@@ -210,25 +209,22 @@ func TestMetricsGolden(t *testing.T) {
 		Relations2: []string{"not_disjoint"}, Ref2: win(d.Queries[2])})
 	rawQuery(t, pts.URL, QueryRequest{Index: "main", Relations: []string{"inside"}, Ref: []float64{0, 0, 10, 10},
 		Relations2: []string{"contains"}, Ref2: []float64{0, 0, 10, 10}}) // provably empty
-	rawQuery(t, pts.URL, QueryRequest{Index: "tiled", Relations: []string{"overlap"}, Ref: []float64{10, 10, 60, 60}})
 	if status, _, _, errLine := postJoin(t, pts.URL, JoinRequest{Left: "main", Right: "second", Relations: []string{"overlap"}}); status != http.StatusOK || errLine != "" {
 		t.Fatalf("join: HTTP %d %s", status, errLine)
 	}
 	getKNN(t, pts.URL, "main", geom.Point{X: 500, Y: 500}, 3)
 
-	for _, name := range []string{"main", "tiled"} {
-		for i := 0; i < 3; i++ {
-			x := float64(100 + 150*i)
-			postJSON(t, pts.URL+"/v1/insert", UpdateRequest{Index: name, OID: uint64(9000 + i), Rect: []float64{x, x, x + 20, x + 30}})
-		}
-		postJSON(t, pts.URL+"/v1/delete", UpdateRequest{Index: name, OID: 9001, Rect: []float64{250, 250, 270, 280}})
-		resp, err := http.Post(pts.URL+"/v1/bulk?index="+name, "application/x-ndjson", strings.NewReader(
-			`{"oid":9100,"rect":[5,5,9,9]}`+"\n"+`{"oid":9101,"rect":[300,300,330,330]}`+"\n"+`{"oid":9102,"rect":[700,100,720,140]}`+"\n"))
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("bulk into %s: %v %v", name, err, resp)
-		}
-		resp.Body.Close()
+	for i := 0; i < 3; i++ {
+		x := float64(100 + 150*i)
+		postJSON(t, pts.URL+"/v1/insert", UpdateRequest{Index: "main", OID: uint64(9000 + i), Rect: []float64{x, x, x + 20, x + 30}})
 	}
+	postJSON(t, pts.URL+"/v1/delete", UpdateRequest{Index: "main", OID: 9001, Rect: []float64{250, 250, 270, 280}})
+	resp, err := http.Post(pts.URL+"/v1/bulk?index=main", "application/x-ndjson", strings.NewReader(
+		`{"oid":9100,"rect":[5,5,9,9]}`+"\n"+`{"oid":9101,"rect":[300,300,330,330]}`+"\n"+`{"oid":9102,"rect":[700,100,720,140]}`+"\n"))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("bulk into main: %v %v", err, resp)
+	}
+	resp.Body.Close()
 	if st, _ := postStatus(t, pts.URL+"/v1/delete", UpdateRequest{Index: "main", OID: 424242, Rect: []float64{1, 1, 2, 2}}); st != http.StatusNotFound {
 		t.Fatalf("delete of a missing entry: HTTP %d, want 404", st)
 	}
@@ -269,7 +265,6 @@ func TestMetricsGolden(t *testing.T) {
 	// hang: the drain line arrives and both readers finish.
 	psrv.DrainWatchers()
 	watch.wait(t)
-	tiledWatch.wait(t)
 
 	const path = "testdata/metrics.golden"
 	if *updateGolden {
@@ -298,4 +293,22 @@ func TestMetricsGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+func getKNN(t *testing.T, base, name string, p geom.Point, k int) KNNResponse {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/knn?index=%s&k=%d&x=%g&y=%g", base, name, k, p.X, p.Y))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("knn status %d: %s", resp.StatusCode, msg)
+	}
+	var out KNNResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

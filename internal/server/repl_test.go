@@ -223,19 +223,18 @@ func TestReplBootstrapAndLiveDifferential(t *testing.T) {
 			pinst.ReadIndex().Len(), finst.ReadIndex().Len())
 	}
 
-	// A sharded index is durable (/v1/indexes says so) and still has no
-	// stream: the refusal must say which of the two it is.
-	if _, err := primary.AddIndex(IndexSpec{Name: "tiled", Kind: index.KindRTree, Dir: t.TempDir(), Shards: 2}, d.Items); err != nil {
+	// An index without a data directory has no log to stream.
+	if _, err := primary.AddIndex(IndexSpec{Name: "scratch", Kind: index.KindRTree}, d.Items); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(pts.URL + "/v1/replicate?index=tiled")
+	resp, err := http.Get(pts.URL + "/v1/replicate?index=scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "sharded indexes are not replicated") {
-		t.Fatalf("/v1/replicate on a sharded index: HTTP %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nothing to replicate") {
+		t.Fatalf("/v1/replicate on a non-durable index: HTTP %d %s", resp.StatusCode, body)
 	}
 }
 

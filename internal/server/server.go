@@ -53,7 +53,6 @@ import (
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
-	"mbrtopo/internal/shard"
 	"mbrtopo/internal/wal"
 	"mbrtopo/internal/watch"
 )
@@ -124,13 +123,6 @@ type IndexSpec struct {
 	// state is built or recovered — the checkpoint image and the WAL
 	// arrive through Server.Follow's stream. Requires Dir.
 	Follower bool
-	// Shards, when > 1, partitions the index into that many STR tiles,
-	// each running as its own sub-instance (with its own checkpoint
-	// image and WAL under Dir, named Name.t<i>.*) behind a
-	// scatter-gather router. On a durable index an existing tile layout
-	// in Dir wins over this value, so a reboot without the flag comes
-	// back sharded. Incompatible with Follower.
-	Shards int
 }
 
 // DefaultCheckpointEvery is the automatic checkpoint cadence (logged
@@ -182,13 +174,6 @@ type Instance struct {
 	watch *watch.Table
 	wmu   sync.Mutex
 
-	// tiles and router are set on a sharded instance (IndexSpec.Shards):
-	// tiles are the unregistered per-tile sub-instances, router the
-	// scatter-gather index.Index the read path serves from. Mutations on
-	// the parent route to the tiles (see shard.go).
-	tiles  []*Instance
-	router *shard.Sharded
-
 	// gen counts applied mutations — the invalidation clock of the
 	// result cache (see cache.go). Bumped by mutate and by a follower's
 	// bootstrap; never for checkpoints, which keep the logical contents
@@ -224,36 +209,15 @@ func (inst *Instance) ReadProc() *query.Processor {
 }
 
 // Healthy reports whether the index may serve traffic. An index whose
-// recovery failed — or that detected corruption while
-// serving — answers 503 instead of wrong answers. A sharded instance
-// is healthy only while every tile is: a lost tile means silently
-// partial answers, which is worse than a 503.
-func (inst *Instance) Healthy() bool {
-	if inst.unhealthy.Load() {
-		return false
-	}
-	for _, t := range inst.tiles {
-		if !t.Healthy() {
-			return false
-		}
-	}
-	return true
-}
+// recovery failed — or whose log or checkpoint failed while serving —
+// answers 503 instead of wrong answers.
+func (inst *Instance) Healthy() bool { return !inst.unhealthy.Load() }
 
 // FailReason returns why the instance is unhealthy ("" when healthy).
 func (inst *Instance) FailReason() string {
 	inst.mu.Lock()
-	reason := inst.failReason
-	inst.mu.Unlock()
-	if reason != "" {
-		return reason
-	}
-	for _, t := range inst.tiles {
-		if r := t.FailReason(); r != "" {
-			return fmt.Sprintf("tile %s: %s", t.Name, r)
-		}
-	}
-	return ""
+	defer inst.mu.Unlock()
+	return inst.failReason
 }
 
 // MarkUnhealthy takes the instance out of service (first reason wins).
@@ -268,23 +232,8 @@ func (inst *Instance) MarkUnhealthy(reason string) {
 	}
 }
 
-// Durable reports whether the instance persists to a data directory
-// (a sharded instance is durable when its tiles are).
-func (inst *Instance) Durable() bool {
-	if inst.dur != nil {
-		return true
-	}
-	for _, t := range inst.tiles {
-		if t.Durable() {
-			return true
-		}
-	}
-	return false
-}
-
-// Sharded reports how many tiles the instance routes across (0 for an
-// ordinary single-tree instance).
-func (inst *Instance) Sharded() int { return len(inst.tiles) }
+// Durable reports whether the instance persists to a data directory.
+func (inst *Instance) Durable() bool { return inst.dur != nil }
 
 // Insert stores one rectangle, logging it to the WAL (before the
 // caller acknowledges) when the index is durable.
@@ -326,8 +275,7 @@ func (inst *Instance) mutLock() *sync.Mutex {
 // In order, under the mutation lock:
 //
 //  1. pre — a follower's replication-position check; nil elsewhere
-//  2. the tree changes (applyLocked): the instance's own, or on a
-//     sharded parent the mutate of the tile(s) the router picks
+//  2. the tree changes (applyLocked)
 //  3. the records are published to the watch table, once
 //  4. the generation moves, voiding cached answers
 //  5. on a durable instance the records are reserved as one contiguous
@@ -354,7 +302,7 @@ func (inst *Instance) mutate(recs []wal.Record, pre func() error) error {
 		mu.Unlock()
 		return err
 	}
-	if inst.watch != nil { // a tile has no table of its own
+	if inst.watch != nil {
 		inst.watch.Publish(recs...)
 	}
 	inst.bumpGen()
@@ -372,9 +320,6 @@ func (inst *Instance) mutate(recs []wal.Record, pre func() error) error {
 // applyLocked makes recs visible to readers. Caller holds the mutation
 // lock.
 func (inst *Instance) applyLocked(recs []wal.Record) error {
-	if len(inst.tiles) > 0 {
-		return inst.route(recs)
-	}
 	idx := inst.ReadIndex()
 	if idx == nil {
 		return fmt.Errorf("server: index %q has no tree to mutate (%s)", inst.Name, inst.FailReason())
@@ -467,7 +412,6 @@ func New(cfg Config) *Server {
 	s.registerIndexMetrics()
 	s.registerWALMetrics()
 	s.registerWatchMetrics()
-	s.registerShardMetrics()
 	return s
 }
 
@@ -491,16 +435,15 @@ func loadItems(idx index.Index, items []index.Item, bulk bool) error {
 	return index.Load(idx, items)
 }
 
-// registerIndexMetrics adds the per-index health and backend gauges,
-// tiles included.
+// registerIndexMetrics adds the per-index health and backend gauges.
 func (s *Server) registerIndexMetrics() {
 	s.metrics.collect("topod_index_healthy", "Whether the index is serving (1) or degraded to 503s (0).", "gauge", func(emit emitFunc) {
-		for _, inst := range s.statInstances() {
+		for _, inst := range s.listInstances() {
 			emit(bit(inst.Healthy()), "index", inst.Name)
 		}
 	})
 	s.metrics.collect("topod_index_backend", "Boot backend of the index: flat (adopted from the checkpoint image, nothing replayed), paged (fresh build), or recovered (checkpoint image + WAL replay).", "gauge", func(emit emitFunc) {
-		for _, inst := range s.statInstances() {
+		for _, inst := range s.listInstances() {
 			emit(1, "index", inst.Name, "backend", inst.Backend())
 		}
 	})
@@ -511,8 +454,7 @@ func (s *Server) registerIndexMetrics() {
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // validIndexName is what AddIndex accepts: the name becomes part of file
-// names under the data directory, and "name.t<i>" is reserved for the
-// tiles of a sharded index.
+// names under the data directory, so it holds no '.' or path separator.
 var validIndexName = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
 // AddIndex builds an index per spec, loads items into it, and serves
@@ -534,43 +476,15 @@ func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error)
 	if spec.Follower && spec.Dir == "" {
 		return nil, fmt.Errorf("server: follower index %q needs a data directory", spec.Name)
 	}
-
-	shards := spec.Shards
 	if spec.Dir != "" {
 		if err := legacySnapshot(spec.Dir, spec.Name); err != nil {
 			return nil, err
 		}
-		// An existing layout in the directory wins over the flag: a tile
-		// layout reboots sharded whatever -shards says, and a plain
-		// single-index checkpoint keeps booting single even when sharding
-		// is requested (never silently abandon existing data).
-		// A follower's state arrives from its primary instead.
-		switch n := detectTiles(spec.Dir, spec.Name); {
-		case spec.Follower:
-		case n > 0:
-			shards = n
-		case shards > 1 && hasSingleSnapshot(spec.Dir, spec.Name):
-			shards = 1
-		}
 	}
-	if shards > 1 {
-		if spec.Follower {
-			return nil, fmt.Errorf("server: index %q: sharding is incompatible with Follower", spec.Name)
-		}
-		return s.addSharded(spec, shards, items)
-	}
-
 	inst, err := s.buildInstance(spec, items)
 	if err != nil {
 		return nil, err
 	}
-	return s.register(inst)
-}
-
-// register gives a built instance (a single index or a sharded parent)
-// its watch table and serves it under its name; a duplicate name closes
-// it again. The first index registered becomes the default.
-func (s *Server) register(inst *Instance) (*Instance, error) {
 	inst.watch = s.newWatchTable(inst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -585,8 +499,7 @@ func (s *Server) register(inst *Instance) (*Instance, error) {
 	return inst, nil
 }
 
-// buildInstance constructs one unregistered instance per spec — the
-// shared build path of AddIndex and of the sharded tiles.
+// buildInstance constructs one unregistered instance per spec.
 func (s *Server) buildInstance(spec IndexSpec, items []index.Item) (*Instance, error) {
 	if spec.Dir != "" {
 		return s.openDurable(spec, items)

@@ -645,7 +645,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestIndexNameValidation: a name reaches file paths under the data
-// directory and the tile namespace, so AddIndex takes a closed alphabet
+// directory, so AddIndex takes a closed alphabet
 // only — nothing is created for a refused name.
 func TestIndexNameValidation(t *testing.T) {
 	dir := t.TempDir()
@@ -666,14 +666,14 @@ func TestIndexNameValidation(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tile detection reads ordinals, never the name as a pattern.
-	for file, want := range map[string]int{"main.t2.flat": 3, "main.t11.wal.4": 12, "main.tx.flat": 0, "mainly.t5.flat": 0} {
+	// The tile-layout refusal reads ordinals, never the name as a pattern.
+	for file, refused := range map[string]bool{"main.t2.flat": true, "main.t11.wal.4": true, "main.tx.flat": false, "mainly.t5.flat": false} {
 		d := t.TempDir()
 		if err := os.WriteFile(filepath.Join(d, file), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got := detectTiles(d, "main"); got != want {
-			t.Errorf("detectTiles with %s = %d, want %d", file, got, want)
+		if err := legacySnapshot(d, "main"); (err != nil) != refused {
+			t.Errorf("legacySnapshot with %s = %v, want refused=%v", file, err, refused)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func textServed(t *testing.T, inst *Instance) (with, all int) {
 func wireRect(r geom.Rect) []float64 { return []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} }
 
 // TestAnswersUnchangedAsLeavesEarnText drives every way a served tree
-// comes by its nodes — built in memory, tiled, booted from a checkpoint
+// comes by its nodes — built in memory, booted from a checkpoint
 // image, and that image adopted by the first write — through the same
 // requests, each repeated until the leaves under it have earned their
 // text, and then through writes: an object inserted into an earned leaf
@@ -105,7 +105,6 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 	for _, spec := range []IndexSpec{
 		{Name: "rtree", Kind: index.KindRTree, PageSize: 512},
 		{Name: "rplus", Kind: index.KindRPlus, PageSize: 512},
-		{Name: "tiled", Kind: index.KindRStar, PageSize: 512, Shards: 3},
 		{Name: "booted", Kind: index.KindRStar, PageSize: 512, Dir: dir, Fsync: wal.SyncNever, CheckpointEvery: -1},
 	} {
 		if _, err := srv.AddIndex(spec, d.Items); err != nil {
@@ -115,7 +114,7 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	for _, name := range []string{"rtree", "rplus", "tiled", "booted"} {
+	for _, name := range []string{"rtree", "rplus", "booted"} {
 		t.Run(name, func(t *testing.T) {
 			inst, err := srv.instance(name)
 			if err != nil {
@@ -124,12 +123,9 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 			if name == "booted" && inst.Backend() != "flat" {
 				t.Fatalf("the checkpointed index came up %q, want flat", inst.Backend())
 			}
-			// Tiles are searched side by side, so a tiled answer's line order
-			// (and which lines a limit keeps) is not fixed.
-			tiled := name == "tiled"
 			same := func(req QueryRequest) []byte {
 				req.Index = name
-				return sameBodyEveryTime(t, ts.URL+"/v1/query", req, tiled)
+				return sameBodyEveryTime(t, ts.URL+"/v1/query", req, false)
 			}
 			requests := func() (bodies [][]byte) {
 				for _, ref := range d.Queries {
@@ -139,9 +135,7 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 					grown := geom.R(ref.Min.X-40, ref.Min.Y-40, ref.Max.X+40, ref.Max.Y+40)
 					bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireRect(grown),
 						Relations2: []string{"overlap", "inside"}, Ref2: wireRect(ref)}))
-					if !tiled {
-						bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireRect(grown), Limit: 7}))
-					}
+					bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireRect(grown), Limit: 7}))
 				}
 				return bodies
 			}
@@ -203,7 +197,7 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 	// Pair lines take both rectangles' text the same way.
 	t.Run("join", func(t *testing.T) {
 		for _, rels := range [][]string{{"overlap"}, {"inside", "covered_by"}, {"not_disjoint"}} {
-			for _, right := range []string{"booted", "tiled", ""} {
+			for _, right := range []string{"booted", ""} {
 				req := JoinRequest{Left: "rtree", Right: right, Relations: rels}
 				if body := sameBodyEveryTime(t, ts.URL+"/v1/join", req, true); bytes.Count(body, []byte("\n")) < 2 {
 					t.Fatalf("%s: join of rtree and %q answered no pair: %s", fmt.Sprint(rels), right, body)

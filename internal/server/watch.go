@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"mbrtopo/internal/geom"
@@ -140,6 +141,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ref, err := RectFromWire(req.Ref)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if req.Buffer > maxWatchBuffer {
+		writeJSONError(w, http.StatusBadRequest, "buffer must be at most "+strconv.Itoa(maxWatchBuffer)+" events")
 		return
 	}
 	select {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -446,6 +447,35 @@ func TestWatchSlotPool(t *testing.T) {
 		t.Fatalf("query while watch slots full: status %d", qresp.StatusCode)
 	}
 
+	srv.DrainWatchers()
+	if _, end := ws.wait(t); end != "drain" {
+		t.Fatalf("end = %q, want drain", end)
+	}
+}
+
+// TestWatchBufferBound: the event buffer is allocated whole when a
+// subscription starts, so a buffer over maxWatchBuffer is a 400 naming
+// the bound, answered before a watch slot is taken — the one slot of
+// this server is free for the largest buffer allowed right after.
+func TestWatchBufferBound(t *testing.T) {
+	srv := New(Config{MaxWatch: 1})
+	if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree}, nil); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	req := WatchRequest{Relations: []string{"not_disjoint"}, Ref: []float64{0, 0, 10, 10}, Buffer: 1 << 40}
+	st, body := postStatus(t, ts.URL+"/v1/watch", req)
+	if st != http.StatusBadRequest || !strings.Contains(body.Error, strconv.Itoa(maxWatchBuffer)) {
+		t.Fatalf("buffer 1<<40: HTTP %d %q, want 400 naming %d", st, body.Error, maxWatchBuffer)
+	}
+	if n := srv.Metrics().watchStreams.Load(); n != 0 {
+		t.Fatalf("topod_watch_streams = %d after the refusal, want 0", n)
+	}
+	req.Buffer = maxWatchBuffer
+	ws := openWatch(t, ts.URL, req)
 	srv.DrainWatchers()
 	if _, end := ws.wait(t); end != "drain" {
 		t.Fatalf("end = %q, want drain", end)

@@ -141,7 +141,8 @@ type WatchRequest struct {
 	Ref []float64 `json:"ref"`
 	// Buffer, when positive, sizes the per-subscription event buffer; a
 	// subscriber that falls this many events behind is terminated with
-	// a lag End line rather than stalling the notifier.
+	// a lag End line rather than stalling the notifier. At most 16 384
+	// (a larger value is a 400); zero or negative takes the default.
 	Buffer int `json:"buffer,omitempty"`
 	// TimeoutMS, when positive, closes the stream after this long. The
 	// server's default/maximum request deadlines do not apply to watch
@@ -195,7 +196,6 @@ type IndexInfo struct {
 	Objects    int         `json:"objects"`
 	Height     int         `json:"height"`
 	Healthy    bool        `json:"healthy"`
-	Shards     int         `json:"shards,omitempty"`
 	Durable    bool        `json:"durable,omitempty"`
 	Backend    string      `json:"backend,omitempty"`
 	FailReason string      `json:"fail_reason,omitempty"`

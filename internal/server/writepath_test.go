@@ -46,7 +46,7 @@ func writeModes(t *testing.T, items []index.Item) []writeMode {
 }
 
 // localWriteModes are the modes whose writes arrive as Instance.mutate
-// calls: one tree, one durable tree, four durable tiles.
+// calls: one tree, one durable tree.
 func localWriteModes(t *testing.T, items []index.Item) []writeMode {
 	single := func(spec IndexSpec) writeMode {
 		srv := New(Config{})
@@ -58,8 +58,8 @@ func localWriteModes(t *testing.T, items []index.Item) []writeMode {
 		t.Cleanup(func() { srv.Close() })
 		return writeMode{target: inst, seen: inst, srv: srv, durable: spec.Dir != "", settle: func() {}}
 	}
-	modes := []writeMode{single(IndexSpec{}), single(IndexSpec{Dir: t.TempDir()}), single(IndexSpec{Dir: t.TempDir(), Shards: 4})}
-	modes[0].name, modes[1].name, modes[2].name = "non-durable", "durable", "sharded-4"
+	modes := []writeMode{single(IndexSpec{}), single(IndexSpec{Dir: t.TempDir()})}
+	modes[0].name, modes[1].name = "non-durable", "durable"
 	return modes
 }
 
@@ -229,11 +229,9 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "len %d gen %d batches %d wal-records %d", inst.ReadIndex().Len(), inst.Generation(),
 			inst.WatchCounters().Batches, mode.srv.Metrics().WALRecordsTotal())
-		for _, di := range append([]*Instance{inst}, inst.tiles...) {
-			if di.dur != nil {
-				gen, seq, _ := di.dur.position()
-				fmt.Fprintf(&b, " %s@%d/%d", di.Name, gen, seq)
-			}
+		if inst.dur != nil {
+			gen, seq, _ := inst.dur.position()
+			fmt.Fprintf(&b, " wal@%d/%d", gen, seq)
 		}
 		for _, win := range durabilityWindows {
 			fmt.Fprintf(&b, " %v", queryOIDs(t, inst.ReadIndex(), win))

@@ -222,90 +222,3 @@ func assertNeighboursEqual(t testing.TB, p geom.Point, k int, got, want []rtree.
 		}
 	}
 }
-
-func joinPairSet(t testing.TB, left, right index.Index, rels topo.Set, opts query.JoinOptions) [][2]uint64 {
-	t.Helper()
-	var pairs [][2]uint64
-	_, err := query.JoinStream(context.Background(), left, right, rels, opts, func(p query.JoinPair) bool {
-		pairs = append(pairs, [2]uint64{p.LeftOID, p.RightOID})
-		return true
-	})
-	if err != nil {
-		t.Fatalf("JoinStream(%v): %v", rels, err)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	return pairs
-}
-
-func pairsEqual(a, b [][2]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestShardedJoinDifferential(t *testing.T) {
-	for wname, ds := range workloads(300, 0) {
-		for _, kind := range []index.Kind{index.KindRTree, index.KindRStar} {
-			for _, shards := range shardCounts {
-				t.Run(fmt.Sprintf("%s/%v/shards=%d", wname, kind, shards), func(t *testing.T) {
-					oracle := buildSingle(t, kind, ds.Items)
-					s := buildSharded(t, kind, ds.Items, shards)
-					border := borderItems(s, uint64(len(ds.Items)+1))
-					for _, it := range border {
-						if err := s.Insert(it.Rect, it.OID); err != nil {
-							t.Fatalf("sharded Insert: %v", err)
-						}
-						if err := oracle.Insert(it.Rect, it.OID); err != nil {
-							t.Fatalf("oracle Insert: %v", err)
-						}
-					}
-					for _, rel := range topo.All() {
-						rels := topo.NewSet(rel)
-						want := joinPairSet(t, oracle, oracle, rels, query.JoinOptions{})
-						got := joinPairSet(t, s, s, rels, query.JoinOptions{})
-						if !pairsEqual(got, want) {
-							t.Fatalf("self-join %v: sharded %d pairs, oracle %d pairs", rel, len(got), len(want))
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestShardedJoinMixedSides joins a sharded left against a
-// differently-sharded right and against a plain single index; both
-// must match the single×single oracle.
-func TestShardedJoinMixedSides(t *testing.T) {
-	left := workload.NewDataset(workload.Small, 250, 0, 11)
-	right := workload.NewDataset(workload.Small, 250, 0, 12)
-	for i := range right.Items {
-		right.Items[i].OID += 10000
-	}
-	oracleL := buildSingle(t, index.KindRTree, left.Items)
-	oracleR := buildSingle(t, index.KindRTree, right.Items)
-	sL := buildSharded(t, index.KindRTree, left.Items, 3)
-	sR := buildSharded(t, index.KindRTree, right.Items, 5)
-	rels := topo.NewSet(topo.Overlap, topo.Meet, topo.Inside)
-	want := joinPairSet(t, oracleL, oracleR, rels, query.JoinOptions{})
-	for name, pair := range map[string][2]index.Index{
-		"sharded×sharded": {sL, sR},
-		"sharded×single":  {sL, oracleR},
-		"single×sharded":  {oracleL, sR},
-	} {
-		if got := joinPairSet(t, pair[0], pair[1], rels, query.JoinOptions{}); !pairsEqual(got, want) {
-			t.Fatalf("%s: %d pairs, oracle %d pairs", name, len(got), len(want))
-		}
-	}
-}

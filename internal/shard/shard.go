@@ -1,12 +1,16 @@
 // Package shard partitions one logical index into Sort-Tile-Recursive
-// tiles and runs an independent index instance per tile. The Sharded
-// router implements index.Index, so the query processor, join engine
-// and HTTP handlers work unchanged on top of it: searches fan out to
-// only the tiles whose MBRs can satisfy the node predicate, kNN runs a
-// global best-k merge with a shared pruning radius, and mutations are
-// routed to exactly one tile (single assignment — an object lives in
-// one tile only, so tile trees stay disjoint and recover
-// independently).
+// tiles and runs an independent index instance per tile. It is a
+// bench-only fixture: bench/fixtures.go measures it in-process, and
+// nothing the service serves uses it — topod serves one tree per index,
+// and the join refuses a router (query.CanJoin wants an *rtree.Tree a
+// side). It goes with that fixture (ROADMAP item 1e).
+//
+// The Sharded router implements index.Index, so the query processor
+// works unchanged on top of it: searches fan out to only the tiles
+// whose MBRs can satisfy the node predicate, kNN runs a global best-k
+// merge with a shared pruning radius, and mutations are routed to
+// exactly one tile (single assignment — an object lives in one tile
+// only, so tile trees stay disjoint).
 package shard
 
 import (

@@ -8,9 +8,16 @@
 # output against scripts/orphans.allow, which gives each name its reason
 # to stay; a name with no such reason is deleted, with the tests that
 # were its only callers.
+#
+# `orphans.sh bench` runs the same scan with bench/ not counted as a
+# caller. What that adds to the list is kept alive by the benchmark
+# harness alone; `make verify` holds those names against
+# scripts/bench.pins, the pins the next bench/ change retires.
 set -eu
 cd "$(dirname "$0")/.."
-mapfile -t files < <(find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './bench/out/*' | sed 's|^\./||' | sort)
+skip='./bench/out/*'
+[ "${1:-}" != bench ] || skip='./bench/*'
+mapfile -t files < <(find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path "$skip" | sed 's|^\./||' | sort)
 for f in "${files[@]}"; do
 	case $f in bench/* | cmd/* | examples/*) continue ;; esac
 	pkg=$(sed -nE 's/^package //p' "$f" | head -1)

@@ -32,10 +32,9 @@
 # replica beside a primary write (exit 0, bye inside -drain, no *.tmp)
 # and restarts it on the same directory, kill -9s the primary, promotes
 # the replica via POST /v1/promote, and asserts a write then succeeds.
-# An eighth leg boots `-shards 4` next to a `-shards 1` twin over the
-# same dataset, asserts identical query/knn/join counts through the
-# scatter-gather router, then kill -9s the sharded daemon and asserts
-# the reboot (without the flag) recovers every tile. A ninth leg
+# An eighth leg plants a tile layout's main.t0.flat in a fresh data
+# directory and asserts topod refuses it — exit 1, the file named, the
+# directory untouched — instead of booting fresh beside it. A ninth leg
 # asserts a window answer of over 100 lines costs at most 3 stream
 # flushes, repeats it against a `-cache-size` topod, asserts the repeat
 # is byte-identical and increments topod_cache_hits_total, then mutates
@@ -62,21 +61,19 @@ cleanup() {
   kill -9 "$PID6" 2>/dev/null || true
   kill -9 "$PID7" 2>/dev/null || true
   kill -9 "$PID8" 2>/dev/null || true
-  kill -9 "$PID9" 2>/dev/null || true
-  kill -9 "$PID10" 2>/dev/null || true
   kill -9 "$PID11" 2>/dev/null || true
   kill -9 "$PID12" 2>/dev/null || true
   kill -9 "$CURLPID" 2>/dev/null || true
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
-    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG14" "$LOG15" "$LOG16" "$LOG17" "$WLOG" "$BULK" "$WBULK" \
+    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$WLOG" "$BULK" "$WBULK" \
     "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
     "$DATADIR5" "$DATADIR6" "$DATADIR7" "$FLATCOPY" 2>/dev/null || true
 }
-PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID9="" PID10="" PID11="" PID12=""
+PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
-LOG12="" LOG13="" LOG14="" LOG15="" LOG16="" LOG17="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
+LOG12="" LOG13="" LOG16="" LOG17="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
 JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
 DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" FLATCOPY=""
@@ -806,111 +803,25 @@ fi
 
 echo "smoke OK: replica followed, drained on SIGTERM while following and caught up after a restart, failed over on kill -9, and accepted writes"
 
-# ---- shard leg: -shards 4 vs -shards 1, scatter-gather answer
-# parity, then kill -9 + reboot recovering every tile ----
+# ---- tile-layout leg: a data directory holding any file of a tile
+# layout (main.t<i>.*) is refused, never booted fresh beside ----
 
 LOG13="$(mktemp)"
-LOG14="$(mktemp)"
 DATADIR7="$(mktemp -d)"
+printf 'tile image' >"$DATADIR7/main.t0.flat"
+BEFORE="$(cd "$DATADIR7" && ls -A && cksum *)"
+set +e
+timeout 30 "$TOPOD" -gen 100 -data-dir "$DATADIR7" -addr 127.0.0.1:0 >"$LOG13" 2>&1
+CODE=$?
+set -e
+[ "$CODE" = 1 ] \
+  || { echo "smoke: topod over a tile layout exited $CODE, want 1" >&2; cat "$LOG13" >&2; exit 1; }
+grep -q 'main\.t0\.flat' "$LOG13" \
+  || { echo "smoke: the tile-layout refusal does not name main.t0.flat" >&2; cat "$LOG13" >&2; exit 1; }
+[ "$(cd "$DATADIR7" && ls -A && cksum *)" = "$BEFORE" ] \
+  || { echo "smoke: the refused boot changed $DATADIR7" >&2; ls -l "$DATADIR7" >&2; exit 1; }
 
-# The single-index twin over the same generated dataset (same -gen,
-# -seed, -tree ⇒ identical rectangles).
-"$TOPOD" -gen 3000 -bulk -tree rstar -shards 1 -addr 127.0.0.1:0 >"$LOG13" 2>&1 &
-PID9=$!
-ADDR9="$(wait_listen "$LOG13")" || {
-  echo "smoke: shard-leg single topod never started listening" >&2
-  cat "$LOG13" >&2
-  exit 1
-}
-ONE="http://$ADDR9"
-wait_ready "$ONE" || { echo "smoke: shard-leg single topod never became ready" >&2; exit 1; }
-
-"$TOPOD" -gen 3000 -bulk -tree rstar -shards 4 -data-dir "$DATADIR7" -fsync always \
-  -addr 127.0.0.1:0 >"$LOG14" 2>&1 &
-PID10=$!
-ADDR10="$(wait_listen "$LOG14")" || {
-  echo "smoke: sharded topod never started listening" >&2
-  cat "$LOG14" >&2
-  exit 1
-}
-FOUR="http://$ADDR10"
-wait_ready "$FOUR" || { echo "smoke: sharded topod never became ready" >&2; cat "$LOG14" >&2; exit 1; }
-grep -q '^topod: backend=sharded ' "$LOG14" \
-  || { echo "smoke: -shards 4 did not report a sharded boot" >&2; cat "$LOG14" >&2; exit 1; }
-
-SIDX="$(curl -sf "$FOUR/v1/indexes")"
-echo "$SIDX" | grep -q '"shards":4' \
-  || { echo "smoke: /v1/indexes missing the tile count: $SIDX" >&2; exit 1; }
-
-# Query, kNN, and self-join answers must match the single-index twin.
-SHQ='{"relations":["not_disjoint"],"ref":[100,100,400,400]}'
-ONECOUNT="$(curl -sf -d "$SHQ" "$ONE/v1/query" | grep -c '"oid"')"
-FOURCOUNT="$(curl -sf -d "$SHQ" "$FOUR/v1/query" | grep -c '"oid"')"
-[ "$ONECOUNT" -gt 0 ] || { echo "smoke: shard-leg query found nothing" >&2; exit 1; }
-[ "$ONECOUNT" = "$FOURCOUNT" ] \
-  || { echo "smoke: sharded query streamed $FOURCOUNT matches, single $ONECOUNT" >&2; exit 1; }
-
-ONEKNN="$(curl -sf "$ONE/v1/knn?k=7&x=500&y=500")"
-FOURKNN="$(curl -sf "$FOUR/v1/knn?k=7&x=500&y=500")"
-ONEIDS="$(echo "$ONEKNN" | tr ',' '\n' | sed -n 's/.*"oid":\([0-9]*\).*/\1/p' | sort -n)"
-FOURIDS="$(echo "$FOURKNN" | tr ',' '\n' | sed -n 's/.*"oid":\([0-9]*\).*/\1/p' | sort -n)"
-[ -n "$ONEIDS" ] && [ "$ONEIDS" = "$FOURIDS" ] \
-  || { echo "smoke: sharded kNN disagreed with single-index kNN" >&2; echo "$ONEKNN"; echo "$FOURKNN"; exit 1; }
-
-SHJ='{"relations":["meet","overlap"]}'
-ONEPAIRS="$(curl -sf -d "$SHJ" "$ONE/v1/join" | grep -c '"left_oid"')" || true
-FOURPAIRS="$(curl -sf -d "$SHJ" "$FOUR/v1/join" | grep -c '"left_oid"')" || true
-[ "$ONEPAIRS" -gt 0 ] || { echo "smoke: shard-leg self-join found no pairs" >&2; exit 1; }
-[ "$ONEPAIRS" = "$FOURPAIRS" ] \
-  || { echo "smoke: sharded self-join streamed $FOURPAIRS pairs, single $ONEPAIRS" >&2; exit 1; }
-
-MET10="$(curl -sf "$FOUR/metrics")"
-echo "$MET10" | grep -q '^topod_shard_tiles{index="main"} 4' \
-  || { echo "smoke: /metrics missing the shard tile gauge" >&2; exit 1; }
-
-# A durable marker, then kill -9: the reboot (no -shards flag — the
-# on-disk tile layout must win) has to recover all four tiles and the
-# marker.
-SACK="$(curl -sf -d '{"oid":777001,"rect":[50000,50000,50010,50010]}' "$FOUR/v1/insert")"
-echo "$SACK" | grep -q '"ok":true' \
-  || { echo "smoke: shard-leg marker insert failed: $SACK" >&2; exit 1; }
-kill -9 "$PID10"
-wait "$PID10" 2>/dev/null || true
-for t in 0 1 2 3; do
-  [ -s "$DATADIR7/main.t$t.flat" ] \
-    || { echo "smoke: tile $t left no checkpoint image in $DATADIR7" >&2; ls -l "$DATADIR7" >&2; exit 1; }
-done
-
-LOG15="$(mktemp)"
-"$TOPOD" -gen 3000 -bulk -tree rstar -data-dir "$DATADIR7" -fsync always \
-  -addr 127.0.0.1:0 >"$LOG15" 2>&1 &
-PID10=$!
-ADDR10="$(wait_listen "$LOG15")" || {
-  echo "smoke: rebooted sharded topod never started listening" >&2
-  cat "$LOG15" >&2
-  exit 1
-}
-FOUR="http://$ADDR10"
-wait_ready "$FOUR" || { echo "smoke: rebooted sharded topod never became ready" >&2; cat "$LOG15" >&2; exit 1; }
-grep -q '^topod: backend=sharded recovered .* across 4 STR tiles' "$LOG15" \
-  || { echo "smoke: reboot did not recover the 4-tile layout" >&2; cat "$LOG15" >&2; exit 1; }
-REBOOTCOUNT="$(curl -sf -d "$SHQ" "$FOUR/v1/query" | grep -c '"oid"')"
-[ "$REBOOTCOUNT" = "$ONECOUNT" ] \
-  || { echo "smoke: rebooted sharded query streamed $REBOOTCOUNT matches, want $ONECOUNT" >&2; exit 1; }
-SMARK="$(curl -sf -d '{"relations":["not_disjoint"],"ref":[49999,49999,50011,50011]}' "$FOUR/v1/query")"
-echo "$SMARK" | grep -q '"oid":777001' \
-  || { echo "smoke: sharded marker lost after kill -9 reboot: $SMARK" >&2; exit 1; }
-
-kill -TERM "$PID9"
-wait "$PID9" || { echo "smoke: shard-leg single topod failed clean shutdown" >&2; cat "$LOG13" >&2; exit 1; }
-kill -TERM "$PID10"
-if ! wait "$PID10"; then
-  echo "smoke: rebooted sharded topod exited non-zero on SIGTERM" >&2
-  cat "$LOG15" >&2
-  exit 1
-fi
-
-echo "smoke OK: -shards 4 matched -shards 1 answers + kill -9 recovered every tile"
+echo "smoke OK: a tile layout was refused by name and left as it was"
 
 # ---- cache leg: a repeat query must hit the generation-keyed result
 # cache byte for byte; a mutation bumps the generation, so the same
