@@ -31,7 +31,8 @@ type Index interface {
 	// InsertBatch stores a batch of rectangles in one operation. The
 	// R-/R*-trees apply it atomically (queries see none or all of the
 	// batch) and Sort-Tile-Recursive pack the batch when the tree is
-	// empty; the R+-tree inserts under one lock acquisition.
+	// empty; the R+-tree inserts under one lock acquisition. An
+	// implementation neither modifies nor retains recs.
 	InsertBatch(recs []rtree.Record) error
 	// Delete removes the entry with exactly this rectangle and id.
 	Delete(r geom.Rect, oid uint64) error
@@ -145,11 +146,9 @@ func newArena(kind Kind, pageSize int, name string) (Index, error) {
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
 
-// Item is a rectangle with its object id.
-type Item struct {
-	Rect geom.Rect
-	OID  uint64
-}
+// Item is a rectangle with its object id: the record InsertBatch
+// takes, so a slice of items is handed to it as it is.
+type Item = rtree.Record
 
 // Load bulk-inserts items into the index one by one (the build the
 // paper's experiments use).
@@ -167,11 +166,7 @@ func Load(idx Index, items []Item) error {
 // splits — which is the fast path for building a large index from a
 // data file at startup.
 func LoadBulk(idx Index, items []Item) error {
-	recs := make([]rtree.Record, len(items))
-	for i, it := range items {
-		recs[i] = rtree.Record{Rect: it.Rect, OID: it.OID}
-	}
-	if err := idx.InsertBatch(recs); err != nil {
+	if err := idx.InsertBatch(items); err != nil {
 		return fmt.Errorf("index: bulk loading %d items: %w", len(items), err)
 	}
 	return nil

@@ -17,10 +17,12 @@ import (
 // a slot lookup — no page copy, no decode, no allocation.
 //
 // A slot points at one immutable node version. writeNode installs a
-// fresh version (its own copy of the entries); nothing ever modifies an
-// installed version's entries, so the *node a reader gets from
-// readNodeRef can be shared by any number of traversals. Mutation paths
-// read a private copy (readNode) and install the result. Slot ids play
+// fresh version (its own copy of the entries); the bulk loader installs
+// each packed node as it built it, its entries a capped subslice of the
+// level's one buffer (installOwned). Nothing ever modifies an installed
+// version's entries, so the *node a reader gets from readNodeRef can be
+// shared by any number of traversals. Mutation paths read a private
+// copy (readNode) and install the result. Slot ids play
 // the part of page ids: snapshot.go's shadow/retire/reclaim protocol
 // runs over them unchanged, which is what keeps a slot from being
 // repointed while any pinned snapshot can still reach it. What a
@@ -132,16 +134,24 @@ func (a *arena) Alloc() (pagefile.PageID, error) {
 	return id, nil
 }
 
-// install makes a copy of n the current version of its slot. The
-// version it replaces is left as it was, side-cars and all, for whoever
-// still holds it.
+// install makes a copy of n the current version of its slot, so the
+// caller may go on changing n.
 func (a *arena) install(n *node, capacity int) {
-	v := &node{id: n.id, level: n.level, entries: slices.Clone(n.entries),
-		cost: pagesFor(len(n.entries), capacity)}
+	a.installOwned(&node{id: n.id, level: n.level, entries: slices.Clone(n.entries)}, capacity)
+}
+
+// installOwned makes v itself the current version of its slot: v and
+// its entries now belong to the arena and are never modified again. A
+// freshly packed node (packLevel) is the one caller that hands over
+// what it built, a capped subslice of its level's buffer. The version
+// it replaces is left as it was, side-cars and all, for whoever still
+// holds it.
+func (a *arena) installOwned(v *node, capacity int) {
+	v.cost = pagesFor(len(v.entries), capacity)
 	a.mu.Lock()
 	tab := *a.tab.Load()
-	old := tab[n.id].cost
-	tab[n.id] = v
+	old := tab[v.id].cost
+	tab[v.id] = v
 	a.mu.Unlock()
 	a.writes.Add(uint64(v.cost))
 	// The overflow chain grows or shrinks with the entry count.

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"slices"
 	"sort"
 
 	"mbrtopo/internal/geom"
@@ -23,6 +24,12 @@ type Record struct {
 // builds. The split/reinsert options only affect later updates; packing
 // itself is parameter-free apart from the node capacity.
 //
+// The leaf level is one []Entry, allocated here and sorted in place;
+// each leaf is a capped subslice of it, which an arena node keeps as
+// its entries (installOwned), so a record is copied once, from recs
+// into that buffer. Each upper level is one buffer of its own, packed
+// the same way. recs is neither modified nor retained.
+//
 // It runs inside a mutation (InsertBatch on an empty tree), so the
 // packed nodes are tracked as fresh and the superseded root page is
 // retired rather than freed under any concurrent reader.
@@ -38,85 +45,87 @@ func (t *Tree) packInto(recs []Record) error {
 	for i, r := range recs {
 		entries[i] = Entry{Rect: r.Rect, OID: r.OID}
 	}
-	level := 0
-	for {
-		nodes, err := t.packLevel(entries, level)
+	for level := 0; ; level++ {
+		next, err := t.packLevel(entries, level)
 		if err != nil {
 			return err
 		}
-		if len(nodes) == 1 {
-			t.root = nodes[0].id
+		if len(next) == 1 {
+			t.root = next[0].Child
 			t.depth = level + 1
 			t.size = len(recs)
 			return nil
 		}
-		next := make([]Entry, len(nodes))
-		for i, n := range nodes {
-			next[i] = Entry{Rect: n.mbr(), Child: n.id}
-		}
 		entries = next
-		level++
 	}
 }
 
-// packLevel tiles entries into written nodes of the given level.
-func (t *Tree) packLevel(entries []Entry, level int) ([]*node, error) {
+// packLevel tiles entries, in place, into nodes of the given level and
+// returns the entries of the level above: one per node, its MBR and id.
+func (t *Tree) packLevel(entries []Entry, level int) ([]Entry, error) {
 	m := t.st.cap
 	chunks := strTile(entries, m, minEntries(m))
-	nodes := make([]*node, 0, len(chunks))
-	for _, chunk := range chunks {
+	next := make([]Entry, len(chunks))
+	for i, chunk := range chunks {
 		n, err := t.allocMutNode(level)
 		if err != nil {
 			return nil, err
 		}
 		n.entries = chunk
-		if err := t.st.writeNode(n); err != nil {
+		if t.st.ar != nil {
+			t.st.ar.installOwned(n, m)
+		} else if err := t.st.writeNode(n); err != nil {
 			return nil, err
 		}
-		nodes = append(nodes, n)
+		next[i] = Entry{Rect: n.mbr(), Child: n.id}
 	}
-	return nodes, nil
+	return next, nil
 }
 
-// strTile groups entries into chunks of at most capacity entries using
-// sort-tile-recursive slabs, guaranteeing every chunk has at least
-// minFill entries (the tail chunk borrows from its predecessor).
+// strTile sorts entries in place into sort-tile-recursive order and
+// cuts them into chunks of at most capacity entries, guaranteeing every
+// chunk has at least minFill entries (the tail chunk borrows from its
+// predecessor). Chunks are consecutive subslices of entries, capped at
+// their own length, so appending to one never writes into the next.
 func strTile(entries []Entry, capacity, minFill int) [][]Entry {
 	n := len(entries)
 	if n <= capacity {
-		return [][]Entry{entries}
+		return [][]Entry{entries[:n:n]}
 	}
-	sorted := make([]Entry, n)
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Rect.Center().X < sorted[j].Rect.Center().X
+	// The comparators answer -1 or 0, never 1: pdqsort only asks
+	// whether cmp < 0, so this is the order (ties and NaN centres
+	// included) a less function of the same test gives.
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if a.Rect.Center().X < b.Rect.Center().X {
+			return -1
+		}
+		return 0
 	})
 	numNodes := (n + capacity - 1) / capacity
 	numSlabs := intSqrtCeil(numNodes)
 	slabSize := numSlabs * capacity
 
-	var chunks [][]Entry
+	chunks := make([][]Entry, 0, numNodes)
 	for start := 0; start < n; start += slabSize {
 		end := min(start+slabSize, n)
-		slab := sorted[start:end]
-		sort.Slice(slab, func(i, j int) bool {
-			return slab[i].Rect.Center().Y < slab[j].Rect.Center().Y
+		slices.SortFunc(entries[start:end], func(a, b Entry) int {
+			if a.Rect.Center().Y < b.Rect.Center().Y {
+				return -1
+			}
+			return 0
 		})
-		for s := 0; s < len(slab); s += capacity {
-			e := min(s+capacity, len(slab))
-			chunk := make([]Entry, e-s)
-			copy(chunk, slab[s:e])
-			chunks = append(chunks, chunk)
+		for s := start; s < end; s += capacity {
+			e := min(s+capacity, end)
+			chunks = append(chunks, entries[s:e:e])
 		}
 	}
 	// Rebalance an underfull tail chunk by borrowing from the previous
-	// chunk, so the min-fill invariant holds everywhere.
+	// chunk, so the min-fill invariant holds everywhere. The two are
+	// adjacent in entries: the borrow moves the boundary between them.
 	if last := len(chunks) - 1; last > 0 && len(chunks[last]) < minFill {
-		need := minFill - len(chunks[last])
-		prev := chunks[last-1]
-		moved := prev[len(prev)-need:]
-		chunks[last-1] = prev[:len(prev)-need]
-		chunks[last] = append(append([]Entry{}, moved...), chunks[last]...)
+		keep := len(chunks[last-1]) - (minFill - len(chunks[last]))
+		chunks[last-1] = chunks[last-1][:keep:keep]
+		chunks[last] = entries[n-minFill : n : n]
 	}
 	return chunks
 }

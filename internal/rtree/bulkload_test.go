@@ -1,7 +1,10 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -141,5 +144,180 @@ func TestBulkLoadRejectsDegenerate(t *testing.T) {
 	_, err := bulkLoad(pagefile.NewMemFile(testPageSize), []Record{{Rect: geom.R(0, 0, 0, 1), OID: 1}})
 	if err == nil {
 		t.Fatal("degenerate rect accepted")
+	}
+}
+
+// nodeCopy is what a node version holds: its slot, level and entries.
+type nodeCopy struct {
+	id      pagefile.PageID
+	level   int
+	entries []Entry
+}
+
+// versionCopy is a deep copy of every node one tree version reaches,
+// in depth-first order.
+type versionCopy []nodeCopy
+
+// copyVersion walks the version under root and copies each node's id,
+// level and entries.
+func copyVersion(st *store, root pagefile.PageID) (versionCopy, error) {
+	var out versionCopy
+	var walk func(ref uint64) error
+	walk = func(ref uint64) error {
+		n, err := st.readNodeRef(ref)
+		if err != nil {
+			return err
+		}
+		out = append(out, nodeCopy{n.id, n.level, slices.Clone(n.entries)})
+		if n.isLeaf() {
+			return nil
+		}
+		for i := range n.entries {
+			if err := walk(n.childRef(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return out, walk(uint64(root))
+}
+
+func (v versionCopy) diff(w versionCopy) error {
+	if len(v) != len(w) {
+		return fmt.Errorf("%d nodes, was %d", len(w), len(v))
+	}
+	for i := range v {
+		if v[i].id != w[i].id || v[i].level != w[i].level || !slices.Equal(v[i].entries, w[i].entries) {
+			return fmt.Errorf("node %d (slot %d) changed", i, v[i].id)
+		}
+	}
+	return nil
+}
+
+// TestPackedNodesStayImmutable: a packed arena node keeps the capped
+// subslice of the level buffer it was built from instead of a copy, so
+// a write to one leaf must never reach a neighbouring leaf's entries
+// or a version a reader still holds. It pins the freshly packed version,
+// copies every node it reaches, then deletes each leaf's first and last
+// entry and inserts beside leaves across the whole buffer while readers
+// search the live tree and walk the pinned version (under -race, any
+// write to a shared entry is reported). The pinned version must read
+// exactly as copied; the live tree must keep its invariants and answer
+// what a brute-force scan does.
+func TestPackedNodesStayImmutable(t *testing.T) {
+	const n, ops = 10000, 2000
+	rng := rand.New(rand.NewSource(17))
+	recs := make([]Record, n)
+	data := map[uint64]geom.Rect{}
+	for i := range recs {
+		recs[i] = Record{Rect: randRect(rng, 1000, 8), OID: uint64(i + 1)}
+		data[recs[i].OID] = recs[i].Rect
+	}
+	tree, err := newTestArenaRStar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.InsertBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	pinned := tree.acquire()
+	want, err := copyVersion(tree.st, pinned.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []nodeCopy
+	for _, c := range want {
+		if c.level == 0 {
+			leaves = append(leaves, c)
+		}
+	}
+	for _, c := range want {
+		shared, err := tree.st.readNodeRef(uint64(c.id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shared.entries) != cap(shared.entries) {
+			t.Fatalf("packed node %d holds %d entries with capacity %d: appending to it would write past its chunk",
+				c.id, len(shared.entries), cap(shared.entries))
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 2) // one send per reader at most
+	reader := func(read func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := read(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	all := func(geom.Rect) bool { return true }
+	wg.Add(2)
+	go reader(func() error {
+		return tree.Search(all, all, func(geom.Rect, uint64) bool { return true })
+	})
+	go reader(func() error {
+		got, err := copyVersion(tree.st, pinned.root)
+		if err != nil {
+			return err
+		}
+		return want.diff(got)
+	})
+
+	// Both end slots of every leaf go, and the inserts land beside leaves
+	// spread evenly over the buffer, up to ops mutations in all.
+	inserts := ops - 2*len(leaves)
+	nextOID := uint64(n + 1)
+	for k, leaf := range leaves {
+		first, last := leaf.entries[0], leaf.entries[len(leaf.entries)-1]
+		for _, e := range []Entry{first, last} {
+			if err := tree.Delete(e.Rect, e.OID); err != nil {
+				t.Fatalf("delete oid %d: %v", e.OID, err)
+			}
+			delete(data, e.OID)
+		}
+		if (k+1)*inserts/len(leaves) > k*inserts/len(leaves) {
+			c := leaf.entries[len(leaf.entries)/2].Rect.Center()
+			r := geom.R(c.X-0.5, c.Y-0.5, c.X+0.5, c.Y+0.5)
+			if err := tree.Insert(r, nextOID); err != nil {
+				t.Fatal(err)
+			}
+			data[nextOID] = r
+			nextOID++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	got, err := copyVersion(tree.st, pinned.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.diff(got); err != nil {
+		t.Fatalf("the pinned packed version: %v", err)
+	}
+	tree.release(pinned)
+	if tree.Len() != len(data) {
+		t.Fatalf("Len = %d, want %d", tree.Len(), len(data))
+	}
+	checkInv(t, "after mutations", tree)
+	for q := 0; q < 50; q++ {
+		w := randRect(rng, 1000, 60)
+		if got, want := windowQuery(t, tree, w), bruteWindow(data, w); !eqOIDs(got, want) {
+			t.Fatalf("window %v: got %d objects, want %d", w, len(got), len(want))
+		}
 	}
 }

@@ -35,7 +35,7 @@ func writeModes(t *testing.T, items []index.Item) []writeMode {
 
 	psrv, pts, _ := newReplPrimary(t, 0, 1024)
 	pinst, _ := psrv.instance("main")
-	if err := pinst.InsertBatch(recordsOf(items)); err != nil {
+	if err := pinst.InsertBatch(items); err != nil {
 		t.Fatal(err)
 	}
 	fsrv, _ := newReplFollower(t, pts.URL, nil, FollowConfig{})
@@ -61,14 +61,6 @@ func localWriteModes(t *testing.T, items []index.Item) []writeMode {
 	modes := []writeMode{single(IndexSpec{}), single(IndexSpec{Dir: t.TempDir()})}
 	modes[0].name, modes[1].name = "non-durable", "durable"
 	return modes
-}
-
-func recordsOf(items []index.Item) []rtree.Record {
-	recs := make([]rtree.Record, len(items))
-	for i, it := range items {
-		recs[i] = rtree.Record{Rect: it.Rect, OID: it.OID}
-	}
-	return recs
 }
 
 // TestWritePathDifferential checks that an insert, a delete and a bulk

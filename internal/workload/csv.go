@@ -44,16 +44,9 @@ func ReadItemsCSV(r io.Reader) ([]index.Item, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: bad oid %q: %w", rec[0], err)
 		}
-		vals := make([]float64, 4)
-		for i := 0; i < 4; i++ {
-			vals[i], err = strconv.ParseFloat(rec[i+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: bad coordinate %q: %w", rec[i+1], err)
-			}
-		}
-		rect := geom.R(vals[0], vals[1], vals[2], vals[3])
-		if !rect.Valid() {
-			return nil, fmt.Errorf("workload: degenerate rect for oid %d", oid)
+		rect, err := parseRect(rec[1:])
+		if err != nil {
+			return nil, fmt.Errorf("workload: oid %d: %w", oid, err)
 		}
 		out = append(out, index.Item{OID: oid, Rect: rect})
 	}
@@ -77,7 +70,7 @@ func ReadRectsCSV(r io.Reader) ([]geom.Rect, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 4
 	var out []geom.Rect
-	for {
+	for row := 1; ; row++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return out, nil
@@ -85,19 +78,35 @@ func ReadRectsCSV(r io.Reader) ([]geom.Rect, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]float64, 4)
-		for i := range vals {
-			vals[i], err = strconv.ParseFloat(rec[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: bad coordinate %q: %w", rec[i], err)
-			}
-		}
-		rect := geom.R(vals[0], vals[1], vals[2], vals[3])
-		if !rect.Valid() {
-			return nil, fmt.Errorf("workload: degenerate query rect %v", rect)
+		rect, err := parseRect(rec)
+		if err != nil {
+			return nil, fmt.Errorf("workload: query row %d: %w", row, err)
 		}
 		out = append(out, rect)
 	}
+}
+
+// parseRect parses "minx,miny,maxx,maxy". Every coordinate must be
+// finite: strconv.ParseFloat accepts "inf" and "nan", and a rectangle
+// reaching infinity passes Rect.Valid yet can never be written to the
+// wire.
+func parseRect(fields []string) (geom.Rect, error) {
+	var v [4]float64
+	for i := range v {
+		f, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return geom.Rect{}, fmt.Errorf("bad coordinate %q: %w", fields[i], err)
+		}
+		v[i] = f
+	}
+	rect := geom.R(v[0], v[1], v[2], v[3])
+	if !rect.Finite() {
+		return geom.Rect{}, fmt.Errorf("non-finite coordinate in %v", rect)
+	}
+	if !rect.Valid() {
+		return geom.Rect{}, fmt.Errorf("degenerate rect %v", rect)
+	}
+	return rect, nil
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -191,5 +192,23 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadRectsCSV(bytes.NewBufferString("3,3,1,4\n")); err == nil {
 		t.Error("degenerate query accepted")
+	}
+}
+
+// TestCSVRejectsNonFinite: strconv.ParseFloat reads "inf" and "nan",
+// and a rectangle from -inf to inf passes Rect.Valid, so a data file
+// could load an object no answer can ever carry to the wire. Both
+// readers refuse such a row and name it.
+func TestCSVRejectsNonFinite(t *testing.T) {
+	for _, row := range []string{"1,-inf,0,inf,1", "7,0,0,1,+Inf", "3,NaN,0,1,1"} {
+		oid, _, _ := strings.Cut(row, ",")
+		_, err := ReadItemsCSV(strings.NewReader("9,0,0,1,1\n" + row + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "oid "+oid+":") || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("ReadItemsCSV(%q): %v, want a non-finite coordinate error naming oid %s", row, err, oid)
+		}
+		_, err = ReadRectsCSV(strings.NewReader("0,0,1,1\n" + row[len(oid)+1:] + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "row 2:") || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("ReadRectsCSV(%q): %v, want a non-finite coordinate error naming row 2", row, err)
+		}
 	}
 }

@@ -7,14 +7,16 @@
 # durable topod mid-traffic and asserts the restart recovers every
 # acknowledged mutation. A third leg STR bulk-loads a durable topod,
 # streams more rectangles through POST /v1/bulk, kill -9s it, and
-# asserts the restart replays the whole batch. A fourth leg bulk-loads
+# asserts the restart replays the whole batch. A fourth leg boots
+# topod on 100 000 STR-packed objects and fails if the process's
+# resident high-water mark (VmHWM) passed 26 MiB. A fifth leg bulk-loads
 # two indexes, streams a meet+overlap /v1/join, checks the pair count
 # against topoquery ground truth, sends the same join twenty times more
 # and cmp's every sorted body against the first (the join keeps sweep
 # orders beside the nodes it has swept), inserts into the left index and
 # asserts the answer gains exactly the pairs topoquery predicts for the
 # new object and changes no other line, and asserts 429 under saturation. A
-# fifth leg checkpoints a durable topod grown insert by insert, asserts
+# sixth leg checkpoints a durable topod grown insert by insert, asserts
 # the data directory holds exactly main.flat + one main.wal.<gen>,
 # asserts the next boot adopts the checkpoint image as its tree before
 # any write (backend=flat) with the same answers, that a SIGTERM of that
@@ -23,23 +25,23 @@
 # query's node_accesses where the first process had them (the tree is
 # the checkpointed one, not a rebuild) — then corrupts the image and
 # asserts the next boot answers 503 with the reason and counts the
-# checksum failure instead of guessing. A sixth leg subscribes
+# checksum failure instead of guessing. A seventh leg subscribes
 # topoquery -watch to a durable topod, mutates through /v1/insert and
 # /v1/bulk, asserts the enter/exit event sequence arrives, and checks
-# SIGTERM ends the stream with a terminal drain line. A seventh leg
+# SIGTERM ends the stream with a terminal drain line. An eighth leg
 # boots a primary + -follow replica pair, checks the replica serves
 # the primary's data and 403s writes, SIGTERMs the still-following
 # replica beside a primary write (exit 0, bye inside -drain, no *.tmp)
 # and restarts it on the same directory, kill -9s the primary, promotes
 # the replica via POST /v1/promote, and asserts a write then succeeds.
-# An eighth leg plants a tile layout's main.t0.flat in a fresh data
+# A ninth leg plants a tile layout's main.t0.flat in a fresh data
 # directory and asserts topod refuses it — exit 1, the file named, the
-# directory untouched — instead of booting fresh beside it. A ninth leg
+# directory untouched — instead of booting fresh beside it. A tenth leg
 # asserts a window answer of over 100 lines costs at most 3 stream
 # flushes, repeats it against a `-cache-size` topod, asserts the repeat
 # is byte-identical and increments topod_cache_hits_total, then mutates
 # and asserts the same query misses (generation-keyed invalidation)
-# and sees the new rectangle. A tenth leg sends one window query forty
+# and sees the new rectangle. An eleventh leg sends one window query forty
 # times to a `-cache-size 0` topod — whose leaves render their
 # rectangles' wire text once and answer from it afterwards — and cmp's
 # every body, stats trailer included, against the first, then inserts a
@@ -63,17 +65,18 @@ cleanup() {
   kill -9 "$PID8" 2>/dev/null || true
   kill -9 "$PID11" 2>/dev/null || true
   kill -9 "$PID12" 2>/dev/null || true
+  kill -9 "$PID13" 2>/dev/null || true
   kill -9 "$CURLPID" 2>/dev/null || true
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
-    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$WLOG" "$BULK" "$WBULK" \
+    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$LOG18" "$WLOG" "$BULK" "$WBULK" \
     "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
     "$DATADIR5" "$DATADIR6" "$DATADIR7" "$FLATCOPY" 2>/dev/null || true
 }
-PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12=""
+PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12="" PID13=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
-LOG12="" LOG13="" LOG16="" LOG17="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
+LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
 JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
 DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" FLATCOPY=""
@@ -341,6 +344,26 @@ fi
 
 echo "smoke OK: STR bulk load + /v1/bulk batch survived kill -9"
 
+# ---- boot-peak leg: an STR pack of 100 000 objects sorts one entry
+# buffer in place and its leaves keep their chunks of it, so the boot's
+# resident high-water mark stays near the tree it builds ----
+
+LOG18="$(mktemp)"
+"$TOPOD" -gen 100000 -bulk -tree rstar -cache-size 0 -addr 127.0.0.1:0 >"$LOG18" 2>&1 &
+PID13=$!
+wait_listen "$LOG18" >/dev/null || {
+  echo "smoke: boot-peak topod never started listening" >&2
+  cat "$LOG18" >&2
+  exit 1
+}
+HWM="$(awk '/^VmHWM:/{print $2}' "/proc/$PID13/status")"
+[ -n "$HWM" ] && [ "$HWM" -le $((26 * 1024)) ] \
+  || { echo "smoke: booting 100000 bulk-loaded objects peaked at VmHWM ${HWM:-?} kB, want at most 26 MiB" >&2; exit 1; }
+kill -TERM "$PID13"
+wait "$PID13" || { echo "smoke: boot-peak topod exited non-zero on SIGTERM" >&2; cat "$LOG18" >&2; exit 1; }
+
+echo "smoke OK: booting 100000 STR-packed objects peaked at VmHWM $HWM kB"
+
 # ---- join leg: two indexes, /v1/join vs topoquery ground truth ----
 
 LEFT="$(mktemp)" RIGHT="$(mktemp)"
@@ -417,6 +440,13 @@ curl -sN --limit-rate 1K -m 60 \
   -d '{"left":"main","right":"second","relations":["not_disjoint"]}' \
   "$BASE4/v1/join" >/dev/null 2>&1 &
 CURLPID=$!
+# Probe only once that join holds the slot: a probe that came first
+# would take the slot and turn the throttled join away with the 429.
+for _ in $(seq 1 100); do
+  JMET="$(curl -sf "$BASE4/metrics")" || true
+  echo "$JMET" | grep -q '^topod_join_in_flight 1$' && break
+  sleep 0.1
+done
 
 HDRS="$(mktemp)"
 SATURATED=""
