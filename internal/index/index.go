@@ -28,11 +28,11 @@ type TraversalStats = rtree.TraversalStats
 type Index interface {
 	// Insert stores a rectangle under an object id.
 	Insert(r geom.Rect, oid uint64) error
-	// InsertBatch stores a batch of rectangles in one operation. The
-	// R-/R*-trees apply it atomically (queries see none or all of the
-	// batch) and Sort-Tile-Recursive pack the batch when the tree is
-	// empty; the R+-tree inserts under one lock acquisition. An
-	// implementation neither modifies nor retains recs.
+	// InsertBatch stores a batch of rectangles as one atomic mutation:
+	// queries see none or all of the batch, and a failed batch leaves
+	// the index as it was. The R-/R*-trees Sort-Tile-Recursive pack the
+	// batch when the tree is empty. An implementation neither modifies
+	// nor retains recs.
 	InsertBatch(recs []rtree.Record) error
 	// Delete removes the entry with exactly this rectangle and id.
 	Delete(r geom.Rect, oid uint64) error
@@ -228,13 +228,11 @@ func Adopt(kind Kind, pageSize int, flat *rtree.FlatTree) (Index, error) {
 // flat snapshot format (see rtree.FlatTree), tagged with the given
 // checkpoint generation; rtree.OpenFlatBytes and Adopt bring it back.
 func WriteFlat(idx Index, w io.Writer, gen uint64) error {
-	switch t := idx.(type) {
-	case *rtree.Tree:
-		return t.WriteFlat(w, gen)
-	case *rtree.RPlusTree:
-		return t.WriteFlat(w, gen)
+	t, ok := idx.(interface{ WriteFlat(io.Writer, uint64) error })
+	if !ok {
+		return fmt.Errorf("index: cannot write a flat snapshot of %T", idx)
 	}
-	return fmt.Errorf("index: cannot write a flat snapshot of %T", idx)
+	return t.WriteFlat(w, gen)
 }
 
 // SerialPages returns the disk accesses of a serial scan of a data

@@ -199,56 +199,60 @@ func (a *arena) ResetStats() {
 // are still good — rebuild a tree from them instead.
 var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page size")
 
-// adoptStore opens the image's nodes as the arena of a mutable tree.
-// Only the slot table is new: every slot starts out pointing at the
-// image's own node version. Node versions are immutable — the tree
-// repoints slots, never their contents — so the image stays what was
-// decoded, and may be adopted again, for as long as anyone holds it.
-func (f *FlatTree) adoptStore(pageSize int, covering bool) (*store, error) {
+// adopt opens the image's nodes as the arena of a mutable tree and
+// makes c that tree. Only the slot table is new: every slot starts out
+// pointing at the image's own node version. Node versions are immutable
+// — the tree repoints slots, never their contents — so the image stays
+// what was decoded, and may be adopted again, for as long as anyone
+// holds it. Size, depth and (for an R+-tree) the data MBR carry over.
+func (f *FlatTree) adopt(c *core, pageSize int, name string, covering bool) error {
 	capacity := CapacityForPageSize(pageSize)
 	if capacity < 4 {
-		return nil, fmt.Errorf("rtree: page size %d too small (capacity %d)", pageSize, capacity)
+		return fmt.Errorf("rtree: page size %d too small (capacity %d)", pageSize, capacity)
 	}
 	if f.covering != covering {
-		return nil, fmt.Errorf("rtree: adopting a %s image as the other tree family", f.name)
+		return fmt.Errorf("rtree: adopting a %s image as the other tree family", f.name)
 	}
 	if f.minCap > capacity {
-		return nil, fmt.Errorf("%w: a node needs capacity %d, page size %d holds %d",
+		return fmt.Errorf("%w: a node needs capacity %d, page size %d holds %d",
 			ErrNodeCapacity, f.minCap, pageSize, capacity)
 	}
 	tab := make([]*node, max(arenaMinSlots, 2*(len(f.nodes)+1)))
 	for i := range f.nodes {
 		tab[i+1] = &f.nodes[i]
 	}
-	return newArenaStore(pageSize, tab, pagefile.PageID(len(f.nodes)+1)), nil
+	st := newArenaStore(pageSize, tab, pagefile.PageID(len(f.nodes)+1))
+	if !covering {
+		c.bounds, c.bounded = f.bounds, f.hasBound
+	}
+	c.start(st, name, covering, pagefile.PageID(f.root), f.depth, f.size)
+	return nil
 }
 
 // Adopt returns a mutable R-/R*-tree that is the image's tree: same
 // nodes, same entry order, hence the same node accesses for every
 // query — not a rebuild from its entries. It costs one slot-table copy,
-// O(nodes); size and depth carry over. opts and name are the options
-// the tree was built with, as for NewArena; they are not in the image.
+// O(nodes). opts and name are the options the tree was built with, as
+// for NewArena; they are not in the image.
 func Adopt(f *FlatTree, pageSize int, opts Options, name string) (*Tree, error) {
-	st, err := f.adoptStore(pageSize, true)
-	if err != nil {
+	t := &Tree{opts: opts}
+	if err := f.adopt(&t.core, pageSize, name, true); err != nil {
 		return nil, err
 	}
-	t := &Tree{st: st, opts: opts, name: name,
-		root: pagefile.PageID(f.root), depth: f.depth, size: f.size}
-	t.initSnapshot()
 	return t, nil
 }
 
 // AdoptRPlus is Adopt for the image of an R+-tree.
 func AdoptRPlus(f *FlatTree, pageSize int) (*RPlusTree, error) {
-	st, err := f.adoptStore(pageSize, false)
-	if err != nil {
+	t := &RPlusTree{}
+	if err := f.adopt(&t.core, pageSize, rplusName, false); err != nil {
 		return nil, err
 	}
-	return &RPlusTree{st: st,
-		root: pagefile.PageID(f.root), depth: f.depth, size: f.size,
-		bounds: f.bounds, bounded: f.hasBound}, nil
+	return t, nil
 }
+
+// treeCore returns the core a *Tree or *RPlusTree embeds.
+func (c *core) treeCore() *core { return c }
 
 // NodesSharedWith counts the image's nodes that idx (a *Tree or
 // *RPlusTree) still holds — the slot a node was decoded into serves a
@@ -258,20 +262,17 @@ func AdoptRPlus(f *FlatTree, pageSize int) (*RPlusTree, error) {
 // replaces the versions on the paths it touched. A tree rebuilt from
 // the image's entries holds none.
 func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
-	var st *store
-	switch t := idx.(type) {
-	case *Tree:
-		st = t.st
-	case *RPlusTree:
-		st = t.st
-	}
 	total = len(f.nodes)
-	if st == nil || st.ar == nil {
+	var ar *arena
+	if t, ok := idx.(interface{ treeCore() *core }); ok {
+		ar = t.treeCore().st.ar
+	}
+	if ar == nil {
 		return 0, total
 	}
-	st.ar.mu.Lock()
-	defer st.ar.mu.Unlock()
-	tab := *st.ar.tab.Load()
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	tab := *ar.tab.Load()
 	for i := range f.nodes {
 		if i+1 >= len(tab) || tab[i+1] == nil {
 			continue

@@ -26,18 +26,14 @@ type diffTree interface {
 // storeOf returns a tree's store and current root.
 func storeOf(t *testing.T, x any) (*store, pagefile.PageID) {
 	t.Helper()
-	switch v := x.(type) {
-	case *Tree:
-		s := v.acquire()
-		defer v.release(s)
-		return v.st, s.root
-	case *RPlusTree:
-		v.mu.RLock()
-		defer v.mu.RUnlock()
-		return v.st, v.root
+	v, ok := x.(interface{ treeCore() *core })
+	if !ok {
+		t.Fatalf("%T has no store", x)
 	}
-	t.Fatalf("%T has no store", x)
-	return nil, 0
+	c := v.treeCore()
+	s := c.acquire()
+	defer c.release(s)
+	return c.st, s.root
 }
 
 // sameNodes walks two trees in lockstep and fails on the first node

@@ -160,25 +160,6 @@ func writeFlat(out io.Writer, src *store, root uint64, covering bool,
 	return err
 }
 
-// WriteFlat serializes the currently published version of the tree in
-// the flat snapshot format, tagged with the given checkpoint
-// generation. The snapshot is pinned for the duration, so writers are
-// not blocked.
-func (t *Tree) WriteFlat(out io.Writer, gen uint64) error {
-	s := t.acquire()
-	defer t.release(s)
-	return writeFlat(out, t.st, uint64(s.root), true, t.name, gen, s.size, s.depth)
-}
-
-// WriteFlat serializes the current version of the R+-tree in the flat
-// snapshot format. Overflow-chained nodes are collapsed into one
-// record carrying the chain's page-access cost.
-func (t *RPlusTree) WriteFlat(out io.Writer, gen uint64) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return writeFlat(out, t.st, uint64(t.root), false, t.Name(), gen, t.size, t.depth)
-}
-
 // FlatTree is a decoded flat snapshot: opening validates both
 // checksums and every structural invariant, then decodes the node
 // section once into the node versions a mutable tree keeps (arena.go:

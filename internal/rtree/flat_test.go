@@ -14,16 +14,7 @@ import (
 func flatEncode(t *testing.T, s searcher, gen uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	switch v := s.(type) {
-	case *Tree:
-		err = v.WriteFlat(&buf, gen)
-	case *RPlusTree:
-		err = v.WriteFlat(&buf, gen)
-	default:
-		t.Fatalf("%T has no WriteFlat", s)
-	}
-	if err != nil {
+	if err := s.WriteFlat(&buf, gen); err != nil {
 		t.Fatalf("WriteFlat: %v", err)
 	}
 	return buf.Bytes()

@@ -84,8 +84,8 @@ func (t *Tree) CheckInvariants() error {
 // property — every stored object registered in every leaf whose region
 // its interior intersects.
 func (t *RPlusTree) CheckInvariants() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	s := t.acquire()
+	defer t.release(s)
 	type leafInfo struct {
 		region geom.Rect
 		oids   map[uint64]geom.Rect
@@ -107,8 +107,8 @@ func (t *RPlusTree) CheckInvariants() error {
 			return fmt.Errorf("rtree: R+ node %d overfull (%d) without overflow chain", id, len(n.entries))
 		}
 		if n.isLeaf() {
-			if depth != t.depth {
-				return fmt.Errorf("rtree: R+ leaf %d at depth %d, want %d", id, depth, t.depth)
+			if depth != s.depth {
+				return fmt.Errorf("rtree: R+ leaf %d at depth %d, want %d", id, depth, s.depth)
 			}
 			li := leafInfo{region: region, oids: make(map[uint64]geom.Rect, len(n.entries))}
 			for _, e := range n.entries {
@@ -145,11 +145,11 @@ func (t *RPlusTree) CheckInvariants() error {
 		}
 		return nil
 	}
-	if err := walk(t.root, worldRect(), 1); err != nil {
+	if err := walk(s.root, worldRect(), 1); err != nil {
 		return err
 	}
-	if len(objects) != t.size {
-		return fmt.Errorf("rtree: R+ holds %d distinct objects, Len says %d", len(objects), t.size)
+	if len(objects) != s.size {
+		return fmt.Errorf("rtree: R+ holds %d distinct objects, Len says %d", len(objects), s.size)
 	}
 	// Zero-false-miss: an object must appear in every leaf whose region
 	// overlaps its rectangle's interior.

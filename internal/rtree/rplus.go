@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
@@ -29,21 +29,14 @@ import (
 // Degenerate inputs (many rectangles stacking on the same point) can
 // make a node unsplittable; Insert then returns ErrUnsplittable,
 // mirroring the paper's footnote that "in such cases R+-trees do not
-// work (Greene 1989)".
-// An RPlusTree is safe for concurrent use: searches take a shared read
-// lock and run in parallel with each other, mutations take the
-// exclusive write lock.
+// work (Greene 1989)", and leaves the tree as it was.
+//
+// An RPlusTree is safe for concurrent use under the same copy-on-write
+// protocol as Tree (snapshot.go): searches pin a published snapshot and
+// never block behind writers, and a mutation either commits whole or
+// leaves no trace.
 type RPlusTree struct {
-	mu    sync.RWMutex
-	st    *store
-	root  pagefile.PageID
-	depth int
-	size  int
-	// bounds is the MBR of the stored data rectangles while bounded is
-	// set. Internal entries are partition regions, so no node holds it:
-	// the mutations keep it, under the write lock.
-	bounds  geom.Rect
-	bounded bool
+	core
 }
 
 // ErrUnsplittable reports that a node overflowed and no cut line can
@@ -72,56 +65,15 @@ func NewRPlusArena(pageSize int) (*RPlusTree, error) {
 	return newRPlus(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1))
 }
 
+// rplusName is the R+-tree's Name.
+const rplusName = "R+-tree"
+
 func newRPlus(st *store) (*RPlusTree, error) {
-	if st.cap < 4 {
-		return nil, fmt.Errorf("rtree: page size too small for an R+ node (capacity %d)", st.cap)
-	}
-	root, err := st.allocNode(0)
-	if err != nil {
+	t := &RPlusTree{}
+	if err := t.startEmpty(st, rplusName, false); err != nil {
 		return nil, err
 	}
-	if err := st.writeNode(root); err != nil {
-		return nil, err
-	}
-	return &RPlusTree{st: st, root: root.id, depth: 1}, nil
-}
-
-// Name identifies the variant.
-func (t *RPlusTree) Name() string { return "R+-tree" }
-
-// Len returns the number of distinct stored objects.
-func (t *RPlusTree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
-// Height returns the number of levels.
-func (t *RPlusTree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.depth
-}
-
-// CoveringNodeRects reports false: internal entry rectangles are
-// partition regions, which do not cover the data rectangles registered
-// beneath them (an object may stick out of a region it is registered
-// in). Query processors must use region-intersection predicates rather
-// than the covering propagation sets.
-func (t *RPlusTree) CoveringNodeRects() bool { return false }
-
-// IOStats returns the page counters of the tree's store.
-func (t *RPlusTree) IOStats() pagefile.Stats { return t.st.Stats() }
-
-// ResetIOStats zeroes those counters.
-func (t *RPlusTree) ResetIOStats() { t.st.ResetStats() }
-
-// Bounds returns the MBR of the stored data rectangles. It reads no
-// page: routers ask every tile for it on every request.
-func (t *RPlusTree) Bounds() (geom.Rect, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.bounds, t.bounded
+	return t, nil
 }
 
 // covering returns the MBR of b and r, or r alone while b is not one
@@ -133,8 +85,8 @@ func covering(b geom.Rect, ok bool, r geom.Rect) geom.Rect {
 	return r
 }
 
-// scanBounds computes the data MBR from every leaf. Caller holds a
-// lock.
+// scanBounds computes the data MBR of the working tree from every
+// leaf. Caller runs inside a mutation.
 func (t *RPlusTree) scanBounds() (geom.Rect, bool, error) {
 	var out geom.Rect
 	found := false
@@ -153,51 +105,48 @@ func (t *RPlusTree) Insert(r geom.Rect, oid uint64) error {
 	return t.InsertBatch([]Record{{Rect: r, OID: oid}})
 }
 
-// InsertBatch inserts a batch of rectangles under one lock
-// acquisition. The R+-tree's partition regions do not admit STR
-// packing or snapshot publication, so unlike Tree.InsertBatch this is
-// not atomic with respect to failures — records before a failing one
-// stay inserted — and readers are excluded for the duration.
+// InsertBatch inserts a batch of rectangles one by one as one atomic
+// mutation, like Tree.InsertBatch: queries observe either none or all
+// of the batch, and a record that fails (ErrUnsplittable) leaves the
+// tree as it was before the batch. The R+-tree's partition regions do
+// not admit STR packing.
 func (t *RPlusTree) InsertBatch(recs []Record) error {
 	for _, r := range recs {
 		if !r.Rect.Valid() {
 			return fmt.Errorf("rtree: inserting degenerate rect %v", r.Rect)
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, rec := range recs {
-		// Covered before it is attempted: an insert that fails part-way
-		// may have registered the rectangle in some leaves already.
-		t.bounds, t.bounded = covering(t.bounds, t.bounded, rec.Rect), true
-		pieces, err := t.insertRec(t.root, worldRect(), Entry{Rect: rec.Rect, OID: rec.OID})
-		if err != nil {
-			return err
-		}
-		// A split of the root yields several pieces: grow the tree.
-		for len(pieces) > 1 {
-			level := t.depth // old depth == old root level + 1
-			newRoot, err := t.st.allocNode(level)
+	return t.mutate(func() error {
+		for _, rec := range recs {
+			pieces, err := t.insertRec(t.root, worldRect(), Entry{Rect: rec.Rect, OID: rec.OID})
 			if err != nil {
 				return err
 			}
-			newRoot.entries = pieces
-			t.root = newRoot.id
-			t.depth++
-			pieces, err = t.normalize(newRoot, worldRect())
-			if err != nil {
-				return err
+			// A split of the root yields several pieces: grow the tree.
+			for len(pieces) > 1 {
+				newRoot, err := t.allocMutNode(t.depth) // old depth == old root level + 1
+				if err != nil {
+					return err
+				}
+				newRoot.entries = pieces
+				t.depth++
+				if pieces, err = t.normalize(newRoot, worldRect()); err != nil {
+					return err
+				}
 			}
+			t.root = pieces[0].Child
+			t.bounds, t.bounded = covering(t.bounds, t.bounded, rec.Rect), true
+			t.size++
 		}
-		t.size++
-	}
-	return nil
+		return nil
+	})
 }
 
 // insertRec inserts the entry into the subtree rooted at id (with the
 // given partition region) and returns the replacement parent entries
 // for this subtree: one entry when the node did not split, several
-// after splits.
+// after splits. Every node it writes is shadowed, so the entries carry
+// the subtree's new ids up the path.
 func (t *RPlusTree) insertRec(id pagefile.PageID, region geom.Rect, e Entry) ([]Entry, error) {
 	n, err := t.st.readNode(id)
 	if err != nil {
@@ -242,30 +191,26 @@ const maxOverflowChain = 16
 // costs one extra read when the node is visited), bounded by
 // maxOverflowChain to keep runaway growth detectable.
 func (t *RPlusTree) normalize(n *node, region geom.Rect) ([]Entry, error) {
-	if len(n.entries) <= t.st.cap {
-		if err := t.st.writeNode(n); err != nil {
-			return nil, err
+	if len(n.entries) > t.st.cap {
+		if axis, cut, ok := chooseCut(n, region); ok {
+			return t.divide(n, region, axis, cut)
 		}
-		return []Entry{{Rect: region, Child: n.id}}, nil
-	}
-	axis, cut, ok := chooseCut(n, region)
-	if !ok {
 		if len(n.entries) > t.st.cap*maxOverflowChain {
 			return nil, fmt.Errorf("%w: node %d (%d entries)", ErrUnsplittable, n.id, len(n.entries))
 		}
-		if err := t.st.writeNode(n); err != nil {
-			return nil, err
-		}
-		return []Entry{{Rect: region, Child: n.id}}, nil
 	}
-	return t.divide(n, region, axis, cut)
+	if err := t.writeMutNode(n); err != nil {
+		return nil, err
+	}
+	return []Entry{{Rect: region, Child: n.id}}, nil
 }
 
 // divide cuts node n (partition region region) by the hyperplane
 // axis=cut. Leaf entries crossing the cut are registered on both
 // sides; internal children crossing it are recursively divided with
-// the same cut. n's page is reused for the left side. Each side is
-// normalized in turn, so the returned pieces all fit their pages.
+// the same cut. n becomes the left side and a new sibling the right;
+// each side is normalized in turn, so the returned pieces all fit their
+// pages.
 func (t *RPlusTree) divide(n *node, region geom.Rect, axis int, cut float64) ([]Entry, error) {
 	leftRegion, rightRegion := splitRect(region, axis, cut)
 	var le, re []Entry
@@ -305,7 +250,7 @@ func (t *RPlusTree) divide(n *node, region geom.Rect, axis int, cut float64) ([]
 			}
 		}
 	}
-	sib, err := t.st.allocNode(n.level)
+	sib, err := t.allocMutNode(n.level)
 	if err != nil {
 		return nil, err
 	}
@@ -412,88 +357,62 @@ func dedupFloats(s []float64) []float64 {
 // registered in. Underfull leaves are tolerated: the original R+-tree
 // paper leaves deletion-time reorganisation to periodic rebuilds.
 func (t *RPlusTree) Delete(r geom.Rect, oid uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	removed, err := t.deleteRec(t.root, r, oid)
-	if err != nil {
-		return err
-	}
-	if removed == 0 {
-		return ErrNotFound
-	}
-	t.size--
-	switch b := t.bounds; {
-	case t.size == 0:
-		t.bounded = false
-	case r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y:
-		// r may have been alone in reaching that edge: only then can
-		// the MBR shrink, and only a scan says to what. A scan that
-		// fails keeps the old MBR, which still covers what is stored.
-		if nb, ok, err := t.scanBounds(); err == nil {
-			t.bounds, t.bounded = nb, ok
+	return t.mutate(func() error {
+		removed, root, err := t.deleteRec(t.root, r, oid)
+		if err != nil {
+			return err
 		}
-	}
-	return nil
+		if removed == 0 {
+			return ErrNotFound
+		}
+		t.root = root
+		t.size--
+		switch b := t.bounds; {
+		case t.size == 0:
+			t.bounded = false
+		case r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y:
+			// r may have been alone in reaching that edge: only then can
+			// the MBR shrink, and only a scan says to what. A scan that
+			// fails keeps the old MBR, which still covers what is stored.
+			if nb, ok, err := t.scanBounds(); err == nil {
+				t.bounds, t.bounded = nb, ok
+			}
+		}
+		return nil
+	})
 }
 
-func (t *RPlusTree) deleteRec(id pagefile.PageID, r geom.Rect, oid uint64) (int, error) {
+// deleteRec removes (r, oid) from the subtree rooted at id and returns
+// how many registrations it removed and the subtree's id afterwards: a
+// node that lost an entry, or whose child moved, is rewritten shadowed.
+func (t *RPlusTree) deleteRec(id pagefile.PageID, r geom.Rect, oid uint64) (int, pagefile.PageID, error) {
 	n, err := t.st.readNode(id)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	removed := 0
 	if n.isLeaf() {
-		kept := n.entries[:0:0]
-		removed := 0
-		for _, e := range n.entries {
-			if e.OID == oid && e.Rect == r {
-				removed++
+		had := len(n.entries)
+		n.entries = slices.DeleteFunc(n.entries, func(e Entry) bool { return e.OID == oid && e.Rect == r })
+		removed = had - len(n.entries)
+	} else {
+		for i, ce := range n.entries {
+			if !ce.Rect.IntersectsInterior(r) {
 				continue
 			}
-			kept = append(kept, e)
-		}
-		if removed > 0 {
-			n.entries = kept
-			if err := t.st.writeNode(n); err != nil {
-				return 0, err
-			}
-		}
-		return removed, nil
-	}
-	total := 0
-	for _, ce := range n.entries {
-		if ce.Rect.IntersectsInterior(r) {
-			k, err := t.deleteRec(ce.Child, r, oid)
+			k, child, err := t.deleteRec(ce.Child, r, oid)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
-			total += k
+			removed += k
+			n.entries[i].Child = child
 		}
 	}
-	return total, nil
-}
-
-// SearchHits traverses the tree, descending into any internal entry
-// whose partition region satisfies nodePred, and emits every leaf entry
-// whose rectangle satisfies leafPred. Because of duplicate
-// registration, emit may see the same (rect, oid) several times;
-// callers deduplicate by oid. emit returning false stops the search.
-// NodeAccesses includes overflow-chain pages (Greene's degeneracy),
-// mirroring what the global read counter would see for this traversal
-// alone.
-func (t *RPlusTree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return traverse(ctx, t.st, uint64(t.root), nodePred, leafPred, emit)
-}
-
-// SearchCtx is SearchHits for an emit that wants the rectangle and the
-// object id only.
-func (t *RPlusTree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
-	return t.SearchHits(ctx, nodePred, leafPred, rectAndOID(emit))
-}
-
-// Search is SearchCtx without cancellation or stats.
-func (t *RPlusTree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
-	_, err := t.SearchCtx(context.Background(), nodePred, leafPred, emit)
-	return err
+	if removed == 0 {
+		return 0, id, nil
+	}
+	if err := t.writeMutNode(n); err != nil {
+		return 0, 0, err
+	}
+	return removed, n.id, nil
 }

@@ -1,10 +1,8 @@
 package rtree
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
@@ -23,26 +21,8 @@ import (
 // traversal IO accounting (SearchCtx) stays exact under any number of
 // concurrent readers.
 type Tree struct {
-	mu   sync.Mutex // serialises mutations; readers never take it
-	st   *store
+	core
 	opts Options
-	name string
-
-	// Working state of the (single) writer, guarded by mu. Between
-	// mutations it mirrors the current snapshot.
-	root  pagefile.PageID
-	depth int // number of levels; 1 = root is a leaf
-	size  int // number of stored entries
-
-	// Copy-on-write bookkeeping of the in-flight mutation (snapshot.go).
-	fresh   map[pagefile.PageID]bool // pages allocated by this mutation
-	retired []pagefile.PageID        // superseded pages, freed after the last reader
-
-	// Snapshot publication state.
-	pub        sync.Mutex // guards cur, oldest, and snapshot refs
-	cur        *snapshot  // currently published version
-	oldest     *snapshot  // head of the retirement queue
-	reclaimErr error      // first deferred-free failure, surfaced on the next mutation
 }
 
 // ErrNotFound is returned by Delete when no matching entry exists.
@@ -61,18 +41,10 @@ func NewArena(pageSize int, opts Options, name string) (*Tree, error) {
 }
 
 func newTree(st *store, opts Options, name string) (*Tree, error) {
-	if st.cap < 4 {
-		return nil, fmt.Errorf("rtree: page size too small (capacity %d)", st.cap)
-	}
-	root, err := st.allocNode(0)
-	if err != nil {
+	t := &Tree{opts: opts}
+	if err := t.startEmpty(st, name, true); err != nil {
 		return nil, err
 	}
-	if err := st.writeNode(root); err != nil {
-		return nil, err
-	}
-	t := &Tree{st: st, opts: opts, root: root.id, depth: 1, name: name}
-	t.initSnapshot()
 	return t, nil
 }
 
@@ -92,45 +64,6 @@ func NewRStar(file pagefile.File) (*Tree, error) {
 	}, "R*-tree")
 }
 
-// Name identifies the variant ("R-tree", "R*-tree").
-func (t *Tree) Name() string { return t.name }
-
-// Len returns the number of stored entries.
-func (t *Tree) Len() int {
-	s := t.acquire()
-	defer t.release(s)
-	return s.size
-}
-
-// Height returns the number of levels (1 when the root is a leaf).
-func (t *Tree) Height() int {
-	s := t.acquire()
-	defer t.release(s)
-	return s.depth
-}
-
-// Bounds returns the MBR of all stored rectangles.
-func (t *Tree) Bounds() (geom.Rect, bool) {
-	s := t.acquire()
-	defer t.release(s)
-	root, err := t.st.readNodeRef(uint64(s.root))
-	if err != nil || len(root.entries) == 0 {
-		return geom.Rect{}, false
-	}
-	return root.mbr(), true
-}
-
-// CoveringNodeRects reports that internal entry rectangles are tight
-// covers of their subtrees (true for R- and R*-trees; the R+-tree
-// reports false).
-func (t *Tree) CoveringNodeRects() bool { return true }
-
-// IOStats returns the page counters of the tree's store.
-func (t *Tree) IOStats() pagefile.Stats { return t.st.Stats() }
-
-// ResetIOStats zeroes those counters.
-func (t *Tree) ResetIOStats() { t.st.ResetStats() }
-
 // Insert adds a rectangle with an object id. The rectangle must be
 // non-degenerate (the paper's MBR constraint). The insertion becomes
 // visible to queries atomically, when it commits.
@@ -138,9 +71,7 @@ func (t *Tree) Insert(r geom.Rect, oid uint64) error {
 	if !r.Valid() {
 		return fmt.Errorf("rtree: inserting degenerate rect %v", r)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mutateLocked(func() error {
+	return t.mutate(func() error {
 		// Forced-reinsert bookkeeping is per top-level insertion.
 		reinserted := make(map[int]bool)
 		if err := t.insertAtLevel(Entry{Rect: r, OID: oid}, 0, reinserted); err != nil {
@@ -167,9 +98,7 @@ func (t *Tree) InsertBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mutateLocked(func() error {
+	return t.mutate(func() error {
 		if t.size == 0 {
 			return t.packInto(recs)
 		}
@@ -394,9 +323,7 @@ func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) err
 // Delete removes one entry matching the rectangle and object id.
 // It returns ErrNotFound when no such entry is stored.
 func (t *Tree) Delete(r geom.Rect, oid uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mutateLocked(func() error {
+	return t.mutate(func() error {
 		leafPath, slot, err := t.findLeaf(t.root, nil, r, oid)
 		if err != nil {
 			return err
@@ -513,31 +440,4 @@ func (t *Tree) condenseTree(path []*node) error {
 		t.root = child
 		t.depth--
 	}
-}
-
-// SearchHits traverses the tree, descending into any internal entry
-// whose rectangle satisfies nodePred, and emits every leaf entry whose
-// rectangle satisfies leafPred as a Hit. emit returning false stops the
-// search. It is the one traversal entry point: context cancellation,
-// checked before every node, and per-traversal IO accounting — the
-// returned TraversalStats counts the pages this traversal read,
-// exactly, regardless of how many other queries run concurrently, so
-// it matches the paper's disk-access metric. On cancellation it
-// returns ctx.Err() together with the stats accumulated so far.
-func (t *Tree) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
-	s := t.acquire()
-	defer t.release(s)
-	return traverse(ctx, t.st, uint64(s.root), nodePred, leafPred, emit)
-}
-
-// SearchCtx is SearchHits for an emit that wants the rectangle and the
-// object id only.
-func (t *Tree) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error) {
-	return t.SearchHits(ctx, nodePred, leafPred, rectAndOID(emit))
-}
-
-// Search is SearchCtx without cancellation or stats.
-func (t *Tree) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error {
-	_, err := t.SearchCtx(context.Background(), nodePred, leafPred, emit)
-	return err
 }

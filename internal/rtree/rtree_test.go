@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -32,6 +33,9 @@ type searcher interface {
 	Height() int
 	Name() string
 	CoveringNodeRects() bool
+	Bounds() (geom.Rect, bool)
+	CheckInvariants() error
+	WriteFlat(io.Writer, uint64) error
 }
 
 // move replaces an object's rectangle the way every caller of the
@@ -74,15 +78,8 @@ func makeTrees(t *testing.T) map[string]searcher {
 
 func checkInv(t *testing.T, name string, s searcher) {
 	t.Helper()
-	switch v := s.(type) {
-	case *Tree:
-		if err := v.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	case *RPlusTree:
-		if err := v.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -494,26 +491,16 @@ func TestSplitAlgorithmString(t *testing.T) {
 // TestBoundsReporting: Bounds returns the union of stored rects.
 func TestBoundsReporting(t *testing.T) {
 	for name, tree := range makeTrees(t) {
-		if _, ok := boundsOf(tree); ok {
+		if _, ok := tree.Bounds(); ok {
 			t.Fatalf("%s: empty tree has bounds", name)
 		}
 		_ = tree.Insert(geom.R(1, 2, 3, 4), 1)
 		_ = tree.Insert(geom.R(-5, 0, 0, 1), 2)
-		b, ok := boundsOf(tree)
+		b, ok := tree.Bounds()
 		if !ok || b != geom.R(-5, 0, 3, 4) {
 			t.Fatalf("%s: bounds = %v %v", name, b, ok)
 		}
 	}
-}
-
-func boundsOf(s searcher) (geom.Rect, bool) {
-	switch v := s.(type) {
-	case *Tree:
-		return v.Bounds()
-	case *RPlusTree:
-		return v.Bounds()
-	}
-	return geom.Rect{}, false
 }
 
 // TestRPlusBoundsKept: an R+-tree's internal entries are partition

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,15 +15,17 @@ import (
 // TestSnapshotReaderDoesNotBlockWriter pauses a search mid-traversal
 // and runs mutations to completion while it is paused: writers must
 // not wait for readers, and the paused reader must see exactly the
-// pre-mutation version of the tree.
+// pre-mutation version of the tree. All three kinds share the protocol.
 func TestSnapshotReaderDoesNotBlockWriter(t *testing.T) {
 	for _, mk := range []struct {
 		name string
-		make func() (*Tree, error)
+		make func() (searcher, error)
 	}{
-		{"rtree", func() (*Tree, error) { return NewRTree(pagefile.NewMemFile(testPageSize)) }},
-		{"rstar", func() (*Tree, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) }},
-		{"rstar-arena", func() (*Tree, error) { return newTestArenaRStar() }},
+		{"rtree", func() (searcher, error) { return NewRTree(pagefile.NewMemFile(testPageSize)) }},
+		{"rstar", func() (searcher, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) }},
+		{"rstar-arena", func() (searcher, error) { return newTestArenaRStar() }},
+		{"rplus", func() (searcher, error) { return NewRPlus(pagefile.NewMemFile(testPageSize)) }},
+		{"rplus-arena", func() (searcher, error) { return NewRPlusArena(testPageSize) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			tree, err := mk.make()
@@ -89,80 +93,141 @@ func TestSnapshotReaderDoesNotBlockWriter(t *testing.T) {
 			if n := tree.Len(); n != 151 {
 				t.Fatalf("Len = %d, want 151", n)
 			}
-			if err := tree.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
+			checkInv(t, mk.name, tree)
 		})
 	}
 }
 
 // TestMutationRollbackLeavesTreeUnchanged injects storage faults into
-// inserts and checks the strong atomicity property: a failed mutation
-// leaves the published tree byte-identical to the tree before it — the
-// same result set, size, and page count (every page the failed
-// mutation allocated is reclaimed).
+// inserts and checks the strong atomicity property on an R*- and an
+// R+-tree: a failed mutation leaves the published tree as it was before
+// it — the same entries and size, and the same page count (every page
+// the failed mutation allocated is given back).
 func TestMutationRollbackLeavesTreeUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	fired := false
-	for trial := 0; trial < 40; trial++ {
-		mem := pagefile.NewMemFile(testPageSize)
-		fault := pagefile.NewFaultFile(mem)
-		tree, err := NewRStar(fault)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 150; i++ {
-			if err := tree.Insert(randRect(rng, 100, 5), i); err != nil {
+	for name, mk := range map[string]func(pagefile.File) (searcher, error){
+		"rstar": func(f pagefile.File) (searcher, error) { return NewRStar(f) },
+		"rplus": func(f pagefile.File) (searcher, error) { return NewRPlus(f) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			fired := false
+			for trial := 0; trial < 40; trial++ {
+				mem := pagefile.NewMemFile(testPageSize)
+				fault := pagefile.NewFaultFile(mem)
+				tree, err := mk(fault)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := map[uint64]geom.Rect{}
+				insert := func(oid uint64) error {
+					r := randRect(rng, 100, 5)
+					err := tree.Insert(r, oid)
+					if err == nil {
+						live[oid] = r
+					}
+					return err
+				}
+				for i := uint64(0); i < 150; i++ {
+					if err := insert(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				// The fault may land on any insert of the run; compare
+				// against the tree just before the one that failed.
+				fault.FailAfter(1+rng.Intn(25), true, true, trial%2 == 0)
+				var pagesBefore int
+				var opErr error
+				for i := uint64(500); i < 560 && opErr == nil; i++ {
+					pagesBefore = mem.NumPages()
+					opErr = insert(i)
+				}
+				if opErr == nil {
+					continue // fault landed on nothing fatal this trial
+				}
+				fired = true
+				if !errors.Is(opErr, pagefile.ErrInjected) {
+					t.Fatalf("trial %d: unexpected error %v", trial, opErr)
+				}
+				if got := collectAll(t, tree); !maps.Equal(got, live) || tree.Len() != len(live) {
+					t.Fatalf("trial %d: %d entries (Len %d) after rollback, want %d",
+						trial, len(got), tree.Len(), len(live))
+				}
+				if err := tree.CheckInvariants(); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if np := mem.NumPages(); np != pagesBefore {
+					t.Fatalf("trial %d: %d live pages after rollback, had %d before the failed insert", trial, np, pagesBefore)
+				}
+			}
+			if !fired {
+				t.Fatal("no injected fault ever surfaced; harness broken")
+			}
+		})
+	}
+}
+
+// TestRPlusUnsplittableInsertLosesNothing: at capacity 4, 64 nested
+// squares fill one leaf to its overflow bound. An insert registered
+// first in a full leaf to its left, which it divides, and then in that
+// bounded leaf must fail with ErrUnsplittable — and leave the tree as
+// it was: no object lost, Len, Bounds and invariants unchanged, and a
+// byte-equal MBRFLAT1 image.
+func TestRPlusUnsplittableInsertLosesNothing(t *testing.T) {
+	const pageSize = 168 // capacity 4
+	for name, mk := range map[string]func() (*RPlusTree, error){
+		"paged": func() (*RPlusTree, error) { return NewRPlus(pagefile.NewMemFile(pageSize)) },
+		"arena": func() (*RPlusTree, error) { return NewRPlusArena(pageSize) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tree, err := mk()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		before := collectAll(t, tree)
-		pagesBefore := mem.NumPages()
+			live := map[uint64]geom.Rect{}
+			insert := func(r geom.Rect, oid uint64) {
+				t.Helper()
+				if err := tree.Insert(r, oid); err != nil {
+					t.Fatalf("insert %d: %v", oid, err)
+				}
+				live[oid] = r
+			}
+			insert(geom.R(0, 0, 1, 1), 1)
+			insert(geom.R(2, 0, 3, 1), 2)
+			for k := 1; k <= 64; k++ {
+				d := float64(k)
+				insert(geom.R(80-d, 50-d, 80+d, 50+d), uint64(100+k))
+			}
+			insert(geom.R(0, 2, 1, 3), 3)
+			insert(geom.R(2, 2, 3, 3), 4)
+			bounds, _ := tree.Bounds()
+			image := flatEncode(t, tree, 1)
 
-		fault.FailAfter(1+rng.Intn(25), true, true, trial%2 == 0)
-		var opErr error
-		for i := uint64(500); i < 560 && opErr == nil; i++ {
-			opErr = tree.Insert(randRect(rng, 100, 5), i)
-		}
-		if opErr == nil {
-			continue // fault landed on nothing fatal this trial
-		}
-		fired = true
-		if !errors.Is(opErr, pagefile.ErrInjected) {
-			t.Fatalf("trial %d: unexpected error %v", trial, opErr)
-		}
-
-		// Roll back the partial prefix of successful inserts to make the
-		// comparison exact: only the failed insert must be invisible.
-		after := collectAll(t, tree)
-		for oid, r := range after {
-			if _, ok := before[oid]; ok {
-				continue
+			if err := tree.Insert(geom.R(1.5, -20, 150, 120), 999); !errors.Is(err, ErrUnsplittable) {
+				t.Fatalf("insert 999 = %v, want ErrUnsplittable", err)
 			}
-			if err := tree.Delete(r, oid); err != nil {
-				t.Fatalf("trial %d: deleting successful prefix insert %d: %v", trial, oid, err)
+			if n := tree.Len(); n != len(live) {
+				t.Fatalf("Len = %d, want %d", n, len(live))
 			}
-		}
-		final := collectAll(t, tree)
-		if len(final) != len(before) {
-			t.Fatalf("trial %d: %d entries after rollback, want %d", trial, len(final), len(before))
-		}
-		for oid, r := range before {
-			if final[oid] != r {
-				t.Fatalf("trial %d: entry %d is %v after rollback, want %v", trial, oid, final[oid], r)
+			got := collectAll(t, tree)
+			for oid, r := range live {
+				if got[oid] != r {
+					t.Errorf("object %d (%v) is not answered after the failed insert", oid, r)
+				}
 			}
-		}
-		if err := tree.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Page accounting: everything the failed mutation allocated must
-		// have been freed again (deletes may shrink the tree further).
-		if np := mem.NumPages(); np > pagesBefore {
-			t.Fatalf("trial %d: %d live pages after rollback, had %d before the failed insert", trial, np, pagesBefore)
-		}
-	}
-	if !fired {
-		t.Fatal("no injected fault ever surfaced; harness broken")
+			if len(got) != len(live) {
+				t.Errorf("%d objects answered, want %d", len(got), len(live))
+			}
+			if b, ok := tree.Bounds(); !ok || b != bounds {
+				t.Errorf("Bounds = %v %v, want %v", b, ok, bounds)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+			if !bytes.Equal(flatEncode(t, tree, 1), image) {
+				t.Error("the MBRFLAT1 image changed")
+			}
+		})
 	}
 }
 
@@ -229,32 +294,33 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 // TestSnapshotConcurrentReadersAndWriter is a -race smoke: readers
 // query while a writer inserts. Each reader's observed sizes must be
 // monotonically non-decreasing (snapshots are published in insertion
-// order) and every search must be internally consistent (count equals
-// distinct OIDs seen). The arena leg is what catches a reader that can
-// reach a slot being installed, or a slot table being grown (it starts
-// at 64 slots): either is a data race the detector reports.
+// order) and every search must be internally consistent (on the
+// covering trees, count equals distinct OIDs seen; an R+-tree registers
+// an object in several leaves). The arena legs are what catch a reader
+// that can reach a slot being installed, or a slot table being grown
+// (it starts at 64 slots): either is a data race the detector reports.
 func TestSnapshotConcurrentReadersAndWriter(t *testing.T) {
-	t.Run("paged", func(t *testing.T) {
-		tree, err := NewRStar(pagefile.NewMemFile(testPageSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readersBesideWriter(t, tree)
-	})
-	t.Run("arena", func(t *testing.T) {
-		tree, err := newTestArenaRStar()
-		if err != nil {
-			t.Fatal(err)
-		}
-		readersBesideWriter(t, tree)
-	})
+	for name, mk := range map[string]func() (searcher, error){
+		"paged":       func() (searcher, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) },
+		"arena":       func() (searcher, error) { return newTestArenaRStar() },
+		"rplus":       func() (searcher, error) { return NewRPlus(pagefile.NewMemFile(testPageSize)) },
+		"rplus-arena": func() (searcher, error) { return NewRPlusArena(testPageSize) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tree, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			readersBesideWriter(t, tree)
+		})
+	}
 }
 
 func newTestArenaRStar() (*Tree, error) {
 	return NewArena(testPageSize, rstarOpts, "R*-tree")
 }
 
-func readersBesideWriter(t *testing.T, tree *Tree) {
+func readersBesideWriter(t *testing.T, tree searcher) {
 	const total = 400
 	rng := rand.New(rand.NewSource(41))
 	rects := make([]geom.Rect, total)
@@ -287,15 +353,15 @@ func readersBesideWriter(t *testing.T, tree *Tree) {
 					errs <- err
 					return
 				}
-				if len(seen) != count {
+				if tree.CoveringNodeRects() && len(seen) != count {
 					errs <- errors.New("duplicate OIDs within one snapshot read")
 					return
 				}
-				if count < last {
+				if len(seen) < last {
 					errs <- errors.New("observed size went backwards across snapshots")
 					return
 				}
-				last = count
+				last = len(seen)
 			}
 		}()
 	}
@@ -320,7 +386,7 @@ func readersBesideWriter(t *testing.T, tree *Tree) {
 }
 
 // collectAll returns every stored (oid, rect) pair.
-func collectAll(t *testing.T, tree *Tree) map[uint64]geom.Rect {
+func collectAll(t *testing.T, tree searcher) map[uint64]geom.Rect {
 	t.Helper()
 	out := map[uint64]geom.Rect{}
 	all := func(geom.Rect) bool { return true }

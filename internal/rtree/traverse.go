@@ -24,7 +24,7 @@ import (
 //     consumers bound their answers.
 //
 // The traversal holds no tree-level state, so any number of traversals
-// may run in parallel under the trees' read locks.
+// may run in parallel, each over the snapshot it pinned.
 
 // TraversalStats counts the work of one traversal. Unlike the page
 // file's global counters (pagefile.Stats), which aggregate across all

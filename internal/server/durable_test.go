@@ -1097,3 +1097,65 @@ func TestCheckpointsBesideReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestRPlusUnsplittableRefused: on a durable R+ index at capacity 4,
+// 64 nested squares fill one leaf to its overflow bound, and an insert
+// that reaches it after dividing the leaf to its left is refused with
+// 422. Nothing of it stays behind: a /v1/bulk batch it ends leaves
+// neither its prefix nor a WAL record, and the same insert on its own
+// keeps the divided leaf's objects through a checkpoint and a reboot.
+func TestRPlusUnsplittableRefused(t *testing.T) {
+	dir := t.TempDir()
+	spec := IndexSpec{Name: "main", Kind: index.KindRPlus, PageSize: 168,
+		Dir: dir, Fsync: wal.SyncAlways, CheckpointEvery: -1}
+	items := []index.Item{{Rect: geom.R(0, 0, 1, 1), OID: 1}, {Rect: geom.R(2, 0, 3, 1), OID: 2}}
+	for k := 1; k <= 64; k++ {
+		d := float64(k)
+		items = append(items, index.Item{Rect: geom.R(80-d, 50-d, 80+d, 50+d), OID: uint64(100 + k)})
+	}
+	more := []index.Item{{Rect: geom.R(0, 2, 1, 3), OID: 3}, {Rect: geom.R(2, 2, 3, 3), OID: 4}}
+	refused := index.Item{Rect: geom.R(1.5, -20, 150, 120), OID: 999}
+
+	srv := New(Config{})
+	inst, err := srv.AddIndex(spec, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if _, code := postBulk(t, ts.URL, "main", ndjsonBody(t, append(slices.Clone(more), refused))); code != http.StatusUnprocessableEntity {
+		t.Fatalf("bulk ending in the unsplittable rectangle: code %d, want 422", code)
+	}
+	assertSameAnswers(t, "after the refused batch", inst.ReadIndex(), groundTruth(t, items, nil))
+	if n := inst.dur.log.Records(); n != 0 {
+		t.Fatalf("the refused batch left %d WAL records", n)
+	}
+
+	var acked []wal.Record
+	for _, it := range more {
+		postJSON(t, ts.URL+"/v1/insert", UpdateRequest{OID: it.OID, Rect: []float64{it.Rect.Min.X, it.Rect.Min.Y, it.Rect.Max.X, it.Rect.Max.Y}})
+		acked = append(acked, wal.Record{Op: wal.OpInsert, OID: it.OID, Rect: it.Rect})
+	}
+	r := refused.Rect
+	if code, _ := postStatus(t, ts.URL+"/v1/insert", UpdateRequest{OID: refused.OID, Rect: []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y}}); code != http.StatusUnprocessableEntity {
+		t.Fatalf("insert of the unsplittable rectangle: code %d, want 422", code)
+	}
+	truth := groundTruth(t, items, acked)
+	assertSameAnswers(t, "after the refused insert", inst.ReadIndex(), truth)
+	if err := inst.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := New(Config{})
+	inst2, err := srv2.AddIndex(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	assertSameAnswers(t, "after a checkpoint and a reboot", inst2.ReadIndex(), truth)
+}

@@ -343,13 +343,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMutationError answers a failed mutation: 404 for a delete that
-// found nothing, 503 when the WAL append failed — the mutation is not
+// found nothing, 422 for an insert an R+-tree cannot place
+// (rtree.ErrUnsplittable: the input is at fault and the index is
+// unchanged), 503 when the WAL append failed — the mutation is not
 // durable and the index has degraded — and 500 otherwise.
 func writeMutationError(w http.ResponseWriter, inst *Instance, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, rtree.ErrNotFound):
 		code = http.StatusNotFound
+	case errors.Is(err, rtree.ErrUnsplittable):
+		code = http.StatusUnprocessableEntity
 	case !inst.Healthy():
 		code = http.StatusServiceUnavailable
 	}
@@ -387,7 +391,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op func(
 // applied as one atomic index mutation — Sort-Tile-Recursive packed
 // when the tree is empty — and, on a durable index, logged as one
 // contiguous WAL run with a single group-committed flush. Queries
-// running concurrently see none or all of the batch (R-/R*-trees).
+// running concurrently see none or all of the batch.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		s.rejectFollowerWrite(w, "read replica: mutations go to the primary")

@@ -247,8 +247,8 @@ func (inst *Instance) Delete(r geom.Rect, oid uint64) error {
 	return inst.mutate([]wal.Record{{Op: wal.OpDelete, OID: oid, Rect: r}}, nil)
 }
 
-// InsertBatch stores a batch of rectangles as one index mutation —
-// atomic on the R-/R*-trees, STR-packed when the tree is empty — and,
+// InsertBatch stores a batch of rectangles as one atomic index
+// mutation — STR-packed when an R-/R*-tree is empty — and,
 // on a durable index, one contiguous WAL run with a single
 // group-committed flush.
 func (inst *Instance) InsertBatch(recs []rtree.Record) error {
