@@ -50,7 +50,7 @@ test:
 
 # Paper gate: the whole evaluation at the paper's scale (10,000 objects,
 # 100 queries, seed 1995) must print results_full.txt byte for byte —
-# every number in it is a count. Too slow for tier-1 (~45 s; the
+# every number in it is a count. Too slow for tier-1 (~25 s; the
 # `-quick` form is diffed by TestQuickGolden in internal/experiments);
 # CI's paper job runs this. After an intended change:
 #   go run ./cmd/topobench -exp all > results_full.txt

@@ -10,7 +10,6 @@
 //	topoquery -data data.csv -rel meet -ref 10,10,40,30 -noncrisp
 //	topoquery -data data.csv -queries queries.csv -rel overlap   # batch mode
 //	topoquery -data left.csv -join right.csv -rel meet,overlap   # spatial join
-//	topoquery -data data.csv -rel overlap -ref 10,10,40,30 -frames 64   # LRU buffer pool
 //	topoquery -watch http://localhost:8080 -rel not_disjoint -ref 10,10,40,30   # live events
 //	topoquery -data data.csv -rel overlap -ref 10,10,40,30 \
 //	          -rel2 inside -ref2 0,0,80,80 -explain   # conjunction + what ran
@@ -37,9 +36,9 @@ import (
 	"mbrtopo/internal/direction"
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/retry"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/server"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
@@ -53,7 +52,6 @@ func main() {
 		relName   = flag.String("rel", "overlap", "relation (disjoint, meet, equal, overlap, contains, inside, covers, covered_by, in, not_disjoint)")
 		refSpec   = flag.String("ref", "", "reference MBR as minx,miny,maxx,maxy (single-query mode)")
 		pageSize  = flag.Int("pagesize", index.PaperPageSize, "page size in bytes")
-		frames    = flag.Int("frames", 0, "buffer-pool frames between tree and page file (0 = unbuffered)")
 		nonCrisp  = flag.Bool("noncrisp", false, "tolerate 2-degree MBR imprecision (Table 5 retrieval)")
 		nonContig = flag.Bool("noncontiguous", false, "objects may be multi-part (Section 7 tables)")
 		joinPath  = flag.String("join", "", "second data CSV: join -data (left) with this file (right) on -rel instead of running window queries")
@@ -92,14 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Explicit page files: topoquery reports the paper's page reads.
-	var file pagefile.File = pagefile.NewMemFile(*pageSize)
-	var pool *pagefile.BufferPool
-	if *frames > 0 {
-		pool = pagefile.NewBufferPool(file, *frames)
-		file = pool
-	}
-	idx, err := index.NewOnFile(kind, file)
+	idx, err := index.NewWithPageSize(kind, *pageSize)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,11 +98,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("loaded %d rectangles into %s (height %d)\n", idx.Len(), idx.Name(), idx.Height())
-	if pool != nil {
-		// Report query-time caching only, not the build's IO.
-		pool.ResetStats()
-		defer reportPool(pool, *frames)
-	}
 
 	// Join mode: synchronized-traversal join of the two layers, run
 	// serially — the ground truth the service smoke test compares
@@ -121,7 +107,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rIdx, err := index.NewOnFile(kind, pagefile.NewMemFile(*pageSize))
+		rIdx, err := index.NewWithPageSize(kind, *pageSize)
 		if err != nil {
 			fatal(err)
 		}
@@ -296,7 +282,7 @@ func main() {
 			len(refs),
 			float64(totalHits)/float64(len(refs)),
 			float64(totalAcc)/float64(len(refs)),
-			index.SerialPages(idx.Len(), (*pageSize-8)/40))
+			index.SerialPages(idx.Len(), rtree.CapacityForPageSize(*pageSize)))
 	}
 }
 
@@ -512,20 +498,6 @@ func parseRect(s string) (geom.Rect, error) {
 		return geom.Rect{}, fmt.Errorf("degenerate reference MBR %v", r)
 	}
 	return r, nil
-}
-
-// reportPool prints the buffer-pool counters next to the raw
-// node-access counts the queries reported: logical accesses are the
-// paper's disk accesses; hits never touched the simulated device.
-func reportPool(pool *pagefile.BufferPool, frames int) {
-	hits, misses := pool.HitMiss()
-	total := hits + misses
-	ratio := 0.0
-	if total > 0 {
-		ratio = 100 * float64(hits) / float64(total)
-	}
-	fmt.Printf("buffer pool: %d frames, %d hits / %d misses (%.1f%% hit ratio), %d physical reads\n",
-		frames, hits, misses, ratio, pool.Stats().Reads)
 }
 
 func fatal(err error) {

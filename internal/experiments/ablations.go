@@ -7,7 +7,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
@@ -20,8 +19,6 @@ import (
 //     isolated from the other R* machinery;
 //   - Table 2 propagation vs naive intersection descent (what pruning
 //     the derived node relations actually buy, per relation);
-//   - an LRU buffer pool in front of the page file (how far raw node
-//     accesses overstate a buffered system);
 //   - uniform vs clustered data (sensitivity to the paper's uniformity
 //     assumption).
 type AblationResult struct {
@@ -37,19 +34,13 @@ type AblationResult struct {
 	PropagationAccesses map[topo.Relation]float64
 	NaiveAccesses       map[topo.Relation]float64
 
-	// BufferedReads[frames]: physical reads with an LRU pool of that
-	// many frames, for the meet relation (the most node-hungry
-	// non-disjoint relation).
-	BufferedReads   map[int]float64
-	UnbufferedReads float64
-
 	// ClusteredAccesses / UniformAccesses: mean reads per search on
 	// clustered vs uniform data, R-tree, per relation.
 	ClusteredAccesses map[topo.Relation]float64
 	UniformAccesses   map[topo.Relation]float64
 }
 
-// RunAblations measures all four ablations on one size class.
+// RunAblations measures all three ablations on one size class.
 func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error) {
 	d := cfg.dataset(class)
 	out := &AblationResult{
@@ -58,15 +49,13 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 		SplitAccesses:       map[rtree.SplitAlgorithm]map[topo.Relation]float64{},
 		PropagationAccesses: map[topo.Relation]float64{},
 		NaiveAccesses:       map[topo.Relation]float64{},
-		BufferedReads:       map[int]float64{},
 		ClusteredAccesses:   map[topo.Relation]float64{},
 		UniformAccesses:     map[topo.Relation]float64{},
 	}
 
 	// --- Split policies on otherwise identical R-trees.
 	for _, split := range []rtree.SplitAlgorithm{rtree.SplitQuadratic, rtree.SplitLinear, rtree.SplitRStar} {
-		file := pagefile.NewMemFile(cfg.PageSize)
-		tr, err := rtree.New(file, rtree.Options{Split: split}, "R-tree/"+split.String())
+		tr, err := rtree.NewArena(cfg.PageSize, rtree.Options{Split: split}, "R-tree/"+split.String())
 		if err != nil {
 			return nil, err
 		}
@@ -111,42 +100,6 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 		out.NaiveAccesses[rel] = float64(naive) / float64(len(d.Queries))
 	}
 
-	// --- Buffer pool effect on the meet relation.
-	{
-		base := pagefile.NewMemFile(cfg.PageSize)
-		for _, frames := range []int{8, 32, 128} {
-			pool := pagefile.NewBufferPool(base, frames)
-			tr, err := rtree.NewRTree(pool)
-			if err != nil {
-				return nil, err
-			}
-			for _, it := range d.Items {
-				if err := tr.Insert(it.Rect, it.OID); err != nil {
-					return nil, err
-				}
-			}
-			proc := &query.Processor{Idx: tr}
-			base.ResetStats()
-			var physical uint64
-			for _, q := range d.Queries {
-				if _, err := proc.QueryMBR(topo.Meet, q); err != nil {
-					return nil, err
-				}
-			}
-			physical = base.Stats().Reads
-			out.BufferedReads[frames] = float64(physical) / float64(len(d.Queries))
-			// Reset the shared base file for the next pool size.
-			base = pagefile.NewMemFile(cfg.PageSize)
-		}
-		tr, err := cfg.buildIndex(index.KindRTree, d)
-		if err != nil {
-			return nil, err
-		}
-		if out.UnbufferedReads, _, err = perSearch(&query.Processor{Idx: tr}, topo.Meet, d.Queries); err != nil {
-			return nil, err
-		}
-	}
-
 	// --- Clustered vs uniform data.
 	{
 		cd := workload.ClusteredDataset(class, cfg.NData, cfg.NQueries, 8, cfg.Seed+7)
@@ -167,7 +120,7 @@ func RunAblations(cfg Config, class workload.SizeClass) (*AblationResult, error)
 	return out, nil
 }
 
-// Render prints the four ablations.
+// Render prints the three ablations.
 func (r *AblationResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablations (%s data)\n", r.Class)
@@ -190,13 +143,7 @@ func (r *AblationResult) Render() string {
 	}
 	b.WriteString(t.String())
 
-	b.WriteString("\n[3] LRU buffer pool, meet relation (physical reads per search)\n")
-	fmt.Fprintf(&b, "  unbuffered: %.1f\n", r.UnbufferedReads)
-	for _, frames := range []int{8, 32, 128} {
-		fmt.Fprintf(&b, "  %3d frames: %.1f\n", frames, r.BufferedReads[frames])
-	}
-
-	b.WriteString("\n[4] clustered vs uniform data (R-tree, accesses per search)\n")
+	b.WriteString("\n[3] clustered vs uniform data (R-tree, accesses per search)\n")
 	t = &table{header: []string{"relation", "uniform", "clustered"}}
 	for _, rel := range relationOrder {
 		t.addRow(rel.String(), f1(r.UniformAccesses[rel]), f1(r.ClusteredAccesses[rel]))

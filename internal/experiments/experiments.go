@@ -10,8 +10,8 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -54,7 +54,7 @@ func Quick() Config {
 
 // PageCapacity returns the node capacity implied by the page size.
 func (c Config) PageCapacity() int {
-	return (c.PageSize - 8) / 40
+	return rtree.CapacityForPageSize(c.PageSize)
 }
 
 // SerialBaseline returns the disk accesses of a serial scan of the
@@ -68,16 +68,11 @@ func (c Config) dataset(class workload.SizeClass) *workload.Dataset {
 	return workload.NewDataset(class, c.NData, c.NQueries, c.Seed+int64(class))
 }
 
-// buildIndex loads a dataset into a fresh index of the given kind on
-// an unbuffered in-memory page file, where every node visit is a read
-// (the paper's cost model).
+// buildIndex loads a dataset one object at a time into a fresh
+// in-memory index of the given kind, charging the paper's cost model:
+// every node visit is a read of its pages.
 func (c Config) buildIndex(kind index.Kind, d *workload.Dataset) (index.Index, error) {
-	return c.buildOn(kind, d, pagefile.NewMemFile(c.PageSize))
-}
-
-// buildOn loads a dataset into a fresh index of the given kind on file.
-func (c Config) buildOn(kind index.Kind, d *workload.Dataset, file pagefile.File) (index.Index, error) {
-	idx, err := index.NewOnFile(kind, file)
+	idx, err := index.NewWithPageSize(kind, c.PageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -87,11 +82,9 @@ func (c Config) buildOn(kind index.Kind, d *workload.Dataset, file pagefile.File
 	return idx, nil
 }
 
-// buildPacked STR-packs items into an R-tree on a fresh in-memory page
-// file. The experiments count pages, so every index they build sits on
-// an explicit page file, never on index.NewPacked's node arena.
+// buildPacked STR-packs items into a fresh R-tree.
 func (c Config) buildPacked(items []index.Item) (index.Index, error) {
-	idx, err := index.NewOnFile(index.KindRTree, pagefile.NewMemFile(c.PageSize))
+	idx, err := index.NewWithPageSize(index.KindRTree, c.PageSize)
 	if err != nil {
 		return nil, err
 	}

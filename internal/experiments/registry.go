@@ -99,7 +99,7 @@ var registry = []entry{
 	{id: "complex", run: onConfig(RunComplex),
 		claim: "a disjunction costs what its dominating member costs; Table 4 answers empty conjunctions with zero disk accesses (Section 5)"},
 	{id: "ablations", run: onClass(RunAblations),
-		claim: "design choices beyond the paper: split policy, Table 2 against naive descent, LRU buffering, clustered data — the cost groups survive each"},
+		claim: "design choices beyond the paper: split policy, Table 2 against naive descent, clustered data — the cost groups survive each"},
 	{id: "packing", run: onClass(RunPacking),
 		claim: "an STR-packed R-tree uses fewer pages and fewer reads per search than the one-by-one build"},
 	{id: "seeds", run: onConfig(runSeeds),
@@ -110,8 +110,6 @@ var registry = []entry{
 		claim: "a convex-hull second filter saves exact geometry tests and changes no result (Brinkhoff et al. 1994)"},
 	{id: "join", run: onClass(RunJoin),
 		claim: "a synchronised two-tree join reads a small fraction of the pages that one query per left object reads"},
-	{id: "buffer", run: onClass(RunBuffer),
-		claim: "logical accesses (the paper's metric) do not depend on the pool; physical reads fall as LRU frames grow"},
 }
 
 // IDs lists what Run accepts: "all", then every registered id.

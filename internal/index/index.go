@@ -18,11 +18,11 @@ import (
 // TraversalStats is the per-traversal work accounting returned by
 // SearchHits and NearestCtx: exact for the one traversal that produced
 // it, no matter how many queries run concurrently (unlike IOStats,
-// which aggregates globally across the whole page file).
+// which aggregates globally across the whole tree).
 type TraversalStats = rtree.TraversalStats
 
 // Index is an MBR-based spatial access method charging the paper's
-// disk accesses, whether its nodes sit on a page file or in memory.
+// disk accesses.
 // Implementations are safe for concurrent use: searches run in
 // parallel, mutations are exclusive among themselves.
 type Index interface {
@@ -126,12 +126,8 @@ func paperOptions(kind Kind) rtree.Options {
 func New(kind Kind) (Index, error) { return NewWithPageSize(kind, PaperPageSize) }
 
 // NewWithPageSize creates an in-memory index with a specific page
-// size. No page file is involved: the tree keeps its nodes decoded
-// (rtree.NewArena) and charges node accesses at that page size's
-// capacity, so answers, TraversalStats and IOStats equal NewOnFile over
-// a pagefile.MemFile of the same size. Hand NewOnFile a file when the
-// pages themselves matter — a buffer pool, fault injection, the paper's
-// experiments.
+// size: the tree keeps its nodes decoded (rtree.NewArena) and charges
+// node accesses at that page size's capacity.
 func NewWithPageSize(kind Kind, pageSize int) (Index, error) {
 	return newArena(kind, pageSize, kind.String())
 }
@@ -172,16 +168,10 @@ func LoadBulk(idx Index, items []Item) error {
 	return nil
 }
 
-// NewOnFile creates an index of the given kind over an existing page
-// file (a pagefile.MemFile, or a BufferPool or FaultFile over one).
-func NewOnFile(kind Kind, file pagefile.File) (Index, error) {
-	switch kind {
-	case KindRTree, KindRStar:
-		return rtree.New(file, paperOptions(kind), kind.String())
-	case KindRPlus:
-		return rtree.NewRPlus(file)
-	}
-	return nil, fmt.Errorf("index: unknown kind %v", kind)
+// NewOnFile is NewWithPageSize at the file's page size. Only
+// bench/fixtures.go calls it (scripts/bench.pins).
+func NewOnFile(kind Kind, file *pagefile.MemFile) (Index, error) {
+	return NewWithPageSize(kind, file.PageSize())
 }
 
 // packedSuffix marks the name of a tree NewPacked built.

@@ -1,13 +1,14 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
+	"mbrtopo/internal/rtree"
 )
 
 func testItems(n int, seed int64) []Item {
@@ -34,8 +35,49 @@ func TestKindBasics(t *testing.T) {
 	if _, err := NewWithPageSize(Kind(9), 512); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := NewOnFile(Kind(9), pagefile.NewMemFile(512)); err == nil {
-		t.Fatal("unknown kind accepted by NewOnFile")
+}
+
+// TestPageSizeFitsTheImage: a tree is only built at a page size whose
+// nodes its checkpoint image can record. An MBRFLAT1 record counts a
+// node's entries in a uint16, and an R+ node may hold 16 pages' worth,
+// so 4095 entries a page is the most: page size 8 + 40 × 4095. A larger
+// one is refused by every constructor, new or adopting; before, a tree
+// of 70 000 entries a page wrote an image that OpenFlatBytes rejected,
+// which made the next boot fail. At the largest page size a bulk-loaded
+// tree's image reopens and is adopted as the same tree.
+func TestPageSizeFitsTheImage(t *testing.T) {
+	const largest = 8 + 40*4095
+	for _, kind := range AllKinds() {
+		for _, size := range []int{largest + 40, 8 + 40*70000} {
+			if _, err := NewWithPageSize(kind, size); err == nil {
+				t.Errorf("%v: page size %d accepted", kind, size)
+			}
+		}
+	}
+	idx, err := NewWithPageSize(KindRStar, largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadBulk(idx, testItems(5000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := WriteFlat(idx, &image, 1); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := rtree.OpenFlatBytes(image.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted, err := Adopt(KindRStar, largest, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adopted.Len() != 5000 || adopted.Height() != idx.Height() {
+		t.Fatalf("adopted %d entries at height %d, want 5000 at %d", adopted.Len(), adopted.Height(), idx.Height())
+	}
+	if _, err := Adopt(KindRStar, largest+40, flat); err == nil {
+		t.Fatalf("adopted at page size %d", largest+40)
 	}
 }
 

@@ -1,107 +1,6 @@
 package pagefile
 
-import (
-	"bytes"
-	"errors"
-	"math/rand"
-	"testing"
-)
-
-func TestMemFileRoundTrip(t *testing.T) {
-	f := NewMemFile(128)
-	if f.PageSize() != 128 {
-		t.Fatal("page size")
-	}
-	id, err := f.Alloc()
-	if err != nil || id == NilPage {
-		t.Fatalf("alloc: %v %v", id, err)
-	}
-	data := []byte("hello page")
-	if err := f.Write(id, data); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 128)
-	if err := f.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:len(data)], data) {
-		t.Fatalf("read back %q", buf[:len(data)])
-	}
-	for _, b := range buf[len(data):] {
-		if b != 0 {
-			t.Fatal("page tail not zeroed")
-		}
-	}
-	// Overwrite with shorter data zero-fills the tail.
-	if err := f.Write(id, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 'x' || buf[1] != 0 {
-		t.Fatal("overwrite did not zero-fill")
-	}
-	st := f.Stats()
-	if st.Allocs != 1 || st.Writes != 2 || st.Reads != 2 {
-		t.Fatalf("stats: %v", st)
-	}
-	f.ResetStats()
-	if f.Stats() != (Stats{}) {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestMemFileErrors(t *testing.T) {
-	f := NewMemFile(64)
-	buf := make([]byte, 64)
-	if err := f.Read(999, buf); !errors.Is(err, ErrPageNotFound) {
-		t.Fatalf("read missing: %v", err)
-	}
-	if err := f.Write(999, buf); !errors.Is(err, ErrPageNotFound) {
-		t.Fatalf("write missing: %v", err)
-	}
-	if err := f.Free(999); !errors.Is(err, ErrPageNotFound) {
-		t.Fatalf("free missing: %v", err)
-	}
-	id, _ := f.Alloc()
-	if err := f.Write(id, make([]byte, 65)); !errors.Is(err, ErrBadSize) {
-		t.Fatalf("oversize write: %v", err)
-	}
-	if err := f.Read(id, make([]byte, 10)); !errors.Is(err, ErrBadSize) {
-		t.Fatalf("undersize read buf: %v", err)
-	}
-}
-
-func TestMemFileFreeReuse(t *testing.T) {
-	f := NewMemFile(32)
-	a, _ := f.Alloc()
-	if err := f.Write(a, []byte("aaaa")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	if f.NumPages() != 0 {
-		t.Fatal("page count after free")
-	}
-	buf := make([]byte, 32)
-	if err := f.Read(a, buf); !errors.Is(err, ErrPageNotFound) {
-		t.Fatalf("read freed: %v", err)
-	}
-	b, _ := f.Alloc()
-	if b != a {
-		t.Fatalf("freed page not reused: got %d want %d", b, a)
-	}
-	if err := f.Read(b, buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range buf {
-		if x != 0 {
-			t.Fatal("reused page not zeroed")
-		}
-	}
-}
+import "testing"
 
 func TestStatsSub(t *testing.T) {
 	a := Stats{Reads: 10, Writes: 5, Allocs: 2, Frees: 1}
@@ -111,105 +10,5 @@ func TestStatsSub(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Fatal("String empty")
-	}
-}
-
-func TestBufferPoolCaching(t *testing.T) {
-	base := NewMemFile(64)
-	pool := NewBufferPool(base, 2)
-	ids := make([]PageID, 3)
-	for i := range ids {
-		ids[i], _ = pool.Alloc()
-		if err := pool.Write(ids[i], []byte{byte('a' + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base.ResetStats()
-	pool.ResetStats()
-	buf := make([]byte, 64)
-
-	// ids[2] and ids[1] are cached (pool size 2, ids[0] evicted).
-	if err := pool.Read(ids[2], buf); err != nil || buf[0] != 'c' {
-		t.Fatalf("read: %v %c", err, buf[0])
-	}
-	if err := pool.Read(ids[1], buf); err != nil || buf[0] != 'b' {
-		t.Fatalf("read: %v %c", err, buf[0])
-	}
-	if base.Stats().Reads != 0 {
-		t.Fatalf("cached reads hit the device: %v", base.Stats())
-	}
-	// ids[0] was evicted: physical read.
-	if err := pool.Read(ids[0], buf); err != nil || buf[0] != 'a' {
-		t.Fatalf("read: %v %c", err, buf[0])
-	}
-	if base.Stats().Reads != 1 {
-		t.Fatalf("expected one physical read: %v", base.Stats())
-	}
-	hits, misses := pool.HitMiss()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("hit/miss = %d/%d", hits, misses)
-	}
-	// Write-through keeps cache coherent.
-	if err := pool.Write(ids[0], []byte{'z'}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Read(ids[0], buf); err != nil || buf[0] != 'z' {
-		t.Fatalf("coherence: %v %c", err, buf[0])
-	}
-	// Free drops the cache entry.
-	if err := pool.Free(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Read(ids[0], buf); !errors.Is(err, ErrPageNotFound) {
-		t.Fatalf("read freed via pool: %v", err)
-	}
-}
-
-// TestBufferPoolCoherenceRandomized: a pool-fronted file must always
-// return the same contents as an unbuffered shadow file under a random
-// mix of operations.
-func TestBufferPoolCoherenceRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := NewMemFile(32)
-	pool := NewBufferPool(base, 4)
-	shadow := map[PageID][]byte{}
-	var live []PageID
-	buf := make([]byte, 32)
-	for i := 0; i < 5000; i++ {
-		switch op := rng.Intn(4); {
-		case op == 0 || len(live) == 0: // alloc
-			id, err := pool.Alloc()
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-			shadow[id] = make([]byte, 32)
-		case op == 1: // write
-			id := live[rng.Intn(len(live))]
-			data := make([]byte, rng.Intn(33))
-			rng.Read(data)
-			if err := pool.Write(id, data); err != nil {
-				t.Fatal(err)
-			}
-			s := make([]byte, 32)
-			copy(s, data)
-			shadow[id] = s
-		case op == 2: // read & compare
-			id := live[rng.Intn(len(live))]
-			if err := pool.Read(id, buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf, shadow[id]) {
-				t.Fatalf("divergence on page %d", id)
-			}
-		default: // free
-			k := rng.Intn(len(live))
-			id := live[k]
-			if err := pool.Free(id); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:k], live[k+1:]...)
-			delete(shadow, id)
-		}
 	}
 }

@@ -142,11 +142,11 @@ func TestConcurrentQueriesExactStats(t *testing.T) {
 }
 
 // TestConcurrentQueriesWithWriter interleaves readers with a writer to
-// exercise the write path beside readers — the R+-tree's RWMutex, the
-// R-/R*-tree's copy-on-write snapshots — on both node representations
-// the scenario builds (results may legitimately change mid-stream, so
-// only errors are checked). On the arena trees a reader that could reach
-// a slot the writer is installing is a data race make race reports.
+// exercise the write path beside readers — the copy-on-write snapshots
+// all three trees share — on every tree the scenario builds (results may
+// legitimately change mid-stream, so only errors are checked). A reader
+// that could reach a slot the writer is installing is a data race make
+// race reports.
 func TestConcurrentQueriesWithWriter(t *testing.T) {
 	sc := buildScenario(t, 7, 300)
 	for name, idx := range sc.indexes {
@@ -240,7 +240,7 @@ func TestPullStreaming(t *testing.T) {
 
 		// Full drain: same OID set as the batch query (order differs —
 		// streaming is tree order). Matches carries no Stats, so the
-		// pages read are taken from the page file's own counter.
+		// pages read are taken from the tree's own page counter.
 		idx.ResetIOStats()
 		next, stop := iter.Pull2(proc.Matches(context.Background(), rels, win, 0))
 		got := map[uint64]bool{}

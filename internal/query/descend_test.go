@@ -8,15 +8,14 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/topo"
 )
 
 // TestDuplicateOIDListedOnce: an answer lists an object id once on
-// every tree kind and node representation — also on the covering trees,
-// where nothing but the caller inserting one id twice (under two
-// rectangles, or the same one) puts it in two leaf entries — streamed
-// or materialised, and a limit counts ids, not entries.
+// every tree kind — also on the covering trees, where nothing but the
+// caller inserting one id twice (under two rectangles, or the same one)
+// puts it in two leaf entries — streamed or materialised, and a limit
+// counts ids, not entries.
 func TestDuplicateOIDListedOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var items []index.Item
@@ -34,62 +33,57 @@ func TestDuplicateOIDListedOnce(t *testing.T) {
 	}
 	window := geom.R(-1, -1, 101, 101)
 	for _, kind := range index.AllKinds() {
-		arena, err := index.NewWithPageSize(kind, 512)
+		idx, err := index.NewWithPageSize(kind, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paged, err := index.NewOnFile(kind, pagefile.NewMemFile(512))
-		if err != nil {
+		name := kind.String()
+		if err := index.Load(idx, items); err != nil {
 			t.Fatal(err)
 		}
-		for name, idx := range map[string]index.Index{kind.String(): arena, kind.String() + " on pages": paged} {
-			if err := index.Load(idx, items); err != nil {
-				t.Fatal(err)
-			}
-			entries := 0
-			if err := idx.Search(func(geom.Rect) bool { return true }, func(geom.Rect) bool { return true },
-				func(geom.Rect, uint64) bool { entries++; return true }); err != nil {
-				t.Fatal(err)
-			}
-			if entries < len(items) {
-				t.Fatalf("%s: %d leaf entries for %d inserts: the tree itself dropped a duplicate", name, entries, len(items))
-			}
-			p := &Processor{Idx: idx}
-			for pass := 0; pass < 3; pass++ { // before and after the leaves earn their text
-				count := map[uint64]int{}
-				stats, err := p.Stream(context.Background(), topo.NotDisjoint, window, 0, func(m Match) bool {
-					count[m.OID]++
-					return true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(count) != 200 || stats.Candidates != 200 {
-					t.Fatalf("%s: %d distinct ids streamed, %d candidates counted, want 200 and 200", name, len(count), stats.Candidates)
-				}
-				for oid, n := range count {
-					if n != 1 {
-						t.Fatalf("%s: oid %d listed %d times", name, oid, n)
-					}
-				}
-			}
-			res, err := p.QuerySetMBR(topo.NotDisjoint, window)
+		entries := 0
+		if err := idx.Search(func(geom.Rect) bool { return true }, func(geom.Rect) bool { return true },
+			func(geom.Rect, uint64) bool { entries++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if entries < len(items) {
+			t.Fatalf("%s: %d leaf entries for %d inserts: the tree itself dropped a duplicate", name, entries, len(items))
+		}
+		p := &Processor{Idx: idx}
+		for pass := 0; pass < 3; pass++ { // before and after the leaves earn their text
+			count := map[uint64]int{}
+			stats, err := p.Stream(context.Background(), topo.NotDisjoint, window, 0, func(m Match) bool {
+				count[m.OID]++
+				return true
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Matches) != 200 {
-				t.Fatalf("%s: QuerySetMBR lists %d matches, want 200", name, len(res.Matches))
+			if len(count) != 200 || stats.Candidates != 200 {
+				t.Fatalf("%s: %d distinct ids streamed, %d candidates counted, want 200 and 200", name, len(count), stats.Candidates)
 			}
-			limited := map[uint64]bool{}
-			if _, err := p.Stream(context.Background(), topo.NotDisjoint, window, 150, func(m Match) bool {
-				limited[m.OID] = true
-				return true
-			}); err != nil {
-				t.Fatal(err)
+			for oid, n := range count {
+				if n != 1 {
+					t.Fatalf("%s: oid %d listed %d times", name, oid, n)
+				}
 			}
-			if len(limited) != 150 {
-				t.Fatalf("%s: limit 150 delivered %d distinct ids", name, len(limited))
-			}
+		}
+		res, err := p.QuerySetMBR(topo.NotDisjoint, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 200 {
+			t.Fatalf("%s: QuerySetMBR lists %d matches, want 200", name, len(res.Matches))
+		}
+		limited := map[uint64]bool{}
+		if _, err := p.Stream(context.Background(), topo.NotDisjoint, window, 150, func(m Match) bool {
+			limited[m.OID] = true
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(limited) != 150 {
+			t.Fatalf("%s: limit 150 delivered %d distinct ids", name, len(limited))
 		}
 	}
 }

@@ -53,19 +53,19 @@ func TestFlatDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				paged := &Processor{Idx: idx}
+				built := &Processor{Idx: idx}
 				flatP := &Processor{Idx: flat}
 
 				for _, rel := range topo.All() {
 					for qi, q := range ds.Queries {
 						label := fmt.Sprintf("%s query %d", rel, qi)
-						pr := streamEqualsBatch(t, label+" paged", paged, topo.NewSet(rel), q)
+						pr := streamEqualsBatch(t, label+" built", built, topo.NewSet(rel), q)
 						fr := streamEqualsBatch(t, label+" flat", flatP, topo.NewSet(rel), q)
 						if pr.Stats != fr.Stats {
-							t.Fatalf("%s query %d: stats diverge: paged %+v flat %+v", rel, qi, pr.Stats, fr.Stats)
+							t.Fatalf("%s query %d: stats diverge: built %+v flat %+v", rel, qi, pr.Stats, fr.Stats)
 						}
 						if len(pr.Matches) != len(fr.Matches) {
-							t.Fatalf("%s query %d: %d paged vs %d flat matches", rel, qi, len(pr.Matches), len(fr.Matches))
+							t.Fatalf("%s query %d: %d built vs %d flat matches", rel, qi, len(pr.Matches), len(fr.Matches))
 						}
 						for i := range pr.Matches {
 							if pr.Matches[i] != fr.Matches[i] {
@@ -80,17 +80,17 @@ func TestFlatDifferential(t *testing.T) {
 					for _, k := range []int{1, 10} {
 						pn, pts, err := idx.NearestCtx(context.Background(), p, k)
 						if err != nil {
-							t.Fatalf("paged kNN: %v", err)
+							t.Fatalf("built kNN: %v", err)
 						}
 						fn, fts, err := flat.NearestCtx(context.Background(), p, k)
 						if err != nil {
 							t.Fatalf("flat kNN: %v", err)
 						}
 						if pts != fts {
-							t.Fatalf("kNN %v k=%d: stats diverge: paged %+v flat %+v", p, k, pts, fts)
+							t.Fatalf("kNN %v k=%d: stats diverge: built %+v flat %+v", p, k, pts, fts)
 						}
 						if len(pn) != len(fn) {
-							t.Fatalf("kNN %v k=%d: %d paged vs %d flat", p, k, len(pn), len(fn))
+							t.Fatalf("kNN %v k=%d: %d built vs %d flat", p, k, len(pn), len(fn))
 						}
 						for i := range pn {
 							if pn[i] != fn[i] {
@@ -105,14 +105,14 @@ func TestFlatDifferential(t *testing.T) {
 					opts := JoinOptions{Workers: 1}
 					pj, err := JoinTopological(idx, idx, rels, opts)
 					if err != nil {
-						t.Fatalf("paged join: %v", err)
+						t.Fatalf("built join: %v", err)
 					}
 					fj, err := JoinTopological(flat, flat, rels, opts)
 					if err != nil {
 						t.Fatalf("flat join: %v", err)
 					}
 					if pj.Stats != fj.Stats {
-						t.Fatalf("join stats diverge: paged %+v flat %+v", pj.Stats, fj.Stats)
+						t.Fatalf("join stats diverge: built %+v flat %+v", pj.Stats, fj.Stats)
 					}
 					sortPairs := func(ps []JoinPair) {
 						sort.Slice(ps, func(i, j int) bool {
@@ -125,7 +125,7 @@ func TestFlatDifferential(t *testing.T) {
 					sortPairs(pj.Pairs)
 					sortPairs(fj.Pairs)
 					if len(pj.Pairs) != len(fj.Pairs) {
-						t.Fatalf("join found %d paged vs %d flat pairs", len(pj.Pairs), len(fj.Pairs))
+						t.Fatalf("join found %d built vs %d flat pairs", len(pj.Pairs), len(fj.Pairs))
 					}
 					for i := range pj.Pairs {
 						if pj.Pairs[i] != fj.Pairs[i] {

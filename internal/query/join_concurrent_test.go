@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
+	"mbrtopo/internal/index"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
@@ -28,14 +28,14 @@ import (
 // individually run alongside to keep page shadowing busy.
 func TestJoinSnapshotConsistency(t *testing.T) {
 	world := workload.World()
-	left, err := rtree.NewRStar(pagefile.NewMemFile(512))
+	left, err := index.NewWithPageSize(index.KindRStar, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := left.Insert(world, 1); err != nil {
 		t.Fatal(err)
 	}
-	right, err := rtree.NewRStar(pagefile.NewMemFile(512))
+	right, err := index.NewWithPageSize(index.KindRStar, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

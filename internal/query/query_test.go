@@ -11,7 +11,6 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -45,25 +44,17 @@ func buildScenario(t *testing.T, seed int64, n int) *scenario {
 		sc.objects[oid] = pg
 		sc.rects[oid] = pg.Bounds()
 	}
-	// Every kind on both node representations: the decoded arena the
-	// library and the server build on, and an explicit page file.
 	for _, kind := range index.AllKinds() {
-		arena, err := index.NewWithPageSize(kind, 512)
+		idx, err := index.NewWithPageSize(kind, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paged, err := index.NewOnFile(kind, pagefile.NewMemFile(512))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, idx := range map[string]index.Index{kind.String(): arena, kind.String() + " on pages": paged} {
-			for oid, r := range sc.rects {
-				if err := idx.Insert(r, oid); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+		for oid, r := range sc.rects {
+			if err := idx.Insert(r, oid); err != nil {
+				t.Fatalf("%s: %v", kind, err)
 			}
-			sc.indexes[name] = idx
 		}
+		sc.indexes[kind.String()] = idx
 	}
 	return sc
 }

@@ -35,11 +35,10 @@ func (m FaultMode) String() string {
 }
 
 // FaultConn wraps a net.Conn and injects one read-side fault at an
-// exact byte offset of the inbound stream — the connection analogue of
-// pagefile.CrashFile. The replication fault sweep dials the primary
-// through it and asserts the follower recovers to bit-identical
-// answers whatever the offset hits: a frame header, a snapshot chunk,
-// a record payload.
+// exact byte offset of the inbound stream. The replication fault sweep
+// dials the primary through it and asserts the follower recovers to
+// bit-identical answers whatever the offset hits: a frame header, a
+// snapshot chunk, a record payload.
 type FaultConn struct {
 	net.Conn
 	mode FaultMode

@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,70 +11,71 @@ import (
 	"mbrtopo/internal/pagefile"
 )
 
-// This file is the second representation behind the store seam: a
-// decoded, in-memory node arena. A tree constructed without a page
-// file (NewArena, NewRPlusArena, Adopt) keeps its nodes here instead of
-// encoding them onto simulated pages, so an access on the read path is
-// a slot lookup — no page copy, no decode, no allocation.
+// This file is the node store of every tree: a decoded, in-memory
+// node arena. An access on the read path is a slot lookup — no page
+// copy, no decode, no allocation.
 //
-// A slot points at one immutable node version. writeNode installs a
-// fresh version (its own copy of the entries); the bulk loader installs
+// A slot points at one immutable node version. install puts a fresh
+// version in (its own copy of the entries); the bulk loader installs
 // each packed node as it built it, its entries a capped subslice of the
 // level's one buffer (installOwned). Nothing ever modifies an installed
-// version's entries, so the *node a reader gets from readNodeRef can be
-// shared by any number of traversals. Mutation paths read a private
-// copy (readNode) and install the result. Slot ids play
-// the part of page ids: snapshot.go's shadow/retire/reclaim protocol
-// runs over them unchanged, which is what keeps a slot from being
-// repointed while any pinned snapshot can still reach it. What a
-// version gains after it is installed are its two side-cars — the wire
-// text of a leaf's rectangles (text.go) and the sweep order and MBR a
-// join keeps (join.go) — which are derived from the entries alone, hang
-// off the version itself and go when the version does.
+// version's entries, so the *node a reader gets from get can be shared
+// by any number of traversals. Mutation paths read a private copy
+// (checkOut) and install the result. Slot ids play the part of page
+// ids: snapshot.go's shadow/retire/reclaim protocol runs over them,
+// which is what keeps a slot from being repointed while any pinned
+// snapshot can still reach it. What a version gains after it is
+// installed are its two side-cars — the wire text of a leaf's
+// rectangles (text.go) and the sweep order and MBR a join keeps
+// (join.go) — which are derived from the entries alone, hang off the
+// version itself and go when the version does.
 //
-// The arena charges what the paged representation would: a node costs
-// 1 + its overflow pages at the configured capacity (node.cost), reads
-// sum that cost, and the write/alloc/free counters move by the same
-// page counts — TraversalStats and IOStats are bit-identical to a
-// paged tree given the same operations.
+// The arena charges what pages would cost, the paper's metric: a node
+// costs 1 + its overflow pages at the capacity of the tree's page size
+// (node.cost), reads sum that cost, and the write/alloc/free counters
+// move by the same page counts.
 type arena struct {
 	// tab is the slot table, indexed by slot id (0 is never a valid
 	// id; nil is a free slot). It always has len == cap; growing swaps
 	// in a larger copy, so a reader holding the old table keeps seeing
 	// every node its snapshot can reach.
 	tab atomic.Pointer[[]*node]
+	cap int // maximum entries that fit a page
 
-	// mu guards next, free and every write to the table. Readers never
+	// mu guards next, spare and every write to the table. Readers never
 	// take it.
-	mu   sync.Mutex
-	next pagefile.PageID // lowest never-allocated slot
-	free []pagefile.PageID
+	mu    sync.Mutex
+	next  pagefile.PageID   // lowest never-allocated slot
+	spare []pagefile.PageID // freed slots, reused first
 
 	reads, writes, allocs, frees atomic.Uint64
 }
 
 const arenaMinSlots = 64
 
-// pageSpace is what a store uses of a page file whichever way its
-// nodes are held: id allocation and the page counters. A pagefile.File
-// is one; so is the arena, whose slot ids stand in for page ids.
-type pageSpace interface {
-	Alloc() (pagefile.PageID, error)
-	Free(pagefile.PageID) error
-	Stats() pagefile.Stats
-	ResetStats()
-}
+// maxCapacity is the largest node capacity a tree accepts: an R+ node
+// may hold maxOverflowChain pages' worth of entries, and an MBRFLAT1
+// record counts a node's entries in a uint16.
+const maxCapacity = math.MaxUint16 / maxOverflowChain
 
-// newArenaStore returns a store over an arena holding tab's nodes in
-// slots 1..next-1, charging costs at the node capacity of pageSize.
-func newArenaStore(pageSize int, tab []*node, next pagefile.PageID) *store {
-	a := &arena{next: next}
+// newArena returns an arena holding tab's nodes in slots 1..next-1 and
+// charging costs at the node capacity of pageSize — the one check of a
+// page size, for new and adopted trees alike.
+func newArena(pageSize int, tab []*node, next pagefile.PageID) (*arena, error) {
+	capacity := CapacityForPageSize(pageSize)
+	if capacity < 4 {
+		return nil, fmt.Errorf("rtree: page size %d too small (capacity %d)", pageSize, capacity)
+	}
+	if capacity > maxCapacity {
+		return nil, fmt.Errorf("rtree: page size %d too large (capacity %d, at most %d)", pageSize, capacity, maxCapacity)
+	}
+	a := &arena{cap: capacity, next: next}
 	a.tab.Store(&tab)
-	return &store{pageSpace: a, ar: a, cap: CapacityForPageSize(pageSize)}
+	return a, nil
 }
 
 // pagesFor is the number of pages a node with count entries occupies
-// at the given capacity: one, plus its overflow chain.
+// at the given capacity: one, plus its overflow pages.
 func pagesFor(count, capacity int) uint32 {
 	if count <= capacity {
 		return 1
@@ -96,12 +98,12 @@ func (a *arena) get(id pagefile.PageID) (*node, error) {
 // checkOut returns a private copy of a slot's node for a mutation path
 // to modify and install, with room for the one entry an insertion adds
 // before it splits.
-func (a *arena) checkOut(id pagefile.PageID, capacity int) (*node, error) {
+func (a *arena) checkOut(id pagefile.PageID) (*node, error) {
 	shared, err := a.get(id)
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]Entry, len(shared.entries), max(len(shared.entries), capacity)+1)
+	entries := make([]Entry, len(shared.entries), max(len(shared.entries), a.cap)+1)
 	copy(entries, shared.entries)
 	return &node{id: id, level: shared.level, entries: entries, cost: shared.cost}, nil
 }
@@ -110,15 +112,15 @@ func (a *arena) checkOut(id pagefile.PageID, capacity int) (*node, error) {
 // an empty one-page node, as a freshly allocated page reads.
 var reserved = &node{cost: 1}
 
-// Alloc reserves a slot, reusing freed ids first (as a page file does).
-func (a *arena) Alloc() (pagefile.PageID, error) {
+// alloc reserves a slot, reusing freed ids first.
+func (a *arena) alloc() pagefile.PageID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	tab := *a.tab.Load()
 	var id pagefile.PageID
-	if n := len(a.free); n > 0 {
-		id = a.free[n-1]
-		a.free = a.free[:n-1]
+	if n := len(a.spare); n > 0 {
+		id = a.spare[n-1]
+		a.spare = a.spare[:n-1]
 	} else {
 		id = a.next
 		a.next++
@@ -131,13 +133,13 @@ func (a *arena) Alloc() (pagefile.PageID, error) {
 	}
 	tab[id] = reserved
 	a.allocs.Add(1)
-	return id, nil
+	return id
 }
 
 // install makes a copy of n the current version of its slot, so the
 // caller may go on changing n.
-func (a *arena) install(n *node, capacity int) {
-	a.installOwned(&node{id: n.id, level: n.level, entries: slices.Clone(n.entries)}, capacity)
+func (a *arena) install(n *node) {
+	a.installOwned(&node{id: n.id, level: n.level, entries: slices.Clone(n.entries)})
 }
 
 // installOwned makes v itself the current version of its slot: v and
@@ -146,15 +148,15 @@ func (a *arena) install(n *node, capacity int) {
 // what it built, a capped subslice of its level's buffer. The version
 // it replaces is left as it was, side-cars and all, for whoever still
 // holds it.
-func (a *arena) installOwned(v *node, capacity int) {
-	v.cost = pagesFor(len(v.entries), capacity)
+func (a *arena) installOwned(v *node) {
+	v.cost = pagesFor(len(v.entries), a.cap)
 	a.mu.Lock()
 	tab := *a.tab.Load()
 	old := tab[v.id].cost
 	tab[v.id] = v
 	a.mu.Unlock()
 	a.writes.Add(uint64(v.cost))
-	// The overflow chain grows or shrinks with the entry count.
+	// The overflow pages grow or shrink with the entry count.
 	if v.cost > old {
 		a.allocs.Add(uint64(v.cost - old))
 	} else {
@@ -162,8 +164,8 @@ func (a *arena) installOwned(v *node, capacity int) {
 	}
 }
 
-// Free releases a slot and drops its node version.
-func (a *arena) Free(id pagefile.PageID) error {
+// free releases a slot and drops its node version.
+func (a *arena) free(id pagefile.PageID) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	tab := *a.tab.Load()
@@ -172,11 +174,11 @@ func (a *arena) Free(id pagefile.PageID) error {
 	}
 	a.frees.Add(uint64(tab[id].cost))
 	tab[id] = nil
-	a.free = append(a.free, id)
+	a.spare = append(a.spare, id)
 	return nil
 }
 
-func (a *arena) Stats() pagefile.Stats {
+func (a *arena) stats() pagefile.Stats {
 	return pagefile.Stats{
 		Reads:  a.reads.Load(),
 		Writes: a.writes.Load(),
@@ -185,7 +187,7 @@ func (a *arena) Stats() pagefile.Stats {
 	}
 }
 
-func (a *arena) ResetStats() {
+func (a *arena) resetStats() {
 	a.reads.Store(0)
 	a.writes.Store(0)
 	a.allocs.Store(0)
@@ -195,7 +197,7 @@ func (a *arena) ResetStats() {
 // ErrNodeCapacity is returned by Adopt and AdoptRPlus for an image
 // written under another page size: some node does not fit the page
 // cost recorded for it at the capacity asked for, so charging that cost
-// would misstate what a paged tree of this page size reads. The entries
+// would misstate what a node of this page size costs to read. The entries
 // are still good — rebuild a tree from them instead.
 var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page size")
 
@@ -206,22 +208,21 @@ var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page
 // what was decoded, and may be adopted again, for as long as anyone
 // holds it. Size, depth and (for an R+-tree) the data MBR carry over.
 func (f *FlatTree) adopt(c *core, pageSize int, name string, covering bool) error {
-	capacity := CapacityForPageSize(pageSize)
-	if capacity < 4 {
-		return fmt.Errorf("rtree: page size %d too small (capacity %d)", pageSize, capacity)
-	}
 	if f.covering != covering {
 		return fmt.Errorf("rtree: adopting a %s image as the other tree family", f.name)
-	}
-	if f.minCap > capacity {
-		return fmt.Errorf("%w: a node needs capacity %d, page size %d holds %d",
-			ErrNodeCapacity, f.minCap, pageSize, capacity)
 	}
 	tab := make([]*node, max(arenaMinSlots, 2*(len(f.nodes)+1)))
 	for i := range f.nodes {
 		tab[i+1] = &f.nodes[i]
 	}
-	st := newArenaStore(pageSize, tab, pagefile.PageID(len(f.nodes)+1))
+	st, err := newArena(pageSize, tab, pagefile.PageID(len(f.nodes)+1))
+	if err != nil {
+		return err
+	}
+	if f.minCap > st.cap {
+		return fmt.Errorf("%w: a node needs capacity %d, page size %d holds %d",
+			ErrNodeCapacity, f.minCap, pageSize, st.cap)
+	}
 	if !covering {
 		c.bounds, c.bounded = f.bounds, f.hasBound
 	}
@@ -263,13 +264,11 @@ func (c *core) treeCore() *core { return c }
 // the image's entries holds none.
 func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
 	total = len(f.nodes)
-	var ar *arena
-	if t, ok := idx.(interface{ treeCore() *core }); ok {
-		ar = t.treeCore().st.ar
-	}
-	if ar == nil {
+	t, ok := idx.(interface{ treeCore() *core })
+	if !ok {
 		return 0, total
 	}
+	ar := t.treeCore().st
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
 	tab := *ar.tab.Load()

@@ -9,9 +9,8 @@ import (
 	"mbrtopo/internal/pagefile"
 )
 
-// diffTree is what the store golden drives: the three tree kinds behind
-// one set of methods.
-type diffTree interface {
+// kindTree is the three tree kinds behind one set of methods.
+type kindTree interface {
 	searcher
 	InsertBatch([]Record) error
 	SearchCtx(context.Context, func(geom.Rect) bool, func(geom.Rect) bool, func(geom.Rect, uint64) bool) (TraversalStats, error)
@@ -20,12 +19,12 @@ type diffTree interface {
 	IOStats() pagefile.Stats
 }
 
-// storeOf returns a tree's store and current root.
-func storeOf(t *testing.T, x any) (*store, pagefile.PageID) {
+// arenaOf returns a tree's arena and current root.
+func arenaOf(t *testing.T, x any) (*arena, pagefile.PageID) {
 	t.Helper()
 	v, ok := x.(interface{ treeCore() *core })
 	if !ok {
-		t.Fatalf("%T has no store", x)
+		t.Fatalf("%T has no arena", x)
 	}
 	c := v.treeCore()
 	s := c.acquire()
@@ -33,11 +32,10 @@ func storeOf(t *testing.T, x any) (*store, pagefile.PageID) {
 	return c.st, s.root
 }
 
-// TestSearchAllocsIndependentOfAccesses: a search on a node arena — a
-// tree built there or one adopted from a checkpoint image — allocates a
-// small constant (the traversal stack and the pinned-snapshot closure),
-// however many nodes it visits. On a page file every visited node is an allocation
-// and a decode.
+// TestSearchAllocsIndependentOfAccesses: a search — on a tree built in
+// its arena or one adopted from a checkpoint image — allocates a small
+// constant (the traversal stack and the pinned-snapshot closure),
+// however many nodes it visits.
 func TestSearchAllocsIndependentOfAccesses(t *testing.T) {
 	tree, err := NewArena(testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
 	if err != nil {

@@ -31,10 +31,10 @@ type Record struct {
 // the same way. recs is neither modified nor retained.
 //
 // It runs inside a mutation (InsertBatch on an empty tree), so the
-// packed nodes are tracked as fresh and the superseded root page is
+// packed nodes are tracked as fresh and the superseded root's slot is
 // retired rather than freed under any concurrent reader.
 func (t *Tree) packInto(recs []Record) error {
-	old, err := t.st.readNode(t.root)
+	old, err := t.st.get(t.root)
 	if err != nil {
 		return err
 	}
@@ -46,10 +46,7 @@ func (t *Tree) packInto(recs []Record) error {
 		entries[i] = Entry{Rect: r.Rect, OID: r.OID}
 	}
 	for level := 0; ; level++ {
-		next, err := t.packLevel(entries, level)
-		if err != nil {
-			return err
-		}
+		next := t.packLevel(entries, level)
 		if len(next) == 1 {
 			t.root = next[0].Child
 			t.depth = level + 1
@@ -62,24 +59,17 @@ func (t *Tree) packInto(recs []Record) error {
 
 // packLevel tiles entries, in place, into nodes of the given level and
 // returns the entries of the level above: one per node, its MBR and id.
-func (t *Tree) packLevel(entries []Entry, level int) ([]Entry, error) {
+func (t *Tree) packLevel(entries []Entry, level int) []Entry {
 	m := t.st.cap
 	chunks := strTile(entries, m, minEntries(m))
 	next := make([]Entry, len(chunks))
 	for i, chunk := range chunks {
-		n, err := t.allocMutNode(level)
-		if err != nil {
-			return nil, err
-		}
+		n := t.allocMutNode(level)
 		n.entries = chunk
-		if t.st.ar != nil {
-			t.st.ar.installOwned(n, m)
-		} else if err := t.st.writeNode(n); err != nil {
-			return nil, err
-		}
+		t.st.installOwned(n)
 		next[i] = Entry{Rect: n.mbr(), Child: n.id}
 	}
-	return next, nil
+	return next
 }
 
 // strTile sorts entries in place into sort-tile-recursive order and

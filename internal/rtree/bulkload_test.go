@@ -13,8 +13,8 @@ import (
 
 // bulkLoad builds a tree the way every bulk load does: one InsertBatch
 // into an empty tree, which STR-packs it.
-func bulkLoad(file pagefile.File, recs []Record) (*Tree, error) {
-	t, err := New(file, Options{}, "packed")
+func bulkLoad(recs []Record) (*Tree, error) {
+	t, err := NewArena(testPageSize, Options{}, "packed")
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +31,7 @@ func TestBulkLoadSmall(t *testing.T) {
 			recs[i] = Record{Rect: r, OID: uint64(i + 1)}
 			data[uint64(i+1)] = r
 		}
-		tr, err := bulkLoad(pagefile.NewMemFile(testPageSize), recs)
+		tr, err := bulkLoad(recs)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -65,7 +65,7 @@ func TestBulkLoadThenUpdate(t *testing.T) {
 		recs[i] = Record{Rect: r, OID: uint64(i + 1)}
 		data[uint64(i+1)] = r
 	}
-	tr, err := bulkLoad(pagefile.NewMemFile(testPageSize), recs)
+	tr, err := bulkLoad(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,11 @@ func TestBulkLoadPacking(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{Rect: randRect(rng, 100, 2), OID: uint64(i + 1)}
 	}
-	packedFile := pagefile.NewMemFile(testPageSize)
-	packed, err := bulkLoad(packedFile, recs)
+	packed, err := bulkLoad(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grownFile := pagefile.NewMemFile(testPageSize)
-	grown, err := NewRTree(grownFile)
+	grown, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestBulkLoadPacking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pp, gp := packedFile.NumPages(), grownFile.NumPages(); pp >= gp {
+	if pp, gp := livePages(packed), livePages(grown); pp >= gp {
 		t.Fatalf("packed uses %d pages, grown uses %d", pp, gp)
 	}
 	// Window query I/O comparison.
@@ -141,7 +139,7 @@ func TestBulkLoadPacking(t *testing.T) {
 }
 
 func TestBulkLoadRejectsDegenerate(t *testing.T) {
-	_, err := bulkLoad(pagefile.NewMemFile(testPageSize), []Record{{Rect: geom.R(0, 0, 0, 1), OID: 1}})
+	_, err := bulkLoad([]Record{{Rect: geom.R(0, 0, 0, 1), OID: 1}})
 	if err == nil {
 		t.Fatal("degenerate rect accepted")
 	}
@@ -160,11 +158,11 @@ type versionCopy []nodeCopy
 
 // copyVersion walks the version under root and copies each node's id,
 // level and entries.
-func copyVersion(st *store, root pagefile.PageID) (versionCopy, error) {
+func copyVersion(st *arena, root pagefile.PageID) (versionCopy, error) {
 	var out versionCopy
-	var walk func(ref uint64) error
-	walk = func(ref uint64) error {
-		n, err := st.readNodeRef(ref)
+	var walk func(id pagefile.PageID) error
+	walk = func(id pagefile.PageID) error {
+		n, err := st.get(id)
 		if err != nil {
 			return err
 		}
@@ -173,13 +171,13 @@ func copyVersion(st *store, root pagefile.PageID) (versionCopy, error) {
 			return nil
 		}
 		for i := range n.entries {
-			if err := walk(n.childRef(i)); err != nil {
+			if err := walk(n.entries[i].Child); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return out, walk(uint64(root))
+	return out, walk(root)
 }
 
 func (v versionCopy) diff(w versionCopy) error {
@@ -213,7 +211,7 @@ func TestPackedNodesStayImmutable(t *testing.T) {
 		recs[i] = Record{Rect: randRect(rng, 1000, 8), OID: uint64(i + 1)}
 		data[recs[i].OID] = recs[i].Rect
 	}
-	tree, err := newTestArenaRStar()
+	tree, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestPackedNodesStayImmutable(t *testing.T) {
 		}
 	}
 	for _, c := range want {
-		shared, err := tree.st.readNodeRef(uint64(c.id))
+		shared, err := tree.st.get(c.id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,11 +22,10 @@ import (
 // written or an error wrapping pagefile.ErrCorrupt, never wrong
 // entries.
 //
-// Each node record carries the page-access cost of its paged
-// counterpart (1 + overflow chain length), so TraversalStats of the
-// tree that adopts the image are bit-identical to those of the tree it
-// was written from — the paper's disk-access metric survives a save and
-// a reopen.
+// Each node record carries the node's page-access cost (1 + its
+// overflow pages), so TraversalStats of the tree that adopts the image
+// are bit-identical to those of the tree it was written from — the
+// paper's disk-access metric survives a save and a reopen.
 
 // Flat file layout (all integers little-endian):
 //
@@ -52,8 +51,8 @@ import (
 // where an entry is minX minY maxX maxY (4 × float64) followed by a
 // uint64 ref: the byte offset of the child record for internal
 // entries, the object id for leaf entries. Entry order is exactly the
-// paged node's entry order — limit-bounded traversals and their stats
-// depend on it.
+// node's entry order — limit-bounded traversals and their stats depend
+// on it.
 const (
 	flatHeaderSize  = 128
 	flatNodeHdrSize = 8
@@ -64,23 +63,31 @@ var flatMagic = []byte("MBRFLAT1")
 
 var flatCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+func readF64(b []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
 func flatCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: flat snapshot: %s", pagefile.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// flatWriter serializes one pinned tree version from its store.
+// flatWriter serializes one pinned tree version from its arena.
 type flatWriter struct {
-	src    *store
+	src    *arena
 	nodes  []byte
 	count  uint32
 	bounds geom.Rect
 	found  bool
 }
 
-// writeNode appends the subtree under ref post-order and returns the
+// writeNode appends the subtree under id post-order and returns the
 // byte offset (from the file start) of the subtree root's record.
-func (w *flatWriter) writeNode(ref uint64) (uint64, error) {
-	n, err := w.src.readNodeRef(ref)
+func (w *flatWriter) writeNode(id pagefile.PageID) (uint64, error) {
+	n, err := w.src.get(id)
 	if err != nil {
 		return 0, err
 	}
@@ -92,7 +99,7 @@ func (w *flatWriter) writeNode(ref uint64) (uint64, error) {
 		}
 	} else {
 		for i := range n.entries {
-			off, err := w.writeNode(n.childRef(i))
+			off, err := w.writeNode(n.entries[i].Child)
 			if err != nil {
 				return 0, err
 			}
@@ -103,7 +110,7 @@ func (w *flatWriter) writeNode(ref uint64) (uint64, error) {
 	var hdr [flatNodeHdrSize]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], uint16(n.level))
 	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n.accessCost()))
+	binary.LittleEndian.PutUint32(hdr[4:8], n.cost)
 	w.nodes = append(w.nodes, hdr[:]...)
 	for i := range n.entries {
 		r := n.entries[i].Rect
@@ -117,7 +124,7 @@ func (w *flatWriter) writeNode(ref uint64) (uint64, error) {
 	return off, nil
 }
 
-func writeFlat(out io.Writer, src *store, root uint64, covering bool,
+func writeFlat(out io.Writer, src *arena, root pagefile.PageID, covering bool,
 	name string, gen uint64, size, depth int) error {
 
 	if len(name) > flatMaxName {

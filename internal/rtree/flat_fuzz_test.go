@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // FuzzFlatDecode feeds arbitrary bytes to the flat-snapshot reader.
@@ -20,34 +19,15 @@ import (
 func FuzzFlatDecode(f *testing.F) {
 	addTree := func(n int) {
 		rng := rand.New(rand.NewSource(int64(n)))
-		file := pagefile.NewMemFile(512)
-		trees := []struct {
-			enc func(*bytes.Buffer) error
-		}{}
-		rt, err := NewRTree(file)
-		if err == nil {
+		rt, _ := newTestRTree()
+		rp, _ := NewRPlusArena(testPageSize)
+		rs, _ := newTestRStar()
+		for gen, tree := range []searcher{rt, rp, rs} {
 			for i := 0; i < n; i++ {
-				_ = rt.Insert(randFuzzRect(rng), uint64(i))
+				_ = tree.Insert(randFuzzRect(rng), uint64(i))
 			}
-			trees = append(trees, struct{ enc func(*bytes.Buffer) error }{func(b *bytes.Buffer) error { return rt.WriteFlat(b, 1) }})
-		}
-		rp, err := NewRPlus(pagefile.NewMemFile(512))
-		if err == nil {
-			for i := 0; i < n; i++ {
-				_ = rp.Insert(randFuzzRect(rng), uint64(i))
-			}
-			trees = append(trees, struct{ enc func(*bytes.Buffer) error }{func(b *bytes.Buffer) error { return rp.WriteFlat(b, 2) }})
-		}
-		rs, err := NewRStar(pagefile.NewMemFile(512))
-		if err == nil {
-			for i := 0; i < n; i++ {
-				_ = rs.Insert(randFuzzRect(rng), uint64(i))
-			}
-			trees = append(trees, struct{ enc func(*bytes.Buffer) error }{func(b *bytes.Buffer) error { return rs.WriteFlat(b, 3) }})
-		}
-		for _, tr := range trees {
 			var buf bytes.Buffer
-			if err := tr.enc(&buf); err == nil {
+			if err := tree.WriteFlat(&buf, uint64(gen+1)); err == nil {
 				f.Add(buf.Bytes())
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // flatEncode serializes any of the test trees as a flat snapshot.
@@ -77,7 +76,7 @@ func TestFlatRoundTrip(t *testing.T) {
 		}
 		if f.Len() != s.Len() || f.Height() != s.Height() || f.Name() != s.Name() ||
 			f.CoveringNodeRects() != s.CoveringNodeRects() {
-			t.Errorf("%s: metadata mismatch: flat (%d,%d,%q,%v) paged (%d,%d,%q,%v)",
+			t.Errorf("%s: metadata mismatch: flat (%d,%d,%q,%v) built (%d,%d,%q,%v)",
 				name, f.Len(), f.Height(), f.Name(), f.CoveringNodeRects(),
 				s.Len(), s.Height(), s.Name(), s.CoveringNodeRects())
 		}
@@ -92,14 +91,14 @@ func TestFlatRoundTrip(t *testing.T) {
 			pOids, pStats := collect(t, cs, w)
 			fOids, fStats := collect(t, a, w)
 			if pStats != fStats {
-				t.Errorf("%s: window %v: stats diverge: paged %+v flat %+v", name, w, pStats, fStats)
+				t.Errorf("%s: window %v: stats diverge: built %+v flat %+v", name, w, pStats, fStats)
 			}
 			if len(pOids) != len(fOids) {
-				t.Fatalf("%s: window %v: %d paged vs %d flat results", name, w, len(pOids), len(fOids))
+				t.Fatalf("%s: window %v: %d built vs %d flat results", name, w, len(pOids), len(fOids))
 			}
 			for i := range pOids {
 				if pOids[i] != fOids[i] {
-					t.Fatalf("%s: window %v: result %d is %d paged vs %d flat", name, w, i, pOids[i], fOids[i])
+					t.Fatalf("%s: window %v: result %d is %d built vs %d flat", name, w, i, pOids[i], fOids[i])
 				}
 			}
 		}
@@ -108,17 +107,17 @@ func TestFlatRoundTrip(t *testing.T) {
 			for _, k := range []int{1, 5, 17} {
 				pNN, pStats, err := pn.NearestCtx(context.Background(), p, k)
 				if err != nil {
-					t.Fatalf("%s: paged kNN: %v", name, err)
+					t.Fatalf("%s: built kNN: %v", name, err)
 				}
 				fNN, fStats, err := a.NearestCtx(context.Background(), p, k)
 				if err != nil {
 					t.Fatalf("%s: flat kNN: %v", name, err)
 				}
 				if pStats != fStats {
-					t.Errorf("%s: kNN %v k=%d: stats diverge: paged %+v flat %+v", name, p, k, pStats, fStats)
+					t.Errorf("%s: kNN %v k=%d: stats diverge: built %+v flat %+v", name, p, k, pStats, fStats)
 				}
 				if len(pNN) != len(fNN) {
-					t.Fatalf("%s: kNN %v k=%d: %d paged vs %d flat", name, p, k, len(pNN), len(fNN))
+					t.Fatalf("%s: kNN %v k=%d: %d built vs %d flat", name, p, k, len(pNN), len(fNN))
 				}
 				for i := range pNN {
 					if pNN[i] != fNN[i] {
@@ -181,11 +180,11 @@ func TestFlatCorruption(t *testing.T) {
 }
 
 // TestFlatJoin joins the trees adopted from two flat snapshots and
-// compares pairs and stats with the paged join.
+// compares pairs and stats with the built trees' join.
 func TestFlatJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	build := func(seed int64) *Tree {
-		tr, err := NewRStar(pagefile.NewMemFile(testPageSize))
+		tr, err := newTestRStar()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,20 +221,20 @@ func TestFlatJoin(t *testing.T) {
 	pPairs, pStats := run(t1, t2)
 	fPairs, fStats := run(f1, f2)
 	if pStats != fStats {
-		t.Errorf("join stats diverge: paged %+v flat %+v", pStats, fStats)
+		t.Errorf("join stats diverge: built %+v flat %+v", pStats, fStats)
 	}
 	if len(pPairs) != len(fPairs) {
-		t.Fatalf("join found %d paged vs %d flat pairs", len(pPairs), len(fPairs))
+		t.Fatalf("join found %d built vs %d flat pairs", len(pPairs), len(fPairs))
 	}
 	for k, v := range pPairs {
 		if fPairs[k] != v {
-			t.Fatalf("pair %v: %d paged vs %d flat", k, v, fPairs[k])
+			t.Fatalf("pair %v: %d built vs %d flat", k, v, fPairs[k])
 		}
 	}
 	// Self-join of one adopted tree must work too.
 	sp, ss := run(t1, t1)
 	fp, fs := run(f1, f1)
 	if ss != fs || len(sp) != len(fp) {
-		t.Errorf("self-join diverges: paged %d pairs %+v, flat %d pairs %+v", len(sp), ss, len(fp), fs)
+		t.Errorf("self-join diverges: built %d pairs %+v, flat %d pairs %+v", len(sp), ss, len(fp), fs)
 	}
 }

@@ -24,7 +24,7 @@ func (t *Tree) CheckInvariants() error {
 	minFill := minEntries(t.st.cap)
 	var walk func(id pagefile.PageID, depth int, isRoot bool) error
 	walk = func(id pagefile.PageID, depth int, isRoot bool) error {
-		n, err := t.st.readNode(id)
+		n, err := t.st.get(id)
 		if err != nil {
 			return err
 		}
@@ -49,7 +49,7 @@ func (t *Tree) CheckInvariants() error {
 			return nil
 		}
 		for _, e := range n.entries {
-			child, err := t.st.readNode(e.Child)
+			child, err := t.st.get(e.Child)
 			if err != nil {
 				return err
 			}
@@ -95,16 +95,16 @@ func (t *RPlusTree) CheckInvariants() error {
 
 	var walk func(id pagefile.PageID, region geom.Rect, depth int) error
 	walk = func(id pagefile.PageID, region geom.Rect, depth int) error {
-		n, err := t.st.readNode(id)
+		n, err := t.st.get(id)
 		if err != nil {
 			return err
 		}
-		// Overflow chains (Greene's degeneracy) are legal but bounded.
+		// Overflow pages (Greene's degeneracy) are legal but bounded.
 		if len(n.entries) > t.st.cap*maxOverflowChain {
-			return fmt.Errorf("rtree: R+ node %d overfull beyond chain bound (%d)", id, len(n.entries))
+			return fmt.Errorf("rtree: R+ node %d overfull beyond the overflow bound (%d)", id, len(n.entries))
 		}
-		if len(n.entries) > t.st.cap && n.accessCost() == 1 {
-			return fmt.Errorf("rtree: R+ node %d overfull (%d) without overflow chain", id, len(n.entries))
+		if len(n.entries) > t.st.cap && n.cost == 1 {
+			return fmt.Errorf("rtree: R+ node %d overfull (%d) without overflow pages", id, len(n.entries))
 		}
 		if n.isLeaf() {
 			if depth != s.depth {

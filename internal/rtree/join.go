@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/pagefile"
 )
 
 // This file is the spatial-join engine: a synchronized traversal of
@@ -100,7 +101,7 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 		s2 = t2.acquire()
 		defer t2.release(s2)
 	}
-	root1, root2 := uint64(s1.root), uint64(s2.root)
+	root1, root2 := s1.root, s2.root
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e := &joinEngine{
@@ -128,7 +129,7 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 
 // joinEngine is the state shared by all workers of one join.
 type joinEngine struct {
-	src1, src2 *store
+	src1, src2 *arena
 	prune      func(a, b geom.Rect) bool
 	accept     func(a, b geom.Rect) bool
 	emit       func(a, b Hit) bool
@@ -270,23 +271,22 @@ func (w *joinWorker) scratchFor(n1, n2 *node) *pairScratch {
 	return &w.scratch[d]
 }
 
-// read1/read2 use each tree's own node source (they may share a page
-// file or not) and charge the reads to this worker's stats.
-// Cancellation is checked before every read, so an abandoned join
-// stops within one page read.
-func (w *joinWorker) read1(ref uint64) (*node, error) { return w.read(w.e.src1, ref) }
-func (w *joinWorker) read2(ref uint64) (*node, error) { return w.read(w.e.src2, ref) }
+// read1/read2 read each tree's own arena and charge the reads to this
+// worker's stats. Cancellation is checked before every read, so an
+// abandoned join stops within one node access.
+func (w *joinWorker) read1(id pagefile.PageID) (*node, error) { return w.read(w.e.src1, id) }
+func (w *joinWorker) read2(id pagefile.PageID) (*node, error) { return w.read(w.e.src2, id) }
 
-func (w *joinWorker) read(src *store, ref uint64) (*node, error) {
+func (w *joinWorker) read(src *arena, id pagefile.PageID) (*node, error) {
 	if err := w.e.ctx.Err(); err != nil {
 		return nil, err
 	}
-	n, err := src.readNodeRef(ref)
+	n, err := src.get(id)
 	if err != nil {
 		return nil, err
 	}
 	w.stats.NodesVisited++
-	w.stats.NodeAccesses += n.accessCost()
+	w.stats.NodeAccesses += uint64(n.cost)
 	return n, nil
 }
 
@@ -355,7 +355,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 			if !w.e.prune(m1, n2.entries[j].Rect) {
 				continue
 			}
-			c2, err := w.read2(n2.childRef(j))
+			c2, err := w.read2(n2.entries[j].Child)
 			if err != nil {
 				return err
 			}
@@ -370,7 +370,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 			if !w.e.prune(n1.entries[i].Rect, m2) {
 				continue
 			}
-			c1, err := w.read1(n1.childRef(i))
+			c1, err := w.read1(n1.entries[i].Child)
 			if err != nil {
 				return err
 			}
@@ -387,12 +387,12 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 	return w.match(n1, n2, w.e.prune, func(i, j int) error {
 		var err error
 		if left[i] == nil {
-			if left[i], err = w.read1(n1.childRef(i)); err != nil {
+			if left[i], err = w.read1(n1.entries[i].Child); err != nil {
 				return err
 			}
 		}
 		if right[j] == nil {
-			if right[j], err = w.read2(n2.childRef(j)); err != nil {
+			if right[j], err = w.read2(n2.entries[j].Child); err != nil {
 				return err
 			}
 		}
@@ -502,14 +502,13 @@ func clipRect(a, b geom.Rect) geom.Rect {
 	}
 }
 
-// nodeSweep is the sweep side-car of an arena node version: what every
-// join that meets the version needs of it and no entry says by itself.
-// It lives by the rule of the leaf text (text.go): computed by the first
+// nodeSweep is the sweep side-car of a node version: what every join
+// that meets the version needs of it and no entry says by itself. It
+// lives by the rule of the leaf text (text.go): computed by the first
 // join that sweeps the version, immutable once published, so
 // copy-on-write is its whole invalidation story — a mutation installs a
-// new version, which starts without one. A paged node, decoded afresh
-// on every access, never has one. The entries stay in their physical
-// order: answers, and limit-bounded traversals, depend on it.
+// new version, which starts without one. The entries stay in their
+// physical order: answers, and limit-bounded traversals, depend on it.
 type nodeSweep struct {
 	mbr geom.Rect // tight MBR of the entries
 	ord []int32   // entry indexes by low x, ties by index
@@ -523,14 +522,10 @@ func (n *node) byLowX(a, b int32) int {
 	return cmp.Compare(a, b)
 }
 
-// swept returns the node's tight MBR and, for an arena node version,
-// its kept sweep order — computed here the first time. Two joins
-// meeting a fresh version together both compute; one result is
-// published.
+// swept returns the node's tight MBR and its kept sweep order —
+// computed here the first time. Two joins meeting a fresh version
+// together both compute; one result is published.
 func (n *node) swept() (geom.Rect, []int32) {
-	if n.cost == 0 {
-		return n.mbr(), nil
-	}
 	k := n.sweep.Load()
 	if k == nil {
 		k = &nodeSweep{mbr: n.mbr(), ord: make([]int32, len(n.entries))}
@@ -547,22 +542,13 @@ func (n *node) swept() (geom.Rect, []int32) {
 
 // sweepOrder appends to ord the indexes of the entries touching the
 // clip region, by low x: a filter of the kept order, which preserves
-// it, or of the physical order and a sort for a node that keeps none.
+// it.
 func sweepOrder(ord []int32, n *node, kept []int32, clip geom.Rect) []int32 {
 	ord = slices.Grow(ord, len(n.entries))
-	if kept != nil {
-		for _, i := range kept {
-			if n.entries[i].Rect.Intersects(clip) {
-				ord = append(ord, i)
-			}
-		}
-		return ord
-	}
-	for i := range n.entries {
+	for _, i := range kept {
 		if n.entries[i].Rect.Intersects(clip) {
-			ord = append(ord, int32(i))
+			ord = append(ord, i)
 		}
 	}
-	slices.SortFunc(ord, n.byLowX)
 	return ord
 }

@@ -12,7 +12,7 @@ import (
 
 func buildJoinTree(t *testing.T, seed int64, n int) *Tree {
 	t.Helper()
-	tr, err := NewRStar(pagefile.NewMemFile(testPageSize))
+	tr, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +68,16 @@ func refJoin(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool
 	s1, s2 := j1.acquire(), j2.acquire()
 	defer j1.release(s1)
 	defer j2.release(s2)
-	src1, root1 := j1.st, uint64(s1.root)
-	src2, root2 := j2.st, uint64(s2.root)
+	src1, root1 := j1.st, s1.root
+	src2, root2 := j2.st, s2.root
 	pairs = map[[2]uint64]int{}
-	read := func(src *store, ref uint64) *node {
-		n, err := src.readNodeRef(ref)
+	read := func(src *arena, id pagefile.PageID) *node {
+		n, err := src.get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts.NodesVisited++
-		ts.NodeAccesses += n.accessCost()
+		ts.NodeAccesses += uint64(n.cost)
 		return n
 	}
 	var rec func(n1, n2 *node)
@@ -104,14 +104,14 @@ func refJoin(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool
 			m1 := unionOf(n1.entries)
 			for j := range n2.entries {
 				if prune(m1, n2.entries[j].Rect) {
-					rec(n1, read(src2, n2.childRef(j)))
+					rec(n1, read(src2, n2.entries[j].Child))
 				}
 			}
 		case n2.isLeaf():
 			m2 := unionOf(n2.entries)
 			for i := range n1.entries {
 				if prune(n1.entries[i].Rect, m2) {
-					rec(read(src1, n1.childRef(i)), n2)
+					rec(read(src1, n1.entries[i].Child), n2)
 				}
 			}
 		default:
@@ -123,10 +123,10 @@ func refJoin(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool
 						continue
 					}
 					if left[i] == nil {
-						left[i] = read(src1, n1.childRef(i))
+						left[i] = read(src1, n1.entries[i].Child)
 					}
 					if right[j] == nil || !dedup {
-						right[j] = read(src2, n2.childRef(j))
+						right[j] = read(src2, n2.entries[j].Child)
 					}
 					rec(left[i], right[j])
 				}

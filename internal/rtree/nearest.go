@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/pagefile"
 )
 
 // This file implements k-nearest-neighbour search by best-first
@@ -25,8 +26,8 @@ type Neighbour struct {
 // pqItem is a heap element: either a node to expand or a leaf entry.
 type pqItem struct {
 	dist  float64
-	node  uint64    // non-zero node ref: expand
-	entry Neighbour // valid when node == 0
+	node  pagefile.PageID // non-zero: a node to expand
+	entry Neighbour       // valid when node == 0
 }
 
 type pq []pqItem
@@ -61,7 +62,7 @@ func (q *pq) Pop() interface{} {
 	return it
 }
 
-func nearestSearch(ctx context.Context, src *store, root uint64, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
+func nearestSearch(ctx context.Context, src *arena, root pagefile.PageID, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
 	var stats TraversalStats
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("rtree: Nearest needs k ≥ 1, got %d", k)
@@ -86,19 +87,19 @@ func nearestSearch(ctx context.Context, src *store, root uint64, p geom.Point, k
 		if err := ctx.Err(); err != nil {
 			return out, stats, err
 		}
-		n, err := src.readNodeRef(it.node)
+		n, err := src.get(it.node)
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.NodesVisited++
-		stats.NodeAccesses += n.accessCost()
+		stats.NodeAccesses += uint64(n.cost)
 		for i := range n.entries {
 			e := &n.entries[i]
 			d := e.Rect.DistToPoint(p)
 			if n.isLeaf() {
 				heap.Push(&q, pqItem{dist: d, entry: Neighbour{Rect: e.Rect, OID: e.OID, Dist: d}})
 			} else {
-				heap.Push(&q, pqItem{dist: d, node: n.childRef(i)})
+				heap.Push(&q, pqItem{dist: d, node: e.Child})
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // bruteNearest returns the k smallest distances to the query point.
@@ -47,11 +46,11 @@ func TestRectDistToPoint(t *testing.T) {
 func TestNearestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	data := map[uint64]geom.Rect{}
-	rt, err := NewRTree(pagefile.NewMemFile(testPageSize))
+	rt, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewRPlus(pagefile.NewMemFile(testPageSize))
+	rp, err := NewRPlusArena(testPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestNearestAgainstBruteForce(t *testing.T) {
 }
 
 func TestNearestEdgeCases(t *testing.T) {
-	rt, err := NewRTree(pagefile.NewMemFile(testPageSize))
+	rt, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,10 @@ func TestMinEntries(t *testing.T) {
 }
 
 func TestNewRejectsTinyPages(t *testing.T) {
-	if _, err := New(pagefile.NewMemFile(64), Options{}, "tiny"); err == nil {
+	if _, err := NewArena(64, Options{}, "tiny"); err == nil {
 		t.Fatal("64-byte pages should be rejected")
 	}
-	if _, err := NewRPlus(pagefile.NewMemFile(64)); err == nil {
+	if _, err := NewRPlusArena(64); err == nil {
 		t.Fatal("64-byte pages should be rejected for R+ too")
 	}
 }
@@ -52,7 +52,7 @@ func TestRStarBeatsQuadraticOnClusteredOverlap(t *testing.T) {
 		var leaves []geom.Rect
 		var walk func(id pagefile.PageID)
 		walk = func(id pagefile.PageID) {
-			n, err := tr.st.readNode(id)
+			n, err := tr.st.get(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,11 +73,11 @@ func TestRStarBeatsQuadraticOnClusteredOverlap(t *testing.T) {
 		}
 		return total
 	}
-	quad, err := NewRTree(pagefile.NewMemFile(testPageSize))
+	quad, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	star, err := NewRStar(pagefile.NewMemFile(testPageSize))
+	star, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRStarBeatsQuadraticOnClusteredOverlap(t *testing.T) {
 // TestLinearSplitProducesValidTrees under heavy load (the linear split
 // is only exercised lightly by the shared suites).
 func TestLinearSplitStress(t *testing.T) {
-	tr, err := New(pagefile.NewMemFile(testPageSize), Options{Split: SplitLinear}, "lin")
+	tr, err := NewArena(testPageSize, Options{Split: SplitLinear}, "lin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,7 @@ func TestLinearSplitStress(t *testing.T) {
 // more page writes per insert than plain splitting on this workload).
 func TestForcedReinsertTriggers(t *testing.T) {
 	mk := func(forced bool) uint64 {
-		f := pagefile.NewMemFile(testPageSize)
-		tr, err := New(f, Options{
+		tr, err := NewArena(testPageSize, Options{
 			Split:              SplitRStar,
 			RStarChooseSubtree: true,
 			ForcedReinsert:     forced,
@@ -148,7 +147,7 @@ func TestForcedReinsertTriggers(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return f.Stats().Writes
+		return tr.IOStats().Writes
 	}
 	with, without := mk(true), mk(false)
 	if with <= without {

@@ -51,30 +51,20 @@ func worldRect() geom.Rect {
 	return geom.R(-worldCoord, -worldCoord, worldCoord, worldCoord)
 }
 
-// NewRPlus creates an R+-tree over the given page file. The paper's
-// experimental setting (minimal number of rectangle splits as the cost
-// function) is built in.
-func NewRPlus(file pagefile.File) (*RPlusTree, error) {
-	return newRPlus(newStore(file))
-}
-
-// NewRPlusArena creates an R+-tree that keeps its nodes decoded in
-// memory and charges accesses at the node capacity of pageSize (see
-// NewArena).
+// NewRPlusArena creates an empty R+-tree that keeps its nodes decoded
+// in memory and charges accesses at the node capacity of pageSize (see
+// NewArena). The paper's experimental setting (minimal number of
+// rectangle splits as the cost function) is built in.
 func NewRPlusArena(pageSize int) (*RPlusTree, error) {
-	return newRPlus(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1))
-}
-
-// rplusName is the R+-tree's Name.
-const rplusName = "R+-tree"
-
-func newRPlus(st *store) (*RPlusTree, error) {
 	t := &RPlusTree{}
-	if err := t.startEmpty(st, rplusName, false); err != nil {
+	if err := t.startEmpty(pageSize, rplusName, false); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
+
+// rplusName is the R+-tree's Name.
+const rplusName = "R+-tree"
 
 // covering returns the MBR of b and r, or r alone while b is not one
 // yet.
@@ -91,7 +81,7 @@ func (t *RPlusTree) scanBounds() (geom.Rect, bool, error) {
 	var out geom.Rect
 	found := false
 	all := func(geom.Rect) bool { return true }
-	_, err := traverse(context.Background(), t.st, uint64(t.root), all, all,
+	_, err := traverse(context.Background(), t.st, t.root, all, all,
 		func(h Hit) bool {
 			out, found = covering(out, found, h.Rect), true
 			return true
@@ -124,10 +114,7 @@ func (t *RPlusTree) InsertBatch(recs []Record) error {
 			}
 			// A split of the root yields several pieces: grow the tree.
 			for len(pieces) > 1 {
-				newRoot, err := t.allocMutNode(t.depth) // old depth == old root level + 1
-				if err != nil {
-					return err
-				}
+				newRoot := t.allocMutNode(t.depth) // old depth == old root level + 1
 				newRoot.entries = pieces
 				t.depth++
 				if pieces, err = t.normalize(newRoot, worldRect()); err != nil {
@@ -145,10 +132,10 @@ func (t *RPlusTree) InsertBatch(recs []Record) error {
 // insertRec inserts the entry into the subtree rooted at id (with the
 // given partition region) and returns the replacement parent entries
 // for this subtree: one entry when the node did not split, several
-// after splits. Every node it writes is shadowed, so the entries carry
+// after splits. Every node it installs is shadowed, so the entries carry
 // the subtree's new ids up the path.
 func (t *RPlusTree) insertRec(id pagefile.PageID, region geom.Rect, e Entry) ([]Entry, error) {
-	n, err := t.st.readNode(id)
+	n, err := t.st.checkOut(id)
 	if err != nil {
 		return nil, err
 	}
@@ -179,17 +166,17 @@ func (t *RPlusTree) insertRec(id pagefile.PageID, region geom.Rect, e Entry) ([]
 	return t.normalize(n, region)
 }
 
-// maxOverflowChain bounds how far past capacity an unsplittable node
-// may grow via overflow pages before the tree reports degeneracy.
+// maxOverflowChain bounds how many pages' worth of entries an
+// unsplittable node may hold before the tree reports degeneracy.
 const maxOverflowChain = 16
 
-// normalize writes the node if it fits its page, or cuts it (possibly
-// repeatedly) until every piece fits, returning the parent entries
-// describing the pieces. A node facing Greene's degeneracy — more
-// entries than capacity, with every candidate cut crossed by all of
-// them — is written onto an overflow chain instead (each chained page
-// costs one extra read when the node is visited), bounded by
-// maxOverflowChain to keep runaway growth detectable.
+// normalize installs the node if it fits its page, or cuts it
+// (possibly repeatedly) until every piece fits, returning the parent
+// entries describing the pieces. A node facing Greene's degeneracy —
+// more entries than capacity, with every candidate cut crossed by all
+// of them — is installed whole instead, charged its overflow pages
+// (each costs one extra read when the node is visited), bounded by
+// maxOverflowChain pages to keep runaway growth detectable.
 func (t *RPlusTree) normalize(n *node, region geom.Rect) ([]Entry, error) {
 	if len(n.entries) > t.st.cap {
 		if axis, cut, ok := chooseCut(n, region); ok {
@@ -199,9 +186,7 @@ func (t *RPlusTree) normalize(n *node, region geom.Rect) ([]Entry, error) {
 			return nil, fmt.Errorf("%w: node %d (%d entries)", ErrUnsplittable, n.id, len(n.entries))
 		}
 	}
-	if err := t.writeMutNode(n); err != nil {
-		return nil, err
-	}
+	t.writeMutNode(n)
 	return []Entry{{Rect: region, Child: n.id}}, nil
 }
 
@@ -228,7 +213,7 @@ func (t *RPlusTree) divide(n *node, region geom.Rect, axis int, cut float64) ([]
 			le = append(le, e)
 			re = append(re, e)
 		default:
-			child, err := t.st.readNode(e.Child)
+			child, err := t.st.checkOut(e.Child)
 			if err != nil {
 				return nil, err
 			}
@@ -250,10 +235,7 @@ func (t *RPlusTree) divide(n *node, region geom.Rect, axis int, cut float64) ([]
 			}
 		}
 	}
-	sib, err := t.allocMutNode(n.level)
-	if err != nil {
-		return nil, err
-	}
+	sib := t.allocMutNode(n.level)
 	n.entries = le
 	sib.entries = re
 	leftPieces, err := t.normalize(n, leftRegion)
@@ -386,7 +368,7 @@ func (t *RPlusTree) Delete(r geom.Rect, oid uint64) error {
 // how many registrations it removed and the subtree's id afterwards: a
 // node that lost an entry, or whose child moved, is rewritten shadowed.
 func (t *RPlusTree) deleteRec(id pagefile.PageID, r geom.Rect, oid uint64) (int, pagefile.PageID, error) {
-	n, err := t.st.readNode(id)
+	n, err := t.st.checkOut(id)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -411,8 +393,6 @@ func (t *RPlusTree) deleteRec(id pagefile.PageID, r geom.Rect, oid uint64) (int,
 	if removed == 0 {
 		return 0, id, nil
 	}
-	if err := t.writeMutNode(n); err != nil {
-		return 0, 0, err
-	}
+	t.writeMutNode(n)
 	return removed, n.id, nil
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // Tree is an R-tree (Guttman 1984) or, depending on Options, an
-// R*-tree (Beckmann et al. 1990). Nodes live on a pagefile (New, Open)
-// or in a decoded arena (NewArena, Adopt); the zero value is not usable.
+// R*-tree (Beckmann et al. 1990). Nodes live in a decoded arena
+// (NewArena, Adopt); the zero value is not usable.
 //
 // A Tree is safe for concurrent use and its readers never block behind
 // writers: searches pin an immutable published snapshot of the tree,
-// while mutations copy-on-write the pages they touch and publish a new
+// while mutations copy-on-write the nodes they touch and publish a new
 // snapshot when they commit (see snapshot.go). Mutations are atomic —
 // a failed Insert or Delete leaves the published tree untouched — and
 // serialise among themselves on an internal writer mutex. Per-
@@ -28,40 +28,15 @@ type Tree struct {
 // ErrNotFound is returned by Delete when no matching entry exists.
 var ErrNotFound = errors.New("rtree: entry not found")
 
-// New creates a tree with explicit options over the given page file.
-func New(file pagefile.File, opts Options, name string) (*Tree, error) {
-	return newTree(newStore(file), opts, name)
-}
-
-// NewArena creates a tree that keeps its nodes decoded in memory
-// (arena.go) and charges accesses at the node capacity of pageSize:
-// answers, TraversalStats and IOStats equal New's over such a file.
+// NewArena creates an empty tree with explicit options that keeps its
+// nodes decoded in memory (arena.go) and charges accesses at the node
+// capacity of pageSize.
 func NewArena(pageSize int, opts Options, name string) (*Tree, error) {
-	return newTree(newArenaStore(pageSize, make([]*node, arenaMinSlots), 1), opts, name)
-}
-
-func newTree(st *store, opts Options, name string) (*Tree, error) {
 	t := &Tree{opts: opts}
-	if err := t.startEmpty(st, name, true); err != nil {
+	if err := t.startEmpty(pageSize, name, true); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// NewRTree creates an R-tree with the paper's settings: quadratic
-// split and minimum node capacity m = 40%.
-func NewRTree(file pagefile.File) (*Tree, error) {
-	return New(file, Options{Split: SplitQuadratic}, "R-tree")
-}
-
-// NewRStar creates an R*-tree with the paper's settings (m = 40%):
-// R* subtree choice, margin-driven split, forced reinsertion.
-func NewRStar(file pagefile.File) (*Tree, error) {
-	return New(file, Options{
-		Split:              SplitRStar,
-		RStarChooseSubtree: true,
-		ForcedReinsert:     true,
-	}, "R*-tree")
 }
 
 // Insert adds a rectangle with an object id. The rectangle must be
@@ -84,7 +59,7 @@ func (t *Tree) Insert(r geom.Rect, oid uint64) error {
 
 // InsertBatch adds a batch of rectangles as one atomic mutation:
 // queries observe either none or all of the batch, and the snapshot is
-// published (with its page retirement bookkeeping) once instead of per
+// published (with its slot retirement bookkeeping) once instead of per
 // record. On an empty tree the batch is Sort-Tile-Recursive packed —
 // the O(N log N) bulk build with near-full nodes — instead of inserted
 // one by one; a non-empty tree takes the batch through the ordinary
@@ -127,20 +102,18 @@ func (t *Tree) insertAtLevel(e Entry, level int, reinserted map[int]bool) error 
 
 // choosePath descends from the root to a node at the target level,
 // returning the nodes along the way (root first). Every node on the
-// path will be modified, so each is shadowed onto a fresh page as it
-// is read (its parent is in memory and gets the new child id).
+// path will be modified, so each is shadowed to a fresh slot as it is
+// read (its parent is in memory and gets the new child id).
 func (t *Tree) choosePath(r geom.Rect, level int) ([]*node, error) {
 	var path []*node
 	id := t.root
 	parentIdx := -1
 	for {
-		n, err := t.st.readNode(id)
+		n, err := t.st.checkOut(id)
 		if err != nil {
 			return nil, err
 		}
-		if err := t.shadowNode(n); err != nil {
-			return nil, err
-		}
+		t.shadowNode(n)
 		if n.id != id {
 			if len(path) == 0 {
 				t.root = n.id
@@ -198,7 +171,7 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	return best
 }
 
-// handleOverflowAndAdjust writes the modified tail node of path,
+// handleOverflowAndAdjust installs the modified tail node of path,
 // splitting or reinserting on overflow, and adjusts ancestor
 // rectangles up to the root.
 func (t *Tree) handleOverflowAndAdjust(path []*node, reinserted map[int]bool) error {
@@ -217,28 +190,19 @@ func (t *Tree) handleOverflowAndAdjust(path []*node, reinserted map[int]bool) er
 				return err
 			}
 		}
-		if err := t.st.writeNode(n); err != nil {
-			return err
-		}
+		t.st.install(n)
 		if sibling != nil {
-			if err := t.st.writeNode(sibling); err != nil {
-				return err
-			}
+			t.st.install(sibling)
 		}
 		if i == 0 {
 			// Root level: grow the tree if the root split.
 			if sibling != nil {
-				newRoot, err := t.allocMutNode(n.level + 1)
-				if err != nil {
-					return err
-				}
+				newRoot := t.allocMutNode(n.level + 1)
 				newRoot.entries = []Entry{
 					{Rect: n.mbr(), Child: n.id},
 					{Rect: sibling.mbr(), Child: sibling.id},
 				}
-				if err := t.st.writeNode(newRoot); err != nil {
-					return err
-				}
+				t.st.install(newRoot)
 				t.root = newRoot.id
 				t.depth++
 			}
@@ -294,10 +258,8 @@ func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) err
 	copy(removed, entries[:p])
 	n.entries = append(n.entries[:0], entries[p:]...)
 
-	// Write the tightened node and adjust ancestors.
-	if err := t.st.writeNode(n); err != nil {
-		return err
-	}
+	// Install the tightened node and adjust ancestors.
+	t.st.install(n)
 	for i := idx - 1; i >= 0; i-- {
 		parent := path[i]
 		child := path[i+1]
@@ -307,9 +269,7 @@ func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) err
 				break
 			}
 		}
-		if err := t.st.writeNode(parent); err != nil {
-			return err
-		}
+		t.st.install(parent)
 	}
 	// Reinsert far entries (close reinsert: farthest first).
 	for _, e := range removed {
@@ -331,9 +291,7 @@ func (t *Tree) Delete(r geom.Rect, oid uint64) error {
 		if leafPath == nil {
 			return ErrNotFound
 		}
-		if err := t.shadowPath(leafPath); err != nil {
-			return err
-		}
+		t.shadowPath(leafPath)
 		leaf := leafPath[len(leafPath)-1]
 		leaf.entries = append(leaf.entries[:slot], leaf.entries[slot+1:]...)
 		if err := t.condenseTree(leafPath); err != nil {
@@ -347,7 +305,7 @@ func (t *Tree) Delete(r geom.Rect, oid uint64) error {
 // findLeaf locates a leaf containing the (rect, oid) entry, returning
 // the root-to-leaf path and the slot index.
 func (t *Tree) findLeaf(id pagefile.PageID, path []*node, r geom.Rect, oid uint64) ([]*node, int, error) {
-	n, err := t.st.readNode(id)
+	n, err := t.st.checkOut(id)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -407,14 +365,10 @@ func (t *Tree) condenseTree(path []*node) error {
 			}
 		} else {
 			parent.entries[slot].Rect = n.mbr()
-			if err := t.st.writeNode(n); err != nil {
-				return err
-			}
+			t.st.install(n)
 		}
 	}
-	if err := t.st.writeNode(path[0]); err != nil {
-		return err
-	}
+	t.st.install(path[0])
 	// Reinsert orphaned entries at their original levels.
 	for _, o := range orphans {
 		for _, e := range o.entries {
@@ -426,7 +380,7 @@ func (t *Tree) condenseTree(path []*node) error {
 	}
 	// Shrink the root while it is internal with a single child.
 	for {
-		root, err := t.st.readNode(t.root)
+		root, err := t.st.get(t.root)
 		if err != nil {
 			return err
 		}

@@ -11,10 +11,19 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
-const testPageSize = 512 // capacity (512-4)/40 = 12 entries
+const testPageSize = 512 // capacity (512-8)/40 = 12 entries
+
+// newTestRTree and newTestRStar build trees with the paper's settings
+// at testPageSize.
+func newTestRTree() (*Tree, error) {
+	return NewArena(testPageSize, Options{Split: SplitQuadratic}, "R-tree")
+}
+
+func newTestRStar() (*Tree, error) {
+	return NewArena(testPageSize, rstarOpts, "R*-tree")
+}
 
 func randRect(rng *rand.Rand, world float64, maxSide float64) geom.Rect {
 	w := 0.01 + rng.Float64()*maxSide
@@ -53,22 +62,22 @@ func move(tree interface {
 func makeTrees(t *testing.T) map[string]searcher {
 	t.Helper()
 	out := map[string]searcher{}
-	rt, err := NewRTree(pagefile.NewMemFile(testPageSize))
+	rt, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["rtree"] = rt
-	lt, err := New(pagefile.NewMemFile(testPageSize), Options{Split: SplitLinear}, "R-tree/linear")
+	lt, err := NewArena(testPageSize, Options{Split: SplitLinear}, "R-tree/linear")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["linear"] = lt
-	rs, err := NewRStar(pagefile.NewMemFile(testPageSize))
+	rs, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["rstar"] = rs
-	rp, err := NewRPlus(pagefile.NewMemFile(testPageSize))
+	rp, err := NewRPlusArena(testPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,105 +273,6 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-// TestNodeSerializationRoundTrip exercises the page codec directly.
-func TestNodeSerializationRoundTrip(t *testing.T) {
-	f := pagefile.NewMemFile(testPageSize)
-	st := newStore(f)
-	n, err := st.allocNode(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < st.cap; i++ {
-		n.entries = append(n.entries, Entry{
-			Rect:  geom.R(float64(i), float64(-i), float64(i)+1.5, float64(i)+2.25),
-			Child: pagefile.PageID(i + 100),
-		})
-	}
-	if err := st.writeNode(n); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.readNode(n.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.level != 3 || len(got.entries) != st.cap {
-		t.Fatalf("level=%d count=%d", got.level, len(got.entries))
-	}
-	for i, e := range got.entries {
-		if e != n.entries[i] {
-			t.Fatalf("entry %d mismatch: %+v vs %+v", i, e, n.entries[i])
-		}
-	}
-	// Leaf entries carry OIDs instead of child pages.
-	leaf, _ := st.allocNode(0)
-	leaf.entries = []Entry{{Rect: geom.R(0, 0, 1, 1), OID: 1<<63 + 12345}}
-	if err := st.writeNode(leaf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := st.readNode(leaf.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.entries[0].OID != 1<<63+12345 || back.entries[0].Child != pagefile.NilPage {
-		t.Fatalf("leaf entry: %+v", back.entries[0])
-	}
-	// Oversized nodes spill onto an overflow chain and read back whole.
-	for i := 0; i < 2*st.cap+3; i++ {
-		n.entries = append(n.entries, Entry{Rect: geom.R(0, 0, float64(i)+1, 1), Child: pagefile.PageID(i + 1000)})
-	}
-	pagesBefore := f.NumPages()
-	if err := st.writeNode(n); err != nil {
-		t.Fatalf("chained write: %v", err)
-	}
-	if f.NumPages() <= pagesBefore {
-		t.Fatal("overflow chain allocated no pages")
-	}
-	big, err := st.readNode(n.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(big.entries) != len(n.entries) || len(big.chain) == 0 {
-		t.Fatalf("chained read: %d entries, chain %d", len(big.entries), len(big.chain))
-	}
-	for i := range big.entries {
-		if big.entries[i] != n.entries[i] {
-			t.Fatalf("chained entry %d mismatch", i)
-		}
-	}
-	// Shrinking the node releases the chain pages.
-	big.entries = big.entries[:3]
-	if err := st.writeNode(big); err != nil {
-		t.Fatal(err)
-	}
-	if len(big.chain) != 0 {
-		t.Fatal("chain not trimmed")
-	}
-	small, err := st.readNode(big.id)
-	if err != nil || len(small.entries) != 3 {
-		t.Fatalf("shrunk read: %v %d", err, len(small.entries))
-	}
-	// Freeing a chained node frees every page. Re-read the node first:
-	// a node image must not be written after another image of the same
-	// node has been written (its chain bookkeeping would be stale).
-	fresh, err := st.readNode(n.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.entries = n.entries
-	if err := st.writeNode(fresh); err != nil {
-		t.Fatal(err)
-	}
-	chained, _ := st.readNode(n.id)
-	chainLen := len(chained.chain)
-	before := f.NumPages()
-	if err := st.freeNode(chained); err != nil {
-		t.Fatal(err)
-	}
-	if f.NumPages() != before-(1+chainLen) {
-		t.Fatal("freeNode leaked chain pages")
-	}
-}
-
 func TestCapacityForPageSize(t *testing.T) {
 	if got := CapacityForPageSize(2048); got != 51 {
 		t.Errorf("capacity(2048) = %d", got)
@@ -376,8 +286,7 @@ func TestCapacityForPageSize(t *testing.T) {
 // TestSearchIOAccounting: the number of page reads during a search
 // equals the number of visited nodes, and pruning reduces it.
 func TestSearchIOAccounting(t *testing.T) {
-	f := pagefile.NewMemFile(testPageSize)
-	tree, err := NewRTree(f)
+	tree, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +324,7 @@ func TestSearchIOAccounting(t *testing.T) {
 // interior (checked by CheckInvariants), and duplicates returned by
 // search refer to identical rectangles.
 func TestRPlusDuplicatesConsistent(t *testing.T) {
-	tree, err := NewRPlus(pagefile.NewMemFile(testPageSize))
+	tree, err := NewRPlusArena(testPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,101 +419,96 @@ func TestBoundsReporting(t *testing.T) {
 // that can shrink it — Bounds equals the brute-force MBR after every
 // step and reads no page.
 func TestRPlusBoundsKept(t *testing.T) {
-	paged, err := NewRPlus(pagefile.NewMemFile(testPageSize))
+	tree, err := NewRPlusArena(testPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena, err := NewRPlusArena(testPageSize)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(24))
+	live := map[uint64]geom.Rect{}
+	var oids []uint64
+	brute := func() (geom.Rect, bool) {
+		var b geom.Rect
+		for i, oid := range oids {
+			b = covering(b, i > 0, live[oid])
+		}
+		return b, len(oids) > 0
 	}
-	for name, tree := range map[string]*RPlusTree{"paged": paged, "arena": arena} {
-		rng := rand.New(rand.NewSource(24))
-		live := map[uint64]geom.Rect{}
-		var oids []uint64
-		brute := func() (geom.Rect, bool) {
-			var b geom.Rect
-			for i, oid := range oids {
-				b = covering(b, i > 0, live[oid])
-			}
-			return b, len(oids) > 0
+	onEdge := func(r, b geom.Rect) bool {
+		return r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y
+	}
+	step, edgeDeletes := 0, 0
+	check := func() {
+		t.Helper()
+		reads := tree.IOStats().Reads
+		got, ok := tree.Bounds()
+		if d := tree.IOStats().Reads - reads; d != 0 {
+			t.Fatalf("step %d: Bounds read %d pages of a tree of %d objects", step, d, len(oids))
 		}
-		onEdge := func(r, b geom.Rect) bool {
-			return r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y
+		if want, wantOK := brute(); ok != wantOK || (ok && got != want) {
+			t.Fatalf("step %d: Bounds = %v %v, brute force %v %v", step, got, ok, want, wantOK)
 		}
-		step, edgeDeletes := 0, 0
-		check := func() {
-			t.Helper()
-			reads := tree.IOStats().Reads
-			got, ok := tree.Bounds()
-			if d := tree.IOStats().Reads - reads; d != 0 {
-				t.Fatalf("%s step %d: Bounds read %d pages of a tree of %d objects", name, step, d, len(oids))
-			}
-			if want, wantOK := brute(); ok != wantOK || (ok && got != want) {
-				t.Fatalf("%s step %d: Bounds = %v %v, brute force %v %v", name, step, got, ok, want, wantOK)
-			}
+	}
+	remove := func() {
+		t.Helper()
+		at := rng.Intn(len(oids))
+		b, _ := brute()
+		if rng.Intn(2) == 0 {
+			at = slices.IndexFunc(oids, func(oid uint64) bool { return onEdge(live[oid], b) })
 		}
-		remove := func() {
-			t.Helper()
-			at := rng.Intn(len(oids))
-			b, _ := brute()
-			if rng.Intn(2) == 0 {
-				at = slices.IndexFunc(oids, func(oid uint64) bool { return onEdge(live[oid], b) })
-			}
-			oid := oids[at]
-			if onEdge(live[oid], b) {
-				edgeDeletes++
-			}
-			if err := tree.Delete(live[oid], oid); err != nil {
-				t.Fatalf("%s step %d: %v", name, step, err)
-			}
-			delete(live, oid)
-			oids = slices.Delete(oids, at, at+1)
+		oid := oids[at]
+		if onEdge(live[oid], b) {
+			edgeDeletes++
 		}
-		for ; step < 2000; step++ {
-			if len(oids) == 0 || rng.Intn(5) < 3 {
-				oid := uint64(step + 1)
-				r := randRect(rng, 100, 6)
-				if err := tree.Insert(r, oid); err != nil {
-					t.Fatalf("%s step %d: %v", name, step, err)
-				}
-				live[oid] = r
-				oids = append(oids, oid)
-			} else {
-				remove()
-			}
-			check()
+		if err := tree.Delete(live[oid], oid); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
-		for ; len(oids) > 0; step++ { // down to empty: the MBR goes with the last object
+		delete(live, oid)
+		oids = slices.Delete(oids, at, at+1)
+	}
+	for ; step < 2000; step++ {
+		if len(oids) == 0 || rng.Intn(5) < 3 {
+			oid := uint64(step + 1)
+			r := randRect(rng, 100, 6)
+			if err := tree.Insert(r, oid); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			live[oid] = r
+			oids = append(oids, oid)
+		} else {
 			remove()
-			check()
 		}
-		if edgeDeletes < 100 {
-			t.Fatalf("%s: only %d edge-touching deletes: the trace missed its case", name, edgeDeletes)
-		}
-		// The image header carries the MBR across a checkpoint.
-		for i := 0; i < 50; i++ {
-			if err := tree.Insert(randRect(rng, 100, 6), uint64(5000+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := tree.WriteFlat(&buf, 1); err != nil {
+		check()
+	}
+	for ; len(oids) > 0; step++ { // down to empty: the MBR goes with the last object
+		remove()
+		check()
+	}
+	if edgeDeletes < 100 {
+		t.Fatalf("only %d edge-touching deletes: the trace missed its case", edgeDeletes)
+	}
+	// The image header carries the MBR across a checkpoint.
+	for i := 0; i < 50; i++ {
+		if err := tree.Insert(randRect(rng, 100, 6), uint64(5000+i)); err != nil {
 			t.Fatal(err)
-		}
-		flat, err := OpenFlatBytes(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		adopted, err := AdoptRPlus(flat, testPageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := tree.Bounds()
-		if got, ok := adopted.Bounds(); !ok || got != want || adopted.IOStats().Reads != 0 {
-			t.Fatalf("%s: adopted Bounds = %v %v after %d reads, want %v", name, got, ok, adopted.IOStats().Reads, want)
 		}
 	}
+	var buf bytes.Buffer
+	if err := tree.WriteFlat(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := OpenFlatBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted, err := AdoptRPlus(flat, testPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := tree.Bounds()
+	if got, ok := adopted.Bounds(); !ok || got != want || adopted.IOStats().Reads != 0 {
+		t.Fatalf("adopted Bounds = %v %v after %d reads, want %v", got, ok, adopted.IOStats().Reads, want)
+	}
+
 }
 
 // TestUpdate moves entries and verifies structure and queries.

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 
@@ -20,24 +19,24 @@ import (
 //
 //   - Every mutation runs under the writer mutex. Before a node that is
 //     visible to the published snapshot is modified, it is relocated to
-//     a freshly allocated page (shadowNode); the old page id is only
-//     retired, never overwritten. Pages allocated during the mutation
-//     are tracked in core.fresh and may be written in place freely.
+//     a freshly allocated arena slot (shadowNode); the old slot is only
+//     retired, never repointed. Slots allocated during the mutation are
+//     tracked in core.fresh and may be rewritten freely.
 //   - When the mutation succeeds, a new snapshot (root, depth, size,
-//     bounds) is published atomically and the retired pages are attached
-//     to the superseded snapshot. If it fails, the fresh pages are freed
-//     and the working state is reset from the published snapshot, so
-//     failed mutations are invisible — the tree is mutation-atomic.
+//     bounds) is published atomically and the retired slots are
+//     attached to the superseded snapshot. If it fails, the fresh slots
+//     are freed and the working state is reset from the published
+//     snapshot, so failed mutations are invisible — the tree is
+//     mutation-atomic.
 //   - Readers pin the current snapshot with a reference count and
-//     traverse its root without taking the writer mutex. A retired page
-//     is physically freed (and hence eligible for reuse) only once
-//     every snapshot that could reference it has been released, oldest
-//     first.
+//     traverse its root without taking the writer mutex. A retired slot
+//     is freed (and hence eligible for reuse) only once every snapshot
+//     that could reference it has been released, oldest first.
 //
 // The pin/unpin critical sections are a few pointer operations, so the
 // only contention readers ever feel from a writer is the instant of
-// snapshot publication — never the page IO, splitting, or reinsertion
-// work of the mutation itself.
+// snapshot publication — never the splitting or reinsertion work of the
+// mutation itself.
 
 // core is what Tree and RPlusTree share: the node store, the
 // copy-on-write protocol over it, and every reader that only needs a
@@ -45,7 +44,7 @@ import (
 // startEmpty or FlatTree.adopt before the tree is shared.
 type core struct {
 	mu       sync.Mutex // serialises mutations; readers never take it
-	st       *store
+	st       *arena     // the node store
 	name     string
 	covering bool // internal entries cover their subtrees (R-/R*-tree)
 
@@ -61,8 +60,8 @@ type core struct {
 	bounded bool
 
 	// Copy-on-write bookkeeping of the in-flight mutation.
-	fresh   map[pagefile.PageID]bool // pages allocated by this mutation
-	retired []pagefile.PageID        // superseded pages, freed after the last reader
+	fresh   map[pagefile.PageID]bool // slots allocated by this mutation
+	retired []pagefile.PageID        // superseded slots, freed after the last reader
 
 	// Snapshot publication state.
 	pub        sync.Mutex // guards cur, oldest, and snapshot refs
@@ -81,30 +80,26 @@ type snapshot struct {
 
 	// The fields below are guarded by core.pub.
 	refs  int               // reader pins, +1 while this is the current snapshot
-	freed []pagefile.PageID // pages retired when this snapshot was superseded
+	freed []pagefile.PageID // slots retired when this snapshot was superseded
 	next  *snapshot
 }
 
-// startEmpty makes c an empty tree over st — one root leaf — and
-// publishes it.
-func (c *core) startEmpty(st *store, name string, covering bool) error {
-	if st.cap < 4 {
-		return fmt.Errorf("rtree: page size too small (capacity %d)", st.cap)
-	}
-	root, err := st.allocNode(0)
+// startEmpty makes c an empty tree — one root leaf — in a fresh arena
+// charging costs at pageSize, and publishes it.
+func (c *core) startEmpty(pageSize int, name string, covering bool) error {
+	st, err := newArena(pageSize, make([]*node, arenaMinSlots), 1)
 	if err != nil {
 		return err
 	}
-	if err := st.writeNode(root); err != nil {
-		return err
-	}
+	root := &node{id: st.alloc()}
+	st.install(root)
 	c.start(st, name, covering, root.id, 1, 0)
 	return nil
 }
 
-// start publishes the first snapshot of the tree rooted at root on st
+// start publishes the first snapshot of the tree rooted at root in st
 // (called by the constructors, before the tree is shared).
-func (c *core) start(st *store, name string, covering bool, root pagefile.PageID, depth, size int) {
+func (c *core) start(st *arena, name string, covering bool, root pagefile.PageID, depth, size int) {
 	c.st, c.name, c.covering = st, name, covering
 	c.root, c.depth, c.size = root, depth, size
 	s := c.working()
@@ -129,7 +124,7 @@ func (c *core) acquire() *snapshot {
 	return s
 }
 
-// release unpins a snapshot and frees any retired pages whose last
+// release unpins a snapshot and frees any retired slots whose last
 // possible reader is now gone.
 func (c *core) release(s *snapshot) {
 	c.pub.Lock()
@@ -138,15 +133,15 @@ func (c *core) release(s *snapshot) {
 	c.pub.Unlock()
 }
 
-// reclaimLocked frees the retired pages of fully released snapshots,
-// oldest first. A page retired at snapshot k may be referenced by any
+// reclaimLocked frees the retired slots of fully released snapshots,
+// oldest first. A slot retired at snapshot k may be referenced by any
 // snapshot ≤ k, so reclamation stops at the first snapshot that is
 // still pinned (or at the current one, which is always pinned). Caller
 // holds c.pub.
 func (c *core) reclaimLocked() {
 	for c.oldest != c.cur && c.oldest.refs == 0 {
 		for _, id := range c.oldest.freed {
-			if err := c.st.Free(id); err != nil && c.reclaimErr == nil {
+			if err := c.st.free(id); err != nil && c.reclaimErr == nil {
 				// Surface the failure on the next mutation rather than
 				// in whatever reader happened to trigger reclamation.
 				c.reclaimErr = err
@@ -187,7 +182,7 @@ func (c *core) mutateLocked(fn func() error) error {
 }
 
 // publishLocked installs the working state as the new current snapshot
-// and hands the pages retired by this mutation to the superseded one.
+// and hands the slots retired by this mutation to the superseded one.
 // Caller holds c.mu.
 func (c *core) publishLocked() {
 	s := c.working()
@@ -203,12 +198,12 @@ func (c *core) publishLocked() {
 	clear(c.fresh)
 }
 
-// rollbackLocked discards a failed mutation: every page it allocated
+// rollbackLocked discards a failed mutation: every slot it allocated
 // is freed and the working state is reset from the published snapshot,
-// whose pages were never touched. Caller holds c.mu.
+// whose nodes were never touched. Caller holds c.mu.
 func (c *core) rollbackLocked() {
 	for id := range c.fresh {
-		_ = c.st.Free(id)
+		_ = c.st.free(id)
 	}
 	clear(c.fresh)
 	c.retired = nil
@@ -219,40 +214,31 @@ func (c *core) rollbackLocked() {
 	c.bounds, c.bounded = s.bounds, s.bounded
 }
 
-// inMutation reports whether a copy-on-write mutation is running (the
-// build-time paths — New, Open — run before the tree is shared and
-// write in place).
+// inMutation reports whether a copy-on-write mutation is running (a
+// constructor runs before the tree is shared and writes in place).
 func (c *core) inMutation() bool { return c.fresh != nil }
 
 // shadowNode relocates a node that is visible to published snapshots
-// onto a fresh page, retiring the old one. Pages already allocated by
-// this mutation are written in place. The caller is responsible for
+// to a fresh slot, retiring the old one. Slots already allocated by
+// this mutation are rewritten in place. The caller is responsible for
 // re-pointing the parent entry (and c.root for the root node) at the
-// new id, and for eventually writing the node.
-func (c *core) shadowNode(n *node) error {
+// new id, and for eventually installing the node.
+func (c *core) shadowNode(n *node) {
 	if !c.inMutation() || c.fresh[n.id] {
-		return nil
+		return
 	}
-	id, err := c.st.Alloc()
-	if err != nil {
-		return err
-	}
+	id := c.st.alloc()
 	c.fresh[id] = true
 	c.retired = append(c.retired, n.id)
-	c.retired = append(c.retired, n.chain...)
 	n.id = id
-	n.chain = nil
-	return nil
 }
 
 // shadowPath shadows every node on a root-to-leaf path (top-down),
 // fixing the child pointers of the in-memory parents as it goes.
-func (c *core) shadowPath(path []*node) error {
+func (c *core) shadowPath(path []*node) {
 	for i, n := range path {
 		old := n.id
-		if err := c.shadowNode(n); err != nil {
-			return err
-		}
+		c.shadowNode(n)
 		if n.id == old {
 			continue
 		}
@@ -268,52 +254,35 @@ func (c *core) shadowPath(path []*node) error {
 			}
 		}
 	}
-	return nil
 }
 
-// writeMutNode shadows n and writes it, tracking the overflow pages the
-// write leaves n with as fresh so that a rollback frees them too (the
-// write frees those n no longer needs). The caller re-points the parent
-// entry at n.id. Caller runs inside a mutation.
-func (c *core) writeMutNode(n *node) error {
-	if err := c.shadowNode(n); err != nil {
-		return err
-	}
-	for _, id := range n.chain {
-		delete(c.fresh, id)
-	}
-	err := c.st.writeNode(n)
-	for _, id := range n.chain {
-		c.fresh[id] = true
-	}
-	return err
+// writeMutNode shadows n and installs it. The caller re-points the
+// parent entry at n.id. Caller runs inside a mutation.
+func (c *core) writeMutNode(n *node) {
+	c.shadowNode(n)
+	c.st.install(n)
 }
 
 // allocMutNode allocates a node, tracking it as fresh when a mutation
 // is running so rollback can reclaim it.
-func (c *core) allocMutNode(level int) (*node, error) {
-	n, err := c.st.allocNode(level)
-	if err == nil && c.inMutation() {
+func (c *core) allocMutNode(level int) *node {
+	n := &node{id: c.st.alloc(), level: level}
+	if c.inMutation() {
 		c.fresh[n.id] = true
 	}
-	return n, err
+	return n
 }
 
-// freeMutNode frees a node's pages: immediately when this mutation
-// allocated them (no snapshot can see them), deferred via the retired
-// list otherwise.
+// freeMutNode frees a node's slot: immediately when this mutation
+// allocated it (no snapshot can see it), deferred via the retired list
+// otherwise.
 func (c *core) freeMutNode(n *node) error {
 	if c.inMutation() && !c.fresh[n.id] {
 		c.retired = append(c.retired, n.id)
-		c.retired = append(c.retired, n.chain...)
-		n.chain = nil
 		return nil
 	}
 	delete(c.fresh, n.id)
-	for _, id := range n.chain {
-		delete(c.fresh, id)
-	}
-	return c.st.freeNode(n)
+	return c.st.free(n.id)
 }
 
 // The readers below pin the current snapshot for their whole run and
@@ -347,25 +316,25 @@ func (c *core) Height() int {
 
 // Bounds returns the MBR of the stored rectangles: the union of the
 // root's entries on an R-/R*-tree; on an R+-tree the MBR its mutations
-// keep in the snapshot, so no page is read.
+// keep in the snapshot, so no node is read.
 func (c *core) Bounds() (geom.Rect, bool) {
 	s := c.acquire()
 	defer c.release(s)
 	if !c.covering {
 		return s.bounds, s.bounded
 	}
-	root, err := c.st.readNodeRef(uint64(s.root))
+	root, err := c.st.get(s.root)
 	if err != nil || len(root.entries) == 0 {
 		return geom.Rect{}, false
 	}
 	return root.mbr(), true
 }
 
-// IOStats returns the page counters of the tree's store.
-func (c *core) IOStats() pagefile.Stats { return c.st.Stats() }
+// IOStats returns the page counters of the tree's arena.
+func (c *core) IOStats() pagefile.Stats { return c.st.stats() }
 
 // ResetIOStats zeroes those counters.
-func (c *core) ResetIOStats() { c.st.ResetStats() }
+func (c *core) ResetIOStats() { c.st.resetStats() }
 
 // SearchHits traverses the tree, descending into any internal entry
 // whose rectangle satisfies nodePred, and emits every leaf entry whose
@@ -373,7 +342,7 @@ func (c *core) ResetIOStats() { c.st.ResetStats() }
 // search. It is the one traversal entry point: context cancellation,
 // checked before every node, and per-traversal IO accounting — the
 // returned TraversalStats counts the pages this traversal read,
-// overflow-chain pages included, exactly, regardless of how many other
+// overflow pages included, exactly, regardless of how many other
 // queries run concurrently, so it matches the paper's disk-access
 // metric. On cancellation it returns ctx.Err() together with the stats
 // accumulated so far. Because of duplicate registration, an R+-tree's
@@ -382,7 +351,7 @@ func (c *core) ResetIOStats() { c.st.ResetStats() }
 func (c *core) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
 	s := c.acquire()
 	defer c.release(s)
-	return traverse(ctx, c.st, uint64(s.root), nodePred, leafPred, emit)
+	return traverse(ctx, c.st, s.root, nodePred, leafPred, emit)
 }
 
 // SearchCtx is SearchHits for an emit that wants the rectangle and the
@@ -407,16 +376,15 @@ func (c *core) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Re
 func (c *core) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
 	s := c.acquire()
 	defer c.release(s)
-	return nearestSearch(ctx, c.st, uint64(s.root), p, k, !c.covering)
+	return nearestSearch(ctx, c.st, s.root, p, k, !c.covering)
 }
 
 // WriteFlat serializes the currently published version of the tree in
 // the flat snapshot format, tagged with the given checkpoint
 // generation. The snapshot is pinned for the duration, so writers are
-// not blocked. Overflow-chained nodes are collapsed into one record
-// carrying the chain's page-access cost.
+// not blocked. A node's record carries its page-access cost.
 func (c *core) WriteFlat(out io.Writer, gen uint64) error {
 	s := c.acquire()
 	defer c.release(s)
-	return writeFlat(out, c.st, uint64(s.root), c.covering, c.name, gen, s.size, s.depth)
+	return writeFlat(out, c.st, s.root, c.covering, c.name, gen, s.size, s.depth)
 }

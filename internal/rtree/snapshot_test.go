@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"maps"
 	"math/rand"
@@ -21,11 +22,9 @@ func TestSnapshotReaderDoesNotBlockWriter(t *testing.T) {
 		name string
 		make func() (searcher, error)
 	}{
-		{"rtree", func() (searcher, error) { return NewRTree(pagefile.NewMemFile(testPageSize)) }},
-		{"rstar", func() (searcher, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) }},
-		{"rstar-arena", func() (searcher, error) { return newTestArenaRStar() }},
-		{"rplus", func() (searcher, error) { return NewRPlus(pagefile.NewMemFile(testPageSize)) }},
-		{"rplus-arena", func() (searcher, error) { return NewRPlusArena(testPageSize) }},
+		{"rtree", func() (searcher, error) { return newTestRTree() }},
+		{"rstar", func() (searcher, error) { return newTestRStar() }},
+		{"rplus", func() (searcher, error) { return NewRPlusArena(testPageSize) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			tree, err := mk.make()
@@ -98,70 +97,80 @@ func TestSnapshotReaderDoesNotBlockWriter(t *testing.T) {
 	}
 }
 
-// TestMutationRollbackLeavesTreeUnchanged injects storage faults into
-// inserts and checks the strong atomicity property on an R*- and an
-// R+-tree: a failed mutation leaves the published tree as it was before
-// it — the same entries and size, and the same page count (every page
-// the failed mutation allocated is given back).
+// livePages is what a tree's nodes occupy: pages allocated minus pages
+// freed.
+func livePages(tree interface{ IOStats() pagefile.Stats }) uint64 {
+	io := tree.IOStats()
+	return io.Allocs - io.Frees
+}
+
+// TestMutationRollbackLeavesTreeUnchanged checks the strong atomicity
+// property on an R*- and an R+-tree: a mutation that fails part-way
+// leaves the published tree as it was before it — the same entries,
+// size and image, and the same live page count (every slot the failed
+// mutation allocated is given back). The R*-tree's insert fails at the
+// first split it needs once its split policy is one it does not know,
+// after shadowing a path and, with forced reinsertion, moving entries;
+// the R+-tree's fails at the overflow bound of a leaf of nested squares
+// (capacity 4, so 64 entries).
 func TestMutationRollbackLeavesTreeUnchanged(t *testing.T) {
-	for name, mk := range map[string]func(pagefile.File) (searcher, error){
-		"rstar": func(f pagefile.File) (searcher, error) { return NewRStar(f) },
-		"rplus": func(f pagefile.File) (searcher, error) { return NewRPlus(f) },
-	} {
-		t.Run(name, func(t *testing.T) {
+	for name, mk := range map[string]func() (kindTree, func(i int) geom.Rect){
+		"rstar": func() (kindTree, func(int) geom.Rect) {
 			rng := rand.New(rand.NewSource(23))
-			fired := false
-			for trial := 0; trial < 40; trial++ {
-				mem := pagefile.NewMemFile(testPageSize)
-				fault := pagefile.NewFaultFile(mem)
-				tree, err := mk(fault)
-				if err != nil {
+			tree, err := newTestRStar()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 150; i++ {
+				if err := tree.Insert(randRect(rng, 100, 5), i); err != nil {
 					t.Fatal(err)
 				}
-				live := map[uint64]geom.Rect{}
-				insert := func(oid uint64) error {
-					r := randRect(rng, 100, 5)
-					err := tree.Insert(r, oid)
-					if err == nil {
-						live[oid] = r
-					}
-					return err
+			}
+			tree.opts.Split = SplitAlgorithm(99)
+			return tree, func(int) geom.Rect { return randRect(rng, 100, 5) }
+		},
+		"rplus": func() (kindTree, func(int) geom.Rect) {
+			tree, err := NewRPlusArena(168)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tree, func(i int) geom.Rect {
+				d := float64(i + 1)
+				return geom.R(50-d, 50-d, 50+d, 50+d)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tree, next := mk()
+			live := collectAll(t, tree)
+			for i := 0; ; i++ {
+				if i == 1000 {
+					t.Fatal("no insert failed")
 				}
-				for i := uint64(0); i < 150; i++ {
-					if err := insert(i); err != nil {
-						t.Fatal(err)
-					}
+				pages, image := livePages(tree), flatEncode(t, tree, 1)
+				oid := uint64(1000 + i)
+				r := next(i)
+				err := tree.Insert(r, oid)
+				if err == nil {
+					live[oid] = r
+					continue
 				}
-
-				// The fault may land on any insert of the run; compare
-				// against the tree just before the one that failed.
-				fault.FailAfter(1+rng.Intn(25), true, true, trial%2 == 0)
-				var pagesBefore int
-				var opErr error
-				for i := uint64(500); i < 560 && opErr == nil; i++ {
-					pagesBefore = mem.NumPages()
-					opErr = insert(i)
-				}
-				if opErr == nil {
-					continue // fault landed on nothing fatal this trial
-				}
-				fired = true
-				if !errors.Is(opErr, pagefile.ErrInjected) {
-					t.Fatalf("trial %d: unexpected error %v", trial, opErr)
+				if name == "rplus" && !errors.Is(err, ErrUnsplittable) {
+					t.Fatalf("insert %d: %v, want ErrUnsplittable", i, err)
 				}
 				if got := collectAll(t, tree); !maps.Equal(got, live) || tree.Len() != len(live) {
-					t.Fatalf("trial %d: %d entries (Len %d) after rollback, want %d",
-						trial, len(got), tree.Len(), len(live))
+					t.Fatalf("%d entries (Len %d) after the failed insert, want %d", len(got), tree.Len(), len(live))
 				}
 				if err := tree.CheckInvariants(); err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
+					t.Fatal(err)
 				}
-				if np := mem.NumPages(); np != pagesBefore {
-					t.Fatalf("trial %d: %d live pages after rollback, had %d before the failed insert", trial, np, pagesBefore)
+				if !bytes.Equal(flatEncode(t, tree, 1), image) {
+					t.Fatal("the MBRFLAT1 image changed")
 				}
-			}
-			if !fired {
-				t.Fatal("no injected fault ever surfaced; harness broken")
+				if np := livePages(tree); np != pages {
+					t.Fatalf("%d live pages after the failed insert, had %d before it", np, pages)
+				}
+				return
 			}
 		})
 	}
@@ -171,12 +180,12 @@ func TestMutationRollbackLeavesTreeUnchanged(t *testing.T) {
 // squares fill one leaf to its overflow bound. An insert registered
 // first in a full leaf to its left, which it divides, and then in that
 // bounded leaf must fail with ErrUnsplittable — and leave the tree as
-// it was: no object lost, Len, Bounds and invariants unchanged, and a
-// byte-equal MBRFLAT1 image.
+// it was: no object lost, Len, Bounds and invariants unchanged, a
+// byte-equal MBRFLAT1 image, and the slots the divide allocated given
+// back.
 func TestRPlusUnsplittableInsertLosesNothing(t *testing.T) {
 	const pageSize = 168 // capacity 4
 	for name, mk := range map[string]func() (*RPlusTree, error){
-		"paged": func() (*RPlusTree, error) { return NewRPlus(pagefile.NewMemFile(pageSize)) },
 		"arena": func() (*RPlusTree, error) { return NewRPlusArena(pageSize) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -202,6 +211,7 @@ func TestRPlusUnsplittableInsertLosesNothing(t *testing.T) {
 			insert(geom.R(2, 2, 3, 3), 4)
 			bounds, _ := tree.Bounds()
 			image := flatEncode(t, tree, 1)
+			pages := livePages(tree)
 
 			if err := tree.Insert(geom.R(1.5, -20, 150, 120), 999); !errors.Is(err, ErrUnsplittable) {
 				t.Fatalf("insert 999 = %v, want ErrUnsplittable", err)
@@ -227,16 +237,18 @@ func TestRPlusUnsplittableInsertLosesNothing(t *testing.T) {
 			if !bytes.Equal(flatEncode(t, tree, 1), image) {
 				t.Error("the MBRFLAT1 image changed")
 			}
+			if np := livePages(tree); np != pages {
+				t.Errorf("%d live pages after the refused insert, had %d before it", np, pages)
+			}
 		})
 	}
 }
 
-// TestSnapshotReclamationWaitsForReaders checks that pages retired by
-// mutations are not physically freed while an older snapshot is
-// pinned, and are freed once the pin is released.
+// TestSnapshotReclamationWaitsForReaders checks that slots retired by
+// mutations are not freed while an older snapshot is pinned, and are
+// freed once the pin is released.
 func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
-	mem := pagefile.NewMemFile(testPageSize)
-	tree, err := NewRTree(mem)
+	tree, err := newTestRTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +260,7 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 	}
 
 	s := tree.acquire()
-	pinned := mem.NumPages()
+	pinned := livePages(tree)
 	// Every insert copy-on-writes its root-to-leaf path; with the old
 	// snapshot pinned none of the superseded pages may be reclaimed.
 	for i := uint64(1000); i < 1100; i++ {
@@ -256,12 +268,12 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	during := mem.NumPages()
+	during := livePages(tree)
 	if during <= pinned {
 		t.Fatalf("page count %d did not grow past %d while a snapshot was pinned", during, pinned)
 	}
 	tree.release(s)
-	after := mem.NumPages()
+	after := livePages(tree)
 	if after >= during {
 		t.Fatalf("releasing the snapshot reclaimed nothing: %d pages before, %d after", during, after)
 	}
@@ -270,8 +282,8 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 	}
 
 	// Steady state: with no reader pinning old snapshots, churn must
-	// not grow the file (retired pages are recycled at publication).
-	base := mem.NumPages()
+	// not grow the tree (retired slots are recycled at publication).
+	base := livePages(tree)
 	for round := 0; round < 5; round++ {
 		for i := uint64(0); i < 100; i++ {
 			r := randRect(rng, 100, 5)
@@ -286,7 +298,7 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 	// Node fill factors drift a little under churn; a genuine leak
 	// would grow by the whole shadowed path per insert (hundreds of
 	// pages here).
-	if np := mem.NumPages(); np > base+10 {
+	if np := livePages(tree); np > base+10 {
 		t.Fatalf("steady-state churn leaked pages: %d live, started at %d", np, base)
 	}
 }
@@ -296,14 +308,12 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 // monotonically non-decreasing (snapshots are published in insertion
 // order) and every search must be internally consistent (on the
 // covering trees, count equals distinct OIDs seen; an R+-tree registers
-// an object in several leaves). The arena legs are what catch a reader
-// that can reach a slot being installed, or a slot table being grown
-// (it starts at 64 slots): either is a data race the detector reports.
+// an object in several leaves). These are what catch a reader that can
+// reach a slot being installed, or a slot table being grown (it starts
+// at 64 slots): either is a data race the detector reports.
 func TestSnapshotConcurrentReadersAndWriter(t *testing.T) {
 	for name, mk := range map[string]func() (searcher, error){
-		"paged":       func() (searcher, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) },
-		"arena":       func() (searcher, error) { return newTestArenaRStar() },
-		"rplus":       func() (searcher, error) { return NewRPlus(pagefile.NewMemFile(testPageSize)) },
+		"arena":       func() (searcher, error) { return newTestRStar() },
 		"rplus-arena": func() (searcher, error) { return NewRPlusArena(testPageSize) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -314,10 +324,6 @@ func TestSnapshotConcurrentReadersAndWriter(t *testing.T) {
 			readersBesideWriter(t, tree)
 		})
 	}
-}
-
-func newTestArenaRStar() (*Tree, error) {
-	return NewArena(testPageSize, rstarOpts, "R*-tree")
 }
 
 func readersBesideWriter(t *testing.T, tree searcher) {
@@ -397,4 +403,60 @@ func collectAll(t *testing.T, tree searcher) map[uint64]geom.Rect {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestConcurrentSearchers runs parallel searches, kNN lookups and
+// interleaved writes under the race detector.
+func TestConcurrentSearchers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rt, err := newTestRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 500; i++ {
+		if err := rt.Insert(randRect(rng, 100, 4), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			local := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50; i++ {
+				w := randRect(local, 100, 10)
+				pred := func(r geom.Rect) bool { return r.Intersects(w) }
+				if err := rt.Search(pred, pred, func(geom.Rect, uint64) bool { return true }); err != nil {
+					errs <- err
+					return
+				}
+				if _, _, err := rt.NearestCtx(context.Background(), geom.Point{X: local.Float64() * 100, Y: local.Float64() * 100}, 5); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(g))
+	}
+	// A concurrent writer.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		local := rand.New(rand.NewSource(99))
+		for i := uint64(1000); i < 1100; i++ {
+			if err := rt.Insert(randRect(local, 100, 4), i); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -10,13 +10,11 @@ import (
 
 // splitNode distributes the entries of an overflowing node between the
 // node and a fresh sibling at the same level, according to the
-// configured algorithm. The node keeps its page id (so the parent slot
-// stays valid); the sibling is newly allocated and returned unwritten.
+// configured algorithm. The node keeps its arena slot (so the parent
+// entry stays valid); the sibling is newly allocated and returned
+// uninstalled.
 func (t *Tree) splitNode(n *node) (*node, error) {
-	sibling, err := t.allocMutNode(n.level)
-	if err != nil {
-		return nil, err
-	}
+	sibling := t.allocMutNode(n.level)
 	var left, right []Entry
 	switch t.opts.Split {
 	case SplitQuadratic:

@@ -12,10 +12,9 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
-var updateStoreGolden = flag.Bool("update", false, "rewrite testdata/store.golden from the page-file trees of this run")
+var updateStoreGolden = flag.Bool("update", false, "rewrite testdata/store.golden from this run")
 
 // digest is a short fingerprint of v's printed form.
 func digest(v ...any) string {
@@ -38,40 +37,29 @@ func digest(v ...any) string {
 // The R+ stream starts with a stack of nested squares that no cut line
 // separates, so an overflow-chained node (page cost above one) is in
 // every line after it. testdata/store.golden was written by trees whose
-// nodes sat on a page file; the node arena must reproduce it byte for
-// byte. go test -run TestStoreGolden -update rewrites it, which is only
+// nodes sat on a page file, before the node arena became the only node
+// store; the arena reproduced it byte for byte then and must go on doing
+// so. go test -run TestStoreGolden -update rewrites it, which is only
 // right for an intended change to the trees' shape or costs.
 func TestStoreGolden(t *testing.T) {
-	rstar := Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}
 	kinds := []struct {
-		name         string
-		paged, arena func() (diffTree, error)
-		joinable     bool
-		steps        int
+		name     string
+		mk       func() (kindTree, error)
+		joinable bool
+		steps    int
 	}{
-		{"R-tree",
-			func() (diffTree, error) { return NewRTree(pagefile.NewMemFile(testPageSize)) },
-			func() (diffTree, error) { return NewArena(testPageSize, Options{Split: SplitQuadratic}, "R-tree") },
-			true, 260},
-		{"R*-tree",
-			func() (diffTree, error) { return NewRStar(pagefile.NewMemFile(testPageSize)) },
-			func() (diffTree, error) { return NewArena(testPageSize, rstar, "R*-tree") },
-			true, 260},
-		{"R+-tree",
-			func() (diffTree, error) { return NewRPlus(pagefile.NewMemFile(testPageSize)) },
-			func() (diffTree, error) { return NewRPlusArena(testPageSize) },
-			false, 160},
+		{"R-tree", func() (kindTree, error) { return newTestRTree() }, true, 260},
+		{"R*-tree", func() (kindTree, error) { return newTestRStar() }, true, 260},
+		{"R+-tree", func() (kindTree, error) { return NewRPlusArena(testPageSize) }, false, 160},
 	}
-	var paged, arena []string
+	var lines []string
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			paged = append(paged, replayStoreStream(t, k.name, k.paged, k.joinable, k.steps)...)
-			arena = append(arena, replayStoreStream(t, k.name, k.arena, k.joinable, k.steps)...)
+			lines = append(lines, replayStoreStream(t, k.name, k.mk, k.joinable, k.steps)...)
 		})
 	}
-	got := strings.Join(paged, "\n") + "\n"
 	if *updateStoreGolden {
-		if err := os.WriteFile("testdata/store.golden", []byte(got), 0o644); err != nil {
+		if err := os.WriteFile("testdata/store.golden", []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,25 +68,23 @@ func TestStoreGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	for name, lines := range map[string][]string{"paged": paged, "arena": arena} {
-		for i := range max(len(lines), len(wantLines)) {
-			g, w := "(none)", "(none)"
-			if i < len(lines) {
-				g = lines[i]
-			}
-			if i < len(wantLines) {
-				w = wantLines[i]
-			}
-			if g != w {
-				t.Fatalf("%s trees differ from testdata/store.golden at line %d:\n got:  %s\n want: %s", name, i+1, g, w)
-			}
+	for i := range max(len(lines), len(wantLines)) {
+		g, w := "(none)", "(none)"
+		if i < len(lines) {
+			g = lines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("the trees differ from testdata/store.golden at line %d:\n got:  %s\n want: %s", i+1, g, w)
 		}
 	}
 }
 
 // replayStoreStream runs one kind's mutation stream on the tree mk
 // builds and returns its golden lines.
-func replayStoreStream(t *testing.T, kind string, mk func() (diffTree, error), joinable bool, steps int) []string {
+func replayStoreStream(t *testing.T, kind string, mk func() (kindTree, error), joinable bool, steps int) []string {
 	t.Helper()
 	tree, err := mk()
 	if err != nil {

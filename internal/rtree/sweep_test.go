@@ -9,7 +9,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/mbr"
-	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/topo"
 )
 
@@ -71,25 +70,18 @@ func sansStrategy(ts TraversalStats) TraversalStats {
 	return ts
 }
 
-// joinSources builds the three trees a join can meet over the same
-// records: an arena tree, a paged tree, and a tree adopted from the
-// arena tree's MBRFLAT1 image. They hold the same nodes in the same
-// entry order.
+// joinSources builds the two trees a join can meet over the same
+// records: a tree built by inserts, and a tree adopted from its
+// MBRFLAT1 image. They hold the same nodes in the same entry order.
 func joinSources(t *testing.T, recs []Record) map[string]*Tree {
 	t.Helper()
-	arena, err := newTestArenaRStar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged, err := NewRStar(pagefile.NewMemFile(testPageSize))
+	arena, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		for _, tr := range []*Tree{arena, paged} {
-			if err := tr.Insert(r.Rect, r.OID); err != nil {
-				t.Fatal(err)
-			}
+		if err := arena.Insert(r.Rect, r.OID); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if arena.Height() < 3 {
@@ -103,13 +95,13 @@ func joinSources(t *testing.T, recs []Record) map[string]*Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Tree{"arena": arena, "paged": paged, "adopted": adopted}
+	return map[string]*Tree{"arena": arena, "adopted": adopted}
 }
 
-// TestJoinSidecarDifferential: with the sweep order kept beside arena
-// node versions (and sorted into scratch for paged ones) a join emits
-// the nested-loop oracle's pair multiset and reads its pages, on every
-// representation, for each of the eight relations and for a set with
+// TestJoinSidecarDifferential: with the sweep order kept beside node
+// versions a join emits the nested-loop oracle's pair multiset and
+// reads its pages, on a built and an adopted tree, for each of the
+// eight relations and for a set with
 // disjoint in it (the nested matcher), joined with another tree and with
 // itself, serial and on four workers — and the numbers are the ones the
 // engine produced before it kept anything (the table below was printed
@@ -139,7 +131,7 @@ func TestJoinSidecarDifferential(t *testing.T) {
 		prune, accept := pairPreds(rels)
 		sweep := !rels.Has(topo.Disjoint)
 		for side, others := range []map[string]*Tree{right, left} {
-			want, wantStats, onEdge := refJoin(t, left["paged"], others["paged"], prune, accept, true)
+			want, wantStats, onEdge := refJoin(t, left["arena"], others["arena"], prune, accept, true)
 			if p := parent[name][side]; wantStats.Emitted != p.pairs || int(wantStats.NodeAccesses) != p.accesses {
 				t.Errorf("%s, side %d: oracle has %d pairs over %d accesses, the parent commit had %d over %d",
 					name, side, wantStats.Emitted, wantStats.NodeAccesses, p.pairs, p.accesses)
@@ -211,7 +203,7 @@ func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			other, err := newTestArenaRStar()
+			other, err := newTestRStar()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +313,7 @@ func collectRecords(t *testing.T, tr *Tree, out *[]Record) {
 // written: every join over it must find the same pairs.
 func TestSweepRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	src, err := newTestArenaRStar()
+	src, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +417,7 @@ func TestJoinAllocsIndependentOfNodePairs(t *testing.T) {
 			for j := range recs {
 				recs[j] = Record{Rect: randRect(rng, 1000, 10), OID: uint64(j + 1)}
 			}
-			tr, err := newTestArenaRStar()
+			tr, err := newTestRStar()
 			if err != nil {
 				t.Fatal(err)
 			}

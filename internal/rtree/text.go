@@ -4,7 +4,7 @@ import (
 	"mbrtopo/internal/geom"
 )
 
-// This file is the side-car of an arena leaf: its entries' rectangles
+// This file is the side-car of a leaf: its entries' rectangles
 // in wire form (geom.Rect.AppendWire), rendered once per node version
 // so that a served answer copies the bytes instead of deriving the
 // shortest digits of the same stored floats on every match.
@@ -22,7 +22,6 @@ import (
 // so copy-on-write is its whole invalidation story: a mutation installs
 // a new version, which starts unearned, and the old version keeps its
 // text for the readers (and the checkpoint image) that still hold it.
-// Paged nodes are decoded afresh on every access and never have one.
 
 // leafText is every entry's rectangle in wire form, back to back:
 // entry i is s[off[i]:off[i+1]], empty when its rectangle is not
@@ -42,13 +41,13 @@ type Hit struct {
 }
 
 // Text returns the rectangle in wire form when the leaf the entry sits
-// in has earned its text, and "" when it has not (or never will: a
-// paged node, a non-finite rectangle) — the caller then renders the
-// rectangle itself. Asking is what earns: callers that do not need the
-// bytes must not call Text.
+// in has earned its text, and "" when it has not (or never will: a Hit
+// built outside this package, a non-finite rectangle) — the caller then
+// renders the rectangle itself. Asking is what earns: callers that do
+// not need the bytes must not call Text.
 func (h Hit) Text() string {
 	n := h.leaf
-	if n == nil || n.cost == 0 {
+	if n == nil {
 		return ""
 	}
 	t := n.text.Load()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // hitSearcher is what the side-car tests drive: the three mutable trees
@@ -45,11 +44,11 @@ func scanTexts(t testing.TB, label string, s hitSearcher) (with, without int) {
 }
 
 // liveNodes is the set of node versions a tree's slot table reaches.
-func liveNodes(st *store) map[*node]bool {
-	st.ar.mu.Lock()
-	defer st.ar.mu.Unlock()
+func liveNodes(st *arena) map[*node]bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	out := map[*node]bool{}
-	for _, n := range *st.ar.tab.Load() {
+	for _, n := range *st.tab.Load() {
 		if n != nil && n != reserved {
 			out[n] = true
 		}
@@ -86,19 +85,18 @@ func requireUnearned(t *testing.T, label string, nodes map[*node]bool) {
 	}
 }
 
-// TestTextEarnedByRentOrBuy pins the rule on every arena-backed source:
-// a leaf hands out no text until consumers have rendered as many of its
-// entries themselves as it holds — one full scan — and all of it, equal
-// to the renderer's bytes, from the next request on; a paged tree never
-// has any; and a consumer that does not ask (SearchCtx, kNN) earns
-// nothing.
+// TestTextEarnedByRentOrBuy pins the rule on every source: a leaf hands
+// out no text until consumers have rendered as many of its entries
+// themselves as it holds — one full scan — and all of it, equal to the
+// renderer's bytes, from the next request on; and a consumer that does
+// not ask (SearchCtx, kNN) earns nothing.
 func TestTextEarnedByRentOrBuy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := make([]Record, 600)
 	for i := range recs {
 		recs[i] = Record{Rect: randRect(rng, 1000, 30), OID: uint64(i + 1)}
 	}
-	tree, err := newTestArenaRStar()
+	tree, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +104,8 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged, err := NewRStar(pagefile.NewMemFile(testPageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range recs {
-		for _, s := range []searcher{tree, rplus, paged} {
+		for _, s := range []searcher{tree, rplus} {
 			if err := s.Insert(r.Rect, r.OID); err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +137,6 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 			t.Fatalf("%s: second scan got text for %d hits and none for %d, want all and 0", name, with, without)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		if with, _ := scanTexts(t, "paged tree", paged); with != 0 {
-			t.Fatalf("a paged tree handed out text for %d hits", with)
-		}
-	}
 }
 
 // TestTextFollowsNodeVersions: copy-on-write is the side-car's whole
@@ -157,9 +146,9 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 // replaced — text and all — are unreachable from the slot table.
 func TestTextFollowsNodeVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for name, mk := range map[string]func() (diffTree, error){
-		"R*-tree": func() (diffTree, error) { return newTestArenaRStar() },
-		"R+-tree": func() (diffTree, error) { return NewRPlusArena(testPageSize) },
+	for name, mk := range map[string]func() (kindTree, error){
+		"R*-tree": func() (kindTree, error) { return newTestRStar() },
+		"R+-tree": func() (kindTree, error) { return NewRPlusArena(testPageSize) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			tree, err := mk()
@@ -167,7 +156,7 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 			hs := tree.(hitSearcher)
-			st, _ := storeOf(t, tree)
+			st, _ := arenaOf(t, tree)
 			live := map[uint64]geom.Rect{}
 			for oid := uint64(1); oid <= 300; oid++ {
 				live[oid] = randRect(rng, 1000, 30)
@@ -239,7 +228,7 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 // so the same side-car is bought from either side.
 func TestTextRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	src, err := newTestArenaRStar()
+	src, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +365,7 @@ func TestTextCost(t *testing.T) {
 		t.Fatalf("the image holds text for %d entries (%d bytes), the tree that adopted it for %d (%d)", ie, ib, entries, bytes)
 	}
 
-	odd, err := newTestArenaRStar()
+	odd, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}

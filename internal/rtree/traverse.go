@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/pagefile"
 )
 
 // This file is the shared traversal core of the read path. Both tree
@@ -15,25 +16,25 @@ import (
 // explicit stack:
 //
 //   - it is context-aware: cancellation is checked before every node
-//     expansion, so a slow query aborts within one page read;
+//     expansion, so a slow query aborts within one node access;
 //   - it accounts its own IO: every page read (including R+ overflow
-//     chain pages) is counted in a per-traversal TraversalStats rather
-//     than derived by diffing the page file's global counters, so the
-//     numbers stay exact when many queries run concurrently;
+//     pages) is counted in a per-traversal TraversalStats rather than
+//     derived by diffing the arena's global counters, so the numbers
+//     stay exact when many queries run concurrently;
 //   - it stops as soon as emit declines a hit, which is how streaming
 //     consumers bound their answers.
 //
 // The traversal holds no tree-level state, so any number of traversals
 // may run in parallel, each over the snapshot it pinned.
 
-// TraversalStats counts the work of one traversal. Unlike the page
-// file's global counters (pagefile.Stats), which aggregate across all
-// operations on the file, a TraversalStats belongs to exactly one
-// traversal and is exact under any degree of concurrency.
+// TraversalStats counts the work of one traversal. Unlike a tree's
+// global page counters (IOStats), which aggregate across all operations
+// on the tree, a TraversalStats belongs to exactly one traversal and is
+// exact under any degree of concurrency.
 type TraversalStats struct {
 	// NodeAccesses is the number of pages read: one per visited node
-	// plus one per overflow-chain page (the paper's "disk accesses per
-	// search" metric).
+	// plus one per overflow page (the paper's "disk accesses per search"
+	// metric).
 	NodeAccesses uint64
 	// NodesVisited is the number of tree nodes expanded.
 	NodesVisited uint64
@@ -66,30 +67,27 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 // (text.go) reaches a consumer that asks for it; emit returning false
 // stops the search without error. The context is checked before each
 // node expansion; on cancellation the traversal returns ctx.Err() with
-// the stats accumulated so far.
-//
-// Nodes are fetched through the store's read path, so the same
-// traversal serves pages and the arena; node-access accounting uses
-// each node's recorded cost and is bit-identical across the two.
-func traverse(ctx context.Context, src *store, root uint64,
+// the stats accumulated so far. Node-access accounting sums each node's
+// page cost.
+func traverse(ctx context.Context, src *arena, root pagefile.PageID,
 	nodePred, leafPred func(geom.Rect) bool,
 	emit func(Hit) bool) (TraversalStats, error) {
 
 	var stats TraversalStats
-	stack := make([]uint64, 0, 32)
+	stack := make([]pagefile.PageID, 0, 32)
 	stack = append(stack, root)
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		ref := stack[len(stack)-1]
+		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := src.readNodeRef(ref)
+		n, err := src.get(id)
 		if err != nil {
 			return stats, err
 		}
 		stats.NodesVisited++
-		stats.NodeAccesses += n.accessCost()
+		stats.NodeAccesses += uint64(n.cost)
 		if n.isLeaf() {
 			for i := range n.entries {
 				e := &n.entries[i]
@@ -107,7 +105,7 @@ func traverse(ctx context.Context, src *store, root uint64,
 		// expanded first (the recursion's visit order).
 		for i := len(n.entries) - 1; i >= 0; i-- {
 			if nodePred(n.entries[i].Rect) {
-				stack = append(stack, n.childRef(i))
+				stack = append(stack, n.entries[i].Child)
 			}
 		}
 	}

@@ -42,7 +42,7 @@ func loadedCtxTrees(t *testing.T, n int) map[string]ctxSearcher {
 }
 
 // TestSearchCtxStatsMatchGlobalCounters pins the per-traversal
-// accounting to the page file's global counters when a single search
+// accounting to the tree's global page counters when a single search
 // runs alone: NodeAccesses must equal exactly the pages the search
 // read.
 func TestSearchCtxStatsMatchGlobalCounters(t *testing.T) {
@@ -59,7 +59,7 @@ func TestSearchCtxStatsMatchGlobalCounters(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got := s.IOStats().Reads; ts.NodeAccesses != got {
-				t.Errorf("%s window %v: traversal counted %d accesses, page file %d",
+				t.Errorf("%s window %v: traversal counted %d accesses, the tree's counters %d",
 					name, w, ts.NodeAccesses, got)
 			}
 			if ts.NodesVisited == 0 || ts.NodesVisited > ts.NodeAccesses {
@@ -134,18 +134,11 @@ func TestNearestCtxCancellation(t *testing.T) {
 // declines, which is how every consumer bounds an answer.
 func TestTraverseLimit(t *testing.T) {
 	for name, s := range loadedCtxTrees(t, 200) {
-		var st *store
-		var root pagefile.PageID
-		switch v := s.(type) {
-		case *Tree:
-			st, root = v.st, v.root
-		case *RPlusTree:
-			st, root = v.st, v.root
-		}
+		st, root := arenaOf(t, s)
 		all := func(geom.Rect) bool { return true }
 		for _, limit := range []int{1, 7, 50} {
 			got := 0
-			ts, err := traverse(context.Background(), st, uint64(root), all, all,
+			ts, err := traverse(context.Background(), st, root, all, all,
 				func(Hit) bool { got++; return got < limit })
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

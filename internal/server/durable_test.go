@@ -826,6 +826,30 @@ func TestUnreadableDirectories(t *testing.T) {
 	}
 }
 
+// TestPageSizeBeyondTheImageRefusedAtBoot: a page size whose nodes an
+// MBRFLAT1 image cannot record (more than 4095 entries a page) is
+// refused when the index is added, in memory and durable alike — before
+// a durable index writes a checkpoint the next boot would reject — so
+// topod exits at boot naming it.
+func TestPageSizeBeyondTheImageRefusedAtBoot(t *testing.T) {
+	items := []index.Item{{Rect: geom.R(0, 0, 1, 1), OID: 1}}
+	for _, dir := range []string{"", t.TempDir()} {
+		srv := New(Config{})
+		spec := IndexSpec{Name: "main", Kind: index.KindRStar, PageSize: 8 + 40*70000, Bulk: true, Dir: dir}
+		if _, err := srv.AddIndex(spec, items); err == nil || !strings.Contains(err.Error(), "page size 2800008 too large") {
+			t.Fatalf("dir %q: AddIndex = %v, want the page size refused", dir, err)
+		}
+		if dir != "" {
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("the refused index left %d files in %s", len(left), dir)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBootRefusesTileLayout: a directory holding any file of a tile
 // layout (name.t<i>.*) is refused whether or not a single image sits
 // beside it, with an error naming the tile files — and the refusal

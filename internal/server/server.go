@@ -421,7 +421,7 @@ func (inst *Instance) serve(idx index.Index) {
 }
 
 // newTree creates an empty tree of the spec's kind: nodes decoded in
-// memory, accesses charged at the spec's page size. No page file.
+// memory, accesses charged at the spec's page size.
 func newTree(spec IndexSpec) (index.Index, error) {
 	return index.NewWithPageSize(spec.Kind, spec.PageSize)
 }

@@ -103,8 +103,7 @@ type Options struct {
 	// WriteHook, when set, runs before every append write with the
 	// target offset and byte count, and failing it fails the append —
 	// the fault-injection point durability tests use to exercise the
-	// "applied but not logged" degradation path (the log-file analogue
-	// of pagefile.CrashFile).
+	// "applied but not logged" degradation path.
 	WriteHook func(off int64, n int) error
 }
 

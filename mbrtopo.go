@@ -16,9 +16,9 @@
 //     refinement-free configurations, conceptual-neighbourhood
 //     expansion for non-crisp MBRs (packages interval, mbr);
 //   - three access methods with disk-access accounting — R-tree,
-//     R+-tree, R*-tree — on a simulated page file or, in memory, on a
-//     decoded node arena charging the same page reads (packages rtree,
-//     pagefile, index);
+//     R+-tree, R*-tree — held in memory in a decoded node arena that
+//     charges each node access the pages the node fills (packages
+//     rtree, pagefile, index);
 //   - a query processor implementing the paper's 4-step strategy,
 //     disjunctive queries, and two-reference conjunctions with
 //     composition-based empty-result detection (package query).
