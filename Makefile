@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzLineEncode -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFlatDecode -fuzztime=$(FUZZTIME) ./internal/rtree
+	$(GO) test -run='^$$' -fuzz=FuzzJoinOrder -fuzztime=$(FUZZTIME) ./internal/rtree
 	$(GO) test -run='^$$' -fuzz=FuzzTilePrune -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDomination -fuzztime=$(FUZZTIME) ./internal/mbr
 	$(GO) test -run='^$$' -fuzz=FuzzPairAdmits -fuzztime=$(FUZZTIME) ./internal/query

@@ -1,10 +1,11 @@
-package mbr
+package mbr_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -17,11 +18,11 @@ func TestTable1SoundOnRegions(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	const perRelation = 300
 	for _, r := range topo.All() {
-		seen := map[Config]int{}
+		seen := map[mbr.Config]int{}
 		for i := 0; i < perRelation; i++ {
 			p, q := workload.PairInRelation(rng, r)
-			c := ConfigOf(p.Bounds(), q.Bounds())
-			if !Candidates(r).Has(c) {
+			c := mbr.ConfigOf(p.Bounds(), q.Bounds())
+			if !mbr.Candidates(r).Has(c) {
 				t.Fatalf("relation %v realised config %v outside its Table 1 row\np=%v\nq=%v",
 					r, c, p, q)
 			}
@@ -34,16 +35,16 @@ func TestTable1SoundOnRegions(t *testing.T) {
 }
 
 // TestPossibleRelationsSound: dually, the exact relation of any two
-// regions must be a member of PossibleRelations of their MBR config.
+// regions must be a member of mbr.PossibleRelations of their MBR config.
 func TestPossibleRelationsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, r := range topo.All() {
 		for i := 0; i < 150; i++ {
 			p, q := workload.PairInRelation(rng, r)
-			c := ConfigOf(p.Bounds(), q.Bounds())
-			if !PossibleRelations(c).Has(r) {
+			c := mbr.ConfigOf(p.Bounds(), q.Bounds())
+			if !mbr.PossibleRelations(c).Has(r) {
 				t.Fatalf("config %v: PossibleRelations %v misses actual relation %v",
-					c, PossibleRelations(c), r)
+					c, mbr.PossibleRelations(c), r)
 			}
 		}
 	}
@@ -75,14 +76,14 @@ func TestMeetInCrossingConfig(t *testing.T) {
 	if got := geom.Relate(p, q); got != topo.Meet {
 		t.Fatalf("hypotenuse construction relates as %v, want meet", got)
 	}
-	c := ConfigOf(p.Bounds(), q.Bounds())
+	c := mbr.ConfigOf(p.Bounds(), q.Bounds())
 	if c.String() != "R4_6" {
 		t.Fatalf("hypotenuse construction has config %v, want R4_6", c)
 	}
-	if !Candidates(topo.Meet).Has(c) {
+	if !mbr.Candidates(topo.Meet).Has(c) {
 		t.Fatal("meet row must include the touching crossing R4_6")
 	}
-	if Candidates(topo.Disjoint).Has(c) {
+	if mbr.Candidates(topo.Disjoint).Has(c) {
 		t.Fatal("disjoint row must exclude crossing configurations")
 	}
 
@@ -96,17 +97,17 @@ func TestMeetInCrossingConfig(t *testing.T) {
 		{X: 3.5, Y: 0}, {X: 3.6, Y: 0}, {X: 3.6, Y: 3.9}, {X: 4, Y: 3.9},
 		{X: 4, Y: 4.1}, {X: 3.6, Y: 4.1}, {X: 3.6, Y: 5}, {X: 3.5, Y: 5},
 	}
-	cc := ConfigOf(bar.Bounds(), corridor.Bounds())
+	cc := mbr.ConfigOf(bar.Bounds(), corridor.Bounds())
 	if cc.String() != "R4_9" {
 		t.Fatalf("bar/corridor config = %v, want R4_9", cc)
 	}
 	if got := geom.Relate(bar, corridor); got != topo.Overlap {
 		t.Fatalf("bar/corridor relates as %v; the forced-overlap theorem says overlap", got)
 	}
-	if Candidates(topo.Meet).Has(cc) {
+	if mbr.Candidates(topo.Meet).Has(cc) {
 		t.Fatal("meet row must exclude the forced-overlap configuration R4_9")
 	}
-	if RefinementNeeded(cc, topo.Overlap) {
+	if mbr.RefinementNeeded(cc, topo.Overlap) {
 		t.Fatal("R4_9 should be refinement-free for overlap queries")
 	}
 }
@@ -125,18 +126,18 @@ func TestMeetWitnessInUCavity(t *testing.T) {
 	if got := geom.Relate(block, u); got != topo.Meet {
 		t.Fatalf("cavity block relates as %v, want meet", got)
 	}
-	c := ConfigOf(block.Bounds(), u.Bounds())
+	c := mbr.ConfigOf(block.Bounds(), u.Bounds())
 	if c.String() != "R9_9" {
 		t.Fatalf("cavity block config = %v, want R9_9", c)
 	}
-	if !Candidates(topo.Meet).Has(c) {
+	if !mbr.Candidates(topo.Meet).Has(c) {
 		t.Fatal("meet row must include R9_9")
 	}
 }
 
 // TestPropagationSoundOnRects: for random nested rectangles, if a leaf
 // MBR is in configuration c then any covering node rectangle is in
-// Propagation({c}).
+// mbr.Propagation({c}).
 func TestPropagationSoundOnRects(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	q := geom.R(10, 10, 20, 20)
@@ -154,11 +155,11 @@ func TestPropagationSoundOnRects(t *testing.T) {
 			leaf.Min.X-float64(rng.Intn(4)), leaf.Min.Y-float64(rng.Intn(4)),
 			leaf.Max.X+float64(rng.Intn(4)), leaf.Max.Y+float64(rng.Intn(4)),
 		)
-		c := ConfigOf(leaf, q)
-		pc := ConfigOf(node, q)
-		if !Propagation(NewConfigSet(c)).Has(pc) {
+		c := mbr.ConfigOf(leaf, q)
+		pc := mbr.ConfigOf(node, q)
+		if !mbr.Propagation(mbr.NewConfigSet(c)).Has(pc) {
 			t.Fatalf("leaf %v (config %v) under node %v (config %v): node config not in propagation %v",
-				leaf, c, node, pc, Propagation(NewConfigSet(c)))
+				leaf, c, node, pc, mbr.Propagation(mbr.NewConfigSet(c)))
 		}
 	}
 }
@@ -169,7 +170,7 @@ func TestPropagationSoundOnRects(t *testing.T) {
 func TestExpand2SoundUnderEnlargement(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, r := range topo.All() {
-		row := CandidatesNonCrisp(r)
+		row := mbr.CandidatesNonCrisp(r)
 		for i := 0; i < 200; i++ {
 			p, q := workload.PairInRelation(rng, r)
 			pb, qb := p.Bounds(), q.Bounds()
@@ -181,7 +182,7 @@ func TestExpand2SoundUnderEnlargement(t *testing.T) {
 					Max: geom.Point{X: b.Max.X + e(), Y: b.Max.Y + e()},
 				}
 			}
-			c := ConfigOf(enlarge(pb), enlarge(qb))
+			c := mbr.ConfigOf(enlarge(pb), enlarge(qb))
 			if !row.Has(c) {
 				t.Fatalf("%v: enlarged config %v outside Table 5 row", r, c)
 			}

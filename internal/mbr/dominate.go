@@ -1,6 +1,8 @@
 package mbr
 
 import (
+	"math"
+
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/interval"
 )
@@ -132,3 +134,110 @@ func (d Domination) Admits(p, q geom.Rect) bool {
 	return d.X.Admits(p.Min.X, p.Max.X, q.Min.X, q.Max.X) &&
 		d.Y.Admits(p.Min.Y, p.Max.Y, q.Min.Y, q.Max.Y)
 }
+
+// Sweep is what the masks of a Domination tell a plane sweep that
+// pairs two lists of rectangles in low-x order: which orders of the
+// partners' low x edges, and which corner positions against the other
+// list's MBR, an admitted pair (p, q) can have.
+type Sweep struct {
+	// Earlier, Level and Later say whether p.Min.X < q.Min.X,
+	// p.Min.X == q.Min.X and p.Min.X > q.Min.X are admissible.
+	Earlier, Level, Later bool
+
+	left, right [2]cornerBounds // per axis, for p and for q
+}
+
+// cornerBounds says which edges of the partner's MBR bound the low and
+// the high end of a rectangle on one axis: floor is "at or above the
+// partner MBR's low edge", ceil "at or below its high edge".
+type cornerBounds struct {
+	loFloor, loCeil, hiFloor, hiCeil bool
+}
+
+// Sweep derives the sweep facts of d. ok is false for the zero
+// Domination, which promises nothing, and unless every pair d admits
+// shares a point on both axes — no before or after sign, the condition
+// under which a sweep over x-overlapping pairs finds them all.
+func (d Domination) Sweep() (s Sweep, ok bool) {
+	if d == (Domination{}) {
+		return Sweep{}, false
+	}
+	for _, a := range [2]AxisDom{d.X, d.Y} {
+		if a.m[3]&signLess != 0 || a.m[2]&signMore != 0 {
+			return Sweep{}, false
+		}
+	}
+	lowX := d.X.m[0]
+	return Sweep{
+		Earlier: lowX&signLess != 0,
+		Level:   lowX&signEqual != 0,
+		Later:   lowX&signMore != 0,
+		left:    [2]cornerBounds{d.X.bounds(), d.Y.bounds()},
+		right:   [2]cornerBounds{d.X.converse().bounds(), d.Y.converse().bounds()},
+	}, true
+}
+
+// bounds are the corner bounds of p against an MBR holding q. For a
+// comparison sign(x − v) with v anywhere in [lo, hi], a mask without
+// "<" forces x ≥ v ≥ lo, and one without ">" forces x ≤ v ≤ hi; p.Lo
+// meets q in comparisons 0 and 2, p.Hi in 1 and 3. (Dropping the strict
+// forms keeps the bounds a sound relaxation.)
+func (d AxisDom) bounds() cornerBounds {
+	noLess := func(k int) bool { return d.m[k]&signLess == 0 }
+	noMore := func(k int) bool { return d.m[k]&signMore == 0 }
+	return cornerBounds{
+		loFloor: noLess(0) || noLess(2), loCeil: noMore(0) || noMore(2),
+		hiFloor: noLess(1) || noLess(3), hiCeil: noMore(1) || noMore(3),
+	}
+}
+
+// converse is the predicate with the roles of p and q swapped: every
+// sign flips, and the two cross comparisons trade places.
+func (d AxisDom) converse() AxisDom {
+	flip := func(m uint8) uint8 { return m&signEqual | (m&signLess)<<2 | (m&signMore)>>2 }
+	return AxisDom{m: [4]uint8{flip(d.m[0]), flip(d.m[1]), flip(d.m[3]), flip(d.m[2])}}
+}
+
+// Left is the window the corners of a rectangle p must lie in for p to
+// be admitted against some rectangle inside m.
+func (s Sweep) Left(m geom.Rect) Window { return window(s.left, m) }
+
+// Right is the window the corners of a rectangle q must lie in for some
+// rectangle inside m to be admitted against q.
+func (s Sweep) Right(m geom.Rect) Window { return window(s.right, m) }
+
+func window(b [2]cornerBounds, m geom.Rect) Window {
+	var w Window
+	w.Min.Min.X, w.Min.Max.X = span(b[0].loFloor, b[0].loCeil, m.Min.X, m.Max.X)
+	w.Min.Min.Y, w.Min.Max.Y = span(b[1].loFloor, b[1].loCeil, m.Min.Y, m.Max.Y)
+	w.Max.Min.X, w.Max.Max.X = span(b[0].hiFloor, b[0].hiCeil, m.Min.X, m.Max.X)
+	w.Max.Min.Y, w.Max.Max.Y = span(b[1].hiFloor, b[1].hiCeil, m.Min.Y, m.Max.Y)
+	return w
+}
+
+func span(floor, ceil bool, lo, hi float64) (float64, float64) {
+	from, to := math.Inf(-1), math.Inf(1)
+	if floor {
+		from = lo
+	}
+	if ceil {
+		to = hi
+	}
+	return from, to
+}
+
+// Window bounds where the corners of a rectangle may lie: Min holds
+// its lower-left corner, Max its upper-right one.
+type Window struct {
+	Min, Max geom.Rect
+}
+
+// Fits reports whether r's corners lie in the window.
+func (w Window) Fits(r geom.Rect) bool {
+	return w.Min.ContainsPoint(r.Min) && w.Max.ContainsPoint(r.Max)
+}
+
+// Touching is the set of configurations whose projections share at
+// least one point on both axes — exactly the configurations that can
+// realise a relation other than disjoint.
+func Touching() ConfigSet { return ProductSet(touchAxes, touchAxes) }

@@ -31,24 +31,49 @@ func TestDominationSoundSingleConfig(t *testing.T) {
 // TestDominationSoundTopoSets is the headline property over the sets
 // the query processor actually uses: for every topological relation's
 // candidate set (and the propagation set used in node predicates),
-// the pre-test never rejects a pair the exact test accepts.
+// the pre-test never rejects a pair the exact test accepts, and neither
+// do the sweep facts, which exist exactly for the point-sharing sets.
 func TestDominationSoundTopoSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pairs := randomRectPairs(rng, 5000)
-	sets := []ConfigSet{FullConfigSet()}
+	sets := []ConfigSet{FullConfigSet(), Touching()}
 	for _, rel := range topo.All() {
 		cands := CandidatesSet(topo.NewSet(rel))
-		sets = append(sets, cands, Propagation(cands))
+		sets = append(sets, cands, Propagation(cands), CandidatesNonContiguous(rel))
 	}
 	for si, set := range sets {
 		dom := DominationFor(set)
+		sweep, ok := dom.Sweep()
+		if ok != set.SubsetOf(Touching()) {
+			t.Fatalf("set %d: Sweep says ok %v, but SubsetOf(Touching()) is %v", si, ok, !ok)
+		}
 		for _, pr := range pairs {
-			if set.Has(ConfigOf(pr[0], pr[1])) && !dom.Admits(pr[0], pr[1]) {
+			if !set.Has(ConfigOf(pr[0], pr[1])) {
+				continue
+			}
+			if !dom.Admits(pr[0], pr[1]) {
 				t.Fatalf("set %d: domination rejected %v vs %v whose config %v is in the set",
+					si, pr[0], pr[1], ConfigOf(pr[0], pr[1]))
+			}
+			if ok && !sweepKeeps(sweep, pr[0], pr[1]) {
+				t.Fatalf("set %d: the sweep facts drop %v vs %v whose config %v is in the set",
 					si, pr[0], pr[1], ConfigOf(pr[0], pr[1]))
 			}
 		}
 	}
+}
+
+// sweepKeeps reports whether a sweep steered by s would test (p, q)
+// with q in a node whose MBR is q and p in one whose MBR is p — the
+// tightest windows there are.
+func sweepKeeps(s Sweep, p, q geom.Rect) bool {
+	order := s.Later
+	if p.Min.X < q.Min.X {
+		order = s.Earlier
+	} else if p.Min.X == q.Min.X {
+		order = s.Level
+	}
+	return order && s.Left(q).Fits(p) && s.Right(p).Fits(q)
 }
 
 // TestDominationPrunes makes sure the predicate is not vacuous: for a
@@ -92,6 +117,10 @@ func FuzzDomination(f *testing.F) {
 		dom := DominationFor(set)
 		if set.Has(ConfigOf(p, q)) && !dom.Admits(p, q) {
 			t.Fatalf("domination rejected %v vs %v with config %v in set for %v",
+				p, q, ConfigOf(p, q), rels)
+		}
+		if sweep, ok := dom.Sweep(); ok && set.Has(ConfigOf(p, q)) && !sweepKeeps(sweep, p, q) {
+			t.Fatalf("the sweep facts drop %v vs %v with config %v in set for %v",
 				p, q, ConfigOf(p, q), rels)
 		}
 		prop := Propagation(set)

@@ -1,10 +1,11 @@
-package mbr
+package mbr_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/workload"
 )
 
@@ -18,16 +19,16 @@ func TestLineCandidateCardinalities(t *testing.T) {
 		geom.LROnBoundary: 16,
 	}
 	for r, n := range want {
-		if got := LineCandidates(r).Len(); got != n {
+		if got := mbr.LineCandidates(r).Len(); got != n {
 			t.Errorf("|%v| = %d, want %d", r, got, n)
 		}
 	}
-	var union ConfigSet
+	var union mbr.ConfigSet
 	for _, r := range geom.AllLineRegionRelations() {
-		union = union.Union(LineCandidates(r))
+		union = union.Union(mbr.LineCandidates(r))
 	}
-	if !union.Equal(FullConfigSet()) {
-		t.Errorf("line rows miss configurations: %v", FullConfigSet().Minus(union))
+	if !union.Equal(mbr.FullConfigSet()) {
+		t.Errorf("line rows miss configurations: %v", mbr.FullConfigSet().Minus(union))
 	}
 }
 
@@ -50,8 +51,8 @@ func TestLineCandidatesSoundOnGeometry(t *testing.T) {
 			return // axis-aligned line: degenerate MBR, out of scope here
 		}
 		rel, _ := geom.RelateLineRegion(pl, R)
-		cfg := ConfigOf(b, R.Bounds())
-		if !LineCandidates(rel).Has(cfg) {
+		cfg := mbr.ConfigOf(b, R.Bounds())
+		if !mbr.LineCandidates(rel).Has(cfg) {
 			t.Fatalf("line %v relation %v realised config %v outside its row", pl, rel, cfg)
 		}
 	}
@@ -94,7 +95,7 @@ func TestLineWithinStrictNesting(t *testing.T) {
 		if rel != geom.LRWithin {
 			continue
 		}
-		cfg := ConfigOf(pl.Bounds(), region.Bounds())
+		cfg := mbr.ConfigOf(pl.Bounds(), region.Bounds())
 		if cfg.String() != "R9_9" {
 			t.Fatalf("within line has config %v", cfg)
 		}
@@ -104,8 +105,8 @@ func TestLineWithinStrictNesting(t *testing.T) {
 func TestPossibleLineRelations(t *testing.T) {
 	// Equal MBRs: the line may touch, cross, be covered by or run along
 	// the boundary — not be strictly within, not be disjoint.
-	c := Config{7, 7}
-	got := PossibleLineRelations(c)
+	c := mbr.Config{X: 7, Y: 7}
+	got := mbr.PossibleLineRelations(c)
 	want := map[geom.LineRegionRelation]bool{
 		geom.LRTouch: true, geom.LRCross: true,
 		geom.LRCoveredBy: true, geom.LROnBoundary: true,

@@ -6,7 +6,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/interval"
 	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
@@ -75,20 +74,6 @@ func CanJoin(left, right index.Index) error {
 	return err
 }
 
-// sweepSafe reports whether every admissible configuration shares at
-// least one point on each axis — the soundness condition for the
-// engine's plane-sweep matcher and node-MBR clipping, which only
-// enumerate axis-overlapping pairs. Every topological relation except
-// disjoint implies MBR intersection, so any relation set without
-// disjoint qualifies; sets containing disjoint fall back to the
-// pruned nested loop (which still dedups child reads and runs on the
-// worker pool).
-func sweepSafe(cands mbr.ConfigSet) bool {
-	xs, ys := cands.XRelations(), cands.YRelations()
-	return !xs.Has(interval.Before) && !xs.Has(interval.After) &&
-		!ys.Has(interval.Before) && !ys.Has(interval.After)
-}
-
 // JoinStream runs the join, calling yield for every result pair as it
 // is found. Without object stores the pairs are filter-level
 // candidates; with both stores set each candidate goes through step 4
@@ -119,7 +104,8 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		stats     Stats
 		refineErr error
 	)
-	ts, err := rtree.JoinCtx(ctx, t1, t2, pairTestFor(mbr.JoinPropagation(cands)).admits, pairTestFor(cands).admits,
+	accept := pairTestFor(cands)
+	ts, err := rtree.JoinCtx(ctx, t1, t2, pairTestFor(mbr.JoinPropagation(cands)).admits, accept.admits,
 		func(a, b rtree.Hit) bool {
 			if dropSelf && a.OID == b.OID {
 				return true
@@ -149,7 +135,7 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 				p.LeftText, p.RightText = a.Text(), b.Text()
 			}
 			return yield(p)
-		}, rtree.JoinOptions{Workers: opts.Workers, Intersecting: sweepSafe(cands)})
+		}, rtree.JoinOptions{Workers: opts.Workers, Accept: accept.dom})
 	stats.NodeAccesses = ts.NodeAccesses
 	if refineErr != nil {
 		return stats, refineErr

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -268,36 +269,41 @@ func TestJoinErrors(t *testing.T) {
 // request) — is what it did while a histogram density estimate sat in
 // front of the sweep-or-nested decision: the same pairs (count and an
 // order-free checksum), the same pages, the same number of matched node
-// pairs. The table was printed by this test at the parent commit, with
-// that estimate passed to the engine as JoinStream then did; it sent one
+// pairs. Those four columns were printed by this test with that
+// estimate passed to the engine as JoinStream then did; it sent one
 // node pair of the large class's 4 115 down the nested loop and swept
 // every other, as the size rule alone now sweeps them all.
+//
+// tested counts the accept calls. Before the relation's sign masks
+// steered the leaf sweep it was the same for every relation of a class:
+// 149 939 (small), 472 771 (medium) and 1 997 225 (large).
 func TestJoinFiguresPinned(t *testing.T) {
 	type row struct {
 		pairs     int
 		checksum  uint64
 		accesses  uint64
 		nodePairs uint64
+		tested    int
 	}
-	parent := map[string]row{
-		"small/inside":      {530, 2619934539177, 553, 1405},
-		"small/contains":    {478, 2374103480737, 553, 1405},
-		"small/covers":      {478, 2374103480737, 553, 1405},
-		"small/covered_by":  {530, 2619934539177, 553, 1405},
-		"small/overlap":     {44232, 220918087341230, 553, 1405},
-		"small/meet":        {41692, 208375807951164, 553, 1405},
-		"medium/inside":     {2547, 12685832104232, 566, 1689},
-		"medium/contains":   {2560, 12811954050650, 566, 1689},
-		"medium/covers":     {2560, 12811954050650, 566, 1689},
-		"medium/covered_by": {2547, 12685832104232, 566, 1689},
-		"medium/overlap":    {222050, 1110820578932225, 566, 1689},
-		"medium/meet":       {209022, 1045256261058536, 566, 1689},
-		"large/inside":      {13406, 66060474157309, 718, 4115},
-		"large/contains":    {13020, 65304432582132, 718, 4115},
-		"large/covers":      {13020, 65304432582132, 718, 4115},
-		"large/covered_by":  {13406, 66060474157309, 718, 4115},
-		"large/overlap":     {1140431, 5708885354228733, 718, 4115},
-		"large/meet":        {1072825, 5369615381700767, 718, 4115},
+	pinned := map[string]row{
+		"small/inside":      {530, 2619934539177, 553, 1405, 58880},
+		"small/contains":    {478, 2374103480737, 553, 1405, 58045},
+		"small/covers":      {478, 2374103480737, 553, 1405, 58045},
+		"small/covered_by":  {530, 2619934539177, 553, 1405, 58880},
+		"small/overlap":     {44232, 220918087341230, 553, 1405, 149939},
+		"small/meet":        {41692, 208375807951164, 553, 1405, 149939},
+		"medium/inside":     {2547, 12685832104232, 566, 1689, 148296},
+		"medium/contains":   {2560, 12811954050650, 566, 1689, 144797},
+		"medium/covers":     {2560, 12811954050650, 566, 1689, 144797},
+		"medium/covered_by": {2547, 12685832104232, 566, 1689, 148296},
+		"medium/overlap":    {222050, 1110820578932225, 566, 1689, 472771},
+		"medium/meet":       {209022, 1045256261058536, 566, 1689, 472771},
+		"large/inside":      {13406, 66060474157309, 718, 4115, 431881},
+		"large/contains":    {13020, 65304432582132, 718, 4115, 417694},
+		"large/covers":      {13020, 65304432582132, 718, 4115, 417694},
+		"large/covered_by":  {13406, 66060474157309, 718, 4115, 431881},
+		"large/overlap":     {1140431, 5708885354228733, 718, 4115, 1997225},
+		"large/meet":        {1072825, 5369615381700767, 718, 4115, 1997225},
 	}
 	for _, class := range workload.AllSizeClasses() {
 		var trees [2]*rtree.Tree
@@ -312,22 +318,118 @@ func TestJoinFiguresPinned(t *testing.T) {
 		for _, rel := range []topo.Relation{topo.Inside, topo.Contains, topo.Covers, topo.CoveredBy, topo.Overlap, topo.Meet} {
 			cands := mbr.CandidatesSet(topo.NewSet(rel))
 			prop := mbr.JoinPropagation(cands)
+			accept := pairTestFor(cands)
 			var got row
 			ts, err := rtree.JoinCtx(context.Background(), trees[0], trees[1],
-				pairTestFor(prop).admits, pairTestFor(cands).admits,
+				pairTestFor(prop).admits,
+				func(a, b geom.Rect) bool {
+					got.tested++
+					return accept.admits(a, b)
+				},
 				func(a, b rtree.Hit) bool {
 					got.pairs++
 					got.checksum += a.OID*1000003 + b.OID
 					return true
-				}, rtree.JoinOptions{Workers: 1, Intersecting: sweepSafe(cands)})
+				}, rtree.JoinOptions{Workers: 1, Accept: accept.dom})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got.accesses, got.nodePairs = ts.NodeAccesses, ts.SweepPairs+ts.NestedPairs
 			name := class.String() + "/" + rel.String()
-			if want := parent[name]; got != want {
-				t.Errorf("%s: %+v (%d node pairs swept), the parent commit had %+v", name, got, ts.SweepPairs, want)
+			if want := pinned[name]; got != want {
+				t.Errorf("%s: %+v (%d node pairs swept), pinned %+v", name, got, ts.SweepPairs, want)
 			}
 		}
 	}
+}
+
+// TestJoinMatchesBruteForce: the filter-level join of two medium packed
+// R*-trees returns exactly the pairs whose MBR configuration an
+// all-pairs scan finds in the relation set's Table 1 row — an oracle
+// that runs neither the engine nor the pair test — for every relation
+// but disjoint and two sets, under the contiguous and the Section 7
+// tables, and for a self-join that keeps its (o, o) pairs. One right
+// object in ten copies its left namesake or grows it from the same low
+// corner, so equal MBRs and level low edges occur across the trees too.
+func TestJoinMatchesBruteForce(t *testing.T) {
+	const n = 2000
+	var (
+		rects [2][]geom.Rect // by OID − 1
+		idx   [2]index.Index
+	)
+	for i, seed := range []int64{7, 8} {
+		items := workload.NewDataset(workload.Medium, n, 0, seed).Items
+		rects[i] = make([]geom.Rect, n)
+		for k, it := range items {
+			if i == 1 && it.OID%20 == 0 {
+				items[k].Rect = rects[0][it.OID-1]
+			} else if i == 1 && it.OID%20 == 10 {
+				items[k].Rect = rects[0][it.OID-1]
+				items[k].Rect.Max = items[k].Rect.Max.Add(geom.Point{X: 1, Y: 1})
+			}
+			rects[i][it.OID-1] = items[k].Rect
+		}
+		tr, err := index.NewPacked(index.KindRStar, index.PaperPageSize, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx[i] = tr
+	}
+	// configs(l, r)[a*n+b] is the configuration index of l[a] against r[b].
+	configs := func(l, r []geom.Rect) []uint8 {
+		out := make([]uint8, 0, n*n)
+		for _, a := range l {
+			for _, b := range r {
+				out = append(out, uint8(mbr.ConfigOf(a, b).Index()))
+			}
+		}
+		return out
+	}
+	check := func(label string, left, right index.Index, cfgs []uint8, rels topo.Set, opts JoinOptions) {
+		t.Helper()
+		res, err := JoinTopological(left, right, rels, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := mbr.CandidatesSet(rels)
+		if opts.NonContiguous {
+			cands = mbr.CandidatesNonContiguousSet(rels)
+		}
+		got := make([]bool, n*n)
+		for _, p := range res.Pairs {
+			k := (p.LeftOID-1)*n + p.RightOID - 1
+			if got[k] {
+				t.Fatalf("%s: pair (%d, %d) emitted twice", label, p.LeftOID, p.RightOID)
+			}
+			got[k] = true
+		}
+		want := 0
+		for k, c := range cfgs {
+			in := cands.Has(mbr.ConfigFromIndex(int(c)))
+			if in {
+				want++
+			}
+			if in != got[k] {
+				t.Fatalf("%s: pair (%d, %d) in configuration %v: joined %v, Table 1 says %v",
+					label, k/n+1, k%n+1, mbr.ConfigFromIndex(int(c)), got[k], in)
+			}
+		}
+		if want == 0 {
+			t.Errorf("%s: no pair qualifies; the check proves nothing", label)
+		}
+	}
+
+	cross := configs(rects[0], rects[1])
+	sets := []topo.Set{topo.NewSet(topo.Inside, topo.CoveredBy), topo.NewSet(topo.Contains, topo.Equal)}
+	for _, r := range topo.All() {
+		if r != topo.Disjoint {
+			sets = append(sets, topo.NewSet(r))
+		}
+	}
+	for _, nonContig := range []bool{false, true} {
+		for _, rels := range sets {
+			check(fmt.Sprintf("%v, non-contiguous %v", rels, nonContig), idx[0], idx[1], cross, rels, JoinOptions{NonContiguous: nonContig})
+		}
+	}
+	check("self-join, covered_by", idx[0], idx[0], configs(rects[0], rects[0]), topo.NewSet(topo.CoveredBy), JoinOptions{KeepSelfPairs: true})
 }

@@ -212,7 +212,7 @@ func TestFlatJoin(t *testing.T) {
 			func(a, b Hit) bool {
 				pairs[[2]uint64{a.OID, b.OID}]++
 				return true
-			}, JoinOptions{Workers: 1, Intersecting: true})
+			}, JoinOptions{Workers: 1, Accept: touchingDom})
 		if err != nil {
 			t.Fatalf("join: %v", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/pagefile"
 )
 
@@ -20,14 +21,17 @@ import (
 //
 //   - every child page is read at most once per node pair (the nested
 //     loop re-reads the right child for every matching left entry);
-//   - when the caller asserts that qualifying pairs always share a
-//     point (every topological relation set except ones containing
-//     disjoint), entries are matched by a forward plane sweep over
-//     their low-x order, restricted to the intersection of the two
-//     node MBRs, so only x-overlapping combinations are tested. An
-//     arena node version keeps that order and its MBR beside it
-//     (nodeSweep), so a node pair costs a filter of two kept orders
-//     into the worker's scratch — no sort, no allocation;
+//   - when the accept test's sign masks (JoinOptions.Accept) say that
+//     qualifying pairs always share a point (every topological relation
+//     set except ones containing disjoint), entries are matched by a
+//     forward plane sweep over their low-x order, so only x-overlapping
+//     combinations are tested. Between leaves the masks also say which
+//     low-x orders can qualify — an inside entry never opens before its
+//     partner — so the sweep skips the scans that cannot, and each side
+//     keeps only the entries whose corners can reach a partner inside
+//     the other node's MBR. An arena node version keeps its order and
+//     its MBR beside it (nodeSweep), so a node pair costs a filter of two
+//     kept orders into the worker's scratch — no sort, no allocation;
 //   - the top-level node pairs (and, when that fans out too little,
 //     the second-level pairs) are distributed over a bounded worker
 //     pool. All workers traverse the same two pinned snapshots, and
@@ -44,16 +48,23 @@ type JoinOptions struct {
 	// Workers bounds the traversal worker pool. 0 (or negative) uses
 	// GOMAXPROCS; 1 runs the whole join on the calling goroutine.
 	Workers int
-	// Intersecting asserts that every pair accept (and prune) can admit
-	// shares at least one point on each axis. It enables the plane-sweep
-	// matcher and node-MBR clipping, which only enumerate axis-
-	// overlapping combinations; setting it when axis-disjoint pairs can
-	// qualify loses results.
-	Intersecting bool
+	// Accept is the sign-mask form of accept: accept must reject every
+	// pair Accept.Admits rejects. When its masks admit only pairs that
+	// share a point on both axes (mbr.Domination.Sweep), node and leaf
+	// entries are matched by the plane sweep, node pairs whose
+	// rectangles share no point are never expanded, and leaf pairs are
+	// only tested in the low-x orders and corner windows the masks
+	// allow; the zero value promises nothing and runs the nested
+	// matcher. Masks that admit less than accept does lose results.
+	Accept mbr.Domination
 }
 
+// touching is the sweep of node pairs: a pair of covering rectangles
+// holds a point-sharing leaf pair only if the rectangles share it too.
+var touching, _ = mbr.DominationFor(mbr.Touching()).Sweep()
+
 // sweepMinPairs is the entry-count product under which the sweep's
-// clip-and-order set-up cannot pay for itself.
+// window-and-order set-up cannot pay for itself.
 const sweepMinPairs = 16
 
 // joinFanout is the task-to-worker ratio under which the coordinator
@@ -107,7 +118,10 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 	e := &joinEngine{
 		src1: t1.st, src2: t2.st,
 		prune: prune, accept: accept, emit: emit,
-		opts: opts, ctx: jctx, cancel: cancel,
+		ctx: jctx, cancel: cancel,
+	}
+	if leaf, ok := opts.Accept.Sweep(); ok {
+		e.leaf, e.node = &leaf, &touching
 	}
 	coord := &joinWorker{e: e}
 	r1, err := coord.read1(root1)
@@ -133,7 +147,9 @@ type joinEngine struct {
 	prune      func(a, b geom.Rect) bool
 	accept     func(a, b geom.Rect) bool
 	emit       func(a, b Hit) bool
-	opts       JoinOptions
+	// leaf and node sweep leaf-leaf and node pairs; nil runs the nested
+	// matcher.
+	leaf, node *mbr.Sweep
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -320,7 +336,7 @@ func (w *joinWorker) emitPair(n1 *node, i int, n2 *node, j int) error {
 // prune test.
 func (w *joinWorker) join(n1, n2 *node) error {
 	if n1.isLeaf() && n2.isLeaf() {
-		return w.match(n1, n2, w.e.accept, func(i, j int) error {
+		return w.match(n1, n2, w.e.leaf, w.e.accept, func(i, j int) error {
 			return w.emitPair(n1, i, n2, j)
 		})
 	}
@@ -384,7 +400,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 	sc.left = resetNodes(sc.left, len(n1.entries))
 	sc.right = resetNodes(sc.right, len(n2.entries))
 	left, right := sc.left, sc.right
-	return w.match(n1, n2, w.e.prune, func(i, j int) error {
+	return w.match(n1, n2, w.e.node, w.e.prune, func(i, j int) error {
 		var err error
 		if left[i] == nil {
 			if left[i], err = w.read1(n1.entries[i].Child); err != nil {
@@ -411,17 +427,15 @@ func resetNodes(buf []*node, k int) []*node {
 }
 
 // match enumerates the entry pairs of two nodes that pass test and
-// hands their indexes to found. Under the Intersecting contract the
-// pairs come from a plane sweep that only visits x-overlapping
-// combinations inside the nodes' common region — unless the pair is so
-// small (sweepMinPairs) that the plain nested loop is cheaper than
-// bringing both sides into low-x order inside the clip region;
-// otherwise every combination is tested.
-func (w *joinWorker) match(n1, n2 *node, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
-	if w.e.opts.Intersecting {
+// hands their indexes to found. With a sweep the pairs come from the
+// plane sweep — unless the pair is so small (sweepMinPairs) that the
+// plain nested loop is cheaper than bringing both sides into low-x
+// order inside their windows; otherwise every combination is tested.
+func (w *joinWorker) match(n1, n2 *node, sweep *mbr.Sweep, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
+	if sweep != nil {
 		if len(n1.entries)*len(n2.entries) >= sweepMinPairs {
 			w.stats.SweepPairs++
-			return w.matchSweep(n1, n2, test, found)
+			return w.matchSweep(n1, n2, sweep, test, found)
 		}
 		w.stats.NestedPairs++
 	}
@@ -438,51 +452,64 @@ func (w *joinWorker) match(n1, n2 *node, test func(a, b geom.Rect) bool, found f
 	return nil
 }
 
-// matchSweep is the forward plane sweep: both nodes' entries are
-// restricted to the (closed, possibly degenerate) intersection of the
-// node MBRs — a qualifying pair shares a point, and a shared point of
-// two entries lies inside both node rectangles — and swept in low-x
-// order. At each step the unprocessed entry with the smallest low
-// edge is paired with every opposite entry whose low edge lies inside
-// its x extent; each x-overlapping pair is therefore tested exactly
-// once (when its earlier-opening member is processed) and pairs that
-// merely touch are kept (meet is a point-sharing relation).
-func (w *joinWorker) matchSweep(n1, n2 *node, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
+// matchSweep is the forward plane sweep. Each side keeps the entries
+// whose corners lie in the sweep's window against the other node's MBR
+// — for a point-sharing sweep that is every entry touching the
+// intersection of the node MBRs, for an inside sweep every left entry
+// within the right node's MBR — and the kept entries are swept in low-x
+// order. At each step the unprocessed entry with the smallest low edge
+// is paired with the opposite entries whose low edge lies inside its x
+// extent; each x-overlapping pair is therefore met exactly once (when
+// its earlier-opening member is processed, the left one on a tie), and
+// pairs that merely touch are kept (meet is a point-sharing relation).
+// A left entry processed meets partners opening level with it or later,
+// a right one partners opening strictly later: the scans an admitted
+// pair cannot come from are skipped, and without Earlier a left entry
+// meets only the partners level with it.
+func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
 	m1, kept1 := n1.swept()
 	m2, kept2 := n2.swept()
-	clip := clipRect(m1, m2)
-	if clip.Min.X > clip.Max.X || clip.Min.Y > clip.Max.Y {
+	if !m1.Intersects(m2) {
 		return nil
 	}
 	sc := w.scratchFor(n1, n2)
-	sc.ord1 = sweepOrder(sc.ord1[:0], n1, kept1, clip)
-	sc.ord2 = sweepOrder(sc.ord2[:0], n2, kept2, clip)
+	sc.ord1 = sweepOrder(sc.ord1[:0], n1, kept1, sweep.Left(m2))
+	sc.ord2 = sweepOrder(sc.ord2[:0], n2, kept2, sweep.Right(m1))
 	s1, s2 := sc.ord1, sc.ord2
 	e1, e2 := n1.entries, n2.entries
+	leftScans := sweep.Earlier || sweep.Level
 	for i, j := 0, 0; i < len(s1) && j < len(s2); {
 		a, b := e1[s1[i]].Rect, e2[s2[j]].Rect
 		if a.Min.X <= b.Min.X {
-			for k := j; k < len(s2); k++ {
-				r := &e2[s2[k]].Rect
-				if r.Min.X > a.Max.X {
-					break
+			if leftScans {
+				reach := a.Max.X
+				if !sweep.Earlier {
+					reach = a.Min.X
 				}
-				if test(a, *r) {
-					if err := found(int(s1[i]), int(s2[k])); err != nil {
-						return err
+				for k := j; k < len(s2); k++ {
+					r := &e2[s2[k]].Rect
+					if r.Min.X > reach {
+						break
+					}
+					if test(a, *r) {
+						if err := found(int(s1[i]), int(s2[k])); err != nil {
+							return err
+						}
 					}
 				}
 			}
 			i++
 		} else {
-			for k := i; k < len(s1); k++ {
-				r := &e1[s1[k]].Rect
-				if r.Min.X > b.Max.X {
-					break
-				}
-				if test(*r, b) {
-					if err := found(int(s1[k]), int(s2[j])); err != nil {
-						return err
+			if sweep.Later {
+				for k := i; k < len(s1); k++ {
+					r := &e1[s1[k]].Rect
+					if r.Min.X > b.Max.X {
+						break
+					}
+					if test(*r, b) {
+						if err := found(int(s1[k]), int(s2[j])); err != nil {
+							return err
+						}
 					}
 				}
 			}
@@ -490,16 +517,6 @@ func (w *joinWorker) matchSweep(n1, n2 *node, test func(a, b geom.Rect) bool, fo
 		}
 	}
 	return nil
-}
-
-// clipRect is the closed intersection of two rectangles: degenerate
-// (zero extent) when they only share an edge or corner, inverted
-// (Min > Max on an axis) when they are disjoint.
-func clipRect(a, b geom.Rect) geom.Rect {
-	return geom.Rect{
-		Min: geom.Point{X: max(a.Min.X, b.Min.X), Y: max(a.Min.Y, b.Min.Y)},
-		Max: geom.Point{X: min(a.Max.X, b.Max.X), Y: min(a.Max.Y, b.Max.Y)},
-	}
 }
 
 // nodeSweep is the sweep side-car of a node version: what every join
@@ -540,13 +557,17 @@ func (n *node) swept() (geom.Rect, []int32) {
 	return k.mbr, k.ord
 }
 
-// sweepOrder appends to ord the indexes of the entries touching the
-// clip region, by low x: a filter of the kept order, which preserves
-// it.
-func sweepOrder(ord []int32, n *node, kept []int32, clip geom.Rect) []int32 {
+// sweepOrder appends to ord the indexes of the entries whose corners
+// lie in win, by low x: a filter of the kept order, which preserves it
+// and ends where the low edges pass the window.
+func sweepOrder(ord []int32, n *node, kept []int32, win mbr.Window) []int32 {
 	ord = slices.Grow(ord, len(n.entries))
 	for _, i := range kept {
-		if n.entries[i].Rect.Intersects(clip) {
+		r := &n.entries[i].Rect
+		if r.Min.X > win.Min.Max.X {
+			break
+		}
+		if win.Fits(*r) {
 			ord = append(ord, i)
 		}
 	}

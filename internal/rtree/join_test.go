@@ -54,6 +54,16 @@ func unionOf(entries []Entry) geom.Rect {
 	return r
 }
 
+// clipRect is the closed intersection of two rectangles: degenerate
+// (zero extent) when they only share an edge or corner, inverted
+// (Min > Max on an axis) when they are disjoint.
+func clipRect(a, b geom.Rect) geom.Rect {
+	return geom.Rect{
+		Min: geom.Point{X: max(a.Min.X, b.Min.X), Y: max(a.Min.Y, b.Min.Y)},
+		Max: geom.Point{X: min(a.Max.X, b.Max.X), Y: min(a.Max.Y, b.Max.Y)},
+	}
+}
+
 // refJoin is the textbook nested-loop join over any two trees,
 // written independently of the engine: the differential oracle for its
 // pair multiset and its page reads. Every combination is tested and node
@@ -176,7 +186,7 @@ func TestJoinSweepEquivalence(t *testing.T) {
 	t1 := buildJoinTree(t, 3, 1200)
 	t2 := buildJoinTree(t, 4, 1200)
 	nestedPairs, nested := runJoin(t, t1, t2, JoinOptions{Workers: 1})
-	sweepPairs, sweep := runJoin(t, t1, t2, JoinOptions{Workers: 1, Intersecting: true})
+	sweepPairs, sweep := runJoin(t, t1, t2, JoinOptions{Workers: 1, Accept: touchingDom})
 	samePairs(t, nestedPairs, sweepPairs, "sweep vs nested")
 	// The strategy decision log necessarily differs between the two
 	// engines; everything else must agree exactly.
@@ -193,9 +203,9 @@ func TestJoinSweepEquivalence(t *testing.T) {
 func TestJoinParallelEquivalence(t *testing.T) {
 	t1 := buildJoinTree(t, 5, 1500)
 	t2 := buildJoinTree(t, 6, 1500)
-	serialPairs, serial := runJoin(t, t1, t2, JoinOptions{Workers: 1, Intersecting: true})
+	serialPairs, serial := runJoin(t, t1, t2, JoinOptions{Workers: 1, Accept: touchingDom})
 	for _, workers := range []int{2, 4, 8} {
-		pairs, stats := runJoin(t, t1, t2, JoinOptions{Workers: workers, Intersecting: true})
+		pairs, stats := runJoin(t, t1, t2, JoinOptions{Workers: workers, Accept: touchingDom})
 		samePairs(t, serialPairs, pairs, "parallel vs serial")
 		if stats != serial {
 			t.Fatalf("workers=%d stats %+v != serial stats %+v", workers, stats, serial)
@@ -203,8 +213,8 @@ func TestJoinParallelEquivalence(t *testing.T) {
 	}
 
 	// Self-join through the same pool: a consistent single snapshot.
-	selfSerial, ss := runJoin(t, t1, t1, JoinOptions{Workers: 1, Intersecting: true})
-	selfPar, sp := runJoin(t, t1, t1, JoinOptions{Workers: 4, Intersecting: true})
+	selfSerial, ss := runJoin(t, t1, t1, JoinOptions{Workers: 1, Accept: touchingDom})
+	selfPar, sp := runJoin(t, t1, t1, JoinOptions{Workers: 4, Accept: touchingDom})
 	samePairs(t, selfSerial, selfPar, "parallel self-join")
 	if ss != sp {
 		t.Fatalf("self-join stats diverge: serial %+v parallel %+v", ss, sp)
@@ -228,7 +238,7 @@ func TestJoinEmitStop(t *testing.T) {
 			func(Hit, Hit) bool {
 				emits++
 				return emits < 5
-			}, JoinOptions{Workers: workers, Intersecting: true})
+			}, JoinOptions{Workers: workers, Accept: touchingDom})
 		if err != nil {
 			t.Fatalf("workers=%d: stopped join returned error %v", workers, err)
 		}
@@ -244,7 +254,7 @@ func TestJoinEmitStop(t *testing.T) {
 func TestJoinCancel(t *testing.T) {
 	t1 := buildJoinTree(t, 9, 1500)
 	t2 := buildJoinTree(t, 10, 1500)
-	_, full := runJoin(t, t1, t2, JoinOptions{Workers: 1, Intersecting: true})
+	_, full := runJoin(t, t1, t2, JoinOptions{Workers: 1, Accept: touchingDom})
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		emits := 0
@@ -255,7 +265,7 @@ func TestJoinCancel(t *testing.T) {
 					cancel()
 				}
 				return true
-			}, JoinOptions{Workers: workers, Intersecting: true})
+			}, JoinOptions{Workers: workers, Accept: touchingDom})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: cancelled join returned %v, want context.Canceled", workers, err)

@@ -34,13 +34,17 @@ func tieRects(rng *rand.Rand, n int, firstOID uint64) []Record {
 	return recs
 }
 
-// pairPreds are the engine predicates of a topological join over a
-// relation set, the bare Table 1 / Table 2 probes.
-func pairPreds(rels topo.Set) (prune, accept func(a, b geom.Rect) bool) {
-	cands := mbr.CandidatesSet(rels)
+// touchingDom is the sign-mask form of intersectsPred.
+var touchingDom = mbr.DominationFor(mbr.Touching())
+
+// setPreds are the engine predicates of a join over a configuration
+// set: the bare probes of the set and of its Table 2 join propagation,
+// and the set's sign masks.
+func setPreds(cands mbr.ConfigSet) (prune, accept func(a, b geom.Rect) bool, dom mbr.Domination) {
 	prop := mbr.JoinPropagation(cands)
 	return func(a, b geom.Rect) bool { return prop.Has(mbr.ConfigOf(a, b)) },
-		func(a, b geom.Rect) bool { return cands.Has(mbr.ConfigOf(a, b)) }
+		func(a, b geom.Rect) bool { return cands.Has(mbr.ConfigOf(a, b)) },
+		mbr.DominationFor(cands)
 }
 
 // enginePairs runs the engine and returns the pair multiset, the pairs
@@ -99,13 +103,13 @@ func joinSources(t *testing.T, recs []Record) map[string]*Tree {
 }
 
 // TestJoinSidecarDifferential: with the sweep order kept beside node
-// versions a join emits the nested-loop oracle's pair multiset and
-// reads its pages, on a built and an adopted tree, for each of the
-// eight relations and for a set with
-// disjoint in it (the nested matcher), joined with another tree and with
-// itself, serial and on four workers — and the numbers are the ones the
-// engine produced before it kept anything (the table below was printed
-// by this test at the parent commit).
+// versions, and each relation's sign masks steering the leaf sweep, a
+// join emits the nested-loop oracle's pair multiset and reads its pages,
+// on a built and an adopted tree, for each of the eight relations and
+// for a set with disjoint in it (the nested matcher), joined with
+// another tree and with itself, serial and on four workers — and the
+// numbers are the ones the engine produced before it kept anything (the
+// table below was printed by this test at that commit).
 func TestJoinSidecarDifferential(t *testing.T) {
 	type row struct{ pairs, accesses int }
 	// relation set → {left ⋈ right, left ⋈ left}
@@ -128,8 +132,11 @@ func TestJoinSidecarDifferential(t *testing.T) {
 	left := joinSources(t, tieRects(rng, 400, 1))
 	right := joinSources(t, tieRects(rng, 400, 1001))
 	for name, rels := range sets {
-		prune, accept := pairPreds(rels)
-		sweep := !rels.Has(topo.Disjoint)
+		prune, accept, dom := setPreds(mbr.CandidatesSet(rels))
+		_, sweep := dom.Sweep()
+		if sweep == rels.Has(topo.Disjoint) {
+			t.Fatalf("%s: the masks say sweep %v", name, sweep)
+		}
 		for side, others := range []map[string]*Tree{right, left} {
 			want, wantStats, onEdge := refJoin(t, left["arena"], others["arena"], prune, accept, true)
 			if p := parent[name][side]; wantStats.Emitted != p.pairs || int(wantStats.NodeAccesses) != p.accesses {
@@ -142,7 +149,7 @@ func TestJoinSidecarDifferential(t *testing.T) {
 			for kind := range left {
 				for _, workers := range []int{1, 4} {
 					label := name + "/" + kind
-					opts := JoinOptions{Workers: workers, Intersecting: sweep}
+					opts := JoinOptions{Workers: workers, Accept: dom}
 					got, seq, stats := enginePairs(t, left[kind], others[kind], prune, accept, opts)
 					samePairs(t, want, got, label)
 					if sansStrategy(stats) != wantStats {
@@ -231,7 +238,7 @@ func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 						}
 					}
 				}
-				got, _, _ := enginePairs(t, tree, other, intersectsPred, intersectsPred, JoinOptions{Workers: 1, Intersecting: true})
+				got, _, _ := enginePairs(t, tree, other, intersectsPred, intersectsPred, JoinOptions{Workers: 1, Accept: touchingDom})
 				samePairs(t, want, got, label)
 			}
 			joinAndCheck("warm-up")
@@ -351,7 +358,7 @@ func TestSweepRace(t *testing.T) {
 				}
 				n++
 				return true
-			}, JoinOptions{Workers: 1 + i%2, Intersecting: true})
+			}, JoinOptions{Workers: 1 + i%2, Accept: touchingDom})
 			if err != nil {
 				t.Errorf("%s: %v", label, err)
 				return
@@ -431,7 +438,7 @@ func TestJoinAllocsIndependentOfNodePairs(t *testing.T) {
 		}
 		run := func() {
 			ts, err := JoinCtx(context.Background(), trees[0], trees[1], intersectsPred, intersectsPred,
-				func(Hit, Hit) bool { return true }, JoinOptions{Workers: 1, Intersecting: true})
+				func(Hit, Hit) bool { return true }, JoinOptions{Workers: 1, Accept: touchingDom})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -449,4 +456,60 @@ func TestJoinAllocsIndependentOfNodePairs(t *testing.T) {
 	if allocs[1] > allocs[0]+6 || allocs[0] > 40 {
 		t.Fatalf("%v allocations for %d node pairs, %v for %d: want the same small constant", allocs[0], nodePairs[0], allocs[1], nodePairs[1])
 	}
+}
+
+// FuzzJoinOrder: for a fuzz-chosen configuration set — any subset of the
+// 169, not only the ones Table 1 produces — over grid-snapped data, the
+// engine steered by the set's sign masks emits the nested-loop oracle's
+// pair multiset and reads its pages, joined with another tree and with
+// itself. A set that admits axis-disjoint pairs runs the nested matcher,
+// so its point-sharing part is checked too: that is the set the sweep
+// takes, with whatever low-x orders and corner windows its masks allow.
+func FuzzJoinOrder(f *testing.F) {
+	words := func(cs mbr.ConfigSet) (w [3]uint64) {
+		for _, c := range cs.Configs() {
+			w[c.Index()/64] |= 1 << (c.Index() % 64)
+		}
+		return w
+	}
+	for i, r := range topo.All() {
+		w := words(mbr.CandidatesSet(topo.NewSet(r)))
+		f.Add(w[0], w[1], w[2], int64(i))
+	}
+	w := words(mbr.CandidatesNonContiguousSet(topo.NewSet(topo.Inside, topo.CoveredBy)))
+	f.Add(w[0], w[1], w[2], int64(41))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), int64(43))
+	f.Fuzz(func(t *testing.T, w0, w1, w2 uint64, seed int64) {
+		var set mbr.ConfigSet
+		for i, w := range [3]uint64{w0, w1, w2} {
+			for b := 0; b < 64 && i*64+b < mbr.NumConfigs; b++ {
+				if w&(1<<b) != 0 {
+					set.Add(mbr.ConfigFromIndex(i*64 + b))
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var trees [2]*Tree
+		for i := range trees {
+			tr, err := newTestRStar()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.InsertBatch(tieRects(rng, 150, uint64(1+1000*i))); err != nil {
+				t.Fatal(err)
+			}
+			trees[i] = tr
+		}
+		for _, s := range []mbr.ConfigSet{set, set.Intersect(mbr.Touching())} {
+			prune, accept, dom := setPreds(s)
+			for _, other := range trees {
+				want, wantStats, _ := refJoin(t, trees[0], other, prune, accept, true)
+				got, _, stats := enginePairs(t, trees[0], other, prune, accept, JoinOptions{Workers: 1, Accept: dom})
+				samePairs(t, want, got, s.String())
+				if sansStrategy(stats) != wantStats {
+					t.Fatalf("%v: stats %+v, oracle %+v", s, stats, wantStats)
+				}
+			}
+		}
+	})
 }

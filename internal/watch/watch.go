@@ -322,7 +322,7 @@ func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscripti
 		ref:      ref,
 		rels:     rels,
 		cfgs:     cfgs,
-		gap:      !cfgs.SubsetOf(touchingConfigs),
+		gap:      !cfgs.SubsetOf(mbr.Touching()),
 		startGen: t.gen,
 		ch:       make(chan Event, buffer),
 	}
