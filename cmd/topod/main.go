@@ -64,9 +64,10 @@
 // term (relations2/ref2); one descent prunes by both terms, unless the
 // relation composition table already proves the answer empty
 // ("explain":true in the body shows which in the stats line).
-// -cache-size N keeps an LRU of query answers keyed on
-// each index's mutation generation, so repeated queries on a quiet
-// index are replayed without touching the tree:
+// -cache-size N keeps an LRU of query answers; a write evicts only the
+// answers its rectangle can change (the paper's Table 1 test), so a
+// repeated query is replayed without touching the tree until a write
+// that could enter or leave its answer lands:
 //
 //	topod -gen 100000 -bulk -cache-size 1024
 //
@@ -122,7 +123,7 @@ func main() {
 		maxLagRecords = flag.Uint64("max-lag-records", 10000, "follower readiness gate: 503 on /readyz while more than this many records behind")
 
 		maxWatch  = flag.Int("maxwatch", 256, "bound on concurrently open /v1/watch streams (separate from -maxinflight)")
-		cacheSize = flag.Int("cache-size", 256, "entries in the generation-keyed /v1/query result cache (0 = disabled)")
+		cacheSize = flag.Int("cache-size", 256, "entries in the /v1/query result cache, from which a write evicts only the answers it can change (0 = disabled)")
 	)
 	flag.Parse()
 

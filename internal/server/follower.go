@@ -288,9 +288,12 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	}
 	d.since = int(pos.Seq)
 	inst.serve(idx)
-	// Bootstrap replaces the whole logical state, so cached answers for
-	// the old contents must become unreachable.
+	// Bootstrap replaces the whole logical state, so no cached answer of
+	// the old contents may survive it.
 	inst.bumpGen()
+	if inst.cache != nil {
+		inst.cache.invalidateAll(inst.Name)
+	}
 	return nil
 }
 

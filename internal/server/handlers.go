@@ -95,8 +95,9 @@ func (s *Server) servingInstance(w http.ResponseWriter, name string) (*Instance,
 // tree traversal within one page read, and the pages read up to that
 // point are still folded into /metrics. With Relations2/Ref2 the query
 // is a two-term conjunction; with caching enabled, a repeat of any
-// query shape against an unmutated index replays the stored answer
-// byte for byte without touching the tree.
+// query shape whose answer no commit since could change replays the
+// stored answer without touching the tree (cache.go says what a hit
+// holds).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -142,13 +143,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// Cache lookup. The key is computed before the traversal runs, so
-	// the generation it embeds is the one the answer was (or is about
-	// to be) computed against.
-	var ckey string
+	// Cache lookup. A miss registers its fill before ReadProc below
+	// pins the tree, so a commit that lands after the pin marks it.
+	var fill *cacheEntry
 	if s.cache != nil {
-		ckey = cacheKey(inst.Name, inst.Generation(), rels, ref, conj, rels2, ref2, req.Limit)
-		if res, hit := s.cache.get(ckey); hit {
+		var res *cachedResult
+		key := cacheKey{index: inst.Name, rels: rels, ref: ref, conj: conj, rels2: rels2, ref2: ref2, limit: req.Limit}
+		if res, fill = s.cache.lookup(key); res != nil {
 			s.writeCachedQuery(w, req, res)
 			return
 		}
@@ -168,6 +169,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldQuery(stats)
 	var trailer any
+	var stored *cachedResult
 	switch {
 	case lw.err != nil || ctx.Err() != nil:
 		// The client is gone (or the deadline fired mid-stream): no
@@ -178,7 +180,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Only a cleanly completed answer is stored — a truncated or
 		// failed stream must never be replayed as the full result.
 		if lines, ok := lw.cacheCopy(); ok {
-			s.cache.put(ckey, &cachedResult{lines: lines, stats: stats})
+			stored = &cachedResult{lines: lines, stats: stats}
 		}
 		ws := StatsToWire(stats)
 		if req.Explain {
@@ -186,13 +188,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		trailer = QueryLine{Stats: &ws}
 	}
+	if fill != nil {
+		s.cache.put(fill, stored)
+	}
 	lw.end(trailer)
 }
 
-// writeCachedQuery replays a cached answer: the same match lines in
-// the same order and the stats of the traversal that produced them, so
-// hit and miss responses are byte-identical (explain, which is opt-in,
-// additionally reports the hit).
+// writeCachedQuery replays a cached answer: the match lines in the
+// order of the traversal that produced them, and its stats (explain,
+// which is opt-in, additionally reports the hit).
 func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *cachedResult) {
 	lw := s.newLineWriter(w, false)
 	lw.replay(res.lines)

@@ -81,10 +81,10 @@ type Config struct {
 	// follower's stall timeout.
 	ReplHeartbeat time.Duration
 	// CacheSize is the capacity (entries) of the /v1/query result
-	// cache, shared across indexes and keyed on each instance's
-	// mutation generation so entries invalidate for free. 0 disables
-	// caching (the zero Config serves uncached); topod passes its
-	// -cache-size flag here.
+	// cache, shared across indexes. A commit removes only the entries
+	// whose answers its records can change (the Table 1 rule of
+	// cache.go). 0 disables caching (the zero Config serves uncached);
+	// topod passes its -cache-size flag here.
 	CacheSize int
 }
 
@@ -174,12 +174,23 @@ type Instance struct {
 	watch *watch.Table
 	wmu   sync.Mutex
 
-	// gen counts applied mutations — the invalidation clock of the
-	// result cache (see cache.go). Bumped by mutate and by a follower's
+	// cache is the server's result cache (nil when disabled), which
+	// mutate and a follower's bootstrap invalidate.
+	cache *resultCache
+
+	// gen counts applied mutations: bumped by mutate and by a follower's
 	// bootstrap; never for checkpoints, which keep the logical contents
 	// unchanged.
 	gen atomic.Uint64
 }
+
+// bumpGen advances the instance's mutation generation.
+func (inst *Instance) bumpGen() { inst.gen.Add(1) }
+
+// Generation returns the instance's mutation generation (a cheap "has
+// anything changed" probe for tests and the bench harness's traced
+// pass).
+func (inst *Instance) Generation() uint64 { return inst.gen.Load() }
 
 // Backend reports which boot path produced the instance's tree:
 // "paged", "recovered", or "flat".
@@ -277,7 +288,8 @@ func (inst *Instance) mutLock() *sync.Mutex {
 //  1. pre — a follower's replication-position check; nil elsewhere
 //  2. the tree changes (applyLocked)
 //  3. the records are published to the watch table, once
-//  4. the generation moves, voiding cached answers
+//  4. the generation moves, and the result cache drops the answers the
+//     records can change
 //  5. on a durable instance the records are reserved as one contiguous
 //     WAL run and counted, which may run a checkpoint
 //
@@ -306,6 +318,9 @@ func (inst *Instance) mutate(recs []wal.Record, pre func() error) error {
 		inst.watch.Publish(recs...)
 	}
 	inst.bumpGen()
+	if inst.cache != nil {
+		inst.cache.invalidate(inst.Name, recs)
+	}
 	d := inst.dur
 	if d == nil {
 		mu.Unlock()
@@ -364,8 +379,8 @@ type Server struct {
 	cfg     Config
 	metrics *Metrics
 	adm     *admission
-	// cache memoises /v1/query answers keyed on instance generation
-	// (nil when Config.CacheSize is 0).
+	// cache memoises /v1/query answers (nil when Config.CacheSize is
+	// 0); each instance invalidates its own entries.
 	cache *resultCache
 
 	mu          sync.RWMutex
@@ -486,6 +501,7 @@ func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error)
 		return nil, err
 	}
 	inst.watch = s.newWatchTable(inst)
+	inst.cache = s.cache
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.instances[inst.Name]; dup {

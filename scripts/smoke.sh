@@ -39,9 +39,11 @@
 # directory untouched — instead of booting fresh beside it. A tenth leg
 # asserts a window answer of over 100 lines costs at most 3 stream
 # flushes, repeats it against a `-cache-size` topod, asserts the repeat
-# is byte-identical and increments topod_cache_hits_total, then mutates
-# and asserts the same query misses (generation-keyed invalidation)
-# and sees the new rectangle. An eleventh leg sends one window query forty
+# is byte-identical and increments topod_cache_hits_total, inserts far
+# from the window and asserts the repeat is still a byte-identical hit,
+# then inserts inside it and asserts the same query misses (the Table 1
+# invalidation rule), counts one invalidation and sees the new
+# rectangle. An eleventh leg sends one window query forty
 # times to a `-cache-size 0` topod — whose leaves render their
 # rectangles' wire text once and answer from it afterwards — and cmp's
 # every body, stats trailer included, against the first, then inserts a
@@ -853,9 +855,10 @@ grep -q 'main\.t0\.flat' "$LOG13" \
 
 echo "smoke OK: a tile layout was refused by name and left as it was"
 
-# ---- cache leg: a repeat query must hit the generation-keyed result
-# cache byte for byte; a mutation bumps the generation, so the same
-# query must miss and see the new rectangle ----
+# ---- cache leg: a repeat query must hit the result cache byte for
+# byte; an insert far from the window must leave it a byte-identical
+# hit, and one inside it must evict the entry, so the same query misses
+# and sees the new rectangle ----
 
 LOG16="$(mktemp)"
 "$TOPOD" -gen 1000 -bulk -tree rstar -cache-size 64 -addr 127.0.0.1:0 >"$LOG16" 2>&1 &
@@ -888,8 +891,20 @@ echo "$CMET" | grep -q '^topod_cache_hits_total 1$' \
 echo "$CMET" | grep -q '^topod_cache_misses_total 1$' \
   || { echo "smoke: cold query did not count one cache miss" >&2; echo "$CMET" | grep '^topod_cache' >&2; exit 1; }
 
-# A mutation bumps the generation: the same query is a miss again and
-# must include the freshly inserted rectangle, never the stale answer.
+# An insert the window's relation cannot admit changes nothing the
+# entry holds: the repeat is still a hit, byte for byte.
+CFAR="$(curl -sf -d '{"oid":880002,"rect":[900,900,905,905]}' "$CBASE/v1/insert")"
+echo "$CFAR" | grep -q '"ok":true' \
+  || { echo "smoke: cache-leg far insert failed: $CFAR" >&2; exit 1; }
+KEPT="$(curl -sf -d "$CQ" "$CBASE/v1/query")"
+[ "$COLD" = "$KEPT" ] \
+  || { echo "smoke: an insert outside the window changed the cached answer" >&2; exit 1; }
+CMET1="$(curl -sf "$CBASE/metrics")"
+echo "$CMET1" | grep -q '^topod_cache_hits_total 2$' \
+  || { echo "smoke: the repeat after a far insert was not a hit" >&2; echo "$CMET1" | grep '^topod_cache' >&2; exit 1; }
+
+# An insert inside the window evicts the entry: the same query is a
+# miss again and must include the new rectangle, never the stale answer.
 CACK="$(curl -sf -d '{"oid":880001,"rect":[210,210,220,220]}' "$CBASE/v1/insert")"
 echo "$CACK" | grep -q '"ok":true' \
   || { echo "smoke: cache-leg insert failed: $CACK" >&2; exit 1; }
@@ -899,8 +914,10 @@ echo "$AFTER" | grep -q '"oid":880001' \
 CMET2="$(curl -sf "$CBASE/metrics")"
 echo "$CMET2" | grep -q '^topod_cache_misses_total 2$' \
   || { echo "smoke: post-mutation query did not miss the cache" >&2; echo "$CMET2" | grep '^topod_cache' >&2; exit 1; }
-echo "$CMET2" | grep -q '^topod_cache_hits_total 1$' \
+echo "$CMET2" | grep -q '^topod_cache_hits_total 2$' \
   || { echo "smoke: post-mutation query wrongly hit the cache" >&2; echo "$CMET2" | grep '^topod_cache' >&2; exit 1; }
+echo "$CMET2" | grep -q '^topod_cache_invalidations_total 1$' \
+  || { echo "smoke: the inside insert did not count one invalidation" >&2; echo "$CMET2" | grep '^topod_cache' >&2; exit 1; }
 
 kill -TERM "$PID11"
 if ! wait "$PID11"; then
@@ -909,7 +926,7 @@ if ! wait "$PID11"; then
   exit 1
 fi
 
-echo "smoke OK: $CLINES-line answer in $CFLUSH flushes + cache hit on repeat query + generation-keyed miss after mutation"
+echo "smoke OK: $CLINES-line answer in $CFLUSH flushes + cache hit on repeat query, kept across a far insert + invalidated by an insert inside the window"
 
 # ---- kept-text leg: with the cache off every answer comes from the
 # tree, the first ones rendered rectangle by rectangle, later ones
