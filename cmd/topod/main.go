@@ -36,7 +36,7 @@
 //	topod -gen 10000 -data-dir /var/lib/topod -fsync always
 //
 // Every boot from an image adopts it as the tree — the checkpointed
-// tree node for node, one slot-table copy. When the WAL is quiet that
+// tree node for node, nothing copied. When the WAL is quiet that
 // is all (backend=flat); with records in the WAL it replays them and
 // checkpoints before serving (backend=recovered). A fresh index prints
 // the plain build line. An image that fails its checksums is never

@@ -69,11 +69,6 @@ func (r Relation) String() string {
 // Valid reports whether r is defined.
 func (r Relation) Valid() bool { return r < NumRelations }
 
-// Tiles returns the nine tile relations in row order (south to north).
-func Tiles() []Relation {
-	return []Relation{SouthWest, South, SouthEast, West, SameLevel, East, NorthWest, North, NorthEast}
-}
-
 // All returns every defined relation.
 func All() []Relation {
 	out := make([]Relation, NumRelations)

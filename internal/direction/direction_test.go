@@ -13,7 +13,7 @@ import (
 func TestTilesPartition(t *testing.T) {
 	var union mbr.ConfigSet
 	total := 0
-	for _, r := range Tiles() {
+	for _, r := range All()[:StrictNorth] { // the nine tiles precede the strict refinements
 		c := Candidates(r)
 		if !union.Intersect(c).IsEmpty() {
 			t.Fatalf("tile %v overlaps earlier tiles", r)
@@ -85,7 +85,7 @@ func TestTileMatchesPointSemantics(t *testing.T) {
 			t.Fatal("strict north without gap")
 		}
 	}
-	for _, r := range Tiles() {
+	for _, r := range All()[:StrictNorth] {
 		if seen[r] == 0 {
 			t.Errorf("tile %v never generated", r)
 		}

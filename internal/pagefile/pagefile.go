@@ -1,10 +1,12 @@
-// Package pagefile names what the access methods share about pages:
-// the id a node is addressed by, the page counters and the errors of
-// stored bytes. The paper's performance metric is the number of disk
-// accesses per search; a tree charges every node access the pages that
-// node fills at its page size (rtree's node arena), so counted page
+// Package pagefile holds what the access methods share about pages
+// without being pages themselves: the page counters a tree's node arena
+// keeps (Stats) and the error of stored bytes that are not what was
+// written (ErrCorrupt). The paper's performance metric is the number of
+// disk accesses per search; a tree charges every node access the pages
+// that node fills at its page size (rtree's node arena), so counted page
 // reads are the faithful analogue of the paper's measurements
 // (hardware-independent, as a 1995 testbed is not reproducible).
+// MemFile stays for the benchmark harness alone.
 package pagefile
 
 import (
@@ -12,21 +14,11 @@ import (
 	"fmt"
 )
 
-// PageID identifies a page. Zero is never a valid page.
-type PageID uint32
-
-// NilPage is the zero PageID, used as a null reference.
-const NilPage PageID = 0
-
-// Common errors.
-var (
-	ErrPageNotFound = errors.New("pagefile: page not found")
-	// ErrCorrupt is returned when stored bytes (an MBRFLAT1 image, see
-	// rtree.OpenFlatBytes) fail their checksum or structural checks:
-	// they are not what was written, and serving them as nodes would
-	// silently return wrong query answers.
-	ErrCorrupt = errors.New("pagefile: corrupt page")
-)
+// ErrCorrupt is returned when stored bytes (an MBRFLAT1 image, see
+// rtree.OpenFlatBytes) fail their checksum or structural checks: they
+// are not what was written, and serving them as nodes would silently
+// return wrong query answers.
+var ErrCorrupt = errors.New("pagefile: corrupt page")
 
 // Stats counts page operations.
 type Stats struct {

@@ -84,7 +84,7 @@ func TestQueryDirectionTilesPartitionResults(t *testing.T) {
 	proc := &Processor{Idx: idx}
 	q := geom.R(400, 400, 600, 600)
 	seen := map[uint64]int{}
-	for _, rel := range direction.Tiles() {
+	for _, rel := range direction.All()[:direction.StrictNorth] { // the nine tiles
 		res, err := proc.QueryDirection(rel, q)
 		if err != nil {
 			t.Fatal(err)

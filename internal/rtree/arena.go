@@ -5,63 +5,46 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"mbrtopo/internal/pagefile"
 )
 
-// This file is the node store of every tree: a decoded, in-memory
-// node arena. An access on the read path is a slot lookup — no page
-// copy, no decode, no allocation.
+// This file is the node store of every tree: decoded nodes on the heap,
+// children by pointer. An access on the read path is a pointer
+// dereference — no page copy, no decode, no allocation.
 //
-// A slot points at one immutable node version. install puts a fresh
-// version in (its own copy of the entries); the bulk loader installs
-// each packed node as it built it, its entries a capped subslice of the
-// level's one buffer (installOwned). Nothing ever modifies an installed
-// version's entries, so the *node a reader gets from get can be shared
-// by any number of traversals. Mutation paths read a private copy
-// (checkOut) and install the result. Slot ids play the part of page
-// ids: snapshot.go's shadow/retire/reclaim protocol runs over them,
-// which is what keeps a slot from being repointed while any pinned
-// snapshot can still reach it. What a version gains after it is
-// installed are its two side-cars — the wire text of a leaf's
-// rectangles (text.go) and the sweep order and MBR a join keeps
-// (join.go) — which are derived from the entries alone, hang off the
-// version itself and go when the version does.
+// A node a mutation has published (snapshot.go) is one immutable node
+// version: nothing modifies its entries again, so the *node a reader
+// reaches can be shared by any number of traversals. A mutation changes
+// only nodes it created itself, copying a published one first
+// (checkOut); install charges each write. The bulk loader's nodes keep
+// the entries they were packed in, a capped subslice of the level's one
+// buffer (installOwned). What a version gains after it is published are
+// its two side-cars — the wire text of a leaf's rectangles (text.go) and
+// the sweep order and MBR a join keeps (join.go) — which are derived
+// from the entries alone, hang off the version itself and go when the
+// version does: when no reader holds a root it is reachable from.
 //
 // The arena charges what pages would cost, the paper's metric: a node
 // costs 1 + its overflow pages at the capacity of the tree's page size
 // (node.cost), reads sum that cost, and the write/alloc/free counters
 // move by the same page counts.
 type arena struct {
-	// tab is the slot table, indexed by slot id (0 is never a valid
-	// id; nil is a free slot). It always has len == cap; growing swaps
-	// in a larger copy, so a reader holding the old table keeps seeing
-	// every node its snapshot can reach.
-	tab atomic.Pointer[[]*node]
 	cap int // maximum entries that fit a page
-
-	// mu guards next, spare and every write to the table. Readers never
-	// take it.
-	mu    sync.Mutex
-	next  pagefile.PageID   // lowest never-allocated slot
-	spare []pagefile.PageID // freed slots, reused first
 
 	reads, writes, allocs, frees atomic.Uint64
 }
-
-const arenaMinSlots = 64
 
 // maxCapacity is the largest node capacity a tree accepts: an R+ node
 // may hold maxOverflowChain pages' worth of entries, and an MBRFLAT1
 // record counts a node's entries in a uint16.
 const maxCapacity = math.MaxUint16 / maxOverflowChain
 
-// newArena returns an arena holding tab's nodes in slots 1..next-1 and
-// charging costs at the node capacity of pageSize — the one check of a
-// page size, for new and adopted trees alike.
-func newArena(pageSize int, tab []*node, next pagefile.PageID) (*arena, error) {
+// newArena returns an arena charging costs at the node capacity of
+// pageSize — the one check of a page size, for new and adopted trees
+// alike.
+func newArena(pageSize int) (*arena, error) {
 	capacity := CapacityForPageSize(pageSize)
 	if capacity < 4 {
 		return nil, fmt.Errorf("rtree: page size %d too small (capacity %d)", pageSize, capacity)
@@ -69,9 +52,7 @@ func newArena(pageSize int, tab []*node, next pagefile.PageID) (*arena, error) {
 	if capacity > maxCapacity {
 		return nil, fmt.Errorf("rtree: page size %d too large (capacity %d, at most %d)", pageSize, capacity, maxCapacity)
 	}
-	a := &arena{cap: capacity, next: next}
-	a.tab.Store(&tab)
-	return a, nil
+	return &arena{cap: capacity}, nil
 }
 
 // pagesFor is the number of pages a node with count entries occupies
@@ -83,100 +64,53 @@ func pagesFor(count, capacity int) uint32 {
 	return uint32((count + capacity - 1) / capacity)
 }
 
-// get returns the shared, immutable node version in a slot, charging
-// its cost to the read counter. Lock-free and allocation-free.
-func (a *arena) get(id pagefile.PageID) (*node, error) {
-	tab := *a.tab.Load()
-	if int(id) >= len(tab) || tab[id] == nil {
-		return nil, fmt.Errorf("rtree: reading node %d: %w", id, pagefile.ErrPageNotFound)
-	}
-	n := tab[id]
+// get charges a read of n to the read counter and returns it.
+func (a *arena) get(n *node) *node {
 	a.reads.Add(uint64(n.cost))
-	return n, nil
+	return n
 }
 
-// checkOut returns a private copy of a slot's node for a mutation path
-// to modify and install, with room for the one entry an insertion adds
-// before it splits.
-func (a *arena) checkOut(id pagefile.PageID) (*node, error) {
-	shared, err := a.get(id)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]Entry, len(shared.entries), max(len(shared.entries), a.cap)+1)
-	copy(entries, shared.entries)
-	return &node{id: id, level: shared.level, entries: entries, cost: shared.cost}, nil
-}
-
-// reserved is what an allocated slot points at until its first install:
-// an empty one-page node, as a freshly allocated page reads.
-var reserved = &node{cost: 1}
-
-// alloc reserves a slot, reusing freed ids first.
-func (a *arena) alloc() pagefile.PageID {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	tab := *a.tab.Load()
-	var id pagefile.PageID
-	if n := len(a.spare); n > 0 {
-		id = a.spare[n-1]
-		a.spare = a.spare[:n-1]
-	} else {
-		id = a.next
-		a.next++
-		if int(id) == len(tab) {
-			grown := make([]*node, 2*len(tab))
-			copy(grown, tab)
-			tab = grown
-			a.tab.Store(&tab)
-		}
-	}
-	tab[id] = reserved
+// alloc returns a new empty node of the given level: one page, as a
+// freshly allocated page reads.
+func (a *arena) alloc(level int) *node {
 	a.allocs.Add(1)
-	return id
+	return &node{level: level, cost: 1}
 }
 
-// install makes a copy of n the current version of its slot, so the
-// caller may go on changing n.
+// checkOut returns a new node holding a copy of n's entries for a
+// mutation path to modify and install, with room for the one entry an
+// insertion adds before it splits.
+func (a *arena) checkOut(n *node) *node {
+	c := a.alloc(n.level)
+	c.entries = make([]Entry, len(n.entries), max(len(n.entries), a.cap)+1)
+	copy(c.entries, n.entries)
+	return c
+}
+
+// install charges the write of a node the running mutation built,
+// giving it entries of its own, cut to size, so the caller may go on
+// changing it until the mutation publishes.
 func (a *arena) install(n *node) {
-	a.installOwned(&node{id: n.id, level: n.level, entries: slices.Clone(n.entries)})
+	n.entries = slices.Clone(n.entries)
+	a.installOwned(n)
 }
 
-// installOwned makes v itself the current version of its slot: v and
-// its entries now belong to the arena and are never modified again. A
-// freshly packed node (packLevel) is the one caller that hands over
-// what it built, a capped subslice of its level's buffer. The version
-// it replaces is left as it was, side-cars and all, for whoever still
-// holds it.
-func (a *arena) installOwned(v *node) {
-	v.cost = pagesFor(len(v.entries), a.cap)
-	a.mu.Lock()
-	tab := *a.tab.Load()
-	old := tab[v.id].cost
-	tab[v.id] = v
-	a.mu.Unlock()
-	a.writes.Add(uint64(v.cost))
+// installOwned charges the write of n as it is: a freshly packed node
+// (packLevel) keeps the capped subslice of its level's buffer.
+func (a *arena) installOwned(n *node) {
+	old := n.cost
+	n.cost = pagesFor(len(n.entries), a.cap)
+	a.writes.Add(uint64(n.cost))
 	// The overflow pages grow or shrink with the entry count.
-	if v.cost > old {
-		a.allocs.Add(uint64(v.cost - old))
+	if n.cost > old {
+		a.allocs.Add(uint64(n.cost - old))
 	} else {
-		a.frees.Add(uint64(old - v.cost))
+		a.frees.Add(uint64(old - n.cost))
 	}
 }
 
-// free releases a slot and drops its node version.
-func (a *arena) free(id pagefile.PageID) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	tab := *a.tab.Load()
-	if int(id) >= len(tab) || tab[id] == nil {
-		return fmt.Errorf("rtree: freeing node %d: %w", id, pagefile.ErrPageNotFound)
-	}
-	a.frees.Add(uint64(tab[id].cost))
-	tab[id] = nil
-	a.spare = append(a.spare, id)
-	return nil
-}
+// free charges the pages of a dropped node to the free counter.
+func (a *arena) free(n *node) { a.frees.Add(uint64(n.cost)) }
 
 func (a *arena) stats() pagefile.Stats {
 	return pagefile.Stats{
@@ -201,21 +135,16 @@ func (a *arena) resetStats() {
 // are still good — rebuild a tree from them instead.
 var ErrNodeCapacity = errors.New("rtree: flat snapshot nodes do not fit the page size")
 
-// adopt opens the image's nodes as the arena of a mutable tree and
-// makes c that tree. Only the slot table is new: every slot starts out
-// pointing at the image's own node version. Node versions are immutable
-// — the tree repoints slots, never their contents — so the image stays
-// what was decoded, and may be adopted again, for as long as anyone
-// holds it. Size, depth and (for an R+-tree) the data MBR carry over.
+// adopt makes c the mutable tree whose root is the image's decoded
+// root. Node versions are immutable — a mutation copies what it
+// changes — so the image stays what was decoded, and may be adopted
+// again, for as long as anyone holds it. Size, depth and (for an
+// R+-tree) the data MBR carry over.
 func (f *FlatTree) adopt(c *core, pageSize int, name string, covering bool) error {
 	if f.covering != covering {
 		return fmt.Errorf("rtree: adopting a %s image as the other tree family", f.name)
 	}
-	tab := make([]*node, max(arenaMinSlots, 2*(len(f.nodes)+1)))
-	for i := range f.nodes {
-		tab[i+1] = &f.nodes[i]
-	}
-	st, err := newArena(pageSize, tab, pagefile.PageID(len(f.nodes)+1))
+	st, err := newArena(pageSize)
 	if err != nil {
 		return err
 	}
@@ -226,15 +155,15 @@ func (f *FlatTree) adopt(c *core, pageSize int, name string, covering bool) erro
 	if !covering {
 		c.bounds, c.bounded = f.bounds, f.hasBound
 	}
-	c.start(st, name, covering, pagefile.PageID(f.root), f.depth, f.size)
+	c.start(st, name, covering, f.root, f.depth, f.size)
 	return nil
 }
 
 // Adopt returns a mutable R-/R*-tree that is the image's tree: same
 // nodes, same entry order, hence the same node accesses for every
-// query — not a rebuild from its entries. It costs one slot-table copy,
-// O(nodes). opts and name are the options the tree was built with, as
-// for NewArena; they are not in the image.
+// query — not a rebuild from its entries. It copies nothing. opts and
+// name are the options the tree was built with, as for NewArena; they
+// are not in the image.
 func Adopt(f *FlatTree, pageSize int, opts Options, name string) (*Tree, error) {
 	t := &Tree{opts: opts}
 	if err := f.adopt(&t.core, pageSize, name, true); err != nil {
@@ -256,30 +185,47 @@ func AdoptRPlus(f *FlatTree, pageSize int) (*RPlusTree, error) {
 func (c *core) treeCore() *core { return c }
 
 // NodesSharedWith counts the image's nodes that idx (a *Tree or
-// *RPlusTree) still holds — the slot a node was decoded into serves a
-// version of the same level, page cost and entries — out of total.
-// Right after adoption that is every node, whether idx adopted this
-// decode of the image or another one of the same bytes; each mutation
-// replaces the versions on the paths it touched. A tree rebuilt from
-// the image's entries holds none.
+// *RPlusTree) still holds — a node of its published version with the
+// same level, page cost and entries, whose children are such nodes too
+// — out of total. Nodes are compared by content, so right after
+// adoption that is every node, whether idx adopted this decode of the
+// image or another one of the same bytes; each mutation replaces the
+// nodes on the paths it touched. A tree rebuilt from the image's entries
+// holds none.
 func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
 	total = len(f.nodes)
 	t, ok := idx.(interface{ treeCore() *core })
 	if !ok {
 		return 0, total
 	}
-	ar := t.treeCore().st
-	ar.mu.Lock()
-	defer ar.mu.Unlock()
-	tab := *ar.tab.Load()
-	for i := range f.nodes {
-		if i+1 >= len(tab) || tab[i+1] == nil {
-			continue
+	// Number each distinct subtree in post-order: a node's key is its
+	// record with every child replaced by the child's number.
+	numbers := map[string]uint64{}
+	var visit func(n *node, each func(uint64)) uint64
+	visit = func(n *node, each func(uint64)) uint64 {
+		refs := make([]uint64, len(n.entries))
+		for i := range n.entries {
+			refs[i] = n.entries[i].OID
+			if !n.isLeaf() {
+				refs[i] = visit(n.entries[i].Child, each)
+			}
 		}
-		held, n := tab[i+1], &f.nodes[i]
-		if held.level == n.level && held.cost == n.cost && slices.Equal(held.entries, n.entries) {
+		key := string(appendRecord(nil, n, refs))
+		id, ok := numbers[key]
+		if !ok {
+			id = uint64(len(numbers))
+			numbers[key] = id
+		}
+		each(id)
+		return id
+	}
+	held := map[uint64]int{}
+	visit(t.treeCore().cur.Load().root, func(id uint64) { held[id]++ })
+	visit(f.root, func(id uint64) {
+		if held[id] > 0 {
+			held[id]--
 			shared++
 		}
-	}
+	})
 	return shared, total
 }

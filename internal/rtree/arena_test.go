@@ -19,22 +19,20 @@ type kindTree interface {
 	IOStats() pagefile.Stats
 }
 
-// arenaOf returns a tree's arena and current root.
-func arenaOf(t *testing.T, x any) (*arena, pagefile.PageID) {
+// arenaOf returns a tree's arena and published root.
+func arenaOf(t *testing.T, x any) (*arena, *node) {
 	t.Helper()
 	v, ok := x.(interface{ treeCore() *core })
 	if !ok {
 		t.Fatalf("%T has no arena", x)
 	}
 	c := v.treeCore()
-	s := c.acquire()
-	defer c.release(s)
-	return c.st, s.root
+	return c.st, c.cur.Load().root
 }
 
 // TestSearchAllocsIndependentOfAccesses: a search — on a tree built in
 // its arena or one adopted from a checkpoint image — allocates a small
-// constant (the traversal stack and the pinned-snapshot closure),
+// constant (the traversal stack and the emit closure),
 // however many nodes it visits.
 func TestSearchAllocsIndependentOfAccesses(t *testing.T) {
 	tree, err := NewArena(testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")

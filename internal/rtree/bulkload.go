@@ -31,16 +31,10 @@ type Record struct {
 // the same way. recs is neither modified nor retained.
 //
 // It runs inside a mutation (InsertBatch on an empty tree), so the
-// packed nodes are tracked as fresh and the superseded root's slot is
-// retired rather than freed under any concurrent reader.
-func (t *Tree) packInto(recs []Record) error {
-	old, err := t.st.get(t.root)
-	if err != nil {
-		return err
-	}
-	if err := t.freeMutNode(old); err != nil {
-		return err
-	}
+// packed nodes are tracked as fresh and the superseded root stays what
+// it was for any concurrent reader.
+func (t *Tree) packInto(recs []Record) {
+	t.freeMutNode(t.st.get(t.root))
 	entries := make([]Entry, len(recs))
 	for i, r := range recs {
 		entries[i] = Entry{Rect: r.Rect, OID: r.OID}
@@ -51,14 +45,15 @@ func (t *Tree) packInto(recs []Record) error {
 			t.root = next[0].Child
 			t.depth = level + 1
 			t.size = len(recs)
-			return nil
+			return
 		}
 		entries = next
 	}
 }
 
 // packLevel tiles entries, in place, into nodes of the given level and
-// returns the entries of the level above: one per node, its MBR and id.
+// returns the entries of the level above: one per node, its MBR and the
+// node.
 func (t *Tree) packLevel(entries []Entry, level int) []Entry {
 	m := t.st.cap
 	chunks := strTile(entries, m, minEntries(m))
@@ -67,7 +62,7 @@ func (t *Tree) packLevel(entries []Entry, level int) []Entry {
 		n := t.allocMutNode(level)
 		n.entries = chunk
 		t.st.installOwned(n)
-		next[i] = Entry{Rect: n.mbr(), Child: n.id}
+		next[i] = Entry{Rect: n.mbr(), Child: n}
 	}
 	return next
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // bulkLoad builds a tree the way every bulk load does: one InsertBatch
@@ -145,9 +144,10 @@ func TestBulkLoadRejectsDegenerate(t *testing.T) {
 	}
 }
 
-// nodeCopy is what a node version holds: its slot, level and entries.
+// nodeCopy is what a node version holds: its level and entries, and
+// the node itself.
 type nodeCopy struct {
-	id      pagefile.PageID
+	n       *node
 	level   int
 	entries []Entry
 }
@@ -156,28 +156,21 @@ type nodeCopy struct {
 // in depth-first order.
 type versionCopy []nodeCopy
 
-// copyVersion walks the version under root and copies each node's id,
+// copyVersion walks the version under root and copies each node's
 // level and entries.
-func copyVersion(st *arena, root pagefile.PageID) (versionCopy, error) {
+func copyVersion(root *node) versionCopy {
 	var out versionCopy
-	var walk func(id pagefile.PageID) error
-	walk = func(id pagefile.PageID) error {
-		n, err := st.get(id)
-		if err != nil {
-			return err
-		}
-		out = append(out, nodeCopy{n.id, n.level, slices.Clone(n.entries)})
-		if n.isLeaf() {
-			return nil
-		}
-		for i := range n.entries {
-			if err := walk(n.entries[i].Child); err != nil {
-				return err
+	var walk func(n *node)
+	walk = func(n *node) {
+		out = append(out, nodeCopy{n, n.level, slices.Clone(n.entries)})
+		if !n.isLeaf() {
+			for i := range n.entries {
+				walk(n.entries[i].Child)
 			}
 		}
-		return nil
 	}
-	return out, walk(root)
+	walk(root)
+	return out
 }
 
 func (v versionCopy) diff(w versionCopy) error {
@@ -185,8 +178,8 @@ func (v versionCopy) diff(w versionCopy) error {
 		return fmt.Errorf("%d nodes, was %d", len(w), len(v))
 	}
 	for i := range v {
-		if v[i].id != w[i].id || v[i].level != w[i].level || !slices.Equal(v[i].entries, w[i].entries) {
-			return fmt.Errorf("node %d (slot %d) changed", i, v[i].id)
+		if v[i].n != w[i].n || v[i].level != w[i].level || !slices.Equal(v[i].entries, w[i].entries) {
+			return fmt.Errorf("node %d (level %d) changed", i, v[i].level)
 		}
 	}
 	return nil
@@ -195,11 +188,11 @@ func (v versionCopy) diff(w versionCopy) error {
 // TestPackedNodesStayImmutable: a packed arena node keeps the capped
 // subslice of the level buffer it was built from instead of a copy, so
 // a write to one leaf must never reach a neighbouring leaf's entries
-// or a version a reader still holds. It pins the freshly packed version,
+// or a version a reader still holds. It holds the freshly packed version,
 // copies every node it reaches, then deletes each leaf's first and last
 // entry and inserts beside leaves across the whole buffer while readers
-// search the live tree and walk the pinned version (under -race, any
-// write to a shared entry is reported). The pinned version must read
+// search the live tree and walk the held version (under -race, any
+// write to a shared entry is reported). The held version must read
 // exactly as copied; the live tree must keep its invariants and answer
 // what a brute-force scan does.
 func TestPackedNodesStayImmutable(t *testing.T) {
@@ -218,25 +211,16 @@ func TestPackedNodesStayImmutable(t *testing.T) {
 	if err := tree.InsertBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	pinned := tree.acquire()
-	want, err := copyVersion(tree.st, pinned.root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	held := tree.cur.Load().root
+	want := copyVersion(held)
 	var leaves []nodeCopy
 	for _, c := range want {
 		if c.level == 0 {
 			leaves = append(leaves, c)
 		}
-	}
-	for _, c := range want {
-		shared, err := tree.st.get(c.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shared.entries) != cap(shared.entries) {
-			t.Fatalf("packed node %d holds %d entries with capacity %d: appending to it would write past its chunk",
-				c.id, len(shared.entries), cap(shared.entries))
+		if len(c.n.entries) != cap(c.n.entries) {
+			t.Fatalf("a packed level-%d node holds %d entries with capacity %d: appending to it would write past its chunk",
+				c.level, len(c.n.entries), cap(c.n.entries))
 		}
 	}
 
@@ -262,13 +246,7 @@ func TestPackedNodesStayImmutable(t *testing.T) {
 	go reader(func() error {
 		return tree.Search(all, all, func(geom.Rect, uint64) bool { return true })
 	})
-	go reader(func() error {
-		got, err := copyVersion(tree.st, pinned.root)
-		if err != nil {
-			return err
-		}
-		return want.diff(got)
-	})
+	go reader(func() error { return want.diff(copyVersion(held)) })
 
 	// Both end slots of every leaf go, and the inserts land beside leaves
 	// spread evenly over the buffer, up to ops mutations in all.
@@ -300,14 +278,9 @@ func TestPackedNodesStayImmutable(t *testing.T) {
 	default:
 	}
 
-	got, err := copyVersion(tree.st, pinned.root)
-	if err != nil {
-		t.Fatal(err)
+	if err := want.diff(copyVersion(held)); err != nil {
+		t.Fatalf("the held packed version: %v", err)
 	}
-	if err := want.diff(got); err != nil {
-		t.Fatalf("the pinned packed version: %v", err)
-	}
-	tree.release(pinned)
 	if tree.Len() != len(data) {
 		t.Fatalf("Len = %d, want %d", tree.Len(), len(data))
 	}

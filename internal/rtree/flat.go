@@ -13,11 +13,11 @@ import (
 
 // This file implements the flat snapshot format: a pointer-free,
 // array-packed serialization of one published tree version — the one
-// format a tree is saved in. The layout replaces page ids with byte
-// offsets — children are written before their parents (post-order), so
-// every child reference points strictly backwards and a single
-// sequential pass both validates and decodes the whole file. Two CRC32-C
-// checksums (header, node section) make corruption detection
+// format a tree is saved in. The layout replaces child pointers with
+// byte offsets — children are written before their parents
+// (post-order), so every child reference points strictly backwards and
+// a single sequential pass both validates and decodes the whole file.
+// Two CRC32-C checksums (header, node section) make corruption detection
 // deterministic: OpenFlatBytes either yields exactly the tree that was
 // written or an error wrapping pagefile.ErrCorrupt, never wrong
 // entries.
@@ -75,7 +75,7 @@ func flatCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: flat snapshot: %s", pagefile.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// flatWriter serializes one pinned tree version from its arena.
+// flatWriter serializes one published tree version.
 type flatWriter struct {
 	src    *arena
 	nodes  []byte
@@ -84,57 +84,50 @@ type flatWriter struct {
 	found  bool
 }
 
-// writeNode appends the subtree under id post-order and returns the
-// byte offset (from the file start) of the subtree root's record.
-func (w *flatWriter) writeNode(id pagefile.PageID) (uint64, error) {
-	n, err := w.src.get(id)
-	if err != nil {
-		return 0, err
-	}
+// writeNode appends the subtree under n post-order and returns the
+// byte offset (from the file start) of n's record.
+func (w *flatWriter) writeNode(n *node) uint64 {
+	w.src.get(n)
 	refs := make([]uint64, len(n.entries))
-	if n.isLeaf() {
-		for i := range n.entries {
+	for i := range n.entries {
+		if n.isLeaf() {
 			refs[i] = n.entries[i].OID
 			w.bounds, w.found = covering(w.bounds, w.found, n.entries[i].Rect), true
-		}
-	} else {
-		for i := range n.entries {
-			off, err := w.writeNode(n.entries[i].Child)
-			if err != nil {
-				return 0, err
-			}
-			refs[i] = off
+		} else {
+			refs[i] = w.writeNode(n.entries[i].Child)
 		}
 	}
 	off := uint64(flatHeaderSize + len(w.nodes))
-	var hdr [flatNodeHdrSize]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], uint16(n.level))
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint32(hdr[4:8], n.cost)
-	w.nodes = append(w.nodes, hdr[:]...)
-	for i := range n.entries {
-		r := n.entries[i].Rect
-		w.nodes = appendF64(w.nodes, r.Min.X)
-		w.nodes = appendF64(w.nodes, r.Min.Y)
-		w.nodes = appendF64(w.nodes, r.Max.X)
-		w.nodes = appendF64(w.nodes, r.Max.Y)
-		w.nodes = binary.LittleEndian.AppendUint64(w.nodes, refs[i])
-	}
+	w.nodes = appendRecord(w.nodes, n, refs)
 	w.count++
-	return off, nil
+	return off
 }
 
-func writeFlat(out io.Writer, src *arena, root pagefile.PageID, covering bool,
+// appendRecord appends n's MBRFLAT1 record (flat.go) to b, with refs[i]
+// as entry i's reference.
+func appendRecord(b []byte, n *node, refs []uint64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(n.level))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(n.entries)))
+	b = binary.LittleEndian.AppendUint32(b, n.cost)
+	for i := range n.entries {
+		r := n.entries[i].Rect
+		b = appendF64(b, r.Min.X)
+		b = appendF64(b, r.Min.Y)
+		b = appendF64(b, r.Max.X)
+		b = appendF64(b, r.Max.Y)
+		b = binary.LittleEndian.AppendUint64(b, refs[i])
+	}
+	return b
+}
+
+func writeFlat(out io.Writer, src *arena, root *node, covering bool,
 	name string, gen uint64, size, depth int) error {
 
 	if len(name) > flatMaxName {
 		name = name[:flatMaxName]
 	}
 	w := &flatWriter{src: src}
-	rootOff, err := w.writeNode(root)
-	if err != nil {
-		return fmt.Errorf("rtree: writing flat snapshot: %w", err)
-	}
+	rootOff := w.writeNode(root)
 	hdr := make([]byte, flatHeaderSize)
 	copy(hdr, flatMagic)
 	binary.LittleEndian.PutUint32(hdr[8:12], flatHeaderSize)
@@ -163,16 +156,16 @@ func writeFlat(out io.Writer, src *arena, root pagefile.PageID, covering bool,
 	if _, err := out.Write(hdr); err != nil {
 		return err
 	}
-	_, err = out.Write(w.nodes)
+	_, err := out.Write(w.nodes)
 	return err
 }
 
 // FlatTree is a decoded flat snapshot: opening validates both
 // checksums and every structural invariant, then decodes the node
 // section once into the node versions a mutable tree keeps (arena.go:
-// slot ids for child references, one immutable node version a slot).
-// It is not an index; Adopt and AdoptRPlus make a mutable tree over the
-// very same nodes, which is the one way an image is read.
+// child references by pointer). It is not an index; Adopt and
+// AdoptRPlus make a mutable tree over the very same nodes, which is the
+// one way an image is read.
 type FlatTree struct {
 	name     string
 	covering bool
@@ -181,8 +174,8 @@ type FlatTree struct {
 	depth    int
 	bounds   geom.Rect
 	hasBound bool
-	nodes    []node // slot id − 1 → node, in file (post-) order
-	root     uint64 // slot id of the root
+	nodes    []node // in file (post-) order
+	root     *node
 	// minCap: smallest capacity at which every node fits its recorded cost.
 	minCap int
 }
@@ -244,14 +237,18 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 	if uint64(nodeCount)*flatNodeHdrSize > uint64(len(nodes)) {
 		return nil, flatCorrupt("node count %d exceeds section capacity", nodeCount)
 	}
-	f.nodes = make([]node, 0, nodeCount)
-	// slotAt maps a record's byte offset (from the file start) to its
-	// arena slot id. Children are written before parents, so every child
-	// ref of the record being decoded is already present.
-	slotAt := make(map[uint64]uint64, nodeCount)
-	var hasParent []bool // by slot id − 1: a tree, not a DAG — Adopt frees what it replaces
-	off := 0
-	for off < len(nodes) {
+	f.nodes = make([]node, nodeCount)
+	// at maps a record's byte offset (from the file start) to its index in
+	// f.nodes. Children are written before parents, so every child ref of
+	// the record being decoded is already present.
+	at := make(map[uint64]int, nodeCount)
+	hasParent := make([]bool, nodeCount) // a tree, not a DAG: copy-on-write re-points a node's one parent
+	leafEntries := uint64(0)
+	k, off := 0, 0
+	for ; off < len(nodes); k++ {
+		if k == len(f.nodes) {
+			return nil, flatCorrupt("more node records than the %d the header says", nodeCount)
+		}
 		if len(nodes)-off < flatNodeHdrSize {
 			return nil, flatCorrupt("truncated node header at offset %d", flatHeaderSize+off)
 		}
@@ -268,10 +265,13 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 		if len(nodes)-off-flatNodeHdrSize < count*entrySize {
 			return nil, flatCorrupt("node at offset %d overruns the section (count %d)", flatHeaderSize+off, count)
 		}
-		f.nodes = append(f.nodes, node{id: pagefile.PageID(len(f.nodes) + 1), level: level, cost: cost})
-		n := &f.nodes[len(f.nodes)-1]
+		n := &f.nodes[k]
+		n.level, n.cost = level, cost
 		if count > 0 {
 			n.entries = make([]Entry, count)
+		}
+		if level == 0 {
+			leafEntries += uint64(count)
 		}
 		f.minCap = max(f.minCap, (count+int(cost)-1)/int(cost))
 		eo := off + flatNodeHdrSize
@@ -283,39 +283,52 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 			e.Rect.Max.Y = readF64(nodes[eo+24:])
 			ref := binary.LittleEndian.Uint64(nodes[eo+32:])
 			if level > 0 {
-				slot, ok := slotAt[ref]
+				child, ok := at[ref]
 				if !ok {
 					return nil, flatCorrupt("node at offset %d references unknown child offset %d", flatHeaderSize+off, ref)
 				}
-				if cl := f.nodes[slot-1].level; cl != level-1 {
+				if cl := f.nodes[child].level; cl != level-1 {
 					return nil, flatCorrupt("child at offset %d has level %d under a level-%d parent", ref, cl, level)
 				}
-				if hasParent[slot-1] {
+				if hasParent[child] {
 					return nil, flatCorrupt("node at offset %d is referenced twice", ref)
 				}
-				hasParent[slot-1] = true
-				e.Child = pagefile.PageID(slot)
+				hasParent[child] = true
+				e.Child = &f.nodes[child]
 			} else {
 				e.OID = ref
 			}
 			eo += entrySize
 		}
-		hasParent = append(hasParent, false)
-		slotAt[uint64(flatHeaderSize+off)] = uint64(len(f.nodes))
+		at[uint64(flatHeaderSize+off)] = k
 		off = eo
 	}
-	if uint32(len(f.nodes)) != nodeCount {
-		return nil, flatCorrupt("decoded %d nodes, header says %d", len(f.nodes), nodeCount)
+	if k != len(f.nodes) {
+		return nil, flatCorrupt("decoded %d nodes, header says %d", k, nodeCount)
 	}
 	rootOff := binary.LittleEndian.Uint64(hdr[24:32])
-	rootSlot, ok := slotAt[rootOff]
+	root, ok := at[rootOff]
 	if !ok {
 		return nil, flatCorrupt("root offset %d is not a node record", rootOff)
 	}
-	if rl := f.nodes[rootSlot-1].level; rl != int(depth)-1 {
+	if rl := f.nodes[root].level; rl != int(depth)-1 {
 		return nil, flatCorrupt("root level %d inconsistent with depth %d", rl, depth)
 	}
-	f.root = rootSlot
+	for i, ok := range hasParent {
+		if !ok && i != root {
+			return nil, flatCorrupt("node record %d is not the root and no node references it", i)
+		}
+	}
+	f.root = &f.nodes[root]
+	// Every record is now in the one tree under the root: the size the
+	// header states must be what it stores.
+	stored := leafEntries
+	if !f.covering {
+		stored = uint64(len(f.Records()))
+	}
+	if stored != size {
+		return nil, flatCorrupt("header says %d entries, the tree stores %d", size, stored)
+	}
 	return f, nil
 }
 
@@ -343,33 +356,35 @@ func (f *FlatTree) CoveringNodeRects() bool { return f.covering }
 
 // Records returns the stored (rect, oid) entries in the order a search
 // of the tree meets them: what a tree of another page size, whose nodes
-// the image's do not fit, is rebuilt from. An R+-tree registers one
-// object in every leaf its interior reaches; its image yields each
-// (rect, oid) once.
+// the image's do not fit, is rebuilt from. An R+-tree registers an
+// object in every leaf its interior reaches, as many times in each as it
+// was inserted; its image yields each (rect, oid) that many times.
 func (f *FlatTree) Records() []Record {
 	recs := make([]Record, 0, f.size)
-	var seen map[Record]struct{}
+	var seen, inLeaf map[Record]int
 	if !f.covering {
-		seen = make(map[Record]struct{}, f.size)
+		seen, inLeaf = make(map[Record]int, f.size), map[Record]int{}
 	}
 	var walk func(n *node)
 	walk = func(n *node) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !n.isLeaf() {
-				walk(&f.nodes[e.Child-1])
-				continue
+		if !n.isLeaf() {
+			for i := range n.entries {
+				walk(n.entries[i].Child)
 			}
+			return
+		}
+		clear(inLeaf)
+		for _, e := range n.entries {
 			rec := Record{Rect: e.Rect, OID: e.OID}
 			if seen != nil {
-				if _, dup := seen[rec]; dup {
+				if inLeaf[rec]++; inLeaf[rec] <= seen[rec] {
 					continue
 				}
-				seen[rec] = struct{}{}
+				seen[rec]++
 			}
 			recs = append(recs, rec)
 		}
 	}
-	walk(&f.nodes[f.root-1])
+	walk(f.root)
 	return recs
 }

@@ -3,7 +3,9 @@ package rtree
 import (
 	"bytes"
 	"context"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -15,7 +17,8 @@ import (
 // into a tree on which every read operation (window query, kNN, join
 // against itself) terminates without panicking — corrupted input must
 // never produce a crash or an out-of-bounds access. The seed corpus is
-// real snapshots of all three tree kinds plus an empty one.
+// real snapshots of all three tree kinds plus an empty one, and each of
+// them with a header that lies about its size or its node count.
 func FuzzFlatDecode(f *testing.F) {
 	addTree := func(n int) {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -29,6 +32,10 @@ func FuzzFlatDecode(f *testing.F) {
 			var buf bytes.Buffer
 			if err := tree.WriteFlat(&buf, uint64(gen+1)); err == nil {
 				f.Add(buf.Bytes())
+				lies := lyingImages(buf.Bytes())
+				for _, lie := range slices.Sorted(maps.Keys(lies)) {
+					f.Add(lies[lie])
+				}
 			}
 		}
 	}

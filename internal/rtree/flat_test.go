@@ -3,10 +3,15 @@ package rtree
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/pagefile"
 )
 
 // flatEncode serializes any of the test trees as a flat snapshot.
@@ -152,7 +157,9 @@ func TestFlatEmptyTree(t *testing.T) {
 
 // TestFlatCorruption flips bytes across the whole file and requires
 // every corruption to surface as an error (the checksums make this
-// deterministic), never a panic or a silently different tree.
+// deterministic), never a panic or a silently different tree; and a
+// header whose checksum holds but whose size or node count the records
+// contradict is refused as corrupt too.
 func TestFlatCorruption(t *testing.T) {
 	trees := loadedCtxTrees(t, 120)
 	data := flatEncode(t, trees["rplus"], 7)
@@ -177,6 +184,45 @@ func TestFlatCorruption(t *testing.T) {
 	if _, err := OpenFlatBytes(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+
+	// A header that lies, under valid checksums: the R-tree of three
+	// entries whose header says seven, and every kind of loaded tree.
+	small, err := newTestRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []geom.Rect{geom.R(0, 0, 1, 1), geom.R(2, 2, 3, 3), geom.R(4, 4, 5, 5)} {
+		if err := small.Insert(r, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trees["three entries"] = small
+	for name, tree := range trees {
+		for lie, image := range lyingImages(flatEncode(t, tree, 7)) {
+			if _, err := OpenFlatBytes(image); !errors.Is(err, pagefile.ErrCorrupt) {
+				t.Errorf("%s, %s: OpenFlatBytes = %v, want ErrCorrupt", name, lie, err)
+			}
+		}
+	}
+}
+
+// reseal recomputes both checksums of an image a test has edited.
+func reseal(image []byte) []byte {
+	binary.LittleEndian.PutUint32(image[112:116], crc32.Checksum(image[flatHeaderSize:], flatCastagnoli))
+	binary.LittleEndian.PutUint32(image[124:128], crc32.Checksum(image[:124], flatCastagnoli))
+	return image
+}
+
+// lyingImages are well-sealed copies of an image whose header says what
+// its nodes do not: four entries more than the tree stores, and one
+// record more — an empty leaf no parent references.
+func lyingImages(image []byte) map[string][]byte {
+	size := slices.Clone(image)
+	binary.LittleEndian.PutUint64(size[40:48], binary.LittleEndian.Uint64(size[40:48])+4)
+	orphan := append(slices.Clone(image), 0, 0, 0, 0, 1, 0, 0, 0)
+	binary.LittleEndian.PutUint64(orphan[32:40], uint64(len(orphan)-flatHeaderSize))
+	binary.LittleEndian.PutUint32(orphan[52:56], binary.LittleEndian.Uint32(orphan[52:56])+1)
+	return map[string][]byte{"size": reseal(size), "unreferenced record": reseal(orphan)}
 }
 
 // TestFlatJoin joins the trees adopted from two flat snapshots and

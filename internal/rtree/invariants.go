@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // This file implements structural self-checks used by the test suite
@@ -17,49 +16,38 @@ import (
 // rectangle is the tight MBR of its child), fill factors within [m, M]
 // except for the root, and an entry count matching Len.
 func (t *Tree) CheckInvariants() error {
-	s := t.acquire()
-	defer t.release(s)
+	s := t.cur.Load()
 	leaves := 0
 	count := 0
 	minFill := minEntries(t.st.cap)
-	var walk func(id pagefile.PageID, depth int, isRoot bool) error
-	walk = func(id pagefile.PageID, depth int, isRoot bool) error {
-		n, err := t.st.get(id)
-		if err != nil {
-			return err
-		}
+	var walk func(n *node, depth int, isRoot bool) error
+	walk = func(n *node, depth int, isRoot bool) error {
+		t.st.get(n)
 		if len(n.entries) > t.st.cap {
-			return fmt.Errorf("rtree: node %d overfull (%d > %d)", id, len(n.entries), t.st.cap)
+			return fmt.Errorf("rtree: level-%d node overfull (%d > %d)", n.level, len(n.entries), t.st.cap)
 		}
 		if !isRoot && len(n.entries) < minFill {
-			return fmt.Errorf("rtree: node %d underfull (%d < %d)", id, len(n.entries), minFill)
+			return fmt.Errorf("rtree: level-%d node underfull (%d < %d)", n.level, len(n.entries), minFill)
 		}
 		if isRoot && !n.isLeaf() && len(n.entries) < 2 {
-			return fmt.Errorf("rtree: internal root %d has %d entries", id, len(n.entries))
+			return fmt.Errorf("rtree: internal root has %d entries", len(n.entries))
 		}
 		if n.isLeaf() {
 			if depth != s.depth {
-				return fmt.Errorf("rtree: leaf %d at depth %d, want %d", id, depth, s.depth)
-			}
-			if n.level != 0 {
-				return fmt.Errorf("rtree: leaf %d has level %d", id, n.level)
+				return fmt.Errorf("rtree: leaf at depth %d, want %d", depth, s.depth)
 			}
 			leaves++
 			count += len(n.entries)
 			return nil
 		}
 		for _, e := range n.entries {
-			child, err := t.st.get(e.Child)
-			if err != nil {
-				return err
-			}
+			child := t.st.get(e.Child)
 			if child.level != n.level-1 {
-				return fmt.Errorf("rtree: node %d level %d has child %d level %d",
-					id, n.level, e.Child, child.level)
+				return fmt.Errorf("rtree: level-%d node has a child of level %d", n.level, child.level)
 			}
 			if got := child.mbr(); got != e.Rect {
-				return fmt.Errorf("rtree: parent %d stores rect %v for child %d, tight MBR is %v",
-					id, e.Rect, e.Child, got)
+				return fmt.Errorf("rtree: level-%d node stores rect %v for a child whose tight MBR is %v",
+					n.level, e.Rect, got)
 			}
 			if err := walk(e.Child, depth+1, false); err != nil {
 				return err
@@ -81,58 +69,57 @@ func (t *Tree) CheckInvariants() error {
 // parent region (pairwise interior-disjoint, full coverage), child
 // regions contained in the parent region, every leaf entry's rectangle
 // sharing interior with its leaf region, and — the zero-false-miss
-// property — every stored object registered in every leaf whose region
-// its interior intersects.
+// property — every stored (rect, oid) registered in every leaf whose
+// region its interior intersects, as many times in each as it was
+// inserted, those counts summing to Len.
 func (t *RPlusTree) CheckInvariants() error {
-	s := t.acquire()
-	defer t.release(s)
+	s := t.cur.Load()
 	type leafInfo struct {
 		region geom.Rect
-		oids   map[uint64]geom.Rect
+		count  map[Record]int
 	}
 	var leaves []leafInfo
-	objects := make(map[uint64]geom.Rect)
+	objects := make(map[Record]int) // most registrations of a pair in one leaf
 
-	var walk func(id pagefile.PageID, region geom.Rect, depth int) error
-	walk = func(id pagefile.PageID, region geom.Rect, depth int) error {
-		n, err := t.st.get(id)
-		if err != nil {
-			return err
-		}
+	var walk func(n *node, region geom.Rect, depth int) error
+	walk = func(n *node, region geom.Rect, depth int) error {
+		t.st.get(n)
 		// Overflow pages (Greene's degeneracy) are legal but bounded.
 		if len(n.entries) > t.st.cap*maxOverflowChain {
-			return fmt.Errorf("rtree: R+ node %d overfull beyond the overflow bound (%d)", id, len(n.entries))
+			return fmt.Errorf("rtree: R+ node overfull beyond the overflow bound (%d)", len(n.entries))
 		}
 		if len(n.entries) > t.st.cap && n.cost == 1 {
-			return fmt.Errorf("rtree: R+ node %d overfull (%d) without overflow pages", id, len(n.entries))
+			return fmt.Errorf("rtree: R+ node overfull (%d) without overflow pages", len(n.entries))
 		}
 		if n.isLeaf() {
 			if depth != s.depth {
-				return fmt.Errorf("rtree: R+ leaf %d at depth %d, want %d", id, depth, s.depth)
+				return fmt.Errorf("rtree: R+ leaf at depth %d, want %d", depth, s.depth)
 			}
-			li := leafInfo{region: region, oids: make(map[uint64]geom.Rect, len(n.entries))}
+			li := leafInfo{region: region, count: make(map[Record]int, len(n.entries))}
 			for _, e := range n.entries {
 				if !e.Rect.IntersectsInterior(region) {
-					return fmt.Errorf("rtree: R+ leaf %d (region %v) holds foreign rect %v", id, region, e.Rect)
+					return fmt.Errorf("rtree: R+ leaf (region %v) holds foreign rect %v", region, e.Rect)
 				}
-				li.oids[e.OID] = e.Rect
-				objects[e.OID] = e.Rect
+				li.count[Record{Rect: e.Rect, OID: e.OID}]++
+			}
+			for rec, k := range li.count {
+				objects[rec] = max(objects[rec], k)
 			}
 			leaves = append(leaves, li)
 			return nil
 		}
 		if len(n.entries) == 0 {
-			return fmt.Errorf("rtree: internal R+ node %d is empty", id)
+			return fmt.Errorf("rtree: internal R+ node is empty")
 		}
 		area := 0.0
 		for i, e := range n.entries {
 			if !region.ContainsRect(e.Rect) {
-				return fmt.Errorf("rtree: R+ node %d region %v does not contain child region %v", id, region, e.Rect)
+				return fmt.Errorf("rtree: R+ node region %v does not contain child region %v", region, e.Rect)
 			}
 			for j := i + 1; j < len(n.entries); j++ {
 				if e.Rect.IntersectsInterior(n.entries[j].Rect) {
-					return fmt.Errorf("rtree: R+ node %d has overlapping child regions %v and %v",
-						id, e.Rect, n.entries[j].Rect)
+					return fmt.Errorf("rtree: R+ node has overlapping child regions %v and %v",
+						e.Rect, n.entries[j].Rect)
 				}
 			}
 			area += e.Rect.Area()
@@ -141,26 +128,27 @@ func (t *RPlusTree) CheckInvariants() error {
 			}
 		}
 		if pa := region.Area(); math.Abs(area-pa) > 1e-6*pa {
-			return fmt.Errorf("rtree: R+ node %d child regions cover %.9g of parent area %.9g", id, area, pa)
+			return fmt.Errorf("rtree: R+ node child regions cover %.9g of parent area %.9g", area, pa)
 		}
 		return nil
 	}
 	if err := walk(s.root, worldRect(), 1); err != nil {
 		return err
 	}
-	if len(objects) != s.size {
-		return fmt.Errorf("rtree: R+ holds %d distinct objects, Len says %d", len(objects), s.size)
-	}
-	// Zero-false-miss: an object must appear in every leaf whose region
-	// overlaps its rectangle's interior.
-	for oid, r := range objects {
+	stored := 0
+	for rec, k := range objects {
+		stored += k
+		// Zero-false-miss: every leaf whose region the rectangle's
+		// interior overlaps holds it, as often as any leaf does.
 		for _, li := range leaves {
-			if r.IntersectsInterior(li.region) {
-				if _, ok := li.oids[oid]; !ok {
-					return fmt.Errorf("rtree: object %d (%v) missing from leaf region %v", oid, r, li.region)
-				}
+			if rec.Rect.IntersectsInterior(li.region) && li.count[rec] != k {
+				return fmt.Errorf("rtree: object %d (%v) registered %d times in leaf region %v, %d times in another",
+					rec.OID, rec.Rect, li.count[rec], li.region, k)
 			}
 		}
+	}
+	if stored != s.size {
+		return fmt.Errorf("rtree: R+ holds %d objects, Len says %d", stored, s.size)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/mbr"
-	"mbrtopo/internal/pagefile"
 )
 
 // This file is the spatial-join engine: a synchronized traversal of
@@ -34,11 +33,11 @@ import (
 //     kept orders into the worker's scratch — no sort, no allocation;
 //   - the top-level node pairs (and, when that fans out too little,
 //     the second-level pairs) are distributed over a bounded worker
-//     pool. All workers traverse the same two pinned snapshots, and
+//     pool. All workers traverse the same two snapshots, and
 //     their per-worker TraversalStats are merged at the end, so the
 //     returned counts are exactly the serial engine's.
 //
-// The join pins one published snapshot of each tree for its whole
+// The join loads one published snapshot of each tree for its whole
 // duration, so it runs in parallel with other readers and never blocks
 // (or is blocked by) writers; self-joins see a single consistent
 // version.
@@ -103,16 +102,13 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Each side pins its published snapshot, exactly like a search does,
-	// so the join runs in parallel with writers.
-	s1 := t1.acquire()
-	defer t1.release(s1)
-	s2 := s1
+	// Each side loads its published snapshot, exactly like a search
+	// does, so the join runs in parallel with writers.
+	root1 := t1.cur.Load().root
+	root2 := root1
 	if t2 != t1 {
-		s2 = t2.acquire()
-		defer t2.release(s2)
+		root2 = t2.cur.Load().root
 	}
-	root1, root2 := s1.root, s2.root
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e := &joinEngine{
@@ -287,20 +283,17 @@ func (w *joinWorker) scratchFor(n1, n2 *node) *pairScratch {
 	return &w.scratch[d]
 }
 
-// read1/read2 read each tree's own arena and charge the reads to this
+// read1/read2 charge a read to each tree's own arena and to this
 // worker's stats. Cancellation is checked before every read, so an
 // abandoned join stops within one node access.
-func (w *joinWorker) read1(id pagefile.PageID) (*node, error) { return w.read(w.e.src1, id) }
-func (w *joinWorker) read2(id pagefile.PageID) (*node, error) { return w.read(w.e.src2, id) }
+func (w *joinWorker) read1(n *node) (*node, error) { return w.read(w.e.src1, n) }
+func (w *joinWorker) read2(n *node) (*node, error) { return w.read(w.e.src2, n) }
 
-func (w *joinWorker) read(src *arena, id pagefile.PageID) (*node, error) {
+func (w *joinWorker) read(src *arena, n *node) (*node, error) {
 	if err := w.e.ctx.Err(); err != nil {
 		return nil, err
 	}
-	n, err := src.get(id)
-	if err != nil {
-		return nil, err
-	}
+	src.get(n)
 	w.stats.NodesVisited++
 	w.stats.NodeAccesses += uint64(n.cost)
 	return n, nil

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 func buildJoinTree(t *testing.T, seed int64, n int) *Tree {
@@ -75,17 +74,11 @@ func clipRect(a, b geom.Rect) geom.Rect {
 // edge alone.
 func refJoin(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool, dedup bool) (pairs map[[2]uint64]int, ts TraversalStats, onEdge int) {
 	t.Helper()
-	s1, s2 := j1.acquire(), j2.acquire()
-	defer j1.release(s1)
-	defer j2.release(s2)
-	src1, root1 := j1.st, s1.root
-	src2, root2 := j2.st, s2.root
+	src1, root1 := j1.st, j1.cur.Load().root
+	src2, root2 := j2.st, j2.cur.Load().root
 	pairs = map[[2]uint64]int{}
-	read := func(src *arena, id pagefile.PageID) *node {
-		n, err := src.get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	read := func(src *arena, n *node) *node {
+		src.get(n)
 		ts.NodesVisited++
 		ts.NodeAccesses += uint64(n.cost)
 		return n

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // This file implements k-nearest-neighbour search by best-first
@@ -26,8 +25,9 @@ type Neighbour struct {
 // pqItem is a heap element: either a node to expand or a leaf entry.
 type pqItem struct {
 	dist  float64
-	node  pagefile.PageID // non-zero: a node to expand
-	entry Neighbour       // valid when node == 0
+	node  *node     // non-nil: a node to expand
+	seq   int       // a node's push order
+	entry Neighbour // valid when node == nil
 }
 
 type pq []pqItem
@@ -35,20 +35,20 @@ type pq []pqItem
 func (q pq) Len() int { return len(q) }
 
 // Less orders by MINDIST; on ties nodes are expanded before entries are
-// emitted (so every candidate at that distance is on the heap first) and
-// equal-distance entries pop smallest object id first. Deterministic tie
-// breaking is what lets a sharded best-k merge reproduce the single-tree
-// answer bit for bit.
+// emitted (so every candidate at that distance is on the heap first),
+// equal-distance nodes in push order, and equal-distance entries pop
+// smallest object id first. Deterministic tie breaking is what lets a
+// sharded best-k merge reproduce the single-tree answer bit for bit.
 func (q pq) Less(i, j int) bool {
 	a, b := q[i], q[j]
 	if a.dist != b.dist {
 		return a.dist < b.dist
 	}
-	if (a.node != 0) != (b.node != 0) {
-		return a.node != 0
+	if (a.node != nil) != (b.node != nil) {
+		return a.node != nil
 	}
-	if a.node != 0 {
-		return a.node < b.node
+	if a.node != nil {
+		return a.seq < b.seq
 	}
 	return a.entry.OID < b.entry.OID
 }
@@ -62,18 +62,19 @@ func (q *pq) Pop() interface{} {
 	return it
 }
 
-func nearestSearch(ctx context.Context, src *arena, root pagefile.PageID, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
+func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
 	var stats TraversalStats
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("rtree: Nearest needs k ≥ 1, got %d", k)
 	}
 	var q pq
+	pushed := 0
 	heap.Push(&q, pqItem{dist: 0, node: root})
 	seen := map[uint64]bool{}
 	var out []Neighbour
 	for q.Len() > 0 && len(out) < k {
 		it := heap.Pop(&q).(pqItem)
-		if it.node == 0 {
+		if it.node == nil {
 			if dedup {
 				if seen[it.entry.OID] {
 					continue
@@ -87,10 +88,7 @@ func nearestSearch(ctx context.Context, src *arena, root pagefile.PageID, p geom
 		if err := ctx.Err(); err != nil {
 			return out, stats, err
 		}
-		n, err := src.get(it.node)
-		if err != nil {
-			return nil, stats, err
-		}
+		n := src.get(it.node)
 		stats.NodesVisited++
 		stats.NodeAccesses += uint64(n.cost)
 		for i := range n.entries {
@@ -99,7 +97,8 @@ func nearestSearch(ctx context.Context, src *arena, root pagefile.PageID, p geom
 			if n.isLeaf() {
 				heap.Push(&q, pqItem{dist: d, entry: Neighbour{Rect: e.Rect, OID: e.OID, Dist: d}})
 			} else {
-				heap.Push(&q, pqItem{dist: d, node: e.Child})
+				pushed++
+				heap.Push(&q, pqItem{dist: d, node: e.Child, seq: pushed})
 			}
 		}
 	}

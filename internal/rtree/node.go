@@ -1,8 +1,8 @@
 // Package rtree implements the three MBR-based access methods the
-// paper evaluates. A tree keeps its nodes decoded in memory, in a node
-// arena (arena.go) that charges every node access the pages the node
-// would fill at the tree's page size, so searches have a faithful
-// disk-access count:
+// paper evaluates. A tree keeps its nodes decoded in memory, children
+// by pointer, and its node arena (arena.go) charges every node access
+// the pages the node would fill at the tree's page size, so searches
+// have a faithful disk-access count:
 //
 //   - the original R-tree (Guttman 1984) with quadratic or linear
 //     node splitting,
@@ -23,18 +23,16 @@ import (
 	"sync/atomic"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
-// Entry is a node slot: a rectangle plus either a child node
+// Entry is a node's entry: a rectangle plus either a child node
 // (internal nodes) or an object id (leaves). For R-trees and R*-trees
 // the rectangle of an internal entry is the tight MBR of the child's
 // subtree; for R+-trees it is the child's partition region.
 type Entry struct {
 	Rect geom.Rect
-	// Child is the child's arena slot for internal entries, NilPage in
-	// leaves.
-	Child pagefile.PageID
+	// Child is the child node of an internal entry, nil in leaves.
+	Child *node
 	// OID is the object identifier for leaf entries.
 	OID uint64
 }
@@ -46,12 +44,11 @@ type Entry struct {
 // node costs one page read per page its entries fill, which the
 // disk-access accounting reflects.
 type node struct {
-	id      pagefile.PageID // arena slot
-	level   int             // 0 = leaf
+	level   int // 0 = leaf
 	entries []Entry
 
 	// cost is the number of page reads the node costs, 1 plus its
-	// overflow pages (pagesFor): set when the version is installed
+	// overflow pages (pagesFor): set when the node is installed
 	// (arena.go) or decoded (flat.go).
 	cost uint32
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 func TestMinEntries(t *testing.T) {
@@ -50,12 +49,8 @@ func TestRStarBeatsQuadraticOnClusteredOverlap(t *testing.T) {
 	leafOverlap := func(tr *Tree) float64 {
 		// Sum pairwise overlap area of the leaf-parent entries.
 		var leaves []geom.Rect
-		var walk func(id pagefile.PageID)
-		walk = func(id pagefile.PageID) {
-			n, err := tr.st.get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+		var walk func(n *node)
+		walk = func(n *node) {
 			if n.isLeaf() {
 				leaves = append(leaves, n.mbr())
 				return

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // RPlusTree is an R+-tree (Sellis, Roussopoulos, Faloutsos 1987): the
@@ -32,7 +31,7 @@ import (
 // work (Greene 1989)", and leaves the tree as it was.
 //
 // An RPlusTree is safe for concurrent use under the same copy-on-write
-// protocol as Tree (snapshot.go): searches pin a published snapshot and
+// protocol as Tree (snapshot.go): searches read a published snapshot and
 // never block behind writers, and a mutation either commits whole or
 // leaves no trace.
 type RPlusTree struct {
@@ -77,16 +76,16 @@ func covering(b geom.Rect, ok bool, r geom.Rect) geom.Rect {
 
 // scanBounds computes the data MBR of the working tree from every
 // leaf. Caller runs inside a mutation.
-func (t *RPlusTree) scanBounds() (geom.Rect, bool, error) {
+func (t *RPlusTree) scanBounds() (geom.Rect, bool) {
 	var out geom.Rect
 	found := false
 	all := func(geom.Rect) bool { return true }
-	_, err := traverse(context.Background(), t.st, t.root, all, all,
+	traverse(context.Background(), t.st, t.root, all, all,
 		func(h Hit) bool {
 			out, found = covering(out, found, h.Rect), true
 			return true
 		})
-	return out, found, err
+	return out, found
 }
 
 // Insert registers the rectangle in every leaf whose region its
@@ -129,17 +128,14 @@ func (t *RPlusTree) InsertBatch(recs []Record) error {
 	})
 }
 
-// insertRec inserts the entry into the subtree rooted at id (with the
+// insertRec inserts the entry into the subtree rooted at n (with the
 // given partition region) and returns the replacement parent entries
 // for this subtree: one entry when the node did not split, several
-// after splits. Every node it installs is shadowed, so the entries carry
-// the subtree's new ids up the path.
-func (t *RPlusTree) insertRec(id pagefile.PageID, region geom.Rect, e Entry) ([]Entry, error) {
-	n, err := t.st.checkOut(id)
-	if err != nil {
-		return nil, err
-	}
-	if n.isLeaf() {
+// after splits. Every node it changes is owned first, so the entries
+// carry the subtree's copies up the path.
+func (t *RPlusTree) insertRec(n *node, region geom.Rect, e Entry) ([]Entry, error) {
+	if t.st.get(n).isLeaf() {
+		n = t.own(n)
 		n.entries = append(n.entries, e)
 		return t.normalize(n, region)
 	}
@@ -159,10 +155,11 @@ func (t *RPlusTree) insertRec(id pagefile.PageID, region geom.Rect, e Entry) ([]
 			changed = true
 		}
 	}
-	n.entries = out
 	if !changed {
-		return []Entry{{Rect: region, Child: n.id}}, nil
+		return []Entry{{Rect: region, Child: n}}, nil
 	}
+	n = t.own(n)
+	n.entries = out
 	return t.normalize(n, region)
 }
 
@@ -170,24 +167,25 @@ func (t *RPlusTree) insertRec(id pagefile.PageID, region geom.Rect, e Entry) ([]
 // unsplittable node may hold before the tree reports degeneracy.
 const maxOverflowChain = 16
 
-// normalize installs the node if it fits its page, or cuts it
-// (possibly repeatedly) until every piece fits, returning the parent
-// entries describing the pieces. A node facing Greene's degeneracy —
-// more entries than capacity, with every candidate cut crossed by all
-// of them — is installed whole instead, charged its overflow pages
-// (each costs one extra read when the node is visited), bounded by
-// maxOverflowChain pages to keep runaway growth detectable.
+// normalize installs the node, which the running mutation owns, if it
+// fits its page, or cuts it (possibly repeatedly) until every piece
+// fits, returning the parent entries describing the pieces. A node
+// facing Greene's degeneracy — more entries than capacity, with every
+// candidate cut crossed by all of them — is installed whole instead,
+// charged its overflow pages (each costs one extra read when the node
+// is visited), bounded by maxOverflowChain pages to keep runaway growth
+// detectable.
 func (t *RPlusTree) normalize(n *node, region geom.Rect) ([]Entry, error) {
 	if len(n.entries) > t.st.cap {
 		if axis, cut, ok := chooseCut(n, region); ok {
 			return t.divide(n, region, axis, cut)
 		}
 		if len(n.entries) > t.st.cap*maxOverflowChain {
-			return nil, fmt.Errorf("%w: node %d (%d entries)", ErrUnsplittable, n.id, len(n.entries))
+			return nil, fmt.Errorf("%w: a level-%d node of %d entries", ErrUnsplittable, n.level, len(n.entries))
 		}
 	}
-	t.writeMutNode(n)
-	return []Entry{{Rect: region, Child: n.id}}, nil
+	t.st.install(n)
+	return []Entry{{Rect: region, Child: n}}, nil
 }
 
 // divide cuts node n (partition region region) by the hyperplane
@@ -213,11 +211,7 @@ func (t *RPlusTree) divide(n *node, region geom.Rect, axis int, cut float64) ([]
 			le = append(le, e)
 			re = append(re, e)
 		default:
-			child, err := t.st.checkOut(e.Child)
-			if err != nil {
-				return nil, err
-			}
-			pieces, err := t.divide(child, e.Rect, axis, cut)
+			pieces, err := t.divide(t.own(t.st.get(e.Child)), e.Rect, axis, cut)
 			if err != nil {
 				return nil, err
 			}
@@ -335,15 +329,13 @@ func dedupFloats(s []float64) []float64 {
 	return out
 }
 
-// Delete removes the object (rect, oid) from every leaf it is
-// registered in. Underfull leaves are tolerated: the original R+-tree
-// paper leaves deletion-time reorganisation to periodic rebuilds.
+// Delete removes one registration of the object (rect, oid) from every
+// leaf it is registered in. Underfull leaves are tolerated: the original
+// R+-tree paper leaves deletion-time reorganisation to periodic
+// rebuilds.
 func (t *RPlusTree) Delete(r geom.Rect, oid uint64) error {
 	return t.mutate(func() error {
-		removed, root, err := t.deleteRec(t.root, r, oid)
-		if err != nil {
-			return err
-		}
+		removed, root := t.deleteRec(t.root, r, oid)
 		if removed == 0 {
 			return ErrNotFound
 		}
@@ -354,45 +346,41 @@ func (t *RPlusTree) Delete(r geom.Rect, oid uint64) error {
 			t.bounded = false
 		case r.Min.X == b.Min.X || r.Min.Y == b.Min.Y || r.Max.X == b.Max.X || r.Max.Y == b.Max.Y:
 			// r may have been alone in reaching that edge: only then can
-			// the MBR shrink, and only a scan says to what. A scan that
-			// fails keeps the old MBR, which still covers what is stored.
-			if nb, ok, err := t.scanBounds(); err == nil {
-				t.bounds, t.bounded = nb, ok
-			}
+			// the MBR shrink, and only a scan says to what.
+			t.bounds, t.bounded = t.scanBounds()
 		}
 		return nil
 	})
 }
 
-// deleteRec removes (r, oid) from the subtree rooted at id and returns
-// how many registrations it removed and the subtree's id afterwards: a
-// node that lost an entry, or whose child moved, is rewritten shadowed.
-func (t *RPlusTree) deleteRec(id pagefile.PageID, r geom.Rect, oid uint64) (int, pagefile.PageID, error) {
-	n, err := t.st.checkOut(id)
-	if err != nil {
-		return 0, 0, err
-	}
+// deleteRec removes one (r, oid) entry from each leaf of the subtree
+// rooted at n that holds one, and returns how many it removed and the
+// subtree's root afterwards: a node that lost an entry, or whose child
+// was copied, is owned and rewritten.
+func (t *RPlusTree) deleteRec(n *node, r geom.Rect, oid uint64) (int, *node) {
 	removed := 0
-	if n.isLeaf() {
-		had := len(n.entries)
-		n.entries = slices.DeleteFunc(n.entries, func(e Entry) bool { return e.OID == oid && e.Rect == r })
-		removed = had - len(n.entries)
+	if t.st.get(n).isLeaf() {
+		if i := slices.IndexFunc(n.entries, func(e Entry) bool { return e.OID == oid && e.Rect == r }); i >= 0 {
+			n = t.own(n)
+			n.entries = slices.Delete(n.entries, i, i+1)
+			removed = 1
+		}
 	} else {
-		for i, ce := range n.entries {
-			if !ce.Rect.IntersectsInterior(r) {
+		for i := range n.entries {
+			if !n.entries[i].Rect.IntersectsInterior(r) {
 				continue
 			}
-			k, child, err := t.deleteRec(ce.Child, r, oid)
-			if err != nil {
-				return 0, 0, err
+			k, child := t.deleteRec(n.entries[i].Child, r, oid)
+			if k == 0 {
+				continue
 			}
 			removed += k
+			n = t.own(n)
 			n.entries[i].Child = child
 		}
 	}
-	if removed == 0 {
-		return 0, id, nil
+	if removed > 0 {
+		t.st.install(n)
 	}
-	t.writeMutNode(n)
-	return removed, n.id, nil
+	return removed, n
 }

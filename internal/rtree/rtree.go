@@ -3,9 +3,9 @@ package rtree
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // Tree is an R-tree (Guttman 1984) or, depending on Options, an
@@ -13,7 +13,7 @@ import (
 // (NewArena, Adopt); the zero value is not usable.
 //
 // A Tree is safe for concurrent use and its readers never block behind
-// writers: searches pin an immutable published snapshot of the tree,
+// writers: searches read an immutable published snapshot of the tree,
 // while mutations copy-on-write the nodes they touch and publish a new
 // snapshot when they commit (see snapshot.go). Mutations are atomic —
 // a failed Insert or Delete leaves the published tree untouched — and
@@ -59,11 +59,10 @@ func (t *Tree) Insert(r geom.Rect, oid uint64) error {
 
 // InsertBatch adds a batch of rectangles as one atomic mutation:
 // queries observe either none or all of the batch, and the snapshot is
-// published (with its slot retirement bookkeeping) once instead of per
-// record. On an empty tree the batch is Sort-Tile-Recursive packed —
-// the O(N log N) bulk build with near-full nodes — instead of inserted
-// one by one; a non-empty tree takes the batch through the ordinary
-// insertion path under a single publication.
+// published once instead of per record. On an empty tree the batch is
+// Sort-Tile-Recursive packed — the O(N log N) bulk build with near-full
+// nodes — instead of inserted one by one; a non-empty tree takes the
+// batch through the ordinary insertion path under a single publication.
 func (t *Tree) InsertBatch(recs []Record) error {
 	for _, r := range recs {
 		if !r.Rect.Valid() {
@@ -75,7 +74,8 @@ func (t *Tree) InsertBatch(recs []Record) error {
 	}
 	return t.mutate(func() error {
 		if t.size == 0 {
-			return t.packInto(recs)
+			t.packInto(recs)
+			return nil
 		}
 		for _, r := range recs {
 			reinserted := make(map[int]bool)
@@ -91,10 +91,7 @@ func (t *Tree) InsertBatch(recs []Record) error {
 // insertAtLevel places an entry at the given level (0 = leaf level),
 // handling overflow by forced reinsertion (R*) or splitting.
 func (t *Tree) insertAtLevel(e Entry, level int, reinserted map[int]bool) error {
-	path, err := t.choosePath(e.Rect, level)
-	if err != nil {
-		return err
-	}
+	path := t.choosePath(e.Rect, level)
 	n := path[len(path)-1]
 	n.entries = append(n.entries, e)
 	return t.handleOverflowAndAdjust(path, reinserted)
@@ -102,35 +99,23 @@ func (t *Tree) insertAtLevel(e Entry, level int, reinserted map[int]bool) error 
 
 // choosePath descends from the root to a node at the target level,
 // returning the nodes along the way (root first). Every node on the
-// path will be modified, so each is shadowed to a fresh slot as it is
-// read (its parent is in memory and gets the new child id).
-func (t *Tree) choosePath(r geom.Rect, level int) ([]*node, error) {
-	var path []*node
-	id := t.root
-	parentIdx := -1
-	for {
-		n, err := t.st.checkOut(id)
-		if err != nil {
-			return nil, err
-		}
-		t.shadowNode(n)
-		if n.id != id {
-			if len(path) == 0 {
-				t.root = n.id
-			} else {
-				path[len(path)-1].entries[parentIdx].Child = n.id
-			}
-		}
+// path will be modified, so each is owned as it is read (its parent is
+// already owned and is re-pointed at it).
+func (t *Tree) choosePath(r geom.Rect, level int) []*node {
+	n := t.own(t.st.get(t.root))
+	t.root = n
+	path := []*node{n}
+	for n.level != level {
+		i := t.chooseSubtree(n, r)
+		child := t.own(t.st.get(n.entries[i].Child))
+		n.entries[i].Child = child
+		n = child
 		path = append(path, n)
-		if n.level == level {
-			return path, nil
-		}
-		parentIdx = t.chooseSubtree(n, r)
-		id = n.entries[parentIdx].Child
 	}
+	return path
 }
 
-// chooseSubtree picks the child slot to descend into.
+// chooseSubtree picks the entry to descend into.
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	if t.opts.RStarChooseSubtree && n.level == 1 {
 		// R*: children are leaves — minimise overlap enlargement, then
@@ -199,30 +184,21 @@ func (t *Tree) handleOverflowAndAdjust(path []*node, reinserted map[int]bool) er
 			if sibling != nil {
 				newRoot := t.allocMutNode(n.level + 1)
 				newRoot.entries = []Entry{
-					{Rect: n.mbr(), Child: n.id},
-					{Rect: sibling.mbr(), Child: sibling.id},
+					{Rect: n.mbr(), Child: n},
+					{Rect: sibling.mbr(), Child: sibling},
 				}
 				t.st.install(newRoot)
-				t.root = newRoot.id
+				t.root = newRoot
 				t.depth++
 			}
 			return nil
 		}
 		// Update the parent's rectangle for n, and add the sibling.
 		parent := path[i-1]
-		slot := -1
-		for j := range parent.entries {
-			if parent.entries[j].Child == n.id {
-				slot = j
-				break
-			}
-		}
-		if slot < 0 {
-			return fmt.Errorf("rtree: node %d not found in parent %d", n.id, parent.id)
-		}
+		slot := childSlot(parent, n)
 		parent.entries[slot].Rect = n.mbr()
 		if sibling != nil {
-			parent.entries = append(parent.entries, Entry{Rect: sibling.mbr(), Child: sibling.id})
+			parent.entries = append(parent.entries, Entry{Rect: sibling.mbr(), Child: sibling})
 		}
 	}
 	return nil
@@ -261,14 +237,8 @@ func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) err
 	// Install the tightened node and adjust ancestors.
 	t.st.install(n)
 	for i := idx - 1; i >= 0; i-- {
-		parent := path[i]
-		child := path[i+1]
-		for j := range parent.entries {
-			if parent.entries[j].Child == child.id {
-				parent.entries[j].Rect = child.mbr()
-				break
-			}
-		}
+		parent, child := path[i], path[i+1]
+		parent.entries[childSlot(parent, child)].Rect = child.mbr()
 		t.st.install(parent)
 	}
 	// Reinsert far entries (close reinsert: farthest first).
@@ -284,14 +254,11 @@ func (t *Tree) forceReinsert(path []*node, idx int, reinserted map[int]bool) err
 // It returns ErrNotFound when no such entry is stored.
 func (t *Tree) Delete(r geom.Rect, oid uint64) error {
 	return t.mutate(func() error {
-		leafPath, slot, err := t.findLeaf(t.root, nil, r, oid)
-		if err != nil {
-			return err
-		}
+		leafPath, slot := t.findLeaf(t.root, nil, r, oid)
 		if leafPath == nil {
 			return ErrNotFound
 		}
-		t.shadowPath(leafPath)
+		t.ownPath(leafPath)
 		leaf := leafPath[len(leafPath)-1]
 		leaf.entries = append(leaf.entries[:slot], leaf.entries[slot+1:]...)
 		if err := t.condenseTree(leafPath); err != nil {
@@ -303,33 +270,25 @@ func (t *Tree) Delete(r geom.Rect, oid uint64) error {
 }
 
 // findLeaf locates a leaf containing the (rect, oid) entry, returning
-// the root-to-leaf path and the slot index.
-func (t *Tree) findLeaf(id pagefile.PageID, path []*node, r geom.Rect, oid uint64) ([]*node, int, error) {
-	n, err := t.st.checkOut(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	path = append(path, n)
+// the root-to-leaf path and the entry's index in the leaf.
+func (t *Tree) findLeaf(n *node, path []*node, r geom.Rect, oid uint64) ([]*node, int) {
+	path = append(path, t.st.get(n))
 	if n.isLeaf() {
 		for i, e := range n.entries {
 			if e.OID == oid && e.Rect == r {
-				return path, i, nil
+				return path, i
 			}
 		}
-		return nil, 0, nil
+		return nil, 0
 	}
 	for _, e := range n.entries {
 		if e.Rect.ContainsRect(r) {
-			found, slot, err := t.findLeaf(e.Child, path, r, oid)
-			if err != nil {
-				return nil, 0, err
-			}
-			if found != nil {
-				return found, slot, nil
+			if found, slot := t.findLeaf(e.Child, path, r, oid); found != nil {
+				return found, slot
 			}
 		}
 	}
-	return nil, 0, nil
+	return nil, 0
 }
 
 // condenseTree implements Guttman's CondenseTree: eliminate underfull
@@ -344,25 +303,13 @@ func (t *Tree) condenseTree(path []*node) error {
 	}
 	var orphans []orphan
 	for i := len(path) - 1; i >= 1; i-- {
-		n := path[i]
-		parent := path[i-1]
-		slot := -1
-		for j := range parent.entries {
-			if parent.entries[j].Child == n.id {
-				slot = j
-				break
-			}
-		}
-		if slot < 0 {
-			return fmt.Errorf("rtree: condense: node %d not in parent %d", n.id, parent.id)
-		}
+		n, parent := path[i], path[i-1]
+		slot := childSlot(parent, n)
 		if len(n.entries) < minFill {
 			// Remove the node; its entries will be reinserted.
 			parent.entries = append(parent.entries[:slot], parent.entries[slot+1:]...)
 			orphans = append(orphans, orphan{level: n.level, entries: n.entries})
-			if err := t.freeMutNode(n); err != nil {
-				return err
-			}
+			t.freeMutNode(n)
 		} else {
 			parent.entries[slot].Rect = n.mbr()
 			t.st.install(n)
@@ -380,18 +327,18 @@ func (t *Tree) condenseTree(path []*node) error {
 	}
 	// Shrink the root while it is internal with a single child.
 	for {
-		root, err := t.st.get(t.root)
-		if err != nil {
-			return err
-		}
+		root := t.st.get(t.root)
 		if root.isLeaf() || len(root.entries) != 1 {
 			return nil
 		}
-		child := root.entries[0].Child
-		if err := t.freeMutNode(root); err != nil {
-			return err
-		}
-		t.root = child
+		t.freeMutNode(root)
+		t.root = root.entries[0].Child
 		t.depth--
 	}
+}
+
+// childSlot is the index of parent's entry for child, which a mutation
+// path keeps pointing at the copy it changes.
+func childSlot(parent, child *node) int {
+	return slices.IndexFunc(parent.entries, func(e Entry) bool { return e.Child == child })
 }

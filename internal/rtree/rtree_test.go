@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -238,6 +239,88 @@ func TestDeleteMissing(t *testing.T) {
 			t.Errorf("%s: delete wrong rect: %v", name, err)
 		}
 		_ = name
+	}
+}
+
+// TestDuplicateRegistrations: one oid may name several rectangles, and
+// one (rect, oid) pair may be inserted more than once; every tree kind
+// stores what it was given. A delete removes one registration — on an
+// R+-tree, one from each leaf the rectangle crosses — the invariants
+// accept every such state, and the image yields each pair as many times
+// as it is stored, which is what a rebuild at another page size (and
+// the decoder's size check) counts on. The background objects make the
+// R+-tree deep enough for the pair to cross leaves.
+func TestDuplicateRegistrations(t *testing.T) {
+	a, b := geom.R(20, 20, 80, 80), geom.R(30, 5, 31, 6)
+	type op struct {
+		del  bool
+		rect geom.Rect
+	}
+	for _, row := range []struct {
+		name  string
+		ops   []op
+		pairs map[geom.Rect]int // registrations of oid 7 left, by rectangle
+	}{
+		{"a pair inserted twice, deleted once", []op{{false, a}, {false, a}, {true, a}}, map[geom.Rect]int{a: 1}},
+		{"two rectangles under one oid", []op{{false, a}, {false, b}}, map[geom.Rect]int{a: 1, b: 1}},
+		{"a pair stored twice", []op{{false, a}, {false, a}}, map[geom.Rect]int{a: 2}},
+	} {
+		for name, tree := range makeTrees(t) {
+			label := row.name + "/" + name
+			rng := rand.New(rand.NewSource(5))
+			for oid := uint64(1000); oid < 1100; oid++ {
+				if err := tree.Insert(randRect(rng, 100, 8), oid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, o := range row.ops {
+				var err error
+				if o.del {
+					err = tree.Delete(o.rect, 7)
+				} else {
+					err = tree.Insert(o.rect, 7)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			want := 100
+			for _, k := range row.pairs {
+				want += k
+			}
+			if tree.Len() != want {
+				t.Fatalf("%s: Len %d, want %d", label, tree.Len(), want)
+			}
+			checkInv(t, label, tree)
+			f, err := OpenFlatBytes(flatEncode(t, tree, 1))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			recs := f.Records()
+			got := map[geom.Rect]int{}
+			for _, r := range recs {
+				if r.OID == 7 {
+					got[r.Rect]++
+				}
+			}
+			if len(recs) != want || !maps.Equal(got, row.pairs) {
+				t.Fatalf("%s: the image yields %d records, oid 7 as %v; want %d and %v", label, len(recs), got, want, row.pairs)
+			}
+			for r, k := range row.pairs {
+				for ; k > 0; k-- {
+					if err := tree.Delete(r, 7); err != nil {
+						t.Fatalf("%s: deleting what is stored: %v", label, err)
+					}
+				}
+				if err := tree.Delete(r, 7); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s: deleting %v once more than it was stored: %v", label, r, err)
+				}
+			}
+			if tree.Len() != 100 {
+				t.Fatalf("%s: Len %d after deleting oid 7, want 100", label, tree.Len())
+			}
+			checkInv(t, label, tree)
+		}
 	}
 }
 

@@ -4,53 +4,46 @@ import (
 	"context"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
 )
 
 // This file implements snapshot isolation for all three trees: queries
-// traverse an immutable published root while mutations build new page
-// versions on the side (path shadowing — copy-on-write along the
+// traverse an immutable published root while mutations build new node
+// versions on the side (path copying — copy-on-write along the
 // root-to-leaf path), so readers never block behind writers and never
 // observe a half-applied mutation.
 //
 // Protocol:
 //
-//   - Every mutation runs under the writer mutex. Before a node that is
-//     visible to the published snapshot is modified, it is relocated to
-//     a freshly allocated arena slot (shadowNode); the old slot is only
-//     retired, never repointed. Slots allocated during the mutation are
-//     tracked in core.fresh and may be rewritten freely.
+//   - Every mutation runs under the writer mutex. Before it changes a
+//     node a published snapshot can reach, it copies the node (own) and
+//     re-points the parent, or the working root, at the copy. The nodes
+//     it created are tracked in core.fresh and change in place.
 //   - When the mutation succeeds, a new snapshot (root, depth, size,
-//     bounds) is published atomically and the retired slots are
-//     attached to the superseded snapshot. If it fails, the fresh slots
-//     are freed and the working state is reset from the published
-//     snapshot, so failed mutations are invisible — the tree is
+//     bounds) is published with one atomic store. If it fails, the
+//     working state is reset from the published snapshot, whose nodes it
+//     never touched, so failed mutations are invisible — the tree is
 //     mutation-atomic.
-//   - Readers pin the current snapshot with a reference count and
-//     traverse its root without taking the writer mutex. A retired slot
-//     is freed (and hence eligible for reuse) only once every snapshot
-//     that could reference it has been released, oldest first.
-//
-// The pin/unpin critical sections are a few pointer operations, so the
-// only contention readers ever feel from a writer is the instant of
-// snapshot publication — never the splitting or reinsertion work of the
-// mutation itself.
+//   - Readers load the published snapshot and traverse its root without
+//     taking any lock. A superseded version lives exactly as long as
+//     some reader holds its root: the garbage collector reclaims it.
 
 // core is what Tree and RPlusTree share: the node store, the
 // copy-on-write protocol over it, and every reader that only needs a
-// pinned snapshot. The zero value is not usable; a constructor calls
+// published snapshot. The zero value is not usable; a constructor calls
 // startEmpty or FlatTree.adopt before the tree is shared.
 type core struct {
 	mu       sync.Mutex // serialises mutations; readers never take it
-	st       *arena     // the node store
+	st       *arena     // the page counters
 	name     string
 	covering bool // internal entries cover their subtrees (R-/R*-tree)
 
 	// Working state of the (single) writer, guarded by mu. Between
-	// mutations it mirrors the current snapshot.
-	root  pagefile.PageID
+	// mutations it mirrors the published snapshot.
+	root  *node
 	depth int // number of levels; 1 = root is a leaf
 	size  int // number of stored objects
 	// bounds is the MBR of the stored data rectangles while bounded is
@@ -60,119 +53,49 @@ type core struct {
 	bounded bool
 
 	// Copy-on-write bookkeeping of the in-flight mutation.
-	fresh   map[pagefile.PageID]bool // slots allocated by this mutation
-	retired []pagefile.PageID        // superseded slots, freed after the last reader
+	fresh    map[*node]bool // nodes this mutation created
+	replaced uint64         // pages of the published nodes it replaced
 
-	// Snapshot publication state.
-	pub        sync.Mutex // guards cur, oldest, and snapshot refs
-	cur        *snapshot  // currently published version
-	oldest     *snapshot  // head of the retirement queue
-	reclaimErr error      // first deferred-free failure, surfaced on the next mutation
+	cur atomic.Pointer[snapshot] // the published version
 }
 
 // snapshot is one immutable published version of the tree.
 type snapshot struct {
-	root    pagefile.PageID
+	root    *node
 	depth   int
 	size    int
 	bounds  geom.Rect
 	bounded bool
-
-	// The fields below are guarded by core.pub.
-	refs  int               // reader pins, +1 while this is the current snapshot
-	freed []pagefile.PageID // slots retired when this snapshot was superseded
-	next  *snapshot
 }
 
-// startEmpty makes c an empty tree — one root leaf — in a fresh arena
-// charging costs at pageSize, and publishes it.
+// startEmpty makes c an empty tree — one root leaf — charging costs at
+// pageSize, and publishes it.
 func (c *core) startEmpty(pageSize int, name string, covering bool) error {
-	st, err := newArena(pageSize, make([]*node, arenaMinSlots), 1)
+	st, err := newArena(pageSize)
 	if err != nil {
 		return err
 	}
-	root := &node{id: st.alloc()}
+	root := st.alloc(0)
 	st.install(root)
-	c.start(st, name, covering, root.id, 1, 0)
+	c.start(st, name, covering, root, 1, 0)
 	return nil
 }
 
-// start publishes the first snapshot of the tree rooted at root in st
+// start publishes the first snapshot of the tree rooted at root
 // (called by the constructors, before the tree is shared).
-func (c *core) start(st *arena, name string, covering bool, root pagefile.PageID, depth, size int) {
+func (c *core) start(st *arena, name string, covering bool, root *node, depth, size int) {
 	c.st, c.name, c.covering = st, name, covering
 	c.root, c.depth, c.size = root, depth, size
-	s := c.working()
-	c.cur = s
-	c.oldest = s
+	c.fresh = make(map[*node]bool)
+	c.publishLocked()
 }
 
-// working returns the working state as a snapshot holding the
-// "current" pin.
-func (c *core) working() *snapshot {
-	return &snapshot{root: c.root, depth: c.depth, size: c.size,
-		bounds: c.bounds, bounded: c.bounded, refs: 1}
-}
-
-// acquire pins and returns the current snapshot. The caller must
-// release it when the traversal is done.
-func (c *core) acquire() *snapshot {
-	c.pub.Lock()
-	s := c.cur
-	s.refs++
-	c.pub.Unlock()
-	return s
-}
-
-// release unpins a snapshot and frees any retired slots whose last
-// possible reader is now gone.
-func (c *core) release(s *snapshot) {
-	c.pub.Lock()
-	s.refs--
-	c.reclaimLocked()
-	c.pub.Unlock()
-}
-
-// reclaimLocked frees the retired slots of fully released snapshots,
-// oldest first. A slot retired at snapshot k may be referenced by any
-// snapshot ≤ k, so reclamation stops at the first snapshot that is
-// still pinned (or at the current one, which is always pinned). Caller
-// holds c.pub.
-func (c *core) reclaimLocked() {
-	for c.oldest != c.cur && c.oldest.refs == 0 {
-		for _, id := range c.oldest.freed {
-			if err := c.st.free(id); err != nil && c.reclaimErr == nil {
-				// Surface the failure on the next mutation rather than
-				// in whatever reader happened to trigger reclamation.
-				c.reclaimErr = err
-			}
-		}
-		c.oldest = c.oldest.next
-	}
-}
-
-// mutate runs fn as one copy-on-write mutation under the writer mutex.
+// mutate runs fn as one copy-on-write mutation under the writer mutex:
+// its outcome is either published as a new snapshot or rolled back
+// without a trace.
 func (c *core) mutate(fn func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mutateLocked(fn)
-}
-
-// mutateLocked wraps one mutation in the copy-on-write protocol:
-// shadow bookkeeping is reset, fn runs, and the outcome is either
-// published as a new snapshot or rolled back without a trace. Caller
-// holds c.mu.
-func (c *core) mutateLocked(fn func() error) error {
-	c.pub.Lock()
-	err := c.reclaimErr
-	c.reclaimErr = nil
-	c.pub.Unlock()
-	if err != nil {
-		return err
-	}
-	if c.fresh == nil {
-		c.fresh = make(map[pagefile.PageID]bool)
-	}
 	if err := fn(); err != nil {
 		c.rollbackLocked()
 		return err
@@ -181,112 +104,85 @@ func (c *core) mutateLocked(fn func() error) error {
 	return nil
 }
 
-// publishLocked installs the working state as the new current snapshot
-// and hands the slots retired by this mutation to the superseded one.
-// Caller holds c.mu.
+// publishLocked makes the working state the published snapshot: the
+// nodes the mutation created are immutable from now on, and the pages
+// of those it replaced are freed. Caller holds c.mu.
 func (c *core) publishLocked() {
-	s := c.working()
-	c.pub.Lock()
-	old := c.cur
-	old.refs-- // drop the "current" pin
-	old.freed = c.retired
-	old.next = s
-	c.cur = s
-	c.reclaimLocked()
-	c.pub.Unlock()
-	c.retired = nil
+	c.cur.Store(&snapshot{root: c.root, depth: c.depth, size: c.size,
+		bounds: c.bounds, bounded: c.bounded})
+	c.st.frees.Add(c.replaced)
+	c.replaced = 0
 	clear(c.fresh)
 }
 
-// rollbackLocked discards a failed mutation: every slot it allocated
-// is freed and the working state is reset from the published snapshot,
-// whose nodes were never touched. Caller holds c.mu.
+// rollbackLocked discards a failed mutation: the pages of every node
+// it created are freed and the working state is reset from the
+// published snapshot. Caller holds c.mu.
 func (c *core) rollbackLocked() {
-	for id := range c.fresh {
-		_ = c.st.free(id)
+	for n := range c.fresh {
+		c.st.free(n)
 	}
 	clear(c.fresh)
-	c.retired = nil
-	c.pub.Lock()
-	s := c.cur
-	c.pub.Unlock()
+	c.replaced = 0
+	s := c.cur.Load()
 	c.root, c.depth, c.size = s.root, s.depth, s.size
 	c.bounds, c.bounded = s.bounds, s.bounded
 }
 
-// inMutation reports whether a copy-on-write mutation is running (a
-// constructor runs before the tree is shared and writes in place).
-func (c *core) inMutation() bool { return c.fresh != nil }
-
-// shadowNode relocates a node that is visible to published snapshots
-// to a fresh slot, retiring the old one. Slots already allocated by
-// this mutation are rewritten in place. The caller is responsible for
-// re-pointing the parent entry (and c.root for the root node) at the
-// new id, and for eventually installing the node.
-func (c *core) shadowNode(n *node) {
-	if !c.inMutation() || c.fresh[n.id] {
-		return
+// own returns a node the running mutation may change: n itself when
+// the mutation created it, otherwise a copy (checkOut) that replaces n.
+// The caller re-points n's parent entry (or c.root) at the result.
+func (c *core) own(n *node) *node {
+	if c.fresh[n] {
+		return n
 	}
-	id := c.st.alloc()
-	c.fresh[id] = true
-	c.retired = append(c.retired, n.id)
-	n.id = id
+	c.replaced += uint64(n.cost)
+	m := c.st.checkOut(n)
+	c.fresh[m] = true
+	return m
 }
 
-// shadowPath shadows every node on a root-to-leaf path (top-down),
-// fixing the child pointers of the in-memory parents as it goes.
-func (c *core) shadowPath(path []*node) {
+// ownPath owns every node on a root-to-leaf path (top-down), re-pointing
+// each parent at its child's copy as it goes.
+func (c *core) ownPath(path []*node) {
 	for i, n := range path {
-		old := n.id
-		c.shadowNode(n)
-		if n.id == old {
-			continue
-		}
-		if i == 0 {
-			c.root = n.id
-			continue
-		}
-		p := path[i-1]
-		for j := range p.entries {
-			if p.entries[j].Child == old {
-				p.entries[j].Child = n.id
-				break
+		m := c.own(n)
+		path[i] = m
+		switch {
+		case m == n:
+		case i == 0:
+			c.root = m
+		default:
+			p := path[i-1]
+			for j := range p.entries {
+				if p.entries[j].Child == n {
+					p.entries[j].Child = m
+					break
+				}
 			}
 		}
 	}
 }
 
-// writeMutNode shadows n and installs it. The caller re-points the
-// parent entry at n.id. Caller runs inside a mutation.
-func (c *core) writeMutNode(n *node) {
-	c.shadowNode(n)
-	c.st.install(n)
-}
-
-// allocMutNode allocates a node, tracking it as fresh when a mutation
-// is running so rollback can reclaim it.
+// allocMutNode returns a new node of the running mutation.
 func (c *core) allocMutNode(level int) *node {
-	n := &node{id: c.st.alloc(), level: level}
-	if c.inMutation() {
-		c.fresh[n.id] = true
-	}
+	n := c.st.alloc(level)
+	c.fresh[n] = true
 	return n
 }
 
-// freeMutNode frees a node's slot: immediately when this mutation
-// allocated it (no snapshot can see it), deferred via the retired list
-// otherwise.
-func (c *core) freeMutNode(n *node) error {
-	if c.inMutation() && !c.fresh[n.id] {
-		c.retired = append(c.retired, n.id)
-		return nil
+// freeMutNode drops a node from the tree: its pages are freed at once
+// when this mutation created it, when the mutation publishes otherwise.
+func (c *core) freeMutNode(n *node) {
+	if !c.fresh[n] {
+		c.replaced += uint64(n.cost)
+		return
 	}
-	delete(c.fresh, n.id)
-	return c.st.free(n.id)
+	delete(c.fresh, n)
+	c.st.free(n)
 }
 
-// The readers below pin the current snapshot for their whole run and
-// take no other lock.
+// The readers below load the published snapshot once and take no lock.
 
 // Name identifies the variant ("R-tree", "R*-tree", "R+-tree").
 func (c *core) Name() string { return c.name }
@@ -300,31 +196,23 @@ func (c *core) Name() string { return c.name }
 // sets there.
 func (c *core) CoveringNodeRects() bool { return c.covering }
 
-// Len returns the number of distinct stored objects.
-func (c *core) Len() int {
-	s := c.acquire()
-	defer c.release(s)
-	return s.size
-}
+// Len returns the number of stored objects: (rect, oid) pairs, each as
+// many times as it was inserted and not deleted.
+func (c *core) Len() int { return c.cur.Load().size }
 
 // Height returns the number of levels (1 when the root is a leaf).
-func (c *core) Height() int {
-	s := c.acquire()
-	defer c.release(s)
-	return s.depth
-}
+func (c *core) Height() int { return c.cur.Load().depth }
 
 // Bounds returns the MBR of the stored rectangles: the union of the
 // root's entries on an R-/R*-tree; on an R+-tree the MBR its mutations
 // keep in the snapshot, so no node is read.
 func (c *core) Bounds() (geom.Rect, bool) {
-	s := c.acquire()
-	defer c.release(s)
+	s := c.cur.Load()
 	if !c.covering {
 		return s.bounds, s.bounded
 	}
-	root, err := c.st.get(s.root)
-	if err != nil || len(root.entries) == 0 {
+	root := c.st.get(s.root)
+	if len(root.entries) == 0 {
 		return geom.Rect{}, false
 	}
 	return root.mbr(), true
@@ -349,9 +237,7 @@ func (c *core) ResetIOStats() { c.st.resetStats() }
 // emit may see the same (rect, oid) several times; callers deduplicate
 // by oid.
 func (c *core) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
-	s := c.acquire()
-	defer c.release(s)
-	return traverse(ctx, c.st, s.root, nodePred, leafPred, emit)
+	return traverse(ctx, c.st, c.cur.Load().root, nodePred, leafPred, emit)
 }
 
 // SearchCtx is SearchHits for an emit that wants the rectangle and the
@@ -374,17 +260,15 @@ func (c *core) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Re
 // partition regions remains exact because every rectangle is registered
 // in the region containing its nearest point.
 func (c *core) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
-	s := c.acquire()
-	defer c.release(s)
-	return nearestSearch(ctx, c.st, s.root, p, k, !c.covering)
+	return nearestSearch(ctx, c.st, c.cur.Load().root, p, k, !c.covering)
 }
 
 // WriteFlat serializes the currently published version of the tree in
 // the flat snapshot format, tagged with the given checkpoint
-// generation. The snapshot is pinned for the duration, so writers are
-// not blocked. A node's record carries its page-access cost.
+// generation. Writers are not blocked: later mutations publish new
+// versions beside the one being written. A node's record carries its
+// page-access cost.
 func (c *core) WriteFlat(out io.Writer, gen uint64) error {
-	s := c.acquire()
-	defer c.release(s)
+	s := c.cur.Load()
 	return writeFlat(out, c.st, s.root, c.covering, c.name, gen, s.size, s.depth)
 }

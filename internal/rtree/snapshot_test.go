@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -107,7 +109,7 @@ func livePages(tree interface{ IOStats() pagefile.Stats }) uint64 {
 // TestMutationRollbackLeavesTreeUnchanged checks the strong atomicity
 // property on an R*- and an R+-tree: a mutation that fails part-way
 // leaves the published tree as it was before it — the same entries,
-// size and image, and the same live page count (every slot the failed
+// size and image, and the same live page count (every node the failed
 // mutation allocated is given back). The R*-tree's insert fails at the
 // first split it needs once its split policy is one it does not know,
 // after shadowing a path and, with forced reinsertion, moving entries;
@@ -181,7 +183,7 @@ func TestMutationRollbackLeavesTreeUnchanged(t *testing.T) {
 // first in a full leaf to its left, which it divides, and then in that
 // bounded leaf must fail with ErrUnsplittable — and leave the tree as
 // it was: no object lost, Len, Bounds and invariants unchanged, a
-// byte-equal MBRFLAT1 image, and the slots the divide allocated given
+// byte-equal MBRFLAT1 image, and the pages the divide allocated given
 // back.
 func TestRPlusUnsplittableInsertLosesNothing(t *testing.T) {
 	const pageSize = 168 // capacity 4
@@ -244,62 +246,112 @@ func TestRPlusUnsplittableInsertLosesNothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotReclamationWaitsForReaders checks that slots retired by
-// mutations are not freed while an older snapshot is pinned, and are
-// freed once the pin is released.
-func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
-	tree, err := newTestRTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31))
-	for i := uint64(0); i < 300; i++ {
-		if err := tree.Insert(randRect(rng, 100, 5), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s := tree.acquire()
-	pinned := livePages(tree)
-	// Every insert copy-on-writes its root-to-leaf path; with the old
-	// snapshot pinned none of the superseded pages may be reclaimed.
-	for i := uint64(1000); i < 1100; i++ {
-		if err := tree.Insert(randRect(rng, 100, 5), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	during := livePages(tree)
-	if during <= pinned {
-		t.Fatalf("page count %d did not grow past %d while a snapshot was pinned", during, pinned)
-	}
-	tree.release(s)
-	after := livePages(tree)
-	if after >= during {
-		t.Fatalf("releasing the snapshot reclaimed nothing: %d pages before, %d after", during, after)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Steady state: with no reader pinning old snapshots, churn must
-	// not grow the tree (retired slots are recycled at publication).
-	base := livePages(tree)
-	for round := 0; round < 5; round++ {
-		for i := uint64(0); i < 100; i++ {
-			r := randRect(rng, 100, 5)
-			if err := tree.Insert(r, 5000+i); err != nil {
+// TestHeldSnapshotOutlivesRewrites: a version lives exactly as long as
+// some reader holds its root. A reader loads a snapshot; a writer then
+// moves every object twice — each round replaces every node the round
+// started from — while a second reader walks the held version, and the
+// garbage collector runs twice. The held snapshot must still give the
+// answers, stats and MBRFLAT1 bytes it gave when it was loaded. The page
+// counters must say what the live tree holds: allocated minus freed is
+// the page cost of the nodes its published root reaches.
+func TestHeldSnapshotOutlivesRewrites(t *testing.T) {
+	for name, mk := range map[string]func() (kindTree, error){
+		"rstar": func() (kindTree, error) { return newTestRStar() },
+		"rplus": func() (kindTree, error) { return NewRPlusArena(testPageSize) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tree, err := mk()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tree.Delete(r, 5000+i); err != nil {
+			rng := rand.New(rand.NewSource(31))
+			live := map[uint64]geom.Rect{}
+			for oid := uint64(1); oid <= 300; oid++ {
+				live[oid] = randRect(rng, 100, 5)
+				if err := tree.Insert(live[oid], oid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := tree.(interface{ treeCore() *core }).treeCore()
+			held := c.cur.Load()
+			read := func() (string, []byte, error) {
+				var answers []Hit
+				ts, err := traverse(context.Background(), c.st, held.root, everything, everything, func(h Hit) bool {
+					answers = append(answers, Hit{Rect: h.Rect, OID: h.OID})
+					return true
+				})
+				if err != nil {
+					return "", nil, err
+				}
+				var image bytes.Buffer
+				err = writeFlat(&image, c.st, held.root, c.covering, c.name, 1, held.size, held.depth)
+				return fmt.Sprint(answers, ts), image.Bytes(), err
+			}
+			wantAnswers, wantImage, err := read()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// Node fill factors drift a little under churn; a genuine leak
-	// would grow by the whole shadowed path per insert (hundreds of
-	// pages here).
-	if np := livePages(tree); np > base+10 {
-		t.Fatalf("steady-state churn leaked pages: %d live, started at %d", np, base)
+
+			stop := make(chan struct{})
+			errs := make(chan error, 1)
+			go func() {
+				defer close(errs)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					answers, image, err := read()
+					if err == nil && (answers != wantAnswers || !bytes.Equal(image, wantImage)) {
+						err = errors.New("the held snapshot changed under a reader")
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+			for round := 0; round < 2; round++ {
+				before := liveNodes(t, tree)
+				for oid := uint64(1); oid <= 300; oid++ {
+					to := randRect(rng, 100, 5)
+					if err := move(tree, live[oid], to, oid); err != nil {
+						t.Fatal(err)
+					}
+					live[oid] = to
+				}
+				for n := range liveNodes(t, tree) {
+					if before[n] {
+						t.Fatalf("round %d left a level-%d node of the version it started from in the tree", round, n.level)
+					}
+				}
+			}
+			close(stop)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.GC()
+			answers, image, err := read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if answers != wantAnswers || !bytes.Equal(image, wantImage) {
+				t.Fatal("the held snapshot no longer gives what it gave when it was loaded")
+			}
+			if got := collectAll(t, tree); !maps.Equal(got, live) {
+				t.Fatalf("the live tree answers %d objects, want %d", len(got), len(live))
+			}
+			checkInv(t, name, tree)
+			var pages uint64
+			for n := range liveNodes(t, tree) {
+				pages += uint64(n.cost)
+			}
+			if np := livePages(tree); np != pages {
+				t.Fatalf("the counters say %d live pages, the tree's nodes cost %d", np, pages)
+			}
+		})
 	}
 }
 
@@ -309,8 +361,8 @@ func TestSnapshotReclamationWaitsForReaders(t *testing.T) {
 // order) and every search must be internally consistent (on the
 // covering trees, count equals distinct OIDs seen; an R+-tree registers
 // an object in several leaves). These are what catch a reader that can
-// reach a slot being installed, or a slot table being grown (it starts
-// at 64 slots): either is a data race the detector reports.
+// reach a node a mutation is still changing: a data race the detector
+// reports.
 func TestSnapshotConcurrentReadersAndWriter(t *testing.T) {
 	for name, mk := range map[string]func() (searcher, error){
 		"arena":       func() (searcher, error) { return newTestRStar() },

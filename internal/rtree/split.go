@@ -10,9 +10,8 @@ import (
 
 // splitNode distributes the entries of an overflowing node between the
 // node and a fresh sibling at the same level, according to the
-// configured algorithm. The node keeps its arena slot (so the parent
-// entry stays valid); the sibling is newly allocated and returned
-// uninstalled.
+// configured algorithm. The node stays the one its parent entry points
+// at; the sibling is newly allocated and returned uninstalled.
 func (t *Tree) splitNode(n *node) (*node, error) {
 	sibling := t.allocMutNode(n.level)
 	var left, right []Entry

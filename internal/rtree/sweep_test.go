@@ -180,16 +180,16 @@ func sweptNodes(t *testing.T, label string, nodes map[*node]bool) int {
 		}
 		swept++
 		if len(k.ord) != len(n.entries) {
-			t.Fatalf("%s: node %d keeps an order of %d for %d entries", label, n.id, len(k.ord), len(n.entries))
+			t.Fatalf("%s: a level-%d node keeps an order of %d for %d entries", label, n.level, len(k.ord), len(n.entries))
 		}
 		if len(n.entries) > 0 && k.mbr != unionOf(n.entries) {
-			t.Fatalf("%s: node %d keeps MBR %v, its entries span %v", label, n.id, k.mbr, unionOf(n.entries))
+			t.Fatalf("%s: a level-%d node keeps MBR %v, its entries span %v", label, n.level, k.mbr, unionOf(n.entries))
 		}
 		for i := 1; i < len(k.ord); i++ {
 			a, b := k.ord[i-1], k.ord[i]
 			ax, bx := n.entries[a].Rect.Min.X, n.entries[b].Rect.Min.X
 			if ax > bx || ax == bx && a >= b {
-				t.Fatalf("%s: node %d keeps entry %d (low x %v) before entry %d (low x %v)", label, n.id, a, ax, b, bx)
+				t.Fatalf("%s: a level-%d node keeps entry %d (low x %v) before entry %d (low x %v)", label, n.level, a, ax, b, bx)
 			}
 		}
 	}
@@ -200,7 +200,7 @@ func sweptNodes(t *testing.T, label string, nodes map[*node]bool) int {
 // whole invalidation story. Inserts, deletes and updates land in leaves
 // a join has already swept; every version a mutation installs starts
 // without a side-car, the versions it replaced — order and all — are
-// unreachable from the slot table, and the next join equals brute force
+// unreachable from the tree, and the next join equals brute force
 // over the live objects.
 func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 	for name, opts := range map[string]Options{"R-tree": {}, "R*-tree": rstarOpts} {
@@ -242,14 +242,14 @@ func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 				samePairs(t, want, got, label)
 			}
 			joinAndCheck("warm-up")
-			for n := range liveNodes(tree.st) {
+			for n := range liveNodes(t, tree) {
 				if n.isLeaf() && n.sweep.Load() == nil {
-					t.Fatalf("a join over everything left leaf %d unswept", n.id)
+					t.Fatal("a join over everything left a leaf unswept")
 				}
 			}
 			nextOID, replaced := uint64(301), 0
 			for step := 0; step < 60; step++ {
-				before := liveNodes(tree.st)
+				before := liveNodes(t, tree)
 				to := tieRects(rng, 1, 0)[0].Rect
 				at := rng.Intn(len(oids))
 				oid := oids[at]
@@ -270,7 +270,7 @@ func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				after := liveNodes(tree.st)
+				after := liveNodes(t, tree)
 				installed := map[*node]bool{}
 				for n := range after {
 					if !before[n] {

@@ -43,16 +43,22 @@ func scanTexts(t testing.TB, label string, s hitSearcher) (with, without int) {
 	return with, without
 }
 
-// liveNodes is the set of node versions a tree's slot table reaches.
-func liveNodes(st *arena) map[*node]bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// liveNodes is the set of node versions a tree's published root
+// reaches.
+func liveNodes(t *testing.T, tree any) map[*node]bool {
+	t.Helper()
+	_, root := arenaOf(t, tree)
 	out := map[*node]bool{}
-	for _, n := range *st.tab.Load() {
-		if n != nil && n != reserved {
-			out[n] = true
+	var walk func(n *node)
+	walk = func(n *node) {
+		out[n] = true
+		for _, e := range n.entries {
+			if e.Child != nil {
+				walk(e.Child)
+			}
 		}
 	}
+	walk(root)
 	return out
 }
 
@@ -80,7 +86,7 @@ func requireUnearned(t *testing.T, label string, nodes map[*node]bool) {
 	t.Helper()
 	for n := range nodes {
 		if n.text.Load() != nil || n.rented.Load() != 0 {
-			t.Fatalf("%s: node %d already has a side-car (text %v, %d rented)", label, n.id, n.text.Load() != nil, n.rented.Load())
+			t.Fatalf("%s: a level-%d node already has a side-car (text %v, %d rented)", label, n.level, n.text.Load() != nil, n.rented.Load())
 		}
 	}
 }
@@ -127,7 +133,7 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireUnearned(t, "after SearchCtx and kNN", liveNodes(tree.st))
+	requireUnearned(t, "after SearchCtx and kNN", liveNodes(t, tree))
 
 	for name, s := range map[string]hitSearcher{"arena R*-tree": tree, "arena R+-tree": rplus, "adopted image": adopted} {
 		if with, without := scanTexts(t, name+" scan 1", s); with != 0 || without < len(recs) {
@@ -143,7 +149,7 @@ func TestTextEarnedByRentOrBuy(t *testing.T) {
 // invalidation story. After Update and Delete+Insert of stored entries
 // no hit ever carries the text of a rectangle it no longer has, every
 // node version a mutation installs starts unearned, and the versions it
-// replaced — text and all — are unreachable from the slot table.
+// replaced — text and all — are unreachable from the tree.
 func TestTextFollowsNodeVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, mk := range map[string]func() (kindTree, error){
@@ -156,7 +162,6 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 			hs := tree.(hitSearcher)
-			st, _ := arenaOf(t, tree)
 			live := map[uint64]geom.Rect{}
 			for oid := uint64(1); oid <= 300; oid++ {
 				live[oid] = randRect(rng, 1000, 30)
@@ -175,13 +180,13 @@ func TestTextFollowsNodeVersions(t *testing.T) {
 			for step := 0; step < 60; step++ {
 				oid := uint64(1 + rng.Intn(300))
 				to := randRect(rng, 1000, 30)
-				before := liveNodes(st)
+				before := liveNodes(t, tree)
 				err = move(tree, live[oid], to, oid)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				live[oid] = to
-				after := liveNodes(st)
+				after := liveNodes(t, tree)
 				installed := map[*node]bool{}
 				for n := range after {
 					if !before[n] {
@@ -336,24 +341,24 @@ func TestTextCost(t *testing.T) {
 	if err := tree.InsertBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	requireUnearned(t, "after a bulk load", liveNodes(tree.st))
+	requireUnearned(t, "after a bulk load", liveNodes(t, tree))
 	flat, err := OpenFlatBytes(flatEncode(t, tree, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireUnearned(t, "after WriteFlat", liveNodes(tree.st))
+	requireUnearned(t, "after WriteFlat", liveNodes(t, tree))
 	requireUnearned(t, "after OpenFlatBytes", imageNodes(flat))
 	adopted, err := Adopt(flat, 2008, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireUnearned(t, "after Adopt", liveNodes(adopted.st))
+	requireUnearned(t, "after Adopt", liveNodes(t, adopted))
 
 	scanTexts(t, "adopted tree", adopted)
 	if _, without := scanTexts(t, "adopted tree", adopted); without != 0 {
 		t.Fatalf("%d hits without text after two full scans", without)
 	}
-	entries, bytes := textHeld(liveNodes(adopted.st))
+	entries, bytes := textHeld(liveNodes(t, adopted))
 	if entries != len(recs) {
 		t.Fatalf("side-cars cover %d entries, the tree stores %d", entries, len(recs))
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"mbrtopo/internal/geom"
-	"mbrtopo/internal/pagefile"
 )
 
 // This file is the shared traversal core of the read path. Both tree
@@ -25,7 +24,7 @@ import (
 //     consumers bound their answers.
 //
 // The traversal holds no tree-level state, so any number of traversals
-// may run in parallel, each over the snapshot it pinned.
+// may run in parallel, each over the snapshot it loaded.
 
 // TraversalStats counts the work of one traversal. Unlike a tree's
 // global page counters (IOStats), which aggregate across all operations
@@ -69,23 +68,19 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 // node expansion; on cancellation the traversal returns ctx.Err() with
 // the stats accumulated so far. Node-access accounting sums each node's
 // page cost.
-func traverse(ctx context.Context, src *arena, root pagefile.PageID,
+func traverse(ctx context.Context, src *arena, root *node,
 	nodePred, leafPred func(geom.Rect) bool,
 	emit func(Hit) bool) (TraversalStats, error) {
 
 	var stats TraversalStats
-	stack := make([]pagefile.PageID, 0, 32)
+	stack := make([]*node, 0, 32)
 	stack = append(stack, root)
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		id := stack[len(stack)-1]
+		n := src.get(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		n, err := src.get(id)
-		if err != nil {
-			return stats, err
-		}
 		stats.NodesVisited++
 		stats.NodeAccesses += uint64(n.cost)
 		if n.isLeaf() {

@@ -285,8 +285,8 @@ func (d *durable) checkpoint(inst *Instance) error {
 
 // materialise turns a validated checkpoint image into the mutable tree
 // it was taken from (every boot from an image, follower bootstrap). The
-// tree adopts the image's nodes — one slot-table copy, every node
-// version shared — so its shape, and every query's node accesses, are
+// tree adopts the image's nodes — its root is the decoded root, every
+// node version shared — so its shape, and every query's node accesses, are
 // the checkpointed tree's. Only an image written under another
 // -pagesize, whose nodes do not fit their recorded page cost, is
 // rebuilt from its entries by one InsertBatch.
