@@ -214,15 +214,24 @@ func Adopt(kind Kind, pageSize int, flat *rtree.FlatTree) (Index, error) {
 	return nil, fmt.Errorf("index: unknown kind %v", kind)
 }
 
-// WriteFlat serializes the index's currently published version in the
-// flat snapshot format (see rtree.FlatTree), tagged with the given
-// checkpoint generation; rtree.OpenFlatBytes and Adopt bring it back.
-func WriteFlat(idx Index, w io.Writer, gen uint64) error {
-	t, ok := idx.(interface{ WriteFlat(io.Writer, uint64) error })
+// PinFlat pins the index's currently published version for writing in
+// the flat snapshot format (see rtree.FlatImage), tagged with the given
+// checkpoint generation; rtree.OpenFlat and Adopt bring it back.
+func PinFlat(idx Index, gen uint64) (*rtree.FlatImage, error) {
+	t, ok := idx.(interface{ PinFlat(uint64) *rtree.FlatImage })
 	if !ok {
-		return fmt.Errorf("index: cannot write a flat snapshot of %T", idx)
+		return nil, fmt.Errorf("index: cannot write a flat snapshot of %T", idx)
 	}
-	return t.WriteFlat(w, gen)
+	return t.PinFlat(gen), nil
+}
+
+// WriteFlat writes the image PinFlat pins.
+func WriteFlat(idx Index, w io.Writer, gen uint64) error {
+	im, err := PinFlat(idx, gen)
+	if err != nil {
+		return err
+	}
+	return im.Encode(w)
 }
 
 // SerialPages returns the disk accesses of a serial scan of a data

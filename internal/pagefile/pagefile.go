@@ -1,7 +1,9 @@
 // Package pagefile holds what the access methods share about pages
 // without being pages themselves: the page counters a tree's node arena
 // keeps (Stats) and the error of stored bytes that are not what was
-// written (ErrCorrupt). The paper's performance metric is the number of
+// written (ErrCorrupt), which rtree.OpenFlat returns for an image that
+// fails a check while it streams — a file, a replica's bootstrap —
+// before it hands back any node. The paper's performance metric is the number of
 // disk accesses per search; a tree charges every node access the pages
 // that node fills at its page size (rtree's node arena), so counted page
 // reads are the faithful analogue of the paper's measurements
@@ -15,7 +17,7 @@ import (
 )
 
 // ErrCorrupt is returned when stored bytes (an MBRFLAT1 image, see
-// rtree.OpenFlatBytes) fail their checksum or structural checks: they
+// rtree.OpenFlat) fail their checksum or structural checks: they
 // are not what was written, and serving them as nodes would silently
 // return wrong query answers.
 var ErrCorrupt = errors.New("pagefile: corrupt page")

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -203,14 +204,20 @@ func (f *FlatTree) NodesSharedWith(idx any) (shared, total int) {
 	numbers := map[string]uint64{}
 	var visit func(n *node, each func(uint64)) uint64
 	visit = func(n *node, each func(uint64)) uint64 {
-		refs := make([]uint64, len(n.entries))
+		b := binary.LittleEndian.AppendUint32(nil, uint32(n.level))
+		b = binary.LittleEndian.AppendUint32(b, n.cost)
 		for i := range n.entries {
-			refs[i] = n.entries[i].OID
+			e := &n.entries[i]
+			ref := e.OID
 			if !n.isLeaf() {
-				refs[i] = visit(n.entries[i].Child, each)
+				ref = visit(e.Child, each)
 			}
+			for _, v := range [...]float64{e.Rect.Min.X, e.Rect.Min.Y, e.Rect.Max.X, e.Rect.Max.Y} {
+				b = appendF64(b, v)
+			}
+			b = binary.LittleEndian.AppendUint64(b, ref)
 		}
-		key := string(appendRecord(nil, n, refs))
+		key := string(b)
 		id, ok := numbers[key]
 		if !ok {
 			id = uint64(len(numbers))

@@ -1,11 +1,15 @@
 package rtree
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
@@ -16,11 +20,14 @@ import (
 // format a tree is saved in. The layout replaces child pointers with
 // byte offsets — children are written before their parents
 // (post-order), so every child reference points strictly backwards and
-// a single sequential pass both validates and decodes the whole file.
-// Two CRC32-C checksums (header, node section) make corruption detection
-// deterministic: OpenFlatBytes either yields exactly the tree that was
-// written or an error wrapping pagefile.ErrCorrupt, never wrong
-// entries.
+// a reader checks and decodes one node record at a time, as the paper's
+// trees read one page at a time. Neither side ever holds the whole
+// image: FlatImage.Encode walks the pinned version twice (the header
+// first needs the node section's length and CRC) and OpenFlat decodes
+// from a stream. Two CRC32-C checksums (header, node section) make
+// corruption detection deterministic: OpenFlat either yields exactly
+// the tree that was written or an error wrapping pagefile.ErrCorrupt,
+// never wrong entries.
 //
 // Each node record carries the node's page-access cost (1 + its
 // overflow pages), so TraversalStats of the tree that adopts the image
@@ -57,6 +64,11 @@ const (
 	flatHeaderSize  = 128
 	flatNodeHdrSize = 8
 	flatMaxName     = 23
+
+	// flatBuffer sizes the writer's and the reader's buffers; flatSlab is
+	// how many nodes the reader allocates at a time.
+	flatBuffer = 64 << 10
+	flatSlab   = 128
 )
 
 var flatMagic = []byte("MBRFLAT1")
@@ -75,97 +87,143 @@ func flatCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: flat snapshot: %s", pagefile.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// flatWriter serializes one published tree version.
-type flatWriter struct {
-	src    *arena
-	nodes  []byte
-	count  uint32
-	bounds geom.Rect
-	found  bool
+// FlatImage is one published tree version pinned for writing as an
+// MBRFLAT1 image. Its nodes are immutable, so the image is the same
+// bytes however long the writing takes and whatever mutations publish
+// meanwhile. It is for one goroutine.
+type FlatImage struct {
+	c   *core
+	s   *snapshot
+	gen uint64
+	hdr []byte // the sealed header, once the header walk has run
 }
 
-// writeNode appends the subtree under n post-order and returns the
-// byte offset (from the file start) of n's record.
-func (w *flatWriter) writeNode(n *node) uint64 {
-	w.src.get(n)
-	refs := make([]uint64, len(n.entries))
-	for i := range n.entries {
+// PinFlat pins the tree's published version for writing as an image
+// tagged with the checkpoint generation gen. It reads no node: the walks
+// run in Size and Encode. Writers are not blocked: later mutations
+// publish new versions beside the one pinned.
+func (c *core) PinFlat(gen uint64) *FlatImage { return &FlatImage{c: c, s: c.cur.Load(), gen: gen} }
+
+// Size returns the image's length in bytes, running the header walk if
+// it has not run yet.
+func (im *FlatImage) Size() int64 {
+	im.seal()
+	return flatHeaderSize + int64(binary.LittleEndian.Uint64(im.hdr[32:40]))
+}
+
+// Encode writes the image to out: the header, then the records in a
+// second walk through a buffered writer.
+func (im *FlatImage) Encode(out io.Writer) error {
+	im.seal()
+	bw := bufio.NewWriterSize(out, flatBuffer)
+	_, _ = bw.Write(im.hdr) // a bufio.Writer keeps its first error for Flush
+	w := flatWalk{scratch: make([][]byte, im.s.depth), emit: func(rec []byte) { _, _ = bw.Write(rec) }}
+	w.node(im.s.root)
+	return bw.Flush()
+}
+
+// seal runs the header walk: it charges each node's read to the arena
+// (the one walk that does), and sums the node section's length, record
+// count, CRC and the stored rectangles' bounds into the header.
+func (im *FlatImage) seal() {
+	if im.hdr != nil {
+		return
+	}
+	var (
+		crc    uint32
+		bounds geom.Rect
+		found  bool
+	)
+	w := flatWalk{scratch: make([][]byte, im.s.depth)}
+	w.visit = func(n *node) {
+		im.c.st.get(n)
 		if n.isLeaf() {
-			refs[i] = n.entries[i].OID
-			w.bounds, w.found = covering(w.bounds, w.found, n.entries[i].Rect), true
-		} else {
-			refs[i] = w.writeNode(n.entries[i].Child)
+			for i := range n.entries {
+				bounds, found = covering(bounds, found, n.entries[i].Rect), true
+			}
 		}
 	}
-	off := uint64(flatHeaderSize + len(w.nodes))
-	w.nodes = appendRecord(w.nodes, n, refs)
-	w.count++
-	return off
-}
+	w.emit = func(rec []byte) { crc = crc32.Update(crc, flatCastagnoli, rec) }
+	rootOff := w.node(im.s.root)
 
-// appendRecord appends n's MBRFLAT1 record (flat.go) to b, with refs[i]
-// as entry i's reference.
-func appendRecord(b []byte, n *node, refs []uint64) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(n.level))
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(n.entries)))
-	b = binary.LittleEndian.AppendUint32(b, n.cost)
-	for i := range n.entries {
-		r := n.entries[i].Rect
-		b = appendF64(b, r.Min.X)
-		b = appendF64(b, r.Min.Y)
-		b = appendF64(b, r.Max.X)
-		b = appendF64(b, r.Max.Y)
-		b = binary.LittleEndian.AppendUint64(b, refs[i])
-	}
-	return b
-}
-
-func writeFlat(out io.Writer, src *arena, root *node, covering bool,
-	name string, gen uint64, size, depth int) error {
-
+	name := im.c.name
 	if len(name) > flatMaxName {
 		name = name[:flatMaxName]
 	}
-	w := &flatWriter{src: src}
-	rootOff := w.writeNode(root)
 	hdr := make([]byte, flatHeaderSize)
 	copy(hdr, flatMagic)
 	binary.LittleEndian.PutUint32(hdr[8:12], flatHeaderSize)
 	var flags uint32
-	if covering {
+	if im.c.covering {
 		flags |= 1
 	}
-	if w.found {
+	if found {
 		flags |= 2
 	}
 	binary.LittleEndian.PutUint32(hdr[12:16], flags)
-	binary.LittleEndian.PutUint64(hdr[16:24], gen)
+	binary.LittleEndian.PutUint64(hdr[16:24], im.gen)
 	binary.LittleEndian.PutUint64(hdr[24:32], rootOff)
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(w.nodes)))
-	binary.LittleEndian.PutUint64(hdr[40:48], uint64(size))
-	binary.LittleEndian.PutUint32(hdr[48:52], uint32(depth))
+	binary.LittleEndian.PutUint64(hdr[32:40], w.off)
+	binary.LittleEndian.PutUint64(hdr[40:48], uint64(im.s.size))
+	binary.LittleEndian.PutUint32(hdr[48:52], uint32(im.s.depth))
 	binary.LittleEndian.PutUint32(hdr[52:56], w.count)
 	hdr[56] = byte(len(name))
 	copy(hdr[57:], name)
-	binary.LittleEndian.PutUint64(hdr[80:88], math.Float64bits(w.bounds.Min.X))
-	binary.LittleEndian.PutUint64(hdr[88:96], math.Float64bits(w.bounds.Min.Y))
-	binary.LittleEndian.PutUint64(hdr[96:104], math.Float64bits(w.bounds.Max.X))
-	binary.LittleEndian.PutUint64(hdr[104:112], math.Float64bits(w.bounds.Max.Y))
-	binary.LittleEndian.PutUint32(hdr[112:116], crc32.Checksum(w.nodes, flatCastagnoli))
+	binary.LittleEndian.PutUint64(hdr[80:88], math.Float64bits(bounds.Min.X))
+	binary.LittleEndian.PutUint64(hdr[88:96], math.Float64bits(bounds.Min.Y))
+	binary.LittleEndian.PutUint64(hdr[96:104], math.Float64bits(bounds.Max.X))
+	binary.LittleEndian.PutUint64(hdr[104:112], math.Float64bits(bounds.Max.Y))
+	binary.LittleEndian.PutUint32(hdr[112:116], crc)
 	binary.LittleEndian.PutUint32(hdr[124:128], crc32.Checksum(hdr[:124], flatCastagnoli))
-	if _, err := out.Write(hdr); err != nil {
-		return err
+	im.hdr = hdr
+}
+
+// flatWalk encodes a version's records post-order, each into the
+// reused scratch buffer of its level, and hands every finished record
+// to emit.
+type flatWalk struct {
+	scratch [][]byte
+	visit   func(*node) // called on each node before its record, if set
+	emit    func(rec []byte)
+	off     uint64 // node section bytes emitted so far
+	count   uint32
+}
+
+// node encodes the subtree under n and returns the byte offset (from
+// the file start) of n's record.
+func (w *flatWalk) node(n *node) uint64 {
+	if w.visit != nil {
+		w.visit(n)
 	}
-	_, err := out.Write(w.nodes)
-	return err
+	b := binary.LittleEndian.AppendUint16(w.scratch[n.level][:0], uint16(n.level))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(n.entries)))
+	b = binary.LittleEndian.AppendUint32(b, n.cost)
+	for i := range n.entries {
+		e := &n.entries[i]
+		ref := e.OID
+		if !n.isLeaf() {
+			ref = w.node(e.Child)
+		}
+		b = appendF64(b, e.Rect.Min.X)
+		b = appendF64(b, e.Rect.Min.Y)
+		b = appendF64(b, e.Rect.Max.X)
+		b = appendF64(b, e.Rect.Max.Y)
+		b = binary.LittleEndian.AppendUint64(b, ref)
+	}
+	w.scratch[n.level] = b
+	off := flatHeaderSize + w.off
+	w.emit(b)
+	w.off += uint64(len(b))
+	w.count++
+	return off
 }
 
 // FlatTree is a decoded flat snapshot: opening validates both
-// checksums and every structural invariant, then decodes the node
-// section once into the node versions a mutable tree keeps (arena.go:
-// child references by pointer). It is not an index; Adopt and
-// AdoptRPlus make a mutable tree over the very same nodes, which is the
-// one way an image is read.
+// checksums and every structural invariant, decoding the node section
+// into the node versions a mutable tree keeps (arena.go: child
+// references by pointer). It is not an index; Adopt and AdoptRPlus make
+// a mutable tree over the very same nodes, which is the one way an
+// image is read.
 type FlatTree struct {
 	name     string
 	covering bool
@@ -174,20 +232,32 @@ type FlatTree struct {
 	depth    int
 	bounds   geom.Rect
 	hasBound bool
-	nodes    []node // in file (post-) order
+	nodes    []*node // in file (post-) order
 	root     *node
 	// minCap: smallest capacity at which every node fits its recorded cost.
 	minCap int
 }
 
-// OpenFlatBytes decodes a flat snapshot from memory. Arbitrary or
-// corrupted input yields an error (wrapping pagefile.ErrCorrupt for
-// anything structurally wrong) — never a panic, never wrong entries.
-func OpenFlatBytes(data []byte) (*FlatTree, error) {
-	if len(data) < flatHeaderSize {
-		return nil, flatCorrupt("%d bytes, need at least %d for the header", len(data), flatHeaderSize)
+// OpenFlatBytes decodes a flat snapshot held in memory (see OpenFlat).
+func OpenFlatBytes(data []byte) (*FlatTree, error) { return OpenFlat(bytes.NewReader(data)) }
+
+// OpenFlat decodes a flat snapshot from r one node record at a time,
+// summing the node section's CRC as it goes, and requires r to end
+// right after the section the header states. It returns nothing until
+// both checksums and every structural check have passed. Arbitrary or
+// corrupted input yields an error wrapping pagefile.ErrCorrupt —
+// never a panic, never wrong entries — and memory is allocated only
+// for records that have arrived, whatever the header claims. A read
+// error other than the input ending is returned wrapped.
+func OpenFlat(r io.Reader) (*FlatTree, error) {
+	in := &flatInput{r: bufio.NewReaderSize(r, flatBuffer)}
+	hdr := make([]byte, flatHeaderSize)
+	if n, err := io.ReadFull(in.r, hdr); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, flatCorrupt("%d bytes, need at least %d for the header", n, flatHeaderSize)
+		}
+		return nil, fmt.Errorf("flat snapshot: reading the header: %w", err)
 	}
-	hdr := data[:flatHeaderSize]
 	if string(hdr[:8]) != string(flatMagic) {
 		return nil, flatCorrupt("bad magic %q", hdr[:8])
 	}
@@ -197,30 +267,50 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 	if hs := binary.LittleEndian.Uint32(hdr[8:12]); hs != flatHeaderSize {
 		return nil, flatCorrupt("unsupported header size %d", hs)
 	}
-	flags := binary.LittleEndian.Uint32(hdr[12:16])
 	nodesLen := binary.LittleEndian.Uint64(hdr[32:40])
-	if nodesLen != uint64(len(data)-flatHeaderSize) {
-		return nil, flatCorrupt("node section length %d does not match file (%d bytes after header)",
-			nodesLen, len(data)-flatHeaderSize)
-	}
-	nodes := data[flatHeaderSize:]
-	if got, want := binary.LittleEndian.Uint32(hdr[112:116]), crc32.Checksum(nodes, flatCastagnoli); got != want {
+	in.left = nodesLen
+	f, bad := decodeFlat(in, hdr, nodesLen)
+	// A record that fails a check may be damaged bytes: read the rest of
+	// the section before reporting, so that damage is named by the
+	// checksum, whichever record it hit.
+	in.drain()
+	switch {
+	case in.err != nil:
+		return nil, fmt.Errorf("flat snapshot: reading the node section: %w", in.err)
+	case in.short:
+		return nil, flatCorrupt("the node section ends after %d of the %d bytes the header states", nodesLen-in.left, nodesLen)
+	case in.trailing:
+		return nil, flatCorrupt("bytes follow the %d-byte node section the header states", nodesLen)
+	case in.crc != binary.LittleEndian.Uint32(hdr[112:116]):
 		return nil, flatCorrupt("node section checksum mismatch")
+	case bad != nil:
+		return nil, bad
 	}
+	return f, nil
+}
+
+// decodeFlat decodes the node section as it arrives. It stops at the
+// first record that fails a check, returning why, and returns nil, nil
+// when the input failed first (in says how).
+func decodeFlat(in *flatInput, hdr []byte, nodesLen uint64) (*FlatTree, error) {
+	flags := binary.LittleEndian.Uint32(hdr[12:16])
 	size := binary.LittleEndian.Uint64(hdr[40:48])
 	depth := binary.LittleEndian.Uint32(hdr[48:52])
 	nodeCount := binary.LittleEndian.Uint32(hdr[52:56])
 	if depth < 1 || uint64(depth) > uint64(nodeCount)+1 {
 		return nil, flatCorrupt("depth %d out of range for %d nodes", depth, nodeCount)
 	}
-	if size > uint64(len(nodes)) {
+	if size > nodesLen {
 		// Each stored entry occupies at least one 40-byte record slot
 		// in some leaf, so size can never exceed the section length.
-		return nil, flatCorrupt("size %d exceeds node section length %d", size, len(nodes))
+		return nil, flatCorrupt("size %d exceeds node section length %d", size, nodesLen)
 	}
 	nameLen := int(hdr[56])
 	if nameLen > flatMaxName {
 		return nil, flatCorrupt("name length %d exceeds %d", nameLen, flatMaxName)
+	}
+	if uint64(nodeCount)*flatNodeHdrSize > nodesLen {
+		return nil, flatCorrupt("node count %d exceeds section capacity", nodeCount)
 	}
 	f := &FlatTree{
 		name:     string(hdr[57 : 57+nameLen]),
@@ -234,38 +324,49 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 			Max: geom.Point{X: readF64(hdr[96:]), Y: readF64(hdr[104:])},
 		},
 	}
-	if uint64(nodeCount)*flatNodeHdrSize > uint64(len(nodes)) {
-		return nil, flatCorrupt("node count %d exceeds section capacity", nodeCount)
-	}
-	f.nodes = make([]node, nodeCount)
-	// at maps a record's byte offset (from the file start) to its index in
-	// f.nodes. Children are written before parents, so every child ref of
-	// the record being decoded is already present.
-	at := make(map[uint64]int, nodeCount)
-	hasParent := make([]bool, nodeCount) // a tree, not a DAG: copy-on-write re-points a node's one parent
-	leafEntries := uint64(0)
-	k, off := 0, 0
-	for ; off < len(nodes); k++ {
-		if k == len(f.nodes) {
+	// Nodes are allocated a slab at a time as their records arrive, never
+	// from the header's counts. offs holds each decoded record's byte
+	// offset (from the file start), ascending, so a child reference — to
+	// a record before its parent's — is found by binary search.
+	var (
+		slab        []node
+		offs        []uint64
+		hasParent   []bool // a tree, not a DAG: copy-on-write re-points a node's one parent
+		leafEntries uint64
+	)
+	for in.left > 0 {
+		off := flatHeaderSize + nodesLen - in.left
+		if len(f.nodes) == int(nodeCount) {
 			return nil, flatCorrupt("more node records than the %d the header says", nodeCount)
 		}
-		if len(nodes)-off < flatNodeHdrSize {
-			return nil, flatCorrupt("truncated node header at offset %d", flatHeaderSize+off)
+		if in.left < flatNodeHdrSize {
+			return nil, flatCorrupt("truncated node header at offset %d", off)
 		}
-		rec := nodes[off:]
+		rec, ok := in.next(flatNodeHdrSize)
+		if !ok {
+			return nil, nil
+		}
 		level := int(binary.LittleEndian.Uint16(rec[0:2]))
 		count := int(binary.LittleEndian.Uint16(rec[2:4]))
 		cost := binary.LittleEndian.Uint32(rec[4:8])
 		if cost < 1 {
-			return nil, flatCorrupt("node at offset %d has zero access cost", flatHeaderSize+off)
+			return nil, flatCorrupt("node at offset %d has zero access cost", off)
 		}
 		if level >= int(depth) {
 			return nil, flatCorrupt("node level %d beyond depth %d", level, depth)
 		}
-		if len(nodes)-off-flatNodeHdrSize < count*entrySize {
-			return nil, flatCorrupt("node at offset %d overruns the section (count %d)", flatHeaderSize+off, count)
+		if uint64(count)*entrySize > in.left {
+			return nil, flatCorrupt("node at offset %d overruns the section (count %d)", off, count)
 		}
-		n := &f.nodes[k]
+		body, ok := in.next(count * entrySize)
+		if !ok {
+			return nil, nil
+		}
+		if len(slab) == cap(slab) {
+			slab = make([]node, 0, flatSlab)
+		}
+		slab = slab[:len(slab)+1]
+		n := &slab[len(slab)-1]
 		n.level, n.cost = level, cost
 		if count > 0 {
 			n.entries = make([]Entry, count)
@@ -274,40 +375,39 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 			leafEntries += uint64(count)
 		}
 		f.minCap = max(f.minCap, (count+int(cost)-1)/int(cost))
-		eo := off + flatNodeHdrSize
-		for i := 0; i < count; i++ {
-			e := &n.entries[i]
-			e.Rect.Min.X = readF64(nodes[eo:])
-			e.Rect.Min.Y = readF64(nodes[eo+8:])
-			e.Rect.Max.X = readF64(nodes[eo+16:])
-			e.Rect.Max.Y = readF64(nodes[eo+24:])
-			ref := binary.LittleEndian.Uint64(nodes[eo+32:])
-			if level > 0 {
-				child, ok := at[ref]
-				if !ok {
-					return nil, flatCorrupt("node at offset %d references unknown child offset %d", flatHeaderSize+off, ref)
-				}
-				if cl := f.nodes[child].level; cl != level-1 {
-					return nil, flatCorrupt("child at offset %d has level %d under a level-%d parent", ref, cl, level)
-				}
-				if hasParent[child] {
-					return nil, flatCorrupt("node at offset %d is referenced twice", ref)
-				}
-				hasParent[child] = true
-				e.Child = &f.nodes[child]
-			} else {
+		for i := range n.entries {
+			e, b := &n.entries[i], body[i*entrySize:]
+			e.Rect.Min.X = readF64(b)
+			e.Rect.Min.Y = readF64(b[8:])
+			e.Rect.Max.X = readF64(b[16:])
+			e.Rect.Max.Y = readF64(b[24:])
+			ref := binary.LittleEndian.Uint64(b[32:])
+			if level == 0 {
 				e.OID = ref
+				continue
 			}
-			eo += entrySize
+			child, ok := slices.BinarySearch(offs, ref)
+			if !ok {
+				return nil, flatCorrupt("node at offset %d references unknown child offset %d", off, ref)
+			}
+			if cl := f.nodes[child].level; cl != level-1 {
+				return nil, flatCorrupt("child at offset %d has level %d under a level-%d parent", ref, cl, level)
+			}
+			if hasParent[child] {
+				return nil, flatCorrupt("node at offset %d is referenced twice", ref)
+			}
+			hasParent[child] = true
+			e.Child = f.nodes[child]
 		}
-		at[uint64(flatHeaderSize+off)] = k
-		off = eo
+		f.nodes = append(f.nodes, n)
+		offs = append(offs, off)
+		hasParent = append(hasParent, false)
 	}
-	if k != len(f.nodes) {
-		return nil, flatCorrupt("decoded %d nodes, header says %d", k, nodeCount)
+	if len(f.nodes) != int(nodeCount) {
+		return nil, flatCorrupt("decoded %d nodes, header says %d", len(f.nodes), nodeCount)
 	}
 	rootOff := binary.LittleEndian.Uint64(hdr[24:32])
-	root, ok := at[rootOff]
+	root, ok := slices.BinarySearch(offs, rootOff)
 	if !ok {
 		return nil, flatCorrupt("root offset %d is not a node record", rootOff)
 	}
@@ -319,7 +419,7 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 			return nil, flatCorrupt("node record %d is not the root and no node references it", i)
 		}
 	}
-	f.root = &f.nodes[root]
+	f.root = f.nodes[root]
 	// Every record is now in the one tree under the root: the size the
 	// header states must be what it stores.
 	stored := leafEntries
@@ -330,6 +430,87 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) {
 		return nil, flatCorrupt("header says %d entries, the tree stores %d", size, stored)
 	}
 	return f, nil
+}
+
+// flatInput reads an image's node section, summing its CRC as the bytes
+// go by.
+type flatInput struct {
+	r       *bufio.Reader
+	left    uint64 // node section bytes not yet read
+	crc     uint32
+	pending int    // bytes of the last record still to be discarded from r
+	buf     []byte // a record larger than r's buffer, read in pieces
+
+	short    bool  // the input ended inside the node section
+	trailing bool  // the input goes on after it
+	err      error // a read error other than the input's end
+}
+
+// next returns the next n bytes of the node section, valid until the
+// next call. It reads a record larger than the reader's buffer in
+// pieces, so memory grows only with the bytes that arrive. ok is false
+// when the input ended or failed first. The caller has checked that the
+// section holds n more bytes.
+func (in *flatInput) next(n int) (b []byte, ok bool) {
+	_, _ = in.r.Discard(in.pending) // buffered bytes: cannot fail
+	in.pending = 0
+	if n <= in.r.Size() {
+		b, err := in.r.Peek(n)
+		if err != nil {
+			in.consume(len(b), b)
+			_, _ = in.r.Discard(len(b))
+			in.fail(err)
+			return nil, false
+		}
+		in.consume(n, b)
+		in.pending = n
+		return b, true
+	}
+	in.buf = in.buf[:0]
+	for len(in.buf) < n {
+		k := min(n-len(in.buf), flatBuffer)
+		in.buf = slices.Grow(in.buf, k)
+		got, err := io.ReadFull(in.r, in.buf[len(in.buf):len(in.buf)+k])
+		in.consume(got, in.buf[len(in.buf):len(in.buf)+got])
+		in.buf = in.buf[:len(in.buf)+got]
+		if err != nil {
+			in.fail(err)
+			return nil, false
+		}
+	}
+	return in.buf, true
+}
+
+func (in *flatInput) consume(n int, b []byte) {
+	in.crc = crc32.Update(in.crc, flatCastagnoli, b[:n])
+	in.left -= uint64(n)
+}
+
+func (in *flatInput) fail(err error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		in.short = true
+	} else {
+		in.err = err
+	}
+}
+
+// drain reads what is left of the node section into the CRC and checks
+// that the input ends there.
+func (in *flatInput) drain() {
+	for in.left > 0 && !in.short && in.err == nil {
+		in.next(int(min(in.left, flatBuffer)))
+	}
+	if in.short || in.err != nil {
+		return
+	}
+	_, _ = in.r.Discard(in.pending)
+	in.pending = 0
+	switch _, err := in.r.ReadByte(); {
+	case err == nil:
+		in.trailing = true
+	case err != io.EOF:
+		in.err = err
+	}
 }
 
 // Generation returns the checkpoint generation the snapshot was

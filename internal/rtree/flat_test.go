@@ -7,8 +7,11 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
@@ -18,8 +21,8 @@ import (
 func flatEncode(t *testing.T, s searcher, gen uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteFlat(&buf, gen); err != nil {
-		t.Fatalf("WriteFlat: %v", err)
+	if err := s.PinFlat(gen).Encode(&buf); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -223,6 +226,60 @@ func lyingImages(image []byte) map[string][]byte {
 	binary.LittleEndian.PutUint64(orphan[32:40], uint64(len(orphan)-flatHeaderSize))
 	binary.LittleEndian.PutUint32(orphan[52:56], binary.LittleEndian.Uint32(orphan[52:56])+1)
 	return map[string][]byte{"size": reseal(size), "unreferenced record": reseal(orphan)}
+}
+
+// hugeHeader is a well-sealed header of the image of a three-entry tree
+// that claims 2³¹ nodes in a 1 TiB node section.
+func hugeHeader(t *testing.T) []byte {
+	t.Helper()
+	small, err := newTestRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if err := small.Insert(geom.R(float64(i), 0, float64(i)+1, 1), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hdr := flatEncode(t, small, 1)[:flatHeaderSize]
+	binary.LittleEndian.PutUint64(hdr[32:40], 1<<40)
+	binary.LittleEndian.PutUint32(hdr[52:56], 1<<31)
+	binary.LittleEndian.PutUint32(hdr[124:128], crc32.Checksum(hdr[:124], flatCastagnoli))
+	return hdr
+}
+
+// TestFlatHeaderCannotAllocate: the reader allocates nodes as their
+// records arrive, never from the header's counts, so a header that
+// claims 2³¹ nodes and a 1 TiB section, followed by nothing, is refused
+// as corrupt after allocating less than 1 MiB.
+func TestFlatHeaderCannotAllocate(t *testing.T) {
+	hdr := hugeHeader(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := OpenFlat(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, pagefile.ErrCorrupt) || f != nil {
+		t.Fatalf("OpenFlat of a header alone = %v, %v; want ErrCorrupt", f, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing the header allocated %d bytes, want less than 1 MiB", got)
+	}
+}
+
+// TestFlatStreamNamesTheDamage: the reader stops decoding at the first
+// record that fails a check but reads the rest of the section before it
+// reports, so a flipped byte anywhere in the node section is named as
+// the checksum mismatch it is, whichever check its record failed first.
+func TestFlatStreamNamesTheDamage(t *testing.T) {
+	data := flatEncode(t, loadedCtxTrees(t, 300)["rstar"], 3)
+	for pos := flatHeaderSize; pos < len(data); pos += 7 {
+		mut := bytes.Clone(data)
+		mut[pos] ^= 0x40
+		_, err := OpenFlat(iotest.HalfReader(bytes.NewReader(mut)))
+		if !errors.Is(err, pagefile.ErrCorrupt) || !strings.Contains(err.Error(), "node section checksum mismatch") {
+			t.Fatalf("byte %d flipped: %v, want the node section checksum mismatch", pos, err)
+		}
+	}
 }
 
 // TestFlatJoin joins the trees adopted from two flat snapshots and

@@ -1,10 +1,8 @@
 package rtree
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"math/rand"
 	"slices"
@@ -45,7 +43,7 @@ type searcher interface {
 	CoveringNodeRects() bool
 	Bounds() (geom.Rect, bool)
 	CheckInvariants() error
-	WriteFlat(io.Writer, uint64) error
+	PinFlat(uint64) *FlatImage
 }
 
 // move replaces an object's rectangle the way every caller of the
@@ -575,11 +573,7 @@ func TestRPlusBoundsKept(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := tree.WriteFlat(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	flat, err := OpenFlatBytes(buf.Bytes())
+	flat, err := OpenFlatBytes(flatEncode(t, tree, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

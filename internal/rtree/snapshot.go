@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"context"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -261,14 +260,4 @@ func (c *core) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Re
 // in the region containing its nearest point.
 func (c *core) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
 	return nearestSearch(ctx, c.st, c.cur.Load().root, p, k, !c.covering)
-}
-
-// WriteFlat serializes the currently published version of the tree in
-// the flat snapshot format, tagged with the given checkpoint
-// generation. Writers are not blocked: later mutations publish new
-// versions beside the one being written. A node's record carries its
-// page-access cost.
-func (c *core) WriteFlat(out io.Writer, gen uint64) error {
-	s := c.cur.Load()
-	return writeFlat(out, c.st, s.root, c.covering, c.name, gen, s.size, s.depth)
 }

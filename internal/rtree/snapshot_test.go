@@ -284,7 +284,7 @@ func TestHeldSnapshotOutlivesRewrites(t *testing.T) {
 					return "", nil, err
 				}
 				var image bytes.Buffer
-				err = writeFlat(&image, c.st, held.root, c.covering, c.name, 1, held.size, held.depth)
+				err = (&FlatImage{c: c, s: held, gen: 1}).Encode(&image)
 				return fmt.Sprint(answers, ts), image.Bytes(), err
 			}
 			wantAnswers, wantImage, err := read()

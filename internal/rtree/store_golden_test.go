@@ -129,8 +129,8 @@ func replayStoreStream(t *testing.T, kind string, mk func() (kindTree, error), j
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		for i := range f.nodes {
-			maxCost = max(maxCost, f.nodes[i].cost)
+		for _, n := range f.nodes {
+			maxCost = max(maxCost, n.cost)
 		}
 		io := tree.IOStats()
 		fmt.Fprintf(&b, " image %x io %d/%d/%d/%d", sha256.Sum256(image), io.Reads, io.Writes, io.Allocs, io.Frees)

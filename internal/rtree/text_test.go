@@ -76,8 +76,8 @@ func textHeld(nodes map[*node]bool) (entries, bytes int) {
 
 func imageNodes(f *FlatTree) map[*node]bool {
 	out := map[*node]bool{}
-	for i := range f.nodes {
-		out[&f.nodes[i]] = true
+	for _, n := range f.nodes {
+		out[n] = true
 	}
 	return out
 }

@@ -1,0 +1,180 @@
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"mbrtopo/internal/geom"
+	"mbrtopo/internal/index"
+	"mbrtopo/internal/pagefile"
+	"mbrtopo/internal/repl"
+	"mbrtopo/internal/wal"
+	"mbrtopo/internal/workload"
+)
+
+// TestBootstrapRefusesBadSnapshots: a follower decodes a bootstrap
+// snapshot as it arrives, teeing the bytes into N.flat.tmp. A snapshot
+// that fails any check — a header claiming 2³¹ nodes in a 1 TiB section
+// with nothing after it, a flipped byte, fewer bytes than the hello
+// announced — is refused as corrupt, the lying header having cost less
+// than 1 MiB of allocation; N.flat stays what the last good bootstrap
+// wrote, no tmp file is left, and the previous state goes on serving.
+func TestBootstrapRefusesBadSnapshots(t *testing.T) {
+	items := workload.NewDataset(workload.Medium, 2000, 0, 3).Items
+	dir := t.TempDir()
+	psrv := New(Config{})
+	defer psrv.Close()
+	primary, err := psrv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRStar, PageSize: 512,
+		Dir: dir, Fsync: wal.SyncNever}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(filepath.Join(dir, "main.flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, seq, _ := primary.dur.position()
+	pos := repl.Position{Gen: gen, Seq: seq}
+
+	fdir := t.TempDir()
+	fsrv := New(Config{})
+	defer fsrv.Close()
+	follower, err := fsrv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRStar, PageSize: 512,
+		Dir: fdir, Fsync: wal.SyncNever, Follower: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := &followerTarget{s: fsrv, inst: follower}
+	if err := target.Bootstrap(pos, bytes.NewReader(image), int64(len(image))); err != nil {
+		t.Fatal(err)
+	}
+	flatPath := filepath.Join(fdir, "main.flat")
+	if kept, err := os.ReadFile(flatPath); err != nil || !bytes.Equal(kept, image) {
+		t.Fatalf("the bootstrap persisted %d bytes (%v), not the %d it received", len(kept), err, len(image))
+	}
+
+	lying := bytes.Clone(image[:128])
+	binary.LittleEndian.PutUint64(lying[32:40], 1<<40)
+	binary.LittleEndian.PutUint32(lying[52:56], 1<<31)
+	binary.LittleEndian.PutUint32(lying[124:128], crc32.Checksum(lying[:124], crc32.MakeTable(crc32.Castagnoli)))
+	flipped := bytes.Clone(image)
+	flipped[len(flipped)/2] ^= 0x40
+	for _, c := range []struct {
+		name     string
+		snap     []byte
+		size     int64
+		maxAlloc uint64 // 0: not bounded here
+	}{
+		{"a header claiming 2^31 nodes", lying, 1 << 20, 1 << 20},
+		{"a flipped byte", flipped, int64(len(image)), 0},
+		{"fewer bytes than announced", image[:len(image)-100], int64(len(image)), 0},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := target.Bootstrap(pos, bytes.NewReader(c.snap), c.size)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, pagefile.ErrCorrupt) {
+			t.Errorf("%s: Bootstrap = %v, want ErrCorrupt", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; c.maxAlloc > 0 && got >= c.maxAlloc {
+			t.Errorf("%s: refusing it allocated %d bytes, want less than %d", c.name, got, c.maxAlloc)
+		}
+		if kept, err := os.ReadFile(flatPath); err != nil || !bytes.Equal(kept, image) {
+			t.Errorf("%s: N.flat changed (%v)", c.name, err)
+		}
+		if _, err := os.Stat(flatPath + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: a tmp checkpoint was left behind (%v)", c.name, err)
+		}
+		if !follower.Healthy() || follower.ReadIndex().Len() != len(items) {
+			t.Errorf("%s: the follower no longer serves its %d objects", c.name, len(items))
+		}
+	}
+}
+
+// TestReplSnapshotIsThePinnedVersion: a bootstrap pins the tree version,
+// the position and the WAL tail under the durable lock and walks and
+// streams the image after releasing it, so writes land while the
+// snapshot is still on the wire. The frames must still carry exactly the
+// image of the version at the hello's position, and the writes must
+// follow it as the records after that position.
+func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
+	primary, pts, _ := newReplPrimary(t, 20000, 0)
+	pinst, err := primary.instance("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, _, _ := pinst.dur.position()
+	var want bytes.Buffer
+	if err := index.WriteFlat(pinst.ReadIndex(), &want, gen); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(pts.URL + "/v1/replicate?index=main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fr := repl.NewFrameReader(resp.Body)
+	typ, payload, err := fr.ReadFrame()
+	if err != nil || typ != repl.FrameHello {
+		t.Fatalf("first frame %s (%v), want hello", typ, err)
+	}
+	hello, err := repl.DecodeHello(payload)
+	if err != nil || !hello.Bootstrap || hello.SnapSize != uint64(want.Len()) {
+		t.Fatalf("hello %+v (%v), want a bootstrap of %d bytes", hello, err, want.Len())
+	}
+	const writes = 40
+	for i := range writes {
+		x := float64(3000 + 10*i)
+		if err := pinst.Insert(geom.R(x, x, x+1, x+1), uint64(900000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var got bytes.Buffer
+	for {
+		typ, payload, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == repl.FrameSnapEnd {
+			break
+		}
+		if typ != repl.FrameSnapChunk || len(payload) > repl.SnapChunkSize {
+			t.Fatalf("%s frame of %d bytes inside the snapshot", typ, len(payload))
+		}
+		got.Write(payload)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("the snapshot streamed %d bytes that are not the %d-byte image of the pinned version", got.Len(), want.Len())
+	}
+	for i := 0; i < writes; {
+		typ, payload, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == repl.FrameHeartbeat {
+			continue
+		}
+		if typ != repl.FrameRecord {
+			t.Fatalf("%s frame after the snapshot, want record %d", typ, i+1)
+		}
+		g, seq, wp, err := repl.DecodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := wal.UnmarshalRecord(wp)
+		if !ok || g != hello.Gen || seq != hello.Seq+uint64(i)+1 || rec.OID != uint64(900000+i) {
+			t.Fatalf("record %d at %d/%d is oid %d, want oid %d at %d/%d",
+				i+1, g, seq, rec.OID, 900000+i, hello.Gen, hello.Seq+uint64(i)+1)
+		}
+		i++
+	}
+}

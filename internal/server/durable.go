@@ -144,6 +144,7 @@ func (d *durable) position() (gen, seq uint64, ok bool) {
 }
 
 func (d *durable) flatPath() string { return filepath.Join(d.spec.Dir, d.spec.Name+".flat") }
+func (d *durable) tmpPath() string  { return d.flatPath() + ".tmp" }
 func (d *durable) walPath(gen uint64) string {
 	return filepath.Join(d.spec.Dir, d.spec.Name+".wal."+strconv.FormatUint(gen, 10))
 }
@@ -199,8 +200,21 @@ func writeFileSync(path string, write func(io.Writer) error) error {
 }
 
 // publish makes (image of generation next, empty log of generation
-// next) the durable state, in four steps. What a crash after each
-// leaves behind, and what the next boot makes of it:
+// next) the durable state: write streams the image into N.flat.tmp,
+// which install then puts in place. write must tag the image generation
+// next. Caller holds d.mu.
+func (d *durable) publish(next uint64, write func(io.Writer) error) error {
+	if err := writeFileSync(d.tmpPath(), write); err != nil {
+		_ = os.Remove(d.tmpPath())
+		return err
+	}
+	return d.install(next)
+}
+
+// install makes the image of generation next waiting in N.flat.tmp, and
+// an empty log of generation next, the durable state, in four steps.
+// What a crash after each leaves behind, and what the next boot makes
+// of it:
 //
 //  1. N.flat.tmp written and fsynced — the old (image, log) pair is
 //     intact; boot deletes the tmp file, torn or whole
@@ -210,24 +224,18 @@ func writeFileSync(path string, write func(io.Writer) error) error {
 //     N.wal.<next> opened — as 2, with the empty log present
 //  4. every other log generation removed, directory fsynced — done
 //
-// write streams the image; it must be tagged generation next. Caller
-// holds d.mu.
-func (d *durable) publish(next uint64, write func(io.Writer) error) error {
+// Caller holds d.mu.
+func (d *durable) install(next uint64) error {
 	step := func(n int) error {
 		if d.failAfter != nil {
 			return d.failAfter(n)
 		}
 		return nil
 	}
-	tmp := d.flatPath() + ".tmp"
-	if err := writeFileSync(tmp, write); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
 	if err := step(1); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, d.flatPath()); err != nil {
+	if err := os.Rename(d.tmpPath(), d.flatPath()); err != nil {
 		return err
 	}
 	if err := syncDir(d.spec.Dir); err != nil {
@@ -459,10 +467,11 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 		return inst, nil
 	}
 
-	_ = os.Remove(d.flatPath() + ".tmp") // a checkpoint cut short before its rename
-	data, err := os.ReadFile(d.flatPath())
+	_ = os.Remove(d.tmpPath()) // a checkpoint cut short before its rename
+	image, err := os.Open(d.flatPath())
 	if err == nil {
-		s.recoverDurable(d, inst, data)
+		s.recoverDurable(d, inst, image)
+		image.Close()
 		return inst, nil
 	}
 	if !errors.Is(err, os.ErrNotExist) {
@@ -485,10 +494,10 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 	return inst, nil
 }
 
-// recoverDurable boots from the bytes of N.flat plus the WAL its
-// generation names. Any failure marks the instance unhealthy instead
+// recoverDurable boots from N.flat, decoded as it is read, plus the WAL
+// its generation names. Any failure marks the instance unhealthy instead
 // of returning an error.
-func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
+func (s *Server) recoverDurable(d *durable, inst *Instance, image io.Reader) {
 	fail := func(reason string) {
 		inst.MarkUnhealthy(reason)
 		if d.log != nil {
@@ -497,7 +506,7 @@ func (s *Server) recoverDurable(d *durable, inst *Instance, data []byte) {
 		}
 	}
 
-	flat, err := rtree.OpenFlatBytes(data)
+	flat, err := rtree.OpenFlat(image)
 	if err != nil {
 		if errors.Is(err, pagefile.ErrCorrupt) {
 			s.metrics.checksumFailures.Add(1)

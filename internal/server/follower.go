@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -248,42 +250,33 @@ func (t *followerTarget) Position() (repl.Position, bool) {
 }
 
 // Bootstrap replaces the instance's state with the checkpoint image
-// taken at pos on the primary: decode and verify it, adopt it as a tree
-// (materialise), persist the received bytes verbatim as this replica's
-// own checkpoint (so a promoted node reboots into the same state), open
-// the matching WAL generation, and atomically swap the read view over.
-// A failure before the image is on disk leaves the previous state
-// serving (possibly stale, never wrong); the follower retries with
-// backoff either way.
+// taken at pos on the primary: decode and verify it as it arrives while
+// teeing the received bytes into N.flat.tmp, adopt it as a tree
+// (materialise), put the tmp file in place as this replica's own
+// checkpoint (so a promoted node reboots into the same state), open the
+// matching WAL generation, and atomically swap the read view over. A
+// snapshot that fails any check never replaces N.flat: the previous
+// state keeps serving (possibly stale, never wrong) and the follower
+// retries with backoff. The tmp file is written outside d.mu: the
+// follower loop, which calls Bootstrap, is the only writer of a
+// following index's image until it stops.
 func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64) error {
 	inst, d := t.inst, t.inst.dur
-	if size < 0 || size > 1<<32 {
-		return fmt.Errorf("server: implausible snapshot size %d", size)
-	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(snap, data); err != nil {
-		return fmt.Errorf("server: reading snapshot: %w", err)
-	}
-	flat, err := rtree.OpenFlatBytes(data)
+	flat, err := t.receive(snap, size, pos)
 	if err != nil {
-		return fmt.Errorf("server: decoding snapshot: %w", err)
-	}
-	if flat.Generation() != pos.Gen {
-		return fmt.Errorf("server: snapshot generation %d does not match stream position %v", flat.Generation(), pos)
+		_ = os.Remove(d.tmpPath())
+		return err
 	}
 	idx, err := materialise(flat, d.spec)
 	if err != nil {
+		_ = os.Remove(d.tmpPath())
 		return fmt.Errorf("server: %w", err)
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// The local WAL then holds exactly the records applied after pos.
-	err = d.publish(pos.Gen, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-	if err != nil {
+	if err := d.install(pos.Gen); err != nil {
 		return fmt.Errorf("server: persisting snapshot: %w", err)
 	}
 	d.since = int(pos.Seq)
@@ -295,6 +288,28 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 		inst.cache.invalidateAll(inst.Name)
 	}
 	return nil
+}
+
+// receive decodes the size-byte snapshot of generation pos.Gen from
+// snap, writing the bytes it reads to N.flat.tmp and fsyncing them.
+func (t *followerTarget) receive(snap io.Reader, size int64, pos repl.Position) (*rtree.FlatTree, error) {
+	var flat *rtree.FlatTree
+	in := &io.LimitedReader{R: snap, N: size}
+	err := writeFileSync(t.inst.dur.tmpPath(), func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		var err error
+		if flat, err = rtree.OpenFlat(io.TeeReader(in, bw)); err != nil {
+			return fmt.Errorf("server: decoding snapshot: %w", err)
+		}
+		if in.N != 0 {
+			return fmt.Errorf("server: snapshot ended %d bytes short of the %d announced", in.N, size)
+		}
+		if flat.Generation() != pos.Gen {
+			return fmt.Errorf("server: snapshot generation %d does not match stream position %v", flat.Generation(), pos)
+		}
+		return bw.Flush()
+	})
+	return flat, err
 }
 
 // Apply applies one replicated record at pos: the position check in

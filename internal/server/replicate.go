@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/repl"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/wal"
 )
 
@@ -19,13 +19,16 @@ import (
 // WAL records, with rotate frames marking checkpoints and heartbeats
 // keeping an idle stream verifiably alive.
 //
-// The resume decision and the snapshot are taken under the durable
-// mutex, so the pair (snapshot bytes, position) is consistent: the
+// The resume decision and the snapshot's tree version are pinned under
+// the durable mutex, so the pair (snapshot, position) is consistent: the
 // snapshot contains exactly the first S records of generation G, and
-// the record tail starts at S+1. A follower that asks to resume from a
-// position still inside the current generation gets just the tail; any
-// other position — an older generation, a future sequence, a different
-// history — gets a fresh bootstrap.
+// the record tail starts at S+1. The image is walked and streamed
+// outside the mutex — the pinned version is immutable — so a slow
+// follower holds that version, never a byte copy of it, and never the
+// lock. A follower that asks to resume from a position still inside the
+// current generation gets just the tail; any other position — an older
+// generation, a future sequence, a different history — gets a fresh
+// bootstrap.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		s.rejectFollowerWrite(w, "replica does not serve replication streams")
@@ -59,7 +62,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Snapshot the position (and, for a bootstrap, the tree itself)
+	// Pin the position (and, for a bootstrap, the tree version)
 	// atomically with opening the WAL tail: holding d.mu excludes
 	// mutations and checkpoints, so the tail's file is the generation
 	// the position names.
@@ -72,15 +75,14 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	gen, seq := d.gen, uint64(d.since)
 	resume := resumable && reqGen == gen && reqSeq <= seq
-	var snap []byte
+	var snap *rtree.FlatImage
 	if !resume {
-		var buf bytes.Buffer
-		if err := index.WriteFlat(inst.ReadIndex(), &buf, gen); err != nil {
+		snap, err = index.PinFlat(inst.ReadIndex(), gen)
+		if err != nil {
 			d.mu.Unlock()
 			writeJSONError(w, http.StatusInternalServerError, "snapshotting index: "+err.Error())
 			return
 		}
-		snap = buf.Bytes()
 	}
 	tail, err := wal.OpenTail(d.walPath(gen))
 	d.mu.Unlock()
@@ -89,6 +91,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { _ = tail.Close() }()
+	hello := repl.Hello{Bootstrap: !resume, Gen: gen, Seq: reqSeq}
+	if !resume {
+		hello.Seq, hello.SnapSize = seq, uint64(snap.Size())
+	}
 
 	s.metrics.replStreams.Add(1)
 	defer s.metrics.replStreams.Add(-1)
@@ -97,20 +103,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	cw := &shippedWriter{w: w, m: s.metrics}
 
-	startSeq := seq
-	if resume {
-		startSeq = reqSeq
-	}
-	hello := repl.Hello{Bootstrap: !resume, Gen: gen, Seq: startSeq, SnapSize: uint64(len(snap))}
 	if err := repl.WriteFrame(cw, repl.FrameHello, repl.EncodeHello(hello)); err != nil {
 		return
 	}
 	if !resume {
-		for off := 0; off < len(snap); off += repl.SnapChunkSize {
-			end := min(off+repl.SnapChunkSize, len(snap))
-			if err := repl.WriteFrame(cw, repl.FrameSnapChunk, snap[off:end]); err != nil {
-				return
-			}
+		chunks := &chunkWriter{w: cw, buf: make([]byte, 0, repl.SnapChunkSize)}
+		if err := snap.Encode(chunks); err != nil || chunks.flush() != nil {
+			return
 		}
 		if err := repl.WriteFrame(cw, repl.FrameSnapEnd, nil); err != nil {
 			return
@@ -120,7 +119,38 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.streamRecords(r.Context(), inst, cw, flusher, &tail, gen, startSeq)
+	s.streamRecords(r.Context(), inst, cw, flusher, &tail, gen, hello.Seq)
+}
+
+// chunkWriter cuts the image it is written into snapChunk frames of
+// repl.SnapChunkSize bytes, the last one shorter.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (c *chunkWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		k := min(len(p), repl.SnapChunkSize-len(c.buf))
+		c.buf, p = append(c.buf, p[:k]...), p[k:]
+		if len(c.buf) == repl.SnapChunkSize {
+			if err := c.flush(); err != nil {
+				return n - len(p), err
+			}
+		}
+	}
+	return n, nil
+}
+
+// flush ships what is buffered as one frame.
+func (c *chunkWriter) flush() error {
+	if len(c.buf) == 0 {
+		return nil
+	}
+	err := repl.WriteFrame(c.w, repl.FrameSnapChunk, c.buf)
+	c.buf = c.buf[:0]
+	return err
 }
 
 // streamRecords ships the live WAL tail: every record after startSeq

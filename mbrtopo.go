@@ -247,15 +247,12 @@ func SaveIndex(idx Index, w io.Writer) error { return index.WriteFlat(idx, w, 0)
 // in-memory index: the saved tree node for node, so every query costs
 // the node accesses it cost before the save. kind and pageSize are the
 // ones the index was created with; corrupted bytes fail the image's
-// checksums with an error, never with wrong answers.
+// checksums with an error, never with wrong answers. The image is
+// decoded as it is read; r must end where the image does.
 func OpenIndex(kind IndexKind, pageSize int, r io.Reader) (Index, error) {
-	data, err := io.ReadAll(r)
+	flat, err := rtree.OpenFlat(r)
 	if err != nil {
 		return nil, fmt.Errorf("mbrtopo: reading index image: %w", err)
-	}
-	flat, err := rtree.OpenFlatBytes(data)
-	if err != nil {
-		return nil, err
 	}
 	return index.Adopt(kind, pageSize, flat)
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/iotest"
 
 	"mbrtopo"
 	"mbrtopo/internal/pagefile"
@@ -254,6 +256,36 @@ func TestSaveOpenIndex(t *testing.T) {
 				t.Fatalf("a %s image opened as a %s", idx.Name(), other)
 			}
 		})
+	}
+}
+
+// TestOpenIndexReadError: OpenIndex decodes the image as it reads it, so
+// a reader that fails part way — in the header, in the node section, or
+// where the image should end — fails the open with that reader's error,
+// wrapped, not with a corruption of the bytes that did arrive.
+func TestOpenIndexReadError(t *testing.T) {
+	idx, err := mbrtopo.NewIndex(mbrtopo.KindRStar, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 300 {
+		x, y := float64(i%20)*5, float64(i/20)*5
+		if err := idx.Insert(mbrtopo.R(x, y, x+3, y+3), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := mbrtopo.SaveIndex(idx, &buf); err != nil {
+		t.Fatal(err)
+	}
+	image := buf.Bytes()
+	broken := errors.New("disk went away")
+	for _, n := range []int{0, 100, 128, 500, len(image) / 2, len(image) - 1, len(image)} {
+		r := io.MultiReader(bytes.NewReader(image[:n]), iotest.ErrReader(broken))
+		back, err := mbrtopo.OpenIndex(mbrtopo.KindRStar, 512, r)
+		if !errors.Is(err, broken) || errors.Is(err, pagefile.ErrCorrupt) || back != nil {
+			t.Errorf("reader failing after %d of %d bytes: OpenIndex = %v, %v; want the reader's error, wrapped", n, len(image), back, err)
+		}
 	}
 }
 

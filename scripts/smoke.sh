@@ -8,8 +8,10 @@
 # acknowledged mutation. A third leg STR bulk-loads a durable topod,
 # streams more rectangles through POST /v1/bulk, kill -9s it, and
 # asserts the restart replays the whole batch. A fourth leg boots
-# topod on 100 000 STR-packed objects and fails if the process's
-# resident high-water mark (VmHWM) passed 26 MiB. A fifth leg bulk-loads
+# topod on 100 000 STR-packed objects — in memory, durably for the
+# first time, and again from the image that boot wrote — and fails if
+# any of the three processes' resident high-water mark (VmHWM) passed
+# 26 MiB. A fifth leg bulk-loads
 # two indexes, streams a meet+overlap /v1/join, checks the pair count
 # against topoquery ground truth, sends the same join twenty times more
 # and cmp's every sorted body against the first (the join keeps sweep
@@ -73,7 +75,7 @@ cleanup() {
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
     "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$LOG18" "$WLOG" "$BULK" "$WBULK" \
     "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
-    "$DATADIR5" "$DATADIR6" "$DATADIR7" "$FLATCOPY" 2>/dev/null || true
+    "$DATADIR5" "$DATADIR6" "$DATADIR7" "$DATADIR8" "$FLATCOPY" 2>/dev/null || true
 }
 PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12="" PID13=""
 CURLPID="" WATCHPID=""
@@ -81,7 +83,7 @@ LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11="
 LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
 JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
-DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" FLATCOPY=""
+DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" DATADIR8="" FLATCOPY=""
 
 # wait_listen LOGFILE: echo the address once the daemon logs it.
 wait_listen() {
@@ -348,23 +350,45 @@ echo "smoke OK: STR bulk load + /v1/bulk batch survived kill -9"
 
 # ---- boot-peak leg: an STR pack of 100 000 objects sorts one entry
 # buffer in place and its leaves keep their chunks of it, so the boot's
-# resident high-water mark stays near the tree it builds ----
+# resident high-water mark stays near the tree it builds; a durable
+# first boot streams generation 1's image into its file, and a reboot
+# decodes it from the file record by record, so neither holds a copy of
+# the image beside the tree ----
+
+# boot_peak WHAT BOOTLINE ARGS...: boot topod with ARGS, wait until it
+# listens, require a line starting "topod: BOOTLINE" and a VmHWM of at
+# most 26 MiB, then SIGTERM it.
+boot_peak() {
+  local what="$1" bootline="$2" hwm
+  shift 2
+  : >"$LOG18"
+  "$TOPOD" "$@" -addr 127.0.0.1:0 >"$LOG18" 2>&1 &
+  PID13=$!
+  wait_listen "$LOG18" >/dev/null || {
+    echo "smoke: boot-peak topod ($what) never started listening" >&2
+    cat "$LOG18" >&2
+    exit 1
+  }
+  grep -q "^topod: $bootline" "$LOG18" \
+    || { echo "smoke: boot-peak topod ($what) logged no 'topod: $bootline' line" >&2; cat "$LOG18" >&2; exit 1; }
+  hwm="$(awk '/^VmHWM:/{print $2}' "/proc/$PID13/status")"
+  [ -n "$hwm" ] && [ "$hwm" -le $((26 * 1024)) ] \
+    || { echo "smoke: $what peaked at VmHWM ${hwm:-?} kB, want at most 26 MiB" >&2; exit 1; }
+  kill -TERM "$PID13"
+  wait "$PID13" || { echo "smoke: boot-peak topod ($what) exited non-zero on SIGTERM" >&2; cat "$LOG18" >&2; exit 1; }
+  echo "smoke OK: $what peaked at VmHWM $hwm kB"
+}
 
 LOG18="$(mktemp)"
-"$TOPOD" -gen 100000 -bulk -tree rstar -cache-size 0 -addr 127.0.0.1:0 >"$LOG18" 2>&1 &
-PID13=$!
-wait_listen "$LOG18" >/dev/null || {
-  echo "smoke: boot-peak topod never started listening" >&2
-  cat "$LOG18" >&2
-  exit 1
-}
-HWM="$(awk '/^VmHWM:/{print $2}' "/proc/$PID13/status")"
-[ -n "$HWM" ] && [ "$HWM" -le $((26 * 1024)) ] \
-  || { echo "smoke: booting 100000 bulk-loaded objects peaked at VmHWM ${HWM:-?} kB, want at most 26 MiB" >&2; exit 1; }
-kill -TERM "$PID13"
-wait "$PID13" || { echo "smoke: boot-peak topod exited non-zero on SIGTERM" >&2; cat "$LOG18" >&2; exit 1; }
-
-echo "smoke OK: booting 100000 STR-packed objects peaked at VmHWM $HWM kB"
+DATADIR8="$(mktemp -d)"
+PEAKARGS=(-gen 100000 -bulk -tree rstar -cache-size 0)
+boot_peak "booting 100000 STR-packed objects" "bulk-loaded 100000 " "${PEAKARGS[@]}"
+boot_peak "a durable first boot of 100000 STR-packed objects" "bulk-loaded 100000 " \
+  "${PEAKARGS[@]}" -data-dir "$DATADIR8" -fsync never
+[ -s "$DATADIR8/main.flat" ] \
+  || { echo "smoke: the durable first boot published no main.flat" >&2; exit 1; }
+boot_peak "a reboot of 100000 objects from their image" "backend=flat serving 100000 " \
+  "${PEAKARGS[@]}" -data-dir "$DATADIR8" -fsync never
 
 # ---- join leg: two indexes, /v1/join vs topoquery ground truth ----
 
