@@ -36,12 +36,38 @@ func FullConfigSet() ConfigSet {
 // shape of the paper's Table 1 rows ("R i_j where i and j in {...}").
 func ProductSet(xs, ys interval.Set) ConfigSet {
 	var s ConfigSet
-	for _, x := range xs.Relations() {
-		for _, y := range ys.Relations() {
-			s.Add(Config{x, y})
+	for x := interval.Relation(1); x <= interval.NumRelations; x++ {
+		if xs.Has(x) {
+			s.orRow(x, ys)
 		}
 	}
 	return s
+}
+
+// A configuration set is 13 rows of 13 bits: row x holds the y
+// relations paired with x, bit y-1 at index (x-1)·13 + y-1 (Index). A
+// row may straddle two words.
+
+// row returns row x of s.
+func (s ConfigSet) row(x interval.Relation) interval.Set {
+	o := int(x-1) * interval.NumRelations
+	w, sh := o>>6, o&63
+	r := s.bits[w] >> sh
+	if sh > 64-interval.NumRelations {
+		r |= s.bits[w+1] << (64 - sh)
+	}
+	return interval.Set(r) & interval.FullSet()
+}
+
+// orRow adds ys to row x of s.
+func (s *ConfigSet) orRow(x interval.Relation, ys interval.Set) {
+	o := int(x-1) * interval.NumRelations
+	w, sh := o>>6, o&63
+	r := uint64(ys & interval.FullSet())
+	s.bits[w] |= r << sh
+	if sh > 64-interval.NumRelations {
+		s.bits[w+1] |= r >> (64 - sh)
+	}
 }
 
 // Add inserts c into the set.
@@ -131,14 +157,13 @@ func (s ConfigSet) YRelations() interval.Set {
 	return ys
 }
 
-// axes projects the set on both axes by walking its set bits: a
-// predicate builder calls this on every query, so it must not
+// axes projects the set on both axes by reading its 13 rows: a query
+// compiles its sets (Compile) as it starts, so this must not
 // materialise Configs().
 func (s ConfigSet) axes() (xs, ys interval.Set) {
-	for w, word := range s.bits {
-		for ; word != 0; word &= word - 1 {
-			c := ConfigFromIndex(w<<6 + bits.TrailingZeros64(word))
-			xs, ys = xs.Add(c.X), ys.Add(c.Y)
+	for x := interval.Relation(1); x <= interval.NumRelations; x++ {
+		if r := s.row(x); r != 0 {
+			xs, ys = xs.Add(x), ys|r
 		}
 	}
 	return xs, ys

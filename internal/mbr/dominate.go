@@ -2,6 +2,7 @@ package mbr
 
 import (
 	"math"
+	"math/bits"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/interval"
@@ -20,13 +21,21 @@ import (
 // sound relaxation of the exact configuration test: it is the box
 // closure of the relation set in sign space, so it can only
 // over-admit, never reject a pair whose exact relation is in the set.
-// It is also strictly cheaper — four float comparisons and four mask
-// tests against the two interval.Relate decision trees plus a bitmap
-// probe — and tighter than plain MBR intersection, which corresponds
-// to masks that admit everything except the before/after sign rows.
-// The filter step (query.Processor) runs it as a pre-test in both
-// node and leaf predicates, which is where the page-access reduction
-// in TraversalStats comes from.
+// It is tighter than plain MBR intersection, which corresponds to masks
+// that admit everything except the before/after sign rows.
+//
+// For a fixed reference q the masks are a box on each corner of the
+// candidate (Compile, Test.Window): p.Lo meets comparisons c0 and c2,
+// p.Hi meets c3 and c1, and the two masks a coordinate meets allow a
+// subset of five regions against (q.Lo, q.Hi) — below, at Lo, between,
+// at Hi, above. The window spans the hull of each subset, so testing an
+// entry is eight float comparisons. Where every subset is one run of
+// regions and the box closure adds no configuration (Test.Exact), the
+// window is the configuration set itself: the filter step
+// (query.Processor) then tests node and leaf entries with the window
+// alone, and otherwise puts it in front of the exact probe. The join,
+// which has no fixed reference, tests its pairs with the masks
+// (Domination.Admits) and skips the probe on the same condition.
 
 // Sign bits of one endpoint comparison.
 const (
@@ -104,6 +113,19 @@ func axisDomFor(rs interval.Set) AxisDom {
 	return d
 }
 
+// closure is the set of relations whose sign vectors the masks admit:
+// the axis set plus whatever the box closure adds to it.
+func (d AxisDom) closure() interval.Set {
+	var rs interval.Set
+	for r := interval.Relation(1); r <= interval.NumRelations; r++ {
+		v := relSigns[r-1]
+		if v[0]&d.m[0] != 0 && v[1]&d.m[1] != 0 && v[2]&d.m[2] != 0 && v[3]&d.m[3] != 0 {
+			rs = rs.Add(r)
+		}
+	}
+	return rs
+}
+
 // Admits reports whether the interval (pLo, pHi) can stand in one of
 // the set's relations to (qLo, qHi) — a necessary condition: a false
 // result proves the exact relation is outside the set.
@@ -129,10 +151,119 @@ func DominationFor(cs ConfigSet) Domination {
 
 // Admits reports whether p can stand in one of the set's
 // configurations to q. False proves ConfigOf(p, q) is outside the
-// set; true says nothing (the relaxation over-admits).
+// set; true says nothing (the relaxation over-admits) unless the set
+// is exact (Test.Exact).
 func (d Domination) Admits(p, q geom.Rect) bool {
 	return d.X.Admits(p.Min.X, p.Max.X, q.Min.X, q.Max.X) &&
 		d.Y.Admits(p.Min.Y, p.Max.Y, q.Min.Y, q.Max.Y)
+}
+
+// Regions of one coordinate x against a reference interval [lo, hi]
+// with lo < hi, as bits of a region set, in ascending order.
+const (
+	regionBelow   uint8 = 1 << iota // x < lo
+	regionAtLo                      // x == lo
+	regionBetween                   // lo < x < hi
+	regionAtHi                      // x == hi
+	regionAbove                     // x > hi
+)
+
+// regionSigns[k] is (sign(x − lo), sign(x − hi)) in region 1<<k.
+var regionSigns = [...][2]uint8{
+	{signLess, signLess}, {signEqual, signLess}, {signMore, signLess},
+	{signMore, signEqual}, {signMore, signMore},
+}
+
+// regionsOf is the set of regions in which sign(x − lo) is in toLo and
+// sign(x − hi) is in toHi.
+func regionsOf(toLo, toHi uint8) uint8 {
+	var rs uint8
+	for k, s := range regionSigns {
+		if s[0]&toLo != 0 && s[1]&toHi != 0 {
+			rs |= 1 << k
+		}
+	}
+	return rs
+}
+
+// oneRun reports whether the region set is empty or one run of adjacent
+// regions, so that its hull adds none.
+func oneRun(rs uint8) bool {
+	rs >>= bits.TrailingZeros8(rs)
+	return rs&(rs+1) == 0
+}
+
+// regionHull is the closed interval spanning the region set rs of
+// [lo, hi]: a strict edge becomes the next float inward, so the window
+// compares with <= alone. The empty set is an empty interval.
+func regionHull(rs uint8, lo, hi float64) (from, to float64) {
+	down, up := math.Inf(-1), math.Inf(1)
+	if rs == 0 {
+		return up, down
+	}
+	edges := [...][2]float64{
+		{down, math.Nextafter(lo, down)},
+		{lo, lo},
+		{math.Nextafter(lo, up), math.Nextafter(hi, down)},
+		{hi, hi},
+		{math.Nextafter(hi, up), up},
+	}
+	return edges[bits.TrailingZeros8(rs)][0], edges[bits.Len8(rs)-1][1]
+}
+
+// Test is a configuration set compiled for the filter step: its sign
+// masks, the regions they leave each corner coordinate of a candidate,
+// and whether those decide the set alone. Compile reads the set's 13
+// rows a handful of times and allocates nothing, so a query compiles
+// its sets as it starts.
+type Test struct {
+	dom Domination
+	// corners[axis] are the regions the masks allow a candidate's low
+	// and high coordinate on that axis.
+	corners [2][2]uint8
+	exact   bool
+}
+
+// Compile builds the test of cs.
+func Compile(cs ConfigSet) Test {
+	t := Test{dom: DominationFor(cs)}
+	runs := true
+	for i, a := range [2]AxisDom{t.dom.X, t.dom.Y} {
+		lo, hi := regionsOf(a.m[0], a.m[2]), regionsOf(a.m[3], a.m[1])
+		t.corners[i] = [2]uint8{lo, hi}
+		runs = runs && oneRun(lo) && oneRun(hi)
+	}
+	t.exact = runs && ProductSet(t.dom.X.closure(), t.dom.Y.closure()).Equal(cs)
+	return t
+}
+
+// Domination is the test's sign masks, for pairs with no fixed
+// reference.
+func (t Test) Domination() Domination { return t.dom }
+
+// Exact reports whether the masks decide the set alone: for valid p and
+// q, Domination().Admits(p, q) and the window's Fits both say exactly
+// cs.Has(ConfigOf(p, q)).
+func (t Test) Exact() bool { return t.exact }
+
+// Window is the box the masks allow a candidate's corners against q,
+// and whether it decides the set alone (Exact). Where each corner's
+// regions form one run its Fits says what Domination().Admits says
+// against q; otherwise it spans their hull and over-admits. A reference
+// the region order does not describe — zero extent or a non-finite
+// edge — gets the whole-plane window, never exact.
+func (t Test) Window(q geom.Rect) (Window, bool) {
+	if !q.Valid() || !q.Finite() {
+		inf := math.Inf(1)
+		plane := geom.R(-inf, -inf, inf, inf)
+		return Window{Min: plane, Max: plane}, false
+	}
+	var w Window
+	w.Min.Min.X, w.Min.Max.X = regionHull(t.corners[0][0], q.Min.X, q.Max.X)
+	w.Max.Min.X, w.Max.Max.X = regionHull(t.corners[0][1], q.Min.X, q.Max.X)
+	w.Min.Min.Y, w.Min.Max.Y = regionHull(t.corners[1][0], q.Min.Y, q.Max.Y)
+	w.Max.Min.Y, w.Max.Max.Y = regionHull(t.corners[1][1], q.Min.Y, q.Max.Y)
+	return w, t.exact
 }
 
 // Sweep is what the masks of a Domination tell a plane sweep that

@@ -129,7 +129,110 @@ func FuzzDomination(f *testing.F) {
 			t.Fatalf("node domination rejected %v vs %v with config %v in propagation of %v",
 				p, q, ConfigOf(p, q), rels)
 		}
+		checkCompiled(t, set, p, q)
+		checkCompiled(t, prop, p, q)
 	})
+}
+
+// checkCompiled: the compiled window of s against a finite q fits p
+// exactly when the sign masks admit p — or at least then, where a
+// corner's regions are not one run and the window spans their hull —
+// and an exact window fits p exactly when s holds p's configuration.
+func checkCompiled(t *testing.T, s ConfigSet, p, q geom.Rect) {
+	t.Helper()
+	test := Compile(s)
+	w, exact := test.Window(q)
+	admits, fits := test.Domination().Admits(p, q), w.Fits(p)
+	runs := q.Finite()
+	for _, c := range test.corners {
+		runs = runs && oneRun(c[0]) && oneRun(c[1])
+	}
+	if admits && !fits || runs && fits != admits {
+		t.Fatalf("%v against %v: window fits %v, masks admit %v (regions %v) for %v", p, q, fits, admits, test.corners, s)
+	}
+	if exact && fits != s.Has(ConfigOf(p, q)) {
+		t.Fatalf("%v against %v: exact window fits %v, config %v in set %v", p, q, fits, ConfigOf(p, q), s.Has(ConfigOf(p, q)))
+	}
+}
+
+// TestCompiledWindow runs checkCompiled over every set a relation subset
+// yields — Table 1, its Propagation and its JoinPropagation; crisp,
+// Section 7 non-contiguous and Section 6 Expand2 — on an 8×8 integer
+// grid, where every order of equal and distinct endpoints occurs, and
+// gives a reference of zero extent the whole plane, never exact.
+func TestCompiledWindow(t *testing.T) {
+	var grid []geom.Rect
+	for x0 := 0; x0 < 8; x0++ {
+		for x1 := x0 + 1; x1 < 8; x1++ {
+			for y0 := 0; y0 < 8; y0++ {
+				for y1 := y0 + 1; y1 < 8; y1++ {
+					grid = append(grid, geom.R(float64(x0), float64(y0), float64(x1), float64(y1)))
+				}
+			}
+		}
+	}
+	modes := []func(topo.Set) ConfigSet{
+		CandidatesSet, CandidatesNonContiguousSet,
+		func(s topo.Set) ConfigSet { return Expand2(CandidatesSet(s)) },
+	}
+	forms := []func(ConfigSet) ConfigSet{func(s ConfigSet) ConfigSet { return s }, Propagation, JoinPropagation}
+	rng := rand.New(rand.NewSource(1995))
+	exactCrisp := 0
+	for bits := 1; bits < 1<<8; bits++ {
+		var rels topo.Set
+		for i, r := range topo.All() {
+			if bits&(1<<i) != 0 {
+				rels = rels.Add(r)
+			}
+		}
+		for mi, mode := range modes {
+			for fi, form := range forms {
+				s := form(mode(rels))
+				test := Compile(s)
+				if mi == 0 && fi < 2 && test.Exact() {
+					exactCrisp++
+				}
+				for k := 0; k < 3; k++ {
+					q := grid[rng.Intn(len(grid))]
+					for _, p := range grid {
+						checkCompiled(t, s, p, q)
+					}
+				}
+				for _, q := range []geom.Rect{geom.R(3, 1, 3, 6), geom.R(1, 4, 6, 4), geom.R(2, 2, 2, 2)} {
+					w, exact := test.Window(q)
+					if exact || !w.Fits(geom.R(-1e300, -1e300, 1e300, 1e300)) {
+						t.Fatalf("zero-extent %v: window %v, exact %v; want the whole plane, not exact", q, w, exact)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of 510 crisp Table 1 and propagation sets are exact", exactCrisp)
+}
+
+// TestExactTable1Sets pins which sets of the filter step the sign boxes
+// decide alone (DESIGN §2): every single relation's Table 1 row but
+// disjoint's and meet's, the propagation and join propagation of every
+// single relation, and the rows of not_disjoint and of the cadastral in
+// with their propagations.
+func TestExactTable1Sets(t *testing.T) {
+	for _, r := range topo.All() {
+		cands := Candidates(r)
+		if got, want := Compile(cands).Exact(), r != topo.Disjoint && r != topo.Meet; got != want {
+			t.Errorf("%v: Table 1 row (%d configurations) exact = %v, want %v", r, cands.Len(), got, want)
+		}
+		if !Compile(Propagation(cands)).Exact() || !Compile(JoinPropagation(cands)).Exact() {
+			t.Errorf("%v: propagation exact %v, join propagation exact %v, want both", r,
+				Compile(Propagation(cands)).Exact(), Compile(JoinPropagation(cands)).Exact())
+		}
+	}
+	for name, rels := range map[string]topo.Set{"not_disjoint": topo.NotDisjoint, "in": topo.In} {
+		cands := CandidatesSet(rels)
+		if !Compile(cands).Exact() || !Compile(Propagation(cands)).Exact() {
+			t.Errorf("%s: row exact %v, propagation exact %v, want both", name,
+				Compile(cands).Exact(), Compile(Propagation(cands)).Exact())
+		}
+	}
 }
 
 func randomRectPairs(rng *rand.Rand, n int) [][2]geom.Rect {

@@ -395,6 +395,7 @@ func TestAxisRelationsWalkBits(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		sink = DominationFor(full)
 		_, _ = full.XRelations(), full.YRelations()
+		_, _ = Compile(full).Window(geom.R(0, 0, 1, 1))
 	}); n != 0 {
 		t.Fatalf("projecting a set on its axes costs %v allocations, want 0", n)
 	}

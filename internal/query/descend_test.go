@@ -8,6 +8,7 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
 
@@ -85,6 +86,53 @@ func TestDuplicateOIDListedOnce(t *testing.T) {
 		if len(limited) != 150 {
 			t.Fatalf("%s: limit 150 delivered %d distinct ids", name, len(limited))
 		}
+	}
+}
+
+// TestStreamMarksLeafFirsts: a streamed match is First exactly when it
+// is the first its leaf delivers — once a leaf, which is where the
+// server's line writer reads its clock — and a hit built outside a tree
+// shares no leaf.
+func TestStreamMarksLeafFirsts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var items []index.Item
+	for oid := uint64(1); oid <= 3000; oid++ {
+		x, y := rng.Float64()*990, rng.Float64()*990
+		items = append(items, index.Item{Rect: geom.R(x, y, x+1+rng.Float64()*9, y+1+rng.Float64()*9), OID: oid})
+	}
+	idx, err := index.NewPacked(index.KindRStar, 512, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Processor{Idx: idx}
+	ctx, w := context.Background(), geom.R(100, 100, 600, 600)
+	matches, firsts := 0, 0
+	if _, err := p.Stream(ctx, topo.NotDisjoint, w, 0, func(m Match) bool {
+		matches++
+		if m.First {
+			firsts++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	var last rtree.Hit
+	node, leaf := p.filterPreds(p.candidateConfigs(topo.NotDisjoint), w)
+	if _, err := idx.SearchHits(ctx, node, leaf, func(h rtree.Hit) bool {
+		if !h.SameLeaf(last) {
+			leaves++
+		}
+		last = h
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if firsts != leaves || firsts < 2 || 5*firsts > matches {
+		t.Fatalf("%d matches, %d marked First, from %d leaves", matches, firsts, leaves)
+	}
+	if (rtree.Hit{}).SameLeaf(rtree.Hit{}) {
+		t.Fatal("two hits built outside a tree share a leaf")
 	}
 }
 

@@ -66,6 +66,12 @@ type Match struct {
 	// and always on materialised results. It saves a server rendering
 	// the same stored floats again, nothing more: Rect is the answer.
 	Text string
+	// First is set on a streamed match that is the first its leaf
+	// delivered (rtree.Hit.SameLeaf), and always on one whose hit came
+	// from no leaf of a tree; never on materialised results. It tells a
+	// consumer that batches lines under a time rule where reading its
+	// clock is worth it.
+	First bool
 }
 
 // Stats describes the work a query performed, in the units the paper
@@ -172,32 +178,38 @@ func (p *Processor) candidateConfigs(rels topo.Set) mbr.ConfigSet {
 	return c
 }
 
-// pairTest is the one rectangle-pair test of the package, "a stands in
-// one of cfgs against b": the filter descent closes it over the query
-// reference (admits), the join hands it to the engine as prune and
-// accept, over node and leaf rectangles alike. The per-axis domination
-// pre-test (mbr.DominationFor) runs ahead of the exact configuration
-// probe: four sign comparisons an axis reject most non-qualifying pairs
-// without paying the two interval decision trees, and the pre-test is
-// provably sound (it never rejects a pair the exact test accepts).
+// pairTest and admits are the package's one rectangle test, "a stands
+// in one of cfgs against b", compiled from the set by mbr.Compile. The
+// join hands pairTest.admits to the engine as prune and accept, over
+// node and leaf rectangles alike: the set's per-axis sign masks
+// (mbr.Domination) reject most non-qualifying pairs with four
+// comparisons an axis, and the exact configuration probe runs behind
+// them unless the masks decide the set alone (exact). The masks are
+// provably sound: they never reject a pair the probe accepts.
 type pairTest struct {
-	dom  mbr.Domination
-	cfgs mbr.ConfigSet
+	dom   mbr.Domination
+	exact bool
+	cfgs  mbr.ConfigSet
 }
 
 func pairTestFor(cfgs mbr.ConfigSet) pairTest {
-	return pairTest{dom: mbr.DominationFor(cfgs), cfgs: cfgs}
+	t := mbr.Compile(cfgs)
+	return pairTest{dom: t.Domination(), exact: t.Exact(), cfgs: cfgs}
 }
 
 func (p pairTest) admits(a, b geom.Rect) bool {
-	return p.dom.Admits(a, b) && p.cfgs.Has(mbr.ConfigOf(a, b))
+	return p.dom.Admits(a, b) && (p.exact || p.cfgs.Has(mbr.ConfigOf(a, b)))
 }
 
-// admits builds the rectangle test "r stands in one of cfgs against
-// ref".
+// admits is the filter descent's form of the test, over the query
+// reference: the masks as a window on r's corners (eight comparisons),
+// and the probe behind it unless the window decides the set alone.
 func admits(cfgs mbr.ConfigSet, ref geom.Rect) func(geom.Rect) bool {
-	p := pairTestFor(cfgs)
-	return func(r geom.Rect) bool { return p.admits(r, ref) }
+	w, exact := mbr.Compile(cfgs).Window(ref)
+	if exact {
+		return w.Fits
+	}
+	return func(r geom.Rect) bool { return w.Fits(r) && cfgs.Has(mbr.ConfigOf(r, ref)) }
 }
 
 // filterPreds derives the node and leaf predicates of steps 2 and 3:

@@ -107,7 +107,7 @@ func streamEqualsBatch(t *testing.T, label string, p *Processor, rels topo.Set, 
 	}
 	sort.Slice(streamed, func(i, j int) bool { return streamed[i].OID < streamed[j].OID })
 	if !slices.EqualFunc(streamed, batch.Matches, func(s, b Match) bool {
-		return s.OID == b.OID && s.Rect == b.Rect && b.Text == "" &&
+		return s.OID == b.OID && s.Rect == b.Rect && b.Text == "" && !b.First &&
 			(s.Text == "" || s.Text == string(s.Rect.AppendWire(nil)))
 	}) {
 		t.Fatalf("%s: Stream delivered %d matches, QuerySetMBR %d (or different ones)",

@@ -40,10 +40,14 @@ func (p *Processor) Stream(ctx context.Context, rels topo.Set, refMBR geom.Rect,
 
 // withText makes a streamed Match of each hit, asking its leaf for the
 // rectangle's wire text — which is what earns a leaf its text, so only
-// the streaming entry points, whose consumer is a wire, do it.
+// the streaming entry points, whose consumer is a wire, do it — and
+// marking the first match of each leaf (Match.First).
 func withText(yield func(Match) bool) func(rtree.Hit) bool {
+	var last rtree.Hit
 	return func(h rtree.Hit) bool {
-		return yield(Match{OID: h.OID, Rect: h.Rect, Text: h.Text()})
+		first := !h.SameLeaf(last)
+		last = h
+		return yield(Match{OID: h.OID, Rect: h.Rect, Text: h.Text(), First: first})
 	}
 }
 

@@ -25,6 +25,7 @@ func TestOneDescentSurface(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	searches, joins := 0, 0
+	var compiled []string            // functions that compile a configuration set into a rectangle test
 	counted := map[string][]string{} // refinement counter → functions that increment it
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
@@ -63,6 +64,8 @@ func TestOneDescentSurface(t *testing.T) {
 						searches++
 					case "JoinCtx":
 						joins++
+					case "Compile", "DominationFor":
+						compiled = append(compiled, fn)
 					}
 				}
 			}
@@ -97,6 +100,9 @@ func TestOneDescentSurface(t *testing.T) {
 	}
 	if joins != 1 {
 		t.Errorf("%d rtree.JoinCtx call sites in package query, want exactly 1 (JoinStream's)", joins)
+	}
+	if want := []string{"pairTestFor", "admits"}; !slices.Equal(compiled, want) {
+		t.Errorf("configuration sets are compiled in %v, want only in %v", compiled, want)
 	}
 	for counter, want := range map[string][]string{
 		"DirectAccepts":   {"step4"},

@@ -60,6 +60,10 @@ func (h Hit) Text() string {
 	return t.s[t.off[h.at]:t.off[h.at+1]]
 }
 
+// SameLeaf reports whether h and o are entries of one leaf version;
+// never for a Hit built outside this package.
+func (h Hit) SameLeaf(o Hit) bool { return h.leaf != nil && h.leaf == o.leaf }
+
 // renderText buys the leaf's text. Two consumers crossing the
 // threshold together both render; one result is published.
 func (n *node) renderText() *leafText {

@@ -65,21 +65,41 @@ type cacheKey struct {
 	limit       int
 }
 
-// cacheTerm is one term of a cached question: the reference and its
-// Table 1 candidates.
+// cacheTerm is one term of a cached question: its reference, and the
+// filter tests of its Table 1 candidates compiled against it when the
+// entry is made — the leaf test for one record, the node test (the
+// candidates' propagation) for a batch's MBR.
 type cacheTerm struct {
-	ref  geom.Rect
-	cfgs mbr.ConfigSet
+	ref        geom.Rect
+	leaf, node cacheTest
+}
+
+// cacheTest is one compiled filter test: the window on a rectangle's
+// corners, with the configuration probe behind it unless the window
+// decides the set alone.
+type cacheTest struct {
+	w     mbr.Window
+	exact bool
+	cfgs  mbr.ConfigSet
+}
+
+func newCacheTerm(rels topo.Set, ref geom.Rect) cacheTerm {
+	compile := func(cfgs mbr.ConfigSet) cacheTest {
+		w, exact := mbr.Compile(cfgs).Window(ref)
+		return cacheTest{w: w, exact: exact, cfgs: cfgs}
+	}
+	cands := mbr.CandidatesSet(rels)
+	return cacheTerm{ref: ref, leaf: compile(cands), node: compile(mbr.Propagation(cands))}
 }
 
 // admits is the term's filter test on r: the leaf test for one record,
-// the node test (the candidates' propagation) for a batch's MBR.
+// the node test for a batch's MBR.
 func (t *cacheTerm) admits(r geom.Rect, batch bool) bool {
-	cfgs := t.cfgs
+	c := &t.leaf
 	if batch {
-		cfgs = mbr.Propagation(cfgs)
+		c = &t.node
 	}
-	return cfgs.Has(mbr.ConfigOf(r, t.ref))
+	return c.w.Fits(r) && (c.exact || c.cfgs.Has(mbr.ConfigOf(r, t.ref)))
 }
 
 // cacheEntry is one question: pending while its fill runs, stored once
@@ -94,9 +114,9 @@ type cacheEntry struct {
 
 func newCacheEntry(key cacheKey) *cacheEntry {
 	e := &cacheEntry{key: key, cut: key.limit > 0}
-	e.terms = append(e.terms, cacheTerm{key.ref, mbr.CandidatesSet(key.rels)})
+	e.terms = append(e.terms, newCacheTerm(key.rels, key.ref))
 	if key.conj {
-		e.terms = append(e.terms, cacheTerm{key.ref2, mbr.CandidatesSet(key.rels2)})
+		e.terms = append(e.terms, newCacheTerm(key.rels2, key.ref2))
 	}
 	return e
 }

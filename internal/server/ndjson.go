@@ -17,15 +17,19 @@ import (
 // and reach the ResponseWriter only when
 //
 //	(a) flushBytes are pending,
-//	(b) a line is appended flushAge or more after the oldest pending
-//	    one — so a sparse, long-running join still delivers as it goes,
-//	    without a timer goroutine or a lock, or
+//	(b) a clocked line is appended flushAge or more after the oldest
+//	    pending one — so a sparse, long-running join still delivers as
+//	    it goes, without a timer goroutine or a lock — where a pair line
+//	    is always clocked and a match line when it is the first its leaf
+//	    delivered (query.Match.First), or
 //	(c) the stream ends.
 //
 // (a) and (b) also call Flush; (c) does not, so net/http sends the last
 // lines, the trailer and the chunk terminator together when the handler
-// returns. A match line therefore waits for at most flushAge plus the
-// gap to the line after it (or the end of the stream).
+// returns. A pair line therefore waits for at most flushAge plus the
+// gap to the line after it, a match line for at most flushAge plus the
+// gap to the next leaf's first line (or, either, to the end of the
+// stream).
 const (
 	flushBytes = 32 << 10
 	flushAge   = time.Millisecond
@@ -52,9 +56,12 @@ type lineWriter struct {
 	err     error  // first failure; every later append reports false
 
 	// The stream's clock is the time since it started: one monotonic
-	// reading a line, where time.Now would read the wall clock too.
+	// reading per clocked line, where time.Now would read the wall clock
+	// too. A line appended between readings is dated to the last one,
+	// which can only make it look older than it is.
 	start  time.Time
 	since  func(time.Time) time.Duration // time.Since; the flush-contract tests step it by hand
+	now    time.Duration                 // the last reading
 	oldest time.Duration                 // when buf's first line was appended
 
 	// keeping is set while the stream is still a candidate for the
@@ -89,7 +96,7 @@ func (lw *lineWriter) match(m query.Match) bool {
 	}
 	pending := len(lw.buf)
 	lw.buf = appendMatchLine(lw.buf, m)
-	return lw.appended(pending)
+	return lw.appended(pending, m.First)
 }
 
 // pair appends one /v1/join pair line, reporting whether the producer
@@ -103,7 +110,7 @@ func (lw *lineWriter) pair(p query.JoinPair) bool {
 	}
 	pending := len(lw.buf)
 	lw.buf = appendPairLine(lw.buf, p)
-	return lw.appended(pending)
+	return lw.appended(pending, true)
 }
 
 // wireable reports whether JSON can carry r. A rectangle that arrives
@@ -111,13 +118,15 @@ func (lw *lineWriter) pair(p query.JoinPair) bool {
 func wireable(r geom.Rect, text string) bool { return text != "" || r.Finite() }
 
 // appended applies rules (a) and (b) after a line went into buf, which
-// held pending bytes before it.
-func (lw *lineWriter) appended(pending int) bool {
-	now := lw.since(lw.start)
-	if pending == 0 {
-		lw.oldest = now
+// held pending bytes before it; a clocked line reads the clock first.
+func (lw *lineWriter) appended(pending int, clocked bool) bool {
+	if clocked {
+		lw.now = lw.since(lw.start)
 	}
-	if len(lw.buf) < flushBytes && now-lw.oldest < flushAge {
+	if pending == 0 {
+		lw.oldest = lw.now
+	}
+	if len(lw.buf) < flushBytes && lw.now-lw.oldest < flushAge {
 		return true
 	}
 	if !lw.write(lw.buf) {

@@ -40,10 +40,17 @@ func (r *recorder) Write(p []byte) (int, error) {
 
 func (r *recorder) body() []byte { return bytes.Join(r.writes, nil) }
 
-// steppedClock is a lineWriter clock the test advances by hand.
-type steppedClock struct{ t time.Time }
+// steppedClock is a lineWriter clock the test advances by hand; it
+// counts its readings.
+type steppedClock struct {
+	t     time.Time
+	reads int
+}
 
-func (c *steppedClock) since(start time.Time) time.Duration { return c.t.Sub(start) }
+func (c *steppedClock) since(start time.Time) time.Duration {
+	c.reads++
+	return c.t.Sub(start)
+}
 
 func testMatch(i int) query.Match { return query.Match{OID: uint64(i), Rect: testRect(i)} }
 
@@ -118,14 +125,14 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("a line older than a millisecond goes out with the next", func(t *testing.T) {
 		lw, rec, clock := start()
-		lw.match(testMatch(1))
+		lw.match(leafMatch(1))
 		clock.t = clock.t.Add(flushAge / 2)
-		lw.match(testMatch(2))
+		lw.match(leafMatch(2))
 		if len(rec.writes) != 0 {
 			t.Fatalf("%d writes while the oldest line is %s old", len(rec.writes), flushAge/2)
 		}
 		clock.t = clock.t.Add(2 * time.Millisecond)
-		lw.match(testMatch(3))
+		lw.match(leafMatch(3))
 		if len(rec.writes) != 1 || rec.flushes != 1 {
 			t.Fatalf("%d writes and %d Flush calls after a 2 ms gap, want 1 and 1", len(rec.writes), rec.flushes)
 		}
@@ -133,12 +140,60 @@ func TestLineWriterFlushContract(t *testing.T) {
 			t.Fatalf("aged write carries %d lines, want all 3", got)
 		}
 		// The age is the oldest pending line's: the clock starts again.
-		lw.match(testMatch(4))
+		lw.match(leafMatch(4))
 		if len(rec.writes) != 1 {
 			t.Fatal("a fresh line was written at once")
 		}
 		lw.end(nil)
 	})
+
+	t.Run("a match line reads the clock only as its leaf's first", func(t *testing.T) {
+		lw, _, clock := start()
+		for i := 0; i < 200; i++ { // 10 leaves of 20 matches
+			m := testMatch(i)
+			m.First = i%20 == 0
+			lw.match(m)
+		}
+		if clock.reads > 11 {
+			t.Fatalf("200 match lines from 10 leaves read the clock %d times, want at most 11", clock.reads)
+		}
+		lw.end(nil)
+	})
+
+	t.Run("a leaf's first line a millisecond after the oldest pending one flushes", func(t *testing.T) {
+		lw, rec, clock := start()
+		lw.match(leafMatch(1))
+		lw.match(testMatch(2))
+		clock.t = clock.t.Add(flushAge)
+		lw.match(testMatch(3)) // same leaf: no reading, so it waits
+		if len(rec.writes) != 0 {
+			t.Fatalf("%d writes before the next leaf's first line", len(rec.writes))
+		}
+		lw.match(leafMatch(4))
+		if len(rec.writes) != 1 || rec.flushes != 1 || bytes.Count(rec.writes[0], []byte("\n")) != 4 {
+			t.Fatalf("%d writes and %d Flush calls at the next leaf's first line, want 1 and 1 with all 4 lines", len(rec.writes), rec.flushes)
+		}
+		lw.end(nil)
+	})
+
+	t.Run("a pair line reads the clock", func(t *testing.T) {
+		lw, rec, clock := start()
+		p := query.JoinPair{LeftOID: 1, RightOID: 2, LeftRect: testRect(1), RightRect: testRect(2)}
+		lw.pair(p)
+		clock.t = clock.t.Add(flushAge)
+		lw.pair(p)
+		if clock.reads != 2 || len(rec.writes) != 1 || rec.flushes != 1 {
+			t.Fatalf("two pair lines a millisecond apart: %d readings, %d writes, %d Flush calls, want 2, 1 and 1", clock.reads, len(rec.writes), rec.flushes)
+		}
+		lw.end(nil)
+	})
+}
+
+// leafMatch is testMatch as the first match of its leaf.
+func leafMatch(i int) query.Match {
+	m := testMatch(i)
+	m.First = true
+	return m
 }
 
 // TestWriteErrorStopsProducer drives the handlers against a connection
