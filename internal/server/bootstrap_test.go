@@ -5,17 +5,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/repl"
+	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
+	"mbrtopo/internal/watch"
 	"mbrtopo/internal/workload"
 )
 
@@ -105,7 +109,7 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 // image of the version at the hello's position, and the writes must
 // follow it as the records after that position.
 func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
-	primary, pts, _ := newReplPrimary(t, 20000, 0)
+	primary, pts := newReplPrimary(t, 20000, 0)
 	pinst, err := primary.instance("main")
 	if err != nil {
 		t.Fatal(err)
@@ -176,5 +180,97 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 				i+1, g, seq, rec.OID, 900000+i, hello.Gen, hello.Seq+uint64(i)+1)
 		}
 		i++
+	}
+}
+
+// TestReplicaWatchEndsOnBootstrap: a bootstrap replaces a replica's
+// contents with a new image, a change no commit batch describes, so it
+// ends every watch subscription of the index with a terminal reason
+// instead of leaving the table's shadow on the old contents. A
+// subscriber that resubscribes starts from the new baseline, and the
+// events of the records applied after it replay to what the tree holds.
+func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
+	image := func(gen uint64, oids ...uint64) []byte {
+		idx, err := index.NewWithPageSize(index.KindRTree, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, oid := range oids {
+			if err := idx.Insert(geom.R(float64(oid), 0, float64(oid)+1, 1), oid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := index.WriteFlat(idx, &buf, gen); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	srv := New(Config{})
+	defer srv.Close()
+	inst, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512,
+		Dir: t.TempDir(), Fsync: wal.SyncNever, Follower: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := &followerTarget{s: srv, inst: inst}
+	bootstrap := func(gen uint64, oids ...uint64) {
+		snap := image(gen, oids...)
+		if err := target.Bootstrap(repl.Position{Gen: gen}, bytes.NewReader(snap), int64(len(snap))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply := func(gen, seq, oid uint64) {
+		rec := wal.Record{Op: wal.OpInsert, OID: oid, Rect: geom.R(float64(oid), 0, float64(oid)+1, 1)}
+		if err := target.Apply(repl.Position{Gen: gen, Seq: seq}, rec); err != nil {
+			t.Fatal(err)
+		}
+		inst.WatchSync()
+	}
+	// replay folds a subscriber's events into its baseline and reports
+	// whether the subscription is still open.
+	replay := func(sub *watch.Subscription, members map[uint64]bool) bool {
+		for {
+			select {
+			case ev, ok := <-sub.Events():
+				if !ok {
+					return false
+				}
+				members[ev.OID] = ev.Type != watch.Exit
+				if !members[ev.OID] {
+					delete(members, ev.OID)
+				}
+			default:
+				return true
+			}
+		}
+	}
+	everything := geom.R(-1, -1, 100, 100)
+
+	bootstrap(1, 1)
+	sub, err := inst.WatchSubscribe(everything, topo.NotDisjoint, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bootstrap(2, 1, 2)
+	bootstrap(3, 1, 2, 3)
+	apply(3, 1, 4)
+	members := map[uint64]bool{1: true}
+	if replay(sub, members) {
+		t.Fatalf("the subscription outlived two bootstraps: its events replay to %v while the tree holds 1 2 3 4", slices.Sorted(maps.Keys(members)))
+	}
+	if got := sub.EndReason(); got != watchResetReason {
+		t.Fatalf("end reason %q, want %q", got, watchResetReason)
+	}
+
+	sub, err = inst.WatchSubscribe(everything, topo.NotDisjoint, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.WatchUnsubscribe(sub)
+	apply(3, 2, 5)
+	members = map[uint64]bool{1: true, 2: true, 3: true, 4: true}
+	if !replay(sub, members) || len(members) != 5 || !members[5] {
+		t.Fatalf("after resubscribing, events replay to %v, want 1 2 3 4 5", slices.Sorted(maps.Keys(members)))
 	}
 }

@@ -55,10 +55,29 @@ type durable struct {
 	// checkpoint rotation.
 	gacc wal.GroupStats
 
-	// failAfter, when set by a crash test, runs after each of publish's
-	// four steps; an error abandons the publish right there, as a dead
-	// process would.
-	failAfter func(step int) error
+	// faults is nil outside the tests (see faultPlan).
+	faults *faultPlan
+}
+
+// faultPlan is where a test makes the durable write path fail, as a
+// full disk or a dead process would. The third seam, a replication
+// stream that breaks, needs no hook: a test hands the follower an
+// http.Client whose connections fault.
+type faultPlan struct {
+	// walWrite runs before every WAL append write with its offset and
+	// length; an error fails the append (wal.Options.WriteHook).
+	walWrite func(off int64, n int) error
+	// checkpointStep runs after each of install's four steps; an error
+	// abandons the install right there.
+	checkpointStep func(step int) error
+}
+
+// walWrite is the log's write hook: the plan's arm, if one is set.
+func (d *durable) walWrite(off int64, n int) error {
+	if d.faults == nil || d.faults.walWrite == nil {
+		return nil
+	}
+	return d.faults.walWrite(off, n)
 }
 
 // groupStats returns cumulative group-commit counters across all WAL
@@ -227,8 +246,8 @@ func (d *durable) publish(next uint64, write func(io.Writer) error) error {
 // Caller holds d.mu.
 func (d *durable) install(next uint64) error {
 	step := func(n int) error {
-		if d.failAfter != nil {
-			return d.failAfter(n)
+		if d.faults != nil && d.faults.checkpointStep != nil {
+			return d.faults.checkpointStep(n)
 		}
 		return nil
 	}
@@ -452,11 +471,8 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 	if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
-	d := &durable{
-		spec:    spec,
-		walOpts: wal.Options{Policy: spec.Fsync, WriteHook: spec.WALWriteHook},
-		metrics: s.metrics,
-	}
+	d := &durable{spec: spec, metrics: s.metrics}
+	d.walOpts = wal.Options{Policy: spec.Fsync, WriteHook: d.walWrite}
 	inst := &Instance{Name: spec.Name, Kind: spec.Kind, dur: d}
 	if spec.Follower {
 		// A follower shell: no local state yet — image and WAL arrive

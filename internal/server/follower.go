@@ -282,13 +282,23 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	d.since = int(pos.Seq)
 	inst.serve(idx)
 	// Bootstrap replaces the whole logical state, so no cached answer of
-	// the old contents may survive it.
+	// the old contents may survive it, and no watch stream either: the
+	// table's shadow holds the old contents, and no commit describes the
+	// swap. Each subscriber is ended, as a lagging one is, and
+	// resubscribes against the new baseline.
 	inst.bumpGen()
 	if inst.cache != nil {
 		inst.cache.invalidateAll(inst.Name)
 	}
+	if inst.watch != nil {
+		inst.watch.Reset(watchResetReason)
+	}
 	return nil
 }
+
+// watchResetReason ends a replica's watch streams when a bootstrap
+// replaces the index's contents.
+const watchResetReason = "bootstrap: the replica loaded a new snapshot"
 
 // receive decodes the size-byte snapshot of generation pos.Gen from
 // snap, writing the bytes it reads to N.flat.tmp and fsyncing them.

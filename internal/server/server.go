@@ -115,10 +115,6 @@ type IndexSpec struct {
 	// CheckpointEvery checkpoints after this many logged mutations
 	// (0 → DefaultCheckpointEvery; negative → manual only).
 	CheckpointEvery int
-	// WALWriteHook, when set, runs before every WAL append write — the
-	// durability tests inject log-write failures here (see
-	// wal.Options.WriteHook).
-	WALWriteHook func(off int64, n int) error
 	// Follower registers the index as a replication target: no local
 	// state is built or recovered — the checkpoint image and the WAL
 	// arrive through Server.Follow's stream. Requires Dir.

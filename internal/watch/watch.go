@@ -409,18 +409,32 @@ func (t *Table) Close(reason string) {
 		t.mu.Unlock()
 		return
 	}
-	subs := make([]*Subscription, 0, len(t.subs))
-	for _, sub := range t.subs {
-		subs = append(subs, sub)
-	}
-	for _, sub := range subs {
-		t.endLocked(sub, reason)
-	}
+	t.endAllLocked(reason)
 	t.closed = true
 	t.queue = nil
 	t.active.Store(false)
 	t.cond.Broadcast()
 	t.mu.Unlock()
+}
+
+// Reset ends every subscription with the given reason, as Close does,
+// but keeps the table open: the next Subscribe seeds a fresh shadow.
+// The caller holds the writers' lock, like Subscribe: a follower resets
+// when a bootstrap replaces the index's contents, a change no commit
+// batch describes, so its subscribers must resubscribe against the new
+// baseline.
+func (t *Table) Reset(reason string) {
+	t.mu.Lock()
+	t.endAllLocked(reason)
+	t.mu.Unlock()
+}
+
+// endAllLocked ends every subscription; the last departure drops the
+// shadow and the queue. Caller holds t.mu.
+func (t *Table) endAllLocked(reason string) {
+	for _, sub := range t.subs {
+		t.endLocked(sub, reason)
+	}
 }
 
 // notifier is the single evaluation goroutine: one pass per commit
