@@ -109,7 +109,7 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 // image of the version at the hello's position, and the writes must
 // follow it as the records after that position.
 func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
-	primary, pts := newReplPrimary(t, 20000, 0)
+	primary, pts, _ := newReplPrimary(t, 20000, 0)
 	pinst, err := primary.instance("main")
 	if err != nil {
 		t.Fatal(err)

@@ -147,6 +147,96 @@ func assertTwoFiles(t *testing.T, label, dir, name string) {
 	}
 }
 
+func TestDurableBuildRestartCleanClose(t *testing.T) {
+	dir := t.TempDir()
+	d := workload.NewDataset(workload.Medium, 200, 0, 7)
+	spec := IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir, Fsync: wal.SyncNever}
+
+	srv := New(Config{})
+	inst, err := srv.AddIndex(spec, d.Items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inst.Durable() || inst.Recovered || inst.Backend() != "paged" {
+		t.Fatalf("fresh build: Durable=%v Recovered=%v backend=%q, want true/false/paged", inst.Durable(), inst.Recovered, inst.Backend())
+	}
+	assertTwoFiles(t, "fresh build", dir, "main")
+	muts := []wal.Record{
+		{Op: wal.OpInsert, OID: 9001, Rect: geom.R(10, 10, 12, 12)},
+		{Op: wal.OpInsert, OID: 9002, Rect: geom.R(500, 500, 502, 502)},
+		{Op: wal.OpDelete, OID: d.Items[0].OID, Rect: d.Items[0].Rect},
+	}
+	for _, m := range muts {
+		if err := mutate(inst, m); err != nil {
+			t.Fatalf("%s oid %d: %v", m.Op, m.OID, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	assertTwoFiles(t, "clean close", dir, "main")
+
+	srv2 := New(Config{})
+	inst2, err := srv2.AddIndex(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if !inst2.Recovered || !inst2.Healthy() {
+		t.Fatalf("reopen: Recovered=%v Healthy=%v (%s)", inst2.Recovered, inst2.Healthy(), inst2.FailReason())
+	}
+	if inst2.Replayed != 0 {
+		t.Errorf("clean close should checkpoint: replayed %d records, want 0", inst2.Replayed)
+	}
+	assertSameAnswers(t, "clean restart", inst2.ReadIndex(), groundTruth(t, d.Items, muts))
+}
+
+func TestDurableRecoveryReplaysWAL(t *testing.T) {
+	dir := t.TempDir()
+	d := workload.NewDataset(workload.Medium, 150, 0, 11)
+	spec := IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir, Fsync: wal.SyncAlways}
+
+	srv := New(Config{})
+	inst, err := srv.AddIndex(spec, d.Items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := []wal.Record{
+		{Op: wal.OpInsert, OID: 7001, Rect: geom.R(20, 20, 21, 21)},
+		{Op: wal.OpDelete, OID: d.Items[3].OID, Rect: d.Items[3].Rect},
+		{Op: wal.OpInsert, OID: 7002, Rect: geom.R(800, 100, 803, 104)},
+	}
+	for _, m := range muts {
+		if err := mutate(inst, m); err != nil {
+			t.Fatalf("%s oid %d: %v", m.Op, m.OID, err)
+		}
+	}
+	abandon(inst)
+
+	srv2 := New(Config{})
+	inst2, err := srv2.AddIndex(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if !inst2.Recovered || !inst2.Healthy() {
+		t.Fatalf("reopen: Recovered=%v Healthy=%v (%s)", inst2.Recovered, inst2.Healthy(), inst2.FailReason())
+	}
+	if inst2.Replayed != len(muts) {
+		t.Errorf("replayed %d records, want %d", inst2.Replayed, len(muts))
+	}
+	if got := srv2.Metrics().WALReplaysTotal(); got != uint64(len(muts)) {
+		t.Errorf("wal_replays_total = %d, want %d", got, len(muts))
+	}
+	// Replay triggers a post-recovery checkpoint, so a third boot
+	// replays nothing.
+	if got := srv2.Metrics().CheckpointsTotal(); got == 0 {
+		t.Error("post-recovery checkpoint not taken")
+	}
+	assertTwoFiles(t, "after recovery", dir, "main")
+	assertSameAnswers(t, "crash restart", inst2.ReadIndex(), groundTruth(t, d.Items, muts))
+}
+
 // crashScript is the deterministic mutation sequence the crash-point
 // property test replays against every crash point.
 func crashScript(items []index.Item) []wal.Record {
@@ -819,6 +909,84 @@ func dirContents(t *testing.T, dir string) map[string]string {
 	return out
 }
 
+func TestCheckpointEveryRotatesWAL(t *testing.T) {
+	dir := t.TempDir()
+	spec := IndexSpec{
+		Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: dir,
+		Fsync: wal.SyncNever, CheckpointEvery: 4,
+	}
+	srv := New(Config{})
+	inst, err := srv.AddIndex(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if err := inst.Insert(geom.R(float64(i), 0, float64(i)+1, 1), uint64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.Metrics().CheckpointsTotal(); got != 2 {
+		t.Errorf("checkpoints_total = %d after 9 inserts at every=4, want 2", got)
+	}
+	if got := srv.Metrics().WALRecordsTotal(); got != 9 {
+		t.Errorf("wal_records_total = %d, want 9", got)
+	}
+	// Exactly one WAL generation remains and the image names it.
+	assertTwoFiles(t, "after two rotations", dir, "main")
+	if _, err := os.Stat(filepath.Join(dir, "main.wal.3")); err != nil {
+		t.Errorf("the surviving log is not generation 3: %v", err)
+	}
+	// The crash-simulated reopen replays only the records past the
+	// last checkpoint (9 - 2*4 = 1).
+	abandon(inst)
+	srv2 := New(Config{})
+	inst2, err := srv2.AddIndex(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if inst2.Replayed != 1 {
+		t.Errorf("replayed %d records, want 1", inst2.Replayed)
+	}
+	if inst2.ReadIndex().Len() != 9 {
+		t.Errorf("recovered %d objects, want 9", inst2.ReadIndex().Len())
+	}
+}
+
+// TestGenerationInFlatHeader pins where the checkpoint generation
+// lives: in the MBRFLAT1 header, naming the one WAL that continues it.
+func TestGenerationInFlatHeader(t *testing.T) {
+	dir := t.TempDir()
+	spec := IndexSpec{Name: "g", Kind: index.KindRTree, PageSize: 512, Dir: dir,
+		Fsync: wal.SyncNever, CheckpointEvery: -1}
+	srv := New(Config{})
+	inst, err := srv.AddIndex(spec, []index.Item{{Rect: geom.R(0, 0, 1, 1), OID: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil { // nothing logged since: no third image
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "g.flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := rtree.OpenFlatBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen := flat.Generation(); gen != 2 {
+		t.Errorf("image covers generation %d, want 2 (build + 1 checkpoint)", gen)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "g.wal.2")); err != nil {
+		t.Errorf("no log of the image's generation: %v", err)
+	}
+	assertTwoFiles(t, "after close", dir, "g")
+}
+
 // TestCheckpointsBesideReaders is the regression test for the torn
 // checkpoints the bench harness found (bench/README.md "Findings"):
 // readers hammer /v1/query while a writer crosses forty automatic
@@ -949,4 +1117,66 @@ func TestCheckpointsBesideReaders(t *testing.T) {
 			t.Fatalf("window %v: reopened index answers %d objects, brute force over the acked history %d", win, len(got), len(want))
 		}
 	}
+}
+
+// TestRPlusUnsplittableRefused: on a durable R+ index at capacity 4,
+// 64 nested squares fill one leaf to its overflow bound, and an insert
+// that reaches it after dividing the leaf to its left is refused with
+// 422. Nothing of it stays behind: a /v1/bulk batch it ends leaves
+// neither its prefix nor a WAL record, and the same insert on its own
+// keeps the divided leaf's objects through a checkpoint and a reboot.
+func TestRPlusUnsplittableRefused(t *testing.T) {
+	dir := t.TempDir()
+	spec := IndexSpec{Name: "main", Kind: index.KindRPlus, PageSize: 168,
+		Dir: dir, Fsync: wal.SyncAlways, CheckpointEvery: -1}
+	items := []index.Item{{Rect: geom.R(0, 0, 1, 1), OID: 1}, {Rect: geom.R(2, 0, 3, 1), OID: 2}}
+	for k := 1; k <= 64; k++ {
+		d := float64(k)
+		items = append(items, index.Item{Rect: geom.R(80-d, 50-d, 80+d, 50+d), OID: uint64(100 + k)})
+	}
+	more := []index.Item{{Rect: geom.R(0, 2, 1, 3), OID: 3}, {Rect: geom.R(2, 2, 3, 3), OID: 4}}
+	refused := index.Item{Rect: geom.R(1.5, -20, 150, 120), OID: 999}
+
+	srv := New(Config{})
+	inst, err := srv.AddIndex(spec, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if _, code := postBulk(t, ts.URL, "main", ndjsonBody(t, append(slices.Clone(more), refused))); code != http.StatusUnprocessableEntity {
+		t.Fatalf("bulk ending in the unsplittable rectangle: code %d, want 422", code)
+	}
+	assertSameAnswers(t, "after the refused batch", inst.ReadIndex(), groundTruth(t, items, nil))
+	if n := inst.dur.log.Records(); n != 0 {
+		t.Fatalf("the refused batch left %d WAL records", n)
+	}
+
+	var acked []wal.Record
+	for _, it := range more {
+		postJSON(t, ts.URL+"/v1/insert", UpdateRequest{OID: it.OID, Rect: []float64{it.Rect.Min.X, it.Rect.Min.Y, it.Rect.Max.X, it.Rect.Max.Y}})
+		acked = append(acked, wal.Record{Op: wal.OpInsert, OID: it.OID, Rect: it.Rect})
+	}
+	r := refused.Rect
+	if code, _ := postStatus(t, ts.URL+"/v1/insert", UpdateRequest{OID: refused.OID, Rect: []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y}}); code != http.StatusUnprocessableEntity {
+		t.Fatalf("insert of the unsplittable rectangle: code %d, want 422", code)
+	}
+	truth := groundTruth(t, items, acked)
+	assertSameAnswers(t, "after the refused insert", inst.ReadIndex(), truth)
+	if err := inst.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := New(Config{})
+	inst2, err := srv2.AddIndex(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	assertSameAnswers(t, "after a checkpoint and a reboot", inst2.ReadIndex(), truth)
 }

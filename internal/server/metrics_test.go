@@ -196,7 +196,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	pts := httptest.NewServer(psrv.Handler())
 	t.Cleanup(pts.Close)
-	fsrv, fts := newReplFollower(t, pts.URL, FollowConfig{StallTimeout: time.Hour})
+	fsrv, fts := newReplFollower(t, pts.URL, nil, FollowConfig{StallTimeout: time.Hour})
 	waitCaughtUp(t, psrv, fsrv)
 
 	watch := openWatch(t, pts.URL, WatchRequest{Index: "main", Relations: []string{"not_disjoint"}, Ref: []float64{0, 0, 1000, 1000}})

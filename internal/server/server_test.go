@@ -566,6 +566,58 @@ func TestKNNDeadline(t *testing.T) {
 	}
 }
 
+// TestMutationsAndIndexes exercises insert/delete and the index
+// listing.
+func TestMutationsAndIndexes(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{}, 200, index.KindRTree)
+	post := func(path string, req UpdateRequest) (*http.Response, UpdateResponse) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ur UpdateResponse
+		_ = json.NewDecoder(resp.Body).Decode(&ur)
+		return resp, ur
+	}
+	rect := []float64{1, 1, 2, 2}
+	resp, ur := post("/v1/insert", UpdateRequest{OID: 99999, Rect: rect})
+	if resp.StatusCode != http.StatusOK || !ur.OK || ur.Objects != 201 {
+		t.Fatalf("insert: HTTP %d, %+v", resp.StatusCode, ur)
+	}
+	// The inserted rectangle is immediately queryable.
+	matches, _, errLine := postQuery(t, ts.URL, QueryRequest{
+		Relations: []string{"equal"},
+		Ref:       rect,
+	})
+	if errLine != "" || len(matches) != 1 || matches[0].OID != 99999 {
+		t.Fatalf("inserted object not found: %v %v", matches, errLine)
+	}
+	resp, ur = post("/v1/delete", UpdateRequest{OID: 99999, Rect: rect})
+	if resp.StatusCode != http.StatusOK || ur.Objects != 200 {
+		t.Fatalf("delete: HTTP %d, %+v", resp.StatusCode, ur)
+	}
+	resp, _ = post("/v1/delete", UpdateRequest{OID: 99999, Rect: rect})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("double delete: HTTP %d, want 404", resp.StatusCode)
+	}
+
+	lresp, err := http.Get(ts.URL + "/v1/indexes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lresp.Body.Close()
+	var infos []IndexInfo
+	if err := json.NewDecoder(lresp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].Name != "rtree" || infos[0].Objects != 200 || infos[0].Bounds == nil {
+		t.Fatalf("indexes listing = %+v", infos)
+	}
+}
+
 // TestBadRequests covers the pre-stream error paths.
 func TestBadRequests(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, 100, index.KindRTree)

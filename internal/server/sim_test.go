@@ -986,6 +986,10 @@ const (
 	faultStall
 )
 
+func (m faultMode) String() string {
+	return [...]string{"truncate", "corrupt", "stall"}[m]
+}
+
 // faultConn is one replication connection with a read-side fault that
 // fires at an exact inbound byte offset.
 type faultConn struct {
