@@ -5,13 +5,15 @@ GO ?= go
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
 # imports internal/ packages: vet it too, so that deleting a symbol it
-# calls fails here and not only in CI's bench-smoke job.
+# calls fails here and not only in CI's bench-smoke job. The one
+# in-repo micro-benchmark runs once so that it cannot rot.
 verify: orphans pins
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench JoinServedShape -benchtime 1x ./internal/query
 
 # Dead-symbol gate: the exported funcs only tests call must be exactly
 # the ones scripts/orphans.allow gives a reason for. A `-` line is a new

@@ -30,12 +30,13 @@ import (
 // subset of five regions against (q.Lo, q.Hi) — below, at Lo, between,
 // at Hi, above. The window spans the hull of each subset, so testing an
 // entry is eight float comparisons. Where every subset is one run of
-// regions and the box closure adds no configuration (Test.Exact), the
+// regions and the box closure adds no configuration (an exact Test), the
 // window is the configuration set itself: the filter step
 // (query.Processor) then tests node and leaf entries with the window
 // alone, and otherwise puts it in front of the exact probe. The join,
-// which has no fixed reference, tests its pairs with the masks
-// (Domination.Admits) and skips the probe on the same condition.
+// which has no fixed reference, tests its pairs with the masks as
+// direct comparisons of the two rectangles' edges (Test.Admits) and
+// skips the probe on the same condition.
 
 // Sign bits of one endpoint comparison.
 const (
@@ -151,8 +152,8 @@ func DominationFor(cs ConfigSet) Domination {
 
 // Admits reports whether p can stand in one of the set's
 // configurations to q. False proves ConfigOf(p, q) is outside the
-// set; true says nothing (the relaxation over-admits) unless the set
-// is exact (Test.Exact).
+// set; true says nothing (the relaxation over-admits) unless the
+// masks decide the set alone (an exact Test).
 func (d Domination) Admits(p, q geom.Rect) bool {
 	return d.X.Admits(p.Min.X, p.Max.X, q.Min.X, q.Max.X) &&
 		d.Y.Admits(p.Min.Y, p.Max.Y, q.Min.Y, q.Max.Y)
@@ -211,22 +212,25 @@ func regionHull(rs uint8, lo, hi float64) (from, to float64) {
 	return edges[bits.TrailingZeros8(rs)][0], edges[bits.Len8(rs)-1][1]
 }
 
-// Test is a configuration set compiled for the filter step: its sign
-// masks, the regions they leave each corner coordinate of a candidate,
-// and whether those decide the set alone. Compile reads the set's 13
-// rows a handful of times and allocates nothing, so a query compiles
-// its sets as it starts.
+// Test is a configuration set compiled for the filter step: the set,
+// its sign masks, the regions they leave each corner coordinate of a
+// candidate, and whether those decide the set alone. Compile reads the
+// set's 13 rows a handful of times and allocates nothing, so a query or
+// a join compiles its sets as it starts.
 type Test struct {
 	dom Domination
 	// corners[axis] are the regions the masks allow a candidate's low
 	// and high coordinate on that axis.
 	corners [2][2]uint8
-	exact   bool
+	// exact: the masks decide the set alone, so for valid p and q the
+	// window's Fits and Admits need no ConfigOf probe.
+	exact bool
+	cfgs  ConfigSet
 }
 
 // Compile builds the test of cs.
 func Compile(cs ConfigSet) Test {
-	t := Test{dom: DominationFor(cs)}
+	t := Test{dom: DominationFor(cs), cfgs: cs}
 	runs := true
 	for i, a := range [2]AxisDom{t.dom.X, t.dom.Y} {
 		lo, hi := regionsOf(a.m[0], a.m[2]), regionsOf(a.m[3], a.m[1])
@@ -241,17 +245,44 @@ func Compile(cs ConfigSet) Test {
 // reference.
 func (t Test) Domination() Domination { return t.dom }
 
-// Exact reports whether the masks decide the set alone: for valid p and
-// q, Domination().Admits(p, q) and the window's Fits both say exactly
-// cs.Has(ConfigOf(p, q)).
-func (t Test) Exact() bool { return t.exact }
+// Admits reports cs.Has(ConfigOf(p, q)) for valid p and q: the join's
+// pair test. The masks go first, as direct comparisons of the edges —
+// the high x edges, which a sweep in low-x order leaves open, then y,
+// then the x edges the sweep has mostly decided — and the probe runs
+// behind them only where they do not decide the set alone.
+func (t *Test) Admits(p, q *geom.Rect) bool {
+	x, y := &t.dom.X.m, &t.dom.Y.m
+	if !signIn(x[1], p.Max.X, q.Max.X) ||
+		!signIn(y[0], p.Min.Y, q.Min.Y) || !signIn(y[1], p.Max.Y, q.Max.Y) ||
+		!signIn(y[2], p.Min.Y, q.Max.Y) || !signIn(y[3], p.Max.Y, q.Min.Y) ||
+		!signIn(x[0], p.Min.X, q.Min.X) || !signIn(x[2], p.Min.X, q.Max.X) || !signIn(x[3], p.Max.X, q.Min.X) {
+		return false
+	}
+	return t.exact || t.cfgs.Has(ConfigOf(*p, *q))
+}
+
+// signIn reports whether the mask m admits sign(a − b): the one
+// comparison of a and b a mask of one or two adjacent signs amounts to.
+func signIn(m uint8, a, b float64) bool {
+	switch m {
+	case signLess | signEqual:
+		return a <= b
+	case signEqual | signMore:
+		return a >= b
+	case signLess:
+		return a < b
+	case signMore:
+		return a > b
+	}
+	return signOf(a, b)&m != 0
+}
 
 // Window is the box the masks allow a candidate's corners against q,
-// and whether it decides the set alone (Exact). Where each corner's
-// regions form one run its Fits says what Domination().Admits says
-// against q; otherwise it spans their hull and over-admits. A reference
-// the region order does not describe — zero extent or a non-finite
-// edge — gets the whole-plane window, never exact.
+// and whether it decides the set alone (the test is exact). Where each
+// corner's regions form one run its Fits says what Domination().Admits
+// says against q; otherwise it spans their hull and over-admits. A
+// reference the region order does not describe — zero extent or a
+// non-finite edge — gets the whole-plane window, never exact.
 func (t Test) Window(q geom.Rect) (Window, bool) {
 	if !q.Valid() || !q.Finite() {
 		inf := math.Inf(1)

@@ -189,7 +189,7 @@ func TestCompiledWindow(t *testing.T) {
 			for fi, form := range forms {
 				s := form(mode(rels))
 				test := Compile(s)
-				if mi == 0 && fi < 2 && test.Exact() {
+				if mi == 0 && fi < 2 && test.exact {
 					exactCrisp++
 				}
 				for k := 0; k < 3; k++ {
@@ -218,19 +218,62 @@ func TestCompiledWindow(t *testing.T) {
 func TestExactTable1Sets(t *testing.T) {
 	for _, r := range topo.All() {
 		cands := Candidates(r)
-		if got, want := Compile(cands).Exact(), r != topo.Disjoint && r != topo.Meet; got != want {
+		if got, want := Compile(cands).exact, r != topo.Disjoint && r != topo.Meet; got != want {
 			t.Errorf("%v: Table 1 row (%d configurations) exact = %v, want %v", r, cands.Len(), got, want)
 		}
-		if !Compile(Propagation(cands)).Exact() || !Compile(JoinPropagation(cands)).Exact() {
+		if !Compile(Propagation(cands)).exact || !Compile(JoinPropagation(cands)).exact {
 			t.Errorf("%v: propagation exact %v, join propagation exact %v, want both", r,
-				Compile(Propagation(cands)).Exact(), Compile(JoinPropagation(cands)).Exact())
+				Compile(Propagation(cands)).exact, Compile(JoinPropagation(cands)).exact)
 		}
 	}
 	for name, rels := range map[string]topo.Set{"not_disjoint": topo.NotDisjoint, "in": topo.In} {
 		cands := CandidatesSet(rels)
-		if !Compile(cands).Exact() || !Compile(Propagation(cands)).Exact() {
+		if !Compile(cands).exact || !Compile(Propagation(cands)).exact {
 			t.Errorf("%s: row exact %v, propagation exact %v, want both", name,
-				Compile(cands).Exact(), Compile(Propagation(cands)).Exact())
+				Compile(cands).exact, Compile(Propagation(cands)).exact)
+		}
+	}
+}
+
+// TestCompiledPairTest: the join's pair test (Test.Admits) says what
+// the bare probe says, for every pair of valid rectangles with corners
+// on the integer grid 0..4 — where every order of equal and distinct
+// edges occurs, in both argument orders — and for the sets a join
+// compiles: each single relation's Table 1 row, crisp and Section 7,
+// the join propagation of each, and Touching. Where a set is Exact the
+// compiled window on the second rectangle agrees with it.
+func TestCompiledPairTest(t *testing.T) {
+	var grid []geom.Rect
+	for x0 := 0; x0 <= 4; x0++ {
+		for x1 := x0 + 1; x1 <= 4; x1++ {
+			for y0 := 0; y0 <= 4; y0++ {
+				for y1 := y0 + 1; y1 <= 4; y1++ {
+					grid = append(grid, geom.R(float64(x0), float64(y0), float64(x1), float64(y1)))
+				}
+			}
+		}
+	}
+	sets := map[string]ConfigSet{"touching": Touching()}
+	for _, r := range topo.All() {
+		for mode, table := range map[string]func(topo.Set) ConfigSet{"": CandidatesSet, " non-contiguous": CandidatesNonContiguousSet} {
+			cands := table(topo.NewSet(r))
+			sets[r.String()+mode] = cands
+			sets[r.String()+mode+" join propagation"] = JoinPropagation(cands)
+		}
+	}
+	for name, s := range sets {
+		test := Compile(s)
+		for _, q := range grid {
+			w, exact := test.Window(q)
+			for _, p := range grid {
+				want := s.Has(ConfigOf(p, q))
+				if got := test.Admits(&p, &q); got != want {
+					t.Fatalf("%s: Admits(%v, %v) = %v, configuration %v in the set %v", name, p, q, got, ConfigOf(p, q), want)
+				}
+				if exact && w.Fits(p) != want {
+					t.Fatalf("%s: the exact window on %v fits %v: %v, configuration %v in the set %v", name, q, p, w.Fits(p), ConfigOf(p, q), want)
+				}
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
@@ -104,8 +103,8 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 		stats     Stats
 		refineErr error
 	)
-	accept := pairTestFor(cands)
-	ts, err := rtree.JoinCtx(ctx, t1, t2, pairTestFor(mbr.JoinPropagation(cands)).admits, accept.admits,
+	prune, accept := joinTests(cands)
+	ts, err := rtree.JoinCtx(ctx, t1, t2, prune, accept,
 		func(a, b rtree.Hit) bool {
 			if dropSelf && a.OID == b.OID {
 				return true
@@ -135,7 +134,7 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 				p.LeftText, p.RightText = a.Text(), b.Text()
 			}
 			return yield(p)
-		}, rtree.JoinOptions{Workers: opts.Workers, Accept: accept.dom})
+		}, rtree.JoinOptions{Workers: opts.Workers})
 	stats.NodeAccesses = ts.NodeAccesses
 	if refineErr != nil {
 		return stats, refineErr

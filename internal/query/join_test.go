@@ -274,16 +274,17 @@ func TestJoinErrors(t *testing.T) {
 // node pair of the large class's 4 115 down the nested loop and swept
 // every other, as the size rule alone now sweeps them all.
 //
-// tested counts the accept calls. Before the relation's sign masks
-// steered the leaf sweep it was the same for every relation of a class:
-// 149 939 (small), 472 771 (medium) and 1 997 225 (large).
+// tested counts the accept tests (TraversalStats.PairTests). Before the
+// relation's sign masks steered the leaf sweep it was the same for every
+// relation of a class: 149 939 (small), 472 771 (medium) and 1 997 225
+// (large).
 func TestJoinFiguresPinned(t *testing.T) {
 	type row struct {
 		pairs     int
 		checksum  uint64
 		accesses  uint64
 		nodePairs uint64
-		tested    int
+		tested    uint64
 	}
 	pinned := map[string]row{
 		"small/inside":      {530, 2619934539177, 553, 1405, 58880},
@@ -316,25 +317,18 @@ func TestJoinFiguresPinned(t *testing.T) {
 			trees[i] = idx.(*rtree.Tree)
 		}
 		for _, rel := range []topo.Relation{topo.Inside, topo.Contains, topo.Covers, topo.CoveredBy, topo.Overlap, topo.Meet} {
-			cands := mbr.CandidatesSet(topo.NewSet(rel))
-			prop := mbr.JoinPropagation(cands)
-			accept := pairTestFor(cands)
+			prune, accept := joinTests(mbr.CandidatesSet(topo.NewSet(rel)))
 			var got row
-			ts, err := rtree.JoinCtx(context.Background(), trees[0], trees[1],
-				pairTestFor(prop).admits,
-				func(a, b geom.Rect) bool {
-					got.tested++
-					return accept.admits(a, b)
-				},
+			ts, err := rtree.JoinCtx(context.Background(), trees[0], trees[1], prune, accept,
 				func(a, b rtree.Hit) bool {
 					got.pairs++
 					got.checksum += a.OID*1000003 + b.OID
 					return true
-				}, rtree.JoinOptions{Workers: 1, Accept: accept.dom})
+				}, rtree.JoinOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.accesses, got.nodePairs = ts.NodeAccesses, ts.SweepPairs+ts.NestedPairs
+			got.accesses, got.nodePairs, got.tested = ts.NodeAccesses, ts.SweepPairs+ts.NestedPairs, ts.PairTests
 			name := class.String() + "/" + rel.String()
 			if want := pinned[name]; got != want {
 				t.Errorf("%s: %+v (%d node pairs swept), pinned %+v", name, got, ts.SweepPairs, want)

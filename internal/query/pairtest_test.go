@@ -11,7 +11,8 @@ import (
 // sets — any subset of the 169, not only the ones Tables 1 and 2 produce
 // — the package's pair test (domination pre-test, then the probe) says
 // what the bare probe says, whichever form it is used in: the join's
-// two-rectangle method or the descent's closure over a reference.
+// compiled two-rectangle test (mbr.Test.Admits) or the descent's
+// closure over a reference.
 func FuzzPairAdmits(f *testing.F) {
 	f.Add(0.0, 0.0, 10.0, 10.0, 2.0, 2.0, 8.0, 8.0, ^uint64(0), ^uint64(0), ^uint64(0))
 	f.Add(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, uint64(1), uint64(0), uint64(0))
@@ -32,7 +33,8 @@ func FuzzPairAdmits(f *testing.F) {
 			}
 		}
 		want := set.Has(mbr.ConfigOf(p, q))
-		if got := pairTestFor(set).admits(p, q); got != want {
+		test := mbr.Compile(set)
+		if got := test.Admits(&p, &q); got != want {
 			t.Fatalf("pair test says %v, the bare probe %v: %v vs %v, config %v, set %v", got, want, p, q, mbr.ConfigOf(p, q), set)
 		}
 		if got := admits(set, q)(p); got != want {

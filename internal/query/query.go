@@ -178,27 +178,14 @@ func (p *Processor) candidateConfigs(rels topo.Set) mbr.ConfigSet {
 	return c
 }
 
-// pairTest and admits are the package's one rectangle test, "a stands
-// in one of cfgs against b", compiled from the set by mbr.Compile. The
-// join hands pairTest.admits to the engine as prune and accept, over
-// node and leaf rectangles alike: the set's per-axis sign masks
-// (mbr.Domination) reject most non-qualifying pairs with four
-// comparisons an axis, and the exact configuration probe runs behind
-// them unless the masks decide the set alone (exact). The masks are
-// provably sound: they never reject a pair the probe accepts.
-type pairTest struct {
-	dom   mbr.Domination
-	exact bool
-	cfgs  mbr.ConfigSet
-}
-
-func pairTestFor(cfgs mbr.ConfigSet) pairTest {
-	t := mbr.Compile(cfgs)
-	return pairTest{dom: t.Domination(), exact: t.Exact(), cfgs: cfgs}
-}
-
-func (p pairTest) admits(a, b geom.Rect) bool {
-	return p.dom.Admits(a, b) && (p.exact || p.cfgs.Has(mbr.ConfigOf(a, b)))
+// joinTests and admits are the package's one rectangle test, "a stands
+// in one of cfgs against b", compiled by mbr.Compile: for a join, Table
+// 1's candidates at the leaves and their join propagation above them;
+// for a descent, a window on the reference. The sign masks reject most
+// rectangles with a few comparisons, soundly, and the exact probe runs
+// behind them unless they decide the set alone.
+func joinTests(cands mbr.ConfigSet) (prune, accept mbr.Test) {
+	return mbr.Compile(mbr.JoinPropagation(cands)), mbr.Compile(cands)
 }
 
 // admits is the filter descent's form of the test, over the query

@@ -87,13 +87,12 @@ func FuzzFlatDecode(f *testing.F) {
 		if !ok {
 			return // an R+-tree image: the join takes covering trees only
 		}
-		pair := func(a, b geom.Rect) bool { return a.Intersects(b) }
 		m := 0
-		if _, err := JoinCtx(context.Background(), tr, tr, pair, pair,
+		if _, err := joinWith(context.Background(), tr, tr, touchingPreds,
 			func(Hit, Hit) bool {
 				m++
 				return m < 10000
-			}, JoinOptions{Workers: 1}); err != nil {
+			}, JoinOptions{Workers: 1}, true); err != nil {
 			t.Fatalf("self-join on accepted snapshot: %v", err)
 		}
 	})

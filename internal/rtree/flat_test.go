@@ -308,14 +308,13 @@ func TestFlatJoin(t *testing.T) {
 		return mustAdopt(t, f).(*Tree)
 	}
 	f1, f2 := reopen(t1), reopen(t2)
-	intersects := func(a, b geom.Rect) bool { return a.Intersects(b) }
 	run := func(a, b *Tree) (map[[2]uint64]int, TraversalStats) {
 		pairs := map[[2]uint64]int{}
-		ts, err := JoinCtx(context.Background(), a, b, intersects, intersects,
+		ts, err := JoinCtx(context.Background(), a, b, touchingPreds.prune, touchingPreds.accept,
 			func(a, b Hit) bool {
 				pairs[[2]uint64{a.OID, b.OID}]++
 				return true
-			}, JoinOptions{Workers: 1, Accept: touchingDom})
+			}, JoinOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("join: %v", err)
 		}

@@ -20,7 +20,7 @@ import (
 //
 //   - every child page is read at most once per node pair (the nested
 //     loop re-reads the right child for every matching left entry);
-//   - when the accept test's sign masks (JoinOptions.Accept) say that
+//   - when the sign masks of the accept test say that
 //     qualifying pairs always share a point (every topological relation
 //     set except ones containing disjoint), entries are matched by a
 //     forward plane sweep over their low-x order, so only x-overlapping
@@ -37,6 +37,9 @@ import (
 //     their per-worker TraversalStats are merged at the end, so the
 //     returned counts are exactly the serial engine's.
 //
+// Both pair tests are compiled configuration sets the engine calls
+// directly (mbr.Test.Admits): a tested pair costs a few comparisons.
+//
 // The join loads one published snapshot of each tree for its whole
 // duration, so it runs in parallel with other readers and never blocks
 // (or is blocked by) writers; self-joins see a single consistent
@@ -47,15 +50,6 @@ type JoinOptions struct {
 	// Workers bounds the traversal worker pool. 0 (or negative) uses
 	// GOMAXPROCS; 1 runs the whole join on the calling goroutine.
 	Workers int
-	// Accept is the sign-mask form of accept: accept must reject every
-	// pair Accept.Admits rejects. When its masks admit only pairs that
-	// share a point on both axes (mbr.Domination.Sweep), node and leaf
-	// entries are matched by the plane sweep, node pairs whose
-	// rectangles share no point are never expanded, and leaf pairs are
-	// only tested in the low-x orders and corner windows the masks
-	// allow; the zero value promises nothing and runs the nested
-	// matcher. Masks that admit less than accept does lose results.
-	Accept mbr.Domination
 }
 
 // touching is the sweep of node pairs: a pair of covering rectangles
@@ -78,27 +72,36 @@ var errJoinStop = errors.New("rtree: join stopped by emit")
 // JoinCtx is the spatial join engine: a synchronised traversal of both
 // trees with context cancellation (checked before every page read),
 // plane-sweep matching, and a worker pool (see JoinOptions). prune is
-// called on pairs of covering rectangles (node-node, node-leafMBR);
-// when it returns false the pair's subtrees are skipped. accept is
-// called on leaf entry rectangle pairs; matching pairs are passed to
-// emit as two Hits (return false to stop). Self-joins (t1 == t2) are
-// supported. emit is never called concurrently, regardless of the
-// worker count, so caller-side closures need no locking; the order in
-// which pairs are emitted is unspecified (a serial join, Workers 1,
-// repeats the same order over the same two tree versions).
+// the test of pairs of covering rectangles (node-node, node-leafMBR);
+// a pair it rejects has its subtrees skipped. accept is the test of
+// leaf entry rectangle pairs; the pairs it admits are passed to emit as
+// two Hits (return false to stop). When accept's sign masks admit only
+// pairs that share a point on both axes (mbr.Domination.Sweep), node
+// and leaf entries are matched by the plane sweep, node pairs whose
+// rectangles share no point are never expanded, and leaf pairs are only
+// tested in the low-x orders and corner windows the masks allow;
+// otherwise every combination under a node pair is tested. Self-joins
+// (t1 == t2) are supported. emit is never called concurrently,
+// regardless of the worker count, so caller-side closures need no
+// locking; the order in which pairs are emitted is unspecified (a
+// serial join, Workers 1, repeats the same order over the same two tree
+// versions).
 //
 // The returned TraversalStats counts the pages this join read across
 // both trees — exact per-operation accounting, independent of any
 // concurrent queries on either index. On cancellation JoinCtx returns
 // ctx.Err() with the stats accumulated so far; a join stopped by emit
 // returns nil like a completed one.
-func JoinCtx(ctx context.Context, t1, t2 *Tree,
-	prune func(a, b geom.Rect) bool,
-	accept func(a, b geom.Rect) bool,
-	emit func(a, b Hit) bool,
-	opts JoinOptions,
-) (TraversalStats, error) {
-	workers := opts.Workers
+func JoinCtx(ctx context.Context, t1, t2 *Tree, prune, accept mbr.Test, emit func(a, b Hit) bool, opts JoinOptions) (TraversalStats, error) {
+	e := &joinEngine{prune: prune, accept: accept, emit: emit}
+	if leaf, ok := accept.Domination().Sweep(); ok {
+		e.leaf, e.node = &leaf, &touching
+	}
+	return e.run(ctx, t1, t2, opts.Workers)
+}
+
+// run is JoinCtx on an engine whose tests, emit and sweeps are set.
+func (e *joinEngine) run(ctx context.Context, t1, t2 *Tree, workers int) (TraversalStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -111,14 +114,8 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 	}
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	e := &joinEngine{
-		src1: t1.st, src2: t2.st,
-		prune: prune, accept: accept, emit: emit,
-		ctx: jctx, cancel: cancel,
-	}
-	if leaf, ok := opts.Accept.Sweep(); ok {
-		e.leaf, e.node = &leaf, &touching
-	}
+	e.src1, e.src2 = t1.st, t2.st
+	e.ctx, e.cancel = jctx, cancel
 	coord := &joinWorker{e: e}
 	r1, err := coord.read1(root1)
 	if err != nil {
@@ -128,7 +125,7 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 	if err != nil {
 		return coord.stats, e.finish(err)
 	}
-	if len(r1.entries) == 0 || len(r2.entries) == 0 || !prune(r1.mbr(), r2.mbr()) {
+	if m1, m2 := r1.mbr(), r2.mbr(); len(r1.entries) == 0 || len(r2.entries) == 0 || !e.prune.Admits(&m1, &m2) {
 		return coord.stats, nil
 	}
 	if workers == 1 {
@@ -139,10 +136,9 @@ func JoinCtx(ctx context.Context, t1, t2 *Tree,
 
 // joinEngine is the state shared by all workers of one join.
 type joinEngine struct {
-	src1, src2 *arena
-	prune      func(a, b geom.Rect) bool
-	accept     func(a, b geom.Rect) bool
-	emit       func(a, b Hit) bool
+	src1, src2    *arena
+	prune, accept mbr.Test
+	emit          func(a, b Hit) bool
 	// leaf and node sweep leaf-leaf and node pairs; nil runs the nested
 	// matcher.
 	leaf, node *mbr.Sweep
@@ -329,9 +325,11 @@ func (w *joinWorker) emitPair(n1 *node, i int, n2 *node, j int) error {
 // prune test.
 func (w *joinWorker) join(n1, n2 *node) error {
 	if n1.isLeaf() && n2.isLeaf() {
-		return w.match(n1, n2, w.e.leaf, w.e.accept, func(i, j int) error {
+		tests, err := w.match(n1, n2, w.e.leaf, &w.e.accept, func(i, j int) error {
 			return w.emitPair(n1, i, n2, j)
 		})
+		w.stats.PairTests += tests
+		return err
 	}
 	return w.descend(n1, n2, w.join)
 }
@@ -361,7 +359,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 	case n1.isLeaf():
 		m1, _ := n1.swept()
 		for j := range n2.entries {
-			if !w.e.prune(m1, n2.entries[j].Rect) {
+			if !w.e.prune.Admits(&m1, &n2.entries[j].Rect) {
 				continue
 			}
 			c2, err := w.read2(n2.entries[j].Child)
@@ -376,7 +374,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 	case n2.isLeaf():
 		m2, _ := n2.swept()
 		for i := range n1.entries {
-			if !w.e.prune(n1.entries[i].Rect, m2) {
+			if !w.e.prune.Admits(&n1.entries[i].Rect, &m2) {
 				continue
 			}
 			c1, err := w.read1(n1.entries[i].Child)
@@ -393,7 +391,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 	sc.left = resetNodes(sc.left, len(n1.entries))
 	sc.right = resetNodes(sc.right, len(n2.entries))
 	left, right := sc.left, sc.right
-	return w.match(n1, n2, w.e.node, w.e.prune, func(i, j int) error {
+	_, err := w.match(n1, n2, w.e.node, &w.e.prune, func(i, j int) error {
 		var err error
 		if left[i] == nil {
 			if left[i], err = w.read1(n1.entries[i].Child); err != nil {
@@ -407,6 +405,7 @@ func (w *joinWorker) descend(n1, n2 *node, next func(c1, c2 *node) error) error 
 		}
 		return next(left[i], right[j])
 	})
+	return err
 }
 
 // resetNodes returns buf as k nil slots, grown if it has to be.
@@ -419,12 +418,13 @@ func resetNodes(buf []*node, k int) []*node {
 	return buf
 }
 
-// match enumerates the entry pairs of two nodes that pass test and
-// hands their indexes to found. With a sweep the pairs come from the
-// plane sweep — unless the pair is so small (sweepMinPairs) that the
-// plain nested loop is cheaper than bringing both sides into low-x
-// order inside their windows; otherwise every combination is tested.
-func (w *joinWorker) match(n1, n2 *node, sweep *mbr.Sweep, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
+// match enumerates the entry pairs of two nodes that pass test, hands
+// their indexes to found, and says how many pairs it tested. With a
+// sweep the pairs come from the plane sweep — unless the pair is so
+// small (sweepMinPairs) that the plain nested loop is cheaper than
+// bringing both sides into low-x order inside their windows; otherwise
+// every combination is tested.
+func (w *joinWorker) match(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, found func(i, j int) error) (uint64, error) {
 	if sweep != nil {
 		if len(n1.entries)*len(n2.entries) >= sweepMinPairs {
 			w.stats.SweepPairs++
@@ -432,17 +432,18 @@ func (w *joinWorker) match(n1, n2 *node, sweep *mbr.Sweep, test func(a, b geom.R
 		}
 		w.stats.NestedPairs++
 	}
-	for i := range n1.entries {
-		for j := range n2.entries {
-			if !test(n1.entries[i].Rect, n2.entries[j].Rect) {
+	e1, e2 := n1.entries, n2.entries
+	for i := range e1 {
+		for j := range e2 {
+			if !test.Admits(&e1[i].Rect, &e2[j].Rect) {
 				continue
 			}
 			if err := found(i, j); err != nil {
-				return err
+				return uint64(i*len(e2) + j + 1), err
 			}
 		}
 	}
-	return nil
+	return uint64(len(e1) * len(e2)), nil
 }
 
 // matchSweep is the forward plane sweep. Each side keeps the entries
@@ -459,11 +460,11 @@ func (w *joinWorker) match(n1, n2 *node, sweep *mbr.Sweep, test func(a, b geom.R
 // a right one partners opening strictly later: the scans an admitted
 // pair cannot come from are skipped, and without Earlier a left entry
 // meets only the partners level with it.
-func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test func(a, b geom.Rect) bool, found func(i, j int) error) error {
+func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, found func(i, j int) error) (tests uint64, err error) {
 	m1, kept1 := n1.swept()
 	m2, kept2 := n2.swept()
 	if !m1.Intersects(m2) {
-		return nil
+		return 0, nil
 	}
 	sc := w.scratchFor(n1, n2)
 	sc.ord1 = sweepOrder(sc.ord1[:0], n1, kept1, sweep.Left(m2))
@@ -472,7 +473,7 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test func(a, b g
 	e1, e2 := n1.entries, n2.entries
 	leftScans := sweep.Earlier || sweep.Level
 	for i, j := 0, 0; i < len(s1) && j < len(s2); {
-		a, b := e1[s1[i]].Rect, e2[s2[j]].Rect
+		a, b := &e1[s1[i]].Rect, &e2[s2[j]].Rect
 		if a.Min.X <= b.Min.X {
 			if leftScans {
 				reach := a.Max.X
@@ -484,9 +485,10 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test func(a, b g
 					if r.Min.X > reach {
 						break
 					}
-					if test(a, *r) {
+					tests++
+					if test.Admits(a, r) {
 						if err := found(int(s1[i]), int(s2[k])); err != nil {
-							return err
+							return tests, err
 						}
 					}
 				}
@@ -499,9 +501,10 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test func(a, b g
 					if r.Min.X > b.Max.X {
 						break
 					}
-					if test(*r, b) {
+					tests++
+					if test.Admits(r, b) {
 						if err := found(int(s1[k]), int(s2[j])); err != nil {
-							return err
+							return tests, err
 						}
 					}
 				}
@@ -509,7 +512,7 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test func(a, b g
 			j++
 		}
 	}
-	return nil
+	return tests, nil
 }
 
 // nodeSweep is the sweep side-car of a node version: what every join

@@ -26,10 +26,11 @@ func buildJoinTree(t *testing.T, seed int64, n int) *Tree {
 
 func intersectsPred(a, b geom.Rect) bool { return a.Intersects(b) }
 
-// runJoin collects an intersection join's pair multiset.
-func runJoin(t *testing.T, t1, t2 *Tree, opts JoinOptions) (map[[2]uint64]int, TraversalStats) {
+// runJoin collects an intersection join's pair multiset; nested forces
+// the nested matcher.
+func runJoin(t *testing.T, t1, t2 *Tree, opts JoinOptions, nested bool) (map[[2]uint64]int, TraversalStats) {
 	t.Helper()
-	pairs, _, ts := enginePairs(t, t1, t2, intersectsPred, intersectsPred, opts)
+	pairs, _, ts := enginePairs(t, t1, t2, touchingPreds, opts, nested)
 	return pairs, ts
 }
 
@@ -158,7 +159,7 @@ func TestJoinChildReadDedup(t *testing.T) {
 
 	naivePairs, naive, _ := refJoin(t, t1, t2, intersectsPred, intersectsPred, false)
 	naiveReads := naive.NodeAccesses
-	dedupPairs, dedup := runJoin(t, t1, t2, JoinOptions{Workers: 1})
+	dedupPairs, dedup := runJoin(t, t1, t2, JoinOptions{Workers: 1}, true)
 	samePairs(t, naivePairs, dedupPairs, "engine vs nested loop")
 
 	if dedup.NodeAccesses >= naiveReads {
@@ -178,13 +179,15 @@ func TestJoinChildReadDedup(t *testing.T) {
 func TestJoinSweepEquivalence(t *testing.T) {
 	t1 := buildJoinTree(t, 3, 1200)
 	t2 := buildJoinTree(t, 4, 1200)
-	nestedPairs, nested := runJoin(t, t1, t2, JoinOptions{Workers: 1})
-	sweepPairs, sweep := runJoin(t, t1, t2, JoinOptions{Workers: 1, Accept: touchingDom})
+	nestedPairs, nested := runJoin(t, t1, t2, JoinOptions{Workers: 1}, true)
+	sweepPairs, sweep := runJoin(t, t1, t2, JoinOptions{Workers: 1}, false)
 	samePairs(t, nestedPairs, sweepPairs, "sweep vs nested")
-	// The strategy decision log necessarily differs between the two
-	// engines; everything else must agree exactly.
-	sweep.SweepPairs, sweep.NestedPairs = 0, 0
-	nested.SweepPairs, nested.NestedPairs = 0, 0
+	// The strategy decision log and the pairs tested necessarily differ
+	// between the two engines; everything else must agree exactly.
+	if sweep.PairTests >= nested.PairTests {
+		t.Fatalf("the sweep tested %d pairs, the nested loop %d; want strictly fewer", sweep.PairTests, nested.PairTests)
+	}
+	sweep, nested = sansStrategy(sweep), sansStrategy(nested)
 	if sweep != nested {
 		t.Fatalf("sweep stats %+v != nested stats %+v", sweep, nested)
 	}
@@ -196,9 +199,9 @@ func TestJoinSweepEquivalence(t *testing.T) {
 func TestJoinParallelEquivalence(t *testing.T) {
 	t1 := buildJoinTree(t, 5, 1500)
 	t2 := buildJoinTree(t, 6, 1500)
-	serialPairs, serial := runJoin(t, t1, t2, JoinOptions{Workers: 1, Accept: touchingDom})
+	serialPairs, serial := runJoin(t, t1, t2, JoinOptions{Workers: 1}, false)
 	for _, workers := range []int{2, 4, 8} {
-		pairs, stats := runJoin(t, t1, t2, JoinOptions{Workers: workers, Accept: touchingDom})
+		pairs, stats := runJoin(t, t1, t2, JoinOptions{Workers: workers}, false)
 		samePairs(t, serialPairs, pairs, "parallel vs serial")
 		if stats != serial {
 			t.Fatalf("workers=%d stats %+v != serial stats %+v", workers, stats, serial)
@@ -206,8 +209,8 @@ func TestJoinParallelEquivalence(t *testing.T) {
 	}
 
 	// Self-join through the same pool: a consistent single snapshot.
-	selfSerial, ss := runJoin(t, t1, t1, JoinOptions{Workers: 1, Accept: touchingDom})
-	selfPar, sp := runJoin(t, t1, t1, JoinOptions{Workers: 4, Accept: touchingDom})
+	selfSerial, ss := runJoin(t, t1, t1, JoinOptions{Workers: 1}, false)
+	selfPar, sp := runJoin(t, t1, t1, JoinOptions{Workers: 4}, false)
 	samePairs(t, selfSerial, selfPar, "parallel self-join")
 	if ss != sp {
 		t.Fatalf("self-join stats diverge: serial %+v parallel %+v", ss, sp)
@@ -227,11 +230,11 @@ func TestJoinEmitStop(t *testing.T) {
 	t2 := buildJoinTree(t, 8, 1000)
 	for _, workers := range []int{1, 4} {
 		emits := 0
-		ts, err := JoinCtx(context.Background(), t1, t2, intersectsPred, intersectsPred,
+		ts, err := JoinCtx(context.Background(), t1, t2, touchingPreds.prune, touchingPreds.accept,
 			func(Hit, Hit) bool {
 				emits++
 				return emits < 5
-			}, JoinOptions{Workers: workers, Accept: touchingDom})
+			}, JoinOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: stopped join returned error %v", workers, err)
 		}
@@ -247,18 +250,18 @@ func TestJoinEmitStop(t *testing.T) {
 func TestJoinCancel(t *testing.T) {
 	t1 := buildJoinTree(t, 9, 1500)
 	t2 := buildJoinTree(t, 10, 1500)
-	_, full := runJoin(t, t1, t2, JoinOptions{Workers: 1, Accept: touchingDom})
+	_, full := runJoin(t, t1, t2, JoinOptions{Workers: 1}, false)
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		emits := 0
-		ts, err := JoinCtx(ctx, t1, t2, intersectsPred, intersectsPred,
+		ts, err := JoinCtx(ctx, t1, t2, touchingPreds.prune, touchingPreds.accept,
 			func(Hit, Hit) bool {
 				emits++
 				if emits == 10 {
 					cancel()
 				}
 				return true
-			}, JoinOptions{Workers: workers, Accept: touchingDom})
+			}, JoinOptions{Workers: workers})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: cancelled join returned %v, want context.Canceled", workers, err)

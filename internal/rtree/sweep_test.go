@@ -34,43 +34,67 @@ func tieRects(rng *rand.Rand, n int, firstOID uint64) []Record {
 	return recs
 }
 
-// touchingDom is the sign-mask form of intersectsPred.
-var touchingDom = mbr.DominationFor(mbr.Touching())
+// joinPreds are a join's two tests in both forms: compiled for the
+// engine, and as the bare probes of the same sets for the oracle and
+// for checking what the engine emits.
+type joinPreds struct {
+	prune, accept           mbr.Test
+	pruneProbe, acceptProbe func(a, b geom.Rect) bool
+}
 
-// setPreds are the engine predicates of a join over a configuration
-// set: the bare probes of the set and of its Table 2 join propagation,
-// and the set's sign masks.
-func setPreds(cands mbr.ConfigSet) (prune, accept func(a, b geom.Rect) bool, dom mbr.Domination) {
+// touchingPreds is intersectsPred compiled: the test of every
+// point-sharing configuration at the leaves and above them.
+var touchingPreds = joinPreds{
+	prune: mbr.Compile(mbr.Touching()), accept: mbr.Compile(mbr.Touching()),
+	pruneProbe: intersectsPred, acceptProbe: intersectsPred,
+}
+
+// setPreds are the engine tests of a join over a configuration set: the
+// set at the leaves, its Table 2 join propagation above them.
+func setPreds(cands mbr.ConfigSet) joinPreds {
 	prop := mbr.JoinPropagation(cands)
-	return func(a, b geom.Rect) bool { return prop.Has(mbr.ConfigOf(a, b)) },
-		func(a, b geom.Rect) bool { return cands.Has(mbr.ConfigOf(a, b)) },
-		mbr.DominationFor(cands)
+	return joinPreds{
+		prune: mbr.Compile(prop), accept: mbr.Compile(cands),
+		pruneProbe:  func(a, b geom.Rect) bool { return prop.Has(mbr.ConfigOf(a, b)) },
+		acceptProbe: func(a, b geom.Rect) bool { return cands.Has(mbr.ConfigOf(a, b)) },
+	}
+}
+
+// joinWith runs the engine. nested forces the nested matcher, which no
+// caller of JoinCtx can ask for: the accept test's masks pick the sweep.
+func joinWith(ctx context.Context, j1, j2 *Tree, p joinPreds, emit func(a, b Hit) bool, opts JoinOptions, nested bool) (TraversalStats, error) {
+	if !nested {
+		return JoinCtx(ctx, j1, j2, p.prune, p.accept, emit, opts)
+	}
+	e := &joinEngine{prune: p.prune, accept: p.accept, emit: emit}
+	return e.run(ctx, j1, j2, opts.Workers)
 }
 
 // enginePairs runs the engine and returns the pair multiset, the pairs
 // in emission order and the stats.
-func enginePairs(t *testing.T, j1, j2 *Tree, prune, accept func(a, b geom.Rect) bool, opts JoinOptions) (map[[2]uint64]int, [][2]uint64, TraversalStats) {
+func enginePairs(t *testing.T, j1, j2 *Tree, p joinPreds, opts JoinOptions, nested bool) (map[[2]uint64]int, [][2]uint64, TraversalStats) {
 	t.Helper()
 	pairs := map[[2]uint64]int{}
 	var seq [][2]uint64
-	ts, err := JoinCtx(context.Background(), j1, j2, prune, accept, func(a, b Hit) bool {
-		if !accept(a.Rect, b.Rect) {
+	ts, err := joinWith(context.Background(), j1, j2, p, func(a, b Hit) bool {
+		if !p.acceptProbe(a.Rect, b.Rect) {
 			t.Errorf("emitted %d %v with %d %v: not an accepted pair", a.OID, a.Rect, b.OID, b.Rect)
 		}
 		pairs[[2]uint64{a.OID, b.OID}]++
 		seq = append(seq, [2]uint64{a.OID, b.OID})
 		return true
-	}, opts)
+	}, opts, nested)
 	if err != nil {
-		t.Fatalf("join (%+v): %v", opts, err)
+		t.Fatalf("join (%+v, nested %v): %v", opts, nested, err)
 	}
 	return pairs, seq, ts
 }
 
-// sansStrategy drops the sweep-or-nested log, the one part of a join's
-// stats an oracle that never sweeps cannot say.
+// sansStrategy drops the sweep-or-nested log and the count of pairs
+// tested, the parts of a join's stats an oracle that never sweeps
+// cannot say.
 func sansStrategy(ts TraversalStats) TraversalStats {
-	ts.SweepPairs, ts.NestedPairs = 0, 0
+	ts.SweepPairs, ts.NestedPairs, ts.PairTests = 0, 0, 0
 	return ts
 }
 
@@ -132,13 +156,13 @@ func TestJoinSidecarDifferential(t *testing.T) {
 	left := joinSources(t, tieRects(rng, 400, 1))
 	right := joinSources(t, tieRects(rng, 400, 1001))
 	for name, rels := range sets {
-		prune, accept, dom := setPreds(mbr.CandidatesSet(rels))
-		_, sweep := dom.Sweep()
+		preds := setPreds(mbr.CandidatesSet(rels))
+		_, sweep := preds.accept.Domination().Sweep()
 		if sweep == rels.Has(topo.Disjoint) {
 			t.Fatalf("%s: the masks say sweep %v", name, sweep)
 		}
 		for side, others := range []map[string]*Tree{right, left} {
-			want, wantStats, onEdge := refJoin(t, left["arena"], others["arena"], prune, accept, true)
+			want, wantStats, onEdge := refJoin(t, left["arena"], others["arena"], preds.pruneProbe, preds.acceptProbe, true)
 			if p := parent[name][side]; wantStats.Emitted != p.pairs || int(wantStats.NodeAccesses) != p.accesses {
 				t.Errorf("%s, side %d: oracle has %d pairs over %d accesses, the parent commit had %d over %d",
 					name, side, wantStats.Emitted, wantStats.NodeAccesses, p.pairs, p.accesses)
@@ -149,15 +173,15 @@ func TestJoinSidecarDifferential(t *testing.T) {
 			for kind := range left {
 				for _, workers := range []int{1, 4} {
 					label := name + "/" + kind
-					opts := JoinOptions{Workers: workers, Accept: dom}
-					got, seq, stats := enginePairs(t, left[kind], others[kind], prune, accept, opts)
+					opts := JoinOptions{Workers: workers}
+					got, seq, stats := enginePairs(t, left[kind], others[kind], preds, opts, false)
 					samePairs(t, want, got, label)
 					if sansStrategy(stats) != wantStats {
 						t.Fatalf("%s, workers %d: stats %+v, oracle %+v", label, workers, stats, wantStats)
 					}
 					if workers == 1 {
 						// A serial join is deterministic: same versions, same order.
-						if _, again, _ := enginePairs(t, left[kind], others[kind], prune, accept, opts); !slices.Equal(seq, again) {
+						if _, again, _ := enginePairs(t, left[kind], others[kind], preds, opts, false); !slices.Equal(seq, again) {
 							t.Fatalf("%s: two serial joins emitted their pairs in different orders", label)
 						}
 					}
@@ -238,7 +262,7 @@ func TestSweepOrderFollowsNodeVersions(t *testing.T) {
 						}
 					}
 				}
-				got, _, _ := enginePairs(t, tree, other, intersectsPred, intersectsPred, JoinOptions{Workers: 1, Accept: touchingDom})
+				got, _, _ := enginePairs(t, tree, other, touchingPreds, JoinOptions{Workers: 1}, false)
 				samePairs(t, want, got, label)
 			}
 			joinAndCheck("warm-up")
@@ -351,14 +375,14 @@ func TestSweepRace(t *testing.T) {
 				}
 			}
 			n := 0
-			ts, err := JoinCtx(context.Background(), j, j, intersectsPred, intersectsPred, func(a, b Hit) bool {
+			ts, err := JoinCtx(context.Background(), j, j, touchingPreds.prune, touchingPreds.accept, func(a, b Hit) bool {
 				if !a.Rect.Intersects(b.Rect) {
 					t.Errorf("%s: emitted disjoint %v and %v", label, a.Rect, b.Rect)
 					return false
 				}
 				n++
 				return true
-			}, JoinOptions{Workers: 1 + i%2, Accept: touchingDom})
+			}, JoinOptions{Workers: 1 + i%2})
 			if err != nil {
 				t.Errorf("%s: %v", label, err)
 				return
@@ -437,8 +461,8 @@ func TestJoinAllocsIndependentOfNodePairs(t *testing.T) {
 			t.Fatalf("heights %d and %d at %d objects: the comparison wants equally tall trees", trees[0].Height(), trees[1].Height(), n)
 		}
 		run := func() {
-			ts, err := JoinCtx(context.Background(), trees[0], trees[1], intersectsPred, intersectsPred,
-				func(Hit, Hit) bool { return true }, JoinOptions{Workers: 1, Accept: touchingDom})
+			ts, err := JoinCtx(context.Background(), trees[0], trees[1], touchingPreds.prune, touchingPreds.accept,
+				func(Hit, Hit) bool { return true }, JoinOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -501,10 +525,10 @@ func FuzzJoinOrder(f *testing.F) {
 			trees[i] = tr
 		}
 		for _, s := range []mbr.ConfigSet{set, set.Intersect(mbr.Touching())} {
-			prune, accept, dom := setPreds(s)
+			preds := setPreds(s)
 			for _, other := range trees {
-				want, wantStats, _ := refJoin(t, trees[0], other, prune, accept, true)
-				got, _, stats := enginePairs(t, trees[0], other, prune, accept, JoinOptions{Workers: 1, Accept: dom})
+				want, wantStats, _ := refJoin(t, trees[0], other, preds.pruneProbe, preds.acceptProbe, true)
+				got, _, stats := enginePairs(t, trees[0], other, preds, JoinOptions{Workers: 1}, false)
 				samePairs(t, want, got, s.String())
 				if sansStrategy(stats) != wantStats {
 					t.Fatalf("%v: stats %+v, oracle %+v", s, stats, wantStats)

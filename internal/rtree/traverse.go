@@ -45,6 +45,9 @@ type TraversalStats struct {
 	// log (zero outside joins).
 	SweepPairs  uint64
 	NestedPairs uint64
+	// PairTests counts the leaf entry pairs a join tested with its
+	// accept test (zero outside joins).
+	PairTests uint64
 }
 
 // Add returns the element-wise sum s + t.
@@ -55,6 +58,7 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 		Emitted:      s.Emitted + t.Emitted,
 		SweepPairs:   s.SweepPairs + t.SweepPairs,
 		NestedPairs:  s.NestedPairs + t.NestedPairs,
+		PairTests:    s.PairTests + t.PairTests,
 	}
 }
 

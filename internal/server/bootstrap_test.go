@@ -3,19 +3,23 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
+	"mbrtopo/internal/query"
 	"mbrtopo/internal/repl"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
@@ -272,5 +276,115 @@ func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
 	members = map[uint64]bool{1: true, 2: true, 3: true, 4: true}
 	if !replay(sub, members) || len(members) != 5 || !members[5] {
 		t.Fatalf("after resubscribing, events replay to %v, want 1 2 3 4 5", slices.Sorted(maps.Keys(members)))
+	}
+}
+
+// TestReplicaSelfJoinBesideBootstraps: a self-join reads its index once.
+// Bootstraps swap a replica's tree between two versions while
+// self-joins run, with the right side omitted and named; every answer
+// must be one version's, so no (o, o) pair and exactly that version's
+// pair count. Reading the view once per side let a swap land between
+// the two reads, and the join then paired two trees with each other,
+// (o, o) pairs and all.
+func TestReplicaSelfJoinBesideBootstraps(t *testing.T) {
+	versions := [2][]index.Item{}
+	for v := range versions {
+		for oid := uint64(1); oid <= 24; oid++ {
+			x := float64(oid)
+			versions[v] = append(versions[v], index.Item{Rect: geom.R(x, 0, x+2+float64(v), 1), OID: oid})
+		}
+	}
+	var trees [2]index.Index
+	var want [2]int
+	for v, items := range versions {
+		idx, err := index.NewPacked(index.KindRStar, 512, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[v] = idx
+		res, err := query.JoinTopological(idx, idx, topo.NotDisjoint, query.JoinOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = len(res.Pairs)
+	}
+	if want[0] == want[1] {
+		t.Fatalf("both versions self-join to %d pairs: the counts cannot tell them apart", want[0])
+	}
+	srv := New(Config{})
+	defer srv.Close()
+	inst, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRStar, PageSize: 512,
+		Dir: t.TempDir(), Fsync: wal.SyncNever, Follower: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := &followerTarget{s: srv, inst: inst}
+	// bootstrap installs version gen % 2 as generation gen.
+	bootstrap := func(gen uint64) error {
+		var snap bytes.Buffer
+		if err := index.WriteFlat(trees[gen%2], &snap, gen); err != nil {
+			return err
+		}
+		return target.Bootstrap(repl.Position{Gen: gen}, &snap, int64(snap.Len()))
+	}
+	if err := bootstrap(2); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	swaps := make(chan error, 1)
+	go func() {
+		gen := uint64(3)
+		for ; ; gen++ {
+			select {
+			case <-stop:
+				swaps <- nil
+				return
+			default:
+			}
+			if err := bootstrap(gen); err != nil {
+				swaps <- err
+				return
+			}
+		}
+	}()
+	h := srv.Handler()
+	for i := 0; i < 3000; i++ {
+		req := JoinRequest{Left: "main", Relations: []string{"equal", "meet", "overlap", "inside", "contains", "covers", "covered_by"}}
+		if i%2 == 1 {
+			req.Right = "main"
+		}
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/join", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("join %d: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
+		pairs := 0
+		for line := range strings.Lines(rec.Body.String()) {
+			var jl JoinLine
+			if err := json.Unmarshal([]byte(line), &jl); err != nil {
+				t.Fatalf("join %d: bad line %q: %v", i, line, err)
+			}
+			switch {
+			case jl.Stats != nil:
+				if jl.Stats.Pairs != pairs {
+					t.Fatalf("join %d: the trailer counts %d pairs, the stream %d", i, jl.Stats.Pairs, pairs)
+				}
+			case jl.Error != "":
+				t.Fatalf("join %d: %s", i, jl.Error)
+			default:
+				if *jl.LeftOID == *jl.RightOID {
+					t.Fatalf("join %d (right %q): object %d paired with itself: the join read two tree versions", i, req.Right, *jl.LeftOID)
+				}
+				pairs++
+			}
+		}
+		if pairs != want[0] && pairs != want[1] {
+			t.Fatalf("join %d (right %q): %d pairs, but a version self-joins to %d or %d", i, req.Right, pairs, want[0], want[1])
+		}
+	}
+	close(stop)
+	if err := <-swaps; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -209,12 +209,13 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 
 // handleJoin streams a topological spatial join of two served indexes
 // as NDJSON: one JoinLine per result pair (unspecified order), then a
-// trailing stats line. The join runs the parallel plane-sweep engine
-// over pinned snapshots of both trees, so concurrent writers never
-// perturb a running join. Unsupported index pairs (R+-trees partition
-// space) are rejected with 400 before the stream starts; limits,
-// deadlines, and client disconnects stop the traversal within one page
-// read, and whatever was read is still folded into /metrics.
+// trailing stats line. The join runs the plane-sweep engine (on a
+// worker pool only when GOMAXPROCS > 1) over one snapshot of each
+// tree, so concurrent writers never perturb a running join. Unsupported
+// index pairs (R+-trees partition space) are rejected with 400 before
+// the stream starts; limits, deadlines, and client disconnects stop the
+// traversal within one page read, and whatever was read is still
+// folded into /metrics.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -236,7 +237,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	lidx, ridx := li.ReadIndex(), ri.ReadIndex()
+	// One read for a self-join: two could straddle a replica bootstrap.
+	lidx := li.ReadIndex()
+	ridx := lidx
+	if ri != li {
+		ridx = ri.ReadIndex()
+	}
 	if err := query.CanJoin(lidx, ridx); err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
