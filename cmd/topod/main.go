@@ -53,7 +53,7 @@
 //	curl -s -X POST localhost:8081/v1/promote
 //
 // Continuous queries: POST /v1/watch (same body shape as /v1/query)
-// streams enter/exit/change events as the index mutates, admitted from
+// streams enter/exit events as the index mutates, admitted from
 // a dedicated -maxwatch slot pool so subscribers never starve queries.
 // SIGTERM ends every stream with a terminal drain line before the HTTP
 // drain begins:

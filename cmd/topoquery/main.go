@@ -402,8 +402,6 @@ func watchOnce(ctx context.Context, target string, body []byte) (progressed bool
 			rel := line.New
 			if line.Event == "exit" {
 				rel = line.Old
-			} else if line.Old != "" {
-				rel = line.Old + " -> " + line.New
 			}
 			var r [4]float64
 			if line.Rect != nil {

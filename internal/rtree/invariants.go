@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mbrtopo/internal/geom"
 )
@@ -13,8 +14,9 @@ import (
 
 // CheckInvariants verifies the structural invariants of an R-/R*-tree:
 // uniform leaf depth, exact parent rectangles (every internal entry's
-// rectangle is the tight MBR of its child), fill factors within [m, M]
-// except for the root, and an entry count matching Len.
+// rectangle is the tight MBR of its child, recomputed from the child's
+// entries), fill factors within [m, M] except for the root, an entry
+// count matching Len, and every node's side-cars (checkSidecars).
 func (t *Tree) CheckInvariants() error {
 	s := t.cur.Load()
 	leaves := 0
@@ -23,6 +25,9 @@ func (t *Tree) CheckInvariants() error {
 	var walk func(n *node, depth int, isRoot bool) error
 	walk = func(n *node, depth int, isRoot bool) error {
 		t.st.get(n)
+		if err := n.checkSidecars(); err != nil {
+			return err
+		}
 		if len(n.entries) > t.st.cap {
 			return fmt.Errorf("rtree: level-%d node overfull (%d > %d)", n.level, len(n.entries), t.st.cap)
 		}
@@ -45,7 +50,7 @@ func (t *Tree) CheckInvariants() error {
 			if child.level != n.level-1 {
 				return fmt.Errorf("rtree: level-%d node has a child of level %d", n.level, child.level)
 			}
-			if got := child.mbr(); got != e.Rect {
+			if got := child.union(); got != e.Rect {
 				return fmt.Errorf("rtree: level-%d node stores rect %v for a child whose tight MBR is %v",
 					n.level, e.Rect, got)
 			}
@@ -71,7 +76,8 @@ func (t *Tree) CheckInvariants() error {
 // sharing interior with its leaf region, and — the zero-false-miss
 // property — every stored (rect, oid) registered in every leaf whose
 // region its interior intersects, as many times in each as it was
-// inserted, those counts summing to Len.
+// inserted, those counts summing to Len — and every node's side-cars
+// (checkSidecars).
 func (t *RPlusTree) CheckInvariants() error {
 	s := t.cur.Load()
 	type leafInfo struct {
@@ -84,6 +90,9 @@ func (t *RPlusTree) CheckInvariants() error {
 	var walk func(n *node, region geom.Rect, depth int) error
 	walk = func(n *node, region geom.Rect, depth int) error {
 		t.st.get(n)
+		if err := n.checkSidecars(); err != nil {
+			return err
+		}
 		// Overflow pages (Greene's degeneracy) are legal but bounded.
 		if len(n.entries) > t.st.cap*maxOverflowChain {
 			return fmt.Errorf("rtree: R+ node overfull beyond the overflow bound (%d)", len(n.entries))
@@ -149,6 +158,37 @@ func (t *RPlusTree) CheckInvariants() error {
 	}
 	if stored != s.size {
 		return fmt.Errorf("rtree: R+ holds %d objects, Len says %d", stored, s.size)
+	}
+	return nil
+}
+
+// checkSidecars verifies the caches a node version carries against its
+// entries, recomputed: a join's kept MBR is the union of the entries
+// and its kept order a permutation of them sorted by byLowX, and a
+// leaf's earned text is a fresh rendering of its entries.
+func (n *node) checkSidecars() error {
+	if k := n.sweep.Load(); k != nil {
+		if u := n.union(); k.mbr != u {
+			return fmt.Errorf("rtree: level-%d node keeps MBR %v for entries whose union is %v", n.level, k.mbr, u)
+		}
+		if len(k.ord) != len(n.entries) {
+			return fmt.Errorf("rtree: level-%d node keeps a sweep order of %d for %d entries", n.level, len(k.ord), len(n.entries))
+		}
+		seen := make([]bool, len(n.entries))
+		for i, j := range k.ord {
+			if j < 0 || int(j) >= len(n.entries) || seen[j] {
+				return fmt.Errorf("rtree: level-%d node's sweep order %v is not a permutation of its entries", n.level, k.ord)
+			}
+			seen[j] = true
+			if i > 0 && n.byLowX(k.ord[i-1], j) >= 0 {
+				return fmt.Errorf("rtree: level-%d node's sweep order %v is not sorted by low x", n.level, k.ord)
+			}
+		}
+	}
+	if t := n.text.Load(); t != nil {
+		if f := n.render(); t.s != f.s || !slices.Equal(t.off, f.off) {
+			return fmt.Errorf("rtree: leaf text %q is not the rendering of its entries, %q", t.s, f.s)
+		}
 	}
 	return nil
 }

@@ -72,6 +72,11 @@ func (n *node) mbr() geom.Rect {
 	if k := n.sweep.Load(); k != nil {
 		return k.mbr
 	}
+	return n.union()
+}
+
+// union computes the tight bounding rectangle of the node's entries.
+func (n *node) union() geom.Rect {
 	if len(n.entries) == 0 {
 		return geom.Rect{}
 	}

@@ -67,6 +67,15 @@ func (h Hit) SameLeaf(o Hit) bool { return h.leaf != nil && h.leaf == o.leaf }
 // renderText buys the leaf's text. Two consumers crossing the
 // threshold together both render; one result is published.
 func (n *node) renderText() *leafText {
+	t := n.render()
+	if !n.text.CompareAndSwap(nil, t) {
+		t = n.text.Load()
+	}
+	return t
+}
+
+// render renders the leaf's text without publishing it.
+func (n *node) render() *leafText {
 	off := make([]uint32, len(n.entries)+1)
 	buf := make([]byte, 0, 96*len(n.entries)) // scratch; the string below is cut to size
 	for i := range n.entries {
@@ -75,9 +84,5 @@ func (n *node) renderText() *leafText {
 		}
 		off[i+1] = uint32(len(buf))
 	}
-	t := &leafText{s: string(buf), off: off}
-	if !n.text.CompareAndSwap(nil, t) {
-		t = n.text.Load()
-	}
-	return t
+	return &leafText{s: string(buf), off: off}
 }

@@ -190,7 +190,7 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 // TestReplicaWatchEndsOnBootstrap: a bootstrap replaces a replica's
 // contents with a new image, a change no commit batch describes, so it
 // ends every watch subscription of the index with a terminal reason
-// instead of leaving the table's shadow on the old contents. A
+// instead of leaving it silent about the swap. A
 // subscriber that resubscribes starts from the new baseline, and the
 // events of the records applied after it replay to what the tree holds.
 func TestReplicaWatchEndsOnBootstrap(t *testing.T) {

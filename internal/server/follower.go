@@ -282,10 +282,10 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	d.since = int(pos.Seq)
 	inst.serve(idx)
 	// Bootstrap replaces the whole logical state, so no cached answer of
-	// the old contents may survive it, and no watch stream either: the
-	// table's shadow holds the old contents, and no commit describes the
-	// swap. Each subscriber is ended, as a lagging one is, and
-	// resubscribes against the new baseline.
+	// the old contents may survive it, and no watch stream either: no
+	// commit describes the swap, so no enter or exit reports it. Each
+	// subscriber is ended, as a lagging one is, and resubscribes against
+	// the new baseline.
 	inst.bumpGen()
 	if inst.cache != nil {
 		inst.cache.invalidateAll(inst.Name)

@@ -20,8 +20,8 @@
 //	                  logged as one WAL group commit
 //	GET  /v1/indexes  the loaded indexes (kind, size, height, bounds)
 //	POST /v1/watch    continuous query: a long-lived NDJSON stream of
-//	                  enter/exit/change events for a region + relation
-//	                  set, driven by the conceptual neighbourhood graph
+//	                  enter/exit events for a region + relation set, one
+//	                  per inserted or deleted rectangle the set admits
 //	GET  /v1/replicate
 //	                  a durable index as a replication stream: its
 //	                  checkpoint image, then the live WAL tail
@@ -266,10 +266,11 @@ func (inst *Instance) InsertBatch(recs []rtree.Record) error {
 	return inst.mutate(batch, nil)
 }
 
-// mutLock returns the lock that orders the instance's mutations among
-// themselves and against watch activation: the durable lock, which also
-// orders them against checkpoints and replication snapshots, or wmu on
-// an instance with no durable state of its own.
+// mutLock returns the lock that orders the instance's mutations, and
+// so their publication to the watch table, among themselves: the
+// durable lock, which also orders them against checkpoints and
+// replication snapshots, or wmu on an instance with no durable state
+// of its own.
 func (inst *Instance) mutLock() *sync.Mutex {
 	if inst.dur != nil {
 		return &inst.dur.mu
@@ -496,7 +497,7 @@ func (s *Server) AddIndex(spec IndexSpec, items []index.Item) (*Instance, error)
 	if err != nil {
 		return nil, err
 	}
-	inst.watch = s.newWatchTable(inst)
+	inst.watch = s.newWatchTable()
 	inst.cache = s.cache
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,44 +10,29 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/watch"
 )
 
-// newWatchTable wires an instance's subscription table: the shadow
-// seeds from whatever tree the read path serves, subscription
+// newWatchTable wires an instance's subscription table: subscription
 // references live in their own in-memory R-tree, and batch
 // commit-to-notification latency lands in the watch histogram.
-func (s *Server) newWatchTable(inst *Instance) *watch.Table {
-	all := func(geom.Rect) bool { return true }
-	scan := func(emit func(geom.Rect, uint64) bool) error {
-		idx := inst.ReadIndex()
-		if idx == nil {
-			return fmt.Errorf("server: index %q has no readable tree", inst.Name)
-		}
-		_, err := idx.SearchHits(context.Background(), all, all, func(h rtree.Hit) bool { return emit(h.Rect, h.OID) })
-		return err
-	}
+func (s *Server) newWatchTable() *watch.Table {
 	subIdx, err := index.NewWithPageSize(index.KindRTree, index.PaperPageSize)
 	if err != nil {
 		// KindRTree is always constructible; this cannot happen.
 		panic("server: watch subscription index: " + err.Error())
 	}
-	return watch.NewTable(scan, subIdx, s.metrics.watchLatency.observe)
+	return watch.NewTable(nil, subIdx, s.metrics.watchLatency.observe)
 }
 
 // WatchSubscribe registers a continuous query against the instance.
-// It holds the write path's mutation lock while the subscription table
-// activates, so the seeded shadow and the commit queue together cover
-// every mutation exactly once.
+// The table classifies each published record by itself, so attaching
+// reads nothing of the index and takes no lock of the write path.
 func (inst *Instance) WatchSubscribe(ref geom.Rect, rels topo.Set, buffer int) (*watch.Subscription, error) {
 	if inst.watch == nil {
 		return nil, fmt.Errorf("server: index %q does not accept watches", inst.Name)
 	}
-	mu := inst.mutLock()
-	mu.Lock()
-	defer mu.Unlock()
 	return inst.watch.Subscribe(ref, rels, buffer)
 }
 
@@ -115,8 +100,9 @@ func (s *Server) registerWatchMetrics() {
 }
 
 // handleWatch serves POST /v1/watch: a long-lived NDJSON stream of
-// enter/exit/change events for a region + relation set (the same wire
-// shape as /v1/query). The stream opens with a watch info line and
+// enter/exit events for a region + relation set (the same wire shape
+// as /v1/query): one enter per inserted rectangle the set admits
+// against the reference, one exit per deleted one. The stream opens with a watch info line and
 // ends with a terminal End line when the server closes the
 // subscription (drain, lag) — a disappearing client just drops the
 // connection. Watch streams are admitted from their own bounded slot
@@ -212,11 +198,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 func watchLineFor(ev watch.Event) WatchLine {
 	oid, rect, gen := ev.OID, RectToWire(ev.Rect), ev.Gen
 	line := WatchLine{Event: ev.Type.String(), OID: &oid, Rect: &rect, Gen: &gen}
-	if ev.HasOld {
-		line.Old = ev.Old.String()
-	}
-	if ev.HasNew {
-		line.New = ev.New.String()
+	if ev.Type == watch.Enter {
+		line.New = ev.Rel.String()
+	} else {
+		line.Old = ev.Rel.String()
 	}
 	return line
 }

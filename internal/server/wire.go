@@ -160,10 +160,12 @@ type WatchInfo struct {
 }
 
 // WatchLine is one NDJSON line of a /v1/watch stream. The first line
-// carries Watch; event lines carry Event ("enter", "exit", "change")
-// with OID/Rect/Gen and the old/new MBR-level relation where defined;
-// the terminal line carries End (e.g. "drain") when the server closes
-// the subscription.
+// carries Watch; event lines carry Event ("enter" for an inserted
+// rectangle the subscription admits, "exit" for a deleted one) with
+// OID/Rect/Gen and the rectangle's MBR-level relation to the
+// reference, in New for an enter and in Old for an exit; the terminal
+// line carries End (e.g. "drain") when the server closes the
+// subscription.
 type WatchLine struct {
 	Watch *WatchInfo  `json:"watch,omitempty"`
 	Event string      `json:"event,omitempty"`

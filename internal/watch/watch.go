@@ -3,23 +3,30 @@
 // same shape as a window query) that are notified when index mutations
 // change their answer.
 //
+// Membership is per registration, as a window query's answer is: one
+// (oid, rect) pair per stored entry. An inserted rectangle the
+// subscription's Table 1 candidate set admits against its reference is
+// an enter; a deleted one it admits is an exit. Nothing else is sent,
+// and the table keeps no copy of the index: a record is classified by
+// itself.
+//
 // Subscriptions live in a Table attached to one served index. The
 // write path publishes every applied commit batch; a single notifier
 // goroutine evaluates one pass per batch and fans events out to the
 // subscribers' buffered channels. Two layers keep a pass cheap:
 //
-//  1. An R-tree over the subscription reference rectangles reduces the
-//     touched object's rectangles to the subscriptions they touch
-//     (subscriptions whose relation set admits disjoint see every
-//     mutation — a gap configuration matches objects anywhere).
-//  2. Survivors re-run only the filter step — a configuration test per
-//     rectangle — against the subscription's admissible set.
+//  1. An R-tree over the subscription reference rectangles reduces a
+//     record's rectangle to the subscriptions it touches (subscriptions
+//     whose relation set admits disjoint see every record — a gap
+//     configuration matches rectangles anywhere).
+//  2. Survivors run the filter step's compiled test (mbr.Test.Admits)
+//     on the record's rectangle against their reference.
 //
 // Delivery is at-least-once per generation: a subscriber that attaches
 // while a commit is still queued may receive events its own baseline
-// query already reflects. Events for one object are always delivered
-// in apply order, so replaying enter/exit as set operations converges
-// to the true membership.
+// query already reflects. Events are delivered in apply order, so
+// replaying enter/exit as multiset operations on (oid, rect) converges
+// to the true answer.
 package watch
 
 import (
@@ -59,13 +66,10 @@ type EventType uint8
 
 // The event types.
 const (
-	// Enter: the object newly satisfies the subscription.
+	// Enter: an inserted rectangle the subscription admits.
 	Enter EventType = iota + 1
-	// Exit: the object no longer satisfies the subscription.
+	// Exit: a deleted rectangle the subscription admits.
 	Exit
-	// Change: the object still satisfies it under a different
-	// MBR-level relation.
-	Change
 )
 
 func (t EventType) String() string {
@@ -74,8 +78,6 @@ func (t EventType) String() string {
 		return "enter"
 	case Exit:
 		return "exit"
-	case Change:
-		return "change"
 	}
 	return "unknown"
 }
@@ -84,27 +86,24 @@ func (t EventType) String() string {
 type Event struct {
 	Type EventType
 	OID  uint64
-	// Rect is the object's rectangle after the commit (its last known
-	// rectangle for deletions).
+	// Rect is the inserted or deleted rectangle.
 	Rect geom.Rect
 	// Gen numbers the commit batch that produced the event; all events
 	// of one batch share it.
 	Gen uint64
-	// Old and New are the MBR-level topological relations of the object
-	// to the reference before and after the batch; HasOld/HasNew report
-	// whether the object existed on that side.
-	Old, New       topo.Relation
-	HasOld, HasNew bool
+	// Rel is the MBR-level topological relation of Rect to the
+	// reference.
+	Rel topo.Relation
 }
 
 // Counters is a snapshot of the table's work accounting.
 type Counters struct {
 	// Subscriptions currently registered.
 	Subscriptions int
-	// Evaluated counts full (subscription, object) evaluations.
+	// Evaluated counts (subscription, record) tests performed.
 	Evaluated uint64
-	// Pruned counts evaluations avoided by the subscription R-tree
-	// (reference nowhere near the object).
+	// Pruned counts tests avoided by the subscription R-tree
+	// (reference nowhere near the record's rectangle).
 	Pruned uint64
 	// Events delivered to subscriber buffers.
 	Events uint64
@@ -117,13 +116,12 @@ type Counters struct {
 
 // Subscription is one registered continuous query.
 type Subscription struct {
-	id   uint64
-	ref  geom.Rect
-	rels topo.Set
-	// cfgs is the admissible configuration set (the Table 1 candidates
-	// of the relation set): membership on the wire is exactly the
-	// filter step of a window query with the same request.
-	cfgs mbr.ConfigSet
+	id  uint64
+	ref geom.Rect
+	// test is the compiled Table 1 candidate set of the relation set:
+	// membership on the wire is exactly the filter step of a window
+	// query with the same request.
+	test mbr.Test
 	// gap marks subscriptions whose admissible set leaves the touching
 	// configurations — their relation set admits disjoint, so every
 	// mutation is a candidate and the reference R-tree cannot help.
@@ -155,50 +153,6 @@ func (s *Subscription) EndReason() string {
 	return s.reason
 }
 
-// classify reports whether any of the object's rectangles is in the
-// admissible configuration set — the same test as the window-query
-// filter step — plus the MBR-level relation to report: the first
-// admissible rectangle's when a member, the first rectangle's
-// otherwise. ok is false when the object has no rectangles.
-func (s *Subscription) classify(rects []geom.Rect) (member bool, rel topo.Relation, ok bool) {
-	if len(rects) == 0 {
-		return false, 0, false
-	}
-	for _, r := range rects {
-		c := mbr.ConfigOf(r, s.ref)
-		if s.cfgs.Has(c) {
-			return true, c.Topo(), true
-		}
-	}
-	return false, mbr.ConfigOf(rects[0], s.ref).Topo(), true
-}
-
-// eventFor evaluates one object's transition against the subscription.
-func (s *Subscription) eventFor(oid uint64, before, after []geom.Rect) (Event, bool) {
-	mOld, relOld, hasOld := s.classify(before)
-	mNew, relNew, hasNew := s.classify(after)
-	ev := Event{OID: oid, Old: relOld, New: relNew, HasOld: hasOld, HasNew: hasNew}
-	if len(after) > 0 {
-		ev.Rect = after[0]
-	} else if len(before) > 0 {
-		ev.Rect = before[0]
-	}
-	switch {
-	case mOld && mNew:
-		if relOld == relNew {
-			return Event{}, false
-		}
-		ev.Type = Change
-	case mOld:
-		ev.Type = Exit
-	case mNew:
-		ev.Type = Enter
-	default:
-		return Event{}, false
-	}
-	return ev, true
-}
-
 // SubIndex is the R-tree interface the table needs over subscription
 // reference rectangles (satisfied by the index package's trees).
 type SubIndex interface {
@@ -207,14 +161,10 @@ type SubIndex interface {
 	SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (rtree.TraversalStats, error)
 }
 
-// Table holds the subscriptions of one index and mirrors its contents
-// (the shadow) so each commit batch can be diffed against the previous
-// state. The shadow exists only while subscriptions do: the first
-// Subscribe seeds it from a full index scan, the last departure drops
-// it, and the write path's Publish is a single atomic load while the
-// table is inactive.
+// Table holds the subscriptions of one index. It is active while it
+// has subscriptions; while it has none, the write path's Publish is a
+// single atomic load.
 type Table struct {
-	scan    func(emit func(geom.Rect, uint64) bool) error
 	observe func(time.Duration)
 
 	active atomic.Bool
@@ -232,7 +182,6 @@ type Table struct {
 	subs    map[uint64]*Subscription
 	gapSubs map[uint64]*Subscription
 	subIdx  SubIndex
-	shadow  map[uint64][]geom.Rect
 	queue   []commitBatch
 }
 
@@ -242,14 +191,13 @@ type commitBatch struct {
 	at   time.Time
 }
 
-// NewTable creates an empty subscription table. scan must stream the
-// index's current contents (duplicate (rect, oid) emissions, as from
-// an R+-tree's duplicated leaf entries, are deduplicated). observe,
-// when non-nil, receives each batch's commit-to-notification latency.
-// subIdx indexes subscription references; it must be empty.
+// NewTable creates an empty subscription table. scan is unused — the
+// table never reads the index — and may be nil; it stays only so that
+// existing callers compile. observe, when non-nil, receives each
+// batch's commit-to-notification latency. subIdx indexes subscription
+// references; it must be empty.
 func NewTable(scan func(emit func(geom.Rect, uint64) bool) error, subIdx SubIndex, observe func(time.Duration)) *Table {
 	t := &Table{
-		scan:    scan,
 		observe: observe,
 		subs:    make(map[uint64]*Subscription),
 		gapSubs: make(map[uint64]*Subscription),
@@ -274,12 +222,12 @@ func (t *Table) Counters() Counters {
 	}
 }
 
-// Subscribe registers a continuous query. The caller must hold the
-// same lock the index's writers hold across apply+Publish: the first
-// subscription seeds the shadow from the index scan, and only that
-// lock guarantees no commit falls between the scan and the queue.
-// buffer sizes the event channel (<=0 → DefaultBuffer); a subscriber
-// that falls that far behind is terminated with reason "lagged".
+// Subscribe registers a continuous query. It reads nothing of the
+// index, so it needs no lock of the write path: it orders against
+// Publish and Reset through the table's own lock, which makes StartGen
+// exact. buffer sizes the event channel (<=0 → DefaultBuffer); a
+// subscriber that falls that far behind is terminated with reason
+// "lagged".
 func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscription, error) {
 	if buffer <= 0 {
 		buffer = DefaultBuffer
@@ -288,28 +236,6 @@ func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscripti
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, ErrClosed
-	}
-	if t.shadow == nil {
-		type entry struct {
-			oid uint64
-			r   geom.Rect
-		}
-		shadow := make(map[uint64][]geom.Rect)
-		seen := make(map[entry]bool)
-		err := t.scan(func(r geom.Rect, oid uint64) bool {
-			e := entry{oid, r}
-			if seen[e] {
-				return true
-			}
-			seen[e] = true
-			shadow[oid] = append(shadow[oid], r)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.shadow = shadow
-		t.active.Store(true)
 	}
 	if !t.started {
 		t.started = true
@@ -320,8 +246,7 @@ func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscripti
 	sub := &Subscription{
 		id:       t.nextID,
 		ref:      ref,
-		rels:     rels,
-		cfgs:     cfgs,
+		test:     mbr.Compile(cfgs),
 		gap:      !cfgs.SubsetOf(mbr.Touching()),
 		startGen: t.gen,
 		ch:       make(chan Event, buffer),
@@ -332,6 +257,7 @@ func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscripti
 		return nil, err
 	}
 	t.subs[sub.id] = sub
+	t.active.Store(true)
 	return sub, nil
 }
 
@@ -360,7 +286,6 @@ func (t *Table) endLocked(sub *Subscription, reason string) {
 	sub.mu.Unlock()
 	close(sub.ch)
 	if len(t.subs) == 0 && !t.closed {
-		t.shadow = nil
 		t.queue = nil
 		t.doneGen = t.gen
 		t.active.Store(false)
@@ -377,7 +302,7 @@ func (t *Table) Publish(muts ...Mutation) {
 		return
 	}
 	t.mu.Lock()
-	if t.shadow == nil {
+	if len(t.subs) == 0 {
 		t.mu.Unlock()
 		return
 	}
@@ -418,11 +343,10 @@ func (t *Table) Close(reason string) {
 }
 
 // Reset ends every subscription with the given reason, as Close does,
-// but keeps the table open: the next Subscribe seeds a fresh shadow.
-// The caller holds the writers' lock, like Subscribe: a follower resets
-// when a bootstrap replaces the index's contents, a change no commit
-// batch describes, so its subscribers must resubscribe against the new
-// baseline.
+// but keeps the table open. A follower resets, under its writers' lock,
+// when a bootstrap replaces the index's contents: no commit batch
+// describes that change, so its subscribers must resubscribe against
+// the new baseline.
 func (t *Table) Reset(reason string) {
 	t.mu.Lock()
 	t.endAllLocked(reason)
@@ -430,7 +354,7 @@ func (t *Table) Reset(reason string) {
 }
 
 // endAllLocked ends every subscription; the last departure drops the
-// shadow and the queue. Caller holds t.mu.
+// queue. Caller holds t.mu.
 func (t *Table) endAllLocked(reason string) {
 	for _, sub := range t.subs {
 		t.endLocked(sub, reason)
@@ -468,82 +392,40 @@ func (t *Table) notifier() {
 	}
 }
 
-// delta is one object's coalesced transition within a commit batch.
-type delta struct {
-	oid           uint64
-	before, after []geom.Rect
-}
-
-// runBatchLocked coalesces a batch per object, advances the shadow,
-// and evaluates the touched objects against the candidate
-// subscriptions. Caller holds t.mu.
+// runBatchLocked tests each record of a batch against the candidate
+// subscriptions: every gap subscription, and those whose reference the
+// record's rectangle touches (closed intersection — boundary contact
+// can establish meet). Caller holds t.mu.
 func (t *Table) runBatchLocked(b commitBatch) {
-	if t.shadow == nil || len(t.subs) == 0 {
+	if len(t.subs) == 0 {
 		return
 	}
-	idxOf := make(map[uint64]int)
-	var deltas []delta
-	for _, m := range b.muts {
-		if _, seen := idxOf[m.OID]; !seen {
-			idxOf[m.OID] = len(deltas)
-			deltas = append(deltas, delta{
-				oid:    m.OID,
-				before: append([]geom.Rect(nil), t.shadow[m.OID]...),
-			})
-		}
-		switch m.Op {
-		case OpInsert:
-			t.shadow[m.OID] = append(t.shadow[m.OID], m.Rect)
-		case OpDelete:
-			rs := t.shadow[m.OID]
-			for j, r := range rs {
-				if r == m.Rect {
-					t.shadow[m.OID] = append(rs[:j], rs[j+1:]...)
-					break
-				}
-			}
-			if len(t.shadow[m.OID]) == 0 {
-				delete(t.shadow, m.OID)
-			}
-		}
-	}
-	for i := range deltas {
-		deltas[i].after = append([]geom.Rect(nil), t.shadow[deltas[i].oid]...)
-	}
-
 	subCount := uint64(len(t.subs))
 	pending := make(map[*Subscription][]Event)
-	cands := make(map[uint64]*Subscription)
-	for _, d := range deltas {
-		// Candidates: subscriptions whose reference touches one of the
-		// object's rectangles (closed intersection — boundary contact
-		// can establish meet), plus every gap subscription.
-		clear(cands)
-		for id, sub := range t.gapSubs {
-			cands[id] = sub
+	for _, m := range b.muts {
+		typ := Enter
+		if m.Op == OpDelete {
+			typ = Exit
 		}
-		gather := func(r geom.Rect) {
-			pred := func(nr geom.Rect) bool { return nr.Intersects(r) }
-			_, _ = t.subIdx.SearchHits(context.Background(), pred, pred, func(h rtree.Hit) bool {
-				if sub, ok := t.subs[h.OID]; ok {
-					cands[h.OID] = sub
-				}
-				return true
-			})
-		}
-		for _, r := range d.before {
-			gather(r)
-		}
-		for _, r := range d.after {
-			gather(r)
-		}
-		t.pruned.Add(subCount - uint64(len(cands)))
-		for _, sub := range cands {
-			t.evaluated.Add(1)
-			if ev, ok := sub.eventFor(d.oid, d.before, d.after); ok {
-				pending[sub] = append(pending[sub], ev)
+		var tested uint64
+		test := func(sub *Subscription) {
+			tested++
+			if sub.test.Admits(&m.Rect, &sub.ref) {
+				pending[sub] = append(pending[sub], Event{Type: typ, OID: m.OID, Rect: m.Rect, Rel: mbr.ConfigOf(m.Rect, sub.ref).Topo()})
 			}
 		}
+		for _, sub := range t.gapSubs {
+			test(sub)
+		}
+		pred := func(nr geom.Rect) bool { return nr.Intersects(m.Rect) }
+		_, _ = t.subIdx.SearchHits(context.Background(), pred, pred, func(h rtree.Hit) bool {
+			if sub, ok := t.subs[h.OID]; ok {
+				test(sub)
+			}
+			return true
+		})
+		t.evaluated.Add(tested)
+		t.pruned.Add(subCount - tested)
 	}
 	for sub, evs := range pending {
 		t.deliverLocked(sub, evs, b.gen)

@@ -639,8 +639,8 @@ fi
 echo "smoke OK: two-file data dir, flat boot adopts the checkpointed tree, clean shutdown of it writes nothing, 503 with the reason on corruption"
 
 # ---- watch leg: topoquery -watch streams live events from a durable
-# topod; single inserts, a bulk batch, and a delete must each arrive,
-# and SIGTERM must end the stream with a terminal drain line ----
+# topod; single inserts, a bulk batch, a delete and a move must each
+# arrive, and SIGTERM must end the stream with a terminal drain line ----
 
 LOG10="$(mktemp)"
 WLOG="$(mktemp)"
@@ -702,6 +702,25 @@ wait_line "$WLOG" 'exit .*oid 910001 ' || {
   exit 1
 }
 
+# Move (a delete, then an insert) within the watched region → an exit
+# of the old rectangle, then an enter of the new one.
+MDEL6="$(curl -sf -d '{"oid":910002,"rect":[30030,30030,30040,30040]}' "$BASE6/v1/delete")"
+MINS6="$(curl -sf -d '{"oid":910002,"rect":[30070,30070,30080,30080]}' "$BASE6/v1/insert")"
+{ echo "$MDEL6" | grep -q '"ok":true' && echo "$MINS6" | grep -q '"ok":true'; } \
+  || { echo "smoke: watch-leg move failed: $MDEL6 $MINS6" >&2; exit 1; }
+wait_line "$WLOG" 'enter .*oid 910002 .*30070' || {
+  echo "smoke: enter event for the moved object never arrived" >&2
+  cat "$WLOG" >&2
+  exit 1
+}
+MEXIT6="$(grep -n 'exit .*oid 910002 .*30030' "$WLOG" | cut -d: -f1)"
+MENTER6="$(grep -n 'enter .*oid 910002 .*30070' "$WLOG" | cut -d: -f1)"
+[ -n "$MEXIT6" ] && [ "$MEXIT6" -lt "$MENTER6" ] || {
+  echo "smoke: the move did not stream an exit, then an enter" >&2
+  cat "$WLOG" >&2
+  exit 1
+}
+
 MET6="$(curl -sf "$BASE6/metrics")"
 echo "$MET6" | grep -q '^topod_watch_streams 1' \
   || { echo "smoke: /metrics missing the live watch-stream gauge" >&2; exit 1; }
@@ -721,8 +740,13 @@ if ! wait "$WATCHPID"; then
 fi
 grep -q '^watch ended by server: drain$' "$WLOG" \
   || { echo "smoke: terminal drain line missing from watch output" >&2; cat "$WLOG" >&2; exit 1; }
+if grep -q -e 'change' -e '->' "$WLOG"; then
+  echo "smoke: the watch stream carried a change line" >&2
+  cat "$WLOG" >&2
+  exit 1
+fi
 
-echo "smoke OK: /v1/watch streamed insert/bulk/delete events + terminal drain line"
+echo "smoke OK: /v1/watch streamed insert/bulk/delete/move events + terminal drain line"
 
 # ---- replication leg: primary + -follow replica, hot failover ----
 
