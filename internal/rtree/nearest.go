@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -30,17 +29,17 @@ type pqItem struct {
 	entry Neighbour // valid when node == nil
 }
 
+// pq is a binary min-heap of pqItems under less, with container/heap's
+// up and down steps, typed so that a push boxes nothing.
 type pq []pqItem
 
-func (q pq) Len() int { return len(q) }
-
-// Less orders by MINDIST; on ties nodes are expanded before entries are
+// less orders by MINDIST; on ties nodes are expanded before entries are
 // emitted (so every candidate at that distance is on the heap first),
 // equal-distance nodes in push order, and equal-distance entries pop
 // smallest object id first. Deterministic tie breaking is what lets a
 // sharded best-k merge reproduce the single-tree answer bit for bit.
-func (q pq) Less(i, j int) bool {
-	a, b := q[i], q[j]
+func (q pq) less(i, j int) bool {
+	a, b := &q[i], &q[j]
 	if a.dist != b.dist {
 		return a.dist < b.dist
 	}
@@ -52,14 +51,40 @@ func (q pq) Less(i, j int) bool {
 	}
 	return a.entry.OID < b.entry.OID
 }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
@@ -67,13 +92,18 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("rtree: Nearest needs k ≥ 1, got %d", k)
 	}
-	var q pq
+	// Room for a few nodes' entries and a small k up front; both grow by
+	// doubling past that.
+	q := make(pq, 0, 64)
 	pushed := 0
-	heap.Push(&q, pqItem{dist: 0, node: root})
-	seen := map[uint64]bool{}
-	var out []Neighbour
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(&q).(pqItem)
+	q.push(pqItem{dist: 0, node: root})
+	var seen map[uint64]bool
+	if dedup {
+		seen = map[uint64]bool{}
+	}
+	out := make([]Neighbour, 0, min(k, 16))
+	for len(q) > 0 && len(out) < k {
+		it := q.pop()
 		if it.node == nil {
 			if dedup {
 				if seen[it.entry.OID] {
@@ -95,10 +125,10 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 			e := &n.entries[i]
 			d := e.Rect.DistToPoint(p)
 			if n.isLeaf() {
-				heap.Push(&q, pqItem{dist: d, entry: Neighbour{Rect: e.Rect, OID: e.OID, Dist: d}})
+				q.push(pqItem{dist: d, entry: Neighbour{Rect: e.Rect, OID: e.OID, Dist: d}})
 			} else {
 				pushed++
-				heap.Push(&q, pqItem{dist: d, node: e.Child, seq: pushed})
+				q.push(pqItem{dist: d, node: e.Child, seq: pushed})
 			}
 		}
 	}

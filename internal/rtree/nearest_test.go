@@ -125,3 +125,28 @@ func TestNearestEdgeCases(t *testing.T) {
 		t.Errorf("single entry: %v %v", got, err)
 	}
 }
+
+// TestNearestAllocs bounds what a 10-NN allocates: the heap and the
+// answer are sized up front and grow by doubling, and no push boxes its
+// item (a push through container/heap cost one allocation).
+func TestNearestAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	rt, err := newTestRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 2000; i++ {
+		if err := rt.Insert(randRect(rng, 1000, 20), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := geom.Point{X: 500, Y: 500}
+	n := testing.AllocsPerRun(20, func() {
+		if _, _, err := rt.NearestCtx(context.Background(), p, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 3 {
+		t.Errorf("a 10-NN over %d objects costs %v allocations, want at most 3", rt.Len(), n)
+	}
+}

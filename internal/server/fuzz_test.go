@@ -4,7 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -13,13 +20,14 @@ import (
 	"mbrtopo/internal/rtree"
 )
 
-// FuzzWireDecode feeds arbitrary bytes through the wire-decoding paths
-// the handlers run on request bodies: the /v1/bulk NDJSON line loop,
-// and the /v1/query and /v1/insert JSON bodies. The property is that
-// decoding never panics and the validating helpers are self-consistent
-// — RectFromWire only returns valid rectangles (and round-trips them
-// through RectToWire bit-exactly), ParseRelationSet never returns an
-// empty set without an error.
+// FuzzWireDecode holds every request reader to the encoding/json call
+// it replaced. On the same bytes behind an http.MaxBytesReader,
+// readBody with each of the QueryRequest, JoinRequest, WatchRequest and
+// UpdateRequest readers must accept exactly what
+// json.NewDecoder(...).Decode accepts, and decode a value
+// reflect.DeepEqual to its; readBulk must return the records the old
+// /v1/bulk loop built, or fail at the same line. Every body is read
+// under the handlers' caps and under two caps that cut it short.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"oid":1,"rect":[0,0,1,1]}`))
 	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n{\"oid\":2,\"rect\":[2,2,3,3]}\n"))
@@ -30,35 +38,73 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"relations":[],"ref":[0,0,1,1]}`))
 	f.Add([]byte(`{"oid":18446744073709551615,"rect":[-1e308,-1e308,1e308,1e308]}`))
 	f.Add([]byte(`not json at all`))
+	// Keys folded as encoding/json folds them: K (the Kelvin sign) and
+	// ſ (long s) read as k and s, ı (dotless i) not as i.
+	f.Add([]byte(`{"Relations":["overlap"],"REF":[0,0,1,1],"limiT":2,"Timeout_MS":5,"expla\u0131n":true,"\u212aeep_self_pairs":true,"non_contiguou\u017f":true,"OID":4,"Rect":[0,0,2,2],"bUFFER":9,"Left":"a","RIGHT":"b"}`))
+	f.Add([]byte("{\"Index\":\"x\",\"\xe2\x84\xaaeep_self_pairs\":true,\"\xc5\xbfOMETHING\":1}"))
+	// Escapes, surrogates and invalid UTF-8.
+	f.Add([]byte(`{"relations":["\u006fverlap","cover\u0073"],"index":"\ud83d\ude00\ud800x\udc00\ud800\ud800\u0041","ref":[0,0,1,1]}`))
+	f.Add([]byte(`{"index":"\b\f\n\r\t\/\\\"<>&\u2028","left":"\u00e9\uFFFD"}`))
+	f.Add([]byte("{\"index\":\"\xff\xfe\xed\xa0\x80\",\"relations\":[\"ov\xc3\"],\"\xff\":1}"))
+	f.Add([]byte(`{"index":"\x"}`))
+	f.Add([]byte(`{"index":"\u12"}`))
+	f.Add([]byte("{\"index\":\"a\tb\"}"))
+	// null: a scalar keeps its value, a slice becomes nil, and a null
+	// element keeps what that element held.
+	f.Add([]byte(`{"relations":null,"ref":[1,2,3,4],"limit":7,"limit":null,"explain":null,"index":null}`))
+	f.Add([]byte(`{"ref":[1,2,3,4],"ref":[9],"ref":[null,null,null],"relations":["a","b"],"relations":[null],"relations2":[],"ref2":null}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(" \n null \t"))
+	f.Add([]byte(`nullnull`))
+	f.Add([]byte(`null}`))
+	// Duplicates and trailing bytes.
+	f.Add([]byte(`{"oid":1,"oid":2,"rect":[0,0,1,1],"rect":[0,0,3,3]} trailing garbage {`))
+	f.Add([]byte(`{"oid":1,"rect":[0,0,1,1]}{"oid":2,"rect":[0,0,2,2]}`))
+	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n\n \t\r{\"oid\":2,\"rect\":[1,1,2,2]}\n  "))
+	// Numbers: overflow, underflow, -0, and fractions or exponents into
+	// an integer.
+	f.Add([]byte(`{"ref":[1e400,0,1,1]}`))
+	f.Add([]byte(`{"ref":[1e-400,-0,1E+2,0.5e-1]}`))
+	f.Add([]byte(`{"oid":-0,"rect":[0,0,1,1]}`))
+	f.Add([]byte(`{"limit":-0,"timeout_ms":-9223372036854775808}`))
+	f.Add([]byte(`{"limit":1.0}`))
+	f.Add([]byte(`{"limit":1e2}`))
+	f.Add([]byte(`{"timeout_ms":9223372036854775808}`))
+	f.Add([]byte(`{"oid":18446744073709551616}`))
+	f.Add([]byte(`{"limit":01}`))
+	f.Add([]byte(`{"limit":-}`))
+	f.Add([]byte(`{"ref":[1.,2]}`))
+	// Type mismatches, unknown fields and malformed JSON.
+	f.Add([]byte(`{"limit":"3","explain":1,"relations":"overlap","index":5}`))
+	f.Add([]byte(`{"zz":{"a":[1,{"b":null}],"c":"\u0000"},"yy":[true,false,-1.5e3],"oid":1,"rect":[0,0,1,1]}`))
+	f.Add([]byte(`{"zz":[1,]}`))
+	f.Add([]byte(`{"zz":{"a":tru}}`))
+	f.Add([]byte(`{"oid":1,}`))
+	f.Add([]byte(`[1]`))
+	f.Add([]byte(`"x"`))
+	f.Add([]byte(`12`))
+	f.Add([]byte(`true`))
+	f.Add([]byte(``))
+	f.Add([]byte(" \n\t "))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The /v1/bulk decode loop: NDJSON BulkLines until the first
-		// decode error (handleBulk rejects the request there).
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for {
-			var line BulkLine
-			if err := dec.Decode(&line); err != nil {
-				break
-			}
-			rect, err := RectFromWire(line.Rect)
-			if err != nil {
+		for _, limit := range []int64{maxBodyBytes, int64(len(data) - 1), int64(len(data) / 2)} {
+			if limit < 0 {
 				continue
 			}
-			if !rect.Valid() {
-				t.Fatalf("RectFromWire(%v) returned invalid rect without error", line.Rect)
-			}
-			// JSON numbers are finite, so a valid rect round-trips
-			// bit-exactly.
-			w := RectToWire(rect)
-			for i := range w {
-				if w[i] != line.Rect[i] {
-					t.Fatalf("rect %v round-tripped as %v", line.Rect, w)
-				}
+			diffRead[QueryRequest](t, data, limit)
+			diffRead[JoinRequest](t, data, limit)
+			diffRead[WatchRequest](t, data, limit)
+			diffRead[UpdateRequest](t, data, limit)
+		}
+		for _, limit := range []int64{maxBulkBytes, int64(len(data) - 1), int64(len(data) / 2)} {
+			if limit >= 0 {
+				diffBulk(t, data, limit)
 			}
 		}
 
-		// The /v1/query body.
+		// The helpers the handlers call next stay self-consistent.
 		var qr QueryRequest
-		if err := json.Unmarshal(data, &qr); err == nil {
+		if readBody(httptest.NewRecorder(), body(data), maxBodyBytes, qr.read) == nil {
 			set, err := ParseRelationSet(qr.Relations)
 			if err == nil && set.IsEmpty() {
 				t.Fatalf("ParseRelationSet(%v) returned empty set without error", qr.Relations)
@@ -67,31 +113,117 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("RectFromWire accepted %d coordinates", len(qr.Ref))
 			}
 		}
-
-		// The /v1/insert and /v1/delete body.
-		var ur UpdateRequest
-		if err := json.Unmarshal(data, &ur); err == nil {
-			if rect, err := RectFromWire(ur.Rect); err == nil && !rect.Valid() {
-				t.Fatalf("RectFromWire(%v) returned invalid rect without error", ur.Rect)
-			}
-		}
 	})
+}
+
+// TestReadBodyDepth reads values nested at encoding/json's depth limit
+// and one past it, which are too long to seed FuzzWireDecode with.
+func TestReadBodyDepth(t *testing.T) {
+	for _, depth := range []int{maxDepth - 1, maxDepth} {
+		for _, open := range []string{"[", `{"a":`} {
+			close := "]"
+			if open != "[" {
+				close = "}"
+			}
+			data := []byte(`{"zz":` + strings.Repeat(open, depth) + "1" + strings.Repeat(close, depth) + `}`)
+			err := diffRead[QueryRequest](t, data, maxBodyBytes)
+			if (err == nil) != (depth < maxDepth) {
+				t.Errorf("%d levels under the body's object: %v", depth, err)
+			}
+			diffBulk(t, data, maxBulkBytes)
+		}
+	}
+}
+
+func body(data []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(data)) }
+
+// diffRead reads data as a T with readBody and with the encoding/json
+// call it replaced, each behind a MaxBytesReader of limit bytes, and
+// returns the reader's error.
+func diffRead[T any, P interface {
+	*T
+	read(*jsonReader) error
+}](t *testing.T, data []byte, limit int64) error {
+	t.Helper()
+	var want, got T
+	wantErr := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), body(data), limit)).Decode(&want)
+	gotErr := readBody(httptest.NewRecorder(), body(data), limit, P(&got).read)
+	switch {
+	case (wantErr == nil) != (gotErr == nil):
+		t.Fatalf("%T under a %d-byte cap: encoding/json says %v, the reader %v\nbody %q", got, limit, wantErr, gotErr, data)
+	case wantErr == nil && !reflect.DeepEqual(want, got):
+		t.Fatalf("%T under a %d-byte cap:\n got %#v\nwant %#v\nbody %q", got, limit, got, want, data)
+	}
+	return gotErr
+}
+
+// diffBulk runs readBulk and the /v1/bulk loop it replaced on data.
+func diffBulk(t *testing.T, data []byte, limit int64) {
+	t.Helper()
+	var want []rtree.Record
+	wantLine := 0
+	dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), body(data), limit))
+	for {
+		var line BulkLine
+		if err := dec.Decode(&line); err != nil {
+			if !errors.Is(err, io.EOF) {
+				wantLine = len(want) + 1
+			}
+			break
+		}
+		rect, err := RectFromWire(line.Rect)
+		if err != nil {
+			wantLine = len(want) + 1
+			break
+		}
+		want = append(want, rtree.Record{Rect: rect, OID: line.OID})
+	}
+	got, err := readBulk(httptest.NewRecorder(), body(data), limit)
+	gotLine := 0
+	if err != nil {
+		if _, serr := fmt.Sscanf(err.Error(), "bad bulk line %d:", &gotLine); serr != nil {
+			t.Fatalf("bulk error %q names no line", err)
+		}
+	}
+	switch {
+	case gotLine != wantLine:
+		t.Fatalf("bulk under a %d-byte cap: failed at line %d, the old loop at %d (%v)\nbody %q", limit, gotLine, wantLine, err, data)
+	case wantLine == 0 && !reflect.DeepEqual(got, want):
+		t.Fatalf("bulk under a %d-byte cap:\n got %v\nwant %v\nbody %q", limit, got, want, data)
+	}
 }
 
 // FuzzLineEncode pins lineWriter's hand renderer to the wire
 // definition: for arbitrary oids and float64 bit patterns the rendered
 // match and pair lines equal json.Marshal of QueryLine and JoinLine
 // byte for byte, and a coordinate json.Marshal refuses (NaN, ±Inf)
-// stops the writer instead of reaching the wire.
+// stops the writer instead of reaching the wire. The stats and error
+// trailers, with the oids as counts and text as the explain and error
+// strings, equal json.Marshal too.
 func FuzzLineEncode(f *testing.F) {
 	bits := math.Float64bits
-	f.Add(uint64(0), uint64(1), bits(0), bits(math.Copysign(0, -1)), bits(1), bits(-1))
-	f.Add(uint64(math.MaxUint64), uint64(1<<53), bits(5e-324), bits(2.2250738585072009e-308), bits(1e-7), bits(1e-6))
-	f.Add(uint64(42), uint64(7), bits(999999999999999868928), bits(1e21), bits(math.MaxFloat64), bits(-math.MaxFloat64))
-	f.Add(uint64(1995), uint64(1301), bits(0.1+0.2), bits(123456789), bits(1e20), bits(-9.5e-7))
-	f.Add(uint64(3), uint64(4), bits(100.25), bits(1e-9), bits(1.5e-10), bits(1e100))
-	f.Add(uint64(5), uint64(6), bits(math.NaN()), bits(math.Inf(1)), bits(math.Inf(-1)), bits(0.5))
-	f.Fuzz(func(t *testing.T, oid, oid2, a, b, c, d uint64) {
+	f.Add(uint64(0), uint64(1), bits(0), bits(math.Copysign(0, -1)), bits(1), bits(-1), "")
+	f.Add(uint64(math.MaxUint64), uint64(1<<53), bits(5e-324), bits(2.2250738585072009e-308), bits(1e-7), bits(1e-6), "plan=single")
+	f.Add(uint64(42), uint64(7), bits(999999999999999868928), bits(1e21), bits(math.MaxFloat64), bits(-math.MaxFloat64), "cache=hit plan=conjunction short-circuit refs=meet")
+	f.Add(uint64(1995), uint64(1301), bits(0.1+0.2), bits(123456789), bits(1e20), bits(-9.5e-7), "<a href=\"x\">&amp;</a>\u2028\u2029")
+	f.Add(uint64(3), uint64(4), bits(100.25), bits(1e-9), bits(1.5e-10), bits(1e100), "\x00\x01\b\f\n\r\t\x1f\x7f\\/'")
+	f.Add(uint64(5), uint64(6), bits(math.NaN()), bits(math.Inf(1)), bits(math.Inf(-1)), bits(0.5), "\xff\xc3(\xed\xa0\x80é😀\ufffd")
+	f.Fuzz(func(t *testing.T, oid, oid2, a, b, c, d uint64, text string) {
+		for _, trailer := range []any{
+			&QueryLine{Stats: &WireStats{NodeAccesses: oid, Candidates: int(oid2), Explain: text}},
+			&QueryLine{Error: text},
+			&JoinLine{Stats: &JoinWireStats{Pairs: int(oid2), NodeAccesses: oid}},
+			&JoinLine{Error: text},
+		} {
+			want, err := json.Marshal(trailer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendTrailer(nil, trailer); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("trailer\n got %q\nwant %q", got, want)
+			}
+		}
+
 		r := geom.R(math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c), math.Float64frombits(d))
 		p := query.JoinPair{LeftOID: oid, RightOID: oid2, LeftRect: r, RightRect: geom.R(r.Max.Y, r.Max.X, r.Min.Y, r.Min.X)}
 		lr, rr := RectToWire(p.LeftRect), RectToWire(p.RightRect)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -100,7 +99,7 @@ func (s *Server) servingInstance(w http.ResponseWriter, name string) (*Instance,
 // holds).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -136,13 +135,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx := r.Context()
-	if d := s.queryTimeout(req.TimeoutMS); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
 	// Cache lookup. A miss registers its fill before ReadProc below
 	// pins the tree, so a commit that lands after the pin marks it.
 	var fill *cacheEntry
@@ -155,6 +147,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A miss alone runs under the deadline: a hit replays stored bytes.
+	ctx := r.Context()
+	if d := s.queryTimeout(req.TimeoutMS); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
 	// With caching on, the writer keeps a copy of the match lines as it
 	// hands them over, so a hit later replays the exact bytes.
 	lw := s.newLineWriter(w, s.cache != nil)
@@ -175,7 +174,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The client is gone (or the deadline fired mid-stream): no
 		// stats line, and end counts the disconnect.
 	case err != nil:
-		trailer = QueryLine{Error: err.Error()}
+		trailer = &QueryLine{Error: err.Error()}
 	default:
 		// Only a cleanly completed answer is stored — a truncated or
 		// failed stream must never be replayed as the full result.
@@ -186,7 +185,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if req.Explain {
 			ws.Explain = stats.Explain
 		}
-		trailer = QueryLine{Stats: &ws}
+		trailer = &QueryLine{Stats: &ws}
 	}
 	if fill != nil {
 		s.cache.put(fill, stored)
@@ -204,7 +203,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 	if req.Explain {
 		ws.Explain = "cache=hit " + res.stats.Explain
 	}
-	lw.end(QueryLine{Stats: &ws})
+	lw.end(&QueryLine{Stats: &ws})
 }
 
 // handleJoin streams a topological spatial join of two served indexes
@@ -218,7 +217,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 // folded into /metrics.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -278,9 +277,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	case lw.err != nil || ctx.Err() != nil:
 		// Cut short: no stats line, and end counts the disconnect.
 	case err != nil:
-		trailer = JoinLine{Error: err.Error()}
+		trailer = &JoinLine{Error: err.Error()}
 	default:
-		trailer = JoinLine{Stats: &JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}}
+		trailer = &JoinLine{Stats: &JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}}
 	}
 	lw.end(trailer)
 }
@@ -376,7 +375,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op func(
 		return
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -411,25 +410,10 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBulkBytes))
-	var recs []rtree.Record
-	for {
-		var line BulkLine
-		if err := dec.Decode(&line); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			writeJSONError(w, http.StatusBadRequest,
-				fmt.Sprintf("bad bulk line %d: %v", len(recs)+1, err))
-			return
-		}
-		rect, err := RectFromWire(line.Rect)
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest,
-				fmt.Sprintf("bad bulk line %d: %v", len(recs)+1, err))
-			return
-		}
-		recs = append(recs, rtree.Record{Rect: rect, OID: line.OID})
+	recs, err := readBulk(w, r.Body, maxBulkBytes)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	start := time.Now()
 	if err := inst.InsertBatch(recs); err != nil {

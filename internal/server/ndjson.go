@@ -1,12 +1,13 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/query"
@@ -179,18 +180,16 @@ func (lw *lineWriter) cacheCopy() ([]byte, bool) {
 // are, without copying them; it must precede every append.
 func (lw *lineWriter) replay(lines []byte) { lw.write(lines) }
 
-// end finishes the stream under rule (c) and recycles lw: trailer — the
-// stats or error line — follows the pending lines in one write, with no
-// Flush. A nil trailer says the stream was cut short (client gone,
-// deadline): the pending lines still go out, and the request counts as
-// a disconnect, as does one whose last write fails.
+// end finishes the stream under rule (c) and recycles lw: the trailer
+// — a *QueryLine or *JoinLine carrying the stats or the error — is
+// rendered after the pending lines and goes out with them in one
+// write, with no Flush. A nil trailer says the stream was cut short
+// (client gone, deadline): the pending lines still go out, and the
+// request counts as a disconnect, as does one whose last write fails.
 func (lw *lineWriter) end(trailer any) {
 	lw.keeping, lw.kept = false, nil // a trailer is never part of a cached answer
 	if trailer != nil && lw.err == nil {
-		var b []byte
-		if b, lw.err = json.Marshal(trailer); lw.err == nil {
-			lw.buf = append(append(lw.buf, b...), '\n')
-		}
+		lw.buf = appendTrailer(lw.buf, trailer)
 	}
 	if !lw.write(lw.buf) || trailer == nil {
 		lw.metrics.disconnects.Add(1)
@@ -219,6 +218,104 @@ func appendPairLine(b []byte, p query.JoinPair) []byte {
 	b = append(b, `,"right_rect":`...)
 	b = appendRect(b, p.RightRect, p.RightText)
 	return append(b, '}', '\n')
+}
+
+// appendTrailer renders a stream's last line, a *QueryLine or *JoinLine
+// whose only fields set are Stats and Error, and a newline.
+func appendTrailer(b []byte, trailer any) []byte {
+	b = append(b, '{')
+	var stats bool
+	var msg string
+	switch t := trailer.(type) {
+	case *QueryLine:
+		if s := t.Stats; s != nil {
+			stats = true
+			b = append(b, `"stats":{"node_accesses":`...)
+			b = strconv.AppendUint(b, s.NodeAccesses, 10)
+			b = append(b, `,"candidates":`...)
+			b = strconv.AppendInt(b, int64(s.Candidates), 10)
+			if s.Explain != "" {
+				b = append(b, `,"explain":`...)
+				b = appendString(b, s.Explain)
+			}
+			b = append(b, '}')
+		}
+		msg = t.Error
+	case *JoinLine:
+		if s := t.Stats; s != nil {
+			stats = true
+			b = append(b, `"stats":{"pairs":`...)
+			b = strconv.AppendInt(b, int64(s.Pairs), 10)
+			b = append(b, `,"node_accesses":`...)
+			b = strconv.AppendUint(b, s.NodeAccesses, 10)
+			b = append(b, '}')
+		}
+		msg = t.Error
+	default:
+		panic(fmt.Sprintf("server: a %T is not a stream trailer", trailer))
+	}
+	if msg != "" {
+		if stats {
+			b = append(b, ',')
+		}
+		b = append(b, `"error":`...)
+		b = appendString(b, msg)
+	}
+	return append(b, '}', '\n')
+}
+
+// appendString renders s as json.Marshal renders a string: quoted, with
+// invalid UTF-8 as \ufffd, and with <, >, & and U+2028/U+2029 escaped
+// as well as the characters JSON requires escaped.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += n
+			continue
+		}
+		i += n
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // appendRect copies the rectangle's wire text when the leaf it came

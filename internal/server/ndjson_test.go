@@ -13,6 +13,7 @@ import (
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/topo"
+	"mbrtopo/internal/workload"
 )
 
 // recorder is a ResponseWriter that remembers every Write and Flush,
@@ -85,7 +86,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 			t.Fatalf("%d writes before the end of a %d-byte stream, want 0", len(rec.writes), len(want))
 		}
 		before := srv.metrics.streamFlushes.Load()
-		lw.end(QueryLine{Stats: &WireStats{NodeAccesses: 7, Candidates: 200}})
+		lw.end(&QueryLine{Stats: &WireStats{NodeAccesses: 7, Candidates: 200}})
 		want = append(want, `{"stats":{"node_accesses":7,"candidates":200}}`+"\n"...)
 		if len(rec.writes) != 1 || rec.flushes != 0 {
 			t.Fatalf("end of stream made %d writes and %d Flush calls, want 1 and 0", len(rec.writes), rec.flushes)
@@ -277,6 +278,48 @@ func TestLineWriterZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("1000 pair lines cost %v allocations, want 0", n)
+	}
+}
+
+// TestQueryHandlerAllocs bounds the heap allocations of one /v1/query
+// served through Handler().ServeHTTP, for a cache hit and for a miss,
+// at topod's default deadline. The bounds are the counts the handler
+// reaches; a json.Decoder reading the body, json.Marshal rendering the
+// trailer or a deadline timer built for a hit fails here, in tier 1.
+func TestQueryHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
+	d := workload.NewDataset(workload.Medium, 2000, 20, 1995)
+	body := []byte(`{"relations":["overlap"],"ref":[300,300,340,330]}`)
+	for _, c := range []struct {
+		name      string
+		cacheSize int
+		max       float64
+	}{
+		{"hit", 16, 9},
+		{"miss", 0, 21},
+	} {
+		srv := New(Config{CacheSize: c.cacheSize, DefaultTimeout: 30 * time.Second})
+		if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRStar}, d.Items); err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", rd)
+		w := discard{header: make(http.Header)}
+		serve := func() {
+			rd.Reset(body)
+			h.ServeHTTP(w, req)
+		}
+		// Fill the cache, and let the leaves the answer reads earn their
+		// text, before counting.
+		for i := 0; i < 4; i++ {
+			serve()
+		}
+		if n := testing.AllocsPerRun(100, serve); n > c.max {
+			t.Errorf("a %s costs %v allocations, want at most %v", c.name, n, c.max)
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ func (s *Server) registerWatchMetrics() {
 // apply — only an explicit client timeout does.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var req WatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -2,7 +2,9 @@
 # Server smoke test: boot topod on an ephemeral port against a
 # synthetic dataset, run one NDJSON query, one two-term conjunction
 # (byte-identical with its terms swapped, explain "plan=conjunction",
-# no more node accesses than either term alone) and a /metrics scrape,
+# no more node accesses than either term alone), one query in six body
+# shapes (byte-identical answers), an insert whose value starts past
+# the body cap (400) and a /metrics scrape,
 # then assert the daemon drains cleanly on SIGTERM. A second leg kill -9s a
 # durable topod mid-traffic and asserts the restart recovers every
 # acknowledged mutation. A third leg STR bulk-loads a durable topod,
@@ -189,6 +191,31 @@ CACC="$(accesses "$CONJ")"
 [ -n "$CACC" ] && [ "$CACC" -le "$(accesses "$ALONE1")" ] && [ "$CACC" -le "$(accesses "$ALONE2")" ] \
   || { echo "smoke: conjunction read $CACC pages, its terms alone $(accesses "$ALONE1") and $(accesses "$ALONE2")" >&2; exit 1; }
 
+# Request bodies are read by hand, in encoding/json's language: the
+# same query in other shapes — keys reordered, an unknown field, keys
+# in another case, escaped relation names, bytes after the value — gets
+# the same bytes back.
+SHAPE="$(curl -sf -d '{"relations":["overlap"],"ref":[100,100,300,300]}' "$BASE/v1/query")"
+[ "$(echo "$SHAPE" | wc -l)" -gt 1 ] \
+  || { echo "smoke: the wire-shape query matched nothing: $SHAPE" >&2; exit 1; }
+for body in \
+  '{"ref":[100,100,300,300],"relations":["overlap"]}' \
+  '{"relations":["overlap"],"note":{"x":[1,"two",null,true]},"ref":[100,100,300,300]}' \
+  '{"Relations":["overlap"],"REF":[100,100,300,300]}' \
+  '{"relations":["\u006fver\u006cap"],"ref":[1e2,100.0,3E2,300]}' \
+  '{"relations":["overlap"],"ref":[100,100,300,300]} and then some bytes'; do
+  OTHER="$(curl -sf -d "$body" "$BASE/v1/query")"
+  [ "$OTHER" = "$SHAPE" ] \
+    || { echo "smoke: $body answered differently from its canonical shape" >&2; exit 1; }
+done
+# A body whose value starts past the 1 MiB cap is refused.
+BIG="$(mktemp)"
+{ head -c 1048577 /dev/zero | tr '\0' ' '; echo '{"oid":424242,"rect":[1,1,2,2]}'; } >"$BIG"
+CODE="$(curl -s -o /dev/null -w '%{http_code}' --data-binary @"$BIG" "$BASE/v1/insert" || true)"
+rm -f "$BIG"
+[ "$CODE" = 400 ] \
+  || { echo "smoke: an insert past the body cap answered $CODE, want 400" >&2; exit 1; }
+
 METRICS="$(curl -sf "$BASE/metrics")"
 echo "$METRICS" | grep -q '^topod_node_accesses_total [1-9]' \
   || { echo "smoke: /metrics did not fold the query's node accesses" >&2; exit 1; }
@@ -203,7 +230,7 @@ fi
 grep -q '^topod: bye$' "$LOG" \
   || { echo "smoke: drain message missing from log" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "smoke OK: query + conjunction + metrics + graceful drain"
+echo "smoke OK: query + conjunction + body shapes + metrics + graceful drain"
 
 # ---- crash-recovery leg: kill -9 a durable topod, restart, verify ----
 
