@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
@@ -27,7 +28,10 @@ import (
 // json.NewDecoder(...).Decode accepts, and decode a value
 // reflect.DeepEqual to its; readBulk must return the records the old
 // /v1/bulk loop built, or fail at the same line. Every body is read
-// under the handlers' caps and under two caps that cut it short.
+// under the handlers' caps and under two caps that cut it short, whole
+// and one byte a read. Every rectangle RectFromWire accepts, from a
+// bulk line or an UpdateRequest, is valid and round-trips through
+// RectToWire bit for bit.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"oid":1,"rect":[0,0,1,1]}`))
 	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n{\"oid\":2,\"rect\":[2,2,3,3]}\n"))
@@ -66,6 +70,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"ref":[1e400,0,1,1]}`))
 	f.Add([]byte(`{"ref":[1e-400,-0,1E+2,0.5e-1]}`))
 	f.Add([]byte(`{"oid":-0,"rect":[0,0,1,1]}`))
+	f.Add([]byte(`{"oid":5,"rect":[-0,-0,5e-324,1e-300]}`))
 	f.Add([]byte(`{"limit":-0,"timeout_ms":-9223372036854775808}`))
 	f.Add([]byte(`{"limit":1.0}`))
 	f.Add([]byte(`{"limit":1e2}`))
@@ -113,6 +118,12 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("RectFromWire accepted %d coordinates", len(qr.Ref))
 			}
 		}
+		var ur UpdateRequest
+		if readBody(httptest.NewRecorder(), body(data), maxBodyBytes, ur.read) == nil {
+			if rect, err := RectFromWire(ur.Rect); err == nil {
+				checkWireRect(t, rect, ur.Rect)
+			}
+		}
 	})
 }
 
@@ -135,32 +146,135 @@ func TestReadBodyDepth(t *testing.T) {
 	}
 }
 
+// TestReadBodyTrickle reads bodies of about 1 MiB one byte a read. A
+// value is read from its start over the bytes in hand, and again only
+// once its outermost bracket has come (or the body has ended), so a
+// slow client costs time linear in what it sends: every value here,
+// and the end of the body, is read at most twice.
+func TestReadBodyTrickle(t *testing.T) {
+	// Brackets, quotes and backslashes inside strings do not end a value.
+	text := strings.Repeat(`[{\"}]\\ é`, 30<<10)
+	query := []byte(`{"zz":[` + strings.Repeat("0, ", 100<<10) + `{"a":"]}"}],"ref":[0,0,1,1],"index":"` + text + `"}`)
+	var want, got QueryRequest
+	if err := json.Unmarshal(query, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := readBody(httptest.NewRecorder(), trickle(query), maxBodyBytes, twice(got.read)); err != nil {
+		t.Fatalf("%d-byte query: %v", len(query), err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d-byte query read one byte a read differs from encoding/json's", len(query))
+	}
+
+	// Whitespace past the cap: the value never starts within it.
+	blank := []byte(strings.Repeat(" \n", maxBodyBytes/2+1) + `{"oid":1,"rect":[0,0,1,1]}`)
+	var ur UpdateRequest
+	var tooBig *http.MaxBytesError
+	if err := readBody(httptest.NewRecorder(), trickle(blank), maxBodyBytes, twice(ur.read)); !errors.As(err, &tooBig) {
+		t.Fatalf("value after %d bytes of whitespace: %v, want the cap's error", len(blank), err)
+	}
+
+	// /v1/bulk: a line holding a large unknown field among small ones.
+	var bulk bytes.Buffer
+	for oid := 1; oid <= 100; oid++ {
+		fmt.Fprintf(&bulk, "{\"oid\":%d,\"rect\":[0,0,%d,1]}\n", oid, oid)
+		if oid == 50 {
+			fmt.Fprintf(&bulk, "  {\"zz\":[%s[]],\"oid\":0,\"rect\":[0,0,1,1]}\n\n", strings.Repeat("[1,\"]\"],", 100<<10))
+		}
+	}
+	br := newBodyReader(httptest.NewRecorder(), trickle(bulk.Bytes()), maxBulkBytes)
+	defer br.release()
+	values := 0
+	for {
+		var line BulkLine
+		err := br.next(twice(line.read))
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("bulk line %d: %v", values+1, err)
+		}
+		values++
+	}
+	if values != 101 {
+		t.Errorf("%d-byte bulk body: %d values, want 101", bulk.Len(), values)
+	}
+	whole, err := readBulk(httptest.NewRecorder(), body(bulk.Bytes()), maxBulkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trickled, err := readBulk(httptest.NewRecorder(), trickle(bulk.Bytes()), maxBulkBytes); err != nil || !reflect.DeepEqual(trickled, whole) {
+		t.Fatalf("bulk body read one byte a read: %d records, %v; whole: %d records", len(trickled), err, len(whole))
+	}
+}
+
+// twice wraps a reader to refuse a value on its third pass over it.
+func twice(read func(*jsonReader) error) func(*jsonReader) error {
+	passes := 0
+	return func(d *jsonReader) error {
+		if passes++; passes > 2 {
+			return fmt.Errorf("value read %d times", passes)
+		}
+		return read(d)
+	}
+}
+
 func body(data []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(data)) }
+
+// trickle hands data over one byte a read, as a slow client's body
+// arrives, so that the readers meet every value cut short.
+func trickle(data []byte) io.ReadCloser {
+	return io.NopCloser(iotest.OneByteReader(bytes.NewReader(data)))
+}
+
+// checkWireRect asserts what RectFromWire promises of a rectangle it
+// accepted from vals: it is valid, and RectToWire gives vals back bit
+// for bit (JSON numbers are finite, so nothing is lost).
+func checkWireRect(t *testing.T, rect geom.Rect, vals []float64) {
+	t.Helper()
+	if !rect.Valid() {
+		t.Fatalf("RectFromWire(%v) returned invalid rect %v without error", vals, rect)
+	}
+	w := RectToWire(rect)
+	for i := range w {
+		if math.Float64bits(w[i]) != math.Float64bits(vals[i]) {
+			t.Fatalf("rect %v round-tripped as %v", vals, w)
+		}
+	}
+}
 
 // diffRead reads data as a T with readBody and with the encoding/json
 // call it replaced, each behind a MaxBytesReader of limit bytes, and
-// returns the reader's error.
+// returns the reader's error. The reader reads data twice, whole and
+// one byte a read, and must agree with encoding/json both times.
 func diffRead[T any, P interface {
 	*T
 	read(*jsonReader) error
 }](t *testing.T, data []byte, limit int64) error {
 	t.Helper()
-	var want, got T
+	var want T
 	wantErr := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), body(data), limit)).Decode(&want)
-	gotErr := readBody(httptest.NewRecorder(), body(data), limit, P(&got).read)
-	switch {
-	case (wantErr == nil) != (gotErr == nil):
-		t.Fatalf("%T under a %d-byte cap: encoding/json says %v, the reader %v\nbody %q", got, limit, wantErr, gotErr, data)
-	case wantErr == nil && !reflect.DeepEqual(want, got):
-		t.Fatalf("%T under a %d-byte cap:\n got %#v\nwant %#v\nbody %q", got, limit, got, want, data)
+	var gotErr error
+	for _, src := range []func([]byte) io.ReadCloser{body, trickle} {
+		var got T
+		gotErr = readBody(httptest.NewRecorder(), src(data), limit, P(&got).read)
+		switch {
+		case (wantErr == nil) != (gotErr == nil):
+			t.Fatalf("%T under a %d-byte cap: encoding/json says %v, the reader %v\nbody %q", got, limit, wantErr, gotErr, data)
+		case wantErr == nil && !reflect.DeepEqual(want, got):
+			t.Fatalf("%T under a %d-byte cap:\n got %#v\nwant %#v\nbody %q", got, limit, got, want, data)
+		}
 	}
 	return gotErr
 }
 
-// diffBulk runs readBulk and the /v1/bulk loop it replaced on data.
+// diffBulk runs readBulk, on data whole and one byte a read, and the
+// /v1/bulk loop it replaced. Every record readBulk returns holds a
+// valid rectangle that is its line's coordinates bit for bit.
 func diffBulk(t *testing.T, data []byte, limit int64) {
 	t.Helper()
 	var want []rtree.Record
+	var coords [][]float64
 	wantLine := 0
 	dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), body(data), limit))
 	for {
@@ -177,19 +291,25 @@ func diffBulk(t *testing.T, data []byte, limit int64) {
 			break
 		}
 		want = append(want, rtree.Record{Rect: rect, OID: line.OID})
+		coords = append(coords, line.Rect)
 	}
-	got, err := readBulk(httptest.NewRecorder(), body(data), limit)
-	gotLine := 0
-	if err != nil {
-		if _, serr := fmt.Sscanf(err.Error(), "bad bulk line %d:", &gotLine); serr != nil {
-			t.Fatalf("bulk error %q names no line", err)
+	for _, src := range []func([]byte) io.ReadCloser{body, trickle} {
+		got, err := readBulk(httptest.NewRecorder(), src(data), limit)
+		gotLine := 0
+		if err != nil {
+			if _, serr := fmt.Sscanf(err.Error(), "bad bulk line %d:", &gotLine); serr != nil {
+				t.Fatalf("bulk error %q names no line", err)
+			}
 		}
-	}
-	switch {
-	case gotLine != wantLine:
-		t.Fatalf("bulk under a %d-byte cap: failed at line %d, the old loop at %d (%v)\nbody %q", limit, gotLine, wantLine, err, data)
-	case wantLine == 0 && !reflect.DeepEqual(got, want):
-		t.Fatalf("bulk under a %d-byte cap:\n got %v\nwant %v\nbody %q", limit, got, want, data)
+		switch {
+		case gotLine != wantLine:
+			t.Fatalf("bulk under a %d-byte cap: failed at line %d, the old loop at %d (%v)\nbody %q", limit, gotLine, wantLine, err, data)
+		case wantLine == 0 && !reflect.DeepEqual(got, want):
+			t.Fatalf("bulk under a %d-byte cap:\n got %v\nwant %v\nbody %q", limit, got, want, data)
+		}
+		for i, rec := range got {
+			checkWireRect(t, rec.Rect, coords[i])
+		}
 	}
 }
 
@@ -209,18 +329,28 @@ func FuzzLineEncode(f *testing.F) {
 	f.Add(uint64(3), uint64(4), bits(100.25), bits(1e-9), bits(1.5e-10), bits(1e100), "\x00\x01\b\f\n\r\t\x1f\x7f\\/'")
 	f.Add(uint64(5), uint64(6), bits(math.NaN()), bits(math.Inf(1)), bits(math.Inf(-1)), bits(0.5), "\xff\xc3(\xed\xa0\x80é😀\ufffd")
 	f.Fuzz(func(t *testing.T, oid, oid2, a, b, c, d uint64, text string) {
-		for _, trailer := range []any{
-			&QueryLine{Stats: &WireStats{NodeAccesses: oid, Candidates: int(oid2), Explain: text}},
-			&QueryLine{Error: text},
-			&JoinLine{Stats: &JoinWireStats{Pairs: int(oid2), NodeAccesses: oid}},
-			&JoinLine{Error: text},
+		for _, trailer := range []*QueryLine{
+			{Stats: &WireStats{NodeAccesses: oid, Candidates: int(oid2), Explain: text}},
+			{Error: text},
 		} {
 			want, err := json.Marshal(trailer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := appendTrailer(nil, trailer); !bytes.Equal(got, append(want, '\n')) {
-				t.Fatalf("trailer\n got %q\nwant %q", got, want)
+			if got := appendQueryTrailer(nil, trailer); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("query trailer\n got %q\nwant %q", got, want)
+			}
+		}
+		for _, trailer := range []*JoinLine{
+			{Stats: &JoinWireStats{Pairs: int(oid2), NodeAccesses: oid}},
+			{Error: text},
+		} {
+			want, err := json.Marshal(trailer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendJoinTrailer(nil, trailer); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("join trailer\n got %q\nwant %q", got, want)
 			}
 		}
 

@@ -167,7 +167,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldQuery(stats)
-	var trailer any
+	var trailer *QueryLine
 	var stored *cachedResult
 	switch {
 	case lw.err != nil || ctx.Err() != nil:
@@ -190,7 +190,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if fill != nil {
 		s.cache.put(fill, stored)
 	}
-	lw.end(trailer)
+	lw.endQuery(trailer)
 }
 
 // writeCachedQuery replays a cached answer: the match lines in the
@@ -203,7 +203,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 	if req.Explain {
 		ws.Explain = "cache=hit " + res.stats.Explain
 	}
-	lw.end(&QueryLine{Stats: &ws})
+	lw.endQuery(&QueryLine{Stats: &ws})
 }
 
 // handleJoin streams a topological spatial join of two served indexes
@@ -272,7 +272,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldJoin(pairs, stats, time.Since(start))
-	var trailer any
+	var trailer *JoinLine
 	switch {
 	case lw.err != nil || ctx.Err() != nil:
 		// Cut short: no stats line, and end counts the disconnect.
@@ -281,7 +281,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	default:
 		trailer = &JoinLine{Stats: &JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}}
 	}
-	lw.end(trailer)
+	lw.endJoin(trailer)
 }
 
 // handleKNN answers GET /v1/knn?index=name&k=5&x=10&y=20.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -180,18 +179,32 @@ func (lw *lineWriter) cacheCopy() ([]byte, bool) {
 // are, without copying them; it must precede every append.
 func (lw *lineWriter) replay(lines []byte) { lw.write(lines) }
 
-// end finishes the stream under rule (c) and recycles lw: the trailer
-// — a *QueryLine or *JoinLine carrying the stats or the error — is
-// rendered after the pending lines and goes out with them in one
-// write, with no Flush. A nil trailer says the stream was cut short
-// (client gone, deadline): the pending lines still go out, and the
-// request counts as a disconnect, as does one whose last write fails.
-func (lw *lineWriter) end(trailer any) {
-	lw.keeping, lw.kept = false, nil // a trailer is never part of a cached answer
-	if trailer != nil && lw.err == nil {
-		lw.buf = appendTrailer(lw.buf, trailer)
+// endQuery ends a /v1/query stream with t as its last line, or, when
+// t is nil, as cut short.
+func (lw *lineWriter) endQuery(t *QueryLine) {
+	if t != nil && lw.err == nil {
+		lw.buf = appendQueryTrailer(lw.buf, t)
 	}
-	if !lw.write(lw.buf) || trailer == nil {
+	lw.end(t != nil)
+}
+
+// endJoin ends a /v1/join stream with t as its last line, or, when t
+// is nil, as cut short.
+func (lw *lineWriter) endJoin(t *JoinLine) {
+	if t != nil && lw.err == nil {
+		lw.buf = appendJoinTrailer(lw.buf, t)
+	}
+	lw.end(t != nil)
+}
+
+// end finishes the stream under rule (c) and recycles lw: the pending
+// lines, with the trailer endQuery or endJoin rendered after them, go
+// out in one write, with no Flush. A stream that is not complete was
+// cut short (client gone, deadline) and counts as a disconnect, as
+// does one whose last write fails.
+func (lw *lineWriter) end(complete bool) {
+	lw.keeping, lw.kept = false, nil // a trailer is never part of a cached answer
+	if !lw.write(lw.buf) || !complete {
 		lw.metrics.disconnects.Add(1)
 	}
 	*lw = lineWriter{buf: lw.buf[:0]}
@@ -220,42 +233,44 @@ func appendPairLine(b []byte, p query.JoinPair) []byte {
 	return append(b, '}', '\n')
 }
 
-// appendTrailer renders a stream's last line, a *QueryLine or *JoinLine
-// whose only fields set are Stats and Error, and a newline.
-func appendTrailer(b []byte, trailer any) []byte {
+// appendQueryTrailer renders a /v1/query stream's last line, a
+// QueryLine whose only fields set are Stats and Error, and a newline.
+func appendQueryTrailer(b []byte, t *QueryLine) []byte {
 	b = append(b, '{')
-	var stats bool
-	var msg string
-	switch t := trailer.(type) {
-	case *QueryLine:
-		if s := t.Stats; s != nil {
-			stats = true
-			b = append(b, `"stats":{"node_accesses":`...)
-			b = strconv.AppendUint(b, s.NodeAccesses, 10)
-			b = append(b, `,"candidates":`...)
-			b = strconv.AppendInt(b, int64(s.Candidates), 10)
-			if s.Explain != "" {
-				b = append(b, `,"explain":`...)
-				b = appendString(b, s.Explain)
-			}
-			b = append(b, '}')
+	if s := t.Stats; s != nil {
+		b = append(b, `"stats":{"node_accesses":`...)
+		b = strconv.AppendUint(b, s.NodeAccesses, 10)
+		b = append(b, `,"candidates":`...)
+		b = strconv.AppendInt(b, int64(s.Candidates), 10)
+		if s.Explain != "" {
+			b = append(b, `,"explain":`...)
+			b = appendString(b, s.Explain)
 		}
-		msg = t.Error
-	case *JoinLine:
-		if s := t.Stats; s != nil {
-			stats = true
-			b = append(b, `"stats":{"pairs":`...)
-			b = strconv.AppendInt(b, int64(s.Pairs), 10)
-			b = append(b, `,"node_accesses":`...)
-			b = strconv.AppendUint(b, s.NodeAccesses, 10)
-			b = append(b, '}')
-		}
-		msg = t.Error
-	default:
-		panic(fmt.Sprintf("server: a %T is not a stream trailer", trailer))
+		b = append(b, '}')
 	}
+	return appendTrailerError(b, t.Stats != nil, t.Error)
+}
+
+// appendJoinTrailer renders a /v1/join stream's last line, a JoinLine
+// whose only fields set are Stats and Error, and a newline.
+func appendJoinTrailer(b []byte, t *JoinLine) []byte {
+	b = append(b, '{')
+	if s := t.Stats; s != nil {
+		b = append(b, `"stats":{"pairs":`...)
+		b = strconv.AppendInt(b, int64(s.Pairs), 10)
+		b = append(b, `,"node_accesses":`...)
+		b = strconv.AppendUint(b, s.NodeAccesses, 10)
+		b = append(b, '}')
+	}
+	return appendTrailerError(b, t.Stats != nil, t.Error)
+}
+
+// appendTrailerError closes a trailer: its error field when msg is set
+// (after a comma when the stats field precedes it), the closing brace
+// and a newline.
+func appendTrailerError(b []byte, afterStats bool, msg string) []byte {
 	if msg != "" {
-		if stats {
+		if afterStats {
 			b = append(b, ',')
 		}
 		b = append(b, `"error":`...)

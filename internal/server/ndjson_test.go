@@ -86,7 +86,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 			t.Fatalf("%d writes before the end of a %d-byte stream, want 0", len(rec.writes), len(want))
 		}
 		before := srv.metrics.streamFlushes.Load()
-		lw.end(&QueryLine{Stats: &WireStats{NodeAccesses: 7, Candidates: 200}})
+		lw.endQuery(&QueryLine{Stats: &WireStats{NodeAccesses: 7, Candidates: 200}})
 		want = append(want, `{"stats":{"node_accesses":7,"candidates":200}}`+"\n"...)
 		if len(rec.writes) != 1 || rec.flushes != 0 {
 			t.Fatalf("end of stream made %d writes and %d Flush calls, want 1 and 0", len(rec.writes), rec.flushes)
@@ -118,7 +118,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if n := len(rec.writes[0]); n < flushBytes || n > flushBytes+512 {
 			t.Fatalf("mid-stream write of %d bytes, want just over %d", n, flushBytes)
 		}
-		lw.end(nil)
+		lw.end(false)
 		if len(rec.writes) != 2 || rec.flushes != 1 {
 			t.Fatalf("after end: %d writes and %d Flush calls, want 2 and 1", len(rec.writes), rec.flushes)
 		}
@@ -145,7 +145,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if len(rec.writes) != 1 {
 			t.Fatal("a fresh line was written at once")
 		}
-		lw.end(nil)
+		lw.end(false)
 	})
 
 	t.Run("a match line reads the clock only as its leaf's first", func(t *testing.T) {
@@ -158,7 +158,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if clock.reads > 11 {
 			t.Fatalf("200 match lines from 10 leaves read the clock %d times, want at most 11", clock.reads)
 		}
-		lw.end(nil)
+		lw.end(false)
 	})
 
 	t.Run("a leaf's first line a millisecond after the oldest pending one flushes", func(t *testing.T) {
@@ -174,7 +174,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if len(rec.writes) != 1 || rec.flushes != 1 || bytes.Count(rec.writes[0], []byte("\n")) != 4 {
 			t.Fatalf("%d writes and %d Flush calls at the next leaf's first line, want 1 and 1 with all 4 lines", len(rec.writes), rec.flushes)
 		}
-		lw.end(nil)
+		lw.end(false)
 	})
 
 	t.Run("a pair line reads the clock", func(t *testing.T) {
@@ -186,7 +186,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if clock.reads != 2 || len(rec.writes) != 1 || rec.flushes != 1 {
 			t.Fatalf("two pair lines a millisecond apart: %d readings, %d writes, %d Flush calls, want 2, 1 and 1", clock.reads, len(rec.writes), rec.flushes)
 		}
-		lw.end(nil)
+		lw.end(false)
 	})
 }
 
@@ -263,7 +263,7 @@ func (discard) Flush()                      {}
 func TestLineWriterZeroAllocs(t *testing.T) {
 	srv := New(Config{})
 	lw := srv.newLineWriter(discard{header: make(http.Header)}, false)
-	defer lw.end(nil)
+	defer lw.end(false)
 	p := query.JoinPair{LeftOID: 123456, RightOID: 654321, LeftRect: testRect(17), RightRect: testRect(401)}
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {

@@ -30,8 +30,10 @@ import (
 //     skipped, but every byte of the value must be valid JSON, nested
 //     at most maxDepth deep.
 //   - A key selects the field whose name equals it, or else whose name
-//     it equals under encoding/json's case folding (ToUpper(ToLower(r))
-//     rune by rune, so "K" — the Kelvin sign — reads as "k"). A
+//     it equals under encoding/json's case folding: an ASCII letter
+//     folds to upper case, any other rune to the least rune of its
+//     unicode.SimpleFold orbit. So "K" (the Kelvin sign) reads as "k"
+//     and "ſ" (long s) as "s", but "ı" (dotless i) is not "i". A
 //     repeated field keeps its last value.
 //   - Strings take every escape; a \u surrogate pair joins, a lone
 //     surrogate and invalid UTF-8 read as U+FFFD.
@@ -776,6 +778,7 @@ type bodyReader struct {
 	off int   // bytes of buf the values read so far took
 	err error // why src stopped: io.EOF, or the failure
 	d   jsonReader
+	end valueEnd
 }
 
 // minRead is the least room a read asks src to fill.
@@ -804,10 +807,13 @@ func (br *bodyReader) release() {
 	bodyReaders.Put(br)
 }
 
-// next reads the next value with read, reading more of the body while
-// read finds it cut short. Once only whitespace is left it returns
-// io.EOF.
+// next reads the next value with read and returns io.EOF once only
+// whitespace is left. A value that read finds cut short is read again from
+// its start, but only once the body has ended or valueEnd says the
+// bytes now in hand can hold all of it, so a value costs time linear
+// in its size however few bytes each read of the body brings.
 func (br *bodyReader) next(read func(*jsonReader) error) error {
+	br.end = valueEnd{}
 	for {
 		br.d = jsonReader{b: br.buf[br.off:], eof: br.err == io.EOF, scratch: br.d.scratch}
 		err := read(&br.d)
@@ -818,8 +824,45 @@ func (br *bodyReader) next(read func(*jsonReader) error) error {
 		if br.err != nil {
 			return br.err
 		}
-		br.fill()
+		for br.fill(); br.err == nil && !br.end.reached(br.buf[br.off:]); br.fill() {
+		}
 	}
+}
+
+// valueEnd finds where a value can first end, passing over each byte
+// once however many reads bring them. It follows only what ends a
+// value (brackets, strings and their escapes) and leaves checking the
+// value to the reader, which refuses anything the brackets do not
+// settle before it needs bytes past them.
+type valueEnd struct {
+	n          int // unread bytes passed over
+	depth      int // brackets open
+	inStr, esc bool
+}
+
+// reached passes over b[e.n:], where b is the unread bytes, and
+// reports whether the value at the start of b can have ended within b:
+// its outermost bracket has closed, or it is not an object or array.
+func (e *valueEnd) reached(b []byte) bool {
+	for ; e.n < len(b); e.n++ {
+		switch c := b[e.n]; {
+		case e.esc:
+			e.esc = false
+		case e.inStr:
+			e.esc, e.inStr = c == '\\', c != '"'
+		case c == '{' || c == '[':
+			e.depth++
+		case c == '}' || c == ']':
+			if e.depth--; e.depth <= 0 {
+				return true
+			}
+		case e.depth == 0 && c != ' ' && c != '\t' && c != '\n' && c != '\r':
+			return true
+		case c == '"':
+			e.inStr = true
+		}
+	}
+	return false
 }
 
 // fill reads more of the body onto the unread bytes.
