@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify orphans pins race test paper bench-smoke fmt smoke fuzz
+.PHONY: verify orphans pins race test paper bench-smoke fmt smoke fuzz loc
 
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
@@ -29,6 +29,12 @@ orphans:
 # root module); a `+` line is a pin that is gone (drop it).
 pins:
 	@bash -c 'diff -u --label "scripts/orphans.sh bench" --label scripts/bench.pins <(comm -23 <(bash scripts/orphans.sh bench) <(bash scripts/orphans.sh)) <(grep -v "^#" scripts/bench.pins | cut -d" " -f1)'
+
+# Size report: Go lines of non-test and test files, and packages, of
+# the root module without bench/. Simplicity changes quote it before
+# and after.
+loc:
+	@bash scripts/loc.sh
 
 # Concurrency gate: readers, batched writers, and group commit must be
 # race-free across every package, with exact per-query statistics.

@@ -297,6 +297,18 @@ func (t Test) Window(q geom.Rect) (Window, bool) {
 	return w, t.exact
 }
 
+// Filter is the filter descent's form of the test of cfgs, over a
+// fixed reference: whether a rectangle stands in one of cfgs against
+// ref. The masks become a window on its corners (eight comparisons),
+// and the probe runs behind it unless the window decides the set alone.
+func Filter(cfgs ConfigSet, ref geom.Rect) func(geom.Rect) bool {
+	w, exact := Compile(cfgs).Window(ref)
+	if exact {
+		return w.Fits
+	}
+	return func(r geom.Rect) bool { return w.Fits(r) && cfgs.Has(ConfigOf(r, ref)) }
+}
+
 // Sweep is what the masks of a Domination tell a plane sweep that
 // pairs two lists of rectangles in low-x order: which orders of the
 // partners' low x edges, and which corner positions against the other

@@ -217,7 +217,7 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 			if stats.ShortCircuited {
 				return got, stats, Stats{}
 			}
-			leafB := admits(p.candidateConfigs(sb), qb)
+			leafB := mbr.Filter(p.candidateConfigs(sb), qb)
 			want, alone := collect(label, func(yield func(Match) bool) (Stats, error) {
 				return p.Stream(ctx, sa, qa, 0, func(m Match) bool { return !leafB(m.Rect) || yield(m) })
 			})

@@ -12,7 +12,7 @@ import (
 // — the package's pair test (domination pre-test, then the probe) says
 // what the bare probe says, whichever form it is used in: the join's
 // compiled two-rectangle test (mbr.Test.Admits) or the descent's
-// closure over a reference.
+// closure over a reference (mbr.Filter).
 func FuzzPairAdmits(f *testing.F) {
 	f.Add(0.0, 0.0, 10.0, 10.0, 2.0, 2.0, 8.0, 8.0, ^uint64(0), ^uint64(0), ^uint64(0))
 	f.Add(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, uint64(1), uint64(0), uint64(0))
@@ -37,8 +37,8 @@ func FuzzPairAdmits(f *testing.F) {
 		if got := test.Admits(&p, &q); got != want {
 			t.Fatalf("pair test says %v, the bare probe %v: %v vs %v, config %v, set %v", got, want, p, q, mbr.ConfigOf(p, q), set)
 		}
-		if got := admits(set, q)(p); got != want {
-			t.Fatalf("admits says %v, the bare probe %v: %v vs %v, config %v, set %v", got, want, p, q, mbr.ConfigOf(p, q), set)
+		if got := mbr.Filter(set, q)(p); got != want {
+			t.Fatalf("mbr.Filter says %v, the bare probe %v: %v vs %v, config %v, set %v", got, want, p, q, mbr.ConfigOf(p, q), set)
 		}
 	})
 }

@@ -178,25 +178,14 @@ func (p *Processor) candidateConfigs(rels topo.Set) mbr.ConfigSet {
 	return c
 }
 
-// joinTests and admits are the package's one rectangle test, "a stands
-// in one of cfgs against b", compiled by mbr.Compile: for a join, Table
-// 1's candidates at the leaves and their join propagation above them;
-// for a descent, a window on the reference. The sign masks reject most
-// rectangles with a few comparisons, soundly, and the exact probe runs
-// behind them unless they decide the set alone.
+// joinTests and mbr.Filter are the package's one rectangle test, "a
+// stands in one of cfgs against b", compiled by mbr.Compile: for a
+// join, Table 1's candidates at the leaves and their join propagation
+// above them; for a descent, a window on the reference. The sign masks
+// reject most rectangles with a few comparisons, soundly, and the exact
+// probe runs behind them unless they decide the set alone.
 func joinTests(cands mbr.ConfigSet) (prune, accept mbr.Test) {
 	return mbr.Compile(mbr.JoinPropagation(cands)), mbr.Compile(cands)
-}
-
-// admits is the filter descent's form of the test, over the query
-// reference: the masks as a window on r's corners (eight comparisons),
-// and the probe behind it unless the window decides the set alone.
-func admits(cfgs mbr.ConfigSet, ref geom.Rect) func(geom.Rect) bool {
-	w, exact := mbr.Compile(cfgs).Window(ref)
-	if exact {
-		return w.Fits
-	}
-	return func(r geom.Rect) bool { return w.Fits(r) && cfgs.Has(mbr.ConfigOf(r, ref)) }
 }
 
 // filterPreds derives the node and leaf predicates of steps 2 and 3:
@@ -207,11 +196,11 @@ func admits(cfgs mbr.ConfigSet, ref geom.Rect) func(geom.Rect) bool {
 // apply to them.
 func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
 	if p.Idx.CoveringNodeRects() {
-		nodePred = admits(mbr.Propagation(cands), refMBR)
+		nodePred = mbr.Filter(mbr.Propagation(cands), refMBR)
 	} else {
 		nodePred = mbr.PartitionNodePredicate(cands, refMBR)
 	}
-	return nodePred, admits(cands, refMBR)
+	return nodePred, mbr.Filter(cands, refMBR)
 }
 
 // descend is the filter descent of steps 2 and 3, and the only

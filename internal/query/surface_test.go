@@ -64,7 +64,7 @@ func TestOneDescentSurface(t *testing.T) {
 						searches++
 					case "JoinCtx":
 						joins++
-					case "Compile", "DominationFor":
+					case "Compile", "DominationFor", "Filter":
 						compiled = append(compiled, fn)
 					}
 				}
@@ -101,7 +101,7 @@ func TestOneDescentSurface(t *testing.T) {
 	if joins != 1 {
 		t.Errorf("%d rtree.JoinCtx call sites in package query, want exactly 1 (JoinStream's)", joins)
 	}
-	if want := []string{"joinTests", "joinTests", "admits"}; !slices.Equal(compiled, want) {
+	if want := []string{"joinTests", "joinTests", "filterPreds", "filterPreds"}; !slices.Equal(compiled, want) {
 		t.Errorf("configuration sets are compiled in %v, want only in %v", compiled, want)
 	}
 	for counter, want := range map[string][]string{

@@ -20,7 +20,6 @@ import (
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
-	"mbrtopo/internal/repl"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
 	"mbrtopo/internal/watch"
@@ -49,7 +48,7 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen, seq, _ := primary.dur.position()
-	pos := repl.Position{Gen: gen, Seq: seq}
+	pos := replPos{gen, seq}
 
 	fdir := t.TempDir()
 	fsrv := New(Config{})
@@ -59,8 +58,8 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := &followerTarget{s: fsrv, inst: follower}
-	if err := target.Bootstrap(pos, bytes.NewReader(image), int64(len(image))); err != nil {
+	target := &replica{inst: follower}
+	if err := target.bootstrap(pos, bytes.NewReader(image), int64(len(image))); err != nil {
 		t.Fatal(err)
 	}
 	flatPath := filepath.Join(fdir, "main.flat")
@@ -86,7 +85,7 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := target.Bootstrap(pos, bytes.NewReader(c.snap), c.size)
+		err := target.bootstrap(pos, bytes.NewReader(c.snap), c.size)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, pagefile.ErrCorrupt) {
 			t.Errorf("%s: Bootstrap = %v, want ErrCorrupt", c.name, err)
@@ -129,14 +128,14 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	fr := repl.NewFrameReader(resp.Body)
-	typ, payload, err := fr.ReadFrame()
-	if err != nil || typ != repl.FrameHello {
+	fr := &frameReader{r: resp.Body}
+	typ, payload, err := fr.readFrame()
+	if err != nil || typ != frameHello {
 		t.Fatalf("first frame %s (%v), want hello", typ, err)
 	}
-	hello, err := repl.DecodeHello(payload)
-	if err != nil || !hello.Bootstrap || hello.SnapSize != uint64(want.Len()) {
-		t.Fatalf("hello %+v (%v), want a bootstrap of %d bytes", hello, err, want.Len())
+	h, err := decodeHello(payload)
+	if err != nil || !h.bootstrap || h.snapSize != uint64(want.Len()) {
+		t.Fatalf("hello %+v (%v), want a bootstrap of %d bytes", h, err, want.Len())
 	}
 	const writes = 40
 	for i := range writes {
@@ -148,14 +147,14 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 
 	var got bytes.Buffer
 	for {
-		typ, payload, err := fr.ReadFrame()
+		typ, payload, err := fr.readFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ == repl.FrameSnapEnd {
+		if typ == frameSnapEnd {
 			break
 		}
-		if typ != repl.FrameSnapChunk || len(payload) > repl.SnapChunkSize {
+		if typ != frameSnapChunk || len(payload) > snapChunkSize {
 			t.Fatalf("%s frame of %d bytes inside the snapshot", typ, len(payload))
 		}
 		got.Write(payload)
@@ -164,24 +163,24 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 		t.Fatalf("the snapshot streamed %d bytes that are not the %d-byte image of the pinned version", got.Len(), want.Len())
 	}
 	for i := 0; i < writes; {
-		typ, payload, err := fr.ReadFrame()
+		typ, payload, err := fr.readFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ == repl.FrameHeartbeat {
+		if typ == frameHeartbeat {
 			continue
 		}
-		if typ != repl.FrameRecord {
+		if typ != frameRecord {
 			t.Fatalf("%s frame after the snapshot, want record %d", typ, i+1)
 		}
-		g, seq, wp, err := repl.DecodeRecord(payload)
+		g, seq, wp, err := decodeRecord(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec, ok := wal.UnmarshalRecord(wp)
-		if !ok || g != hello.Gen || seq != hello.Seq+uint64(i)+1 || rec.OID != uint64(900000+i) {
+		if !ok || g != h.gen || seq != h.seq+uint64(i)+1 || rec.OID != uint64(900000+i) {
 			t.Fatalf("record %d at %d/%d is oid %d, want oid %d at %d/%d",
-				i+1, g, seq, rec.OID, 900000+i, hello.Gen, hello.Seq+uint64(i)+1)
+				i+1, g, seq, rec.OID, 900000+i, h.gen, h.seq+uint64(i)+1)
 		}
 		i++
 	}
@@ -217,19 +216,19 @@ func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := &followerTarget{s: srv, inst: inst}
+	target := &replica{inst: inst}
 	bootstrap := func(gen uint64, oids ...uint64) {
 		snap := image(gen, oids...)
-		if err := target.Bootstrap(repl.Position{Gen: gen}, bytes.NewReader(snap), int64(len(snap))); err != nil {
+		if err := target.bootstrap(replPos{gen: gen}, bytes.NewReader(snap), int64(len(snap))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	apply := func(gen, seq, oid uint64) {
 		rec := wal.Record{Op: wal.OpInsert, OID: oid, Rect: geom.R(float64(oid), 0, float64(oid)+1, 1)}
-		if err := target.Apply(repl.Position{Gen: gen, Seq: seq}, rec); err != nil {
+		if err := target.apply(replPos{gen, seq}, rec); err != nil {
 			t.Fatal(err)
 		}
-		inst.WatchSync()
+		inst.watch.Sync()
 	}
 	// replay folds a subscriber's events into its baseline and reports
 	// whether the subscription is still open.
@@ -252,7 +251,7 @@ func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
 	everything := geom.R(-1, -1, 100, 100)
 
 	bootstrap(1, 1)
-	sub, err := inst.WatchSubscribe(everything, topo.NotDisjoint, 64)
+	sub, err := inst.watch.Subscribe(everything, topo.NotDisjoint, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +266,11 @@ func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
 		t.Fatalf("end reason %q, want %q", got, watchResetReason)
 	}
 
-	sub, err = inst.WatchSubscribe(everything, topo.NotDisjoint, 64)
+	sub, err = inst.watch.Subscribe(everything, topo.NotDisjoint, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inst.WatchUnsubscribe(sub)
+	defer inst.watch.Unsubscribe(sub)
 	apply(3, 2, 5)
 	members = map[uint64]bool{1: true, 2: true, 3: true, 4: true}
 	if !replay(sub, members) || len(members) != 5 || !members[5] {
@@ -318,14 +317,14 @@ func TestReplicaSelfJoinBesideBootstraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := &followerTarget{s: srv, inst: inst}
+	target := &replica{inst: inst}
 	// bootstrap installs version gen % 2 as generation gen.
 	bootstrap := func(gen uint64) error {
 		var snap bytes.Buffer
 		if err := index.WriteFlat(trees[gen%2], &snap, gen); err != nil {
 			return err
 		}
-		return target.Bootstrap(repl.Position{Gen: gen}, &snap, int64(snap.Len()))
+		return target.bootstrap(replPos{gen: gen}, &snap, int64(snap.Len()))
 	}
 	if err := bootstrap(2); err != nil {
 		t.Fatal(err)

@@ -65,41 +65,26 @@ type cacheKey struct {
 	limit       int
 }
 
-// cacheTerm is one term of a cached question: its reference, and the
-// filter tests of its Table 1 candidates compiled against it when the
-// entry is made — the leaf test for one record, the node test (the
+// cacheTerm is one term of a cached question: the descent's filter
+// tests of its Table 1 candidates, compiled against its reference when
+// the entry is made — the leaf test for one record, the node test (the
 // candidates' propagation) for a batch's MBR.
 type cacheTerm struct {
-	ref        geom.Rect
-	leaf, node cacheTest
-}
-
-// cacheTest is one compiled filter test: the window on a rectangle's
-// corners, with the configuration probe behind it unless the window
-// decides the set alone.
-type cacheTest struct {
-	w     mbr.Window
-	exact bool
-	cfgs  mbr.ConfigSet
+	leaf, node func(geom.Rect) bool
 }
 
 func newCacheTerm(rels topo.Set, ref geom.Rect) cacheTerm {
-	compile := func(cfgs mbr.ConfigSet) cacheTest {
-		w, exact := mbr.Compile(cfgs).Window(ref)
-		return cacheTest{w: w, exact: exact, cfgs: cfgs}
-	}
 	cands := mbr.CandidatesSet(rels)
-	return cacheTerm{ref: ref, leaf: compile(cands), node: compile(mbr.Propagation(cands))}
+	return cacheTerm{leaf: mbr.Filter(cands, ref), node: mbr.Filter(mbr.Propagation(cands), ref)}
 }
 
 // admits is the term's filter test on r: the leaf test for one record,
 // the node test for a batch's MBR.
 func (t *cacheTerm) admits(r geom.Rect, batch bool) bool {
-	c := &t.leaf
 	if batch {
-		c = &t.node
+		return t.node(r)
 	}
-	return c.w.Fits(r) && (c.exact || c.cfgs.Has(mbr.ConfigOf(r, t.ref)))
+	return t.leaf(r)
 }
 
 // cacheEntry is one question: pending while its fill runs, stored once

@@ -127,7 +127,7 @@ func cacheRows(t *testing.T, items []index.Item) []cacheRow {
 	fsrv, fts := newCachedReplFollower(t, Config{CacheSize: 256}, pts.URL, nil, FollowConfig{})
 	finst, _ := fsrv.instance("main")
 	waitCaughtUp(t, psrv, fsrv)
-	follower := fsrv.follow.followers["main"]
+	follower := finst.repl
 	return append(rows, cacheRow{
 		name: "follower", cached: fsrv, cachedURL: fts.URL, plainURL: pts.URL,
 		write: func(recs []wal.Record) {
@@ -144,7 +144,7 @@ func cacheRows(t *testing.T, items []index.Item) []cacheRow {
 		// entry that is not disjoint-admitting: only the bootstrap's
 		// eviction keeps them from the checks that follow.
 		rebootstrap: func() {
-			snaps := follower.Status().Snapshots
+			snaps := follower.status().snapshots
 			stray := geom.R(360, 340, 370, 350)
 			if err := finst.Insert(stray, 990001); err != nil {
 				t.Fatal(err)
@@ -155,7 +155,7 @@ func cacheRows(t *testing.T, items []index.Item) []cacheRow {
 			if err := pinst.Insert(geom.R(5100, 5100, 5104, 5104), 990002); err != nil {
 				t.Fatal(err)
 			}
-			for deadline := time.Now().Add(15 * time.Second); follower.Status().Snapshots == snaps; time.Sleep(5 * time.Millisecond) {
+			for deadline := time.Now().Add(15 * time.Second); follower.status().snapshots == snaps; time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("the replica never bootstrapped again")
 				}

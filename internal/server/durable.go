@@ -476,8 +476,8 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 	inst := &Instance{Name: spec.Name, Kind: spec.Kind, dur: d}
 	if spec.Follower {
 		// A follower shell: no local state yet — image and WAL arrive
-		// through the replication stream's Bootstrap. Until then the
-		// instance has no read view and answers 503.
+		// through the replication stream (replica.bootstrap). Until then
+		// the instance has no read view and answers 503.
 		inst.backend = "follower"
 		d.spec.CheckpointEvery = 0 // checkpoints are driven by the primary's rotations
 		return inst, nil

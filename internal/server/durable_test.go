@@ -225,12 +225,12 @@ func TestDurableRecoveryReplaysWAL(t *testing.T) {
 	if inst2.Replayed != len(muts) {
 		t.Errorf("replayed %d records, want %d", inst2.Replayed, len(muts))
 	}
-	if got := srv2.Metrics().WALReplaysTotal(); got != uint64(len(muts)) {
+	if got := srv2.metrics.walReplays.Load(); got != uint64(len(muts)) {
 		t.Errorf("wal_replays_total = %d, want %d", got, len(muts))
 	}
 	// Replay triggers a post-recovery checkpoint, so a third boot
 	// replays nothing.
-	if got := srv2.Metrics().CheckpointsTotal(); got == 0 {
+	if got := srv2.metrics.checkpoints.Load(); got == 0 {
 		t.Error("post-recovery checkpoint not taken")
 	}
 	assertTwoFiles(t, "after recovery", dir, "main")
@@ -509,7 +509,7 @@ func TestBootTable(t *testing.T) {
 				t.Fatalf("a bad image must register unhealthy, not error: %v", err)
 			}
 			defer srv2.Close()
-			if got := srv2.Metrics().ChecksumFailuresTotal(); (got > 0) != row.corrupt {
+			if got := srv2.metrics.checksumFailures.Load(); (got > 0) != row.corrupt {
 				t.Errorf("checksum_failures_total = %d, corruption expected: %v", got, row.corrupt)
 			}
 			ts := httptest.NewServer(srv2.Handler())
@@ -550,8 +550,8 @@ func TestBootTable(t *testing.T) {
 					if err := srv2.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if after, _ := imageOnDisk(t, spec.Dir, "main"); !bytes.Equal(after, data) || srv2.Metrics().CheckpointsTotal() != 0 {
-						t.Errorf("Close of an unmutated flat boot wrote an image (%d checkpoints)", srv2.Metrics().CheckpointsTotal())
+					if after, _ := imageOnDisk(t, spec.Dir, "main"); !bytes.Equal(after, data) || srv2.metrics.checkpoints.Load() != 0 {
+						t.Errorf("Close of an unmutated flat boot wrote an image (%d checkpoints)", srv2.metrics.checkpoints.Load())
 					}
 				}
 				return
@@ -925,10 +925,10 @@ func TestCheckpointEveryRotatesWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.Metrics().CheckpointsTotal(); got != 2 {
+	if got := srv.metrics.checkpoints.Load(); got != 2 {
 		t.Errorf("checkpoints_total = %d after 9 inserts at every=4, want 2", got)
 	}
-	if got := srv.Metrics().WALRecordsTotal(); got != 9 {
+	if got := srv.metrics.walRecords.Load(); got != 9 {
 		t.Errorf("wal_records_total = %d, want 9", got)
 	}
 	// Exactly one WAL generation remains and the image names it.
@@ -1098,7 +1098,7 @@ func TestCheckpointsBesideReaders(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if got := srv.Metrics().CheckpointsTotal(); got != checkpoints {
+	if got := srv.metrics.checkpoints.Load(); got != checkpoints {
 		t.Fatalf("writer crossed %d checkpoints, want %d", got, checkpoints)
 	}
 	abandon(inst)

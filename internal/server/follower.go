@@ -6,14 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mbrtopo/internal/repl"
 	"mbrtopo/internal/retry"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/wal"
@@ -31,7 +33,8 @@ type FollowConfig struct {
 	// not-ready when it has heard nothing from the primary — no record,
 	// rotate, or heartbeat — for this long (default 5s).
 	MaxLagWall time.Duration
-	// Client performs the replication requests (default
+	// Client performs the replication requests; it must not set a
+	// Timeout, the stream being long-lived (default
 	// http.DefaultClient; tests inject fault-wrapped transports).
 	Client *http.Client
 	// Backoff paces reconnection attempts (zero value → retry defaults).
@@ -44,14 +47,14 @@ type FollowConfig struct {
 	Seed int64
 }
 
-// followState is the replica half of a server: one repl.Follower per
-// follower index, a promotion latch, and the config that names the
-// primary in 403 responses.
+// followState is the replica half of a server: the lifetime of the
+// follower loops (each follower index holds its own, Instance.repl), a
+// promotion latch, and the config that names the primary in 403
+// responses.
 type followState struct {
-	cfg       FollowConfig
-	cancel    context.CancelFunc
-	wg        sync.WaitGroup
-	followers map[string]*repl.Follower // fixed after Follow returns
+	cfg    FollowConfig
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	mu       sync.Mutex // serialises Promote
 	promoted atomic.Bool
@@ -83,39 +86,36 @@ func (s *Server) Follow(cfg FollowConfig) error {
 	if cfg.MaxLagWall <= 0 {
 		cfg.MaxLagWall = 5 * time.Second
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	fs := &followState{
-		cfg:       cfg,
-		cancel:    cancel,
-		followers: make(map[string]*repl.Follower),
+	if cfg.Client == nil {
+		cfg.Client = http.DefaultClient
 	}
+	if cfg.StallTimeout <= 0 {
+		cfg.StallTimeout = 3 * time.Second
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	fs := &followState{cfg: cfg}
+	var replicas []*replica
 	for _, inst := range s.listInstances() {
-		if inst.dur == nil || !inst.dur.spec.Follower {
-			continue
+		if inst.dur != nil && inst.dur.spec.Follower {
+			replicas = append(replicas, &replica{inst: inst, cfg: &fs.cfg, rng: rand.New(rand.NewSource(cfg.Seed))})
 		}
-		f := repl.NewFollower(repl.Config{
-			Primary:      cfg.Primary,
-			Index:        inst.Name,
-			Target:       &followerTarget{s: s, inst: inst},
-			Client:       cfg.Client,
-			Backoff:      cfg.Backoff,
-			StallTimeout: cfg.StallTimeout,
-			Seed:         cfg.Seed,
-		})
-		fs.followers[inst.Name] = f
 	}
-	if len(fs.followers) == 0 {
-		cancel()
+	if len(replicas) == 0 {
 		return fmt.Errorf("server: no follower indexes registered")
 	}
-	s.follow = fs
-	for _, f := range fs.followers {
+	ctx, cancel := context.WithCancel(context.Background())
+	fs.cancel = cancel
+	for _, r := range replicas {
+		r.inst.repl = r
 		fs.wg.Add(1)
-		go func(f *repl.Follower) {
+		go func() {
 			defer fs.wg.Done()
-			_ = f.Run(ctx)
-		}(f)
+			r.run(ctx)
+		}()
 	}
+	s.follow = fs
 	return nil
 }
 
@@ -147,19 +147,20 @@ func (s *Server) Promote() error {
 	if fs.promoted.Load() {
 		return nil
 	}
-	for name, f := range fs.followers {
-		if !f.Status().Bootstrapped {
-			return fmt.Errorf("server: index %q has not bootstrapped from %s yet", name, fs.cfg.Primary)
+	instances := s.listInstances()
+	for _, inst := range instances {
+		if inst.repl == nil {
+			continue
+		}
+		if _, _, ok := inst.dur.position(); !ok {
+			return fmt.Errorf("server: index %q has not bootstrapped from %s yet", inst.Name, fs.cfg.Primary)
 		}
 	}
 	fs.stop()
 	var firstErr error
-	for _, inst := range s.listInstances() {
-		if inst.dur == nil || !inst.dur.spec.Follower {
-			continue
-		}
-		if !inst.Healthy() {
-			continue // stays 503; promotion must not resurrect a degraded index
+	for _, inst := range instances {
+		if inst.repl == nil || !inst.Healthy() {
+			continue // a degraded index stays 503; promotion must not resurrect it
 		}
 		if err := inst.Checkpoint(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("server: checkpointing index %q on promote: %w", inst.Name, err)
@@ -185,26 +186,23 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, Primary: s.follow.cfg.Primary})
 }
 
-// lagSeconds is the time since the follower last heard from its
+// lagSeconds is the time since the replica last heard from its
 // primary — record, rotate or heartbeat — and -1 when it never has.
-func lagSeconds(st repl.Status) float64 {
-	if st.LastContact.IsZero() {
+func lagSeconds(st replStatus) float64 {
+	if st.lastContact.IsZero() {
 		return -1
 	}
-	return time.Since(st.LastContact).Seconds()
+	return time.Since(st.lastContact).Seconds()
 }
 
 // registerReplMetrics adds the follower-side families: one sample per
 // follower index, none on a node that never called Follow.
 func (s *Server) registerReplMetrics() {
-	family := func(name, help, typ string, sample func(st repl.Status, emit emitFunc)) {
+	family := func(name, help, typ string, sample func(st replStatus, emit emitFunc)) {
 		s.metrics.collect(name, help, typ, func(emit emitFunc) {
-			if s.follow == nil {
-				return
-			}
 			for _, inst := range s.listInstances() {
-				if f := s.follow.followers[inst.Name]; f != nil {
-					sample(f.Status(), func(v any, labels ...string) {
+				if inst.repl != nil {
+					sample(inst.repl.status(), func(v any, labels ...string) {
 						emit(v, append([]string{"index", inst.Name}, labels...)...)
 					})
 				}
@@ -212,57 +210,356 @@ func (s *Server) registerReplMetrics() {
 		})
 	}
 	family("topod_repl_connected", "Whether the follower index has a live stream to its primary.", "gauge",
-		func(st repl.Status, emit emitFunc) { emit(bit(st.Connected)) })
+		func(st replStatus, emit emitFunc) { emit(bit(st.connected)) })
 	family("topod_repl_lag_records", "Records the follower index is behind its primary (lower bound across rotations).", "gauge",
-		func(st repl.Status, emit emitFunc) { emit(st.LagRecords) })
+		func(st replStatus, emit emitFunc) { emit(st.lagRecords) })
 	family("topod_repl_lag_seconds", "Seconds since the primary was last heard from (-1 = never).", "gauge",
-		func(st repl.Status, emit emitFunc) { emit(lagSeconds(st)) })
+		func(st replStatus, emit emitFunc) { emit(lagSeconds(st)) })
 	family("topod_repl_applied_seq", "Last replication position applied, as sequence within the applied generation.", "gauge",
-		func(st repl.Status, emit emitFunc) {
-			emit(st.Applied.Seq, "generation", strconv.FormatUint(st.Applied.Gen, 10))
+		func(st replStatus, emit emitFunc) {
+			emit(st.applied.seq, "generation", strconv.FormatUint(st.applied.gen, 10))
 		})
 	family("topod_repl_records_applied_total", "Replicated records applied by this follower.", "counter",
-		func(st repl.Status, emit emitFunc) { emit(st.Records) })
+		func(st replStatus, emit emitFunc) { emit(st.records) })
 	family("topod_repl_reconnects_total", "Stream reconnect attempts by this follower.", "counter",
-		func(st repl.Status, emit emitFunc) { emit(st.Reconnects) })
+		func(st replStatus, emit emitFunc) { emit(st.reconnects) })
 	family("topod_repl_snapshots_total", "Bootstrap snapshots this follower loaded.", "counter",
-		func(st repl.Status, emit emitFunc) { emit(st.Snapshots) })
+		func(st replStatus, emit emitFunc) { emit(st.snapshots) })
 	family("topod_repl_bytes_received_total", "Replication stream bytes received by this follower.", "counter",
-		func(st repl.Status, emit emitFunc) { emit(st.Bytes) })
+		func(st replStatus, emit emitFunc) { emit(st.bytes) })
 }
 
-// followerTarget adapts one served instance to repl.Target: the
-// follower state machine calls it to bootstrap from a snapshot, apply
-// records, and rotate generations. Records go through Instance.mutate,
-// the primary's own write path, so watch notification and logging
-// behave identically on a replica.
-type followerTarget struct {
-	s    *Server
+// replPos is a point in a primary's WAL history: gen is the checkpoint
+// generation, seq counts records within it (1-based; seq 0 means
+// "generation just opened, nothing applied yet").
+type replPos struct{ gen, seq uint64 }
+
+func (p replPos) String() string { return fmt.Sprintf("%d/%d", p.gen, p.seq) }
+
+// errOutOfSync marks a record or a rotation that does not follow the
+// applied position (apply, rotate). The replica reacts by dropping the
+// stream and reconnecting in bootstrap mode — it never applies out of
+// order and never re-applies.
+var errOutOfSync = errors.New("repl: record does not follow the applied position")
+
+// replica is the follower loop of one index registered with
+// IndexSpec.Follower. It connects to the primary's /v1/replicate,
+// bootstraps the instance from the streamed snapshot when it cannot
+// resume, applies the record tail, and reconnects with capped jittered
+// exponential backoff on any stream error, resuming from the applied
+// position. That position is the durable state's (durable.position),
+// which bootstrap, apply and rotate move under d.mu; the replica keeps
+// only what the durable state does not know.
+type replica struct {
 	inst *Instance
+	cfg  *FollowConfig
+	rng  *rand.Rand
+
+	mu             sync.Mutex
+	connected      bool
+	primary        replPos // as last advertised: hello, record, rotate, heartbeat
+	lastContact    time.Time
+	reconnects     uint64
+	snapshots      uint64
+	records        uint64
+	bytes          uint64
+	forceBootstrap bool
 }
 
-// Position reports the durably applied replication position; ok is
-// false until the first successful bootstrap (the follower then must
-// not resume, only bootstrap).
-func (t *followerTarget) Position() (repl.Position, bool) {
-	gen, seq, ok := t.inst.dur.position()
-	return repl.Position{Gen: gen, Seq: seq}, ok
+// replStatus is a snapshot of one replica's replication state.
+type replStatus struct {
+	connected    bool // a live stream: hello received, no error since
+	bootstrapped bool // the index holds a dataset
+	applied      replPos
+	primary      replPos
+	lagRecords   uint64 // between applied and primary
+	lastContact  time.Time
+	reconnects   uint64 // stream re-establishment attempts after the first
+	snapshots    uint64 // bootstrap snapshots loaded
+	records      uint64 // record frames applied
+	bytes        uint64 // stream bytes received
 }
 
-// Bootstrap replaces the instance's state with the checkpoint image
+// status reads the applied position from the durable state, then the
+// replica's own fields.
+func (r *replica) status() replStatus {
+	gen, seq, ok := r.inst.dur.position()
+	applied := replPos{gen, seq}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return replStatus{
+		connected:    r.connected,
+		bootstrapped: ok,
+		applied:      applied,
+		primary:      r.primary,
+		lagRecords:   lagRecords(applied, r.primary),
+		lastContact:  r.lastContact,
+		reconnects:   r.reconnects,
+		snapshots:    r.snapshots,
+		records:      r.records,
+		bytes:        r.bytes,
+	}
+}
+
+// lagRecords counts records between applied and the primary's
+// advertised position. Across a generation boundary the exact count is
+// unknowable from positions alone; the primary-side sequence is a
+// lower bound, and +1 keeps a pending rotation from reading as "caught
+// up".
+func lagRecords(applied, primary replPos) uint64 {
+	switch {
+	case primary.gen == applied.gen:
+		if primary.seq > applied.seq {
+			return primary.seq - applied.seq
+		}
+		return 0
+	case primary.gen > applied.gen:
+		return primary.seq + 1
+	}
+	return 0
+}
+
+// run replicates until ctx is cancelled. Stream errors are absorbed:
+// the replica backs off and reconnects, resuming from the applied
+// position (or re-bootstrapping when the primary's history no longer
+// contains it).
+func (r *replica) run(ctx context.Context) {
+	for attempt := 0; ; attempt++ {
+		// Every stream ends in an error; which one does not change
+		// what happens next.
+		progressed, _ := r.streamOnce(ctx)
+		r.mu.Lock()
+		r.connected = false
+		r.reconnects++
+		r.mu.Unlock()
+		if ctx.Err() != nil {
+			return
+		}
+		if progressed {
+			// The link worked: restart the backoff schedule.
+			attempt = 0
+		}
+		if retry.Sleep(ctx, r.cfg.Backoff.Delay(attempt, 0, r.rng)) != nil {
+			return
+		}
+	}
+}
+
+// countingReader counts stream bytes into the replica's tally.
+type countingReader struct {
+	src io.Reader
+	r   *replica
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	n, err := c.src.Read(p)
+	if n > 0 {
+		c.r.mu.Lock()
+		c.r.bytes += uint64(n)
+		c.r.mu.Unlock()
+	}
+	return n, err
+}
+
+// fail ends a stream with err, first making the next connection a
+// bootstrap when err says the replica no longer follows its primary.
+func (r *replica) fail(err error) error {
+	if errors.Is(err, errOutOfSync) {
+		r.mu.Lock()
+		r.forceBootstrap = true
+		r.mu.Unlock()
+	}
+	return err
+}
+
+// streamOnce runs one replication stream to completion (always an
+// error — streams only end by breaking). progressed reports whether
+// any frame was processed, which resets the reconnect backoff.
+func (r *replica) streamOnce(ctx context.Context) (progressed bool, err error) {
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	target := strings.TrimSuffix(r.cfg.Primary, "/") + "/v1/replicate?index=" + url.QueryEscape(r.inst.Name)
+	r.mu.Lock()
+	force := r.forceBootstrap
+	r.mu.Unlock()
+	gen, seq, booted := r.inst.dur.position()
+	pos := replPos{gen, seq}
+	if booted && !force {
+		target += fmt.Sprintf("&gen=%d&seq=%d", gen, seq)
+	}
+	req, err := http.NewRequestWithContext(sctx, http.MethodGet, target, nil)
+	if err != nil {
+		return false, err
+	}
+	// Progress watchdog: a stream that stops delivering frames (stalled
+	// link, silent primary) is cancelled, which unblocks the pending
+	// read. Armed before the request so a primary that accepts the
+	// connection but never answers — a stall inside the response header
+	// — trips it too. The primary heartbeats well inside StallTimeout,
+	// so an idle-but-healthy stream never trips it.
+	dog := time.AfterFunc(r.cfg.StallTimeout, cancel)
+	defer dog.Stop()
+
+	resp, err := r.cfg.Client.Do(req)
+	if err != nil {
+		return false, err
+	}
+	defer resp.Body.Close()
+	dog.Reset(r.cfg.StallTimeout)
+	if resp.StatusCode != http.StatusOK {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return false, fmt.Errorf("repl: primary returned HTTP %d", resp.StatusCode)
+	}
+
+	fr := &frameReader{r: countingReader{src: resp.Body, r: r}}
+	read := func() (frameType, []byte, error) {
+		typ, p, err := fr.readFrame()
+		if err == nil {
+			dog.Reset(r.cfg.StallTimeout)
+			r.mu.Lock()
+			r.lastContact = time.Now()
+			r.mu.Unlock()
+		}
+		return typ, p, err
+	}
+
+	typ, payload, err := read()
+	if err != nil {
+		return false, err
+	}
+	if typ != frameHello {
+		return false, fmt.Errorf("repl: stream opened with %s, want hello", typ)
+	}
+	h, err := decodeHello(payload)
+	if err != nil {
+		return false, err
+	}
+	start := replPos{h.gen, h.seq}
+	if h.bootstrap {
+		snap := &snapshotReader{read: read, remaining: h.snapSize}
+		if err := r.bootstrap(start, snap, int64(h.snapSize)); err != nil {
+			return false, fmt.Errorf("repl: bootstrap: %w", err)
+		}
+		if snap.remaining > 0 || len(snap.chunk) > 0 {
+			return false, fmt.Errorf("repl: bootstrap left %d snapshot bytes unread", snap.remaining+uint64(len(snap.chunk)))
+		}
+		typ, _, err := read()
+		if err != nil {
+			return false, err
+		}
+		if typ != frameSnapEnd {
+			return false, fmt.Errorf("repl: snapshot followed by %s, want snapEnd", typ)
+		}
+		r.mu.Lock()
+		r.snapshots++
+		r.forceBootstrap = false
+		r.mu.Unlock()
+	} else if start != pos {
+		return false, fmt.Errorf("repl: primary resumed at %v, requested %v", start, pos)
+	}
+	r.mu.Lock()
+	r.connected = true
+	r.primary = start
+	r.mu.Unlock()
+
+	for {
+		typ, payload, err := read()
+		if err != nil {
+			return true, err
+		}
+		switch typ {
+		case frameRecord:
+			gen, seq, wp, err := decodeRecord(payload)
+			if err != nil {
+				return true, err
+			}
+			rec, ok := wal.UnmarshalRecord(wp)
+			if !ok {
+				return true, fmt.Errorf("repl: undecodable WAL payload at %d/%d", gen, seq)
+			}
+			at := replPos{gen, seq}
+			if err := r.apply(at, rec); err != nil {
+				return true, r.fail(fmt.Errorf("repl: apply %v: %w", at, err))
+			}
+			r.mu.Lock()
+			r.primary = at
+			r.records++
+			r.mu.Unlock()
+		case frameRotate:
+			gen, _, err := decodePosition(payload)
+			if err != nil {
+				return true, err
+			}
+			if err := r.rotate(gen); err != nil {
+				return true, r.fail(fmt.Errorf("repl: rotate to gen %d: %w", gen, err))
+			}
+			r.mu.Lock()
+			if r.primary.gen < gen {
+				r.primary = replPos{gen: gen}
+			}
+			r.mu.Unlock()
+		case frameHeartbeat:
+			gen, seq, err := decodePosition(payload)
+			if err != nil {
+				return true, err
+			}
+			r.mu.Lock()
+			r.primary = replPos{gen, seq}
+			r.mu.Unlock()
+		default:
+			return true, fmt.Errorf("repl: unexpected %s frame in record tail", typ)
+		}
+	}
+}
+
+// snapshotReader presents the snapChunk frames of a bootstrap as one
+// io.Reader of exactly the advertised snapshot size.
+type snapshotReader struct {
+	read      func() (frameType, []byte, error)
+	chunk     []byte // unconsumed tail of the current frame's payload
+	remaining uint64 // snapshot bytes not yet pulled from the stream
+}
+
+func (s *snapshotReader) Read(p []byte) (int, error) {
+	for len(s.chunk) == 0 {
+		if s.remaining == 0 {
+			return 0, io.EOF
+		}
+		typ, payload, err := s.read()
+		if err != nil {
+			return 0, err
+		}
+		if typ != frameSnapChunk {
+			return 0, fmt.Errorf("repl: %s frame inside snapshot transfer", typ)
+		}
+		if len(payload) == 0 || uint64(len(payload)) > s.remaining {
+			return 0, fmt.Errorf("repl: snapshot chunk of %d bytes with %d remaining", len(payload), s.remaining)
+		}
+		s.remaining -= uint64(len(payload))
+		// The payload buffer is reused by the next readFrame, but no
+		// frame is read before this chunk is fully consumed.
+		s.chunk = payload
+	}
+	n := copy(p, s.chunk)
+	s.chunk = s.chunk[n:]
+	return n, nil
+}
+
+// bootstrap replaces the instance's state with the checkpoint image
 // taken at pos on the primary: decode and verify it as it arrives while
 // teeing the received bytes into N.flat.tmp, adopt it as a tree
 // (materialise), put the tmp file in place as this replica's own
 // checkpoint (so a promoted node reboots into the same state), open the
 // matching WAL generation, and atomically swap the read view over. A
 // snapshot that fails any check never replaces N.flat: the previous
-// state keeps serving (possibly stale, never wrong) and the follower
+// state keeps serving (possibly stale, never wrong) and the loop
 // retries with backoff. The tmp file is written outside d.mu: the
-// follower loop, which calls Bootstrap, is the only writer of a
-// following index's image until it stops.
-func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64) error {
-	inst, d := t.inst, t.inst.dur
-	flat, err := t.receive(snap, size, pos)
+// follower loop is the only writer of a following index's image until
+// it stops. It must consume snap fully on success.
+func (r *replica) bootstrap(pos replPos, snap io.Reader, size int64) error {
+	inst, d := r.inst, r.inst.dur
+	flat, err := r.receive(snap, size, pos)
 	if err != nil {
 		_ = os.Remove(d.tmpPath())
 		return err
@@ -276,12 +573,12 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// The local WAL then holds exactly the records applied after pos.
-	if err := d.install(pos.Gen); err != nil {
+	if err := d.install(pos.gen); err != nil {
 		return fmt.Errorf("server: persisting snapshot: %w", err)
 	}
-	d.since = int(pos.Seq)
+	d.since = int(pos.seq)
 	inst.serve(idx)
-	// Bootstrap replaces the whole logical state, so no cached answer of
+	// A bootstrap replaces the whole logical state, so no cached answer of
 	// the old contents may survive it, and no watch stream either: no
 	// commit describes the swap, so no enter or exit reports it. Each
 	// subscriber is ended, as a lagging one is, and resubscribes against
@@ -290,9 +587,7 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	if inst.cache != nil {
 		inst.cache.invalidateAll(inst.Name)
 	}
-	if inst.watch != nil {
-		inst.watch.Reset(watchResetReason)
-	}
+	inst.watch.Reset(watchResetReason)
 	return nil
 }
 
@@ -300,12 +595,12 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 // replaces the index's contents.
 const watchResetReason = "bootstrap: the replica loaded a new snapshot"
 
-// receive decodes the size-byte snapshot of generation pos.Gen from
+// receive decodes the size-byte snapshot of generation pos.gen from
 // snap, writing the bytes it reads to N.flat.tmp and fsyncing them.
-func (t *followerTarget) receive(snap io.Reader, size int64, pos repl.Position) (*rtree.FlatTree, error) {
+func (r *replica) receive(snap io.Reader, size int64, pos replPos) (*rtree.FlatTree, error) {
 	var flat *rtree.FlatTree
 	in := &io.LimitedReader{R: snap, N: size}
-	err := writeFileSync(t.inst.dur.tmpPath(), func(w io.Writer) error {
+	err := writeFileSync(r.inst.dur.tmpPath(), func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
 		var err error
 		if flat, err = rtree.OpenFlat(io.TeeReader(in, bw)); err != nil {
@@ -314,7 +609,7 @@ func (t *followerTarget) receive(snap io.Reader, size int64, pos repl.Position) 
 		if in.N != 0 {
 			return fmt.Errorf("server: snapshot ended %d bytes short of the %d announced", in.N, size)
 		}
-		if flat.Generation() != pos.Gen {
+		if flat.Generation() != pos.gen {
 			return fmt.Errorf("server: snapshot generation %d does not match stream position %v", flat.Generation(), pos)
 		}
 		return bw.Flush()
@@ -322,42 +617,43 @@ func (t *followerTarget) receive(snap io.Reader, size int64, pos repl.Position) 
 	return flat, err
 }
 
-// Apply applies one replicated record at pos: the position check in
-// front of the ordinary write path. A gap or regression in pos — or a
-// mutation the tree rejects, which means replica and primary states
-// diverged — reports repl.ErrOutOfSync so the follower re-bootstraps
-// instead of guessing; a record the local log refused does not (the
-// index is unhealthy by then, as on a primary).
-func (t *followerTarget) Apply(pos repl.Position, rec wal.Record) error {
-	inst, d := t.inst, t.inst.dur
+// apply applies one replicated record at pos: the position check in
+// front of the ordinary write path (Instance.mutate), so watch
+// notification and logging behave as on a primary. A gap or regression
+// in pos — or a mutation the tree rejects, which means replica and
+// primary states diverged — reports errOutOfSync so the loop
+// re-bootstraps instead of guessing; a record the local log refused
+// does not (the index is unhealthy by then, as on a primary).
+func (r *replica) apply(pos replPos, rec wal.Record) error {
+	inst, d := r.inst, r.inst.dur
 	err := inst.mutate([]wal.Record{rec}, func() error {
 		if d.log == nil {
-			return fmt.Errorf("server: record before bootstrap: %w", repl.ErrOutOfSync)
+			return fmt.Errorf("server: record before bootstrap: %w", errOutOfSync)
 		}
-		if pos.Gen != d.gen || pos.Seq != uint64(d.since)+1 {
-			return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, repl.ErrOutOfSync)
+		if pos.gen != d.gen || pos.seq != uint64(d.since)+1 {
+			return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, errOutOfSync)
 		}
 		return nil
 	})
-	if err != nil && inst.Healthy() && !errors.Is(err, repl.ErrOutOfSync) {
-		err = fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, repl.ErrOutOfSync)
+	if err != nil && inst.Healthy() && !errors.Is(err, errOutOfSync) {
+		err = fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, errOutOfSync)
 	}
 	return err
 }
 
-// Rotate mirrors a primary checkpoint: the stream guarantees every
+// rotate mirrors a primary checkpoint: the stream guarantees every
 // record of the old generation arrived first, so checkpointing here
 // produces a snapshot bit-equal in content to the primary's at the
-// same boundary, and opens the matching new WAL generation.
-func (t *followerTarget) Rotate(newGen uint64) error {
-	inst, d := t.inst, t.inst.dur
+// same boundary, and opens the matching new WAL generation newGen.
+func (r *replica) rotate(newGen uint64) error {
+	inst, d := r.inst, r.inst.dur
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.log == nil {
-		return fmt.Errorf("server: rotate before bootstrap: %w", repl.ErrOutOfSync)
+		return fmt.Errorf("server: rotate before bootstrap: %w", errOutOfSync)
 	}
 	if newGen != d.gen+1 {
-		return fmt.Errorf("server: rotate to %d from generation %d: %w", newGen, d.gen, repl.ErrOutOfSync)
+		return fmt.Errorf("server: rotate to %d from generation %d: %w", newGen, d.gen, errOutOfSync)
 	}
 	return d.checkpoint(inst)
 }

@@ -12,7 +12,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/query"
-	"mbrtopo/internal/repl"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
@@ -480,17 +479,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			ih.Reason = inst.FailReason()
 			resp.Ready = false
 		}
-		if s.isFollower() {
-			if f := s.follow.followers[inst.Name]; f != nil {
-				st := f.Status()
-				ih.Connected = st.Connected
-				ih.LagRecords = st.LagRecords
-				ih.LagSeconds = lagSeconds(st)
-				if reason, ok := followerNotReady(st, s.follow.cfg); ok {
-					resp.Ready = false
-					if ih.Reason == "" {
-						ih.Reason = reason
-					}
+		if inst.repl != nil && s.isFollower() {
+			st := inst.repl.status()
+			ih.Connected = st.connected
+			ih.LagRecords = st.lagRecords
+			ih.LagSeconds = lagSeconds(st)
+			if reason, ok := followerNotReady(st, s.follow.cfg); ok {
+				resp.Ready = false
+				if ih.Reason == "" {
+					ih.Reason = reason
 				}
 			}
 		}
@@ -505,13 +502,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // followerNotReady applies the lag gates to one follower's status,
 // returning the reason it is not ready (ok=false when it is ready).
-func followerNotReady(st repl.Status, cfg FollowConfig) (string, bool) {
+func followerNotReady(st replStatus, cfg FollowConfig) (string, bool) {
 	switch {
-	case !st.Bootstrapped:
+	case !st.bootstrapped:
 		return "not bootstrapped from primary yet", true
-	case st.LagRecords > cfg.MaxLagRecords:
-		return fmt.Sprintf("replication lag %d records exceeds %d", st.LagRecords, cfg.MaxLagRecords), true
-	case st.LastContact.IsZero() || time.Since(st.LastContact) > cfg.MaxLagWall:
+	case st.lagRecords > cfg.MaxLagRecords:
+		return fmt.Sprintf("replication lag %d records exceeds %d", st.lagRecords, cfg.MaxLagRecords), true
+	case st.lastContact.IsZero() || time.Since(st.lastContact) > cfg.MaxLagWall:
 		return fmt.Sprintf("no contact with primary for over %s", cfg.MaxLagWall), true
 	}
 	return "", false

@@ -282,10 +282,10 @@ func TestJoinDeadline(t *testing.T) {
 	if stats != nil {
 		t.Fatalf("deadline-cut stream still carried a stats line %+v", stats)
 	}
-	if got := srv.Metrics().Disconnects(); got == 0 {
+	if got := srv.metrics.disconnects.Load(); got == 0 {
 		t.Fatal("deadline cut was not counted as a disconnect")
 	}
-	if folded := srv.Metrics().JoinNodeAccessesTotal(); folded == 0 || folded >= full.Stats.NodeAccesses {
+	if folded := srv.metrics.joinNodeAccesses.Load(); folded == 0 || folded >= full.Stats.NodeAccesses {
 		t.Fatalf("deadline did not stop page reads: folded %d, full run is %d",
 			folded, full.Stats.NodeAccesses)
 	}
@@ -305,7 +305,7 @@ func TestJoinClientDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	hangUpAfterFirstLine(t, srv, "/v1/join", body)
-	if folded := srv.Metrics().JoinNodeAccessesTotal(); folded == 0 || folded >= full.Stats.NodeAccesses {
+	if folded := srv.metrics.joinNodeAccesses.Load(); folded == 0 || folded >= full.Stats.NodeAccesses {
 		t.Fatalf("disconnect did not stop page reads: folded %d, full run is %d",
 			folded, full.Stats.NodeAccesses)
 	}
@@ -329,10 +329,10 @@ func TestJoinMetricsTotals(t *testing.T) {
 		wantPairs += uint64(stats.Pairs)
 		wantAccesses += stats.NodeAccesses
 	}
-	if got := srv.Metrics().JoinPairsTotal(); got != wantPairs {
+	if got := srv.metrics.joinPairs.Load(); got != wantPairs {
 		t.Fatalf("folded join pairs %d, per-request sum %d", got, wantPairs)
 	}
-	if got := srv.Metrics().JoinNodeAccessesTotal(); got != wantAccesses {
+	if got := srv.metrics.joinNodeAccesses.Load(); got != wantAccesses {
 		t.Fatalf("folded join accesses %d, per-request sum %d", got, wantAccesses)
 	}
 	if got := scrapeCounterValue(t, ts.URL, "topod_join_pairs_total"); got != wantPairs {

@@ -215,7 +215,7 @@ type Metrics struct {
 	watchLatency  histogram // commit to notification
 
 	// The primary's side of replication; a follower's is collected from
-	// its repl.Follower (follower.go).
+	// each index's replica (follower.go).
 	replStreams          gauge
 	replRecordsShipped   counter
 	replSnapshotsShipped counter
@@ -298,31 +298,3 @@ func (m *Metrics) FoldJoin(pairs int, s query.Stats, d time.Duration) {
 func (m *Metrics) FoldTraversal(ts rtree.TraversalStats) {
 	m.nodeAccesses.Add(ts.NodeAccesses)
 }
-
-// JoinPairsTotal returns the folded join result-pair counter.
-func (m *Metrics) JoinPairsTotal() uint64 { return m.joinPairs.Load() }
-
-// JoinNodeAccessesTotal returns the folded join page-read counter.
-func (m *Metrics) JoinNodeAccessesTotal() uint64 { return m.joinNodeAccesses.Load() }
-
-// Disconnects counts streams abandoned by the client (or cut by a
-// deadline) before completion.
-func (m *Metrics) Disconnects() uint64 { return m.disconnects.Load() }
-
-// NodeAccessesTotal returns the folded page-read counter.
-func (m *Metrics) NodeAccessesTotal() uint64 { return m.nodeAccesses.Load() }
-
-// CandidatesTotal returns the folded filter-candidate counter.
-func (m *Metrics) CandidatesTotal() uint64 { return m.candidates.Load() }
-
-// ChecksumFailuresTotal returns the corrupt-page counter.
-func (m *Metrics) ChecksumFailuresTotal() uint64 { return m.checksumFailures.Load() }
-
-// WALRecordsTotal returns the appended WAL record counter.
-func (m *Metrics) WALRecordsTotal() uint64 { return m.walRecords.Load() }
-
-// WALReplaysTotal returns the recovered-record counter.
-func (m *Metrics) WALReplaysTotal() uint64 { return m.walReplays.Load() }
-
-// CheckpointsTotal returns the checkpoint counter.
-func (m *Metrics) CheckpointsTotal() uint64 { return m.checkpoints.Load() }

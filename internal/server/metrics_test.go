@@ -257,7 +257,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatalf("write on the follower: HTTP %d, want 403", st)
 	}
 	for _, inst := range psrv.listInstances() {
-		inst.WatchSync()
+		inst.watch.Sync()
 	}
 	got := "== primary ==\n" + scrape(t, pts.URL) + "== follower ==\n" + scrape(t, fts.URL)
 

@@ -97,7 +97,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if got := srv.metrics.streamFlushes.Load() - before; got != 1 {
 			t.Fatalf("stream flush counter moved by %d, want 1", got)
 		}
-		if got := srv.Metrics().Disconnects(); got != 0 {
+		if got := srv.metrics.disconnects.Load(); got != 0 {
 			t.Fatalf("a completed stream counted %d disconnects", got)
 		}
 		if ct := rec.header.Get("Content-Type"); ct != "application/x-ndjson" {
@@ -222,10 +222,10 @@ func TestWriteErrorStopsProducer(t *testing.T) {
 	if len(rec.writes) != 1 {
 		t.Fatalf("%d writes after the first one failed, want no more", len(rec.writes))
 	}
-	if got := srv.Metrics().Disconnects(); got != 1 {
+	if got := srv.metrics.disconnects.Load(); got != 1 {
 		t.Fatalf("disconnects = %d, want 1", got)
 	}
-	if folded := srv.Metrics().NodeAccessesTotal(); folded == 0 || folded >= full.Stats.NodeAccesses {
+	if folded := srv.metrics.nodeAccesses.Load(); folded == 0 || folded >= full.Stats.NodeAccesses {
 		t.Fatalf("write error did not stop page reads: folded %d, full traversal is %d", folded, full.Stats.NodeAccesses)
 	}
 
@@ -241,10 +241,10 @@ func TestWriteErrorStopsProducer(t *testing.T) {
 	rec = newRecorder()
 	rec.failFrom = 1
 	jsrv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/join", bytes.NewReader(body)))
-	if len(rec.writes) != 1 || jsrv.Metrics().Disconnects() != 1 {
-		t.Fatalf("join: %d writes and %d disconnects after the first write failed, want 1 and 1", len(rec.writes), jsrv.Metrics().Disconnects())
+	if len(rec.writes) != 1 || jsrv.metrics.disconnects.Load() != 1 {
+		t.Fatalf("join: %d writes and %d disconnects after the first write failed, want 1 and 1", len(rec.writes), jsrv.metrics.disconnects.Load())
 	}
-	if folded := jsrv.Metrics().JoinNodeAccessesTotal(); folded == 0 || folded >= fullJoin.Stats.NodeAccesses {
+	if folded := jsrv.metrics.joinNodeAccesses.Load(); folded == 0 || folded >= fullJoin.Stats.NodeAccesses {
 		t.Fatalf("join: write error did not stop page reads: folded %d, full run is %d", folded, fullJoin.Stats.NodeAccesses)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/repl"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
 	"mbrtopo/internal/workload"
@@ -140,12 +139,12 @@ func TestRebootKeepsTreeShape(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				target := &followerTarget{s: fsrv, inst: finst}
-				if err := target.Bootstrap(repl.Position{Gen: gen, Seq: seq}, bytes.NewReader(image), int64(len(image))); err != nil {
+				target := &replica{inst: finst}
+				if err := target.bootstrap(replPos{gen, seq}, bytes.NewReader(image), int64(len(image))); err != nil {
 					t.Fatal(err)
 				}
 				assertSameProfile(t, "bootstrapped", nodeAccessProfile(t, finst), before)
-				if err := target.Apply(repl.Position{Gen: gen, Seq: seq + 1}, mutation); err != nil {
+				if err := target.apply(replPos{gen, seq + 1}, mutation); err != nil {
 					t.Fatal(err)
 				}
 				assertSameProfile(t, "bootstrapped and applied", nodeAccessProfile(t, finst), after)

@@ -18,7 +18,6 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/repl"
 	"mbrtopo/internal/retry"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
@@ -97,19 +96,23 @@ func waitCaughtUp(t *testing.T, primary, follower *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := follower.follow.followers["main"]
+	finst, err := follower.instance("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := finst.repl
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		gen, seq, ok := pinst.dur.position()
-		st := f.Status()
-		if ok && st.Bootstrapped && st.Applied == (repl.Position{Gen: gen, Seq: seq}) {
+		st := r.status()
+		if ok && st.bootstrapped && st.applied == (replPos{gen, seq}) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	gen, seq, _ := pinst.dur.position()
 	t.Fatalf("follower never caught up: applied %v, primary at %d/%d (status %+v)",
-		f.Status().Applied, gen, seq, f.Status())
+		r.status().applied, gen, seq, r.status())
 }
 
 // relationAnswers runs every one of the eight MBR relations over each
@@ -258,7 +261,7 @@ func TestFollowerCloseStopsReplication(t *testing.T) {
 	waitCaughtUp(t, primary, follower)
 
 	finst, _ := follower.instance("main")
-	f := follower.follow.followers["main"]
+	f := finst.repl
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +280,7 @@ func TestFollowerCloseStopsReplication(t *testing.T) {
 		}
 		return b.String()
 	}
-	before, snapshots := listing(), f.Status().Snapshots
+	before, snapshots := listing(), f.status().snapshots
 
 	mutatePrimary(t, pts.URL, d, 1)
 	time.Sleep(150 * time.Millisecond) // the damage used to show within 20 ms
@@ -288,12 +291,77 @@ func TestFollowerCloseStopsReplication(t *testing.T) {
 	if reopened {
 		t.Error("a follower loop reopened the WAL of a closed server")
 	}
-	if st := f.Status(); st.Connected || st.Snapshots != snapshots {
-		t.Errorf("after Close: connected %v, %d snapshots (had %d)", st.Connected, st.Snapshots, snapshots)
+	if st := f.status(); st.connected || st.snapshots != snapshots {
+		t.Errorf("after Close: connected %v, %d snapshots (had %d)", st.connected, st.snapshots, snapshots)
 	}
 	if after := listing(); after != before {
 		t.Errorf("the data directory changed after Close:\n%s\nwas:\n%s", after, before)
 	}
+}
+
+// TestReplReconnectResumes: a replica whose stream breaks reconnects
+// from the position its durable state holds and gets just the record
+// tail — no second image — while the primary's current generation
+// still holds that position. Only a link held down across checkpoints
+// costs one more bootstrap. The answers are right either way, so only
+// the snapshot counts tell a resume from a bootstrap.
+func TestReplReconnectResumes(t *testing.T) {
+	primary, pts, _ := newReplPrimary(t, 300, -1) // checkpoints by hand only
+	pinst, _ := primary.instance("main")
+	var link simLink
+	follower, _ := newReplFollower(t, pts.URL, link.client(), FollowConfig{})
+	finst, _ := follower.instance("main")
+	r := finst.repl
+	oid := uint64(800000)
+	insert := func(n int) {
+		t.Helper()
+		for range n {
+			x := float64(oid % 900)
+			if err := pinst.Insert(geom.R(x, x, x+3, x+5), oid); err != nil {
+				t.Fatal(err)
+			}
+			oid++
+		}
+	}
+	await := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(15 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (status %+v)", what, r.status())
+			}
+		}
+	}
+	// A stream is connected once its snapshot, if any, is counted, and
+	// the records inserted after that follow the snapshot on the stream:
+	// once they are applied the primary has counted it too.
+	snapshots := func(label string, want uint64) {
+		t.Helper()
+		await("a live stream", func() bool { return r.status().connected })
+		insert(5)
+		waitCaughtUp(t, primary, follower)
+		if got, shipped := r.status().snapshots, primary.metrics.replSnapshotsShipped.Load(); got != want || shipped != want {
+			t.Fatalf("%s: the replica loaded %d snapshots and the primary shipped %d, want %d", label, got, shipped, want)
+		}
+		assertReplEqual(t, label, primary, follower)
+	}
+
+	snapshots("bootstrapped", 1)
+	// Every byte read so far is past the image: cut the live stream there.
+	link.trip(faultTruncate)
+	await("a reconnect", func() bool { return r.status().reconnects >= 1 })
+	snapshots("after a cut stream", 1)
+
+	link.setDown(true)
+	link.trip(faultTruncate)
+	await("the stream to break", func() bool { return !r.status().connected })
+	for range 2 {
+		insert(5)
+		if err := pinst.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	link.setDown(false)
+	snapshots("after two checkpoints without a link", 2)
 }
 
 // faultingClient returns an http.Client whose FIRST dialed connection

@@ -1,9 +1,14 @@
-// Package repl implements WAL-shipping replication: a primary streams
-// its current snapshot plus a live tail of WAL records over one HTTP
-// response, and a follower applies them through the same replay path
-// recovery uses, republishing read roots after every record.
-//
-// The stream is a sequence of self-delimiting frames:
+package server
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+)
+
+// The /v1/replicate stream (written by replicate.go, read by
+// follower.go) is a sequence of self-delimiting frames:
 //
 //	typ     u8
 //	length  u32 little endian — payload bytes
@@ -13,7 +18,7 @@
 //	    snapChunk  raw flat-snapshot bytes
 //	    snapEnd    (empty)
 //	    record     gen u64, seq u64, wal payload (wal.PayloadSize bytes)
-//	    rotate     newGen u64
+//	    rotate     newGen u64, 0 u64
 //	    heartbeat  gen u64, seq u64
 //
 // A stream opens with exactly one hello. In bootstrap mode it is
@@ -30,59 +35,51 @@
 // detected at the frame layer and surfaces as a read error; the
 // follower then reconnects and resumes from its last applied position,
 // never applying a damaged or duplicate record.
-package repl
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
-
-// FrameType tags a replication stream frame.
-type FrameType uint8
+// frameType tags a replication stream frame.
+type frameType uint8
 
 // The frame types, in the order they can appear on a stream.
 const (
-	FrameHello     FrameType = 1
-	FrameSnapChunk FrameType = 2
-	FrameSnapEnd   FrameType = 3
-	FrameRecord    FrameType = 4
-	FrameRotate    FrameType = 5
-	FrameHeartbeat FrameType = 6
+	frameHello     frameType = 1
+	frameSnapChunk frameType = 2
+	frameSnapEnd   frameType = 3
+	frameRecord    frameType = 4
+	frameRotate    frameType = 5
+	frameHeartbeat frameType = 6
 )
 
-func (t FrameType) String() string {
+func (t frameType) String() string {
 	switch t {
-	case FrameHello:
+	case frameHello:
 		return "hello"
-	case FrameSnapChunk:
+	case frameSnapChunk:
 		return "snapChunk"
-	case FrameSnapEnd:
+	case frameSnapEnd:
 		return "snapEnd"
-	case FrameRecord:
+	case frameRecord:
 		return "record"
-	case FrameRotate:
+	case frameRotate:
 		return "rotate"
-	case FrameHeartbeat:
+	case frameHeartbeat:
 		return "heartbeat"
 	}
-	return fmt.Sprintf("repl.FrameType(%d)", uint8(t))
+	return fmt.Sprintf("frameType(%d)", uint8(t))
 }
 
 const (
 	frameHeaderSize = 1 + 4 + 4
-	// SnapChunkSize is how much snapshot a single snapChunk frame
+	// snapChunkSize is how much snapshot a single snapChunk frame
 	// carries; it also bounds every other payload, so a corrupted
 	// length field cannot drive a giant allocation.
-	SnapChunkSize = 256 << 10
-	maxPayload    = SnapChunkSize
+	snapChunkSize = 256 << 10
+	maxPayload    = snapChunkSize
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
+// writeFrame writes one frame to w.
+func writeFrame(w io.Writer, typ frameType, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("repl: %s frame payload %d exceeds %d", typ, len(payload), maxPayload)
 	}
@@ -101,29 +98,24 @@ func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
 	return nil
 }
 
-// FrameReader decodes frames from a stream, reusing one payload
-// buffer. The returned payload slice is valid until the next ReadFrame
+// frameReader decodes frames from a stream, reusing one payload
+// buffer. The returned payload slice is valid until the next readFrame
 // call.
-type FrameReader struct {
+type frameReader struct {
 	r   io.Reader
 	hdr [frameHeaderSize]byte
 	buf []byte
 }
 
-// NewFrameReader wraps r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r}
-}
-
-// ReadFrame reads and verifies the next frame. A short read, a bad
+// readFrame reads and verifies the next frame. A short read, a bad
 // checksum, or an impossible length is an error: the replication
 // stream has no torn-tail tolerance — any damage means "drop the
 // connection and resume from the last applied position".
-func (fr *FrameReader) ReadFrame() (FrameType, []byte, error) {
+func (fr *frameReader) readFrame() (frameType, []byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	typ := FrameType(fr.hdr[0])
+	typ := frameType(fr.hdr[0])
 	length := binary.LittleEndian.Uint32(fr.hdr[1:5])
 	sum := binary.LittleEndian.Uint32(fr.hdr[5:9])
 	if length > maxPayload {
@@ -145,50 +137,48 @@ func (fr *FrameReader) ReadFrame() (FrameType, []byte, error) {
 	return typ, payload, nil
 }
 
-// Hello is the stream-opening frame: the primary's decision on how
+// hello is the stream-opening frame: the primary's decision on how
 // this follower catches up, and the position the stream starts from.
-type Hello struct {
-	// Bootstrap reports whether a snapshot transfer precedes the
+type hello struct {
+	// bootstrap reports whether a snapshot transfer precedes the
 	// record tail (the follower's requested position was not
 	// resumable).
-	Bootstrap bool
-	// Gen and Seq are the position the stream starts from: after the
+	bootstrap bool
+	// gen and seq are the position the stream starts from: after the
 	// snapshot (bootstrap) or the follower's own position (resume),
-	// the next record frame carries Seq+1 within Gen.
-	Gen, Seq uint64
-	// SnapSize is the exact snapshot byte length in bootstrap mode,
+	// the next record frame carries seq+1 within gen.
+	gen, seq uint64
+	// snapSize is the exact snapshot byte length in bootstrap mode,
 	// zero in resume mode.
-	SnapSize uint64
+	snapSize uint64
 }
 
-// EncodeHello encodes h as a hello payload.
-func EncodeHello(h Hello) []byte {
+func encodeHello(h hello) []byte {
 	p := make([]byte, 1+8+8+8)
-	if h.Bootstrap {
+	if h.bootstrap {
 		p[0] = 1
 	}
-	binary.LittleEndian.PutUint64(p[1:9], h.Gen)
-	binary.LittleEndian.PutUint64(p[9:17], h.Seq)
-	binary.LittleEndian.PutUint64(p[17:25], h.SnapSize)
+	binary.LittleEndian.PutUint64(p[1:9], h.gen)
+	binary.LittleEndian.PutUint64(p[9:17], h.seq)
+	binary.LittleEndian.PutUint64(p[17:25], h.snapSize)
 	return p
 }
 
-// DecodeHello decodes a hello payload.
-func DecodeHello(p []byte) (Hello, error) {
+func decodeHello(p []byte) (hello, error) {
 	if len(p) != 1+8+8+8 || p[0] > 1 {
-		return Hello{}, fmt.Errorf("repl: malformed hello payload (%d bytes)", len(p))
+		return hello{}, fmt.Errorf("repl: malformed hello payload (%d bytes)", len(p))
 	}
-	return Hello{
-		Bootstrap: p[0] == 1,
-		Gen:       binary.LittleEndian.Uint64(p[1:9]),
-		Seq:       binary.LittleEndian.Uint64(p[9:17]),
-		SnapSize:  binary.LittleEndian.Uint64(p[17:25]),
+	return hello{
+		bootstrap: p[0] == 1,
+		gen:       binary.LittleEndian.Uint64(p[1:9]),
+		seq:       binary.LittleEndian.Uint64(p[9:17]),
+		snapSize:  binary.LittleEndian.Uint64(p[17:25]),
 	}, nil
 }
 
-// EncodeRecord encodes a record payload: the position (gen, seq) the
+// encodeRecord encodes a record payload: the position (gen, seq) the
 // record commits, followed by the raw WAL payload bytes.
-func EncodeRecord(gen, seq uint64, walPayload []byte) []byte {
+func encodeRecord(gen, seq uint64, walPayload []byte) []byte {
 	p := make([]byte, 8+8+len(walPayload))
 	binary.LittleEndian.PutUint64(p[0:8], gen)
 	binary.LittleEndian.PutUint64(p[8:16], seq)
@@ -196,8 +186,8 @@ func EncodeRecord(gen, seq uint64, walPayload []byte) []byte {
 	return p
 }
 
-// DecodeRecord splits a record payload into position and WAL payload.
-func DecodeRecord(p []byte) (gen, seq uint64, walPayload []byte, err error) {
+// decodeRecord splits a record payload into position and WAL payload.
+func decodeRecord(p []byte) (gen, seq uint64, walPayload []byte, err error) {
 	if len(p) <= 16 {
 		return 0, 0, nil, fmt.Errorf("repl: malformed record payload (%d bytes)", len(p))
 	}
@@ -206,17 +196,17 @@ func DecodeRecord(p []byte) (gen, seq uint64, walPayload []byte, err error) {
 		p[16:], nil
 }
 
-// EncodePosition encodes (gen, seq) — the rotate payload carries just
+// encodePosition encodes (gen, seq) — the rotate payload carries just
 // a generation (seq unused), heartbeats carry both.
-func EncodePosition(gen, seq uint64) []byte {
+func encodePosition(gen, seq uint64) []byte {
 	p := make([]byte, 16)
 	binary.LittleEndian.PutUint64(p[0:8], gen)
 	binary.LittleEndian.PutUint64(p[8:16], seq)
 	return p
 }
 
-// DecodePosition decodes a rotate or heartbeat payload.
-func DecodePosition(p []byte) (gen, seq uint64, err error) {
+// decodePosition decodes a rotate or heartbeat payload.
+func decodePosition(p []byte) (gen, seq uint64, err error) {
 	if len(p) != 16 {
 		return 0, 0, fmt.Errorf("repl: malformed position payload (%d bytes)", len(p))
 	}

@@ -1,4 +1,4 @@
-package repl
+package server
 
 import (
 	"bytes"
@@ -11,52 +11,52 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	hello := Hello{Bootstrap: true, Gen: 3, Seq: 41, SnapSize: 1 << 20}
+	h := hello{bootstrap: true, gen: 3, seq: 41, snapSize: 1 << 20}
 	rec := wal.Record{Op: wal.OpInsert, OID: 99, Rect: geom.R(1, 2, 3, 4)}
-	if err := WriteFrame(&buf, FrameHello, EncodeHello(hello)); err != nil {
+	if err := writeFrame(&buf, frameHello, encodeHello(h)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, FrameRecord, EncodeRecord(3, 42, wal.MarshalRecord(rec))); err != nil {
+	if err := writeFrame(&buf, frameRecord, encodeRecord(3, 42, wal.MarshalRecord(rec))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, FrameRotate, EncodePosition(4, 0)); err != nil {
+	if err := writeFrame(&buf, frameRotate, encodePosition(4, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, FrameSnapEnd, nil); err != nil {
+	if err := writeFrame(&buf, frameSnapEnd, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	fr := NewFrameReader(&buf)
-	typ, p, err := fr.ReadFrame()
-	if err != nil || typ != FrameHello {
+	fr := &frameReader{r: &buf}
+	typ, p, err := fr.readFrame()
+	if err != nil || typ != frameHello {
 		t.Fatalf("frame 1: typ=%v err=%v", typ, err)
 	}
-	if got, err := DecodeHello(p); err != nil || got != hello {
+	if got, err := decodeHello(p); err != nil || got != h {
 		t.Fatalf("hello: got %+v err=%v", got, err)
 	}
-	typ, p, err = fr.ReadFrame()
-	if err != nil || typ != FrameRecord {
+	typ, p, err = fr.readFrame()
+	if err != nil || typ != frameRecord {
 		t.Fatalf("frame 2: typ=%v err=%v", typ, err)
 	}
-	gen, seq, wp, err := DecodeRecord(p)
+	gen, seq, wp, err := decodeRecord(p)
 	if err != nil || gen != 3 || seq != 42 {
 		t.Fatalf("record position: %d/%d err=%v", gen, seq, err)
 	}
 	if got, ok := wal.UnmarshalRecord(wp); !ok || got != rec {
 		t.Fatalf("record payload: got %+v ok=%v", got, ok)
 	}
-	typ, p, err = fr.ReadFrame()
-	if err != nil || typ != FrameRotate {
+	typ, p, err = fr.readFrame()
+	if err != nil || typ != frameRotate {
 		t.Fatalf("frame 3: typ=%v err=%v", typ, err)
 	}
-	if gen, _, err := DecodePosition(p); err != nil || gen != 4 {
+	if gen, _, err := decodePosition(p); err != nil || gen != 4 {
 		t.Fatalf("rotate: gen=%d err=%v", gen, err)
 	}
-	typ, p, err = fr.ReadFrame()
-	if err != nil || typ != FrameSnapEnd || len(p) != 0 {
+	typ, p, err = fr.readFrame()
+	if err != nil || typ != frameSnapEnd || len(p) != 0 {
 		t.Fatalf("frame 4: typ=%v len=%d err=%v", typ, len(p), err)
 	}
-	if _, _, err := fr.ReadFrame(); err != io.EOF {
+	if _, _, err := fr.readFrame(); err != io.EOF {
 		t.Fatalf("expected EOF at stream end, got %v", err)
 	}
 }
@@ -67,24 +67,24 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameReaderRejectsDamage(t *testing.T) {
 	var buf bytes.Buffer
 	rec := wal.Record{Op: wal.OpDelete, OID: 7, Rect: geom.R(0, 0, 1, 1)}
-	if err := WriteFrame(&buf, FrameRecord, EncodeRecord(1, 1, wal.MarshalRecord(rec))); err != nil {
+	if err := writeFrame(&buf, frameRecord, encodeRecord(1, 1, wal.MarshalRecord(rec))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, FrameHeartbeat, EncodePosition(1, 1)); err != nil {
+	if err := writeFrame(&buf, frameHeartbeat, encodePosition(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
 	for i := range clean {
 		bad := append([]byte(nil), clean...)
 		bad[i] ^= 0x01
-		fr := NewFrameReader(bytes.NewReader(bad))
+		fr := &frameReader{r: bytes.NewReader(bad)}
 		for {
-			typ, p, err := fr.ReadFrame()
+			typ, p, err := fr.readFrame()
 			if err != nil {
 				break // damage detected (or stream consumed by a lying length)
 			}
-			if typ == FrameRecord {
-				gen, seq, wp, derr := DecodeRecord(p)
+			if typ == frameRecord {
+				gen, seq, wp, derr := decodeRecord(p)
 				if derr == nil && gen == 1 && seq == 1 {
 					if got, ok := wal.UnmarshalRecord(wp); ok && got != rec {
 						t.Fatalf("flip at %d: decoded a different record %+v", i, got)
@@ -97,28 +97,28 @@ func TestFrameReaderRejectsDamage(t *testing.T) {
 
 func TestFrameLengthBound(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameSnapChunk, make([]byte, maxPayload+1)); err == nil {
+	if err := writeFrame(&buf, frameSnapChunk, make([]byte, maxPayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
 	// A header advertising an impossible length must error without
 	// allocating or reading the claimed payload.
-	hdr := []byte{byte(FrameSnapChunk), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	fr := NewFrameReader(bytes.NewReader(hdr))
-	if _, _, err := fr.ReadFrame(); err == nil {
+	hdr := []byte{byte(frameSnapChunk), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
+	fr := &frameReader{r: bytes.NewReader(hdr)}
+	if _, _, err := fr.readFrame(); err == nil {
 		t.Fatal("impossible length accepted")
 	}
 }
 
 func TestLagRecords(t *testing.T) {
 	cases := []struct {
-		applied, primary Position
+		applied, primary replPos
 		want             uint64
 	}{
-		{Position{1, 5}, Position{1, 5}, 0},
-		{Position{1, 5}, Position{1, 9}, 4},
-		{Position{1, 9}, Position{1, 5}, 0}, // primary heartbeat raced an applied record
-		{Position{1, 9}, Position{2, 3}, 4}, // unknown across gens: lower bound + pending rotate
-		{Position{2, 0}, Position{2, 0}, 0},
+		{replPos{1, 5}, replPos{1, 5}, 0},
+		{replPos{1, 5}, replPos{1, 9}, 4},
+		{replPos{1, 9}, replPos{1, 5}, 0}, // primary heartbeat raced an applied record
+		{replPos{1, 9}, replPos{2, 3}, 4}, // unknown across gens: lower bound + pending rotate
+		{replPos{2, 0}, replPos{2, 0}, 0},
 	}
 	for _, c := range cases {
 		if got := lagRecords(c.applied, c.primary); got != c.want {

@@ -8,16 +8,15 @@ import (
 	"time"
 
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/repl"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/wal"
 )
 
 // handleReplicate serves GET /v1/replicate?index=N[&gen=G&seq=S]: one
-// long-lived response carrying the repl frame stream — a hello, then
-// (in bootstrap mode) the current flat snapshot, then a live tail of
-// WAL records, with rotate frames marking checkpoints and heartbeats
-// keeping an idle stream verifiably alive.
+// long-lived response carrying the frame stream of replframe.go — a
+// hello, then (in bootstrap mode) the current flat snapshot, then a
+// live tail of WAL records, with rotate frames marking checkpoints and
+// heartbeats keeping an idle stream verifiably alive.
 //
 // The resume decision and the snapshot's tree version are pinned under
 // the durable mutex, so the pair (snapshot, position) is consistent: the
@@ -91,9 +90,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { _ = tail.Close() }()
-	hello := repl.Hello{Bootstrap: !resume, Gen: gen, Seq: reqSeq}
+	h := hello{bootstrap: !resume, gen: gen, seq: reqSeq}
 	if !resume {
-		hello.Seq, hello.SnapSize = seq, uint64(snap.Size())
+		h.seq, h.snapSize = seq, uint64(snap.Size())
 	}
 
 	s.metrics.replStreams.Add(1)
@@ -103,15 +102,15 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	cw := &shippedWriter{w: w, m: s.metrics}
 
-	if err := repl.WriteFrame(cw, repl.FrameHello, repl.EncodeHello(hello)); err != nil {
+	if err := writeFrame(cw, frameHello, encodeHello(h)); err != nil {
 		return
 	}
 	if !resume {
-		chunks := &chunkWriter{w: cw, buf: make([]byte, 0, repl.SnapChunkSize)}
+		chunks := &chunkWriter{w: cw, buf: make([]byte, 0, snapChunkSize)}
 		if err := snap.Encode(chunks); err != nil || chunks.flush() != nil {
 			return
 		}
-		if err := repl.WriteFrame(cw, repl.FrameSnapEnd, nil); err != nil {
+		if err := writeFrame(cw, frameSnapEnd, nil); err != nil {
 			return
 		}
 		s.metrics.replSnapshotsShipped.Add(1)
@@ -119,11 +118,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.streamRecords(r.Context(), inst, cw, flusher, &tail, gen, hello.Seq)
+	s.streamRecords(r.Context(), inst, cw, flusher, &tail, gen, h.seq)
 }
 
 // chunkWriter cuts the image it is written into snapChunk frames of
-// repl.SnapChunkSize bytes, the last one shorter.
+// snapChunkSize bytes, the last one shorter.
 type chunkWriter struct {
 	w   io.Writer
 	buf []byte
@@ -132,9 +131,9 @@ type chunkWriter struct {
 func (c *chunkWriter) Write(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
-		k := min(len(p), repl.SnapChunkSize-len(c.buf))
+		k := min(len(p), snapChunkSize-len(c.buf))
 		c.buf, p = append(c.buf, p[:k]...), p[k:]
-		if len(c.buf) == repl.SnapChunkSize {
+		if len(c.buf) == snapChunkSize {
 			if err := c.flush(); err != nil {
 				return n - len(p), err
 			}
@@ -148,7 +147,7 @@ func (c *chunkWriter) flush() error {
 	if len(c.buf) == 0 {
 		return nil
 	}
-	err := repl.WriteFrame(c.w, repl.FrameSnapChunk, c.buf)
+	err := writeFrame(c.w, frameSnapChunk, c.buf)
 	c.buf = c.buf[:0]
 	return err
 }
@@ -178,8 +177,8 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 			if frameIdx <= skip {
 				continue
 			}
-			if err := repl.WriteFrame(w, repl.FrameRecord,
-				repl.EncodeRecord(curGen, frameIdx, wal.MarshalRecord(rec))); err != nil {
+			if err := writeFrame(w, frameRecord,
+				encodeRecord(curGen, frameIdx, wal.MarshalRecord(rec))); err != nil {
 				return err
 			}
 			s.metrics.replRecordsShipped.Add(1)
@@ -217,7 +216,7 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 			_ = (*tailp).Close()
 			curGen++
 			frameIdx, skip = 0, 0
-			if err := repl.WriteFrame(w, repl.FrameRotate, repl.EncodePosition(curGen, 0)); err != nil {
+			if err := writeFrame(w, frameRotate, encodePosition(curGen, 0)); err != nil {
 				return
 			}
 			if flusher != nil {
@@ -239,7 +238,7 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 			return
 		case <-wake:
 		case <-time.After(s.cfg.ReplHeartbeat):
-			if err := repl.WriteFrame(w, repl.FrameHeartbeat, repl.EncodePosition(curGen, liveSeq)); err != nil {
+			if err := writeFrame(w, frameHeartbeat, encodePosition(curGen, liveSeq)); err != nil {
 				return
 			}
 			if flusher != nil {

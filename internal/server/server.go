@@ -127,7 +127,7 @@ const DefaultCheckpointEvery = 1024
 
 // readView is what an instance serves: its tree and the query processor
 // over it. It is set once at boot and replaced only by a follower's
-// Bootstrap, which swaps in the tree of a newer image; the whole struct
+// bootstrap, which swaps in the tree of a newer image; the whole struct
 // is replaced atomically so handlers never see one half of the pair
 // without the other.
 type readView struct {
@@ -164,7 +164,13 @@ type Instance struct {
 	mu         sync.Mutex // guards failReason
 	failReason string
 
-	// watch is the instance's continuous-query subscription table.
+	// repl is the loop following this index's primary: set by
+	// Server.Follow on an index registered with IndexSpec.Follower, nil
+	// everywhere else.
+	repl *replica
+
+	// watch is the instance's continuous-query subscription table,
+	// which AddIndex gives every registered instance.
 	// wmu is the mutation lock of an instance without durable state of
 	// its own (see mutLock).
 	watch *watch.Table
@@ -311,9 +317,7 @@ func (inst *Instance) mutate(recs []wal.Record, pre func() error) error {
 		mu.Unlock()
 		return err
 	}
-	if inst.watch != nil {
-		inst.watch.Publish(recs...)
-	}
+	inst.watch.Publish(recs...)
 	inst.bumpGen()
 	if inst.cache != nil {
 		inst.cache.invalidate(inst.Name, recs)
@@ -540,9 +544,7 @@ func (s *Server) Close() error {
 	}
 	var firstErr error
 	for _, inst := range s.listInstances() {
-		if inst.watch != nil {
-			inst.watch.Close("closed")
-		}
+		inst.watch.Close("closed")
 		if err := inst.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("server: closing index %q: %w", inst.Name, err)
 		}

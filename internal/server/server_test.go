@@ -226,7 +226,7 @@ func hangUpAfterFirstLine(t *testing.T, srv *Server, path string, body []byte) {
 
 	// The handler folds its partial stats and counts the disconnect.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Disconnects() == 0 {
+	for srv.metrics.disconnects.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never recorded the disconnect")
 		}
@@ -262,7 +262,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	hangUpAfterFirstLine(t, srv, "/v1/query", body)
-	folded := srv.Metrics().NodeAccessesTotal()
+	folded := srv.metrics.nodeAccesses.Load()
 	if folded >= full.Stats.NodeAccesses {
 		t.Fatalf("disconnect did not stop page reads: folded %d accesses, full traversal is %d",
 			folded, full.Stats.NodeAccesses)
@@ -359,10 +359,10 @@ func TestMetricsTotalsMatchSummedStats(t *testing.T) {
 		wantAccesses += s.NodeAccesses
 		wantCandidates += s.Candidates
 	}
-	if got := srv.Metrics().NodeAccessesTotal(); got != wantAccesses {
+	if got := srv.metrics.nodeAccesses.Load(); got != wantAccesses {
 		t.Fatalf("folded node accesses %d, per-request sum %d", got, wantAccesses)
 	}
-	if got := srv.Metrics().CandidatesTotal(); got != uint64(wantCandidates) {
+	if got := srv.metrics.candidates.Load(); got != uint64(wantCandidates) {
 		t.Fatalf("folded candidates %d, per-request sum %d", got, wantCandidates)
 	}
 	// And the text exposition agrees with the registry.
@@ -408,7 +408,7 @@ func TestKNNEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Metrics().NodeAccessesTotal()
+	before := srv.metrics.nodeAccesses.Load()
 	resp, err := http.Get(fmt.Sprintf("%s/v1/knn?k=5&x=%g&y=%g", ts.URL, p.X, p.Y))
 	if err != nil {
 		t.Fatal(err)
@@ -432,13 +432,13 @@ func TestKNNEndpoint(t *testing.T) {
 	if got.NodeAccesses != wantTS.NodeAccesses {
 		t.Fatalf("knn node accesses %d, want %d", got.NodeAccesses, wantTS.NodeAccesses)
 	}
-	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != wantTS.NodeAccesses {
+	if folded := srv.metrics.nodeAccesses.Load() - before; folded != wantTS.NodeAccesses {
 		t.Fatalf("metrics folded %d accesses for knn, want %d", folded, wantTS.NodeAccesses)
 	}
 
 	// k bounds the body one request builds in memory: past maxKNN the
 	// request is refused, naming the bound, before the tree is touched.
-	before = srv.Metrics().NodeAccessesTotal()
+	before = srv.metrics.nodeAccesses.Load()
 	over, err := http.Get(fmt.Sprintf("%s/v1/knn?k=%d&x=1&y=1", ts.URL, maxKNN+1))
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +464,7 @@ func TestKNNEndpoint(t *testing.T) {
 			t.Fatalf("knn?%s answered HTTP %d (%s), want 400 naming %s", bad.query, resp.StatusCode, body, bad.param)
 		}
 	}
-	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != 0 {
+	if folded := srv.metrics.nodeAccesses.Load() - before; folded != 0 {
 		t.Fatalf("refused requests still read %d nodes", folded)
 	}
 }
@@ -542,7 +542,7 @@ func TestKNNDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("NearestCtx under an expired deadline: %v", err)
 	}
-	before := srv.Metrics().NodeAccessesTotal()
+	before := srv.metrics.nodeAccesses.Load()
 	resp, err := http.Get(ts.URL + "/v1/knn?k=5&x=400&y=600")
 	if err != nil {
 		t.Fatal(err)
@@ -558,11 +558,11 @@ func TestKNNDeadline(t *testing.T) {
 	if strings.Contains(string(body), "neighbours") {
 		t.Fatalf("knn past its deadline answered a neighbour list: %s", body)
 	}
-	if folded := srv.Metrics().NodeAccessesTotal() - before; folded != wantTS.NodeAccesses {
+	if folded := srv.metrics.nodeAccesses.Load() - before; folded != wantTS.NodeAccesses {
 		t.Fatalf("metrics folded %d accesses for the cut knn, want %d", folded, wantTS.NodeAccesses)
 	}
-	if got := scrapeCounterValue(t, ts.URL, "topod_node_accesses_total"); got != srv.Metrics().NodeAccessesTotal() {
-		t.Fatalf("/metrics topod_node_accesses_total = %d, folded sum %d", got, srv.Metrics().NodeAccessesTotal())
+	if got := scrapeCounterValue(t, ts.URL, "topod_node_accesses_total"); got != srv.metrics.nodeAccesses.Load() {
+		t.Fatalf("/metrics topod_node_accesses_total = %d, folded sum %d", got, srv.metrics.nodeAccesses.Load())
 	}
 }
 

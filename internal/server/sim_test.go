@@ -192,7 +192,7 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 	if s.survived == 0 {
 		s.fatalf(nil, "no cache hit outlived a write")
 	}
-	if c := s.twin.inst.WatchCounters(); c.Evaluated == 0 || c.Pruned == 0 {
+	if c := s.twin.inst.watch.Counters(); c.Evaluated == 0 || c.Pruned == 0 {
 		s.fatalf(s.twin, "a filter layer of the notifier never fired: %+v", c)
 	}
 }
@@ -275,8 +275,8 @@ func (s *sim) begin() {
 		for sub, w := range n.subs {
 			w.before = s.members(sub)
 		}
-		c := n.inst.WatchCounters()
-		n.base = &[3]uint64{c.Evaluated + c.Pruned, n.srv.Metrics().WALRecordsTotal(), n.inst.Generation()}
+		c := n.inst.watch.Counters()
+		n.base = &[3]uint64{c.Evaluated + c.Pruned, n.srv.metrics.walRecords.Load(), n.inst.Generation()}
 	}
 }
 
@@ -319,7 +319,7 @@ func (s *sim) do(op string) {
 			sub := s.subs[i]
 			s.subs = slices.Delete(s.subs, i, i+1)
 			for _, n := range s.nodes() {
-				n.inst.WatchUnsubscribe(n.subs[sub].Subscription)
+				n.inst.watch.Unsubscribe(n.subs[sub].Subscription)
 				delete(n.subs, sub)
 			}
 		}
@@ -549,9 +549,9 @@ func (s *sim) reboot(p *simPair, clean bool) {
 	}
 	m := n.srv.Metrics()
 	if inst := n.inst; !inst.Recovered || !inst.Healthy() || inst.Replayed != int(replay) || inst.Backend() != backend ||
-		m.WALReplaysTotal() != replay || (replay > 0) != (m.CheckpointsTotal() > 0) {
+		m.walReplays.Load() != replay || (replay > 0) != (m.checkpoints.Load() > 0) {
 		s.fatalf(n, "recovered %v, healthy %v (%s), backend %q, replayed %d (%d in metrics), %d checkpoints; want %d records replayed, backend %q",
-			inst.Recovered, inst.Healthy(), inst.FailReason(), inst.Backend(), inst.Replayed, m.WALReplaysTotal(), m.CheckpointsTotal(), replay, backend)
+			inst.Recovered, inst.Healthy(), inst.FailReason(), inst.Backend(), inst.Replayed, m.walReplays.Load(), m.checkpoints.Load(), replay, backend)
 	}
 	assertTwoFiles(s.t, "after the reboot", spec.Dir, "main")
 	s.rejoin(p, n)
@@ -616,8 +616,8 @@ func (s *sim) promote(p *simPair) {
 func (s *sim) fault(p *simPair) {
 	p.link.setDown(true)
 	p.link.trip(faultMode(s.rng.Intn(3)))
-	f := p.replica.srv.follow.followers["main"]
-	s.await(p.replica, "the stream to break", func() bool { return !f.Status().Connected })
+	r := p.replica.inst.repl
+	s.await(p.replica, "the stream to break", func() bool { return !r.status().connected })
 	for range 1 + s.rng.Intn(3) {
 		if s.rng.Intn(2) == 0 {
 			s.write([]wal.Record{s.newRecord()}, http.StatusOK)
@@ -645,7 +645,7 @@ func (s *sim) settle() {
 		s.catchUp(p)
 	}
 	for _, n := range s.nodes() {
-		n.inst.WatchSync()
+		n.inst.watch.Sync()
 	}
 }
 
@@ -666,7 +666,7 @@ func (s *sim) subscribe(rels topo.Set, ref geom.Rect) {
 }
 
 func (s *sim) watch(n *simNode, sub *simSub) {
-	ws, err := n.inst.WatchSubscribe(sub.ref, sub.rels, simBuffer)
+	ws, err := n.inst.watch.Subscribe(sub.ref, sub.rels, simBuffer)
 	if err != nil {
 		s.fatalf(n, "subscribe: %v", err)
 	}
@@ -712,11 +712,11 @@ func (s *sim) check() {
 		}
 		s.checkWatch(n)
 		if n.base != nil && n.role != "replica" {
-			c := n.inst.WatchCounters()
+			c := n.inst.watch.Counters()
 			if got, want := c.Evaluated+c.Pruned-n.base[0], uint64(len(n.subs)*s.records); got != want {
 				s.fatalf(n, "the notifier evaluated or pruned %d (subscription, record) pairs, want %d subscriptions × %d records", got, len(n.subs), s.records)
 			}
-			if got := n.srv.Metrics().WALRecordsTotal() - n.base[1]; n.role == "primary" && got != uint64(s.records) {
+			if got := n.srv.metrics.walRecords.Load() - n.base[1]; n.role == "primary" && got != uint64(s.records) {
 				s.fatalf(n, "topod_wal_records_total rose by %d, want %d", got, s.records)
 			}
 			if got := n.inst.Generation() - n.base[2]; got != uint64(s.commits) {

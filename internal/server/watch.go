@@ -3,14 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/topo"
 	"mbrtopo/internal/watch"
 )
 
@@ -26,48 +23,12 @@ func (s *Server) newWatchTable() *watch.Table {
 	return watch.NewTable(nil, subIdx, s.metrics.watchLatency.observe)
 }
 
-// WatchSubscribe registers a continuous query against the instance.
-// The table classifies each published record by itself, so attaching
-// reads nothing of the index and takes no lock of the write path.
-func (inst *Instance) WatchSubscribe(ref geom.Rect, rels topo.Set, buffer int) (*watch.Subscription, error) {
-	if inst.watch == nil {
-		return nil, fmt.Errorf("server: index %q does not accept watches", inst.Name)
-	}
-	return inst.watch.Subscribe(ref, rels, buffer)
-}
-
-// WatchUnsubscribe ends a subscription (no-op when already ended).
-func (inst *Instance) WatchUnsubscribe(sub *watch.Subscription) {
-	if inst.watch != nil {
-		inst.watch.Unsubscribe(sub)
-	}
-}
-
-// WatchSync blocks until every commit published so far has been
-// evaluated and fanned out — a test and benchmark hook.
-func (inst *Instance) WatchSync() {
-	if inst.watch != nil {
-		inst.watch.Sync()
-	}
-}
-
-// WatchCounters snapshots the instance's subscription-table counters.
-func (inst *Instance) WatchCounters() watch.Counters {
-	if inst.watch == nil {
-		return watch.Counters{}
-	}
-	return inst.watch.Counters()
-}
-
 // DrainWatchers flushes pending notifications and ends every watch
 // stream with a terminal "drain" line. topod calls it before
 // http.Server.Shutdown: watch streams never go idle on their own, so
 // shutdown would otherwise hang until the drain budget expired.
 func (s *Server) DrainWatchers() {
 	for _, inst := range s.listInstances() {
-		if inst.watch == nil {
-			continue
-		}
 		inst.watch.Sync()
 		inst.watch.Close("drain")
 	}
@@ -79,9 +40,7 @@ func (s *Server) registerWatchMetrics() {
 	family := func(name, help, typ string, value func(watch.Counters) any) {
 		s.metrics.collect(name, help, typ, func(emit emitFunc) {
 			for _, inst := range s.listInstances() {
-				if inst.watch != nil {
-					emit(value(inst.watch.Counters()), "index", inst.Name)
-				}
+				emit(value(inst.watch.Counters()), "index", inst.Name)
 			}
 		})
 	}
@@ -144,12 +103,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.watchStreams.Add(1)
 	defer s.metrics.watchStreams.Add(-1)
 
-	sub, err := inst.WatchSubscribe(ref, rels, req.Buffer)
+	// The table classifies each published record by itself, so
+	// subscribing reads nothing of the index and takes no lock of the
+	// write path.
+	sub, err := inst.watch.Subscribe(ref, rels, req.Buffer)
 	if err != nil {
 		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	defer inst.WatchUnsubscribe(sub)
+	defer inst.watch.Unsubscribe(sub)
 
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {

@@ -304,8 +304,8 @@ func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
 		}
 	}
 
-	inst.WatchSync()
-	c := inst.WatchCounters()
+	inst.watch.Sync()
+	c := inst.watch.Counters()
 	if c.Evaluated == 0 {
 		t.Fatalf("notifier evaluated nothing: %+v", c)
 	}
@@ -427,7 +427,7 @@ func TestWatchSlotPool(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("429 without Retry-After")
 	}
-	if srv.Metrics().watchRejected.Load() == 0 {
+	if srv.metrics.watchRejected.Load() == 0 {
 		t.Fatalf("watchRejected not incremented")
 	}
 
@@ -467,7 +467,7 @@ func TestWatchBufferBound(t *testing.T) {
 	if st != http.StatusBadRequest || !strings.Contains(body.Error, strconv.Itoa(maxWatchBuffer)) {
 		t.Fatalf("buffer 1<<40: HTTP %d %q, want 400 naming %d", st, body.Error, maxWatchBuffer)
 	}
-	if n := srv.Metrics().watchStreams.Load(); n != 0 {
+	if n := srv.metrics.watchStreams.Load(); n != 0 {
 		t.Fatalf("topod_watch_streams = %d after the refusal, want 0", n)
 	}
 	req.Buffer = maxWatchBuffer
@@ -531,7 +531,7 @@ func TestWatchChurnRace(t *testing.T) {
 					return
 				default:
 				}
-				sub, err := inst.WatchSubscribe(geom.R(10, 10, 90, 90), topo.NotDisjoint, 32)
+				sub, err := inst.watch.Subscribe(geom.R(10, 10, 90, 90), topo.NotDisjoint, 32)
 				if err != nil {
 					if strings.Contains(err.Error(), "closed") {
 						return
@@ -551,7 +551,7 @@ func TestWatchChurnRace(t *testing.T) {
 						break drain
 					}
 				}
-				inst.WatchUnsubscribe(sub)
+				inst.watch.Unsubscribe(sub)
 				for range sub.Events() {
 					// drain until closed
 				}
@@ -578,9 +578,9 @@ func TestWatchSubscribeBesideWriters(t *testing.T) {
 	mu.Lock()
 	done := make(chan error, 1)
 	go func() {
-		sub, err := inst.WatchSubscribe(geom.R(0, 0, 10, 10), topo.NotDisjoint, 0)
+		sub, err := inst.watch.Subscribe(geom.R(0, 0, 10, 10), topo.NotDisjoint, 0)
 		if err == nil {
-			inst.WatchUnsubscribe(sub)
+			inst.watch.Unsubscribe(sub)
 		}
 		done <- err
 	}()
@@ -592,6 +592,6 @@ func TestWatchSubscribeBesideWriters(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		mu.Unlock()
-		t.Fatal("WatchSubscribe waited for the mutation lock")
+		t.Fatal("Subscribe waited for the mutation lock")
 	}
 }

@@ -68,7 +68,7 @@ func localWriteModes(t *testing.T, items []index.Item) []writeMode {
 // served: answers equal a brute-force scan of the acknowledged history,
 // the generation advances once per acknowledged call (once per applied
 // record on a replica, which never sees the calls), a watch subscriber
-// — registered through WatchSubscribe, as /v1/watch does — sees exactly
+// — registered with the watch table, as /v1/watch does — sees exactly
 // the enter/exit events of the scan's before/after difference, and a
 // durable index counts one WAL record per mutation.
 func TestWritePathDifferential(t *testing.T) {
@@ -114,15 +114,15 @@ func TestWritePathDifferential(t *testing.T) {
 				slices.Sort(oids)
 				return oids
 			}
-			sub, err := mode.seen.WatchSubscribe(ref, topo.NotDisjoint, 64)
+			sub, err := mode.seen.watch.Subscribe(ref, topo.NotDisjoint, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mode.seen.WatchUnsubscribe(sub)
+			defer mode.seen.watch.Unsubscribe(sub)
 
 			for _, step := range steps {
 				before := scan(ref)
-				gen, walRecords := mode.seen.Generation(), mode.srv.Metrics().WALRecordsTotal()
+				gen, walRecords := mode.seen.Generation(), mode.srv.metrics.walRecords.Load()
 				if step.apply != nil {
 					err = step.apply(mode.target)
 				} else {
@@ -140,7 +140,7 @@ func TestWritePathDifferential(t *testing.T) {
 					}
 				}
 				mode.settle()
-				mode.seen.WatchSync()
+				mode.seen.watch.Sync()
 
 				for _, win := range windows {
 					if got, want := queryOIDs(t, mode.seen.ReadIndex(), win), scan(win); !slices.Equal(got, want) {
@@ -179,7 +179,7 @@ func TestWritePathDifferential(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: watch events %v, brute-force difference is %v", step.name, got, want)
 				}
-				if got := mode.srv.Metrics().WALRecordsTotal() - walRecords; mode.durable && got != uint64(len(step.recs)) {
+				if got := mode.srv.metrics.walRecords.Load() - walRecords; mode.durable && got != uint64(len(step.recs)) {
 					t.Fatalf("%s: topod_wal_records_total rose by %d, want %d", step.name, got, len(step.recs))
 				}
 			}
@@ -217,10 +217,10 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 	// state is everything a commit moves, as one comparable string.
 	state := func(mode writeMode) string {
 		inst := mode.target
-		inst.WatchSync()
+		inst.watch.Sync()
 		var b strings.Builder
 		fmt.Fprintf(&b, "len %d gen %d batches %d wal-records %d", inst.ReadIndex().Len(), inst.Generation(),
-			inst.WatchCounters().Batches, mode.srv.Metrics().WALRecordsTotal())
+			inst.watch.Counters().Batches, mode.srv.metrics.walRecords.Load())
 		if inst.dur != nil {
 			gen, seq, _ := inst.dur.position()
 			fmt.Fprintf(&b, " wal@%d/%d", gen, seq)
@@ -233,11 +233,11 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 	for _, mode := range localWriteModes(t, d.Items) {
 		t.Run(mode.name, func(t *testing.T) {
 			// With a subscriber, a published commit would count as a batch.
-			sub, err := mode.target.WatchSubscribe(geom.R(200, 200, 700, 700), topo.NotDisjoint, 64)
+			sub, err := mode.target.watch.Subscribe(geom.R(200, 200, 700, 700), topo.NotDisjoint, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mode.target.WatchUnsubscribe(sub)
+			defer mode.target.watch.Unsubscribe(sub)
 			before := state(mode)
 			for name, batch := range batches {
 				if err := mode.target.mutate(batch, nil); err == nil || !strings.Contains(err.Error(), "batches hold inserts only") {

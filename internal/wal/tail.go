@@ -1,12 +1,6 @@
 package wal
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-)
+import "os"
 
 // PayloadSize is the byte length of an encoded Record payload (the
 // bytes a WAL frame checksums). The replication stream ships record
@@ -41,7 +35,6 @@ func UnmarshalRecord(payload []byte) (Record, bool) {
 type Tail struct {
 	f   *os.File
 	off int64
-	hdr [frameHeaderSize]byte
 	buf []byte
 }
 
@@ -52,7 +45,7 @@ func OpenTail(path string) (*Tail, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tail{f: f, buf: make([]byte, payloadSize)}, nil
+	return &Tail{f: f, buf: make([]byte, frameSize)}, nil
 }
 
 // Next returns the next intact frame. ok is false when the file holds
@@ -63,39 +56,10 @@ func OpenTail(path string) (*Tail, error) {
 // log the writer only appends well-formed frames, so this means the
 // file under the tail is not the log the caller thinks it is.
 func (t *Tail) Next() (rec Record, ok bool, err error) {
-	if _, err := t.f.ReadAt(t.hdr[:], t.off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, false, nil
-		}
-		return Record{}, false, fmt.Errorf("wal: tail reading frame header: %w", err)
+	if rec, ok, err = readFrame(t.f, t.off, t.buf); ok {
+		t.off += frameSize
 	}
-	length := binary.LittleEndian.Uint32(t.hdr[0:4])
-	sum := binary.LittleEndian.Uint32(t.hdr[4:8])
-	if length != payloadSize {
-		if length == 0 {
-			// A zero length is what a partially visible header looks
-			// like (the length field not flushed yet): retry later.
-			return Record{}, false, nil
-		}
-		return Record{}, false, fmt.Errorf("wal: tail at offset %d: frame length %d (want %d)", t.off, length, payloadSize)
-	}
-	if _, err := t.f.ReadAt(t.buf[:length], t.off+frameHeaderSize); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, false, nil
-		}
-		return Record{}, false, fmt.Errorf("wal: tail reading frame payload: %w", err)
-	}
-	if crc32.Checksum(t.buf[:length], castagnoli) != sum {
-		// Indistinguishable from a mid-flush partial payload: report
-		// "not yet" and re-verify on the next call.
-		return Record{}, false, nil
-	}
-	r, decoded := decode(t.buf[:length])
-	if !decoded {
-		return Record{}, false, fmt.Errorf("wal: tail at offset %d: undecodable payload under a valid checksum", t.off)
-	}
-	t.off += frameHeaderSize + int64(length)
-	return r, true, nil
+	return rec, ok, err
 }
 
 // Close releases the tail's file descriptor.

@@ -25,6 +25,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -110,9 +111,7 @@ type Options struct {
 const (
 	frameHeaderSize = 8
 	payloadSize     = 1 + 8 + 4*8
-	// maxFrame bounds the length field so a corrupt header cannot
-	// drive a giant allocation; all current payloads are payloadSize.
-	maxFrame = 1 << 16
+	frameSize       = frameHeaderSize + payloadSize
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -177,45 +176,60 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
+// errBadFrame is a frame that can never become intact: a length other
+// than payloadSize, or an undecodable payload under a valid checksum.
+var errBadFrame = errors.New("wal: malformed frame")
+
+// readFrame reads the frame at off into buf (frameSize bytes). ok is
+// false, with a nil error, where no intact frame is there (yet): the
+// file ends inside it, its length field is zero, or its checksum fails
+// — each of which is also what a write still in flight looks like. A
+// frame that can never become intact is errBadFrame. Recovery (scan)
+// and the replication tail (Tail.Next) read every frame through it and
+// differ only in what they make of a frame that is not intact.
+func readFrame(f *os.File, off int64, buf []byte) (rec Record, ok bool, err error) {
+	n, err := f.ReadAt(buf, off)
+	if err != nil && err != io.EOF {
+		return Record{}, false, fmt.Errorf("wal: reading the frame at offset %d: %w", off, err)
+	}
+	if n < frameHeaderSize {
+		return Record{}, false, nil
+	}
+	switch length := binary.LittleEndian.Uint32(buf[0:4]); {
+	case length == 0:
+		return Record{}, false, nil
+	case length != payloadSize:
+		return Record{}, false, fmt.Errorf("%w: length %d at offset %d (want %d)", errBadFrame, length, off, payloadSize)
+	}
+	payload := buf[frameHeaderSize:]
+	if n < frameSize || crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return Record{}, false, nil
+	}
+	if rec, ok = decode(payload); !ok {
+		return Record{}, false, fmt.Errorf("%w: undecodable payload under a valid checksum at offset %d", errBadFrame, off)
+	}
+	return rec, true, nil
+}
+
 // scan decodes intact frames from the start of f and returns them with
-// the byte offset of the first tear (== file size when none).
+// the byte offset of the first tear (== file size when none). Every
+// frame that is not intact is a tear, torn or corrupt alike.
 func scan(f *os.File) ([]Record, int64, error) {
 	var (
 		recs []Record
 		off  int64
-		hdr  [frameHeaderSize]byte
 	)
-	payload := make([]byte, payloadSize)
+	buf := make([]byte, frameSize)
 	for {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, off, nil // clean end or torn header
-			}
-			return nil, 0, fmt.Errorf("wal: reading frame header: %w", err)
+		rec, ok, err := readFrame(f, off, buf)
+		if err != nil && !errors.Is(err, errBadFrame) {
+			return nil, 0, err
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxFrame {
-			return recs, off, nil // garbage length: treat as tear
-		}
-		if int(length) > len(payload) {
-			payload = make([]byte, length)
-		}
-		if _, err := f.ReadAt(payload[:length], off+frameHeaderSize); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, off, nil // torn payload
-			}
-			return nil, 0, fmt.Errorf("wal: reading frame payload: %w", err)
-		}
-		if crc32.Checksum(payload[:length], castagnoli) != sum {
-			return recs, off, nil // corrupt frame: tear here
-		}
-		rec, ok := decode(payload[:length])
 		if !ok {
-			return recs, off, nil // undecodable payload: tear here
+			return recs, off, nil
 		}
 		recs = append(recs, rec)
-		off += frameHeaderSize + int64(length)
+		off += frameSize
 	}
 }
 
