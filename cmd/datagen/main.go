@@ -35,7 +35,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cls, err := parseClass(*class)
+	cls, err := workload.ParseClass(*class)
 	if err != nil {
 		fatal(err)
 	}
@@ -83,18 +83,6 @@ func writeTo(path string, write func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseClass(s string) (workload.SizeClass, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return workload.Small, nil
-	case "medium":
-		return workload.Medium, nil
-	case "large":
-		return workload.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size class %q", s)
 }
 
 func fatal(err error) {

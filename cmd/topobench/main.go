@@ -7,6 +7,7 @@
 //	topobench -exp all
 //	topobench -exp table3 -n 10000 -queries 100 -seed 1995
 //	topobench -exp window [-class small|medium|large]
+//	topobench -quick -exp table3 -seed 7   # the scaled-down run, reseeded
 //
 // The experiments, their order and their claims are the registry in
 // internal/experiments; this command only parses flags, and an unknown
@@ -39,11 +40,23 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg.NData, cfg.NQueries, cfg.Seed, cfg.PageSize = *n, *queries, *seed, *pageSize
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	cls, err := parseClass(*class)
+	// Only the flags given override the configuration chosen above.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "n":
+			cfg.NData = *n
+		case "queries":
+			cfg.NQueries = *queries
+		case "seed":
+			cfg.Seed = *seed
+		case "pagesize":
+			cfg.PageSize = *pageSize
+		}
+	})
+	cls, err := workload.ParseClass(*class)
 	if err != nil {
 		fatal(err)
 	}
@@ -51,18 +64,6 @@ func main() {
 	if err := experiments.Run(os.Stdout, *exp, cfg, cls); err != nil {
 		fatal(err)
 	}
-}
-
-func parseClass(s string) (workload.SizeClass, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return workload.Small, nil
-	case "medium":
-		return workload.Medium, nil
-	case "large":
-		return workload.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size class %q", s)
 }
 
 func fatal(err error) {

@@ -127,11 +127,11 @@ func main() {
 	)
 	flag.Parse()
 
-	cls, err := parseClass(*className)
+	cls, err := workload.ParseClass(*className)
 	if err != nil {
 		fatal(err)
 	}
-	kind, err := parseKind(*tree)
+	kind, err := index.ParseKind(*tree)
 	if err != nil {
 		fatal(err)
 	}
@@ -208,7 +208,7 @@ func main() {
 	if *data2 != "" || *gen2 > 0 {
 		kind2 := kind
 		if *tree2 != "" {
-			if kind2, err = parseKind(*tree2); err != nil {
+			if kind2, err = index.ParseKind(*tree2); err != nil {
 				fatal(err)
 			}
 		}
@@ -305,30 +305,6 @@ func loadItems(path string, gen int, cls workload.SizeClass, seed int64) ([]inde
 		return nil, nil
 	}
 	return workload.NewDataset(cls, gen, 0, seed).Items, nil
-}
-
-func parseClass(s string) (workload.SizeClass, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return workload.Small, nil
-	case "medium":
-		return workload.Medium, nil
-	case "large":
-		return workload.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size class %q", s)
-}
-
-func parseKind(s string) (index.Kind, error) {
-	switch strings.ToLower(s) {
-	case "rtree", "r":
-		return index.KindRTree, nil
-	case "rplus", "r+":
-		return index.KindRPlus, nil
-	case "rstar", "r*":
-		return index.KindRStar, nil
-	}
-	return 0, fmt.Errorf("unknown tree %q", s)
 }
 
 func fatal(err error) {

@@ -78,11 +78,11 @@ func main() {
 	if *dataPath == "" {
 		fatal(fmt.Errorf("-data is required"))
 	}
-	rels, err := parseRelSet(*relName)
+	rels, err := topo.ParseSet(strings.Split(*relName, ",")...)
 	if err != nil {
 		fatal(err)
 	}
-	kind, err := parseKind(*tree)
+	kind, err := index.ParseKind(*tree)
 	if err != nil {
 		fatal(err)
 	}
@@ -169,7 +169,7 @@ func main() {
 		if *rel2Name == "" || *ref2Spec == "" {
 			fatal(fmt.Errorf("conjunction needs both -rel2 and -ref2"))
 		}
-		rels2, err := parseRelSet(*rel2Name)
+		rels2, err := topo.ParseSet(strings.Split(*rel2Name, ",")...)
 		if err != nil {
 			fatal(err)
 		}
@@ -344,7 +344,7 @@ func runWatch(base, indexName, relName, refSpec string, buffer int) error {
 			// backoff schedule.
 			attempt = 0
 		}
-		d := policy.Delay(attempt, 0, rng)
+		d := policy.Delay(attempt, rng)
 		fmt.Fprintf(os.Stderr, "topoquery: %v; re-subscribing in %s\n", err, d.Round(time.Millisecond))
 		if retry.Sleep(ctx, d) != nil {
 			fmt.Println("watch interrupted")
@@ -433,30 +433,6 @@ func readItems(path string) ([]index.Item, error) {
 	return workload.ReadItemsCSV(f)
 }
 
-// parseRelSet resolves a comma-separated disjunction of relation names
-// ("meet,overlap"), with the same aliases as the wire API.
-func parseRelSet(s string) (topo.Set, error) {
-	var set topo.Set
-	for _, name := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "in":
-			set = set.Union(topo.In)
-		case "not_disjoint", "notdisjoint", "window":
-			set = set.Union(topo.NotDisjoint)
-		default:
-			r, err := topo.ParseRelation(strings.ToLower(strings.TrimSpace(name)))
-			if err != nil {
-				return 0, err
-			}
-			set = set.Add(r)
-		}
-	}
-	if set.IsEmpty() {
-		return 0, fmt.Errorf("empty relation set %q", s)
-	}
-	return set, nil
-}
-
 func parseDirection(s string) (direction.Relation, error) {
 	for _, r := range direction.All() {
 		if r.String() == strings.ToLower(s) {
@@ -464,18 +440,6 @@ func parseDirection(s string) (direction.Relation, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown direction %q", s)
-}
-
-func parseKind(s string) (index.Kind, error) {
-	switch strings.ToLower(s) {
-	case "rtree", "r":
-		return index.KindRTree, nil
-	case "rplus", "r+":
-		return index.KindRPlus, nil
-	case "rstar", "r*":
-		return index.KindRStar, nil
-	}
-	return 0, fmt.Errorf("unknown tree %q", s)
 }
 
 func parseRect(s string) (geom.Rect, error) {

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"fmt"
-	"sort"
 
 	"mbrtopo/internal/topo"
 )
@@ -151,47 +150,19 @@ func AllLineRegionRelations() []LineRegionRelation {
 // interior/boundary/exterior against region interior/boundary/
 // exterior).
 func RelateLineRegion(L PolyLine, R Region) (LineRegionRelation, topo.Matrix) {
-	var in, on, out, touchInterior bool
-	endpoints := [2]Point{L[0], L[len(L)-1]}
-	rb := R.Bounds().Grow(Eps)
-	rSegs := R.BoundarySegments()
-	for i := 0; i < L.NumSegs(); i++ {
-		e := L.Seg(i)
-		if !rb.Intersects(e.Bounds()) {
-			out = true
-			continue
-		}
-		ts := []float64{0, 1}
-		for _, qe := range rSegs {
-			pts, _ := e.Intersections(qe)
-			for _, p := range pts {
-				// Contact counts as line-interior contact unless it is
-				// one of the line's two endpoints.
-				if !p.Eq(endpoints[0]) && !p.Eq(endpoints[1]) {
-					touchInterior = true
-				}
-				t := e.paramOf(p)
-				if t > Eps && t < 1-Eps {
-					ts = append(ts, t)
-				}
-			}
-		}
-		sort.Float64s(ts)
-		for k := 0; k+1 < len(ts); k++ {
-			t0, t1 := ts[k], ts[k+1]
-			if t1-t0 <= 2*Eps {
-				continue
-			}
-			switch R.LocatePoint(e.At((t0 + t1) / 2)) {
-			case PointInside:
-				in = true
-			case PointOnBoundary:
-				on = true
-			case PointOutside:
-				out = true
-			}
-		}
+	segs := make([]Segment, L.NumSegs())
+	for i := range segs {
+		segs[i] = L.Seg(i)
 	}
+	var touchInterior bool
+	c := classifyPieces(segs, R, func(p Point) {
+		// Contact counts as line-interior contact unless it is one of
+		// the line's two endpoints.
+		if !p.Eq(L[0]) && !p.Eq(L[len(L)-1]) {
+			touchInterior = true
+		}
+	})
+	in, on, out := c.in, c.on, c.out
 	endA := R.LocatePoint(L[0])
 	endB := R.LocatePoint(L[len(L)-1])
 

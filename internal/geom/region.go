@@ -3,7 +3,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mbrtopo/internal/topo"
 )
@@ -110,44 +109,23 @@ func (mp MultiPolygon) BoundarySegments() []Segment {
 	}
 	var out []Segment
 	for ci, pg := range mp {
+		var siblings []Segment
+		for cj, sib := range mp {
+			if cj != ci {
+				siblings = append(siblings, sib.BoundarySegments()...)
+			}
+		}
 		for i := range pg {
 			e := pg.Edge(i)
-			ts := []float64{0, 1}
-			for cj, sib := range mp {
-				if cj == ci {
-					continue
-				}
-				if !sib.Bounds().Grow(Eps).Intersects(e.Bounds()) {
-					continue
-				}
-				for j := range sib {
-					pts, _ := e.Intersections(sib.Edge(j))
-					for _, p := range pts {
-						t := e.paramOf(p)
-						if t > Eps && t < 1-Eps {
-							ts = append(ts, t)
-						}
-					}
-				}
-			}
-			sort.Float64s(ts)
-			for k := 0; k+1 < len(ts); k++ {
-				t0, t1 := ts[k], ts[k+1]
-				if t1-t0 <= 2*Eps {
-					continue
-				}
+			e.pieces(siblings, nil, func(t0, t1 float64) {
 				mid := e.At((t0 + t1) / 2)
-				seam := false
 				for cj, sib := range mp {
 					if cj != ci && sib.LocatePoint(mid) == PointOnBoundary {
-						seam = true
-						break
+						return // a seam
 					}
 				}
-				if !seam {
-					out = append(out, Segment{A: e.At(t0), B: e.At(t1)})
-				}
-			}
+				out = append(out, Segment{A: e.At(t0), B: e.At(t1)})
+			})
 		}
 	}
 	return out

@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"sort"
-
-	"mbrtopo/internal/topo"
-)
+import "mbrtopo/internal/topo"
 
 // Relate computes the exact 9-intersection topological relation of the
 // primary region P with respect to the reference region Q. Both must
@@ -22,8 +18,8 @@ import (
 // For simple polygons these conditions pin down exactly one of the
 // eight mt2 relations.
 func Relate(P, Q Polygon) topo.Relation {
-	pc := classifyBoundary(P, Q)
-	qc := classifyBoundary(Q, P)
+	pc := classifyPieces(P.BoundarySegments(), Q, nil)
+	qc := classifyPieces(Q.BoundarySegments(), P, nil)
 	bb := pc.on || qc.on || pc.touch || qc.touch
 
 	switch {
@@ -48,8 +44,8 @@ func Relate(P, Q Polygon) topo.Relation {
 	}
 }
 
-// boundaryClass aggregates how the boundary of one region lies with
-// respect to the other region.
+// boundaryClass aggregates how the boundary of one region, or a line,
+// lies with respect to another region.
 type boundaryClass struct {
 	out   bool // some boundary piece strictly outside the other region
 	in    bool // some boundary piece strictly inside
@@ -57,37 +53,25 @@ type boundaryClass struct {
 	touch bool // the boundaries share at least one point
 }
 
-// classifyBoundary splits each edge of P at its intersections with ∂Q
-// and classifies the piece midpoints against Q.
-func classifyBoundary(P, Q Polygon) boundaryClass {
+// classifyPieces splits each of segs (a region's boundary or a line) at
+// its intersections with ∂Q, hands met (when not nil) every meeting
+// point, and classifies the piece midpoints against Q.
+func classifyPieces(segs []Segment, Q Region, met func(Point)) boundaryClass {
 	var c boundaryClass
 	qb := Q.Bounds().Grow(Eps)
-	for i := range P {
-		e := P.Edge(i)
+	qSegs := Q.BoundarySegments()
+	for _, e := range segs {
 		if !qb.Intersects(e.Bounds()) {
-			// Fast path: the whole edge is outside Q's bounding box.
+			// Fast path: the whole segment is outside Q's bounding box.
 			c.out = true
 			continue
 		}
-		ts := []float64{0, 1}
-		for j := range Q {
-			pts, _ := e.Intersections(Q.Edge(j))
-			if len(pts) > 0 {
-				c.touch = true
+		e.pieces(qSegs, func(p Point) {
+			c.touch = true
+			if met != nil {
+				met(p)
 			}
-			for _, p := range pts {
-				t := e.paramOf(p)
-				if t > Eps && t < 1-Eps {
-					ts = append(ts, t)
-				}
-			}
-		}
-		sort.Float64s(ts)
-		for k := 0; k+1 < len(ts); k++ {
-			t0, t1 := ts[k], ts[k+1]
-			if t1-t0 <= 2*Eps {
-				continue
-			}
+		}, func(t0, t1 float64) {
 			switch Q.LocatePoint(e.At((t0 + t1) / 2)) {
 			case PointInside:
 				c.in = true
@@ -96,7 +80,7 @@ func classifyBoundary(P, Q Polygon) boundaryClass {
 			case PointOutside:
 				c.out = true
 			}
-		}
+		})
 	}
 	return c
 }

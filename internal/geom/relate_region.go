@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"sort"
-
-	"mbrtopo/internal/topo"
-)
+import "mbrtopo/internal/topo"
 
 // RelateRegions computes the topological relation between two regions
 // that may be non-contiguous (the paper's Section 7 extension). For
@@ -22,8 +18,8 @@ import (
 //     while other components differ, which boundary flags alone cannot
 //     see; interior samples detect the shared interior.
 func RelateRegions(P, Q Region) topo.Relation {
-	pc := classifyRegionBoundary(P, Q)
-	qc := classifyRegionBoundary(Q, P)
+	pc := classifyPieces(P.BoundarySegments(), Q, nil)
+	qc := classifyPieces(Q.BoundarySegments(), P, nil)
 	bb := pc.on || qc.on || pc.touch || qc.touch
 
 	pSamples, pok := P.InteriorSamples()
@@ -75,48 +71,4 @@ func samplesAgainst(samples []Point, R Region) (anyInside, allIn bool) {
 		}
 	}
 	return anyInside, allIn
-}
-
-// classifyRegionBoundary splits each effective boundary segment of P
-// at its intersections with ∂Q and classifies the piece midpoints
-// against Q (the Region generalisation of classifyBoundary).
-func classifyRegionBoundary(P, Q Region) boundaryClass {
-	var c boundaryClass
-	qb := Q.Bounds().Grow(Eps)
-	qSegs := Q.BoundarySegments()
-	for _, e := range P.BoundarySegments() {
-		if !qb.Intersects(e.Bounds()) {
-			c.out = true
-			continue
-		}
-		ts := []float64{0, 1}
-		for _, qe := range qSegs {
-			pts, _ := e.Intersections(qe)
-			if len(pts) > 0 {
-				c.touch = true
-			}
-			for _, p := range pts {
-				t := e.paramOf(p)
-				if t > Eps && t < 1-Eps {
-					ts = append(ts, t)
-				}
-			}
-		}
-		sort.Float64s(ts)
-		for k := 0; k+1 < len(ts); k++ {
-			t0, t1 := ts[k], ts[k+1]
-			if t1-t0 <= 2*Eps {
-				continue
-			}
-			switch Q.LocatePoint(e.At((t0 + t1) / 2)) {
-			case PointInside:
-				c.in = true
-			case PointOnBoundary:
-				c.on = true
-			case PointOutside:
-				c.out = true
-			}
-		}
-	}
-	return c
 }

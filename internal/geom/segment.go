@@ -1,6 +1,9 @@
 package geom
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Segment is a closed line segment between two points.
 type Segment struct {
@@ -54,6 +57,32 @@ func (s Segment) paramOf(p Point) float64 {
 		return 0
 	}
 	return p.Sub(s.A).Dot(d) / l2
+}
+
+// pieces splits s where it meets the segments along: it hands met (when
+// not nil) every meeting point, and piece the parameters t0 < t1 of
+// each piece of s between consecutive splits, in order along s, leaving
+// out pieces of 2·Eps or less. Every exact refinement walks a boundary
+// this way and locates each piece by its midpoint.
+func (s Segment) pieces(along []Segment, met func(Point), piece func(t0, t1 float64)) {
+	ts := []float64{0, 1}
+	for _, a := range along {
+		pts, _ := s.Intersections(a)
+		for _, p := range pts {
+			if met != nil {
+				met(p)
+			}
+			if t := s.paramOf(p); t > Eps && t < 1-Eps {
+				ts = append(ts, t)
+			}
+		}
+	}
+	sort.Float64s(ts)
+	for k := 0; k+1 < len(ts); k++ {
+		if ts[k+1]-ts[k] > 2*Eps {
+			piece(ts[k], ts[k+1])
+		}
+	}
 }
 
 // Intersections returns the points where the two closed segments meet:

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/pagefile"
@@ -105,6 +106,20 @@ func (k Kind) String() string {
 		return "R*-tree"
 	}
 	return fmt.Sprintf("index.Kind(%d)", int(k))
+}
+
+// ParseKind resolves a tree name, compared in lower case: "rtree" or
+// "r", "rplus" or "r+", "rstar" or "r*".
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "rtree", "r":
+		return KindRTree, nil
+	case "rplus", "r+":
+		return KindRPlus, nil
+	case "rstar", "r*":
+		return KindRStar, nil
+	}
+	return 0, fmt.Errorf("unknown tree %q", s)
 }
 
 // AllKinds returns the three access methods in the paper's order.

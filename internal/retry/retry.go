@@ -6,8 +6,7 @@
 // The schedule is exponential from Base, capped at Cap, with equal
 // jitter (half the delay fixed, half uniformly random) so a fleet of
 // clients knocked over by the same event spreads its retries out
-// instead of stampeding back in lockstep. A per-attempt floor lets a
-// server-advertised Retry-After override the computed delay.
+// instead of stampeding back in lockstep.
 package retry
 
 import (
@@ -46,9 +45,8 @@ func (p Policy) withDefaults() Policy {
 
 // Delay returns the sleep before retry number attempt (0-based):
 // capped exponential with equal jitter (half fixed, half random, so
-// synchronized clients spread out), floored at floor — the Retry-After
-// a server advertised, or 0 when none.
-func (p Policy) Delay(attempt int, floor time.Duration, rng *rand.Rand) time.Duration {
+// synchronized clients spread out).
+func (p Policy) Delay(attempt int, rng *rand.Rand) time.Duration {
 	p = p.withDefaults()
 	d := p.Cap
 	if attempt < 30 { // avoid shift overflow
@@ -56,11 +54,7 @@ func (p Policy) Delay(attempt int, floor time.Duration, rng *rand.Rand) time.Dur
 			d = e
 		}
 	}
-	d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-	if d < floor {
-		d = floor
-	}
-	return d
+	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
 // Sleep blocks for d or until ctx is done, returning ctx.Err() in the

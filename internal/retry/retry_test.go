@@ -8,8 +8,7 @@ import (
 )
 
 // TestDelayBounds pins the equal-jitter envelope: attempt n's delay is
-// in [nominal/2, nominal] where nominal = min(Base<<n, Cap), before
-// the floor is applied.
+// in [nominal/2, nominal] where nominal = min(Base<<n, Cap).
 func TestDelayBounds(t *testing.T) {
 	p := Policy{Base: 5 * time.Millisecond, Cap: time.Second}
 	rng := rand.New(rand.NewSource(1))
@@ -21,25 +20,10 @@ func TestDelayBounds(t *testing.T) {
 			}
 		}
 		for i := 0; i < 200; i++ {
-			d := p.Delay(attempt, 0, rng)
+			d := p.Delay(attempt, rng)
 			if d < nominal/2 || d > nominal {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, nominal/2, nominal)
 			}
-		}
-	}
-}
-
-// TestDelayFloor checks the Retry-After floor dominates a smaller
-// computed delay and is ignored when the computed delay is larger.
-func TestDelayFloor(t *testing.T) {
-	p := Policy{Base: 5 * time.Millisecond, Cap: time.Second}
-	rng := rand.New(rand.NewSource(2))
-	if d := p.Delay(0, 3*time.Second, rng); d != 3*time.Second {
-		t.Fatalf("floor not applied: got %v", d)
-	}
-	for i := 0; i < 100; i++ {
-		if d := p.Delay(29, time.Microsecond, rng); d < time.Second/2 {
-			t.Fatalf("large attempt floored too low: %v", d)
 		}
 	}
 }
@@ -48,11 +32,11 @@ func TestDelayFloor(t *testing.T) {
 func TestDelayZeroPolicy(t *testing.T) {
 	var p Policy
 	rng := rand.New(rand.NewSource(3))
-	if d := p.Delay(0, 0, rng); d < DefaultBase/2 || d > DefaultBase {
+	if d := p.Delay(0, rng); d < DefaultBase/2 || d > DefaultBase {
 		t.Fatalf("zero-policy first delay %v outside [%v, %v]", d, DefaultBase/2, DefaultBase)
 	}
 	for i := 0; i < 100; i++ {
-		if d := p.Delay(100, 0, rng); d > DefaultCap {
+		if d := p.Delay(100, rng); d > DefaultCap {
 			t.Fatalf("zero-policy delay %v exceeds default cap", d)
 		}
 	}
@@ -65,7 +49,7 @@ func TestDelayJitterSpreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 50; i++ {
-		seen[p.Delay(3, 0, rng)] = true
+		seen[p.Delay(3, rng)] = true
 	}
 	if len(seen) < 10 {
 		t.Fatalf("jitter produced only %d distinct delays out of 50", len(seen))

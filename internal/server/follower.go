@@ -339,7 +339,7 @@ func (r *replica) run(ctx context.Context) {
 			// The link worked: restart the backoff schedule.
 			attempt = 0
 		}
-		if retry.Sleep(ctx, r.cfg.Backoff.Delay(attempt, 0, r.rng)) != nil {
+		if retry.Sleep(ctx, r.cfg.Backoff.Delay(attempt, r.rng)) != nil {
 			return
 		}
 	}

@@ -19,6 +19,9 @@ import (
 // maxBodyBytes bounds request bodies; queries and mutations are tiny.
 const maxBodyBytes = 1 << 20
 
+// maxTimeout caps client-requested deadlines.
+const maxTimeout = 60 * time.Second
+
 // maxKNN bounds k on /v1/knn: the answer is built whole in memory
 // before it is written, so k bounds what one request may hold.
 const maxKNN = 10000

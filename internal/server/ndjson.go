@@ -1,12 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/query"
@@ -279,58 +279,11 @@ func appendTrailerError(b []byte, afterStats bool, msg string) []byte {
 	return append(b, '}', '\n')
 }
 
-// appendString renders s as json.Marshal renders a string: quoted, with
-// invalid UTF-8 as \ufffd, and with <, >, & and U+2028/U+2029 escaped
-// as well as the characters JSON requires escaped.
+// appendString renders s as json.Marshal renders a string. Only the
+// explain and error texts of a trailer take this path.
 func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, n := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && n == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += n
-			continue
-		}
-		i += n
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
 }
 
 // appendRect copies the rectangle's wire text when the leaf it came

@@ -69,8 +69,6 @@ type Config struct {
 	// DefaultTimeout applies to requests that specify no deadline of
 	// their own; 0 means no default deadline.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 60s).
-	MaxTimeout time.Duration
 	// MaxWatch bounds concurrently open /v1/watch streams (default
 	// 256). Watch streams are long-lived, so they are admitted from
 	// this dedicated pool rather than the MaxInFlight semaphore.
@@ -404,9 +402,6 @@ func New(cfg Config) *Server {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 60 * time.Second
-	}
 	if cfg.MaxWatch <= 0 {
 		cfg.MaxWatch = 256
 	}
@@ -610,15 +605,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 // queryTimeout applies the request deadline policy: the client's
-// timeout (capped at MaxTimeout), else DefaultTimeout, else none.
+// timeout (capped at maxTimeout), else DefaultTimeout, else none.
 func (s *Server) queryTimeout(requestedMS int64) time.Duration {
 	switch {
 	case requestedMS > 0:
 		d := time.Duration(requestedMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-		return d
+		return min(d, maxTimeout)
 	default:
 		return s.cfg.DefaultTimeout
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/query"
@@ -251,27 +250,7 @@ type ErrorResponse struct {
 
 // ParseRelationSet resolves relation names (plus the "in" and
 // "not_disjoint"/"window" aliases) into a disjunctive set.
-func ParseRelationSet(names []string) (topo.Set, error) {
-	var set topo.Set
-	for _, name := range names {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "in":
-			set = set.Union(topo.In)
-		case "not_disjoint", "notdisjoint", "window":
-			set = set.Union(topo.NotDisjoint)
-		default:
-			r, err := topo.ParseRelation(strings.ToLower(strings.TrimSpace(name)))
-			if err != nil {
-				return 0, err
-			}
-			set = set.Add(r)
-		}
-	}
-	if set.IsEmpty() {
-		return 0, fmt.Errorf("server: empty relation set")
-	}
-	return set, nil
-}
+func ParseRelationSet(names []string) (topo.Set, error) { return topo.ParseSet(names...) }
 
 // RectFromWire validates a [minx,miny,maxx,maxy] quadruple.
 func RectFromWire(vals []float64) (geom.Rect, error) {

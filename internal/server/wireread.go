@@ -1,14 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"mbrtopo/internal/geom"
@@ -16,7 +16,8 @@ import (
 )
 
 // Request bodies are read by hand — one reader per request struct over
-// the body's bytes, no reflection — and the language they accept is
+// the body's bytes, with no reflection unless a string holds an escape
+// or invalid UTF-8 — and the language they accept is
 // exactly what json.NewDecoder(http.MaxBytesReader(w, body, limit))
 // .Decode accepts into that struct. The structs in wire.go stay the
 // wire definition, and FuzzWireDecode holds every reader to
@@ -30,13 +31,13 @@ import (
 //     skipped, but every byte of the value must be valid JSON, nested
 //     at most maxDepth deep.
 //   - A key selects the field whose name equals it, or else whose name
-//     it equals under encoding/json's case folding: an ASCII letter
-//     folds to upper case, any other rune to the least rune of its
-//     unicode.SimpleFold orbit. So "K" (the Kelvin sign) reads as "k"
-//     and "ſ" (long s) as "s", but "ı" (dotless i) is not "i". A
-//     repeated field keeps its last value.
+//     it equals under bytes.EqualFold, the case folding encoding/json
+//     matches keys by. So "K" (the Kelvin sign) reads as "k" and "ſ"
+//     (long s) as "s", but "ı" (dotless i) is not "i". A repeated
+//     field keeps its last value.
 //   - Strings take every escape; a \u surrogate pair joins, a lone
-//     surrogate and invalid UTF-8 read as U+FFFD.
+//     surrogate and invalid UTF-8 read as U+FFFD (json.Unmarshal
+//     decodes such a string).
 //   - null leaves a scalar as it is and sets a slice to nil. An array
 //     decodes into the slice already there, element by element, as
 //     reflect would: a null element keeps what that element held.
@@ -55,11 +56,10 @@ var errEmptyBody = errors.New("empty request body")
 // jsonReader reads JSON from b, where an end of b that is not eof asks
 // for more bytes with errShort.
 type jsonReader struct {
-	b       []byte
-	i       int
-	eof     bool   // b holds the rest of the body
-	depth   int    // objects and arrays open
-	scratch []byte // a string's text when it has escapes or non-ASCII
+	b     []byte
+	i     int
+	eof   bool // b holds the rest of the body
+	depth int  // objects and arrays open
 }
 
 // short reports running out of bytes at d.i.
@@ -195,8 +195,9 @@ func (d *jsonReader) number() ([]byte, error) {
 }
 
 // str returns the text of the string at d.i, which opens with '"'. As
-// in encoding/json, the literal is checked first and then unquoted; the
-// result aliases b or scratch until the next str.
+// in encoding/json, the literal is checked first and then unquoted: one
+// with no escape and valid UTF-8 is its own text, aliasing b, and
+// encoding/json decodes any other.
 func (d *jsonReader) str() ([]byte, error) {
 	d.i++
 	start, escaped, ascii := d.i, false, true
@@ -225,7 +226,7 @@ func (d *jsonReader) str() ([]byte, error) {
 					if d.i == len(d.b) {
 						return nil, d.short()
 					}
-					if unhex(d.b[d.i]) < 0 {
+					if !isHex(d.b[d.i]) {
 						return nil, d.syntax("in \\u hexadecimal character escape")
 					}
 				}
@@ -242,83 +243,13 @@ func (d *jsonReader) str() ([]byte, error) {
 	if !escaped && (ascii || utf8.Valid(s)) {
 		return s, nil
 	}
-	d.scratch = unquote(d.scratch[:0], s)
-	return d.scratch, nil
+	var text string
+	err := json.Unmarshal(d.b[start-1:d.i], &text)
+	return []byte(text), err
 }
 
-func unhex(c byte) rune {
-	switch {
-	case '0' <= c && c <= '9':
-		return rune(c - '0')
-	case 'a' <= c && c <= 'f':
-		return rune(c - 'a' + 10)
-	case 'A' <= c && c <= 'F':
-		return rune(c - 'A' + 10)
-	}
-	return -1
-}
-
-// u4 decodes the \uXXXX escape at the start of s, or returns -1.
-func u4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range s[2:6] {
-		h := unhex(c)
-		if h < 0 {
-			return -1
-		}
-		r = r<<4 | h
-	}
-	return r
-}
-
-// unquote appends the text of the checked string literal body s to out:
-// escapes resolved, a surrogate pair joined, and a lone surrogate or an
-// invalid UTF-8 byte read as U+FFFD.
-func unquote(out, s []byte) []byte {
-	for i := 0; i < len(s); {
-		c := s[i]
-		switch {
-		case c == '\\' && s[i+1] == 'u':
-			r := u4(s[i:])
-			i += 6
-			if utf16.IsSurrogate(r) {
-				if pair := utf16.DecodeRune(r, u4(s[i:])); pair != unicode.ReplacementChar {
-					r = pair
-					i += 6
-				} else {
-					r = unicode.ReplacementChar
-				}
-			}
-			out = utf8.AppendRune(out, r)
-		case c == '\\':
-			e := s[i+1]
-			switch e {
-			case 'b':
-				e = '\b'
-			case 'f':
-				e = '\f'
-			case 'n':
-				e = '\n'
-			case 'r':
-				e = '\r'
-			case 't':
-				e = '\t'
-			}
-			out = append(out, e)
-			i += 2
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, n := utf8.DecodeRune(s[i:])
-			out = utf8.AppendRune(out, r)
-			i += n
-		}
-	}
-	return out
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // skip checks and passes over the value at d.i: what an unknown field
@@ -451,53 +382,11 @@ func fieldName(key []byte, names []string) string {
 		}
 	}
 	for _, n := range names {
-		if foldsTo(key, n) {
+		if bytes.EqualFold(key, []byte(n)) {
 			return n
 		}
 	}
 	return ""
-}
-
-// foldsTo reports whether key folds to the folding of name, an ASCII
-// field name, as encoding/json folds keys: an ASCII letter to upper
-// case, any other rune to the least rune of its unicode.SimpleFold
-// orbit.
-func foldsTo(key []byte, name string) bool {
-	j := 0
-	for i := 0; i < len(key); j++ {
-		r := rune(key[i])
-		if r < utf8.RuneSelf {
-			r = rune(upper(byte(r)))
-			i++
-		} else {
-			var n int
-			r, n = utf8.DecodeRune(key[i:])
-			i += n
-			r = foldRune(r)
-		}
-		if j == len(name) || r != rune(upper(name[j])) {
-			return false
-		}
-	}
-	return j == len(name)
-}
-
-// foldRune returns the least rune of r's unicode.SimpleFold orbit.
-func foldRune(r rune) rune {
-	for {
-		next := unicode.SimpleFold(r)
-		if next <= r {
-			return next
-		}
-		r = next
-	}
-}
-
-func upper(c byte) byte {
-	if 'a' <= c && c <= 'z' {
-		return c - 'a' + 'A'
-	}
-	return c
 }
 
 // The readers of one field each. A value of another JSON type is an
@@ -800,10 +689,10 @@ func newBodyReader(w http.ResponseWriter, body io.ReadCloser, limit int64) *body
 }
 
 func (br *bodyReader) release() {
-	if cap(br.buf) > maxPooledBuffer || cap(br.d.scratch) > maxPooledBuffer {
+	if cap(br.buf) > maxPooledBuffer {
 		return
 	}
-	*br = bodyReader{buf: br.buf[:0], d: jsonReader{scratch: br.d.scratch[:0]}}
+	*br = bodyReader{buf: br.buf[:0]}
 	bodyReaders.Put(br)
 }
 
@@ -815,7 +704,7 @@ func (br *bodyReader) release() {
 func (br *bodyReader) next(read func(*jsonReader) error) error {
 	br.end = valueEnd{}
 	for {
-		br.d = jsonReader{b: br.buf[br.off:], eof: br.err == io.EOF, scratch: br.d.scratch}
+		br.d = jsonReader{b: br.buf[br.off:], eof: br.err == io.EOF}
 		err := read(&br.d)
 		if err != errShort {
 			br.off += br.d.i

@@ -1,6 +1,9 @@
 package topo
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
 
 // Set is a set of mt2 relations, represented as a bitmask. The zero
 // value is the empty set. A Set models a relation of lower qualitative
@@ -14,6 +17,31 @@ func NewSet(rs ...Relation) Set {
 		s = s.Add(r)
 	}
 	return s
+}
+
+// ParseSet resolves relation names into a disjunctive set. A name is
+// compared in lower case with spaces trimmed: one ParseRelation knows,
+// "in" (In), or "not_disjoint", "notdisjoint" or "window" (NotDisjoint).
+func ParseSet(names ...string) (Set, error) {
+	var set Set
+	for _, name := range names {
+		switch name = strings.ToLower(strings.TrimSpace(name)); name {
+		case "in":
+			set = set.Union(In)
+		case "not_disjoint", "notdisjoint", "window":
+			set = set.Union(NotDisjoint)
+		default:
+			r, err := ParseRelation(name)
+			if err != nil {
+				return 0, err
+			}
+			set = set.Add(r)
+		}
+	}
+	if set.IsEmpty() {
+		return 0, fmt.Errorf("topo: empty relation set")
+	}
+	return set, nil
 }
 
 // FullSet contains all eight relations (the universal relation).

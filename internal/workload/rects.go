@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
@@ -30,6 +31,17 @@ func (c SizeClass) String() string {
 		return "large"
 	}
 	return fmt.Sprintf("workload.SizeClass(%d)", int(c))
+}
+
+// ParseClass resolves a size class name, compared in lower case:
+// "small", "medium" or "large".
+func ParseClass(s string) (SizeClass, error) {
+	for _, c := range AllSizeClasses() {
+		if c.String() == strings.ToLower(s) {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size class %q", s)
 }
 
 // MaxAreaFraction returns the class's cap on rectangle area relative
