@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ import (
 // TestBootstrapRefusesBadSnapshots: a follower decodes a bootstrap
 // snapshot as it arrives, teeing the bytes into N.flat.tmp. A snapshot
 // that fails any check — a header claiming 2³¹ nodes in a 1 TiB section
-// with nothing after it, a flipped byte, fewer bytes than the hello
+// with nothing after it, a flipped byte, fewer bytes than the preamble
 // announced — is refused as corrupt, the lying header having cost less
 // than 1 MiB of allocation; N.flat stays what the last good bootstrap
 // wrote, no tmp file is left, and the previous state goes on serving.
@@ -108,8 +109,8 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 // TestReplSnapshotIsThePinnedVersion: a bootstrap pins the tree version,
 // the position and the WAL tail under the durable lock and walks and
 // streams the image after releasing it, so writes land while the
-// snapshot is still on the wire. The frames must still carry exactly the
-// image of the version at the hello's position, and the writes must
+// snapshot is still on the wire. The stream must still carry exactly the
+// image of the version at the preamble's position, and the writes must
 // follow it as the records after that position.
 func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 	primary, pts, _ := newReplPrimary(t, 20000, 0)
@@ -117,7 +118,7 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, _, _ := pinst.dur.position()
+	gen, seq, _ := pinst.dur.position()
 	var want bytes.Buffer
 	if err := index.WriteFlat(pinst.ReadIndex(), &want, gen); err != nil {
 		t.Fatal(err)
@@ -128,14 +129,13 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	fr := &frameReader{r: resp.Body}
-	typ, payload, err := fr.readFrame()
-	if err != nil || typ != frameHello {
-		t.Fatalf("first frame %s (%v), want hello", typ, err)
+	rd := wal.NewReader(resp.Body)
+	_, p, err := rd.Next()
+	if err != nil || len(p) != preambleLen || word(p, 2) != uint64(want.Len()) {
+		t.Fatalf("first frame %x (%v), want a preamble announcing a %d-byte image", p, err, want.Len())
 	}
-	h, err := decodeHello(payload)
-	if err != nil || !h.bootstrap || h.snapSize != uint64(want.Len()) {
-		t.Fatalf("hello %+v (%v), want a bootstrap of %d bytes", h, err, want.Len())
+	if start := (replPos{word(p, 0), word(p, 1)}); start != (replPos{gen, seq}) {
+		t.Fatalf("the stream starts at %v, the primary was at %d/%d", start, gen, seq)
 	}
 	const writes = 40
 	for i := range writes {
@@ -145,42 +145,24 @@ func TestReplSnapshotIsThePinnedVersion(t *testing.T) {
 		}
 	}
 
-	var got bytes.Buffer
-	for {
-		typ, payload, err := fr.readFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ == frameSnapEnd {
-			break
-		}
-		if typ != frameSnapChunk || len(payload) > snapChunkSize {
-			t.Fatalf("%s frame of %d bytes inside the snapshot", typ, len(payload))
-		}
-		got.Write(payload)
+	got := make([]byte, want.Len())
+	if _, err := io.ReadFull(rd, got); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("the snapshot streamed %d bytes that are not the %d-byte image of the pinned version", got.Len(), want.Len())
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("the stream carried %d bytes that are not the %d-byte image of the pinned version", len(got), want.Len())
 	}
 	for i := 0; i < writes; {
-		typ, payload, err := fr.readFrame()
+		rec, p, err := rd.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ == frameHeartbeat {
+		if len(p) == heartbeatLen {
 			continue
 		}
-		if typ != frameRecord {
-			t.Fatalf("%s frame after the snapshot, want record %d", typ, i+1)
-		}
-		g, seq, wp, err := decodeRecord(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, ok := wal.UnmarshalRecord(wp)
-		if !ok || g != h.gen || seq != h.seq+uint64(i)+1 || rec.OID != uint64(900000+i) {
-			t.Fatalf("record %d at %d/%d is oid %d, want oid %d at %d/%d",
-				i+1, g, seq, rec.OID, 900000+i, h.gen, h.seq+uint64(i)+1)
+		if p != nil || rec.OID != uint64(900000+i) {
+			t.Fatalf("frame %d after the image is oid %d (a %d-byte frame of the stream's own if not 0), want the record of oid %d at %d/%d",
+				i+1, rec.OID, len(p), 900000+i, gen, seq+uint64(i)+1)
 		}
 		i++
 	}
@@ -225,7 +207,7 @@ func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
 	}
 	apply := func(gen, seq, oid uint64) {
 		rec := wal.Record{Op: wal.OpInsert, OID: oid, Rect: geom.R(float64(oid), 0, float64(oid)+1, 1)}
-		if err := target.apply(replPos{gen, seq}, rec); err != nil {
+		if err := target.apply(replPos{gen, seq - 1}, []wal.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 		inst.watch.Sync()

@@ -104,7 +104,7 @@ func cacheRows(t *testing.T, items []index.Item) []cacheRow {
 		}
 		row.write = func(recs []wal.Record) {
 			for _, inst := range insts {
-				if err := inst.mutate(recs, nil); err != nil {
+				if err := inst.mutate(recs); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -131,7 +131,7 @@ func cacheRows(t *testing.T, items []index.Item) []cacheRow {
 	return append(rows, cacheRow{
 		name: "follower", cached: fsrv, cachedURL: fts.URL, plainURL: pts.URL,
 		write: func(recs []wal.Record) {
-			if err := pinst.mutate(recs, nil); err != nil {
+			if err := pinst.mutate(recs); err != nil {
 				t.Fatal(err)
 			}
 			waitCaughtUp(t, psrv, fsrv)

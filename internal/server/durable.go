@@ -338,18 +338,19 @@ func materialise(flat *rtree.FlatTree, spec IndexSpec) (index.Index, error) {
 	return idx, nil
 }
 
-// afterReserveLocked counts n records just reserved and runs the
-// automatic checkpoint when the log has grown enough. The checkpoint closes the
-// old log generation, which flushes any reservation still pending on
-// it, so tickets taken before the rotation resolve normally. Caller
-// holds d.mu.
-func (d *durable) afterReserveLocked(inst *Instance, n int) error {
-	d.metrics.walRecords.Add(uint64(n))
-	d.since += n
+// reserveLocked reserves recs as one contiguous WAL run, counts them,
+// and runs the automatic checkpoint when the log has grown enough. The
+// checkpoint closes the old log generation, which flushes any
+// reservation still pending on it, so tickets taken before the rotation
+// resolve normally. Caller holds d.mu.
+func (d *durable) reserveLocked(inst *Instance, recs []wal.Record) (*wal.Ticket, error) {
+	ticket := d.log.Reserve(recs...)
+	d.metrics.walRecords.Add(uint64(len(recs)))
+	d.since += len(recs)
 	if every := d.spec.CheckpointEvery; every > 0 && d.since >= every {
-		return d.checkpoint(inst)
+		return ticket, d.checkpoint(inst)
 	}
-	return nil
+	return ticket, nil
 }
 
 // settle waits, outside the mutation lock, for the WAL flush — the

@@ -39,7 +39,7 @@ type FollowConfig struct {
 	Client *http.Client
 	// Backoff paces reconnection attempts (zero value → retry defaults).
 	Backoff retry.Policy
-	// StallTimeout drops a stream that delivers no frame for this long
+	// StallTimeout drops a stream that delivers no byte for this long
 	// (default 3s; keep it a few multiples of the primary's heartbeat).
 	StallTimeout time.Duration
 	// Seed makes reconnect jitter deterministic in tests (0 → fixed
@@ -257,7 +257,7 @@ type replica struct {
 
 	mu             sync.Mutex
 	connected      bool
-	primary        replPos // as last advertised: hello, record, rotate, heartbeat
+	primary        replPos // as last advertised: preamble, records, rotate, heartbeat
 	lastContact    time.Time
 	reconnects     uint64
 	snapshots      uint64
@@ -268,7 +268,7 @@ type replica struct {
 
 // replStatus is a snapshot of one replica's replication state.
 type replStatus struct {
-	connected    bool // a live stream: hello received, no error since
+	connected    bool // a live stream: preamble received, no error since
 	bootstrapped bool // the index holds a dataset
 	applied      replPos
 	primary      replPos
@@ -276,7 +276,7 @@ type replStatus struct {
 	lastContact  time.Time
 	reconnects   uint64 // stream re-establishment attempts after the first
 	snapshots    uint64 // bootstrap snapshots loaded
-	records      uint64 // record frames applied
+	records      uint64 // records applied
 	bytes        uint64 // stream bytes received
 }
 
@@ -345,17 +345,22 @@ func (r *replica) run(ctx context.Context) {
 	}
 }
 
-// countingReader counts stream bytes into the replica's tally.
+// countingReader is the stream as the replica reads it: every byte
+// counts into its tally, is contact with the primary, and is progress
+// that rearms the stall watchdog.
 type countingReader struct {
 	src io.Reader
 	r   *replica
+	dog *time.Timer
 }
 
 func (c countingReader) Read(p []byte) (int, error) {
 	n, err := c.src.Read(p)
 	if n > 0 {
+		c.dog.Reset(c.r.cfg.StallTimeout)
 		c.r.mu.Lock()
 		c.r.bytes += uint64(n)
+		c.r.lastContact = time.Now()
 		c.r.mu.Unlock()
 	}
 	return n, err
@@ -392,7 +397,7 @@ func (r *replica) streamOnce(ctx context.Context) (progressed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	// Progress watchdog: a stream that stops delivering frames (stalled
+	// Progress watchdog: a stream that stops delivering bytes (stalled
 	// link, silent primary) is cancelled, which unblocks the pending
 	// read. Armed before the request so a primary that accepts the
 	// connection but never answers — a stall inside the response header
@@ -412,138 +417,76 @@ func (r *replica) streamOnce(ctx context.Context) (progressed bool, err error) {
 		return false, fmt.Errorf("repl: primary returned HTTP %d", resp.StatusCode)
 	}
 
-	fr := &frameReader{r: countingReader{src: resp.Body, r: r}}
-	read := func() (frameType, []byte, error) {
-		typ, p, err := fr.readFrame()
-		if err == nil {
-			dog.Reset(r.cfg.StallTimeout)
-			r.mu.Lock()
-			r.lastContact = time.Now()
-			r.mu.Unlock()
-		}
-		return typ, p, err
-	}
-
-	typ, payload, err := read()
+	rd := wal.NewReader(countingReader{src: resp.Body, r: r, dog: dog})
+	_, p, err := rd.Next()
 	if err != nil {
 		return false, err
 	}
-	if typ != frameHello {
-		return false, fmt.Errorf("repl: stream opened with %s, want hello", typ)
+	if len(p) != preambleLen {
+		return false, fmt.Errorf("repl: stream opened with a %d-byte frame, want the %d-byte preamble", len(p), preambleLen)
 	}
-	h, err := decodeHello(payload)
-	if err != nil {
-		return false, err
-	}
-	start := replPos{h.gen, h.seq}
-	if h.bootstrap {
-		snap := &snapshotReader{read: read, remaining: h.snapSize}
-		if err := r.bootstrap(start, snap, int64(h.snapSize)); err != nil {
+	at := replPos{word(p, 0), word(p, 1)}
+	if size := word(p, 2); size > 0 {
+		if err := r.bootstrap(at, rd, int64(size)); err != nil {
 			return false, fmt.Errorf("repl: bootstrap: %w", err)
-		}
-		if snap.remaining > 0 || len(snap.chunk) > 0 {
-			return false, fmt.Errorf("repl: bootstrap left %d snapshot bytes unread", snap.remaining+uint64(len(snap.chunk)))
-		}
-		typ, _, err := read()
-		if err != nil {
-			return false, err
-		}
-		if typ != frameSnapEnd {
-			return false, fmt.Errorf("repl: snapshot followed by %s, want snapEnd", typ)
 		}
 		r.mu.Lock()
 		r.snapshots++
 		r.forceBootstrap = false
 		r.mu.Unlock()
-	} else if start != pos {
-		return false, fmt.Errorf("repl: primary resumed at %v, requested %v", start, pos)
+	} else if at != pos {
+		return false, fmt.Errorf("repl: primary resumed at %v, requested %v", at, pos)
 	}
 	r.mu.Lock()
 	r.connected = true
-	r.primary = start
+	r.primary = at
 	r.mu.Unlock()
 
+	// Records are applied a run at a time: every whole record frame one
+	// read of the stream delivered, so a replica catching up commits
+	// each read with one fsync.
+	var run []wal.Record
 	for {
-		typ, payload, err := read()
+		rec, p, err := rd.Next()
+		if err == nil && p == nil {
+			if run = append(run, rec); rd.Buffered() {
+				continue
+			}
+		}
+		if len(run) > 0 {
+			if err := r.apply(at, run); err != nil {
+				return true, r.fail(fmt.Errorf("repl: apply %d records after %v: %w", len(run), at, err))
+			}
+			at.seq += uint64(len(run))
+			run = nil // the watch table keeps the records published to it
+			r.mu.Lock()
+			r.primary = at
+			r.mu.Unlock()
+		}
 		if err != nil {
 			return true, err
 		}
-		switch typ {
-		case frameRecord:
-			gen, seq, wp, err := decodeRecord(payload)
-			if err != nil {
-				return true, err
-			}
-			rec, ok := wal.UnmarshalRecord(wp)
-			if !ok {
-				return true, fmt.Errorf("repl: undecodable WAL payload at %d/%d", gen, seq)
-			}
-			at := replPos{gen, seq}
-			if err := r.apply(at, rec); err != nil {
-				return true, r.fail(fmt.Errorf("repl: apply %v: %w", at, err))
-			}
-			r.mu.Lock()
-			r.primary = at
-			r.records++
-			r.mu.Unlock()
-		case frameRotate:
-			gen, _, err := decodePosition(payload)
-			if err != nil {
-				return true, err
-			}
+		switch len(p) {
+		case 0: // the run above
+		case rotateLen:
+			gen := word(p, 0)
 			if err := r.rotate(gen); err != nil {
 				return true, r.fail(fmt.Errorf("repl: rotate to gen %d: %w", gen, err))
 			}
+			at = replPos{gen: gen}
 			r.mu.Lock()
 			if r.primary.gen < gen {
-				r.primary = replPos{gen: gen}
+				r.primary = at
 			}
 			r.mu.Unlock()
-		case frameHeartbeat:
-			gen, seq, err := decodePosition(payload)
-			if err != nil {
-				return true, err
-			}
+		case heartbeatLen:
 			r.mu.Lock()
-			r.primary = replPos{gen, seq}
+			r.primary = replPos{word(p, 0), word(p, 1)}
 			r.mu.Unlock()
 		default:
-			return true, fmt.Errorf("repl: unexpected %s frame in record tail", typ)
+			return true, fmt.Errorf("repl: unexpected %d-byte frame in the record tail", len(p))
 		}
 	}
-}
-
-// snapshotReader presents the snapChunk frames of a bootstrap as one
-// io.Reader of exactly the advertised snapshot size.
-type snapshotReader struct {
-	read      func() (frameType, []byte, error)
-	chunk     []byte // unconsumed tail of the current frame's payload
-	remaining uint64 // snapshot bytes not yet pulled from the stream
-}
-
-func (s *snapshotReader) Read(p []byte) (int, error) {
-	for len(s.chunk) == 0 {
-		if s.remaining == 0 {
-			return 0, io.EOF
-		}
-		typ, payload, err := s.read()
-		if err != nil {
-			return 0, err
-		}
-		if typ != frameSnapChunk {
-			return 0, fmt.Errorf("repl: %s frame inside snapshot transfer", typ)
-		}
-		if len(payload) == 0 || uint64(len(payload)) > s.remaining {
-			return 0, fmt.Errorf("repl: snapshot chunk of %d bytes with %d remaining", len(payload), s.remaining)
-		}
-		s.remaining -= uint64(len(payload))
-		// The payload buffer is reused by the next readFrame, but no
-		// frame is read before this chunk is fully consumed.
-		s.chunk = payload
-	}
-	n := copy(p, s.chunk)
-	s.chunk = s.chunk[n:]
-	return n, nil
 }
 
 // bootstrap replaces the instance's state with the checkpoint image
@@ -617,34 +560,57 @@ func (r *replica) receive(snap io.Reader, size int64, pos replPos) (*rtree.FlatT
 	return flat, err
 }
 
-// apply applies one replicated record at pos: the position check in
-// front of the ordinary write path (Instance.mutate), so watch
-// notification and logging behave as on a primary. A gap or regression
-// in pos — or a mutation the tree rejects, which means replica and
-// primary states diverged — reports errOutOfSync so the loop
-// re-bootstraps instead of guessing; a record the local log refused
-// does not (the index is unhealthy by then, as on a primary).
-func (r *replica) apply(pos replPos, rec wal.Record) error {
+// apply applies a run of replicated records that follows pos under one
+// hold of the mutation lock. Each record goes through applyRecord, the
+// step recovery replays with, and is published to the watch table,
+// counted in the generation and dropped from the cache as its own
+// commit would be; the run is then reserved as one WAL run, so one group
+// commit — one fsync — makes it durable. A run that does not start at
+// the applied position, or a record the tree rejects — replica and
+// primary diverged — reports errOutOfSync, the records before it applied
+// and logged, so the loop re-bootstraps instead of guessing; a run the
+// local log refused does not (the index is unhealthy by then, as on a
+// primary).
+func (r *replica) apply(pos replPos, recs []wal.Record) error {
 	inst, d := r.inst, r.inst.dur
-	err := inst.mutate([]wal.Record{rec}, func() error {
-		if d.log == nil {
-			return fmt.Errorf("server: record before bootstrap: %w", errOutOfSync)
+	d.mu.Lock()
+	if d.log == nil {
+		d.mu.Unlock()
+		return fmt.Errorf("server: record before bootstrap: %w", errOutOfSync)
+	}
+	if pos.gen != d.gen || pos.seq != uint64(d.since) {
+		d.mu.Unlock()
+		return fmt.Errorf("server: records after %v do not follow %d/%d: %w", pos, d.gen, d.since, errOutOfSync)
+	}
+	idx := inst.ReadIndex()
+	var err error
+	n := 0
+	for ; n < len(recs); n++ {
+		if err = applyRecord(idx, recs[n]); err != nil {
+			err = fmt.Errorf("server: applying %s oid %d: %v: %w", recs[n].Op, recs[n].OID, err, errOutOfSync)
+			break
 		}
-		if pos.gen != d.gen || pos.seq != uint64(d.since)+1 {
-			return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, errOutOfSync)
-		}
-		return nil
-	})
-	if err != nil && inst.Healthy() && !errors.Is(err, errOutOfSync) {
-		err = fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, errOutOfSync)
+		inst.publishLocked(recs[n : n+1])
+	}
+	ticket, cpErr := d.reserveLocked(inst, recs[:n])
+	d.mu.Unlock()
+	r.mu.Lock()
+	r.records += uint64(n)
+	r.mu.Unlock()
+	if lerr := d.settle(inst, ticket, cpErr); lerr != nil {
+		return lerr
 	}
 	return err
 }
 
 // rotate mirrors a primary checkpoint: the stream guarantees every
 // record of the old generation arrived first, so checkpointing here
-// produces a snapshot bit-equal in content to the primary's at the
-// same boundary, and opens the matching new WAL generation newGen.
+// publishes, at the same boundary as the primary, an image with the
+// primary's answers, and opens the matching new WAL generation newGen.
+// The image need not be the primary's byte for byte: the WAL has no
+// batch boundaries, so records the primary STR-packed into an empty
+// tree arrive here one by one, and the tree can take another shape
+// (DESIGN §8).
 func (r *replica) rotate(newGen uint64) error {
 	inst, d := r.inst, r.inst.dur
 	d.mu.Lock()

@@ -144,7 +144,7 @@ func TestRebootKeepsTreeShape(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSameProfile(t, "bootstrapped", nodeAccessProfile(t, finst), before)
-				if err := target.apply(replPos{gen, seq + 1}, mutation); err != nil {
+				if err := target.apply(replPos{gen, seq}, []wal.Record{mutation}); err != nil {
 					t.Fatal(err)
 				}
 				assertSameProfile(t, "bootstrapped and applied", nodeAccessProfile(t, finst), after)

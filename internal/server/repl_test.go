@@ -364,6 +364,79 @@ func TestReplReconnectResumes(t *testing.T) {
 	snapshots("after two checkpoints without a link", 2)
 }
 
+// TestReplCatchUpCommitsPerRead: a replica resuming a long record tail
+// commits it a stream read at a time, not a record at a time. Under
+// -fsync always, 10 000 records behind a dropped link must cost at most
+// 1 000 group commits — one fsync each — where applying each record as
+// its own mutation cost 10 000. The drop is a resume, so one snapshot is
+// loaded in all; the records are counted one by one, and the answers
+// equal the primary's.
+func TestReplCatchUpCommitsPerRead(t *testing.T) {
+	primary, pts, _ := newReplPrimary(t, 300, -1) // checkpoints by hand only
+	pinst, _ := primary.instance("main")
+	var link simLink
+	follower := New(Config{})
+	finst, err := follower.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512,
+		Dir: t.TempDir(), Fsync: wal.SyncAlways, Follower: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Follow(FollowConfig{Primary: pts.URL, Client: link.client(), Backoff: fastBackoff,
+		StallTimeout: time.Second, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = follower.Close() })
+	waitCaughtUp(t, primary, follower)
+
+	r := finst.repl
+	link.setDown(true)
+	link.trip(faultTruncate)
+	for deadline := time.Now().Add(15 * time.Second); r.status().connected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stream never broke")
+		}
+	}
+	const behind = 10000
+	for i := range behind {
+		x := float64(i % 900)
+		if err := pinst.Insert(geom.R(x, x, x+3, x+5), uint64(800000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := finst.dur.groupStats()
+	link.setDown(false)
+	waitCaughtUp(t, primary, follower)
+	after := finst.dur.groupStats()
+
+	if st := r.status(); st.snapshots != 1 || st.records != behind {
+		t.Fatalf("the replica loaded %d snapshots and counts %d records applied, want 1 and %d", st.snapshots, st.records, behind)
+	}
+	commits := after.Commits - before.Commits
+	if commits > behind/10 || after.MaxBatch <= 1 {
+		t.Fatalf("%d records took %d group commits, the largest of %d records; want at most %d, and batches", behind, commits, after.MaxBatch, behind/10)
+	}
+	assertReplEqual(t, "caught up", primary, follower)
+	t.Logf("%d records in %d group commits, the largest of %d records", behind, commits, after.MaxBatch)
+}
+
+func TestLagRecords(t *testing.T) {
+	cases := []struct {
+		applied, primary replPos
+		want             uint64
+	}{
+		{replPos{1, 5}, replPos{1, 5}, 0},
+		{replPos{1, 5}, replPos{1, 9}, 4},
+		{replPos{1, 9}, replPos{1, 5}, 0}, // primary heartbeat raced an applied record
+		{replPos{1, 9}, replPos{2, 3}, 4}, // unknown across gens: lower bound + pending rotate
+		{replPos{2, 0}, replPos{2, 0}, 0},
+	}
+	for _, c := range cases {
+		if got := lagRecords(c.applied, c.primary); got != c.want {
+			t.Errorf("lag(%v, %v) = %d, want %d", c.applied, c.primary, got, c.want)
+		}
+	}
+}
+
 // faultingClient returns an http.Client whose FIRST dialed connection
 // gets a faultConn armed at the given inbound byte offset;
 // subsequent connections are clean so recovery can converge.
@@ -386,10 +459,16 @@ func faultingClient(mode faultMode, at int64) *http.Client {
 }
 
 func TestReplFaultInjectionDifferential(t *testing.T) {
-	// Offsets place the fault in the HTTP response header (3, 64), the
-	// hello/early snapshot frames (600), the middle of the snapshot
-	// (4096), and the live record tail (1 << 20 — past any plausible
-	// 300-object snapshot, so it trips only once mutations flow).
+	// The first connection bootstraps. Its bytes are the HTTP response
+	// header (0–148), the first chunk-size line, the 32-byte preamble
+	// frame (154–185), then the 13 864-byte image in 2 KiB chunks up to
+	// about byte 14 100, then the record tail. So 3 and 64 fault the
+	// header, 600 the image's first nodes and 4096 the middle of the
+	// image. 1 << 20 lies past all the test ever streams (about 14.4 KB
+	// of bootstrap, 3 KB of records, heartbeats): that case is the
+	// fault-free control. FuzzSim's faults at seeded offsets below 4096
+	// can land in the preamble; its cut, bit-flipped and stalled live
+	// streams, and TestReplReconnectResumes's cut, fault the tail.
 	offsets := []int64{3, 64, 600, 4096, 1 << 20}
 	modes := []faultMode{faultTruncate, faultCorrupt, faultStall}
 	for _, mode := range modes {

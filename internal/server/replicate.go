@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"strconv"
@@ -13,10 +14,14 @@ import (
 )
 
 // handleReplicate serves GET /v1/replicate?index=N[&gen=G&seq=S]: one
-// long-lived response carrying the frame stream of replframe.go — a
-// hello, then (in bootstrap mode) the current flat snapshot, then a
-// live tail of WAL records, with rotate frames marking checkpoints and
-// heartbeats keeping an idle stream verifiably alive.
+// long-lived response carrying the index's own files. It opens with a
+// preamble frame — the start position and the image length, 0 when the
+// stream resumes — then, on a bootstrap, the current checkpoint image
+// exactly as rtree.FlatImage.Encode writes it, then the WAL frames after
+// the start position exactly as they sit in N.wal.<gen>. Rotate frames
+// mark checkpoints and heartbeats keep an idle stream verifiably alive;
+// they are the stream's only frames of its own, framed as the WAL frames
+// are, with a length no record has.
 //
 // The resume decision and the snapshot's tree version are pinned under
 // the durable mutex, so the pair (snapshot, position) is consistent: the
@@ -73,26 +78,24 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gen, seq := d.gen, uint64(d.since)
-	resume := resumable && reqGen == gen && reqSeq <= seq
 	var snap *rtree.FlatImage
-	if !resume {
-		snap, err = index.PinFlat(inst.ReadIndex(), gen)
-		if err != nil {
-			d.mu.Unlock()
-			writeJSONError(w, http.StatusInternalServerError, "snapshotting index: "+err.Error())
-			return
-		}
+	if resumable && reqGen == gen && reqSeq <= seq {
+		seq = reqSeq
+	} else if snap, err = index.PinFlat(inst.ReadIndex(), gen); err != nil {
+		d.mu.Unlock()
+		writeJSONError(w, http.StatusInternalServerError, "snapshotting index: "+err.Error())
+		return
 	}
-	tail, err := wal.OpenTail(d.walPath(gen))
+	tail, err := wal.OpenTail(d.walPath(gen), seq)
 	d.mu.Unlock()
 	if err != nil {
 		writeJSONError(w, http.StatusInternalServerError, "opening wal tail: "+err.Error())
 		return
 	}
 	defer func() { _ = tail.Close() }()
-	h := hello{bootstrap: !resume, gen: gen, seq: reqSeq}
-	if !resume {
-		h.seq, h.snapSize = seq, uint64(snap.Size())
+	var size uint64
+	if snap != nil {
+		size = uint64(snap.Size())
 	}
 
 	s.metrics.replStreams.Add(1)
@@ -102,15 +105,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	cw := &shippedWriter{w: w, m: s.metrics}
 
-	if err := writeFrame(cw, frameHello, encodeHello(h)); err != nil {
+	if _, err := cw.Write(marker(gen, seq, size)); err != nil {
 		return
 	}
-	if !resume {
-		chunks := &chunkWriter{w: cw, buf: make([]byte, 0, snapChunkSize)}
-		if err := snap.Encode(chunks); err != nil || chunks.flush() != nil {
-			return
-		}
-		if err := writeFrame(cw, frameSnapEnd, nil); err != nil {
+	if snap != nil {
+		if err := snap.Encode(cw); err != nil {
 			return
 		}
 		s.metrics.replSnapshotsShipped.Add(1)
@@ -118,70 +117,53 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.streamRecords(r.Context(), inst, cw, flusher, &tail, gen, h.seq)
+	s.streamRecords(r.Context(), inst, cw, flusher, &tail, gen)
 }
 
-// chunkWriter cuts the image it is written into snapChunk frames of
-// snapChunkSize bytes, the last one shorter.
-type chunkWriter struct {
-	w   io.Writer
-	buf []byte
+// The stream's own frames, told apart by their payload length: no record
+// is 8, 16 or 24 bytes long. Each payload is little-endian u64 words.
+const (
+	rotateLen    = 8  // the new generation
+	heartbeatLen = 16 // the primary's position (gen, seq)
+	preambleLen  = 24 // the start position (gen, seq) and the image length
+)
+
+// marker frames words as one of the stream's own frames.
+func marker(words ...uint64) []byte {
+	p := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		p = binary.LittleEndian.AppendUint64(p, w)
+	}
+	return wal.AppendFrame(nil, p)
 }
 
-func (c *chunkWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		k := min(len(p), snapChunkSize-len(c.buf))
-		c.buf, p = append(c.buf, p[:k]...), p[k:]
-		if len(c.buf) == snapChunkSize {
-			if err := c.flush(); err != nil {
-				return n - len(p), err
-			}
+// word returns the i-th word of a marker's payload.
+func word(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
+
+// streamRecords ships the live WAL tail: the frames of generation gen
+// from the tail's position, as the file holds them, rotate frames at
+// checkpoints, heartbeats while idle. It returns when the client goes
+// away, the index degrades, or the stream falls so far behind that a
+// generation it needs was already checkpointed away (the follower then
+// reconnects and bootstraps afresh). *tailp is owned by the caller's
+// defer.
+func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer, flusher http.Flusher, tailp **wal.Tail, gen uint64) {
+	d := inst.dur
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
-	return n, nil
-}
-
-// flush ships what is buffered as one frame.
-func (c *chunkWriter) flush() error {
-	if len(c.buf) == 0 {
-		return nil
-	}
-	err := writeFrame(c.w, frameSnapChunk, c.buf)
-	c.buf = c.buf[:0]
-	return err
-}
-
-// streamRecords ships the live WAL tail: every record after startSeq
-// of generation gen, rotate frames at checkpoints, heartbeats while
-// idle. It returns when the client goes away, the index degrades, or
-// the stream falls so far behind that a generation it needs was
-// already checkpointed away (the follower then reconnects and
-// bootstraps afresh). *tailp is owned by the caller's defer.
-func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer, flusher http.Flusher, tailp **wal.Tail, gen, startSeq uint64) {
-	d := inst.dur
-	curGen := gen
-	frameIdx := uint64(0) // frames read from the current generation's file
-	skip := startSeq      // leading frames the hello position already covers
-
 	drain := func() error {
 		for {
-			rec, ok, err := (*tailp).Next()
-			if err != nil {
+			frames, n, err := (*tailp).Next()
+			if n == 0 {
 				return err
 			}
-			if !ok {
-				return nil
-			}
-			frameIdx++
-			if frameIdx <= skip {
-				continue
-			}
-			if err := writeFrame(w, frameRecord,
-				encodeRecord(curGen, frameIdx, wal.MarshalRecord(rec))); err != nil {
+			if _, err := w.Write(frames); err != nil {
 				return err
 			}
-			s.metrics.replRecordsShipped.Add(1)
+			s.metrics.replRecordsShipped.Add(uint64(n))
 		}
 	}
 
@@ -201,10 +183,8 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 		if err := drain(); err != nil {
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if liveGen != curGen {
+		flush()
+		if liveGen != gen {
 			// A checkpoint rotated the log. The old generation is final
 			// — checkpoint closes it (flushing every reservation) before
 			// the new position becomes observable — so draining to EOF
@@ -214,15 +194,12 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 				return
 			}
 			_ = (*tailp).Close()
-			curGen++
-			frameIdx, skip = 0, 0
-			if err := writeFrame(w, frameRotate, encodePosition(curGen, 0)); err != nil {
+			gen++
+			if _, err := w.Write(marker(gen)); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			next, err := wal.OpenTail(d.walPath(curGen))
+			flush()
+			next, err := wal.OpenTail(d.walPath(gen), 0)
 			if err != nil {
 				// The generation we need was itself checkpointed away
 				// (the stream is more than one rotation behind): no
@@ -238,12 +215,10 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 			return
 		case <-wake:
 		case <-time.After(s.cfg.ReplHeartbeat):
-			if err := writeFrame(w, frameHeartbeat, encodePosition(curGen, liveSeq)); err != nil {
+			if _, err := w.Write(marker(gen, liveSeq)); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			flush()
 		}
 	}
 }

@@ -249,13 +249,13 @@ func (inst *Instance) Durable() bool { return inst.dur != nil }
 // Insert stores one rectangle, logging it to the WAL (before the
 // caller acknowledges) when the index is durable.
 func (inst *Instance) Insert(r geom.Rect, oid uint64) error {
-	return inst.mutate([]wal.Record{{Op: wal.OpInsert, OID: oid, Rect: r}}, nil)
+	return inst.mutate([]wal.Record{{Op: wal.OpInsert, OID: oid, Rect: r}})
 }
 
 // Delete removes one rectangle/id entry, logging it to the WAL when
 // the index is durable.
 func (inst *Instance) Delete(r geom.Rect, oid uint64) error {
-	return inst.mutate([]wal.Record{{Op: wal.OpDelete, OID: oid, Rect: r}}, nil)
+	return inst.mutate([]wal.Record{{Op: wal.OpDelete, OID: oid, Rect: r}})
 }
 
 // InsertBatch stores a batch of rectangles as one atomic index
@@ -267,7 +267,7 @@ func (inst *Instance) InsertBatch(recs []rtree.Record) error {
 	for i, r := range recs {
 		batch[i] = wal.Record{Op: wal.OpInsert, OID: r.OID, Rect: r.Rect}
 	}
-	return inst.mutate(batch, nil)
+	return inst.mutate(batch)
 }
 
 // mutLock returns the lock that orders the instance's mutations, and
@@ -282,53 +282,51 @@ func (inst *Instance) mutLock() *sync.Mutex {
 	return &inst.wmu
 }
 
-// mutate is the one way a served index changes. recs is a single
-// record, or a batch of inserts that readers see whole or not at all.
-// In order, under the mutation lock:
+// mutate is the one way a served index changes from a request. recs
+// is a single record, or a batch of inserts that readers see whole or
+// not at all. In order, under the mutation lock:
 //
-//  1. pre — a follower's replication-position check; nil elsewhere
-//  2. the tree changes (applyLocked)
-//  3. the records are published to the watch table, once
-//  4. the generation moves, and the result cache drops the answers the
-//     records can change
-//  5. on a durable instance the records are reserved as one contiguous
-//     WAL run and counted, which may run a checkpoint
+//  1. the tree changes (applyLocked)
+//  2. the records are published (publishLocked): to the watch table,
+//     once; then the generation moves, and the result cache drops the
+//     answers the records can change
+//  3. on a durable instance the records are reserved as one contiguous
+//     WAL run and counted, which may run a checkpoint (reserveLocked)
 //
 // Then, with the lock released so that concurrent writers share one
 // group commit, it waits for the log; a log or checkpoint failure
 // leaves the instance unhealthy (durable.settle). A mutation the tree
-// refuses is not published, counted or logged.
-func (inst *Instance) mutate(recs []wal.Record, pre func() error) error {
+// refuses is not published, counted or logged. A replica runs the same
+// steps over a run of streamed records (replica.apply).
+func (inst *Instance) mutate(recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	mu := inst.mutLock()
 	mu.Lock()
-	var err error
-	if pre != nil {
-		err = pre()
-	}
-	if err == nil {
-		err = inst.applyLocked(recs)
-	}
-	if err != nil {
+	if err := inst.applyLocked(recs); err != nil {
 		mu.Unlock()
 		return err
 	}
-	inst.watch.Publish(recs...)
-	inst.bumpGen()
-	if inst.cache != nil {
-		inst.cache.invalidate(inst.Name, recs)
-	}
+	inst.publishLocked(recs)
 	d := inst.dur
 	if d == nil {
 		mu.Unlock()
 		return nil
 	}
-	ticket := d.log.Reserve(recs...)
-	cpErr := d.afterReserveLocked(inst, len(recs))
+	ticket, cpErr := d.reserveLocked(inst, recs)
 	mu.Unlock()
 	return d.settle(inst, ticket, cpErr)
+}
+
+// publishLocked tells the watch table, the generation and the result
+// cache about one commit the tree took. Caller holds the mutation lock.
+func (inst *Instance) publishLocked(recs []wal.Record) {
+	inst.watch.Publish(recs...)
+	inst.bumpGen()
+	if inst.cache != nil {
+		inst.cache.invalidate(inst.Name, recs)
+	}
 }
 
 // applyLocked makes recs visible to readers. Caller holds the mutation

@@ -612,7 +612,7 @@ func (s *sim) promote(p *simPair) {
 // and holds the link down while the primary takes writes and a
 // checkpoint, so the replica must bootstrap afresh; the first
 // connection after carries a second fault at a seeded offset, which
-// lands in the HTTP header, the hello or the snapshot.
+// lands in the HTTP header, the preamble or the image.
 func (s *sim) fault(p *simPair) {
 	p.link.setDown(true)
 	p.link.trip(faultMode(s.rng.Intn(3)))
@@ -639,10 +639,12 @@ func (s *sim) await(n *simNode, what string, done func() bool) {
 }
 
 // settle waits until every replica has applied its primary's position
-// and every notifier has fanned out what was published.
+// and logged it as its primary did, and every notifier has fanned out
+// what was published.
 func (s *sim) settle() {
 	for _, p := range s.pairs {
 		s.catchUp(p)
+		s.sameLog(p)
 	}
 	for _, n := range s.nodes() {
 		n.inst.watch.Sync()
@@ -655,6 +657,34 @@ func (s *sim) catchUp(p *simPair) {
 		rg, rs, rok := p.replica.inst.dur.position()
 		return pok && rok && pg == rg && ps == rs
 	})
+}
+
+// sameLog holds the replica's log of the generation both nodes are at
+// to its primary's, byte for byte: the records the replica appends
+// encode to exactly the frames the primary wrote. A replica that
+// bootstrapped inside the generation logs only the records after its
+// image, so its log is the primary's without that many leading frames.
+// Its last append can trail its position, so the files get a while to
+// agree. Images are not compared: the tree the replica builds record by
+// record may take another shape than the one its primary STR-packed
+// (DESIGN §8).
+func (s *sim) sameLog(p *simPair) {
+	gen, since, _ := p.primary.inst.dur.position()
+	name := fmt.Sprintf("main.wal.%d", gen)
+	d := p.replica.inst.dur
+	var pw, rw []byte
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+		pw, rw = must(os.ReadFile(filepath.Join(p.primary.spec.Dir, name))), must(os.ReadFile(filepath.Join(d.spec.Dir, name)))
+		d.mu.Lock()
+		held := int(since - d.log.Records())
+		d.mu.Unlock()
+		if since == 0 && len(pw)+len(rw) == 0 || since > 0 && bytes.Equal(pw[held*len(pw)/int(since):], rw) {
+			return
+		}
+		if time.Now().After(deadline) {
+			s.fatalf(p.replica, "at %d/%d its %s (%d bytes, %d records before its image) is not its primary's (%d bytes)", gen, since, name, len(rw), held, len(pw))
+		}
+	}
 }
 
 func (s *sim) subscribe(rels topo.Set, ref geom.Rect) {
@@ -975,8 +1005,8 @@ func must[T any](v T, err error) T {
 
 // faultMode is what a faultConn does at its offset: truncate cuts the
 // stream there (the reader sees the prefix, then an unexpected EOF),
-// corrupt flips a bit of that byte and reads on (the frame checksums must
-// catch it), stall blocks until the follower's stall timeout closes the
+// corrupt flips a bit of that byte and reads on (the image's and the
+// frames' checksums must catch it), stall blocks until the follower's stall timeout closes the
 // connection.
 type faultMode int
 

@@ -197,7 +197,7 @@ func TestWritePathDifferential(t *testing.T) {
 // delete — so none moves an object, a delete and an insert of one id —
 // because Instance.mutate refuses it whole: tree, WAL position,
 // generation and the table's batch count stay where they were. (A
-// follower's Apply takes one record by signature.) Whoever gives
+// follower applies and publishes its records one at a time.) Whoever gives
 // /v1/move a two-record commit has to take this test down first, and
 // then the table's pass needs an arm for len(before) == len(after) == 1
 // again.
@@ -240,7 +240,7 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 			defer mode.target.watch.Unsubscribe(sub)
 			before := state(mode)
 			for name, batch := range batches {
-				if err := mode.target.mutate(batch, nil); err == nil || !strings.Contains(err.Error(), "batches hold inserts only") {
+				if err := mode.target.mutate(batch); err == nil || !strings.Contains(err.Error(), "batches hold inserts only") {
 					t.Fatalf("%s: mutate returned %v, want the inserts-only refusal", name, err)
 				}
 				if after := state(mode); after != before {

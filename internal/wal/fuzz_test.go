@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,17 +13,24 @@ import (
 // rejects, and leaves the log append-ready. A suffix that happens to
 // form intact frames is legitimately replayed too (it is
 // indistinguishable from real records), so the assertions are on the
-// prefix and on self-consistency, not on exact record counts.
+// prefix and on self-consistency, not on exact record counts. The
+// stream reader, fed the same bytes, must yield exactly the records Open
+// replays and then a break — an error or a frame of another length,
+// which no log holds — and no record past it.
 //
 // Input shape: data[0] = number of prefix records (mod 8), data[1:] =
 // raw bytes appended after the valid prefix.
 func FuzzWALReplay(f *testing.F) {
-	f.Add([]byte{3})                                                       // clean log, no tail
-	f.Add([]byte{0})                                                       // empty log
-	f.Add([]byte{5, 0x29, 0x00, 0x00, 0x00})                               // torn header
-	f.Add([]byte{2, 0x29, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x01}) // torn payload
-	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})       // garbage length
-	f.Add(append([]byte{4}, encode(Record{Op: OpInsert, OID: 7})...))      // valid extra frame
+	f.Add([]byte{3})                                                             // clean log, no tail
+	f.Add([]byte{0})                                                             // empty log
+	f.Add([]byte{5, 0x29, 0x00, 0x00, 0x00})                                     // torn header
+	f.Add([]byte{2, 0x29, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x01})       // torn payload
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})             // garbage length
+	f.Add(append([]byte{4}, appendRecord(nil, Record{Op: OpInsert, OID: 7})...)) // valid extra frame
+	f.Add(append([]byte{2}, AppendFrame(nil, make([]byte, 16))...))              // a frame of the stream's own
+	torn := appendRecord(nil, Record{Op: OpDelete, OID: 8})
+	torn[frameSize-1] ^= 1
+	f.Add(appendRecord(append([]byte{3}, torn...), Record{Op: OpInsert, OID: 9})) // a torn frame, then an intact one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -39,7 +47,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			r := rec(op, uint64(i+1))
 			want = append(want, r)
-			raw = append(raw, encode(r)...)
+			raw = appendRecord(raw, r)
 		}
 		raw = append(raw, suffix...)
 		path := filepath.Join(t.TempDir(), "f.wal")
@@ -61,6 +69,24 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if sz := l.Size(); sz != int64(len(got))*(frameHeaderSize+payloadSize) {
 			t.Fatalf("size %d inconsistent with %d replayed records", sz, len(got))
+		}
+		stream := NewReader(bytes.NewReader(raw))
+		for i := 0; ; i++ {
+			r, p, err := stream.Next()
+			if err != nil || p != nil {
+				if i != len(got) {
+					t.Fatalf("the stream reader broke after %d records (payload %x, %v), Open replayed %d", i, p, err, len(got))
+				}
+				if err != nil {
+					if _, _, again := stream.Next(); again == nil {
+						t.Fatalf("the stream reader read on past its break (%v)", err)
+					}
+				}
+				break
+			}
+			if i >= len(got) || r != got[i] {
+				t.Fatalf("the stream reader's record %d is %+v, past the %d Open replayed or not its record", i, r, len(got))
+			}
 		}
 
 		// The log must be append-ready: a new record lands cleanly and

@@ -87,7 +87,7 @@ func (l *Log) Reserve(recs ...Record) *Ticket {
 	}
 	b := l.cur
 	for _, rec := range recs {
-		b.buf = append(b.buf, encode(rec)...)
+		b.buf = appendRecord(b.buf, rec)
 	}
 	b.count += len(recs)
 	l.gmu.Unlock()

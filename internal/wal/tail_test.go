@@ -17,6 +17,24 @@ func tailRecord(i int) Record {
 	return Record{Op: op, OID: uint64(i), Rect: geom.R(float64(i), 1, float64(i)+2, 3)}
 }
 
+// next reads the tail once and decodes what it returned.
+func next(t *testing.T, tail *Tail) ([]Record, error) {
+	t.Helper()
+	frames, n, err := tail.Next()
+	if len(frames) != n*frameSize {
+		t.Fatalf("Next returned %d bytes for %d records", len(frames), n)
+	}
+	var recs []Record
+	for ; len(frames) > 0; frames = frames[frameSize:] {
+		rec, ok := decode(frames[frameHeaderSize:frameSize])
+		if !ok {
+			t.Fatalf("Next returned an undecodable frame %x", frames[:frameSize])
+		}
+		recs = append(recs, rec)
+	}
+	return recs, err
+}
+
 // TestTailFollowsLiveAppends checks Next sees records as they are
 // flushed, reports "not yet" while dry, and resumes afterwards.
 func TestTailFollowsLiveAppends(t *testing.T) {
@@ -26,33 +44,49 @@ func TestTailFollowsLiveAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tail, err := OpenTail(path)
+	tail, err := OpenTail(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tail.Close()
 
-	if _, ok, err := tail.Next(); err != nil || ok {
-		t.Fatalf("empty log: Next = ok=%v err=%v, want dry", ok, err)
+	if got, err := next(t, tail); err != nil || len(got) != 0 {
+		t.Fatalf("empty log: Next = %v err=%v, want dry", got, err)
 	}
 	for i := 0; i < 20; i++ {
 		want := tailRecord(i)
 		if err := l.Reserve(want).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := tail.Next()
-		if err != nil || !ok {
-			t.Fatalf("record %d: Next = ok=%v err=%v", i, ok, err)
+		got, err := next(t, tail)
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Fatalf("record %d: Next = %+v err=%v, want %+v", i, got, err, want)
 		}
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
-		}
-		if _, ok, err := tail.Next(); err != nil || ok {
-			t.Fatalf("record %d: expected dry after drain, got ok=%v err=%v", i, ok, err)
+		if got, err := next(t, tail); err != nil || len(got) != 0 {
+			t.Fatalf("record %d: expected dry after drain, got %v err=%v", i, got, err)
 		}
 	}
 	if want := int64(20 * (frameHeaderSize + payloadSize)); tail.off != want {
 		t.Fatalf("offset %d, want %d", tail.off, want)
+	}
+	// A tail opened at a record position starts there, and one past the
+	// end waits for the record to land.
+	for from := range 22 {
+		late, err := OpenTail(path, uint64(from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := next(t, late)
+		if err != nil || len(got) != max(20-from, 0) || len(got) > 0 && got[0] != tailRecord(from) {
+			t.Fatalf("tail from %d: %d records (%v), want %d from record %d", from, len(got), err, max(20-from, 0), from)
+		}
+		late.Close()
+	}
+	if err := l.Reserve(tailRecord(20), tailRecord(21)).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := next(t, tail); err != nil || len(got) != 2 || got[1] != tailRecord(21) {
+		t.Fatalf("a batch of two: Next = %+v err=%v", got, err)
 	}
 }
 
@@ -62,26 +96,26 @@ func TestTailFollowsLiveAppends(t *testing.T) {
 func TestTailTornFrameBecomesIntact(t *testing.T) {
 	dir := t.TempDir()
 	rec := tailRecord(7)
-	full := encode(rec)
+	full := appendRecord(nil, rec)
 	for cut := 0; cut < len(full); cut++ {
 		path := filepath.Join(dir, "torn.wal")
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tail, err := OpenTail(path)
+		tail, err := OpenTail(path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := tail.Next(); err != nil || ok {
-			t.Fatalf("cut %d: Next = ok=%v err=%v, want dry", cut, ok, err)
+		if got, err := next(t, tail); err != nil || len(got) != 0 {
+			t.Fatalf("cut %d: Next = %v err=%v, want dry", cut, got, err)
 		}
 		// Complete the frame: the same tail must now decode it.
 		if err := os.WriteFile(path, full, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := tail.Next()
-		if err != nil || !ok || got != rec {
-			t.Fatalf("cut %d after completion: got %+v ok=%v err=%v", cut, got, ok, err)
+		got, err := next(t, tail)
+		if err != nil || len(got) != 1 || got[0] != rec {
+			t.Fatalf("cut %d after completion: got %+v err=%v", cut, got, err)
 		}
 		tail.Close()
 	}
@@ -102,7 +136,7 @@ func TestTailSurvivesUnlink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tail, err := OpenTail(path)
+	tail, err := OpenTail(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +147,17 @@ func TestTailSurvivesUnlink(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		got, ok, err := tail.Next()
-		if err != nil || !ok || got != tailRecord(i) {
-			t.Fatalf("record %d after unlink: got %+v ok=%v err=%v", i, got, ok, err)
+	got, err := next(t, tail)
+	if err != nil || len(got) != 5 {
+		t.Fatalf("after unlink: %d records, err=%v, want 5", len(got), err)
+	}
+	for i := range got {
+		if got[i] != tailRecord(i) {
+			t.Fatalf("record %d after unlink: got %+v", i, got[i])
 		}
 	}
-	if _, ok, err := tail.Next(); err != nil || ok {
-		t.Fatalf("expected dry end, got ok=%v err=%v", ok, err)
+	if got, err := next(t, tail); err != nil || len(got) != 0 {
+		t.Fatalf("expected dry end, got %v err=%v", got, err)
 	}
 }
 
@@ -134,34 +171,13 @@ func TestTailRejectsImpossibleFrame(t *testing.T) {
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := OpenTail(path)
+	tail, err := OpenTail(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tail.Close()
 	if _, _, err := tail.Next(); err == nil {
 		t.Fatal("expected an error on an impossible frame length")
-	}
-}
-
-// TestMarshalRecordRoundTrip pins the exported payload codec against
-// the frame encoder the log itself uses.
-func TestMarshalRecordRoundTrip(t *testing.T) {
-	rec := Record{Op: OpDelete, OID: 1 << 40, Rect: geom.R(-3.5, 0.25, 9.75, 1e9)}
-	p := MarshalRecord(rec)
-	if len(p) != PayloadSize {
-		t.Fatalf("payload length %d, want %d", len(p), PayloadSize)
-	}
-	got, ok := UnmarshalRecord(p)
-	if !ok || got != rec {
-		t.Fatalf("round trip: got %+v ok=%v", got, ok)
-	}
-	if _, ok := UnmarshalRecord(p[:len(p)-1]); ok {
-		t.Fatal("short payload decoded")
-	}
-	p[0] = 99
-	if _, ok := UnmarshalRecord(p); ok {
-		t.Fatal("unknown op decoded")
 	}
 }
 

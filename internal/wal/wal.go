@@ -20,7 +20,10 @@
 // longest prefix of intact frames and truncates the tail, so the log
 // is append-ready again. Corruption is indistinguishable from a torn
 // tail, which is safe because every record past the tear was never
-// acknowledged with its fsync policy satisfied.
+// acknowledged with its fsync policy satisfied. The replication stream
+// carries these frames byte for byte, and its reader (Reader) decodes
+// them with the same function, so a tear on the wire reads as one on
+// disk does.
 package wal
 
 import (
@@ -176,39 +179,73 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// errBadFrame is a frame that can never become intact: a length other
-// than payloadSize, or an undecodable payload under a valid checksum.
+// errBadFrame is a frame that can never become intact: a length no
+// frame has, or a record's undecodable payload under a valid checksum.
 var errBadFrame = errors.New("wal: malformed frame")
 
-// readFrame reads the frame at off into buf (frameSize bytes). ok is
-// false, with a nil error, where no intact frame is there (yet): the
-// file ends inside it, its length field is zero, or its checksum fails
-// — each of which is also what a write still in flight looks like. A
-// frame that can never become intact is errBadFrame. Recovery (scan)
-// and the replication tail (Tail.Next) read every frame through it and
-// differ only in what they make of a frame that is not intact.
-func readFrame(f *os.File, off int64, buf []byte) (rec Record, ok bool, err error) {
+// chunk is how many bytes a reader takes at once: recovery and the
+// replication tail read 1024 frames a call, the stream reader buffers as
+// much.
+const chunk = 1024 * frameSize
+
+// frame decodes the frame at the head of b. It is the one decoder of
+// every reader of frames: recovery (scan), the replication tail (Tail)
+// and the replication stream (Reader). size is the frame's byte length
+// as its header gives it, 0 while b is shorter than a header or the
+// length is zero. payload is nil unless b holds all size bytes under a
+// valid checksum; a frame without one is not intact, which on a live
+// file is also what a write still in flight looks like, and anywhere
+// else is a tear. A length over payloadSize is errBadFrame; a shorter
+// one is a frame the replication stream defines for itself.
+func frame(b []byte) (payload []byte, size int, err error) {
+	if len(b) < frameHeaderSize {
+		return nil, 0, nil
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	switch {
+	case length == 0:
+		return nil, 0, nil
+	case length > payloadSize:
+		return nil, 0, fmt.Errorf("%w: length %d (want %d)", errBadFrame, length, payloadSize)
+	}
+	size = frameHeaderSize + int(length)
+	if len(b) < size || crc32.Checksum(b[frameHeaderSize:size], castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, size, nil
+	}
+	return b[frameHeaderSize:size], size, nil
+}
+
+// intact counts the intact records b begins with. A frame that can never
+// become one — another length, an undecodable payload — is errBadFrame.
+func intact(b []byte) (n int, err error) {
+	for ; ; n++ {
+		payload, size, err := frame(b[n*frameSize:])
+		if err == nil && size != 0 && size != frameSize {
+			err = fmt.Errorf("%w: length %d (want %d)", errBadFrame, size-frameHeaderSize, payloadSize)
+		}
+		if err != nil || payload == nil {
+			return n, err
+		}
+		if _, ok := decode(payload); !ok {
+			return n, fmt.Errorf("%w: undecodable payload under a valid checksum", errBadFrame)
+		}
+	}
+}
+
+// readRun reads the file at off into buf and returns the run of intact
+// records at its head, as the frames' own bytes. Recovery (scan) and the
+// replication tail (Tail.Next) read every frame through it and differ
+// only in what they make of the first frame that is not intact.
+func readRun(f *os.File, off int64, buf []byte) ([]byte, error) {
 	n, err := f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {
-		return Record{}, false, fmt.Errorf("wal: reading the frame at offset %d: %w", off, err)
+		return nil, fmt.Errorf("wal: reading at offset %d: %w", off, err)
 	}
-	if n < frameHeaderSize {
-		return Record{}, false, nil
+	k, err := intact(buf[:n])
+	if err != nil {
+		err = fmt.Errorf("%w at offset %d", err, off+int64(k*frameSize))
 	}
-	switch length := binary.LittleEndian.Uint32(buf[0:4]); {
-	case length == 0:
-		return Record{}, false, nil
-	case length != payloadSize:
-		return Record{}, false, fmt.Errorf("%w: length %d at offset %d (want %d)", errBadFrame, length, off, payloadSize)
-	}
-	payload := buf[frameHeaderSize:]
-	if n < frameSize || crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return Record{}, false, nil
-	}
-	if rec, ok = decode(payload); !ok {
-		return Record{}, false, fmt.Errorf("%w: undecodable payload under a valid checksum at offset %d", errBadFrame, off)
-	}
-	return rec, true, nil
+	return buf[:k*frameSize], err
 }
 
 // scan decodes intact frames from the start of f and returns them with
@@ -219,17 +256,21 @@ func scan(f *os.File) ([]Record, int64, error) {
 		recs []Record
 		off  int64
 	)
-	buf := make([]byte, frameSize)
+	buf := make([]byte, chunk)
 	for {
-		rec, ok, err := readFrame(f, off, buf)
+		run, err := readRun(f, off, buf)
 		if err != nil && !errors.Is(err, errBadFrame) {
 			return nil, 0, err
 		}
-		if !ok {
+		off += int64(len(run))
+		full := len(run) == len(buf)
+		for ; len(run) > 0; run = run[frameSize:] {
+			rec, _ := decode(run[frameHeaderSize:frameSize])
+			recs = append(recs, rec)
+		}
+		if !full {
 			return recs, off, nil
 		}
-		recs = append(recs, rec)
-		off += frameSize
 	}
 }
 
@@ -254,18 +295,25 @@ func decode(payload []byte) (Record, bool) {
 	}, true
 }
 
-func encode(rec Record) []byte {
-	frame := make([]byte, frameHeaderSize+payloadSize)
-	p := frame[frameHeaderSize:]
+// AppendFrame appends payload to dst as one frame: its length, its
+// CRC32-C and the payload. A record's payload is payloadSize bytes; the
+// replication stream frames its own markers with shorter ones.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// appendRecord appends rec's frame to dst.
+func appendRecord(dst []byte, rec Record) []byte {
+	var p [payloadSize]byte
 	p[0] = byte(rec.Op)
 	binary.LittleEndian.PutUint64(p[1:9], rec.OID)
 	binary.LittleEndian.PutUint64(p[9:17], math.Float64bits(rec.Rect.Min.X))
 	binary.LittleEndian.PutUint64(p[17:25], math.Float64bits(rec.Rect.Min.Y))
 	binary.LittleEndian.PutUint64(p[25:33], math.Float64bits(rec.Rect.Max.X))
 	binary.LittleEndian.PutUint64(p[33:41], math.Float64bits(rec.Rect.Max.Y))
-	binary.LittleEndian.PutUint32(frame[0:4], payloadSize)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, castagnoli))
-	return frame
+	return AppendFrame(dst, p[:])
 }
 
 // Sync flushes the log to stable storage regardless of policy.

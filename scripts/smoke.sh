@@ -34,8 +34,9 @@
 # /v1/bulk, asserts the enter/exit event sequence arrives, and checks
 # SIGTERM ends the stream with a terminal drain line. An eighth leg
 # boots a primary + -follow replica pair, checks the replica serves
-# the primary's data and 403s writes, SIGTERMs the still-following
-# replica beside a primary write (exit 0, bye inside -drain, no *.tmp)
+# the primary's data, holds the primary's WAL byte for byte and 403s
+# writes, SIGTERMs the still-following replica beside a primary write
+# (exit 0, bye inside -drain, no *.tmp)
 # and restarts it on the same directory, kill -9s the primary, promotes
 # the replica via POST /v1/promote, and asserts a write then succeeds.
 # A ninth leg plants a tile layout's main.t0.flat in a fresh data
@@ -825,6 +826,18 @@ for _ in $(seq 1 100); do
 done
 [ -n "$REPLICATED" ] \
   || { echo "smoke: primary insert never appeared on the replica" >&2; cat "$LOG12" >&2; exit 1; }
+# The replica logs what its primary logged, byte for byte: compare the
+# two processes' WAL files of the generation the insert went to. The
+# replica's append can trail what it already serves, so allow it 5 s.
+PWAL="$(ls "$DATADIR5"/*.wal.*)"
+RWAL="$DATADIR6/$(basename "$PWAL")"
+SAMEWAL=""
+for _ in $(seq 1 50); do
+  if cmp -s "$PWAL" "$RWAL"; then SAMEWAL=yes; break; fi
+  sleep 0.1
+done
+[ -n "$SAMEWAL" ] \
+  || { echo "smoke: replica WAL $RWAL differs from primary WAL $PWAL" >&2; ls -l "$DATADIR5" "$DATADIR6" >&2; exit 1; }
 
 # The replica refuses writes, naming the primary.
 WCODE="$(curl -s -o "$HDRS" -w '%{http_code}' \
