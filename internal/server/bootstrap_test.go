@@ -210,7 +210,6 @@ func TestReplicaWatchEndsOnBootstrap(t *testing.T) {
 		if err := target.apply(replPos{gen, seq - 1}, []wal.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
-		inst.watch.Sync()
 	}
 	// replay folds a subscriber's events into its baseline and reports
 	// whether the subscription is still open.

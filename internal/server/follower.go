@@ -458,7 +458,7 @@ func (r *replica) streamOnce(ctx context.Context) (progressed bool, err error) {
 				return true, r.fail(fmt.Errorf("repl: apply %d records after %v: %w", len(run), at, err))
 			}
 			at.seq += uint64(len(run))
-			run = nil // the watch table keeps the records published to it
+			run = run[:0]
 			r.mu.Lock()
 			r.primary = at
 			r.mu.Unlock()

@@ -212,7 +212,7 @@ type Metrics struct {
 
 	watchStreams  gauge
 	watchRejected counter
-	watchLatency  histogram // commit to notification
+	watchLatency  histogram // evaluation plus delivery of one batch
 
 	// The primary's side of replication; a follower's is collected from
 	// each index's replica (follower.go).
@@ -251,7 +251,7 @@ func newMetrics(cache *resultCache) *Metrics {
 	m.histogram("topod_join_duration_seconds", "Wall time of /v1/join requests.", &m.joinLatency)
 	m.gauge("topod_watch_streams", "Watch streams currently open.", &m.watchStreams)
 	m.counter("topod_watch_rejected_total", "Watch requests shed because the watch slot pool was full (429).", &m.watchRejected)
-	m.histogram("topod_watch_notify_duration_seconds", "Commit-to-notification latency of watch evaluation batches.", &m.watchLatency)
+	m.histogram("topod_watch_notify_duration_seconds", "Time the write path spends evaluating one commit batch and delivering its watch events.", &m.watchLatency)
 	m.counter("topod_checksum_failures_total", "Checkpoint images that failed their CRC32-C check at boot.", &m.checksumFailures)
 	m.counter("topod_wal_records_total", "Mutations appended to the write-ahead logs by this process.", &m.walRecords)
 	m.counter("topod_wal_replays_total", "WAL records replayed during crash recovery.", &m.walReplays)

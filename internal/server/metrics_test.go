@@ -260,9 +260,6 @@ func TestMetricsGolden(t *testing.T) {
 	if st, _ := postStatus(t, fts.URL+"/v1/insert", UpdateRequest{Index: "main", OID: 1, Rect: []float64{1, 1, 2, 2}}); st != http.StatusForbidden {
 		t.Fatalf("write on the follower: HTTP %d, want 403", st)
 	}
-	for _, inst := range psrv.listInstances() {
-		inst.watch.Sync()
-	}
 	got := "== primary ==\n" + scrape(t, pts.URL) + "== follower ==\n" + scrape(t, fts.URL)
 
 	// Ending the streams belongs to the script only in that nothing may

@@ -76,11 +76,12 @@ type simNode struct {
 	srv  *Server
 	inst *Instance
 	h    http.Handler
+	url  string // a listener serving h, for /v1/watch streams
 	spec IndexSpec
 	subs map[*simSub]*simWatch
 	// filled maps a request to the writes acknowledged at its last fill.
 	filled map[string]int
-	// base is what the current step started from: notifier work, WAL
+	// base is what the current step started from: watch work, WAL
 	// records and generation (a node booted during the step has none).
 	base *[3]uint64
 	// gen and since are where a primary's log must be: its checkpoint
@@ -90,16 +91,25 @@ type simNode struct {
 
 func (n *simNode) cached() bool { return n.srv.cache != nil }
 
-// simSub is one subscription the simulated clients hold on every node.
+// simSub is one subscription the simulated clients hold on every node:
+// in process, or as a POST /v1/watch stream.
 type simSub struct {
-	rels topo.Set
-	ref  geom.Rect
+	rels   topo.Set
+	ref    geom.Rect
+	stream bool
 }
 
 // simWatch is a node's subscription, with its members when the step
-// started or, when it subscribed later, then.
+// started or, when it subscribed later, then. start is its StartGen or
+// its stream's header generation; a stream also keeps how many of its
+// lines were taken and, on a replica, the snapshots loaded when it
+// opened: a bootstrap since must have ended it.
 type simWatch struct {
-	*watch.Subscription
+	sub    *watch.Subscription
+	stream *watchStream
+	start  uint64
+	taken  int
+	snaps  uint64
 	before []uint64
 }
 
@@ -175,8 +185,8 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 		s.startReplica(p)
 	}
 	s.settle()
-	s.subscribe(topo.NotDisjoint, s.windows[0])
-	s.subscribe(topo.NewSet(topo.Meet), s.windows[1])
+	s.subscribe(topo.NotDisjoint, s.windows[0], true)
+	s.subscribe(topo.NewSet(topo.Meet), s.windows[1], false)
 
 	deck := slices.Clone(simDeck)
 	s.rng.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
@@ -193,7 +203,16 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 		s.fatalf(nil, "no cache hit outlived a write")
 	}
 	if c := s.twin.inst.watch.Counters(); c.Evaluated == 0 || c.Pruned == 0 {
-		s.fatalf(s.twin, "a filter layer of the notifier never fired: %+v", c)
+		s.fatalf(s.twin, "a filter layer of the watch table never fired: %+v", c)
+	}
+	// The last check took every event it expected; draining must find
+	// no more, and end each stream with its terminal line.
+	s.op = "drain"
+	for _, n := range s.nodes() {
+		n.srv.DrainWatchers()
+		if got := s.ended(n, "drain"); len(got) > 0 {
+			s.fatalf(n, "events %v after the last check", got)
+		}
 	}
 }
 
@@ -214,8 +233,11 @@ func (s *sim) boot(role string, cfg Config, spec IndexSpec) *simNode {
 	if err != nil {
 		s.fatalf(nil, "booting the %s: %v", role, err)
 	}
-	s.t.Cleanup(func() { srv.Close() })
 	n := &simNode{role: role, srv: srv, inst: inst, h: srv.Handler(), spec: spec, subs: map[*simSub]*simWatch{}, filled: map[string]int{}}
+	ts := httptest.NewServer(n.h)
+	n.url = ts.URL
+	s.t.Cleanup(ts.Close) // after srv.Close has ended its streams
+	s.t.Cleanup(func() { srv.Close() })
 	if role != "replica" {
 		for _, sub := range s.subs {
 			s.watch(n, sub)
@@ -312,14 +334,14 @@ func (s *sim) do(op string) {
 		if s.rng.Intn(3) == 0 {
 			rels = rels.Add(topo.All()[s.rng.Intn(8)])
 		}
-		s.subscribe(rels, s.windows[s.rng.Intn(len(s.windows))])
+		s.subscribe(rels, s.windows[s.rng.Intn(len(s.windows))], false)
 	case "unsubscribe":
 		if len(s.subs) > 1 {
 			i := 1 + s.rng.Intn(len(s.subs)-1)
 			sub := s.subs[i]
 			s.subs = slices.Delete(s.subs, i, i+1)
 			for _, n := range s.nodes() {
-				n.inst.watch.Unsubscribe(n.subs[sub].Subscription)
+				n.inst.watch.Unsubscribe(n.subs[sub].sub)
 				delete(n.subs, sub)
 			}
 		}
@@ -525,10 +547,12 @@ func (s *sim) reboot(p *simPair, clean bool) {
 		if err := old.srv.Close(); err != nil {
 			s.fatalf(old, "close: %v", err)
 		}
+		s.ended(old, "closed")
 		replay = 0
 	} else {
 		abandon(old.inst)
 		old.inst.watch.Close("killed")
+		s.ended(old, "killed")
 	}
 	spec := old.spec
 	spec.Follower = false
@@ -589,6 +613,7 @@ func (s *sim) promote(p *simPair) {
 	s.cut(p)
 	abandon(p.primary.inst)
 	p.primary.inst.watch.Close("killed")
+	s.ended(p.primary, "killed")
 	n := p.replica
 	if code, body := call(s.twin.h, http.MethodPost, "/v1/promote", nil); code != http.StatusConflict {
 		s.fatalf(s.twin, "promote on a primary: HTTP %d %s, want 409", code, body)
@@ -639,15 +664,11 @@ func (s *sim) await(n *simNode, what string, done func() bool) {
 }
 
 // settle waits until every replica has applied its primary's position
-// and logged it as its primary did, and every notifier has fanned out
-// what was published.
+// and logged it as its primary did.
 func (s *sim) settle() {
 	for _, p := range s.pairs {
 		s.catchUp(p)
 		s.sameLog(p)
-	}
-	for _, n := range s.nodes() {
-		n.inst.watch.Sync()
 	}
 }
 
@@ -687,20 +708,40 @@ func (s *sim) sameLog(p *simPair) {
 	}
 }
 
-func (s *sim) subscribe(rels topo.Set, ref geom.Rect) {
-	sub := &simSub{rels: rels, ref: ref}
+func (s *sim) subscribe(rels topo.Set, ref geom.Rect, stream bool) {
+	sub := &simSub{rels: rels, ref: ref, stream: stream}
 	s.subs = append(s.subs, sub)
 	for _, n := range s.nodes() {
 		s.watch(n, sub)
 	}
 }
 
+// watch subscribes sub on n. A stream's header line must carry the
+// generation the table stood at: the batches it had published.
 func (s *sim) watch(n *simNode, sub *simSub) {
-	ws, err := n.inst.watch.Subscribe(sub.ref, sub.rels, simBuffer)
-	if err != nil {
-		s.fatalf(n, "subscribe: %v", err)
+	w := &simWatch{}
+	if sub.stream {
+		var names []string
+		for _, r := range sub.rels.Relations() {
+			names = append(names, r.String())
+		}
+		published := n.inst.watch.Counters().Batches
+		w.stream = openWatch(s.t, n.url, WatchRequest{Index: "main", Relations: names, Ref: wireOf(sub.ref), Buffer: simBuffer})
+		if w.start = w.stream.info.Generation; w.start != published {
+			s.fatalf(n, "the watch stream opened at generation %d, after %d published batches", w.start, published)
+		}
+		if n.inst.repl != nil {
+			w.snaps = n.inst.repl.status().snapshots
+		}
+	} else {
+		ws, err := n.inst.watch.Subscribe(sub.ref, sub.rels, simBuffer)
+		if err != nil {
+			s.fatalf(n, "subscribe: %v", err)
+		}
+		w.sub, w.start = ws, ws.StartGen()
 	}
-	n.subs[sub] = &simWatch{ws, s.members(sub)}
+	w.before = s.members(sub)
+	n.subs[sub] = w
 }
 
 // members is the scan's answer to a subscription: the objects whose
@@ -744,7 +785,7 @@ func (s *sim) check() {
 		if n.base != nil && n.role != "replica" {
 			c := n.inst.watch.Counters()
 			if got, want := c.Evaluated+c.Pruned-n.base[0], uint64(len(n.subs)*s.records); got != want {
-				s.fatalf(n, "the notifier evaluated or pruned %d (subscription, record) pairs, want %d subscriptions × %d records", got, len(n.subs), s.records)
+				s.fatalf(n, "the watch table evaluated or pruned %d (subscription, record) pairs, want %d subscriptions × %d records", got, len(n.subs), s.records)
 			}
 			if got := n.srv.metrics.walRecords.Load() - n.base[1]; n.role == "primary" && got != uint64(s.records) {
 				s.fatalf(n, "topod_wal_records_total rose by %d, want %d", got, s.records)
@@ -786,36 +827,30 @@ func (s *sim) check() {
 // a replica's bootstrap and resubscribes.
 func (s *sim) checkWatch(n *simNode) {
 	for _, sub := range s.subs {
-		ws, open, got, last := n.subs[sub], true, []string(nil), n.subs[sub].StartGen()+1
-		for drained := false; open && !drained; {
-			select {
-			case ev, ok := <-ws.Events():
-				if open = ok; ok && ev.Gen < last {
-					s.fatalf(n, "event of generation %d after %d on a subscription started at %d", ev.Gen, last, ws.StartGen())
-				}
-				got, last = append(got, fmt.Sprintf("%s %d", ev.Type, ev.OID)), max(last, ev.Gen)
-			default:
-				drained = true
-			}
-		}
-		if !open {
-			if n.role != "replica" || ws.EndReason() != watchResetReason {
-				s.fatalf(n, "subscription %v %v ended: %q", sub.rels, sub.ref, ws.EndReason())
-			}
-			s.watch(n, sub)
-			continue
-		}
+		w := n.subs[sub]
 		var want []string
 		after := s.members(sub)
 		for _, d := range []struct {
 			typ      watch.EventType
 			from, to []uint64
-		}{{watch.Enter, ws.before, after}, {watch.Exit, after, ws.before}} {
+		}{{watch.Enter, w.before, after}, {watch.Exit, after, w.before}} {
 			for _, oid := range d.to {
 				if _, ok := slices.BinarySearch(d.from, oid); !ok {
 					want = append(want, fmt.Sprintf("%s %d", d.typ, oid))
 				}
 			}
+		}
+		need := len(want)
+		if w.stream != nil && n.inst.repl != nil && n.inst.repl.status().snapshots != w.snaps {
+			need = -1 // a bootstrap: wait for the terminal line
+		}
+		got, end := s.events(n, w, need)
+		if end != "" {
+			if n.role != "replica" || end != watchResetReason {
+				s.fatalf(n, "subscription %v %v ended: %q", sub.rels, sub.ref, end)
+			}
+			s.watch(n, sub)
+			continue
 		}
 		slices.Sort(got)
 		slices.Sort(want)
@@ -823,6 +858,72 @@ func (s *sim) checkWatch(n *simNode) {
 			s.fatalf(n, "subscription %v %v: events %v, the scan's difference %v", sub.rels, sub.ref, got, want)
 		}
 	}
+}
+
+// events takes what w received since it was last asked: the events an
+// in-process subscription holds or, from a stream, lines until it has
+// want events (want < 0: until its terminal line) and any that came
+// with them. Generations must exceed w's start and never fall. end is
+// why the server ended the subscription, "" while it is live.
+func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end string) {
+	last := w.start + 1
+	take := func(typ string, oid, gen uint64) {
+		if gen < last {
+			s.fatalf(n, "event of generation %d after %d on a subscription started at %d", gen, last, w.start)
+		}
+		got, last = append(got, fmt.Sprintf("%s %d", typ, oid)), gen
+	}
+	if w.stream == nil {
+		for {
+			select {
+			case ev, ok := <-w.sub.Events():
+				if !ok {
+					return got, w.sub.EndReason()
+				}
+				take(ev.Type.String(), ev.OID, ev.Gen)
+			default:
+				return got, ""
+			}
+		}
+	}
+	what := fmt.Sprintf("%d events on the watch stream", want)
+	if want < 0 {
+		what = "the watch stream's terminal line"
+	}
+	var lines []WatchLine
+	var done bool
+	s.await(n, what, func() bool {
+		lines, done = w.stream.from(w.taken)
+		return done || want >= 0 && len(lines) >= want
+	})
+	w.taken += len(lines)
+	for _, l := range lines {
+		if l.End != "" {
+			return got, l.End
+		}
+		if l.OID == nil || l.Gen == nil {
+			s.fatalf(n, "watch stream line %+v", l)
+		}
+		take(l.Event, *l.OID, *l.Gen)
+	}
+	if done {
+		s.fatalf(n, "the watch stream closed without a terminal line")
+	}
+	return got, ""
+}
+
+// ended holds every subscription of n, whose table has been closed, to
+// reason: a stream's terminal line must carry it. It returns the events
+// they received before it.
+func (s *sim) ended(n *simNode, reason string) (got []string) {
+	for _, w := range n.subs {
+		evs, end := s.events(n, w, -1)
+		if end != reason {
+			s.fatalf(n, "a subscription ended with %q, want %q", end, reason)
+		}
+		got = append(got, evs...)
+	}
+	return got
 }
 
 // answer is a response body as the hit contract compares it: the match

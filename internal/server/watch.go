@@ -12,8 +12,8 @@ import (
 )
 
 // newWatchTable wires an instance's subscription table: subscription
-// references live in their own in-memory R-tree, and batch
-// commit-to-notification latency lands in the watch histogram.
+// references live in their own in-memory R-tree, and the time each
+// batch takes to evaluate and deliver lands in the watch histogram.
 func (s *Server) newWatchTable() *watch.Table {
 	subIdx, err := index.NewWithPageSize(index.KindRTree, index.PaperPageSize)
 	if err != nil {
@@ -23,13 +23,12 @@ func (s *Server) newWatchTable() *watch.Table {
 	return watch.NewTable(nil, subIdx, s.metrics.watchLatency.observe)
 }
 
-// DrainWatchers flushes pending notifications and ends every watch
-// stream with a terminal "drain" line. topod calls it before
-// http.Server.Shutdown: watch streams never go idle on their own, so
-// shutdown would otherwise hang until the drain budget expired.
+// DrainWatchers ends every watch stream with a terminal "drain" line.
+// topod calls it before http.Server.Shutdown: watch streams never go
+// idle on their own, so shutdown would otherwise hang until the drain
+// budget expired.
 func (s *Server) DrainWatchers() {
 	for _, inst := range s.listInstances() {
-		inst.watch.Sync()
 		inst.watch.Close("drain")
 	}
 }
@@ -46,7 +45,7 @@ func (s *Server) registerWatchMetrics() {
 	}
 	family("topod_watch_subscriptions", "Live watch subscriptions, by index.", "gauge",
 		func(c watch.Counters) any { return c.Subscriptions })
-	family("topod_watch_evaluated_total", "Subscription evaluations actually performed by the notifier.", "counter",
+	family("topod_watch_evaluated_total", "Subscription evaluations actually performed by the write path.", "counter",
 		func(c watch.Counters) any { return c.Evaluated })
 	family("topod_watch_pruned_total", "Subscriptions never considered because the subscription R-tree pruned them.", "counter",
 		func(c watch.Counters) any { return c.Pruned })
@@ -54,7 +53,7 @@ func (s *Server) registerWatchMetrics() {
 		func(c watch.Counters) any { return c.Events })
 	family("topod_watch_dropped_total", "Events lost terminating lagging subscribers.", "counter",
 		func(c watch.Counters) any { return c.Dropped })
-	family("topod_watch_batches_total", "Commit batches evaluated by the watch notifier.", "counter",
+	family("topod_watch_batches_total", "Commit batches evaluated for watch subscribers.", "counter",
 		func(c watch.Counters) any { return c.Batches })
 }
 

@@ -102,6 +102,19 @@ func (ws *watchStream) wait(t *testing.T) ([]WatchLine, string) {
 	return ws.events, ws.end
 }
 
+// from returns the lines after the first i, the terminal one included,
+// and whether the reader has finished.
+func (ws *watchStream) from(i int) ([]WatchLine, bool) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	select {
+	case <-ws.done:
+		return ws.events[i:], true
+	default:
+		return ws.events[i:], false
+	}
+}
+
 // watchSub pairs a subscription's wire shape with its oracle inputs.
 type watchSub struct {
 	names []string
@@ -304,10 +317,9 @@ func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
 		}
 	}
 
-	inst.watch.Sync()
 	c := inst.watch.Counters()
 	if c.Evaluated == 0 {
-		t.Fatalf("notifier evaluated nothing: %+v", c)
+		t.Fatalf("the watch table evaluated nothing: %+v", c)
 	}
 	if c.Pruned == 0 {
 		t.Fatalf("subscription R-tree pruned nothing: %+v", c)

@@ -140,7 +140,7 @@ type WatchRequest struct {
 	Ref []float64 `json:"ref"`
 	// Buffer, when positive, sizes the per-subscription event buffer; a
 	// subscriber that falls this many events behind is terminated with
-	// a lag End line rather than stalling the notifier. At most 16 384
+	// a lag End line rather than stalling the writer. At most 16 384
 	// (a larger value is a 400); zero or negative takes the default.
 	Buffer int `json:"buffer,omitempty"`
 	// TimeoutMS, when positive, closes the stream after this long. The

@@ -140,7 +140,6 @@ func TestWritePathDifferential(t *testing.T) {
 					}
 				}
 				mode.settle()
-				mode.seen.watch.Sync()
 
 				for _, win := range windows {
 					if got, want := queryOIDs(t, mode.seen.ReadIndex(), win), scan(win); !slices.Equal(got, want) {
@@ -217,7 +216,6 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 	// state is everything a commit moves, as one comparable string.
 	state := func(mode writeMode) string {
 		inst := mode.target
-		inst.watch.Sync()
 		var b strings.Builder
 		fmt.Fprintf(&b, "len %d gen %d batches %d wal-records %d", inst.ReadIndex().Len(), inst.Generation(),
 			inst.watch.Counters().Batches, mode.srv.metrics.walRecords.Load())

@@ -11,9 +11,9 @@
 // itself.
 //
 // Subscriptions live in a Table attached to one served index. The
-// write path publishes every applied commit batch; a single notifier
-// goroutine evaluates one pass per batch and fans events out to the
-// subscribers' buffered channels. Two layers keep a pass cheap:
+// write path publishes every applied commit batch, and Publish
+// evaluates it and fans its events out to the subscribers' buffered
+// channels before it returns. Two layers keep that cheap:
 //
 //  1. An R-tree over the subscription reference rectangles reduces a
 //     record's rectangle to the subscriptions it touches (subscriptions
@@ -23,10 +23,10 @@
 //     on the record's rectangle against their reference.
 //
 // Delivery is at-least-once per generation: a subscriber that attaches
-// while a commit is still queued may receive events its own baseline
-// query already reflects. Events are delivered in apply order, so
-// replaying enter/exit as multiset operations on (oid, rect) converges
-// to the true answer.
+// after a commit reached the tree but before it was published may
+// receive events its own baseline query already reflects. Events are
+// delivered in apply order, so replaying enter/exit as multiset
+// operations on (oid, rect) converges to the true answer.
 package watch
 
 import (
@@ -173,38 +173,26 @@ type Table struct {
 	events, dropped, batches atomic.Uint64
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	closed  bool
-	started bool
 	nextID  uint64
 	gen     uint64 // batches published
-	doneGen uint64 // batches evaluated and fanned out
 	subs    map[uint64]*Subscription
 	gapSubs map[uint64]*Subscription
 	subIdx  SubIndex
-	queue   []commitBatch
-}
-
-type commitBatch struct {
-	gen  uint64
-	muts []Mutation
-	at   time.Time
 }
 
 // NewTable creates an empty subscription table. scan is unused — the
 // table never reads the index — and may be nil; it stays only so that
-// existing callers compile. observe, when non-nil, receives each
-// batch's commit-to-notification latency. subIdx indexes subscription
-// references; it must be empty.
+// existing callers compile. observe, when non-nil, receives how long
+// each published batch took to evaluate and deliver. subIdx indexes
+// subscription references; it must be empty.
 func NewTable(scan func(emit func(geom.Rect, uint64) bool) error, subIdx SubIndex, observe func(time.Duration)) *Table {
-	t := &Table{
+	return &Table{
 		observe: observe,
 		subs:    make(map[uint64]*Subscription),
 		gapSubs: make(map[uint64]*Subscription),
 		subIdx:  subIdx,
 	}
-	t.cond = sync.NewCond(&t.mu)
-	return t
 }
 
 // Counters snapshots the work accounting.
@@ -236,10 +224,6 @@ func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscripti
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, ErrClosed
-	}
-	if !t.started {
-		t.started = true
-		go t.notifier()
 	}
 	t.nextID++
 	cfgs := mbr.CandidatesSet(rels)
@@ -285,61 +269,49 @@ func (t *Table) endLocked(sub *Subscription, reason string) {
 	sub.reason = reason
 	sub.mu.Unlock()
 	close(sub.ch)
-	if len(t.subs) == 0 && !t.closed {
-		t.queue = nil
-		t.doneGen = t.gen
+	if len(t.subs) == 0 {
 		t.active.Store(false)
-		t.cond.Broadcast()
 	}
 }
 
-// Publish hands one applied commit batch to the notifier, taking
-// ownership of muts. Callers invoke it under the lock that serialised
-// the index mutation, so batch order matches apply order; it never
-// blocks on delivery.
+// Publish evaluates one applied commit batch and delivers its events
+// before it returns; it keeps no reference to muts. Callers invoke it
+// under the lock that serialised the index mutation, so batch order
+// matches apply order. It never blocks on a subscriber: one whose
+// buffer is full is ended instead.
 func (t *Table) Publish(muts ...Mutation) {
 	if len(muts) == 0 || !t.active.Load() {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.subs) == 0 {
-		t.mu.Unlock()
 		return
 	}
+	start := time.Now()
 	t.gen++
-	t.queue = append(t.queue, commitBatch{gen: t.gen, muts: muts, at: time.Now()})
-	t.cond.Signal()
-	t.mu.Unlock()
+	t.batches.Add(1)
+	t.runBatchLocked(muts)
+	if t.observe != nil {
+		t.observe(time.Since(start))
+	}
 }
 
-// Sync blocks until every batch published before the call has been
-// evaluated and its events buffered or dropped — a test, benchmark,
-// and drain hook; the serving path never calls it.
-func (t *Table) Sync() {
-	t.mu.Lock()
-	target := t.gen
-	for t.doneGen < target && !t.closed {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
-}
+// Sync does nothing: Publish has delivered by the time it returns. It
+// stays for the benchmark harness, which still calls it.
+func (t *Table) Sync() {}
 
 // Close ends every subscription with the given reason (handlers
-// surface it as the terminal stream line), discards pending batches,
-// and rejects future subscribes. Callers that want queued events
-// delivered first run Sync before Close. Safe to call repeatedly.
+// surface it as the terminal stream line) and rejects future
+// subscribes. Safe to call repeatedly.
 func (t *Table) Close(reason string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return
 	}
 	t.endAllLocked(reason)
 	t.closed = true
-	t.queue = nil
-	t.active.Store(false)
-	t.cond.Broadcast()
-	t.mu.Unlock()
 }
 
 // Reset ends every subscription with the given reason, as Close does,
@@ -353,42 +325,10 @@ func (t *Table) Reset(reason string) {
 	t.mu.Unlock()
 }
 
-// endAllLocked ends every subscription; the last departure drops the
-// queue. Caller holds t.mu.
+// endAllLocked ends every subscription. Caller holds t.mu.
 func (t *Table) endAllLocked(reason string) {
 	for _, sub := range t.subs {
 		t.endLocked(sub, reason)
-	}
-}
-
-// notifier is the single evaluation goroutine: one pass per commit
-// batch, in publish order. It runs under t.mu — evaluation is pure
-// in-memory work, and holding the lock makes subscribe/unsubscribe
-// atomic with respect to batch boundaries.
-func (t *Table) notifier() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		for len(t.queue) == 0 && !t.closed {
-			t.cond.Wait()
-		}
-		if len(t.queue) == 0 && t.closed {
-			return
-		}
-		b := t.queue[0]
-		t.queue = t.queue[1:]
-		t.runBatchLocked(b)
-		// endLocked may have fast-forwarded doneGen while discarding
-		// the queue (last subscriber lagged out mid-batch); never move
-		// it backwards.
-		if b.gen > t.doneGen {
-			t.doneGen = b.gen
-		}
-		t.batches.Add(1)
-		if t.observe != nil {
-			t.observe(time.Since(b.at))
-		}
-		t.cond.Broadcast()
 	}
 }
 
@@ -396,13 +336,10 @@ func (t *Table) notifier() {
 // subscriptions: every gap subscription, and those whose reference the
 // record's rectangle touches (closed intersection — boundary contact
 // can establish meet). Caller holds t.mu.
-func (t *Table) runBatchLocked(b commitBatch) {
-	if len(t.subs) == 0 {
-		return
-	}
+func (t *Table) runBatchLocked(muts []Mutation) {
 	subCount := uint64(len(t.subs))
 	pending := make(map[*Subscription][]Event)
-	for _, m := range b.muts {
+	for _, m := range muts {
 		typ := Enter
 		if m.Op == OpDelete {
 			typ = Exit
@@ -428,16 +365,16 @@ func (t *Table) runBatchLocked(b commitBatch) {
 		t.pruned.Add(subCount - tested)
 	}
 	for sub, evs := range pending {
-		t.deliverLocked(sub, evs, b.gen)
+		t.deliverLocked(sub, evs)
 	}
 }
 
 // deliverLocked fans one subscription's batch events out without ever
 // blocking: a full buffer terminates the subscription instead of
-// stalling the notifier or queueing unboundedly. Caller holds t.mu.
-func (t *Table) deliverLocked(sub *Subscription, evs []Event, gen uint64) {
+// stalling the writer. Caller holds t.mu.
+func (t *Table) deliverLocked(sub *Subscription, evs []Event) {
 	for i, ev := range evs {
-		ev.Gen = gen
+		ev.Gen = t.gen
 		select {
 		case sub.ch <- ev:
 			t.events.Add(1)

@@ -103,7 +103,6 @@ func TestEnterExit(t *testing.T) {
 	move(far, inside, 7)            // enter (inside)
 	move(inside, overlapping, 7)    // exit (inside), enter (overlap)
 	mustDelete(t, idx, tab, overlapping, 7)
-	tab.Sync()
 
 	evs := drain(sub)
 	want := []Event{
@@ -136,6 +135,35 @@ func TestEnterExit(t *testing.T) {
 	}
 }
 
+// TestPublishDeliversBeforeReturn: once Publish returns, the batch's
+// events are in the subscriber's buffer, and they are copies: the
+// caller may overwrite the slice it published.
+func TestPublishDeliversBeforeReturn(t *testing.T) {
+	tab := newTestTable(t)
+	sub, err := tab.Subscribe(geom.R(0, 0, 100, 100), topo.NotDisjoint, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Mutation{
+		{Op: OpInsert, OID: 1, Rect: geom.R(10, 10, 20, 20)},
+		{Op: OpDelete, OID: 2, Rect: geom.R(90, 90, 110, 110)},
+	}
+	tab.Publish(batch...)
+	if n := len(sub.Events()); n != len(batch) {
+		t.Fatalf("%d events buffered when Publish returned, want %d", n, len(batch))
+	}
+	for i := range batch {
+		batch[i] = Mutation{Op: OpInsert, OID: 99, Rect: geom.R(50, 50, 60, 60)}
+	}
+	want := []Event{
+		{Type: Enter, OID: 1, Rect: geom.R(10, 10, 20, 20), Gen: 1, Rel: topo.Inside},
+		{Type: Exit, OID: 2, Rect: geom.R(90, 90, 110, 110), Gen: 1, Rel: topo.Overlap},
+	}
+	if evs := drain(sub); !slices.Equal(evs, want) {
+		t.Fatalf("events %+v, want %+v", evs, want)
+	}
+}
+
 // TestTwoRegistrations: an object stored under two admitted rectangles
 // is two members, as it is two lines of a window query. Deleting one
 // is an exit for that rectangle alone, and the index still answers the
@@ -152,7 +180,6 @@ func TestTwoRegistrations(t *testing.T) {
 	mustInsert(t, idx, tab, a, 5)
 	mustInsert(t, idx, tab, b, 5)
 	mustDelete(t, idx, tab, a, 5)
-	tab.Sync()
 
 	evs := drain(sub)
 	if len(evs) != 3 || evs[0].Type != Enter || evs[0].Rect != a || evs[1].Type != Enter || evs[1].Rect != b ||
@@ -193,7 +220,6 @@ func TestSubscribeNeverScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustInsert(t, idx, tab, geom.R(10, 10, 20, 20), 1000)
-	tab.Sync()
 	if evs := drain(sub); len(evs) != 1 || evs[0].Type != Enter || evs[0].OID != 1000 {
 		t.Fatalf("expected one enter for oid 1000, got %v", evs)
 	}
@@ -212,7 +238,6 @@ func TestDisjointSubscription(t *testing.T) {
 	}
 	mustInsert(t, idx, tab, geom.R(500, 500, 510, 510), 1) // enter (disjoint)
 	mustDelete(t, idx, tab, geom.R(500, 500, 510, 510), 1) // exit
-	tab.Sync()
 	evs := drain(sub)
 	if len(evs) != 2 || evs[0].Type != Enter || evs[0].Rel != topo.Disjoint || evs[1].Type != Exit {
 		t.Fatalf("unexpected events %v", evs)
@@ -234,7 +259,6 @@ func TestPreexistingObjectExits(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustDelete(t, idx, tab, geom.R(10, 10, 20, 20), 1)
-	tab.Sync()
 	evs := drain(sub)
 	if len(evs) != 1 || evs[0].Type != Exit || evs[0].Rel != topo.Inside {
 		t.Fatalf("expected one exit (inside), got %v", evs)
@@ -246,7 +270,7 @@ func TestPreexistingObjectExits(t *testing.T) {
 }
 
 // TestLaggingSubscriberTerminated: a full event buffer ends the
-// subscription instead of blocking the notifier.
+// subscription instead of blocking the writer.
 func TestLaggingSubscriberTerminated(t *testing.T) {
 	idx := newTestIndex(t)
 	tab := newTestTable(t)
@@ -257,7 +281,6 @@ func TestLaggingSubscriberTerminated(t *testing.T) {
 	for oid := uint64(1); oid <= 3; oid++ {
 		mustInsert(t, idx, tab, geom.R(10, 10, 20, 20), oid)
 	}
-	tab.Sync()
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -400,7 +423,6 @@ func TestRandomTraceMatchesBruteForce(t *testing.T) {
 			records++
 		}
 	}
-	tab.Sync()
 
 	c := tab.Counters()
 	if c.Evaluated == 0 || c.Pruned == 0 {
