@@ -5,8 +5,8 @@ GO ?= go
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
 # imports internal/ packages: vet it too, so that deleting a symbol it
-# calls fails here and not only in CI's bench-smoke job. The one
-# in-repo micro-benchmark runs once so that it cannot rot.
+# calls fails here and not only in CI's bench-smoke job. The two
+# in-repo micro-benchmarks run once so that they cannot rot.
 verify: orphans pins
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
@@ -14,6 +14,7 @@ verify: orphans pins
 	cd bench && $(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench JoinServedShape -benchtime 1x ./internal/query
+	$(GO) test -run '^$$' -bench '^BenchmarkPack$$' -benchtime 1x ./internal/index
 
 # Dead-symbol gate: the exported funcs only tests call must be exactly
 # the ones scripts/orphans.allow gives a reason for. A `-` line is a new
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSim -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFlatDecode -fuzztime=$(FUZZTIME) ./internal/rtree
 	$(GO) test -run='^$$' -fuzz=FuzzJoinOrder -fuzztime=$(FUZZTIME) ./internal/rtree
+	$(GO) test -run='^$$' -fuzz=FuzzPack -fuzztime=$(FUZZTIME) ./internal/rtree
 	$(GO) test -run='^$$' -fuzz=FuzzTilePrune -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDomination -fuzztime=$(FUZZTIME) ./internal/mbr
 	$(GO) test -run='^$$' -fuzz=FuzzPairAdmits -fuzztime=$(FUZZTIME) ./internal/query

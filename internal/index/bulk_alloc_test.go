@@ -22,12 +22,13 @@ func allocated(fn func()) uint64 {
 }
 
 // TestLoadBulkAllocation bounds what an STR bulk load allocates: the
-// leaf level is one 48-byte Entry per record, sorted in place and kept
-// by the packed leaves, and everything else — node headers, the upper
-// levels, the chunk list — is a few bytes per record more. A copy of
-// the records anywhere on the way (into another record type, into a
-// sort buffer, into per-node slices) costs at least 48 bytes more per
-// record and fails the bound.
+// leaf level is one 48-byte Entry per record, written in x-centre order
+// and kept by the packed leaves, and everything else — node headers, the
+// upper levels, the chunk list and the pack's scratch, which is the
+// bucket counts (2 B per record) and one slab-sized buffer — is a few
+// bytes per record more. A copy of the records anywhere on the way (into
+// another record type, into a level-sized sort buffer, into per-node
+// slices) costs at least 48 bytes more per record and fails the bound.
 func TestLoadBulkAllocation(t *testing.T) {
 	const n, maxPerRecord = 100000, 64
 	items := workload.NewDataset(workload.Medium, n, 0, 3).Items

@@ -173,9 +173,10 @@ func Load(idx Index, items []Item) error {
 }
 
 // LoadBulk loads items through InsertBatch: on an empty R-/R*-tree the
-// batch is Sort-Tile-Recursive packed — O(N log N), no per-insert
-// splits — which is the fast path for building a large index from a
-// data file at startup.
+// batch is Sort-Tile-Recursive packed — each level ordered by a bucket
+// pass over its centres in expected linear time, no per-insert splits —
+// which is the fast path for building a large index from a data file at
+// startup.
 func LoadBulk(idx Index, items []Item) error {
 	if err := idx.InsertBatch(items); err != nil {
 		return fmt.Errorf("index: bulk loading %d items: %w", len(items), err)

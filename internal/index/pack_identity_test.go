@@ -95,3 +95,36 @@ func TestPackIdentity(t *testing.T) {
 		t.Logf("this packer's golden:\n%s", strings.Join(got, "\n"))
 	}
 }
+
+// BenchmarkPack times LoadBulk of 100 000 rectangles into an empty
+// R*-tree at the paper's page size: medium uniform rectangles, whose
+// centres are distinct, so every sort of the pack takes the bucket
+// pass; and the grid of tied centres, whose leaf-level sorts take the
+// tie rule (pdqsort). B/op is what the pack allocates.
+//
+//	go test -run '^$' -bench Pack -benchmem ./internal/index
+func BenchmarkPack(b *testing.B) {
+	const n = 100000
+	for _, d := range []struct {
+		name  string
+		items []index.Item
+	}{
+		{"uniform", workload.NewDataset(workload.Medium, n, 0, 3).Items},
+		{"grid", gridItems(n, 7)},
+	} {
+		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				idx, err := index.New(index.KindRStar)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := index.LoadBulk(idx, d.items); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

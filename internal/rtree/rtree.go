@@ -60,9 +60,10 @@ func (t *Tree) Insert(r geom.Rect, oid uint64) error {
 // InsertBatch adds a batch of rectangles as one atomic mutation:
 // queries observe either none or all of the batch, and the snapshot is
 // published once instead of per record. On an empty tree the batch is
-// Sort-Tile-Recursive packed — the O(N log N) bulk build with near-full
-// nodes — instead of inserted one by one; a non-empty tree takes the
-// batch through the ordinary insertion path under a single publication.
+// Sort-Tile-Recursive packed — the bulk build with near-full nodes, in
+// expected linear time per level — instead of inserted one by one; a
+// non-empty tree takes the batch through the ordinary insertion path
+// under a single publication.
 func (t *Tree) InsertBatch(recs []Record) error {
 	for _, r := range recs {
 		if !r.Rect.Valid() {
