@@ -58,13 +58,16 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 // lines through instead of buffering them — and returns the writer's
 // flusher (nil when the writer cannot flush). /v1/watch, a live tail,
 // flushes after every event; the finite streams batch under
-// lineWriter's flush contract (ndjson.go).
+// lineWriter's flush contract (ndjson.go). The values are shared and
+// must not be written through: assigning them, unlike Header.Set,
+// allocates nothing.
 func ndjsonHeaders(w http.ResponseWriter) http.Flusher {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-cache")
+	w.Header()["Content-Type"], w.Header()["Cache-Control"] = ndjsonType, noCache
 	flusher, _ := w.(http.Flusher)
 	return flusher
 }
+
+var ndjsonType, noCache = []string{"application/x-ndjson"}, []string{"no-cache"}
 
 // servingInstance resolves a request's index and gates on health: an
 // index whose recovery failed or that detected corruption answers 503

@@ -24,12 +24,17 @@ import (
 //	    delivered (query.Match.First), or
 //	(c) the stream ends.
 //
-// (a) and (b) also call Flush; (c) does not, so net/http sends the last
-// lines, the trailer and the chunk terminator together when the handler
-// returns. A pair line therefore waits for at most flushAge plus the
-// gap to the line after it, a match line for at most flushAge plus the
-// gap to the next leaf's first line (or, either, to the end of the
-// stream).
+// (a) and (b) also call Flush; (c) does not. A complete stream that
+// (a) and (b) never wrote — an answer under flushBytes none of whose
+// lines waited flushAge, or a cache hit under flushBytes — declares its
+// length and goes out in one Write as a sized body, so net/http sends
+// it with the headers and no chunk framing. A stream that already
+// wrote, or that was cut short, stays chunked, and net/http sends its
+// last lines, the trailer and the chunk terminator together when the
+// handler returns.
+// A pair line therefore waits for at most flushAge plus the gap to the
+// line after it, a match line for at most flushAge plus the gap to the
+// next leaf's first line (or, either, to the end of the stream).
 const (
 	flushBytes = 32 << 10
 	flushAge   = time.Millisecond
@@ -53,6 +58,7 @@ type lineWriter struct {
 	flusher http.Flusher // nil when w cannot flush
 	metrics *Metrics
 	buf     []byte // rendered lines not yet handed to w
+	sent    bool   // some bytes were handed to w, so the body is chunked
 	err     error  // first failure; every later append reports false
 
 	// The stream's clock is the time since it started: one monotonic
@@ -149,6 +155,7 @@ func (lw *lineWriter) write(p []byte) bool {
 	}
 	lw.keep(p)
 	lw.metrics.streamFlushes.Add(1)
+	lw.sent = true
 	_, lw.err = lw.w.Write(p)
 	return lw.err == nil
 }
@@ -175,9 +182,18 @@ func (lw *lineWriter) cacheCopy() ([]byte, bool) {
 	return kept, ok
 }
 
-// replay sends the lines an earlier stream stored (a cache hit) as they
-// are, without copying them; it must precede every append.
-func (lw *lineWriter) replay(lines []byte) { lw.write(lines) }
+// replay sends the lines an earlier stream stored (a cache hit); it
+// must precede every append. Lines under flushBytes join the pending
+// buffer, so the hit ends as the sized single Write its miss made; a
+// larger answer goes out as stored, uncopied, as rule (a) would send
+// it, so the pooled buffer never grows to hold a whole cache entry.
+func (lw *lineWriter) replay(lines []byte) {
+	if len(lines) >= flushBytes {
+		lw.write(lines)
+		return
+	}
+	lw.buf = append(lw.buf, lines...)
+}
 
 // endQuery ends a /v1/query stream with t as its last line, or, when
 // t is nil, as cut short.
@@ -199,11 +215,15 @@ func (lw *lineWriter) endJoin(t *JoinLine) {
 
 // end finishes the stream under rule (c) and recycles lw: the pending
 // lines, with the trailer endQuery or endJoin rendered after them, go
-// out in one write, with no Flush. A stream that is not complete was
-// cut short (client gone, deadline) and counts as a disconnect, as
+// out in one write, with no Flush — as a sized body when the stream is
+// complete and nothing went out before. A stream that is not complete
+// was cut short (client gone, deadline) and counts as a disconnect, as
 // does one whose last write fails.
 func (lw *lineWriter) end(complete bool) {
 	lw.keeping, lw.kept = false, nil // a trailer is never part of a cached answer
+	if complete && !lw.sent && lw.err == nil {
+		lw.w.Header()["Content-Length"] = []string{strconv.Itoa(len(lw.buf))}
+	}
 	if !lw.write(lw.buf) || !complete {
 		lw.metrics.disconnects.Add(1)
 	}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,6 +192,159 @@ func TestLineWriterFlushContract(t *testing.T) {
 		lw.end(false)
 	})
 }
+
+// TestResponseFraming checks how each finite stream is framed on a
+// real HTTP/1.1 connection. A complete answer that never left the
+// pending buffer declares its length and is not chunked: a miss that
+// made one write (one that waited out flushAge, under the race
+// detector say, wrote early), its cache hit and an explain hit, which
+// read no clock. A join over flushBytes, which wrote before it ended,
+// stays chunked, and a stream cut short never declares a length.
+func TestResponseFraming(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{CacheSize: 8}, 2000, index.KindRStar)
+	window := QueryRequest{Index: "rstar", Relations: []string{"not_disjoint"}, Ref: []float64{100, 100, 300, 300}}
+	ask := func(req QueryRequest) (body []byte, sized bool, writes uint64) {
+		before := srv.metrics.streamFlushes.Load()
+		body, sized = fetchFramed(t, ts.URL+"/v1/query", req)
+		return body, sized, srv.metrics.streamFlushes.Load() - before
+	}
+
+	miss, sized, writes := ask(window)
+	if len(miss) <= 2048 || len(miss) >= flushBytes {
+		t.Fatalf("window answer is %d bytes, want one over net/http's own 2 KiB sizing and under %d", len(miss), flushBytes)
+	}
+	if sized != (writes == 1) {
+		t.Fatalf("the miss made %d writes and sized is %v, want a sized body exactly when it made one", writes, sized)
+	}
+	if hit, sized, writes := ask(window); !sized || writes != 1 {
+		t.Fatalf("the cache hit made %d writes and sized is %v, want one sized write", writes, sized)
+	} else if !bytes.Equal(hit, miss) {
+		t.Fatal("the cache hit's body differs from the miss's")
+	}
+	explain := window
+	explain.Explain = true
+	body, sized, writes := ask(explain)
+	if !sized || writes != 1 {
+		t.Fatalf("the explain hit made %d writes and sized is %v, want one sized write", writes, sized)
+	}
+	lines := body[:bytes.LastIndexByte(body[:len(body)-1], '\n')+1]
+	if missLines := miss[:bytes.LastIndexByte(miss[:len(miss)-1], '\n')+1]; !bytes.Equal(lines, missLines) {
+		t.Fatal("the explain hit's match lines differ from the miss's")
+	}
+	if !bytes.Contains(body[len(lines):], []byte(`"explain":"cache=hit `)) {
+		t.Fatalf("explain trailer %q does not report the hit", body[len(lines):])
+	}
+	if hits, _, _ := srv.cache.counters(); hits != 2 {
+		t.Fatalf("%d cache hits, want 2", hits)
+	}
+
+	// A stream cut by its deadline: the first write of the 2000-line
+	// disjoint answer outlasts the request's 5 ms. Whether the cut came
+	// before that write or after it, fetchFramed fails a declared length
+	// the body did not fill.
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(&slowWriter{ResponseWriter: w, hold: 50 * time.Millisecond}, r)
+	}))
+	defer slow.Close()
+	cut := QueryRequest{Index: "rstar", Relations: []string{"disjoint"}, Ref: window.Ref, TimeoutMS: 5}
+	if body, _ = fetchFramed(t, slow.URL+"/v1/query", cut); bytes.Contains(body, []byte(`"stats"`)) {
+		t.Fatal("the deadline did not cut the stream")
+	}
+
+	jsrv, jts := newJoinTestServer(t, Config{}, 3000, 3000)
+	full, err := query.JoinTopological(joinIdx(t, jsrv, "left"), joinIdx(t, jsrv, "right"), topo.NotDisjoint, query.JoinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, p := range full.Pairs {
+		want = append(want, string(appendPairLine(nil, p)))
+	}
+	sort.Strings(want)
+	body, sized = fetchFramed(t, jts.URL+"/v1/join", JoinRequest{Left: "left", Right: "right", Relations: []string{"not_disjoint"}})
+	if sized || len(body) <= flushBytes {
+		t.Fatalf("join answer of %d bytes is sized: %v, want chunked over %d", len(body), sized, flushBytes)
+	}
+	got := strings.SplitAfter(string(body), "\n")
+	trailer := got[len(got)-2]
+	got = got[:len(got)-2] // the trailer and the empty string after it
+	sort.Strings(got)
+	if strings.Join(got, "") != strings.Join(want, "") {
+		t.Fatal("the join's pair lines differ from the in-process join's")
+	}
+	if w := string(appendJoinTrailer(nil, &JoinLine{Stats: &JoinWireStats{Pairs: len(full.Pairs), NodeAccesses: full.Stats.NodeAccesses}})); trailer != w {
+		t.Fatalf("join trailer %q, want %q", trailer, w)
+	}
+
+	// What the wire cannot show: net/http ignores a header set after the
+	// first write, so a length declared after a flush is visible only to
+	// the ResponseWriter itself.
+	rec := newRecorder()
+	lw := srv.newLineWriter(rec, false)
+	for i := 0; len(rec.writes) == 0; i++ {
+		lw.match(testMatch(i))
+	}
+	lw.endQuery(&QueryLine{Stats: &WireStats{}})
+	if cl := rec.header.Get("Content-Length"); cl != "" {
+		t.Fatalf("a stream that wrote before its end declared Content-Length %s", cl)
+	}
+	rec = newRecorder()
+	lw = srv.newLineWriter(rec, false)
+	lw.match(testMatch(1))
+	lw.endQuery(nil)
+	if cl := rec.header.Get("Content-Length"); cl != "" {
+		t.Fatalf("a stream cut short declared Content-Length %s", cl)
+	}
+}
+
+// fetchFramed posts req to url and returns the body and whether it came
+// sized (a Content-Length, no Transfer-Encoding) rather than chunked. It
+// fails on any other framing, so a declared length is always the
+// body's.
+func fetchFramed(t *testing.T, url string, req any) ([]byte, bool) {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s: reading the body: %v", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: HTTP %d: %s", url, resp.StatusCode, body)
+	}
+	sized := resp.ContentLength == int64(len(body)) && len(resp.TransferEncoding) == 0
+	chunked := resp.ContentLength == -1 && len(resp.TransferEncoding) == 1 && resp.TransferEncoding[0] == "chunked"
+	if !sized && !chunked {
+		t.Fatalf("%s: %d-byte body has Content-Length %d and Transfer-Encoding %v",
+			url, len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+	return body, sized
+}
+
+// slowWriter holds a response's first write for hold: a client that
+// reads slowly, so the request's deadline passes mid-stream.
+type slowWriter struct {
+	http.ResponseWriter
+	hold  time.Duration
+	wrote bool
+}
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	if !w.wrote {
+		w.wrote = true
+		time.Sleep(w.hold)
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *slowWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 
 // leafMatch is testMatch as the first match of its leaf.
 func leafMatch(i int) query.Match {

@@ -3,7 +3,7 @@
 // bench-only fixture: bench/fixtures.go measures it in-process, and
 // nothing the service serves uses it — topod serves one tree per index,
 // and the join refuses a router (query.CanJoin wants an *rtree.Tree a
-// side). It goes with that fixture (ROADMAP item 1e).
+// side). It goes with that fixture (ROADMAP item 1a).
 //
 // The Sharded router implements index.Index, so the query processor
 // works unchanged on top of it: searches fan out to only the tiles

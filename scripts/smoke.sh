@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Server smoke test: boot topod on an ephemeral port against a
-# synthetic dataset, run one NDJSON query, one two-term conjunction
+# synthetic dataset, run one NDJSON query (sent as one sized body),
+# one two-term conjunction
 # (byte-identical with its terms swapped, explain "plan=conjunction",
 # no more node accesses than either term alone), one query in six body
 # shapes (byte-identical answers), an insert whose value starts past
@@ -14,7 +15,8 @@
 # first time, and again from the image that boot wrote — and fails if
 # any of the three processes' resident high-water mark (VmHWM) passed
 # 26 MiB. A fifth leg bulk-loads
-# two indexes, streams a meet+overlap /v1/join, checks the pair count
+# two indexes, streams a meet+overlap /v1/join (over 32 KiB, so
+# chunked), checks the pair count
 # against topoquery ground truth, sends the same join twenty times more
 # and cmp's every sorted body against the first (the join keeps sweep
 # orders beside the nodes it has swept), inserts into the left index and
@@ -44,7 +46,8 @@
 # directory untouched — instead of booting fresh beside it. A tenth leg
 # asserts a window answer of over 100 lines costs at most 3 stream
 # flushes, repeats it against a `-cache-size` topod, asserts the repeat
-# is byte-identical and increments topod_cache_hits_total, inserts far
+# is byte-identical, costs one write and increments
+# topod_cache_hits_total, inserts far
 # from the window and asserts the repeat is still a byte-identical hit,
 # then inserts inside it and asserts the same query misses (the Table 1
 # invalidation rule), counts one invalidation and sees the new
@@ -77,13 +80,13 @@ cleanup() {
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
     "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$LOG18" "$WLOG" "$BULK" "$WBULK" \
-    "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
+    "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$JHEAD" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
     "$DATADIR5" "$DATADIR6" "$DATADIR7" "$DATADIR8" "$FLATCOPY" 2>/dev/null || true
 }
 PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12="" PID13=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
-LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS=""
+LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS="" JHEAD=""
 JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
 DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" DATADIR8="" FLATCOPY=""
@@ -170,6 +173,12 @@ echo "$IDX" | grep -q '"objects":2000' \
 RESP="$(curl -sf -d '{"relations":["not_disjoint"],"ref":[100,100,300,300]}' "$BASE/v1/query")"
 echo "$RESP" | tail -1 | grep -q '"stats"' \
   || { echo "smoke: query stream did not end with a stats line: $RESP" >&2; exit 1; }
+# An answer that ended before any of it went out is one sized body: a
+# Content-Length over net/http's own 2 KiB sizing, and no chunks.
+QHEAD="$(curl -sD - -o /dev/null -d '{"relations":["not_disjoint"],"ref":[100,100,300,300]}' "$BASE/v1/query" | tr -d '\r')"
+QLEN="$(echo "$QHEAD" | sed -n 's/^[Cc]ontent-[Ll]ength: *\([0-9]*\)$/\1/p')"
+[ -n "$QLEN" ] && [ "$QLEN" -gt 2048 ] && ! echo "$QHEAD" | grep -qi '^transfer-encoding: *chunked' \
+  || { echo "smoke: the window answer is not one sized body over 2 KiB:" >&2; echo "$QHEAD" >&2; exit 1; }
 
 # A conjunction is one descent pruned by both terms: the same body
 # whichever term is written first, in no more pages than either term
@@ -446,8 +455,13 @@ ADDR4="$(wait_listen "$LOG6")" || {
 BASE4="http://$ADDR4"
 wait_ready "$BASE4" || { echo "smoke: join topod never became ready" >&2; exit 1; }
 
-JRESP="$(curl -sf -d '{"left":"main","right":"second","relations":["meet","overlap"]}' \
+JHEAD="$(mktemp)"
+JRESP="$(curl -sf -D "$JHEAD" -d '{"left":"main","right":"second","relations":["meet","overlap"]}' \
   "$BASE4/v1/join")"
+# Over 32 KiB, the join wrote before it ended: it stays chunked.
+[ "${#JRESP}" -gt 32768 ] && grep -qi '^transfer-encoding: *chunked' "$JHEAD" \
+  && ! grep -qi '^content-length:' "$JHEAD" \
+  || { echo "smoke: the ${#JRESP}-byte join answer is not chunked over 32 KiB:" >&2; cat "$JHEAD" >&2; exit 1; }
 WIREPAIRS="$(echo "$JRESP" | grep -c '"left_oid"')" || true
 [ "$WIREPAIRS" = "$TRUTH" ] \
   || { echo "smoke: /v1/join streamed $WIREPAIRS pairs, topoquery found $TRUTH" >&2; exit 1; }
@@ -972,6 +986,10 @@ CFLUSH="$(curl -sf "$CBASE/metrics" | awk '/^topod_stream_flushes_total /{print 
 WARM="$(curl -sf -d "$CQ" "$CBASE/v1/query")"
 [ "$COLD" = "$WARM" ] \
   || { echo "smoke: cache hit response differs from the cold miss" >&2; exit 1; }
+# A hit is one write: its stored lines and its trailer go out together.
+HFLUSH="$(curl -sf "$CBASE/metrics" | awk '/^topod_stream_flushes_total /{print $2}')"
+[ "$HFLUSH" = "$((CFLUSH + 1))" ] \
+  || { echo "smoke: the cache hit moved topod_stream_flushes_total from $CFLUSH to '$HFLUSH', want one write" >&2; exit 1; }
 
 CMET="$(curl -sf "$CBASE/metrics")"
 echo "$CMET" | grep -q '^topod_cache_hits_total 1$' \
