@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -17,17 +16,12 @@ import (
 // and a Retry-After hint — the service degrades by shedding load, not
 // by queueing until every client times out.
 type admission struct {
-	sem        chan struct{}
-	retryAfter time.Duration
-	metrics    *Metrics
+	sem     chan struct{}
+	metrics *Metrics
 }
 
-func newAdmission(maxInFlight int, retryAfter time.Duration, m *Metrics) *admission {
-	return &admission{
-		sem:        make(chan struct{}, maxInFlight),
-		retryAfter: retryAfter,
-		metrics:    m,
-	}
+func newAdmission(maxInFlight int, m *Metrics) *admission {
+	return &admission{sem: make(chan struct{}, maxInFlight), metrics: m}
 }
 
 // wrap gates next behind the semaphore. Admission never blocks: a
@@ -44,16 +38,14 @@ func (a *admission) wrap(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 		default:
 			a.metrics.rejected.Add(1)
-			shed(w, a.retryAfter, "server saturated: too many in-flight requests")
+			shed(w, "server saturated: too many in-flight requests")
 		}
 	})
 }
 
-// shed answers 429 with the back-off hint, in whole seconds and at
-// least one.
-func shed(w http.ResponseWriter, retryAfter time.Duration, msg string) {
-	secs := max(int64(math.Ceil(retryAfter.Seconds())), 1)
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+// shed answers 429 with a one-second back-off hint.
+func shed(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", "1")
 	writeJSONError(w, http.StatusTooManyRequests, msg)
 }
 

@@ -22,12 +22,12 @@ import (
 )
 
 // FuzzWireDecode holds every request reader to the encoding/json call
-// it replaced. On the same bytes behind an http.MaxBytesReader,
+// it stands for. On the same bytes behind an http.MaxBytesReader,
 // readBody with each of the QueryRequest, JoinRequest, WatchRequest and
 // UpdateRequest readers must accept exactly what
 // json.NewDecoder(...).Decode accepts, and decode a value
-// reflect.DeepEqual to its; readBulk must return the records the old
-// /v1/bulk loop built, or fail at the same line. Every body is read
+// reflect.DeepEqual to its; readBulk must return the records a
+// json.Decoder loop over the body builds, or fail at the same line. Every body is read
 // under the handlers' caps and under two caps that cut it short, whole
 // and one byte a read. Every rectangle RectFromWire accepts, from a
 // bulk line or an UpdateRequest, is valid and round-trips through
@@ -91,6 +91,17 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`true`))
 	f.Add([]byte(``))
 	f.Add([]byte(" \n\t "))
+	// The shortcut's edges: bulk bodies that leave it mid-body, a last
+	// line with no newline, two values on a line, an empty array, and a
+	// canonical query the first read of the body does not reach.
+	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n{\"\\u006fid\":2,\"rect\":[0,0,2,2]}\n{\"oid\":3,\"rect\":[0,0,3,3]}\n"))
+	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n{\"oid\":2,\"zz\":0,\"rect\":[0,0,2,2]}\n{\"oid\":3,\"rect\":[0,0,3,3]}\n{\"oid\":4,\"rect\":[0,0,4,4]}\n"))
+	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n{\"oid\":null,\"rect\":[0,0,2,2]}\n{\"oid\":3,\"rect\":[0,0,3,3]}\n"))
+	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]}\n{\"oid\":2,\"rect\":[2,2,3,3]}"))
+	f.Add([]byte("{\"oid\":1,\"rect\":[0,0,1,1]} {\"oid\":2,\"rect\":[0,0,2,2]}\n{\"oid\":3,\"rect\":[0,0,3,3]}\n"))
+	f.Add([]byte(`{"oid":1,"rect":[]}`))
+	f.Add([]byte("{\"index\":\"a\xffb\",\"relations\":[\"ov\xc3\"],\"ref\":[0,0,1,1]}"))
+	f.Add([]byte(strings.Repeat(" ", firstRead+100) + `{"relations":["overlap"],"ref":[0,0,5,5]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, limit := range []int64{maxBodyBytes, int64(len(data) - 1), int64(len(data) / 2)} {
 			if limit < 0 {
@@ -109,7 +120,7 @@ func FuzzWireDecode(f *testing.F) {
 
 		// The helpers the handlers call next stay self-consistent.
 		var qr QueryRequest
-		if readBody(httptest.NewRecorder(), body(data), maxBodyBytes, qr.read) == nil {
+		if readBody(httptest.NewRecorder(), body(data), maxBodyBytes, qr.read, qr.decode) == nil {
 			set, err := ParseRelationSet(qr.Relations)
 			if err == nil && set.IsEmpty() {
 				t.Fatalf("ParseRelationSet(%v) returned empty set without error", qr.Relations)
@@ -119,7 +130,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		var ur UpdateRequest
-		if readBody(httptest.NewRecorder(), body(data), maxBodyBytes, ur.read) == nil {
+		if readBody(httptest.NewRecorder(), body(data), maxBodyBytes, ur.read, ur.decode) == nil {
 			if rect, err := RectFromWire(ur.Rect); err == nil {
 				checkWireRect(t, rect, ur.Rect)
 			}
@@ -130,6 +141,7 @@ func FuzzWireDecode(f *testing.F) {
 // TestReadBodyDepth reads values nested at encoding/json's depth limit
 // and one past it, which are too long to seed FuzzWireDecode with.
 func TestReadBodyDepth(t *testing.T) {
+	const maxDepth = 10000 // encoding/json's nesting limit
 	for _, depth := range []int{maxDepth - 1, maxDepth} {
 		for _, open := range []string{"[", `{"a":`} {
 			close := "]"
@@ -146,35 +158,24 @@ func TestReadBodyDepth(t *testing.T) {
 	}
 }
 
-// TestReadBodyTrickle reads bodies of about 1 MiB one byte a read. A
-// value is read from its start over the bytes in hand, and again only
-// once its outermost bracket has come (or the body has ended), so a
-// slow client costs time linear in what it sends: every value here,
-// and the end of the body, is read at most twice.
+// TestReadBodyTrickle reads bodies of about 1 MiB whole and one byte a
+// read, as a slow client sends them, against encoding/json.
 func TestReadBodyTrickle(t *testing.T) {
 	// Brackets, quotes and backslashes inside strings do not end a value.
 	text := strings.Repeat(`[{\"}]\\ é`, 30<<10)
 	query := []byte(`{"zz":[` + strings.Repeat("0, ", 100<<10) + `{"a":"]}"}],"ref":[0,0,1,1],"index":"` + text + `"}`)
-	var want, got QueryRequest
-	if err := json.Unmarshal(query, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := readBody(httptest.NewRecorder(), trickle(query), maxBodyBytes, twice(got.read)); err != nil {
+	if err := diffRead[QueryRequest](t, query, maxBodyBytes); err != nil {
 		t.Fatalf("%d-byte query: %v", len(query), err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%d-byte query read one byte a read differs from encoding/json's", len(query))
 	}
 
 	// Whitespace past the cap: the value never starts within it.
 	blank := []byte(strings.Repeat(" \n", maxBodyBytes/2+1) + `{"oid":1,"rect":[0,0,1,1]}`)
-	var ur UpdateRequest
 	var tooBig *http.MaxBytesError
-	if err := readBody(httptest.NewRecorder(), trickle(blank), maxBodyBytes, twice(ur.read)); !errors.As(err, &tooBig) {
+	if err := diffRead[UpdateRequest](t, blank, maxBodyBytes); !errors.As(err, &tooBig) {
 		t.Fatalf("value after %d bytes of whitespace: %v, want the cap's error", len(blank), err)
 	}
 
-	// /v1/bulk: a line holding a large unknown field among small ones.
+	// /v1/bulk: a line longer than the line buffer among small ones.
 	var bulk bytes.Buffer
 	for oid := 1; oid <= 100; oid++ {
 		fmt.Fprintf(&bulk, "{\"oid\":%d,\"rect\":[0,0,%d,1]}\n", oid, oid)
@@ -182,40 +183,91 @@ func TestReadBodyTrickle(t *testing.T) {
 			fmt.Fprintf(&bulk, "  {\"zz\":[%s[]],\"oid\":0,\"rect\":[0,0,1,1]}\n\n", strings.Repeat("[1,\"]\"],", 100<<10))
 		}
 	}
-	br := newBodyReader(httptest.NewRecorder(), trickle(bulk.Bytes()), maxBulkBytes)
-	defer br.release()
-	values := 0
-	for {
-		var line BulkLine
-		err := br.next(twice(line.read))
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("bulk line %d: %v", values+1, err)
-		}
-		values++
-	}
-	if values != 101 {
-		t.Errorf("%d-byte bulk body: %d values, want 101", bulk.Len(), values)
-	}
-	whole, err := readBulk(httptest.NewRecorder(), body(bulk.Bytes()), maxBulkBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trickled, err := readBulk(httptest.NewRecorder(), trickle(bulk.Bytes()), maxBulkBytes); err != nil || !reflect.DeepEqual(trickled, whole) {
-		t.Fatalf("bulk body read one byte a read: %d records, %v; whole: %d records", len(trickled), err, len(whole))
+	diffBulk(t, bulk.Bytes(), maxBulkBytes)
+	if recs, err := readBulk(httptest.NewRecorder(), body(bulk.Bytes()), maxBulkBytes); err != nil || len(recs) != 101 {
+		t.Fatalf("%d-byte bulk body: %d records, %v; want 101", bulk.Len(), len(recs), err)
 	}
 }
 
-// twice wraps a reader to refuse a value on its third pass over it.
-func twice(read func(*jsonReader) error) func(*jsonReader) error {
-	passes := 0
-	return func(d *jsonReader) error {
-		if passes++; passes > 2 {
-			return fmt.Errorf("value read %d times", passes)
+// TestShortcutTaken pins that canonical bodies, json.Marshal of the
+// wire structs, are read by the shortcut, which FuzzWireDecode cannot
+// tell from one that always declines: reading one costs the
+// MaxBytesReader and the strings and slices decoded, and encoding/json
+// costs more on the same body.
+func TestShortcutTaken(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
+	w := discard{header: make(http.Header)}
+	rd := bytes.NewReader(nil)
+	src := io.NopCloser(rd)
+	count := func(data []byte, read func() error) float64 {
+		return testing.AllocsPerRun(100, func() {
+			rd.Reset(data)
+			if err := read(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ref := []float64{0.5, -1, 300, 1e-7}
+	var q QueryRequest
+	var j JoinRequest
+	var wr WatchRequest
+	var u UpdateRequest
+	for _, c := range []struct {
+		sent   any
+		got    any
+		allocs float64 // the MaxBytesReader, and each string and slice decoded
+		read   func([]byte) int
+		decode func(*json.Decoder) error
+	}{
+		{QueryRequest{Index: "main", Relations: []string{"overlap", "meet"}, Ref: ref, Limit: 3, TimeoutMS: 500,
+			Relations2: []string{"inside"}, Ref2: []float64{-0.25, 2, 3e21, 4}, Explain: true}, &q, 9, q.read, q.decode},
+		{JoinRequest{Left: "main", Right: "second", Relations: []string{"covers"}, NonContiguous: true,
+			KeepSelfPairs: true, Limit: 9, TimeoutMS: 1}, &j, 5, j.read, j.decode},
+		{WatchRequest{Index: "main", Relations: []string{"inside"}, Ref: ref, Buffer: 8, TimeoutMS: 2}, &wr, 5, wr.read, wr.decode},
+		{UpdateRequest{Index: "main", OID: math.MaxUint64, Rect: ref}, &u, 3, u.read, u.decode},
+	} {
+		data, err := json.Marshal(c.sent)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return read(d)
+		short := count(data, func() error { return readBody(w, src, maxBodyBytes, c.read, c.decode) })
+		if got := reflect.ValueOf(c.got).Elem().Interface(); !reflect.DeepEqual(got, c.sent) {
+			t.Fatalf("%s read as %#v", data, got)
+		}
+		v := reflect.New(reflect.TypeOf(c.sent)).Interface()
+		decoded := count(data, func() error { return json.NewDecoder(http.MaxBytesReader(w, src, maxBodyBytes)).Decode(v) })
+		if short > c.allocs || decoded <= c.allocs {
+			t.Errorf("%s: %v allocations read, want at most %v; encoding/json %v", data, short, c.allocs, decoded)
+		}
+	}
+
+	var bulk []byte
+	for oid := 1; oid <= 3; oid++ {
+		bulk = append(bulk, fmt.Sprintf("{\"oid\":%d,\"rect\":[0,0,%d,1.5]}\n", oid, oid)...)
+	}
+	// The MaxBytesReader, the bufio.Reader and its buffer, three
+	// rectangles and three growths of the record slice.
+	const bulkAllocs = 9
+	short := count(bulk, func() error {
+		recs, err := readBulk(w, src, maxBulkBytes)
+		if err == nil && len(recs) != 3 {
+			err = fmt.Errorf("%d records", len(recs))
+		}
+		return err
+	})
+	decoded := count(bulk, func() error {
+		dec := json.NewDecoder(http.MaxBytesReader(w, src, maxBulkBytes))
+		for {
+			var line BulkLine
+			if err := dec.Decode(&line); err != nil {
+				return nil
+			}
+		}
+	})
+	if short > bulkAllocs || decoded <= bulkAllocs {
+		t.Errorf("bulk body: %v allocations read, want at most %v; encoding/json %v", short, bulkAllocs, decoded)
 	}
 }
 
@@ -249,7 +301,8 @@ func checkWireRect(t *testing.T, rect geom.Rect, vals []float64) {
 // one byte a read, and must agree with encoding/json both times.
 func diffRead[T any, P interface {
 	*T
-	read(*jsonReader) error
+	read([]byte) int
+	decode(*json.Decoder) error
 }](t *testing.T, data []byte, limit int64) error {
 	t.Helper()
 	var want T
@@ -257,7 +310,7 @@ func diffRead[T any, P interface {
 	var gotErr error
 	for _, src := range []func([]byte) io.ReadCloser{body, trickle} {
 		var got T
-		gotErr = readBody(httptest.NewRecorder(), src(data), limit, P(&got).read)
+		gotErr = readBody(httptest.NewRecorder(), src(data), limit, P(&got).read, P(&got).decode)
 		switch {
 		case (wantErr == nil) != (gotErr == nil):
 			t.Fatalf("%T under a %d-byte cap: encoding/json says %v, the reader %v\nbody %q", got, limit, wantErr, gotErr, data)
@@ -268,8 +321,8 @@ func diffRead[T any, P interface {
 	return gotErr
 }
 
-// diffBulk runs readBulk, on data whole and one byte a read, and the
-// /v1/bulk loop it replaced. Every record readBulk returns holds a
+// diffBulk runs readBulk, on data whole and one byte a read, and a
+// json.Decoder loop over data. Every record readBulk returns holds a
 // valid rectangle that is its line's coordinates bit for bit.
 func diffBulk(t *testing.T, data []byte, limit int64) {
 	t.Helper()

@@ -104,7 +104,7 @@ func (s *Server) servingInstance(w http.ResponseWriter, name string) (*Instance,
 // holds).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read, req.decode); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -222,7 +222,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 // folded into /metrics.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read, req.decode); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -380,7 +380,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op func(
 		return
 	}
 	var req UpdateRequest
-	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read, req.decode); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

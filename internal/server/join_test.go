@@ -354,7 +354,7 @@ func TestJoinMetricsTotals(t *testing.T) {
 // is shed with 429 + Retry-After, and the slot frees once the first
 // client hangs up.
 func TestJoinSaturation(t *testing.T) {
-	_, ts := newJoinTestServer(t, Config{MaxInFlight: 1, RetryAfter: 2 * time.Second}, 4000, 4000)
+	_, ts := newJoinTestServer(t, Config{MaxInFlight: 1}, 4000, 4000)
 	body, err := json.Marshal(JoinRequest{Left: "left", Right: "right", Relations: []string{"not_disjoint"}})
 	if err != nil {
 		t.Fatal(err)
@@ -380,8 +380,8 @@ func TestJoinSaturation(t *testing.T) {
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated /v1/join answered %d, want 429", resp2.StatusCode)
 	}
-	if ra := resp2.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp2.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	// Hang up the holder; the slot frees and a bounded join succeeds.

@@ -42,6 +42,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"regexp"
 	"sort"
@@ -63,9 +64,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing /v1 requests
 	// (default 64).
 	MaxInFlight int
-	// RetryAfter is the back-off advertised on 429 responses
-	// (default 1s, rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
 	// DefaultTimeout applies to requests that specify no deadline of
 	// their own; 0 means no default deadline.
 	DefaultTimeout time.Duration
@@ -397,9 +395,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.MaxWatch <= 0 {
 		cfg.MaxWatch = 256
 	}
@@ -411,7 +406,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		metrics:    m,
-		adm:        newAdmission(cfg.MaxInFlight, cfg.RetryAfter, m),
+		adm:        newAdmission(cfg.MaxInFlight, m),
 		cache:      cache,
 		instances:  make(map[string]*Instance),
 		watchSlots: make(chan struct{}, cfg.MaxWatch),
@@ -605,11 +600,14 @@ func (s *Server) Handler() http.Handler {
 // queryTimeout applies the request deadline policy: the client's
 // timeout (capped at maxTimeout), else DefaultTimeout, else none.
 func (s *Server) queryTimeout(requestedMS int64) time.Duration {
-	switch {
-	case requestedMS > 0:
-		d := time.Duration(requestedMS) * time.Millisecond
-		return min(d, maxTimeout)
-	default:
-		return s.cfg.DefaultTimeout
+	if requestedMS > 0 {
+		return min(millis(requestedMS), maxTimeout)
 	}
+	return s.cfg.DefaultTimeout
+}
+
+// millis is a request's timeout_ms as a Duration, the longest one where
+// the product would overflow.
+func millis(ms int64) time.Duration {
+	return time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 }

@@ -277,7 +277,7 @@ func TestQueryClientDisconnect(t *testing.T) {
 // and counted in the rejected metric.
 func TestAdmissionControlSaturation(t *testing.T) {
 	m := newMetrics(nil)
-	adm := newAdmission(1, 2*time.Second, m)
+	adm := newAdmission(1, m)
 	release := make(chan struct{})
 	entered := make(chan struct{})
 	h := adm.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -307,8 +307,8 @@ func TestAdmissionControlSaturation(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	var body ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
@@ -674,6 +674,28 @@ func TestIndexNameValidation(t *testing.T) {
 		}
 		if err := legacySnapshot(d, "main"); (err != nil) != refused {
 			t.Errorf("legacySnapshot with %s = %v, want refused=%v", file, err, refused)
+		}
+	}
+}
+
+// TestQueryTimeout checks the deadline a request's timeout_ms sets: its
+// own up to maxTimeout and maxTimeout beyond, also where the
+// milliseconds overflow a Duration's nanoseconds.
+func TestQueryTimeout(t *testing.T) {
+	s := New(Config{DefaultTimeout: 5 * time.Second})
+	defer s.Close()
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, 5 * time.Second},
+		{1, time.Millisecond},
+		{60000, maxTimeout},
+		{9223372036855, maxTimeout},
+		{math.MaxInt64, maxTimeout},
+	} {
+		if got := s.queryTimeout(c.ms); got != c.want {
+			t.Errorf("queryTimeout(%d) = %v, want %v", c.ms, got, c.want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"time"
 
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/watch"
@@ -69,7 +68,7 @@ func (s *Server) registerWatchMetrics() {
 // apply — only an explicit client timeout does.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var req WatchRequest
-	if err := readBody(w, r.Body, maxBodyBytes, req.read); err != nil {
+	if err := readBody(w, r.Body, maxBodyBytes, req.read, req.decode); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -95,7 +94,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	case s.watchSlots <- struct{}{}:
 	default:
 		s.metrics.watchRejected.Add(1)
-		shed(w, s.cfg.RetryAfter, "watch slots exhausted")
+		shed(w, "watch slots exhausted")
 		return
 	}
 	defer func() { <-s.watchSlots }()
@@ -115,7 +114,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, millis(req.TimeoutMS))
 		defer cancel()
 	}
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -605,5 +606,33 @@ func TestWatchSubscribeBesideWriters(t *testing.T) {
 	case <-time.After(time.Second):
 		mu.Unlock()
 		t.Fatal("Subscribe waited for the mutation lock")
+	}
+}
+
+// TestWatchHugeTimeout opens a stream whose timeout_ms overflows a
+// Duration's nanoseconds: it stays open and delivers an insert's event.
+func TestWatchHugeTimeout(t *testing.T) {
+	srv := New(Config{})
+	if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree}, nil); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	ws := openWatch(t, ts.URL, WatchRequest{Relations: []string{"not_disjoint"}, Ref: []float64{0, 0, 10, 10}, TimeoutMS: math.MaxInt64})
+	postJSON(t, ts.URL+"/v1/insert", UpdateRequest{OID: 7, Rect: []float64{1, 1, 2, 2}})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		lines, done := ws.from(0)
+		if len(lines) > 0 && lines[0].Event == "enter" && lines[0].OID != nil && *lines[0].OID == 7 {
+			break
+		}
+		if done || time.Now().After(deadline) {
+			t.Fatalf("timeout_ms %d: lines %+v, stream ended %v; want oid 7's enter event", int64(math.MaxInt64), lines, done)
+		}
+	}
+	srv.DrainWatchers()
+	if _, end := ws.wait(t); end != "drain" {
+		t.Fatalf("end = %q, want drain", end)
 	}
 }

@@ -201,10 +201,11 @@ CACC="$(accesses "$CONJ")"
 [ -n "$CACC" ] && [ "$CACC" -le "$(accesses "$ALONE1")" ] && [ "$CACC" -le "$(accesses "$ALONE2")" ] \
   || { echo "smoke: conjunction read $CACC pages, its terms alone $(accesses "$ALONE1") and $(accesses "$ALONE2")" >&2; exit 1; }
 
-# Request bodies are read by hand, in encoding/json's language: the
-# same query in other shapes — keys reordered, an unknown field, keys
-# in another case, escaped relation names, bytes after the value — gets
-# the same bytes back.
+# A shortcut reads json.Marshal's shape of a body and encoding/json
+# reads every other body, over the same bytes: the same query in other
+# shapes — keys reordered, an unknown field, keys in another case,
+# escaped relation names and numbers json.Marshal would not write, bytes
+# after the value — gets the same bytes back.
 SHAPE="$(curl -sf -d '{"relations":["overlap"],"ref":[100,100,300,300]}' "$BASE/v1/query")"
 [ "$(echo "$SHAPE" | wc -l)" -gt 1 ] \
   || { echo "smoke: the wire-shape query matched nothing: $SHAPE" >&2; exit 1; }
@@ -341,6 +342,24 @@ BADRESP="$(curl -s -o /dev/null -w '%{http_code}' \
   "$BASE3/v1/bulk?index=main")"
 [ "$BADRESP" = "400" ] \
   || { echo "smoke: malformed bulk line answered $BADRESP, want 400" >&2; exit 1; }
+
+# The same batch 10 000 further out, with line 150 off the shortcut's
+# shape (an escaped key): encoding/json reads the body from that line
+# on, and the batch lands whole and answers like the first.
+OFFBULK="$(mktemp)"
+seq 1 300 | awk '{k = ($1 == 150) ? "\\u006fid" : "oid"; printf "{\"%s\":%d,\"rect\":[%d,%d,%d,%d]}\n", k, 710000+$1, 30000+$1, 30000+$1, 30001+$1, 30001+$1}' >"$OFFBULK"
+grep -q '^{"\\u006fid":710150,' "$OFFBULK" || { echo "smoke: the off-shape bulk body has no escaped key" >&2; exit 1; }
+ORESP="$(curl -sf --data-binary @"$OFFBULK" "$BASE3/v1/bulk?index=main")"
+rm -f "$OFFBULK"
+echo "$ORESP" | grep -q '"inserted":300' \
+  || { echo "smoke: the off-shape bulk body did not insert 300: $ORESP" >&2; exit 1; }
+# match lines as "oid x1 y1 x2 y2", shifted back by $2
+matches() { grep -o '"oid":[0-9]*,"rect":\[[^]]*\]' <<<"$1" | tr -c '0-9.\n-' ' ' \
+  | awk -v d="$2" '{print $1-d, $2-d, $3-d, $4-d, $5-d}' | sort; }
+CANON="$(matches "$(curl -sf -d '{"relations":["inside"],"ref":[20000,20000,20400,20400]}' "$BASE3/v1/query")" 0)"
+OFFSHAPE="$(matches "$(curl -sf -d '{"relations":["inside"],"ref":[30000,30000,30400,30400]}' "$BASE3/v1/query")" 10000)"
+[ "$(wc -l <<<"$CANON")" = 300 ] && [ "$CANON" = "$OFFSHAPE" ] \
+  || { echo "smoke: the off-shape bulk batch answers unlike the canonical one" >&2; exit 1; }
 
 QRESP="$(curl -sf -d '{"relations":["not_disjoint"],"ref":[20149,20149,20152,20152]}' "$BASE3/v1/query")"
 echo "$QRESP" | grep -q '"oid":700150' \
