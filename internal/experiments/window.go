@@ -52,22 +52,14 @@ func RunWindow(cfg Config, class workload.SizeClass) (*WindowResult, error) {
 		row := WindowRow{Relation: rel}
 		for _, q := range d.Queries {
 			// Window baseline: retrieve everything not disjoint from the
-			// reference MBR; all candidates go to refinement.
-			hits := 0
-			seen := map[uint64]struct{}{}
+			// reference MBR; all candidates (leaf entries) go to refinement.
 			pred := func(r geom.Rect) bool { return r.Intersects(q) }
-			ts, err := idx.SearchHits(context.Background(), pred, pred, func(h rtree.Hit) bool {
-				if _, ok := seen[h.OID]; !ok {
-					seen[h.OID] = struct{}{}
-					hits++
-				}
-				return true
-			})
+			ts, err := idx.SearchHits(context.Background(), pred, pred, func(rtree.Hit) bool { return true })
 			if err != nil {
 				return nil, err
 			}
 			row.WindowAccesses += float64(ts.NodeAccesses)
-			row.WindowHits += float64(hits)
+			row.WindowHits += float64(ts.Emitted)
 		}
 		n := float64(len(d.Queries))
 		row.WindowAccesses /= n

@@ -39,10 +39,10 @@ type Index interface {
 	Delete(r geom.Rect, oid uint64) error
 	// SearchHits traverses the structure, descending into internal
 	// entries whose rectangles satisfy nodePred and emitting leaf entries
-	// whose rectangles satisfy leafPred, until emit returns false.
-	// Implementations with duplicate entries (R+-tree) may emit the same
-	// object several times. It is the one traversal entry point: context
-	// cancellation (ctx.Err() with the stats accumulated so far), exact
+	// whose rectangles satisfy leafPred, until emit returns false. An
+	// R+-tree emits a registration in every leaf its rectangle reaches
+	// (rtree.Registrations sees it once). It is the one traversal entry
+	// point: context cancellation (ctx.Err() with the stats so far), exact
 	// per-traversal IO accounting, and leaf hits that can hand over their
 	// rectangle's wire text (rtree.Hit.Text) to an emit that asks for it.
 	SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (TraversalStats, error)
@@ -52,7 +52,8 @@ type Index interface {
 	// does, and they go when it moves (ROADMAP item 1a).
 	SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) (TraversalStats, error)
 	Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Rect, uint64) bool) error
-	// Len returns the number of distinct stored objects.
+	// Len returns the number of stored (oid, rect) registrations, each
+	// as many times as it was inserted and not deleted.
 	Len() int
 	// Height returns the number of levels.
 	Height() int

@@ -21,8 +21,9 @@ import (
 // take no context: a caller that must bound or cancel a query uses the
 // streaming API (Stream, StreamConjunction, JoinStream).
 
-// collect materialises one filter descent: every distinct candidate,
-// sorted by OID.
+// collect materialises one filter descent: every candidate (oid, rect)
+// registration, sorted by OID. Refinement tests each against the one
+// object its oid names in the store.
 func (p *Processor) collect(nodePred, leafPred func(geom.Rect) bool) ([]Match, Stats, error) {
 	var matches []Match
 	stats, err := p.descend(context.Background(), nodePred, leafPred, 0, func(h rtree.Hit) bool {

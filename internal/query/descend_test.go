@@ -3,88 +3,164 @@ package query
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
+	"mbrtopo/internal/workload"
 )
 
-// TestDuplicateOIDListedOnce: an answer lists an object id once on
-// every tree kind — also on the covering trees, where nothing but the
-// caller inserting one id twice (under two rectangles, or the same one)
-// puts it in two leaf entries — streamed or materialised, and a limit
-// counts ids, not entries.
-func TestDuplicateOIDListedOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var items []index.Item
-	for oid := uint64(1); oid <= 200; oid++ {
-		x, y := rng.Float64()*90, rng.Float64()*90
-		items = append(items, index.Item{Rect: geom.R(x, y, x+1+rng.Float64()*8, y+1+rng.Float64()*8), OID: oid})
-	}
-	// Ids 1..40 a second time: the odd ones under the same rectangle,
-	// the even ones under another that the window also meets.
-	for _, it := range items[:40] {
+// registrationProbe is 400 medium records, oid 2 a second time under
+// [500,500,510,510], and ids 3..42 a second time: the odd ones under the
+// same rectangle, the even ones under a rectangle half a unit off.
+func registrationProbe() []index.Item {
+	items := workload.NewDataset(workload.Medium, 400, 0, 1995).Items
+	items = append(items, index.Item{Rect: geom.R(500, 500, 510, 510), OID: 2})
+	for _, it := range items[2:42] {
 		if it.OID%2 == 0 {
 			it.Rect = geom.R(it.Rect.Min.X+0.5, it.Rect.Min.Y+0.5, it.Rect.Max.X+0.5, it.Rect.Max.Y+0.5)
 		}
 		items = append(items, it)
 	}
-	window := geom.R(-1, -1, 101, 101)
+	return items
+}
+
+// sortedKeys sorts an answer's "oid rect" keys: its multiset.
+func sortedKeys(keys []string) []string {
+	slices.Sort(keys)
+	return keys
+}
+
+// TestAnswerUnitIsTheRegistration: a query lists each stored (oid, rect)
+// registration once per insertion, on every tree kind and for every
+// relation, so two builds of one probe of another shape — STR-packed and
+// one by one; on an R+-tree, in two orders — answer the same multiset,
+// the brute-force one. An odd id inserted twice under one rectangle is
+// listed twice, an even one under both its rectangles, and an R+
+// registration that crosses leaves once per insertion. A limit counts
+// registrations, and kNN answers them too.
+func TestAnswerUnitIsTheRegistration(t *testing.T) {
+	items := registrationProbe()
+	reversed := slices.Clone(items)
+	slices.Reverse(reversed)
+	refs := []geom.Rect{geom.R(-10, -10, 1010, 1010), geom.R(300, 250, 620, 540), geom.R(495, 495, 515, 515)}
 	for _, kind := range index.AllKinds() {
-		idx, err := index.NewWithPageSize(kind, 512)
+		one, err := index.NewWithPageSize(kind, 512)
+		if err == nil {
+			err = index.Load(one, items)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := kind.String()
-		if err := index.Load(idx, items); err != nil {
+		var other index.Index
+		if kind == index.KindRPlus { // no STR packing: another insertion order
+			if other, err = index.NewWithPageSize(kind, 512); err == nil {
+				err = index.Load(other, reversed)
+			}
+		} else {
+			other, err = index.NewPacked(kind, 512, items)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		entries := 0
-		if err := idx.Search(func(geom.Rect) bool { return true }, func(geom.Rect) bool { return true },
-			func(geom.Rect, uint64) bool { entries++; return true }); err != nil {
+		if one.Len() != len(items) || other.Len() != len(items) {
+			t.Fatalf("%s: Len %d and %d for %d registrations", kind, one.Len(), other.Len(), len(items))
+		}
+		all := func(geom.Rect) bool { return true }
+		entries, err := one.SearchHits(context.Background(), all, all, func(rtree.Hit) bool { return true })
+		if err != nil {
 			t.Fatal(err)
 		}
-		if entries < len(items) {
-			t.Fatalf("%s: %d leaf entries for %d inserts: the tree itself dropped a duplicate", name, entries, len(items))
+		if crosses := entries.Emitted > len(items); crosses != (kind == index.KindRPlus) {
+			t.Fatalf("%s: %d leaf entries for %d registrations", kind, entries.Emitted, len(items))
 		}
-		p := &Processor{Idx: idx}
-		for pass := 0; pass < 3; pass++ { // before and after the leaves earn their text
-			count := map[uint64]int{}
-			stats, err := p.Stream(context.Background(), topo.NotDisjoint, window, 0, func(m Match) bool {
-				count[m.OID]++
+		stream := func(idx index.Index, rels topo.Set, ref geom.Rect, limit int) ([]string, Stats) {
+			var got []string
+			stats, err := (&Processor{Idx: idx}).Stream(context.Background(), rels, ref, limit, func(m Match) bool {
+				got = append(got, fmt.Sprint(m.OID, m.Rect))
 				return true
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(count) != 200 || stats.Candidates != 200 {
-				t.Fatalf("%s: %d distinct ids streamed, %d candidates counted, want 200 and 200", name, len(count), stats.Candidates)
-			}
-			for oid, n := range count {
-				if n != 1 {
-					t.Fatalf("%s: oid %d listed %d times", name, oid, n)
+			return sortedKeys(got), stats
+		}
+		for _, ref := range refs {
+			for _, rel := range topo.All() {
+				var want []string
+				for _, it := range items {
+					if mbr.CandidatesSet(topo.NewSet(rel)).Has(mbr.ConfigOf(it.Rect, ref)) {
+						want = append(want, fmt.Sprint(it.OID, it.Rect))
+					}
+				}
+				want = sortedKeys(want)
+				for i, idx := range []index.Index{one, other} {
+					for pass := 0; pass < 2; pass++ { // before and after the leaves earn their text
+						if got, stats := stream(idx, topo.NewSet(rel), ref, 0); !slices.Equal(got, want) || stats.Candidates != len(want) {
+							t.Fatalf("%s build %d, %s %v: %d lines (%d candidates), brute force %d", kind, i, rel, ref, len(got), stats.Candidates, len(want))
+						}
+					}
+					res, err := (&Processor{Idx: idx}).QueryMBR(rel, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []string
+					for _, m := range res.Matches {
+						got = append(got, fmt.Sprint(m.OID, m.Rect))
+					}
+					if got = sortedKeys(got); !slices.Equal(got, want) {
+						t.Fatalf("%s build %d, %s %v: QueryMBR lists %d matches, brute force %d", kind, i, rel, ref, len(got), len(want))
+					}
 				}
 			}
 		}
-		res, err := p.QuerySetMBR(topo.NotDisjoint, window)
+		world, _ := stream(one, topo.NotDisjoint, refs[0], 0)
+		count := map[string]int{}
+		for _, k := range world {
+			count[k]++
+		}
+		for _, it := range items[400:] {
+			want := 1 + int(it.OID%2) // an odd id: twice under one rectangle
+			if n := count[fmt.Sprint(it.OID, it.Rect)]; n != want {
+				t.Fatalf("%s: oid %d under %v listed %d times, want %d", kind, it.OID, it.Rect, n, want)
+			}
+		}
+		if _, limited := stream(one, topo.NotDisjoint, refs[0], len(items)-1); limited.Candidates != len(items)-1 {
+			t.Fatalf("%s: a limit of %d took %d", kind, len(items)-1, limited.Candidates)
+		}
+		nn, _, err := one.NearestCtx(context.Background(), geom.Point{X: 505, Y: 505}, len(items)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Matches) != 200 {
-			t.Fatalf("%s: QuerySetMBR lists %d matches, want 200", name, len(res.Matches))
+		var got, want []string
+		for _, n := range nn {
+			got = append(got, fmt.Sprint(n.OID, n.Rect))
 		}
-		limited := map[uint64]bool{}
-		if _, err := p.Stream(context.Background(), topo.NotDisjoint, window, 150, func(m Match) bool {
-			limited[m.OID] = true
-			return true
-		}); err != nil {
-			t.Fatal(err)
+		for _, it := range items {
+			want = append(want, fmt.Sprint(it.OID, it.Rect))
 		}
-		if len(limited) != 150 {
-			t.Fatalf("%s: limit 150 delivered %d distinct ids", name, len(limited))
+		if !slices.Equal(sortedKeys(got), sortedKeys(want)) {
+			t.Fatalf("%s: kNN over every registration gives %d answers, not the %d registrations", kind, len(nn), len(items))
+		}
+		// Inside both rectangles of oid 4 its two registrations tie at
+		// distance 0: the two builds still answer in one order.
+		at := items[3].Rect.Center()
+		var order [2][]rtree.Neighbour
+		for i, idx := range []index.Index{one, other} {
+			if order[i], _, err = idx.NearestCtx(context.Background(), at, 40); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range order[0] {
+			if order[0][i] != order[1][i] {
+				t.Fatalf("%s: neighbour %d of %v is %v in one build, %v in the other", kind, i, at, order[0][i], order[1][i])
+			}
 		}
 	}
 }
@@ -138,10 +214,9 @@ func TestStreamMarksLeafFirsts(t *testing.T) {
 
 // TestStreamAllocsIndependentOfMatches: one warm Stream call allocates
 // a small constant — the predicates' and the adapters' closures — for
-// five matches or two thousand: the set of delivered ids comes from a
-// pool, a match line's text from its leaf, and nothing is allocated per
-// match. (A set that outgrew oidSetMaxSlots is not pooled again, which
-// is the only thing that grows.)
+// five matches or two thousand: a covering tree's descent keeps no set
+// of delivered ids, a match line's text comes from its leaf, and nothing
+// is allocated per match.
 func TestStreamAllocsIndependentOfMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var items []index.Item
@@ -168,65 +243,20 @@ func TestStreamAllocsIndependentOfMatches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Warm: the pooled set grows to this answer and the leaves earn
-		// their text — one the window clips to a single entry takes as
+		// Warm: the leaves earn their text — one the window clips to a single entry takes as
 		// many answers as it has entries (12 at this page size), plus one.
 		for k := 0; k < 14; k++ {
 			run()
 		}
 		allocs[i] = testing.AllocsPerRun(20, run)
 	}
-	if matches[1] < 100*matches[0] || 2*matches[1] > oidSetMaxSlots {
-		t.Fatalf("%d and %d matches: want two answers a hundredfold apart, both within the pooled set's %d slots", matches[0], matches[1], oidSetMaxSlots)
+	if matches[1] < 100*matches[0] {
+		t.Fatalf("%d and %d matches: want two answers a hundredfold apart", matches[0], matches[1])
 	}
-	// Equal without -race. With it sync.Pool drops one Put in four on
-	// purpose, and a dropped set is grown again by the next call: a few
-	// allocations more for the larger answer, not two thousand.
-	if allocs[1] > allocs[0]+6 || allocs[0] > 8 {
+	if allocs[1] != allocs[0] || allocs[0] > 8 {
 		t.Fatalf("%v allocations for %d matches, %v for %d: want the same small constant", allocs[0], matches[0], allocs[1], matches[1])
 	}
 	if !bytes.HasPrefix(line, []byte("[")) {
 		t.Fatalf("a warm stream's last match came without its text: %q", line)
-	}
-}
-
-// TestOIDSet checks the set against a map over ids that collide, wrap
-// the table and include both ends of the range, across a pooled reuse.
-func TestOIDSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 3; round++ {
-		s := oidSets.Get().(*oidSet)
-		if s.n != 0 || s.zero {
-			t.Fatalf("round %d: a pooled set came back holding %d ids (zero: %v)", round, s.n, s.zero)
-		}
-		want := map[uint64]bool{}
-		for i := 0; i < 5000; i++ {
-			var id uint64
-			switch rng.Intn(4) {
-			case 0:
-				id = uint64(rng.Intn(8)) // 0 included
-			case 1:
-				id = ^uint64(0) - uint64(rng.Intn(4))
-			case 2:
-				id = uint64(rng.Intn(700)) << 32 // equal low halves
-			default:
-				id = rng.Uint64()
-			}
-			if got := s.add(id); got == want[id] {
-				t.Fatalf("round %d: add(%d) reported absent=%v, the map says present=%v", round, id, got, want[id])
-			}
-			want[id] = true
-		}
-		if round == 2 {
-			for id := uint64(1); 2*len(want) <= oidSetMaxSlots+2; id++ {
-				s.add(id<<20 | 1)
-				want[id<<20|1] = true
-			}
-		}
-		big := len(s.slots) > oidSetMaxSlots
-		s.release()
-		if big != (round == 2) {
-			t.Fatalf("round %d: table of %d slots", round, len(s.slots))
-		}
 	}
 }

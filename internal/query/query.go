@@ -80,8 +80,8 @@ type Stats struct {
 	// NodeAccesses is the number of tree pages read during the filter
 	// step (the paper's "disk accesses per search").
 	NodeAccesses uint64
-	// Candidates is the number of distinct MBRs the filter retrieved
-	// (the paper's "hits per search", Table 3).
+	// Candidates is the number of stored (oid, rect) registrations the
+	// filter retrieved (the paper's "hits per search", Table 3).
 	Candidates int
 	// RefinementTests counts candidates that needed exact geometry.
 	RefinementTests int
@@ -207,28 +207,27 @@ func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (nodePred
 // traversal in the package: every query class — streamed or
 // materialised, one term or two, region, line, direction or point —
 // is this function under a different pair of predicates. It calls
-// yield once per distinct object id (an R+-tree registers an object in
-// every leaf its rectangle crosses, and any tree holds an id twice if
-// it was inserted twice) in tree order, and stops as soon as yield
-// returns false or limit > 0 matches have been taken. NodeAccesses
-// comes from the traversal's own accounting, so it is exact even when
-// many queries share the index; Candidates counts the matches yield
-// accepted. On an error, cancellation included, the stats cover the
-// pages read up to that point.
+// yield once per stored (oid, rect) registration that passes, in tree
+// order: per leaf entry on a covering tree, through rtree.Registrations
+// on an R+-tree, whose leaves each hold a copy of what crosses them. It
+// stops as soon as yield returns false or limit > 0 matches are taken.
+// NodeAccesses comes from the traversal's own accounting, so it is
+// exact even when many queries share the index; Candidates counts the
+// matches yield accepted. On an error, cancellation included, the
+// stats cover the pages read up to that point.
 func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, limit int, yield func(rtree.Hit) bool) (Stats, error) {
-	seen := oidSets.Get().(*oidSet)
-	defer seen.release()
 	emitted := 0
-	ts, err := p.Idx.SearchHits(ctx, nodePred, leafPred, func(h rtree.Hit) bool {
-		if !seen.add(h.OID) {
-			return true
-		}
+	emit := func(h rtree.Hit) bool {
 		if !yield(h) {
 			return false
 		}
 		emitted++
 		return limit <= 0 || emitted < limit
-	})
+	}
+	if !p.Idx.CoveringNodeRects() {
+		emit = rtree.Registrations(emit)
+	}
+	ts, err := p.Idx.SearchHits(ctx, nodePred, leafPred, emit)
 	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted, Explain: explainSingle}
 	if err != nil {
 		return stats, fmt.Errorf("query: filter step: %w", err)

@@ -19,10 +19,10 @@ import (
 // geometric queries go through the materialising helpers of batch.go.
 
 // Stream runs the filter step for a disjunctive relation set against a
-// reference MBR, calling yield for each distinct candidate as the
-// traversal finds it (tree order, not OID order). Returning false from
-// yield stops the traversal immediately; limit > 0 additionally caps
-// the number of matches delivered. The returned Stats cover exactly
+// reference MBR, calling yield for each candidate (oid, rect)
+// registration as the traversal finds it (tree order, not OID order).
+// Returning false from yield stops the traversal immediately; limit > 0
+// additionally caps the number of matches delivered. The returned Stats cover exactly
 // the pages this traversal read before it stopped.
 //
 // On cancellation Stream returns ctx.Err() together with the stats

@@ -154,7 +154,7 @@ func (f *FlatTree) adopt(c *core, pageSize int, name string, covering bool) erro
 			ErrNodeCapacity, f.minCap, pageSize, st.cap)
 	}
 	if !covering {
-		c.bounds, c.bounded = f.bounds, f.hasBound
+		c.bounds, c.bounded, c.leafEntries = f.bounds, f.hasBound, f.leafEntries
 	}
 	c.start(st, name, covering, f.root, f.depth, f.size)
 	return nil

@@ -235,7 +235,8 @@ type FlatTree struct {
 	nodes    []*node // in file (post-) order
 	root     *node
 	// minCap: smallest capacity at which every node fits its recorded cost.
-	minCap int
+	minCap      int
+	leafEntries int // summed over every leaf
 }
 
 // OpenFlatBytes decodes a flat snapshot held in memory (see OpenFlat).
@@ -248,7 +249,8 @@ func OpenFlatBytes(data []byte) (*FlatTree, error) { return OpenFlat(bytes.NewRe
 // corrupted input yields an error wrapping pagefile.ErrCorrupt —
 // never a panic, never wrong entries — and memory is allocated only
 // for records that have arrived, whatever the header claims. A read
-// error other than the input ending is returned wrapped.
+// error other than the input ending is returned wrapped; a sound R+
+// image over entryBudget, with one wrapping ErrUnsplittable.
 func OpenFlat(r io.Reader) (*FlatTree, error) {
 	in := &flatInput{r: bufio.NewReaderSize(r, flatBuffer)}
 	hdr := make([]byte, flatHeaderSize)
@@ -329,10 +331,9 @@ func decodeFlat(in *flatInput, hdr []byte, nodesLen uint64) (*FlatTree, error) {
 	// offset (from the file start), ascending, so a child reference — to
 	// a record before its parent's — is found by binary search.
 	var (
-		slab        []node
-		offs        []uint64
-		hasParent   []bool // a tree, not a DAG: copy-on-write re-points a node's one parent
-		leafEntries uint64
+		slab      []node
+		offs      []uint64
+		hasParent []bool // a tree, not a DAG: copy-on-write re-points a node's one parent
 	)
 	for in.left > 0 {
 		off := flatHeaderSize + nodesLen - in.left
@@ -372,7 +373,7 @@ func decodeFlat(in *flatInput, hdr []byte, nodesLen uint64) (*FlatTree, error) {
 			n.entries = make([]Entry, count)
 		}
 		if level == 0 {
-			leafEntries += uint64(count)
+			f.leafEntries += count
 		}
 		f.minCap = max(f.minCap, (count+int(cost)-1)/int(cost))
 		for i := range n.entries {
@@ -422,12 +423,17 @@ func decodeFlat(in *flatInput, hdr []byte, nodesLen uint64) (*FlatTree, error) {
 	f.root = f.nodes[root]
 	// Every record is now in the one tree under the root: the size the
 	// header states must be what it stores.
-	stored := leafEntries
+	stored := uint64(f.leafEntries)
 	if !f.covering {
 		stored = uint64(len(f.Records()))
 	}
 	if stored != size {
 		return nil, flatCorrupt("header says %d entries, the tree stores %d", size, stored)
+	}
+	if !f.covering {
+		if err := overBudget(f.leafEntries, f.size); err != nil {
+			return nil, fmt.Errorf("rtree: flat snapshot: %w", err)
+		}
 	}
 	return f, nil
 }
@@ -542,10 +548,7 @@ func (f *FlatTree) CoveringNodeRects() bool { return f.covering }
 // was inserted; its image yields each (rect, oid) that many times.
 func (f *FlatTree) Records() []Record {
 	recs := make([]Record, 0, f.size)
-	var seen, inLeaf map[Record]int
-	if !f.covering {
-		seen, inLeaf = make(map[Record]int, f.size), map[Record]int{}
-	}
+	var regs registrations
 	var walk func(n *node)
 	walk = func(n *node) {
 		if !n.isLeaf() {
@@ -554,16 +557,11 @@ func (f *FlatTree) Records() []Record {
 			}
 			return
 		}
-		clear(inLeaf)
 		for _, e := range n.entries {
 			rec := Record{Rect: e.Rect, OID: e.OID}
-			if seen != nil {
-				if inLeaf[rec]++; inLeaf[rec] <= seen[rec] {
-					continue
-				}
-				seen[rec]++
+			if f.covering || regs.admit(n, rec) {
+				recs = append(recs, rec)
 			}
-			recs = append(recs, rec)
 		}
 	}
 	walk(f.root)

@@ -340,3 +340,48 @@ func TestFlatJoin(t *testing.T) {
 		t.Errorf("self-join diverges: built %d pairs %+v, flat %d pairs %+v", len(sp), ss, len(fp), fs)
 	}
 }
+
+// TestFlatRefusesOverBudget: deleting the small objects under one
+// rectangle that crosses every leaf stops short of the leaf-entry
+// budget, and an image of a tree past it — made here by skipping the
+// check — is refused as over budget, not as corrupt.
+func TestFlatRefusesOverBudget(t *testing.T) {
+	tree, err := NewRPlusArena(168)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for i := range 400 {
+		x, y := float64(i%20)*10, float64(i/20)*10
+		recs = append(recs, Record{Rect: geom.R(x, y, x+5, y+5), OID: uint64(i + 1)})
+	}
+	if err := tree.InsertBatch(append(slices.Clone(recs), Record{Rect: geom.R(-1, -1, 201, 201), OID: 1000})); err != nil {
+		t.Fatal(err)
+	}
+	deleted := 0
+	for _, r := range recs {
+		if err = tree.Delete(r.Rect, r.OID); err != nil {
+			break
+		}
+		deleted++
+	}
+	if !errors.Is(err, ErrUnsplittable) || deleted < 300 || tree.Len() != len(recs)+1-deleted {
+		t.Fatalf("%d deletes, then %v; Len %d", deleted, err, tree.Len())
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFlatBytes(flatEncode(t, tree, 1)); err != nil {
+		t.Fatalf("the image of a tree within its budget: %v", err)
+	}
+	_ = tree.mutate(func() error {
+		for _, r := range recs[deleted:] {
+			_, tree.root = tree.deleteRec(tree.root, r.Rect, r.OID)
+			tree.size--
+		}
+		return nil
+	})
+	if _, err := OpenFlatBytes(flatEncode(t, tree, 2)); !errors.Is(err, ErrUnsplittable) || errors.Is(err, pagefile.ErrCorrupt) || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("the image of a tree over its budget: %v", err)
+	}
+}

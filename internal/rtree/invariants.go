@@ -76,8 +76,8 @@ func (t *Tree) CheckInvariants() error {
 // sharing interior with its leaf region, and — the zero-false-miss
 // property — every stored (rect, oid) registered in every leaf whose
 // region its interior intersects, as many times in each as it was
-// inserted, those counts summing to Len — and every node's side-cars
-// (checkSidecars).
+// inserted, those counts summing to Len — the leaf-entry count, and
+// every node's side-cars (checkSidecars).
 func (t *RPlusTree) CheckInvariants() error {
 	s := t.cur.Load()
 	type leafInfo struct {
@@ -86,6 +86,7 @@ func (t *RPlusTree) CheckInvariants() error {
 	}
 	var leaves []leafInfo
 	objects := make(map[Record]int) // most registrations of a pair in one leaf
+	entries := 0
 
 	var walk func(n *node, region geom.Rect, depth int) error
 	walk = func(n *node, region geom.Rect, depth int) error {
@@ -104,6 +105,7 @@ func (t *RPlusTree) CheckInvariants() error {
 			if depth != s.depth {
 				return fmt.Errorf("rtree: R+ leaf at depth %d, want %d", depth, s.depth)
 			}
+			entries += len(n.entries)
 			li := leafInfo{region: region, count: make(map[Record]int, len(n.entries))}
 			for _, e := range n.entries {
 				if !e.Rect.IntersectsInterior(region) {
@@ -158,6 +160,9 @@ func (t *RPlusTree) CheckInvariants() error {
 	}
 	if stored != s.size {
 		return fmt.Errorf("rtree: R+ holds %d objects, Len says %d", stored, s.size)
+	}
+	if entries != s.leafEntries {
+		return fmt.Errorf("rtree: R+ leaves hold %d entries, the count says %d", entries, s.leafEntries)
 	}
 	return nil
 }

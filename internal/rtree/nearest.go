@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -36,8 +37,9 @@ type pq []pqItem
 // less orders by MINDIST; on ties nodes are expanded before entries are
 // emitted (so every candidate at that distance is on the heap first),
 // equal-distance nodes in push order, and equal-distance entries pop
-// smallest object id first. Deterministic tie breaking is what lets a
-// sharded best-k merge reproduce the single-tree answer bit for bit.
+// smallest object id first, then smallest rectangle (one oid may be
+// stored under several): trees of any shape answer bit for bit alike,
+// and so does a sharded best-k merge where distance and oid decide.
 func (q pq) less(i, j int) bool {
 	a, b := &q[i], &q[j]
 	if a.dist != b.dist {
@@ -49,7 +51,9 @@ func (q pq) less(i, j int) bool {
 	if a.node != nil {
 		return a.seq < b.seq
 	}
-	return a.entry.OID < b.entry.OID
+	r, s := a.entry.Rect, b.entry.Rect
+	return cmp.Or(cmp.Compare(a.entry.OID, b.entry.OID), cmp.Compare(r.Min.X, s.Min.X),
+		cmp.Compare(r.Min.Y, s.Min.Y), cmp.Compare(r.Max.X, s.Max.X), cmp.Compare(r.Max.Y, s.Max.Y)) < 0
 }
 
 func (q *pq) push(it pqItem) {
@@ -87,6 +91,8 @@ func (q *pq) pop() pqItem {
 	return h[n]
 }
 
+// nearestSearch is best-first kNN from root. With dedup (an R+-tree) a
+// leaf pushes only the registrations no leaf expanded before it held.
 func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k int, dedup bool) ([]Neighbour, TraversalStats, error) {
 	var stats TraversalStats
 	if k <= 0 {
@@ -97,20 +103,11 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 	q := make(pq, 0, 64)
 	pushed := 0
 	q.push(pqItem{dist: 0, node: root})
-	var seen map[uint64]bool
-	if dedup {
-		seen = map[uint64]bool{}
-	}
+	var regs registrations
 	out := make([]Neighbour, 0, min(k, 16))
 	for len(q) > 0 && len(out) < k {
 		it := q.pop()
 		if it.node == nil {
-			if dedup {
-				if seen[it.entry.OID] {
-					continue
-				}
-				seen[it.entry.OID] = true
-			}
 			out = append(out, it.entry)
 			stats.Emitted++
 			continue
@@ -125,6 +122,9 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 			e := &n.entries[i]
 			d := e.Rect.DistToPoint(p)
 			if n.isLeaf() {
+				if dedup && !regs.admit(n, Record{Rect: e.Rect, OID: e.OID}) {
+					continue
+				}
 				q.push(pqItem{dist: d, entry: Neighbour{Rect: e.Rect, OID: e.OID, Dist: d}})
 			} else {
 				pushed++

@@ -41,15 +41,8 @@ type core struct {
 	covering bool // internal entries cover their subtrees (R-/R*-tree)
 
 	// Working state of the (single) writer, guarded by mu. Between
-	// mutations it mirrors the published snapshot.
-	root  *node
-	depth int // number of levels; 1 = root is a leaf
-	size  int // number of stored objects
-	// bounds is the MBR of the stored data rectangles while bounded is
-	// set, kept by the R+-tree's mutations: its internal entries are
-	// partition regions, so no node holds it.
-	bounds  geom.Rect
-	bounded bool
+	// mutations it is the published snapshot.
+	snapshot
 
 	// Copy-on-write bookkeeping of the in-flight mutation.
 	fresh    map[*node]bool // nodes this mutation created
@@ -58,13 +51,18 @@ type core struct {
 	cur atomic.Pointer[snapshot] // the published version
 }
 
-// snapshot is one immutable published version of the tree.
+// snapshot is one version of the tree: the writer's working state, and
+// once published immutable.
 type snapshot struct {
-	root    *node
-	depth   int
-	size    int
-	bounds  geom.Rect
-	bounded bool
+	root  *node
+	depth int // number of levels; 1 = root is a leaf
+	size  int // number of stored (rect, oid) registrations
+	// The MBR of the stored rectangles (while bounded) and the count of
+	// leaf entries, kept by the R+-tree's mutations only: no node holds
+	// the MBR, and a leaf holds a copy of each rectangle crossing it.
+	bounds      geom.Rect
+	bounded     bool
+	leafEntries int
 }
 
 // startEmpty makes c an empty tree — one root leaf — charging costs at
@@ -107,8 +105,8 @@ func (c *core) mutate(fn func() error) error {
 // nodes the mutation created are immutable from now on, and the pages
 // of those it replaced are freed. Caller holds c.mu.
 func (c *core) publishLocked() {
-	c.cur.Store(&snapshot{root: c.root, depth: c.depth, size: c.size,
-		bounds: c.bounds, bounded: c.bounded})
+	s := c.snapshot
+	c.cur.Store(&s)
 	c.st.frees.Add(c.replaced)
 	c.replaced = 0
 	clear(c.fresh)
@@ -123,9 +121,7 @@ func (c *core) rollbackLocked() {
 	}
 	clear(c.fresh)
 	c.replaced = 0
-	s := c.cur.Load()
-	c.root, c.depth, c.size = s.root, s.depth, s.size
-	c.bounds, c.bounded = s.bounds, s.bounded
+	c.snapshot = *c.cur.Load()
 }
 
 // own returns a node the running mutation may change: n itself when
@@ -232,9 +228,10 @@ func (c *core) ResetIOStats() { c.st.resetStats() }
 // overflow pages included, exactly, regardless of how many other
 // queries run concurrently, so it matches the paper's disk-access
 // metric. On cancellation it returns ctx.Err() together with the stats
-// accumulated so far. Because of duplicate registration, an R+-tree's
-// emit may see the same (rect, oid) several times; callers deduplicate
-// by oid.
+// accumulated so far. emit sees every leaf entry that passes: on an
+// R+-tree, one registration once in each leaf its rectangle reaches, so
+// a caller that wants each registration once wraps emit in
+// Registrations.
 func (c *core) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
 	return traverse(ctx, c.st, c.cur.Load().root, nodePred, leafPred, emit)
 }
@@ -251,13 +248,14 @@ func (c *core) Search(nodePred, leafPred func(geom.Rect) bool, emit func(geom.Re
 	return err
 }
 
-// NearestCtx returns the k distinct objects closest to p, ordered by
-// distance, with context cancellation and per-traversal IO accounting.
-// Fewer than k results are returned when the tree is smaller. On an
-// R+-tree duplicate registrations are skipped; distances are measured
-// on the full object rectangles, and best-first traversal over
-// partition regions remains exact because every rectangle is registered
-// in the region containing its nearest point.
+// NearestCtx returns the k registrations — (rect, oid) pairs, each as
+// many times as it was inserted — closest to p, ordered by distance,
+// with context cancellation and per-traversal IO accounting. Fewer than
+// k results are returned when the tree is smaller. On an R+-tree a
+// registration's copies count once (registrations, traverse.go);
+// distances are measured on the full object rectangles, and best-first
+// traversal over partition regions remains exact because every
+// rectangle is registered in the region containing its nearest point.
 func (c *core) NearestCtx(ctx context.Context, p geom.Point, k int) ([]Neighbour, TraversalStats, error) {
 	return nearestSearch(ctx, c.st, c.cur.Load().root, p, k, !c.covering)
 }

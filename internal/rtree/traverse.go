@@ -37,8 +37,8 @@ type TraversalStats struct {
 	NodeAccesses uint64
 	// NodesVisited is the number of tree nodes expanded.
 	NodesVisited uint64
-	// Emitted is the number of leaf entries passed to emit (before any
-	// caller-side deduplication).
+	// Emitted is the number of leaf entries passed to emit (an R+-tree's
+	// copies of one registration included; see Registrations).
 	Emitted int
 	// SweepPairs / NestedPairs count the node pairs a join matched by
 	// plane sweep and by nested loop — the adaptive matcher's decision
@@ -109,6 +109,43 @@ func traverse(ctx context.Context, src *arena, root *node,
 		}
 	}
 	return stats, nil
+}
+
+// registrations is the R+-tree's one rule for what its leaf entries
+// stand for. The tree registers a (rect, oid) pair in every leaf its
+// rectangle's interior reaches, as many times in each as it was
+// inserted, so a leaf's copies of a pair count only beyond the copies
+// a leaf met before held. Fed each leaf's entries together, in any
+// order of leaves, it admits every registration once.
+type registrations struct {
+	leaf   *node          // the leaf being counted
+	held   map[Record]int // the most copies of a pair one leaf met so far held
+	inLeaf map[Record]int // the copies of a pair met in leaf
+}
+
+// admit reports whether rec, an entry of leaf, is a registration that
+// no leaf met before held.
+func (r *registrations) admit(leaf *node, rec Record) bool {
+	if r.held == nil {
+		r.held, r.inLeaf = map[Record]int{}, map[Record]int{}
+	} else if leaf != r.leaf {
+		clear(r.inLeaf)
+	}
+	r.leaf = leaf
+	r.inLeaf[rec]++
+	if k := r.inLeaf[rec]; k > r.held[rec] {
+		r.held[rec] = k
+		return true
+	}
+	return false
+}
+
+// Registrations wraps the emit of an R+-tree's SearchHits so that it
+// sees each (rect, oid) registration once per insertion, not once per
+// leaf it reaches. On a covering tree a leaf entry is a registration.
+func Registrations(emit func(Hit) bool) func(Hit) bool {
+	var r registrations
+	return func(h Hit) bool { return !r.admit(h.leaf, Record{Rect: h.Rect, OID: h.OID}) || emit(h) }
 }
 
 // rectAndOID adapts a Search/SearchCtx emit to a SearchHits one.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/wal"
 	"mbrtopo/internal/workload"
@@ -150,4 +152,41 @@ func TestBulkEndpointDurableRestart(t *testing.T) {
 		t.Fatalf("recovered=%v replayed=%d, want %d WAL records replayed", inst2.Recovered, inst2.Replayed, len(d.Items))
 	}
 	assertSameAnswers(t, "after restart", inst2.ReadIndex(), groundTruth(t, d.Items, nil))
+}
+
+// TestDuplicateOIDSurvivesCrash: one oid stored under two rectangles
+// is two registrations, and a query lists both — on the primary, whose
+// /v1/bulk into an empty R*-tree was STR-packed, and after a kill -9,
+// whose WAL replay inserted the same records one by one into a tree of
+// another shape: the same multiset of match lines.
+func TestDuplicateOIDSurvivesCrash(t *testing.T) {
+	items := append(workload.NewDataset(workload.Medium, 400, 0, 1995).Items, index.Item{Rect: geom.R(500, 500, 510, 510), OID: 2})
+	spec := IndexSpec{Name: "main", Kind: index.KindRStar, PageSize: 512, Dir: t.TempDir(), Fsync: wal.SyncAlways, CheckpointEvery: -1}
+	req := QueryRequest{Index: "main", Relations: []string{"inside"}, Ref: []float64{-1, -1, 1001, 1001}}
+	var lines [2][]string
+	for i := range lines {
+		srv := New(Config{})
+		inst, err := srv.AddIndex(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		if i == 0 {
+			if br, code := postBulk(t, ts.URL, "main", ndjsonBody(t, items)); code != http.StatusOK || br.Objects != len(items) {
+				t.Fatalf("bulk: HTTP %d, %+v", code, br)
+			}
+		} else if !inst.Recovered || inst.Replayed != len(items) {
+			t.Fatalf("reboot: recovered %v, %d records replayed", inst.Recovered, inst.Replayed)
+		}
+		lines[i], _ = answer(rawQuery(t, ts.URL, req))
+		ts.Close()
+		if i == 0 {
+			abandon(inst)
+		} else {
+			srv.Close()
+		}
+	}
+	if len(lines[0]) != len(items) || !slices.Equal(lines[0], lines[1]) {
+		t.Fatalf("%d lines before the crash, %d after, want %d and equal", len(lines[0]), len(lines[1]), len(items))
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -34,8 +33,10 @@ import (
 // over each tree kind served as a durable primary and as its replica,
 // the result cache off (pair 0) and on (pair 1), beside a never-rebooted
 // in-memory twin, and after every step holds every answer, watch event
-// and count to a brute-force scan of the acknowledged history, and
-// every node's answers to the twin's bytes. A failure names the seed,
+// and count to a brute-force scan of the acknowledged history — a
+// multiset of (oid, rect) registrations, which may hold one oid under
+// several rectangles and one pair several times — and every node's
+// answers to the twin's bytes. A failure names the seed,
 // the configuration and the step, and the go test -run that replays it.
 
 // simSeeds are the tier-1 seeds: FuzzSim's corpus, which every go test
@@ -62,7 +63,7 @@ func FuzzSim(f *testing.F) {
 // simDeck is one run's op stream before its seed shuffles it: every op
 // at least once, writes the most often.
 var simDeck = strings.Fields(strings.Repeat("insert ", 14) + strings.Repeat("delete ", 8) +
-	"bulk bulk bulk pile refused subscribe subscribe subscribe unsubscribe unsubscribe checkpoint checkpoint " +
+	"bulk bulk bulk pile twice refused subscribe subscribe subscribe unsubscribe unsubscribe checkpoint checkpoint " +
 	"fills fills kill kill restart restart disk promote fault fault fault")
 
 const (
@@ -110,8 +111,17 @@ type simWatch struct {
 	start  uint64
 	taken  int
 	snaps  uint64
-	before []uint64
+	before []string
 }
+
+// simReg is one (oid, rect) registration of the history.
+type simReg struct {
+	OID  uint64
+	Rect geom.Rect
+}
+
+// key is the registration as the scan compares it with an answer.
+func (r simReg) key() string { return fmt.Sprint(r.OID, RectToWire(r.Rect)) }
 
 type simPair struct {
 	primary, replica *simNode
@@ -127,7 +137,7 @@ type sim struct {
 	rng     *rand.Rand
 	step    int
 	op      string
-	live    map[uint64]geom.Rect // the acknowledged history
+	live    []simReg // the acknowledged history, in no order
 	nextOID uint64
 	windows []geom.Rect // [0] is the whole world
 	twin    *simNode
@@ -139,7 +149,7 @@ type sim struct {
 }
 
 func runSim(t *testing.T, seed int64, kind index.Kind) {
-	s := &sim{t: t, seed: seed, kind: kind, rng: rand.New(rand.NewSource(seed)), live: map[uint64]geom.Rect{}, nextOID: 1 << 20}
+	s := &sim{t: t, seed: seed, kind: kind, rng: rand.New(rand.NewSource(seed)), nextOID: 1 << 20}
 	var items []wal.Record
 	for _, it := range workload.NewDataset(workload.Medium, 150, 0, seed).Items {
 		items = append(items, wal.Record{Op: wal.OpInsert, OID: it.OID, Rect: it.Rect})
@@ -317,6 +327,8 @@ func (s *sim) do(op string) {
 		s.write(recs, http.StatusOK)
 	case "pile":
 		s.pile(p)
+	case "twice":
+		s.twice()
 	case "refused":
 		// A delete of nothing is a 404; a replica refuses writes, naming its primary.
 		s.write([]wal.Record{{Op: wal.OpDelete, OID: 424242, Rect: geom.R(1, 1, 2, 2)}}, http.StatusNotFound)
@@ -379,11 +391,10 @@ func (s *sim) newRecord() wal.Record {
 	return wal.Record{Op: wal.OpInsert, OID: s.nextOID, Rect: geom.R(x, y, x+w, y+h)}
 }
 
-// victim deletes a stored object.
+// victim deletes a stored registration.
 func (s *sim) victim() wal.Record {
-	oids := slices.Sorted(maps.Keys(s.live))
-	oid := oids[s.rng.Intn(len(oids))]
-	return wal.Record{Op: wal.OpDelete, OID: oid, Rect: s.live[oid]}
+	r := s.live[s.rng.Intn(len(s.live))]
+	return wal.Record{Op: wal.OpDelete, OID: r.OID, Rect: r.Rect}
 }
 
 // write sends one commit — a record, or a batch of inserts — to every
@@ -422,10 +433,12 @@ func (s *sim) ack(recs []wal.Record, want int) {
 		return
 	}
 	for _, r := range recs {
+		reg := simReg{r.OID, r.Rect}
 		if r.Op == wal.OpInsert {
-			s.live[r.OID] = r.Rect
+			s.live = append(s.live, reg)
 		} else {
-			delete(s.live, r.OID)
+			i := slices.Index(s.live, reg)
+			s.live = slices.Delete(s.live, i, i+1)
 		}
 	}
 	s.writes++
@@ -474,6 +487,16 @@ func (s *sim) pile(p *simPair) {
 	}
 	s.write([]wal.Record{over}, want)
 	s.reboot(p, true)
+}
+
+// twice stores a live oid again under a new rectangle and, in the same
+// commit, a new oid twice under one rectangle: every answer must list
+// each registration, as often as it was inserted, whatever the shape of
+// the tree a node built.
+func (s *sim) twice() {
+	moved, again := s.newRecord(), s.newRecord()
+	moved.OID = s.live[s.rng.Intn(len(s.live))].OID
+	s.write([]wal.Record{moved, again, again}, http.StatusOK)
 }
 
 // fills runs readers of the whole world on the cached pair while its
@@ -744,17 +767,33 @@ func (s *sim) watch(n *simNode, sub *simSub) {
 	n.subs[sub] = w
 }
 
-// members is the scan's answer to a subscription: the objects whose
-// configuration against its reference admits one of its relations.
-func (s *sim) members(sub *simSub) []uint64 {
+// members is the scan's answer to a subscription: the registrations
+// whose configuration against its reference admits one of its
+// relations, sorted.
+func (s *sim) members(sub *simSub) []string {
 	cfgs := mbr.CandidatesSet(sub.rels)
-	var out []uint64
-	for oid, r := range s.live {
-		if cfgs.Has(mbr.ConfigOf(r, sub.ref)) {
-			out = append(out, oid)
+	var out []string
+	for _, r := range s.live {
+		if cfgs.Has(mbr.ConfigOf(r.Rect, sub.ref)) {
+			out = append(out, r.key())
 		}
 	}
 	slices.Sort(out)
+	return out
+}
+
+// minus is the multiset a without b, both sorted.
+func minus(a, b []string) (out []string) {
+	for len(a) > 0 {
+		switch {
+		case len(b) == 0 || a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] == b[0]:
+			a, b = a[1:], b[1:]
+		default:
+			b = b[1:]
+		}
+	}
 	return out
 }
 
@@ -762,9 +801,9 @@ func (s *sim) members(sub *simSub) []uint64 {
 func (s *sim) bounds() (b geom.Rect) {
 	for _, r := range s.live {
 		if b == (geom.Rect{}) {
-			b = r
+			b = r.Rect
 		}
-		b = b.Union(r)
+		b = b.Union(r.Rect)
 	}
 	return b
 }
@@ -832,12 +871,10 @@ func (s *sim) checkWatch(n *simNode) {
 		after := s.members(sub)
 		for _, d := range []struct {
 			typ      watch.EventType
-			from, to []uint64
+			from, to []string
 		}{{watch.Enter, w.before, after}, {watch.Exit, after, w.before}} {
-			for _, oid := range d.to {
-				if _, ok := slices.BinarySearch(d.from, oid); !ok {
-					want = append(want, fmt.Sprintf("%s %d", d.typ, oid))
-				}
+			for _, k := range minus(d.to, d.from) {
+				want = append(want, fmt.Sprintf("%s %s", d.typ, k))
 			}
 		}
 		need := len(want)
@@ -867,11 +904,11 @@ func (s *sim) checkWatch(n *simNode) {
 // why the server ended the subscription, "" while it is live.
 func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end string) {
 	last := w.start + 1
-	take := func(typ string, oid, gen uint64) {
+	take := func(typ string, oid uint64, rect [4]float64, gen uint64) {
 		if gen < last {
 			s.fatalf(n, "event of generation %d after %d on a subscription started at %d", gen, last, w.start)
 		}
-		got, last = append(got, fmt.Sprintf("%s %d", typ, oid)), gen
+		got, last = append(got, fmt.Sprintf("%s %d %v", typ, oid, rect)), gen
 	}
 	if w.stream == nil {
 		for {
@@ -880,7 +917,7 @@ func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end strin
 				if !ok {
 					return got, w.sub.EndReason()
 				}
-				take(ev.Type.String(), ev.OID, ev.Gen)
+				take(ev.Type.String(), ev.OID, RectToWire(ev.Rect), ev.Gen)
 			default:
 				return got, ""
 			}
@@ -901,10 +938,10 @@ func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end strin
 		if l.End != "" {
 			return got, l.End
 		}
-		if l.OID == nil || l.Gen == nil {
+		if l.OID == nil || l.Rect == nil || l.Gen == nil {
 			s.fatalf(n, "watch stream line %+v", l)
 		}
-		take(l.Event, *l.OID, *l.Gen)
+		take(l.Event, *l.OID, *l.Rect, *l.Gen)
 	}
 	if done {
 		s.fatalf(n, "the watch stream closed without a terminal line")
@@ -996,8 +1033,8 @@ func (s *sim) compareQuery(req QueryRequest, only *simNode) {
 	}
 }
 
-// scan is the brute-force answer to req: the wire lines of the objects
-// the filter step must return, and how many objects satisfy the
+// scan is the brute-force answer to req: the wire lines of the
+// registrations the filter step must return, and how many satisfy the
 // relations themselves (for rectangles, the configuration's relation).
 func (s *sim) scan(req QueryRequest) (lines []string, exact int) {
 	type term struct {
@@ -1008,15 +1045,15 @@ func (s *sim) scan(req QueryRequest) (lines []string, exact int) {
 	if req.Relations2 != nil {
 		terms = append(terms, term{must(ParseRelationSet(req.Relations2)), must(RectFromWire(req.Ref2))})
 	}
-	for oid, r := range s.live {
+	for _, r := range s.live {
 		filter, holds := true, true
 		for _, t := range terms {
-			k := mbr.ConfigOf(r, t.ref)
+			k := mbr.ConfigOf(r.Rect, t.ref)
 			filter = filter && mbr.CandidatesSet(t.rels).Has(k)
 			holds = holds && t.rels.Has(k.Topo())
 		}
 		if filter {
-			lines = append(lines, matchLine(oid, r))
+			lines = append(lines, matchLine(r.OID, r.Rect))
 		}
 		if holds {
 			exact++
@@ -1041,12 +1078,14 @@ func (s *sim) compareKNN(p geom.Point, k int) {
 		s.fatalf(s.twin, "%s: HTTP %d %s", target, code, want)
 	}
 	var dists []float64
+	rects := map[string]geom.Rect{}
 	for _, r := range s.live {
-		dists = append(dists, r.DistToPoint(p))
+		dists = append(dists, r.Rect.DistToPoint(p))
+		rects[r.key()] = r.Rect
 	}
 	slices.Sort(dists)
 	for i, nb := range resp.Neighbours {
-		if r, ok := s.live[nb.OID]; !ok || RectToWire(r) != nb.Rect || nb.Dist != dists[i] || r.DistToPoint(p) != nb.Dist {
+		if r, ok := rects[fmt.Sprint(nb.OID, nb.Rect)]; !ok || nb.Dist != dists[i] || r.DistToPoint(p) != nb.Dist {
 			s.fatalf(s.twin, "%s: neighbour %d is %+v, the scan's %d-th distance %v", target, i, nb, i, dists[i])
 		}
 	}
@@ -1058,8 +1097,8 @@ func (s *sim) compareKNN(p geom.Point, k int) {
 }
 
 // compareJoin holds the twin's self-join to every ordered pair of
-// distinct objects the scan admits, and every other node's answer, in
-// any order, to the twin's. R+-trees refuse a join.
+// registrations of distinct oids the scan admits, and every other
+// node's answer, in any order, to the twin's. R+-trees refuse a join.
 func (s *sim) compareJoin(rel string) {
 	req := JoinRequest{Relations: []string{rel}}
 	code, want := call(s.twin.h, http.MethodPost, "/v1/join", jsonBody(req))
@@ -1071,15 +1110,15 @@ func (s *sim) compareJoin(rel string) {
 	}
 	lines, trailer := answer(want)
 	cfgs := mbr.CandidatesSet(must(ParseRelationSet(req.Relations)))
-	rects := map[uint64]string{}
-	for oid, r := range s.live {
-		rects[oid] = string(must(json.Marshal(RectToWire(r))))
+	rects := make([]string, len(s.live))
+	for i, r := range s.live {
+		rects[i] = string(must(json.Marshal(RectToWire(r.Rect))))
 	}
 	var pairs []string
-	for a, ra := range s.live {
-		for b, rb := range s.live {
-			if a != b && cfgs.Has(mbr.ConfigOf(ra, rb)) {
-				pairs = append(pairs, fmt.Sprintf(`{"left_oid":%d,"right_oid":%d,"left_rect":%s,"right_rect":%s}`, a, b, rects[a], rects[b]))
+	for i, a := range s.live {
+		for j, b := range s.live {
+			if a.OID != b.OID && cfgs.Has(mbr.ConfigOf(a.Rect, b.Rect)) {
+				pairs = append(pairs, fmt.Sprintf(`{"left_oid":%d,"right_oid":%d,"left_rect":%s,"right_rect":%s}`, a.OID, b.OID, rects[i], rects[j]))
 			}
 		}
 	}

@@ -56,7 +56,9 @@
 # rectangles' wire text once and answer from it afterwards — and cmp's
 # every body, stats trailer included, against the first, then inserts a
 # rectangle into a leaf those answers came from and does it again,
-# asserting the new object's line carries its own coordinates.
+# asserting the new object's line carries its own coordinates. A
+# twelfth leg asserts `topod -tree rplus -gen 100000` exits 1 within a
+# minute, its log naming the R+ leaf-entry budget.
 set -euo pipefail
 
 TOPOD="${1:?usage: smoke.sh path/to/topod path/to/topoquery path/to/datagen}"
@@ -79,14 +81,14 @@ cleanup() {
   kill -9 "$CURLPID" 2>/dev/null || true
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
-    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$LOG18" "$WLOG" "$BULK" "$WBULK" \
+    "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$LOG18" "$LOG19" "$WLOG" "$BULK" "$WBULK" \
     "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$JHEAD" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
     "$DATADIR5" "$DATADIR6" "$DATADIR7" "$DATADIR8" "$FLATCOPY" 2>/dev/null || true
 }
 PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12="" PID13=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
-LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS="" JHEAD=""
+LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" LOG19="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS="" JHEAD=""
 JFIRST="" JNEXT="" NEWOBJ=""
 TEXTDIR=""
 DATADIR2="" DATADIR3="" DATADIR4="" DATADIR5="" DATADIR6="" DATADIR7="" DATADIR8="" FLATCOPY=""
@@ -1106,3 +1108,17 @@ if ! wait "$PID12"; then
 fi
 
 echo "smoke OK: forty $TLINES-line answers byte-equal before and after an insert into their leaves"
+
+# Twelfth leg: an R+-tree of dense data stops at its leaf-entry budget
+# and exits naming it, instead of growing until the kernel kills it.
+LOG19="$(mktemp)"
+set +e
+timeout 60 "$TOPOD" -tree rplus -gen 100000 -addr 127.0.0.1:0 >"$LOG19" 2>&1
+CODE=$?
+set -e
+[ "$CODE" = 1 ] \
+  || { echo "smoke: topod -tree rplus -gen 100000 exited $CODE, want 1" >&2; tail -3 "$LOG19" >&2; exit 1; }
+grep -q 'over the R+ budget of 48 per registration' "$LOG19" \
+  || { echo "smoke: the R+ refusal does not name the budget" >&2; tail -3 "$LOG19" >&2; exit 1; }
+
+echo "smoke OK: an R+-tree of 100 000 medium objects was refused at its leaf-entry budget"
