@@ -18,8 +18,8 @@ import (
 // R+-tree of capacity 4, one by one, until it refuses one for its
 // leaf-entry budget — which must come before the data run out and
 // while the live heap is small — and then requires the tree unchanged
-// by the refusal, which it repeats, and its answers equal to brute
-// force over what it took.
+// by the refusal, which it repeats, its answers equal to brute force
+// over what it took, and its structure intact (CheckInvariants).
 func TestRPlusGrowthRefusedWithinBudget(t *testing.T) {
 	const heapBound = 64 << 20
 	tree, err := rtree.NewRPlusArena(168)
@@ -74,5 +74,8 @@ func TestRPlusGrowthRefusedWithinBudget(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("window %v: %d registrations, brute force %d", w, len(got), len(want))
 		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 // count matching Len, and every node's side-cars (checkSidecars).
 func (t *Tree) CheckInvariants() error {
 	s := t.cur.Load()
-	leaves := 0
 	count := 0
 	minFill := minEntries(t.st.cap)
 	var walk func(n *node, depth int, isRoot bool) error
@@ -41,7 +40,6 @@ func (t *Tree) CheckInvariants() error {
 			if depth != s.depth {
 				return fmt.Errorf("rtree: leaf at depth %d, want %d", depth, s.depth)
 			}
-			leaves++
 			count += len(n.entries)
 			return nil
 		}
@@ -80,12 +78,8 @@ func (t *Tree) CheckInvariants() error {
 // every node's side-cars (checkSidecars).
 func (t *RPlusTree) CheckInvariants() error {
 	s := t.cur.Load()
-	type leafInfo struct {
-		region geom.Rect
-		count  map[Record]int
-	}
-	var leaves []leafInfo
-	objects := make(map[Record]int) // most registrations of a pair in one leaf
+	leaves := make(map[*node]map[Record]int) // each leaf's copies of each pair
+	objects := make(map[Record]int)          // most registrations of a pair in one leaf
 	entries := 0
 
 	var walk func(n *node, region geom.Rect, depth int) error
@@ -106,17 +100,16 @@ func (t *RPlusTree) CheckInvariants() error {
 				return fmt.Errorf("rtree: R+ leaf at depth %d, want %d", depth, s.depth)
 			}
 			entries += len(n.entries)
-			li := leafInfo{region: region, count: make(map[Record]int, len(n.entries))}
+			count := make(map[Record]int, len(n.entries))
 			for _, e := range n.entries {
 				if !e.Rect.IntersectsInterior(region) {
 					return fmt.Errorf("rtree: R+ leaf (region %v) holds foreign rect %v", region, e.Rect)
 				}
-				li.count[Record{Rect: e.Rect, OID: e.OID}]++
+				rec := Record{Rect: e.Rect, OID: e.OID}
+				count[rec]++
+				objects[rec] = max(objects[rec], count[rec])
 			}
-			for rec, k := range li.count {
-				objects[rec] = max(objects[rec], k)
-			}
-			leaves = append(leaves, li)
+			leaves[n] = count
 			return nil
 		}
 		if len(n.entries) == 0 {
@@ -150,11 +143,19 @@ func (t *RPlusTree) CheckInvariants() error {
 	for rec, k := range objects {
 		stored += k
 		// Zero-false-miss: every leaf whose region the rectangle's
-		// interior overlaps holds it, as often as any leaf does.
-		for _, li := range leaves {
-			if rec.Rect.IntersectsInterior(li.region) && li.count[rec] != k {
+		// interior overlaps — the leaves a descent through the regions it
+		// overlaps reaches — holds it, as often as any leaf does.
+		for stack := []Entry{{Rect: worldRect(), Child: s.root}}; len(stack) > 0; {
+			e := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if got := leaves[e.Child][rec]; e.Child.isLeaf() && got != k {
 				return fmt.Errorf("rtree: object %d (%v) registered %d times in leaf region %v, %d times in another",
-					rec.OID, rec.Rect, li.count[rec], li.region, k)
+					rec.OID, rec.Rect, got, e.Rect, k)
+			}
+			for _, c := range e.Child.entries {
+				if !e.Child.isLeaf() && rec.Rect.IntersectsInterior(c.Rect) {
+					stack = append(stack, c)
+				}
 			}
 		}
 	}

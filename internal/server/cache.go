@@ -35,14 +35,13 @@ import (
 // would have evicted, and put refuses a marked fill. A fill therefore
 // either saw the write or is marked.
 //
-// What a hit replays: exactly the live answer's set of match lines and
-// its candidates count. Line order and node_accesses are those of the
-// traversal that filled the entry; a write outside the window may have
-// reshaped the tree since (splits, reinsertion, condensing), so only a
-// hit with no write in between is byte-identical to a fresh traversal.
-// One case keeps the fill's choice like a limit does: an id stored
-// under two admitted rectangles is one line, the first the traversal
-// meets.
+// What a hit replays: exactly the live answer's multiset of match lines
+// (one per registration, so an id stored under two admitted rectangles
+// is two lines) and its candidates count. Line order and node_accesses
+// are those of the traversal that filled the entry; a write outside the
+// window may have reshaped the tree since (splits, reinsertion,
+// condensing), so only a hit with no write in between is byte-identical
+// to a fresh traversal.
 
 // cachedResult is one stored answer: the match lines exactly as they
 // were rendered for the original response (replayed with a single

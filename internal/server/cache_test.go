@@ -7,12 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
@@ -23,9 +19,9 @@ import (
 	"mbrtopo/internal/workload"
 )
 
-// rawQuery returns one /v1/query response body verbatim — the
-// differential tests compare cached and uncached servers byte for
-// byte, so no decoding may sit in between.
+// rawQuery returns one /v1/query response body verbatim: the tests
+// compare hits and misses byte for byte, so no decoding may sit in
+// between.
 func rawQuery(t *testing.T, base string, req QueryRequest) []byte {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -47,238 +43,9 @@ func rawQuery(t *testing.T, base string, req QueryRequest) []byte {
 	return data
 }
 
-// answerSet is a response body as the hit contract compares it: the
-// match lines as a sorted multiset, and the trailer's candidates count.
-func answerSet(t *testing.T, body []byte) ([]string, int) {
-	t.Helper()
-	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
-	var trailer QueryLine
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil || trailer.Stats == nil {
-		t.Fatalf("answer has no stats trailer: %s", body)
-	}
-	matches := lines[:len(lines)-1]
-	sort.Strings(matches)
-	return matches, trailer.Stats.Candidates
-}
-
-// cacheRow is one way of serving an index for the cache differential:
-// the cached server answers from its cache wherever the invalidation
-// rule lets it, the plain one from its tree every time, and write
-// commits the same records to both — on a replica through its primary,
-// so that they arrive through the follower's Apply.
-type cacheRow struct {
-	name                string
-	cached              *Server
-	cachedURL, plainURL string
-	write               func(recs []wal.Record)
-	// rebootstrap, on a replica, forces a fresh bootstrap from the
-	// primary; the differential runs it as its last step.
-	rebootstrap func()
-}
-
-// cacheRows serves items as "main" in each tree kind, on a durable
-// R*-tree that checkpoints as it goes, and on a replica of a durable
-// R-tree.
-func cacheRows(t *testing.T, items []index.Item) []cacheRow {
-	local := func(name string, spec IndexSpec, durable bool) cacheRow {
-		row := cacheRow{name: name}
-		var insts []*Instance
-		for _, size := range []int{256, 0} {
-			srv := New(Config{CacheSize: size})
-			if durable {
-				spec.Dir = t.TempDir()
-			}
-			inst, err := srv.AddIndex(spec, items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(ts.Close)
-			insts = append(insts, inst)
-			if size > 0 {
-				row.cached, row.cachedURL = srv, ts.URL
-			} else {
-				row.plainURL = ts.URL
-			}
-		}
-		row.write = func(recs []wal.Record) {
-			for _, inst := range insts {
-				if err := inst.mutate(recs); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-			}
-		}
-		return row
-	}
-	var rows []cacheRow
-	for _, kind := range index.AllKinds() {
-		rows = append(rows, local(kindName(kind), IndexSpec{Name: "main", Kind: kind, PageSize: 512, Bulk: true}, false))
-	}
-	rows = append(rows, local("durable", IndexSpec{
-		Name: "main", Kind: index.KindRStar, PageSize: 512, Bulk: true, Fsync: wal.SyncNever, CheckpointEvery: 3,
-	}, true))
-
-	psrv, pts, _ := newReplPrimary(t, 0, 3)
-	pinst, _ := psrv.instance("main")
-	if err := pinst.InsertBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	fsrv, fts := newCachedReplFollower(t, Config{CacheSize: 256}, pts.URL, nil, FollowConfig{})
-	finst, _ := fsrv.instance("main")
-	waitCaughtUp(t, psrv, fsrv)
-	follower := finst.repl
-	return append(rows, cacheRow{
-		name: "follower", cached: fsrv, cachedURL: fts.URL, plainURL: pts.URL,
-		write: func(recs []wal.Record) {
-			if err := pinst.mutate(recs); err != nil {
-				t.Fatal(err)
-			}
-			waitCaughtUp(t, psrv, fsrv)
-		},
-		// A write the replica takes on its own puts it one record ahead
-		// of its position, so the primary's next record fails Apply's
-		// check and the follower bootstraps again. Before that the
-		// replica's cache is filled with answers holding the stray
-		// object, which the primary's far write alone evicts from no
-		// entry that is not disjoint-admitting: only the bootstrap's
-		// eviction keeps them from the checks that follow.
-		rebootstrap: func() {
-			snaps := follower.status().snapshots
-			stray := geom.R(360, 340, 370, 350)
-			if err := finst.Insert(stray, 990001); err != nil {
-				t.Fatal(err)
-			}
-			for _, rel := range topo.All() {
-				rawQuery(t, fts.URL, QueryRequest{Index: "main", Relations: []string{rel.String()}, Ref: wireOf(cacheWindow)})
-			}
-			if err := pinst.Insert(geom.R(5100, 5100, 5104, 5104), 990002); err != nil {
-				t.Fatal(err)
-			}
-			for deadline := time.Now().Add(15 * time.Second); follower.status().snapshots == snaps; time.Sleep(5 * time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("the replica never bootstrapped again")
-				}
-			}
-			waitCaughtUp(t, psrv, fsrv)
-			fsrv.cache.mu.Lock()
-			left := fsrv.cache.lru.Len()
-			fsrv.cache.mu.Unlock()
-			if left != 0 {
-				t.Fatalf("%d entries outlived the bootstrap", left)
-			}
-		},
-	})
-}
-
-// cacheWindow is the differential's query window; it lies inside the
-// workload's 1000 × 1000 world.
-var cacheWindow = geom.R(300, 300, 450, 420)
-
 func wireOf(r geom.Rect) []float64 {
 	w := RectToWire(r)
 	return w[:]
-}
-
-// TestCacheDifferential runs one request sequence against a caching and
-// a cache-free server over identical contents, in every row of
-// cacheRows: all eight relations, a set, two conjunctions and two
-// limits on one window, between commits inside the window, far outside
-// it, on its edge (meet) and in a batch. A miss, and a hit with no
-// commit since its fill, must be byte-identical to the cache-free
-// answer; any other hit must hold the same set of match lines and the
-// same candidates count. Some hits must have outlived a commit.
-func TestCacheDifferential(t *testing.T) {
-	items := workload.NewDataset(workload.Medium, 1200, 0, 1995).Items
-	q := cacheWindow
-	mid := q.Center()
-	reqs := []QueryRequest{{Relations: []string{"not_disjoint"}, Ref: wireOf(q)}}
-	for _, rel := range topo.All() {
-		reqs = append(reqs, QueryRequest{Relations: []string{rel.String()}, Ref: wireOf(q)})
-	}
-	reqs = append(reqs,
-		QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireOf(q), Relations2: []string{"overlap", "inside"}, Ref2: wireOf(q.Grow(40))},
-		QueryRequest{Relations: []string{"overlap"}, Ref: wireOf(q), Relations2: []string{"overlap"}, Ref2: wireOf(geom.R(mid.X, mid.Y, q.Max.X+60, q.Max.Y+60))},
-		QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireOf(q), Limit: 3},
-		QueryRequest{Relations: []string{"inside"}, Ref: wireOf(q), Limit: 10000},
-	)
-
-	ins := func(oid uint64, r geom.Rect) wal.Record { return wal.Record{Op: wal.OpInsert, OID: oid, Rect: r} }
-	del := func(oid uint64, r geom.Rect) wal.Record { return wal.Record{Op: wal.OpDelete, OID: oid, Rect: r} }
-	inside := geom.R(mid.X-2, mid.Y-2, mid.X+2, mid.Y+2)
-	edge := geom.R(q.Max.X, mid.Y-3, q.Max.X+6, mid.Y+3)
-	far := geom.R(5000, 5000, 5004, 5004)
-	victim := items[slices.IndexFunc(items, func(it index.Item) bool {
-		return mbr.Candidates(topo.Inside).Has(mbr.ConfigOf(it.Rect, q))
-	})]
-	steps := []struct {
-		name string
-		recs []wal.Record
-	}{
-		{"insert inside", []wal.Record{ins(900001, inside)}},
-		{"insert far", []wal.Record{ins(900002, far)}},
-		{"insert on the edge", []wal.Record{ins(900003, edge)}},
-		{"far batch", []wal.Record{ins(900004, far.Grow(1)), ins(900005, geom.R(5200, 5010, 5210, 5020))}},
-		{"delete inside", []wal.Record{del(900001, inside)}},
-		{"delete on the edge", []wal.Record{del(900003, edge)}},
-		{"delete a stored object", []wal.Record{del(victim.OID, victim.Rect)}},
-		{"delete far", []wal.Record{del(900002, far)}},
-	}
-
-	for _, row := range cacheRows(t, items) {
-		commits, survived := 0, 0
-		filledAt := make([]int, len(reqs))
-		check := func(step string) {
-			t.Helper()
-			for i, req := range reqs {
-				req.Index = "main"
-				want := rawQuery(t, row.plainURL, req)
-				for range 2 {
-					before := hitsOf(row.cached)
-					got := rawQuery(t, row.cachedURL, req)
-					hit := hitsOf(row.cached) > before
-					if !hit {
-						filledAt[i] = commits
-					}
-					if !hit || filledAt[i] == commits {
-						if !bytes.Equal(got, want) {
-							t.Fatalf("%s, %s: %+v (hit %v) diverges\ncached: %s\nplain:  %s", row.name, step, req, hit, got, want)
-						}
-						continue
-					}
-					survived++
-					gotLines, gotCands := answerSet(t, got)
-					wantLines, wantCands := answerSet(t, want)
-					if gotCands != wantCands || !slices.Equal(gotLines, wantLines) {
-						t.Fatalf("%s, %s: %+v: a hit filled %d commits ago holds another answer\ncached: %s\nplain:  %s",
-							row.name, step, req, commits-filledAt[i], got, want)
-					}
-				}
-			}
-		}
-		check("before any commit")
-		for _, st := range steps {
-			row.write(st.recs)
-			commits++
-			check("after " + st.name)
-		}
-		if row.rebootstrap != nil {
-			row.rebootstrap()
-			commits += 2
-			check("after a bootstrap")
-		}
-		if survived == 0 {
-			t.Errorf("%s: no hit outlived a commit", row.name)
-		}
-		if row.cached.cache.invalidations.Load() == 0 {
-			t.Errorf("%s: no commit invalidated an entry", row.name)
-		}
-	}
-}
-
-func hitsOf(s *Server) uint64 {
-	hits, _, _ := s.cache.counters()
-	return hits
 }
 
 // TestCacheCountersAndMetrics pins the hit/miss/invalidation

@@ -51,13 +51,7 @@ func newReplPrimary(t *testing.T, n, checkpointEvery int) (*Server, *httptest.Se
 // Pass a nil client to dial directly.
 func newReplFollower(t *testing.T, primary string, client *http.Client, cfg FollowConfig) (*Server, *httptest.Server) {
 	t.Helper()
-	return newCachedReplFollower(t, Config{}, primary, client, cfg)
-}
-
-// newCachedReplFollower is newReplFollower with the server Config given.
-func newCachedReplFollower(t *testing.T, scfg Config, primary string, client *http.Client, cfg FollowConfig) (*Server, *httptest.Server) {
-	t.Helper()
-	srv := New(scfg)
+	srv := New(Config{})
 	spec := IndexSpec{
 		Name: "main", Kind: index.KindRTree, PageSize: 512,
 		Dir: t.TempDir(), Fsync: wal.SyncNever, Follower: true,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -83,14 +84,31 @@ type simNode struct {
 	// filled maps a request to the writes acknowledged at its last fill.
 	filled map[string]int
 	// base is what the current step started from: watch work, WAL
-	// records and generation (a node booted during the step has none).
-	base *[3]uint64
+	// records, generation, cache invalidations and bootstraps (a node
+	// booted during the step has none).
+	base *[5]uint64
 	// gen and since are where a primary's log must be: its checkpoint
 	// generation and the records logged since (DESIGN §8).
 	gen, since uint64
 }
 
 func (n *simNode) cached() bool { return n.srv.cache != nil }
+
+// invalidations is n's topod_cache_invalidations_total.
+func (n *simNode) invalidations() uint64 {
+	if !n.cached() {
+		return 0
+	}
+	return n.srv.cache.invalidations.Load()
+}
+
+// snapshots is how many bootstrap snapshots n loaded as a replica.
+func (n *simNode) snapshots() uint64 {
+	if n.inst.repl == nil {
+		return 0
+	}
+	return n.inst.repl.status().snapshots
+}
 
 // simSub is one subscription the simulated clients hold on every node:
 // in process, or as a POST /v1/watch stream.
@@ -111,7 +129,7 @@ type simWatch struct {
 	start  uint64
 	taken  int
 	snaps  uint64
-	before []string
+	before map[simReg]int
 }
 
 // simReg is one (oid, rect) registration of the history.
@@ -120,8 +138,16 @@ type simReg struct {
 	Rect geom.Rect
 }
 
-// key is the registration as the scan compares it with an answer.
-func (r simReg) key() string { return fmt.Sprint(r.OID, RectToWire(r.Rect)) }
+// simEvent is one watch event, as the scan predicts it and as a
+// subscriber receives it.
+type simEvent struct {
+	typ string
+	reg simReg
+}
+
+func (e simEvent) String() string {
+	return fmt.Sprintf("%s %d %v", e.typ, e.reg.OID, RectToWire(e.reg.Rect))
+}
 
 type simPair struct {
 	primary, replica *simNode
@@ -143,13 +169,19 @@ type sim struct {
 	twin    *simNode
 	pairs   [2]*simPair
 	subs    []*simSub
+	// scanned memoises members until the history next changes.
+	scanned map[*simSub]map[simReg]int
 	// writes counts acknowledged writes, commits and records those of
 	// this step; survived counts cached hits checked after a write passed.
 	writes, commits, records, survived int
+	// invalidated counts the entries the cached pair's commits and
+	// bootstraps invalidated.
+	invalidated uint64
 }
 
 func runSim(t *testing.T, seed int64, kind index.Kind) {
-	s := &sim{t: t, seed: seed, kind: kind, rng: rand.New(rand.NewSource(seed)), nextOID: 1 << 20}
+	s := &sim{t: t, seed: seed, kind: kind, rng: rand.New(rand.NewSource(seed)), nextOID: 1 << 20,
+		scanned: map[*simSub]map[simReg]int{}}
 	var items []wal.Record
 	for _, it := range workload.NewDataset(workload.Medium, 150, 0, seed).Items {
 		items = append(items, wal.Record{Op: wal.OpInsert, OID: it.OID, Rect: it.Rect})
@@ -211,6 +243,9 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 	}
 	if s.survived == 0 {
 		s.fatalf(nil, "no cache hit outlived a write")
+	}
+	if s.invalidated == 0 {
+		s.fatalf(nil, "topod_cache_invalidations_total never rose on the cached pair")
 	}
 	if c := s.twin.inst.watch.Counters(); c.Evaluated == 0 || c.Pruned == 0 {
 		s.fatalf(s.twin, "a filter layer of the watch table never fired: %+v", c)
@@ -308,7 +343,7 @@ func (s *sim) begin() {
 			w.before = s.members(sub)
 		}
 		c := n.inst.watch.Counters()
-		n.base = &[3]uint64{c.Evaluated + c.Pruned, n.srv.metrics.walRecords.Load(), n.inst.Generation()}
+		n.base = &[5]uint64{c.Evaluated + c.Pruned, n.srv.metrics.walRecords.Load(), n.inst.Generation(), n.invalidations(), n.snapshots()}
 	}
 }
 
@@ -432,6 +467,7 @@ func (s *sim) ack(recs []wal.Record, want int) {
 	if want != http.StatusOK {
 		return
 	}
+	clear(s.scanned)
 	for _, r := range recs {
 		reg := simReg{r.OID, r.Rect}
 		if r.Op == wal.OpInsert {
@@ -753,9 +789,7 @@ func (s *sim) watch(n *simNode, sub *simSub) {
 		if w.start = w.stream.info.Generation; w.start != published {
 			s.fatalf(n, "the watch stream opened at generation %d, after %d published batches", w.start, published)
 		}
-		if n.inst.repl != nil {
-			w.snaps = n.inst.repl.status().snapshots
-		}
+		w.snaps = n.snapshots()
 	} else {
 		ws, err := n.inst.watch.Subscribe(sub.ref, sub.rels, simBuffer)
 		if err != nil {
@@ -767,33 +801,22 @@ func (s *sim) watch(n *simNode, sub *simSub) {
 	n.subs[sub] = w
 }
 
-// members is the scan's answer to a subscription: the registrations
-// whose configuration against its reference admits one of its
-// relations, sorted.
-func (s *sim) members(sub *simSub) []string {
+// members is the scan's answer to a subscription: the multiset of
+// registrations whose configuration against its reference admits one
+// of its relations. Every node shares it until the history changes, so
+// callers must not modify it.
+func (s *sim) members(sub *simSub) map[simReg]int {
+	if out, ok := s.scanned[sub]; ok {
+		return out
+	}
 	cfgs := mbr.CandidatesSet(sub.rels)
-	var out []string
+	out := map[simReg]int{}
 	for _, r := range s.live {
 		if cfgs.Has(mbr.ConfigOf(r.Rect, sub.ref)) {
-			out = append(out, r.key())
+			out[r]++
 		}
 	}
-	slices.Sort(out)
-	return out
-}
-
-// minus is the multiset a without b, both sorted.
-func minus(a, b []string) (out []string) {
-	for len(a) > 0 {
-		switch {
-		case len(b) == 0 || a[0] < b[0]:
-			out, a = append(out, a[0]), a[1:]
-		case a[0] == b[0]:
-			a, b = a[1:], b[1:]
-		default:
-			b = b[1:]
-		}
-	}
+	s.scanned[sub] = out
 	return out
 }
 
@@ -809,6 +832,7 @@ func (s *sim) bounds() (b geom.Rect) {
 }
 
 func (s *sim) check() {
+	bounds := RectToWire(s.bounds())
 	for _, n := range s.nodes() {
 		idx := n.inst.ReadIndex()
 		if idx == nil || !n.inst.Healthy() {
@@ -821,17 +845,27 @@ func (s *sim) check() {
 			s.fatalf(n, "%v", err)
 		}
 		s.checkWatch(n)
-		if n.base != nil && n.role != "replica" {
+		// A replica applies, logs and publishes record by record; a
+		// bootstrap replaces its contents with none, so a step with one
+		// is not counted.
+		if n.base != nil && n.snapshots() == n.base[4] {
 			c := n.inst.watch.Counters()
 			if got, want := c.Evaluated+c.Pruned-n.base[0], uint64(len(n.subs)*s.records); got != want {
 				s.fatalf(n, "the watch table evaluated or pruned %d (subscription, record) pairs, want %d subscriptions × %d records", got, len(n.subs), s.records)
 			}
-			if got := n.srv.metrics.walRecords.Load() - n.base[1]; n.role == "primary" && got != uint64(s.records) {
+			if got := n.srv.metrics.walRecords.Load() - n.base[1]; n.role != "twin" && got != uint64(s.records) {
 				s.fatalf(n, "topod_wal_records_total rose by %d, want %d", got, s.records)
 			}
-			if got := n.inst.Generation() - n.base[2]; got != uint64(s.commits) {
-				s.fatalf(n, "the generation advanced by %d, want %d commits", got, s.commits)
+			want := uint64(s.commits)
+			if n.role == "replica" {
+				want = uint64(s.records)
 			}
+			if got := n.inst.Generation() - n.base[2]; got != want {
+				s.fatalf(n, "the generation advanced by %d, want %d (commits, or records on a replica)", got, want)
+			}
+		}
+		if n.base != nil {
+			s.invalidated += n.invalidations() - n.base[3]
 		}
 		if n.role == "primary" {
 			if gen, since, _ := n.inst.dur.position(); gen != n.gen || since != n.since {
@@ -841,7 +875,7 @@ func (s *sim) check() {
 		var infos []IndexInfo
 		code, body := call(n.h, http.MethodGet, "/v1/indexes", nil)
 		if json.Unmarshal(body, &infos) != nil || code != http.StatusOK || len(infos) != 1 || infos[0].Kind != s.kind.String() || !infos[0].Healthy ||
-			infos[0].Durable != (n.role != "twin") || infos[0].Objects != len(s.live) || infos[0].Height != idx.Height() || infos[0].Bounds == nil || *infos[0].Bounds != RectToWire(s.bounds()) {
+			infos[0].Durable != (n.role != "twin") || infos[0].Objects != len(s.live) || infos[0].Height != idx.Height() || infos[0].Bounds == nil || *infos[0].Bounds != bounds {
 			s.fatalf(n, "/v1/indexes: HTTP %d %s", code, body)
 		}
 	}
@@ -867,21 +901,23 @@ func (s *sim) check() {
 func (s *sim) checkWatch(n *simNode) {
 	for _, sub := range s.subs {
 		w := n.subs[sub]
-		var want []string
+		want, need := map[simEvent]int{}, 0
 		after := s.members(sub)
 		for _, d := range []struct {
 			typ      watch.EventType
-			from, to []string
+			from, to map[simReg]int
 		}{{watch.Enter, w.before, after}, {watch.Exit, after, w.before}} {
-			for _, k := range minus(d.to, d.from) {
-				want = append(want, fmt.Sprintf("%s %s", d.typ, k))
+			for r, k := range d.to {
+				if k -= d.from[r]; k > 0 {
+					want[simEvent{d.typ.String(), r}] += k
+					need += k
+				}
 			}
 		}
-		need := len(want)
-		if w.stream != nil && n.inst.repl != nil && n.inst.repl.status().snapshots != w.snaps {
+		if w.stream != nil && n.snapshots() != w.snaps {
 			need = -1 // a bootstrap: wait for the terminal line
 		}
-		got, end := s.events(n, w, need)
+		evs, end := s.events(n, w, need)
 		if end != "" {
 			if n.role != "replica" || end != watchResetReason {
 				s.fatalf(n, "subscription %v %v ended: %q", sub.rels, sub.ref, end)
@@ -889,9 +925,11 @@ func (s *sim) checkWatch(n *simNode) {
 			s.watch(n, sub)
 			continue
 		}
-		slices.Sort(got)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
+		got := map[simEvent]int{}
+		for _, ev := range evs {
+			got[ev]++
+		}
+		if !maps.Equal(got, want) {
 			s.fatalf(n, "subscription %v %v: events %v, the scan's difference %v", sub.rels, sub.ref, got, want)
 		}
 	}
@@ -902,13 +940,13 @@ func (s *sim) checkWatch(n *simNode) {
 // want events (want < 0: until its terminal line) and any that came
 // with them. Generations must exceed w's start and never fall. end is
 // why the server ended the subscription, "" while it is live.
-func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end string) {
+func (s *sim) events(n *simNode, w *simWatch, want int) (got []simEvent, end string) {
 	last := w.start + 1
-	take := func(typ string, oid uint64, rect [4]float64, gen uint64) {
+	take := func(typ string, oid uint64, rect geom.Rect, gen uint64) {
 		if gen < last {
 			s.fatalf(n, "event of generation %d after %d on a subscription started at %d", gen, last, w.start)
 		}
-		got, last = append(got, fmt.Sprintf("%s %d %v", typ, oid, rect)), gen
+		got, last = append(got, simEvent{typ, simReg{oid, rect}}), gen
 	}
 	if w.stream == nil {
 		for {
@@ -917,7 +955,7 @@ func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end strin
 				if !ok {
 					return got, w.sub.EndReason()
 				}
-				take(ev.Type.String(), ev.OID, RectToWire(ev.Rect), ev.Gen)
+				take(ev.Type.String(), ev.OID, ev.Rect, ev.Gen)
 			default:
 				return got, ""
 			}
@@ -941,7 +979,7 @@ func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end strin
 		if l.OID == nil || l.Rect == nil || l.Gen == nil {
 			s.fatalf(n, "watch stream line %+v", l)
 		}
-		take(l.Event, *l.OID, *l.Rect, *l.Gen)
+		take(l.Event, *l.OID, geom.R(l.Rect[0], l.Rect[1], l.Rect[2], l.Rect[3]), *l.Gen)
 	}
 	if done {
 		s.fatalf(n, "the watch stream closed without a terminal line")
@@ -952,7 +990,7 @@ func (s *sim) events(n *simNode, w *simWatch, want int) (got []string, end strin
 // ended holds every subscription of n, whose table has been closed, to
 // reason: a stream's terminal line must carry it. It returns the events
 // they received before it.
-func (s *sim) ended(n *simNode, reason string) (got []string) {
+func (s *sim) ended(n *simNode, reason string) (got []simEvent) {
 	for _, w := range n.subs {
 		evs, end := s.events(n, w, -1)
 		if end != reason {
@@ -1078,14 +1116,15 @@ func (s *sim) compareKNN(p geom.Point, k int) {
 		s.fatalf(s.twin, "%s: HTTP %d %s", target, code, want)
 	}
 	var dists []float64
-	rects := map[string]geom.Rect{}
+	live := map[simReg]bool{}
 	for _, r := range s.live {
 		dists = append(dists, r.Rect.DistToPoint(p))
-		rects[r.key()] = r.Rect
+		live[r] = true
 	}
 	slices.Sort(dists)
 	for i, nb := range resp.Neighbours {
-		if r, ok := rects[fmt.Sprint(nb.OID, nb.Rect)]; !ok || nb.Dist != dists[i] || r.DistToPoint(p) != nb.Dist {
+		r := geom.R(nb.Rect[0], nb.Rect[1], nb.Rect[2], nb.Rect[3])
+		if !live[simReg{nb.OID, r}] || nb.Dist != dists[i] || r.DistToPoint(p) != nb.Dist {
 			s.fatalf(s.twin, "%s: neighbour %d is %+v, the scan's %d-th distance %v", target, i, nb, i, dists[i])
 		}
 	}
