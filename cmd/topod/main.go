@@ -72,7 +72,11 @@
 //	topod -gen 100000 -bulk -cache-size 1024
 //
 // To measure the service end to end, run the bench/ harness against
-// it: bash bench/run.sh (see bench/README.md).
+// it: bash bench/run.sh (see bench/README.md). -debug-addr serves
+// net/http/pprof on a listener of its own, never on the API's:
+//
+//	topod -gen 100000 -bulk -debug-addr 127.0.0.1:6060
+//	go tool pprof -top 'http://127.0.0.1:6060/debug/pprof/profile?seconds=5'
 package main
 
 import (
@@ -82,6 +86,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -124,6 +129,8 @@ func main() {
 
 		maxWatch  = flag.Int("maxwatch", 256, "bound on concurrently open /v1/watch streams (separate from -maxinflight)")
 		cacheSize = flag.Int("cache-size", 256, "entries in the /v1/query result cache, from which a write evicts only the answers it can change (0 = disabled)")
+
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address, on a listener of its own (empty = off)")
 	)
 	flag.Parse()
 
@@ -229,6 +236,17 @@ func main() {
 			inst2.ReadIndex().Len(), inst2.Kind, inst2.Name, inst2.ReadIndex().Height())
 	}
 
+	var debugSrv *http.Server
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("topod: debug listening on %s\n", dln.Addr())
+		debugSrv = &http.Server{Handler: debugMux()}
+		go func() { _ = debugSrv.Serve(dln) }() // ends when Close closes dln
+	}
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -278,8 +296,24 @@ func main() {
 		if err := srv.Close(); err != nil {
 			fatal(fmt.Errorf("closing indexes: %w", err))
 		}
+		if debugSrv != nil {
+			_ = debugSrv.Close() // a profile being taken is cut; nothing else is lost
+		}
 		fmt.Println("topod: bye")
 	}
+}
+
+// debugMux serves net/http/pprof's handlers. It is a mux of its own:
+// the package's import also registers them on http.DefaultServeMux,
+// which nothing in topod serves, and never on the API's mux.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // loadItems reads the data file (CSV, or NDJSON by extension), or

@@ -114,9 +114,15 @@ func (r Rect) OverlapArea(s Rect) float64 {
 // DistToPoint returns the Euclidean distance from p to the closed
 // rectangle (the kNN MINDIST measure); zero when p lies inside.
 func (r Rect) DistToPoint(p Point) float64 {
-	dx := max(r.Min.X-p.X, 0, p.X-r.Max.X)
-	dy := max(r.Min.Y-p.Y, 0, p.Y-r.Max.Y)
-	return math.Hypot(dx, dy)
+	return math.Hypot(r.Gaps(p))
+}
+
+// Gaps returns how far p lies outside the closed rectangle along each
+// axis (zero on an axis where p is within its extent). The larger of
+// the two never exceeds DistToPoint, so a caller can reject by it
+// before paying for the square root.
+func (r Rect) Gaps(p Point) (dx, dy float64) {
+	return max(r.Min.X-p.X, 0, p.X-r.Max.X), max(r.Min.Y-p.Y, 0, p.Y-r.Max.Y)
 }
 
 // Grow returns the rectangle expanded by d on every side.

@@ -9,7 +9,8 @@ import (
 // array [minx,miny,maxx,maxy] — byte for byte what encoding/json gives
 // for a []float64 of the four coordinates. The server's line writer
 // calls it per line; the node arena calls it once per leaf version and
-// keeps the bytes (rtree/text.go), so the two can never disagree.
+// keeps the bytes (rtree/text.go), so the two can never disagree. The
+// server's kNN body renders its distances by the same float rule.
 
 // Finite reports whether JSON can carry all four coordinates: x-x is 0
 // for every finite x and NaN otherwise.
@@ -20,20 +21,21 @@ func (r Rect) Finite() bool {
 // AppendWire appends the wire form of r, which must be Finite.
 func (r Rect) AppendWire(b []byte) []byte {
 	b = append(b, '[')
-	b = appendFloat(b, r.Min.X)
+	b = AppendWireFloat(b, r.Min.X)
 	b = append(b, ',')
-	b = appendFloat(b, r.Min.Y)
+	b = AppendWireFloat(b, r.Min.Y)
 	b = append(b, ',')
-	b = appendFloat(b, r.Max.X)
+	b = AppendWireFloat(b, r.Max.X)
 	b = append(b, ',')
-	b = appendFloat(b, r.Max.Y)
+	b = AppendWireFloat(b, r.Max.Y)
 	return append(b, ']')
 }
 
-// appendFloat is encoding/json's float64 rule: shortest round-trip
-// digits, 'f' form unless the magnitude is below 1e-6 or at least
-// 1e21, and then 'e' form with e-0N shortened to e-N.
-func appendFloat(b []byte, f float64) []byte {
+// AppendWireFloat appends f, which must be finite, by encoding/json's
+// float64 rule: shortest round-trip digits, 'f' form unless the
+// magnitude is below 1e-6 or at least 1e21, and then 'e' form with e-0N
+// shortened to e-N.
+func AppendWireFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -1,25 +1,49 @@
 package rtree
 
 import (
+	"cmp"
 	"context"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"mbrtopo/internal/geom"
 )
 
-// bruteNearest returns the k smallest distances to the query point.
-func bruteNearest(data map[uint64]geom.Rect, p geom.Point, k int) []float64 {
-	var ds []float64
-	for _, r := range data {
-		ds = append(ds, r.DistToPoint(p))
+// bruteNearest returns the k registrations of recs nearest to p in the
+// answer's total order: distance, then oid, then rectangle.
+func bruteNearest(recs []Record, p geom.Point, k int) []Neighbour {
+	all := make([]Neighbour, len(recs))
+	for i, r := range recs {
+		all[i] = Neighbour{Rect: r.Rect, OID: r.OID, Dist: r.Rect.DistToPoint(p)}
 	}
-	sort.Float64s(ds)
-	if len(ds) > k {
-		ds = ds[:k]
+	slices.SortFunc(all, func(a, b Neighbour) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.OID, b.OID),
+			cmp.Compare(a.Rect.Min.X, b.Rect.Min.X), cmp.Compare(a.Rect.Min.Y, b.Rect.Min.Y),
+			cmp.Compare(a.Rect.Max.X, b.Rect.Max.X), cmp.Compare(a.Rect.Max.Y, b.Rect.Max.Y))
+	})
+	return all[:min(k, len(all))]
+}
+
+// bruteAccesses is the pages of every node of c whose MINDIST from p is
+// at most dk (the root's is 0), found by visiting them all: the pages a
+// best-first search that stops at the k-th distance dk must read.
+func bruteAccesses(c *core, p geom.Point, dk float64) uint64 {
+	var pages uint64
+	var visit func(n *node, dist float64)
+	visit = func(n *node, dist float64) {
+		if dist <= dk {
+			pages += uint64(n.cost)
+		}
+		if !n.isLeaf() {
+			for _, e := range n.entries {
+				visit(e.Child, e.Rect.DistToPoint(p))
+			}
+		}
 	}
-	return ds
+	visit(c.cur.Load().root, 0)
+	return pages
 }
 
 func TestRectDistToPoint(t *testing.T) {
@@ -42,11 +66,20 @@ func TestRectDistToPoint(t *testing.T) {
 	}
 }
 
-// TestNearestAgainstBruteForce checks kNN on both tree families.
+// TestNearestAgainstBruteForce holds kNN on R-, R*- and R+-trees to a
+// sorted scan of the registrations, in the full answer order, over data
+// with exact distance ties: rectangles that contain many query points
+// (distance 0), a grid of unit squares queried from grid points, oids
+// stored under two rectangles and registrations inserted twice; k runs
+// past the tree's size. Its node accesses must be the pages of exactly
+// the nodes whose MINDIST is at most the k-th distance.
 func TestNearestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	data := map[uint64]geom.Rect{}
 	rt, err := newTestRTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := newTestRStar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,53 +87,62 @@ func TestNearestAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 800; i++ {
-		r := randRect(rng, 100, 4)
-		data[i] = r
-		if err := rt.Insert(r, i); err != nil {
-			t.Fatal(err)
+	trees := []struct {
+		name string
+		tree searcher
+		c    *core
+	}{{"rtree", rt, &rt.core}, {"rstar", rs, &rs.core}, {"rplus", rp, &rp.core}}
+	var recs []Record
+	for i := 0; i < 800; i++ {
+		var r geom.Rect
+		switch {
+		case i%40 == 0:
+			x, y := rng.Float64()*60, rng.Float64()*60
+			r = geom.R(x, y, x+20+rng.Float64()*20, y+20+rng.Float64()*20)
+		case i%4 == 0:
+			x, y := float64(rng.Intn(20)*5), float64(rng.Intn(20)*5)
+			r = geom.R(x, y, x+1, y+1)
+		default:
+			r = randRect(rng, 100, 4)
 		}
-		if err := rp.Insert(r, i); err != nil {
-			t.Fatal(err)
+		oid := uint64(rng.Intn(600) + 1)
+		copies := 1
+		if i%25 == 0 {
+			copies = 2
+		}
+		for range copies {
+			for _, tr := range trees {
+				if err := tr.tree.Insert(r, oid); err != nil {
+					t.Fatalf("%s: %v", tr.name, err)
+				}
+			}
+			recs = append(recs, Record{Rect: r, OID: oid})
 		}
 	}
-	type knn interface {
-		NearestCtx(context.Context, geom.Point, int) ([]Neighbour, TraversalStats, error)
-	}
-	for name, tree := range map[string]knn{"rtree": rt, "rplus": rp} {
+	for _, tr := range trees {
 		for q := 0; q < 60; q++ {
-			p := geom.Point{X: rng.Float64() * 110, Y: rng.Float64() * 110}
-			for _, k := range []int{1, 5, 20} {
-				got, _, err := tree.NearestCtx(context.Background(), p, k)
+			p := geom.Point{X: rng.Float64()*110 - 5, Y: rng.Float64()*110 - 5}
+			if q%3 == 0 {
+				p = geom.Point{X: float64(rng.Intn(22) * 5), Y: float64(rng.Intn(22) * 5)}
+			}
+			for _, k := range []int{1, 5, 20, len(recs) + 10} {
+				got, ts, err := tr.c.NearestCtx(context.Background(), p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := bruteNearest(data, p, k)
-				if len(got) != len(want) {
-					t.Fatalf("%s k=%d: got %d results", name, k, len(got))
+				want := bruteNearest(recs, p, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d at %v:\n got %v\nwant %v", tr.name, k, p, got, want)
 				}
-				for i := range got {
-					// Compare distances (ties permit different ids).
-					if diff := got[i].Dist - want[i]; diff > 1e-12 || diff < -1e-12 {
-						t.Fatalf("%s k=%d rank %d: dist %v want %v", name, k, i, got[i].Dist, want[i])
-					}
-					if got[i].Rect.DistToPoint(p) != got[i].Dist {
-						t.Fatalf("%s: reported distance inconsistent", name)
-					}
-					if data[got[i].OID].DistToPoint(p) != got[i].Dist {
-						t.Fatalf("%s: reported oid/rect mismatch", name)
-					}
-					if i > 0 && got[i].Dist < got[i-1].Dist {
-						t.Fatalf("%s: results not ordered", name)
-					}
+				dk := math.Inf(1)
+				if len(got) == k {
+					dk = got[k-1].Dist
 				}
-				// No duplicate OIDs.
-				seen := map[uint64]bool{}
-				for _, nb := range got {
-					if seen[nb.OID] {
-						t.Fatalf("%s: duplicate oid %d", name, nb.OID)
-					}
-					seen[nb.OID] = true
+				if wantPages := bruteAccesses(tr.c, p, dk); ts.NodeAccesses != wantPages {
+					t.Fatalf("%s k=%d at %v: %d node accesses, want %d (the nodes within %v)", tr.name, k, p, ts.NodeAccesses, wantPages, dk)
+				}
+				if ts.Emitted != len(got) {
+					t.Fatalf("%s k=%d: Emitted %d for %d neighbours", tr.name, k, ts.Emitted, len(got))
 				}
 			}
 		}
@@ -126,9 +168,10 @@ func TestNearestEdgeCases(t *testing.T) {
 	}
 }
 
-// TestNearestAllocs bounds what a 10-NN allocates: the heap and the
-// answer are sized up front and grow by doubling, and no push boxes its
-// item (a push through container/heap cost one allocation).
+// TestNearestAllocs bounds what a 10-NN allocates: the node heap and
+// the k best (which become the answer) are sized up front and grow by
+// doubling, no push boxes its item (a push through container/heap cost
+// one allocation), and a leaf entry is never pushed at all.
 func TestNearestAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	rt, err := newTestRTree()

@@ -372,7 +372,9 @@ func diffBulk(t *testing.T, data []byte, limit int64) {
 // byte for byte, and a coordinate json.Marshal refuses (NaN, ±Inf)
 // stops the writer instead of reaching the wire. The stats and error
 // trailers, with the oids as counts and text as the explain and error
-// strings, equal json.Marshal too.
+// strings, equal json.Marshal too, and so does a /v1/knn body of none,
+// one or two of the neighbours the inputs make (a NaN or ±Inf distance
+// or coordinate is refused, as json.Marshal refuses it).
 func FuzzLineEncode(f *testing.F) {
 	bits := math.Float64bits
 	f.Add(uint64(0), uint64(1), bits(0), bits(math.Copysign(0, -1)), bits(1), bits(-1), "")
@@ -408,6 +410,25 @@ func FuzzLineEncode(f *testing.F) {
 		}
 
 		r := geom.R(math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c), math.Float64frombits(d))
+		nn := []rtree.Neighbour{
+			{OID: oid, Rect: r, Dist: math.Float64frombits(a)},
+			{OID: oid2, Rect: geom.R(r.Max.Y, r.Max.X, r.Min.Y, r.Min.X), Dist: math.Float64frombits(oid)},
+		}
+		for n := range len(nn) + 1 {
+			resp := KNNResponse{Neighbours: []KNNNeighbour{}, NodeAccesses: oid2}
+			for _, nb := range nn[:n] {
+				resp.Neighbours = append(resp.Neighbours, KNNNeighbour{OID: nb.OID, Rect: RectToWire(nb.Rect), Dist: nb.Dist})
+			}
+			want, err := json.Marshal(resp)
+			got, ok := appendKNNBody(nil, nn[:n], oid2)
+			if ok != (err == nil) {
+				t.Fatalf("kNN body of %d: json.Marshal error %v, rendered %v", n, err, ok)
+			}
+			if ok && !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("kNN body of %d\n got %q\nwant %q", n, got, want)
+			}
+		}
+
 		p := query.JoinPair{LeftOID: oid, RightOID: oid2, LeftRect: r, RightRect: geom.R(r.Max.Y, r.Max.X, r.Min.Y, r.Min.X)}
 		lr, rr := RectToWire(p.LeftRect), RectToWire(p.RightRect)
 		wantMatch, err := json.Marshal(QueryLine{OID: &oid, Rect: &lr})

@@ -335,14 +335,48 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := KNNResponse{Neighbours: make([]KNNNeighbour, len(nn)), NodeAccesses: ts.NodeAccesses}
-	for i, nb := range nn {
-		resp.Neighbours[i] = KNNNeighbour{OID: nb.OID, Rect: RectToWire(nb.Rect), Dist: nb.Dist}
-	}
 	// Answers depend on live index state; intermediaries must not
 	// serve them stale.
 	w.Header().Set("Cache-Control", "no-cache")
-	writeJSON(w, http.StatusOK, resp)
+	body, ok := appendKNNBody(make([]byte, 0, 64+112*len(nn)), nn, ts.NodeAccesses)
+	if !ok {
+		// encoding/json refuses the number too: writeJSON answers the
+		// 500 that says so.
+		resp := KNNResponse{Neighbours: make([]KNNNeighbour, len(nn)), NodeAccesses: ts.NodeAccesses}
+		for i, nb := range nn {
+			resp.Neighbours[i] = KNNNeighbour{OID: nb.OID, Rect: RectToWire(nb.Rect), Dist: nb.Dist}
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
+// appendKNNBody renders the KNNResponse of nn and accesses as
+// json.Marshal does, and a newline. It reports false, having rendered
+// part of it, when a rectangle or a distance is not finite: JSON has no
+// form for it.
+func appendKNNBody(b []byte, nn []rtree.Neighbour, accesses uint64) ([]byte, bool) {
+	b = append(b, `{"neighbours":[`...)
+	for i, nb := range nn {
+		if !nb.Rect.Finite() || nb.Dist-nb.Dist != 0 {
+			return b, false
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"oid":`...)
+		b = strconv.AppendUint(b, nb.OID, 10)
+		b = append(b, `,"rect":`...)
+		b = nb.Rect.AppendWire(b)
+		b = append(b, `,"dist":`...)
+		b = geom.AppendWireFloat(b, nb.Dist)
+		b = append(b, '}')
+	}
+	b = append(b, `],"node_accesses":`...)
+	b = strconv.AppendUint(b, accesses, 10)
+	return append(b, '}', '\n'), true
 }
 
 // handleInsert stores one rectangle. On a durable index the insert is

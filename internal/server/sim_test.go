@@ -540,7 +540,10 @@ func (s *sim) twice() {
 // so fills are in flight at every commit; then the others take them,
 // and both cached nodes must answer with all of them (two rounds). A
 // fill that pinned the tree before a commit and stored its answer after
-// the commit invalidated would serve a stale hit.
+// the commit invalidated would serve a stale hit. Each reader pauses
+// fillPause between its queries: that keeps a fill beside every commit
+// at a fraction of the CPU of readers that never pause, which outran
+// the rest of the simulator.
 func (s *sim) fills() {
 	req := QueryRequest{Index: "main", Relations: []string{"not_disjoint"}, Ref: wireOf(s.windows[0])}
 	p := s.pairs[1]
@@ -553,6 +556,7 @@ func (s *sim) fills() {
 				defer wg.Done()
 				for !stop.Load() {
 					call(n.h, http.MethodPost, "/v1/query", jsonBody(req))
+					time.Sleep(fillPause)
 				}
 			}()
 		}
@@ -576,6 +580,9 @@ func (s *sim) fills() {
 		s.compareQuery(req, p.replica)
 	}
 }
+
+// fillPause paces fills' readers (see there).
+const fillPause = 50 * time.Microsecond
 
 // cut takes p's primary off the network: no new replication connection,
 // and the open ones closed and gone from the primary.

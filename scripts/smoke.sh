@@ -5,7 +5,8 @@
 # (byte-identical with its terms swapped, explain "plan=conjunction",
 # no more node accesses than either term alone), one query in six body
 # shapes (byte-identical answers), an insert whose value starts past
-# the body cap (400) and a /metrics scrape,
+# the body cap (400), a /metrics scrape, a 10-NN and a one-second CPU
+# profile from the -debug-addr listener,
 # then assert the daemon drains cleanly on SIGTERM. A second leg kill -9s a
 # durable topod mid-traffic and asserts the restart recovers every
 # acknowledged mutation. A third leg STR bulk-loads a durable topod,
@@ -155,7 +156,7 @@ lint_metrics() {
     END { for (k in last) if (!(k in inf)) { print "smoke: histogram " k " has no +Inf bucket" > "/dev/stderr"; bad = 1 }; exit bad }'
 }
 
-"$TOPOD" -gen 2000 -tree rstar -addr 127.0.0.1:0 >"$LOG" 2>&1 &
+"$TOPOD" -gen 2000 -tree rstar -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 >"$LOG" 2>&1 &
 PID=$!
 trap cleanup EXIT
 
@@ -234,6 +235,25 @@ echo "$METRICS" | grep -q '^topod_node_accesses_total [1-9]' \
   || { echo "smoke: /metrics did not fold the query's node accesses" >&2; exit 1; }
 lint_metrics "$METRICS" || { echo "smoke: /metrics is malformed" >&2; exit 1; }
 
+# -debug-addr serves net/http/pprof on a listener of its own: a
+# one-second CPU profile (gzipped protobuf) taken while 10-NN requests
+# run comes from it, and the API's listener has no /debug/ at all.
+DEBUG="$(sed -n 's/^topod: debug listening on //p' "$LOG" | head -1)"
+[ -n "$DEBUG" ] || { echo "smoke: topod logged no debug listener" >&2; cat "$LOG" >&2; exit 1; }
+KNN="$(curl -sf "$BASE/v1/knn?k=10&x=500&y=500")"
+[ "$(echo "$KNN" | grep -o '"oid":' | wc -l)" = 10 ] && echo "$KNN" | grep -q '"node_accesses":[1-9]' \
+  || { echo "smoke: a 10-NN answered $KNN" >&2; exit 1; }
+PROF="$(mktemp)"
+for _ in $(seq 40); do curl -sf -o /dev/null "$BASE/v1/knn?k=10&x=250&y=750"; done &
+curl -sf -o "$PROF" "http://$DEBUG/debug/pprof/profile?seconds=1" \
+  || { echo "smoke: no CPU profile from the debug listener" >&2; rm -f "$PROF"; exit 1; }
+wait $! || { echo "smoke: a 10-NN beside the profile failed" >&2; exit 1; }
+MAGIC="$(head -c 2 "$PROF" | od -An -tx1 | tr -d ' \n')"
+rm -f "$PROF"
+[ "$MAGIC" = 1f8b ] || { echo "smoke: the CPU profile is not gzip (it starts with $MAGIC)" >&2; exit 1; }
+CODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/pprof/")"
+[ "$CODE" = 404 ] || { echo "smoke: the API listener answered $CODE for /debug/pprof/" >&2; exit 1; }
+
 kill -TERM "$PID"
 if ! wait "$PID"; then
   echo "smoke: topod exited non-zero on SIGTERM" >&2
@@ -243,7 +263,7 @@ fi
 grep -q '^topod: bye$' "$LOG" \
   || { echo "smoke: drain message missing from log" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "smoke OK: query + conjunction + body shapes + metrics + graceful drain"
+echo "smoke OK: query + conjunction + body shapes + metrics + kNN + CPU profile + graceful drain"
 
 # ---- crash-recovery leg: kill -9 a durable topod, restart, verify ----
 
