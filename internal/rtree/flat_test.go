@@ -344,7 +344,8 @@ func TestFlatJoin(t *testing.T) {
 // TestFlatRefusesOverBudget: deleting the small objects under one
 // rectangle that crosses every leaf stops short of the leaf-entry
 // budget, and an image of a tree past it — made here by skipping the
-// check — is refused as over budget, not as corrupt.
+// check — is refused as over budget, not as corrupt; CheckInvariants
+// reports that version too.
 func TestFlatRefusesOverBudget(t *testing.T) {
 	tree, err := NewRPlusArena(168)
 	if err != nil {
@@ -383,5 +384,8 @@ func TestFlatRefusesOverBudget(t *testing.T) {
 	})
 	if _, err := OpenFlatBytes(flatEncode(t, tree, 2)); !errors.Is(err, ErrUnsplittable) || errors.Is(err, pagefile.ErrCorrupt) || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("the image of a tree over its budget: %v", err)
+	}
+	if err := tree.CheckInvariants(); !errors.Is(err, ErrUnsplittable) || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("CheckInvariants on a version over its budget: %v", err)
 	}
 }

@@ -74,8 +74,9 @@ func (t *Tree) CheckInvariants() error {
 // sharing interior with its leaf region, and — the zero-false-miss
 // property — every stored (rect, oid) registered in every leaf whose
 // region its interior intersects, as many times in each as it was
-// inserted, those counts summing to Len — the leaf-entry count, and
-// every node's side-cars (checkSidecars).
+// inserted, those counts summing to Len; the leaf-entry count, within
+// entryBudget per registration (overBudget); and every node's
+// side-cars (checkSidecars).
 func (t *RPlusTree) CheckInvariants() error {
 	s := t.cur.Load()
 	leaves := make(map[*node]map[Record]int) // each leaf's copies of each pair
@@ -165,7 +166,7 @@ func (t *RPlusTree) CheckInvariants() error {
 	if entries != s.leafEntries {
 		return fmt.Errorf("rtree: R+ leaves hold %d entries, the count says %d", entries, s.leafEntries)
 	}
-	return nil
+	return overBudget(entries, s.size)
 }
 
 // checkSidecars verifies the caches a node version carries against its

@@ -454,15 +454,16 @@ func faultingClient(mode faultMode, at int64) *http.Client {
 
 func TestReplFaultInjectionDifferential(t *testing.T) {
 	// The first connection bootstraps. Its bytes are the HTTP response
-	// header (0–148), the first chunk-size line, the 32-byte preamble
-	// frame (154–185), then the 13 864-byte image in 2 KiB chunks up to
+	// header (0–167), the first chunk-size line, the 32-byte preamble
+	// frame (173–204), then the 13 864-byte image in 2 KiB chunks up to
 	// about byte 14 100, then the record tail. So 3 and 64 fault the
 	// header, 600 the image's first nodes and 4096 the middle of the
 	// image. 1 << 20 lies past all the test ever streams (about 14.4 KB
 	// of bootstrap, 3 KB of records, heartbeats): that case is the
-	// fault-free control. FuzzSim's faults at seeded offsets below 4096
-	// can land in the preamble; its cut, bit-flipped and stalled live
-	// streams, and TestReplReconnectResumes's cut, fault the tail.
+	// fault-free control. FuzzSim faults the header, the preamble and
+	// the image of its bootstraps in every mode (faultAt); its cut,
+	// bit-flipped and stalled live streams, and
+	// TestReplReconnectResumes's cut, fault the tail.
 	offsets := []int64{3, 64, 600, 4096, 1 << 20}
 	modes := []faultMode{faultTruncate, faultCorrupt, faultStall}
 	for _, mode := range modes {
@@ -554,144 +555,4 @@ func TestReplReadyzLagGating(t *testing.T) {
 			t.Fatalf("query on stale follower = HTTP %d, want 200", qst)
 		}
 	})
-}
-
-func TestReplPromote(t *testing.T) {
-	primary, pts, d := newReplPrimary(t, 200, 25)
-	follower, fts := newReplFollower(t, pts.URL, nil, FollowConfig{})
-	mutatePrimary(t, pts.URL, d, 30)
-	waitCaughtUp(t, primary, follower)
-
-	pinst, _ := primary.instance("main")
-	wantLen := pinst.ReadIndex().Len()
-
-	// Mutations on a follower are refused with the primary's address.
-	rect := [4]float64{1, 1, 2, 2}
-	st, er := postStatus(t, fts.URL+"/v1/insert", UpdateRequest{OID: 900001, Rect: rect[:]})
-	if st != http.StatusForbidden {
-		t.Fatalf("insert on follower = HTTP %d, want 403", st)
-	}
-	if er.Primary != pts.URL {
-		t.Fatalf("403 names primary %q, want %q", er.Primary, pts.URL)
-	}
-	if st, _ := postStatus(t, fts.URL+"/v1/bulk?index=main", []BulkLine{}); st != http.StatusForbidden {
-		t.Fatalf("bulk on follower = HTTP %d, want 403", st)
-	}
-
-	// Promoting a plain primary is a conflict.
-	if st, _ := postStatus(t, pts.URL+"/v1/promote", struct{}{}); st != http.StatusConflict {
-		t.Fatalf("promote on primary = HTTP %d, want 409", st)
-	}
-
-	// Hard-kill the primary, promote, and write.
-	pts.CloseClientConnections()
-	pts.Close()
-	if st, er := postStatus(t, fts.URL+"/v1/promote", struct{}{}); st != http.StatusOK {
-		t.Fatalf("promote = HTTP %d (%s)", st, er.Error)
-	}
-	// Idempotent.
-	if st, _ := postStatus(t, fts.URL+"/v1/promote", struct{}{}); st != http.StatusOK {
-		t.Fatalf("second promote = HTTP %d, want 200", st)
-	}
-
-	st, er = postStatus(t, fts.URL+"/v1/insert", UpdateRequest{OID: 900001, Rect: rect[:]})
-	if st != http.StatusOK {
-		t.Fatalf("insert after promote = HTTP %d (%s)", st, er.Error)
-	}
-
-	// No lost or double-applied record: everything the primary had at
-	// kill time plus exactly the one new insert.
-	finst, _ := follower.instance("main")
-	if got := finst.ReadIndex().Len(); got != wantLen+1 {
-		t.Fatalf("promoted index holds %d objects, want %d", got, wantLen+1)
-	}
-	res, err := finst.ReadProc().QuerySetMBR(topo.NewSet(topo.Equal), geom.R(1, 1, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range res.Matches {
-		found = found || m.OID == 900001
-	}
-	if !found {
-		t.Fatal("promoted index does not serve the post-promotion insert")
-	}
-
-	// The role is now reported as promoted and readyz no longer gates
-	// on a dead primary.
-	resp, err := http.Get(fts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rr ReadyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !rr.Ready || rr.Role != "promoted" {
-		t.Fatalf("post-promote readyz = HTTP %d %+v, want ready promoted", resp.StatusCode, rr)
-	}
-}
-
-// TestReplWALAppendFailure is the regression test for the append-error
-// path: once a WAL write fails the index answers 503 — it must never
-// ack a mutation it could not log, and must not serve reads from state
-// that is ahead of its own log.
-func TestReplWALAppendFailure(t *testing.T) {
-	var writes atomic.Int64
-	srv := New(Config{})
-	spec := IndexSpec{
-		Name: "main", Kind: index.KindRTree, PageSize: 512,
-		Dir: t.TempDir(), Fsync: wal.SyncNever,
-	}
-	d := workload.NewDataset(workload.Medium, 50, 0, 3)
-	inst, err := srv.AddIndex(spec, d.Items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.dur.faults = &faultPlan{walWrite: func(off int64, n int) error {
-		if writes.Add(1) > 3 {
-			return fmt.Errorf("injected disk failure")
-		}
-		return nil
-	}}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	rect := [4]float64{5, 5, 6, 6}
-	okWrites, failed := 0, false
-	for i := 0; i < 6; i++ {
-		st, _ := postStatus(t, ts.URL+"/v1/insert", UpdateRequest{OID: uint64(700000 + i), Rect: rect[:]})
-		if st == http.StatusOK {
-			if failed {
-				t.Fatalf("insert %d succeeded after a WAL append failure", i)
-			}
-			okWrites++
-			continue
-		}
-		failed = true
-	}
-	if !failed {
-		t.Fatalf("no insert failed despite the injected WAL error (%d ok)", okWrites)
-	}
-
-	// The index is now permanently unhealthy: mutations and queries 503,
-	// and readiness reflects it.
-	if st, _ := postStatus(t, ts.URL+"/v1/insert", UpdateRequest{OID: 799999, Rect: rect[:]}); st != http.StatusServiceUnavailable {
-		t.Fatalf("insert on unhealthy index = HTTP %d, want 503", st)
-	}
-	if st, _ := postStatus(t, ts.URL+"/v1/query", QueryRequest{Relations: []string{"overlap"}, Ref: []float64{0, 0, 10, 10}}); st != http.StatusServiceUnavailable {
-		t.Fatalf("query on unhealthy index = HTTP %d, want 503", st)
-	}
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz = HTTP %d, want 503", resp.StatusCode)
-	}
-	if inst.Healthy() {
-		t.Fatal("instance still reports healthy after WAL append failure")
-	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,24 +41,28 @@ import (
 // answers to the twin's bytes. A failure names the seed,
 // the configuration and the step, and the go test -run that replays it.
 
-// simSeeds are the tier-1 seeds: FuzzSim's corpus, which every go test
-// runs.
+// simSeeds are the tier-1 seeds. FuzzSim's corpus pairs each with
+// every tree kind — seed#0 and seed#1 are R-trees, seed#2 and seed#3
+// R+-trees, seed#4 and seed#5 R*-trees — and every go test runs those
+// inputs in parallel.
 var simSeeds = []int64{1, 2}
 
-// FuzzSim runs the simulator over all three tree kinds per seed. A seed
-// the fuzzer finds failing replays from the file it writes under
-// testdata/fuzz/FuzzSim, through the same go test -run.
+// FuzzSim runs the simulator over one tree kind per input (kind is
+// taken modulo the number of kinds), so one input stays well inside the
+// 10 s the fuzzer gives it. A failing input the fuzzer finds replays
+// from the file it writes under testdata/fuzz/FuzzSim, through the same
+// go test -run.
 func FuzzSim(f *testing.F) {
-	for _, seed := range simSeeds {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		for _, kind := range index.AllKinds() {
-			t.Run(kindName(kind), func(t *testing.T) {
-				t.Parallel()
-				runSim(t, seed, kind)
-			})
+	kinds := index.AllKinds()
+	for k := range kinds {
+		for _, seed := range simSeeds {
+			f.Add(seed, uint8(k))
 		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, k uint8) {
+		t.Parallel()
+		kind := kinds[int(k)%len(kinds)]
+		t.Run(kindName(kind), func(t *testing.T) { runSim(t, seed, kind) })
 	})
 }
 
@@ -118,18 +123,19 @@ type simSub struct {
 	stream bool
 }
 
-// simWatch is a node's subscription, with its members when the step
-// started or, when it subscribed later, then. start is its StartGen or
-// its stream's header generation; a stream also keeps how many of its
-// lines were taken and, on a replica, the snapshots loaded when it
-// opened: a bootstrap since must have ended it.
+// simWatch is a node's subscription. from counts the step's records
+// acknowledged before it subscribed, 0 when it subscribed in an earlier
+// step; start is its StartGen or its stream's header generation; a
+// stream also keeps how many of its lines were taken and, on a replica,
+// the snapshots loaded when it opened: a bootstrap since must have
+// ended it.
 type simWatch struct {
 	sub    *watch.Subscription
 	stream *watchStream
+	from   int
 	start  uint64
 	taken  int
 	snaps  uint64
-	before map[simReg]int
 }
 
 // simReg is one (oid, rect) registration of the history.
@@ -169,19 +175,18 @@ type sim struct {
 	twin    *simNode
 	pairs   [2]*simPair
 	subs    []*simSub
-	// scanned memoises members until the history next changes.
-	scanned map[*simSub]map[simReg]int
-	// writes counts acknowledged writes, commits and records those of
-	// this step; survived counts cached hits checked after a write passed.
-	writes, commits, records, survived int
+	// acked holds the records acknowledged in this step, in order.
+	acked []wal.Record
+	// writes counts acknowledged writes and commits those of this step;
+	// survived counts cached hits checked after a write passed.
+	writes, commits, survived int
 	// invalidated counts the entries the cached pair's commits and
 	// bootstraps invalidated.
 	invalidated uint64
 }
 
 func runSim(t *testing.T, seed int64, kind index.Kind) {
-	s := &sim{t: t, seed: seed, kind: kind, rng: rand.New(rand.NewSource(seed)), nextOID: 1 << 20,
-		scanned: map[*simSub]map[simReg]int{}}
+	s := &sim{t: t, seed: seed, kind: kind, rng: rand.New(rand.NewSource(seed)), nextOID: 1 << 20}
 	var items []wal.Record
 	for _, it := range workload.NewDataset(workload.Medium, 150, 0, seed).Items {
 		items = append(items, wal.Record{Op: wal.OpInsert, OID: it.OID, Rect: it.Rect})
@@ -194,7 +199,7 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 	t.Cleanup(func() {
 		if t.Failed() {
 			replay := "go test -run with the file the fuzzer wrote under testdata/fuzz/FuzzSim"
-			if strings.Count(t.Name(), "/") == 2 { // a corpus seed: FuzzSim/seed#N/kind
+			if strings.Count(t.Name(), "/") == 2 { // a corpus entry: FuzzSim/seed#N/kind or FuzzSim/<file>/kind
 				replay = "go test ./internal/server -run '^" + strings.ReplaceAll(t.Name(), "/", "$/^") + "$'"
 			}
 			t.Logf("seed %d, step %d (%s); replay: %s", seed, s.step, s.op, replay)
@@ -225,6 +230,10 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 	s.write(items, http.StatusOK) // an empty tree packs a batch (STR)
 	for _, p := range s.pairs {
 		s.startReplica(p)
+		if h := p.link.firstHead(); len(h) < simImageAt || !bytes.HasSuffix(h[:simHeaderLen], []byte("\r\n\r\n")) ||
+			binary.LittleEndian.Uint32(h[simPreambleAt:]) != preambleLen {
+			s.fatalf(p.replica, "the bootstrap stream starts %q, not as faultAt's regions say", h)
+		}
 	}
 	s.settle()
 	s.subscribe(topo.NotDisjoint, s.windows[0], true)
@@ -337,10 +346,10 @@ func jsonBody(v any) io.Reader { return bytes.NewReader(must(json.Marshal(v))) }
 
 // begin notes where the step starts from.
 func (s *sim) begin() {
-	s.records, s.commits = 0, 0
+	s.acked, s.commits = s.acked[:0], 0
 	for _, n := range s.nodes() {
-		for sub, w := range n.subs {
-			w.before = s.members(sub)
+		for _, w := range n.subs {
+			w.from = 0
 		}
 		c := n.inst.watch.Counters()
 		n.base = &[5]uint64{c.Evaluated + c.Pruned, n.srv.metrics.walRecords.Load(), n.inst.Generation(), n.invalidations(), n.snapshots()}
@@ -467,7 +476,6 @@ func (s *sim) ack(recs []wal.Record, want int) {
 	if want != http.StatusOK {
 		return
 	}
-	clear(s.scanned)
 	for _, r := range recs {
 		reg := simReg{r.OID, r.Rect}
 		if r.Op == wal.OpInsert {
@@ -479,7 +487,7 @@ func (s *sim) ack(recs []wal.Record, want int) {
 	}
 	s.writes++
 	s.commits++
-	s.records += len(recs)
+	s.acked = append(s.acked, recs...)
 	for _, p := range s.pairs {
 		if p.primary.since += uint64(len(recs)); p.primary.spec.CheckpointEvery > 0 && p.primary.since >= uint64(p.primary.spec.CheckpointEvery) {
 			p.primary.gen, p.primary.since = p.primary.gen+1, 0
@@ -702,8 +710,8 @@ func (s *sim) promote(p *simPair) {
 // fault breaks p's replication stream — cut, bit-flipped or stalled —
 // and holds the link down while the primary takes writes and a
 // checkpoint, so the replica must bootstrap afresh; the first
-// connection after carries a second fault at a seeded offset, which
-// lands in the HTTP header, the preamble or the image.
+// connection after carries a second fault, in a seeded mode, in the
+// HTTP header, the preamble or the image (faultAt).
 func (s *sim) fault(p *simPair) {
 	p.link.setDown(true)
 	p.link.trip(faultMode(s.rng.Intn(3)))
@@ -717,8 +725,32 @@ func (s *sim) fault(p *simPair) {
 		}
 	}
 	s.checkpoint(p.primary)
-	p.link.armNext(faultMode(s.rng.Intn(3)), s.rng.Int63n(4096))
+	p.link.armNext(faultMode(s.rng.Intn(3)), faultAt(s.rng.Int63n(4096), s.kind))
 	p.link.setDown(false)
+}
+
+// A bootstrap stream opens with the HTTP response header, the first
+// chunk's size line, the preamble frame (its length and checksum words,
+// then preambleLen bytes) and the image. runSim checks these offsets on
+// each pair's first bootstrap.
+const (
+	simHeaderLen  = 168
+	simPreambleAt = 173
+	simImageAt    = simPreambleAt + 8 + preambleLen
+)
+
+// faultAt maps an offset drawn below 4096 into the header, the preamble
+// or the image of a bootstrap stream. The kind turns the region, so each
+// fault op of a tier-1 seed faults all three across the kinds in its
+// mode, and the seeds' fault ops draw every mode.
+func faultAt(off int64, kind index.Kind) int64 {
+	switch (off + int64(kind)) % 3 {
+	case 0:
+		return off % simHeaderLen
+	case 1:
+		return simPreambleAt + off%(simImageAt-simPreambleAt)
+	}
+	return simImageAt + off%(4096-simImageAt)
 }
 
 func (s *sim) await(n *simNode, what string, done func() bool) {
@@ -804,27 +836,8 @@ func (s *sim) watch(n *simNode, sub *simSub) {
 		}
 		w.sub, w.start = ws, ws.StartGen()
 	}
-	w.before = s.members(sub)
+	w.from = len(s.acked)
 	n.subs[sub] = w
-}
-
-// members is the scan's answer to a subscription: the multiset of
-// registrations whose configuration against its reference admits one
-// of its relations. Every node shares it until the history changes, so
-// callers must not modify it.
-func (s *sim) members(sub *simSub) map[simReg]int {
-	if out, ok := s.scanned[sub]; ok {
-		return out
-	}
-	cfgs := mbr.CandidatesSet(sub.rels)
-	out := map[simReg]int{}
-	for _, r := range s.live {
-		if cfgs.Has(mbr.ConfigOf(r.Rect, sub.ref)) {
-			out[r]++
-		}
-	}
-	s.scanned[sub] = out
-	return out
 }
 
 // bounds is the scan's MBR of everything stored.
@@ -857,15 +870,15 @@ func (s *sim) check() {
 		// is not counted.
 		if n.base != nil && n.snapshots() == n.base[4] {
 			c := n.inst.watch.Counters()
-			if got, want := c.Evaluated+c.Pruned-n.base[0], uint64(len(n.subs)*s.records); got != want {
-				s.fatalf(n, "the watch table evaluated or pruned %d (subscription, record) pairs, want %d subscriptions × %d records", got, len(n.subs), s.records)
+			if got, want := c.Evaluated+c.Pruned-n.base[0], uint64(len(n.subs)*len(s.acked)); got != want {
+				s.fatalf(n, "the watch table evaluated or pruned %d (subscription, record) pairs, want %d subscriptions × %d records", got, len(n.subs), len(s.acked))
 			}
-			if got := n.srv.metrics.walRecords.Load() - n.base[1]; n.role != "twin" && got != uint64(s.records) {
-				s.fatalf(n, "topod_wal_records_total rose by %d, want %d", got, s.records)
+			if got := n.srv.metrics.walRecords.Load() - n.base[1]; n.role != "twin" && got != uint64(len(s.acked)) {
+				s.fatalf(n, "topod_wal_records_total rose by %d, want %d", got, len(s.acked))
 			}
 			want := uint64(s.commits)
 			if n.role == "replica" {
-				want = uint64(s.records)
+				want = uint64(len(s.acked))
 			}
 			if got := n.inst.Generation() - n.base[2]; got != want {
 				s.fatalf(n, "the generation advanced by %d, want %d (commits, or records on a replica)", got, want)
@@ -881,7 +894,7 @@ func (s *sim) check() {
 		}
 		var infos []IndexInfo
 		code, body := call(n.h, http.MethodGet, "/v1/indexes", nil)
-		if json.Unmarshal(body, &infos) != nil || code != http.StatusOK || len(infos) != 1 || infos[0].Kind != s.kind.String() || !infos[0].Healthy ||
+		if json.Unmarshal(body, &infos) != nil || code != http.StatusOK || len(infos) != 1 || infos[0].Name != "main" || infos[0].Kind != s.kind.String() || !infos[0].Healthy ||
 			infos[0].Durable != (n.role != "twin") || infos[0].Objects != len(s.live) || infos[0].Height != idx.Height() || infos[0].Bounds == nil || *infos[0].Bounds != bounds {
 			s.fatalf(n, "/v1/indexes: HTTP %d %s", code, body)
 		}
@@ -902,23 +915,24 @@ func (s *sim) check() {
 	s.compareJoin(topo.All()[1+s.rng.Intn(7)].String()) // disjoint would pair nearly everything
 }
 
-// checkWatch drains n's subscribers: each got exactly the enter and
-// exit events of the scan's difference over the step, or was ended by
-// a replica's bootstrap and resubscribes.
+// checkWatch drains n's subscribers: each got exactly an enter for
+// every insert and an exit for every delete acknowledged since it
+// subscribed or the step began, whose configuration with its reference
+// (ConfigOf) its set admits — or was ended by a replica's bootstrap and
+// resubscribes.
 func (s *sim) checkWatch(n *simNode) {
 	for _, sub := range s.subs {
 		w := n.subs[sub]
+		cfgs := mbr.CandidatesSet(sub.rels)
 		want, need := map[simEvent]int{}, 0
-		after := s.members(sub)
-		for _, d := range []struct {
-			typ      watch.EventType
-			from, to map[simReg]int
-		}{{watch.Enter, w.before, after}, {watch.Exit, after, w.before}} {
-			for r, k := range d.to {
-				if k -= d.from[r]; k > 0 {
-					want[simEvent{d.typ.String(), r}] += k
-					need += k
+		for _, r := range s.acked[w.from:] {
+			if cfgs.Has(mbr.ConfigOf(r.Rect, sub.ref)) {
+				typ := watch.Enter
+				if r.Op == wal.OpDelete {
+					typ = watch.Exit
 				}
+				want[simEvent{typ.String(), simReg{r.OID, r.Rect}}]++
+				need++
 			}
 		}
 		if w.stream != nil && n.snapshots() != w.snaps {
@@ -937,7 +951,7 @@ func (s *sim) checkWatch(n *simNode) {
 			got[ev]++
 		}
 		if !maps.Equal(got, want) {
-			s.fatalf(n, "subscription %v %v: events %v, the scan's difference %v", sub.rels, sub.ref, got, want)
+			s.fatalf(n, "subscription %v %v: events %v, want %v", sub.rels, sub.ref, got, want)
 		}
 	}
 }
@@ -1212,7 +1226,8 @@ type faultConn struct {
 	net.Conn
 	mu      sync.Mutex
 	mode    faultMode
-	at, off int64 // the fault's offset (-1: none) and the bytes read so far
+	at, off int64  // the fault's offset (-1: none) and the bytes read so far
+	head    []byte // the first simImageAt bytes read
 	closed  chan struct{}
 	once    sync.Once
 }
@@ -1245,6 +1260,9 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if fire && n > 0 {
 		p[0] ^= 0x80
 	}
+	if len(c.head) < simImageAt {
+		c.head = append(c.head, p[:min(n, simImageAt-len(c.head))]...)
+	}
 	c.off += int64(n)
 	c.mu.Unlock()
 	return n, err
@@ -1254,10 +1272,11 @@ func (c *faultConn) Read(p []byte) (int, error) {
 // the fault plan: it refuses connections while down, faults the live
 // one, and arms a fault at an offset of the next.
 type simLink struct {
-	mu   sync.Mutex
-	down bool
-	live *faultConn
-	next *faultConn // holds only the mode and offset for the next connection
+	mu    sync.Mutex
+	down  bool
+	first *faultConn
+	live  *faultConn
+	next  *faultConn // holds only the mode and offset for the next connection
 }
 
 func (l *simLink) setDown(down bool) {
@@ -1275,6 +1294,16 @@ func (l *simLink) trip(mode faultMode) {
 		c.mode, c.at = mode, c.off
 		c.mu.Unlock()
 	}
+}
+
+// firstHead is what the link's first connection read first.
+func (l *simLink) firstHead() []byte {
+	l.mu.Lock()
+	c := l.first
+	l.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.head
 }
 
 func (l *simLink) armNext(mode faultMode, at int64) {
@@ -1300,6 +1329,9 @@ func (l *simLink) client() *http.Client {
 			fc := &faultConn{Conn: conn, at: -1, closed: make(chan struct{})}
 			if l.next != nil {
 				fc.mode, fc.at, l.next = l.next.mode, l.next.at, nil
+			}
+			if l.first == nil {
+				l.first = fc
 			}
 			l.live = fc
 			return fc, nil
