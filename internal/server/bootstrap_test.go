@@ -32,8 +32,10 @@ import (
 // that fails any check — a header claiming 2³¹ nodes in a 1 TiB section
 // with nothing after it, a flipped byte, fewer bytes than the preamble
 // announced — is refused as corrupt, the lying header having cost less
-// than 1 MiB of allocation; N.flat stays what the last good bootstrap
-// wrote, no tmp file is left, and the previous state goes on serving.
+// than 1 MiB of allocation — and so is a sound image announced longer
+// than it is, or at another generation; N.flat stays what the last good
+// bootstrap wrote, no tmp file is left, and the previous state goes on
+// serving.
 func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 	items := workload.NewDataset(workload.Medium, 2000, 0, 3).Items
 	dir := t.TempDir()
@@ -78,18 +80,27 @@ func TestBootstrapRefusesBadSnapshots(t *testing.T) {
 		name     string
 		snap     []byte
 		size     int64
-		maxAlloc uint64 // 0: not bounded here
+		at       replPos // the stream position it is sent at
+		refusal  string  // a substring of the error; "": ErrCorrupt
+		maxAlloc uint64  // 0: not bounded here
 	}{
-		{"a header claiming 2^31 nodes", lying, 1 << 20, 1 << 20},
-		{"a flipped byte", flipped, int64(len(image)), 0},
-		{"fewer bytes than announced", image[:len(image)-100], int64(len(image)), 0},
+		{name: "a header claiming 2^31 nodes", snap: lying, size: 1 << 20, at: pos, maxAlloc: 1 << 20},
+		{name: "a flipped byte", snap: flipped, size: int64(len(image)), at: pos},
+		{name: "fewer bytes than announced", snap: image[:len(image)-100], size: int64(len(image)), at: pos},
+		{name: "a complete image announced 100 bytes longer", snap: image, size: int64(len(image)) + 100, at: pos,
+			refusal: "snapshot ended 100 bytes short of"},
+		{name: "an image sent at the next generation", snap: image, size: int64(len(image)), at: replPos{gen + 1, seq},
+			refusal: "does not match stream position"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := target.bootstrap(pos, bytes.NewReader(c.snap), c.size)
+		err := target.bootstrap(c.at, bytes.NewReader(c.snap), c.size)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, pagefile.ErrCorrupt) {
+		if c.refusal == "" && !errors.Is(err, pagefile.ErrCorrupt) {
 			t.Errorf("%s: Bootstrap = %v, want ErrCorrupt", c.name, err)
+		}
+		if c.refusal != "" && (err == nil || !strings.Contains(err.Error(), c.refusal)) {
+			t.Errorf("%s: Bootstrap = %v, want an error saying %q", c.name, err, c.refusal)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; c.maxAlloc > 0 && got >= c.maxAlloc {
 			t.Errorf("%s: refusing it allocated %d bytes, want less than %d", c.name, got, c.maxAlloc)

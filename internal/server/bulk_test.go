@@ -44,41 +44,6 @@ func postBulk(t *testing.T, base, indexName string, body *bytes.Buffer) (BulkRes
 	return br, resp.StatusCode
 }
 
-// TestBulkEndpoint streams a dataset into an empty index of each kind
-// via POST /v1/bulk (the STR fast path), then a second batch into the
-// now non-empty tree (the batched-insert path), and checks the query
-// answers match a one-by-one loaded ground truth.
-func TestBulkEndpoint(t *testing.T) {
-	d := workload.NewDataset(workload.Medium, 600, 5, 42)
-	first, second := d.Items[:400], d.Items[400:]
-	for _, kind := range index.AllKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			srv := New(Config{})
-			if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: kind, PageSize: 512}, nil); err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-
-			br, code := postBulk(t, ts.URL, "main", ndjsonBody(t, first))
-			if code != http.StatusOK || !br.OK || br.Inserted != len(first) || br.Objects != len(first) {
-				t.Fatalf("first bulk: code %d, resp %+v", code, br)
-			}
-			br, code = postBulk(t, ts.URL, "main", ndjsonBody(t, second))
-			if code != http.StatusOK || br.Inserted != len(second) || br.Objects != len(d.Items) {
-				t.Fatalf("second bulk: code %d, resp %+v", code, br)
-			}
-
-			truth := groundTruth(t, d.Items, nil)
-			inst, err := srv.instance("main")
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, kind.String(), inst.ReadIndex(), truth)
-		})
-	}
-}
-
 // TestBulkEndpointBadLine checks a malformed or degenerate line
 // rejects the whole request with 400 before anything is applied.
 func TestBulkEndpointBadLine(t *testing.T) {

@@ -218,10 +218,14 @@ func TestMetricsGolden(t *testing.T) {
 	// in reads of its own and its group-commit counts are the script's.
 	for i := 0; i < 3; i++ {
 		x := float64(100 + 150*i)
-		postJSON(t, pts.URL+"/v1/insert", UpdateRequest{Index: "main", OID: uint64(9000 + i), Rect: []float64{x, x, x + 20, x + 30}})
+		if st, er := postStatus(t, pts.URL+"/v1/insert", UpdateRequest{Index: "main", OID: uint64(9000 + i), Rect: []float64{x, x, x + 20, x + 30}}); st != http.StatusOK {
+			t.Fatalf("insert: HTTP %d (%s)", st, er.Error)
+		}
 		waitCaughtUp(t, psrv, fsrv)
 	}
-	postJSON(t, pts.URL+"/v1/delete", UpdateRequest{Index: "main", OID: 9001, Rect: []float64{250, 250, 270, 280}})
+	if st, er := postStatus(t, pts.URL+"/v1/delete", UpdateRequest{Index: "main", OID: 9001, Rect: []float64{250, 250, 270, 280}}); st != http.StatusOK {
+		t.Fatalf("delete: HTTP %d (%s)", st, er.Error)
+	}
 	waitCaughtUp(t, psrv, fsrv)
 	resp, err := http.Post(pts.URL+"/v1/bulk?index=main", "application/x-ndjson", strings.NewReader(
 		`{"oid":9100,"rect":[5,5,9,9]}`+"\n"+`{"oid":9101,"rect":[300,300,330,330]}`+"\n"+`{"oid":9102,"rect":[700,100,720,140]}`+"\n"))

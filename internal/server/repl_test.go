@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -114,27 +113,14 @@ func waitCaughtUp(t *testing.T, primary, follower *Server) {
 // window) pair.
 func relationAnswers(t *testing.T, inst *Instance, refs []geom.Rect) map[string][]uint64 {
 	t.Helper()
-	proc := inst.ReadProc()
-	if proc == nil {
+	idx := inst.ReadIndex()
+	if idx == nil {
 		t.Fatal("instance has no read view")
 	}
 	out := make(map[string][]uint64)
 	for _, rel := range topo.All() {
 		for wi, ref := range refs {
-			res, err := proc.QuerySetMBR(topo.NewSet(rel), ref)
-			if err != nil {
-				t.Fatalf("%s window %d: %v", rel, wi, err)
-			}
-			seen := make(map[uint64]bool, len(res.Matches))
-			oids := make([]uint64, 0, len(res.Matches))
-			for _, m := range res.Matches {
-				if !seen[m.OID] {
-					seen[m.OID] = true
-					oids = append(oids, m.OID)
-				}
-			}
-			sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-			out[fmt.Sprintf("%s/%d", rel, wi)] = oids
+			out[fmt.Sprintf("%s/%d", rel, wi)] = queryOIDs(t, idx, topo.NewSet(rel), ref)
 		}
 	}
 	return out
@@ -203,41 +189,6 @@ func mutatePrimary(t *testing.T, base string, d *workload.Dataset, n int) {
 		if st, er := postStatus(t, base+"/v1/insert", UpdateRequest{OID: oid, Rect: rect[:]}); st != http.StatusOK {
 			t.Fatalf("insert %d: HTTP %d (%s)", oid, st, er.Error)
 		}
-	}
-}
-
-func TestReplBootstrapAndLiveDifferential(t *testing.T) {
-	primary, pts, d := newReplPrimary(t, 300, 25)
-	follower, _ := newReplFollower(t, pts.URL, nil, FollowConfig{})
-
-	waitCaughtUp(t, primary, follower)
-	assertReplEqual(t, "bootstrap", primary, follower)
-
-	// 120 mutations at CheckpointEvery=25 cross several generation
-	// rotations while the stream is live.
-	mutatePrimary(t, pts.URL, d, 120)
-	waitCaughtUp(t, primary, follower)
-	assertReplEqual(t, "live tail", primary, follower)
-
-	pinst, _ := primary.instance("main")
-	finst, _ := follower.instance("main")
-	if pinst.ReadIndex().Len() != finst.ReadIndex().Len() {
-		t.Fatalf("object counts diverged: primary %d, follower %d",
-			pinst.ReadIndex().Len(), finst.ReadIndex().Len())
-	}
-
-	// An index without a data directory has no log to stream.
-	if _, err := primary.AddIndex(IndexSpec{Name: "scratch", Kind: index.KindRTree}, d.Items); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(pts.URL + "/v1/replicate?index=scratch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nothing to replicate") {
-		t.Fatalf("/v1/replicate on a non-durable index: HTTP %d %s", resp.StatusCode, body)
 	}
 }
 

@@ -79,8 +79,6 @@ func textServed(t *testing.T, inst *Instance) (with, all int) {
 	return with, all
 }
 
-func wireRect(r geom.Rect) []float64 { return []float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} }
-
 // TestAnswersUnchangedAsLeavesEarnText drives every way a served tree
 // comes by its nodes — built in memory, booted from a checkpoint
 // image, and that image adopted by the first write — through the same
@@ -130,12 +128,12 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 			requests := func() (bodies [][]byte) {
 				for _, ref := range d.Queries {
 					for _, rels := range [][]string{{"not_disjoint"}, {"overlap", "meet"}, {"inside"}, {"contains", "covers", "equal"}} {
-						bodies = append(bodies, same(QueryRequest{Relations: rels, Ref: wireRect(ref)}))
+						bodies = append(bodies, same(QueryRequest{Relations: rels, Ref: wireOf(ref)}))
 					}
 					grown := geom.R(ref.Min.X-40, ref.Min.Y-40, ref.Max.X+40, ref.Max.Y+40)
-					bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireRect(grown),
-						Relations2: []string{"overlap", "inside"}, Ref2: wireRect(ref)}))
-					bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireRect(grown), Limit: 7}))
+					bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireOf(grown),
+						Relations2: []string{"overlap", "inside"}, Ref2: wireOf(ref)}))
+					bodies = append(bodies, same(QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireOf(grown), Limit: 7}))
 				}
 				return bodies
 			}
@@ -161,7 +159,7 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 			// first reference, which the requests above have been over.
 			ref := d.Queries[0]
 			cx, cy := (ref.Min.X+ref.Max.X)/2, (ref.Min.Y+ref.Max.Y)/2
-			probe := QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireRect(geom.R(cx-30, cy-30, cx+30, cy+30))}
+			probe := QueryRequest{Relations: []string{"not_disjoint"}, Ref: wireOf(geom.R(cx-30, cy-30, cx+30, cy+30))}
 			before := same(probe)
 			const oid = 900001
 			at := geom.R(cx-0.125, cy-0.125, cx+0.375, cy+0.25)
@@ -176,18 +174,18 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 					t.Fatalf("%s: HTTP %d %s", path, code, er.Error)
 				}
 			}
-			post("/v1/insert", UpdateRequest{OID: oid, Rect: wireRect(at)})
+			post("/v1/insert", UpdateRequest{OID: oid, Rect: wireOf(at)})
 			inserted := same(probe)
 			if !bytes.Contains(inserted, line(at)) || bytes.Count(inserted, []byte("\n")) != bytes.Count(before, []byte("\n"))+1 {
 				t.Fatalf("after the insert the answer lacks %s or has other new lines:\n%s", line(at), inserted)
 			}
-			post("/v1/delete", UpdateRequest{OID: oid, Rect: wireRect(at)})
-			post("/v1/insert", UpdateRequest{OID: oid, Rect: wireRect(moved)})
+			post("/v1/delete", UpdateRequest{OID: oid, Rect: wireOf(at)})
+			post("/v1/insert", UpdateRequest{OID: oid, Rect: wireOf(moved)})
 			after := same(probe)
 			if !bytes.Contains(after, line(moved)) || bytes.Contains(after, line(at)) {
 				t.Fatalf("after the move the answer must list %s and not %s:\n%s", line(moved), line(at), after)
 			}
-			post("/v1/delete", UpdateRequest{OID: oid, Rect: wireRect(moved)})
+			post("/v1/delete", UpdateRequest{OID: oid, Rect: wireOf(moved)})
 			if gone := same(probe); !bytes.Equal(gone, before) {
 				t.Fatalf("after the delete the answer is not what it was before the insert\n got %s\nwant %s", gone, before)
 			}

@@ -115,24 +115,6 @@ func (ws *watchStream) from(i int) ([]WatchLine, bool) {
 	}
 }
 
-func postJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	body, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("marshal %T: %v", v, err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-}
-
 // TestWatchSlotPool checks that watch streams are admitted from their
 // own bounded pool: with MaxWatch=1 the second subscriber gets a 429
 // with a Retry-After header while ordinary queries still pass.
@@ -341,7 +323,9 @@ func TestWatchHugeTimeout(t *testing.T) {
 	defer srv.Close()
 
 	ws := openWatch(t, ts.URL, WatchRequest{Relations: []string{"not_disjoint"}, Ref: []float64{0, 0, 10, 10}, TimeoutMS: math.MaxInt64})
-	postJSON(t, ts.URL+"/v1/insert", UpdateRequest{OID: 7, Rect: []float64{1, 1, 2, 2}})
+	if st, er := postStatus(t, ts.URL+"/v1/insert", UpdateRequest{OID: 7, Rect: []float64{1, 1, 2, 2}}); st != http.StatusOK {
+		t.Fatalf("insert: HTTP %d (%s)", st, er.Error)
+	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		lines, done := ws.from(0)
 		if len(lines) > 0 && lines[0].Event == "enter" && lines[0].OID != nil && *lines[0].OID == 7 {

@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -73,7 +71,7 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 			fmt.Fprintf(&b, " wal@%d/%d", gen, seq)
 		}
 		for _, win := range durabilityWindows {
-			fmt.Fprintf(&b, " %v", queryOIDs(t, inst.ReadIndex(), win))
+			fmt.Fprintf(&b, " %v", queryOIDs(t, inst.ReadIndex(), topo.NotDisjoint, win))
 		}
 		return b.String()
 	}
@@ -100,40 +98,5 @@ func TestMutateRefusesMixedBatches(t *testing.T) {
 			default:
 			}
 		})
-	}
-}
-
-// TestWritePathLogFailure pins the failure leg: a mutation the log
-// refuses is reported, never acknowledged, and leaves the index
-// answering 503 with the operator-facing wording unchanged.
-func TestWritePathLogFailure(t *testing.T) {
-	fail := false
-	srv := New(Config{})
-	inst, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512, Dir: t.TempDir(), Fsync: wal.SyncNever}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.dur.faults = &faultPlan{walWrite: func(int64, int) error {
-		if fail {
-			return fmt.Errorf("injected disk failure")
-		}
-		return nil
-	}}
-	if err := inst.Insert(geom.R(1, 1, 2, 2), 1); err != nil {
-		t.Fatal(err)
-	}
-	fail = true
-	err = inst.Insert(geom.R(3, 3, 4, 4), 2)
-	if err == nil || !strings.HasPrefix(err.Error(), "server: mutation applied but not logged: ") {
-		t.Fatalf("insert with a failing log: %v", err)
-	}
-	if inst.Healthy() || !strings.HasPrefix(inst.FailReason(), "wal append failed: ") || !strings.Contains(inst.FailReason(), "injected disk failure") {
-		t.Fatalf("healthy %v, reason %q", inst.Healthy(), inst.FailReason())
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	st, body := postStatus(t, ts.URL+"/v1/insert", UpdateRequest{OID: 3, Rect: []float64{5, 5, 6, 6}})
-	if st != http.StatusServiceUnavailable || body.Error != "index main is unhealthy: "+inst.FailReason() {
-		t.Fatalf("insert on the degraded index: HTTP %d %q", st, body.Error)
 	}
 }
