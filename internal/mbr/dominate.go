@@ -297,16 +297,71 @@ func (t Test) Window(q geom.Rect) (Window, bool) {
 	return w, t.exact
 }
 
-// Filter is the filter descent's form of the test of cfgs, over a
-// fixed reference: whether a rectangle stands in one of cfgs against
-// ref. The masks become a window on its corners (eight comparisons),
-// and the probe runs behind it unless the window decides the set alone.
-func Filter(cfgs ConfigSet, ref geom.Rect) func(geom.Rect) bool {
+// Pred is a rectangle test of the filter descent as a value: a corner
+// window, which a traversal tests inline, and behind it a probe, which
+// runs on what the window admits only where the window does not decide
+// alone. A nil probe is the common case — every single relation's
+// Table 1 row but disjoint's and meet's, in, not_disjoint and every
+// propagation compile exact (DESIGN §2) — and then a test is eight
+// comparisons and no call.
+type Pred struct {
+	Window Window
+	probe  func(geom.Rect) bool
+}
+
+// Filter is the filter descent's form of the test of cfgs over a fixed
+// reference: whether a rectangle stands in one of cfgs against ref. The
+// masks become a window on its corners, and the ConfigOf probe runs
+// behind it unless the window decides the set alone.
+func Filter(cfgs ConfigSet, ref geom.Rect) Pred {
 	w, exact := Compile(cfgs).Window(ref)
 	if exact {
-		return w.Fits
+		return Pred{Window: w}
 	}
-	return func(r geom.Rect) bool { return w.Fits(r) && cfgs.Has(ConfigOf(r, ref)) }
+	return Pred{Window: w, probe: func(r geom.Rect) bool { return cfgs.Has(ConfigOf(r, ref)) }}
+}
+
+// Func is the test f, for a predicate no window describes (an R+-tree's
+// partition predicate, a caller's own): the whole plane's window, which
+// admits every rectangle with ordered coordinates, and f behind it.
+func Func(f func(geom.Rect) bool) Pred {
+	inf := math.Inf(1)
+	plane := geom.R(-inf, -inf, inf, inf)
+	return Pred{Window: Window{Min: plane, Max: plane}, probe: f}
+}
+
+// Has reports whether r passes the test.
+func (p *Pred) Has(r geom.Rect) bool {
+	return p.Window.Fits(r) && p.Probed(r)
+}
+
+// Probed reports whether r passes the probe, which the caller runs
+// only on a rectangle the window admits.
+func (p *Pred) Probed(r geom.Rect) bool { return p.probe == nil || p.probe(r) }
+
+// And is the test of both p and q: one window, the intersection of
+// theirs, and their probes behind it. Each corner of a rectangle lies
+// in both boxes exactly when it lies in their intersection, because
+// every bound of a window is closed (regionHull), so a conjunction of
+// two terms the windows decide alone is decided alone again.
+func (p Pred) And(q Pred) Pred {
+	w := Window{Min: meet(p.Window.Min, q.Window.Min), Max: meet(p.Window.Max, q.Window.Max)}
+	switch {
+	case p.probe == nil:
+		return Pred{Window: w, probe: q.probe}
+	case q.probe == nil:
+		return Pred{Window: w, probe: p.probe}
+	}
+	return Pred{Window: w, probe: func(r geom.Rect) bool { return p.probe(r) && q.probe(r) }}
+}
+
+// meet is the intersection of two closed boxes; it may be empty (a low
+// bound above a high one), and then it holds no point.
+func meet(a, b geom.Rect) geom.Rect {
+	return geom.Rect{
+		Min: geom.Point{X: max(a.Min.X, b.Min.X), Y: max(a.Min.Y, b.Min.Y)},
+		Max: geom.Point{X: min(a.Max.X, b.Max.X), Y: min(a.Max.Y, b.Max.Y)},
+	}
 }
 
 // Sweep is what the masks of a Domination tell a plane sweep that

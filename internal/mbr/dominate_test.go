@@ -137,7 +137,9 @@ func FuzzDomination(f *testing.F) {
 // checkCompiled: the compiled window of s against a finite q fits p
 // exactly when the sign masks admit p — or at least then, where a
 // corner's regions are not one run and the window spans their hull —
-// and an exact window fits p exactly when s holds p's configuration.
+// an exact window fits p exactly when s holds p's configuration, and
+// the descent's test (Filter: the window, and the probe behind it
+// where it is not exact) says what the bare probe says.
 func checkCompiled(t *testing.T, s ConfigSet, p, q geom.Rect) {
 	t.Helper()
 	test := Compile(s)
@@ -153,13 +155,20 @@ func checkCompiled(t *testing.T, s ConfigSet, p, q geom.Rect) {
 	if exact && fits != s.Has(ConfigOf(p, q)) {
 		t.Fatalf("%v against %v: exact window fits %v, config %v in set %v", p, q, fits, ConfigOf(p, q), s.Has(ConfigOf(p, q)))
 	}
+	if f := Filter(s, q); f.Has(p) != s.Has(ConfigOf(p, q)) || (f.probe == nil) != exact {
+		t.Fatalf("%v against %v: Filter says %v, config %v in set %v; probe %v, exact %v",
+			p, q, f.Has(p), ConfigOf(p, q), s.Has(ConfigOf(p, q)), f.probe != nil, exact)
+	}
 }
 
 // TestCompiledWindow runs checkCompiled over every set a relation subset
 // yields — Table 1, its Propagation and its JoinPropagation; crisp,
 // Section 7 non-contiguous and Section 6 Expand2 — on an 8×8 integer
 // grid, where every order of equal and distinct endpoints occurs, and
-// gives a reference of zero extent the whole plane, never exact.
+// gives a reference of zero extent the whole plane, never exact. The
+// conjunction of each set's test with the previous set's, on another
+// reference (Pred.And), says what both say, and runs no probe where
+// neither does.
 func TestCompiledWindow(t *testing.T) {
 	var grid []geom.Rect
 	for x0 := 0; x0 < 8; x0++ {
@@ -178,6 +187,7 @@ func TestCompiledWindow(t *testing.T) {
 	forms := []func(ConfigSet) ConfigSet{func(s ConfigSet) ConfigSet { return s }, Propagation, JoinPropagation}
 	rng := rand.New(rand.NewSource(1995))
 	exactCrisp := 0
+	prev := CandidatesSet(topo.NotDisjoint)
 	for bits := 1; bits < 1<<8; bits++ {
 		var rels topo.Set
 		for i, r := range topo.All() {
@@ -193,11 +203,21 @@ func TestCompiledWindow(t *testing.T) {
 					exactCrisp++
 				}
 				for k := 0; k < 3; k++ {
-					q := grid[rng.Intn(len(grid))]
+					q, q2 := grid[rng.Intn(len(grid))], grid[rng.Intn(len(grid))]
+					one, other := Filter(s, q), Filter(prev, q2)
+					both := one.And(other)
+					if (both.probe == nil) != (one.probe == nil && other.probe == nil) {
+						t.Fatalf("%v against %v and %v against %v: conjunction probe %v, terms' %v and %v",
+							s, q, prev, q2, both.probe != nil, one.probe != nil, other.probe != nil)
+					}
 					for _, p := range grid {
 						checkCompiled(t, s, p, q)
+						if want := s.Has(ConfigOf(p, q)) && prev.Has(ConfigOf(p, q2)); both.Has(p) != want {
+							t.Fatalf("%v: conjunction of %v against %v and %v against %v says %v, want %v", p, s, q, prev, q2, !want, want)
+						}
 					}
 				}
+				prev = s
 				for _, q := range []geom.Rect{geom.R(3, 1, 3, 6), geom.R(1, 4, 6, 4), geom.R(2, 2, 2, 2)} {
 					w, exact := test.Window(q)
 					if exact || !w.Fits(geom.R(-1e300, -1e300, 1e300, 1e300)) {

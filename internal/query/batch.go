@@ -24,9 +24,9 @@ import (
 // collect materialises one filter descent: every candidate (oid, rect)
 // registration, sorted by OID. Refinement tests each against the one
 // object its oid names in the store.
-func (p *Processor) collect(nodePred, leafPred func(geom.Rect) bool) ([]Match, Stats, error) {
+func (p *Processor) collect(node, leaf mbr.Pred) ([]Match, Stats, error) {
 	var matches []Match
-	stats, err := p.descend(context.Background(), nodePred, leafPred, 0, func(h rtree.Hit) bool {
+	stats, err := p.descend(context.Background(), node, leaf, 0, func(h rtree.Hit) bool {
 		matches = append(matches, Match{OID: h.OID, Rect: h.Rect})
 		return true
 	})
@@ -257,7 +257,7 @@ func (p *Processor) QueryPoint(pt geom.Point, want ...geom.PointLocation) (Resul
 		accept[geom.PointOnBoundary] = true
 	}
 
-	pred := func(r geom.Rect) bool { return r.ContainsPoint(pt) }
+	pred := mbr.Func(func(r geom.Rect) bool { return r.ContainsPoint(pt) })
 	matches, stats, err := p.collect(pred, pred)
 	if err != nil {
 		return Result{}, err

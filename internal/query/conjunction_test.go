@@ -135,7 +135,8 @@ func TestStreamConjunctionShortCircuits(t *testing.T) {
 }
 
 // conjunctionIndexes loads recs into each access method, as one tree
-// and as four STR tiles behind the router.
+// and as four STR tiles behind the router, and adopts the R- and
+// R*-tree again from their flat images.
 func conjunctionIndexes(t *testing.T, recs []rtree.Record) map[string]index.Index {
 	t.Helper()
 	out := map[string]index.Index{}
@@ -156,6 +157,9 @@ func conjunctionIndexes(t *testing.T, recs []rtree.Record) map[string]index.Inde
 				t.Fatalf("%v, %d tiles: %v", kind, tiles, err)
 			}
 			out[fmt.Sprintf("%v/%d tiles", kind, tiles)] = idx
+			if tiles == 1 && idx.CoveringNodeRects() {
+				out[fmt.Sprintf("%v/flat", kind)] = adoptFlat(t, idx, kind, 512)
+			}
 		}
 	}
 	return out
@@ -175,7 +179,9 @@ func conjunctionIndexes(t *testing.T, recs []rtree.Record) map[string]index.Inde
 // round agree on the objects only; the objects spanning both references
 // are the ones two and-ed partition predicates would lose. A single
 // tree emits in tree order, which the comparison keeps; tiles are
-// traversed concurrently, so theirs is compared sorted.
+// traversed concurrently, so theirs is compared sorted. On every single
+// tree the conjunction's tests yield the same hits and stats through
+// the window entry point as through SearchHits (samePaths).
 func TestConjunctionBothTermsPrune(t *testing.T) {
 	recs := skewedRecords()
 	small := uint64(len(recs)) // ids above it are the large objects
@@ -219,7 +225,7 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 			}
 			leafB := mbr.Filter(p.candidateConfigs(sb), qb)
 			want, alone := collect(label, func(yield func(Match) bool) (Stats, error) {
-				return p.Stream(ctx, sa, qa, 0, func(m Match) bool { return !leafB(m.Rect) || yield(m) })
+				return p.Stream(ctx, sa, qa, 0, func(m Match) bool { return !leafB.Has(m.Rect) || yield(m) })
 			})
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: %d ids, the first term's stream filtered by the second has %d", label, len(got), len(want))
@@ -252,6 +258,8 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 					s1, s2 := topo.NewSet(r1), topo.NewSet(r2)
 					got, stats, alone1 := conjunction(label, s1, q1, s2, q2)
 					swapped, statsSwapped, alone2 := conjunction(label+", swapped", s2, q2, s1, q1)
+					node, leaf := p.conjunctionPreds(s1, q1, s2, q2)
+					samePaths(t, label, idx, node, leaf)
 					if idx.CoveringNodeRects() {
 						if !slices.Equal(got, swapped) || stats != statsSwapped {
 							t.Fatalf("%s: %d ids, %+v; terms swapped: %d ids, %+v", label, len(got), stats, len(swapped), statsSwapped)

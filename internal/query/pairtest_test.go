@@ -37,8 +37,8 @@ func FuzzPairAdmits(f *testing.F) {
 		if got := test.Admits(&p, &q); got != want {
 			t.Fatalf("pair test says %v, the bare probe %v: %v vs %v, config %v, set %v", got, want, p, q, mbr.ConfigOf(p, q), set)
 		}
-		if got := mbr.Filter(set, q)(p); got != want {
-			t.Fatalf("mbr.Filter says %v, the bare probe %v: %v vs %v, config %v, set %v", got, want, p, q, mbr.ConfigOf(p, q), set)
+		if filter := mbr.Filter(set, q); filter.Has(p) != want {
+			t.Fatalf("mbr.Filter says %v, the bare probe %v: %v vs %v, config %v, set %v", !want, want, p, q, mbr.ConfigOf(p, q), set)
 		}
 	})
 }

@@ -181,41 +181,51 @@ func (p *Processor) candidateConfigs(rels topo.Set) mbr.ConfigSet {
 // joinTests and mbr.Filter are the package's one rectangle test, "a
 // stands in one of cfgs against b", compiled by mbr.Compile: for a
 // join, Table 1's candidates at the leaves and their join propagation
-// above them; for a descent, a window on the reference. The sign masks
-// reject most rectangles with a few comparisons, soundly, and the exact
-// probe runs behind them unless they decide the set alone.
+// above them; for a descent, a window on the reference (mbr.Pred).
+// The sign masks reject most rectangles with a few comparisons,
+// soundly, and the exact probe runs behind them unless they decide the
+// set alone.
 func joinTests(cands mbr.ConfigSet) (prune, accept mbr.Test) {
 	return mbr.Compile(mbr.JoinPropagation(cands)), mbr.Compile(cands)
 }
 
-// filterPreds derives the node and leaf predicates of steps 2 and 3:
-// leaves are tested against the candidate configurations, covering
-// node rectangles against their Table 2 propagation. The R+
-// partition-region path keeps its dedicated predicate: partition
-// regions are not tight MBRs, so endpoint-sign reasoning does not
-// apply to them.
-func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
+// filterPreds derives the node and leaf tests of steps 2 and 3: leaves
+// are tested against the candidate configurations, covering node
+// rectangles against their Table 2 propagation, each as a compiled
+// corner window (mbr.Filter). The R+ partition-region path keeps its
+// dedicated predicate, behind the whole plane's window: partition
+// regions are not tight MBRs, so endpoint-sign reasoning does not apply
+// to them.
+func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (node, leaf mbr.Pred) {
 	if p.Idx.CoveringNodeRects() {
-		nodePred = mbr.Filter(mbr.Propagation(cands), refMBR)
+		node = mbr.Filter(mbr.Propagation(cands), refMBR)
 	} else {
-		nodePred = mbr.PartitionNodePredicate(cands, refMBR)
+		node = mbr.Func(mbr.PartitionNodePredicate(cands, refMBR))
 	}
-	return nodePred, mbr.Filter(cands, refMBR)
+	return node, mbr.Filter(cands, refMBR)
+}
+
+// predSearcher is the traversal entry point that takes the tests as
+// values (rtree's trees have it): each entry meets a test's window
+// inline and calls only a probe behind it. An index without it (tiles)
+// is searched through SearchHits with the tests' Has.
+type predSearcher interface {
+	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Hit) bool) (rtree.TraversalStats, error)
 }
 
 // descend is the filter descent of steps 2 and 3, and the only
 // traversal in the package: every query class — streamed or
 // materialised, one term or two, region, line, direction or point —
-// is this function under a different pair of predicates. It calls
-// yield once per stored (oid, rect) registration that passes, in tree
-// order: per leaf entry on a covering tree, through rtree.Registrations
-// on an R+-tree, whose leaves each hold a copy of what crosses them. It
+// is this function under a different pair of tests. It calls yield
+// once per stored (oid, rect) registration that passes, in tree order:
+// per leaf entry on a covering tree, through rtree.Registrations on an
+// R+-tree, whose leaves each hold a copy of what crosses them. It
 // stops as soon as yield returns false or limit > 0 matches are taken.
 // NodeAccesses comes from the traversal's own accounting, so it is
 // exact even when many queries share the index; Candidates counts the
 // matches yield accepted. On an error, cancellation included, the
 // stats cover the pages read up to that point.
-func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, limit int, yield func(rtree.Hit) bool) (Stats, error) {
+func (p *Processor) descend(ctx context.Context, node, leaf mbr.Pred, limit int, yield func(rtree.Hit) bool) (Stats, error) {
 	emitted := 0
 	emit := func(h rtree.Hit) bool {
 		if !yield(h) {
@@ -227,7 +237,14 @@ func (p *Processor) descend(ctx context.Context, nodePred, leafPred func(geom.Re
 	if !p.Idx.CoveringNodeRects() {
 		emit = rtree.Registrations(emit)
 	}
-	ts, err := p.Idx.SearchHits(ctx, nodePred, leafPred, emit)
+	var ts rtree.TraversalStats
+	var err error
+	if s, ok := p.Idx.(predSearcher); ok {
+		ts, err = s.SearchPreds(ctx, node, leaf, emit)
+	} else {
+		n, l := node, leaf // copies, so that only this path moves them to the heap
+		ts, err = p.Idx.SearchHits(ctx, n.Has, l.Has, emit)
+	}
 	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted, Explain: explainSingle}
 	if err != nil {
 		return stats, fmt.Errorf("query: filter step: %w", err)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -140,15 +142,66 @@ func eqU64(a, b []uint64) bool {
 	return true
 }
 
+// adoptFlat returns the tree adopted from idx's MBRFLAT1 image, written
+// and read back through the real serialisation.
+func adoptFlat(t *testing.T, idx index.Index, kind index.Kind, pageSize int) index.Index {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := index.WriteFlat(idx, &buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	image, err := rtree.OpenFlat(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := index.Adopt(kind, pageSize, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat
+}
+
+// samePaths runs one descent's tests both ways on a tree — through its
+// window entry point (SearchPreds, the path descend takes) and through
+// SearchHits with the tests' Has — and fails unless the two yield the
+// same hits, leaf positions included, in the same order, with equal
+// TraversalStats. An index without the entry point (tiles) has one path.
+func samePaths(t *testing.T, label string, idx index.Index, node, leaf mbr.Pred) {
+	t.Helper()
+	s, ok := idx.(predSearcher)
+	if !ok {
+		return
+	}
+	var byWindow, byFunc []rtree.Hit
+	ctx := context.Background()
+	ws, err := s.SearchPreds(ctx, node, leaf, func(h rtree.Hit) bool { byWindow = append(byWindow, h); return true })
+	if err != nil {
+		t.Fatalf("%s: SearchPreds: %v", label, err)
+	}
+	fs, err := idx.SearchHits(ctx, node.Has, leaf.Has, func(h rtree.Hit) bool { byFunc = append(byFunc, h); return true })
+	if err != nil {
+		t.Fatalf("%s: SearchHits: %v", label, err)
+	}
+	if !slices.Equal(byWindow, byFunc) || ws != fs {
+		t.Fatalf("%s: the window path yields %d hits, %+v; the func path %d, %+v", label, len(byWindow), ws, len(byFunc), fs)
+	}
+}
+
 // TestQueryAllRelationsAllTrees is the end-to-end correctness test of
-// the 4-step strategy: for every relation and every access method, the
-// full pipeline (filter + refinement) must return exactly the
-// brute-force answer, and the filter step must retrieve exactly the
+// the 4-step strategy: for every relation, a few disjunctions and every
+// access method — the R- and R*-tree also adopted from their flat
+// images — the full pipeline (filter + refinement) must return exactly
+// the brute-force answer, and the filter step must retrieve exactly the
 // objects whose MBR configuration is admissible (no false misses, no
-// spurious candidates).
+// spurious candidates). On every tree the descent's compiled tests
+// yield the same hits through the window entry point as through
+// SearchHits (samePaths).
 func TestQueryAllRelationsAllTrees(t *testing.T) {
 	sc := buildScenario(t, 41, 500)
 	rng := rand.New(rand.NewSource(8))
+	for _, kind := range []index.Kind{index.KindRTree, index.KindRStar} {
+		sc.indexes[kind.String()+" (flat)"] = adoptFlat(t, sc.indexes[kind.String()], kind, 512)
+	}
 
 	// References: a few stored objects plus engineered ones that
 	// realise the rare relations (equal, covers, contains).
@@ -158,37 +211,44 @@ func TestQueryAllRelationsAllTrees(t *testing.T) {
 		workload.PolygonInRect(rng, geom.R(20, 20, 60, 60), 8),
 		workload.PolygonInRect(rng, geom.R(48, 48, 52, 52), 6),
 	}
+	var sets []topo.Set
+	for _, rel := range topo.All() {
+		sets = append(sets, topo.NewSet(rel))
+	}
+	sets = append(sets, topo.In, topo.NotDisjoint, topo.NewSet(topo.Meet, topo.Overlap), topo.NewSet(topo.Disjoint, topo.Covers, topo.Equal))
 	for name, idx := range sc.indexes {
 		proc := &Processor{Idx: idx, Objects: sc.objects}
 		for _, ref := range refs {
-			for _, rel := range topo.All() {
-				res, err := proc.Query(rel, ref)
+			for _, rels := range sets {
+				res, err := proc.QuerySet(rels, ref)
 				if err != nil {
-					t.Fatalf("%s %v: %v", name, rel, err)
+					t.Fatalf("%s %v: %v", name, rels, err)
 				}
-				want := sc.bruteForce(topo.NewSet(rel), ref)
+				want := sc.bruteForce(rels, ref)
 				if !eqU64(oids(res.Matches), want) {
-					t.Fatalf("%s %v: got %d matches, want %d", name, rel, len(res.Matches), len(want))
+					t.Fatalf("%s %v: got %d matches, want %d", name, rels, len(res.Matches), len(want))
 				}
-				wantFilter := sc.bruteFilter(topo.NewSet(rel), ref.Bounds())
+				wantFilter := sc.bruteFilter(rels, ref.Bounds())
 				if res.Stats.Candidates != len(wantFilter) {
 					t.Fatalf("%s %v: filter retrieved %d candidates, want %d",
-						name, rel, res.Stats.Candidates, len(wantFilter))
+						name, rels, res.Stats.Candidates, len(wantFilter))
 				}
 				if res.Stats.NodeAccesses == 0 {
-					t.Fatalf("%s %v: no node accesses counted", name, rel)
+					t.Fatalf("%s %v: no node accesses counted", name, rels)
 				}
 				// The streamed and the materialised filter step are one
 				// descent: same objects as the oracle, same pages as
 				// the refined query above.
-				filt := streamEqualsBatch(t, fmt.Sprintf("%s %v", name, rel), proc, topo.NewSet(rel), ref.Bounds())
+				filt := streamEqualsBatch(t, fmt.Sprintf("%s %v", name, rels), proc, rels, ref.Bounds())
 				if !eqU64(oids(filt.Matches), wantFilter) {
-					t.Fatalf("%s %v: filter step differs from the brute-force oracle", name, rel)
+					t.Fatalf("%s %v: filter step differs from the brute-force oracle", name, rels)
 				}
 				if filt.Stats.NodeAccesses != res.Stats.NodeAccesses {
 					t.Fatalf("%s %v: filter-only read %d pages, the refined query %d",
-						name, rel, filt.Stats.NodeAccesses, res.Stats.NodeAccesses)
+						name, rels, filt.Stats.NodeAccesses, res.Stats.NodeAccesses)
 				}
+				node, leaf := proc.filterPreds(proc.candidateConfigs(rels), ref.Bounds())
+				samePaths(t, fmt.Sprintf("%s %v", name, rels), idx, node, leaf)
 			}
 		}
 	}

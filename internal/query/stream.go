@@ -34,8 +34,8 @@ func (p *Processor) Stream(ctx context.Context, rels topo.Set, refMBR geom.Rect,
 	if !refMBR.Valid() {
 		return Stats{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
-	nodePred, leafPred := p.filterPreds(p.candidateConfigs(rels), refMBR)
-	return p.descend(ctx, nodePred, leafPred, limit, withText(yield))
+	node, leaf := p.filterPreds(p.candidateConfigs(rels), refMBR)
+	return p.descend(ctx, node, leaf, limit, withText(yield))
 }
 
 // withText makes a streamed Match of each hit, asking its leaf for the
@@ -102,20 +102,23 @@ scan:
 	}
 
 	// Step 2: one descent under both terms' predicates.
-	nodePred, leafPred := p.conjunctionPreds(rels1, ref1, rels2, ref2)
-	stats, err := p.descend(ctx, nodePred, leafPred, limit, withText(yield))
+	node, leaf := p.conjunctionPreds(rels1, ref1, rels2, ref2)
+	stats, err := p.descend(ctx, node, leaf, limit, withText(yield))
 	stats.Explain = explainConjunction
 	return stats, err
 }
 
-// conjunctionPreds derives the predicates of r1(p, q1) ∧ r2(p, q2):
-// each term's own node and leaf predicate (filterPreds), and-ed. On a
-// covering rectangle a term's node predicate — its Table 2 propagation
+// conjunctionPreds derives the tests of r1(p, q1) ∧ r2(p, q2): each
+// term's own node and leaf test (filterPreds), and-ed (mbr.Pred.And).
+// On a covering rectangle a term's node test — its Table 2 propagation
 // — is a necessary condition, on its own, for a qualifying leaf entry
 // anywhere below the node, so a subtree either of them rejects holds no
 // entry that passes both leaf tests: pruning by the conjunction loses
 // nothing, and the leaf entries that match, in tree order, are the ones
-// either single-term descent would have met.
+// either single-term descent would have met. Where both terms' sets
+// compile exact (every single relation but disjoint and meet, in,
+// not_disjoint) each level is one window, the intersection of the two
+// terms' boxes, and no call.
 //
 // An R+-tree registers an object in every leaf its rectangle crosses,
 // and a term's partition predicate promises less: that ONE of those
@@ -127,15 +130,14 @@ scan:
 // term steers and the second contributes mbr.RegionFeasible over all
 // its configurations, the condition that does hold at every
 // registration of a qualifying object.
-func (p *Processor) conjunctionPreds(rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
+func (p *Processor) conjunctionPreds(rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect) (node, leaf mbr.Pred) {
 	cands2 := p.candidateConfigs(rels2)
 	node1, leaf1 := p.filterPreds(p.candidateConfigs(rels1), ref1)
 	node2, leaf2 := p.filterPreds(cands2, ref2)
 	if !p.Idx.CoveringNodeRects() {
-		node2 = func(region geom.Rect) bool { return mbr.RegionFeasible(cands2, region, ref2) }
+		node2 = mbr.Func(func(region geom.Rect) bool { return mbr.RegionFeasible(cands2, region, ref2) })
 	}
-	return func(r geom.Rect) bool { return node1(r) && node2(r) },
-		func(r geom.Rect) bool { return leaf1(r) && leaf2(r) }
+	return node1.And(node2), leaf1.And(leaf2)
 }
 
 // Matches returns the streaming filter step as an iterator, for

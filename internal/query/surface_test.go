@@ -11,7 +11,8 @@ import (
 )
 
 // TestOneDescentSurface pins the package's shape from its source: the
-// index is traversed from exactly one call site (descend), and no
+// index is traversed from exactly one function (descend, which calls
+// the tree's window entry point or SearchHits), and no
 // exported name is the …Ctx twin of another — the context-taking
 // streaming functions are the API, the materialising helpers wrap them.
 // Step 4 is one function as well: the refinement counters move in step4
@@ -24,7 +25,8 @@ func TestOneDescentSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	searches, joins := 0, 0
+	var searches []string // functions that call a traversal entry point, once per call
+	joins := 0
 	var compiled []string            // functions that compile a configuration set into a rectangle test
 	counted := map[string][]string{} // refinement counter → functions that increment it
 	for _, name := range files {
@@ -60,8 +62,8 @@ func TestOneDescentSurface(t *testing.T) {
 			case *ast.CallExpr:
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 					switch sel.Sel.Name {
-					case "SearchHits", "SearchCtx", "Search":
-						searches++
+					case "SearchHits", "SearchPreds", "SearchCtx", "Search":
+						searches = append(searches, fn)
 					case "JoinCtx":
 						joins++
 					case "Compile", "DominationFor", "Filter":
@@ -95,8 +97,8 @@ func TestOneDescentSurface(t *testing.T) {
 			}
 		}
 	}
-	if searches != 1 {
-		t.Errorf("%d index traversal call sites in package query, want exactly 1 (descend's SearchHits)", searches)
+	if fns := slices.Compact(slices.Clone(searches)); !slices.Equal(fns, []string{"descend"}) || len(searches) != 2 {
+		t.Errorf("index traversal call sites in %v, want exactly descend's two (SearchPreds, and SearchHits for an index without it)", searches)
 	}
 	if joins != 1 {
 		t.Errorf("%d rtree.JoinCtx call sites in package query, want exactly 1 (JoinStream's)", joins)

@@ -51,9 +51,12 @@ func (a *Neighbour) before(b *Neighbour) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
-	r, s := a.Rect, b.Rect
-	return cmp.Or(cmp.Compare(a.OID, b.OID), cmp.Compare(r.Min.X, s.Min.X),
-		cmp.Compare(r.Min.Y, s.Min.Y), cmp.Compare(r.Max.X, s.Max.X), cmp.Compare(r.Max.Y, s.Max.Y)) < 0
+	if a.OID != b.OID {
+		return a.OID < b.OID
+	}
+	r, s := &a.Rect, &b.Rect
+	return cmp.Or(cmp.Compare(r.Min.X, s.Min.X), cmp.Compare(r.Min.Y, s.Min.Y),
+		cmp.Compare(r.Max.X, s.Max.X), cmp.Compare(r.Max.Y, s.Max.Y)) < 0
 }
 
 // nodeItem is a node waiting to be expanded, at MINDIST dist from the

@@ -52,6 +52,11 @@ type node struct {
 	// (arena.go) or decoded (flat.go).
 	cost uint32
 
+	// stamp is the stamp of the mutation that created the node while
+	// that mutation runs (core.track), so the node changes in place;
+	// any other value once it is published, dropped or rolled back.
+	stamp uint64
+
 	// The side-car of a leaf (text.go): its entries' rectangles in wire
 	// form once earned, and the count of renderings consumers have done
 	// themselves until then.

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 )
 
 // RPlusTree is an R+-tree (Sellis, Roussopoulos, Faloutsos 1987): the
@@ -80,7 +81,7 @@ func covering(b geom.Rect, ok bool, r geom.Rect) geom.Rect {
 func (t *RPlusTree) scanBounds() (geom.Rect, bool) {
 	var out geom.Rect
 	found := false
-	all := func(geom.Rect) bool { return true }
+	all := mbr.Func(func(geom.Rect) bool { return true })
 	traverse(context.Background(), t.st, t.root, all, all,
 		func(h Hit) bool {
 			out, found = covering(out, found, h.Rect), true

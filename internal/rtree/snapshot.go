@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/pagefile"
 )
 
@@ -20,7 +21,10 @@ import (
 //   - Every mutation runs under the writer mutex. Before it changes a
 //     node a published snapshot can reach, it copies the node (own) and
 //     re-points the parent, or the working root, at the copy. The nodes
-//     it created are tracked in core.fresh and change in place.
+//     it created carry its stamp, which no other mutation of the tree
+//     shares, and change in place; core.fresh lists them for a
+//     rollback. Both cost what the mutation created, never what the
+//     tree holds.
 //   - When the mutation succeeds, a new snapshot (root, depth, size,
 //     bounds) is published with one atomic store. If it fails, the
 //     working state is reset from the published snapshot, whose nodes it
@@ -45,8 +49,9 @@ type core struct {
 	snapshot
 
 	// Copy-on-write bookkeeping of the in-flight mutation.
-	fresh    map[*node]bool // nodes this mutation created
-	replaced uint64         // pages of the published nodes it replaced
+	stamp    uint64  // carried by the nodes it created (node.stamp)
+	fresh    []*node // the nodes it created, a dropped one among them
+	replaced uint64  // pages of the published nodes it replaced
 
 	cur atomic.Pointer[snapshot] // the published version
 }
@@ -83,7 +88,6 @@ func (c *core) startEmpty(pageSize int, name string, covering bool) error {
 func (c *core) start(st *arena, name string, covering bool, root *node, depth, size int) {
 	c.st, c.name, c.covering = st, name, covering
 	c.root, c.depth, c.size = root, depth, size
-	c.fresh = make(map[*node]bool)
 	c.publishLocked()
 }
 
@@ -101,6 +105,17 @@ func (c *core) mutate(fn func() error) error {
 	return nil
 }
 
+// nextMutation starts the bookkeeping of the next mutation: a new stamp,
+// so no node created so far is fresh any more, and an empty list.
+// Stamps count up from 1; a node the tree did not create — a decoded
+// image's, which two trees may share — carries 0, which no mutation
+// takes. Caller holds c.mu (or owns c, before it is shared).
+func (c *core) nextMutation() {
+	clear(c.fresh)
+	c.fresh = c.fresh[:0]
+	c.stamp++
+}
+
 // publishLocked makes the working state the published snapshot: the
 // nodes the mutation created are immutable from now on, and the pages
 // of those it replaced are freed. Caller holds c.mu.
@@ -109,32 +124,39 @@ func (c *core) publishLocked() {
 	c.cur.Store(&s)
 	c.st.frees.Add(c.replaced)
 	c.replaced = 0
-	clear(c.fresh)
+	c.nextMutation()
 }
 
 // rollbackLocked discards a failed mutation: the pages of every node
-// it created are freed and the working state is reset from the
-// published snapshot. Caller holds c.mu.
+// it created and still holds are freed and the working state is reset
+// from the published snapshot. Caller holds c.mu.
 func (c *core) rollbackLocked() {
-	for n := range c.fresh {
-		c.st.free(n)
+	for _, n := range c.fresh {
+		if n.stamp == c.stamp {
+			c.st.free(n)
+		}
 	}
-	clear(c.fresh)
 	c.replaced = 0
 	c.snapshot = *c.cur.Load()
+	c.nextMutation()
+}
+
+// track makes n, which the running mutation just created, fresh.
+func (c *core) track(n *node) *node {
+	n.stamp = c.stamp
+	c.fresh = append(c.fresh, n)
+	return n
 }
 
 // own returns a node the running mutation may change: n itself when
 // the mutation created it, otherwise a copy (checkOut) that replaces n.
 // The caller re-points n's parent entry (or c.root) at the result.
 func (c *core) own(n *node) *node {
-	if c.fresh[n] {
+	if n.stamp == c.stamp {
 		return n
 	}
 	c.replaced += uint64(n.cost)
-	m := c.st.checkOut(n)
-	c.fresh[m] = true
-	return m
+	return c.track(c.st.checkOut(n))
 }
 
 // ownPath owns every node on a root-to-leaf path (top-down), re-pointing
@@ -160,20 +182,17 @@ func (c *core) ownPath(path []*node) {
 }
 
 // allocMutNode returns a new node of the running mutation.
-func (c *core) allocMutNode(level int) *node {
-	n := c.st.alloc(level)
-	c.fresh[n] = true
-	return n
-}
+func (c *core) allocMutNode(level int) *node { return c.track(c.st.alloc(level)) }
 
 // freeMutNode drops a node from the tree: its pages are freed at once
-// when this mutation created it, when the mutation publishes otherwise.
+// when this mutation created it (which takes its stamp, so a rollback
+// does not free them again), when the mutation publishes otherwise.
 func (c *core) freeMutNode(n *node) {
-	if !c.fresh[n] {
+	if n.stamp != c.stamp {
 		c.replaced += uint64(n.cost)
 		return
 	}
-	delete(c.fresh, n)
+	n.stamp = 0
 	c.st.free(n)
 }
 
@@ -233,7 +252,17 @@ func (c *core) ResetIOStats() { c.st.resetStats() }
 // a caller that wants each registration once wraps emit in
 // Registrations.
 func (c *core) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
-	return traverse(ctx, c.st, c.cur.Load().root, nodePred, leafPred, emit)
+	return c.SearchPreds(ctx, mbr.Func(nodePred), mbr.Func(leafPred), emit)
+}
+
+// SearchPreds is SearchHits under tests given as values (mbr.Filter,
+// mbr.Func, Pred.And): the traversal tests each entry against a test's
+// window inline and calls only a probe behind it. It is the filter
+// descent's entry point (query.Processor reaches it through an
+// interface of its own, so index.Index does not carry it); every other
+// caller passes funcs to SearchHits, which wraps them.
+func (c *core) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(Hit) bool) (TraversalStats, error) {
+	return traverse(ctx, c.st, c.cur.Load().root, node, leaf, emit)
 }
 
 // SearchCtx is SearchHits for an emit that wants the rectangle and the

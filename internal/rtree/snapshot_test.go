@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/pagefile"
 )
 
@@ -276,7 +277,7 @@ func TestHeldSnapshotOutlivesRewrites(t *testing.T) {
 			held := c.cur.Load()
 			read := func() (string, []byte, error) {
 				var answers []Hit
-				ts, err := traverse(context.Background(), c.st, held.root, everything, everything, func(h Hit) bool {
+				ts, err := traverse(context.Background(), c.st, held.root, mbr.Func(everything), mbr.Func(everything), func(h Hit) bool {
 					answers = append(answers, Hit{Rect: h.Rect, OID: h.OID})
 					return true
 				})

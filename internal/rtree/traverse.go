@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 )
 
 // This file is the shared traversal core of the read path. Both tree
@@ -63,18 +64,21 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 }
 
 // traverse runs a predicate-driven depth-first search from root,
-// descending into internal entries whose rectangles satisfy nodePred
-// and emitting leaf entries whose rectangles satisfy leafPred, in the
-// same left-to-right preorder as the recursive implementation it
-// replaces. emit receives each as a Hit, which is how a leaf's wire text
-// (text.go) reaches a consumer that asks for it; emit returning false
-// stops the search without error. The context is checked before each
-// node expansion; on cancellation the traversal returns ctx.Err() with
-// the stats accumulated so far. Node-access accounting sums each node's
+// descending into internal entries whose rectangles pass nodeTest and
+// emitting leaf entries whose rectangles pass leafTest, in the same
+// left-to-right preorder as the recursive implementation it replaces.
+// Both tests are values: each entry is tested against the window
+// inline, and a func is called only where the test has a probe behind
+// its window (a set the window does not decide alone, or a func
+// wrapped by mbr.Func). emit
+// receives each hit as a Hit, which is how a leaf's wire text (text.go)
+// reaches a consumer that asks for it; emit returning false stops the
+// search without error. The context is checked before each node
+// expansion; on cancellation the traversal returns ctx.Err() with the
+// stats accumulated so far. Node-access accounting sums each node's
 // page cost.
 func traverse(ctx context.Context, src *arena, root *node,
-	nodePred, leafPred func(geom.Rect) bool,
-	emit func(Hit) bool) (TraversalStats, error) {
+	nodeTest, leafTest mbr.Pred, emit func(Hit) bool) (TraversalStats, error) {
 
 	var stats TraversalStats
 	stack := make([]*node, 0, 32)
@@ -90,7 +94,7 @@ func traverse(ctx context.Context, src *arena, root *node,
 		if n.isLeaf() {
 			for i := range n.entries {
 				e := &n.entries[i]
-				if !leafPred(e.Rect) {
+				if !leafTest.Window.Fits(e.Rect) || !leafTest.Probed(e.Rect) {
 					continue
 				}
 				stats.Emitted++
@@ -103,8 +107,9 @@ func traverse(ctx context.Context, src *arena, root *node,
 		// Push matching children in reverse so the leftmost child is
 		// expanded first (the recursion's visit order).
 		for i := len(n.entries) - 1; i >= 0; i-- {
-			if nodePred(n.entries[i].Rect) {
-				stack = append(stack, n.entries[i].Child)
+			e := &n.entries[i]
+			if nodeTest.Window.Fits(e.Rect) && nodeTest.Probed(e.Rect) {
+				stack = append(stack, e.Child)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/pagefile"
 )
 
@@ -135,7 +136,7 @@ func TestNearestCtxCancellation(t *testing.T) {
 func TestTraverseLimit(t *testing.T) {
 	for name, s := range loadedCtxTrees(t, 200) {
 		st, root := arenaOf(t, s)
-		all := func(geom.Rect) bool { return true }
+		all := mbr.Func(func(geom.Rect) bool { return true })
 		for _, limit := range []int{1, 7, 50} {
 			got := 0
 			ts, err := traverse(context.Background(), st, root, all, all,

@@ -69,7 +69,7 @@ type cacheKey struct {
 // the entry is made — the leaf test for one record, the node test (the
 // candidates' propagation) for a batch's MBR.
 type cacheTerm struct {
-	leaf, node func(geom.Rect) bool
+	leaf, node mbr.Pred
 }
 
 func newCacheTerm(rels topo.Set, ref geom.Rect) cacheTerm {
@@ -81,9 +81,9 @@ func newCacheTerm(rels topo.Set, ref geom.Rect) cacheTerm {
 // the node test for a batch's MBR.
 func (t *cacheTerm) admits(r geom.Rect, batch bool) bool {
 	if batch {
-		return t.node(r)
+		return t.node.Has(r)
 	}
-	return t.leaf(r)
+	return t.leaf.Has(r)
 }
 
 // cacheEntry is one question: pending while its fill runs, stored once
