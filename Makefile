@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify orphans pins race test paper bench-smoke fmt smoke fuzz loc
+.PHONY: verify orphans pins race test paper bench-smoke fmt smoke fuzz loc pairs
 
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
@@ -75,6 +75,16 @@ paper:
 # nested module. CI's bench-smoke job runs the same command.
 bench-smoke:
 	cd bench && $(GO) test ./...
+
+# Alternating bench/run.sh pairs of BASE's committed files against the
+# working tree: medians, BASE's interquartile range, the working tree's
+# wins and failed operations for each end-to-end metric. A performance
+# claim quotes it: make pairs BASE=HEAD N=10 WORKLOAD=hot
+BASE ?= HEAD
+N ?= 10
+WORKLOAD ?= hot
+pairs:
+	bash scripts/pairs.sh $(BASE) $(N) $(WORKLOAD)
 
 # Service smoke test: boot topod, query it, scrape /metrics, assert a
 # clean SIGTERM drain, and check /v1/join pair counts against the

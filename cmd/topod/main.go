@@ -270,7 +270,10 @@ func main() {
 		}()
 	}
 
+	// Through srv.Listener, a streamed answer's write and flush leave in
+	// one socket write.
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	ln = srv.Listener(httpSrv, ln)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -51,7 +50,7 @@ func TestBulkEndpointBadLine(t *testing.T) {
 	if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree, PageSize: 512}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	defer ts.Close()
 
 	for _, body := range []string{
@@ -88,7 +87,7 @@ func TestBulkEndpointDurableRestart(t *testing.T) {
 	if _, err := srv.AddIndex(spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	br, code := postBulk(t, ts.URL, "main", ndjsonBody(t, d.Items))
 	if code != http.StatusOK || br.Inserted != len(d.Items) {
 		t.Fatalf("bulk: code %d, resp %+v", code, br)
@@ -135,7 +134,7 @@ func TestDuplicateOIDSurvivesCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		ts := startServer(srv, srv.Handler())
 		if i == 0 {
 			if br, code := postBulk(t, ts.URL, "main", ndjsonBody(t, items)); code != http.StatusOK || br.Objects != len(items) {
 				t.Fatalf("bulk: HTTP %d, %+v", code, br)

@@ -8,7 +8,6 @@ import (
 	"log"
 	"maps"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -429,7 +428,7 @@ func TestBootTable(t *testing.T) {
 			if got := srv2.metrics.checksumFailures.Load(); (got > 0) != row.corrupt {
 				t.Errorf("checksum_failures_total = %d, corruption expected: %v", got, row.corrupt)
 			}
-			ts := httptest.NewServer(srv2.Handler())
+			ts := startServer(srv2, srv2.Handler())
 			defer ts.Close()
 			get := func(path string) (int, string) {
 				resp, err := http.Get(ts.URL + path)
@@ -852,7 +851,7 @@ func TestCheckpointsBesideReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 
 	stop := make(chan struct{})
 	errc := make(chan error, readers)

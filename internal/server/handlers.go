@@ -147,7 +147,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var res *cachedResult
 		key := cacheKey{index: inst.Name, rels: rels, ref: ref, conj: conj, rels2: rels2, ref2: ref2, limit: req.Limit}
 		if res, fill = s.cache.lookup(key); res != nil {
-			s.writeCachedQuery(w, req, res)
+			s.writeCachedQuery(w, r, req, res)
 			return
 		}
 	}
@@ -161,7 +161,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// With caching on, the writer keeps a copy of the match lines as it
 	// hands them over, so a hit later replays the exact bytes.
-	lw := s.newLineWriter(w, s.cache != nil)
+	lw := s.newLineWriter(w, r, s.cache != nil)
 	proc := inst.ReadProc()
 	var stats query.Stats
 	if conj {
@@ -201,8 +201,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // writeCachedQuery replays a cached answer: the match lines in the
 // order of the traversal that produced them, and its stats (explain,
 // which is opt-in, additionally reports the hit).
-func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *cachedResult) {
-	lw := s.newLineWriter(w, false)
+func (s *Server) writeCachedQuery(w http.ResponseWriter, r *http.Request, req QueryRequest, res *cachedResult) {
+	lw := s.newLineWriter(w, r, false)
 	lw.replay(res.lines)
 	ws := StatsToWire(res.stats)
 	if req.Explain {
@@ -260,7 +260,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.metrics.joinInFlight.Add(1)
 	defer s.metrics.joinInFlight.Add(-1)
 
-	lw := s.newLineWriter(w, false)
+	lw := s.newLineWriter(w, r, false)
 	start := time.Now()
 	pairs := 0
 	opts := query.JoinOptions{

@@ -30,7 +30,7 @@ func newJoinTestServer(t *testing.T, cfg Config, nLeft, nRight int) (*Server, *h
 	if _, err := srv.AddIndex(IndexSpec{Name: "right", Kind: index.KindRStar, PageSize: 512}, right.Items); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
 }

@@ -192,6 +192,7 @@ type Metrics struct {
 	rejected      counter
 	disconnects   counter
 	streamFlushes counter
+	socketWrites  counter
 	cacheOversize counter
 
 	nodeAccesses     counter
@@ -236,6 +237,7 @@ func newMetrics(cache *resultCache) *Metrics {
 		m.requestLatency.each(func(h *histogram, labels ...string) { h.write(sample, labels...) })
 	})
 	m.counter("topod_stream_flushes_total", "Writes made by /v1/query and /v1/join NDJSON streams; over their topod_requests_total it is the flushes one response costs.", &m.streamFlushes)
+	m.counter("topod_socket_writes_total", "Writes made to client connections; over topod_requests_total it is the socket writes one response costs.", &m.socketWrites)
 	m.gauge("topod_in_flight_requests", "Requests currently holding an admission slot.", &m.inFlight)
 	m.counter("topod_rejected_total", "Requests shed by admission control (429).", &m.rejected)
 	m.counter("topod_disconnects_total", "Query streams abandoned before completion.", &m.disconnects)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"strconv"
@@ -146,10 +145,11 @@ func TestLintExposition(t *testing.T) {
 
 // clockSamples are the series whose values are readings of a clock —
 // latency buckets and sums, time spent in fsync, time since the primary
-// was heard — or depend on one (a stream's 1 ms flush rule). The golden
-// comparison keeps their names and labels and masks the value.
+// was heard — or depend on one (a stream's 1 ms flush rule, and the
+// socket writes that follow it). The golden comparison keeps their
+// names and labels and masks the value.
 var clockSamples = regexp.MustCompile(`(?m)^(topod_(?:request|join|watch_notify)_duration_seconds_(?:bucket|sum)|` +
-	`topod_wal_commit_seconds_total|topod_repl_lag_seconds|topod_stream_flushes_total)(\{[^}]*\})? .*$`)
+	`topod_wal_commit_seconds_total|topod_repl_lag_seconds|topod_(?:stream_flushes|socket_writes)_total)(\{[^}]*\})? .*$`)
 
 func scrape(t *testing.T, base string) string {
 	t.Helper()
@@ -194,7 +194,7 @@ func TestMetricsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pts := httptest.NewServer(psrv.Handler())
+	pts := startServer(psrv, psrv.Handler())
 	t.Cleanup(pts.Close)
 	fsrv, fts := newReplFollower(t, pts.URL, nil, FollowConfig{StallTimeout: time.Hour})
 	waitCaughtUp(t, psrv, fsrv)

@@ -24,14 +24,16 @@ import (
 //	    delivered (query.Match.First), or
 //	(c) the stream ends.
 //
-// (a) and (b) also call Flush; (c) does not. A complete stream that
-// (a) and (b) never wrote — an answer under flushBytes none of whose
-// lines waited flushAge, or a cache hit under flushBytes — declares its
-// length and goes out in one Write as a sized body, so net/http sends
-// it with the headers and no chunk framing. A stream that already
-// wrote, or that was cut short, stays chunked, and net/http sends its
-// last lines, the trailer and the chunk terminator together when the
-// handler returns.
+// (a) and (b) also call Flush, holding the connection (heldConn) so
+// that the write and the Flush leave in one socket write. A complete
+// stream that (a) and (b) never wrote — an answer under flushBytes none
+// of whose lines waited flushAge, or a cache hit under flushBytes —
+// declares its length and goes out in one Write as a sized body, so
+// net/http sends it with the headers and no chunk framing. A stream
+// that already wrote, or that was cut short, stays chunked. The end's
+// write is flushed under a hold when it is over smallEnd; a shorter
+// one goes without a Flush, and net/http sends it with the headers or
+// the chunk terminator in one socket write when the handler returns.
 // A pair line therefore waits for at most flushAge plus the gap to the
 // line after it, a match line for at most flushAge plus the gap to the
 // next leaf's first line (or, either, to the end of the stream).
@@ -39,6 +41,12 @@ const (
 	flushBytes = 32 << 10
 	flushAge   = time.Millisecond
 )
+
+// smallEnd is the longest end of a stream that net/http's 4 KiB
+// connection buffer holds whole with the headers, or with the chunk
+// framing and terminator, and so sends in one socket write when the
+// handler returns; a longer one it would split.
+const smallEnd = 4<<10 - 512
 
 // maxCachedBytes bounds one result-cache entry. A larger answer streams
 // as usual and is not stored, so a single disjoint answer times
@@ -56,6 +64,7 @@ var errNonFinite = errors.New("server: non-finite coordinate has no JSON encodin
 type lineWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher // nil when w cannot flush
+	conn    *heldConn    // nil off a held connection: hold and send do nothing
 	metrics *Metrics
 	buf     []byte // rendered lines not yet handed to w
 	sent    bool   // some bytes were handed to w, so the body is chunked
@@ -82,11 +91,12 @@ var lineWriters = sync.Pool{New: func() any {
 }}
 
 // newLineWriter sets the NDJSON headers on w and returns a writer for
-// its body. With keeping set, the writer keeps a copy of the lines for
-// cacheCopy. The caller must call end exactly once.
-func (s *Server) newLineWriter(w http.ResponseWriter, keeping bool) *lineWriter {
+// the body of the response to r. With keeping set, the writer keeps a
+// copy of the lines for cacheCopy. The caller must call end exactly
+// once.
+func (s *Server) newLineWriter(w http.ResponseWriter, r *http.Request, keeping bool) *lineWriter {
 	lw := lineWriters.Get().(*lineWriter)
-	*lw = lineWriter{w: w, flusher: ndjsonHeaders(w), metrics: s.metrics, buf: lw.buf[:0],
+	*lw = lineWriter{w: w, flusher: ndjsonHeaders(w), conn: connOf(r), metrics: s.metrics, buf: lw.buf[:0],
 		start: time.Now(), since: time.Since, keeping: keeping}
 	return lw
 }
@@ -135,14 +145,23 @@ func (lw *lineWriter) appended(pending int, clocked bool) bool {
 	if len(lw.buf) < flushBytes && lw.now-lw.oldest < flushAge {
 		return true
 	}
-	if !lw.write(lw.buf) {
-		return false
-	}
+	ok := lw.flush(lw.buf)
 	lw.buf = lw.buf[:0]
-	if lw.flusher != nil {
+	return ok
+}
+
+// flush writes p and flushes it to the connection, which it holds
+// meanwhile: p, and the headers when they have not gone yet, leave in
+// one socket write. A failed send is the stream's failure.
+func (lw *lineWriter) flush(p []byte) bool {
+	lw.conn.hold()
+	if lw.write(p) && lw.flusher != nil {
 		lw.flusher.Flush()
 	}
-	return true
+	if err := lw.conn.send(); lw.err == nil {
+		lw.err = err
+	}
+	return lw.err == nil
 }
 
 // write hands p to the ResponseWriter, keeping the cache copy first.
@@ -185,8 +204,8 @@ func (lw *lineWriter) cacheCopy() ([]byte, bool) {
 // replay sends the lines an earlier stream stored (a cache hit); it
 // must precede every append. Lines under flushBytes join the pending
 // buffer, so the hit ends as the sized single Write its miss made; a
-// larger answer goes out as stored, uncopied, as rule (a) would send
-// it, so the pooled buffer never grows to hold a whole cache entry.
+// larger answer goes out as stored, uncopied and unheld, so neither
+// pooled buffer grows to hold a whole cache entry.
 func (lw *lineWriter) replay(lines []byte) {
 	if len(lines) >= flushBytes {
 		lw.write(lines)
@@ -215,16 +234,23 @@ func (lw *lineWriter) endJoin(t *JoinLine) {
 
 // end finishes the stream under rule (c) and recycles lw: the pending
 // lines, with the trailer endQuery or endJoin rendered after them, go
-// out in one write, with no Flush — as a sized body when the stream is
-// complete and nothing went out before. A stream that is not complete
-// was cut short (client gone, deadline) and counts as a disconnect, as
-// does one whose last write fails.
+// out in one write: a sized body when the stream is complete and
+// nothing went out before, else the last chunk. Over smallEnd it is
+// flushed under a hold, so that it leaves in one socket write. A stream
+// that is not complete was cut short (client gone, deadline) and counts
+// as a disconnect, as does one whose last write fails.
 func (lw *lineWriter) end(complete bool) {
 	lw.keeping, lw.kept = false, nil // a trailer is never part of a cached answer
 	if complete && !lw.sent && lw.err == nil {
 		lw.w.Header()["Content-Length"] = []string{strconv.Itoa(len(lw.buf))}
 	}
-	if !lw.write(lw.buf) || !complete {
+	var ok bool
+	if len(lw.buf) > smallEnd {
+		ok = lw.flush(lw.buf)
+	} else {
+		ok = lw.write(lw.buf)
+	}
+	if !ok || !complete {
 		lw.metrics.disconnects.Add(1)
 	}
 	*lw = lineWriter{buf: lw.buf[:0]}

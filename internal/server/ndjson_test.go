@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -27,6 +28,10 @@ type recorder struct {
 	flushes  int
 	failFrom int
 }
+
+// inProcess is a request that arrived on no connection, as a handler
+// called in process sees it: its lineWriter holds nothing.
+var inProcess = httptest.NewRequest(http.MethodPost, "/v1/query", nil)
 
 func newRecorder() *recorder { return &recorder{header: make(http.Header)} }
 
@@ -65,13 +70,13 @@ func testRect(i int) geom.Rect {
 
 // TestLineWriterFlushContract pins the three rules: nothing reaches
 // the ResponseWriter before 32 KiB are pending, a line is a millisecond
-// old, or the stream ends — and the end of the stream writes once
-// without a Flush.
+// old, or the stream ends — and the end of the stream writes once, with
+// a Flush only when that write is over smallEnd.
 func TestLineWriterFlushContract(t *testing.T) {
 	srv := New(Config{})
 	start := func() (*lineWriter, *recorder, *steppedClock) {
 		rec, clock := newRecorder(), &steppedClock{t: time.Unix(1995, 0)}
-		lw := srv.newLineWriter(rec, false)
+		lw := srv.newLineWriter(rec, inProcess, false)
 		lw.start, lw.since = clock.t, clock.since
 		return lw, rec, clock
 	}
@@ -91,8 +96,8 @@ func TestLineWriterFlushContract(t *testing.T) {
 		before := srv.metrics.streamFlushes.Load()
 		lw.endQuery(&QueryLine{Stats: &WireStats{NodeAccesses: 7, Candidates: 200}})
 		want = append(want, `{"stats":{"node_accesses":7,"candidates":200}}`+"\n"...)
-		if len(rec.writes) != 1 || rec.flushes != 0 {
-			t.Fatalf("end of stream made %d writes and %d Flush calls, want 1 and 0", len(rec.writes), rec.flushes)
+		if len(rec.writes) != 1 || rec.flushes != 1 {
+			t.Fatalf("end of stream made %d writes and %d Flush calls, want 1 and 1", len(rec.writes), rec.flushes)
 		}
 		if !bytes.Equal(rec.body(), want) {
 			t.Fatalf("body\n got %q\nwant %q", rec.body(), want)
@@ -121,9 +126,28 @@ func TestLineWriterFlushContract(t *testing.T) {
 		if n := len(rec.writes[0]); n < flushBytes || n > flushBytes+512 {
 			t.Fatalf("mid-stream write of %d bytes, want just over %d", n, flushBytes)
 		}
+		// The ~8 KiB left over are over smallEnd, so the end flushes them.
 		lw.end(false)
-		if len(rec.writes) != 2 || rec.flushes != 1 {
-			t.Fatalf("after end: %d writes and %d Flush calls, want 2 and 1", len(rec.writes), rec.flushes)
+		if len(rec.writes) != 2 || rec.flushes != 2 {
+			t.Fatalf("after end: %d writes and %d Flush calls, want 2 and 2", len(rec.writes), rec.flushes)
+		}
+	})
+
+	t.Run("an end under smallEnd is written without a Flush", func(t *testing.T) {
+		lw, rec, clock := start()
+		lw.match(leafMatch(1))
+		clock.t = clock.t.Add(flushAge)
+		lw.match(leafMatch(2))
+		lw.match(leafMatch(3))
+		lw.endQuery(&QueryLine{Stats: &WireStats{}})
+		if len(rec.writes) != 2 || rec.flushes != 1 || rec.header.Get("Content-Length") != "" {
+			t.Fatalf("%d writes, %d Flush calls, Content-Length %q, want 2, 1 and none", len(rec.writes), rec.flushes, rec.header.Get("Content-Length"))
+		}
+		lw, rec, _ = start()
+		lw.match(leafMatch(1))
+		lw.endQuery(&QueryLine{Stats: &WireStats{}})
+		if len(rec.writes) != 1 || rec.flushes != 0 || rec.header.Get("Content-Length") == "" {
+			t.Fatalf("a one-line answer made %d writes and %d Flush calls, Content-Length %q, want one sized write and no Flush", len(rec.writes), rec.flushes, rec.header.Get("Content-Length"))
 		}
 	})
 
@@ -194,38 +218,44 @@ func TestLineWriterFlushContract(t *testing.T) {
 }
 
 // TestResponseFraming checks how each finite stream is framed on a
-// real HTTP/1.1 connection. A complete answer that never left the
-// pending buffer declares its length and is not chunked: a miss that
-// made one write (one that waited out flushAge, under the race
-// detector say, wrote early), its cache hit and an explain hit, which
-// read no clock. A join over flushBytes, which wrote before it ended,
-// stays chunked, and a stream cut short never declares a length.
+// real HTTP/1.1 connection, and how many socket writes it costs
+// (topod_socket_writes_total). A complete answer that never left the
+// pending buffer declares its length, is not chunked and leaves in one
+// socket write: a miss that made one write (one that waited out
+// flushAge, under the race detector say, wrote early), its cache hit
+// and an explain hit, which read no clock. An answer over flushBytes,
+// which wrote before it ended, stays chunked and costs one socket
+// write per flush plus one or two for its end; a stream cut short
+// never declares a length.
 func TestResponseFraming(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{CacheSize: 8}, 2000, index.KindRStar)
 	window := QueryRequest{Index: "rstar", Relations: []string{"not_disjoint"}, Ref: []float64{100, 100, 300, 300}}
-	ask := func(req QueryRequest) (body []byte, sized bool, writes uint64) {
-		before := srv.metrics.streamFlushes.Load()
+	ask := func(req QueryRequest) (body []byte, sized bool, writes, sends uint64) {
+		before, sent := srv.metrics.streamFlushes.Load(), srv.metrics.socketWrites.Load()
 		body, sized = fetchFramed(t, ts.URL+"/v1/query", req)
-		return body, sized, srv.metrics.streamFlushes.Load() - before
+		return body, sized, srv.metrics.streamFlushes.Load() - before, srv.metrics.socketWrites.Load() - sent
 	}
 
-	miss, sized, writes := ask(window)
+	miss, sized, writes, sends := ask(window)
 	if len(miss) <= 2048 || len(miss) >= flushBytes {
 		t.Fatalf("window answer is %d bytes, want one over net/http's own 2 KiB sizing and under %d", len(miss), flushBytes)
 	}
 	if sized != (writes == 1) {
 		t.Fatalf("the miss made %d writes and sized is %v, want a sized body exactly when it made one", writes, sized)
 	}
-	if hit, sized, writes := ask(window); !sized || writes != 1 {
-		t.Fatalf("the cache hit made %d writes and sized is %v, want one sized write", writes, sized)
+	if sized && sends != 1 {
+		t.Fatalf("the sized miss made %d socket writes, want 1", sends)
+	}
+	if hit, sized, writes, sends := ask(window); !sized || writes != 1 || sends != 1 {
+		t.Fatalf("the cache hit made %d writes and %d socket writes and sized is %v, want one sized write", writes, sends, sized)
 	} else if !bytes.Equal(hit, miss) {
 		t.Fatal("the cache hit's body differs from the miss's")
 	}
 	explain := window
 	explain.Explain = true
-	body, sized, writes := ask(explain)
-	if !sized || writes != 1 {
-		t.Fatalf("the explain hit made %d writes and sized is %v, want one sized write", writes, sized)
+	body, sized, writes, sends := ask(explain)
+	if !sized || writes != 1 || sends != 1 {
+		t.Fatalf("the explain hit made %d writes and %d socket writes and sized is %v, want one sized write", writes, sends, sized)
 	}
 	lines := body[:bytes.LastIndexByte(body[:len(body)-1], '\n')+1]
 	if missLines := miss[:bytes.LastIndexByte(miss[:len(miss)-1], '\n')+1]; !bytes.Equal(lines, missLines) {
@@ -242,13 +272,25 @@ func TestResponseFraming(t *testing.T) {
 	// disjoint answer outlasts the request's 5 ms. Whether the cut came
 	// before that write or after it, fetchFramed fails a declared length
 	// the body did not fill.
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := startServer(srv, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.Handler().ServeHTTP(&slowWriter{ResponseWriter: w, hold: 50 * time.Millisecond}, r)
 	}))
 	defer slow.Close()
 	cut := QueryRequest{Index: "rstar", Relations: []string{"disjoint"}, Ref: window.Ref, TimeoutMS: 5}
 	if body, _ = fetchFramed(t, slow.URL+"/v1/query", cut); bytes.Contains(body, []byte(`"stats"`)) {
 		t.Fatal("the deadline did not cut the stream")
+	}
+
+	// The same 2000-line answer in full: each flush under rule (a) or
+	// (b) is one socket write, and its end one more, or two when its
+	// last chunk is over smallEnd and goes out before the terminator.
+	cut.TimeoutMS = 0
+	body, sized, writes, sends = ask(cut)
+	if sized || len(body) <= flushBytes || writes < 2 {
+		t.Fatalf("the disjoint answer of %d bytes made %d writes and sized is %v, want chunked over %d", len(body), writes, sized, flushBytes)
+	}
+	if sends != writes && sends != writes+1 {
+		t.Fatalf("the disjoint answer made %d writes and %d socket writes, want %d or %d", writes, sends, writes, writes+1)
 	}
 
 	jsrv, jts := newJoinTestServer(t, Config{}, 3000, 3000)
@@ -280,7 +322,7 @@ func TestResponseFraming(t *testing.T) {
 	// first write, so a length declared after a flush is visible only to
 	// the ResponseWriter itself.
 	rec := newRecorder()
-	lw := srv.newLineWriter(rec, false)
+	lw := srv.newLineWriter(rec, inProcess, false)
 	for i := 0; len(rec.writes) == 0; i++ {
 		lw.match(testMatch(i))
 	}
@@ -289,7 +331,7 @@ func TestResponseFraming(t *testing.T) {
 		t.Fatalf("a stream that wrote before its end declared Content-Length %s", cl)
 	}
 	rec = newRecorder()
-	lw = srv.newLineWriter(rec, false)
+	lw = srv.newLineWriter(rec, inProcess, false)
 	lw.match(testMatch(1))
 	lw.endQuery(nil)
 	if cl := rec.header.Get("Content-Length"); cl != "" {
@@ -418,7 +460,7 @@ func (discard) Flush()                      {}
 // here, in tier 1.
 func TestLineWriterZeroAllocs(t *testing.T) {
 	srv := New(Config{})
-	lw := srv.newLineWriter(discard{header: make(http.Header)}, false)
+	lw := srv.newLineWriter(discard{header: make(http.Header)}, inProcess, false)
 	defer lw.end(false)
 	p := query.JoinPair{LeftOID: 123456, RightOID: 654321, LeftRect: testRect(17), RightRect: testRect(401)}
 	if n := testing.AllocsPerRun(10, func() {
@@ -439,9 +481,11 @@ func TestLineWriterZeroAllocs(t *testing.T) {
 
 // TestQueryHandlerAllocs bounds the heap allocations of one /v1/query
 // served through Handler().ServeHTTP, for a cache hit and for a miss,
-// at topod's default deadline. The bounds are the counts the handler
-// reaches; a json.Decoder reading the body, json.Marshal rendering the
-// trailer or a deadline timer built for a hit fails here, in tier 1.
+// at topod's default deadline, in process and on a held connection
+// (whose hold and send must cost nothing). The bounds are the counts
+// the handler reaches; a json.Decoder reading the body, json.Marshal
+// rendering the trailer or a deadline timer built for a hit fails
+// here, in tier 1.
 func TestQueryHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random")
@@ -461,20 +505,24 @@ func TestQueryHandlerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := srv.Handler()
+		hc, _ := heldPair(t, srv)
 		rd := bytes.NewReader(body)
-		req := httptest.NewRequest(http.MethodPost, "/v1/query", rd)
+		inProc := httptest.NewRequest(http.MethodPost, "/v1/query", rd)
+		held := inProc.WithContext(context.WithValue(inProc.Context(), heldConnKey{}, hc))
 		w := discard{header: make(http.Header)}
-		serve := func() {
-			rd.Reset(body)
-			h.ServeHTTP(w, req)
-		}
-		// Fill the cache, and let the leaves the answer reads earn their
-		// text, before counting.
-		for i := 0; i < 4; i++ {
-			serve()
-		}
-		if n := testing.AllocsPerRun(100, serve); n > c.max {
-			t.Errorf("a %s costs %v allocations, want at most %v", c.name, n, c.max)
+		for _, req := range []*http.Request{inProc, held} {
+			serve := func() {
+				rd.Reset(body)
+				h.ServeHTTP(w, req)
+			}
+			// Fill the cache, and let the leaves the answer reads earn
+			// their text, before counting.
+			for i := 0; i < 4; i++ {
+				serve()
+			}
+			if n := testing.AllocsPerRun(100, serve); n > c.max {
+				t.Errorf("a %s (held connection: %v) costs %v allocations, want at most %v", c.name, connOf(req) != nil, n, c.max)
+			}
 		}
 	}
 }

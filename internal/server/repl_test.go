@@ -41,7 +41,7 @@ func newReplPrimary(t *testing.T, n, checkpointEvery int) (*Server, *httptest.Se
 	if _, err := srv.AddIndex(spec, d.Items); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, d
 }
@@ -76,7 +76,7 @@ func newReplFollower(t *testing.T, primary string, client *http.Client, cfg Foll
 	// servers close (LIFO): an open /v1/replicate stream would otherwise
 	// block the primary's Close forever.
 	t.Cleanup(func() { _ = srv.Close() })
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
 }

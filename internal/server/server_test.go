@@ -38,9 +38,18 @@ func newTestServer(t *testing.T, cfg Config, nData int, kinds ...index.Kind) (*S
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, d
+}
+
+// startServer serves h as topod does, through srv.Listener: the
+// streams hold their connections, and srv counts the socket writes.
+func startServer(srv *Server, h http.Handler) *httptest.Server {
+	ts := httptest.NewUnstartedServer(h)
+	ts.Listener = srv.Listener(ts.Config, ts.Listener)
+	ts.Start()
+	return ts
 }
 
 func kindName(k index.Kind) string {
@@ -203,7 +212,7 @@ func (w *stallingWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 // waits for the server to count the disconnect.
 func hangUpAfterFirstLine(t *testing.T, srv *Server, path string, body []byte) {
 	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := startServer(srv, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.Handler().ServeHTTP(&stallingWriter{ResponseWriter: w, done: r.Context().Done()}, r)
 	}))
 	defer ts.Close()

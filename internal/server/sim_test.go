@@ -212,13 +212,17 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 	}
 	for i := range s.pairs {
 		p := &simPair{link: &simLink{}}
-		p.front = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.front = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			p.route.Load().(http.Handler).ServeHTTP(w, r)
 		}))
 		t.Cleanup(p.front.Close)
 		pspec := spec
 		pspec.Dir, pspec.Fsync, pspec.CheckpointEvery = t.TempDir(), wal.SyncNever, 7
 		p.primary = s.boot("primary", Config{CacheSize: 256 * i, ReplHeartbeat: 25 * time.Millisecond}, pspec)
+		// The front serves as topod does; its socket writes count on the
+		// first primary, whichever node it routes to later.
+		p.front.Listener = p.primary.srv.Listener(p.front.Config, p.front.Listener)
+		p.front.Start()
 		p.primary.gen = 1
 		if inst := p.primary.inst; !inst.Durable() || inst.Recovered || inst.Backend() != "paged" {
 			s.fatalf(p.primary, "fresh build: durable %v, recovered %v, backend %q", inst.Durable(), inst.Recovered, inst.Backend())
@@ -288,7 +292,7 @@ func (s *sim) boot(role string, cfg Config, spec IndexSpec) *simNode {
 		s.fatalf(nil, "booting the %s: %v", role, err)
 	}
 	n := &simNode{role: role, srv: srv, inst: inst, h: srv.Handler(), spec: spec, subs: map[*simSub]*simWatch{}, filled: map[string]int{}}
-	ts := httptest.NewServer(n.h)
+	ts := startServer(n.srv, n.h)
 	n.url = ts.URL
 	s.t.Cleanup(ts.Close) // after srv.Close has ended its streams
 	s.t.Cleanup(func() { srv.Close() })

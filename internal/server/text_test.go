@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -109,7 +108,7 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	t.Cleanup(ts.Close)
 
 	for _, name := range []string{"rtree", "rplus", "booted"} {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,7 +122,7 @@ func TestWatchSlotPool(t *testing.T) {
 	if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree}, nil); err != nil {
 		t.Fatalf("AddIndex: %v", err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
 
@@ -173,7 +172,7 @@ func TestWatchBufferBound(t *testing.T) {
 	if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree}, nil); err != nil {
 		t.Fatalf("AddIndex: %v", err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
 
@@ -318,7 +317,7 @@ func TestWatchHugeTimeout(t *testing.T) {
 	if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRTree}, nil); err != nil {
 		t.Fatalf("AddIndex: %v", err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := startServer(srv, srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
 

@@ -59,7 +59,10 @@
 # rectangle into a leaf those answers came from and does it again,
 # asserting the new object's line carries its own coordinates. A
 # twelfth leg asserts `topod -tree rplus -gen 100000` exits 1 within a
-# minute, its log naming the R+ leaf-entry budget.
+# minute, its log naming the R+ leaf-entry budget. A thirteenth leg
+# sends a sized window query, its cache hit, a chunked join and a 10-NN
+# over one keep-alive connection and checks every body, so a response
+# whose held bytes never reach the socket hangs the leg.
 set -euo pipefail
 
 TOPOD="${1:?usage: smoke.sh path/to/topod path/to/topoquery path/to/datagen}"
@@ -79,14 +82,16 @@ cleanup() {
   kill -9 "$PID11" 2>/dev/null || true
   kill -9 "$PID12" 2>/dev/null || true
   kill -9 "$PID13" 2>/dev/null || true
+  kill -9 "$PID14" 2>/dev/null || true
   kill -9 "$CURLPID" 2>/dev/null || true
   kill -9 "$WATCHPID" 2>/dev/null || true
   rm -rf "$LOG" "$LOG2" "$LOG3" "$LOG4" "$LOG5" "$LOG6" "$LOG7" "$LOG8" "$LOG9" \
     "$LOG10" "$LOG11" "$LOG12" "$LOG13" "$LOG16" "$LOG17" "$LOG18" "$LOG19" "$WLOG" "$BULK" "$WBULK" \
     "$LEFT" "$RIGHT" "$JFIRST" "$JNEXT" "$NEWOBJ" "$HDRS" "$JHEAD" "$TEXTDIR" "$DATADIR" "$DATADIR2" "$DATADIR3" "$DATADIR4" \
-    "$DATADIR5" "$DATADIR6" "$DATADIR7" "$DATADIR8" "$FLATCOPY" 2>/dev/null || true
+    "$DATADIR5" "$DATADIR6" "$DATADIR7" "$DATADIR8" "$FLATCOPY" "$LOG20" "$KADIR" 2>/dev/null || true
 }
-PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12="" PID13=""
+PID="" PID2="" PID3="" PID4="" PID5="" PID6="" PID7="" PID8="" PID11="" PID12="" PID13="" PID14=""
+LOG20="" KADIR=""
 CURLPID="" WATCHPID=""
 LOG2="" LOG3="" LOG4="" LOG5="" LOG6="" LOG7="" LOG8="" LOG9="" LOG10="" LOG11=""
 LOG12="" LOG13="" LOG16="" LOG17="" LOG18="" LOG19="" WLOG="" BULK="" WBULK="" LEFT="" RIGHT="" HDRS="" JHEAD=""
@@ -1142,3 +1147,55 @@ grep -q 'over the R+ budget of 48 per registration' "$LOG19" \
   || { echo "smoke: the R+ refusal does not name the budget" >&2; tail -3 "$LOG19" >&2; exit 1; }
 
 echo "smoke OK: an R+-tree of 100 000 medium objects was refused at its leaf-entry budget"
+
+# ---- keep-alive leg: one connection carries a sized window answer,
+# its cache hit, a chunked join and a 10-NN. Every response must reach
+# the socket whole, or the next one on the connection never starts ----
+
+LOG20="$(mktemp)"
+KADIR="$(mktemp -d)"
+"$TOPOD" -gen 2000 -gen2 2000 -bulk -tree rstar -cache-size 64 -addr 127.0.0.1:0 >"$LOG20" 2>&1 &
+PID14=$!
+ADDR14="$(wait_listen "$LOG20")" || {
+  echo "smoke: keep-alive topod never started listening" >&2
+  cat "$LOG20" >&2
+  exit 1
+}
+KBASE="http://$ADDR14"
+wait_ready "$KBASE" || { echo "smoke: keep-alive topod never became ready" >&2; exit 1; }
+
+KQ='{"relations":["not_disjoint"],"ref":[200,200,400,400]}'
+KJ='{"left":"main","right":"second","relations":["overlap"]}'
+CONNECTS="$(curl -sf --max-time 20 -w '%{num_connects}\n' \
+  -D "$KADIR/miss.h" -o "$KADIR/miss" -d "$KQ" "$KBASE/v1/query" --next \
+  -D "$KADIR/hit.h" -o "$KADIR/hit" -d "$KQ" "$KBASE/v1/query" --next \
+  -D "$KADIR/join.h" -o "$KADIR/join" -d "$KJ" "$KBASE/v1/join" --next \
+  -o "$KADIR/knn" "$KBASE/v1/knn?k=10&x=500&y=500" | awk '{s += $1} END {print s}')" \
+  || { echo "smoke: the keep-alive requests failed or hung" >&2; exit 1; }
+[ "$CONNECTS" = 1 ] \
+  || { echo "smoke: four requests opened $CONNECTS connections, want one kept alive" >&2; exit 1; }
+# The window answer is a sized body, and its hit the same bytes.
+grep -qi '^content-length:' "$KADIR/miss.h" && grep -qi '^content-length:' "$KADIR/hit.h" \
+  || { echo "smoke: the window answer or its hit is not a sized body" >&2; cat "$KADIR/miss.h" "$KADIR/hit.h" >&2; exit 1; }
+KLINES="$(grep -c '"oid"' "$KADIR/miss")"
+[ "$KLINES" -gt 50 ] && tail -1 "$KADIR/miss" | grep -q '"stats"' \
+  || { echo "smoke: keep-alive window answer has $KLINES lines or no stats trailer" >&2; exit 1; }
+cmp -s "$KADIR/miss" "$KADIR/hit" \
+  || { echo "smoke: the cache hit differs from the miss on a kept-alive connection" >&2; exit 1; }
+# The join is chunked, and its trailer counts the pair lines before it.
+grep -qi '^transfer-encoding: chunked' "$KADIR/join.h" \
+  || { echo "smoke: the join answer is not chunked" >&2; cat "$KADIR/join.h" >&2; exit 1; }
+KPAIRS="$(grep -c '"left_oid"' "$KADIR/join")"
+tail -1 "$KADIR/join" | grep -q "\"stats\":{\"pairs\":$KPAIRS," && [ "$(wc -c <"$KADIR/join")" -gt 32768 ] \
+  || { echo "smoke: the join's $KPAIRS pair lines do not match its trailer, or it is under 32 KiB" >&2; tail -1 "$KADIR/join" >&2; exit 1; }
+[ "$(grep -o '"oid"' "$KADIR/knn" | wc -l)" = 10 ] \
+  || { echo "smoke: the 10-NN answer after them is not whole: $(head -c 300 "$KADIR/knn")" >&2; exit 1; }
+
+kill -TERM "$PID14"
+if ! wait "$PID14"; then
+  echo "smoke: keep-alive topod exited non-zero on SIGTERM" >&2
+  cat "$LOG20" >&2
+  exit 1
+fi
+
+echo "smoke OK: a window answer, its hit, a $KPAIRS-pair join and a 10-NN over one keep-alive connection"
