@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTilePrune -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDomination -fuzztime=$(FUZZTIME) ./internal/mbr
 	$(GO) test -run='^$$' -fuzz=FuzzPairAdmits -fuzztime=$(FUZZTIME) ./internal/query
+	$(GO) test -run='^$$' -fuzz=FuzzQuery -fuzztime=$(FUZZTIME) ./internal/query
 
 test:
 	$(GO) test ./...

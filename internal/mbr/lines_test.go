@@ -12,20 +12,20 @@ import (
 func TestLineCandidateCardinalities(t *testing.T) {
 	want := map[geom.LineRegionRelation]int{
 		geom.LRDisjoint:   138,
-		geom.LRTouch:      107,
+		geom.LRTouch:      113,
 		geom.LRCross:      81,
 		geom.LRWithin:     1,
 		geom.LRCoveredBy:  16,
 		geom.LROnBoundary: 16,
 	}
 	for r, n := range want {
-		if got := mbr.LineCandidates(r).Len(); got != n {
+		if got := mbr.LineCandidates(r, false).Len(); got != n {
 			t.Errorf("|%v| = %d, want %d", r, got, n)
 		}
 	}
 	var union mbr.ConfigSet
 	for _, r := range geom.AllLineRegionRelations() {
-		union = union.Union(mbr.LineCandidates(r))
+		union = union.Union(mbr.LineCandidates(r, false))
 	}
 	if !union.Equal(mbr.FullConfigSet()) {
 		t.Errorf("line rows miss configurations: %v", mbr.FullConfigSet().Minus(union))
@@ -52,7 +52,7 @@ func TestLineCandidatesSoundOnGeometry(t *testing.T) {
 		}
 		rel, _ := geom.RelateLineRegion(pl, R)
 		cfg := mbr.ConfigOf(b, R.Bounds())
-		if !mbr.LineCandidates(rel).Has(cfg) {
+		if !mbr.LineCandidates(rel, false).Has(cfg) {
 			t.Fatalf("line %v relation %v realised config %v outside its row", pl, rel, cfg)
 		}
 	}
@@ -75,6 +75,7 @@ func TestLineCandidatesSoundOnGeometry(t *testing.T) {
 	check(geom.PolyLine{{X: 12, Y: 12}, {X: 20, Y: 14}, {X: 26, Y: 22}}, rPoly)   // within
 	check(geom.PolyLine{{X: 5, Y: 18}, {X: 35, Y: 19}}, rPoly)                    // cross through
 	check(geom.PolyLine{{X: 10, Y: 11}, {X: 10.0001, Y: 25}}, rPoly)              // near-degenerate by the wall
+	check(geom.PolyLine{{X: 30, Y: 28}, {X: 30, Y: 8}, {X: 25, Y: 5}}, rPoly)     // touch along an edge, taller than the region
 }
 
 // TestLineWithinStrictNesting: a line strictly inside a region has
@@ -106,7 +107,7 @@ func TestPossibleLineRelations(t *testing.T) {
 	// Equal MBRs: the line may touch, cross, be covered by or run along
 	// the boundary — not be strictly within, not be disjoint.
 	c := mbr.Config{X: 7, Y: 7}
-	got := mbr.PossibleLineRelations(c)
+	got := mbr.PossibleLineRelations(c, false)
 	want := map[geom.LineRegionRelation]bool{
 		geom.LRTouch: true, geom.LRCross: true,
 		geom.LRCoveredBy: true, geom.LROnBoundary: true,

@@ -198,9 +198,11 @@ type LineStore map[uint64]geom.PolyLine
 // QueryLine finds all stored lines standing in the given line-region
 // relation to the reference region (the paper's Section 7 extension to
 // linear data). The index is expected to hold the lines' MBRs under
-// the same object ids as the store. Lines with degenerate (axis-
-// aligned) MBRs cannot be stored in an MBR index directly; pad their
-// rectangles and run the processor in NonCrisp mode.
+// the same object ids as the store. A reference that is not a Polygon
+// may have several components, and the filter takes the rows that let
+// a line pass between them (mbr.LineCandidates). Lines with degenerate
+// (axis-aligned) MBRs cannot be stored in an MBR index directly; pad
+// their rectangles and run the processor in NonCrisp mode.
 func (p *Processor) QueryLine(rel geom.LineRegionRelation, ref geom.Region, lines LineStore) (Result, error) {
 	if !rel.Valid() {
 		return Result{}, fmt.Errorf("query: invalid line-region relation %v", rel)
@@ -208,7 +210,8 @@ func (p *Processor) QueryLine(rel geom.LineRegionRelation, ref geom.Region, line
 	if err := validRegion(ref); err != nil {
 		return Result{}, err
 	}
-	cands := mbr.LineCandidates(rel)
+	_, contiguous := ref.(geom.Polygon)
+	cands := mbr.LineCandidates(rel, !contiguous)
 	if p.NonCrisp {
 		cands = mbr.Expand2(cands)
 	}
@@ -220,7 +223,7 @@ func (p *Processor) QueryLine(rel geom.LineRegionRelation, ref geom.Region, line
 	// Step 4: direct when the configuration admits only the queried
 	// relation.
 	return refined(matches, stats, func(stats *Stats, m Match) (bool, error) {
-		poss := mbr.PossibleLineRelations(mbr.ConfigOf(m.Rect, refMBR))
+		poss := mbr.PossibleLineRelations(mbr.ConfigOf(m.Rect, refMBR), !contiguous)
 		direct := !p.NonCrisp && len(poss) == 1 && poss[0] == rel
 		return step4(stats, direct, func() (bool, error) {
 			line, ok := lines[m.OID]

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -36,90 +35,13 @@ func skewedRecords() []rtree.Record {
 	return recs
 }
 
-// skewedIndex bulk-loads skewedRecords into a packed R*-tree.
-func skewedIndex(t *testing.T) (index.Index, []rtree.Record) {
-	t.Helper()
-	recs := skewedRecords()
-	idx, err := index.NewWithPageSize(index.KindRStar, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.InsertBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	return idx, recs
-}
-
-// TestStreamConjunctionMatchesBrute: the streamed conjunction must
-// emit exactly the objects that are candidates for both terms.
-func TestStreamConjunctionMatchesBrute(t *testing.T) {
-	idx, recs := skewedIndex(t)
-	p := &Processor{Idx: idx}
-	cases := []struct {
-		r1, r2 topo.Set
-		q1, q2 geom.Rect
-	}{
-		{topo.NewSet(topo.Overlap), topo.NewSet(topo.Overlap), geom.R(2, 2, 12, 12), geom.R(8, 8, 30, 30)},
-		{topo.NotDisjoint, topo.NewSet(topo.Disjoint), geom.R(0, 0, 50, 50), geom.R(10, 10, 15, 15)},
-		{topo.NewSet(topo.Inside), topo.NewSet(topo.Overlap), geom.R(0, 0, 25, 25), geom.R(20, 0, 40, 25)},
-	}
-	for ci, tc := range cases {
-		c1 := p.candidateConfigs(tc.r1)
-		c2 := p.candidateConfigs(tc.r2)
-		var want []uint64
-		for _, r := range recs {
-			if c1.Has(mbr.ConfigOf(r.Rect, tc.q1)) && c2.Has(mbr.ConfigOf(r.Rect, tc.q2)) {
-				want = append(want, r.OID)
-			}
-		}
-		var got []uint64
-		stats, err := p.StreamConjunction(context.Background(), tc.r1, tc.q1, tc.r2, tc.q2, 0, func(m Match) bool {
-			got = append(got, m.OID)
-			return true
-		})
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if !slices.Equal(got, want) {
-			t.Fatalf("case %d: got %d matches, want %d", ci, len(got), len(want))
-		}
-		if stats.Explain != "plan=conjunction terms=2" {
-			t.Fatalf("case %d: explain %q", ci, stats.Explain)
-		}
-
-		// The batch conjunction is the same descent: it reads the same
-		// pages and sends exactly the streamed candidates to refinement.
-		// It takes one relation per term.
-		if tc.r1.Len() != 1 || tc.r2.Len() != 1 {
-			continue
-		}
-		store := MapStore{}
-		for _, r := range recs {
-			store[r.OID] = r.Rect.Polygon()
-		}
-		batch, err := (&Processor{Idx: idx, Objects: store}).QueryConjunction(
-			tc.r1.Relations()[0], tc.q1.Polygon(), tc.r2.Relations()[0], tc.q2.Polygon())
-		if err != nil {
-			t.Fatalf("case %d: QueryConjunction: %v", ci, err)
-		}
-		if batch.Stats.NodeAccesses != stats.NodeAccesses || batch.Stats.Explain != stats.Explain {
-			t.Fatalf("case %d: batch %+v, stream %+v: not the same descent", ci, batch.Stats, stats)
-		}
-		if batch.Stats.RefinementTests != len(got) {
-			t.Fatalf("case %d: batch refined %d candidates, stream delivered %d", ci, batch.Stats.RefinementTests, len(got))
-		}
-		if i := slices.IndexFunc(batch.Matches, func(m Match) bool { return !slices.Contains(got, m.OID) }); i >= 0 {
-			t.Fatalf("case %d: batch answer %d was never a streamed candidate", ci, batch.Matches[i].OID)
-		}
-	}
-}
-
 // TestStreamConjunctionShortCircuits: contradictory terms against
 // disjoint references must be answered from the composition table.
 func TestStreamConjunctionShortCircuits(t *testing.T) {
-	idx, _ := skewedIndex(t)
+	idx, _ := index.NewWithPageSize(index.KindRStar, 512)
+	if err := idx.InsertBatch(skewedRecords()); err != nil {
+		t.Fatal(err)
+	}
 	p := &Processor{Idx: idx}
 	// p inside q1 and p contains q2 is impossible when q1, q2 disjoint.
 	stats, err := p.StreamConjunction(context.Background(),
@@ -267,7 +189,7 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 						if least := min(alone1.NodeAccesses, alone2.NodeAccesses); stats.NodeAccesses > least {
 							t.Fatalf("%s: %d node accesses, the cheaper term alone reads %d", label, stats.NodeAccesses, least)
 						}
-					} else if !slices.Equal(sortedIDs(got), sortedIDs(swapped)) || stats.ShortCircuited != statsSwapped.ShortCircuited {
+					} else if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(swapped))) || stats.ShortCircuited != statsSwapped.ShortCircuited {
 						t.Fatalf("%s: %d ids, %+v; terms swapped: %d ids, %+v", label, len(got), stats, len(swapped), statsSwapped)
 					}
 
@@ -305,10 +227,4 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 			}
 		}
 	}
-}
-
-func sortedIDs(ids []uint64) []uint64 {
-	out := slices.Clone(ids)
-	slices.Sort(out)
-	return out
 }

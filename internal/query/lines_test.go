@@ -1,92 +1,11 @@
 package query
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/workload"
 )
-
-// buildLineScenario generates random roads (polylines) and loads their
-// MBRs into all three access methods.
-func buildLineScenario(t *testing.T, seed int64, n int) (LineStore, map[string]index.Index) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	lines := LineStore{}
-	for oid := uint64(1); oid <= uint64(n); {
-		segs := 2 + rng.Intn(4)
-		pl := make(geom.PolyLine, segs+1)
-		x := rng.Float64() * 90
-		y := rng.Float64() * 90
-		for j := range pl {
-			pl[j] = geom.Point{X: x, Y: y}
-			x += (rng.Float64() - 0.3) * 8
-			y += (rng.Float64() - 0.3) * 8
-		}
-		if pl.Validate() != nil || !pl.Bounds().Valid() {
-			continue
-		}
-		lines[oid] = pl
-		oid++
-	}
-	indexes := map[string]index.Index{}
-	for _, kind := range index.AllKinds() {
-		idx, err := index.NewWithPageSize(kind, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for oid, pl := range lines {
-			if err := idx.Insert(pl.Bounds(), oid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		indexes[kind.String()] = idx
-	}
-	return lines, indexes
-}
-
-// TestQueryLineAllRelationsAllTrees: line retrieval must match brute
-// force for every line-region relation on every access method.
-func TestQueryLineAllRelationsAllTrees(t *testing.T) {
-	lines, indexes := buildLineScenario(t, 99, 400)
-	rng := rand.New(rand.NewSource(1))
-	refs := []geom.Region{
-		workload.PolygonInRect(rng, geom.R(20, 20, 60, 60), 8),
-		geom.R(30, 30, 45, 50).Polygon(),
-		geom.MultiPolygon{
-			geom.R(10, 10, 25, 25).Polygon(),
-			geom.R(60, 60, 80, 80).Polygon(),
-		},
-	}
-	brute := func(rel geom.LineRegionRelation, ref geom.Region) []uint64 {
-		var out []uint64
-		for oid, pl := range lines {
-			if got, _ := geom.RelateLineRegion(pl, ref); got == rel {
-				out = append(out, oid)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	for name, idx := range indexes {
-		proc := &Processor{Idx: idx}
-		for _, ref := range refs {
-			for _, rel := range geom.AllLineRegionRelations() {
-				res, err := proc.QueryLine(rel, ref, lines)
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, rel, err)
-				}
-				want := brute(rel, ref)
-				if !eqU64(oids(res.Matches), want) {
-					t.Fatalf("%s %v: got %d matches, want %d", name, rel, len(res.Matches), len(want))
-				}
-			}
-		}
-	}
-}
 
 // TestQueryLinePaddedDegenerate: an axis-aligned road has a degenerate
 // MBR; padding it and querying in NonCrisp mode must still find it.
@@ -126,18 +45,17 @@ func TestQueryLinePaddedDegenerate(t *testing.T) {
 }
 
 func TestQueryLineErrors(t *testing.T) {
-	lines, indexes := buildLineScenario(t, 2, 20)
-	proc := &Processor{Idx: indexes["R-tree"]}
-	if _, err := proc.QueryLine(geom.LineRegionRelation(99), geom.R(0, 0, 1, 1).Polygon(), lines); err == nil {
+	proc := &Processor{Idx: buildScenario(t, 2, 20).indexes["R-tree"]}
+	if _, err := proc.QueryLine(geom.LineRegionRelation(99), geom.R(0, 0, 1, 1).Polygon(), nil); err == nil {
 		t.Error("invalid relation accepted")
 	}
-	if _, err := proc.QueryLine(geom.LRCross, nil, lines); err == nil {
+	if _, err := proc.QueryLine(geom.LRCross, nil, nil); err == nil {
 		t.Error("nil reference accepted")
 	}
-	if _, err := proc.QueryLine(geom.LRCross, geom.Polygon{{X: 0, Y: 0}, {X: 1, Y: 0}}, lines); err == nil {
+	if _, err := proc.QueryLine(geom.LRCross, geom.Polygon{{X: 0, Y: 0}, {X: 1, Y: 0}}, nil); err == nil {
 		t.Error("invalid reference accepted")
 	}
-	if _, err := proc.QueryLine(geom.LRDisjoint, geom.R(0, 0, 200, 200).Polygon(), LineStore{}); err == nil {
+	if _, err := proc.QueryLine(geom.LRDisjoint, geom.R(0, 0, 200, 200).Polygon(), nil); err == nil {
 		t.Error("missing line in store not reported")
 	}
 }

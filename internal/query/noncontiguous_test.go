@@ -1,116 +1,12 @@
 package query
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/topo"
-	"mbrtopo/internal/workload"
 )
-
-// buildArchipelagoScenario populates a world where roughly half the
-// objects are multi-part regions (archipelagos).
-func buildArchipelagoScenario(t *testing.T, seed int64, n int) (RegionStore, map[uint64]geom.Rect, map[string]index.Index) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	store := RegionStore{}
-	rects := map[uint64]geom.Rect{}
-	for oid := uint64(1); oid <= uint64(n); oid++ {
-		var region geom.Region
-		if rng.Intn(2) == 0 {
-			w := 1 + rng.Float64()*6
-			h := 1 + rng.Float64()*6
-			x := rng.Float64() * (100 - w)
-			y := rng.Float64() * (100 - h)
-			region = workload.PolygonInRect(rng, geom.R(x, y, x+w, y+h), 5+rng.Intn(5))
-		} else {
-			// 2–3 islands scattered within a home range.
-			k := 2 + rng.Intn(2)
-			var mp geom.MultiPolygon
-			hx := rng.Float64() * 80
-			hy := rng.Float64() * 80
-			for len(mp) < k {
-				x := hx + rng.Float64()*16
-				y := hy + rng.Float64()*16
-				island := workload.PolygonInRect(rng,
-					geom.R(x, y, x+0.5+rng.Float64()*2, y+0.5+rng.Float64()*2), 4+rng.Intn(4))
-				ok := true
-				for _, prev := range mp {
-					if r := geom.Relate(island, prev); r != topo.Disjoint {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					mp = append(mp, island)
-				}
-			}
-			region = mp
-		}
-		if err := region.Validate(); err != nil {
-			t.Fatalf("generated invalid region: %v", err)
-		}
-		store[oid] = region
-		rects[oid] = region.Bounds()
-	}
-	indexes := map[string]index.Index{}
-	for _, kind := range index.AllKinds() {
-		idx, err := index.NewWithPageSize(kind, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for oid, r := range rects {
-			if err := idx.Insert(r, oid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		indexes[kind.String()] = idx
-	}
-	return store, rects, indexes
-}
-
-// TestNonContiguousQueryAllRelations: end-to-end correctness of the
-// Section 7 mode across all relations and access methods.
-func TestNonContiguousQueryAllRelations(t *testing.T) {
-	store, _, indexes := buildArchipelagoScenario(t, 61, 350)
-	refs := []geom.Region{
-		store[1],
-		store[2],
-		geom.R(20, 20, 70, 70).Polygon(),
-		geom.MultiPolygon{
-			geom.R(10, 10, 30, 30).Polygon(),
-			geom.R(60, 60, 85, 85).Polygon(),
-		},
-	}
-	brute := func(rels topo.Set, ref geom.Region) []uint64 {
-		var out []uint64
-		for oid, rg := range store {
-			if rels.Has(geom.RelateRegions(rg, ref)) {
-				out = append(out, oid)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	for name, idx := range indexes {
-		proc := &Processor{Idx: idx, Objects: store, NonContiguous: true}
-		for _, ref := range refs {
-			for _, rel := range topo.All() {
-				res, err := proc.Query(rel, ref)
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, rel, err)
-				}
-				want := brute(topo.NewSet(rel), ref)
-				if !eqU64(oids(res.Matches), want) {
-					t.Fatalf("%s %v: got %d matches, want %d", name, rel, len(res.Matches), len(want))
-				}
-			}
-		}
-	}
-}
 
 // TestContiguousFilterMissesArchipelago demonstrates why the Section 7
 // tables are necessary: a two-part object flanking the reference (MBR
@@ -155,11 +51,13 @@ func TestContiguousFilterMissesArchipelago(t *testing.T) {
 }
 
 // TestNonContiguousStatsAccounting mirrors the contiguous accounting
-// identities under the relaxed tables.
+// identities under the relaxed tables, over the archipelagos FuzzQuery
+// draws.
 func TestNonContiguousStatsAccounting(t *testing.T) {
-	store, _, indexes := buildArchipelagoScenario(t, 3, 200)
-	proc := &Processor{Idx: indexes["R*-tree"], Objects: store, NonContiguous: true}
-	ref := geom.R(25, 25, 60, 55).Polygon()
+	s := newQuerySim(t, 3, index.KindRStar)
+	s.build(qMulti, 200)
+	proc := &Processor{Idx: s.trees[0].idx, Objects: s.regions, NonContiguous: true}
+	ref := geom.Rect{Min: s.at(6, 6), Max: s.at(15, 14)}.Polygon()
 	for _, rel := range topo.All() {
 		res, err := proc.Query(rel, ref)
 		if err != nil {

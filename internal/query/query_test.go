@@ -3,7 +3,6 @@ package query
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -130,18 +129,6 @@ func oids(ms []Match) []uint64 {
 	return out
 }
 
-func eqU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // adoptFlat returns the tree adopted from idx's MBRFLAT1 image, written
 // and read back through the real serialisation.
 func adoptFlat(t *testing.T, idx index.Index, kind index.Kind, pageSize int) index.Index {
@@ -187,73 +174,6 @@ func samePaths(t *testing.T, label string, idx index.Index, node, leaf mbr.Pred)
 	}
 }
 
-// TestQueryAllRelationsAllTrees is the end-to-end correctness test of
-// the 4-step strategy: for every relation, a few disjunctions and every
-// access method — the R- and R*-tree also adopted from their flat
-// images — the full pipeline (filter + refinement) must return exactly
-// the brute-force answer, and the filter step must retrieve exactly the
-// objects whose MBR configuration is admissible (no false misses, no
-// spurious candidates). On every tree the descent's compiled tests
-// yield the same hits through the window entry point as through
-// SearchHits (samePaths).
-func TestQueryAllRelationsAllTrees(t *testing.T) {
-	sc := buildScenario(t, 41, 500)
-	rng := rand.New(rand.NewSource(8))
-	for _, kind := range []index.Kind{index.KindRTree, index.KindRStar} {
-		sc.indexes[kind.String()+" (flat)"] = adoptFlat(t, sc.indexes[kind.String()], kind, 512)
-	}
-
-	// References: a few stored objects plus engineered ones that
-	// realise the rare relations (equal, covers, contains).
-	refs := []geom.Polygon{
-		sc.objects[1],
-		sc.objects[2].ScaleAbout(sc.objects[2].Bounds().Center(), 1.2),
-		workload.PolygonInRect(rng, geom.R(20, 20, 60, 60), 8),
-		workload.PolygonInRect(rng, geom.R(48, 48, 52, 52), 6),
-	}
-	var sets []topo.Set
-	for _, rel := range topo.All() {
-		sets = append(sets, topo.NewSet(rel))
-	}
-	sets = append(sets, topo.In, topo.NotDisjoint, topo.NewSet(topo.Meet, topo.Overlap), topo.NewSet(topo.Disjoint, topo.Covers, topo.Equal))
-	for name, idx := range sc.indexes {
-		proc := &Processor{Idx: idx, Objects: sc.objects}
-		for _, ref := range refs {
-			for _, rels := range sets {
-				res, err := proc.QuerySet(rels, ref)
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, rels, err)
-				}
-				want := sc.bruteForce(rels, ref)
-				if !eqU64(oids(res.Matches), want) {
-					t.Fatalf("%s %v: got %d matches, want %d", name, rels, len(res.Matches), len(want))
-				}
-				wantFilter := sc.bruteFilter(rels, ref.Bounds())
-				if res.Stats.Candidates != len(wantFilter) {
-					t.Fatalf("%s %v: filter retrieved %d candidates, want %d",
-						name, rels, res.Stats.Candidates, len(wantFilter))
-				}
-				if res.Stats.NodeAccesses == 0 {
-					t.Fatalf("%s %v: no node accesses counted", name, rels)
-				}
-				// The streamed and the materialised filter step are one
-				// descent: same objects as the oracle, same pages as
-				// the refined query above.
-				filt := streamEqualsBatch(t, fmt.Sprintf("%s %v", name, rels), proc, rels, ref.Bounds())
-				if !eqU64(oids(filt.Matches), wantFilter) {
-					t.Fatalf("%s %v: filter step differs from the brute-force oracle", name, rels)
-				}
-				if filt.Stats.NodeAccesses != res.Stats.NodeAccesses {
-					t.Fatalf("%s %v: filter-only read %d pages, the refined query %d",
-						name, rels, filt.Stats.NodeAccesses, res.Stats.NodeAccesses)
-				}
-				node, leaf := proc.filterPreds(proc.candidateConfigs(rels), ref.Bounds())
-				samePaths(t, fmt.Sprintf("%s %v", name, rels), idx, node, leaf)
-			}
-		}
-	}
-}
-
 // TestQueryStatsAccounting: candidates = direct accepts + refinement
 // tests; results = candidates − false hits.
 func TestQueryStatsAccounting(t *testing.T) {
@@ -277,37 +197,6 @@ func TestQueryStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestDisjunctionIn: the cadastral "in" query (Section 5) returns the
-// union of inside and covered_by, and its filter cost equals the
-// covered_by filter cost (the inside candidates are a subset).
-func TestDisjunctionIn(t *testing.T) {
-	sc := buildScenario(t, 11, 400)
-	ref := workload.PolygonInRect(rand.New(rand.NewSource(2)), geom.R(25, 25, 75, 75), 9)
-	for name, idx := range sc.indexes {
-		proc := &Processor{Idx: idx, Objects: sc.objects}
-		res, err := proc.QuerySet(topo.In, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sc.bruteForce(topo.In, ref)
-		if !eqU64(oids(res.Matches), want) {
-			t.Fatalf("%s: in-query got %d, want %d", name, len(res.Matches), len(want))
-		}
-		cb, err := proc.Query(topo.CoveredBy, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Candidates != cb.Stats.Candidates {
-			t.Errorf("%s: in retrieves %d candidates but covered_by retrieves %d (paper: identical)",
-				name, res.Stats.Candidates, cb.Stats.Candidates)
-		}
-		if res.Stats.NodeAccesses != cb.Stats.NodeAccesses {
-			t.Errorf("%s: in costs %d accesses, covered_by %d (paper: identical)",
-				name, res.Stats.NodeAccesses, cb.Stats.NodeAccesses)
-		}
-	}
-}
-
 // TestDisjunctionDirectAccept: a disjunction covering every relation a
 // configuration admits should accept without refinement; the full
 // disjunction of all eight relations returns everything with zero
@@ -325,100 +214,6 @@ func TestDisjunctionDirectAccept(t *testing.T) {
 	}
 	if res.Stats.RefinementTests != 0 {
 		t.Fatalf("full disjunction ran %d refinement tests", res.Stats.RefinementTests)
-	}
-}
-
-// TestConjunction compares two-reference conjunctions against brute
-// force, including the Table 4 short-circuit.
-func TestConjunction(t *testing.T) {
-	sc := buildScenario(t, 19, 400)
-	rng := rand.New(rand.NewSource(3))
-	// Overlapping references somewhere in the middle of the world.
-	q1 := workload.PolygonInRect(rng, geom.R(20, 20, 70, 70), 8)
-	q2 := workload.PolygonInRect(rng, geom.R(40, 40, 90, 90), 8)
-	// And a disjoint pair for the short-circuit.
-	q3 := workload.PolygonInRect(rng, geom.R(0, 0, 15, 15), 7)
-
-	proc := &Processor{Idx: sc.indexes["R-tree"], Objects: sc.objects}
-	brute := func(r1 topo.Relation, a geom.Polygon, r2 topo.Relation, b geom.Polygon) []uint64 {
-		var out []uint64
-		for oid, pg := range sc.objects {
-			if geom.Relate(pg, a) == r1 && geom.Relate(pg, b) == r2 {
-				out = append(out, oid)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	for _, r1 := range topo.All() {
-		for _, r2 := range []topo.Relation{topo.Overlap, topo.Inside, topo.Disjoint, topo.Meet} {
-			res, err := proc.QueryConjunction(r1, q1, r2, q2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := brute(r1, q1, r2, q2)
-			if !eqU64(oids(res.Matches), want) {
-				t.Fatalf("%v ∧ %v: got %d, want %d", r1, r2, len(res.Matches), len(want))
-			}
-			if res.Stats.ShortCircuited && len(want) != 0 {
-				t.Fatalf("%v ∧ %v: short-circuited a non-empty result", r1, r2)
-			}
-		}
-	}
-	// The paper's example: inside q3 ∧ overlap q1 with q3 disjoint from
-	// q1 must short-circuit (q3 is far from q1).
-	if geom.Relate(q3, q1) != topo.Disjoint {
-		t.Fatal("fixture: q3 should be disjoint from q1")
-	}
-	res, err := proc.QueryConjunction(topo.Inside, q3, topo.Overlap, q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.ShortCircuited || len(res.Matches) != 0 || res.Stats.NodeAccesses != 0 {
-		t.Fatalf("expected zero-IO short circuit, got %+v", res.Stats)
-	}
-}
-
-// TestNonCrispRetrieval stores slightly enlarged MBRs (the Section 6
-// imprecision scenario) and checks that the NonCrisp processor still
-// finds every answer, while refining everything.
-func TestNonCrispRetrieval(t *testing.T) {
-	sc := buildScenario(t, 29, 400)
-	rng := rand.New(rand.NewSource(7))
-	// Rebuild indexes with enlarged (non-crisp) MBRs.
-	enlarged := map[uint64]geom.Rect{}
-	for oid, r := range sc.rects {
-		e := func() float64 { return rng.Float64() * 1e-7 }
-		enlarged[oid] = geom.Rect{
-			Min: geom.Point{X: r.Min.X - e(), Y: r.Min.Y - e()},
-			Max: geom.Point{X: r.Max.X + e(), Y: r.Max.Y + e()},
-		}
-	}
-	for _, kind := range index.AllKinds() {
-		idx, err := index.NewWithPageSize(kind, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for oid, r := range enlarged {
-			if err := idx.Insert(r, oid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		proc := &Processor{Idx: idx, Objects: sc.objects, NonCrisp: true}
-		ref := sc.objects[11]
-		for _, rel := range topo.All() {
-			res, err := proc.Query(rel, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sc.bruteForce(topo.NewSet(rel), ref)
-			if !eqU64(oids(res.Matches), want) {
-				t.Fatalf("%v non-crisp %v: got %d, want %d", kind, rel, len(res.Matches), len(want))
-			}
-			if res.Stats.DirectAccepts != 0 {
-				t.Fatalf("%v non-crisp %v: direct accepts must be disabled", kind, rel)
-			}
-		}
 	}
 }
 
@@ -464,5 +259,17 @@ func TestFilterOnlyMode(t *testing.T) {
 				t.Fatalf("%s: filter-only mode refined", name)
 			}
 		}
+	}
+}
+
+func TestQueryPointErrors(t *testing.T) {
+	sc := buildScenario(t, 2, 30)
+	noStore := &Processor{Idx: sc.indexes["R-tree"]}
+	if _, err := noStore.QueryPoint(geom.Point{}); err == nil {
+		t.Error("point query without store accepted")
+	}
+	proc := &Processor{Idx: sc.indexes["R-tree"], Objects: sc.objects}
+	if _, err := proc.QueryPoint(geom.Point{}, geom.PointOutside); err == nil {
+		t.Error("outside as wanted location accepted")
 	}
 }

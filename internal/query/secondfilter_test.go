@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
 	"mbrtopo/internal/topo"
@@ -24,7 +25,7 @@ func TestSecondFilterCorrectAndEffective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eqU64(oids(res.Matches), want) {
+		if !slices.Equal(oids(res.Matches), want) {
 			t.Fatalf("%v: second filter changed results: %d vs %d", rel, len(res.Matches), len(want))
 		}
 		s := res.Stats
@@ -57,7 +58,7 @@ func TestSecondFilterDisjunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sc.bruteForce(topo.In, ref)
-	if !eqU64(oids(res.Matches), want) {
+	if !slices.Equal(oids(res.Matches), want) {
 		t.Fatalf("in-query with second filter: %d vs %d", len(res.Matches), len(want))
 	}
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,7 +20,6 @@ import (
 // exactly — once, and only a rejected one is a false hit.
 func TestStep4Accounting(t *testing.T) {
 	sc := buildScenario(t, 57, 300)
-	lines, lineIndexes := buildLineScenario(t, 58, 300)
 	rng := rand.New(rand.NewSource(59))
 	big := workload.PolygonInRect(rng, geom.R(20, 25, 70, 80), 9)
 	small := workload.PolygonInRect(rng, geom.R(40, 40, 52, 51), 7)
@@ -45,7 +45,7 @@ func TestStep4Accounting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := sc.bruteForce(rels, big); !eqU64(oids(res.Matches), want) {
+				if want := sc.bruteForce(rels, big); !slices.Equal(oids(res.Matches), want) {
 					t.Fatalf("%v: %d matches, brute force %d", rels, len(res.Matches), len(want))
 				}
 				check(rels.String(), res.Stats, len(res.Matches))
@@ -75,7 +75,7 @@ func TestStep4Accounting(t *testing.T) {
 						}
 					}
 					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-					if !eqU64(oids(res.Matches), want) {
+					if !slices.Equal(oids(res.Matches), want) {
 						t.Fatalf("%v∧%v: %d matches, brute force %d", r1, r2, len(res.Matches), len(want))
 					}
 					check(r1.String()+"∧"+r2.String(), res.Stats, len(res.Matches))
@@ -83,7 +83,10 @@ func TestStep4Accounting(t *testing.T) {
 			}
 		}},
 		{name: "line", direct: true, run: func(t *testing.T, kind index.Kind, check checkFn) {
-			p := &Processor{Idx: lineIndexes[kind.String()]}
+			ls := newQuerySim(t, 58, kind)
+			ls.s, ls.off = 4, 0 // FuzzQuery's lines, over the scenario's [0, 100]²
+			ls.build(qLine, 300)
+			lines, p := ls.lines, &Processor{Idx: ls.trees[0].idx}
 			for _, rel := range geom.AllLineRegionRelations() {
 				res, err := p.QueryLine(rel, big, lines)
 				if err != nil {
@@ -96,7 +99,7 @@ func TestStep4Accounting(t *testing.T) {
 					}
 				}
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				if !eqU64(oids(res.Matches), want) {
+				if !slices.Equal(oids(res.Matches), want) {
 					t.Fatalf("%v: %d matches, brute force %d", rel, len(res.Matches), len(want))
 				}
 				check(rel.String(), res.Stats, len(res.Matches))
@@ -117,7 +120,7 @@ func TestStep4Accounting(t *testing.T) {
 					}
 				}
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				if !eqU64(oids(res.Matches), want) {
+				if !slices.Equal(oids(res.Matches), want) {
 					t.Fatalf("%v: %d matches, brute force %d", pt, len(res.Matches), len(want))
 				}
 				check("point", res.Stats, len(res.Matches))

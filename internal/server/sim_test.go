@@ -231,7 +231,12 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 		p.route.Store(p.primary.h)
 		s.pairs[i] = p
 	}
+	s.op = "boot"
 	s.write(items, http.StatusOK) // an empty tree packs a batch (STR)
+	// The writers' trees first: a fault in the replicas' image is named, not timed out.
+	for _, n := range s.writers() {
+		s.checkTree(n)
+	}
 	for _, p := range s.pairs {
 		s.startReplica(p)
 		if h := p.link.firstHead(); len(h) < simImageAt || !bytes.HasSuffix(h[:simHeaderLen], []byte("\r\n\r\n")) ||
@@ -245,7 +250,6 @@ func runSim(t *testing.T, seed int64, kind index.Kind) {
 
 	deck := slices.Clone(simDeck)
 	s.rng.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
-	s.op = "boot"
 	s.check()
 	for i, op := range deck {
 		s.step, s.op = i+1, op
@@ -855,19 +859,25 @@ func (s *sim) bounds() (b geom.Rect) {
 	return b
 }
 
+// checkTree holds n's tree to the history's count and its invariants.
+func (s *sim) checkTree(n *simNode) index.Index {
+	idx := n.inst.ReadIndex()
+	if idx == nil || !n.inst.Healthy() {
+		s.fatalf(n, "no tree to serve (%s)", n.inst.FailReason())
+	}
+	if idx.Len() != len(s.live) {
+		s.fatalf(n, "the tree holds %d objects, the history %d", idx.Len(), len(s.live))
+	}
+	if err := idx.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
+		s.fatalf(n, "%v", err)
+	}
+	return idx
+}
+
 func (s *sim) check() {
 	bounds := RectToWire(s.bounds())
 	for _, n := range s.nodes() {
-		idx := n.inst.ReadIndex()
-		if idx == nil || !n.inst.Healthy() {
-			s.fatalf(n, "no tree to serve (%s)", n.inst.FailReason())
-		}
-		if idx.Len() != len(s.live) {
-			s.fatalf(n, "the tree holds %d objects, the history %d", idx.Len(), len(s.live))
-		}
-		if err := idx.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
-			s.fatalf(n, "%v", err)
-		}
+		idx := s.checkTree(n)
 		s.checkWatch(n)
 		// A replica applies, logs and publishes record by record; a
 		// bootstrap replaces its contents with none, so a step with one
