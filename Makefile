@@ -5,7 +5,7 @@ GO ?= go
 # Tier-1 gate: everything must be gofmt-clean, build, vet clean, and
 # pass. bench/ is a nested module that root `./...` cannot see, yet it
 # imports internal/ packages: vet it too, so that deleting a symbol it
-# calls fails here and not only in CI's bench-smoke job. The four
+# calls fails here and not only in CI's bench-smoke job. The five
 # in-repo micro-benchmarks run once so that they cannot rot.
 verify: orphans pins
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
@@ -15,6 +15,7 @@ verify: orphans pins
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench JoinServedShape -benchtime 1x ./internal/query
 	$(GO) test -run '^$$' -bench '^(BenchmarkPack|BenchmarkNearest|BenchmarkInsertDelete)$$' -benchtime 1x ./internal/index
+	$(GO) test -run '^$$' -bench '^BenchmarkWindowAnswer$$' -benchtime 1x ./internal/server
 
 # Dead-symbol gate: the exported funcs only tests call must be exactly
 # the ones scripts/orphans.allow gives a reason for. A `-` line is a new

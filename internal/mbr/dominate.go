@@ -196,20 +196,38 @@ func oneRun(rs uint8) bool {
 
 // regionHull is the closed interval spanning the region set rs of
 // [lo, hi]: a strict edge becomes the next float inward, so the window
-// compares with <= alone. The empty set is an empty interval.
+// compares with <= alone. The empty set is an empty interval. Only the
+// two edges it returns are computed.
 func regionHull(rs uint8, lo, hi float64) (from, to float64) {
 	down, up := math.Inf(-1), math.Inf(1)
 	if rs == 0 {
 		return up, down
 	}
-	edges := [...][2]float64{
-		{down, math.Nextafter(lo, down)},
-		{lo, lo},
-		{math.Nextafter(lo, up), math.Nextafter(hi, down)},
-		{hi, hi},
-		{math.Nextafter(hi, up), up},
+	switch bits.TrailingZeros8(rs) {
+	case 0:
+		from = down
+	case 1:
+		from = lo
+	case 2:
+		from = math.Nextafter(lo, up)
+	case 3:
+		from = hi
+	default:
+		from = math.Nextafter(hi, up)
 	}
-	return edges[bits.TrailingZeros8(rs)][0], edges[bits.Len8(rs)-1][1]
+	switch bits.Len8(rs) - 1 {
+	case 0:
+		to = math.Nextafter(lo, down)
+	case 1:
+		to = lo
+	case 2:
+		to = math.Nextafter(hi, down)
+	case 3:
+		to = hi
+	default:
+		to = up
+	}
+	return from, to
 }
 
 // Test is a configuration set compiled for the filter step: the set,
@@ -310,14 +328,22 @@ type Pred struct {
 }
 
 // Filter is the filter descent's form of the test of cfgs over a fixed
-// reference: whether a rectangle stands in one of cfgs against ref. The
-// masks become a window on its corners, and the ConfigOf probe runs
-// behind it unless the window decides the set alone.
+// reference: whether a rectangle stands in one of cfgs against ref. It
+// is Compile(cfgs).Pred(ref), for a caller that uses the set once.
 func Filter(cfgs ConfigSet, ref geom.Rect) Pred {
-	w, exact := Compile(cfgs).Window(ref)
+	t := Compile(cfgs)
+	return t.Pred(ref)
+}
+
+// Pred is the test over a fixed reference: the masks become a window
+// on a rectangle's corners, and the ConfigOf probe runs behind it
+// unless the window decides the set alone.
+func (t *Test) Pred(ref geom.Rect) Pred {
+	w, exact := t.Window(ref)
 	if exact {
 		return Pred{Window: w}
 	}
+	cfgs := t.cfgs
 	return Pred{Window: w, probe: func(r geom.Rect) bool { return cfgs.Has(ConfigOf(r, ref)) }}
 }
 

@@ -26,8 +26,11 @@ import (
 // object its oid names in the store.
 func (p *Processor) collect(node, leaf mbr.Pred) ([]Match, Stats, error) {
 	var matches []Match
-	stats, err := p.descend(context.Background(), node, leaf, 0, func(h rtree.Hit) bool {
-		matches = append(matches, Match{OID: h.OID, Rect: h.Rect})
+	stats, err := p.descend(context.Background(), node, leaf, 0, func(l rtree.Leaf) bool {
+		for i := range l.Len() {
+			h := l.Hit(i)
+			matches = append(matches, Match{OID: h.OID, Rect: h.Rect})
+		}
 		return true
 	})
 	if err != nil {
@@ -83,8 +86,10 @@ func (p *Processor) querySet(rels topo.Set, refMBR geom.Rect, ref geom.Region) (
 		return Result{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
 	// Step 1: admissible MBR configurations (Table 1, adjusted for the
-	// non-contiguous and non-crisp modes). Steps 2+3: prune and collect.
-	matches, stats, err := p.collect(p.filterPreds(p.candidateConfigs(rels), refMBR))
+	// non-contiguous and non-crisp modes, and for a reference of several
+	// components). Steps 2+3: prune and collect.
+	nonContiguous := p.nonContiguousFor(ref)
+	matches, stats, err := p.collect(p.filterPreds(p.testsFor(rels, nonContiguous), refMBR))
 	if err != nil {
 		return Result{}, err
 	}
@@ -93,7 +98,7 @@ func (p *Processor) querySet(rels topo.Set, refMBR geom.Rect, ref geom.Region) (
 	}
 	// Step 4: refinement, with the convex-hull second filter in front of
 	// the exact test when asked for.
-	tb := tablesFor(p.NonContiguous)
+	tb := tablesFor(nonContiguous)
 	var refHull geom.Polygon
 	if p.SecondFilter {
 		refHull = geom.HullOf(ref)
@@ -143,11 +148,14 @@ func (p *Processor) QueryConjunction(r1 topo.Relation, q1 geom.Region, r2 topo.R
 	if err := q2.Validate(); err != nil {
 		return Result{}, fmt.Errorf("query: reference q2: %w", err)
 	}
-	if !topo.ConsistentConjunction(r1, r2, geom.RelateRegions(q1, q2)) {
+	// Table 4's composition is of simple regions: a reference of several
+	// components may hold an object in a way no simple one could.
+	if !p.nonContiguousFor(q1, q2) && !topo.ConsistentConjunction(r1, r2, geom.RelateRegions(q1, q2)) {
 		return Result{Stats: Stats{ShortCircuited: true}}, nil
 	}
 
-	matches, stats, err := p.collect(p.conjunctionPreds(topo.NewSet(r1), q1.Bounds(), topo.NewSet(r2), q2.Bounds()))
+	t1, t2 := p.testsFor(topo.NewSet(r1), p.nonContiguousFor(q1)), p.testsFor(topo.NewSet(r2), p.nonContiguousFor(q2))
+	matches, stats, err := p.collect(p.conjunctionPreds(t1, q1.Bounds(), t2, q2.Bounds()))
 	if err != nil {
 		return Result{}, err
 	}
@@ -183,7 +191,7 @@ func (p *Processor) QueryDirection(rel direction.Relation, refMBR geom.Rect) (Re
 	if p.NonCrisp {
 		cands = mbr.Expand2(cands)
 	}
-	matches, stats, err := p.collect(p.filterPreds(cands, refMBR))
+	matches, stats, err := p.collect(p.filterPreds(compileSet(cands), refMBR))
 	if err != nil {
 		return Result{}, err
 	}
@@ -216,7 +224,7 @@ func (p *Processor) QueryLine(rel geom.LineRegionRelation, ref geom.Region, line
 		cands = mbr.Expand2(cands)
 	}
 	refMBR := ref.Bounds()
-	matches, stats, err := p.collect(p.filterPreds(cands, refMBR))
+	matches, stats, err := p.collect(p.filterPreds(compileSet(cands), refMBR))
 	if err != nil {
 		return Result{}, err
 	}

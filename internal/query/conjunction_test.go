@@ -145,7 +145,7 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 			if stats.ShortCircuited {
 				return got, stats, Stats{}
 			}
-			leafB := mbr.Filter(p.candidateConfigs(sb), qb)
+			leafB := mbr.Filter(p.candidateConfigs(sb, false), qb)
 			want, alone := collect(label, func(yield func(Match) bool) (Stats, error) {
 				return p.Stream(ctx, sa, qa, 0, func(m Match) bool { return !leafB.Has(m.Rect) || yield(m) })
 			})
@@ -180,7 +180,7 @@ func TestConjunctionBothTermsPrune(t *testing.T) {
 					s1, s2 := topo.NewSet(r1), topo.NewSet(r2)
 					got, stats, alone1 := conjunction(label, s1, q1, s2, q2)
 					swapped, statsSwapped, alone2 := conjunction(label+", swapped", s2, q2, s1, q1)
-					node, leaf := p.conjunctionPreds(s1, q1, s2, q2)
+					node, leaf := p.conjunctionPreds(p.testsFor(s1, false), q1, p.testsFor(s2, false), q2)
 					samePaths(t, label, idx, node, leaf)
 					if idx.CoveringNodeRects() {
 						if !slices.Equal(got, swapped) || stats != statsSwapped {

@@ -165,11 +165,12 @@ func TestAnswerUnitIsTheRegistration(t *testing.T) {
 	}
 }
 
-// TestStreamMarksLeafFirsts: a streamed match is First exactly when it
-// is the first its leaf delivers — once a leaf, which is where the
-// server's line writer reads its clock — and a hit built outside a tree
-// shares no leaf.
-func TestStreamMarksLeafFirsts(t *testing.T) {
+// TestStreamLeavesOncePerLeaf: StreamLeaves hands the descent's
+// matches over in leaf batches — which is where the server's line
+// writer reads its clock and applies its flush rules — that together
+// are exactly the hits SearchHits delivers one by one, in the same
+// order, and a limit cuts the batch that reaches it.
+func TestStreamLeavesOncePerLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var items []index.Item
 	for oid := uint64(1); oid <= 3000; oid++ {
@@ -182,41 +183,43 @@ func TestStreamMarksLeafFirsts(t *testing.T) {
 	}
 	p := &Processor{Idx: idx}
 	ctx, w := context.Background(), geom.R(100, 100, 600, 600)
-	matches, firsts := 0, 0
-	if _, err := p.Stream(ctx, topo.NotDisjoint, w, 0, func(m Match) bool {
-		matches++
-		if m.First {
-			firsts++
+	stream := func(limit int) (batched []rtree.Hit, batches int, stats Stats) {
+		stats, err := p.StreamLeaves(ctx, topo.NotDisjoint, w, limit, func(l rtree.Leaf) bool {
+			batches++
+			for i := range l.Len() {
+				batched = append(batched, l.Hit(i))
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
+		return batched, batches, stats
 	}
-	leaves := 0
-	var last rtree.Hit
-	node, leaf := p.filterPreds(p.candidateConfigs(topo.NotDisjoint), w)
+	batched, batches, stats := stream(0)
+	var hits []rtree.Hit
+	node, leaf := p.filterPreds(p.testsFor(topo.NotDisjoint, false), w)
 	if _, err := idx.SearchHits(ctx, node.Has, leaf.Has, func(h rtree.Hit) bool {
-		if !h.SameLeaf(last) {
-			leaves++
-		}
-		last = h
+		hits = append(hits, h)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if firsts != leaves || firsts < 2 || 5*firsts > matches {
-		t.Fatalf("%d matches, %d marked First, from %d leaves", matches, firsts, leaves)
+	if !slices.Equal(batched, hits) || stats.Candidates != len(hits) || batches < 2 || 5*batches > len(hits) {
+		t.Fatalf("%d matches in %d batches (%d candidates); SearchHits: %d hits", len(batched), batches, stats.Candidates, len(hits))
 	}
-	if (rtree.Hit{}).SameLeaf(rtree.Hit{}) {
-		t.Fatal("two hits built outside a tree share a leaf")
+	limit := len(hits)/2 + 1
+	if cut, _, cutStats := stream(limit); !slices.Equal(cut, hits[:limit]) || cutStats.Candidates != limit || cutStats.NodeAccesses >= stats.NodeAccesses {
+		t.Fatalf("limit %d: %d matches, %+v; the whole answer %+v", limit, len(cut), cutStats, stats)
 	}
 }
 
-// TestStreamAllocsIndependentOfMatches: one warm Stream call allocates
-// a small constant — the adapters' closures; its compiled tests are
-// values — for five matches or two thousand: a covering tree's descent
-// keeps no set of delivered ids, a match line's text comes from its
-// leaf, and nothing is allocated per match.
+// TestStreamAllocsIndependentOfMatches: one warm Stream or StreamLeaves
+// call allocates a small constant — the adapters' closures and the
+// traversal's scratch; its compiled tests are values — for five
+// matches or two thousand: a covering tree's descent keeps no set of
+// delivered ids, a match line comes from its leaf's text, and nothing
+// is allocated per match.
 func TestStreamAllocsIndependentOfMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var items []index.Item
@@ -230,33 +233,51 @@ func TestStreamAllocsIndependentOfMatches(t *testing.T) {
 	}
 	p := &Processor{Idx: idx}
 	var matches [2]int
-	var allocs [2]float64
+	var allocs [2][2]float64
 	var line []byte
+	earned := true
 	for i, w := range []geom.Rect{geom.R(500, 500, 540, 540), geom.R(100, 100, 900, 900)} {
-		run := func() {
+		perMatch := func() {
 			matches[i] = 0
 			if _, err := p.Stream(context.Background(), topo.NotDisjoint, w, 0, func(m Match) bool {
 				matches[i]++
-				line = append(line[:0], m.Text...)
 				return true
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Warm: the leaves earn their text — one the window clips to a single entry takes as
-		// many answers as it has entries (12 at this page size), plus one.
-		for k := 0; k < 14; k++ {
-			run()
+		perLeaf := func() {
+			earned = true
+			if _, err := p.StreamLeaves(context.Background(), topo.NotDisjoint, w, 0, func(l rtree.Leaf) bool {
+				lines, ok := l.Lines()
+				earned = earned && ok
+				for k := range l.Len() {
+					if ok {
+						line = append(line[:0], lines.Line(k)...)
+					}
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		allocs[i] = testing.AllocsPerRun(20, run)
+		// Warm: the leaves earn their text — one the window clips to a
+		// single entry takes as many answers as it has entries (12 at
+		// this page size), plus one.
+		for k := 0; k < 14; k++ {
+			perLeaf()
+		}
+		allocs[i] = [2]float64{testing.AllocsPerRun(20, perMatch), testing.AllocsPerRun(20, perLeaf)}
 	}
 	if matches[1] < 100*matches[0] {
 		t.Fatalf("%d and %d matches: want two answers a hundredfold apart", matches[0], matches[1])
 	}
-	if allocs[1] != allocs[0] || allocs[0] > 6 {
-		t.Fatalf("%v allocations for %d matches, %v for %d: want the same small constant", allocs[0], matches[0], allocs[1], matches[1])
+	for k, name := range []string{"Stream", "StreamLeaves"} {
+		if allocs[1][k] != allocs[0][k] || allocs[0][k] > 6 {
+			t.Fatalf("%s: %v allocations for %d matches, %v for %d: want the same small constant", name, allocs[0][k], matches[0], allocs[1][k], matches[1])
+		}
 	}
-	if !bytes.HasPrefix(line, []byte("[")) {
-		t.Fatalf("a warm stream's last match came without its text: %q", line)
+	if !earned || !bytes.Contains(line, []byte(`,"rect":[`)) {
+		t.Fatalf("a warm stream's leaves came without their text: %q", line)
 	}
 }

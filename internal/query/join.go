@@ -15,7 +15,9 @@ type JoinPair struct {
 	LeftOID, RightOID   uint64
 	LeftRect, RightRect geom.Rect
 	// LeftText and RightText are the rectangles in wire form on a
-	// filter-level pair whose leaves had them rendered, as Match.Text.
+	// filter-level pair whose leaves had them rendered (rtree.Hit.Text),
+	// empty otherwise. They save a server rendering the same stored
+	// floats again, nothing more: the rectangles are the answer.
 	LeftText, RightText string
 }
 

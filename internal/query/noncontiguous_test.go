@@ -72,3 +72,46 @@ func TestNonContiguousStatsAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiPolygonReferenceBetweenComponents: a simple polygon lying
+// between the two components of a MultiPolygon reference is disjoint
+// from it while its MBR stands inside the reference's, a configuration
+// the contiguous disjoint row excludes. A contiguous processor takes
+// the Section 7 rows from the reference's type, so it finds the
+// polygon, by exact geometry rather than a direct accept; a
+// conjunction over that reference, which Table 4 (a composition of
+// simple regions) no longer judges, finds it too.
+func TestMultiPolygonReferenceBetweenComponents(t *testing.T) {
+	between := geom.R(2, 0, 3, 4).Polygon()
+	ref := geom.MultiPolygon{geom.R(0, 1, 1, 2).Polygon(), geom.R(4, 1, 5, 2).Polygon()}
+	if got := geom.RelateRegions(between, ref); got != topo.Disjoint {
+		t.Fatalf("fixture relates as %v", got)
+	}
+	idx, err := index.NewWithPageSize(index.KindRTree, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Insert(between.Bounds(), 1); err != nil {
+		t.Fatal(err)
+	}
+	p := &Processor{Idx: idx, Objects: RegionStore{1: between}}
+	for _, rel := range topo.All() {
+		res, err := p.Query(rel, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 1}[rel == topo.Disjoint]; len(res.Matches) != want {
+			t.Errorf("%v: %d matches, want %d", rel, len(res.Matches), want)
+		}
+		if res.Stats.DirectAccepts != 0 {
+			t.Errorf("%v: %d direct accepts of a configuration only geometry decides", rel, res.Stats.DirectAccepts)
+		}
+	}
+	res, err := p.QueryConjunction(topo.Disjoint, ref, topo.Overlap, geom.R(2.5, 3, 6, 6).Polygon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ShortCircuited || len(res.Matches) != 1 {
+		t.Fatalf("disjoint from the archipelago ∧ overlapping a square: %d matches, %+v", len(res.Matches), res.Stats)
+	}
+}

@@ -61,17 +61,6 @@ func (m RegionStore) Object(oid uint64) (geom.Region, bool) {
 type Match struct {
 	OID  uint64
 	Rect geom.Rect
-	// Text is Rect in wire form, [minx,miny,maxx,maxy], on a streamed
-	// match whose leaf had it rendered (rtree.Hit.Text); empty otherwise,
-	// and always on materialised results. It saves a server rendering
-	// the same stored floats again, nothing more: Rect is the answer.
-	Text string
-	// First is set on a streamed match that is the first its leaf
-	// delivered (rtree.Hit.SameLeaf), and always on one whose hit came
-	// from no leaf of a tree; never on materialised results. It tells a
-	// consumer that batches lines under a time rule where reading its
-	// clock is worth it.
-	First bool
 }
 
 // Stats describes the work a query performed, in the units the paper
@@ -169,13 +158,28 @@ func (t tables) decides(a, b geom.Rect, rels topo.Set) bool {
 }
 
 // candidateConfigs maps a relation disjunction to the admissible MBR
-// configurations under the processor's modes.
-func (p *Processor) candidateConfigs(rels topo.Set) mbr.ConfigSet {
-	c := tablesFor(p.NonContiguous).candidates(rels)
+// configurations under the processor's crispness and the given
+// contiguity (nonContiguousFor).
+func (p *Processor) candidateConfigs(rels topo.Set, nonContiguous bool) mbr.ConfigSet {
+	c := tablesFor(nonContiguous).candidates(rels)
 	if p.NonCrisp {
 		c = mbr.Expand2(c)
 	}
 	return c
+}
+
+// nonContiguousFor reports whether a query against refs takes the
+// Section 7 tables: in the processor's NonContiguous mode, and for any
+// reference that is not a simple polygon — an object may lie between a
+// MultiPolygon's components, disjoint from it inside its MBR, as a line
+// may (QueryLine). A nil reference is a rectangle.
+func (p *Processor) nonContiguousFor(refs ...geom.Region) bool {
+	for _, r := range refs {
+		if _, simple := r.(geom.Polygon); r != nil && !simple {
+			return true
+		}
+	}
+	return p.NonContiguous
 }
 
 // joinTests and mbr.Filter are the package's one rectangle test, "a
@@ -189,62 +193,65 @@ func joinTests(cands mbr.ConfigSet) (prune, accept mbr.Test) {
 	return mbr.Compile(mbr.JoinPropagation(cands)), mbr.Compile(cands)
 }
 
-// filterPreds derives the node and leaf tests of steps 2 and 3: leaves
-// are tested against the candidate configurations, covering node
-// rectangles against their Table 2 propagation, each as a compiled
-// corner window (mbr.Filter). The R+ partition-region path keeps its
-// dedicated predicate, behind the whole plane's window: partition
-// regions are not tight MBRs, so endpoint-sign reasoning does not apply
-// to them.
-func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (node, leaf mbr.Pred) {
+// filterPreds derives the node and leaf tests of steps 2 and 3 from a
+// compiled set (setTests): leaves are tested against the candidate
+// configurations, covering node rectangles against their Table 2
+// propagation, each as a corner window on the reference (mbr.Pred).
+// The R+ partition-region path keeps its dedicated predicate, behind
+// the whole plane's window: partition regions are not tight MBRs, so
+// endpoint-sign reasoning does not apply to them.
+func (p *Processor) filterPreds(t *setTests, refMBR geom.Rect) (node, leaf mbr.Pred) {
 	if p.Idx.CoveringNodeRects() {
-		node = mbr.Filter(mbr.Propagation(cands), refMBR)
+		node = t.node.Pred(refMBR)
 	} else {
-		node = mbr.Func(mbr.PartitionNodePredicate(cands, refMBR))
+		node = mbr.Func(mbr.PartitionNodePredicate(t.cands, refMBR))
 	}
-	return node, mbr.Filter(cands, refMBR)
+	return node, t.leaf.Pred(refMBR)
 }
 
 // predSearcher is the traversal entry point that takes the tests as
-// values (rtree's trees have it): each entry meets a test's window
-// inline and calls only a probe behind it. An index without it (tiles)
-// is searched through SearchHits with the tests' Has.
+// values and hands over one leaf's passing entries per call (rtree's
+// trees and shard's tiles have it): each entry meets a test's window
+// inline and calls only a probe behind it.
 type predSearcher interface {
-	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Hit) bool) (rtree.TraversalStats, error)
+	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error)
 }
 
 // descend is the filter descent of steps 2 and 3, and the only
 // traversal in the package: every query class — streamed or
 // materialised, one term or two, region, line, direction or point —
 // is this function under a different pair of tests. It calls yield
-// once per stored (oid, rect) registration that passes, in tree order:
-// per leaf entry on a covering tree, through rtree.Registrations on an
-// R+-tree, whose leaves each hold a copy of what crosses them. It
-// stops as soon as yield returns false or limit > 0 matches are taken.
-// NodeAccesses comes from the traversal's own accounting, so it is
-// exact even when many queries share the index; Candidates counts the
-// matches yield accepted. On an error, cancellation included, the
+// once per leaf that holds a stored (oid, rect) registration that
+// passes, with those registrations in entry order, leaves in tree
+// order: every passing entry on a covering tree, and on an R+-tree,
+// whose leaves each hold a copy of what crosses them, the entries that
+// rtree.Registrations keeps. With limit > 0 the batch that reaches it
+// is cut to it and the descent ends there; it also ends as soon as
+// yield returns false. NodeAccesses comes from the traversal's own
+// accounting, so it is exact even when many queries share the index;
+// Candidates counts the registrations of the batches yield accepted. On
+// an error, cancellation included (checked before every node), the
 // stats cover the pages read up to that point.
-func (p *Processor) descend(ctx context.Context, node, leaf mbr.Pred, limit int, yield func(rtree.Hit) bool) (Stats, error) {
+func (p *Processor) descend(ctx context.Context, node, leaf mbr.Pred, limit int, yield func(rtree.Leaf) bool) (Stats, error) {
+	s, ok := p.Idx.(predSearcher)
+	if !ok {
+		return Stats{}, fmt.Errorf("query: filter step: %s has no SearchPreds", p.Idx.Name())
+	}
 	emitted := 0
-	emit := func(h rtree.Hit) bool {
-		if !yield(h) {
+	emit := func(l rtree.Leaf) bool {
+		if limit > 0 && l.Len() > limit-emitted {
+			l = l.Prefix(limit - emitted)
+		}
+		if !yield(l) {
 			return false
 		}
-		emitted++
+		emitted += l.Len()
 		return limit <= 0 || emitted < limit
 	}
 	if !p.Idx.CoveringNodeRects() {
 		emit = rtree.Registrations(emit)
 	}
-	var ts rtree.TraversalStats
-	var err error
-	if s, ok := p.Idx.(predSearcher); ok {
-		ts, err = s.SearchPreds(ctx, node, leaf, emit)
-	} else {
-		n, l := node, leaf // copies, so that only this path moves them to the heap
-		ts, err = p.Idx.SearchHits(ctx, n.Has, l.Has, emit)
-	}
+	ts, err := s.SearchPreds(ctx, node, leaf, emit)
 	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted, Explain: explainSingle}
 	if err != nil {
 		return stats, fmt.Errorf("query: filter step: %w", err)

@@ -345,6 +345,7 @@ func (s *qsim) check() {
 		case tr.layer == qPoly:
 			s.relations(tr)
 			s.regionClass(tr, "non-contiguous", &Processor{Idx: tr.idx, Objects: s.regions, NonContiguous: true}, 3, 5)
+			s.regionClass(tr, "contiguous", &Processor{Idx: tr.idx, Objects: s.regions}, 3, 5)
 			s.conjunctions(tr)
 			s.points(tr)
 			s.directions(tr)
@@ -447,11 +448,11 @@ func (s *qsim) relations(tr *qtree) {
 			p := &Processor{Idx: tr.idx, Objects: s.regions}
 			filt := streamEqualsBatch(s.t, s.label(tr, class), p, rels, refMBR)
 			filters[rels] = filt
-			cands := p.candidateConfigs(rels)
+			cands := p.candidateConfigs(rels, false)
 			if n := len(slices.DeleteFunc(slices.Clone(tr.live), func(r rtree.Record) bool { return !cands.Has(mbr.ConfigOf(r.Rect, refMBR)) })); filt.Stats.Candidates != n {
 				s.fatalf(tr, class, "the filter retrieved %d candidates, ConfigOf admits %d", filt.Stats.Candidates, n)
 			}
-			node, leaf := p.filterPreds(cands, refMBR)
+			node, leaf := p.filterPreds(p.testsFor(rels, false), refMBR)
 			samePaths(s.t, s.label(tr, class), tr.idx, node, leaf)
 			for _, p.SecondFilter = range []bool{false, true} {
 				res, err := p.QuerySet(rels, ref)
@@ -485,7 +486,7 @@ func (s *qsim) conjunctions(tr *qtree) {
 		}
 		s.sum.ShortCircuited = s.sum.ShortCircuited || res.Stats.ShortCircuited
 
-		b1, b2, c1, c2 := q1.Bounds(), q2.Bounds(), p.candidateConfigs(topo.NewSet(r1)), p.candidateConfigs(topo.NewSet(r2))
+		b1, b2, c1, c2 := q1.Bounds(), q2.Bounds(), p.candidateConfigs(topo.NewSet(r1), false), p.candidateConfigs(topo.NewSet(r2), false)
 		var streamed []Match
 		st, err := p.StreamConjunction(context.Background(), topo.NewSet(r1), b1, topo.NewSet(r2), b2, 0, func(m Match) bool { streamed = append(streamed, m); return true })
 		keep := func(r rtree.Record) bool { return c1.Has(mbr.ConfigOf(r.Rect, b1)) && c2.Has(mbr.ConfigOf(r.Rect, b2)) }

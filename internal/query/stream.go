@@ -23,31 +23,48 @@ import (
 // registration as the traversal finds it (tree order, not OID order).
 // Returning false from yield stops the traversal immediately; limit > 0
 // additionally caps the number of matches delivered. The returned Stats cover exactly
-// the pages this traversal read before it stopped.
+// the pages this traversal read before it stopped. It is StreamLeaves
+// one match at a time.
 //
 // On cancellation Stream returns ctx.Err() together with the stats
 // accumulated so far.
 func (p *Processor) Stream(ctx context.Context, rels topo.Set, refMBR geom.Rect, limit int, yield func(Match) bool) (Stats, error) {
+	taken := 0
+	stats, err := p.StreamLeaves(ctx, rels, refMBR, limit, perMatch(yield, &taken))
+	stats.Candidates += taken
+	return stats, err
+}
+
+// StreamLeaves is the filter step of Stream as the descent delivers it:
+// yield is called once per leaf with that leaf's candidate
+// registrations, in entry order, leaves in tree order (descend), and
+// may read the batch only until it returns. limit > 0 cuts the batch
+// that reaches it. A wire consumer renders a batch in one loop, from
+// the leaf's earned text (rtree.Leaf.Lines).
+func (p *Processor) StreamLeaves(ctx context.Context, rels topo.Set, refMBR geom.Rect, limit int, yield func(rtree.Leaf) bool) (Stats, error) {
 	if rels.IsEmpty() {
 		return Stats{}, fmt.Errorf("query: empty relation set")
 	}
 	if !refMBR.Valid() {
 		return Stats{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
-	node, leaf := p.filterPreds(p.candidateConfigs(rels), refMBR)
-	return p.descend(ctx, node, leaf, limit, withText(yield))
+	node, leaf := p.filterPreds(p.testsFor(rels, p.NonContiguous), refMBR)
+	return p.descend(ctx, node, leaf, limit, yield)
 }
 
-// withText makes a streamed Match of each hit, asking its leaf for the
-// rectangle's wire text — which is what earns a leaf its text, so only
-// the streaming entry points, whose consumer is a wire, do it — and
-// marking the first match of each leaf (Match.First).
-func withText(yield func(Match) bool) func(rtree.Hit) bool {
-	var last rtree.Hit
-	return func(h rtree.Hit) bool {
-		first := !h.SameLeaf(last)
-		last = h
-		return yield(Match{OID: h.OID, Rect: h.Rect, Text: h.Text(), First: first})
+// perMatch adapts a per-match yield to the descent's per-leaf one. The
+// descent does not count a batch whose yield stopped, so taken keeps
+// how many matches of that batch yield accepted.
+func perMatch(yield func(Match) bool, taken *int) func(rtree.Leaf) bool {
+	return func(l rtree.Leaf) bool {
+		for i := range l.Len() {
+			h := l.Hit(i)
+			if !yield(Match{OID: h.OID, Rect: h.Rect}) {
+				*taken = i
+				return false
+			}
+		}
+		return true
 	}
 }
 
@@ -69,8 +86,18 @@ func withText(yield func(Match) bool) func(rtree.Hit) bool {
 // written first, and the descent reads no more pages than either
 // term's own would. On an R+-tree the first term steers (see
 // conjunctionPreds): the same objects either way round, in the first
-// term's stream order, in no more pages than the first term alone.
+// term's stream order, in no more pages than the first term alone. It
+// is StreamConjunctionLeaves one match at a time.
 func (p *Processor) StreamConjunction(ctx context.Context, rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect, limit int, yield func(Match) bool) (Stats, error) {
+	taken := 0
+	stats, err := p.StreamConjunctionLeaves(ctx, rels1, ref1, rels2, ref2, limit, perMatch(yield, &taken))
+	stats.Candidates += taken
+	return stats, err
+}
+
+// StreamConjunctionLeaves is StreamConjunction one leaf at a time, as
+// StreamLeaves is Stream.
+func (p *Processor) StreamConjunctionLeaves(ctx context.Context, rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect, limit int, yield func(rtree.Leaf) bool) (Stats, error) {
 	if rels1.IsEmpty() || rels2.IsEmpty() {
 		return Stats{}, fmt.Errorf("query: empty relation set")
 	}
@@ -102,8 +129,8 @@ scan:
 	}
 
 	// Step 2: one descent under both terms' predicates.
-	node, leaf := p.conjunctionPreds(rels1, ref1, rels2, ref2)
-	stats, err := p.descend(ctx, node, leaf, limit, withText(yield))
+	node, leaf := p.conjunctionPreds(p.testsFor(rels1, p.NonContiguous), ref1, p.testsFor(rels2, p.NonContiguous), ref2)
+	stats, err := p.descend(ctx, node, leaf, limit, yield)
 	stats.Explain = explainConjunction
 	return stats, err
 }
@@ -130,11 +157,11 @@ scan:
 // term steers and the second contributes mbr.RegionFeasible over all
 // its configurations, the condition that does hold at every
 // registration of a qualifying object.
-func (p *Processor) conjunctionPreds(rels1 topo.Set, ref1 geom.Rect, rels2 topo.Set, ref2 geom.Rect) (node, leaf mbr.Pred) {
-	cands2 := p.candidateConfigs(rels2)
-	node1, leaf1 := p.filterPreds(p.candidateConfigs(rels1), ref1)
-	node2, leaf2 := p.filterPreds(cands2, ref2)
+func (p *Processor) conjunctionPreds(t1 *setTests, ref1 geom.Rect, t2 *setTests, ref2 geom.Rect) (node, leaf mbr.Pred) {
+	node1, leaf1 := p.filterPreds(t1, ref1)
+	node2, leaf2 := p.filterPreds(t2, ref2)
 	if !p.Idx.CoveringNodeRects() {
+		cands2 := t2.cands
 		node2 = mbr.Func(func(region geom.Rect) bool { return mbr.RegionFeasible(cands2, region, ref2) })
 	}
 	return node1.And(node2), leaf1.And(leaf2)

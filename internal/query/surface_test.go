@@ -11,8 +11,9 @@ import (
 )
 
 // TestOneDescentSurface pins the package's shape from its source: the
-// index is traversed from exactly one function (descend, which calls
-// the tree's window entry point or SearchHits), and no
+// index is traversed from exactly one call (descend's, of the tree's
+// per-leaf window entry point SearchPreds), every configuration set is
+// compiled in joinTests or compileSet, and no
 // exported name is the …Ctx twin of another — the context-taking
 // streaming functions are the API, the materialising helpers wrap them.
 // Step 4 is one function as well: the refinement counters move in step4
@@ -97,13 +98,13 @@ func TestOneDescentSurface(t *testing.T) {
 			}
 		}
 	}
-	if fns := slices.Compact(slices.Clone(searches)); !slices.Equal(fns, []string{"descend"}) || len(searches) != 2 {
-		t.Errorf("index traversal call sites in %v, want exactly descend's two (SearchPreds, and SearchHits for an index without it)", searches)
+	if !slices.Equal(searches, []string{"descend"}) {
+		t.Errorf("index traversal call sites in %v, want exactly descend's SearchPreds", searches)
 	}
 	if joins != 1 {
 		t.Errorf("%d rtree.JoinCtx call sites in package query, want exactly 1 (JoinStream's)", joins)
 	}
-	if want := []string{"joinTests", "joinTests", "filterPreds", "filterPreds"}; !slices.Equal(compiled, want) {
+	if want := []string{"compileSet", "compileSet", "joinTests", "joinTests"}; !slices.Equal(compiled, want) {
 		t.Errorf("configuration sets are compiled in %v, want only in %v", compiled, want)
 	}
 	for counter, want := range map[string][]string{

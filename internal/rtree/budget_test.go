@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/workload"
 )
@@ -62,9 +63,12 @@ func TestRPlusGrowthRefusedWithinBudget(t *testing.T) {
 				want = append(want, fmt.Sprint(r))
 			}
 		}
-		hits := func(r geom.Rect) bool { return r.Intersects(w) }
-		if _, err := tree.SearchHits(context.Background(), hits, hits, rtree.Registrations(func(h rtree.Hit) bool {
-			got = append(got, fmt.Sprint(rtree.Record{Rect: h.Rect, OID: h.OID}))
+		hits := mbr.Func(func(r geom.Rect) bool { return r.Intersects(w) })
+		if _, err := tree.SearchPreds(context.Background(), hits, hits, rtree.Registrations(func(l rtree.Leaf) bool {
+			for i := range l.Len() {
+				h := l.Hit(i)
+				got = append(got, fmt.Sprint(rtree.Record{Rect: h.Rect, OID: h.OID}))
+			}
 			return true
 		})); err != nil {
 			t.Fatal(err)

@@ -83,8 +83,10 @@ func (t *RPlusTree) scanBounds() (geom.Rect, bool) {
 	found := false
 	all := mbr.Func(func(geom.Rect) bool { return true })
 	traverse(context.Background(), t.st, t.root, all, all,
-		func(h Hit) bool {
-			out, found = covering(out, found, h.Rect), true
+		func(l Leaf) bool {
+			for i := range l.Len() {
+				out, found = covering(out, found, l.Hit(i).Rect), true
+			}
 			return true
 		})
 	return out, found

@@ -248,20 +248,23 @@ func (c *core) ResetIOStats() { c.st.resetStats() }
 // queries run concurrently, so it matches the paper's disk-access
 // metric. On cancellation it returns ctx.Err() together with the stats
 // accumulated so far. emit sees every leaf entry that passes: on an
-// R+-tree, one registration once in each leaf its rectangle reaches, so
-// a caller that wants each registration once wraps emit in
-// Registrations.
+// R+-tree, one registration once in each leaf its rectangle reaches. It
+// is SearchPreds one hit at a time (PerHit).
 func (c *core) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(Hit) bool) (TraversalStats, error) {
-	return c.SearchPreds(ctx, mbr.Func(nodePred), mbr.Func(leafPred), emit)
+	return PerHit(emit, func(leaves func(Leaf) bool) (TraversalStats, error) {
+		return c.SearchPreds(ctx, mbr.Func(nodePred), mbr.Func(leafPred), leaves)
+	})
 }
 
-// SearchPreds is SearchHits under tests given as values (mbr.Filter,
-// mbr.Func, Pred.And): the traversal tests each entry against a test's
-// window inline and calls only a probe behind it. It is the filter
-// descent's entry point (query.Processor reaches it through an
-// interface of its own, so index.Index does not carry it); every other
-// caller passes funcs to SearchHits, which wraps them.
-func (c *core) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(Hit) bool) (TraversalStats, error) {
+// SearchPreds is the one traversal: the tests are values (mbr.Filter,
+// mbr.Func, Pred.And), each entry meets a test's window inline and
+// calls only a probe behind it, and emit is handed each leaf's passing
+// entries in one call (Leaf). It is the filter descent's entry point
+// (query.Processor reaches it through an interface of its own, so
+// index.Index does not carry it); every other caller passes funcs to
+// SearchHits, which wraps them. A caller that wants each registration
+// of an R+-tree once wraps emit in Registrations.
+func (c *core) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(Leaf) bool) (TraversalStats, error) {
 	return traverse(ctx, c.st, c.cur.Load().root, node, leaf, emit)
 }
 

@@ -277,8 +277,11 @@ func TestHeldSnapshotOutlivesRewrites(t *testing.T) {
 			held := c.cur.Load()
 			read := func() (string, []byte, error) {
 				var answers []Hit
-				ts, err := traverse(context.Background(), c.st, held.root, mbr.Func(everything), mbr.Func(everything), func(h Hit) bool {
-					answers = append(answers, Hit{Rect: h.Rect, OID: h.OID})
+				ts, err := traverse(context.Background(), c.st, held.root, mbr.Func(everything), mbr.Func(everything), func(l Leaf) bool {
+					for i := range l.Len() {
+						h := l.Hit(i)
+						answers = append(answers, Hit{Rect: h.Rect, OID: h.OID})
+					}
 					return true
 				})
 				if err != nil {

@@ -2,12 +2,14 @@ package rtree
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 )
 
 // hitSearcher is what the side-car tests drive: the three mutable trees
@@ -362,9 +364,11 @@ func TestTextCost(t *testing.T) {
 	if entries != len(recs) {
 		t.Fatalf("side-cars cover %d entries, the tree stores %d", entries, len(recs))
 	}
-	if per := float64(bytes) / float64(entries); per > 96 {
+	per := float64(bytes) / float64(entries)
+	if per > 96 {
 		t.Fatalf("%.1f bytes of text and offsets per stored entry, want at most 96", per)
 	}
+	t.Logf("%.1f bytes of text and offsets per stored entry", per)
 	// The image's nodes are the adopted tree's: bought once, held once.
 	if ie, ib := textHeld(imageNodes(flat)); ie != entries || ib != bytes {
 		t.Fatalf("the image holds text for %d entries (%d bytes), the tree that adopted it for %d (%d)", ie, ib, entries, bytes)
@@ -390,5 +394,29 @@ func TestTextCost(t *testing.T) {
 	}
 	if texts[1] != "[1,1,2,2]" || texts[2] != "" || texts[3] != "[3,3,4.5,4.5]" {
 		t.Fatalf("texts beside an infinite rectangle: %q", texts)
+	}
+	// A leaf's lines are its match lines without their constant framing:
+	// the oid, the key, the rectangle's text; none for the infinite one.
+	for label, tree := range map[string]*Tree{"adopted tree": adopted, "leaf with an infinite rectangle": odd} {
+		all := mbr.Func(nil)
+		if _, err := tree.SearchPreds(context.Background(), all, all, func(l Leaf) bool {
+			lines, ok := l.Lines()
+			if !ok {
+				t.Fatalf("%s: an earned leaf gave no lines", label)
+			}
+			for i := range l.Len() {
+				h := l.Hit(i)
+				want := ""
+				if h.Rect.Finite() {
+					want = fmt.Sprintf(`%d,"rect":%s`, h.OID, h.Rect.AppendWire(nil))
+				}
+				if lines.Line(i) != want {
+					t.Fatalf("%s: oid %d's line is %q, want %q", label, h.OID, lines.Line(i), want)
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -65,24 +65,24 @@ func (s TraversalStats) Add(t TraversalStats) TraversalStats {
 
 // traverse runs a predicate-driven depth-first search from root,
 // descending into internal entries whose rectangles pass nodeTest and
-// emitting leaf entries whose rectangles pass leafTest, in the same
-// left-to-right preorder as the recursive implementation it replaces.
-// Both tests are values: each entry is tested against the window
-// inline, and a func is called only where the test has a probe behind
-// its window (a set the window does not decide alone, or a func
-// wrapped by mbr.Func). emit
-// receives each hit as a Hit, which is how a leaf's wire text (text.go)
-// reaches a consumer that asks for it; emit returning false stops the
-// search without error. The context is checked before each node
-// expansion; on cancellation the traversal returns ctx.Err() with the
-// stats accumulated so far. Node-access accounting sums each node's
+// handing emit, once per leaf, the leaf's entries whose rectangles pass
+// leafTest, in the same left-to-right preorder as the recursive
+// implementation it replaces. Both tests are values: each entry is
+// tested against the window inline, and a func is called only where the
+// test has a probe behind its window (a set the window does not decide
+// alone, or a func wrapped by mbr.Func). A leaf with no passing entry
+// is not handed over; emit returning false stops the search without
+// error, after the leaf it declined. The context is checked before each
+// node expansion; on cancellation the traversal returns ctx.Err() with
+// the stats accumulated so far. Node-access accounting sums each node's
 // page cost.
 func traverse(ctx context.Context, src *arena, root *node,
-	nodeTest, leafTest mbr.Pred, emit func(Hit) bool) (TraversalStats, error) {
+	nodeTest, leafTest mbr.Pred, emit func(Leaf) bool) (TraversalStats, error) {
 
 	var stats TraversalStats
 	stack := make([]*node, 0, 32)
 	stack = append(stack, root)
+	at := make([]int32, 0, 64) // the batch of the leaf in hand
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -92,15 +92,19 @@ func traverse(ctx context.Context, src *arena, root *node,
 		stats.NodesVisited++
 		stats.NodeAccesses += uint64(n.cost)
 		if n.isLeaf() {
+			at = at[:0]
 			for i := range n.entries {
 				e := &n.entries[i]
-				if !leafTest.Window.Fits(e.Rect) || !leafTest.Probed(e.Rect) {
-					continue
+				if leafTest.Window.Fits(e.Rect) && leafTest.Probed(e.Rect) {
+					at = append(at, int32(i))
 				}
-				stats.Emitted++
-				if !emit(Hit{Rect: e.Rect, OID: e.OID, leaf: n, at: i}) {
-					return stats, nil
-				}
+			}
+			if len(at) == 0 {
+				continue
+			}
+			stats.Emitted += len(at)
+			if !emit(Leaf{n: n, at: at}) {
+				return stats, nil
 			}
 			continue
 		}
@@ -114,6 +118,47 @@ func traverse(ctx context.Context, src *arena, root *node,
 		}
 	}
 	return stats, nil
+}
+
+// Leaf is what a traversal hands its emit once per leaf: the leaf
+// version and the indexes of its entries that passed the leaf test, in
+// entry order. The indexes are the traversal's scratch: an emit may
+// read them, and narrow them (Prefix, Registrations), until it returns,
+// and keeps none of them.
+type Leaf struct {
+	n  *node
+	at []int32
+}
+
+// Len is the number of entries in the batch.
+func (l Leaf) Len() int { return len(l.at) }
+
+// Hit is batch entry i.
+func (l Leaf) Hit(i int) Hit {
+	j := int(l.at[i])
+	e := &l.n.entries[j]
+	return Hit{Rect: e.Rect, OID: e.OID, leaf: l.n, at: j}
+}
+
+// Prefix is the batch's first k entries.
+func (l Leaf) Prefix(k int) Leaf { return Leaf{n: l.n, at: l.at[:k]} }
+
+// PerHit runs search, a per-leaf traversal, for an emit that takes one
+// hit at a time: it stops at the first hit emit declines, and the
+// stats' Emitted counts the hits emit was handed, that one included.
+func PerHit(emit func(Hit) bool, search func(func(Leaf) bool) (TraversalStats, error)) (TraversalStats, error) {
+	handed := 0
+	ts, err := search(func(l Leaf) bool {
+		for i := range l.at {
+			handed++
+			if !emit(l.Hit(i)) {
+				return false
+			}
+		}
+		return true
+	})
+	ts.Emitted = handed
+	return ts, err
 }
 
 // registrations is the R+-tree's one rule for what its leaf entries
@@ -145,12 +190,23 @@ func (r *registrations) admit(leaf *node, rec Record) bool {
 	return false
 }
 
-// Registrations wraps the emit of an R+-tree's SearchHits so that it
+// Registrations wraps the emit of an R+-tree's SearchPreds so that it
 // sees each (rect, oid) registration once per insertion, not once per
-// leaf it reaches. On a covering tree a leaf entry is a registration.
-func Registrations(emit func(Hit) bool) func(Hit) bool {
+// leaf it reaches: it narrows each batch, in place and in entry order,
+// to the entries that are registrations no leaf before held, and hands
+// on only a batch that keeps one. On a covering tree a leaf entry is a
+// registration.
+func Registrations(emit func(Leaf) bool) func(Leaf) bool {
 	var r registrations
-	return func(h Hit) bool { return !r.admit(h.leaf, Record{Rect: h.Rect, OID: h.OID}) || emit(h) }
+	return func(l Leaf) bool {
+		kept := l.at[:0]
+		for _, j := range l.at {
+			if e := &l.n.entries[j]; r.admit(l.n, Record{Rect: e.Rect, OID: e.OID}) {
+				kept = append(kept, j)
+			}
+		}
+		return len(kept) == 0 || emit(Leaf{n: l.n, at: kept})
+	}
 }
 
 // rectAndOID adapts a Search/SearchCtx emit to a SearchHits one.

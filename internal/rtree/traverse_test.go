@@ -131,21 +131,35 @@ func TestNearestCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestTraverseLimit: the shared core stops at the hit its emit
-// declines, which is how every consumer bounds an answer.
+// TestTraverseLimit: the shared core stops at the leaf its emit
+// declines, which is how every consumer bounds an answer, and hands
+// each leaf's passing entries over once, in entry order.
 func TestTraverseLimit(t *testing.T) {
 	for name, s := range loadedCtxTrees(t, 200) {
 		st, root := arenaOf(t, s)
 		all := mbr.Func(func(geom.Rect) bool { return true })
-		for _, limit := range []int{1, 7, 50} {
-			got := 0
-			ts, err := traverse(context.Background(), st, root, all, all,
-				func(Hit) bool { got++; return got < limit })
+		for _, limit := range []int{1, 3, 7} {
+			leaves, entries := 0, 0
+			seen := map[*node]bool{}
+			ts, err := traverse(context.Background(), st, root, all, all, func(l Leaf) bool {
+				leaves++
+				entries += l.Len()
+				if seen[l.n] || !l.n.isLeaf() || l.Len() == 0 {
+					t.Errorf("%s: a batch of %d from a node met before (%v) or no leaf", name, l.Len(), seen[l.n])
+				}
+				seen[l.n] = true
+				for i := 1; i < l.Len(); i++ {
+					if l.at[i] <= l.at[i-1] {
+						t.Errorf("%s: a batch out of entry order: %v", name, l.at)
+					}
+				}
+				return leaves < limit
+			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if got != limit || ts.Emitted != limit {
-				t.Errorf("%s: limit %d delivered %d (stats %d)", name, limit, got, ts.Emitted)
+			if leaves != limit || ts.Emitted != entries {
+				t.Errorf("%s: limit %d delivered %d leaves (stats %d entries, emit saw %d)", name, limit, leaves, ts.Emitted, entries)
 			}
 		}
 	}

@@ -29,8 +29,9 @@ type heldConn struct {
 }
 
 // heldBufs are the buffers of held connections. The flush contract
-// bounds what one hold collects: a batch of flushBytes and one line,
-// or a sized answer under flushBytes, plus a trailer and the headers.
+// bounds what one hold collects: a batch of flushBytes and one leaf's
+// match lines or one pair line, a sized answer under flushBytes, or a
+// /metrics exposition, plus a trailer and the headers.
 var heldBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, flushBytes+8192)
 	return &b

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,16 @@ import (
 
 // maxBodyBytes bounds request bodies; queries and mutations are tiny.
 const maxBodyBytes = 1 << 20
+
+// maxJoinPairs bounds a /v1/join answer that asks for no limit. The
+// join reaching it ends with joinCapMessage in its trailer instead of
+// stats, so a cut answer never reads as a whole one; a client that
+// wants more pairs asks for them with an explicit limit, which is
+// honoured whatever its size.
+const maxJoinPairs = 1 << 16
+
+// joinCapMessage is the trailer error of a join cut at maxJoinPairs.
+var joinCapMessage = fmt.Sprintf("join: stopped after %d pairs, the most an answer without a limit carries; ask for more with an explicit limit", maxJoinPairs)
 
 // maxTimeout caps client-requested deadlines.
 const maxTimeout = 60 * time.Second
@@ -165,9 +176,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	proc := inst.ReadProc()
 	var stats query.Stats
 	if conj {
-		stats, err = proc.StreamConjunction(ctx, rels, ref, rels2, ref2, req.Limit, lw.match)
+		stats, err = proc.StreamConjunctionLeaves(ctx, rels, ref, rels2, ref2, req.Limit, lw.leaf)
 	} else {
-		stats, err = proc.Stream(ctx, rels, ref, req.Limit, lw.match)
+		stats, err = proc.StreamLeaves(ctx, rels, ref, req.Limit, lw.leaf)
 	}
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
@@ -267,7 +278,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		NonContiguous: req.NonContiguous,
 		KeepSelfPairs: req.KeepSelfPairs,
 	}
+	capped := false
 	stats, err := query.JoinStream(ctx, lidx, ridx, rels, opts, func(p query.JoinPair) bool {
+		if req.Limit <= 0 && pairs == maxJoinPairs {
+			capped = true
+			return false
+		}
 		if !lw.pair(p) {
 			return false
 		}
@@ -283,6 +299,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		// Cut short: no stats line, and end counts the disconnect.
 	case err != nil:
 		trailer = &JoinLine{Error: err.Error()}
+	case capped:
+		trailer = &JoinLine{Error: joinCapMessage}
 	default:
 		trailer = &JoinLine{Stats: &JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}}
 	}
@@ -569,7 +587,22 @@ func (s *Server) role() string {
 }
 
 // handleMetrics renders the Prometheus text exposition.
+//
+// The exposition is rendered first and goes out sized, under a hold
+// of the connection (heldConn), so a scrape costs one socket write
+// where net/http would split it at its buffers.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = s.metrics.WriteTo(w)
+	var b bytes.Buffer
+	_, _ = s.metrics.WriteTo(&b)
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(b.Len()))
+	c := connOf(r)
+	c.hold()
+	if _, err := w.Write(b.Bytes()); err == nil {
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+	}
+	_ = c.send()
 }

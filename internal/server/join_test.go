@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,6 +222,27 @@ func TestJoinLimit(t *testing.T) {
 	}
 	if len(pairs) != 7 || stats == nil || stats.Pairs != 7 {
 		t.Fatalf("limit 7 delivered %d pairs, stats %+v", len(pairs), stats)
+	}
+}
+
+// TestJoinUnlimitedIsCapped: a join asked for no limit ends at
+// maxJoinPairs with a trailer that names the cap and carries no stats,
+// so the cut answer never reads as a whole one; an explicit limit, even
+// one past the cap, is honoured as before and ends with stats.
+func TestJoinUnlimitedIsCapped(t *testing.T) {
+	_, ts := newJoinTestServer(t, Config{}, 400, 400)
+	req := JoinRequest{Left: "left", Right: "right", Relations: []string{"disjoint"}}
+	status, pairs, stats, errLine := postJoin(t, ts.URL, req)
+	if status != http.StatusOK || stats != nil || len(pairs) != maxJoinPairs || errLine != joinCapMessage {
+		t.Fatalf("no limit: HTTP %d, %d pairs, stats %+v, error %q; want %d pairs and the cap's error", status, len(pairs), stats, errLine, maxJoinPairs)
+	}
+	if !strings.Contains(errLine, strconv.Itoa(maxJoinPairs)) {
+		t.Fatalf("the cap's error %q does not name the cap", errLine)
+	}
+	req.Limit = maxJoinPairs + 1000
+	status, pairs, stats, errLine = postJoin(t, ts.URL, req)
+	if status != http.StatusOK || errLine != "" || stats == nil || stats.Pairs != req.Limit || len(pairs) != req.Limit {
+		t.Fatalf("limit %d: HTTP %d, %d pairs, stats %+v, error %q", req.Limit, status, len(pairs), stats, errLine)
 	}
 }
 

@@ -317,3 +317,30 @@ func getKNN(t *testing.T, base, name string, p geom.Point, k int) KNNResponse {
 	}
 	return out
 }
+
+// TestMetricsScrapeIsOneSocketWrite: a /metrics scrape, some 30 KB
+// that net/http alone would split at its buffers, leaves in one socket
+// write, headers included, and declares its length.
+func TestMetricsScrapeIsOneSocketWrite(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{}, 2000, index.KindRStar)
+	var last uint64
+	for i := 0; i < 4; i++ {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) < 8<<10 || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("a %d-byte exposition came with Content-Length %d", len(body), resp.ContentLength)
+		}
+		if got := srv.metrics.socketWrites.Load(); i > 0 && got-last != 1 {
+			t.Fatalf("scrape %d made %d socket writes, want 1", i, got-last)
+		} else {
+			last = got
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 )
 
 // The flush contract of every finite NDJSON stream (/v1/query, its
@@ -17,12 +18,16 @@ import (
 // and reach the ResponseWriter only when
 //
 //	(a) flushBytes are pending,
-//	(b) a clocked line is appended flushAge or more after the oldest
-//	    pending one — so a sparse, long-running join still delivers as
-//	    it goes, without a timer goroutine or a lock — where a pair line
-//	    is always clocked and a match line when it is the first its leaf
-//	    delivered (query.Match.First), or
+//	(b) a leaf's match lines or a pair line are appended flushAge or
+//	    more after the oldest pending line — so a sparse, long-running
+//	    join still delivers as it goes, without a timer goroutine or a
+//	    lock — or
 //	(c) the stream ends.
+//
+// A /v1/query answer arrives one leaf at a time (rtree.Leaf), and (a)
+// and (b) are applied once per leaf, after all its lines: the clock is
+// read once a leaf, and a flush under (a) carries flushBytes plus at
+// most one leaf's lines. A /v1/join answer applies them per pair line.
 //
 // (a) and (b) also call Flush, holding the connection (heldConn) so
 // that the write and the Flush leave in one socket write. A complete
@@ -36,7 +41,7 @@ import (
 // the chunk terminator in one socket write when the handler returns.
 // A pair line therefore waits for at most flushAge plus the gap to the
 // line after it, a match line for at most flushAge plus the gap to the
-// next leaf's first line (or, either, to the end of the stream).
+// next leaf (or, either, to the end of the stream).
 const (
 	flushBytes = 32 << 10
 	flushAge   = time.Millisecond
@@ -101,18 +106,39 @@ func (s *Server) newLineWriter(w http.ResponseWriter, r *http.Request, keeping b
 	return lw
 }
 
-// match appends one /v1/query match line, reporting whether the
-// producer should carry on.
-func (lw *lineWriter) match(m query.Match) bool {
-	if lw.err == nil && !wireable(m.Rect, m.Text) {
-		lw.err = errNonFinite
-	}
+// leaf appends the /v1/query match lines of one leaf's batch in one
+// loop and then applies rules (a) and (b), reporting whether the
+// producer should carry on. A leaf that has earned its text
+// (rtree.Leaf.Lines) gives each line but its constant framing, which is
+// copied around it; one that has not yet is rendered entry by entry.
+func (lw *lineWriter) leaf(l rtree.Leaf) bool {
 	if lw.err != nil {
 		return false
 	}
-	pending := len(lw.buf)
-	lw.buf = appendMatchLine(lw.buf, m)
-	return lw.appended(pending, m.First)
+	pending, b := len(lw.buf), lw.buf
+	if lines, ok := l.Lines(); ok {
+		for i := range l.Len() {
+			seg := lines.Line(i)
+			if seg == "" { // a rectangle with no wire form
+				lw.err = errNonFinite
+				return false
+			}
+			b = append(b, `{"oid":`...)
+			b = append(b, seg...)
+			b = append(b, '}', '\n')
+		}
+	} else {
+		for i := range l.Len() {
+			h := l.Hit(i)
+			if !h.Rect.Finite() {
+				lw.err = errNonFinite
+				return false
+			}
+			b = appendMatchLine(b, h.OID, h.Rect)
+		}
+	}
+	lw.buf = b
+	return lw.appended(pending)
 }
 
 // pair appends one /v1/join pair line, reporting whether the producer
@@ -126,19 +152,18 @@ func (lw *lineWriter) pair(p query.JoinPair) bool {
 	}
 	pending := len(lw.buf)
 	lw.buf = appendPairLine(lw.buf, p)
-	return lw.appended(pending, true)
+	return lw.appended(pending)
 }
 
 // wireable reports whether JSON can carry r. A rectangle that arrives
 // with its wire text was finite when the text was rendered.
 func wireable(r geom.Rect, text string) bool { return text != "" || r.Finite() }
 
-// appended applies rules (a) and (b) after a line went into buf, which
-// held pending bytes before it; a clocked line reads the clock first.
-func (lw *lineWriter) appended(pending int, clocked bool) bool {
-	if clocked {
-		lw.now = lw.since(lw.start)
-	}
+// appended applies rules (a) and (b) after a leaf's lines or a pair
+// line went into buf, which held pending bytes before them; it reads
+// the clock first.
+func (lw *lineWriter) appended(pending int) bool {
+	lw.now = lw.since(lw.start)
 	if pending == 0 {
 		lw.oldest = lw.now
 	}
@@ -257,12 +282,13 @@ func (lw *lineWriter) end(complete bool) {
 	lineWriters.Put(lw)
 }
 
-// appendMatchLine renders {"oid":…,"rect":[…]} and a newline.
-func appendMatchLine(b []byte, m query.Match) []byte {
+// appendMatchLine renders {"oid":…,"rect":[…]} and a newline for a
+// finite rectangle.
+func appendMatchLine(b []byte, oid uint64, r geom.Rect) []byte {
 	b = append(b, `{"oid":`...)
-	b = strconv.AppendUint(b, m.OID, 10)
+	b = strconv.AppendUint(b, oid, 10)
 	b = append(b, `,"rect":`...)
-	b = appendRect(b, m.Rect, m.Text)
+	b = r.AppendWire(b)
 	return append(b, '}', '\n')
 }
 

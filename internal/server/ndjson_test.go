@@ -15,7 +15,9 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/workload"
 )
@@ -61,11 +63,60 @@ func (c *steppedClock) since(start time.Time) time.Duration {
 	return c.t.Sub(start)
 }
 
-func testMatch(i int) query.Match { return query.Match{OID: uint64(i), Rect: testRect(i)} }
-
 func testRect(i int) geom.Rect {
 	x := float64(i%1000) + 0.25
 	return geom.R(x, x+1, x+10.5, x+20)
+}
+
+// leafSearcher is the per-leaf traversal of the trees the tests build.
+type leafSearcher interface {
+	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error)
+}
+
+// testLeaf returns the whole batch of a one-leaf R-tree holding
+// testRect(i) under oid i for each i in [from, from+n), as a query
+// hands it to the line writer. A fresh leaf has not earned its text:
+// its first batch is rendered entry by entry.
+func testLeaf(t testing.TB, from, n int) rtree.Leaf {
+	t.Helper()
+	ps := 128
+	for rtree.CapacityForPageSize(ps) < max(n, 4) {
+		ps += 40
+	}
+	idx, err := index.NewWithPageSize(index.KindRTree, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := from; i < from+n; i++ {
+		if err := idx.Insert(testRect(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return wholeLeaf(t, idx)
+}
+
+// wholeLeaf returns the batch of idx's first leaf under no test; the
+// traversal that found it is over, so the batch is the caller's.
+func wholeLeaf(t testing.TB, idx index.Index) rtree.Leaf {
+	t.Helper()
+	var l rtree.Leaf
+	all := mbr.Func(nil)
+	if _, err := idx.(leafSearcher).SearchPreds(context.Background(), all, all, func(b rtree.Leaf) bool {
+		l = b
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// leafLines renders l's lines as the slow path does, entry by entry.
+func leafLines(b []byte, l rtree.Leaf) []byte {
+	for i := range l.Len() {
+		h := l.Hit(i)
+		b = appendMatchLine(b, h.OID, h.Rect)
+	}
+	return b
 }
 
 // TestLineWriterFlushContract pins the three rules: nothing reaches
@@ -83,12 +134,10 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("small answer is one write at the end", func(t *testing.T) {
 		lw, rec, _ := start()
-		var want []byte
-		for i := 0; i < 200; i++ {
-			if !lw.match(testMatch(i)) {
-				t.Fatal("match reported a failure")
-			}
-			want = appendMatchLine(want, testMatch(i))
+		l := testLeaf(t, 0, 200)
+		want := leafLines(nil, l)
+		if !lw.leaf(l) {
+			t.Fatal("leaf reported a failure")
 		}
 		if len(rec.writes) != 0 {
 			t.Fatalf("%d writes before the end of a %d-byte stream, want 0", len(rec.writes), len(want))
@@ -135,16 +184,16 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("an end under smallEnd is written without a Flush", func(t *testing.T) {
 		lw, rec, clock := start()
-		lw.match(leafMatch(1))
+		lw.leaf(testLeaf(t, 1, 1))
 		clock.t = clock.t.Add(flushAge)
-		lw.match(leafMatch(2))
-		lw.match(leafMatch(3))
+		lw.leaf(testLeaf(t, 2, 1))
+		lw.leaf(testLeaf(t, 3, 1))
 		lw.endQuery(&QueryLine{Stats: &WireStats{}})
 		if len(rec.writes) != 2 || rec.flushes != 1 || rec.header.Get("Content-Length") != "" {
 			t.Fatalf("%d writes, %d Flush calls, Content-Length %q, want 2, 1 and none", len(rec.writes), rec.flushes, rec.header.Get("Content-Length"))
 		}
 		lw, rec, _ = start()
-		lw.match(leafMatch(1))
+		lw.leaf(testLeaf(t, 1, 1))
 		lw.endQuery(&QueryLine{Stats: &WireStats{}})
 		if len(rec.writes) != 1 || rec.flushes != 0 || rec.header.Get("Content-Length") == "" {
 			t.Fatalf("a one-line answer made %d writes and %d Flush calls, Content-Length %q, want one sized write and no Flush", len(rec.writes), rec.flushes, rec.header.Get("Content-Length"))
@@ -153,14 +202,14 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("a line older than a millisecond goes out with the next", func(t *testing.T) {
 		lw, rec, clock := start()
-		lw.match(leafMatch(1))
+		lw.leaf(testLeaf(t, 1, 1))
 		clock.t = clock.t.Add(flushAge / 2)
-		lw.match(leafMatch(2))
+		lw.leaf(testLeaf(t, 2, 1))
 		if len(rec.writes) != 0 {
 			t.Fatalf("%d writes while the oldest line is %s old", len(rec.writes), flushAge/2)
 		}
 		clock.t = clock.t.Add(2 * time.Millisecond)
-		lw.match(leafMatch(3))
+		lw.leaf(testLeaf(t, 3, 1))
 		if len(rec.writes) != 1 || rec.flushes != 1 {
 			t.Fatalf("%d writes and %d Flush calls after a 2 ms gap, want 1 and 1", len(rec.writes), rec.flushes)
 		}
@@ -168,7 +217,7 @@ func TestLineWriterFlushContract(t *testing.T) {
 			t.Fatalf("aged write carries %d lines, want all 3", got)
 		}
 		// The age is the oldest pending line's: the clock starts again.
-		lw.match(leafMatch(4))
+		lw.leaf(testLeaf(t, 4, 1))
 		if len(rec.writes) != 1 {
 			t.Fatal("a fresh line was written at once")
 		}
@@ -177,10 +226,8 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("a match line reads the clock only as its leaf's first", func(t *testing.T) {
 		lw, _, clock := start()
-		for i := 0; i < 200; i++ { // 10 leaves of 20 matches
-			m := testMatch(i)
-			m.First = i%20 == 0
-			lw.match(m)
+		for i := 0; i < 10; i++ { // 10 leaves of 20 matches
+			lw.leaf(testLeaf(t, 20*i, 20))
 		}
 		if clock.reads > 11 {
 			t.Fatalf("200 match lines from 10 leaves read the clock %d times, want at most 11", clock.reads)
@@ -190,14 +237,12 @@ func TestLineWriterFlushContract(t *testing.T) {
 
 	t.Run("a leaf's first line a millisecond after the oldest pending one flushes", func(t *testing.T) {
 		lw, rec, clock := start()
-		lw.match(leafMatch(1))
-		lw.match(testMatch(2))
+		lw.leaf(testLeaf(t, 1, 2))
 		clock.t = clock.t.Add(flushAge)
-		lw.match(testMatch(3)) // same leaf: no reading, so it waits
 		if len(rec.writes) != 0 {
 			t.Fatalf("%d writes before the next leaf's first line", len(rec.writes))
 		}
-		lw.match(leafMatch(4))
+		lw.leaf(testLeaf(t, 3, 2))
 		if len(rec.writes) != 1 || rec.flushes != 1 || bytes.Count(rec.writes[0], []byte("\n")) != 4 {
 			t.Fatalf("%d writes and %d Flush calls at the next leaf's first line, want 1 and 1 with all 4 lines", len(rec.writes), rec.flushes)
 		}
@@ -324,7 +369,7 @@ func TestResponseFraming(t *testing.T) {
 	rec := newRecorder()
 	lw := srv.newLineWriter(rec, inProcess, false)
 	for i := 0; len(rec.writes) == 0; i++ {
-		lw.match(testMatch(i))
+		lw.leaf(testLeaf(t, 100*i, 100))
 	}
 	lw.endQuery(&QueryLine{Stats: &WireStats{}})
 	if cl := rec.header.Get("Content-Length"); cl != "" {
@@ -332,7 +377,7 @@ func TestResponseFraming(t *testing.T) {
 	}
 	rec = newRecorder()
 	lw = srv.newLineWriter(rec, inProcess, false)
-	lw.match(testMatch(1))
+	lw.leaf(testLeaf(t, 1, 1))
 	lw.endQuery(nil)
 	if cl := rec.header.Get("Content-Length"); cl != "" {
 		t.Fatalf("a stream cut short declared Content-Length %s", cl)
@@ -387,13 +432,6 @@ func (w *slowWriter) Write(p []byte) (int, error) {
 }
 
 func (w *slowWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
-
-// leafMatch is testMatch as the first match of its leaf.
-func leafMatch(i int) query.Match {
-	m := testMatch(i)
-	m.First = true
-	return m
-}
 
 // TestWriteErrorStopsProducer drives the handlers against a connection
 // whose first write fails: the traversal must stop there (yield
@@ -455,20 +493,37 @@ func (discard) WriteHeader(int)             {}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func (discard) Flush()                      {}
 
-// TestLineWriterZeroAllocs keeps the per-line path free of heap
-// allocations: a fmt.Sprintf or json.Encoder creeping back in fails
-// here, in tier 1.
+// TestLineWriterZeroAllocs keeps the per-line paths free of heap
+// allocations — a leaf's lines rendered entry by entry and copied from
+// its earned text, and pair lines: a fmt.Sprintf or json.Encoder
+// creeping back in fails here, in tier 1.
 func TestLineWriterZeroAllocs(t *testing.T) {
 	srv := New(Config{})
 	lw := srv.newLineWriter(discard{header: make(http.Header)}, inProcess, false)
 	defer lw.end(false)
 	p := query.JoinPair{LeftOID: 123456, RightOID: 654321, LeftRect: testRect(17), RightRect: testRect(401)}
+	// A leaf handed over once has not earned its text: one fresh leaf
+	// for each run, and the warm-up's.
+	var fresh []rtree.Leaf
+	for k := 0; k < 11; k++ {
+		fresh = append(fresh, testLeaf(t, 1000*k, 1000))
+	}
 	if n := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			lw.match(testMatch(i))
+		if l := fresh[len(fresh)-1]; lw.leaf(l) {
+			fresh = fresh[:len(fresh)-1]
 		}
 	}); n != 0 {
-		t.Errorf("1000 match lines cost %v allocations, want 0", n)
+		t.Errorf("1000 match lines rendered entry by entry cost %v allocations, want 0", n)
+	}
+	earned := testLeaf(t, 0, 1000)
+	for k := 0; k < 2; k++ {
+		lw.leaf(earned)
+	}
+	if _, ok := earned.Lines(); !ok {
+		t.Fatal("a leaf asked for its text twice over has not earned it")
+	}
+	if n := testing.AllocsPerRun(10, func() { lw.leaf(earned) }); n != 0 {
+		t.Errorf("1000 match lines copied from the leaf's text cost %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {

@@ -12,7 +12,7 @@ import (
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
-	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 	"mbrtopo/internal/wal"
 	"mbrtopo/internal/workload"
@@ -61,13 +61,18 @@ func sameBodyEveryTime(t *testing.T, url string, req any, sorted bool) []byte {
 // earned theirs. The scan itself is a consumer: it earns too.
 func textServed(t *testing.T, inst *Instance) (with, all int) {
 	t.Helper()
-	_, err := inst.ReadProc().Stream(context.Background(), topo.NewSet(topo.All()...), geom.R(-1, -1, 1001, 1001), 0,
-		func(m query.Match) bool {
-			all++
-			if m.Text != "" {
-				with++
-				if want := string(m.Rect.AppendWire(nil)); m.Text != want {
-					t.Fatalf("oid %d: text %s beside rectangle %s", m.OID, m.Text, want)
+	_, err := inst.ReadProc().StreamLeaves(context.Background(), topo.NewSet(topo.All()...), geom.R(-1, -1, 1001, 1001), 0,
+		func(l rtree.Leaf) bool {
+			all += l.Len()
+			lines, ok := l.Lines()
+			if !ok {
+				return true
+			}
+			with += l.Len()
+			for i := range l.Len() {
+				h := l.Hit(i)
+				if want := fmt.Sprintf(`%d,"rect":%s`, h.OID, h.Rect.AppendWire(nil)); lines.Line(i) != want {
+					t.Fatalf("oid %d: text %s beside %s", h.OID, lines.Line(i), want)
 				}
 			}
 			return true
@@ -164,7 +169,7 @@ func TestAnswersUnchangedAsLeavesEarnText(t *testing.T) {
 			at := geom.R(cx-0.125, cy-0.125, cx+0.375, cy+0.25)
 			moved := geom.R(cx-1.5, cy-2.25, cx+0.0625, cy+0.03125)
 			line := func(r geom.Rect) []byte {
-				return appendMatchLine(nil, query.Match{OID: oid, Rect: r})
+				return appendMatchLine(nil, oid, r)
 			}
 			post := func(path string, req UpdateRequest) {
 				t.Helper()

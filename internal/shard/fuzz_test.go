@@ -9,6 +9,7 @@ import (
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/query"
+	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
 
@@ -21,8 +22,12 @@ type stretchedTile struct {
 
 func (t stretchedTile) Bounds() (geom.Rect, bool) { return t.bounds, true }
 
+func (t stretchedTile) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error) {
+	return t.Index.(tileSearcher).SearchPreds(ctx, node, leaf, emit)
+}
+
 // FuzzTilePrune attacks the router's tile elimination on the path
-// queries take: Processor.Stream hands Sharded.SearchCtx the node
+// queries take: Processor.Stream hands Sharded.SearchPreds the node
 // predicate of Processor.filterPreds — domination pre-test, then the
 // Table 2 propagation probe (the partition-region test for an R+
 // tile) — and the router applies it to each tile's bounds. If a member

@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/rtree"
 )
 
@@ -22,25 +24,47 @@ func (s *Sharded) SearchCtx(ctx context.Context, nodePred, leafPred func(geom.Re
 	return s.SearchHits(ctx, nodePred, leafPred, func(h rtree.Hit) bool { return emit(h.Rect, h.OID) })
 }
 
-// SearchHits fans the traversal out to every tile whose bounds satisfy
-// the node predicate and merges the emissions. A tile's bounds cover
-// all its members, so applying the caller's node predicate to them is
-// exactly the root-rectangle test a single tree would run first: for
-// covering kinds the predicate is the Table 2 propagation test, for
-// partition kinds the region-feasibility test — both conservative on a
-// covering rectangle, so pruning never loses an answer.
-//
-// Emissions from concurrent tile traversals are serialized, so the
-// emit callback needs no locking of its own; merged stats are the
-// element-wise sum of the per-tile traversals.
+// SearchHits is SearchTiles without the per-tile stats.
 func (s *Sharded) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (rtree.TraversalStats, error) {
 	_, merged, err := s.SearchTiles(ctx, nodePred, leafPred, emit)
 	return merged, err
 }
 
-// SearchTiles is SearchHits returning the per-tile traversal stats next
-// to their sum (index i belongs to tile i; pruned tiles stay zero).
+// SearchTiles is SearchPreds one hit at a time (rtree.PerHit) under
+// tests given as funcs, returning the per-tile traversal stats next to
+// their sum (index i belongs to tile i; pruned tiles stay zero).
 func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) ([]rtree.TraversalStats, rtree.TraversalStats, error) {
+	var perTile []rtree.TraversalStats
+	merged, err := rtree.PerHit(emit, func(leaves func(rtree.Leaf) bool) (ts rtree.TraversalStats, err error) {
+		perTile, ts, err = s.searchTiles(ctx, mbr.Func(nodePred), mbr.Func(leafPred), leaves)
+		return ts, err
+	})
+	return perTile, merged, err
+}
+
+// SearchPreds fans the traversal out to every tile whose bounds satisfy
+// the node test and merges the emissions. A tile's bounds cover all
+// its members, so applying the caller's node test to them is exactly
+// the root-rectangle test a single tree would run first: for covering
+// kinds the test is the Table 2 propagation, for partition kinds the
+// region-feasibility test — both conservative on a covering rectangle,
+// so pruning never loses an answer.
+//
+// Each tile hands over its leaves one batch at a time (rtree.Leaf), and
+// batches from concurrent tile traversals are serialized, so the emit
+// callback needs no locking of its own; merged stats are the
+// element-wise sum of the per-tile traversals.
+func (s *Sharded) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error) {
+	_, merged, err := s.searchTiles(ctx, node, leaf, emit)
+	return merged, err
+}
+
+// tileSearcher is the one traversal of a tile's tree.
+type tileSearcher interface {
+	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error)
+}
+
+func (s *Sharded) searchTiles(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) ([]rtree.TraversalStats, rtree.TraversalStats, error) {
 	tiles := s.Tiles()
 	perTile := make([]rtree.TraversalStats, len(tiles))
 	errs := make([]error, len(tiles))
@@ -51,13 +75,13 @@ func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.
 		mu      sync.Mutex
 		stopped bool
 	)
-	guard := func(h rtree.Hit) bool {
+	guard := func(l rtree.Leaf) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if stopped {
 			return false
 		}
-		if !emit(h) {
+		if !emit(l) {
 			stopped = true
 			cancel()
 			return false
@@ -68,7 +92,7 @@ func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.
 	var wg sync.WaitGroup
 	for i, t := range tiles {
 		b, ok := t.Bounds()
-		if !ok || (nodePred != nil && !nodePred(b)) {
+		if !ok || !node.Has(b) {
 			s.pruned.Add(1)
 			continue
 		}
@@ -76,7 +100,12 @@ func (s *Sharded) SearchTiles(ctx context.Context, nodePred, leafPred func(geom.
 		wg.Add(1)
 		go func(i int, t index.Index) {
 			defer wg.Done()
-			perTile[i], errs[i] = t.SearchHits(searchCtx, nodePred, leafPred, guard)
+			ts, ok := t.(tileSearcher)
+			if !ok {
+				errs[i] = fmt.Errorf("shard: tile %d (%s) has no SearchPreds", i, t.Name())
+				return
+			}
+			perTile[i], errs[i] = ts.SearchPreds(searchCtx, node, leaf, guard)
 		}(i, t)
 	}
 	wg.Wait()
