@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"mbrtopo/internal/geom"
+	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/rtree"
 )
@@ -37,14 +38,19 @@ type Index interface {
 	InsertBatch(recs []rtree.Record) error
 	// Delete removes the entry with exactly this rectangle and id.
 	Delete(r geom.Rect, oid uint64) error
-	// SearchHits traverses the structure, descending into internal
-	// entries whose rectangles satisfy nodePred and emitting leaf entries
-	// whose rectangles satisfy leafPred, until emit returns false. An
-	// R+-tree emits a registration in every leaf its rectangle reaches
-	// (rtree.Registrations sees it once). It is the one traversal entry
-	// point: context cancellation (ctx.Err() with the stats so far), exact
-	// per-traversal IO accounting, and leaf hits that can hand over their
-	// rectangle's wire text (rtree.Hit.Text) to an emit that asks for it.
+	// SearchPreds is the one traversal: it descends into internal
+	// entries whose rectangles pass node and hands emit, once per leaf,
+	// the entries that pass leaf (rtree.Leaf), until emit returns false.
+	// The tests are values (mbr.Pred): each entry meets a test's corner
+	// window inline and calls only a probe behind it. An R+-tree hands
+	// over a registration in every leaf its rectangle reaches
+	// (rtree.Registrations sees it once). Context cancellation returns
+	// ctx.Err() with the stats so far, and the IO accounting is exact per
+	// traversal.
+	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (TraversalStats, error)
+	// SearchHits is SearchPreds one hit at a time (rtree.PerHit), under
+	// tests given as funcs; a hit can hand over its rectangle's wire text
+	// (rtree.Hit.Text) to an emit that asks for it.
 	SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect) bool, emit func(rtree.Hit) bool) (TraversalStats, error)
 	// SearchCtx is SearchHits for an emit that takes the rectangle and
 	// the object id, and Search is SearchCtx without context or stats.

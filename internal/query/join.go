@@ -33,7 +33,13 @@ type JoinOptions struct {
 	// join returns filter-level candidate pairs (configurations
 	// admissible for the relation set).
 	LeftObjects, RightObjects ObjectStore
-	// NonContiguous selects the Section 7 candidate tables.
+	// NonContiguous selects the Section 7 candidate tables. It is the
+	// caller's statement that stored objects may have several
+	// components, as Processor.NonContiguous is: the join does not look
+	// at the objects to find out. Without it, the archipelago
+	// {[0,1]×[1,2], [4,5]×[1,2]} and the bar [2,3]×[0,4], which are
+	// disjoint, join as overlap (both ordered pairs direct-accepted)
+	// and not as disjoint; with it, as disjoint and not as overlap.
 	NonContiguous bool
 	// KeepSelfPairs keeps (o, o) pairs in self-joins (by default a pair
 	// with equal OIDs from joining an index with itself is dropped).

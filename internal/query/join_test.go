@@ -2,9 +2,8 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"sort"
+	"runtime"
 	"testing"
 
 	"mbrtopo/internal/geom"
@@ -96,84 +95,43 @@ func joinScenario(t *testing.T, seed int64, n int) (MapStore, map[uint64]geom.Re
 	return store, rects, idx
 }
 
-type pairKey struct{ a, b uint64 }
-
-func sortPairs(ps []pairKey) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].a != ps[j].a {
-			return ps[i].a < ps[j].a
-		}
-		return ps[i].b < ps[j].b
-	})
+// buildJoinIndex loads items into a tree of the kind at page size 512.
+func buildJoinIndex(t *testing.T, kind index.Kind, items []index.Item) index.Index {
+	t.Helper()
+	idx, err := index.NewWithPageSize(kind, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := index.Load(idx, items); err != nil {
+		t.Fatal(err)
+	}
+	return idx
 }
 
-// TestJoinTopologicalAgainstBruteForce: filter-level and refined joins
-// must match the n² ground truth, for two indexes and for a self-join.
-func TestJoinTopologicalAgainstBruteForce(t *testing.T) {
-	lStore, lRects, lIdx := joinScenario(t, 5, 220)
-	rStore, rRects, rIdx := joinScenario(t, 9, 180)
+type pairKey struct{ a, b uint64 }
 
-	for _, rel := range []topo.Relation{topo.Overlap, topo.Meet, topo.Inside, topo.Contains, topo.Equal} {
-		rels := topo.NewSet(rel)
-		// Filter-level ground truth: admissible MBR configurations.
-		var wantFilter []pairKey
-		for lo, lr := range lRects {
-			for ro, rr := range rRects {
-				if mbr.CandidatesSet(rels).Has(mbr.ConfigOf(lr, rr)) {
-					wantFilter = append(wantFilter, pairKey{lo, ro})
-				}
-			}
+// joinPairSet collects a result's pairs, failing on duplicates.
+func joinPairSet(t *testing.T, label string, pairs []JoinPair) map[pairKey]bool {
+	t.Helper()
+	set := make(map[pairKey]bool, len(pairs))
+	for _, p := range pairs {
+		k := pairKey{p.LeftOID, p.RightOID}
+		if set[k] {
+			t.Fatalf("%s: duplicate pair %v", label, k)
 		}
-		res, err := JoinTopological(lIdx, rIdx, rels, JoinOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]pairKey, len(res.Pairs))
-		for i, p := range res.Pairs {
-			got[i] = pairKey{p.LeftOID, p.RightOID}
-		}
-		sortPairs(got)
-		sortPairs(wantFilter)
-		if len(got) != len(wantFilter) {
-			t.Fatalf("%v: filter join %d pairs, want %d", rel, len(got), len(wantFilter))
-		}
-		for i := range got {
-			if got[i] != wantFilter[i] {
-				t.Fatalf("%v: pair %d mismatch", rel, i)
-			}
-		}
-		if res.Stats.NodeAccesses == 0 {
-			t.Fatalf("%v: no I/O counted", rel)
-		}
+		set[k] = true
+	}
+	return set
+}
 
-		// Refined ground truth: exact relation.
-		var wantExact []pairKey
-		for lo, lp := range lStore {
-			for ro, rp := range rStore {
-				if geom.Relate(lp, rp) == rel {
-					wantExact = append(wantExact, pairKey{lo, ro})
-				}
-			}
-		}
-		res, err = JoinTopological(lIdx, rIdx, rels, JoinOptions{
-			LeftObjects: lStore, RightObjects: rStore,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = got[:0]
-		for _, p := range res.Pairs {
-			got = append(got, pairKey{p.LeftOID, p.RightOID})
-		}
-		sortPairs(got)
-		sortPairs(wantExact)
-		if len(got) != len(wantExact) {
-			t.Fatalf("%v: refined join %d pairs, want %d", rel, len(got), len(wantExact))
-		}
-		for i := range got {
-			if got[i] != wantExact[i] {
-				t.Fatalf("%v: refined pair %d mismatch", rel, i)
-			}
+func samePairSet(t *testing.T, label string, want, got map[pairKey]bool) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d pairs, want %d", label, len(got), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("%s: missing pair %v", label, k)
 		}
 	}
 }
@@ -187,26 +145,15 @@ func TestSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []pairKey
+	want := map[pairKey]bool{}
 	for a, pa := range store {
 		for b, pb := range store {
 			if a != b && geom.Relate(pa, pb) == topo.Overlap {
-				want = append(want, pairKey{a, b})
+				want[pairKey{a, b}] = true
 			}
 		}
 	}
-	got := make([]pairKey, len(res.Pairs))
-	for i, p := range res.Pairs {
-		got[i] = pairKey{p.LeftOID, p.RightOID}
-		if p.LeftOID == p.RightOID {
-			t.Fatal("self pair kept without KeepSelfPairs")
-		}
-	}
-	sortPairs(got)
-	sortPairs(want)
-	if len(got) != len(want) {
-		t.Fatalf("self-join: %d pairs, want %d", len(got), len(want))
-	}
+	samePairSet(t, "self-join", want, joinPairSet(t, "self-join", res.Pairs))
 
 	// KeepSelfPairs + equal: every object pairs with itself.
 	res, err = JoinTopological(idx, idx, topo.NewSet(topo.Equal), JoinOptions{
@@ -240,6 +187,60 @@ func TestJoinPruningEffective(t *testing.T) {
 	nested := uint64(300 * lIdx.Height())
 	if res.Stats.NodeAccesses*2 > nested {
 		t.Fatalf("join read %d pages, nested baseline %d", res.Stats.NodeAccesses, nested)
+	}
+}
+
+// TestJoinStreamAPI: the streaming join agrees with the batch join when
+// drained, and a declined yield ends the traversal on the spot and
+// leaves nothing running.
+func TestJoinStreamAPI(t *testing.T) {
+	lStore, _, lIdx := joinScenario(t, 31, 240)
+	rStore, _, rIdx := joinScenario(t, 32, 200)
+	rels := topo.NewSet(topo.Overlap)
+	opts := JoinOptions{LeftObjects: lStore, RightObjects: rStore}
+
+	batch, err := JoinTopological(lIdx, rIdx, rels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := joinPairSet(t, "batch", batch.Pairs)
+	if len(want) == 0 {
+		t.Fatal("scenario produced no pairs; tests below would be vacuous")
+	}
+
+	base := runtime.NumGoroutine()
+	var got []JoinPair
+	if _, err := JoinStream(context.Background(), lIdx, rIdx, rels, opts, func(p JoinPair) bool {
+		got = append(got, p)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	samePairSet(t, "stream", want, joinPairSet(t, "stream", got))
+
+	// Refined and parallel, abandoned at the third pair: exactly three
+	// are delivered and no worker outlives the call.
+	n := 0
+	if _, err := JoinStream(context.Background(), lIdx, rIdx, rels, opts, func(JoinPair) bool {
+		n++
+		return n < 3
+	}); err != nil || n != 3 {
+		t.Fatalf("join stopped at the third pair: err %v, %d pairs delivered", err, n)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after the stop, %d before", n, base)
+	}
+
+	// Filter-only and serial, so that the third pair stops the engine
+	// on the spot and the page count is deterministic.
+	n = 0
+	stats, err := JoinStream(context.Background(), lIdx, rIdx, rels, JoinOptions{Workers: 1}, func(JoinPair) bool {
+		n++
+		return n < 3
+	})
+	if err != nil || stats.NodeAccesses >= batch.Stats.NodeAccesses {
+		t.Fatalf("join stopped after 3 pairs: err %v, %d pages read, full join %d",
+			err, stats.NodeAccesses, batch.Stats.NodeAccesses)
 	}
 }
 
@@ -335,95 +336,4 @@ func TestJoinFiguresPinned(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestJoinMatchesBruteForce: the filter-level join of two medium packed
-// R*-trees returns exactly the pairs whose MBR configuration an
-// all-pairs scan finds in the relation set's Table 1 row — an oracle
-// that runs neither the engine nor the pair test — for every relation
-// but disjoint and two sets, under the contiguous and the Section 7
-// tables, and for a self-join that keeps its (o, o) pairs. One right
-// object in ten copies its left namesake or grows it from the same low
-// corner, so equal MBRs and level low edges occur across the trees too.
-func TestJoinMatchesBruteForce(t *testing.T) {
-	const n = 2000
-	var (
-		rects [2][]geom.Rect // by OID − 1
-		idx   [2]index.Index
-	)
-	for i, seed := range []int64{7, 8} {
-		items := workload.NewDataset(workload.Medium, n, 0, seed).Items
-		rects[i] = make([]geom.Rect, n)
-		for k, it := range items {
-			if i == 1 && it.OID%20 == 0 {
-				items[k].Rect = rects[0][it.OID-1]
-			} else if i == 1 && it.OID%20 == 10 {
-				items[k].Rect = rects[0][it.OID-1]
-				items[k].Rect.Max = items[k].Rect.Max.Add(geom.Point{X: 1, Y: 1})
-			}
-			rects[i][it.OID-1] = items[k].Rect
-		}
-		tr, err := index.NewPacked(index.KindRStar, index.PaperPageSize, items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx[i] = tr
-	}
-	// configs(l, r)[a*n+b] is the configuration index of l[a] against r[b].
-	configs := func(l, r []geom.Rect) []uint8 {
-		out := make([]uint8, 0, n*n)
-		for _, a := range l {
-			for _, b := range r {
-				out = append(out, uint8(mbr.ConfigOf(a, b).Index()))
-			}
-		}
-		return out
-	}
-	check := func(label string, left, right index.Index, cfgs []uint8, rels topo.Set, opts JoinOptions) {
-		t.Helper()
-		res, err := JoinTopological(left, right, rels, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := mbr.CandidatesSet(rels)
-		if opts.NonContiguous {
-			cands = mbr.CandidatesNonContiguousSet(rels)
-		}
-		got := make([]bool, n*n)
-		for _, p := range res.Pairs {
-			k := (p.LeftOID-1)*n + p.RightOID - 1
-			if got[k] {
-				t.Fatalf("%s: pair (%d, %d) emitted twice", label, p.LeftOID, p.RightOID)
-			}
-			got[k] = true
-		}
-		want := 0
-		for k, c := range cfgs {
-			in := cands.Has(mbr.ConfigFromIndex(int(c)))
-			if in {
-				want++
-			}
-			if in != got[k] {
-				t.Fatalf("%s: pair (%d, %d) in configuration %v: joined %v, Table 1 says %v",
-					label, k/n+1, k%n+1, mbr.ConfigFromIndex(int(c)), got[k], in)
-			}
-		}
-		if want == 0 {
-			t.Errorf("%s: no pair qualifies; the check proves nothing", label)
-		}
-	}
-
-	cross := configs(rects[0], rects[1])
-	sets := []topo.Set{topo.NewSet(topo.Inside, topo.CoveredBy), topo.NewSet(topo.Contains, topo.Equal)}
-	for _, r := range topo.All() {
-		if r != topo.Disjoint {
-			sets = append(sets, topo.NewSet(r))
-		}
-	}
-	for _, nonContig := range []bool{false, true} {
-		for _, rels := range sets {
-			check(fmt.Sprintf("%v, non-contiguous %v", rels, nonContig), idx[0], idx[1], cross, rels, JoinOptions{NonContiguous: nonContig})
-		}
-	}
-	check("self-join, covered_by", idx[0], idx[0], configs(rects[0], rects[0]), topo.NewSet(topo.CoveredBy), JoinOptions{KeepSelfPairs: true})
 }

@@ -80,7 +80,9 @@ func TestNonContiguousStatsAccounting(t *testing.T) {
 // the Section 7 rows from the reference's type, so it finds the
 // polygon, by exact geometry rather than a direct accept; a
 // conjunction over that reference, which Table 4 (a composition of
-// simple regions) no longer judges, finds it too.
+// simple regions) no longer judges, finds it too. Stored side by side,
+// the two join as disjoint, and not as overlap, under
+// JoinOptions.NonContiguous: the join reads no object's type.
 func TestMultiPolygonReferenceBetweenComponents(t *testing.T) {
 	between := geom.R(2, 0, 3, 4).Polygon()
 	ref := geom.MultiPolygon{geom.R(0, 1, 1, 2).Polygon(), geom.R(4, 1, 5, 2).Polygon()}
@@ -113,5 +115,16 @@ func TestMultiPolygonReferenceBetweenComponents(t *testing.T) {
 	}
 	if res.Stats.ShortCircuited || len(res.Matches) != 1 {
 		t.Fatalf("disjoint from the archipelago ∧ overlapping a square: %d matches, %+v", len(res.Matches), res.Stats)
+	}
+	// Stored, the two join as disjoint under the Section 7 tables.
+	if err := idx.Insert(ref.Bounds(), 2); err != nil {
+		t.Fatal(err)
+	}
+	objs := RegionStore{1: between, 2: ref}
+	for rel, want := range map[topo.Relation]int{topo.Disjoint: 2, topo.Overlap: 0} {
+		res, err := JoinTopological(idx, idx, topo.NewSet(rel), JoinOptions{LeftObjects: objs, RightObjects: objs, NonContiguous: true})
+		if err != nil || len(res.Pairs) != want {
+			t.Errorf("non-contiguous self-join, %v: %d pairs, want %d (%v)", rel, len(res.Pairs), want, err)
+		}
 	}
 }

@@ -209,14 +209,6 @@ func (p *Processor) filterPreds(t *setTests, refMBR geom.Rect) (node, leaf mbr.P
 	return node, t.leaf.Pred(refMBR)
 }
 
-// predSearcher is the traversal entry point that takes the tests as
-// values and hands over one leaf's passing entries per call (rtree's
-// trees and shard's tiles have it): each entry meets a test's window
-// inline and calls only a probe behind it.
-type predSearcher interface {
-	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error)
-}
-
 // descend is the filter descent of steps 2 and 3, and the only
 // traversal in the package: every query class — streamed or
 // materialised, one term or two, region, line, direction or point —
@@ -233,10 +225,6 @@ type predSearcher interface {
 // an error, cancellation included (checked before every node), the
 // stats cover the pages read up to that point.
 func (p *Processor) descend(ctx context.Context, node, leaf mbr.Pred, limit int, yield func(rtree.Leaf) bool) (Stats, error) {
-	s, ok := p.Idx.(predSearcher)
-	if !ok {
-		return Stats{}, fmt.Errorf("query: filter step: %s has no SearchPreds", p.Idx.Name())
-	}
 	emitted := 0
 	emit := func(l rtree.Leaf) bool {
 		if limit > 0 && l.Len() > limit-emitted {
@@ -251,7 +239,7 @@ func (p *Processor) descend(ctx context.Context, node, leaf mbr.Pred, limit int,
 	if !p.Idx.CoveringNodeRects() {
 		emit = rtree.Registrations(emit)
 	}
-	ts, err := s.SearchPreds(ctx, node, leaf, emit)
+	ts, err := p.Idx.SearchPreds(ctx, node, leaf, emit)
 	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted, Explain: explainSingle}
 	if err != nil {
 		return stats, fmt.Errorf("query: filter step: %w", err)

@@ -153,16 +153,12 @@ func adoptFlat(t *testing.T, idx index.Index, kind index.Kind, pageSize int) ind
 // window entry point (SearchPreds, the path descend takes) and through
 // SearchHits with the tests' Has — and fails unless the two yield the
 // same hits, leaf positions included, in the same order, with equal
-// TraversalStats. An index without the entry point (tiles) has one path.
+// TraversalStats.
 func samePaths(t *testing.T, label string, idx index.Index, node, leaf mbr.Pred) {
 	t.Helper()
-	s, ok := idx.(predSearcher)
-	if !ok {
-		return
-	}
 	var byWindow, byFunc []rtree.Hit
 	ctx := context.Background()
-	ws, err := s.SearchPreds(ctx, node, leaf, func(l rtree.Leaf) bool {
+	ws, err := idx.SearchPreds(ctx, node, leaf, func(l rtree.Leaf) bool {
 		for i := range l.Len() {
 			byWindow = append(byWindow, l.Hit(i))
 		}

@@ -73,14 +73,17 @@ type qsim struct {
 	trees            []*qtree
 	regions          RegionStore
 	lines            LineStore
-	lattice          map[uint64]geom.Polygon // a polygon before the map
-	cells            map[uint64][][2]int     // the unit cells it covers
-	rect             map[uint64]geom.Rect    // an object's MBR
-	refs             []geom.Region           // stored, variant, fresh, multi-polygon, far, flank
-	memo             map[[2]uint64]int       // the scan's verdicts on (oid, ref) this step
-	seen             map[string]bool         // classes with a non-empty answer
-	sum              Stats                   // the relation sets' step-4 counters
+	lattice          map[uint64]geom.Polygon     // a polygon before the map
+	cells            map[uint64][][2]int         // the unit cells it covers
+	rect             map[uint64]geom.Rect        // an object's MBR
+	refs             []geom.Region               // stored, variant, fresh, multi-polygon, far, flank
+	memo             map[[2]uint64]int           // the scan's verdicts on (oid, ref) this step
+	pairs            map[[2]uint64]topo.Relation // the scan's verdicts on pairs of objects
+	knn              []geom.Point                // this step's kNN query points
+	seen             map[string]bool             // classes with a non-empty answer
+	sum              Stats                       // the relation sets' step-4 counters
 	refused, nextOID int
+	beyondTable4     int // non-empty conjunctions over a multi-polygon reference that Table 4 calls empty
 }
 
 // newQuerySim starts an empty store under the seed's map.
@@ -91,7 +94,7 @@ func newQuerySim(t *testing.T, seed int64, kind index.Kind) *qsim {
 		// exactly (ROADMAP item 12).
 		s: []float64{1e-4, 1, 1e3}[rng.Intn(3)], off: []float64{0, 180}[rng.Intn(2)],
 		regions: RegionStore{}, lines: LineStore{}, lattice: map[uint64]geom.Polygon{}, cells: map[uint64][][2]int{},
-		rect: map[uint64]geom.Rect{}, seen: map[string]bool{}}
+		rect: map[uint64]geom.Rect{}, pairs: map[[2]uint64]topo.Relation{}, seen: map[string]bool{}}
 }
 
 func runQuerySim(t *testing.T, seed int64, kind index.Kind) {
@@ -123,8 +126,8 @@ func runQuerySim(t *testing.T, seed int64, kind index.Kind) {
 			seen[f[0]]++
 		}
 	}
-	t.Logf("non-empty: %d/8 relations, %d/13 direction relations, %d/6 line relations, %d/3 point modes; %d R+ mutations refused",
-		seen["relation"], seen["direction"], seen["line"], seen["point"], s.refused)
+	t.Logf("non-empty: %d/8 relations, %d/13 direction relations, %d/6 line relations, %d/3 point modes, joins %v; %d R+ mutations refused; %d non-empty conjunctions over a multi-polygon reference that Table 4 calls empty",
+		seen["relation"], seen["direction"], seen["line"], seen["point"], s.seen["join"], s.refused, s.beyondTable4)
 }
 
 func (s *qsim) label(tr *qtree, class string) string {
@@ -338,6 +341,8 @@ func (s *qsim) check() {
 	s.refs = []geom.Region{s.mapped(stored), s.mapped(variant), s.mapped(fresh),
 		s.archipelago(s.rng.Intn(qsimGrid), s.rng.Intn(qsimGrid)), s.mapped(fresh.Translate(geom.Point{X: 2 * qsimGrid})), flank}
 	s.memo = map[[2]uint64]int{}
+	x, y := float64(s.rng.Intn(qsimGrid)), float64(s.rng.Intn(qsimGrid))
+	s.knn = []geom.Point{s.at(x, y), s.at(x+0.5, y), s.at(s.rng.Float64()*qsimGrid, s.rng.Float64()*qsimGrid)}
 	for _, tr := range s.trees {
 		switch {
 		case tr.wide:
@@ -349,7 +354,6 @@ func (s *qsim) check() {
 			s.conjunctions(tr)
 			s.points(tr)
 			s.directions(tr)
-			s.join(tr)
 		case tr.layer == qMulti:
 			s.regionClass(tr, "non-contiguous", &Processor{Idx: tr.idx, Objects: s.regions, NonContiguous: true}, 2, 3)
 		default:
@@ -361,8 +365,16 @@ func (s *qsim) check() {
 				}
 			}
 		}
+		s.nearest(tr)
 		s.ref = ""
 	}
+	s.adoption()
+	s.joins()
+}
+
+// tree returns the tree of that name.
+func (s *qsim) tree(name string) *qtree {
+	return s.trees[slices.IndexFunc(s.trees, func(tr *qtree) bool { return tr.name == name })]
 }
 
 // regionClass runs each single relation against refs[ri], for each ri.
@@ -471,18 +483,27 @@ func (s *qsim) relations(tr *qtree) {
 	}
 }
 
-// conjunctions runs a random conjunction and Table 4's example (inside
-// a far reference ∧ overlap the fresh one), refined and streamed.
+// conjunctions runs a random conjunction over any two references and
+// Table 4's example (inside a far reference ∧ overlap the fresh one),
+// refined and streamed. It counts the non-empty ones over a
+// multi-polygon reference, where Table 4 is not consulted, that Table 4
+// calls empty.
 func (s *qsim) conjunctions(tr *qtree) {
 	r := func() topo.Relation { return topo.All()[s.rng.Intn(8)] }
-	for _, c := range [][4]int{{int(r()), s.rng.Intn(3), int(r()), s.rng.Intn(3)}, {int(topo.Inside), 4, int(topo.Overlap), 2}} {
+	for i, c := range [][4]int{{int(r()), s.rng.Intn(6), int(r()), s.rng.Intn(6)}, {int(topo.Inside), 4, int(topo.Overlap), 2}} {
 		r1, q1, r2, q2 := topo.Relation(c[0]), s.refs[c[1]], topo.Relation(c[2]), s.refs[c[3]]
 		s.ref = fmt.Sprintf(" %v ref %d ∧ %v ref %d", r1, c[1], r2, c[3])
 		p := &Processor{Idx: tr.idx, Objects: s.regions}
 		res, err := p.QueryConjunction(r1, q1, r2, q2)
 		s.same(tr, "conjunction", res, err, func(r rtree.Record) bool { return s.verdict(r.OID, c[1]) == c[0] && s.verdict(r.OID, c[3]) == c[2] })
-		if res.Stats.ShortCircuited && res.Stats.NodeAccesses != 0 || c[1] == 4 && !res.Stats.ShortCircuited {
+		if res.Stats.ShortCircuited && res.Stats.NodeAccesses != 0 || i == 1 && !res.Stats.ShortCircuited {
 			s.fatalf(tr, "conjunction", "%+v", res.Stats)
+		}
+		// A multi-polygon reference takes the Section 7 rows, the streamed
+		// (rectangle) terms do not: only simple ones are one descent.
+		simple := !p.nonContiguousFor(q1, q2)
+		if !simple && len(res.Matches) > 0 && !topo.ConsistentConjunction(r1, r2, geom.RelateRegions(q1, q2)) {
+			s.beyondTable4++
 		}
 		s.sum.ShortCircuited = s.sum.ShortCircuited || res.Stats.ShortCircuited
 
@@ -497,7 +518,7 @@ func (s *qsim) conjunctions(tr *qtree) {
 		}
 		s.same(tr, "conjunction, streamed", Result{Matches: streamed, Stats: Stats{Candidates: len(streamed), RefinementTests: len(streamed)}}, err, keep)
 		if st.ShortCircuited && st.NodeAccesses != 0 || !st.ShortCircuited && st.Explain != explainConjunction ||
-			!st.ShortCircuited && !res.Stats.ShortCircuited && (res.Stats.NodeAccesses != st.NodeAccesses || res.Stats.RefinementTests != len(streamed)) {
+			simple && !st.ShortCircuited && !res.Stats.ShortCircuited && (res.Stats.NodeAccesses != st.NodeAccesses || res.Stats.RefinementTests != len(streamed)) {
 			s.fatalf(tr, "conjunction", "refined %+v, streamed %+v: not one descent", res.Stats, st)
 		}
 	}
@@ -539,34 +560,171 @@ func (s *qsim) directions(tr *qtree) {
 	}
 }
 
-// join self-joins the tree, refined, under a random set without
-// disjoint, against every ordered pair of registrations of distinct
-// objects; an R+-tree must be refused.
-func (s *qsim) join(tr *qtree) {
-	rels := topo.NewSet(topo.All()[1+s.rng.Intn(7)], topo.All()[1+s.rng.Intn(7)])
+// nearest runs kNN at each of the step's points for k = 1, 4 and every
+// registration, against a scan of the tree's registrations in the
+// answer's order: distance, object id, rectangle.
+func (s *qsim) nearest(tr *qtree) {
+	for i, pt := range s.knn {
+		s.ref = fmt.Sprintf(" at point %d %v", i, pt)
+		all := make([]rtree.Neighbour, len(tr.live))
+		for j, r := range tr.live {
+			all[j] = rtree.Neighbour{Rect: r.Rect, OID: r.OID, Dist: r.Rect.DistToPoint(pt)}
+		}
+		slices.SortFunc(all, func(a, b rtree.Neighbour) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.OID, b.OID), cmp.Compare(a.Rect.Min.X, b.Rect.Min.X),
+				cmp.Compare(a.Rect.Min.Y, b.Rect.Min.Y), cmp.Compare(a.Rect.Max.X, b.Rect.Max.X), cmp.Compare(a.Rect.Max.Y, b.Rect.Max.Y))
+		})
+		for _, k := range []int{1, 4, max(1, len(all))} {
+			got, _, err := tr.idx.NearestCtx(context.Background(), pt, k)
+			if want := all[:min(k, len(all))]; err != nil || !slices.Equal(got, want) {
+				s.fatalf(tr, fmt.Sprintf("%d-NN", k), "%v (%v), the scan %v", got, err, want)
+			}
+		}
+	}
+}
+
+// adoption holds the adopted polygon tree to the batch-built one its
+// image was written from. Adopting keeps the tree's shape and both take
+// every mutation, so they stay node for node equal: each relation's
+// refined answer, in order, its Stats and its descent's TraversalStats,
+// and each kNN answer and its TraversalStats, must be identical.
+func (s *qsim) adoption() {
+	src, adopted := s.tree("batch-built polygon"), s.tree("adopted polygon")
+	ctx := context.Background()
+	for ri, ref := range s.refs[:3] {
+		s.ref = fmt.Sprintf(" ref %d", ri)
+		for _, rel := range topo.All() {
+			var res [2]Result
+			var ts [2]rtree.TraversalStats
+			for i, tr := range []*qtree{src, adopted} {
+				p := &Processor{Idx: tr.idx, Objects: s.regions}
+				var err, err2 error
+				res[i], err = p.Query(rel, ref)
+				node, leaf := p.filterPreds(p.testsFor(topo.NewSet(rel), false), ref.Bounds())
+				ts[i], err2 = tr.idx.SearchPreds(ctx, node, leaf, func(rtree.Leaf) bool { return true })
+				if err = cmp.Or(err, err2); err != nil {
+					s.fatalf(tr, "adopted "+rel.String(), "%v", err)
+				}
+			}
+			if res[0].Stats != res[1].Stats || !slices.Equal(res[0].Matches, res[1].Matches) || ts[0] != ts[1] {
+				s.fatalf(adopted, "adopted "+rel.String(), "%d matches from %+v, %+v; the source %d from %+v, %+v",
+					len(res[1].Matches), res[1].Stats, ts[1], len(res[0].Matches), res[0].Stats, ts[0])
+			}
+		}
+	}
+	for i, pt := range s.knn {
+		s.ref = fmt.Sprintf(" at point %d %v", i, pt)
+		for _, k := range []int{1, 4, max(1, len(src.live))} {
+			want, wts, _ := src.idx.NearestCtx(ctx, pt, k)
+			if got, ts, _ := adopted.idx.NearestCtx(ctx, pt, k); !slices.Equal(got, want) || ts != wts {
+				s.fatalf(adopted, fmt.Sprintf("adopted %d-NN", k), "%+v, the source %+v", ts, wts)
+			}
+		}
+	}
 	s.ref = ""
-	if !tr.idx.CoveringNodeRects() {
-		if CanJoin(tr.idx, tr.idx) == nil {
-			s.fatalf(tr, "join", "CanJoin accepted an R+-tree")
+}
+
+// joins runs the join class on eight pairs of trees: each polygon tree
+// with itself and the insert-built polygon tree with the batch-built
+// one either way round under the contiguous tables, and under the
+// Section 7 ones the polygon tree with the multi-polygon tree either
+// way round and the multi-polygon tree with itself.
+func (s *qsim) joins() {
+	poly, batch, adopted, multi := s.tree("insert-built polygon"), s.tree("batch-built polygon"), s.tree("adopted polygon"), s.tree("batch-built multi-polygon")
+	pairs := [][2]*qtree{{poly, poly}, {batch, batch}, {adopted, adopted}, {poly, batch}, {batch, poly}, {poly, multi}, {multi, poly}, {multi, multi}}
+	for i, lr := range pairs {
+		s.join(lr[0], lr[1], i >= 5)
+	}
+	s.ref = ""
+}
+
+// join joins l with r under a random set (with disjoint one time in
+// four), filter-only and refined, dropping and keeping a self-join's
+// (o, o) pairs, on 1 and 4 workers. The filter-only pairs must be the
+// ordered pairs of registrations whose MBR configuration the table of
+// the join admits (an all-pairs mbr.ConfigOf scan), the refined ones
+// those whose objects stand in a relation of the set; 4 workers must
+// give 1 worker's Stats, and every run read the same pages. An R+-tree
+// must be refused.
+func (s *qsim) join(l, r *qtree, nonContiguous bool) {
+	rels := topo.Set(2 + 2*s.rng.Intn(127))
+	if s.rng.Intn(4) == 0 {
+		rels = rels.Add(topo.Disjoint)
+	}
+	s.ref = " with the " + r.name + " tree"
+	if !l.idx.CoveringNodeRects() {
+		if CanJoin(l.idx, r.idx) == nil {
+			s.fatalf(l, "join", "CanJoin accepted an R+-tree")
 		}
 		return
 	}
-	res, err := JoinTopological(tr.idx, tr.idx, rels, JoinOptions{LeftObjects: s.regions, RightObjects: s.regions, Workers: 1})
-	var got, want [][2]uint64
-	for _, p := range res.Pairs {
-		got = append(got, [2]uint64{p.LeftOID, p.RightOID})
+	cands := mbr.CandidatesSet(rels)
+	if nonContiguous {
+		cands = mbr.CandidatesNonContiguousSet(rels)
 	}
-	for _, a := range tr.live {
-		for _, b := range tr.live {
-			if a.OID != b.OID && a.Rect.Intersects(b.Rect) && rels.Has(relate(s.regions[a.OID], s.regions[b.OID])) {
-				want = append(want, [2]uint64{a.OID, b.OID})
+	var filtered, refined [][2]uint64
+	for _, a := range l.live {
+		for _, b := range r.live {
+			p := [2]uint64{a.OID, b.OID}
+			if cands.Has(mbr.ConfigOf(a.Rect, b.Rect)) {
+				filtered = append(filtered, p)
+			}
+			rel, ok := s.pairs[p]
+			if !ok {
+				rel = topo.Disjoint
+				if a.Rect.Intersects(b.Rect) {
+					rel = relate(s.regions[a.OID], s.regions[b.OID])
+				}
+				s.pairs[p] = rel
+			}
+			if rels.Has(rel) {
+				refined = append(refined, p)
 			}
 		}
 	}
 	byPair := func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
-	slices.SortFunc(got, byPair)
-	slices.SortFunc(want, byPair)
-	if st := res.Stats; err != nil || !slices.Equal(got, want) || st.Candidates != st.DirectAccepts+st.RefinementTests || len(got) != st.Candidates-st.FalseHits {
-		s.fatalf(tr, "join "+rels.String(), "%d pairs from %+v, the scan %d; %v", len(got), st, len(want), err)
+	var pages uint64 // what every run reads; a join reads both roots
+	for _, refine := range []bool{false, true} {
+		for _, keep := range []bool{false, true} {
+			if refine && keep { // the engine drops self pairs before step 4
+				continue
+			}
+			want := filtered
+			if refine {
+				want = refined
+			}
+			if l == r && !keep {
+				want = slices.DeleteFunc(slices.Clone(want), func(p [2]uint64) bool { return p[0] == p[1] })
+			}
+			slices.SortFunc(want, byPair)
+			var serial Stats
+			for _, workers := range []int{1, 4} {
+				class := fmt.Sprintf("join %v, refined %v, self pairs %v, %d workers", rels, refine, keep, workers)
+				opts := JoinOptions{NonContiguous: nonContiguous, KeepSelfPairs: keep, Workers: workers}
+				if refine {
+					opts.LeftObjects, opts.RightObjects = s.regions, s.regions
+				}
+				res, err := JoinTopological(l.idx, r.idx, rels, opts)
+				got := make([][2]uint64, len(res.Pairs))
+				for i, p := range res.Pairs {
+					got[i] = [2]uint64{p.LeftOID, p.RightOID}
+				}
+				slices.SortFunc(got, byPair)
+				st, tested := res.Stats, res.Stats.DirectAccepts+res.Stats.RefinementTests
+				if err != nil || !slices.Equal(got, want) || len(got) != st.Candidates-st.FalseHits || refine && st.Candidates != tested || !refine && tested != 0 {
+					s.fatalf(l, class, "%d pairs from %+v, the scan %d; %v", len(got), st, len(want), err)
+				}
+				if workers == 1 {
+					serial = st
+				}
+				if pages == 0 {
+					pages = st.NodeAccesses
+				}
+				if st != serial || st.NodeAccesses != pages {
+					s.fatalf(l, class, "%+v; on 1 worker %+v, and the first run read %d pages", st, serial, pages)
+				}
+				s.seen["join"] = s.seen["join"] || refine && len(got) > 0
+			}
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // snapshot when they commit (see snapshot.go). Mutations are atomic —
 // a failed Insert or Delete leaves the published tree untouched — and
 // serialise among themselves on an internal writer mutex. Per-
-// traversal IO accounting (SearchCtx) stays exact under any number of
-// concurrent readers.
+// traversal IO accounting (SearchPreds, SearchHits) stays exact under
+// any number of concurrent readers.
 type Tree struct {
 	core
 	opts Options

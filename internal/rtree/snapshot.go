@@ -260,8 +260,7 @@ func (c *core) SearchHits(ctx context.Context, nodePred, leafPred func(geom.Rect
 // mbr.Func, Pred.And), each entry meets a test's window inline and
 // calls only a probe behind it, and emit is handed each leaf's passing
 // entries in one call (Leaf). It is the filter descent's entry point
-// (query.Processor reaches it through an interface of its own, so
-// index.Index does not carry it); every other caller passes funcs to
+// (index.Index carries it); every other caller passes funcs to
 // SearchHits, which wraps them. A caller that wants each registration
 // of an R+-tree once wraps emit in Registrations.
 func (c *core) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(Leaf) bool) (TraversalStats, error) {

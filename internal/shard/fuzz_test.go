@@ -9,7 +9,6 @@ import (
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/mbr"
 	"mbrtopo/internal/query"
-	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/topo"
 )
 
@@ -21,10 +20,6 @@ type stretchedTile struct {
 }
 
 func (t stretchedTile) Bounds() (geom.Rect, bool) { return t.bounds, true }
-
-func (t stretchedTile) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error) {
-	return t.Index.(tileSearcher).SearchPreds(ctx, node, leaf, emit)
-}
 
 // FuzzTilePrune attacks the router's tile elimination on the path
 // queries take: Processor.Stream hands Sharded.SearchPreds the node

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"mbrtopo/internal/geom"
@@ -59,11 +58,6 @@ func (s *Sharded) SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit fun
 	return merged, err
 }
 
-// tileSearcher is the one traversal of a tile's tree.
-type tileSearcher interface {
-	SearchPreds(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) (rtree.TraversalStats, error)
-}
-
 func (s *Sharded) searchTiles(ctx context.Context, node, leaf mbr.Pred, emit func(rtree.Leaf) bool) ([]rtree.TraversalStats, rtree.TraversalStats, error) {
 	tiles := s.Tiles()
 	perTile := make([]rtree.TraversalStats, len(tiles))
@@ -100,12 +94,7 @@ func (s *Sharded) searchTiles(ctx context.Context, node, leaf mbr.Pred, emit fun
 		wg.Add(1)
 		go func(i int, t index.Index) {
 			defer wg.Done()
-			ts, ok := t.(tileSearcher)
-			if !ok {
-				errs[i] = fmt.Errorf("shard: tile %d (%s) has no SearchPreds", i, t.Name())
-				return
-			}
-			perTile[i], errs[i] = ts.SearchPreds(searchCtx, node, leaf, guard)
+			perTile[i], errs[i] = t.SearchPreds(searchCtx, node, leaf, guard)
 		}(i, t)
 	}
 	wg.Wait()

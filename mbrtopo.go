@@ -124,7 +124,8 @@ type (
 	// QueryStats reports filter and refinement work.
 	QueryStats = query.Stats
 	// TraversalStats is the exact per-traversal work accounting of the
-	// concurrent execution engine (Index.SearchCtx, NearestCtx, joins).
+	// concurrent execution engine (Index.SearchPreds and SearchHits,
+	// NearestCtx, joins).
 	TraversalStats = index.TraversalStats
 	// ObjectStore resolves object ids to regions for refinement.
 	ObjectStore = query.ObjectStore
