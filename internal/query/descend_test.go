@@ -215,12 +215,15 @@ func TestStreamLeavesOncePerLeaf(t *testing.T) {
 }
 
 // TestStreamAllocsIndependentOfMatches: one warm Stream or StreamLeaves
-// call allocates a small constant — the adapters' closures and the
-// traversal's scratch; its compiled tests are values — for five
+// call allocates a small constant — the adapters' closures; the
+// traversal's scratch is pooled and its compiled tests are values — for five
 // matches or two thousand: a covering tree's descent keeps no set of
 // delivered ids, a match line comes from its leaf's text, and nothing
 // is allocated per match.
 func TestStreamAllocsIndependentOfMatches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
 	rng := rand.New(rand.NewSource(9))
 	var items []index.Item
 	for oid := uint64(1); oid <= 3000; oid++ {
@@ -273,7 +276,7 @@ func TestStreamAllocsIndependentOfMatches(t *testing.T) {
 		t.Fatalf("%d and %d matches: want two answers a hundredfold apart", matches[0], matches[1])
 	}
 	for k, name := range []string{"Stream", "StreamLeaves"} {
-		if allocs[1][k] != allocs[0][k] || allocs[0][k] > 6 {
+		if allocs[1][k] != allocs[0][k] || allocs[0][k] > 5 {
 			t.Fatalf("%s: %v allocations for %d matches, %v for %d: want the same small constant", name, allocs[0][k], matches[0], allocs[1][k], matches[1])
 		}
 	}

@@ -31,10 +31,13 @@ func arenaOf(t *testing.T, x any) (*arena, *node) {
 }
 
 // TestSearchAllocsIndependentOfAccesses: a search — on a tree built in
-// its arena or one adopted from a checkpoint image — allocates a small
-// constant (the traversal stack and the emit closure),
-// however many nodes it visits.
+// its arena or one adopted from a checkpoint image — allocates nothing,
+// however many nodes it visits: the traversal's stack and leaf batch
+// are pooled scratch.
 func TestSearchAllocsIndependentOfAccesses(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
 	tree, err := NewArena(testPageSize, Options{Split: SplitRStar, RStarChooseSubtree: true, ForcedReinsert: true}, "R*-tree")
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +76,8 @@ func TestSearchAllocsIndependentOfAccesses(t *testing.T) {
 		if accesses[1] < 20*accesses[0] {
 			t.Fatalf("%s: the full scan reads %d nodes, the point window %d: not far enough apart to tell", name, accesses[1], accesses[0])
 		}
-		if allocs[0] != allocs[1] || allocs[1] > 3 {
-			t.Fatalf("%s: %v allocations for %d accesses, %v for %d: want the same small constant",
+		if allocs[0] != 0 || allocs[1] != 0 {
+			t.Fatalf("%s: %v allocations for %d accesses, %v for %d: want none",
 				name, allocs[0], accesses[0], allocs[1], accesses[1])
 		}
 	}

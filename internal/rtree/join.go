@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -30,7 +31,15 @@ import (
 //     keeps only the entries whose corners can reach a partner inside
 //     the other node's MBR. An arena node version keeps its order and
 //     its MBR beside it (nodeSweep), so a node pair costs a filter of two
-//     kept orders into the worker's scratch — no sort, no allocation;
+//     kept orders into the worker's scratch — no sort, no allocation —
+//     which gathers each kept entry's rectangle beside its index, so the
+//     sweep reads contiguous rectangles. The contained side (the left
+//     one of inside and covered_by, the right one of contains and
+//     covers, read off the windows) is filtered first, and a pair whose
+//     contained side keeps nothing ends before the other side is
+//     filtered: 625 (inside, covered_by) or 660 (contains, covers) of
+//     the 1 672 leaf pairs a join of two 10 000-object packed R*-trees
+//     sweeps;
 //   - the top-level node pairs (and, when that fans out too little,
 //     the second-level pairs) are distributed over a bounded worker
 //     pool. All workers traverse the same two snapshots, and
@@ -263,9 +272,9 @@ type joinWorker struct {
 }
 
 // pairScratch is what matching one node pair needs besides the nodes:
-// the two sweep orders, and the children read so far.
+// the two sweep runs, and the children read so far.
 type pairScratch struct {
-	ord1, ord2  []int32
+	run1, run2  sweepRun
 	left, right []*node
 }
 
@@ -451,15 +460,17 @@ func (w *joinWorker) match(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, found
 // — for a point-sharing sweep that is every entry touching the
 // intersection of the node MBRs, for an inside sweep every left entry
 // within the right node's MBR — and the kept entries are swept in low-x
-// order. At each step the unprocessed entry with the smallest low edge
-// is paired with the opposite entries whose low edge lies inside its x
-// extent; each x-overlapping pair is therefore met exactly once (when
-// its earlier-opening member is processed, the left one on a tie), and
-// pairs that merely touch are kept (meet is a point-sharing relation).
-// A left entry processed meets partners opening level with it or later,
-// a right one partners opening strictly later: the scans an admitted
-// pair cannot come from are skipped, and without Earlier a left entry
-// meets only the partners level with it.
+// order. The contained side is filtered first (containedRight), and a
+// pair whose contained side keeps nothing ends there: the other side's
+// filter could pair nothing. At each step the unprocessed entry with
+// the smallest low edge is paired with the opposite entries whose low
+// edge lies inside its x extent; each x-overlapping pair is therefore
+// met exactly once (when its earlier-opening member is processed, the
+// left one on a tie), and pairs that merely touch are kept (meet is a
+// point-sharing relation). A left entry processed meets partners
+// opening level with it or later, a right one partners opening strictly
+// later: the scans an admitted pair cannot come from are skipped, and
+// without Earlier a left entry meets only the partners level with it.
 func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, found func(i, j int) error) (tests uint64, err error) {
 	m1, kept1 := n1.swept()
 	m2, kept2 := n2.swept()
@@ -467,13 +478,19 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, 
 		return 0, nil
 	}
 	sc := w.scratchFor(n1, n2)
-	sc.ord1 = sweepOrder(sc.ord1[:0], n1, kept1, sweep.Left(m2))
-	sc.ord2 = sweepOrder(sc.ord2[:0], n2, kept2, sweep.Right(m1))
-	s1, s2 := sc.ord1, sc.ord2
-	e1, e2 := n1.entries, n2.entries
+	win1, win2 := sweep.Left(m2), sweep.Right(m1)
+	if containedRight(win1, win2) {
+		if !sc.run2.gather(n2, kept2, win2) || !sc.run1.gather(n1, kept1, win1) {
+			return 0, nil
+		}
+	} else if !sc.run1.gather(n1, kept1, win1) || !sc.run2.gather(n2, kept2, win2) {
+		return 0, nil
+	}
+	s1, s2 := sc.run1.rects, sc.run2.rects
+	at1, at2 := sc.run1.at, sc.run2.at
 	leftScans := sweep.Earlier || sweep.Level
 	for i, j := 0, 0; i < len(s1) && j < len(s2); {
-		a, b := &e1[s1[i]].Rect, &e2[s2[j]].Rect
+		a, b := &s1[i], &s2[j]
 		if a.Min.X <= b.Min.X {
 			if leftScans {
 				reach := a.Max.X
@@ -481,13 +498,13 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, 
 					reach = a.Min.X
 				}
 				for k := j; k < len(s2); k++ {
-					r := &e2[s2[k]].Rect
+					r := &s2[k]
 					if r.Min.X > reach {
 						break
 					}
 					tests++
 					if test.Admits(a, r) {
-						if err := found(int(s1[i]), int(s2[k])); err != nil {
+						if err := found(int(at1[i]), int(at2[k])); err != nil {
 							return tests, err
 						}
 					}
@@ -497,13 +514,13 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, 
 		} else {
 			if sweep.Later {
 				for k := i; k < len(s1); k++ {
-					r := &e1[s1[k]].Rect
+					r := &s1[k]
 					if r.Min.X > b.Max.X {
 						break
 					}
 					tests++
 					if test.Admits(r, b) {
-						if err := found(int(s1[k]), int(s2[j])); err != nil {
+						if err := found(int(at1[k]), int(at2[j])); err != nil {
 							return tests, err
 						}
 					}
@@ -513,6 +530,17 @@ func (w *joinWorker) matchSweep(n1, n2 *node, sweep *mbr.Sweep, test *mbr.Test, 
 		}
 	}
 	return tests, nil
+}
+
+// containedRight says whether the right side of a pair is its contained
+// side, the one to filter first: the side whose window bounds its low-x
+// edge from below by the partner's MBR (the left one of inside and
+// covered_by, the right one of contains and covers). Such a window
+// keeps only entries that lie over the partner, so it is the one that
+// most often keeps nothing. The left side is first when both windows
+// bound it or neither does.
+func containedRight(win1, win2 mbr.Window) bool {
+	return math.IsInf(win1.Min.Min.X, -1) && !math.IsInf(win2.Min.Min.X, -1)
 }
 
 // nodeSweep is the sweep side-car of a node version: what every join
@@ -553,19 +581,33 @@ func (n *node) swept() (geom.Rect, []int32) {
 	return k.mbr, k.ord
 }
 
-// sweepOrder appends to ord the indexes of the entries whose corners
-// lie in win, by low x: a filter of the kept order, which preserves it
-// and ends where the low edges pass the window.
-func sweepOrder(ord []int32, n *node, kept []int32, win mbr.Window) []int32 {
-	ord = slices.Grow(ord, len(n.entries))
+// sweepRun is one side of a swept pair: the entries kept, by low x,
+// their rectangles gathered beside their indexes, so the sweep reads
+// contiguous rectangles.
+type sweepRun struct {
+	rects []geom.Rect
+	at    []int32
+}
+
+// gather fills the run with the entries whose corners lie in win, by
+// low x — a filter of the kept order, which preserves it and ends where
+// the low edges pass the window — and says whether it kept any.
+func (run *sweepRun) gather(n *node, kept []int32, win mbr.Window) bool {
+	if k := len(n.entries); cap(run.at) < k {
+		k = max(k, 2*cap(run.at))
+		run.rects, run.at = make([]geom.Rect, 0, k), make([]int32, 0, k)
+	}
+	rects, at := run.rects[:0], run.at[:0]
 	for _, i := range kept {
 		r := &n.entries[i].Rect
 		if r.Min.X > win.Min.Max.X {
 			break
 		}
 		if win.Fits(*r) {
-			ord = append(ord, i)
+			rects = append(rects, *r)
+			at = append(at, i)
 		}
 	}
-	return ord
+	run.rects, run.at = rects, at
+	return len(at) > 0
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"mbrtopo/internal/geom"
 )
@@ -20,9 +21,12 @@ import (
 //     total order (distance, oid, rectangle), worst on top, and a leaf
 //     entry enters only by beating that worst one;
 //   - once k are held, d_k is the worst one's distance: a child whose
-//     MINDIST exceeds it is never pushed, an entry whose larger axis
-//     gap exceeds it is dropped before its distance is computed, and the
-//     search stops when the next node's MINDIST exceeds it.
+//     MINDIST exceeds it is never pushed, an entry with an axis gap
+//     over it is dropped before its distance is computed (the x gap is
+//     tested before the y gap is taken), and the search stops when the
+//     next node's MINDIST exceeds it;
+//   - the node heap is a pooled scratch (heapPool), so a search
+//     allocates only the k best it returns.
 //
 // The nodes expanded are exactly those with MINDIST ≤ the final d_k,
 // in (MINDIST, push order), as in a best-first search without the
@@ -91,6 +95,11 @@ func (q *nodeHeap) push(it nodeItem) {
 		j = i
 	}
 }
+
+// heapPool keeps node heaps between searches; a heap goes back with
+// every slot cleared, so a pooled heap holds no node of a snapshot the
+// tree has moved past.
+var heapPool = sync.Pool{New: func() any { q := make(nodeHeap, 0, 64); return &q }}
 
 func (q *nodeHeap) pop() nodeItem {
 	h := *q
@@ -167,9 +176,9 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("rtree: Nearest needs k ≥ 1, got %d", k)
 	}
-	// Room for a few levels' pushes up front; the cut-off keeps the
-	// heap small once k neighbours are held.
-	q := make(nodeHeap, 0, 64)
+	// The cut-off keeps the heap small once k neighbours are held.
+	qp := heapPool.Get().(*nodeHeap)
+	q := *qp
 	pushed := 0
 	q.push(nodeItem{node: root})
 	var regs registrations
@@ -194,8 +203,12 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 			if leaf && dedup && !regs.admit(n, Record{Rect: e.Rect, OID: e.OID}) {
 				continue
 			}
-			dx, dy := e.Rect.Gaps(p)
-			if max(dx, dy) > dk {
+			dx := axisGap(p.X, e.Rect.Min.X, e.Rect.Max.X)
+			if dx > dk {
+				continue
+			}
+			dy := axisGap(p.Y, e.Rect.Min.Y, e.Rect.Max.Y)
+			if dy > dk {
 				continue
 			}
 			d := math.Hypot(dx, dy)
@@ -221,7 +234,22 @@ func nearestSearch(ctx context.Context, src *arena, root *node, p geom.Point, k 
 			}
 		}
 	}
+	clear(q[:cap(q)])
+	*qp = q[:0]
+	heapPool.Put(qp)
 	best.sort()
 	stats.Emitted = len(best)
 	return best, stats, err
+}
+
+// axisGap is the distance from v to the interval [lo, hi] (geom.Rect.Gaps
+// on one axis), in branches: a NaN v gives NaN, as Gaps does.
+func axisGap(v, lo, hi float64) float64 {
+	if v >= lo {
+		if v <= hi {
+			return 0
+		}
+		return v - hi
+	}
+	return lo - v
 }

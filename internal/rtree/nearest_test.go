@@ -168,11 +168,14 @@ func TestNearestEdgeCases(t *testing.T) {
 	}
 }
 
-// TestNearestAllocs bounds what a 10-NN allocates: the node heap and
-// the k best (which become the answer) are sized up front and grow by
-// doubling, no push boxes its item (a push through container/heap cost
-// one allocation), and a leaf entry is never pushed at all.
+// TestNearestAllocs bounds what a 10-NN allocates: the k best, which
+// become the answer. The node heap is pooled scratch, no push boxes its
+// item (a push through container/heap cost one allocation), and a leaf
+// entry is never pushed at all.
 func TestNearestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
 	rng := rand.New(rand.NewSource(10))
 	rt, err := newTestRTree()
 	if err != nil {
@@ -189,7 +192,7 @@ func TestNearestAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 3 {
-		t.Errorf("a 10-NN over %d objects costs %v allocations, want at most 3", rt.Len(), n)
+	if n > 1 {
+		t.Errorf("a 10-NN over %d objects costs %v allocations, want at most 1", rt.Len(), n)
 	}
 }

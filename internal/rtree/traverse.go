@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"context"
+	"sync"
 
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/mbr"
@@ -80,11 +81,11 @@ func traverse(ctx context.Context, src *arena, root *node,
 	nodeTest, leafTest mbr.Pred, emit func(Leaf) bool) (TraversalStats, error) {
 
 	var stats TraversalStats
-	stack := make([]*node, 0, 32)
-	stack = append(stack, root)
-	at := make([]int32, 0, 64) // the batch of the leaf in hand
+	sc := traversePool.Get().(*traverseScratch)
+	stack, at := append(sc.stack, root), sc.at
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
+			sc.put(stack, at)
 			return stats, err
 		}
 		n := src.get(stack[len(stack)-1])
@@ -104,6 +105,7 @@ func traverse(ctx context.Context, src *arena, root *node,
 			}
 			stats.Emitted += len(at)
 			if !emit(Leaf{n: n, at: at}) {
+				sc.put(stack, at)
 				return stats, nil
 			}
 			continue
@@ -117,7 +119,30 @@ func traverse(ctx context.Context, src *arena, root *node,
 			}
 		}
 	}
+	sc.put(stack, at)
 	return stats, nil
+}
+
+// traverseScratch is a traversal's stack and the batch of the leaf in
+// hand, kept between traversals in traversePool: the batch reaches
+// emit, so a traversal of its own would allocate it on the heap. A
+// traversal that panics leaves its scratch to the collector.
+type traverseScratch struct {
+	stack []*node
+	at    []int32
+}
+
+var traversePool = sync.Pool{New: func() any {
+	return &traverseScratch{stack: make([]*node, 0, 32), at: make([]int32, 0, 64)}
+}}
+
+// put returns the scratch to the pool, grown as the traversal left it,
+// with every stack slot cleared, so a pooled stack holds no node of a
+// snapshot the tree has moved past.
+func (sc *traverseScratch) put(stack []*node, at []int32) {
+	clear(stack[:cap(stack)])
+	sc.stack, sc.at = stack[:0], at[:0]
+	traversePool.Put(sc)
 }
 
 // Leaf is what a traversal hands its emit once per leaf: the leaf

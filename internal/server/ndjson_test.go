@@ -553,7 +553,7 @@ func TestQueryHandlerAllocs(t *testing.T) {
 		max       float64
 	}{
 		{"hit", 16, 9},
-		{"miss", 0, 18},
+		{"miss", 0, 15},
 	} {
 		srv := New(Config{CacheSize: c.cacheSize, DefaultTimeout: 30 * time.Second})
 		if _, err := srv.AddIndex(IndexSpec{Name: "main", Kind: index.KindRStar}, d.Items); err != nil {

@@ -6,9 +6,12 @@
 # directory, as a fresh checkout would see them) and N times on the
 # working tree, alternating which side goes first in each pair. Then it
 # prints, for each end-to-end metric, the two medians, the interquartile
-# range of BASE's runs, the pairs the working tree won and the failed
-# operations of each side. The per-run result lines stay in the directory
-# it names at the end. `make pairs BASE=… N=… WORKLOAD=…` runs it.
+# range of BASE's runs, the pairs the working tree won, and whether the
+# claim rule holds: the working tree wins at least 9 of every 10 pairs
+# and its median is better than BASE's by more than BASE's interquartile
+# range. Then the failed operations of each side. The per-run result
+# lines stay in the directory it names at the end. `make pairs BASE=…
+# N=… WORKLOAD=…` runs it.
 set -euo pipefail
 if [ $# -ne 3 ]; then
   echo "usage: $0 BASE N WORKLOAD" >&2
@@ -50,7 +53,7 @@ value() {
 }
 
 echo "$workload: $n pairs, base $(git -C "$root" rev-parse --short "$rev") against the working tree"
-printf '%-12s %14s %14s %14s %8s %7s\n' metric base_median change_median base_iqr change delta
+printf '%-12s %14s %14s %14s %8s %7s  %s\n' metric base_median change_median base_iqr change delta claim
 for m in setup_s:lower ops_per_s:higher lat_p50_ms:lower rss_mb:lower; do
   name="${m%%:*}" better="${m##*:}"
   paste <(value "$out/base.jsonl" "$name") <(value "$out/change.jsonl" "$name") |
@@ -74,8 +77,10 @@ for m in setup_s:lower ops_per_s:higher lat_p50_ms:lower rss_mb:lower; do
       }
       END {
         sort(b, k); sort(c, k)
-        mb = q(b, k, 0.5); mc = q(c, k, 0.5)
-        printf "%-12s %14.4f %14.4f %14.4f %5d/%-2d %+6.1f%%\n", name, mb, mc, q(b, k, 0.75) - q(b, k, 0.25), wins, k, 100 * (mc - mb) / mb
+        mb = q(b, k, 0.5); mc = q(c, k, 0.5); iqr = q(b, k, 0.75) - q(b, k, 0.25)
+        gain = better == "higher" ? mc - mb : mb - mc
+        claim = (10 * wins >= 9 * k && gain > iqr) ? "holds" : "no"
+        printf "%-12s %14.4f %14.4f %14.4f %5d/%-2d %+6.1f%%  %s\n", name, mb, mc, iqr, wins, k, 100 * (mc - mb) / mb, claim
       }'
 done
 for side in base change; do
