@@ -53,7 +53,7 @@ func main() {
 		refSpec   = flag.String("ref", "", "reference MBR as minx,miny,maxx,maxy (single-query mode)")
 		pageSize  = flag.Int("pagesize", index.PaperPageSize, "page size in bytes")
 		nonCrisp  = flag.Bool("noncrisp", false, "tolerate 2-degree MBR imprecision (Table 5 retrieval)")
-		nonContig = flag.Bool("noncontiguous", false, "objects may be multi-part (Section 7 tables)")
+		nonContig = flag.Bool("noncontiguous", false, "objects may be multi-part: Section 7 tables (filter-only: no object store here)")
 		joinPath  = flag.String("join", "", "second data CSV: join -data (left) with this file (right) on -rel instead of running window queries")
 		knnSpec   = flag.String("knn", "", "k,x,y — report the k stored rectangles nearest to (x,y)")
 		dirName   = flag.String("dir", "", "direction relation (north, southwest, samelevel, strict_east, …) instead of -rel")

@@ -208,3 +208,51 @@ func TestRelateRegionsConverseProperty(t *testing.T) {
 		t.Fatalf("poor relation coverage: %v", seen)
 	}
 }
+
+// TestCompositionSoundMultiPart is TestCompositionSoundExhaustive over
+// regions of several components, the references and stored objects
+// whose conjunctions Table 4 (the composition's complement) may answer
+// empty: on the 3×3 lattice, every grid rectangle, every two-part union
+// of grid rectangles and the ring around the middle cell, for every
+// triple, rel(a,c) ∈ Compose(rel(a,b), rel(b,c)).
+func TestCompositionSoundMultiPart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("composition triple enumeration is slow")
+	}
+	rects := gridRects(3)
+	var regions []Region
+	for i, a := range rects {
+		regions = append(regions, a.Polygon())
+		for _, b := range rects[i+1:] {
+			if r := relateRectsDirect(a, b); r == topo.Disjoint || r == topo.Meet {
+				regions = append(regions, MultiPolygon{a.Polygon(), b.Polygon()})
+			}
+		}
+	}
+	regions = append(regions, MultiPolygon{R(0, 0, 3, 1).Polygon(), R(0, 2, 3, 3).Polygon(), R(0, 1, 1, 2).Polygon(), R(2, 1, 3, 2).Polygon()})
+	n := len(regions)
+	rel := make([][]topo.Relation, n)
+	for i := range regions {
+		rel[i] = make([]topo.Relation, n)
+		for j := range i + 1 {
+			rel[i][j] = RelateRegions(regions[i], regions[j])
+			rel[j][i] = rel[i][j].Converse()
+		}
+	}
+	var compose [topo.NumRelations][topo.NumRelations]topo.Set
+	for _, r1 := range topo.All() {
+		for _, r2 := range topo.All() {
+			compose[r1][r2] = topo.Compose(r1, r2)
+		}
+	}
+	for a := range n {
+		for b := range n {
+			for c := range n {
+				if !compose[rel[a][b]][rel[b][c]].Has(rel[a][c]) {
+					t.Fatalf("composition unsound: %v∘%v must allow %v (a=%v b=%v c=%v)",
+						rel[a][b], rel[b][c], rel[a][c], regions[a], regions[b], regions[c])
+				}
+			}
+		}
+	}
+}

@@ -86,10 +86,9 @@ func (p *Processor) querySet(rels topo.Set, refMBR geom.Rect, ref geom.Region) (
 		return Result{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
 	// Step 1: admissible MBR configurations (Table 1, adjusted for the
-	// non-contiguous and non-crisp modes, and for a reference of several
-	// components). Steps 2+3: prune and collect.
-	nonContiguous := p.nonContiguousFor(ref)
-	matches, stats, err := p.collect(p.filterPreds(p.testsFor(rels, nonContiguous), refMBR))
+	// non-contiguous and non-crisp modes). Steps 2+3: prune and collect.
+	relaxed := nonContiguous(p.NonContiguous, []geom.Region{ref}, p.Objects)
+	matches, stats, err := p.collect(p.filterPreds(p.testsFor(rels, relaxed), refMBR))
 	if err != nil {
 		return Result{}, err
 	}
@@ -98,7 +97,7 @@ func (p *Processor) querySet(rels topo.Set, refMBR geom.Rect, ref geom.Region) (
 	}
 	// Step 4: refinement, with the convex-hull second filter in front of
 	// the exact test when asked for.
-	tb := tablesFor(nonContiguous)
+	tb := tablesFor(relaxed)
 	var refHull geom.Polygon
 	if p.SecondFilter {
 		refHull = geom.HullOf(ref)
@@ -148,13 +147,14 @@ func (p *Processor) QueryConjunction(r1 topo.Relation, q1 geom.Region, r2 topo.R
 	if err := q2.Validate(); err != nil {
 		return Result{}, fmt.Errorf("query: reference q2: %w", err)
 	}
-	// Table 4's composition is of simple regions: a reference of several
-	// components may hold an object in a way no simple one could.
-	if !p.nonContiguousFor(q1, q2) && !topo.ConsistentConjunction(r1, r2, geom.RelateRegions(q1, q2)) {
+	// Table 4 holds for regions of several components too (geom's
+	// TestCompositionSoundMultiPart), references and stored objects alike.
+	if !topo.ConsistentConjunction(r1, r2, geom.RelateRegions(q1, q2)) {
 		return Result{Stats: Stats{ShortCircuited: true}}, nil
 	}
 
-	t1, t2 := p.testsFor(topo.NewSet(r1), p.nonContiguousFor(q1)), p.testsFor(topo.NewSet(r2), p.nonContiguousFor(q2))
+	t1 := p.testsFor(topo.NewSet(r1), nonContiguous(p.NonContiguous, []geom.Region{q1}, p.Objects))
+	t2 := p.testsFor(topo.NewSet(r2), nonContiguous(p.NonContiguous, []geom.Region{q2}, p.Objects))
 	matches, stats, err := p.collect(p.conjunctionPreds(t1, q1.Bounds(), t2, q2.Bounds()))
 	if err != nil {
 		return Result{}, err

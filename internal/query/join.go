@@ -33,13 +33,12 @@ type JoinOptions struct {
 	// join returns filter-level candidate pairs (configurations
 	// admissible for the relation set).
 	LeftObjects, RightObjects ObjectStore
-	// NonContiguous selects the Section 7 candidate tables. It is the
-	// caller's statement that stored objects may have several
-	// components, as Processor.NonContiguous is: the join does not look
-	// at the objects to find out. Without it, the archipelago
-	// {[0,1]×[1,2], [4,5]×[1,2]} and the bar [2,3]×[0,4], which are
-	// disjoint, join as overlap (both ordered pairs direct-accepted)
-	// and not as disjoint; with it, as disjoint and not as overlap.
+	// NonContiguous states that the indexed objects may have several
+	// components, so the filter takes the Section 7 candidate tables, as
+	// Processor.NonContiguous does. Only a filter-only join needs it:
+	// the stores decide for themselves and for each other (ObjectStore),
+	// and a store that is not a MapStore takes the Section 7 tables on
+	// both sides.
 	NonContiguous bool
 	// KeepSelfPairs keeps (o, o) pairs in self-joins (by default a pair
 	// with equal OIDs from joining an index with itself is dropped).
@@ -100,7 +99,7 @@ func JoinStream(ctx context.Context, left, right index.Index, rels topo.Set, opt
 
 	// A leaf pair is tested against Table 1, a pair of covering rectangles
 	// above such leaves against its join propagation.
-	tb := tablesFor(opts.NonContiguous)
+	tb := tablesFor(nonContiguous(opts.NonContiguous, nil, opts.LeftObjects, opts.RightObjects))
 	cands := tb.candidates(rels)
 	dropSelf := left == right && !opts.KeepSelfPairs
 	refining := opts.LeftObjects != nil && opts.RightObjects != nil

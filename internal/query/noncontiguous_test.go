@@ -11,8 +11,9 @@ import (
 // TestContiguousFilterMissesArchipelago demonstrates why the Section 7
 // tables are necessary: a two-part object flanking the reference (MBR
 // configuration R5_9) is disjoint from it, the contiguous disjoint row
-// excludes R5_9, so the contiguous-mode processor misses it — the
-// non-contiguous mode finds it.
+// excludes R5_9, so the contiguous filter (no store, no flag) misses it
+// — a processor over its RegionStore takes the Section 7 rows and finds
+// it.
 func TestContiguousFilterMissesArchipelago(t *testing.T) {
 	ref := geom.R(40, 40, 50, 50).Polygon()
 	flank := geom.MultiPolygon{
@@ -31,22 +32,22 @@ func TestContiguousFilterMissesArchipelago(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	contiguous := &Processor{Idx: idx, Objects: store}
+	contiguous := &Processor{Idx: idx}
 	res, err := contiguous.Query(topo.Disjoint, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 0 {
-		t.Fatalf("contiguous mode unexpectedly found the archipelago (config is in its disjoint row?)")
+		t.Fatalf("the contiguous filter unexpectedly found the archipelago (config is in its disjoint row?)")
 	}
 
-	relaxed := &Processor{Idx: idx, Objects: store, NonContiguous: true}
+	relaxed := &Processor{Idx: idx, Objects: store}
 	res, err = relaxed.Query(topo.Disjoint, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 1 || res.Matches[0].OID != 1 {
-		t.Fatalf("non-contiguous mode missed the archipelago: %+v", res.Matches)
+		t.Fatalf("the RegionStore's processor missed the archipelago: %+v", res.Matches)
 	}
 }
 
@@ -56,7 +57,7 @@ func TestContiguousFilterMissesArchipelago(t *testing.T) {
 func TestNonContiguousStatsAccounting(t *testing.T) {
 	s := newQuerySim(t, 3, index.KindRStar)
 	s.build(qMulti, 200)
-	proc := &Processor{Idx: s.trees[0].idx, Objects: s.regions, NonContiguous: true}
+	proc := &Processor{Idx: s.trees[0].idx, Objects: s.regions}
 	ref := geom.Rect{Min: s.at(6, 6), Max: s.at(15, 14)}.Polygon()
 	for _, rel := range topo.All() {
 		res, err := proc.Query(rel, ref)
@@ -73,58 +74,66 @@ func TestNonContiguousStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestMultiPolygonReferenceBetweenComponents: a simple polygon lying
-// between the two components of a MultiPolygon reference is disjoint
-// from it while its MBR stands inside the reference's, a configuration
-// the contiguous disjoint row excludes. A contiguous processor takes
-// the Section 7 rows from the reference's type, so it finds the
-// polygon, by exact geometry rather than a direct accept; a
-// conjunction over that reference, which Table 4 (a composition of
-// simple regions) no longer judges, finds it too. Stored side by side,
-// the two join as disjoint, and not as overlap, under
-// JoinOptions.NonContiguous: the join reads no object's type.
+// TestMultiPolygonReferenceBetweenComponents: the bar [2,3]×[0,4]
+// lies between the two components of the archipelago {[0,1]×[1,2],
+// [4,5]×[1,2]} and is disjoint from it, while its MBR stands inside the
+// archipelago's, a configuration the contiguous disjoint row excludes
+// and the contiguous overlap row direct-accepts. Whichever of the two
+// is stored and whichever is the reference, a processor with default
+// options takes the Section 7 rows (from its RegionStore, and from a
+// MultiPolygon reference), so it answers disjoint after an exact test
+// and never overlap; a conjunction over the archipelago, which Table 4
+// judges, finds the bar too. Stored side by side, the two join as
+// disjoint, and not as overlap, under default JoinOptions: the join's
+// RegionStores decide its tables as the processor's does.
 func TestMultiPolygonReferenceBetweenComponents(t *testing.T) {
-	between := geom.R(2, 0, 3, 4).Polygon()
-	ref := geom.MultiPolygon{geom.R(0, 1, 1, 2).Polygon(), geom.R(4, 1, 5, 2).Polygon()}
-	if got := geom.RelateRegions(between, ref); got != topo.Disjoint {
+	bar := geom.R(2, 0, 3, 4).Polygon()
+	archipelago := geom.MultiPolygon{geom.R(0, 1, 1, 2).Polygon(), geom.R(4, 1, 5, 2).Polygon()}
+	if got := geom.RelateRegions(bar, archipelago); got != topo.Disjoint {
 		t.Fatalf("fixture relates as %v", got)
 	}
-	idx, err := index.NewWithPageSize(index.KindRTree, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Insert(between.Bounds(), 1); err != nil {
-		t.Fatal(err)
-	}
-	p := &Processor{Idx: idx, Objects: RegionStore{1: between}}
-	for _, rel := range topo.All() {
-		res, err := p.Query(rel, ref)
+	objs := RegionStore{1: bar, 2: archipelago}
+	tree := func(oids ...uint64) index.Index {
+		idx, err := index.NewWithPageSize(index.KindRTree, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := map[bool]int{true: 1}[rel == topo.Disjoint]; len(res.Matches) != want {
-			t.Errorf("%v: %d matches, want %d", rel, len(res.Matches), want)
+		for _, oid := range oids {
+			if err := idx.Insert(objs[oid].Bounds(), oid); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if res.Stats.DirectAccepts != 0 {
-			t.Errorf("%v: %d direct accepts of a configuration only geometry decides", rel, res.Stats.DirectAccepts)
+		return idx
+	}
+	for _, c := range []struct {
+		stored uint64
+		ref    geom.Region
+	}{{2, bar}, {1, archipelago}} {
+		p := &Processor{Idx: tree(c.stored), Objects: objs}
+		for _, rel := range topo.All() {
+			res, err := p.Query(rel, c.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := map[bool]int{true: 1}[rel == topo.Disjoint]
+			if st := res.Stats; len(res.Matches) != n || st.DirectAccepts != 0 || rel == topo.Disjoint && st.RefinementTests != 1 {
+				t.Errorf("object %d, %v: %d matches from %+v, want %d after exact tests alone", c.stored, rel, len(res.Matches), st, n)
+			}
 		}
 	}
-	res, err := p.QueryConjunction(topo.Disjoint, ref, topo.Overlap, geom.R(2.5, 3, 6, 6).Polygon())
+	p := &Processor{Idx: tree(1), Objects: objs}
+	res, err := p.QueryConjunction(topo.Disjoint, archipelago, topo.Overlap, geom.R(2.5, 3, 6, 6).Polygon())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.ShortCircuited || len(res.Matches) != 1 {
 		t.Fatalf("disjoint from the archipelago ∧ overlapping a square: %d matches, %+v", len(res.Matches), res.Stats)
 	}
-	// Stored, the two join as disjoint under the Section 7 tables.
-	if err := idx.Insert(ref.Bounds(), 2); err != nil {
-		t.Fatal(err)
-	}
-	objs := RegionStore{1: between, 2: ref}
+	both := tree(1, 2)
 	for rel, want := range map[topo.Relation]int{topo.Disjoint: 2, topo.Overlap: 0} {
-		res, err := JoinTopological(idx, idx, topo.NewSet(rel), JoinOptions{LeftObjects: objs, RightObjects: objs, NonContiguous: true})
-		if err != nil || len(res.Pairs) != want {
-			t.Errorf("non-contiguous self-join, %v: %d pairs, want %d (%v)", rel, len(res.Pairs), want, err)
+		res, err := JoinTopological(both, both, topo.NewSet(rel), JoinOptions{LeftObjects: objs, RightObjects: objs})
+		if err != nil || len(res.Pairs) != want || res.Stats.DirectAccepts != 0 {
+			t.Errorf("refined self-join, %v: %d pairs from %+v, want %d (%v)", rel, len(res.Pairs), res.Stats, want, err)
 		}
 	}
 }

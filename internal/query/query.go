@@ -32,13 +32,16 @@ import (
 
 // ObjectStore resolves object ids to exact geometry for the
 // refinement step. Objects are Regions: simple polygons (contiguous)
-// or multi-polygons (the Section 7 non-contiguous extension).
+// or multi-polygons (the Section 7 non-contiguous extension). The
+// store picks the tables (nonContiguous): a MapStore keeps Table 1's,
+// any other store takes Section 7's, which are exact for any region.
 type ObjectStore interface {
 	// Object returns the region stored under oid.
 	Object(oid uint64) (geom.Region, bool)
 }
 
-// MapStore is a trivial in-memory ObjectStore over simple polygons.
+// MapStore is a trivial in-memory ObjectStore over simple polygons:
+// its type says they are contiguous, so it keeps Table 1's rows.
 type MapStore map[uint64]geom.Polygon
 
 // Object implements ObjectStore.
@@ -48,7 +51,7 @@ func (m MapStore) Object(oid uint64) (geom.Region, bool) {
 }
 
 // RegionStore is an in-memory ObjectStore over arbitrary regions
-// (polygons and multi-polygons).
+// (polygons and multi-polygons), under the Section 7 tables.
 type RegionStore map[uint64]geom.Region
 
 // Object implements ObjectStore.
@@ -121,10 +124,11 @@ type Processor struct {
 	// uses the Table 5 expanded configuration sets and every candidate
 	// is refined.
 	NonCrisp bool
-	// NonContiguous enables the Section 7 mode: objects may consist of
-	// several disconnected components, so the filter uses the relaxed
+	// NonContiguous states that the indexed objects may consist of
+	// several disconnected components, so the filter uses the Section 7
 	// candidate tables (disjoint → all configurations, meet → all
-	// point-sharing configurations).
+	// point-sharing configurations). Only filter-only use needs it: with
+	// Objects set, the store decides (ObjectStore).
 	NonContiguous bool
 	// SecondFilter enables the convex-hull filter step between the MBR
 	// filter and exact refinement (Brinkhoff et al. 1994, cited by the
@@ -159,7 +163,7 @@ func (t tables) decides(a, b geom.Rect, rels topo.Set) bool {
 
 // candidateConfigs maps a relation disjunction to the admissible MBR
 // configurations under the processor's crispness and the given
-// contiguity (nonContiguousFor).
+// contiguity (nonContiguous).
 func (p *Processor) candidateConfigs(rels topo.Set, nonContiguous bool) mbr.ConfigSet {
 	c := tablesFor(nonContiguous).candidates(rels)
 	if p.NonCrisp {
@@ -168,18 +172,26 @@ func (p *Processor) candidateConfigs(rels topo.Set, nonContiguous bool) mbr.Conf
 	return c
 }
 
-// nonContiguousFor reports whether a query against refs takes the
-// Section 7 tables: in the processor's NonContiguous mode, and for any
-// reference that is not a simple polygon — an object may lie between a
-// MultiPolygon's components, disjoint from it inside its MBR, as a line
-// may (QueryLine). A nil reference is a rectangle.
-func (p *Processor) nonContiguousFor(refs ...geom.Region) bool {
+// nonContiguous is the one rule that picks the Section 7 tables, for
+// every query and join: when a store is not a MapStore (it may hold an
+// object of several components), when a reference is not a simple
+// polygon (an object may lie between a MultiPolygon's components,
+// disjoint from it inside its MBR, as a line may: QueryLine), and when
+// the caller's flag says so, which is needed only where there is no
+// store and the code cannot see the data. A nil store is none, and a
+// nil reference is a rectangle.
+func nonContiguous(flag bool, refs []geom.Region, stores ...ObjectStore) bool {
+	for _, s := range stores {
+		if _, simple := s.(MapStore); s != nil && !simple {
+			return true
+		}
+	}
 	for _, r := range refs {
 		if _, simple := r.(geom.Polygon); r != nil && !simple {
 			return true
 		}
 	}
-	return p.NonContiguous
+	return flag
 }
 
 // joinTests and mbr.Filter are the package's one rectangle test, "a

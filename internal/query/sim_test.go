@@ -71,19 +71,19 @@ type qsim struct {
 	step             int
 	op, ref          string // the step's mutation; the reference or point a class runs on
 	trees            []*qtree
-	regions          RegionStore
+	regions          RegionStore // every region: its queries and joins take the Section 7 tables
+	polys            MapStore    // the polygon layer's view, which keeps Table 1
 	lines            LineStore
 	lattice          map[uint64]geom.Polygon     // a polygon before the map
 	cells            map[uint64][][2]int         // the unit cells it covers
 	rect             map[uint64]geom.Rect        // an object's MBR
-	refs             []geom.Region               // stored, variant, fresh, multi-polygon, far, flank
+	refs             []geom.Region               // stored, variant, fresh, multi-polygon, far, flank, strait
 	memo             map[[2]uint64]int           // the scan's verdicts on (oid, ref) this step
 	pairs            map[[2]uint64]topo.Relation // the scan's verdicts on pairs of objects
 	knn              []geom.Point                // this step's kNN query points
 	seen             map[string]bool             // classes with a non-empty answer
 	sum              Stats                       // the relation sets' step-4 counters
 	refused, nextOID int
-	beyondTable4     int // non-empty conjunctions over a multi-polygon reference that Table 4 calls empty
 }
 
 // newQuerySim starts an empty store under the seed's map.
@@ -93,7 +93,7 @@ func newQuerySim(t *testing.T, seed int64, kind index.Kind) *qsim {
 		// The scales and offsets under which geom decides lattice shapes
 		// exactly (ROADMAP item 12).
 		s: []float64{1e-4, 1, 1e3}[rng.Intn(3)], off: []float64{0, 180}[rng.Intn(2)],
-		regions: RegionStore{}, lines: LineStore{}, lattice: map[uint64]geom.Polygon{}, cells: map[uint64][][2]int{},
+		regions: RegionStore{}, polys: MapStore{}, lines: LineStore{}, lattice: map[uint64]geom.Polygon{}, cells: map[uint64][][2]int{},
 		rect: map[uint64]geom.Rect{}, pairs: map[[2]uint64]topo.Relation{}, seen: map[string]bool{}}
 }
 
@@ -126,8 +126,8 @@ func runQuerySim(t *testing.T, seed int64, kind index.Kind) {
 			seen[f[0]]++
 		}
 	}
-	t.Logf("non-empty: %d/8 relations, %d/13 direction relations, %d/6 line relations, %d/3 point modes, joins %v; %d R+ mutations refused; %d non-empty conjunctions over a multi-polygon reference that Table 4 calls empty",
-		seen["relation"], seen["direction"], seen["line"], seen["point"], s.seen["join"], s.refused, s.beyondTable4)
+	t.Logf("non-empty: %d/8 relations, %d/13 direction relations, %d/6 line relations, %d/3 point modes, joins %v; %d R+ mutations refused",
+		seen["relation"], seen["direction"], seen["line"], seen["point"], s.seen["join"], s.refused)
 }
 
 func (s *qsim) label(tr *qtree, class string) string {
@@ -179,18 +179,44 @@ func (s *qsim) stair(x, y, n int) (pg geom.Polygon, cells [][2]int) {
 
 // archipelago draws up to 3 staircases near (x, y) with disjoint cells:
 // components apart, abutting along an edge or touching at a corner.
-func (s *qsim) archipelago(x, y int) (mp geom.MultiPolygon) {
+func (s *qsim) archipelago(x, y int) (mp geom.MultiPolygon, cells [][2]int) {
 	taken := map[[2]int]bool{}
 	for k, tries := 1+s.rng.Intn(3), 0; len(mp) < k && tries < 20; tries++ {
-		pg, cells := s.stair(x+s.rng.Intn(5), y+s.rng.Intn(5), 3)
-		if !slices.ContainsFunc(cells, func(c [2]int) bool { return taken[c] }) {
-			for _, c := range cells {
+		pg, cs := s.stair(x+s.rng.Intn(5), y+s.rng.Intn(5), 3)
+		if !slices.ContainsFunc(cs, func(c [2]int) bool { return taken[c] }) {
+			for _, c := range cs {
 				taken[c] = true
 			}
+			cells = append(cells, cs...)
 			mp = append(mp, s.mapped(pg))
 		}
 	}
-	return mp
+	return mp, cells
+}
+
+// strait draws a bar across a gap of a stored multi-polygon, a lattice
+// column or row inside its MBR that none of its cells fills, from
+// beyond one side of its MBR to beyond the other: the two are disjoint
+// or meet while their MBRs cross, which only Section 7's rows admit, so
+// only the store can tell a query to take them. It falls back to the
+// fresh staircase where no live multi-polygon has a gap.
+func (s *qsim) strait(fresh geom.Region) geom.Region {
+	for _, r := range s.tree("insert-built multi-polygon").live {
+		cells := s.cells[r.OID]
+		lo, hi := cells[0], cells[0]
+		for _, c := range cells {
+			lo, hi = [2]int{min(lo[0], c[0]), min(lo[1], c[1])}, [2]int{max(hi[0], c[0]), max(hi[1], c[1])}
+		}
+		for a := range 2 {
+			for k := lo[a] + 1; k < hi[a]; k++ {
+				if !slices.ContainsFunc(cells, func(c [2]int) bool { return c[a] == k }) {
+					bar := [2][2]float64{{float64(k), float64(k + 1)}, {float64(lo[1-a] - 1), float64(hi[1-a] + 2)}}
+					return s.mapped(geom.R(bar[a][0], bar[1-a][0], bar[a][1], bar[1-a][1]).Polygon())
+				}
+			}
+		}
+	}
+	return fresh
 }
 
 // newObject stores a new object of the layer at a random lattice point.
@@ -201,9 +227,10 @@ func (s *qsim) newObject(layer int) uint64 {
 	switch layer {
 	case qPoly:
 		s.lattice[oid], s.cells[oid] = s.stair(x, y, 4)
-		s.regions[oid] = (s.mapped(s.lattice[oid]))
+		s.polys[oid] = s.mapped(s.lattice[oid])
+		s.regions[oid] = s.polys[oid]
 	case qMulti:
-		s.regions[oid] = s.archipelago(x, y)
+		s.regions[oid], s.cells[oid] = s.archipelago(x, y)
 	case qLine:
 		for s.lines[oid] == nil {
 			pl := make(geom.PolyLine, 2+s.rng.Intn(3))
@@ -338,24 +365,25 @@ func (s *qsim) check() {
 	// flank: two unit squares beside the stored polygon, whose MBR crosses theirs.
 	b, g := stored.Bounds(), float64(s.rng.Intn(2))
 	flank := geom.MultiPolygon{s.mapped(geom.R(b.Min.X-1-g, b.Min.Y+1, b.Min.X-g, b.Min.Y+2).Polygon()), s.mapped(geom.R(b.Max.X+g, b.Min.Y+1, b.Max.X+1+g, b.Min.Y+2).Polygon())}
+	archipelago, _ := s.archipelago(s.rng.Intn(qsimGrid), s.rng.Intn(qsimGrid))
 	s.refs = []geom.Region{s.mapped(stored), s.mapped(variant), s.mapped(fresh),
-		s.archipelago(s.rng.Intn(qsimGrid), s.rng.Intn(qsimGrid)), s.mapped(fresh.Translate(geom.Point{X: 2 * qsimGrid})), flank}
+		archipelago, s.mapped(fresh.Translate(geom.Point{X: 2 * qsimGrid})), flank, s.strait(s.mapped(fresh))}
 	s.memo = map[[2]uint64]int{}
 	x, y := float64(s.rng.Intn(qsimGrid)), float64(s.rng.Intn(qsimGrid))
 	s.knn = []geom.Point{s.at(x, y), s.at(x+0.5, y), s.at(s.rng.Float64()*qsimGrid, s.rng.Float64()*qsimGrid)}
 	for _, tr := range s.trees {
 		switch {
 		case tr.wide:
-			s.regionClass(tr, "non-crisp", &Processor{Idx: tr.idx, Objects: s.regions, NonCrisp: true}, s.step%3)
-		case tr.layer == qPoly:
+			s.regionClass(tr, "non-crisp", &Processor{Idx: tr.idx, Objects: s.polys, NonCrisp: true}, s.step%3)
+		case tr.layer == qPoly: // the polygons through both stores: RegionStore takes Section 7, MapStore Table 1
 			s.relations(tr)
-			s.regionClass(tr, "non-contiguous", &Processor{Idx: tr.idx, Objects: s.regions, NonContiguous: true}, 3, 5)
-			s.regionClass(tr, "contiguous", &Processor{Idx: tr.idx, Objects: s.regions}, 3, 5)
+			s.regionClass(tr, "non-contiguous", &Processor{Idx: tr.idx, Objects: s.regions}, 3, 5)
+			s.regionClass(tr, "contiguous", &Processor{Idx: tr.idx, Objects: s.polys}, 3, 5)
 			s.conjunctions(tr)
 			s.points(tr)
 			s.directions(tr)
-		case tr.layer == qMulti:
-			s.regionClass(tr, "non-contiguous", &Processor{Idx: tr.idx, Objects: s.regions, NonContiguous: true}, 2, 3)
+		case tr.layer == qMulti: // default options: the store decides
+			s.regionClass(tr, "non-contiguous", &Processor{Idx: tr.idx, Objects: s.regions}, 2, 3, 6)
 		default:
 			for _, ri := range []int{2, 3} {
 				s.ref = fmt.Sprintf(" ref %d", ri)
@@ -457,7 +485,7 @@ func (s *qsim) relations(tr *qtree) {
 		refMBR, filters := ref.Bounds(), map[topo.Set]Result{}
 		for _, rels := range sets {
 			class := "relation " + rels.String()
-			p := &Processor{Idx: tr.idx, Objects: s.regions}
+			p := &Processor{Idx: tr.idx, Objects: s.polys}
 			filt := streamEqualsBatch(s.t, s.label(tr, class), p, rels, refMBR)
 			filters[rels] = filt
 			cands := p.candidateConfigs(rels, false)
@@ -485,15 +513,14 @@ func (s *qsim) relations(tr *qtree) {
 
 // conjunctions runs a random conjunction over any two references and
 // Table 4's example (inside a far reference ∧ overlap the fresh one),
-// refined and streamed. It counts the non-empty ones over a
-// multi-polygon reference, where Table 4 is not consulted, that Table 4
-// calls empty.
+// refined and streamed. Table 4 judges every pair of references,
+// multi-polygons included, so the scan holds its short circuits too.
 func (s *qsim) conjunctions(tr *qtree) {
 	r := func() topo.Relation { return topo.All()[s.rng.Intn(8)] }
 	for i, c := range [][4]int{{int(r()), s.rng.Intn(6), int(r()), s.rng.Intn(6)}, {int(topo.Inside), 4, int(topo.Overlap), 2}} {
 		r1, q1, r2, q2 := topo.Relation(c[0]), s.refs[c[1]], topo.Relation(c[2]), s.refs[c[3]]
 		s.ref = fmt.Sprintf(" %v ref %d ∧ %v ref %d", r1, c[1], r2, c[3])
-		p := &Processor{Idx: tr.idx, Objects: s.regions}
+		p := &Processor{Idx: tr.idx, Objects: s.polys}
 		res, err := p.QueryConjunction(r1, q1, r2, q2)
 		s.same(tr, "conjunction", res, err, func(r rtree.Record) bool { return s.verdict(r.OID, c[1]) == c[0] && s.verdict(r.OID, c[3]) == c[2] })
 		if res.Stats.ShortCircuited && res.Stats.NodeAccesses != 0 || i == 1 && !res.Stats.ShortCircuited {
@@ -501,10 +528,7 @@ func (s *qsim) conjunctions(tr *qtree) {
 		}
 		// A multi-polygon reference takes the Section 7 rows, the streamed
 		// (rectangle) terms do not: only simple ones are one descent.
-		simple := !p.nonContiguousFor(q1, q2)
-		if !simple && len(res.Matches) > 0 && !topo.ConsistentConjunction(r1, r2, geom.RelateRegions(q1, q2)) {
-			s.beyondTable4++
-		}
+		simple := !nonContiguous(false, []geom.Region{q1, q2}, p.Objects)
 		s.sum.ShortCircuited = s.sum.ShortCircuited || res.Stats.ShortCircuited
 
 		b1, b2, c1, c2 := q1.Bounds(), q2.Bounds(), p.candidateConfigs(topo.NewSet(r1), false), p.candidateConfigs(topo.NewSet(r2), false)
@@ -532,7 +556,7 @@ func (s *qsim) points(tr *qtree) {
 	if len(tr.live) > 0 {
 		pts[0] = s.regions[tr.live[s.rng.Intn(len(tr.live))].OID].(geom.Polygon)[0]
 	}
-	p := &Processor{Idx: tr.idx, Objects: s.regions}
+	p := &Processor{Idx: tr.idx, Objects: s.polys}
 	for i, pt := range pts {
 		s.ref = fmt.Sprintf(" at point %d %v", i, pt)
 		for _, mode := range []string{"inside", "boundary", "either"} {
@@ -597,7 +621,7 @@ func (s *qsim) adoption() {
 			var res [2]Result
 			var ts [2]rtree.TraversalStats
 			for i, tr := range []*qtree{src, adopted} {
-				p := &Processor{Idx: tr.idx, Objects: s.regions}
+				p := &Processor{Idx: tr.idx, Objects: s.polys}
 				var err, err2 error
 				res[i], err = p.Query(rel, ref)
 				node, leaf := p.filterPreds(p.testsFor(topo.NewSet(rel), false), ref.Bounds())
@@ -624,29 +648,50 @@ func (s *qsim) adoption() {
 	s.ref = ""
 }
 
-// joins runs the join class on eight pairs of trees: each polygon tree
+// joins runs the join class on ten pairs of trees: each polygon tree
 // with itself and the insert-built polygon tree with the batch-built
-// one either way round under the contiguous tables, and under the
-// Section 7 ones the polygon tree with the multi-polygon tree either
-// way round and the multi-polygon tree with itself.
+// one either way round, the polygon tree with the multi-polygon tree
+// either way round and the multi-polygon tree with itself, and the
+// multi-polygon tree with the strait, stored alone in a tree of its
+// own, either way round.
 func (s *qsim) joins() {
 	poly, batch, adopted, multi := s.tree("insert-built polygon"), s.tree("batch-built polygon"), s.tree("adopted polygon"), s.tree("batch-built multi-polygon")
-	pairs := [][2]*qtree{{poly, poly}, {batch, batch}, {adopted, adopted}, {poly, batch}, {batch, poly}, {poly, multi}, {multi, poly}, {multi, multi}}
-	for i, lr := range pairs {
-		s.join(lr[0], lr[1], i >= 5)
+	oid := uint64(s.nextOID)
+	s.nextOID++
+	s.polys[oid] = s.refs[6].(geom.Polygon)
+	s.regions[oid], s.rect[oid] = s.polys[oid], s.polys[oid].Bounds()
+	strait := &qtree{name: "strait", layer: qPoly, live: []rtree.Record{{OID: oid, Rect: s.rect[oid]}}}
+	strait.idx, _ = index.NewWithPageSize(s.kind, qsimPageSize)
+	if err := strait.idx.Insert(s.rect[oid], oid); err != nil {
+		s.fatalf(strait, "mutation", "%v", err)
+	}
+	for _, lr := range [][2]*qtree{{poly, poly}, {batch, batch}, {adopted, adopted}, {poly, batch}, {batch, poly}, {poly, multi}, {multi, poly}, {multi, multi}, {strait, multi}, {multi, strait}} {
+		s.join(lr[0], lr[1])
 	}
 	s.ref = ""
 }
 
+// store is the tree's layer's store: the polygons' MapStore view, and
+// the RegionStore for multi-polygons.
+func (s *qsim) store(tr *qtree) ObjectStore {
+	if tr.layer == qPoly {
+		return s.polys
+	}
+	return s.regions
+}
+
 // join joins l with r under a random set (with disjoint one time in
 // four), filter-only and refined, dropping and keeping a self-join's
-// (o, o) pairs, on 1 and 4 workers. The filter-only pairs must be the
-// ordered pairs of registrations whose MBR configuration the table of
-// the join admits (an all-pairs mbr.ConfigOf scan), the refined ones
-// those whose objects stand in a relation of the set; 4 workers must
-// give 1 worker's Stats, and every run read the same pages. An R+-tree
-// must be refused.
-func (s *qsim) join(l, r *qtree, nonContiguous bool) {
+// (o, o) pairs, on 1 and 4 workers. A refined join takes default
+// options and each side's store, which pick its tables: the Section 7
+// ones where a side holds multi-polygons. A filter-only join has no
+// store, and states the same choice by JoinOptions.NonContiguous. The
+// filter-only pairs must be the ordered pairs of registrations whose
+// MBR configuration that table admits (an all-pairs mbr.ConfigOf scan),
+// the refined ones those whose objects stand in a relation of the set,
+// out of the filter-only pairs as candidates; 4 workers must give 1 worker's Stats, and every run read the same
+// pages. An R+-tree must be refused.
+func (s *qsim) join(l, r *qtree) {
 	rels := topo.Set(2 + 2*s.rng.Intn(127))
 	if s.rng.Intn(4) == 0 {
 		rels = rels.Add(topo.Disjoint)
@@ -658,8 +703,9 @@ func (s *qsim) join(l, r *qtree, nonContiguous bool) {
 		}
 		return
 	}
+	relaxed := l.layer != qPoly || r.layer != qPoly
 	cands := mbr.CandidatesSet(rels)
-	if nonContiguous {
+	if relaxed {
 		cands = mbr.CandidatesNonContiguousSet(rels)
 	}
 	var filtered, refined [][2]uint64
@@ -683,7 +729,8 @@ func (s *qsim) join(l, r *qtree, nonContiguous bool) {
 		}
 	}
 	byPair := func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
-	var pages uint64 // what every run reads; a join reads both roots
+	var pages uint64   // what every run reads; a join reads both roots
+	var filterOnly int // the pairs a filter-only run without self pairs gives, which a refined run tests
 	for _, refine := range []bool{false, true} {
 		for _, keep := range []bool{false, true} {
 			if refine && keep { // the engine drops self pairs before step 4
@@ -697,12 +744,15 @@ func (s *qsim) join(l, r *qtree, nonContiguous bool) {
 				want = slices.DeleteFunc(slices.Clone(want), func(p [2]uint64) bool { return p[0] == p[1] })
 			}
 			slices.SortFunc(want, byPair)
+			if !refine && !keep {
+				filterOnly = len(want)
+			}
 			var serial Stats
 			for _, workers := range []int{1, 4} {
 				class := fmt.Sprintf("join %v, refined %v, self pairs %v, %d workers", rels, refine, keep, workers)
-				opts := JoinOptions{NonContiguous: nonContiguous, KeepSelfPairs: keep, Workers: workers}
+				opts := JoinOptions{NonContiguous: relaxed, KeepSelfPairs: keep, Workers: workers}
 				if refine {
-					opts.LeftObjects, opts.RightObjects = s.regions, s.regions
+					opts = JoinOptions{LeftObjects: s.store(l), RightObjects: s.store(r), KeepSelfPairs: keep, Workers: workers}
 				}
 				res, err := JoinTopological(l.idx, r.idx, rels, opts)
 				got := make([][2]uint64, len(res.Pairs))
@@ -711,7 +761,7 @@ func (s *qsim) join(l, r *qtree, nonContiguous bool) {
 				}
 				slices.SortFunc(got, byPair)
 				st, tested := res.Stats, res.Stats.DirectAccepts+res.Stats.RefinementTests
-				if err != nil || !slices.Equal(got, want) || len(got) != st.Candidates-st.FalseHits || refine && st.Candidates != tested || !refine && tested != 0 {
+				if err != nil || !slices.Equal(got, want) || len(got) != st.Candidates-st.FalseHits || refine && st.Candidates != tested || refine && tested != filterOnly || !refine && tested != 0 {
 					s.fatalf(l, class, "%d pairs from %+v, the scan %d; %v", len(got), st, len(want), err)
 				}
 				if workers == 1 {

@@ -48,7 +48,7 @@ func (p *Processor) StreamLeaves(ctx context.Context, rels topo.Set, refMBR geom
 	if !refMBR.Valid() {
 		return Stats{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
-	node, leaf := p.filterPreds(p.testsFor(rels, p.NonContiguous), refMBR)
+	node, leaf := p.filterPreds(p.testsFor(rels, nonContiguous(p.NonContiguous, nil, p.Objects)), refMBR)
 	return p.descend(ctx, node, leaf, limit, yield)
 }
 
@@ -129,7 +129,8 @@ scan:
 	}
 
 	// Step 2: one descent under both terms' predicates.
-	node, leaf := p.conjunctionPreds(p.testsFor(rels1, p.NonContiguous), ref1, p.testsFor(rels2, p.NonContiguous), ref2)
+	relaxed := nonContiguous(p.NonContiguous, nil, p.Objects)
+	node, leaf := p.conjunctionPreds(p.testsFor(rels1, relaxed), ref1, p.testsFor(rels2, relaxed), ref2)
 	stats, err := p.descend(ctx, node, leaf, limit, yield)
 	stats.Explain = explainConjunction
 	return stats, err

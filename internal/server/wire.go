@@ -68,7 +68,9 @@ type JoinRequest struct {
 	// Relations is the disjunctive relation set, with the same aliases
 	// as /v1/query.
 	Relations []string `json:"relations"`
-	// NonContiguous selects the Section 7 candidate tables.
+	// NonContiguous selects the Section 7 candidate tables. It is
+	// filter-only: no object store here, so it states what the served
+	// rectangles stand for (query.JoinOptions.NonContiguous).
 	NonContiguous bool `json:"non_contiguous,omitempty"`
 	// KeepSelfPairs keeps (o, o) pairs in self-joins.
 	KeepSelfPairs bool `json:"keep_self_pairs,omitempty"`

@@ -127,11 +127,13 @@ type (
 	// concurrent execution engine (Index.SearchPreds and SearchHits,
 	// NearestCtx, joins).
 	TraversalStats = index.TraversalStats
-	// ObjectStore resolves object ids to regions for refinement.
+	// ObjectStore resolves object ids to regions for refinement, and
+	// picks the candidate tables.
 	ObjectStore = query.ObjectStore
-	// MapStore is an in-memory ObjectStore over simple polygons.
+	// MapStore is an in-memory ObjectStore over simple polygons (Table 1).
 	MapStore = query.MapStore
-	// RegionStore is an in-memory ObjectStore over arbitrary regions.
+	// RegionStore is an in-memory ObjectStore over arbitrary regions
+	// (the Section 7 tables).
 	RegionStore = query.RegionStore
 	// LineStore is an in-memory store of polylines for line queries.
 	LineStore = query.LineStore

@@ -308,7 +308,7 @@ func TestFacadeMultiAndLines(t *testing.T) {
 	if got := mbrtopo.RelateRegions(country, sea); got != mbrtopo.Meet {
 		t.Fatalf("RelateRegions = %v", got)
 	}
-	proc := &mbrtopo.Processor{Idx: idx, Objects: store, NonContiguous: true}
+	proc := &mbrtopo.Processor{Idx: idx, Objects: store}
 	res, err := proc.Query(mbrtopo.Meet, sea)
 	if err != nil || len(res.Matches) != 1 {
 		t.Fatalf("meet query: %+v %v", res.Matches, err)
